@@ -36,15 +36,13 @@ fn sweep_point(ttl: u64, users: usize, refresh_every: u64, window: u64) -> (u64,
             let resp = site.get("/api/recent_jobs", &user);
             assert_eq!(resp.status, 200);
             // Data age: when did the cache entry behind this user's key load?
-            // Approximate via the cache's age accessor.
             let key = format!("recent_jobs:{user}");
             let age = site
                 .ctx()
                 .cache
                 .cache()
-                .get_with_age(&key)
-                .map(|(_, age)| age)
-                .unwrap_or(0);
+                .last_good(&key)
+                .map_or(0, |entry| entry.age_secs);
             total_age += age as f64;
             samples += 1;
             *last = Some(now);

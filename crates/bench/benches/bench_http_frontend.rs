@@ -1,8 +1,8 @@
 //! Experiment P12 — the million-client path: the event-driven HTTP
 //! frontend holds thousands of concurrent keep-alive connections on a
-//! fixed thread count, and the per-epoch render-bytes cache answers
-//! ETag revalidation (`If-None-Match` -> `304`) without executing the
-//! route or serializing a byte.
+//! fixed thread count, and the server cache's pre-serialized bodies answer
+//! ETag revalidation (`If-None-Match` -> `304`) without loading or
+//! serializing a byte.
 //!
 //! Four claims asserted here:
 //!   1. N concurrent keep-alive connections are served by exactly
@@ -11,7 +11,7 @@
 //!      a real hub subscriber (own queue, cursor, store); the fd limit no
 //!      longer bounds the fleet because tabs dispatch in-process.
 //!   3. A revalidated poll (304) costs >=10x less than a full render.
-//!   4. The render-bytes cache serves byte-identical bodies hit vs miss.
+//!   4. The server cache serves byte-identical bodies hit vs miss.
 
 use criterion::Criterion;
 use hpcdash_bench::{banner, BenchSite};
@@ -263,11 +263,27 @@ fn live_tab_fleet(tabs: usize) {
     );
 }
 
+/// Time `iters` polls five times over and keep the fastest batch: on a
+/// shared box scheduler noise only ever adds time, and a single slow batch
+/// must not decide a ratio floor.
+fn fastest_batch(iters: usize, mut poll: impl FnMut()) -> Duration {
+    (0..5)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                poll();
+            }
+            t0.elapsed()
+        })
+        .min()
+        .expect("five batches")
+}
+
 /// Claim 2 + 3: revalidated polls vs full renders, in-process so the
 /// comparison measures route cost and not socket noise.
 fn revalidation_vs_render(iters: usize) -> (Duration, Duration) {
-    // Cached site: the second request onward is served from the
-    // render-bytes cache; with If-None-Match it degenerates to a 304.
+    // Cached site: the second request onward is served from the server
+    // cache's bytes; with If-None-Match it degenerates to a 304.
     let cached = BenchSite::fast();
     cached.warm_up(300);
     let user = cached.user();
@@ -285,23 +301,21 @@ fn revalidation_vs_render(iters: usize) -> (Duration, Duration) {
     assert_eq!(miss.status, 200);
     let etag = miss
         .header("ETag")
-        .expect("cacheable route sets ETag")
+        .expect("cached route sets ETag")
         .to_string();
     let hit = get(None);
     assert_eq!(hit.status, 200);
     assert_eq!(
         miss.body.as_slice(),
         hit.body.as_slice(),
-        "render cache must serve byte-identical bodies"
+        "the cache must serve byte-identical bodies"
     );
     assert_eq!(hit.header("ETag"), Some(etag.as_str()));
 
-    let t0 = Instant::now();
-    for _ in 0..iters {
+    let revalidated = fastest_batch(iters, || {
         let resp = get(Some(&etag));
         assert_eq!(resp.status, 304, "revalidation must short-circuit");
-    }
-    let revalidated = t0.elapsed();
+    });
 
     // Uncached site: every request executes the route and serializes.
     let mut cfg = ScenarioConfig::small();
@@ -311,12 +325,10 @@ fn revalidation_vs_render(iters: usize) -> (Duration, Duration) {
     let uncached = BenchSite::build(cfg, dcfg);
     uncached.warm_up(300);
     let uuser = uncached.user();
-    let t0 = Instant::now();
-    for _ in 0..iters {
+    let full = fastest_batch(iters, || {
         let resp = uncached.get(path, &uuser);
         assert_eq!(resp.status, 200);
-    }
-    let full = t0.elapsed();
+    });
     (revalidated, full)
 }
 
@@ -383,7 +395,7 @@ fn main() {
                 assert_eq!(resp.status, 304);
             })
         });
-        group.bench_function("render_bytes_hit", |b| {
+        group.bench_function("cached_bytes_hit", |b| {
             b.iter(|| {
                 let resp = cached.get("/api/system_status", &user);
                 assert_eq!(resp.status, 200);

@@ -5,7 +5,7 @@
 
 use criterion::Criterion;
 use hpcdash_bench::banner;
-use hpcdash_cache::{CachedFetcher, TtlCache};
+use hpcdash_cache::{CachedFetcher, GraceOutcome, TtlCache};
 use hpcdash_simtime::{SimClock, Timestamp};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -35,11 +35,11 @@ fn herd_plain(threads: usize) -> (u64, Duration) {
             let barrier = barrier.clone();
             std::thread::spawn(move || {
                 barrier.wait();
-                if let Some(v) = cache.get("k") {
+                if let Some(v) = cache.get("k", 0) {
                     return v;
                 }
                 let v = backend_query(&loads);
-                cache.insert("k", v, 60);
+                cache.insert("k", v, 0, 60);
                 v
             })
         })
@@ -64,12 +64,15 @@ fn herd_coalesced(threads: usize) -> (u64, Duration) {
             let barrier = barrier.clone();
             std::thread::spawn(move || {
                 barrier.wait();
-                fetcher.get_or_fetch("k", 60, || backend_query(&loads))
+                fetcher.get_or_fetch("k", 60, || Some((backend_query(&loads), 0)))
             })
         })
         .collect();
     for h in handles {
-        assert_eq!(h.join().unwrap(), 42);
+        assert!(matches!(
+            h.join().unwrap(),
+            GraceOutcome::Hit(42) | GraceOutcome::Loaded { value: 42, .. }
+        ));
     }
     (loads.load(Ordering::SeqCst), t0.elapsed())
 }
@@ -119,14 +122,14 @@ fn main() {
     {
         let clock = SimClock::new(Timestamp(0));
         let fetcher = CachedFetcher::<u64>::new(clock.shared());
-        fetcher.get_or_fetch("hot", 3_600, || 7);
+        fetcher.get_or_fetch("hot", 3_600, || Some((7, 0)));
         let mut group = c.benchmark_group("singleflight_overhead");
         group.bench_function("hit_via_fetcher", |b| {
             b.iter(|| fetcher.get_or_fetch("hot", 3_600, || unreachable!()))
         });
         let cache = TtlCache::<u64>::new(SimClock::new(Timestamp(0)).shared());
-        cache.insert("hot", 7, 3_600);
-        group.bench_function("hit_via_plain_cache", |b| b.iter(|| cache.get("hot")));
+        cache.insert("hot", 7, 0, 3_600);
+        group.bench_function("hit_via_plain_cache", |b| b.iter(|| cache.get("hot", 0)));
         group.finish();
     }
     c.final_summary();

@@ -6,30 +6,26 @@ use crate::stats::CacheStatsSnapshot;
 use crate::ttl::TtlCache;
 use hpcdash_simtime::SharedClock;
 
-/// Cache-or-load with request coalescing.
+/// Cache-or-load with request coalescing and serve-stale-on-error.
 ///
 /// ```
-/// use hpcdash_cache::CachedFetcher;
+/// use hpcdash_cache::{CachedFetcher, GraceOutcome};
 /// use hpcdash_simtime::{SimClock, Timestamp};
 ///
 /// let clock = SimClock::new(Timestamp(0));
 /// let fetcher: CachedFetcher<String> = CachedFetcher::new(clock.shared());
-/// let v = fetcher.get_or_fetch("squeue:alice", 30, || "two jobs".to_string());
-/// assert_eq!(v, "two jobs");
+/// let v = fetcher.get_or_fetch("squeue:alice", 30, || Some(("two jobs".to_string(), 1)));
+/// assert!(matches!(v, GraceOutcome::Loaded { .. }));
 /// // Within the TTL the loader is not called again.
 /// let v2 = fetcher.get_or_fetch("squeue:alice", 30, || unreachable!());
-/// assert_eq!(v2, "two jobs");
+/// assert_eq!(v2, GraceOutcome::Hit("two jobs".to_string()));
 /// ```
 pub struct CachedFetcher<V> {
     cache: TtlCache<V>,
-    flight: SingleFlight<V>,
-    /// Coalesces fallible loads (`get_or_fetch_grace`), whose in-flight
-    /// value is `Option<V>` — kept separate from `flight` so the two entry
-    /// points cannot hand each other the wrong payload type.
-    grace_flight: SingleFlight<Option<V>>,
+    flight: SingleFlight<Option<V>>,
 }
 
-/// How [`CachedFetcher::get_or_fetch_grace`] answered.
+/// How [`CachedFetcher::get_or_fetch`] answered.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GraceOutcome<V> {
     /// Served from a fresh cache entry; the loader did not run.
@@ -49,93 +45,36 @@ impl<V: Clone> CachedFetcher<V> {
         CachedFetcher {
             cache: TtlCache::new(clock),
             flight: SingleFlight::new(),
-            grace_flight: SingleFlight::new(),
         }
     }
 
-    /// Return the cached value for `key`, or run `load` (coalesced across
-    /// threads) and cache its result for `ttl_secs`.
-    pub fn get_or_fetch(&self, key: &str, ttl_secs: u64, load: impl FnOnce() -> V) -> V {
-        if let Some(v) = self.cache.get(key) {
-            return v;
-        }
-        let (value, leader) = self.flight.work(key, || {
-            let v = load();
-            self.cache.insert(key.to_string(), v.clone(), ttl_secs);
-            v
-        });
-        if !leader {
-            self.cache.stats().coalesce();
-        }
-        value
-    }
-
-    /// Serve stale data instantly when available; refresh only on a true
-    /// miss. Returns `(value, was_stale)`.
-    pub fn get_or_fetch_stale(
+    /// The single-flight fill: return the fresh cached value if there is
+    /// one (any version — the TTL alone bounds it), otherwise run `load`
+    /// (coalesced across threads). On success it returns the value and the
+    /// publisher version it was built from, and the value is cached under
+    /// that tag for `ttl_secs`; on failure (`None`) the last-known-good
+    /// value — even an expired one — is served with its age, and nothing is
+    /// invalidated, so one bad refresh can never destroy the copy that
+    /// keeps the widget rendering.
+    pub fn get_or_fetch(
         &self,
         key: &str,
         ttl_secs: u64,
-        load: impl FnOnce() -> V,
-    ) -> (V, bool) {
-        match self.cache.get_allow_stale(key) {
-            Some((v, true)) => {
-                self.cache.stats().hit();
-                (v, false)
-            }
-            Some((v, false)) => {
-                self.cache.stats().stale_serve();
-                // Kick a refresh inline (the simulated analog of Rails'
-                // background revalidation); callers that need async refresh
-                // wrap this in their own worker.
-                let (fresh, leader) = self.flight.work(key, || {
-                    let fresh = load();
-                    self.cache.insert(key.to_string(), fresh.clone(), ttl_secs);
-                    fresh
-                });
-                let _ = fresh;
-                if !leader {
-                    self.cache.stats().coalesce();
-                }
-                (v, true)
-            }
-            None => {
-                self.cache.stats().miss();
-                let (value, leader) = self.flight.work(key, || {
-                    let v = load();
-                    self.cache.insert(key.to_string(), v.clone(), ttl_secs);
-                    v
-                });
-                if !leader {
-                    self.cache.stats().coalesce();
-                }
-                (value, false)
-            }
-        }
-    }
-
-    /// The serve-stale-on-error front door: return the fresh cached value
-    /// if there is one, otherwise run `load` (coalesced across threads).
-    /// On success the value is cached for `ttl_secs`; on failure (`None`)
-    /// the last-known-good value — even an expired one — is served with
-    /// its age, and nothing is invalidated, so one bad refresh can never
-    /// destroy the copy that keeps the widget rendering.
-    pub fn get_or_fetch_grace(
-        &self,
-        key: &str,
-        ttl_secs: u64,
-        load: impl FnOnce() -> Option<V>,
+        load: impl FnOnce() -> Option<(V, u64)>,
     ) -> GraceOutcome<V> {
         // Records hit (fresh) or miss/expiration stats as usual.
-        if let Some((v, _age)) = self.cache.get_with_age(key) {
+        if let Some(v) = self.cache.get(key, 0) {
             return GraceOutcome::Hit(v);
         }
-        let (result, leader) = self.grace_flight.work(key, || {
-            let fresh = load();
-            if let Some(v) = &fresh {
-                self.cache.insert(key.to_string(), v.clone(), ttl_secs);
+        let (result, leader) = self.flight.work(key, || {
+            // A caller that missed just before another flight's insert and
+            // got here just after it must not load a second time.
+            if let Some(v) = self.cache.peek(key, 0) {
+                return Some(v);
             }
-            fresh
+            let (value, version) = load()?;
+            self.cache.insert(key, value.clone(), version, ttl_secs);
+            Some(value)
         });
         if !leader {
             self.cache.stats().coalesce();
@@ -145,10 +84,13 @@ impl<V: Clone> CachedFetcher<V> {
                 value,
                 coalesced: !leader,
             },
-            None => match self.cache.get_stale_with_age(key) {
-                Some((value, age_secs, _fresh)) => {
+            None => match self.cache.last_good(key) {
+                Some(stale) => {
                     self.cache.stats().stale_serve();
-                    GraceOutcome::Stale { value, age_secs }
+                    GraceOutcome::Stale {
+                        value: stale.value,
+                        age_secs: stale.age_secs,
+                    }
                 }
                 None => GraceOutcome::Miss,
             },
@@ -167,10 +109,9 @@ impl<V: Clone> CachedFetcher<V> {
         self.cache.stats().snapshot()
     }
 
-    pub fn reset_stats(&self) {
-        self.cache.stats().reset();
-    }
-
+    /// The store itself, for callers that look up, insert and fall back to
+    /// last-good on their own terms (`/slurm/v0`, per-viewer routes) and
+    /// for the recovery purge.
     pub fn cache(&self) -> &TtlCache<V> {
         &self.cache
     }
@@ -193,23 +134,121 @@ mod tests {
         let (f, clock) = fetcher();
         let loads = AtomicU64::new(0);
         for _ in 0..10 {
-            let v = f.get_or_fetch("k", 30, || {
+            let out = f.get_or_fetch("k", 30, || {
                 loads.fetch_add(1, Ordering::SeqCst);
-                99
+                Some((99, 0))
             });
-            assert_eq!(v, 99);
+            assert!(matches!(
+                out,
+                GraceOutcome::Hit(99) | GraceOutcome::Loaded { value: 99, .. }
+            ));
         }
         assert_eq!(loads.load(Ordering::SeqCst), 1);
         clock.advance(31);
         f.get_or_fetch("k", 30, || {
             loads.fetch_add(1, Ordering::SeqCst);
-            100
+            Some((100, 0))
         });
         assert_eq!(loads.load(Ordering::SeqCst), 2, "reloaded after expiry");
     }
 
     #[test]
-    fn storm_of_misses_loads_once() {
+    fn fills_are_tagged_with_their_version() {
+        let (f, _clock) = fetcher();
+        f.get_or_fetch("k", 30, || Some((1, 7)));
+        assert_eq!(f.cache().last_good("k").unwrap().version, 7);
+        // The fill's own lookup accepts any version; a purge does not.
+        assert_eq!(
+            f.get_or_fetch("k", 30, || unreachable!()),
+            GraceOutcome::Hit(1)
+        );
+        assert_eq!(f.cache().purge_below(8), 1);
+        assert_eq!(f.get_or_fetch("k", 30, || None), GraceOutcome::Miss);
+    }
+
+    #[test]
+    fn invalidate_forces_reload() {
+        let (f, _clock) = fetcher();
+        f.get_or_fetch("k", 1_000, || Some((1, 0)));
+        assert!(f.invalidate("k"));
+        let out = f.get_or_fetch("k", 1_000, || Some((2, 0)));
+        assert_eq!(
+            out,
+            GraceOutcome::Loaded {
+                value: 2,
+                coalesced: false
+            }
+        );
+    }
+
+    #[test]
+    fn serves_stale_on_failure() {
+        let (f, clock) = fetcher();
+        // Cold miss + failing loader: nothing to fall back to.
+        assert_eq!(f.get_or_fetch("k", 10, || None), GraceOutcome::Miss);
+        // Successful load caches the value...
+        assert_eq!(
+            f.get_or_fetch("k", 10, || Some((1, 0))),
+            GraceOutcome::Loaded {
+                value: 1,
+                coalesced: false
+            }
+        );
+        // ...which serves as a fresh hit without running the loader...
+        assert_eq!(
+            f.get_or_fetch("k", 10, || unreachable!()),
+            GraceOutcome::Hit(1)
+        );
+        clock.advance(11);
+        // ...and survives a failed refresh as a stale serve, with age.
+        assert_eq!(
+            f.get_or_fetch("k", 10, || None),
+            GraceOutcome::Stale {
+                value: 1,
+                age_secs: 11
+            }
+        );
+        assert!(f.stats().stale_serves >= 1);
+        clock.advance(100);
+        assert_eq!(
+            f.get_or_fetch("k", 10, || None),
+            GraceOutcome::Stale {
+                value: 1,
+                age_secs: 111
+            },
+            "repeated failures never invalidate the last-known-good copy"
+        );
+        // A later successful refresh replaces it.
+        assert_eq!(
+            f.get_or_fetch("k", 10, || Some((2, 0))),
+            GraceOutcome::Loaded {
+                value: 2,
+                coalesced: false
+            }
+        );
+    }
+
+    #[test]
+    fn failures_are_never_cached() {
+        let (f, clock) = fetcher();
+        f.get_or_fetch("k", 10, || Some((1, 0)));
+        clock.advance(11);
+        let loads = AtomicU64::new(0);
+        for _ in 0..5 {
+            f.get_or_fetch("k", 10, || {
+                loads.fetch_add(1, Ordering::SeqCst);
+                None
+            });
+        }
+        assert_eq!(
+            loads.load(Ordering::SeqCst),
+            5,
+            "each request retried the backend; the failure was not cached"
+        );
+    }
+
+    #[test]
+    fn storm_of_misses_coalesces_to_one_load() {
         let (f, _clock) = fetcher();
         let loads = Arc::new(AtomicU64::new(0));
         let barrier = Arc::new(std::sync::Barrier::new(16));
@@ -223,136 +262,7 @@ mod tests {
                 f.get_or_fetch("squeue", 30, || {
                     loads.fetch_add(1, Ordering::SeqCst);
                     std::thread::sleep(std::time::Duration::from_millis(30));
-                    5
-                })
-            }));
-        }
-        for h in handles {
-            assert_eq!(h.join().unwrap(), 5);
-        }
-        assert_eq!(
-            loads.load(Ordering::SeqCst),
-            1,
-            "one backend query for 16 users"
-        );
-        assert!(f.stats().coalesced >= 1);
-    }
-
-    #[test]
-    fn stale_while_revalidate_serves_old_value() {
-        let (f, clock) = fetcher();
-        f.get_or_fetch("k", 10, || 1);
-        clock.advance(11);
-        let (v, was_stale) = f.get_or_fetch_stale("k", 10, || 2);
-        assert_eq!(v, 1, "stale value served instantly");
-        assert!(was_stale);
-        // The refresh already landed.
-        let (v, was_stale) = f.get_or_fetch_stale("k", 10, || 3);
-        assert_eq!(v, 2);
-        assert!(!was_stale);
-        assert!(f.stats().stale_serves >= 1);
-    }
-
-    #[test]
-    fn cold_stale_fetch_loads() {
-        let (f, _clock) = fetcher();
-        let (v, was_stale) = f.get_or_fetch_stale("cold", 10, || 7);
-        assert_eq!(v, 7);
-        assert!(!was_stale);
-    }
-
-    #[test]
-    fn invalidate_forces_reload() {
-        let (f, _clock) = fetcher();
-        f.get_or_fetch("k", 1_000, || 1);
-        assert!(f.invalidate("k"));
-        let v = f.get_or_fetch("k", 1_000, || 2);
-        assert_eq!(v, 2);
-    }
-
-    #[test]
-    fn grace_path_serves_stale_on_failure() {
-        let (f, clock) = fetcher();
-        // Cold miss + failing loader: nothing to fall back to.
-        assert_eq!(f.get_or_fetch_grace("k", 10, || None), GraceOutcome::Miss);
-        // Successful load caches the value...
-        assert_eq!(
-            f.get_or_fetch_grace("k", 10, || Some(1)),
-            GraceOutcome::Loaded {
-                value: 1,
-                coalesced: false
-            }
-        );
-        // ...which serves as a fresh hit without running the loader...
-        assert_eq!(
-            f.get_or_fetch_grace("k", 10, || unreachable!()),
-            GraceOutcome::Hit(1)
-        );
-        clock.advance(11);
-        // ...and survives a failed refresh as a stale serve, with age.
-        assert_eq!(
-            f.get_or_fetch_grace("k", 10, || None),
-            GraceOutcome::Stale {
-                value: 1,
-                age_secs: 11
-            }
-        );
-        assert!(f.stats().stale_serves >= 1);
-        clock.advance(100);
-        assert_eq!(
-            f.get_or_fetch_grace("k", 10, || None),
-            GraceOutcome::Stale {
-                value: 1,
-                age_secs: 111
-            },
-            "repeated failures never invalidate the last-known-good copy"
-        );
-        // A later successful refresh replaces it.
-        assert_eq!(
-            f.get_or_fetch_grace("k", 10, || Some(2)),
-            GraceOutcome::Loaded {
-                value: 2,
-                coalesced: false
-            }
-        );
-    }
-
-    #[test]
-    fn grace_failures_are_never_cached() {
-        let (f, clock) = fetcher();
-        f.get_or_fetch_grace("k", 10, || Some(1));
-        clock.advance(11);
-        let loads = AtomicU64::new(0);
-        for _ in 0..5 {
-            f.get_or_fetch_grace("k", 10, || {
-                loads.fetch_add(1, Ordering::SeqCst);
-                None
-            });
-        }
-        assert_eq!(
-            loads.load(Ordering::SeqCst),
-            5,
-            "each request retried the backend; the failure was not cached"
-        );
-    }
-
-    #[test]
-    fn grace_storm_coalesces_to_one_load() {
-        let clock = SimClock::new(Timestamp(0));
-        let f = Arc::new(CachedFetcher::<u64>::new(clock.shared()));
-        let loads = Arc::new(AtomicU64::new(0));
-        let barrier = Arc::new(std::sync::Barrier::new(16));
-        let mut handles = Vec::new();
-        for _ in 0..16 {
-            let f = f.clone();
-            let loads = loads.clone();
-            let barrier = barrier.clone();
-            handles.push(std::thread::spawn(move || {
-                barrier.wait();
-                f.get_or_fetch_grace("squeue", 30, || {
-                    loads.fetch_add(1, Ordering::SeqCst);
-                    std::thread::sleep(std::time::Duration::from_millis(30));
-                    Some(5)
+                    Some((5, 0))
                 })
             }));
         }
@@ -370,7 +280,12 @@ mod tests {
                 other => panic!("unexpected outcome {other:?}"),
             }
         }
-        assert_eq!(loads.load(Ordering::SeqCst), 1);
+        assert_eq!(
+            loads.load(Ordering::SeqCst),
+            1,
+            "one backend query for 16 users"
+        );
         assert!(coalesced >= 1);
+        assert!(f.stats().coalesced >= 1);
     }
 }

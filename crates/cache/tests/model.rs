@@ -1,6 +1,7 @@
-//! Model-based property test: the TTL cache must agree with a trivial
-//! reference model under arbitrary interleavings of inserts, reads,
-//! invalidations and clock advances.
+//! Model-based property test: the cache's one freshness rule (built from
+//! `min_version` or later, and younger than its TTL) must agree with a
+//! trivial reference model under arbitrary interleavings of inserts,
+//! reads, invalidations, version purges and clock advances.
 
 use hpcdash_cache::TtlCache;
 use hpcdash_simtime::{SimClock, Timestamp};
@@ -9,26 +10,43 @@ use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Insert { key: u8, value: u32, ttl: u64 },
-    Get { key: u8 },
-    Invalidate { key: u8 },
-    Advance { secs: u64 },
-    PurgeExpired,
+    Insert {
+        key: u8,
+        value: u32,
+        version: u64,
+        ttl: u64,
+    },
+    Get {
+        key: u8,
+        min_version: u64,
+    },
+    Invalidate {
+        key: u8,
+    },
+    Advance {
+        secs: u64,
+    },
+    PurgeBelow {
+        version: u64,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        3 => (0u8..6, any::<u32>(), 1u64..120).prop_map(|(key, value, ttl)| Op::Insert { key, value, ttl }),
-        3 => (0u8..6).prop_map(|key| Op::Get { key }),
+        3 => (0u8..6, any::<u32>(), 0u64..8, 1u64..120)
+            .prop_map(|(key, value, version, ttl)| Op::Insert { key, value, version, ttl }),
+        3 => (0u8..6, 0u64..8).prop_map(|(key, min_version)| Op::Get { key, min_version }),
         1 => (0u8..6).prop_map(|key| Op::Invalidate { key }),
         2 => (1u64..90).prop_map(|secs| Op::Advance { secs }),
-        1 => Just(Op::PurgeExpired),
+        1 => (0u64..8).prop_map(|version| Op::PurgeBelow { version }),
     ]
 }
 
 #[derive(Clone)]
 struct ModelEntry {
     value: u32,
+    version: u64,
+    stored_at: u64,
     expires_at: u64,
 }
 
@@ -44,46 +62,39 @@ proptest! {
 
         for op in ops {
             match op {
-                Op::Insert { key, value, ttl } => {
-                    cache.insert(key.to_string(), value, ttl);
-                    model.insert(key, ModelEntry { value, expires_at: now + ttl });
+                Op::Insert { key, value, version, ttl } => {
+                    cache.insert(key.to_string(), value, version, ttl);
+                    model.insert(key, ModelEntry { value, version, stored_at: now, expires_at: now + ttl });
                 }
-                Op::Get { key } => {
-                    let got = cache.get(&key.to_string());
+                Op::Get { key, min_version } => {
+                    let got = cache.get(&key.to_string(), min_version);
                     let want = model
                         .get(&key)
-                        .filter(|e| now < e.expires_at)
+                        .filter(|e| e.version >= min_version && now < e.expires_at)
                         .map(|e| e.value);
                     prop_assert_eq!(got, want, "divergence at t={} key={}", now, key);
+                    // The last-good read ignores freshness entirely.
+                    let stale = cache.last_good(&key.to_string());
+                    let want = model.get(&key).map(|e| (e.value, e.version, now - e.stored_at));
+                    prop_assert_eq!(stale.map(|s| (s.value, s.version, s.age_secs)), want);
                 }
                 Op::Invalidate { key } => {
-                    let was_present_cache = cache.invalidate(&key.to_string());
-                    let was_present_model = model.remove(&key).is_some();
-                    // The cache keeps stale entries until purged, so it may
-                    // report presence where the model already expired them —
-                    // but never the reverse.
-                    prop_assert!(
-                        was_present_cache || !was_present_model,
-                        "cache lost a live entry for key {}",
-                        key
+                    prop_assert_eq!(
+                        cache.invalidate(&key.to_string()),
+                        model.remove(&key).is_some()
                     );
                 }
                 Op::Advance { secs } => {
                     clock.advance(secs);
                     now += secs;
                 }
-                Op::PurgeExpired => {
-                    cache.purge_expired();
-                    model.retain(|_, e| now < e.expires_at);
+                Op::PurgeBelow { version } => {
+                    let before = model.len();
+                    model.retain(|_, e| e.version >= version);
+                    prop_assert_eq!(cache.purge_below(version), before - model.len());
                 }
             }
         }
-
-        // Final sweep: every live model entry must be readable.
-        for (key, entry) in &model {
-            if now < entry.expires_at {
-                prop_assert_eq!(cache.get(&key.to_string()), Some(entry.value));
-            }
-        }
+        prop_assert_eq!(cache.len(), model.len());
     }
 }

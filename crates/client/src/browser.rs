@@ -315,9 +315,11 @@ impl DashboardClient {
         })
     }
 
-    /// Drop the client cache (a "new browser session").
+    /// Drop the client cache and the validators that go with it (a "new
+    /// browser session" holds no ETags either).
     pub fn clear_cache(&self) {
         self.db.clear_store("api");
+        self.validators.lock().clear();
     }
 
     /// Export / import the cache (persistence across "sessions").
@@ -431,7 +433,7 @@ mod tests {
         let clock = SimClock::new(Timestamp(1_000));
         let client = DashboardClient::new(&server.base_url(), "alice", clock.shared(), None);
         // First fetch pays for the body and learns the ETag; repeats still
-        // hit the network but come back 304 from the render-bytes cache.
+        // hit the network but come back 304 from the server cache.
         let r = client.fetch_api("/api/system_status").unwrap();
         assert_eq!(r.outcome, FetchOutcome::Network);
         let first = r.value;

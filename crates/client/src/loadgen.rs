@@ -450,7 +450,7 @@ mod tests {
         assert_eq!(report.cache_fresh, 0);
         // But the SERVER cache still protected slurmctld: one sinfo total.
         assert_eq!(ctx.ctld.stats().count_of("sinfo"), 1);
-        // And the render-bytes cache answered the repeats with 304s: the
+        // And the server cache answered the repeats with 304s: the
         // first request paid for the body, the other four revalidated.
         assert_eq!(report.not_modified, 4);
         let avail = &report.availability["/api/system_status"];

@@ -6,16 +6,16 @@
 //! keys) and serves a dark site's slice from its last-known-good snapshot
 //! with an age annotation. The aggregates therefore *always* answer — one
 //! unreachable cluster degrades only its own rows — and the aggregate
-//! routes deliberately skip the render-bytes cache: freezing the payload
-//! would freeze the "site beta: data from 40s ago" notices these routes
-//! exist to keep honest. The cluster-scoped route does render-cache, keyed
-//! by path (the cluster dimension) and versioned by that site's own
-//! published snapshot seq.
+//! routes deliberately skip the server cache: freezing the payload would
+//! freeze the "site beta: data from 40s ago" notices these routes exist to
+//! keep honest. The cluster-scoped route is cached per viewer, keyed by
+//! path (the cluster dimension) and versioned by that site's own published
+//! snapshot seq.
 
 use crate::auth::CurrentUser;
 use crate::ctx::DashboardContext;
 use hpcdash_federation::{FederatedSnapshot, SiteHealth, SiteStatus};
-use hpcdash_http::{CacheDecision, Request, Response, Router};
+use hpcdash_http::{Request, Response, Router};
 use serde_json::{json, Value};
 
 pub const FEATURE: &str = "Multi-cluster federation (extension)";
@@ -30,25 +30,10 @@ pub fn register(router: &mut Router, ctx: DashboardContext) {
     let c1 = ctx.clone();
     let c2 = ctx.clone();
     let c3 = ctx.clone();
-    let keyctx = ctx.clone();
     router.get(ROUTES[0], move |req| status(&ctx, req));
     router.get(ROUTES[1], move |req| jobs(&c1, req));
     router.get(ROUTES[2], move |req| nodes(&c2, req));
-    router.get_cached(
-        ROUTES[3],
-        move |req| {
-            let ttl = keyctx.cfg.cache.federation;
-            let decision = super::render_decision(&keyctx, req, ROUTES[3], ttl)?;
-            // Version on the *named* site's published epoch, not the local
-            // daemon's: the slice re-renders when that cluster ticks.
-            let site = keyctx.federation.get(req.param("cluster")?)?;
-            Some(CacheDecision {
-                version: site.ctld().snapshot().seq,
-                ..decision
-            })
-        },
-        move |req| cluster_status(&c3, req),
-    );
+    router.get(ROUTES[3], move |req| cluster_status(&c3, req));
 }
 
 /// One fan-out across every registered site, with per-slice accounting.
@@ -192,17 +177,21 @@ fn cluster_status(ctx: &DashboardContext, req: &Request) -> Response {
     let Some(cluster) = req.param("cluster") else {
         return Response::bad_request("missing cluster");
     };
-    let Some(slice) = ctx.federation.site_status(cluster, &ctx.breakers) else {
+    let Some(site) = ctx.federation.get(cluster) else {
         return Response::not_found("unknown cluster");
     };
-    let resp = Response::json(&site_entry(&slice));
-    // Only a live slice's bytes may be revalidated with 304s; degraded
-    // slices must keep re-reporting their growing age.
-    if slice.health.is_live() {
-        resp.mark_cacheable()
-    } else {
-        resp
-    }
+    // Versioned on the *named* site's published epoch, not the local
+    // daemon's: the slice is rebuilt when that cluster ticks.
+    let epoch = site.ctld().snapshot().seq;
+    let ttl = ctx.cfg.cache.federation;
+    super::per_viewer(ctx, req, "federation", ttl, epoch, || {
+        let Some(slice) = ctx.federation.site_status(cluster, &ctx.breakers) else {
+            return Err(Response::not_found("unknown cluster"));
+        };
+        // Only a live slice's bytes may be stored and revalidated with
+        // 304s; degraded slices must keep re-reporting their growing age.
+        Ok((site_entry(&slice), slice.health.is_live()))
+    })
 }
 
 #[cfg(test)]

@@ -29,15 +29,7 @@ pub const SOURCES: &[&str] = &[
 pub fn register(router: &mut Router, ctx: DashboardContext) {
     let ctx_logs = ctx.clone();
     let ctx_array = ctx.clone();
-    let keyctx = ctx.clone();
-    router.get_cached(
-        ROUTES[0],
-        move |req| {
-            let ttl = keyctx.cfg.cache.job_overview;
-            super::render_decision(&keyctx, req, ROUTES[0], ttl)
-        },
-        move |req| handle_overview(&ctx, req),
-    );
+    router.get(ROUTES[0], move |req| handle_overview(&ctx, req));
     router.get(ROUTES[1], move |req| handle_logs(&ctx_logs, req));
     router.get(ROUTES[2], move |req| handle_array(&ctx_array, req));
 }
@@ -81,12 +73,18 @@ fn authorize(ctx: &DashboardContext, req: &Request) -> Result<(CurrentUser, Job)
     Ok((user, job))
 }
 
+/// The overview rebuilds from backends on every miss, so it is cached per
+/// viewer and path, and a new scheduler epoch outdates it.
 fn handle_overview(ctx: &DashboardContext, req: &Request) -> Response {
-    let (user, job) = match authorize(ctx, req) {
-        Ok(x) => x,
-        Err(resp) => return resp,
-    };
-    let _ = user;
+    let ttl = ctx.cfg.cache.job_overview;
+    let epoch = ctx.ctld.snapshot().seq;
+    super::per_viewer(ctx, req, "job_overview", ttl, epoch, || {
+        let (_user, job) = authorize(ctx, req)?;
+        Ok((overview_payload(ctx, &job), true))
+    })
+}
+
+fn overview_payload(ctx: &DashboardContext, job: &Job) -> serde_json::Value {
     let now = ctx.now();
     let gpu_flag = ctx.cfg.features.gpu_efficiency;
 
@@ -106,7 +104,7 @@ fn handle_overview(ctx: &DashboardContext, req: &Request) -> Response {
         // still renders, just without it.
         .unwrap_or_default();
         let collector_gpu = if gpu_flag {
-            crate::api::jobtelemetry::collector_gpu_mean(ctx, &job)
+            crate::api::jobtelemetry::collector_gpu_mean(ctx, job)
         } else {
             None
         };
@@ -116,11 +114,11 @@ fn handle_overview(ctx: &DashboardContext, req: &Request) -> Response {
             .map(|rec| EfficiencyReport::from_record_with_gpu(&rec, gpu_flag, collector_gpu))
     };
     // Sparkline series for the telemetry card.
-    let telemetry = crate::api::jobtelemetry::job_series_payload(ctx, FEATURE, &job);
+    let telemetry = crate::api::jobtelemetry::job_series_payload(ctx, FEATURE, job);
 
     let elapsed = job.elapsed_secs(now);
     let session = job.req.comment.as_deref().and_then(parse_ood_session);
-    let body = json!({
+    json!({
         "header": {
             "id": job.display_id(),
             "name": job.req.name,
@@ -171,10 +169,7 @@ fn handle_overview(ctx: &DashboardContext, req: &Request) -> Response {
             "stderr_url": format!("/api/jobs/{}/logs?stream=err", job.display_id()),
         },
         "exit_code": job.exit_code.map(|(c, s)| format!("{c}:{s}")),
-    });
-    // The overview rebuilds from backends every call, so the render cache
-    // (keyed per job, invalidated each scheduler epoch) is its only cache.
-    Response::json(&body).mark_cacheable()
+    })
 }
 
 /// The session tab payload parsed from the OOD comment

@@ -28,100 +28,124 @@ pub mod system_status;
 pub mod updates;
 
 use crate::ctx::{DashboardContext, SourceOutcome};
-use hpcdash_http::{CacheDecision, Request, Response, Router};
+use hpcdash_cache::Body;
+use hpcdash_http::{Request, Response, Router};
+use std::sync::Arc;
+
+/// 200 with already-serialized JSON bytes and no validator: the form stale
+/// and degraded payloads go out in, so they are never revalidated as if
+/// they were current.
+pub(crate) fn json_bytes(bytes: Arc<[u8]>) -> Response {
+    Response::new(200)
+        .with_header("Content-Type", "application/json")
+        .with_body(bytes)
+}
+
+/// 200 with a current payload straight from the cache: the shared bytes
+/// plus their `ETag`, which the router's conditional-GET step turns into a
+/// 304 when the client already holds it.
+pub(crate) fn fresh(body: Body) -> Response {
+    let resp = json_bytes(body.bytes);
+    // Only the no-cache ablation builds bodies without a validator.
+    if body.etag.is_empty() {
+        resp
+    } else {
+        resp.with_header("ETag", &body.etag)
+    }
+}
 
 /// Turn a resilient fetch outcome into the widget's HTTP response — the
 /// single place the per-widget degradation contract is encoded:
 ///
-/// * `Fresh` — 200, payload unchanged.
+/// * `Fresh` — 200, the cached bytes as they are, with their `ETag`.
 /// * `Stale` — 200, payload annotated with `"degraded": true`,
 ///   `"stale_age_secs"`, and `"stale_error"` so the frontend can render the
 ///   accessible "showing data from N min ago" notice instead of silently
-///   presenting old numbers as current.
+///   presenting old numbers as current. The one path that re-parses the
+///   cached bytes; it carries no `ETag`.
 /// * `Failed` — 503 with the error; only this widget goes dark.
 pub(crate) fn respond(outcome: SourceOutcome) -> Response {
-    // Note the degradation outcome on the current trace: tail sampling
-    // retains every trace whose request was served stale or failed, even
-    // though both can answer 200/503 — the status alone can't tell the
-    // trace store a stale serve happened.
-    match &outcome {
-        SourceOutcome::Stale { .. } => hpcdash_obs::tracestore::annotate("outcome", "degraded"),
-        SourceOutcome::Failed(_) => hpcdash_obs::tracestore::annotate("outcome", "failed"),
-        SourceOutcome::Fresh(_) => {}
-    }
     match outcome {
-        // Only a fully fresh payload may enter the render-bytes cache;
-        // degraded/stale responses keep their ages and banners per-request.
-        SourceOutcome::Fresh(v) => Response::json(&v).mark_cacheable(),
+        SourceOutcome::Fresh(body) => fresh(body),
         SourceOutcome::Stale {
-            mut value,
+            body,
             age_secs,
             error,
         } => {
+            // Note the degradation outcome on the current trace: tail
+            // sampling retains every trace whose request was served stale
+            // or failed, even though both can answer 200/503 — the status
+            // alone can't tell the trace store a stale serve happened.
+            hpcdash_obs::tracestore::annotate("outcome", "degraded");
             // Every route payload is a JSON object; anything else is served
             // unannotated rather than re-shaped under the client's feet.
-            if let Some(obj) = value.as_object_mut() {
-                obj.insert("degraded".to_string(), serde_json::json!(true));
-                obj.insert("stale_age_secs".to_string(), serde_json::json!(age_secs));
-                obj.insert("stale_error".to_string(), serde_json::json!(error));
+            match serde_json::from_slice(&body.bytes) {
+                Ok(serde_json::Value::Object(mut obj)) => {
+                    obj.insert("degraded".to_string(), serde_json::json!(true));
+                    obj.insert("stale_age_secs".to_string(), serde_json::json!(age_secs));
+                    obj.insert("stale_error".to_string(), serde_json::json!(error));
+                    Response::json(&serde_json::Value::Object(obj))
+                }
+                _ => json_bytes(body.bytes),
             }
-            Response::json(&value)
         }
-        SourceOutcome::Failed(e) => Response::service_unavailable(&e),
+        SourceOutcome::Failed(e) => {
+            hpcdash_obs::tracestore::annotate("outcome", "failed");
+            Response::service_unavailable(&e)
+        }
     }
 }
 
-/// Render-cache admission shared by every cacheable GET route: decide the
-/// cache key, epoch, and TTL for one request — or decline (`None`) so the
-/// request flows uncached.
+/// A per-viewer cached route: one whose payload depends on who asks and is
+/// rebuilt from backends on every miss (a job overview, one federation
+/// slice), so it has no data-source key to share between viewers.
 ///
-/// The key folds in everything that can change the bytes: the route and
-/// concrete path (so `:param` routes key per target), the authenticated
-/// identity with its admin bit, any `X-Act-As` impersonation, and the
-/// query string. The version is the cluster snapshot's publication seq —
-/// a new scheduler epoch invalidates implicitly, the same trick the
-/// `/slurm/v0` response cache uses. `now`/TTL ride the sim clock so the
-/// render cache can never outlive the JSON value cache underneath it, and
-/// a TTL of zero (the no-cache ablation) disables render caching too.
-pub(crate) fn render_decision(
+/// The lookup runs *before* `build` — and so before any authorization in
+/// it — keyed on everything that can change the bytes: the concrete path,
+/// the authenticated identity with its admin bit, any `X-Act-As`
+/// impersonation, and the query string. That is safe because an entry only
+/// exists if the same viewer was answered 200 for the same path. An entry
+/// is fresh while `version` (the publishing cluster's snapshot seq) has not
+/// moved and it is younger than `ttl`; a TTL of zero (the no-cache
+/// ablation) and anonymous requests bypass the cache. `build` returns the
+/// payload and whether it may be stored (degraded payloads must keep
+/// re-reporting their growing age), or the error response to send.
+pub(crate) fn per_viewer(
     ctx: &DashboardContext,
     req: &Request,
-    route: &'static str,
-    ttl_secs: u64,
-) -> Option<CacheDecision> {
-    if ttl_secs == 0 {
-        return None;
-    }
-    // Before admitting a cached render, react to any daemon recovery: the
-    // purge must beat the lookup or a dead-epoch body could serve once.
-    ctx.observe_recoveries();
-    let user = req.remote_user()?; // anonymous requests 401 in the handler
-    let is_admin = ctx.cfg.is_admin(user);
-    let mut key = String::with_capacity(64);
-    key.push_str(route);
-    key.push('|');
-    key.push_str(&req.path);
-    key.push('|');
-    key.push_str(if is_admin { "admin:" } else { "user:" });
-    key.push_str(user);
-    if is_admin {
-        if let Some(target) = req.header("x-act-as") {
+    source: &str,
+    ttl: u64,
+    version: u64,
+    build: impl FnOnce() -> Result<(serde_json::Value, bool), Response>,
+) -> Response {
+    let key = req.remote_user().filter(|_| ttl > 0).map(|user| {
+        let is_admin = ctx.cfg.is_admin(user);
+        let mut key = format!(
+            "{source}:{}|{}{user}",
+            req.path,
+            if is_admin { "admin:" } else { "user:" }
+        );
+        if let Some(target) = req.header("x-act-as").filter(|_| is_admin) {
             key.push_str("|act:");
             key.push_str(target);
         }
+        for (k, v) in &req.query {
+            key.push_str(&format!("|{k}={v}"));
+        }
+        key
+    });
+    if let Some(body) = key.as_ref().and_then(|k| ctx.cache_lookup(k, version)) {
+        return fresh(body);
     }
-    for (k, v) in &req.query {
-        key.push('|');
-        key.push_str(k);
-        key.push('=');
-        key.push_str(v);
+    match (build(), key) {
+        (Err(resp), _) => resp,
+        (Ok((value, true)), Some(key)) => {
+            let body = Body::json(&value);
+            ctx.cache.cache().insert(key, body.clone(), version, ttl);
+            fresh(body)
+        }
+        (Ok((value, _)), _) => Response::json(&value),
     }
-    Some(CacheDecision {
-        key,
-        version: ctx.ctld.snapshot().seq,
-        ttl_secs,
-        now_secs: ctx.now().0,
-    })
 }
 
 /// One row of the (declared) Table 1.
@@ -173,9 +197,6 @@ pub(crate) fn daemons_payload(ctx: &DashboardContext) -> serde_json::Value {
 
 /// Register every feature's API route(s).
 pub fn register_all(router: &mut Router, ctx: &DashboardContext) {
-    // The recovery watch purges the router's render-bytes cache after a
-    // daemon crash-recovery; hand it over before any route can populate it.
-    ctx.attach_render_cache(router.render_cache().clone());
     announcements::register(router, ctx.clone());
     recent_jobs::register(router, ctx.clone());
     system_status::register(router, ctx.clone());

@@ -52,20 +52,17 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
     let qos_filter = req.query_param("qos").map(str::to_string);
     let member_filter = req.query_param("user").map(str::to_string);
     let gpu_flag = ctx.cfg.features.gpu_efficiency;
-    let now = ctx.now();
+    // Keyed on the range *selector*: a window relative to `now` would make
+    // a new key every simulated second and the TTL would never hit.
     let key = format!(
         "myjobs:{}:{:?}:{:?}:{:?}:{:?}:{:?}",
-        user.username,
-        range.window(now),
-        state_filter,
-        partition_filter,
-        qos_filter,
-        member_filter,
+        user.username, range, state_filter, partition_filter, qos_filter, member_filter,
     );
     let outcome = ctx.cached_resilient(&key, ctx.cfg.cache.myjobs, || {
         let accounts = user.visible_accounts(ctx);
 
         ctx.note_source(FEATURE, "sacct (slurmdbd)");
+        let now = ctx.now();
         let (since, until) = range.window(now);
         let text = sacct(
             &ctx.dbd,
@@ -304,6 +301,38 @@ mod tests {
                 .len(),
             0
         );
+    }
+
+    #[test]
+    fn relative_ranges_hit_inside_the_ttl_and_do_not_grow_the_cache() {
+        let (ctx, clock) = crate::ctx::tests::test_ctx_clocked();
+        submit_and_tick(&ctx);
+        let req = request("/api/myjobs?range=7d", "alice");
+        let hits = ctx
+            .obs
+            .counter("hpcdash_cache_hits_total", &[("source", "myjobs")]);
+        let fill = handle(&ctx, &req);
+        assert_eq!((fill.status, hits.get()), (200, 0));
+        // 30 s later the 7-day window has moved, the selector has not.
+        clock.advance(30);
+        let hit = handle(&ctx, &req);
+        assert_eq!(hits.get(), 1, "inside the 120 s TTL the entry is reused");
+        assert_eq!(hit.body, fill.body);
+
+        // Fifty scheduler ticks: entries are refilled in place, never added.
+        let metrics = request("/api/jobmetrics?range=24h", "alice");
+        let mut metrics_router = Router::new();
+        crate::api::jobmetrics::register(&mut metrics_router, ctx.clone());
+        assert_eq!(metrics_router.handle(&metrics).status, 200);
+        let entries = ctx.cache.cache().len();
+        for _ in 0..50 {
+            clock.advance(30);
+            ctx.ctld.tick();
+            assert_eq!(handle(&ctx, &req).status, 200);
+            assert_eq!(metrics_router.handle(&metrics).status, 200);
+        }
+        assert_eq!(ctx.cache.cache().len(), entries, "one entry per selector");
+        assert!(hits.get() > 1 + 25, "and most of those ticks were hits");
     }
 
     #[test]

@@ -15,16 +15,12 @@ pub const FEATURE: &str = "Node Overview";
 pub const ROUTES: &[&str] = &["/api/nodes/:name"];
 pub const SOURCES: &[&str] = &["scontrol show node (slurmctld)", "squeue (slurmctld)"];
 
+/// What the loaders' `{"not_found": true}` marker serializes to; the route
+/// recognises a cached "no such node" by these bytes, without parsing.
+const NOT_FOUND: &[u8] = br#"{"not_found":true}"#;
+
 pub fn register(router: &mut Router, ctx: DashboardContext) {
-    let keyctx = ctx.clone();
-    router.get_cached(
-        ROUTES[0],
-        move |req| {
-            let ttl = keyctx.cfg.cache.node_overview;
-            super::render_decision(&keyctx, req, ROUTES[0], ttl)
-        },
-        move |req| handle(&ctx, req),
-    );
+    router.get(ROUTES[0], move |req| handle(&ctx, req));
 }
 
 fn handle(ctx: &DashboardContext, req: &Request) -> Response {
@@ -42,12 +38,7 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
             load_text(ctx, &name)
         }
     });
-    let served = match &outcome {
-        crate::ctx::SourceOutcome::Fresh(v) => Some(v),
-        crate::ctx::SourceOutcome::Stale { value, .. } => Some(value),
-        crate::ctx::SourceOutcome::Failed(_) => None,
-    };
-    if served.is_some_and(|v| v["not_found"] == serde_json::json!(true)) {
+    if outcome.body().is_some_and(|b| &*b.bytes == NOT_FOUND) {
         return Response::not_found(&format!("node {name} not found"));
     }
     super::respond(outcome)
@@ -236,6 +227,11 @@ mod tests {
     fn unknown_node_is_404() {
         let ctx = test_ctx();
         assert_eq!(handle(&ctx, &request("zzz")).status, 404);
+        // The marker is cached like any payload and recognised on the hit.
+        let lookups = ctx.ctld.stats().count_of("scontrol_node");
+        assert_eq!(lookups, 1);
+        assert_eq!(handle(&ctx, &request("zzz")).status, 404);
+        assert_eq!(ctx.ctld.stats().count_of("scontrol_node"), lookups);
     }
 
     #[test]

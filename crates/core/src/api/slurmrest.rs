@@ -10,22 +10,23 @@
 //! subject's own widget-route view, and checked deny-by-default on every
 //! route.
 //!
-//! Steady state is cheaper still: response bytes are cached keyed on
-//! `(endpoint view, snapshot seq)`, so until the cluster publishes a new
-//! epoch a repeat request is a hash lookup and a buffer copy. A fault
-//! injected on the `slurm_v0` boundary serves those last-known-good bytes
-//! with an `X-Hpcdash-Stale: <seq>` header — the same serve-stale contract
-//! the widget routes get from their resilient cache.
+//! Steady state is cheaper still: response bytes live in the dashboard's
+//! one server cache, keyed per endpoint view and versioned on the snapshot
+//! seq, so until the cluster publishes a new epoch a repeat request is a
+//! hash lookup and two `Arc` clones (or a 304). A fault injected on the
+//! `slurm_v0` boundary serves the last-known-good bytes with an
+//! `X-Hpcdash-Stale: <seq>` header — the same serve-stale contract the
+//! widget routes get from the same cache.
 
 use crate::auth::{note_act_as, CurrentUser};
 use crate::ctx::DashboardContext;
+use hpcdash_cache::{Body, NO_TTL};
 use hpcdash_http::{Method, Request, Response, Router};
 use hpcdash_restapi::{serialize, visible_job_positions, AuthedToken, Scope, ScopeSet};
 use hpcdash_slurm::job::JobId;
 use hpcdash_slurm::snapshot::ClusterSnapshot;
 use serde_json::json;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 pub const FEATURE: &str = "Slurm REST API analog (extension)";
 pub const ROUTES: &[&str] = &[
@@ -103,14 +104,6 @@ impl Endpoint {
     }
 }
 
-/// Serve already-serialized bytes (the whole family answers from strings,
-/// never from a `Value` round-trip).
-fn bytes(body: &str) -> Response {
-    Response::new(200)
-        .with_header("Content-Type", "application/json")
-        .with_body(body.as_bytes().to_vec())
-}
-
 /// Resolve the bearer token, or the 401 to send. Deny-by-default: there is
 /// no anonymous view of anything under `/slurm/v0`.
 fn bearer(ctx: &DashboardContext, req: &Request) -> Result<AuthedToken, Response> {
@@ -128,7 +121,9 @@ fn bearer(ctx: &DashboardContext, req: &Request) -> Result<AuthedToken, Response
 }
 
 /// The one read handler. All six endpoints share the sequence: bearer →
-/// act-as → fault gate → seq-keyed byte cache → scope gate → serialize.
+/// act-as → fault gate → seq-versioned cache → scope gate → serialize.
+/// The whole family answers from serialized bytes, never from a `Value`
+/// round-trip.
 fn read(ctx: &DashboardContext, req: &Request, endpoint: Endpoint) -> Response {
     // Recovery check first: the purge of dead-epoch bytes must land before
     // the stale-fallback below can reach for them.
@@ -158,7 +153,7 @@ fn read(ctx: &DashboardContext, req: &Request, endpoint: Endpoint) -> Response {
         _ => token.subject.clone(),
     };
     let key = format!(
-        "{}|{}|{}|{}",
+        "slurm_v0:{}|{}|{}|{}",
         endpoint.name(),
         req.param("id").unwrap_or(""),
         subject,
@@ -170,15 +165,16 @@ fn read(ctx: &DashboardContext, req: &Request, endpoint: Endpoint) -> Response {
         let check = ctx.ctld.faults().check("slurm_v0");
         check.burn();
         if let Some(msg) = check.error() {
-            return match ctx.rest_cache.last_any(&key) {
-                Some((seq, body)) => {
+            return match ctx.cache.cache().last_good(&key) {
+                Some(stale) => {
                     ctx.obs
                         .counter(
                             "hpcdash_restapi_stale_serves_total",
                             &[("endpoint", endpoint.name())],
                         )
                         .inc();
-                    bytes(&body).with_header("X-Hpcdash-Stale", &seq.to_string())
+                    super::json_bytes(stale.value.bytes)
+                        .with_header("X-Hpcdash-Stale", &stale.version.to_string())
                 }
                 None => Response::service_unavailable(msg),
             };
@@ -187,15 +183,17 @@ fn read(ctx: &DashboardContext, req: &Request, endpoint: Endpoint) -> Response {
     // Lock-free read: the epoch cell hands back the latest published
     // snapshot; the daemon's state mutex is never touched.
     let snap = ctx.ctld.snapshot();
-    if let Some(body) = ctx.rest_cache.get(&key, snap.seq) {
-        return bytes(&body);
+    if let Some(body) = ctx.cache_lookup(&key, snap.seq) {
+        return super::fresh(body);
     }
     let body = match build(ctx, req, endpoint, &snap, &token.scopes, &subject) {
-        Ok(b) => b,
+        Ok(b) => Body::new(b.into_bytes()),
         Err(resp) => return resp,
     };
-    ctx.rest_cache.put(&key, snap.seq, Arc::from(body.as_str()));
-    bytes(&body)
+    ctx.cache
+        .cache()
+        .insert(key, body.clone(), snap.seq, NO_TTL);
+    super::fresh(body)
 }
 
 /// Scope-gate and serialize one endpoint. `Err` carries the 403/404 to
@@ -369,7 +367,7 @@ fn clusters(ctx: &DashboardContext, req: &Request) -> Response {
 }
 
 /// The cluster-scoped read handler: bearer (read-cluster) → federation
-/// slice (breaker-gated, last-known-good under faults) → seq-keyed byte
+/// slice (breaker-gated, last-known-good under faults) → seq-versioned
 /// cache → serialize. A degraded slice serves its stale bytes under an
 /// `X-Hpcdash-Stale` header, exactly like the single-site family under a
 /// `slurm_v0` fault; a dark slice (no snapshot ever fetched) is a 503.
@@ -401,10 +399,10 @@ fn cluster_read(ctx: &DashboardContext, req: &Request, endpoint: FedEndpoint) ->
             ));
         }
     };
-    // The render-bytes key carries the cluster dimension; the version is the
-    // *slice's* seq, so stale bytes stay valid for the epoch they reflect.
-    let key = format!("{}|{}", endpoint.name(), cluster);
-    let body = match ctx.rest_cache.get(&key, snap.seq) {
+    // The key carries the cluster dimension; the version is the *slice's*
+    // seq, so stale bytes stay valid for the epoch they reflect.
+    let key = format!("slurm_v0:{}|{}", endpoint.name(), cluster);
+    let body = match ctx.cache_lookup(&key, snap.seq) {
         Some(body) => body,
         None => {
             let built = match endpoint {
@@ -418,12 +416,13 @@ fn cluster_read(ctx: &DashboardContext, req: &Request, endpoint: FedEndpoint) ->
                     serialize::partitions_body(&snap, &indices)
                 }
             };
-            let body: Arc<str> = Arc::from(built.as_str());
-            ctx.rest_cache.put(&key, snap.seq, body.clone());
+            let body = Body::new(built.into_bytes());
+            ctx.cache
+                .cache()
+                .insert(key, body.clone(), snap.seq, NO_TTL);
             body
         }
     };
-    let resp = bytes(&body);
     match stale_age {
         Some(age) => {
             ctx.obs
@@ -432,10 +431,11 @@ fn cluster_read(ctx: &DashboardContext, req: &Request, endpoint: FedEndpoint) ->
                     &[("endpoint", endpoint.name())],
                 )
                 .inc();
-            resp.with_header("X-Hpcdash-Stale", &snap.seq.to_string())
+            super::json_bytes(body.bytes)
+                .with_header("X-Hpcdash-Stale", &snap.seq.to_string())
                 .with_header("X-Hpcdash-Stale-Age", &age.to_string())
         }
-        None => resp,
+        None => super::fresh(body),
     }
 }
 
@@ -532,6 +532,14 @@ mod tests {
     use super::*;
     use crate::api::admin::tests::admin_ctx;
     use hpcdash_slurm::job::JobRequest;
+    use std::sync::Arc;
+
+    /// Hits the one server cache has counted for the `/slurm/v0` family.
+    fn cache_hits(ctx: &DashboardContext) -> u64 {
+        ctx.obs
+            .counter("hpcdash_cache_hits_total", &[("source", "slurm_v0")])
+            .get()
+    }
 
     fn mint_for(
         ctx: &DashboardContext,
@@ -693,14 +701,15 @@ mod tests {
         ctx.ctld.tick();
         let (_, secret) = mint_for(&ctx, "alice", &["read-own-jobs"]).unwrap();
         let first = read(&ctx, &get("/slurm/v0/jobs", &secret), Endpoint::Jobs);
-        let hits0 = ctx.rest_cache.hits();
+        let hits0 = cache_hits(&ctx);
         let second = read(&ctx, &get("/slurm/v0/jobs", &secret), Endpoint::Jobs);
         assert_eq!(first.body, second.body);
-        assert_eq!(ctx.rest_cache.hits(), hits0 + 1, "served from bytes");
+        assert_eq!(first.header("etag"), second.header("etag"));
+        assert_eq!(cache_hits(&ctx), hits0 + 1, "served from bytes");
         // A tick publishes a new snapshot epoch: the next request re-builds.
         ctx.ctld.tick();
         read(&ctx, &get("/slurm/v0/jobs", &secret), Endpoint::Jobs);
-        assert_eq!(ctx.rest_cache.hits(), hits0 + 1);
+        assert_eq!(cache_hits(&ctx), hits0 + 1);
     }
 
     #[test]
@@ -748,11 +757,11 @@ mod tests {
         let body = resp.body_json().unwrap();
         assert_eq!(body["jobs"].as_array().unwrap().len(), 1);
         assert_eq!(body["meta"]["cluster"], "t");
-        // Repeat requests answer from the seq-keyed byte cache.
-        let hits0 = ctx.rest_cache.hits();
+        // Repeat requests answer from the seq-versioned cache.
+        let hits0 = cache_hits(&ctx);
         let again = cluster_read(&ctx, &req, FedEndpoint::Jobs);
         assert_eq!(again.body, resp.body);
-        assert_eq!(ctx.rest_cache.hits(), hits0 + 1);
+        assert_eq!(cache_hits(&ctx), hits0 + 1);
         // Unknown clusters 404.
         req.params
             .insert("cluster".to_string(), "nosuch".to_string());

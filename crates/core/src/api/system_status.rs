@@ -13,15 +13,7 @@ pub const ROUTES: &[&str] = &["/api/system_status"];
 pub const SOURCES: &[&str] = &["sinfo (slurmctld)"];
 
 pub fn register(router: &mut Router, ctx: DashboardContext) {
-    let keyctx = ctx.clone();
-    router.get_cached(
-        ROUTES[0],
-        move |req| {
-            let ttl = keyctx.cfg.cache.system_status;
-            super::render_decision(&keyctx, req, ROUTES[0], ttl)
-        },
-        move |req| handle(&ctx, req),
-    );
+    router.get(ROUTES[0], move |req| handle(&ctx, req));
 }
 
 fn handle(ctx: &DashboardContext, req: &Request) -> Response {

@@ -2,14 +2,14 @@
 //! data-source probe used to regenerate the paper's Table 1.
 
 use crate::config::DashboardConfig;
-use hpcdash_cache::{BreakerBoard, BreakerConfig, CachedFetcher, GraceOutcome};
+use hpcdash_cache::{Body, BreakerBoard, BreakerConfig, CachedFetcher, GraceOutcome};
 use hpcdash_federation::ClusterRegistry;
-use hpcdash_http::{ParkBudget, RenderCache};
+use hpcdash_http::ParkBudget;
 use hpcdash_news::NewsFeed;
 use hpcdash_obs::health::HealthBoard;
-use hpcdash_obs::{Registry, Span};
+use hpcdash_obs::{Counter, Registry, Span};
 use hpcdash_push::{AccountResolver, Hub, HubConfig};
-use hpcdash_restapi::{RestCache, TokenStore};
+use hpcdash_restapi::TokenStore;
 use hpcdash_simtime::{SharedClock, Timestamp};
 use hpcdash_slurm::ctld::Slurmctld;
 use hpcdash_slurm::dbd::Slurmdbd;
@@ -18,7 +18,7 @@ use hpcdash_storage::StorageDb;
 use hpcdash_telemetry::TelemetryD;
 use parking_lot::Mutex;
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -32,8 +32,11 @@ pub struct DashboardContext {
     pub logs: Arc<JobLogFs>,
     pub storage: Arc<StorageDb>,
     pub news: Arc<NewsFeed>,
-    /// The server-side cache: every route's JSON payload flows through it.
-    pub cache: Arc<CachedFetcher<serde_json::Value>>,
+    /// The server-side cache — the only one. Every cached route's payload
+    /// lives here as serialized bytes + ETag, tagged with the snapshot seq
+    /// it was built from: widget sources (per-source TTL), `/slurm/v0`
+    /// views (per epoch) and per-viewer renders (epoch ∧ TTL).
+    pub cache: Arc<CachedFetcher<Body>>,
     /// The dashboard's metrics registry (exposed at `/api/metrics`).
     pub obs: Arc<Registry>,
     /// Per-data-source health derived from loader outcomes (`/api/health`).
@@ -54,9 +57,6 @@ pub struct DashboardContext {
     /// API tokens for the `/slurm/v0` structured family: minted by admins,
     /// presented as bearers, audited via `hpcdash_api_token_*` counters.
     pub tokens: Arc<TokenStore>,
-    /// Serialized `/slurm/v0` response bytes keyed on snapshot seq — the
-    /// steady-state fast path, and the stale fallback under faults.
-    pub rest_cache: Arc<RestCache>,
     /// The multi-cluster federation registry. [`DashboardContext::new`]
     /// builds a single-site registry around the context's own `slurmctld`,
     /// so federated routes always answer; multi-site deployments inject a
@@ -64,6 +64,10 @@ pub struct DashboardContext {
     pub federation: Arc<ClusterRegistry>,
     /// route name -> data sources it touched on cache-cold loads.
     sources: Arc<Mutex<BTreeMap<String, BTreeSet<String>>>>,
+    /// source -> its `hpcdash_cache_{requests,hits,misses}_total` handles,
+    /// resolved once: two registry lookups (a lock and four allocations
+    /// each) per request were most of what a cache hit cost.
+    lookup_counters: Arc<Mutex<HashMap<String, [Arc<Counter>; 3]>>>,
     /// Daemon restart counters as last observed by the serving layer (see
     /// [`DashboardContext::observe_recoveries`]).
     recovery: Arc<RecoveryWatch>,
@@ -72,48 +76,12 @@ pub struct DashboardContext {
 /// The serving layer's view of daemon crash-recoveries. Each daemon counts
 /// its own restarts; this watch remembers the counts the dashboard has
 /// already reacted to, so the first request after a recovery — whichever
-/// worker thread it lands on — purges every cache that could still hold
-/// bytes from a dead (pre-crash) epoch.
+/// worker thread it lands on — purges the cache of every entry that could
+/// still hold bytes from a dead (pre-crash) epoch.
 #[derive(Default)]
 struct RecoveryWatch {
     ctld_seen: AtomicU64,
     dbd_seen: AtomicU64,
-    /// The HTTP router's render-bytes cache, attached at route-registration
-    /// time (the context is built before the router exists).
-    render_cache: Mutex<Option<Arc<RenderCache>>>,
-}
-
-/// Typed cache envelope for [`DashboardContext::cached_result`]. Every
-/// loader outcome is wrapped in a variant, so the payload itself is opaque:
-/// no field name a data source could emit (historically the magic
-/// `"__error"` key) can be mistaken for the failure marker.
-#[derive(Debug, Clone, PartialEq)]
-enum CacheEnvelope {
-    Ok(serde_json::Value),
-    Failed(String),
-}
-
-impl CacheEnvelope {
-    fn to_value(&self) -> serde_json::Value {
-        match self {
-            CacheEnvelope::Ok(v) => serde_json::json!({ "Ok": v }),
-            CacheEnvelope::Failed(e) => serde_json::json!({ "Failed": e }),
-        }
-    }
-
-    fn from_value(value: serde_json::Value) -> CacheEnvelope {
-        if let Some(obj) = value.as_object() {
-            if obj.len() == 1 {
-                if let Some(inner) = obj.get("Ok") {
-                    return CacheEnvelope::Ok(inner.clone());
-                }
-                if let Some(msg) = obj.get("Failed").and_then(|e| e.as_str()) {
-                    return CacheEnvelope::Failed(msg.to_string());
-                }
-            }
-        }
-        CacheEnvelope::Failed("malformed cache envelope".to_string())
-    }
 }
 
 /// The data-source label for a cache key: the prefix before the first `:`
@@ -131,11 +99,11 @@ fn source_of(key: &str) -> &str {
 pub enum SourceOutcome {
     /// Current data: a fresh cache hit or a successful (possibly retried)
     /// load.
-    Fresh(serde_json::Value),
+    Fresh(Body),
     /// The source is failing; the last-known-good payload is served with
     /// its age so the widget can say "showing data from N min ago".
     Stale {
-        value: serde_json::Value,
+        body: Body,
         age_secs: u64,
         error: String,
     },
@@ -161,13 +129,28 @@ impl SourceOutcome {
         }
     }
 
-    /// The payload, if any was served (fresh or stale). For optional
-    /// side-channel data ("bonus columns") where a failure should simply
-    /// drop the extra and not degrade the response.
-    pub fn ok_value(self) -> Option<serde_json::Value> {
+    /// The payload, if any was served (fresh or stale).
+    pub fn body(&self) -> Option<&Body> {
         match self {
-            SourceOutcome::Fresh(v) | SourceOutcome::Stale { value: v, .. } => Some(v),
+            SourceOutcome::Fresh(body) | SourceOutcome::Stale { body, .. } => Some(body),
             SourceOutcome::Failed(_) => None,
+        }
+    }
+
+    /// Rewrite the served payload (fresh or stale), keeping the verdict.
+    pub fn map_body(self, f: impl FnOnce(Body) -> Body) -> SourceOutcome {
+        match self {
+            SourceOutcome::Fresh(body) => SourceOutcome::Fresh(f(body)),
+            SourceOutcome::Stale {
+                body,
+                age_secs,
+                error,
+            } => SourceOutcome::Stale {
+                body: f(body),
+                age_secs,
+                error,
+            },
+            failed => failed,
         }
     }
 }
@@ -231,7 +214,6 @@ impl DashboardContext {
             cfg: Arc::new(cfg),
             cache: Arc::new(CachedFetcher::new(clock.clone())),
             tokens,
-            rest_cache: Arc::new(RestCache::new()),
             telemetry,
             obs,
             health: Arc::new(HealthBoard::new()),
@@ -245,6 +227,7 @@ impl DashboardContext {
             storage,
             news,
             sources: Arc::new(Mutex::new(BTreeMap::new())),
+            lookup_counters: Arc::default(),
             recovery: Arc::new(RecoveryWatch::default()),
         }
     }
@@ -272,32 +255,24 @@ impl DashboardContext {
         self.clock.now()
     }
 
-    /// Hand the recovery watch the router's render-bytes cache so a crash
-    /// recovery can purge dead-epoch renders too. Called by
-    /// `api::register_all`; a context that never serves HTTP (pure sim
-    /// drivers) simply has nothing to purge there.
-    pub fn attach_render_cache(&self, cache: Arc<RenderCache>) {
-        *self.recovery.render_cache.lock() = Some(cache);
-    }
-
-    /// Observe daemon crash-recoveries and purge dead-epoch caches.
+    /// Observe daemon crash-recoveries and purge dead-epoch entries.
     ///
-    /// Called on every serving path (resilient fetches, render-cache
-    /// admission, `/slurm/v0`, `/api/health`). Cheap in the steady state:
-    /// two relaxed atomic loads. When a daemon's restart counter has moved
-    /// since the last observation, exactly one caller (the `swap` winner)
-    /// runs the purge:
+    /// Called on every serving path (resilient fetches, plain lookups,
+    /// `/slurm/v0`, `/api/health`). Cheap in the steady state: two relaxed
+    /// atomic loads. When a daemon's restart counter has moved since the
+    /// last observation, exactly one caller (the `swap` winner) reacts:
     ///
-    /// * `/slurm/v0` byte cache — entries below the recovery's republished
-    ///   epoch are dropped, so even the serve-stale fallback can never
-    ///   return bytes describing state the replay rolled back;
-    /// * the render-bytes cache (same rule, by publisher version);
-    /// * the widget JSON cache — it has no epoch tags, so the honest move
-    ///   is to clear it and let loaders refill from live post-recovery
-    ///   state;
+    /// * a controller recovery drops every entry built below the
+    ///   republished epoch, so not even the serve-stale fallback can return
+    ///   bytes describing state the replay rolled back;
+    /// * a `slurmdbd` recovery clears the cache (accounting rows carry no
+    ///   epoch, so the honest move is to refill from the recovered store);
     /// * `hpcdash_daemon_restarts_total{daemon}` and the last-recovery
-    ///   duration gauge, so operators see the crash happened and what it
-    ///   cost.
+    ///   gauges move, so operators see the crash happened and what it cost.
+    ///
+    /// During the outage itself nothing is dropped: restart counters only
+    /// move once the daemon is back, which is exactly when fresh loads
+    /// succeed again.
     pub fn observe_recoveries(&self) {
         let ctld_now = self.ctld.restart_count();
         if ctld_now != self.recovery.ctld_seen.load(Ordering::Relaxed) {
@@ -325,32 +300,24 @@ impl DashboardContext {
         self.obs
             .counter("hpcdash_daemon_restarts_total", &labels)
             .add(restarts);
-        let mut purged = 0usize;
-        if let Some(r) = report {
+        if let Some(r) = &report {
             self.obs
                 .gauge("hpcdash_daemon_last_recovery_duration_us", &labels)
                 .set(r.duration_micros as i64);
             self.obs
                 .gauge("hpcdash_daemon_last_recovery_wal_lost", &labels)
                 .set(r.wal_lost as i64);
-            // Only the controller publishes epoched snapshots; its recovery
-            // kills every byte keyed below the republished epoch.
-            if daemon == "slurmctld" {
-                purged += self.rest_cache.purge_below(r.epoch_after);
-                if let Some(render) = self.recovery.render_cache.lock().clone() {
-                    purged += render.purge_version_below(r.epoch_after);
-                }
-            }
         }
-        // The widget JSON cache carries no epoch tags — post-recovery its
-        // last-known-good copies may describe rolled-back state, so clear
-        // it wholesale and let live loaders refill it. (During the outage
-        // itself nothing is cleared: restart counters only move once the
-        // daemon is back, which is exactly when fresh loads succeed again.)
-        self.cache.clear();
+        // Only the controller publishes the epochs entries are tagged with.
+        match report {
+            Some(r) if daemon == "slurmctld" => {
+                self.cache.cache().purge_below(r.epoch_after);
+            }
+            _ => self.cache.clear(),
+        }
         self.obs
             .counter("hpcdash_recovery_cache_purges_total", &labels)
-            .add(purged as u64 + 1);
+            .inc();
         hpcdash_obs::tracestore::annotate("recovery", daemon);
     }
 
@@ -373,99 +340,39 @@ impl DashboardContext {
         self.sources.lock().clear();
     }
 
-    /// Fetch-with-cache wrapper all routes use. A `ttl` of zero bypasses the
-    /// cache entirely (used by the no-cache ablation).
-    pub fn cached(
-        &self,
-        key: &str,
-        ttl: u64,
-        load: impl FnOnce() -> serde_json::Value,
-    ) -> serde_json::Value {
-        if ttl == 0 {
-            return load();
+    /// One lookup's hit/miss, by data source (`hpcdash_cache_*_total`).
+    fn count_lookup(&self, source: &str, hit: bool) {
+        let mut by_source = self.lookup_counters.lock();
+        if !by_source.contains_key(source) {
+            let handles = ["requests", "hits", "misses"].map(|kind| {
+                let name = format!("hpcdash_cache_{kind}_total");
+                self.obs.counter(&name, &[("source", source)])
+            });
+            by_source.insert(source.to_string(), handles);
         }
-        let source = source_of(key);
-        let labels = [("source", source)];
-        self.obs
-            .counter("hpcdash_cache_requests_total", &labels)
-            .inc();
-        let loader_ran = Cell::new(false);
-        let value = self.cache.get_or_fetch(key, ttl, || {
-            loader_ran.set(true);
-            let _span = Span::enter("cache-miss").attr("key", key.to_string());
-            load()
-        });
-        let counter = if loader_ran.get() {
-            "hpcdash_cache_misses_total"
-        } else {
-            "hpcdash_cache_hits_total"
-        };
-        self.obs.counter(counter, &labels).inc();
-        value
+        let [requests, hits, misses] = &by_source[source];
+        requests.inc();
+        if hit { hits } else { misses }.inc();
     }
 
-    /// Like [`DashboardContext::cached`], but failures are never cached: a
-    /// broken data source keeps being retried instead of pinning its error
-    /// into the cache until expiry.
-    pub fn cached_result(
-        &self,
-        key: &str,
-        ttl: u64,
-        load: impl FnOnce() -> Result<serde_json::Value, String>,
-    ) -> Result<serde_json::Value, String> {
-        let source = source_of(key);
-        if ttl == 0 {
-            let outcome = load();
-            match &outcome {
-                Ok(_) => self.health.record_ok(source),
-                Err(_) => self.health.record_error(source),
-            }
-            return outcome;
-        }
-        let labels = [("source", source)];
-        self.obs
-            .counter("hpcdash_cache_requests_total", &labels)
-            .inc();
-        let loader_ran = Cell::new(false);
-        let value = self.cache.get_or_fetch(key, ttl, || {
-            loader_ran.set(true);
-            let _span = Span::enter("cache-miss").attr("key", key.to_string());
-            match load() {
-                Ok(v) => CacheEnvelope::Ok(v).to_value(),
-                Err(e) => CacheEnvelope::Failed(e).to_value(),
-            }
-        });
-        let counter = if loader_ran.get() {
-            "hpcdash_cache_misses_total"
-        } else {
-            "hpcdash_cache_hits_total"
-        };
-        self.obs.counter(counter, &labels).inc();
-        match CacheEnvelope::from_value(value) {
-            CacheEnvelope::Ok(v) => {
-                // Only loader runs probe the backend; cache hits say nothing
-                // about source health.
-                if loader_ran.get() {
-                    self.health.record_ok(source);
-                }
-                Ok(v)
-            }
-            CacheEnvelope::Failed(e) => {
-                // A served failure is an observed failure even when this
-                // caller coalesced onto another thread's load (or raced a
-                // just-stored envelope): the user saw the source fail, so
-                // the health board must too.
-                self.health.record_error(source);
-                self.cache.invalidate(key);
-                Err(e)
-            }
-        }
+    /// A plain lookup under the cache's one freshness rule, for routes that
+    /// fill the cache themselves because what they may store depends on the
+    /// answer (`/slurm/v0` never stores a 403/404, a job overview is stored
+    /// only once its viewer was authorized). They insert through
+    /// `self.cache.cache()` and read `last_good` there when a source fails.
+    pub fn cache_lookup(&self, key: &str, min_version: u64) -> Option<Body> {
+        // The purge of dead-epoch bytes must beat the lookup.
+        self.observe_recoveries();
+        let hit = self.cache.cache().get(key, min_version);
+        self.count_lookup(source_of(key), hit.is_some());
+        hit
     }
 
-    /// The resilient fetch path routes use: cache + single-flight like
-    /// [`DashboardContext::cached_result`], wrapped in the full
-    /// [`crate::config::ResiliencePolicy`]:
+    /// The resilient fetch path widget routes use: cache + single-flight,
+    /// wrapped in the full [`crate::config::ResiliencePolicy`]:
     ///
+    /// * the loader's JSON is serialized once, on fill; a hit is a lookup
+    ///   and two `Arc` clones;
     /// * failed loads are retried up to `max_retries` times with seeded
     ///   exponential-jitter backoff, bounded by the per-request deadline;
     /// * a tripped circuit breaker short-circuits the backend entirely;
@@ -474,8 +381,8 @@ impl DashboardContext {
     ///   never cached and never evict the copy that keeps a widget alive.
     ///
     /// A `ttl` of zero (the no-cache ablation) makes a single attempt and
-    /// skips retries, breakers, and stale fallback — the pre-resilience
-    /// behaviour.
+    /// skips the cache, retries, breakers, and stale fallback; its body
+    /// carries no validator.
     pub fn cached_resilient(
         &self,
         key: &str,
@@ -490,7 +397,8 @@ impl DashboardContext {
             return match load() {
                 Ok(v) => {
                     self.health.record_ok(source);
-                    SourceOutcome::Fresh(v)
+                    let bytes = serde_json::to_vec(&v).expect("json serializes");
+                    SourceOutcome::Fresh(Body::unvalidated(bytes))
                 }
                 Err(e) => {
                     self.health.record_error(source);
@@ -499,12 +407,9 @@ impl DashboardContext {
             };
         }
         let labels = [("source", source)];
-        self.obs
-            .counter("hpcdash_cache_requests_total", &labels)
-            .inc();
         let loader_ran = Cell::new(false);
         let last_err: Cell<Option<String>> = Cell::new(None);
-        let outcome = self.cache.get_or_fetch_grace(key, ttl, || {
+        let outcome = self.cache.get_or_fetch(key, ttl, || {
             loader_ran.set(true);
             let _span = Span::enter("cache-miss").attr("key", key.to_string());
             // The breaker gate lives inside the loader: fresh cache hits
@@ -517,27 +422,28 @@ impl DashboardContext {
                 last_err.set(Some(format!("{source}: circuit open")));
                 return None;
             }
-            self.attempt_with_retries(key, source, &labels, &last_err, &load)
+            // The tag is read before the load: a tick landing mid-load can
+            // only make it too old, which over-purges, never under-purges.
+            let version = self.ctld.snapshot().seq;
+            let body = self.attempt_with_retries(key, source, &labels, &last_err, &load)?;
+            Some((body, version))
         });
-        let counter = if loader_ran.get() {
-            "hpcdash_cache_misses_total"
-        } else {
-            "hpcdash_cache_hits_total"
-        };
-        self.obs.counter(counter, &labels).inc();
+        self.count_lookup(source, !loader_ran.get());
         let take_err = || {
             last_err
                 .take()
                 .unwrap_or_else(|| format!("{source}: load failed"))
         };
         match outcome {
-            GraceOutcome::Hit(v) | GraceOutcome::Loaded { value: v, .. } => SourceOutcome::Fresh(v),
+            GraceOutcome::Hit(body) | GraceOutcome::Loaded { value: body, .. } => {
+                SourceOutcome::Fresh(body)
+            }
             GraceOutcome::Stale { value, age_secs } => {
                 self.obs
                     .counter("hpcdash_stale_serves_total", &labels)
                     .inc();
                 SourceOutcome::Stale {
-                    value,
+                    body: value,
                     age_secs,
                     error: take_err(),
                 }
@@ -558,7 +464,7 @@ impl DashboardContext {
         labels: &[(&str, &str)],
         last_err: &Cell<Option<String>>,
         load: &impl Fn() -> Result<serde_json::Value, String>,
-    ) -> Option<serde_json::Value> {
+    ) -> Option<Body> {
         let policy = &self.cfg.resilience;
         let started = std::time::Instant::now();
         let mut attempt: u32 = 0;
@@ -573,7 +479,7 @@ impl DashboardContext {
                 Ok(v) => {
                     self.health.record_ok(source);
                     self.breakers.record_success(source);
-                    return Some(v);
+                    return Some(Body::json(&v));
                 }
                 Err(e) => {
                     self.health.record_error(source);
@@ -680,87 +586,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn cached_respects_ttl_zero() {
-        let ctx = test_ctx();
-        let mut calls = 0;
-        for _ in 0..3 {
-            ctx.cached("k", 0, || {
-                calls += 1;
-                json!(1)
-            });
-        }
-        assert_eq!(calls, 3, "ttl=0 bypasses the cache");
-    }
-
-    #[test]
-    fn cached_caches() {
-        let ctx = test_ctx();
-        let v1 = ctx.cached("k", 60, || json!({"x": 1}));
-        let v2 = ctx.cached("k", 60, || unreachable!());
-        assert_eq!(v1, v2);
-    }
-
-    #[test]
-    fn cached_result_payload_may_contain_error_like_keys() {
-        // Regression: the old implementation signalled loader failure with a
-        // magic "__error" key inside the cached value itself, so a legitimate
-        // payload carrying that field was misread as a failure (and never
-        // cached). The typed envelope keeps payloads opaque.
-        let ctx = test_ctx();
-        let tricky = json!({"__error": "this is data, not a failure", "rows": [1, 2]});
-        let expect = tricky.clone();
-        let got = ctx.cached_result("tricky:key", 60, || Ok(tricky)).unwrap();
-        assert_eq!(got, expect);
-        // And it really was cached (second call never invokes the loader).
-        let again = ctx
-            .cached_result("tricky:key", 60, || unreachable!())
-            .unwrap();
-        assert_eq!(again, expect);
-    }
-
-    #[test]
-    fn cached_result_failures_are_retried_not_cached() {
-        let ctx = test_ctx();
-        let mut calls = 0;
-        for _ in 0..3 {
-            let r = ctx.cached_result("flaky:x", 60, || {
-                calls += 1;
-                Err::<serde_json::Value, _>("backend down".to_string())
-            });
-            assert_eq!(r.unwrap_err(), "backend down");
-        }
-        assert_eq!(calls, 3, "errors are never served from cache");
-        assert_eq!(
-            ctx.health.status_of("flaky"),
-            hpcdash_obs::health::HealthStatus::Down
-        );
-    }
-
-    #[test]
-    fn served_failure_envelopes_always_hit_the_health_board() {
-        // Regression: a Failed envelope served where the loader did NOT run
-        // (a coalesced follower, or a raced just-stored envelope) returned
-        // Err to the user without recording the failure, so /api/health
-        // could show a source Up while every request to it was failing.
-        // Seed a Failed envelope directly, as the race would have.
-        let ctx = test_ctx();
-        ctx.cache.get_or_fetch(
-            "racy:k",
-            60,
-            || serde_json::json!({ "Failed": "backend down" }),
-        );
-        let r = ctx.cached_result("racy:k", 60, || unreachable!());
-        assert_eq!(r.unwrap_err(), "backend down");
-        let report = ctx.health.report();
-        let racy = report
-            .sources
-            .iter()
-            .find(|s| s.name == "racy")
-            .expect("a served failure is an observed failure even without a loader run");
-        assert_eq!(racy.total_err, 1);
-    }
-
-    #[test]
     fn resilient_retries_then_succeeds() {
         let ctx = test_ctx();
         let calls = Cell::new(0u32);
@@ -772,7 +597,7 @@ pub(crate) mod tests {
                 Ok(json!({"jobs": 2}))
             }
         });
-        assert_eq!(out, SourceOutcome::Fresh(json!({"jobs": 2})));
+        assert_eq!(out, SourceOutcome::Fresh(Body::json(&json!({"jobs": 2}))));
         assert_eq!(calls.get(), 3, "two retries rescued the request");
         assert_eq!(
             ctx.obs
@@ -793,13 +618,13 @@ pub(crate) mod tests {
     fn resilient_serves_stale_with_age_on_failure() {
         let (ctx, clock) = test_ctx_clocked();
         let out = ctx.cached_resilient("sinfo:all", 30, || Ok(json!({"nodes": 4})));
-        assert_eq!(out, SourceOutcome::Fresh(json!({"nodes": 4})));
+        assert_eq!(out, SourceOutcome::Fresh(Body::json(&json!({"nodes": 4}))));
         clock.advance(45);
         let out = ctx.cached_resilient("sinfo:all", 30, || Err("ctld down".to_string()));
         assert_eq!(
             out,
             SourceOutcome::Stale {
-                value: json!({"nodes": 4}),
+                body: Body::json(&json!({"nodes": 4})),
                 age_secs: 45,
                 error: "ctld down".to_string(),
             }
@@ -818,7 +643,12 @@ pub(crate) mod tests {
     #[test]
     fn resilient_cold_failure_is_failed_not_panic() {
         let ctx = test_ctx();
-        let out = ctx.cached_resilient("sacct:bob", 60, || Err("dbd gone".to_string()));
+        let calls = Cell::new(0u32);
+        let fail = || {
+            calls.set(calls.get() + 1);
+            Err("dbd gone".to_string())
+        };
+        let out = ctx.cached_resilient("sacct:bob", 60, fail);
         assert_eq!(out, SourceOutcome::Failed("dbd gone".to_string()));
         assert!(!out.is_available());
         assert_eq!(out.kind(), "failed");
@@ -827,6 +657,16 @@ pub(crate) mod tests {
                 .counter("hpcdash_retry_exhausted_total", &[("source", "sacct")])
                 .get(),
             1
+        );
+        // The failure was not cached: the next request probes the backend
+        // again, and the health board saw every failed attempt.
+        let attempts = calls.get();
+        ctx.cached_resilient("sacct:bob", 60, fail);
+        assert!(calls.get() > attempts, "errors are never served from cache");
+        assert!(ctx.cache.cache().is_empty());
+        assert_eq!(
+            ctx.health.status_of("sacct"),
+            hpcdash_obs::health::HealthStatus::Down
         );
     }
 
@@ -864,7 +704,7 @@ pub(crate) mod tests {
         // After the cool-down, one probe goes through; success closes it.
         clock.advance(policy.breaker_open_secs);
         let out = ctx.cached_resilient("storage:a", 30, || Ok(json!("back")));
-        assert_eq!(out, SourceOutcome::Fresh(json!("back")));
+        assert_eq!(out, SourceOutcome::Fresh(Body::json(&json!("back"))));
         assert_eq!(
             ctx.breakers.state_of("storage"),
             hpcdash_cache::BreakerState::Closed
@@ -889,11 +729,11 @@ pub(crate) mod tests {
         let out = ctx.cached_resilient("news:list", 30, || unreachable!());
         match out {
             SourceOutcome::Stale {
-                value,
+                body,
                 age_secs,
                 error,
             } => {
-                assert_eq!(value, json!(["headline"]));
+                assert_eq!(body, Body::json(&json!(["headline"])));
                 assert_eq!(age_secs, 60);
                 assert_eq!(error, "news: circuit open");
             }
@@ -924,6 +764,23 @@ pub(crate) mod tests {
             1,
             "no-cache ablation keeps fail-fast semantics"
         );
+        // Successes bypass the cache too: every call loads, nothing is
+        // stored or counted, and the body carries no validator.
+        for _ in 0..3 {
+            let out = ctx.cached_resilient("squeue:z", 0, || {
+                calls.set(calls.get() + 1);
+                Ok(json!({"jobs": 1}))
+            });
+            assert_eq!(out.body().unwrap().validator(), None);
+            assert_eq!(&*out.body().unwrap().bytes, b"{\"jobs\":1}");
+        }
+        assert_eq!(calls.get(), 4, "ttl=0 bypasses the cache");
+        assert!(ctx.cache.cache().is_empty());
+        assert_eq!(ctx.cache.stats().misses, 0, "no cache traffic at all");
+        let requests = ctx
+            .obs
+            .counter("hpcdash_cache_requests_total", &[("source", "squeue")]);
+        assert_eq!(requests.get(), 0);
     }
 
     #[test]
@@ -943,99 +800,120 @@ pub(crate) mod tests {
     #[test]
     fn cache_hit_miss_counters_by_source() {
         let ctx = test_ctx();
-        ctx.cached("squeue:alice", 60, || json!(1));
-        ctx.cached("squeue:alice", 60, || unreachable!());
-        ctx.cached("squeue:bob", 60, || json!(2));
-        let labels = [("source", "squeue")];
-        assert_eq!(
-            ctx.obs
-                .counter("hpcdash_cache_requests_total", &labels)
-                .get(),
-            3
+        ctx.cached_resilient("squeue:alice", 60, || Ok(json!(1)));
+        ctx.cached_resilient("squeue:alice", 60, || unreachable!());
+        ctx.cached_resilient("squeue:bob", 60, || Ok(json!(2)));
+        // Plain lookups count in the same family, under their own source.
+        assert!(ctx.cache_lookup("slurm_v0:jobs|alice", 1).is_none());
+        let count = |name: &str, source: &str| ctx.obs.counter(name, &[("source", source)]).get();
+        assert_eq!(count("hpcdash_cache_requests_total", "squeue"), 3);
+        assert_eq!(count("hpcdash_cache_misses_total", "squeue"), 2);
+        assert_eq!(count("hpcdash_cache_hits_total", "squeue"), 1);
+        assert_eq!(count("hpcdash_cache_requests_total", "slurm_v0"), 1);
+        assert_eq!(count("hpcdash_cache_misses_total", "slurm_v0"), 1);
+    }
+
+    #[test]
+    fn a_hit_hands_out_the_filled_bytes_without_reencoding() {
+        let ctx = test_ctx();
+        let fill = ctx.cached_resilient("squeue:alice", 60, || Ok(json!({"jobs": [1, 2]})));
+        let hit = ctx.cached_resilient("squeue:alice", 60, || unreachable!());
+        let (fill, hit) = (fill.body().unwrap(), hit.body().unwrap());
+        assert!(Arc::ptr_eq(&fill.bytes, &hit.bytes), "same allocation");
+        assert!(Arc::ptr_eq(&fill.etag, &hit.etag));
+        assert_eq!(hit.validator(), Some(&*hit.etag));
+    }
+
+    /// Crash the controller on its next tick; it stays down `down_secs`.
+    fn crash_ctld(ctx: &DashboardContext, clock: &SimClock, down_secs: u64) {
+        let now = clock.now();
+        ctx.ctld.faults().install(
+            Arc::new(
+                hpcdash_faults::FaultPlan::new(7).rule(
+                    hpcdash_faults::FaultRule::crash("slurmctld", down_secs)
+                        .during(now, Timestamp(now.0 + 1)),
+                ),
+            ),
+            clock.shared(),
         );
-        assert_eq!(
-            ctx.obs.counter("hpcdash_cache_misses_total", &labels).get(),
-            2
-        );
-        assert_eq!(
-            ctx.obs.counter("hpcdash_cache_hits_total", &labels).get(),
-            1
-        );
+        ctx.ctld.tick();
+        assert!(ctx.ctld.is_down());
     }
 
     #[test]
     fn recovery_observation_purges_dead_epoch_caches_exactly_once() {
         let (ctx, clock) = test_ctx_clocked();
-        // Warm all three cache layers with pre-crash state.
-        ctx.cached("squeue:alice", 600, || json!({"jobs": 1}));
+        // Warm the three kinds of consumer, in the same cache, pre-crash.
         ctx.ctld.tick();
         let seq = ctx.ctld.snapshot().seq;
-        ctx.rest_cache
-            .put("jobs|alice", seq, Arc::from("{\"old\":1}"));
-        let render = Arc::new(hpcdash_http::RenderCache::new());
-        ctx.attach_render_cache(render.clone());
-        render.put(
-            &hpcdash_http::CacheDecision {
-                key: "k".to_string(),
-                version: seq,
-                ttl_secs: 600,
-                now_secs: clock.now().0,
-            },
-            Arc::from(&b"dead"[..]),
-            "application/json",
+        ctx.cached_resilient("squeue:alice", 600, || Ok(json!({"jobs": 1})));
+        let store = ctx.cache.cache();
+        let dead = Body::json(&json!({"old": 1}));
+        store.insert(
+            "slurm_v0:jobs||alice|fp",
+            dead.clone(),
+            seq,
+            hpcdash_cache::NO_TTL,
         );
-        // Crash the controller on its next tick; down for 30 sim-seconds.
-        let now = clock.now();
-        ctx.ctld.faults().install(
-            Arc::new(hpcdash_faults::FaultPlan::new(7).rule(
-                hpcdash_faults::FaultRule::crash("slurmctld", 30).during(now, Timestamp(now.0 + 1)),
-            )),
-            clock.shared(),
-        );
-        ctx.ctld.tick();
-        assert!(ctx.ctld.is_down());
+        store.insert("job_overview:/api/jobs/1|user:alice", dead, seq, 600);
+        assert_eq!(store.len(), 3);
+        crash_ctld(&ctx, &clock, 30);
         // During the outage nothing is purged — stale copies ARE the
         // availability story while the daemon is dead.
         ctx.observe_recoveries();
-        assert!(ctx.rest_cache.last_any("jobs|alice").is_some());
-        assert_eq!(render.len(), 1);
+        assert_eq!(store.len(), 3);
+        assert!(store.last_good("slurm_v0:jobs||alice|fp").is_some());
+        let purges = ctx.obs.counter(
+            "hpcdash_recovery_cache_purges_total",
+            &[("daemon", "slurmctld")],
+        );
+        assert_eq!(purges.get(), 0);
         // Let the daemon restart and recover on its next tick.
         clock.advance(31);
         ctx.ctld.tick();
         assert_eq!(ctx.ctld.restart_count(), 1);
-        ctx.observe_recoveries();
-        assert!(
-            ctx.rest_cache.last_any("jobs|alice").is_none(),
-            "dead-epoch REST bytes must not survive recovery"
-        );
-        assert!(render.is_empty(), "dead-epoch renders must not survive");
-        let calls = Cell::new(0u32);
-        ctx.cached("squeue:alice", 600, || {
-            calls.set(calls.get() + 1);
-            json!({"jobs": 0})
-        });
-        assert_eq!(calls.get(), 1, "widget JSON cache was cleared");
-        let restarts = ctx
-            .obs
-            .counter("hpcdash_daemon_restarts_total", &[("daemon", "slurmctld")])
-            .get();
-        assert_eq!(restarts, 1);
         let report = ctx.ctld.last_recovery().expect("recovery report");
         assert!(report.epoch_after > report.epoch_before);
+        // An entry built from the recovered epoch must survive the purge.
+        let live = Body::json(&json!({"new": 1}));
+        store.insert(
+            "slurm_v0:nodes||root|fp",
+            live,
+            report.epoch_after,
+            hpcdash_cache::NO_TTL,
+        );
+        ctx.observe_recoveries();
+        assert_eq!(store.len(), 1, "one purge_below dropped every dead epoch");
+        for key in [
+            "squeue:alice",
+            "slurm_v0:jobs||alice|fp",
+            "job_overview:/api/jobs/1|user:alice",
+        ] {
+            assert!(
+                store.last_good(key).is_none(),
+                "{key}: dead-epoch bytes must not survive, even as last-good"
+            );
+        }
+        assert_eq!(
+            store.last_good("slurm_v0:nodes||root|fp").unwrap().version,
+            report.epoch_after
+        );
+        let restarts = ctx
+            .obs
+            .counter("hpcdash_daemon_restarts_total", &[("daemon", "slurmctld")]);
+        assert_eq!(restarts.get(), 1);
+        assert_eq!(purges.get(), 1);
         // Observing again is a no-op: the purge fires exactly once.
         ctx.observe_recoveries();
-        assert_eq!(
-            ctx.obs
-                .counter("hpcdash_daemon_restarts_total", &[("daemon", "slurmctld")])
-                .get(),
-            1
-        );
+        assert_eq!(restarts.get(), 1);
+        assert_eq!(purges.get(), 1);
+        assert_eq!(store.len(), 1);
     }
 
     #[test]
     fn dbd_recovery_is_observed_lazily() {
         let (ctx, clock) = test_ctx_clocked();
-        ctx.cached("sacct:alice", 600, || json!({"rows": 2}));
+        ctx.cached_resilient("sacct:alice", 600, || Ok(json!({"rows": 2})));
         let now = clock.now();
         ctx.dbd.faults().install(
             Arc::new(hpcdash_faults::FaultPlan::new(3).rule(
@@ -1055,13 +933,13 @@ pub(crate) mod tests {
             .query_jobs(&hpcdash_slurm::dbd::JobFilter::default());
         assert!(!ctx.dbd.is_down());
         assert_eq!(ctx.dbd.restart_count(), 1);
-        ctx.observe_recoveries();
+        // The next fetch observes the recovery and refills from live state.
         let calls = Cell::new(0u32);
-        ctx.cached("sacct:alice", 600, || {
+        ctx.cached_resilient("sacct:alice", 600, || {
             calls.set(calls.get() + 1);
-            json!({"rows": 0})
+            Ok(json!({"rows": 0}))
         });
-        assert_eq!(calls.get(), 1, "widget cache cleared after dbd recovery");
+        assert_eq!(calls.get(), 1, "cache cleared after dbd recovery");
         assert_eq!(
             ctx.obs
                 .counter("hpcdash_daemon_restarts_total", &[("daemon", "slurmdbd")])

@@ -1,6 +1,6 @@
-//! A small HTTP/1.1 stack on `std::net`: event-loop server, router with a
-//! render-bytes cache, worker pool, and a blocking client with optional
-//! keep-alive pooling.
+//! A small HTTP/1.1 stack on `std::net`: event-loop server, router with
+//! conditional-GET (`If-None-Match` -> `304`) handling, worker pool, and a
+//! blocking client with optional keep-alive pooling.
 //!
 //! This is the 3-tier glue of the reproduction: the dashboard's backend
 //! (Rails in the paper) serves JSON API routes and HTML shells over this
@@ -13,7 +13,6 @@
 //! 500 for that component only — the modularity property the paper calls
 //! out (§2.4) and the fault-isolation benches verify.
 
-pub mod cache;
 pub mod client;
 mod conn;
 pub mod longpoll;
@@ -25,7 +24,6 @@ pub mod server;
 pub mod sys;
 pub mod threadpool;
 
-pub use cache::{CacheDecision, CachedRender, RenderCache};
 pub use client::{ClientError, ClientResponse, HttpClient};
 pub use conn::ConnState;
 pub use longpoll::{
@@ -33,6 +31,6 @@ pub use longpoll::{
 };
 pub use request::{Method, ParseError, ParseStatus, Request};
 pub use response::{Body, Response};
-pub use router::{CacheKeyFn, Router, TRACE_HEADER};
+pub use router::{Router, TRACE_HEADER};
 pub use server::{Server, ServerConfig};
 pub use threadpool::ThreadPool;

@@ -5,8 +5,8 @@ use std::io::Write;
 use std::sync::Arc;
 
 /// Response payload bytes. Most handlers build an [`Body::Owned`] vector;
-/// the render-bytes cache serves [`Body::Shared`] so a hot widget response
-/// is an `Arc` clone, not a copy, no matter how many connections poll it.
+/// cached routes serve [`Body::Shared`] so a hot widget response is an
+/// `Arc` clone, not a copy, no matter how many connections poll it.
 #[derive(Debug, Clone)]
 pub enum Body {
     Owned(Vec<u8>),
@@ -18,15 +18,6 @@ impl Body {
         match self {
             Body::Owned(v) => v,
             Body::Shared(a) => a,
-        }
-    }
-
-    /// The bytes as a shareable `Arc` (free for `Shared`, one copy for
-    /// `Owned` — used when a response enters the render cache).
-    pub fn to_shared(&self) -> Arc<[u8]> {
-        match self {
-            Body::Owned(v) => Arc::from(v.as_slice()),
-            Body::Shared(a) => a.clone(),
         }
     }
 }
@@ -92,9 +83,6 @@ pub struct Response {
     /// *connection* (not a thread) and re-dispatch me on wake". Never
     /// serialized; the wire layer intercepts it.
     pub park: Option<crate::longpoll::ParkDirective>,
-    /// Marked by handlers whose 200 bodies may enter the render-bytes
-    /// cache (fresh, non-degraded widget payloads only).
-    pub cacheable: bool,
 }
 
 impl Response {
@@ -104,7 +92,6 @@ impl Response {
             headers: BTreeMap::new(),
             body: Body::default(),
             park: None,
-            cacheable: false,
         }
     }
 
@@ -188,14 +175,6 @@ impl Response {
 
     pub fn with_body(mut self, body: impl Into<Body>) -> Response {
         self.body = body.into();
-        self
-    }
-
-    /// Flag this response as eligible for the render-bytes cache. Only
-    /// fresh (non-degraded) 200s should carry this; the router checks the
-    /// status, the handler vouches for freshness.
-    pub fn mark_cacheable(mut self) -> Response {
-        self.cacheable = true;
         self
     }
 
@@ -370,7 +349,7 @@ mod tests {
     #[test]
     fn shared_bodies_compare_and_share() {
         let owned = Response::text("payload");
-        let shared = Response::new(200).with_body(owned.body.to_shared());
+        let shared = Response::new(200).with_body(Arc::<[u8]>::from(owned.body.as_slice()));
         assert_eq!(owned.body, shared.body);
         assert!(matches!(shared.body, Body::Shared(_)));
         assert_eq!(shared.body_string(), "payload");

@@ -1,7 +1,6 @@
 //! Path routing with `:param` captures, panic isolation, and per-route
 //! observability (trace propagation + request metrics).
 
-use crate::cache::{CacheDecision, RenderCache};
 use crate::request::{Method, Request};
 use crate::response::Response;
 use hpcdash_obs::trace::{Span, TraceId, TraceScope};
@@ -14,12 +13,6 @@ pub const TRACE_HEADER: &str = "X-Trace-Id";
 
 type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
-/// Per-request cache admission for a route registered with
-/// [`Router::get_cached`]: `None` means "serve this one uncached" (caching
-/// disabled, anonymous request, ...), `Some` carries the key/version/TTL
-/// the render cache validates against.
-pub type CacheKeyFn = Arc<dyn Fn(&Request) -> Option<CacheDecision> + Send + Sync>;
-
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Seg {
     Literal(String),
@@ -31,9 +24,6 @@ struct Route {
     pattern: String,
     segments: Vec<Seg>,
     handler: Handler,
-    /// Set for routes whose rendered bytes may be served from
-    /// [`Router::render_cache`].
-    cache: Option<CacheKeyFn>,
     /// Metric handles resolved once per route instead of per request —
     /// registry lookups (lock + label-key allocation) are too expensive
     /// for the revalidation fast path.
@@ -98,9 +88,6 @@ pub struct Router {
     /// latency histograms here (labelled by route *pattern*, so parameter
     /// values cannot blow up metric cardinality).
     registry: Option<Arc<Registry>>,
-    /// Pre-serialized bodies for cache-registered routes; see
-    /// [`crate::cache::RenderCache`].
-    render_cache: Arc<RenderCache>,
     /// Shared instrument handles for unmatched requests (all 404s share
     /// one label so unknown paths can't blow up metric cardinality).
     unmatched_metrics: RouteMetrics,
@@ -147,36 +134,9 @@ impl Router {
             pattern: pattern.to_string(),
             segments: parse_pattern(pattern),
             handler: Arc::new(handler),
-            cache: None,
             metrics: RouteMetrics::default(),
         });
         self
-    }
-
-    /// A GET route whose rendered bytes flow through the render cache.
-    /// `keyfn` decides admission per request; on a valid hit the handler
-    /// never runs and `If-None-Match` revalidation answers 304 with zero
-    /// serialization.
-    pub fn get_cached(
-        &mut self,
-        pattern: &str,
-        keyfn: impl Fn(&Request) -> Option<CacheDecision> + Send + Sync + 'static,
-        handler: impl Fn(&Request) -> Response + Send + Sync + 'static,
-    ) -> &mut Router {
-        self.routes.push(Route {
-            method: Method::Get,
-            pattern: pattern.to_string(),
-            segments: parse_pattern(pattern),
-            handler: Arc::new(handler),
-            cache: Some(Arc::new(keyfn)),
-            metrics: RouteMetrics::default(),
-        });
-        self
-    }
-
-    /// The render-bytes cache (benches assert its hit/miss economics).
-    pub fn render_cache(&self) -> &Arc<RenderCache> {
-        &self.render_cache
     }
 
     /// Registered `(method, pattern)` pairs, for the Table-1 harness.
@@ -276,47 +236,29 @@ impl Router {
 }
 
 impl Router {
-    /// Run one matched route: render-cache admission, hit/revalidate
-    /// short-circuits, and the panic-isolated handler call on a miss.
+    /// Run one matched route: the panic-isolated handler call, then the
+    /// conditional-GET step — a 200 whose `ETag` the client already holds
+    /// (`If-None-Match`) goes out as a 304: same validator, no body.
     fn run_route(&self, route: &Route, req: &Request) -> Response {
-        let decision = route.cache.as_ref().and_then(|keyfn| keyfn(req));
-        let Some(d) = decision else {
-            return self.invoke(route, req);
-        };
-        let inm = req.header("if-none-match");
-        if let Some(entry) = self.render_cache.get(&d) {
-            if inm_matches(inm, &entry.etag) {
-                return Response::not_modified(&entry.etag);
-            }
-            return Response::new(200)
-                .with_header("Content-Type", &entry.content_type)
-                .with_header("ETag", &entry.etag)
-                .with_body(entry.body);
-        }
-        let resp = self.invoke(route, req);
-        // Admission on fill: only fresh 200s the handler vouched for.
-        // Degraded/stale payloads keep flowing uncached so their honesty
-        // banners and ages stay per-request.
-        if resp.status == 200 && resp.cacheable {
-            let content_type = resp
-                .header("content-type")
-                .unwrap_or("application/json")
-                .to_string();
-            let entry = self
-                .render_cache
-                .put(&d, resp.body.to_shared(), &content_type);
-            if inm_matches(inm, &entry.etag) {
-                return Response::not_modified(&entry.etag);
-            }
-            return resp.with_header("ETag", &entry.etag).with_body(entry.body);
+        let mut resp = self.invoke(route, req);
+        let revalidated = resp.status == 200
+            && req
+                .header("if-none-match")
+                .zip(resp.header("etag"))
+                .is_some_and(|(inm, etag)| inm_matches(inm, etag));
+        if revalidated {
+            // Rewritten in place rather than rebuilt: this is the hottest
+            // path a polling tab takes.
+            resp.status = 304;
+            resp.headers
+                .retain(|name, _| name.eq_ignore_ascii_case("etag"));
+            resp.body = Default::default();
         }
         resp
     }
 
     fn invoke(&self, route: &Route, req: &Request) -> Response {
-        let handler = route.handler.clone();
-        let req = req.clone();
-        match catch_unwind(AssertUnwindSafe(move || handler(&req))) {
+        match catch_unwind(AssertUnwindSafe(|| (route.handler)(req))) {
             Ok(resp) => resp,
             Err(_) => Response::internal_error("component failed"),
         }
@@ -325,8 +267,7 @@ impl Router {
 
 /// Does an `If-None-Match` header value match this entity tag? Handles the
 /// comma-separated list form; weak validators are not used by this stack.
-fn inm_matches(header: Option<&str>, etag: &str) -> bool {
-    let Some(header) = header else { return false };
+fn inm_matches(header: &str, etag: &str) -> bool {
     header.split(',').any(|t| {
         let t = t.trim();
         t == etag || t == "*"
@@ -497,103 +438,41 @@ mod tests {
     }
 
     #[test]
-    fn cached_route_renders_once_then_shares_bytes() {
-        use crate::cache::CacheDecision;
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        let renders = Arc::new(AtomicU64::new(0));
-        let version = Arc::new(AtomicU64::new(1));
-        let now = Arc::new(AtomicU64::new(100));
+    fn conditional_get_answers_304_only_for_a_matching_etag() {
         let mut r = Router::new();
-        let (rd, vs, nw) = (renders.clone(), version.clone(), now.clone());
-        r.get_cached(
-            "/api/hot",
-            move |req| {
-                let user = req.remote_user()?;
-                Some(CacheDecision {
-                    key: format!("hot|{user}"),
-                    version: vs.load(Ordering::SeqCst),
-                    ttl_secs: 30,
-                    now_secs: nw.load(Ordering::SeqCst),
-                })
-            },
-            move |_| {
-                rd.fetch_add(1, Ordering::SeqCst);
-                Response::json(&json!({"payload": "big"})).mark_cacheable()
-            },
-        );
-        let req = Request::new(Method::Get, "/api/hot").with_header("X-Remote-User", "alice");
+        r.get("/api/tagged", |_| {
+            Response::json(&json!({"payload": "big"})).with_header("ETag", "\"abc\"")
+        });
+        r.get("/api/untagged", |_| {
+            Response::json(&json!({"payload": "big"}))
+        });
+        r.get("/api/gone", |_| {
+            Response::not_found("nope").with_header("ETag", "\"abc\"")
+        });
+        let get = |path: &str, inm: Option<&str>| {
+            let mut req = Request::new(Method::Get, path);
+            if let Some(inm) = inm {
+                req = req.with_header("If-None-Match", inm);
+            }
+            r.handle(&req)
+        };
 
-        let miss = r.handle(&req);
-        assert_eq!(miss.status, 200);
-        let etag = miss.header("etag").expect("miss carries ETag").to_string();
-        assert_eq!(renders.load(Ordering::SeqCst), 1);
+        let plain = get("/api/tagged", None);
+        assert_eq!(plain.status, 200);
+        assert_eq!(plain.header("etag"), Some("\"abc\""));
 
-        let hit = r.handle(&req);
-        assert_eq!(renders.load(Ordering::SeqCst), 1, "hit skipped the handler");
-        assert_eq!(hit.body, miss.body, "byte-identical hit vs miss");
-        assert_eq!(hit.header("etag"), Some(etag.as_str()));
+        let revalidated = get("/api/tagged", Some("\"abc\""));
+        assert_eq!(revalidated.status, 304);
+        assert_eq!(revalidated.header("etag"), Some("\"abc\""));
+        assert!(revalidated.body.is_empty(), "a 304 carries no body");
+        // The list form and `*` match too; a different tag does not.
+        assert_eq!(get("/api/tagged", Some("\"x\", \"abc\"")).status, 304);
+        assert_eq!(get("/api/tagged", Some("*")).status, 304);
+        assert_eq!(get("/api/tagged", Some("\"other\"")).status, 200);
 
-        // Revalidation: If-None-Match answers 304 with no body on the wire.
-        let revalidate = r.handle(&req.clone().with_header("If-None-Match", &etag));
-        assert_eq!(revalidate.status, 304);
-        assert_eq!(revalidate.header("etag"), Some(etag.as_str()));
-
-        // Another subject renders separately (key includes the user).
-        let bob = Request::new(Method::Get, "/api/hot").with_header("X-Remote-User", "bob");
-        r.handle(&bob);
-        assert_eq!(renders.load(Ordering::SeqCst), 2);
-
-        // New publisher version invalidates; identical bytes keep the ETag,
-        // so a stale client's If-None-Match still collapses to 304.
-        version.store(2, Ordering::SeqCst);
-        let cross_epoch = r.handle(&req.clone().with_header("If-None-Match", &etag));
-        assert_eq!(renders.load(Ordering::SeqCst), 3, "epoch bump re-renders");
-        assert_eq!(cross_epoch.status, 304, "same bytes -> same ETag -> 304");
-
-        // TTL lapse on the sim clock invalidates too.
-        now.store(200, Ordering::SeqCst);
-        r.handle(&req);
-        assert_eq!(renders.load(Ordering::SeqCst), 4);
-
-        // Anonymous request: keyfn declines, handler runs uncached.
-        let anon = r.handle(&Request::new(Method::Get, "/api/hot"));
-        assert_eq!(renders.load(Ordering::SeqCst), 5);
-        assert!(anon.header("etag").is_none(), "uncached path has no ETag");
-    }
-
-    #[test]
-    fn cached_route_never_stores_non_cacheable_or_errors() {
-        use crate::cache::CacheDecision;
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let renders = Arc::new(AtomicU64::new(0));
-        let mut r = Router::new();
-        let rd = renders.clone();
-        r.get_cached(
-            "/api/degraded",
-            |_| {
-                Some(CacheDecision {
-                    key: "degraded".to_string(),
-                    version: 1,
-                    ttl_secs: 60,
-                    now_secs: 0,
-                })
-            },
-            move |_| {
-                rd.fetch_add(1, Ordering::SeqCst);
-                // A degraded 200 that did NOT mark itself cacheable.
-                Response::json(&json!({"degraded": true}))
-            },
-        );
-        let req = Request::new(Method::Get, "/api/degraded");
-        assert!(r.handle(&req).header("etag").is_none());
-        r.handle(&req);
-        assert_eq!(
-            renders.load(Ordering::SeqCst),
-            2,
-            "non-cacheable responses render every time"
-        );
-        assert!(r.render_cache().is_empty());
+        // No validator on the response, or not a 200: never a 304.
+        assert_eq!(get("/api/untagged", Some("*")).status, 200);
+        assert_eq!(get("/api/gone", Some("\"abc\"")).status, 404);
     }
 
     #[test]

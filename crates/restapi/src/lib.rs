@@ -15,13 +15,14 @@
 //!   `hpcdash_api_token_*` audit metrics.
 //! * [`serialize`] — JSON bodies built straight from snapshot structs:
 //!   zero text render, zero parse.
-//! * [`view`] — scope → snapshot-index resolution plus the seq-keyed
-//!   response-bytes cache that makes the steady-state request two atomic
-//!   loads, a hash lookup, and a memcpy.
+//! * [`view`] — scope → snapshot-index resolution.
 //!
-//! The crate deliberately knows nothing about HTTP or the dashboard
-//! context; `crates/core`'s `api::slurmrest` wires these pieces into the
-//! router with the usual trace/metrics/resilience envelopes.
+//! The crate deliberately knows nothing about HTTP, caching or the
+//! dashboard context; `crates/core`'s `api::slurmrest` wires these pieces
+//! into the router with the usual trace/metrics/resilience envelopes and
+//! keeps the serialized bodies in the dashboard's one server cache
+//! (versioned on the snapshot seq, so the steady-state request is two
+//! atomic loads, a hash lookup, and two `Arc` clones).
 
 pub mod scope;
 pub mod serialize;
@@ -30,4 +31,4 @@ pub mod view;
 
 pub use scope::{Scope, ScopeSet};
 pub use token::{AuthError, AuthedToken, MintedToken, TokenInfo, TokenStore};
-pub use view::{visible_job_positions, RestCache};
+pub use view::visible_job_positions;
