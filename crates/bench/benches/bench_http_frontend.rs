@@ -6,7 +6,7 @@
 //!
 //! Four claims asserted here:
 //!   1. N concurrent keep-alive connections are served by exactly
-//!      `reactors + workers` threads — no thread-per-connection anywhere.
+//!      `workers` threads — no thread-per-connection anywhere.
 //!   2. 100k+ concurrent `LiveSubscriber` tabs run in one process: each is
 //!      a real hub subscriber (own queue, cursor, store); the fd limit no
 //!      longer bounds the fleet because tabs dispatch in-process.
@@ -98,12 +98,11 @@ fn roundtrip(stream: &mut TcpStream, path: &str, user: &str) -> Vec<u8> {
 
 /// Claim 1: a flood of concurrent keep-alive connections on a fixed
 /// thread budget. Opens `target` connections in batches, each completing
-/// one request and then staying open (parked in the reactor, not on a
-/// thread), and asserts the process thread count never moves.
+/// one request and then staying open (resting in the event loop's table,
+/// not on a thread), and asserts the process thread count never moves.
 fn connection_flood(site: &BenchSite, target: usize) {
     let cfg = ServerConfig {
-        reactors: 2,
-        workers: 8,
+        workers: 10,
         max_connections: target + 1_024,
         idle_timeout: Duration::from_secs(120),
         ..ServerConfig::default()

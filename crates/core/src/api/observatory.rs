@@ -156,7 +156,9 @@ fn act_as_rows(ctx: &DashboardContext) -> Vec<Value> {
 }
 
 /// The event-loop frontend panel: connection counts by state, shed and
-/// 304-revalidation totals, and per-reactor loop lag, read back out of the
+/// 304-revalidation totals, and per-loop-thread lag (µs spent on the last
+/// wake-up; the thread that hears of a request also serves it, so handler
+/// time is in it), read back out of the
 /// registry the HTTP server writes into.
 fn http_rows(ctx: &DashboardContext) -> Value {
     let mut connections = serde_json::Map::new();

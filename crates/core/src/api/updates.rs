@@ -101,8 +101,8 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
 ///
 /// Parking has two implementations behind one contract. Dispatched from the
 /// event loop (the `x-hpcdash-conn-park` marker), an empty queue returns a
-/// [`ParkDirective`]: the *connection* parks inside the reactor at zero
-/// thread cost, a hub notify fires the directive's waker, and the reactor
+/// [`ParkDirective`]: the *connection* parks inside the event loop at zero
+/// thread cost, a hub notify fires the directive's waker, and the loop
 /// re-dispatches this request with `x-hpcdash-park-final` for the immediate
 /// answer. Called any other way (tests, in-process benches), the handler
 /// blocks on the hub condvar exactly as the thread era did.

@@ -20,7 +20,8 @@ pub fn render_shell(cluster: &str, user: &str) -> String {
         "<p class=\"observatory-intro\">Dashboard self-observability: \
          service levels, circuit breakers, daemon tick phases, the HTTP \
          event loop (connections by state, sheds, 304 revalidations, \
-         reactor lag), and tail-sampled request traces.</p>",
+         and per loop thread the time its last wake-up took, the handler \
+         it ran included), and tail-sampled request traces.</p>",
     );
     body.push_str("<div class=\"widget-grid\">");
     body.push_str(&widget_placeholder("observatory", "/api/observatory"));

@@ -5,9 +5,9 @@
 //! worker and sheds with `503 + Retry-After` past the cap. On the event
 //! loop the same budget still gates *parked connections*, but no thread
 //! waits: a handler that would block instead returns a [`ParkDirective`]
-//! (via `Response::with_park`) and the reactor keeps the connection in a
+//! (via `Response::with_park`) and the event loop keeps the connection in a
 //! `Parked` state. When data arrives, whoever produced it fires the
-//! directive's [`ParkWaker`]; the reactor re-dispatches the original
+//! directive's [`ParkWaker`]; a loop thread re-dispatches the original
 //! request with a `x-hpcdash-park-final` marker and the handler answers
 //! immediately with whatever is there — park-at-most-once, so the exchange
 //! always terminates.
@@ -81,7 +81,7 @@ pub const CONN_PARK_HEADER: &str = "x-hpcdash-conn-park";
 pub const PARK_FINAL_HEADER: &str = "x-hpcdash-park-final";
 
 /// A one-shot, edge-coalescing wake signal connecting a data producer (the
-/// push hub) to whatever owns the parked connection (a reactor). `wake` is
+/// push hub) to whatever holds the parked connection (the event loop). `wake` is
 /// idempotent; if it fires before the owner installs its hook, the hook
 /// runs immediately on installation — no lost wakeup either way.
 #[derive(Default)]

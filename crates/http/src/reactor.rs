@@ -1,655 +1,529 @@
-//! The readiness event loop: a small set of reactor threads own every
-//! connection; a worker pool runs handlers.
+//! The readiness event loop: `workers` identical threads block in `wait` on
+//! one shared [`Poller`](crate::sys::Poller), and each runs whatever it is
+//! handed to completion.
 //!
-//! Ownership discipline: a connection belongs to exactly one reactor and is
-//! armed one-shot, so at any instant it is being driven either by its
-//! reactor (read/write/timeout) or by one worker (routing) — never both.
-//! Workers hand results back through the reactor's injection queue + waker,
-//! the only cross-thread channel. The state machine per connection:
+//! The ownership rule: **the thread that receives a one-shot event owns the
+//! connection until it re-arms it.** Connection fds are armed
+//! `EPOLLONESHOT`, so the kernel reports each readiness to exactly one
+//! thread; that thread takes the connection out of the shared table, reads,
+//! parses, routes, serializes into the connection's own write buffer,
+//! writes, re-arms and puts it back — no other thread, queue, wake-up or
+//! copy in between. Ownership follows the *event*, not a thread: a handler
+//! that blocks occupies one thread and nothing else, and the next ready
+//! connection goes to whichever thread is free (each `wait` takes a single
+//! event, so nothing queues behind a slow handler).
+//!
+//! What the threads share is the [`Table`](crate::conn::Table) (token →
+//! resting connection, plus the deadline heap) and the queue of long-poll
+//! wakes. **No lock is held while a handler runs or a socket syscall is in
+//! flight**: the table lock covers a lookup or a state change only, and an
+//! owned connection is a local `Box`, invisible to everyone else. Whoever
+//! comes for a connection that is owned (an event that beat its owner back
+//! to the table, a long-poll wake, the sweeper) leaves a knock or moves on;
+//! the owner sees the knock when it tries to rest the connection and drives
+//! it once more. Tokens are monotonic and never reused, so anything stale
+//! finds no slot and is dropped.
 //!
 //! ```text
 //!   Idle --bytes--> Reading --full request--> Dispatching --response-->
-//!   Writing --flushed--> Idle (keep-alive)    (or Parked, for long-polls:
-//!   the connection waits armed-for-EOF until the push hub fires the
-//!   directive's waker or the deadline lapses, then re-dispatches)
+//!   (Writing, if the socket pushes back) --flushed--> Idle (keep-alive)
+//!   or Parked, for long-polls: the connection rests armed-for-EOF until
+//!   the push hub fires the directive's waker or the deadline lapses, then
+//!   whichever thread hears of it routes the request once more
 //! ```
 //!
-//! Idle reactors burn zero CPU: `epoll_wait` blocks until readiness or the
-//! nearest connection deadline (idle/read/write timeout, park wait).
+//! Idle threads burn zero CPU: `epoll_wait` blocks until readiness. The
+//! nearest connection deadline (idle/read/write timeout, park wait) is the
+//! poller's one-shot timer — one more event, for one thread.
 
-use crate::conn::{Conn, ConnState, ParkedExchange};
+use crate::conn::{release_excess, Conn, ConnState, ParkedExchange};
 use crate::longpoll::{CONN_PARK_HEADER, PARK_FINAL_HEADER};
-use crate::request::{ParseError, ParseStatus, Request};
+use crate::request::{Method, ParseError, ParseStatus, Request};
 use crate::response::Response;
 use crate::router::Router;
 use crate::server::{Metrics, Shared};
-use crate::sys::{Event, Interest, Poller, WakeReceiver, Waker};
+use crate::sys::{Interest, Waker, TIMER_TOKEN};
 use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-const TOKEN_WAKER: u64 = 0;
-const TOKEN_LISTENER: u64 = 1;
-const FIRST_CONN_TOKEN: u64 = 2;
+pub(crate) const TOKEN_STOP: u64 = 0;
+pub(crate) const TOKEN_WAKES: u64 = 1;
+pub(crate) const TOKEN_LISTENER: u64 = 2;
+pub(crate) const FIRST_CONN_TOKEN: u64 = 3;
 /// Cap on requests routed per dispatch batch (pipelining fairness bound).
 const MAX_BATCH: usize = 32;
 const READ_CHUNK: usize = 16 * 1024;
 
-/// Work handed to a reactor from outside its thread.
-pub(crate) enum Inject {
-    /// A freshly accepted connection to adopt.
-    Conn(TcpStream),
-    /// A worker finished routing: serialized response bytes, and whether
-    /// to close afterwards. `park` keeps the exchange open instead.
-    Done {
-        token: u64,
-        out: Vec<u8>,
-        close: bool,
-        park: Option<ParkedExchange>,
-    },
-    /// A parked connection's waker fired.
-    Wake { token: u64 },
+/// Tokens of parked connections whose [`ParkWaker`](crate::ParkWaker)
+/// fired, pushed from whatever thread published the data.
+pub(crate) struct WakeQueue {
+    pub tokens: Mutex<VecDeque<u64>>,
+    pub waker: Waker,
 }
 
-/// A reactor's inbox: lock-guarded queue + readiness waker.
-pub(crate) struct Injector {
-    queue: Mutex<VecDeque<Inject>>,
-    waker: Waker,
-}
-
-impl Injector {
-    pub(crate) fn new(waker: Waker) -> Injector {
-        Injector {
-            queue: Mutex::new(VecDeque::new()),
-            waker,
-        }
-    }
-
-    pub(crate) fn push(&self, inj: Inject) {
-        self.queue.lock().push_back(inj);
-        self.waker.wake();
-    }
-
-    pub(crate) fn wake(&self) {
+impl WakeQueue {
+    fn push(&self, token: u64) {
+        self.tokens.lock().push_back(token);
         self.waker.wake();
     }
 }
 
-pub(crate) struct Reactor {
-    ix: usize,
-    shared: Arc<Shared>,
-    injector: Arc<Injector>,
-    rx: WakeReceiver,
-    listener: Option<TcpListener>,
-    poller: Poller,
-    conns: HashMap<u64, Conn>,
-    deadlines: BinaryHeap<Reverse<(Instant, u64)>>,
-    next_token: u64,
+/// What became of a connection its owner drove as far as it would go.
+enum Next {
+    /// Armed; back to the table.
+    Rest,
+    Close,
 }
 
-impl Reactor {
-    pub(crate) fn new(
-        ix: usize,
-        shared: Arc<Shared>,
-        injector: Arc<Injector>,
-        rx: WakeReceiver,
-        listener: Option<TcpListener>,
-    ) -> std::io::Result<Reactor> {
-        let poller = Poller::new()?;
-        poller.add(rx.fd(), TOKEN_WAKER, Interest::Read, false)?;
-        if let Some(l) = &listener {
-            poller.add(l.as_raw_fd(), TOKEN_LISTENER, Interest::Read, false)?;
-        }
-        Ok(Reactor {
-            ix,
-            shared,
-            injector,
-            rx,
-            listener,
-            poller,
-            conns: HashMap::new(),
-            deadlines: BinaryHeap::new(),
-            next_token: FIRST_CONN_TOKEN,
-        })
-    }
-
-    pub(crate) fn run(mut self) {
-        let mut events: Vec<Event> = Vec::with_capacity(256);
-        loop {
-            let timeout = self.next_timeout();
+/// The loop every server thread runs; they are all alike.
+impl Shared {
+    pub(crate) fn run(&self, ix: usize) {
+        let mut events: Vec<u64> = Vec::with_capacity(1);
+        while !self.shutdown.load(Ordering::Acquire) {
             events.clear();
-            if self.poller.wait(&mut events, timeout).is_err() {
+            // One event per wait: the next ready connection is for the next
+            // free thread, not for the back of this one's batch.
+            if self.poller.wait(&mut events, 1, None).is_err() {
                 break;
             }
             let busy_start = Instant::now();
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                break;
+            match events.first() {
+                None | Some(&TOKEN_STOP) => {}
+                Some(&TOKEN_WAKES) => self.wake_ready(),
+                Some(&TOKEN_LISTENER) => self.accept_ready(),
+                Some(&TIMER_TOKEN) => self.timer_ready(),
+                Some(&token) => self.conn_ready(token),
             }
-            self.rx.drain(&self.injector.waker);
-            self.drain_injections();
-            for &ev in &events {
-                match ev.token {
-                    TOKEN_WAKER => {}
-                    TOKEN_LISTENER => self.accept_ready(),
-                    token => self.conn_ready(token, ev),
-                }
-            }
-            self.expire_deadlines();
-            if let Some(m) = &self.shared.metrics {
-                m.loop_lag[self.ix].set(busy_start.elapsed().as_micros() as i64);
+            if let Some(m) = &self.metrics {
+                m.loop_lag[ix].set(busy_start.elapsed().as_micros() as i64);
             }
         }
-        // Shutdown: account every connection back out of the gauges.
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        for t in tokens {
-            self.close_conn(t);
-        }
-    }
-
-    /// Time until the nearest live deadline (stale heap entries pruned).
-    fn next_timeout(&mut self) -> Option<Duration> {
-        let now = Instant::now();
-        while let Some(&Reverse((t, token))) = self.deadlines.peek() {
-            let live = self
-                .conns
-                .get(&token)
-                .is_some_and(|c| c.deadline == Some(t));
-            if !live {
-                self.deadlines.pop();
-                continue;
-            }
-            return Some(t.saturating_duration_since(now));
-        }
-        None
-    }
-
-    fn drain_injections(&mut self) {
-        loop {
-            let batch: Vec<Inject> = {
-                let mut q = self.injector.queue.lock();
-                if q.is_empty() {
-                    return;
-                }
-                q.drain(..).collect()
-            };
-            for inj in batch {
-                match inj {
-                    Inject::Conn(stream) => self.adopt(stream),
-                    Inject::Done {
-                        token,
-                        out,
-                        close,
-                        park,
-                    } => self.dispatch_done(token, out, close, park),
-                    Inject::Wake { token } => self.park_wake(token),
-                }
-            }
+        // Shutdown: account every resting connection back out of the gauges.
+        // A connection still inside a handler is rested by its owner, which
+        // then comes through here itself.
+        let resting = self.table.lock().take_all();
+        for conn in resting {
+            self.close(conn);
         }
     }
 
     // ---- accept path -----------------------------------------------------
 
-    fn accept_ready(&mut self) {
+    fn accept_ready(&self) {
         loop {
-            let accepted = self
-                .listener
-                .as_ref()
-                .expect("listener on this reactor")
-                .accept();
-            match accepted {
+            match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    let count = self.shared.conn_count.load(Ordering::Acquire);
-                    if count >= self.shared.cfg.max_connections {
-                        shed(stream, &self.shared.metrics);
-                        continue;
-                    }
-                    self.shared.conn_count.fetch_add(1, Ordering::AcqRel);
-                    let n = self.shared.injectors.len();
-                    let target = self.shared.next_reactor.fetch_add(1, Ordering::AcqRel) % n;
-                    if target == self.ix {
-                        self.adopt(stream);
-                    } else {
-                        self.shared.injectors[target].push(Inject::Conn(stream));
+                    // One atomic reserve (never check-then-add): the count
+                    // cannot pass the watermark, not even for an instant,
+                    // whoever else accepts or closes meanwhile.
+                    let max = self.cfg.max_connections;
+                    let reserve = |n| (n < max).then_some(n + 1);
+                    let count = &self.conn_count;
+                    match count.fetch_update(Ordering::AcqRel, Ordering::Acquire, reserve) {
+                        Ok(_) => self.adopt(stream),
+                        Err(_) => shed(stream, &self.metrics),
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
+                Err(_) => break, // WouldBlock: the backlog is drained
             }
         }
+        // The listener is one-shot like everything else: one thread accepts
+        // at a time, and a connect wakes one sleeper, not all of them.
+        let fd = self.listener.as_raw_fd();
+        let _ = self.poller.modify(fd, TOKEN_LISTENER, Interest::Read, true);
     }
 
     /// Take ownership of an accepted connection (conn_count already ours).
-    fn adopt(&mut self, stream: TcpStream) {
+    fn adopt(&self, stream: TcpStream) {
         if stream.set_nonblocking(true).is_err() {
-            self.shared.conn_count.fetch_sub(1, Ordering::AcqRel);
+            self.conn_count.fetch_sub(1, Ordering::AcqRel);
             return;
         }
         let _ = stream.set_nodelay(true);
-        let token = self.next_token;
-        self.next_token += 1;
-        if self
-            .poller
-            .add(stream.as_raw_fd(), token, Interest::Read, true)
-            .is_err()
-        {
-            self.shared.conn_count.fetch_sub(1, Ordering::AcqRel);
-            return;
-        }
-        let mut conn = Conn::new(stream);
-        if let Some(m) = &self.shared.metrics {
+        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+        let mut conn = Box::new(Conn::new(token, stream));
+        conn.deadline = Some(Instant::now() + self.cfg.idle_timeout);
+        if let Some(m) = &self.metrics {
             m.conn_gauge(conn.state).inc();
         }
-        let deadline = Instant::now() + self.shared.cfg.idle_timeout;
-        conn.deadline = Some(deadline);
-        self.deadlines.push(Reverse((deadline, token)));
-        self.conns.insert(token, conn);
-    }
-
-    // ---- readiness dispatch ---------------------------------------------
-
-    fn conn_ready(&mut self, token: u64, ev: Event) {
-        let Some(state) = self.conns.get(&token).map(|c| c.state) else {
-            return;
-        };
-        match state {
-            ConnState::Idle | ConnState::Reading => self.do_read(token),
-            ConnState::Writing => {
-                if ev.err && !ev.writable {
-                    self.close_conn(token);
-                } else {
-                    self.do_write(token);
-                }
-            }
-            ConnState::Parked => self.parked_readable(token),
-            // Not armed while dispatching; a stray event is ignorable.
-            ConnState::Dispatching => {}
+        self.table.lock().open(token);
+        let fd = conn.stream.as_raw_fd();
+        match self.poller.add(fd, token, Interest::Read, true) {
+            Ok(()) => self.settle(conn, Next::Rest),
+            Err(_) => self.close(conn),
         }
     }
 
-    fn do_read(&mut self, token: u64) {
-        let closed = {
-            let conn = self.conns.get_mut(&token).expect("conn exists");
-            let mut chunk = [0u8; READ_CHUNK];
-            loop {
-                match (&conn.stream).read(&mut chunk) {
-                    Ok(0) => break true,
-                    Ok(n) => {
-                        conn.read_buf.extend_from_slice(&chunk[..n]);
-                        if n < chunk.len() {
-                            break false;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break false,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => break true,
-                }
-            }
-        };
-        if closed {
-            self.close_conn(token);
-            return;
+    // ---- ownership -------------------------------------------------------
+
+    fn conn_ready(&self, token: u64) {
+        let claimed = self.table.lock().claim(token);
+        if let Some(mut conn) = claimed {
+            let next = self.drive(&mut conn);
+            self.settle(conn, next);
         }
-        self.advance(token);
     }
 
-    /// Parse whatever is buffered and act: dispatch a batch, queue a parse
-    /// error, or rearm for more bytes.
-    fn advance(&mut self, token: u64) {
-        let (batch, parse_error, buf_empty) = {
-            let conn = self.conns.get_mut(&token).expect("conn exists");
-            let mut batch: Vec<Request> = Vec::new();
-            let mut parse_error: Option<ParseError> = None;
-            loop {
-                match Request::parse_buf(&conn.read_buf) {
-                    ParseStatus::Complete { req, consumed } => {
-                        conn.read_buf.drain(..consumed);
-                        let keep = req.keep_alive();
-                        batch.push(req);
-                        if !keep {
-                            // Nothing after an explicit close is answerable.
-                            conn.read_buf.clear();
-                            break;
-                        }
-                        if batch.len() >= MAX_BATCH {
-                            break;
-                        }
-                    }
-                    ParseStatus::Partial => break,
-                    ParseStatus::Error(e) => {
-                        // Requests already parsed are answered first; the
-                        // error goes out when the connection drains back to
-                        // Idle and re-parses the poisoned buffer.
-                        if batch.is_empty() {
-                            parse_error = Some(e);
-                        }
-                        break;
-                    }
-                }
-            }
-            let buf_empty = conn.read_buf.is_empty();
-            (batch, parse_error, buf_empty)
-        };
-
-        if let Some(e) = parse_error {
-            let resp = match e {
-                ParseError::BodyTooLarge(_) => Response::error(413, "body too large"),
-                ParseError::HeadersTooLarge(_) => {
-                    Response::error(431, "request header fields too large")
-                }
-                _ => Response::bad_request("malformed request"),
-            };
-            {
-                let conn = self.conns.get_mut(&token).expect("conn exists");
-                conn.read_buf.clear();
-                conn.read_buf.shrink_to_fit();
-                resp.serialize_into(&mut conn.write_buf, false, false);
-                conn.close_after_write = true;
-            }
-            self.set_state(token, ConnState::Writing);
-            self.do_write(token);
-            return;
+    /// Act on whatever brought an owned connection here.
+    fn drive(&self, conn: &mut Conn) -> Next {
+        match conn.state {
+            ConnState::Idle | ConnState::Reading => match fill(conn) {
+                Fill::Closed => Next::Close,
+                Fill::Bytes | Fill::Nothing => self.pump(conn),
+            },
+            ConnState::Writing => self.pump(conn),
+            ConnState::Parked => self.parked_ready(conn),
+            ConnState::Dispatching => unreachable!("a connection never rests mid-dispatch"),
         }
-
-        if !batch.is_empty() {
-            self.dispatch(token, batch);
-            return;
-        }
-
-        // Partial (or nothing): arm for more bytes. A half-read request
-        // rides the shorter read timeout; a quiet keep-alive connection the
-        // idle timeout.
-        let (state, timeout) = if buf_empty {
-            (ConnState::Idle, self.shared.cfg.idle_timeout)
-        } else {
-            (ConnState::Reading, self.shared.cfg.read_timeout)
-        };
-        self.set_state(token, state);
-        self.set_deadline(token, Some(Instant::now() + timeout));
-        self.arm(token, Interest::Read);
     }
 
-    // ---- worker dispatch -------------------------------------------------
-
-    fn dispatch(&mut self, token: u64, batch: Vec<Request>) {
-        self.set_state(token, ConnState::Dispatching);
-        self.set_deadline(token, None);
-        let router = self.shared.router.clone();
-        let injector = self.injector.clone();
-        self.shared.pool.execute(move || {
-            let n = batch.len();
-            let mut out = Vec::new();
-            let mut close = false;
-            let mut park: Option<ParkedExchange> = None;
-            for mut req in batch {
-                let keep = req.keep_alive();
-                let head_only = req.method == crate::request::Method::Head;
-                // The park protocol is the server's, never the client's.
-                req.headers.remove(PARK_FINAL_HEADER);
-                req.headers
-                    .insert(CONN_PARK_HEADER.to_string(), "1".to_string());
-                let resp = route_on_worker(&router, &req);
-                if let Some(directive) = resp.park.clone() {
-                    if n == 1 {
-                        // Sole request of the batch: park the connection.
-                        park = Some(ParkedExchange { req, directive });
-                        break;
-                    }
-                    // Pipelined company: resolve immediately (a long-poll
-                    // sandwiched in a pipeline gets a fast empty poll).
-                    let mut final_req = req.clone();
-                    final_req
-                        .headers
-                        .insert(PARK_FINAL_HEADER.to_string(), "1".to_string());
-                    let resp = route_on_worker(&router, &final_req);
-                    resp.serialize_into(&mut out, keep, head_only);
-                } else {
-                    resp.serialize_into(&mut out, keep, head_only);
-                }
-                if !keep {
-                    close = true;
-                    break;
-                }
+    /// Give up an owned connection: close it, or put it (armed) back in the
+    /// table — unless someone knocked meanwhile, then drive it once more.
+    fn settle(&self, mut conn: Box<Conn>, mut next: Next) {
+        loop {
+            if let Next::Close = next {
+                return self.close(conn);
             }
-            injector.push(Inject::Done {
-                token,
-                out,
-                close,
-                park,
-            });
-        });
+            let rested = self.table.lock().rest(conn);
+            match rested {
+                Ok(false) => return,
+                Ok(true) => return self.retime(),
+                Err(knocked) => conn = knocked,
+            }
+            next = self.drive(&mut conn);
+        }
     }
 
-    fn dispatch_done(
-        &mut self,
-        token: u64,
-        out: Vec<u8>,
-        close: bool,
-        park: Option<ParkedExchange>,
-    ) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if let Some(p) = park {
-            // Hold the exchange open; the hub's waker (or the deadline)
-            // re-dispatches. Armed for read so a vanished client is
-            // noticed instead of parked forever.
-            let deadline = Instant::now() + p.directive.max_wait;
-            let injector = self.injector.clone();
-            p.directive.waker.set_hook(move || {
-                injector.push(Inject::Wake { token });
-            });
-            conn.parked = Some(p);
-            self.set_state(token, ConnState::Parked);
-            self.set_deadline(token, Some(deadline));
-            self.arm(token, Interest::Read);
-            return;
+    fn close(&self, conn: Box<Conn>) {
+        if let Some(m) = &self.metrics {
+            m.conn_gauge(conn.state).dec();
         }
-        conn.write_buf.extend_from_slice(&out);
-        if close {
-            conn.close_after_write = true;
-        }
-        self.set_state(token, ConnState::Writing);
-        self.do_write(token);
-    }
-
-    // ---- parked connections ---------------------------------------------
-
-    /// Readable while parked: either the client hung up (tear down, freeing
-    /// the park slot immediately) or it sent pipelined bytes (buffer them —
-    /// they are answered after the park resolves).
-    fn parked_readable(&mut self, token: u64) {
-        let closed = {
-            let conn = self.conns.get_mut(&token).expect("conn exists");
-            let mut chunk = [0u8; 1024];
-            loop {
-                match (&conn.stream).read(&mut chunk) {
-                    Ok(0) => break true,
-                    Ok(n) => {
-                        conn.read_buf.extend_from_slice(&chunk[..n]);
-                        if conn.read_buf.len() > crate::request::MAX_HEAD {
-                            break true;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break false,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => break true,
-                }
-            }
-        };
-        if closed {
-            self.close_conn(token);
-            return;
-        }
-        self.arm(token, Interest::Read);
-    }
-
-    fn park_wake(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return; // connection died or resolved already — stale wake
-        };
-        if !matches!(conn.state, ConnState::Parked) {
-            return;
-        }
-        let p = conn.parked.take().expect("parked state carries exchange");
-        self.resolve_park(token, p);
-    }
-
-    /// Re-dispatch a parked request with the park-final marker; the handler
-    /// drains instantly and the response flows out the normal path. The
-    /// directive (and its budget permit) lives until the worker finishes.
-    fn resolve_park(&mut self, token: u64, p: ParkedExchange) {
-        self.set_state(token, ConnState::Dispatching);
-        self.set_deadline(token, None);
-        let router = self.shared.router.clone();
-        let injector = self.injector.clone();
-        self.shared.pool.execute(move || {
-            let ParkedExchange { mut req, directive } = p;
-            let keep = req.keep_alive();
-            let head_only = req.method == crate::request::Method::Head;
-            req.headers
-                .insert(PARK_FINAL_HEADER.to_string(), "1".to_string());
-            let resp = route_on_worker(&router, &req);
-            let mut out = Vec::new();
-            resp.serialize_into(&mut out, keep, head_only);
-            drop(directive); // park slot free the instant the answer exists
-            injector.push(Inject::Done {
-                token,
-                out,
-                close: !keep,
-                park: None,
-            });
-        });
-    }
-
-    // ---- write path ------------------------------------------------------
-
-    fn do_write(&mut self, token: u64) {
-        enum Outcome {
-            Flushed,
-            Blocked,
-            Failed,
-        }
-        let outcome = {
-            let conn = self.conns.get_mut(&token).expect("conn exists");
-            loop {
-                if conn.write_pos >= conn.write_buf.len() {
-                    break Outcome::Flushed;
-                }
-                match (&conn.stream).write(&conn.write_buf[conn.write_pos..]) {
-                    Ok(0) => break Outcome::Failed,
-                    Ok(n) => conn.write_pos += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break Outcome::Blocked,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => break Outcome::Failed,
-                }
-            }
-        };
-        match outcome {
-            Outcome::Failed => self.close_conn(token),
-            Outcome::Blocked => {
-                self.set_state(token, ConnState::Writing);
-                self.set_deadline(token, Some(Instant::now() + self.shared.cfg.write_timeout));
-                self.arm(token, Interest::Write);
-            }
-            Outcome::Flushed => {
-                let close = {
-                    let conn = self.conns.get_mut(&token).expect("conn exists");
-                    conn.write_buf.clear();
-                    conn.write_pos = 0;
-                    conn.close_after_write
-                };
-                if close {
-                    self.close_conn(token);
-                    return;
-                }
-                // Back to keep-alive; pipelined leftovers dispatch now.
-                self.set_state(token, ConnState::Idle);
-                self.advance(token);
-            }
-        }
+        // Out of the poller before the fd number can be reused.
+        let _ = self.poller.remove(conn.stream.as_raw_fd());
+        self.table.lock().close(conn.token);
+        self.conn_count.fetch_sub(1, Ordering::AcqRel);
+        // conn (and any ParkedExchange with its permit) drops here.
     }
 
     // ---- deadlines -------------------------------------------------------
 
-    fn expire_deadlines(&mut self) {
-        let now = Instant::now();
-        loop {
-            let Some(&Reverse((t, token))) = self.deadlines.peek() else {
-                return;
-            };
-            if t > now {
-                return;
-            }
-            self.deadlines.pop();
-            let Some(conn) = self.conns.get_mut(&token) else {
-                continue;
-            };
-            if conn.deadline != Some(t) {
-                continue; // superseded
-            }
-            match conn.state {
+    /// Point the poller's timer at the nearest deadline. Serialized, so
+    /// that the last `set_timer` is the one that saw the latest heap.
+    fn retime(&self) {
+        let _serialized = self.timer.lock();
+        let next = self.table.lock().next_deadline();
+        let _ = self.poller.set_timer(next);
+    }
+
+    /// The sweeper's turn: take one connection that rested past its
+    /// deadline, then re-set the timer *first* — if more are due it fires
+    /// at once, on another thread.
+    fn timer_ready(&self) {
+        let due = self.table.lock().take_due(Instant::now());
+        self.retime();
+        if let Some(mut conn) = due {
+            let next = match conn.state {
                 // A parked long-poll reaching its wait budget is the normal
                 // empty-poll case, not an error.
-                ConnState::Parked => {
-                    let p = conn.parked.take().expect("parked state carries exchange");
-                    self.resolve_park(token, p);
+                ConnState::Parked => self.drive(&mut conn),
+                _ => Next::Close,
+            };
+            self.settle(conn, next);
+        }
+    }
+
+    // ---- read, route, write ----------------------------------------------
+
+    /// Flush what is queued, answer what is buffered, repeat; stop when the
+    /// socket pushes back, the buffer runs out of whole requests, a
+    /// long-poll parks, or the connection is done for.
+    fn pump(&self, conn: &mut Conn) -> Next {
+        // `answered`: a response went out since the socket was last read.
+        let (mut answered, mut looks) = (false, 0);
+        loop {
+            if !conn.write_buf.is_empty() {
+                match flush(conn) {
+                    Flush::Failed => return Next::Close,
+                    Flush::Blocked => {
+                        self.set_state(conn, ConnState::Writing);
+                        conn.deadline = Some(Instant::now() + self.cfg.write_timeout);
+                        return self.arm(conn, Interest::Write);
+                    }
+                    Flush::Done if conn.close_after_write => return Next::Close,
+                    Flush::Done => {}
                 }
-                ConnState::Dispatching => {}
-                _ => self.close_conn(token),
             }
+            // Back to keep-alive; pipelined leftovers are answered now.
+            let (batch, parse_error) = next_batch(conn);
+            if let Some(e) = parse_error {
+                let resp = match e {
+                    ParseError::BodyTooLarge(_) => Response::error(413, "body too large"),
+                    ParseError::HeadersTooLarge(_) => {
+                        Response::error(431, "request header fields too large")
+                    }
+                    _ => Response::bad_request("malformed request"),
+                };
+                conn.read_buf = Vec::new();
+                resp.serialize_into(&mut conn.write_buf, false, false);
+                conn.close_after_write = true;
+            } else if !batch.is_empty() {
+                self.set_state(conn, ConnState::Dispatching);
+                answered = true;
+                if let Some(exchange) = route_batch(&self.router, conn, batch) {
+                    return self.park(conn, exchange);
+                }
+            } else {
+                // A closed-loop client has often sent its next request by
+                // the time its answer is flushed (the write wakes it, and it
+                // may run before we do). Look once before going back through
+                // the poller, where the same bytes would cost a re-arm, a
+                // wait and the wake-up of another thread — but only so many
+                // times in a row, so a busy connection still yields.
+                if std::mem::take(&mut answered) && looks < MAX_BATCH && conn.read_buf.is_empty() {
+                    looks += 1;
+                    match fill(conn) {
+                        Fill::Closed => return Next::Close,
+                        Fill::Bytes => continue,
+                        Fill::Nothing => {}
+                    }
+                }
+                // Partial (or nothing): arm for more bytes. A half-read
+                // request rides the shorter read timeout; a quiet
+                // keep-alive connection the idle timeout.
+                let (state, timeout) = if conn.read_buf.is_empty() {
+                    (ConnState::Idle, self.cfg.idle_timeout)
+                } else {
+                    (ConnState::Reading, self.cfg.read_timeout)
+                };
+                self.set_state(conn, state);
+                conn.deadline = Some(Instant::now() + timeout);
+                return self.arm(conn, Interest::Read);
+            }
+        }
+    }
+
+    // ---- parked connections ---------------------------------------------
+
+    /// Hold the exchange open; the hub's waker (or the deadline) has some
+    /// loop thread route it once more. Armed for read so a vanished client
+    /// is noticed instead of parked forever.
+    fn park(&self, conn: &mut Conn, exchange: ParkedExchange) -> Next {
+        let (wakes, token) = (self.wakes.clone(), conn.token);
+        // If the waker has fired already the hook runs here and now; the
+        // thread that takes the token finds the connection owned and
+        // knocks, and `settle` drives it again.
+        exchange.directive.waker.set_hook(move || wakes.push(token));
+        conn.deadline = Some(Instant::now() + exchange.directive.max_wait);
+        conn.parked = Some(exchange);
+        self.set_state(conn, ConnState::Parked);
+        self.arm(conn, Interest::Read)
+    }
+
+    /// Someone came for a parked connection: its waker fired or its wait is
+    /// over (answer it), the client hung up (tear down, freeing the park
+    /// slot immediately), or it sent pipelined bytes (buffer them — they
+    /// are answered after the park resolves).
+    fn parked_ready(&self, conn: &mut Conn) -> Next {
+        let exchange = conn.parked.as_ref().expect("parked state carries exchange");
+        if exchange.directive.waker.fired() || conn.deadline.is_some_and(|d| d <= Instant::now()) {
+            return self.resolve_park(conn);
+        }
+        match fill(conn) {
+            Fill::Closed => return Next::Close,
+            _ if conn.read_buf.len() > crate::request::MAX_HEAD => return Next::Close,
+            _ => {}
+        }
+        self.arm(conn, Interest::Read)
+    }
+
+    /// Route a parked request again with the park-final marker; the handler
+    /// drains instantly and the response flows out the normal path.
+    fn resolve_park(&self, conn: &mut Conn) -> Next {
+        let ParkedExchange { mut req, directive } =
+            conn.parked.take().expect("parked state carries exchange");
+        self.set_state(conn, ConnState::Dispatching);
+        let keep = req.keep_alive();
+        req.headers
+            .insert(PARK_FINAL_HEADER.to_string(), "1".to_string());
+        let resp = route_on_worker(&self.router, &req);
+        resp.serialize_into(&mut conn.write_buf, keep, req.method == Method::Head);
+        drop(directive); // park slot free the instant the answer exists
+        conn.close_after_write = !keep;
+        self.pump(conn)
+    }
+
+    /// A thread that hears the wake fd takes one token and passes the rest
+    /// on, so a publish that wakes a thousand tabs is spread over every
+    /// free thread instead of queueing behind this one.
+    fn wake_ready(&self) {
+        let waker = &self.wakes.waker;
+        waker.drain();
+        let (token, more) = {
+            let mut tokens = self.wakes.tokens.lock();
+            (tokens.pop_front(), !tokens.is_empty())
+        };
+        let _ = self
+            .poller
+            .modify(waker.fd(), TOKEN_WAKES, Interest::Read, true);
+        if more {
+            waker.wake();
+        }
+        if let Some(token) = token {
+            self.conn_ready(token);
         }
     }
 
     // ---- small helpers ---------------------------------------------------
 
-    fn arm(&mut self, token: u64, interest: Interest) {
-        let conn = self.conns.get_mut(&token).expect("conn exists");
-        if self
-            .poller
-            .modify(conn.stream.as_raw_fd(), token, interest, true)
-            .is_err()
-        {
-            self.close_conn(token);
+    /// Re-arm an owned connection; from here on the next event may already
+    /// be on another thread, knocking.
+    fn arm(&self, conn: &Conn, interest: Interest) -> Next {
+        let fd = conn.stream.as_raw_fd();
+        match self.poller.modify(fd, conn.token, interest, true) {
+            Ok(()) => Next::Rest,
+            Err(_) => Next::Close,
         }
     }
 
-    fn set_state(&mut self, token: u64, state: ConnState) {
-        let conn = self.conns.get_mut(&token).expect("conn exists");
+    fn set_state(&self, conn: &mut Conn, state: ConnState) {
         if conn.state == state {
             return;
         }
-        if let Some(m) = &self.shared.metrics {
+        if let Some(m) = &self.metrics {
             m.conn_gauge(conn.state).dec();
             m.conn_gauge(state).inc();
         }
         conn.state = state;
     }
+}
 
-    fn set_deadline(&mut self, token: u64, deadline: Option<Instant>) {
-        let conn = self.conns.get_mut(&token).expect("conn exists");
-        conn.deadline = deadline;
-        if let Some(t) = deadline {
-            self.deadlines.push(Reverse((t, token)));
-        }
-    }
-
-    fn close_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            if let Some(m) = &self.shared.metrics {
-                m.conn_gauge(conn.state).dec();
+/// Parse whole requests off the front of the read buffer, up to
+/// [`MAX_BATCH`]. A parse error is reported only when nothing precedes it:
+/// requests already parsed are answered first, and the error goes out when
+/// the poisoned buffer is parsed again.
+fn next_batch(conn: &mut Conn) -> (Vec<Request>, Option<ParseError>) {
+    let mut batch: Vec<Request> = Vec::new();
+    let mut parse_error = None;
+    let mut consumed_total = 0;
+    while batch.len() < MAX_BATCH {
+        match Request::parse_buf(&conn.read_buf[consumed_total..]) {
+            ParseStatus::Complete { req, consumed } => {
+                consumed_total += consumed;
+                let keep = req.keep_alive();
+                batch.push(req);
+                if !keep {
+                    // Nothing after an explicit close is answerable.
+                    consumed_total = conn.read_buf.len();
+                    break;
+                }
             }
-            let _ = self.poller.remove(conn.stream.as_raw_fd());
-            self.shared.conn_count.fetch_sub(1, Ordering::AcqRel);
-            // conn (and any ParkedExchange with its permit) drops here.
+            ParseStatus::Partial => break,
+            ParseStatus::Error(e) => {
+                if batch.is_empty() {
+                    parse_error = Some(e);
+                }
+                break;
+            }
         }
     }
+    conn.read_buf.drain(..consumed_total);
+    release_excess(&mut conn.read_buf);
+    (batch, parse_error)
+}
+
+/// Route one batch on the calling thread, serializing each answer straight
+/// into the connection's write buffer. Returns the exchange to park when
+/// the batch's only request asked for that instead of an answer.
+fn route_batch(router: &Router, conn: &mut Conn, batch: Vec<Request>) -> Option<ParkedExchange> {
+    let n = batch.len();
+    for mut req in batch {
+        let keep = req.keep_alive();
+        let head_only = req.method == Method::Head;
+        // The park protocol is the server's, never the client's.
+        req.headers.remove(PARK_FINAL_HEADER);
+        req.headers
+            .insert(CONN_PARK_HEADER.to_string(), "1".to_string());
+        let mut resp = route_on_worker(router, &req);
+        if let Some(directive) = resp.park.take() {
+            if n == 1 {
+                // Sole request of the batch: park the connection.
+                return Some(ParkedExchange { req, directive });
+            }
+            // Pipelined company: resolve immediately (a long-poll
+            // sandwiched in a pipeline gets a fast empty poll).
+            req.headers
+                .insert(PARK_FINAL_HEADER.to_string(), "1".to_string());
+            resp = route_on_worker(router, &req);
+        }
+        resp.serialize_into(&mut conn.write_buf, keep, head_only);
+        if !keep {
+            conn.close_after_write = true;
+            break;
+        }
+    }
+    None
+}
+
+enum Fill {
+    Bytes,
+    /// The socket has nothing more for now.
+    Nothing,
+    /// End of stream or a dead socket.
+    Closed,
+}
+
+/// Read whatever the socket holds into the connection's read buffer.
+fn fill(conn: &mut Conn) -> Fill {
+    let mut chunk = [0u8; READ_CHUNK];
+    let before = conn.read_buf.len();
+    loop {
+        match (&conn.stream).read(&mut chunk) {
+            Ok(0) => return Fill::Closed,
+            Ok(n) => {
+                conn.read_buf.extend_from_slice(&chunk[..n]);
+                if n < chunk.len() {
+                    break;
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return Fill::Closed,
+        }
+    }
+    if conn.read_buf.len() > before {
+        Fill::Bytes
+    } else {
+        Fill::Nothing
+    }
+}
+
+enum Flush {
+    Done,
+    Blocked,
+    Failed,
+}
+
+/// Write as much of the queued response bytes as the socket takes.
+fn flush(conn: &mut Conn) -> Flush {
+    while conn.write_pos < conn.write_buf.len() {
+        match (&conn.stream).write(&conn.write_buf[conn.write_pos..]) {
+            Ok(0) => return Flush::Failed,
+            Ok(n) => conn.write_pos += n,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Flush::Blocked,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return Flush::Failed,
+        }
+    }
+    conn.write_buf.clear();
+    conn.write_pos = 0;
+    release_excess(&mut conn.write_buf);
+    Flush::Done
 }
 
 /// Best-effort 503 to a connection over the watermark. One optimistic
@@ -668,9 +542,9 @@ fn shed(stream: TcpStream, metrics: &Option<Metrics>) {
     }
 }
 
-/// One request's trip through the router on a worker thread, wrapped in
-/// the wire-level "http" span (same shape the thread-per-connection server
-/// had, so traces and the chaos suite see an identical hop sequence).
+/// One request's trip through the router, wrapped in the wire-level "http"
+/// span (same shape the thread-per-connection server had, so traces and
+/// the chaos suite see an identical hop sequence).
 fn route_on_worker(router: &Router, req: &Request) -> Response {
     let _scope = req
         .header(crate::router::TRACE_HEADER)

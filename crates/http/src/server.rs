@@ -1,21 +1,23 @@
-//! The event-driven HTTP server: reactor threads + a worker pool.
+//! The event-driven HTTP server: one kind of thread, one loop, one poller.
 //!
 //! Replaces the thread-per-connection design (whose concurrent-connection
-//! ceiling *was* the worker count) with a readiness loop: [`ServerConfig::reactors`]
-//! threads own all connections through a non-blocking state machine and
-//! `workers` threads run route handlers. Ten thousand keep-alive dashboard
-//! tabs cost ten thousand sockets — not ten thousand threads — and an idle
-//! server sleeps in `epoll_wait` at zero CPU (the old accept loop polled on
-//! a 1ms sleep).
+//! ceiling *was* the worker count) with a readiness loop:
+//! [`ServerConfig::workers`] identical threads wait on one shared poller,
+//! and the thread that is handed a connection's readiness event runs the
+//! request to completion — read, parse, route, serialize, write — before it
+//! re-arms the connection (see [`crate::reactor`]'s ownership rule). Ten
+//! thousand keep-alive dashboard tabs cost ten thousand sockets — not ten
+//! thousand threads — and an idle server sleeps in `epoll_wait` at zero CPU.
 
-use crate::conn::ConnState;
-use crate::reactor::{Injector, Reactor};
+use crate::conn::{ConnState, Table};
+use crate::reactor::{WakeQueue, FIRST_CONN_TOKEN, TOKEN_LISTENER, TOKEN_STOP, TOKEN_WAKES};
 use crate::router::Router;
-use crate::sys::Waker;
-use crate::threadpool::ThreadPool;
+use crate::sys::{Interest, Poller, Waker};
 use hpcdash_obs::{Counter, Gauge, Registry};
+use parking_lot::Mutex;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicUsize};
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -25,10 +27,9 @@ use std::time::Duration;
 /// timeout.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Reactor (event-loop) threads. Two keeps accept latency flat while
-    /// one loop is busy flushing; connections are distributed round-robin.
-    pub reactors: usize,
-    /// Handler threads (the old "workers" knob, unchanged meaning).
+    /// Loop threads — every thread the server runs. Each serves one ready
+    /// connection at a time, so this is also how many handlers can run (or
+    /// block) at once.
     pub workers: usize,
     /// Watermark past which new connections are shed with 503+Retry-After.
     pub max_connections: usize,
@@ -43,7 +44,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            reactors: 2,
             workers: 8,
             max_connections: 16_384,
             idle_timeout: Duration::from_secs(30),
@@ -61,13 +61,14 @@ pub(crate) struct Metrics {
     writing: Arc<Gauge>,
     parked: Arc<Gauge>,
     pub sheds: Arc<Counter>,
-    /// Per-reactor: µs spent processing the last wakeup (readiness batch +
-    /// injections). A loop stuck behind a slow syscall shows up here.
+    /// Per loop thread: µs it spent on its last wakeup, handler included
+    /// (the thread that hears of a request also serves it). A thread stuck
+    /// in a slow handler or syscall shows up here.
     pub loop_lag: Vec<Arc<Gauge>>,
 }
 
 impl Metrics {
-    fn new(reg: &Registry, reactors: usize) -> Metrics {
+    fn new(reg: &Registry, threads: usize) -> Metrics {
         let state_gauge = |s: &str| reg.gauge("hpcdash_http_connections", &[("state", s)]);
         Metrics {
             idle: state_gauge("idle"),
@@ -76,7 +77,7 @@ impl Metrics {
             writing: state_gauge("writing"),
             parked: state_gauge("parked"),
             sheds: reg.counter("hpcdash_http_sheds_total", &[]),
-            loop_lag: (0..reactors)
+            loop_lag: (0..threads)
                 .map(|i| {
                     reg.gauge(
                         "hpcdash_http_reactor_loop_lag_us",
@@ -98,15 +99,23 @@ impl Metrics {
     }
 }
 
-/// State shared by every reactor and the server handle.
+/// State shared by every loop thread and the server handle.
 pub(crate) struct Shared {
     pub router: Arc<Router>,
-    pub pool: ThreadPool,
     pub cfg: ServerConfig,
     pub shutdown: AtomicBool,
     pub conn_count: AtomicUsize,
-    pub next_reactor: AtomicUsize,
-    pub injectors: Vec<Arc<Injector>>,
+    pub next_token: AtomicU64,
+    /// The one poller: connections, the listener, the two wakers, and
+    /// its timer, set to the nearest connection deadline.
+    pub poller: Poller,
+    pub timer: Mutex<()>,
+    pub listener: TcpListener,
+    pub table: Mutex<Table>,
+    pub wakes: Arc<WakeQueue>,
+    /// Level-triggered and never drained: once `shutdown()` has written to
+    /// it, every `wait` on every thread returns at once.
+    stop: Waker,
     pub metrics: Option<Metrics>,
 }
 
@@ -114,12 +123,12 @@ pub(crate) struct Shared {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    reactor_threads: Vec<JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Bind to `addr` (use port 0 for an ephemeral port) and serve `router`
-    /// with `workers` handler threads and default event-loop settings.
+    /// on `workers` loop threads with default event-loop settings.
     pub fn bind(addr: &str, router: Arc<Router>, workers: usize) -> std::io::Result<Server> {
         Server::bind_with(
             addr,
@@ -138,7 +147,6 @@ impl Server {
         cfg: ServerConfig,
     ) -> std::io::Result<Server> {
         let cfg = ServerConfig {
-            reactors: cfg.reactors.max(1),
             workers: cfg.workers.max(1),
             max_connections: cfg.max_connections.max(1),
             ..cfg
@@ -147,52 +155,44 @@ impl Server {
         let local = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let mut pool = ThreadPool::new(cfg.workers);
-        let metrics = router.registry().map(|reg| Metrics::new(reg, cfg.reactors));
-        if let Some(reg) = router.registry() {
-            pool.set_queue_gauge(reg.gauge("hpcdash_http_worker_queue_depth", &[]));
-        }
+        let poller = Poller::new()?;
+        let (stop, wakes) = (Waker::new()?, Waker::new()?);
+        poller.add(stop.fd(), TOKEN_STOP, Interest::Read, false)?;
+        poller.add(wakes.fd(), TOKEN_WAKES, Interest::Read, true)?;
+        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::Read, true)?;
 
-        let mut injectors = Vec::with_capacity(cfg.reactors);
-        let mut receivers = Vec::with_capacity(cfg.reactors);
-        for _ in 0..cfg.reactors {
-            let (waker, rx) = Waker::pair()?;
-            injectors.push(Arc::new(Injector::new(waker)));
-            receivers.push(rx);
-        }
-
+        let metrics = router.registry().map(|reg| Metrics::new(reg, cfg.workers));
         let shared = Arc::new(Shared {
             router,
-            pool,
             cfg,
             shutdown: AtomicBool::new(false),
             conn_count: AtomicUsize::new(0),
-            next_reactor: AtomicUsize::new(0),
-            injectors,
+            next_token: AtomicU64::new(FIRST_CONN_TOKEN),
+            poller,
+            timer: Mutex::new(()),
+            listener,
+            table: Mutex::new(Table::default()),
+            wakes: Arc::new(WakeQueue {
+                tokens: Mutex::default(),
+                waker: wakes,
+            }),
+            stop,
             metrics,
         });
 
-        let mut reactor_threads = Vec::with_capacity(shared.cfg.reactors);
-        let mut listener = Some(listener);
-        for (ix, rx) in receivers.into_iter().enumerate() {
-            let reactor = Reactor::new(
-                ix,
-                shared.clone(),
-                shared.injectors[ix].clone(),
-                rx,
-                listener.take(), // reactor 0 owns the accept socket
-            )?;
-            reactor_threads.push(
+        let threads = (0..shared.cfg.workers)
+            .map(|ix| {
+                let shared = shared.clone();
                 std::thread::Builder::new()
-                    .name(format!("http-reactor-{ix}"))
-                    .spawn(move || reactor.run())?,
-            );
-        }
+                    .name(format!("http-loop-{ix}"))
+                    .spawn(move || shared.run(ix))
+            })
+            .collect::<std::io::Result<Vec<_>>>()?;
 
         Ok(Server {
             addr: local,
             shared,
-            reactor_threads,
+            threads,
         })
     }
 
@@ -205,36 +205,32 @@ impl Server {
         format!("http://{}", self.addr)
     }
 
-    /// Total threads this server runs: reactors + workers. The bench
-    /// asserts 10k concurrent connections fit under exactly this number.
+    /// Total threads this server runs: `workers`, whatever the number of
+    /// connections. The bench asserts 10k concurrent connections fit under
+    /// exactly this number.
     pub fn thread_count(&self) -> usize {
-        self.shared.cfg.reactors + self.shared.pool.worker_count()
+        self.threads.len()
     }
 
-    /// Connections currently owned by the event loop (any state).
+    /// Connections currently held by the event loop (any state).
     pub fn connection_count(&self) -> usize {
-        self.shared
-            .conn_count
-            .load(std::sync::atomic::Ordering::Acquire)
+        self.shared.conn_count.load(Ordering::Acquire)
     }
 
+    /// Stop the loop threads: each finishes the request it is serving,
+    /// closes the connections it finds resting, and exits.
     pub fn shutdown(&self) {
-        self.shared
-            .shutdown
-            .store(true, std::sync::atomic::Ordering::SeqCst);
-        for inj in &self.shared.injectors {
-            inj.wake();
-        }
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.stop.wake();
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
-        for t in self.reactor_threads.drain(..) {
+        for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        // The worker pool joins when the last `Shared` reference drops.
     }
 }
 
@@ -354,20 +350,75 @@ mod tests {
         assert_eq!(resp.body_string(), "y");
     }
 
+    /// One large exchange must not pin its buffers for the life of a
+    /// keep-alive connection.
     #[test]
-    fn thread_count_is_reactors_plus_workers() {
+    fn large_exchange_does_not_keep_its_buffers() {
+        use crate::conn::MAX_RETAINED;
+        use std::io::{Read, Write};
         let mut router = Router::new();
         router.get("/ping", |_| Response::text("pong"));
-        let server = Server::bind_with(
-            "127.0.0.1:0",
-            Arc::new(router),
-            ServerConfig {
-                reactors: 2,
-                workers: 3,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(server.thread_count(), 5);
+        router.post("/mirror", |req| {
+            Response::new(200).with_body(req.body.clone())
+        });
+        let server = Server::bind("127.0.0.1:0", Arc::new(router), 2).unwrap();
+        let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+
+        // 1 MB in (read buffer), 1 MB out (write buffer), read to the end.
+        let body = vec![b'x'; 1 << 20];
+        let head = format!(
+            "POST /mirror HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        stream.write_all(head.as_bytes()).unwrap();
+        stream.write_all(&body).unwrap();
+        let mut got = Vec::new();
+        let mut chunk = [0u8; 64 * 1024];
+        while !got.ends_with(&body) {
+            let n = stream.read(&mut chunk).unwrap();
+            assert!(n > 0, "server hung up");
+            got.extend_from_slice(&chunk[..n]);
+        }
+        stream.write_all(b"GET /ping HTTP/1.1\r\n\r\n").unwrap();
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(chunk[..n].ends_with(b"pong"));
+
+        // The connection rests idle once the answer is out; look at it there.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let table = server.shared.table.lock();
+            if let Some(conn) = table.resting().next() {
+                assert_eq!(conn.state, ConnState::Idle);
+                assert!(conn.read_buf.capacity() <= MAX_RETAINED, "read buffer kept");
+                assert!(
+                    conn.write_buf.capacity() <= MAX_RETAINED,
+                    "write buffer kept"
+                );
+                break;
+            }
+            drop(table);
+            assert!(
+                std::time::Instant::now() < deadline,
+                "connection never rested"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn thread_count_is_workers_clamped_to_one() {
+        let bind = |workers| {
+            let mut router = Router::new();
+            router.get("/ping", |_| Response::text("pong"));
+            Server::bind("127.0.0.1:0", Arc::new(router), workers).unwrap()
+        };
+        assert_eq!(bind(3).thread_count(), 3);
+        // A lone loop thread accepts, serves and sweeps by itself.
+        let server = bind(0);
+        assert_eq!(server.thread_count(), 1);
+        let resp = HttpClient::new()
+            .get(&format!("{}/ping", server.base_url()), &[])
+            .unwrap();
+        assert_eq!(resp.body_string(), "pong");
     }
 }

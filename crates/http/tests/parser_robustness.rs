@@ -322,5 +322,38 @@ fn watermark_sheds_with_503_and_retry_after() {
         }
     }
     assert!(saw_retry_after, "shed must advertise Retry-After");
+
+    // Admission is one atomic reserve: sixteen connectors at once, with
+    // both slots taken, can never push the count over the watermark, and
+    // every one of them is told so (or reset) — none is left hanging.
+    let start = std::sync::Arc::new(std::sync::Barrier::new(17));
+    let connectors: Vec<_> = (0..16)
+        .map(|_| {
+            let (addr, start) = (server.addr(), start.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                let stream = TcpStream::connect(addr).unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(10)))
+                    .unwrap();
+                let mut answer = String::new();
+                match BufReader::new(stream).read_to_string(&mut answer) {
+                    Ok(_) => {
+                        assert!(answer.starts_with("HTTP/1.1 503 "), "got {answer:?}");
+                        assert!(answer.to_ascii_lowercase().contains("\r\nretry-after:"));
+                    }
+                    Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset),
+                }
+            })
+        })
+        .collect();
+    start.wait();
+    while connectors.iter().any(|c| !c.is_finished()) {
+        assert!(server.connection_count() <= 2, "watermark overshot");
+    }
+    for c in connectors {
+        c.join().unwrap();
+    }
+    assert_eq!(server.connection_count(), 2);
     server.shutdown();
 }

@@ -145,7 +145,7 @@ mod tests {
         let reg = Registry::new();
         reg.counter("hpcdash_http_requests_total", &[("route", "/api/jobs")])
             .add(5);
-        reg.gauge("hpcdash_http_worker_queue_depth", &[]).set(2);
+        reg.gauge("hpcdash_sched_queue_depth", &[]).set(2);
         reg.histogram("hpcdash_http_request_latency", &[("route", "/api/jobs")])
             .observe(Duration::from_millis(3));
         reg
@@ -156,8 +156,8 @@ mod tests {
         let text = scrape_text(&demo_registry());
         assert!(text.contains("# TYPE hpcdash_http_requests_total counter"));
         assert!(text.contains("hpcdash_http_requests_total{route=\"/api/jobs\"} 5"));
-        assert!(text.contains("# TYPE hpcdash_http_worker_queue_depth gauge"));
-        assert!(text.contains("hpcdash_http_worker_queue_depth 2"));
+        assert!(text.contains("# TYPE hpcdash_sched_queue_depth gauge"));
+        assert!(text.contains("hpcdash_sched_queue_depth 2"));
         assert!(text.contains("quantile=\"0.5\""));
         assert!(text.contains("hpcdash_http_request_latency_count{route=\"/api/jobs\"} 1"));
         // Every non-comment line is `name{labels} value` with a numeric value.

@@ -294,7 +294,7 @@ impl Hub {
     /// Install a one-shot wake callback, fired the next time an event (or a
     /// resync marker) lands in this subscriber's queue and then consumed.
     /// This is how an event-loop long-poll parks a *connection* instead of
-    /// a thread: the callback pokes the reactor that owns it. Replaces any
+    /// a thread: the callback pokes the event loop that holds it. Replaces any
     /// previously installed callback.
     pub fn set_notify(&self, handle: &SubscriberHandle, notify: impl Fn() + Send + 'static) {
         *handle.sub.notify.lock() = Some(Box::new(notify));
