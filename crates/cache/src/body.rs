@@ -1,6 +1,7 @@
 //! [`Body`]: what the server cache stores — a payload serialized once, on
 //! fill, plus the validator clients revalidate it with.
 
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Serialized response bytes and their strong ETag. A cache hit hands out
@@ -23,9 +24,11 @@ impl Body {
         }
     }
 
-    /// Serialize `value` — the one encode a cached payload ever gets.
-    pub fn json(value: &serde_json::Value) -> Body {
-        Body::new(serde_json::to_vec(value).expect("json serializes"))
+    /// Encode `payload` — a typed row struct or a `json!` value alike —
+    /// straight into the bytes this body shares out: the only time the
+    /// payload is serialized, with no tree built or cloned on the way.
+    pub fn json<T: Serialize + ?Sized>(payload: &T) -> Body {
+        Body::new(serde_json::to_vec(payload).expect("json serializes"))
     }
 
     /// A body with no validator, for answers that bypass the cache (the

@@ -2,11 +2,11 @@
 //! views, from `scontrol show node`.
 
 use crate::auth::CurrentUser;
-use crate::colors::{node_color, utilization_color};
+use crate::colors::{node_color, utilization_color, ColorClass};
 use crate::ctx::DashboardContext;
 use hpcdash_http::{Request, Response, Router};
-use hpcdash_slurmcli::{parse_show_node, show_node};
-use serde_json::json;
+use hpcdash_slurmcli::{parse_show_node, show_node, ScontrolNode};
+use serde::Serialize;
 
 pub const FEATURE: &str = "Cluster Status";
 pub const ROUTES: &[&str] = &["/api/clusterstatus"];
@@ -14,6 +14,69 @@ pub const SOURCES: &[&str] = &["scontrol show node (slurmctld)"];
 
 pub fn register(router: &mut Router, ctx: DashboardContext) {
     router.get(ROUTES[0], move |req| handle(&ctx, req));
+}
+
+#[derive(Serialize)]
+struct ClusterStatus {
+    nodes: Vec<NodeRow>,
+}
+
+/// One node of the grid and list views; its strings are taken from the
+/// `scontrol` record it describes.
+#[derive(Serialize)]
+struct NodeRow {
+    name: String,
+    state: &'static str,
+    /// Grid-view cell colour (paper §6's legend).
+    color: ColorClass,
+    cpus_alloc: u32,
+    cpus_total: u32,
+    cpu_percent: f64,
+    cpu_color: ColorClass,
+    cpu_load: f64,
+    mem_alloc_mb: u64,
+    mem_total_mb: u64,
+    mem_percent: f64,
+    mem_color: ColorClass,
+    partitions: Vec<String>,
+    gres: Option<String>,
+    gres_used: Option<String>,
+    reason: Option<String>,
+    overview_url: String,
+}
+
+impl From<ScontrolNode> for NodeRow {
+    fn from(n: ScontrolNode) -> NodeRow {
+        let cpu_frac = if n.cpu_total > 0 {
+            n.cpu_alloc as f64 / n.cpu_total as f64
+        } else {
+            0.0
+        };
+        let mem_frac = if n.real_memory_mb > 0 {
+            n.alloc_memory_mb as f64 / n.real_memory_mb as f64
+        } else {
+            0.0
+        };
+        NodeRow {
+            overview_url: format!("/nodes/{}", n.name),
+            name: n.name,
+            state: n.state.to_slurm(),
+            color: node_color(n.state),
+            cpus_alloc: n.cpu_alloc,
+            cpus_total: n.cpu_total,
+            cpu_percent: (cpu_frac * 1000.0).round() / 10.0,
+            cpu_color: utilization_color(cpu_frac),
+            cpu_load: n.cpu_load,
+            mem_alloc_mb: n.alloc_memory_mb,
+            mem_total_mb: n.real_memory_mb,
+            mem_percent: (mem_frac * 1000.0).round() / 10.0,
+            mem_color: utilization_color(mem_frac),
+            partitions: n.partitions,
+            gres: n.gres,
+            gres_used: n.gres_used,
+            reason: n.reason,
+        }
+    }
 }
 
 fn handle(ctx: &DashboardContext, req: &Request) -> Response {
@@ -24,43 +87,9 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
         ctx.note_source(FEATURE, "scontrol show node (slurmctld)");
         let text = show_node(&ctx.ctld, None)?;
         let nodes = parse_show_node(&text).map_err(|e| format!("scontrol parse: {e}"))?;
-        Ok(json!({
-            "nodes": nodes
-                .iter()
-                .map(|n| {
-                    let cpu_frac = if n.cpu_total > 0 {
-                        n.cpu_alloc as f64 / n.cpu_total as f64
-                    } else {
-                        0.0
-                    };
-                    let mem_frac = if n.real_memory_mb > 0 {
-                        n.alloc_memory_mb as f64 / n.real_memory_mb as f64
-                    } else {
-                        0.0
-                    };
-                    json!({
-                        "name": n.name,
-                        "state": n.state.to_slurm(),
-                        // Grid-view cell colour (paper §6's legend).
-                        "color": node_color(n.state),
-                        "cpus_alloc": n.cpu_alloc,
-                        "cpus_total": n.cpu_total,
-                        "cpu_percent": (cpu_frac * 1000.0).round() / 10.0,
-                        "cpu_color": utilization_color(cpu_frac),
-                        "cpu_load": n.cpu_load,
-                        "mem_alloc_mb": n.alloc_memory_mb,
-                        "mem_total_mb": n.real_memory_mb,
-                        "mem_percent": (mem_frac * 1000.0).round() / 10.0,
-                        "mem_color": utilization_color(mem_frac),
-                        "partitions": n.partitions,
-                        "gres": n.gres,
-                        "gres_used": n.gres_used,
-                        "reason": n.reason,
-                        "overview_url": format!("/nodes/{}", n.name),
-                    })
-                })
-                .collect::<Vec<_>>(),
-        }))
+        Ok(ClusterStatus {
+            nodes: nodes.into_iter().map(NodeRow::from).collect(),
+        })
     });
     super::respond(outcome)
 }

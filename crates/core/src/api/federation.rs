@@ -16,7 +16,8 @@ use crate::auth::CurrentUser;
 use crate::ctx::DashboardContext;
 use hpcdash_federation::{FederatedSnapshot, SiteHealth, SiteStatus};
 use hpcdash_http::{Request, Response, Router};
-use serde_json::{json, Value};
+use serde::Serialize;
+use std::sync::Arc;
 
 pub const FEATURE: &str = "Multi-cluster federation (extension)";
 pub const ROUTES: &[&str] = &[
@@ -58,28 +59,79 @@ fn fan_out(ctx: &DashboardContext) -> FederatedSnapshot {
 }
 
 /// One site's summary entry (shared by the aggregate and scoped routes).
-fn site_entry(s: &SiteStatus) -> Value {
-    let mut entry = json!({
-        "cluster": s.cluster.as_ref(),
-        "health": s.health.as_str(),
-        "snapshot_seq": s.seq(),
-    });
-    if let Some(snap) = &s.snapshot {
-        entry["jobs"] = json!({
-            "pending": snap.counts.pending,
-            "running": snap.counts.running,
-            "suspended": snap.counts.suspended,
-        });
-        entry["nodes"] = json!(snap.nodes.len());
-        entry["partitions"] = json!(snap.partitions.len());
+/// What a site without a snapshot, a live site or a site without a notice
+/// cannot say is left out rather than sent as `null`.
+#[derive(Serialize)]
+struct SiteEntry {
+    cluster: Arc<str>,
+    health: &'static str,
+    snapshot_seq: u64,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    jobs: Option<SiteJobs>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    nodes: Option<usize>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    partitions: Option<usize>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    stale_age_secs: Option<u64>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    notice: Option<String>,
+}
+
+#[derive(Serialize)]
+struct SiteJobs {
+    pending: u32,
+    running: u32,
+    suspended: u32,
+}
+
+impl From<&SiteStatus> for SiteEntry {
+    fn from(s: &SiteStatus) -> SiteEntry {
+        let snap = s.snapshot.as_deref();
+        SiteEntry {
+            cluster: s.cluster.clone(),
+            health: s.health.as_str(),
+            snapshot_seq: s.seq(),
+            jobs: snap.map(|snap| SiteJobs {
+                pending: snap.counts.pending,
+                running: snap.counts.running,
+                suspended: snap.counts.suspended,
+            }),
+            nodes: snap.map(|snap| snap.nodes.len()),
+            partitions: snap.map(|snap| snap.partitions.len()),
+            stale_age_secs: match s.health {
+                SiteHealth::Stale { age_secs, .. } => Some(age_secs),
+                _ => None,
+            },
+            notice: s.notice(),
+        }
     }
-    if let SiteHealth::Stale { age_secs, .. } = &s.health {
-        entry["stale_age_secs"] = json!(age_secs);
-    }
-    if let Some(notice) = s.notice() {
-        entry["notice"] = json!(notice);
-    }
-    entry
+}
+
+/// The degradation notices of every slice that has one.
+fn notices(fed: &FederatedSnapshot) -> Vec<String> {
+    fed.sites.iter().filter_map(|s| s.notice()).collect()
+}
+
+#[derive(Serialize)]
+struct Status {
+    degraded: bool,
+    clusters: usize,
+    live: usize,
+    stale: usize,
+    dark: usize,
+    totals: Totals,
+    notices: Vec<String>,
+    sites: Vec<SiteEntry>,
+    generated_at: u64,
+}
+
+#[derive(Serialize)]
+struct Totals {
+    jobs_pending: u32,
+    jobs_running: u32,
+    jobs_suspended: u32,
+    nodes: usize,
 }
 
 /// `GET /api/federation/status`: the federation overview widget — per-site
@@ -90,22 +142,45 @@ fn status(ctx: &DashboardContext, req: &Request) -> Response {
     }
     let fed = fan_out(ctx);
     let counts = fed.counts();
-    Response::json(&json!({
-        "degraded": fed.is_degraded(),
-        "clusters": fed.sites.len(),
-        "live": fed.live_sites(),
-        "stale": fed.stale_sites(),
-        "dark": fed.dark_sites(),
-        "totals": {
-            "jobs_pending": counts.pending,
-            "jobs_running": counts.running,
-            "jobs_suspended": counts.suspended,
-            "nodes": fed.nodes().count(),
+    Response::json(&Status {
+        degraded: fed.is_degraded(),
+        clusters: fed.sites.len(),
+        live: fed.live_sites(),
+        stale: fed.stale_sites(),
+        dark: fed.dark_sites(),
+        totals: Totals {
+            jobs_pending: counts.pending,
+            jobs_running: counts.running,
+            jobs_suspended: counts.suspended,
+            nodes: fed.nodes().count(),
         },
-        "notices": fed.sites.iter().filter_map(|s| s.notice()).collect::<Vec<_>>(),
-        "sites": fed.sites.iter().map(site_entry).collect::<Vec<_>>(),
-        "generated_at": fed.at.0,
-    }))
+        notices: notices(&fed),
+        sites: fed.sites.iter().map(SiteEntry::from).collect(),
+        generated_at: fed.at.0,
+    })
+}
+
+/// An aggregate listing: rows from every slice under the federation-wide
+/// degradation header.
+#[derive(Serialize)]
+struct Jobs<'a> {
+    degraded: bool,
+    notices: Vec<String>,
+    jobs: Vec<JobRow<'a>>,
+    generated_at: u64,
+}
+
+/// One job, tagged with its cluster and its slice's freshness.
+#[derive(Serialize)]
+struct JobRow<'a> {
+    cluster: &'a str,
+    slice_health: &'static str,
+    id: u32,
+    name: &'a str,
+    user: &'a str,
+    account: &'a str,
+    partition: &'a str,
+    state: &'static str,
 }
 
 /// `GET /api/federation/jobs`: the viewer's jobs across every cluster, each
@@ -116,28 +191,44 @@ fn jobs(ctx: &DashboardContext, req: &Request) -> Response {
         Err(resp) => return resp,
     };
     let fed = fan_out(ctx);
-    let rows: Vec<Value> = fed
-        .jobs_of_user(&user.username)
-        .into_iter()
-        .map(|(site, job)| {
-            json!({
-                "cluster": site.cluster.as_ref(),
-                "slice_health": site.health.as_str(),
-                "id": job.id.0,
-                "name": job.req.name,
-                "user": job.req.user,
-                "account": job.req.account,
-                "partition": job.req.partition,
-                "state": job.state.to_slurm(),
+    let found = fed.jobs_of_user(&user.username);
+    Response::json(&Jobs {
+        degraded: fed.is_degraded(),
+        notices: notices(&fed),
+        jobs: found
+            .iter()
+            .map(|(site, job)| JobRow {
+                cluster: &site.cluster,
+                slice_health: site.health.as_str(),
+                id: job.id.0,
+                name: &job.req.name,
+                user: &job.req.user,
+                account: &job.req.account,
+                partition: &job.req.partition,
+                state: job.state.to_slurm(),
             })
-        })
-        .collect();
-    Response::json(&json!({
-        "degraded": fed.is_degraded(),
-        "notices": fed.sites.iter().filter_map(|s| s.notice()).collect::<Vec<_>>(),
-        "jobs": rows,
-        "generated_at": fed.at.0,
-    }))
+            .collect(),
+        generated_at: fed.at.0,
+    })
+}
+
+#[derive(Serialize)]
+struct Nodes<'a> {
+    degraded: bool,
+    notices: Vec<String>,
+    nodes: Vec<NodeRow<'a>>,
+    generated_at: u64,
+}
+
+/// One node, tagged like a [`JobRow`].
+#[derive(Serialize)]
+struct NodeRow<'a> {
+    cluster: &'a str,
+    slice_health: &'static str,
+    name: &'a str,
+    cpus: u32,
+    mem_mb: u64,
+    gpus: u32,
 }
 
 /// `GET /api/federation/nodes`: every node across the federation, tagged by
@@ -147,25 +238,22 @@ fn nodes(ctx: &DashboardContext, req: &Request) -> Response {
         return resp;
     }
     let fed = fan_out(ctx);
-    let rows: Vec<Value> = fed
-        .nodes()
-        .map(|(site, node)| {
-            json!({
-                "cluster": site.cluster.as_ref(),
-                "slice_health": site.health.as_str(),
-                "name": node.name,
-                "cpus": node.cpus,
-                "mem_mb": node.real_memory_mb,
-                "gpus": node.gpus,
+    Response::json(&Nodes {
+        degraded: fed.is_degraded(),
+        notices: notices(&fed),
+        nodes: fed
+            .nodes()
+            .map(|(site, node)| NodeRow {
+                cluster: &site.cluster,
+                slice_health: site.health.as_str(),
+                name: &node.name,
+                cpus: node.cpus,
+                mem_mb: node.real_memory_mb,
+                gpus: node.gpus,
             })
-        })
-        .collect();
-    Response::json(&json!({
-        "degraded": fed.is_degraded(),
-        "notices": fed.sites.iter().filter_map(|s| s.notice()).collect::<Vec<_>>(),
-        "nodes": rows,
-        "generated_at": fed.at.0,
-    }))
+            .collect(),
+        generated_at: fed.at.0,
+    })
 }
 
 /// `GET /api/federation/clusters/:cluster/status`: one site's slice through
@@ -190,7 +278,7 @@ fn cluster_status(ctx: &DashboardContext, req: &Request) -> Response {
         };
         // Only a live slice's bytes may be stored and revalidated with
         // 304s; degraded slices must keep re-reporting their growing age.
-        Ok((site_entry(&slice), slice.health.is_live()))
+        Ok((SiteEntry::from(&slice), slice.health.is_live()))
     })
 }
 
@@ -203,7 +291,6 @@ mod tests {
     use hpcdash_http::Method;
     use hpcdash_simtime::Timestamp;
     use hpcdash_slurm::job::JobRequest;
-    use std::sync::Arc;
 
     fn get(path: &str) -> Request {
         Request::new(Method::Get, path).with_header("X-Remote-User", "alice")

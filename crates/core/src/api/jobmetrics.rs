@@ -7,6 +7,7 @@ use crate::metrics::{JobMetrics, TimeRange};
 use hpcdash_cache::Body;
 use hpcdash_http::{Request, Response, Router};
 use hpcdash_slurmcli::{parse_sacct, sacct, SacctArgs};
+use serde::Serialize;
 use serde_json::json;
 
 pub const FEATURE: &str = "Job Performance Metrics";
@@ -19,6 +20,14 @@ pub const SOURCES: &[&str] = &[
 
 pub fn register(router: &mut Router, ctx: DashboardContext) {
     router.get(ROUTES[0], move |req| handle(&ctx, req));
+}
+
+/// The cached half of the payload; `"live_jobs"` is spliced in per request
+/// ([`with_live_jobs`]).
+#[derive(Serialize)]
+struct RangeMetrics {
+    range: String,
+    metrics: JobMetrics,
 }
 
 fn handle(ctx: &DashboardContext, req: &Request) -> Response {
@@ -54,11 +63,10 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
             now,
         )?;
         let records = parse_sacct(&text).map_err(|e| format!("sacct parse: {e}"))?;
-        let metrics = JobMetrics::aggregate(&records);
-        Ok(json!({
-            "range": range.label(),
-            "metrics": metrics.to_json(),
-        }))
+        Ok(RangeMetrics {
+            range: range.label(),
+            metrics: JobMetrics::aggregate(&records),
+        })
     });
     // The live strip: running jobs with their recent collector series,
     // cached on the faster telemetry (squeue-tier) TTL so the sparklines

@@ -110,13 +110,13 @@ pub(crate) fn respond(outcome: SourceOutcome) -> Response {
 /// ablation) and anonymous requests bypass the cache. `build` returns the
 /// payload and whether it may be stored (degraded payloads must keep
 /// re-reporting their growing age), or the error response to send.
-pub(crate) fn per_viewer(
+pub(crate) fn per_viewer<T: serde::Serialize>(
     ctx: &DashboardContext,
     req: &Request,
     source: &str,
     ttl: u64,
     version: u64,
-    build: impl FnOnce() -> Result<(serde_json::Value, bool), Response>,
+    build: impl FnOnce() -> Result<(T, bool), Response>,
 ) -> Response {
     let key = req.remote_user().filter(|_| ttl > 0).map(|user| {
         let is_admin = ctx.cfg.is_admin(user);
@@ -139,12 +139,12 @@ pub(crate) fn per_viewer(
     }
     match (build(), key) {
         (Err(resp), _) => resp,
-        (Ok((value, true)), Some(key)) => {
-            let body = Body::json(&value);
+        (Ok((payload, true)), Some(key)) => {
+            let body = Body::json(&payload);
             ctx.cache.cache().insert(key, body.clone(), version, ttl);
             fresh(body)
         }
-        (Ok((value, _)), _) => Response::json(&value),
+        (Ok((payload, _)), _) => Response::json(&payload),
     }
 }
 

@@ -6,16 +6,16 @@
 //! `squeue` against slurmctld to attach live pending reasons.
 
 use crate::auth::CurrentUser;
-use crate::charts;
-use crate::colors::job_state_color;
+use crate::charts::{self, GpuHours, StateDistribution};
+use crate::colors::{job_state_color, ColorClass};
 use crate::ctx::DashboardContext;
 use crate::efficiency::EfficiencyReport;
 use crate::metrics::TimeRange;
 use crate::reasons::friendly_reason;
 use hpcdash_http::{Request, Response, Router};
-use hpcdash_slurm::job::JobState;
+use hpcdash_slurm::job::{JobState, PendingReason};
 use hpcdash_slurmcli::{parse_sacct, parse_squeue_long, sacct, squeue_long, SacctArgs, SqueueArgs};
-use serde_json::json;
+use serde::Serialize;
 use std::collections::HashMap;
 
 pub const FEATURE: &str = "My Jobs";
@@ -24,6 +24,58 @@ pub const SOURCES: &[&str] = &["sacct (slurmdbd)", "squeue (slurmctld)"];
 
 pub fn register(router: &mut Router, ctx: DashboardContext) {
     router.get(ROUTES[0], move |req| handle(&ctx, req));
+}
+
+/// The route's payload. The loader hands it back owning its strings (each
+/// row takes them from the `sacct` record it describes), and it is encoded
+/// once, straight into the response bytes.
+#[derive(Serialize)]
+struct MyJobs {
+    range: String,
+    jobs: Vec<JobRow>,
+    charts: Charts,
+}
+
+#[derive(Serialize)]
+struct Charts {
+    state_distribution: StateDistribution,
+    gpu_hours: GpuHours,
+}
+
+/// One row of the history table.
+#[derive(Serialize)]
+struct JobRow {
+    id: String,
+    name: String,
+    user: String,
+    account: String,
+    partition: String,
+    qos: String,
+    state: &'static str,
+    state_color: ColorClass,
+    submit: Option<String>,
+    start: Option<String>,
+    end: Option<String>,
+    wait_secs: Option<u64>,
+    elapsed_secs: u64,
+    timelimit: String,
+    alloc_cpus: u32,
+    alloc_nodes: u32,
+    req_mem_mb: u64,
+    gpu_hours: f64,
+    nodelist: String,
+    exit_code: String,
+    session_id: Option<String>,
+    efficiency: EfficiencyReport,
+    reason: Option<Reason>,
+    overview_url: String,
+}
+
+/// Why a pending job waits: Slurm's token and the sentence shown for it.
+#[derive(Serialize)]
+struct Reason {
+    code: &'static str,
+    message: &'static str,
 }
 
 fn handle(ctx: &DashboardContext, req: &Request) -> Response {
@@ -98,61 +150,61 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
             },
         )?;
         let qrows = parse_squeue_long(&qtext).map_err(|e| format!("squeue parse: {e}"))?;
-        let reasons: HashMap<String, _> = qrows
+        let reasons: HashMap<&str, PendingReason> = qrows
             .iter()
-            .filter_map(|r| r.reason().map(|x| (r.job_id.clone(), x)))
+            .filter_map(|r| r.reason().map(|x| (r.job_id.as_str(), x)))
             .collect();
 
-        let jobs: Vec<serde_json::Value> = records
-            .iter()
+        // The charts read the records; the rows then take them apart.
+        let charts = Charts {
+            state_distribution: charts::job_state_distribution(&records),
+            gpu_hours: charts::gpu_hours_distribution(&records),
+        };
+        let jobs = records
+            .into_iter()
             .map(|rec| {
-                let eff = EfficiencyReport::from_record(rec, gpu_flag);
-                let reason = reasons.get(&rec.job_id).copied();
                 let wait = rec.wait_secs().or_else(|| {
                     rec.submit
                         .map(|s| now.since(s))
                         .filter(|_| rec.state == JobState::Pending)
                 });
-                json!({
-                    "id": rec.job_id,
-                    "name": rec.job_name,
-                    "user": rec.user,
-                    "account": rec.account,
-                    "partition": rec.partition,
-                    "qos": rec.qos,
-                    "state": rec.state.to_slurm(),
-                    "state_color": job_state_color(rec.state),
-                    "submit": rec.submit.map(|t| t.to_slurm()),
-                    "start": rec.start.map(|t| t.to_slurm()),
-                    "end": rec.end.map(|t| t.to_slurm()),
-                    "wait_secs": wait,
-                    "elapsed_secs": rec.elapsed_secs,
-                    "timelimit": rec.timelimit.to_slurm(),
-                    "alloc_cpus": rec.alloc_cpus,
-                    "alloc_nodes": rec.alloc_nodes,
-                    "req_mem_mb": rec.req_mem_mb,
-                    "gpu_hours": (rec.gpu_hours() * 100.0).round() / 100.0,
-                    "nodelist": rec.nodelist,
-                    "exit_code": rec.exit_code,
-                    "session_id": parse_session_id(&rec.comment),
-                    "efficiency": eff,
-                    "reason": reason.map(|r| json!({
-                        "code": r.to_slurm(),
-                        "message": friendly_reason(r),
-                    })),
-                    "overview_url": format!("/jobs/{}", rec.job_id),
-                })
+                JobRow {
+                    efficiency: EfficiencyReport::from_record(&rec, gpu_flag),
+                    reason: reasons.get(rec.job_id.as_str()).map(|&r| Reason {
+                        code: r.to_slurm(),
+                        message: friendly_reason(r),
+                    }),
+                    overview_url: format!("/jobs/{}", rec.job_id),
+                    gpu_hours: (rec.gpu_hours() * 100.0).round() / 100.0,
+                    session_id: parse_session_id(&rec.comment),
+                    id: rec.job_id,
+                    name: rec.job_name,
+                    user: rec.user,
+                    account: rec.account,
+                    partition: rec.partition,
+                    qos: rec.qos,
+                    state: rec.state.to_slurm(),
+                    state_color: job_state_color(rec.state),
+                    submit: rec.submit.map(|t| t.to_slurm()),
+                    start: rec.start.map(|t| t.to_slurm()),
+                    end: rec.end.map(|t| t.to_slurm()),
+                    wait_secs: wait,
+                    elapsed_secs: rec.elapsed_secs,
+                    timelimit: rec.timelimit.to_slurm(),
+                    alloc_cpus: rec.alloc_cpus,
+                    alloc_nodes: rec.alloc_nodes,
+                    req_mem_mb: rec.req_mem_mb,
+                    nodelist: rec.nodelist,
+                    exit_code: rec.exit_code,
+                }
             })
             .collect();
 
-        Ok(json!({
-            "range": range.label(),
-            "jobs": jobs,
-            "charts": {
-                "state_distribution": charts::job_state_distribution(&records),
-                "gpu_hours": charts::gpu_hours_distribution(&records),
-            },
-        }))
+        Ok(MyJobs {
+            range: range.label(),
+            jobs,
+            charts,
+        })
     });
     super::respond(outcome)
 }

@@ -2,12 +2,12 @@
 //! jobs from `squeue`, cached ~30 s to protect slurmctld.
 
 use crate::auth::CurrentUser;
-use crate::colors::job_state_color;
+use crate::colors::{job_state_color, ColorClass};
 use crate::ctx::DashboardContext;
 use crate::reasons::friendly_reason;
 use hpcdash_http::{Request, Response, Router};
-use hpcdash_slurmcli::{parse_squeue_long, squeue_long, SqueueArgs};
-use serde_json::json;
+use hpcdash_slurmcli::{parse_squeue_long, squeue_long, SqueueArgs, SqueueLongRow};
+use serde::Serialize;
 
 pub const FEATURE: &str = "Recent Jobs widget";
 pub const ROUTES: &[&str] = &["/api/recent_jobs"];
@@ -15,6 +15,48 @@ pub const SOURCES: &[&str] = &["squeue (slurmctld)"];
 
 pub fn register(router: &mut Router, ctx: DashboardContext) {
     router.get(ROUTES[0], move |req| handle(&ctx, req));
+}
+
+#[derive(Serialize)]
+struct RecentJobs {
+    jobs: Vec<JobRow>,
+}
+
+/// One widget row; its strings are taken from the `squeue` row it
+/// describes.
+#[derive(Serialize)]
+struct JobRow {
+    id: String,
+    name: String,
+    partition: String,
+    state: &'static str,
+    state_color: ColorClass,
+    submit_time: Option<String>,
+    start_time: Option<String>,
+    elapsed_secs: u64,
+    time_limit: String,
+    reason: Option<&'static str>,
+    /// The hoverable tooltip text (paper §3.2).
+    tooltip: Option<&'static str>,
+}
+
+impl From<SqueueLongRow> for JobRow {
+    fn from(r: SqueueLongRow) -> JobRow {
+        let reason = r.reason();
+        JobRow {
+            id: r.job_id,
+            name: r.name,
+            partition: r.partition,
+            state: r.state.to_slurm(),
+            state_color: job_state_color(r.state),
+            submit_time: r.submit_time.map(|t| t.to_slurm()),
+            start_time: r.start_time.map(|t| t.to_slurm()),
+            elapsed_secs: r.time_secs,
+            time_limit: r.time_limit,
+            reason: reason.map(|x| x.to_slurm()),
+            tooltip: reason.map(friendly_reason),
+        }
+    }
 }
 
 fn handle(ctx: &DashboardContext, req: &Request) -> Response {
@@ -36,29 +78,9 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
             },
         )?;
         let rows = parse_squeue_long(&text).map_err(|e| format!("squeue parse: {e}"))?;
-        Ok(json!({
-            "jobs": rows
-                .iter()
-                .take(limit)
-                .map(|r| {
-                    let reason = r.reason();
-                    json!({
-                        "id": r.job_id,
-                        "name": r.name,
-                        "partition": r.partition,
-                        "state": r.state.to_slurm(),
-                        "state_color": job_state_color(r.state),
-                        "submit_time": r.submit_time.map(|t| t.to_slurm()),
-                        "start_time": r.start_time.map(|t| t.to_slurm()),
-                        "elapsed_secs": r.time_secs,
-                        "time_limit": r.time_limit,
-                        "reason": reason.map(|x| x.to_slurm()),
-                        // The hoverable tooltip text (paper §3.2).
-                        "tooltip": reason.map(friendly_reason),
-                    })
-                })
-                .collect::<Vec<_>>(),
-        }))
+        Ok(RecentJobs {
+            jobs: rows.into_iter().take(limit).map(JobRow::from).collect(),
+        })
     });
     super::respond(outcome)
 }

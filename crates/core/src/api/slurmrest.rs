@@ -187,7 +187,7 @@ fn read(ctx: &DashboardContext, req: &Request, endpoint: Endpoint) -> Response {
         return super::fresh(body);
     }
     let body = match build(ctx, req, endpoint, &snap, &token.scopes, &subject) {
-        Ok(b) => Body::new(b.into_bytes()),
+        Ok(bytes) => Body::new(bytes),
         Err(resp) => return resp,
     };
     ctx.cache
@@ -205,7 +205,7 @@ fn build(
     snap: &ClusterSnapshot,
     scopes: &ScopeSet,
     subject: &str,
-) -> Result<String, Response> {
+) -> Result<Vec<u8>, Response> {
     let deny = |msg: &str| {
         ctx.tokens.note_denied(endpoint.name());
         Err(Response::forbidden(msg))
@@ -225,11 +225,7 @@ fn build(
             if !scopes.allows_job(subject, &job.req.user, &job.req.account, &job.req.partition) {
                 return deny("job outside token scopes");
             }
-            Ok(json!({
-                "meta": serialize::meta(snap),
-                "jobs": [serialize::job_value(job, snap)],
-            })
-            .to_string())
+            Ok(serialize::job_body(snap, job))
         }
         Endpoint::Nodes => {
             if scopes.has_cluster() {
@@ -416,7 +412,7 @@ fn cluster_read(ctx: &DashboardContext, req: &Request, endpoint: FedEndpoint) ->
                     serialize::partitions_body(&snap, &indices)
                 }
             };
-            let body = Body::new(built.into_bytes());
+            let body = Body::new(built);
             ctx.cache
                 .cache()
                 .insert(key, body.clone(), snap.seq, NO_TTL);

@@ -3,13 +3,44 @@
 //! (`labels` + `datasets`), grouped by user — plus the inline SVG
 //! sparklines the telemetry series render as.
 
+use crate::colors::{job_state_color, ColorClass};
 use hpcdash_slurm::job::JobState;
 use hpcdash_slurmcli::SacctRecord;
-use serde_json::{json, Value};
+use serde::Serialize;
+use serde_json::Value;
 use std::collections::BTreeMap;
 
 /// Stacked-bar data: per-user job counts split by state.
-pub fn job_state_distribution(records: &[SacctRecord]) -> Value {
+#[derive(Debug, Serialize)]
+pub struct StateDistribution {
+    pub r#type: &'static str,
+    pub labels: Vec<String>,
+    pub datasets: Vec<StateCounts>,
+}
+
+/// One state's count per label of its [`StateDistribution`].
+#[derive(Debug, Serialize)]
+pub struct StateCounts {
+    pub label: &'static str,
+    pub color: ColorClass,
+    pub data: Vec<usize>,
+}
+
+/// Bar data: GPU hours per user.
+#[derive(Debug, Serialize)]
+pub struct GpuHours {
+    pub r#type: &'static str,
+    pub labels: Vec<String>,
+    pub datasets: [GpuHoursSeries; 1],
+}
+
+#[derive(Debug, Serialize)]
+pub struct GpuHoursSeries {
+    pub label: &'static str,
+    pub data: Vec<f64>,
+}
+
+pub fn job_state_distribution(records: &[SacctRecord]) -> StateDistribution {
     let mut users: Vec<String> = records.iter().map(|r| r.user.clone()).collect();
     users.sort();
     users.dedup();
@@ -26,37 +57,37 @@ pub fn job_state_distribution(records: &[SacctRecord]) -> Value {
             .map(|u| counts.get(&(state, u.as_str())).copied().unwrap_or(0))
             .collect();
         if data.iter().any(|c| *c > 0) {
-            datasets.push(json!({
-                "label": state.to_slurm(),
-                "color": crate::colors::job_state_color(state),
-                "data": data,
-            }));
+            datasets.push(StateCounts {
+                label: state.to_slurm(),
+                color: job_state_color(state),
+                data,
+            });
         }
     }
 
-    json!({
-        "type": "stacked-bar",
-        "labels": users,
-        "datasets": datasets,
-    })
+    StateDistribution {
+        r#type: "stacked-bar",
+        labels: users,
+        datasets,
+    }
 }
 
-/// Bar data: GPU hours per user.
-pub fn gpu_hours_distribution(records: &[SacctRecord]) -> Value {
-    let mut by_user: BTreeMap<String, f64> = BTreeMap::new();
+pub fn gpu_hours_distribution(records: &[SacctRecord]) -> GpuHours {
+    let mut by_user: BTreeMap<&str, f64> = BTreeMap::new();
     for r in records {
-        *by_user.entry(r.user.clone()).or_insert(0.0) += r.gpu_hours();
+        *by_user.entry(r.user.as_str()).or_insert(0.0) += r.gpu_hours();
     }
-    let labels: Vec<&String> = by_user.keys().collect();
-    let data: Vec<f64> = by_user
-        .values()
-        .map(|h| (h * 100.0).round() / 100.0)
-        .collect();
-    json!({
-        "type": "bar",
-        "labels": labels,
-        "datasets": [{"label": "GPU hours", "data": data}],
-    })
+    GpuHours {
+        r#type: "bar",
+        labels: by_user.keys().map(|u| u.to_string()).collect(),
+        datasets: [GpuHoursSeries {
+            label: "GPU hours",
+            data: by_user
+                .values()
+                .map(|h| (h * 100.0).round() / 100.0)
+                .collect(),
+        }],
+    }
 }
 
 /// An inline SVG sparkline from `[[t, v], ...]` pairs where `v` is a
@@ -98,6 +129,11 @@ pub fn sparkline_svg(pairs: &Value, kind: &str, width: u32, height: u32) -> Stri
 mod tests {
     use super::*;
     use crate::metrics::tests::rec;
+    use serde_json::json;
+
+    fn value(chart: &impl Serialize) -> Value {
+        serde_json::to_value(chart).unwrap()
+    }
 
     #[test]
     fn state_distribution_groups_by_user() {
@@ -107,7 +143,7 @@ mod tests {
             rec(3, "alice", JobState::Failed, 0, Some(0), Some(100), 1, 0),
             rec(4, "bob", JobState::Pending, 0, None, None, 1, 0),
         ];
-        let chart = job_state_distribution(&recs);
+        let chart = value(&job_state_distribution(&recs));
         assert_eq!(chart["labels"], json!(["alice", "bob"]));
         let datasets = chart["datasets"].as_array().unwrap();
         // Only states that occur appear.
@@ -150,7 +186,7 @@ mod tests {
             ), // 2 gpu-h
             rec(3, "bob", JobState::Completed, 0, Some(0), Some(3_600), 8, 0), // 0
         ];
-        let chart = gpu_hours_distribution(&recs);
+        let chart = value(&gpu_hours_distribution(&recs));
         assert_eq!(chart["labels"], json!(["alice", "bob"]));
         assert_eq!(chart["datasets"][0]["data"], json!([4.0, 0.0]));
     }
@@ -185,10 +221,10 @@ mod tests {
 
     #[test]
     fn empty_records_give_empty_charts() {
-        let chart = job_state_distribution(&[]);
+        let chart = value(&job_state_distribution(&[]));
         assert_eq!(chart["labels"], json!([]));
         assert_eq!(chart["datasets"].as_array().unwrap().len(), 0);
-        let gpu = gpu_hours_distribution(&[]);
+        let gpu = value(&gpu_hours_distribution(&[]));
         assert_eq!(gpu["labels"], json!([]));
     }
 }

@@ -17,6 +17,7 @@ use hpcdash_slurm::joblog::JobLogFs;
 use hpcdash_storage::StorageDb;
 use hpcdash_telemetry::TelemetryD;
 use parking_lot::Mutex;
+use serde::Serialize;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -371,8 +372,9 @@ impl DashboardContext {
     /// The resilient fetch path widget routes use: cache + single-flight,
     /// wrapped in the full [`crate::config::ResiliencePolicy`]:
     ///
-    /// * the loader's JSON is serialized once, on fill; a hit is a lookup
-    ///   and two `Arc` clones;
+    /// * the loader's payload — a typed `Serialize` struct or a `json!`
+    ///   value — is encoded once, on fill, straight into the bytes the
+    ///   cache shares out; a hit is a lookup and two `Arc` clones;
     /// * failed loads are retried up to `max_retries` times with seeded
     ///   exponential-jitter backoff, bounded by the per-request deadline;
     /// * a tripped circuit breaker short-circuits the backend entirely;
@@ -383,11 +385,11 @@ impl DashboardContext {
     /// A `ttl` of zero (the no-cache ablation) makes a single attempt and
     /// skips the cache, retries, breakers, and stale fallback; its body
     /// carries no validator.
-    pub fn cached_resilient(
+    pub fn cached_resilient<T: Serialize>(
         &self,
         key: &str,
         ttl: u64,
-        load: impl Fn() -> Result<serde_json::Value, String>,
+        load: impl Fn() -> Result<T, String>,
     ) -> SourceOutcome {
         // A daemon that recovered since the last request must not have its
         // dead-epoch bytes served below; the check is two atomic loads.
@@ -457,13 +459,13 @@ impl DashboardContext {
     /// backoff between attempts, stopping early when the deadline would be
     /// overrun or the breaker trips. Every attempt's outcome feeds the
     /// health board and the source's breaker.
-    fn attempt_with_retries(
+    fn attempt_with_retries<T: Serialize>(
         &self,
         key: &str,
         source: &str,
         labels: &[(&str, &str)],
         last_err: &Cell<Option<String>>,
-        load: &impl Fn() -> Result<serde_json::Value, String>,
+        load: &impl Fn() -> Result<T, String>,
     ) -> Option<Body> {
         let policy = &self.cfg.resilience;
         let started = std::time::Instant::now();
@@ -534,7 +536,7 @@ pub(crate) mod tests {
     use hpcdash_slurm::node::Node;
     use hpcdash_slurm::partition::Partition;
     use hpcdash_slurm::qos::Qos;
-    use serde_json::json;
+    use serde_json::{json, Value};
 
     pub(crate) fn test_ctx() -> DashboardContext {
         test_ctx_with(DashboardConfig::generic("Test"))
@@ -620,7 +622,8 @@ pub(crate) mod tests {
         let out = ctx.cached_resilient("sinfo:all", 30, || Ok(json!({"nodes": 4})));
         assert_eq!(out, SourceOutcome::Fresh(Body::json(&json!({"nodes": 4}))));
         clock.advance(45);
-        let out = ctx.cached_resilient("sinfo:all", 30, || Err("ctld down".to_string()));
+        let out =
+            ctx.cached_resilient("sinfo:all", 30, || Err::<Value, _>("ctld down".to_string()));
         assert_eq!(
             out,
             SourceOutcome::Stale {
@@ -634,7 +637,7 @@ pub(crate) mod tests {
         // The failed refresh did not evict the copy: another failing pass
         // still serves it, older.
         clock.advance(15);
-        match ctx.cached_resilient("sinfo:all", 30, || Err("ctld down".to_string())) {
+        match ctx.cached_resilient("sinfo:all", 30, || Err::<Value, _>("ctld down".to_string())) {
             SourceOutcome::Stale { age_secs, .. } => assert_eq!(age_secs, 60),
             other => panic!("expected stale, got {other:?}"),
         }
@@ -646,7 +649,7 @@ pub(crate) mod tests {
         let calls = Cell::new(0u32);
         let fail = || {
             calls.set(calls.get() + 1);
-            Err("dbd gone".to_string())
+            Err::<Value, _>("dbd gone".to_string())
         };
         let out = ctx.cached_resilient("sacct:bob", 60, fail);
         assert_eq!(out, SourceOutcome::Failed("dbd gone".to_string()));
@@ -677,7 +680,7 @@ pub(crate) mod tests {
         let calls = Cell::new(0u32);
         let fail = || {
             calls.set(calls.get() + 1);
-            Err::<serde_json::Value, _>("down".to_string())
+            Err::<Value, _>("down".to_string())
         };
         // Default threshold 5, 3 attempts per request: the second request
         // trips the breaker mid-retry (5th consecutive failure).
@@ -719,14 +722,16 @@ pub(crate) mod tests {
         clock.advance(60);
         // Trip the breaker with sustained failures.
         for _ in 0..2 {
-            ctx.cached_resilient("news:list", 30, || Err("feed down".to_string()));
+            ctx.cached_resilient("news:list", 30, || Err::<Value, _>("feed down".to_string()));
         }
         assert_eq!(
             ctx.breakers.state_of("news"),
             hpcdash_cache::BreakerState::Open
         );
         // An open breaker still serves the last-known-good copy.
-        let out = ctx.cached_resilient("news:list", 30, || unreachable!());
+        let out = ctx.cached_resilient("news:list", 30, || -> Result<Value, String> {
+            unreachable!()
+        });
         match out {
             SourceOutcome::Stale {
                 body,
@@ -756,7 +761,7 @@ pub(crate) mod tests {
         let calls = Cell::new(0u32);
         let out = ctx.cached_resilient("squeue:z", 0, || {
             calls.set(calls.get() + 1);
-            Err("down".to_string())
+            Err::<Value, _>("down".to_string())
         });
         assert_eq!(out, SourceOutcome::Failed("down".to_string()));
         assert_eq!(
@@ -791,7 +796,7 @@ pub(crate) mod tests {
         let calls = Cell::new(0u32);
         let out = ctx.cached_resilient("sacct:q", 60, || {
             calls.set(calls.get() + 1);
-            Err("down".to_string())
+            Err::<Value, _>("down".to_string())
         });
         assert_eq!(out, SourceOutcome::Failed("down".to_string()));
         assert_eq!(calls.get(), 1, "ablation: one attempt, no retries");
@@ -801,7 +806,9 @@ pub(crate) mod tests {
     fn cache_hit_miss_counters_by_source() {
         let ctx = test_ctx();
         ctx.cached_resilient("squeue:alice", 60, || Ok(json!(1)));
-        ctx.cached_resilient("squeue:alice", 60, || unreachable!());
+        ctx.cached_resilient("squeue:alice", 60, || -> Result<Value, String> {
+            unreachable!()
+        });
         ctx.cached_resilient("squeue:bob", 60, || Ok(json!(2)));
         // Plain lookups count in the same family, under their own source.
         assert!(ctx.cache_lookup("slurm_v0:jobs|alice", 1).is_none());
@@ -817,7 +824,9 @@ pub(crate) mod tests {
     fn a_hit_hands_out_the_filled_bytes_without_reencoding() {
         let ctx = test_ctx();
         let fill = ctx.cached_resilient("squeue:alice", 60, || Ok(json!({"jobs": [1, 2]})));
-        let hit = ctx.cached_resilient("squeue:alice", 60, || unreachable!());
+        let hit = ctx.cached_resilient("squeue:alice", 60, || -> Result<Value, String> {
+            unreachable!()
+        });
         let (fill, hit) = (fill.body().unwrap(), hit.body().unwrap());
         assert!(Arc::ptr_eq(&fill.bytes, &hit.bytes), "same allocation");
         assert!(Arc::ptr_eq(&fill.etag, &hit.etag));

@@ -5,7 +5,6 @@ use crate::efficiency::EfficiencyReport;
 use hpcdash_simtime::Timestamp;
 use hpcdash_slurmcli::SacctRecord;
 use serde::Serialize;
-use serde_json::json;
 use std::collections::BTreeMap;
 
 /// The time ranges the Job Performance Metrics page offers.
@@ -138,21 +137,6 @@ impl JobMetrics {
             avg_time_eff: mean(&time_effs),
         }
     }
-
-    pub fn to_json(&self) -> serde_json::Value {
-        json!({
-            "total_jobs": self.total_jobs,
-            "by_state": self.by_state,
-            "avg_wait_secs": self.avg_wait_secs,
-            "mean_duration_secs": self.mean_duration_secs,
-            "total_wall_secs": self.total_wall_secs,
-            "total_cpu_hours": self.total_cpu_hours,
-            "total_gpu_hours": self.total_gpu_hours,
-            "avg_cpu_eff": self.avg_cpu_eff,
-            "avg_mem_eff": self.avg_mem_eff,
-            "avg_time_eff": self.avg_time_eff,
-        })
-    }
 }
 
 fn mean(xs: &[f64]) -> Option<f64> {
@@ -268,7 +252,7 @@ pub(crate) mod tests {
         assert_eq!(m.avg_wait_secs, None);
         assert_eq!(m.mean_duration_secs, None);
         assert_eq!(m.total_gpu_hours, 0.0);
-        assert!(m.to_json()["avg_wait_secs"].is_null());
+        assert!(serde_json::to_value(&m).unwrap()["avg_wait_secs"].is_null());
     }
 
     #[test]

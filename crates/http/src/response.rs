@@ -95,11 +95,13 @@ impl Response {
         }
     }
 
-    /// 200 with a JSON body (the shape of every dashboard API route).
-    pub fn json(value: &serde_json::Value) -> Response {
+    /// 200 with a JSON body (the shape of every dashboard API route):
+    /// `payload` — a typed struct or a `json!` value — encoded once,
+    /// straight into the body bytes.
+    pub fn json<T: serde::Serialize + ?Sized>(payload: &T) -> Response {
         Response::new(200)
             .with_header("Content-Type", "application/json")
-            .with_body(serde_json::to_vec(value).expect("json serializes"))
+            .with_body(serde_json::to_vec(payload).expect("json serializes"))
     }
 
     /// 200 with an HTML body (the ERB-rendered page shells).

@@ -349,13 +349,17 @@ impl ClusterState {
     }
 
     fn complete_due_jobs(&mut self, now: Timestamp) {
-        let due: Vec<JobId> = self
+        let mut due: Vec<(Timestamp, JobId)> = self
             .run_plans
             .iter()
             .filter(|(_, plan)| plan.end <= now)
-            .map(|(id, _)| *id)
+            .map(|(id, plan)| (plan.end, *id))
             .collect();
-        for id in due {
+        // `run_plans` is a `HashMap`: without this, the jobs that finish in
+        // one tick would push their events, release their nodes and enter
+        // the `finished` queue in a different order in every process.
+        due.sort_unstable();
+        for (_, id) in due {
             let plan = self.run_plans.remove(&id).expect("listed above");
             let Some(mut job) = self.jobs.remove(&id) else {
                 continue;

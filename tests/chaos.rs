@@ -10,7 +10,9 @@
 use hpcdash::SimSite;
 use hpcdash_faults::{FaultPlan, FaultRule};
 use hpcdash_http::HttpClient;
-use hpcdash_workload::ScenarioConfig;
+use hpcdash_slurm::job::JobState;
+use hpcdash_slurmcli::{sacct, squeue, SacctArgs, SqueueArgs};
+use hpcdash_workload::{Scenario, ScenarioConfig};
 use std::sync::Arc;
 
 fn fetch(client: &HttpClient, base: &str, path: &str, user: &str) -> (u16, serde_json::Value) {
@@ -238,6 +240,74 @@ fn same_seed_yields_the_same_outcome_trace() {
     // actually saved some of those rounds.
     assert!(a.iter().any(|(_, k)| *k != "fresh"));
     assert!(a.iter().any(|(_, k)| *k == "fresh"));
+}
+
+/// Same seed, same simulation — also between two clusters in one process,
+/// where every `HashMap` gets hasher keys of its own (as two processes do).
+/// Jobs that finish within one scheduler tick used to complete in
+/// `run_plans`' iteration order, so their events, the order slurmdbd
+/// archived them in and the nodes' `last_busy` differed from run to run.
+///
+/// The other `HashMap`s on the tick path, ruled out one by one: in
+/// `ClusterState::refresh_eligibility`/`schedule_pass`, `dep_states`,
+/// `run_counts`, `array_running` and backfill's `blockers` are only looked
+/// up, and `priorities` is iterated to write each job's own priority
+/// (`pending_ids` is sorted afterwards); the snapshot's `by_user`/
+/// `by_account`/`by_partition` indexes and the collector's per-node `used`
+/// map are only looked up; the push hub walks its subscriber map, but each
+/// subscriber has a queue of its own; `checkpoint()` already sorts
+/// `run_plans`.
+#[test]
+fn same_seed_scenarios_repeat_their_events_accounting_and_nodes() {
+    struct Run {
+        events: Vec<String>,
+        sacct: String,
+        squeue: String,
+        nodes: Vec<String>,
+        crowded_ticks: usize,
+    }
+    fn run() -> Run {
+        let scenario = Scenario::build(ScenarioConfig::small().arrivals_per_hour(240.0));
+        let mut driver = scenario.driver(2 * 3_600);
+        let log = scenario.ctld.events();
+        let mut events = Vec::new();
+        let mut crowded_ticks = 0;
+        for _ in 0..240 {
+            let cursor = log.latest_seq();
+            driver.advance(30);
+            let (tick, _) = log.since(cursor);
+            let completions = tick
+                .iter()
+                .filter(|e| e.from == Some(JobState::Running) && e.to.is_finished())
+                .count();
+            crowded_ticks += usize::from(completions >= 2);
+            events.extend(tick.iter().map(|e| format!("{e:?}")));
+        }
+        let now = driver.now();
+        Run {
+            events,
+            sacct: sacct(&scenario.dbd, &SacctArgs::default(), now).unwrap(),
+            squeue: squeue(&scenario.ctld, &SqueueArgs::default()).unwrap(),
+            nodes: scenario
+                .ctld
+                .snapshot()
+                .nodes
+                .iter()
+                .map(|n| format!("{n:?}"))
+                .collect(),
+            crowded_ticks,
+        }
+    }
+    let (a, b) = (run(), run());
+    assert!(
+        a.crowded_ticks >= 10,
+        "only {} ticks completed several jobs at once",
+        a.crowded_ticks
+    );
+    assert_eq!(a.events, b.events, "event log");
+    assert_eq!(a.sacct, b.sacct, "sacct text");
+    assert_eq!(a.squeue, b.squeue, "squeue text");
+    assert_eq!(a.nodes, b.nodes, "snapshot node table");
 }
 
 #[test]

@@ -309,3 +309,28 @@ fn slurm_v0_end_to_end() {
         "structured requests must never invoke a text parser"
     );
 }
+
+/// `MAX_BODY` admits megabytes to the token endpoint, and the JSON parser
+/// recurses once per `[`: without its depth limit a body of nothing but
+/// `[[[[…` overflowed the stack and took the whole server down.
+#[test]
+fn a_megabyte_of_open_brackets_is_a_400_and_the_server_lives() {
+    let site = SimSite::build(ScenarioConfig::small());
+    site.warm_up(300);
+    let server = site.serve().unwrap();
+    let api = Api {
+        client: HttpClient::new(),
+        base: server.base_url(),
+    };
+    let resp = api
+        .client
+        .post(
+            &format!("{}/slurm/v0/admin/tokens", api.base),
+            &[("X-Remote-User", "root")],
+            vec![b'['; 1 << 20],
+        )
+        .unwrap();
+    assert_eq!(resp.status, 400, "{:?}", resp.json());
+    assert_eq!(api.with_user("/api/health", "root").status, 200);
+    assert_eq!(api.mint("root", &["read-cluster"], "root").status, 200);
+}
