@@ -156,15 +156,19 @@ pub(crate) mod tests {
             .submit(JobRequest::simple("alice", "physics", "cpu", 64))
             .unwrap();
         ctx.ctld.tick();
+        // Counted on this thread: the global counter also moves with every
+        // test that runs beside this one.
+        let before = hpcdash_slurmcli::parse_calls_on_this_thread();
         let text = handle(&ctx, &request("alice")).body_json().unwrap();
         assert_eq!(text["jobs"].as_array().unwrap().len(), 2);
+        let parses = hpcdash_slurmcli::parse_calls_on_this_thread();
+        assert!(parses > before, "the text path parses, and on this thread");
 
         let sctx = structured_twin(&ctx);
-        let parses = hpcdash_slurmcli::parse_call_count();
         let structured = handle(&sctx, &request("alice")).body_json().unwrap();
         assert_eq!(structured, text, "flag changes the path, not the payload");
         assert_eq!(
-            hpcdash_slurmcli::parse_call_count(),
+            hpcdash_slurmcli::parse_calls_on_this_thread(),
             parses,
             "structured loader never parses command text"
         );

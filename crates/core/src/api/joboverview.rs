@@ -16,6 +16,7 @@ use hpcdash_simtime::format_duration;
 use hpcdash_slurm::job::{Job, JobId};
 use hpcdash_slurmcli::{parse_sacct, sacct, SacctArgs};
 use serde_json::json;
+use std::sync::Arc;
 
 pub const FEATURE: &str = "Job Overview";
 pub const ROUTES: &[&str] = &["/api/jobs/:id", "/api/jobs/:id/logs", "/api/jobs/:id/array"];
@@ -36,13 +37,13 @@ pub fn register(router: &mut Router, ctx: DashboardContext) {
 
 /// Resolve a display id (`1234` or `1234_7`) to a job record, looking in
 /// live state first, then accounting.
-fn resolve_job(ctx: &DashboardContext, display_id: &str) -> Option<Job> {
+fn resolve_job(ctx: &DashboardContext, display_id: &str) -> Option<Arc<Job>> {
     match display_id.split_once('_') {
         None => {
             let id = JobId(display_id.parse().ok()?);
             ctx.note_source(FEATURE, "scontrol show job (slurmctld)");
             if let Some(job) = ctx.ctld.query_job(id) {
-                return Some(Job::clone(&job));
+                return Some(job);
             }
             ctx.note_source(FEATURE, "sacct (slurmdbd)");
             ctx.dbd.job(id)
@@ -59,7 +60,7 @@ fn resolve_job(ctx: &DashboardContext, display_id: &str) -> Option<Job> {
     }
 }
 
-fn authorize(ctx: &DashboardContext, req: &Request) -> Result<(CurrentUser, Job), Response> {
+fn authorize(ctx: &DashboardContext, req: &Request) -> Result<(CurrentUser, Arc<Job>), Response> {
     let user = CurrentUser::from_request(ctx, req)?;
     let Some(id) = req.param("id") else {
         return Err(Response::bad_request("missing job id"));

@@ -16,6 +16,7 @@ use hpcdash_slurm::ctld::JobQuery;
 use hpcdash_slurm::job::{Job, JobId, JobState};
 use hpcdash_telemetry::keys;
 use serde_json::{json, Value};
+use std::sync::Arc;
 
 pub const FEATURE: &str = "Job Telemetry";
 pub const ROUTES: &[&str] = &["/api/jobtelemetry", "/api/jobs/:id/telemetry"];
@@ -162,13 +163,13 @@ fn handle_live(ctx: &DashboardContext, req: &Request) -> Response {
 
 /// Resolve a display id like the Job Overview route does, but noting the
 /// sources under this feature.
-fn resolve_job(ctx: &DashboardContext, display_id: &str) -> Option<Job> {
+fn resolve_job(ctx: &DashboardContext, display_id: &str) -> Option<Arc<Job>> {
     match display_id.split_once('_') {
         None => {
             let id = JobId(display_id.parse().ok()?);
             ctx.note_source(FEATURE, "squeue (slurmctld)");
             if let Some(job) = ctx.ctld.query_job(id) {
-                return Some(Job::clone(&job));
+                return Some(job);
             }
             ctx.note_source(FEATURE, "sacct (slurmdbd)");
             ctx.dbd.job(id)

@@ -241,13 +241,15 @@ mod tests {
             .submit(JobRequest::simple("alice", "physics", "cpu", 8))
             .unwrap();
         ctx.ctld.tick();
+        let before = hpcdash_slurmcli::parse_calls_on_this_thread();
         let text = handle(&ctx, &request("a001")).body_json().unwrap();
+        let parses = hpcdash_slurmcli::parse_calls_on_this_thread();
+        assert!(parses > before, "the text path parses, and on this thread");
 
         let sctx = crate::api::activejobs::tests::structured_twin(&ctx);
-        let parses = hpcdash_slurmcli::parse_call_count();
         let structured = handle(&sctx, &request("a001")).body_json().unwrap();
         assert_eq!(structured, text, "flag changes the path, not the payload");
-        assert_eq!(hpcdash_slurmcli::parse_call_count(), parses);
+        assert_eq!(hpcdash_slurmcli::parse_calls_on_this_thread(), parses);
         // not_found semantics survive the structured path too.
         assert_eq!(handle(&sctx, &request("zzz")).status, 404);
     }

@@ -17,7 +17,8 @@ mod timefmt;
 pub use civil::{civil_from_days, days_from_civil, days_in_month, is_leap, CivilDateTime};
 pub use clock::{Clock, SharedClock, SimClock, SystemClock};
 pub use timefmt::{
-    format_duration, format_timestamp, parse_duration, parse_timelimit, parse_timestamp, TimeLimit,
+    format_duration, format_timestamp, parse_duration, parse_timelimit, parse_timestamp, write_num,
+    Elapsed, TimeLimit,
 };
 
 use serde::{Deserialize, Serialize};
@@ -49,13 +50,7 @@ impl Timestamp {
 
     /// Render in Slurm's `%Y-%m-%dT%H:%M:%S` format.
     pub fn to_slurm(self) -> String {
-        format_timestamp(self)
-    }
-}
-
-impl std::fmt::Display for Timestamp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_slurm())
+        self.to_string()
     }
 }
 

@@ -1,8 +1,31 @@
 //! Slurm time grammar: timestamps, elapsed durations, and time limits.
+//!
+//! Every element has one writer, its `Display` impl, which pushes digits
+//! straight into the formatter: `write!(out, "{}|{}", start, Elapsed(secs))`
+//! appends to a command's output with no `String` in between. `to_slurm()`
+//! and `format_*` are `to_string()`, for callers that keep the text. The
+//! parsers allocate nothing and try the writer's own fixed shape before the
+//! general grammar.
 
 use crate::civil::CivilDateTime;
 use crate::Timestamp;
 use serde::{Deserialize, Serialize};
+use std::fmt;
+
+/// Write `v` in decimal, zero-padded to at least `width`: the digit writer
+/// under every `Display` of the Slurm grammar, here and in `hpcdash-slurm`.
+pub fn write_num(out: &mut impl fmt::Write, mut v: u64, width: usize) -> fmt::Result {
+    let mut digits = [b'0'; 20];
+    let mut at = digits.len();
+    while v > 0 || at == digits.len() {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    // The array starts out as zeros, so padding is a longer slice of it.
+    let at = at.min(digits.len() - width.min(digits.len()));
+    out.write_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
+}
 
 /// A job time limit: either a number of seconds or `UNLIMITED`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -22,31 +45,66 @@ impl TimeLimit {
 
     /// Render in Slurm's `[D-]HH:MM:SS` / `UNLIMITED` form.
     pub fn to_slurm(self) -> String {
+        self.to_string()
+    }
+}
+
+impl fmt::Display for TimeLimit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TimeLimit::Limited(s) => format_duration(s),
-            TimeLimit::Unlimited => "UNLIMITED".to_string(),
+            TimeLimit::Limited(s) => fmt::Display::fmt(&Elapsed(*s), f),
+            TimeLimit::Unlimited => f.write_str("UNLIMITED"),
         }
     }
 }
 
-impl std::fmt::Display for TimeLimit {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_slurm())
+/// Store `v < 100` as two digits at `buf[at..at + 2]`.
+fn put_two(buf: &mut [u8], at: usize, v: u32) {
+    buf[at] = b'0' + (v / 10) as u8;
+    buf[at + 1] = b'0' + (v % 10) as u8;
+}
+
+/// `%Y-%m-%dT%H:%M:%S`, Slurm's ISO form. Everything after the century has
+/// a fixed place: it is filled in on the stack and written at once. (A u64
+/// of seconds never lands before 1970, so the year is positive; past 9999
+/// its century takes more than the two digits it is padded to.)
+impl fmt::Display for Timestamp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let dt = CivilDateTime::from_unix(self.0);
+        let year = (dt.year % 100) as u32;
+        let mut text = *b"00-00-00T00:00:00";
+        let parts = [year, dt.month, dt.day, dt.hour, dt.minute, dt.second];
+        for (at, part) in (0..).step_by(3).zip(parts) {
+            put_two(&mut text, at, part);
+        }
+        write_num(f, (dt.year / 100) as u64, 2)?;
+        f.write_str(std::str::from_utf8(&text).expect("ASCII digits"))
     }
 }
 
 /// Format a Unix timestamp as `%Y-%m-%dT%H:%M:%S` (Slurm's ISO form).
 pub fn format_timestamp(t: Timestamp) -> String {
-    let dt = CivilDateTime::from_unix(t.as_secs());
-    format!(
-        "{:04}-{:02}-{:02}T{:02}:{:02}:{:02}",
-        dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second
-    )
+    t.to_string()
+}
+
+/// Two ASCII digits at `b[i..i + 2]`.
+fn two_digits(b: &[u8], i: usize) -> Option<u32> {
+    let (hi, lo) = (b[i].wrapping_sub(b'0'), b[i + 1].wrapping_sub(b'0'));
+    (hi < 10 && lo < 10).then(|| u32::from(hi) * 10 + u32::from(lo))
 }
 
 /// Parse a `%Y-%m-%dT%H:%M:%S` timestamp. Also accepts a trailing `Z` and the
 /// Slurm sentinels `Unknown`/`N/A`/`None` (which yield `None`).
 pub fn parse_timestamp(s: &str) -> Option<Timestamp> {
+    // The writer's shape, `dddd-dd-ddTdd:dd:dd`, skips the general grammar.
+    if let [_, _, _, _, b'-', _, _, b'-', _, _, b'T', _, _, b':', _, _, b':', _, _] = s.as_bytes() {
+        let at = |i| two_digits(s.as_bytes(), i);
+        if let (Some(c), Some(y), Some(mo), Some(d), Some(h), Some(mi), Some(sec)) =
+            (at(0), at(2), at(5), at(8), at(11), at(14), at(17))
+        {
+            return checked_unix(i64::from(c * 100 + y), [mo, d, h, mi, sec]);
+        }
+    }
     let s = s.trim().trim_end_matches('Z');
     if s.is_empty() || s == "Unknown" || s == "N/A" || s == "None" {
         return None;
@@ -63,14 +121,16 @@ pub fn parse_timestamp(s: &str) -> Option<Timestamp> {
     let hour: u32 = tp.next()?.parse().ok()?;
     let minute: u32 = tp.next()?.parse().ok()?;
     let second: u32 = tp.next()?.parse().ok()?;
-    if tp.next().is_some()
-        || month == 0
-        || month > 12
-        || day == 0
-        || hour > 23
-        || minute > 59
-        || second > 59
-    {
+    if tp.next().is_some() {
+        return None;
+    }
+    checked_unix(year, [month, day, hour, minute, second])
+}
+
+/// The range checks both timestamp paths share (the day's upper end is left
+/// to the calendar arithmetic, as it always was).
+fn checked_unix(year: i64, [month, day, hour, minute, second]: [u32; 5]) -> Option<Timestamp> {
+    if month == 0 || month > 12 || day == 0 || hour > 23 || minute > 59 || second > 59 {
         return None;
     }
     let dt = CivilDateTime {
@@ -84,22 +144,53 @@ pub fn parse_timestamp(s: &str) -> Option<Timestamp> {
     dt.to_unix().map(Timestamp)
 }
 
-/// Format seconds as Slurm elapsed time: `MM:SS`, `HH:MM:SS` or `D-HH:MM:SS`.
-pub fn format_duration(total_secs: u64) -> String {
-    let days = total_secs / 86_400;
-    let hours = (total_secs % 86_400) / 3_600;
-    let minutes = (total_secs % 3_600) / 60;
-    let seconds = total_secs % 60;
-    if days > 0 {
-        format!("{days}-{hours:02}:{minutes:02}:{seconds:02}")
-    } else {
-        format!("{hours:02}:{minutes:02}:{seconds:02}")
+/// Seconds as Slurm elapsed time: `HH:MM:SS`, or `D-HH:MM:SS` from one day.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Elapsed(pub u64);
+
+impl fmt::Display for Elapsed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let secs = self.0;
+        if secs >= 86_400 {
+            write_num(f, secs / 86_400, 1)?;
+            f.write_str("-")?;
+        }
+        let mut text = *b"00:00:00";
+        put_two(&mut text, 0, (secs % 86_400 / 3_600) as u32);
+        put_two(&mut text, 3, (secs % 3_600 / 60) as u32);
+        put_two(&mut text, 6, (secs % 60) as u32);
+        f.write_str(std::str::from_utf8(&text).expect("ASCII digits"))
     }
+}
+
+/// Format seconds as Slurm elapsed time: `HH:MM:SS` or `D-HH:MM:SS`.
+pub fn format_duration(total_secs: u64) -> String {
+    Elapsed(total_secs).to_string()
 }
 
 /// Parse a Slurm elapsed duration. Accepted forms (per `sacct`/`squeue`):
 /// `SS`, `MM:SS`, `HH:MM:SS`, `D-HH`, `D-HH:MM`, `D-HH:MM:SS`.
 pub fn parse_duration(s: &str) -> Option<u64> {
+    // The writer's shape, `[D-]dd:dd:dd`, skips the general grammar.
+    if let Some((head, hms @ [_, _, b':', _, _, b':', _, _])) = s.as_bytes().split_last_chunk() {
+        let days = match head {
+            [] => Some(0),
+            [days @ .., b'-'] if (1..=9).contains(&days.len()) => {
+                days.iter().try_fold(0, |d, c| {
+                    c.is_ascii_digit().then(|| d * 10 + u64::from(c - b'0'))
+                })
+            }
+            _ => None,
+        };
+        if let (Some(days), Some(h), Some(m), Some(sec)) = (
+            days,
+            two_digits(hms, 0),
+            two_digits(hms, 3),
+            two_digits(hms, 6),
+        ) {
+            return Some(days * 86_400 + u64::from(h * 3_600 + m * 60 + sec));
+        }
+    }
     let s = s.trim();
     if s.is_empty() {
         return None;
@@ -108,26 +199,24 @@ pub fn parse_duration(s: &str) -> Option<u64> {
         Some((d, rest)) => (d.parse::<u64>().ok()?, rest),
         None => (0, s),
     };
-    let parts: Vec<&str> = rest.split(':').collect();
-    let nums: Vec<u64> = parts
-        .iter()
-        .map(|p| p.parse::<u64>().ok())
-        .collect::<Option<Vec<_>>>()?;
-    let secs = if days > 0 {
-        // Day-prefixed forms are hour-first.
-        match nums.as_slice() {
-            [h] => h * 3_600,
-            [h, m] => h * 3_600 + m * 60,
-            [h, m, sec] => h * 3_600 + m * 60 + sec,
-            _ => return None,
+    let mut nums = [0u64; 3];
+    let mut count = 0;
+    for part in rest.split(':') {
+        let num = part.parse::<u64>().ok()?;
+        if let Some(slot) = nums.get_mut(count) {
+            *slot = num;
         }
-    } else {
-        match nums.as_slice() {
-            [sec] => *sec,
-            [m, sec] => m * 60 + sec,
-            [h, m, sec] => h * 3_600 + m * 60 + sec,
-            _ => return None,
-        }
+        count += 1;
+    }
+    let [a, b, c] = nums;
+    // Day-prefixed forms are hour-first.
+    let secs = match (count, days > 0) {
+        (1, true) => a * 3_600,
+        (2, true) => a * 3_600 + b * 60,
+        (1, false) => a,
+        (2, false) => a * 60 + b,
+        (3, _) => a * 3_600 + b * 60 + c,
+        _ => return None,
     };
     Some(days * 86_400 + secs)
 }

@@ -341,17 +341,33 @@ impl Slurmctld {
         // Formatted from the immutable snapshot — the lock is gone.
         self.phases.time("joblog_write", || {
             for job in snap.jobs.iter().filter(|j| j.state == JobState::Running) {
-                let mut lines = vec![format!(
+                let header = format!(
                     "=== job {} ({}) starting on {} ===",
                     job.id,
                     job.req.name,
                     job.nodes.join(",")
-                )];
-                let minutes = job.elapsed_secs(now) / 60;
-                for i in 0..minutes.min(200) {
-                    lines.push(format!("step {i}: processed batch {i} ok"));
+                );
+                let wanted = 1 + (job.elapsed_secs(now) / 60).min(200) as usize;
+                let steps = |lines: std::ops::Range<usize>| {
+                    lines.map(|n| format!("step {0}: processed batch {0} ok", n - 1))
+                };
+                // A file this loop wrote holds the header and the steps so
+                // far: add the missing ones. Anything else — no file, more
+                // lines than are due, a header naming other nodes — is
+                // replaced whole, as every file used to be on every tick.
+                let path = &job.stdout_path;
+                let have = self
+                    .logs
+                    .line_count(path)
+                    .filter(|have| *have <= wanted && self.logs.first_line_is(path, &header));
+                match have {
+                    Some(have) if have == wanted => {}
+                    Some(have) => self.logs.append(path, &job.req.user, steps(have..wanted)),
+                    None => {
+                        let lines = std::iter::once(header).chain(steps(1..wanted)).collect();
+                        self.logs.write(path, &job.req.user, lines);
+                    }
                 }
-                self.logs.write(&job.stdout_path, &job.req.user, lines);
             }
             for f in &finished {
                 self.logs
@@ -819,7 +835,7 @@ mod tests {
     use crate::assoc::AssocStore;
     use crate::job::UsageProfile;
     use crate::qos::Qos;
-    use hpcdash_simtime::SimClock;
+    use hpcdash_simtime::{Clock, SimClock};
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -887,6 +903,84 @@ mod tests {
             .logs()
             .tail_default(&archived.stdout_path, "bob")
             .is_err());
+    }
+
+    /// What `tick` wrote for a running job before it appended: the whole
+    /// file, formatted anew.
+    fn whole_stdout(job: &Job, now: Timestamp) -> Vec<String> {
+        let mut lines = vec![format!(
+            "=== job {} ({}) starting on {} ===",
+            job.id,
+            job.req.name,
+            job.nodes.join(",")
+        )];
+        let minutes = job.elapsed_secs(now) / 60;
+        for i in 0..minutes.min(200) {
+            lines.push(format!("step {i}: processed batch {i} ok"));
+        }
+        lines
+    }
+
+    #[test]
+    fn appended_stdout_is_the_whole_reformat_after_every_tick() {
+        let (ctld, clock) = daemon();
+        // Short, hour-long and past the 200-step cap; more than fit at once,
+        // so some start late.
+        for (i, runtime) in [90, 400, 3_700, 14_000, 7_200, 1_000, 13_000]
+            .into_iter()
+            .enumerate()
+        {
+            let mut r = req("alice", 2 + i as u32 % 3, runtime);
+            r.time_limit = hpcdash_simtime::TimeLimit::Limited(5 * 3_600);
+            ctld.submit(r).unwrap();
+        }
+        let read = |path: &str| -> Vec<String> {
+            let tail = ctld.logs().tail(path, "root", usize::MAX).unwrap();
+            tail.lines.into_iter().map(|(_, line)| line).collect()
+        };
+        let mut compared = 0;
+        for tick in 0..500u64 {
+            clock.advance(30);
+            // Now and then the file is not what the last tick left: as after
+            // a requeue elsewhere, with lines that are not due, or empty.
+            if let Some(job) = ctld
+                .query_jobs(&JobQuery::all())
+                .iter()
+                .find(|j| j.state == JobState::Running && tick % 7 == j.id.0 as u64 % 7)
+            {
+                let mut lines = whole_stdout(job, clock.now());
+                match tick % 3 {
+                    0 => lines[0] = lines[0].replace(" on ", " on elsewhere,"),
+                    1 => lines.extend(["step 998: extra".to_string(), "step 999".to_string()]),
+                    _ => lines.clear(),
+                }
+                ctld.logs().write(&job.stdout_path, &job.req.user, lines);
+            }
+            ctld.tick();
+            let now = clock.now();
+            for job in ctld.query_jobs(&JobQuery::all()) {
+                if job.state == JobState::Running {
+                    assert_eq!(
+                        read(&job.stdout_path),
+                        whole_stdout(&job, now),
+                        "tick {tick}"
+                    );
+                    assert_eq!(
+                        ctld.logs().owner(&job.stdout_path).as_deref(),
+                        Some("alice")
+                    );
+                    compared += 1;
+                }
+            }
+        }
+        assert!(compared > 1_000, "jobs ran: {compared} comparisons");
+        // Finished jobs end with what the completion wrote, cap and all.
+        let done = ctld.dbd().query_jobs(&crate::dbd::JobFilter::default());
+        assert_eq!(done.len(), 7, "every job ran to its end");
+        for job in done {
+            let steps = (job.elapsed_secs(clock.now()) / 60).min(200) as usize;
+            assert_eq!(read(&job.stdout_path).len(), 1 + steps, "{:?}", job.id);
+        }
     }
 
     #[test]

@@ -269,33 +269,30 @@ impl Slurmdbd {
         self.wal.trim_through(wal_seq);
     }
 
-    /// `sacct`-style query across active + archived jobs, newest first.
-    pub fn query_jobs(&self, filter: &JobFilter) -> Vec<Job> {
+    /// `sacct`-style query across active + archived jobs, newest first. The
+    /// rows are the stored ones, shared (as `Slurmctld::query_jobs` shares
+    /// the snapshot's): a match costs a refcount, not a deep clone.
+    pub fn query_jobs(&self, filter: &JobFilter) -> Vec<Arc<Job>> {
         let _span = Span::enter("dbd").attr("kind", "sacct_query");
         let start = Instant::now();
         self.try_recover();
         self.faults.check("sacct_query").burn();
-        let mut out: Vec<Job> = Vec::new();
+        let mut out: Vec<Arc<Job>> = Vec::new();
         let scanned;
         {
             let active = self.active_mirror.read();
             let archived = self.archived.read();
             scanned = active.len() + archived.len();
+            out.extend(archived.values().filter(|j| filter.matches(j)).cloned());
+            // A job can momentarily exist in both maps between ticks; the
+            // archived (final) record wins if the filter lets it through.
+            let shadowed = |j: &Job| archived.get(&j.id).is_some_and(|a| filter.matches(a));
             out.extend(
                 active
                     .values()
-                    .filter(|j| filter.matches(j))
-                    .map(|j| Job::clone(j)),
+                    .filter(|j| filter.matches(j) && !shadowed(j))
+                    .cloned(),
             );
-            // A job can momentarily exist in both maps between ticks; the
-            // archived (final) record wins.
-            for job in archived.values().filter(|j| filter.matches(j)) {
-                if let Some(existing) = out.iter_mut().find(|j| j.id == job.id) {
-                    *existing = Job::clone(job);
-                } else {
-                    out.push(Job::clone(job));
-                }
-            }
         }
         self.cost.burn(scanned);
         out.sort_by_key(|j| (std::cmp::Reverse(j.submit_time), std::cmp::Reverse(j.id)));
@@ -304,7 +301,7 @@ impl Slurmdbd {
     }
 
     /// Look up one job anywhere in accounting.
-    pub fn job(&self, id: JobId) -> Option<Job> {
+    pub fn job(&self, id: JobId) -> Option<Arc<Job>> {
         let _span = Span::enter("dbd").attr("kind", "job_lookup");
         let start = Instant::now();
         self.try_recover();
@@ -313,20 +310,20 @@ impl Slurmdbd {
             .archived
             .read()
             .get(&id)
-            .map(|j| Job::clone(j))
-            .or_else(|| self.active_mirror.read().get(&id).map(|j| Job::clone(j)));
+            .cloned()
+            .or_else(|| self.active_mirror.read().get(&id).cloned());
         self.cost.burn(1);
         self.stats.record("job_lookup", start.elapsed());
         result
     }
 
     /// All sibling tasks of a job array, task order.
-    pub fn array_tasks(&self, array_job_id: JobId) -> Vec<Job> {
+    pub fn array_tasks(&self, array_job_id: JobId) -> Vec<Arc<Job>> {
         let _span = Span::enter("dbd").attr("kind", "array_lookup");
         let start = Instant::now();
         self.try_recover();
         self.faults.check("array_lookup").burn();
-        let mut out: Vec<Job> = Vec::new();
+        let mut out: Vec<Arc<Job>> = Vec::new();
         {
             let active = self.active_mirror.read();
             let archived = self.archived.read();
@@ -335,10 +332,10 @@ impl Slurmdbd {
                     .map(|a| a.array_job_id == array_job_id)
                     .unwrap_or(false)
             };
-            out.extend(active.values().filter(|j| pick(j)).map(|j| Job::clone(j)));
+            out.extend(active.values().filter(|j| pick(j)).cloned());
             for job in archived.values().filter(|j| pick(j)) {
                 if !out.iter().any(|j| j.id == job.id) {
-                    out.push(Job::clone(job));
+                    out.push(job.clone());
                 }
             }
         }
@@ -530,6 +527,73 @@ mod tests {
         let got = d.query_jobs(&JobFilter::default());
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].state, JobState::Completed);
+    }
+
+    #[test]
+    fn queries_hand_out_the_stored_rows_once_each_in_order() {
+        let d = Slurmdbd::with_cost(RpcCostModel::free());
+        let shared = |j: Job| Arc::new(j);
+        let archived = [
+            shared(job(
+                1,
+                "alice",
+                "physics",
+                JobState::Completed,
+                100,
+                Some(200),
+            )),
+            shared(job(3, "bob", "physics", JobState::Failed, 300, Some(400))),
+            // Same submit second as 3: the higher id comes first.
+            shared(job(
+                4,
+                "bob",
+                "physics",
+                JobState::Completed,
+                300,
+                Some(450),
+            )),
+            shared(job(
+                7,
+                "alice",
+                "physics",
+                JobState::Completed,
+                250,
+                Some(500),
+            )),
+        ];
+        let mirror = [
+            shared(job(7, "alice", "physics", JobState::Running, 250, None)),
+            shared(job(9, "alice", "physics", JobState::Pending, 50, None)),
+        ];
+        d.record_finished(archived.iter().cloned());
+        d.sync_active(mirror.iter().cloned());
+
+        // Newest first; job 7 is in both maps and comes back once, as the
+        // archived row; every row IS the stored row, not a copy of it.
+        let got = d.query_jobs(&JobFilter::default());
+        let expected = [
+            &archived[2],
+            &archived[1],
+            &archived[3],
+            &archived[0],
+            &mirror[1],
+        ];
+        assert_eq!(got.len(), expected.len());
+        for (row, stored) in got.iter().zip(expected) {
+            assert!(Arc::ptr_eq(row, stored), "{:?} vs {:?}", row.id, stored.id);
+        }
+
+        // The archived row wins only where the filter lets it through: asked
+        // for running jobs, the mirror's row of job 7 is the answer.
+        let running = d.query_jobs(&JobFilter {
+            states: Some(vec![JobState::Running]),
+            ..JobFilter::default()
+        });
+        assert_eq!(running.len(), 1);
+        assert!(Arc::ptr_eq(&running[0], &mirror[0]));
+
+        assert!(Arc::ptr_eq(&d.job(JobId(7)).unwrap(), &archived[3]));
+        assert!(Arc::ptr_eq(&d.job(JobId(9)).unwrap(), &mirror[1]));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Jobs: requests, lifecycle state, pending reasons, arrays, and usage stats.
 
 use crate::tres::Tres;
-use hpcdash_simtime::{TimeLimit, Timestamp};
+use hpcdash_simtime::{write_num, TimeLimit, Timestamp};
 use serde::{Deserialize, Serialize};
 
 /// A cluster-unique job id.
@@ -406,10 +406,21 @@ pub struct Job {
 impl Job {
     /// The id users see: `1234` or `1234_7` for array tasks.
     pub fn display_id(&self) -> String {
-        match &self.array {
-            Some(a) => format!("{}_{}", a.array_job_id, a.task_id),
-            None => self.id.to_string(),
-        }
+        self.shown_id().to_string()
+    }
+
+    /// [`Job::display_id`] as a value that writes itself: the one writer.
+    pub fn shown_id(&self) -> impl std::fmt::Display {
+        let (id, task) = match self.array {
+            Some(a) => (a.array_job_id, Some(a.task_id)),
+            None => (self.id, None),
+        };
+        std::fmt::from_fn(move |f| {
+            write_num(f, id.0.into(), 1)?;
+            let Some(task) = task else { return Ok(()) };
+            f.write_str("_")?;
+            write_num(f, task.into(), 1)
+        })
     }
 
     /// Seconds spent waiting in the queue (so far, or until start).

@@ -90,6 +90,17 @@ impl JobLogFs {
         self.files.read().get(path).map(|f| f.lines.len())
     }
 
+    /// Does the file open with `line`? How a writer that appends knows the
+    /// file is still the one it began.
+    pub fn first_line_is(&self, path: &str, line: &str) -> bool {
+        let files = self.files.read();
+        files
+            .get(path)
+            .and_then(|f| f.lines.first())
+            .map(String::as_str)
+            == Some(line)
+    }
+
     /// Read up to `limit` trailing lines as `reader`. Fails unless the
     /// reader owns the file (ownership inheritance, paper §2.4/§7).
     pub fn tail(&self, path: &str, reader: &str, limit: usize) -> Result<LogTail, LogError> {

@@ -280,7 +280,7 @@ impl ClusterSnapshot {
     }
 
     /// The nodes of `partitions[idx]`, in the partition's declared order.
-    pub fn nodes_of_partition(&self, idx: usize) -> impl Iterator<Item = &Node> {
+    pub fn nodes_of_partition(&self, idx: usize) -> impl Iterator<Item = &Node> + Clone {
         self.partition_nodes[idx]
             .iter()
             .map(|&i| &self.nodes[i as usize])

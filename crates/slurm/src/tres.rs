@@ -1,7 +1,9 @@
 //! Trackable resources (TRES): the `cpu=4,mem=16G,gres/gpu=2,node=1` strings
 //! that appear throughout Slurm's command output, plus a structured form.
 
+use hpcdash_simtime::write_num;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// A bundle of trackable resources. Memory is in megabytes, matching
 /// slurmctld's internal unit.
@@ -54,17 +56,7 @@ impl Tres {
     /// Render as Slurm's comma-separated TRES string. Zero components other
     /// than `cpu` are omitted, as slurmctld does.
     pub fn to_slurm(self) -> String {
-        let mut parts = vec![format!("cpu={}", self.cpus)];
-        if self.mem_mb > 0 {
-            parts.push(format!("mem={}", format_mem_mb(self.mem_mb)));
-        }
-        if self.nodes > 0 {
-            parts.push(format!("node={}", self.nodes));
-        }
-        if self.gpus > 0 {
-            parts.push(format!("gres/gpu={}", self.gpus));
-        }
-        parts.join(",")
+        self.to_string()
     }
 
     /// Parse a Slurm TRES string. Unknown keys are ignored (real TRES strings
@@ -90,28 +82,64 @@ impl Tres {
     }
 }
 
-impl std::fmt::Display for Tres {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_slurm())
+/// The one writer of a TRES string (digits by `hpcdash_simtime::write_num`).
+impl fmt::Display for Tres {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("cpu=")?;
+        write_num(f, self.cpus.into(), 1)?;
+        if self.mem_mb > 0 {
+            f.write_str(",mem=")?;
+            MemMb(self.mem_mb).fmt(f)?;
+        }
+        if self.nodes > 0 {
+            f.write_str(",node=")?;
+            write_num(f, self.nodes.into(), 1)?;
+        }
+        if self.gpus > 0 {
+            f.write_str(",gres/gpu=")?;
+            write_num(f, self.gpus.into(), 1)?;
+        }
+        Ok(())
     }
 }
 
-/// Format megabytes the way Slurm does: `512M`, `16G`, `1.50T`.
-pub fn format_mem_mb(mem_mb: u64) -> String {
-    const G: u64 = 1_024;
-    const T: u64 = 1_024 * 1_024;
-    if mem_mb >= T && mem_mb.is_multiple_of(T) {
-        format!("{}T", mem_mb / T)
-    } else if mem_mb >= G && mem_mb.is_multiple_of(G) {
-        format!("{}G", mem_mb / G)
-    } else {
-        format!("{mem_mb}M")
+/// Megabytes the way Slurm prints them: `512M`, `16G`, `1T`.
+pub struct MemMb(pub u64);
+
+impl fmt::Display for MemMb {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        const G: u64 = 1_024;
+        const T: u64 = 1_024 * 1_024;
+        let (value, unit) = match self.0 {
+            mb if mb >= T && mb.is_multiple_of(T) => (mb / T, "T"),
+            mb if mb >= G && mb.is_multiple_of(G) => (mb / G, "G"),
+            mb => (mb, "M"),
+        };
+        write_num(f, value, 1)?;
+        f.write_str(unit)
     }
+}
+
+/// Format megabytes the way Slurm does: `512M`, `16G`, `1T`.
+pub fn format_mem_mb(mem_mb: u64) -> String {
+    MemMb(mem_mb).to_string()
 }
 
 /// Parse a Slurm memory string (`4000M`, `16G`, `2T`, bare `4096` = MB,
 /// fractional `1.5G`). Returns megabytes.
 pub fn parse_mem_mb(s: &str) -> Option<u64> {
+    // The writer's shape, whole megabytes with a binary suffix, needs no
+    // float: up to nine digits times 2^20 is exact either way.
+    let digits = s.trim_end_matches(['M', 'G', 'T', 'm', 'g', 't']);
+    if (1..=9).contains(&digits.len()) && digits.bytes().all(|b| b.is_ascii_digit()) {
+        let value: u64 = digits.parse().expect("nine digits fit");
+        match s.as_bytes()[digits.len()..] {
+            [] | [b'M' | b'm'] => return Some(value),
+            [b'G' | b'g'] => return Some(value * 1_024),
+            [b'T' | b't'] => return Some(value * 1_024 * 1_024),
+            _ => {}
+        }
+    }
     let s = s.trim();
     if s.is_empty() {
         return None;

@@ -5,12 +5,13 @@
 //! mirrors the flags the paper's dashboard passes to sacct — identity,
 //! timing, allocation, and usage (`TotalCPU`, `MaxRSS`) for efficiency.
 
-use crate::opt_time;
+use crate::{cleaned, joined, put, time_or};
 use hpcdash_obs::Span;
-use hpcdash_simtime::{format_duration, parse_duration, parse_timestamp, TimeLimit, Timestamp};
+use hpcdash_simtime::{parse_duration, parse_timestamp, Elapsed, TimeLimit, Timestamp};
 use hpcdash_slurm::dbd::{JobFilter, Slurmdbd};
 use hpcdash_slurm::job::{Job, JobId, JobState};
-use hpcdash_slurm::tres::{format_mem_mb, parse_mem_mb, Tres};
+use hpcdash_slurm::tres::{parse_mem_mb, MemMb, Tres};
+use std::borrow::Borrow;
 
 /// The field list the dashboard requests (sacct `--format=`).
 pub const SACCT_FIELDS: [&str; 21] = [
@@ -120,49 +121,65 @@ pub fn sacct(dbd: &Slurmdbd, args: &SacctArgs, now: Timestamp) -> Result<String,
     crate::boundary(dbd.faults(), "sacct", render(&jobs, now))
 }
 
-/// Render accounting records as parsable2 text.
-pub fn render(jobs: &[Job], now: Timestamp) -> String {
-    let mut out = SACCT_FIELDS.join("|");
+/// About what one row takes; sizes the output once for the whole table.
+const ROW_BYTES: usize = 224;
+
+/// Render accounting records as parsable2 text. Generic over `Borrow<Job>`
+/// so it takes the shared `Arc<Job>` rows the daemon hands out as they are.
+pub fn render<J: Borrow<Job>>(jobs: &[J], now: Timestamp) -> String {
+    let mut out = String::with_capacity((jobs.len() + 1) * ROW_BYTES);
+    out.push_str(&SACCT_FIELDS.join("|"));
     out.push('\n');
     for job in jobs {
-        let elapsed = job.elapsed_secs(now);
-        let fields: Vec<String> = vec![
-            job.display_id(),
-            sanitize(&job.req.name),
-            job.req.user.clone(),
-            job.req.account.clone(),
-            job.req.partition.clone(),
-            job.req.qos.clone(),
-            job.state.to_slurm().to_string(),
-            opt_time(Some(job.submit_time)),
-            opt_time(job.start_time),
-            opt_time(job.end_time),
-            format_duration(elapsed),
-            job.req.time_limit.to_slurm(),
-            job.alloc_cpus().to_string(),
-            job.req.nodes.to_string(),
-            job.req.total_tres().to_slurm(),
-            format_mem_mb(job.req.mem_mb_per_node),
-            job.stats
-                .map(|s| format_mem_mb(s.max_rss_mb))
-                .unwrap_or_default(),
-            job.stats
-                .map(|s| format_duration(s.total_cpu_secs))
-                .unwrap_or_default(),
-            job.exit_code
-                .map(|(c, s)| format!("{c}:{s}"))
-                .unwrap_or_else(|| "0:0".to_string()),
-            if job.nodes.is_empty() {
-                "None".to_string()
-            } else {
-                job.nodes.join(",")
-            },
-            job.req.comment.clone().unwrap_or_default(),
-        ];
-        out.push_str(&fields.join("|"));
-        out.push('\n');
+        let job = job.borrow();
+        put!(
+            &mut out,
+            "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|",
+            job.shown_id(),
+            cleaned(&job.req.name, pipe_free, ""),
+            job.req.user,
+            job.req.account,
+            job.req.partition,
+            job.req.qos,
+            job.state.to_slurm(),
+            job.submit_time,
+            time_or(job.start_time, "Unknown"),
+            time_or(job.end_time, "Unknown"),
+            Elapsed(job.elapsed_secs(now)),
+            job.req.time_limit,
+            job.alloc_cpus(),
+            job.req.nodes,
+            job.req.total_tres(),
+            MemMb(job.req.mem_mb_per_node),
+        );
+        if let Some(stats) = job.stats {
+            put!(
+                &mut out,
+                "{}|{}",
+                MemMb(stats.max_rss_mb),
+                Elapsed(stats.total_cpu_secs)
+            );
+        } else {
+            out.push('|');
+        }
+        let (code, signal) = job.exit_code.unwrap_or((0, 0));
+        put!(
+            &mut out,
+            "|{code}:{signal}|{}|{}\n",
+            joined(&job.nodes, "None"),
+            job.req.comment.as_deref().unwrap_or_default(),
+        );
     }
     out
+}
+
+/// A job name may hold neither the column separator nor a line break.
+fn pipe_free(c: char) -> char {
+    match c {
+        '|' => '/',
+        '\n' => ' ',
+        c => c,
+    }
 }
 
 /// Parse parsable2 output back into records.
@@ -170,21 +187,17 @@ pub fn parse_sacct(text: &str) -> Result<Vec<SacctRecord>, String> {
     crate::note_parse();
     let mut lines = text.lines();
     let header = lines.next().unwrap_or_default();
-    if header != SACCT_FIELDS.join("|") {
+    if !header.split('|').eq(SACCT_FIELDS) {
         return Err(format!("unexpected sacct header: {header:?}"));
     }
-    let mut out = Vec::new();
+    // A row is about as long as the header: a guess the input bounds.
+    let mut out = Vec::with_capacity(text.len() / header.len());
     for line in lines {
         if line.trim().is_empty() {
             continue;
         }
-        let f: Vec<&str> = line.split('|').collect();
-        if f.len() != SACCT_FIELDS.len() {
-            return Err(format!(
-                "malformed sacct line ({} fields): {line:?}",
-                f.len()
-            ));
-        }
+        let f = crate::fields::<{ SACCT_FIELDS.len() }>(line.split('|'))
+            .map_err(|n| format!("malformed sacct line ({n} fields): {line:?}"))?;
         out.push(SacctRecord {
             job_id: f[0].to_string(),
             job_name: f[1].to_string(),
@@ -222,10 +235,6 @@ pub fn parse_sacct(text: &str) -> Result<Vec<SacctRecord>, String> {
         });
     }
     Ok(out)
-}
-
-fn sanitize(name: &str) -> String {
-    name.replace('|', "/").replace('\n', " ")
 }
 
 #[cfg(test)]

@@ -4,14 +4,15 @@
 //! lines. The Node Overview and Job Overview pages (paper §6.1, §7) are fed
 //! from these, and the Accounts widget (§3.4) from the assoc dump.
 
-use crate::opt_time;
+use crate::{cleaned, joined, no_space, put, time_or};
 use hpcdash_obs::Span;
-use hpcdash_simtime::{format_duration, parse_timestamp, Timestamp};
-use hpcdash_slurm::ctld::Slurmctld;
+use hpcdash_simtime::{parse_timestamp, Elapsed, Timestamp};
+use hpcdash_slurm::ctld::{AssocRecord, Slurmctld};
 use hpcdash_slurm::job::{Job, JobId, JobState, PendingReason};
 use hpcdash_slurm::node::{Node, NodeState};
-use hpcdash_slurm::tres::format_mem_mb;
+use hpcdash_slurm::tres::MemMb;
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// A parsed `scontrol show job` record.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,124 +84,121 @@ pub fn show_job(ctld: &Slurmctld, id: JobId) -> Result<Option<String>, String> {
 
 /// Render one job record.
 pub fn render_job(job: &Job, now: Timestamp) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "JobId={} JobName={}\n",
+    let mut s = String::with_capacity(640);
+    put!(
+        &mut s,
+        "JobId={} JobName={}\n   UserId={}(1000) Account={} QOS={} Priority={}\n",
         job.id,
-        token(&job.req.name)
-    ));
-    s.push_str(&format!(
-        "   UserId={}(1000) Account={} QOS={} Priority={}\n",
-        job.req.user, job.req.account, job.req.qos, job.priority
-    ));
-    s.push_str(&format!(
-        "   JobState={} Reason={} Dependency={}\n",
+        token(&job.req.name),
+        job.req.user,
+        job.req.account,
+        job.req.qos,
+        job.priority,
+    );
+    put!(
+        &mut s,
+        "   JobState={} Reason={} Dependency=",
         job.state.to_slurm(),
         job.reason.map(|r| r.to_slurm()).unwrap_or("None"),
-        job.req
-            .dependency
-            .map(|d| format!("afterok:{d}"))
-            .unwrap_or_else(|| "(null)".to_string()),
-    ));
-    s.push_str(&format!(
-        "   SubmitTime={} EligibleTime={}\n",
-        job.submit_time.to_slurm(),
-        job.eligible_time.to_slurm()
-    ));
-    s.push_str(&format!(
-        "   StartTime={} EndTime={}\n",
-        opt_time(job.start_time),
-        opt_time(job.end_time)
-    ));
-    s.push_str(&format!(
-        "   TimeLimit={} RunTime={}\n",
-        job.req.time_limit.to_slurm(),
-        format_duration(job.elapsed_secs(now))
-    ));
-    s.push_str(&format!(
-        "   Partition={} NodeList={}\n",
+    );
+    match job.req.dependency {
+        Some(d) => put!(&mut s, "afterok:{d}\n"),
+        None => s.push_str("(null)\n"),
+    }
+    put!(
+        &mut s,
+        "   SubmitTime={} EligibleTime={}\n   StartTime={} EndTime={}\n   TimeLimit={} RunTime={}\n",
+        job.submit_time,
+        job.eligible_time,
+        time_or(job.start_time, "Unknown"),
+        time_or(job.end_time, "Unknown"),
+        job.req.time_limit,
+        Elapsed(job.elapsed_secs(now)),
+    );
+    put!(
+        &mut s,
+        "   Partition={} NodeList={}\n   NumNodes={} NumCPUs={} MinMemoryNode={}",
         job.req.partition,
-        if job.nodes.is_empty() {
-            "(null)".to_string()
-        } else {
-            job.nodes.join(",")
-        }
-    ));
-    s.push_str(&format!(
-        "   NumNodes={} NumCPUs={} MinMemoryNode={}",
+        joined(&job.nodes, "(null)"),
         job.req.nodes,
         job.alloc_cpus(),
-        format_mem_mb(job.req.mem_mb_per_node)
-    ));
+        MemMb(job.req.mem_mb_per_node),
+    );
     if job.req.gpus_per_node > 0 {
-        s.push_str(&format!(" Gres=gpu:{}", job.req.gpus_per_node));
+        put!(&mut s, " Gres=gpu:{}", job.req.gpus_per_node);
     }
-    s.push('\n');
-    s.push_str(&format!("   WorkDir={}\n", token(&job.req.work_dir)));
-    s.push_str(&format!(
-        "   StdOut={} StdErr={}\n",
+    put!(
+        &mut s,
+        "\n   WorkDir={}\n   StdOut={} StdErr={}\n",
+        token(&job.req.work_dir),
         token(&job.stdout_path),
-        token(&job.stderr_path)
-    ));
+        token(&job.stderr_path),
+    );
     if let Some(c) = &job.req.comment {
-        s.push_str(&format!("   Comment={}\n", token(c)));
+        put!(&mut s, "   Comment={}\n", token(c));
     }
     if let Some(a) = &job.array {
-        s.push_str(&format!(
+        put!(
+            &mut s,
             "   ArrayJobId={} ArrayTaskId={}\n",
-            a.array_job_id, a.task_id
-        ));
+            a.array_job_id,
+            a.task_id
+        );
     }
     s
 }
 
-/// Parse a `scontrol show job` dump (one record).
+/// Parse a `scontrol show job` dump (one record). The typed fields are read
+/// out of `raw` by reference; only what the record keeps is copied.
 pub fn parse_show_job(text: &str) -> Result<ScontrolJob, String> {
     crate::note_parse();
     let raw = tokenize(text);
-    let get = |k: &str| raw.get(k).cloned();
+    let get = |k: &str| raw.get(k).map(String::as_str);
     let req = |k: &str| get(k).ok_or_else(|| format!("missing {k}"));
+    let text_of = |k: &str| req(k).map(str::to_string);
     Ok(ScontrolJob {
         job_id: JobId(req("JobId")?.parse().map_err(|_| "bad JobId".to_string())?),
-        name: req("JobName")?,
+        name: text_of("JobName")?,
         user: req("UserId")?
             .split('(')
             .next()
             .unwrap_or_default()
             .to_string(),
-        account: req("Account")?,
-        qos: req("QOS")?,
-        state: JobState::parse(&req("JobState")?).ok_or("bad JobState")?,
+        account: text_of("Account")?,
+        qos: text_of("QOS")?,
+        state: JobState::parse(req("JobState")?).ok_or("bad JobState")?,
         reason: get("Reason")
-            .filter(|r| r != "None")
-            .and_then(|r| PendingReason::parse(&r)),
+            .filter(|r| *r != "None")
+            .and_then(PendingReason::parse),
         priority: req("Priority")?
             .parse()
             .map_err(|_| "bad Priority".to_string())?,
-        partition: req("Partition")?,
-        submit_time: get("SubmitTime").and_then(|v| parse_timestamp(&v)),
-        eligible_time: get("EligibleTime").and_then(|v| parse_timestamp(&v)),
-        start_time: get("StartTime").and_then(|v| parse_timestamp(&v)),
-        end_time: get("EndTime").and_then(|v| parse_timestamp(&v)),
-        time_limit: req("TimeLimit")?,
-        run_time_secs: hpcdash_simtime::parse_duration(&req("RunTime")?).ok_or("bad RunTime")?,
+        partition: text_of("Partition")?,
+        submit_time: get("SubmitTime").and_then(parse_timestamp),
+        eligible_time: get("EligibleTime").and_then(parse_timestamp),
+        start_time: get("StartTime").and_then(parse_timestamp),
+        end_time: get("EndTime").and_then(parse_timestamp),
+        time_limit: text_of("TimeLimit")?,
+        run_time_secs: hpcdash_simtime::parse_duration(req("RunTime")?).ok_or("bad RunTime")?,
         num_nodes: req("NumNodes")?
             .parse()
             .map_err(|_| "bad NumNodes".to_string())?,
         num_cpus: req("NumCPUs")?
             .parse()
             .map_err(|_| "bad NumCPUs".to_string())?,
-        mem_per_node: req("MinMemoryNode")?,
-        gres: get("Gres"),
-        nodelist: get("NodeList").filter(|v| v != "(null)"),
-        work_dir: req("WorkDir")?,
-        std_out: req("StdOut")?,
-        std_err: req("StdErr")?,
-        comment: get("Comment"),
+        mem_per_node: text_of("MinMemoryNode")?,
+        gres: get("Gres").map(str::to_string),
+        nodelist: get("NodeList")
+            .filter(|v| *v != "(null)")
+            .map(str::to_string),
+        work_dir: text_of("WorkDir")?,
+        std_out: text_of("StdOut")?,
+        std_err: text_of("StdErr")?,
+        comment: get("Comment").map(str::to_string),
         array_job_id: get("ArrayJobId").and_then(|v| v.parse().ok()).map(JobId),
         array_task_id: get("ArrayTaskId").and_then(|v| v.parse().ok()),
         dependency: get("Dependency")
-            .filter(|v| v != "(null)")
+            .filter(|v| *v != "(null)")
             .and_then(|v| v.strip_prefix("afterok:").and_then(|x| x.parse().ok()))
             .map(JobId),
         raw,
@@ -217,58 +215,62 @@ pub fn show_node(ctld: &Slurmctld, name: Option<&str>) -> Result<String, String>
             .unwrap_or_default(),
         None => {
             let nodes = ctld.query_nodes();
-            nodes.iter().map(render_node).collect::<Vec<_>>().join("\n")
+            let mut text = String::with_capacity(nodes.len() * NODE_BYTES);
+            for (i, node) in nodes.iter().enumerate() {
+                if i > 0 {
+                    text.push('\n');
+                }
+                push_node(&mut text, node);
+            }
+            text
         }
     };
     crate::boundary(ctld.faults(), "scontrol_node", text)
 }
 
+/// About what one node record takes; sizes a dump once.
+const NODE_BYTES: usize = 384;
+
 /// Render one node record.
 pub fn render_node(node: &Node) -> String {
-    let mut s = String::new();
-    s.push_str(&format!("NodeName={} Arch=x86_64\n", node.name));
-    s.push_str(&format!(
-        "   CPUAlloc={} CPUTot={} CPULoad={:.2}\n",
-        node.alloc.cpus, node.cpus, node.cpu_load
-    ));
-    s.push_str(&format!(
-        "   AvailableFeatures={}\n",
-        if node.features.is_empty() {
-            "(null)".to_string()
-        } else {
-            node.features.join(",")
-        }
-    ));
+    let mut s = String::with_capacity(NODE_BYTES);
+    push_node(&mut s, node);
+    s
+}
+
+fn push_node(s: &mut String, node: &Node) {
+    put!(
+        s,
+        "NodeName={} Arch=x86_64\n   CPUAlloc={} CPUTot={} CPULoad={:.2}\n   AvailableFeatures={}\n",
+        node.name,
+        node.alloc.cpus,
+        node.cpus,
+        node.cpu_load,
+        joined(&node.features, "(null)"),
+    );
     if node.gpus > 0 {
         let ty = node.gpu_type.as_deref().unwrap_or("gpu");
-        s.push_str(&format!(
-            "   Gres=gpu:{}:{} GresUsed=gpu:{}:{}\n",
-            ty, node.gpus, ty, node.alloc.gpus
-        ));
+        put!(
+            s,
+            "   Gres=gpu:{ty}:{} GresUsed=gpu:{ty}:{}\n",
+            node.gpus,
+            node.alloc.gpus
+        );
     }
-    s.push_str(&format!(
-        "   RealMemory={} AllocMem={}\n",
-        node.real_memory_mb, node.alloc.mem_mb
-    ));
-    s.push_str(&format!(
-        "   State={} Partitions={}\n",
+    put!(
+        s,
+        "   RealMemory={} AllocMem={}\n   State={} Partitions={}\n   OS={}\n   BootTime={} LastBusyTime={}\n",
+        node.real_memory_mb,
+        node.alloc.mem_mb,
         node.state().to_slurm(),
-        if node.partitions.is_empty() {
-            "(null)".to_string()
-        } else {
-            node.partitions.join(",")
-        }
-    ));
-    s.push_str(&format!("   OS={}\n", token(&node.os)));
-    s.push_str(&format!(
-        "   BootTime={} LastBusyTime={}\n",
-        node.boot_time.to_slurm(),
-        node.last_busy.to_slurm()
-    ));
+        joined(&node.partitions, "(null)"),
+        token(&node.os),
+        node.boot_time,
+        node.last_busy,
+    );
     if let Some(r) = &node.reason {
-        s.push_str(&format!("   Reason={}\n", token(r)));
+        put!(s, "   Reason={}\n", token(r));
     }
-    s
 }
 
 /// The exact `Key=Value` map [`render_node`] emits, built without the text
@@ -309,26 +311,32 @@ pub fn node_fields(node: &Node) -> BTreeMap<String, String> {
             node.partitions.join(",")
         },
     );
-    put("OS", token(&node.os));
+    put("OS", token(&node.os).to_string());
     put("BootTime", node.boot_time.to_slurm());
     put("LastBusyTime", node.last_busy.to_slurm());
     if let Some(r) = &node.reason {
-        put("Reason", token(r));
+        put("Reason", token(r).to_string());
     }
     map
 }
 
-/// Parse one or more `scontrol show node` records.
+/// Parse one or more `scontrol show node` records (see [`parse_show_job`]).
 pub fn parse_show_node(text: &str) -> Result<Vec<ScontrolNode>, String> {
     crate::note_parse();
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(text.len() / NODE_BYTES + 1);
     for chunk in split_records(text) {
-        let raw = tokenize(&chunk);
-        let get = |k: &str| raw.get(k).cloned();
+        let raw = tokenize(chunk);
+        let get = |k: &str| raw.get(k).map(String::as_str);
         let req = |k: &str| get(k).ok_or_else(|| format!("missing {k}"));
+        let list = |k: &str| -> Vec<String> {
+            get(k)
+                .filter(|v| *v != "(null)")
+                .map(|v| v.split(',').map(str::to_string).collect())
+                .unwrap_or_default()
+        };
         out.push(ScontrolNode {
-            name: req("NodeName")?,
-            state: NodeState::parse(&req("State")?).ok_or("bad State")?,
+            name: req("NodeName")?.to_string(),
+            state: NodeState::parse(req("State")?).ok_or("bad State")?,
             cpu_alloc: req("CPUAlloc")?
                 .parse()
                 .map_err(|_| "bad CPUAlloc".to_string())?,
@@ -344,20 +352,14 @@ pub fn parse_show_node(text: &str) -> Result<Vec<ScontrolNode>, String> {
             alloc_memory_mb: req("AllocMem")?
                 .parse()
                 .map_err(|_| "bad AllocMem".to_string())?,
-            gres: get("Gres"),
-            gres_used: get("GresUsed"),
-            features: get("AvailableFeatures")
-                .filter(|v| v != "(null)")
-                .map(|v| v.split(',').map(str::to_string).collect())
-                .unwrap_or_default(),
-            partitions: get("Partitions")
-                .filter(|v| v != "(null)")
-                .map(|v| v.split(',').map(str::to_string).collect())
-                .unwrap_or_default(),
-            os: req("OS")?,
-            boot_time: get("BootTime").and_then(|v| parse_timestamp(&v)),
-            last_busy: get("LastBusyTime").and_then(|v| parse_timestamp(&v)),
-            reason: get("Reason"),
+            gres: get("Gres").map(str::to_string),
+            gres_used: get("GresUsed").map(str::to_string),
+            features: list("AvailableFeatures"),
+            partitions: list("Partitions"),
+            os: req("OS")?.to_string(),
+            boot_time: get("BootTime").and_then(parse_timestamp),
+            last_busy: get("LastBusyTime").and_then(parse_timestamp),
+            reason: get("Reason").map(str::to_string),
             raw,
         });
     }
@@ -368,33 +370,38 @@ pub fn parse_show_node(text: &str) -> Result<Vec<ScontrolNode>, String> {
 /// line per account).
 pub fn show_assoc(ctld: &Slurmctld, user: Option<&str>) -> Result<String, String> {
     let _span = Span::enter("slurmcli").attr("cmd", "scontrol_show_assoc");
-    let records = ctld.query_assoc(user);
-    let mut s = String::from(
-        "Account GrpTRESCpu GrpTRESMinsGpu CPUsInUse CPUsQueued GPUSecondsUsed Users\n",
-    );
+    let text = render_assoc(&ctld.query_assoc(user));
+    crate::boundary(ctld.faults(), "scontrol_assoc", text)
+}
+
+/// A group limit, `N` when there is none.
+fn limit(limit: Option<impl fmt::Display>) -> impl fmt::Display {
+    fmt::from_fn(move |f| match &limit {
+        Some(limit) => limit.fmt(f),
+        None => f.write_str("N"),
+    })
+}
+
+/// Render the assoc dump.
+pub fn render_assoc(records: &[AssocRecord]) -> String {
+    const HEADER: &str =
+        "Account GrpTRESCpu GrpTRESMinsGpu CPUsInUse CPUsQueued GPUSecondsUsed Users\n";
+    let mut s = String::with_capacity(HEADER.len() * (records.len() + 1));
+    s.push_str(HEADER);
     for r in records {
-        s.push_str(&format!(
+        put!(
+            &mut s,
             "{} {} {} {} {} {} {}\n",
             r.account.name,
-            r.account
-                .grp_cpu_limit
-                .map(|c| c.to_string())
-                .unwrap_or_else(|| "N".to_string()),
-            r.account
-                .grp_gpu_mins_limit
-                .map(|m| m.to_string())
-                .unwrap_or_else(|| "N".to_string()),
+            limit(r.account.grp_cpu_limit),
+            limit(r.account.grp_gpu_mins_limit),
             r.usage.cpus_running,
             r.usage.cpus_queued,
             r.usage.gpu_seconds,
-            if r.members.is_empty() {
-                "-".to_string()
-            } else {
-                r.members.join(",")
-            }
-        ));
+            joined(&r.members, "-"),
+        );
     }
-    crate::boundary(ctld.faults(), "scontrol_assoc", s)
+    s
 }
 
 /// One parsed assoc row.
@@ -417,10 +424,8 @@ pub fn parse_show_assoc(text: &str) -> Result<Vec<AssocRow>, String> {
         if i == 0 || line.trim().is_empty() {
             continue;
         }
-        let p: Vec<&str> = line.split_whitespace().collect();
-        if p.len() != 7 {
-            return Err(format!("malformed assoc line: {line:?}"));
-        }
+        let p = crate::fields::<7>(crate::words(line))
+            .map_err(|_| format!("malformed assoc line: {line:?}"))?;
         let opt_num = |s: &str| -> Option<u64> {
             if s == "N" {
                 None
@@ -447,32 +452,37 @@ pub fn parse_show_assoc(text: &str) -> Result<Vec<AssocRow>, String> {
 
 // ---- shared helpers ---------------------------------------------------------
 
-/// Split a multi-record dump into per-record chunks (records start with a
-/// non-indented line).
-fn split_records(text: &str) -> Vec<String> {
-    let mut records: Vec<String> = Vec::new();
-    for line in text.lines() {
+/// Split a multi-record dump into its records, borrowed from the text: one
+/// starts at every non-blank line that is not indented, and at the first.
+fn split_records(text: &str) -> impl Iterator<Item = &str> {
+    let mut lines = text.split_inclusive('\n');
+    let mut record_at = None;
+    let mut next_line_at = 0;
+    std::iter::from_fn(move || loop {
+        let Some(line) = lines.next() else {
+            return record_at.take().map(|from| &text[from..]);
+        };
+        let line_at = next_line_at;
+        next_line_at += line.len();
         if line.trim().is_empty() {
             continue;
         }
-        if !line.starts_with(' ') && !records.is_empty() {
-            records.push(String::new());
+        match record_at {
+            Some(from) if !line.starts_with(' ') => {
+                record_at = Some(line_at);
+                return Some(&text[from..line_at]);
+            }
+            Some(_) => {}
+            None => record_at = Some(line_at),
         }
-        if records.is_empty() {
-            records.push(String::new());
-        }
-        let last = records.last_mut().expect("pushed above");
-        last.push_str(line);
-        last.push('\n');
-    }
-    records.retain(|r| !r.trim().is_empty());
-    records
+    })
 }
 
-/// Tokenize `Key=Value` pairs across the record.
+/// Tokenize `Key=Value` pairs across the record: the owned map the record
+/// keeps as `raw`.
 fn tokenize(text: &str) -> BTreeMap<String, String> {
     let mut map = BTreeMap::new();
-    for tok in text.split_whitespace() {
+    for tok in crate::words(text) {
         if let Some((k, v)) = tok.split_once('=') {
             // First occurrence wins (JobId before ArrayJobId etc. are
             // distinct keys, so this only matters for malformed input).
@@ -483,16 +493,8 @@ fn tokenize(text: &str) -> BTreeMap<String, String> {
 }
 
 /// scontrol values cannot contain whitespace.
-fn token(v: &str) -> String {
-    let t: String = v
-        .chars()
-        .map(|c| if c.is_whitespace() { '_' } else { c })
-        .collect();
-    if t.is_empty() {
-        "(null)".to_string()
-    } else {
-        t
-    }
+fn token(v: &str) -> impl fmt::Display + '_ {
+    cleaned(v, no_space, "(null)")
 }
 
 #[cfg(test)]
@@ -646,7 +648,7 @@ mod tests {
     #[test]
     fn split_records_handles_indentation() {
         let text = "A=1\n   B=2\nC=3\n   D=4\n";
-        let recs = split_records(text);
+        let recs: Vec<&str> = split_records(text).collect();
         assert_eq!(recs.len(), 2);
         assert!(recs[0].contains("B=2"));
         assert!(recs[1].contains("C=3"));

@@ -8,10 +8,11 @@
 //!   usage (`alloc/idle/other/total`), which drives the System Status
 //!   widget's utilization bars (paper §3.3).
 
+use crate::put;
 use hpcdash_obs::Span;
 use hpcdash_slurm::ctld::Slurmctld;
 use hpcdash_slurm::node::{Node, NodeState};
-use hpcdash_slurm::partition::Partition;
+use hpcdash_slurm::partition::{Partition, PartitionState};
 use hpcdash_slurm::snapshot::ClusterSnapshot;
 use std::collections::BTreeMap;
 
@@ -72,56 +73,79 @@ pub fn sinfo_summary(ctld: &Slurmctld) -> Result<String, String> {
     crate::boundary(ctld.faults(), "sinfo", text)
 }
 
+/// `sinfo` groups a partition's nodes by state, in the order of the states'
+/// names.
+const STATES_BY_NAME: [NodeState; 6] = [
+    NodeState::Allocated,
+    NodeState::Down,
+    NodeState::Drained,
+    NodeState::Idle,
+    NodeState::Maint,
+    NodeState::Mixed,
+];
+
+fn avail(part: &Partition) -> &'static str {
+    if part.state == PartitionState::Up {
+        "up"
+    } else {
+        "down"
+    }
+}
+
 /// Emit the summary rows for one partition given its nodes in declared
 /// order — the single formatting path both entry points share, so snapshot
-/// output is byte-identical to the slice-based renderer.
+/// output is byte-identical to the slice-based renderer. The nodes are
+/// walked once per state instead of being sorted into lists of names.
 fn push_summary_rows<'a>(
     out: &mut String,
     part: &Partition,
-    nodes: impl Iterator<Item = &'a Node>,
+    nodes: impl Iterator<Item = &'a Node> + Clone,
 ) {
-    let mut groups: BTreeMap<&'static str, Vec<String>> = BTreeMap::new();
-    for node in nodes {
-        groups
-            .entry(node.state().to_slurm())
-            .or_default()
-            .push(node.name.clone());
-    }
-    let display = if part.is_default {
-        format!("{}*", part.name)
-    } else {
-        part.name.clone()
-    };
-    for (state, members) in groups {
-        out.push_str(&format!(
-            "{} {} {} {} {} {}\n",
-            display,
-            if part.state == hpcdash_slurm::partition::PartitionState::Up {
-                "up"
-            } else {
-                "down"
-            },
-            part.max_time.to_slurm(),
-            members.len(),
-            state.to_lowercase(),
-            members.join(",")
-        ));
+    for state in STATES_BY_NAME {
+        let members = nodes.clone().filter(|n| n.state() == state);
+        let count = members.clone().count();
+        if count == 0 {
+            continue;
+        }
+        put!(
+            out,
+            "{}{} {} {} {count} ",
+            part.name,
+            if part.is_default { "*" } else { "" },
+            avail(part),
+            part.max_time,
+        );
+        out.extend(state.to_slurm().chars().map(|c| c.to_ascii_lowercase()));
+        for (i, node) in members.enumerate() {
+            out.push(if i == 0 { ' ' } else { ',' });
+            out.push_str(&node.name);
+        }
+        out.push('\n');
     }
 }
 
 const SUMMARY_HEADER: &str = "PARTITION AVAIL TIMELIMIT NODES STATE NODELIST\n";
 
+/// The slice-based entry points find a partition's nodes by name.
+fn by_name(nodes: &[Node]) -> BTreeMap<&str, &Node> {
+    nodes.iter().map(|n| (n.name.as_str(), n)).collect()
+}
+
+/// `part`'s nodes in declared order; names `index` does not know are skipped.
+fn members<'a>(
+    part: &'a Partition,
+    index: &'a BTreeMap<&str, &'a Node>,
+) -> impl Iterator<Item = &'a Node> + Clone {
+    part.nodes
+        .iter()
+        .filter_map(|n| index.get(n.as_str()).copied())
+}
+
 pub fn render_summary(partitions: &[Partition], nodes: &[Node]) -> String {
-    let by_name: BTreeMap<&str, &Node> = nodes.iter().map(|n| (n.name.as_str(), n)).collect();
+    let index = by_name(nodes);
     let mut out = String::from(SUMMARY_HEADER);
     for part in partitions {
-        push_summary_rows(
-            &mut out,
-            part,
-            part.nodes
-                .iter()
-                .filter_map(|n| by_name.get(n.as_str()).copied()),
-        );
+        push_summary_rows(&mut out, part, members(part, &index));
     }
     out
 }
@@ -143,10 +167,8 @@ pub fn parse_sinfo_summary(text: &str) -> Result<Vec<SinfoRow>, String> {
         if i == 0 || line.trim().is_empty() {
             continue;
         }
-        let parts: Vec<&str> = line.split_whitespace().collect();
-        if parts.len() != 6 {
-            return Err(format!("malformed sinfo line: {line:?}"));
-        }
+        let parts = crate::fields::<6>(crate::words(line))
+            .map_err(|_| format!("malformed sinfo line: {line:?}"))?;
         rows.push(SinfoRow {
             partition: parts[0].trim_end_matches('*').to_string(),
             avail: parts[1].to_string(),
@@ -154,12 +176,24 @@ pub fn parse_sinfo_summary(text: &str) -> Result<Vec<SinfoRow>, String> {
             node_count: parts[3]
                 .parse()
                 .map_err(|_| format!("bad count {:?}", parts[3]))?,
-            state: NodeState::parse(&parts[4].to_uppercase())
-                .ok_or_else(|| format!("bad state {:?}", parts[4]))?,
+            state: state_of_word(parts[4]).ok_or_else(|| format!("bad state {:?}", parts[4]))?,
             nodelist: parts[5].split(',').map(str::to_string).collect(),
         });
     }
     Ok(rows)
+}
+
+/// `NodeState::parse` of the upper-cased word, upper-cased on the stack. The
+/// suffix marks go first: they may repeat without bound, a state may not.
+fn state_of_word(word: &str) -> Option<NodeState> {
+    let mut upper = [0u8; 16];
+    let mut len = 0;
+    let word = word.trim_end_matches(['*', '+', '~', '#']);
+    for c in word.chars().flat_map(char::to_uppercase) {
+        c.encode_utf8(upper.get_mut(len..len + c.len_utf8())?);
+        len += c.len_utf8();
+    }
+    NodeState::parse(std::str::from_utf8(&upper[..len]).ok()?)
 }
 
 /// `sinfo -o "%P %a %C %G"`-style usage output:
@@ -170,44 +204,50 @@ pub fn sinfo_usage(ctld: &Slurmctld) -> Result<String, String> {
     crate::boundary(ctld.faults(), "sinfo", text)
 }
 
+const USAGE_HEADER: &str = "PARTITION AVAIL CPUS(A/I/O/T) GPUS(A/T) NODES(U/T)\n";
+
 pub fn render_usage(partitions: &[Partition], nodes: &[Node]) -> String {
-    format_usage(compute_usage(partitions, nodes))
-}
-
-/// Render the usage table straight from a snapshot's node groups.
-pub fn render_usage_snapshot(snap: &ClusterSnapshot) -> String {
-    format_usage(compute_usage_snapshot(snap))
-}
-
-fn format_usage(usages: Vec<PartitionUsage>) -> String {
-    let mut out = String::from("PARTITION AVAIL CPUS(A/I/O/T) GPUS(A/T) NODES(U/T)\n");
-    for u in usages {
-        out.push_str(&format!(
-            "{} {} {}/{}/{}/{} {}/{} {}/{}\n",
-            u.partition,
-            u.avail,
-            u.cpus_alloc,
-            u.cpus_idle,
-            u.cpus_other,
-            u.cpus_total,
-            u.gpus_alloc,
-            u.gpus_total,
-            u.nodes_in_use,
-            u.nodes_total,
-        ));
+    let index = by_name(nodes);
+    let mut out = String::from(USAGE_HEADER);
+    for part in partitions {
+        push_usage_row(&mut out, part, members(part, &index));
     }
     out
 }
 
-/// Aggregate one partition's nodes into a usage record.
-fn usage_of<'a>(part: &Partition, nodes: impl Iterator<Item = &'a Node>) -> PartitionUsage {
+/// Render the usage table straight from a snapshot's node groups.
+pub fn render_usage_snapshot(snap: &ClusterSnapshot) -> String {
+    let mut out = String::from(USAGE_HEADER);
+    for (i, part) in snap.partitions.iter().enumerate() {
+        push_usage_row(&mut out, part, snap.nodes_of_partition(i));
+    }
+    out
+}
+
+fn push_usage_row<'a>(out: &mut String, part: &Partition, nodes: impl Iterator<Item = &'a Node>) {
+    let u = tally(nodes);
+    put!(
+        out,
+        "{} {} {}/{}/{}/{} {}/{} {}/{}\n",
+        part.name,
+        avail(part),
+        u.cpus_alloc,
+        u.cpus_idle,
+        u.cpus_other,
+        u.cpus_total,
+        u.gpus_alloc,
+        u.gpus_total,
+        u.nodes_in_use,
+        u.nodes_total,
+    );
+}
+
+/// Sum one partition's nodes into the counters of a usage record; whoever
+/// keeps the record names it ([`usage_of`]), the renderer does not need to.
+fn tally<'a>(nodes: impl Iterator<Item = &'a Node>) -> PartitionUsage {
     let mut u = PartitionUsage {
-        partition: part.name.clone(),
-        avail: if part.state == hpcdash_slurm::partition::PartitionState::Up {
-            "up".to_string()
-        } else {
-            "down".to_string()
-        },
+        partition: String::new(),
+        avail: String::new(),
         cpus_alloc: 0,
         cpus_idle: 0,
         cpus_other: 0,
@@ -235,19 +275,21 @@ fn usage_of<'a>(part: &Partition, nodes: impl Iterator<Item = &'a Node>) -> Part
     u
 }
 
+/// Aggregate one partition's nodes into a usage record.
+fn usage_of<'a>(part: &Partition, nodes: impl Iterator<Item = &'a Node>) -> PartitionUsage {
+    PartitionUsage {
+        partition: part.name.clone(),
+        avail: avail(part).to_string(),
+        ..tally(nodes)
+    }
+}
+
 /// Aggregate node state into per-partition usage records.
 pub fn compute_usage(partitions: &[Partition], nodes: &[Node]) -> Vec<PartitionUsage> {
-    let by_name: BTreeMap<&str, &Node> = nodes.iter().map(|n| (n.name.as_str(), n)).collect();
+    let index = by_name(nodes);
     partitions
         .iter()
-        .map(|part| {
-            usage_of(
-                part,
-                part.nodes
-                    .iter()
-                    .filter_map(|n| by_name.get(n.as_str()).copied()),
-            )
-        })
+        .map(|part| usage_of(part, members(part, &index)))
         .collect()
 }
 
@@ -268,34 +310,16 @@ pub fn parse_sinfo_usage(text: &str) -> Result<Vec<PartitionUsage>, String> {
         if i == 0 || line.trim().is_empty() {
             continue;
         }
-        let parts: Vec<&str> = line.split_whitespace().collect();
-        if parts.len() != 5 {
-            return Err(format!("malformed sinfo usage line: {line:?}"));
-        }
-        let cpus: Vec<u32> = parts[2]
-            .split('/')
-            .map(|x| {
-                x.parse::<u32>()
-                    .map_err(|_| format!("bad cpus {:?}", parts[2]))
-            })
-            .collect::<Result<_, _>>()?;
-        let gpus: Vec<u32> = parts[3]
-            .split('/')
-            .map(|x| {
-                x.parse::<u32>()
-                    .map_err(|_| format!("bad gpus {:?}", parts[3]))
-            })
-            .collect::<Result<_, _>>()?;
-        let nodes: Vec<u32> = parts[4]
-            .split('/')
-            .map(|x| {
-                x.parse::<u32>()
-                    .map_err(|_| format!("bad nodes {:?}", parts[4]))
-            })
-            .collect::<Result<_, _>>()?;
-        if cpus.len() != 4 || gpus.len() != 2 || nodes.len() != 2 {
+        let parts = crate::fields::<5>(crate::words(line))
+            .map_err(|_| format!("malformed sinfo usage line: {line:?}"))?;
+        let counts = (
+            tuple::<4>(parts[2], "cpus")?,
+            tuple::<2>(parts[3], "gpus")?,
+            tuple::<2>(parts[4], "nodes")?,
+        );
+        let (Some(cpus), Some(gpus), Some(nodes)) = counts else {
             return Err(format!("malformed sinfo usage tuple: {line:?}"));
-        }
+        };
         out.push(PartitionUsage {
             partition: parts[0].to_string(),
             avail: parts[1].to_string(),
@@ -310,6 +334,21 @@ pub fn parse_sinfo_usage(text: &str) -> Result<Vec<PartitionUsage>, String> {
         });
     }
     Ok(out)
+}
+
+/// The numbers of one `a/b/..` column. `Err` names the column when a part is
+/// not a number; `None` when they all are but there are not `N` of them.
+fn tuple<const N: usize>(column: &str, what: &str) -> Result<Option<[u32; N]>, String> {
+    let mut out = [0; N];
+    let mut count = 0;
+    for part in column.split('/') {
+        let num = part.parse().map_err(|_| format!("bad {what} {column:?}"))?;
+        if let Some(slot) = out.get_mut(count) {
+            *slot = num;
+        }
+        count += 1;
+    }
+    Ok((count == N).then_some(out))
 }
 
 #[cfg(test)]
@@ -379,6 +418,24 @@ mod tests {
         assert_eq!(gpu_rows.len(), 1);
         assert_eq!(gpu_rows[0].state, NodeState::Mixed);
         assert_eq!(gpu_rows[0].nodelist, vec!["g001".to_string()]);
+    }
+
+    #[test]
+    fn every_state_has_its_group_in_name_order() {
+        assert!(STATES_BY_NAME
+            .windows(2)
+            .all(|w| w[0].to_slurm() < w[1].to_slurm()));
+        // A state added to the enum must be added to the groups: this match
+        // stops compiling until it is counted here.
+        let known = |state| match state {
+            NodeState::Idle
+            | NodeState::Mixed
+            | NodeState::Allocated
+            | NodeState::Drained
+            | NodeState::Maint
+            | NodeState::Down => 6,
+        };
+        assert_eq!(STATES_BY_NAME.len(), known(NodeState::Idle));
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! Output matches the default format:
 //! `JOBID PARTITION NAME USER ST TIME NODES NODELIST(REASON)`.
 
+use crate::{cleaned, joined, no_space, put, time_or};
 use hpcdash_obs::Span;
-use hpcdash_simtime::{format_duration, Timestamp};
+use hpcdash_simtime::{Elapsed, Timestamp};
 use hpcdash_slurm::ctld::{JobQuery, Slurmctld};
 use hpcdash_slurm::job::{Job, JobState, PendingReason};
+use std::fmt;
 
 /// Flags the dashboard passes to `squeue`.
 #[derive(Debug, Clone, Default)]
@@ -94,40 +96,57 @@ pub fn squeue_long(ctld: &Slurmctld, args: &SqueueArgs) -> Result<String, String
     crate::boundary(ctld.faults(), "squeue", render_long(&jobs, now))
 }
 
+/// The `TIME` column: elapsed so far, `0:00` while pending.
+fn time(job: &Job, now: Timestamp) -> impl fmt::Display + '_ {
+    fmt::from_fn(move |f| match job.state {
+        JobState::Pending => f.write_str("0:00"),
+        _ => fmt::Display::fmt(&Elapsed(job.elapsed_secs(now)), f),
+    })
+}
+
+/// The `NODELIST(REASON)` column.
+fn nodes_or_reason(job: &Job) -> impl fmt::Display + '_ {
+    fmt::from_fn(move |f| {
+        if job.nodes.is_empty() {
+            let reason = job.reason.map(|r| r.to_slurm()).unwrap_or("None");
+            f.write_str("(")?;
+            f.write_str(reason)?;
+            f.write_str(")")
+        } else {
+            fmt::Display::fmt(&joined(&job.nodes, ""), f)
+        }
+    })
+}
+
+/// A job name as a `squeue` column ([`display_name`], streamed).
+fn column(name: &str) -> impl fmt::Display + '_ {
+    cleaned(name, no_space, "-")
+}
+
 /// Render the long format (newest submissions first, as the widget shows).
 /// Generic over `Borrow<Job>` so it accepts both owned rows (tests) and the
 /// shared `Arc<Job>` rows the snapshot read path returns.
 pub fn render_long<J: std::borrow::Borrow<Job>>(jobs: &[J], now: Timestamp) -> String {
-    let mut out = String::from(LONG_HEADER);
+    let mut out = String::with_capacity((jobs.len() + 1) * 128);
+    out.push_str(LONG_HEADER);
     out.push('\n');
     for job in jobs {
         let job = job.borrow();
-        let time = if job.state == JobState::Pending {
-            "0:00".to_string()
-        } else {
-            format_duration(job.elapsed_secs(now))
-        };
-        let nodelist = if job.nodes.is_empty() {
-            format!("({})", job.reason.map(|r| r.to_slurm()).unwrap_or("None"))
-        } else {
-            job.nodes.join(",")
-        };
-        out.push_str(&format!(
+        put!(
+            &mut out,
             "{} {} {} {} {} {} {} {} {} {} {}\n",
-            job.display_id(),
+            job.shown_id(),
             job.req.partition,
-            sanitize(&job.req.name),
+            column(&job.req.name),
             job.req.user,
             job.state.to_slurm(),
-            job.submit_time.to_slurm(),
-            job.start_time
-                .map(|t| t.to_slurm())
-                .unwrap_or_else(|| "N/A".to_string()),
-            time,
-            job.req.time_limit.to_slurm(),
+            job.submit_time,
+            time_or(job.start_time, "N/A"),
+            time(job, now),
+            job.req.time_limit,
             job.req.nodes,
-            nodelist
-        ));
+            nodes_or_reason(job),
+        );
     }
     out
 }
@@ -135,24 +154,17 @@ pub fn render_long<J: std::borrow::Borrow<Job>>(jobs: &[J], now: Timestamp) -> S
 /// Parse long-format output.
 pub fn parse_squeue_long(text: &str) -> Result<Vec<SqueueLongRow>, String> {
     crate::note_parse();
-    let mut rows = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if i == 0 {
-            if line.trim() != LONG_HEADER {
-                return Err(format!("unexpected squeue long header: {line:?}"));
-            }
-            continue;
-        }
+    let mut lines = text.lines();
+    if let Some(header) = lines.next().filter(|h| h.trim() != LONG_HEADER) {
+        return Err(format!("unexpected squeue long header: {header:?}"));
+    }
+    let mut rows = Vec::with_capacity(text.len() / LONG_HEADER.len());
+    for line in lines {
         if line.trim().is_empty() {
             continue;
         }
-        let parts: Vec<&str> = line.split_whitespace().collect();
-        if parts.len() != 11 {
-            return Err(format!(
-                "malformed squeue long line ({} cols): {line:?}",
-                parts.len()
-            ));
-        }
+        let parts = crate::fields::<11>(crate::words(line))
+            .map_err(|n| format!("malformed squeue long line ({n} cols): {line:?}"))?;
         let state = JobState::parse(parts[4]).ok_or_else(|| format!("bad state {:?}", parts[4]))?;
         let time_secs = if parts[7] == "0:00" {
             0
@@ -198,31 +210,23 @@ pub fn squeue(ctld: &Slurmctld, args: &SqueueArgs) -> Result<String, String> {
 /// Render job records as `squeue` text (separated so tests can build rows
 /// without a daemon). Generic over `Borrow<Job>` — see [`render_long`].
 pub fn render<J: std::borrow::Borrow<Job>>(jobs: &[J], now: Timestamp) -> String {
-    let mut out = String::from(HEADER);
+    let mut out = String::with_capacity((jobs.len() + 1) * 80);
+    out.push_str(HEADER);
     out.push('\n');
     for job in jobs {
         let job = job.borrow();
-        let time = if job.state == JobState::Pending {
-            "0:00".to_string()
-        } else {
-            format_duration(job.elapsed_secs(now))
-        };
-        let nodelist = if job.nodes.is_empty() {
-            format!("({})", job.reason.map(|r| r.to_slurm()).unwrap_or("None"))
-        } else {
-            job.nodes.join(",")
-        };
-        out.push_str(&format!(
+        put!(
+            &mut out,
             "{} {} {} {} {} {} {} {}\n",
-            job.display_id(),
+            job.shown_id(),
             job.req.partition,
-            sanitize(&job.req.name),
+            column(&job.req.name),
             job.req.user,
             job.state.to_compact(),
-            time,
+            time(job, now),
             job.req.nodes,
-            nodelist
-        ));
+            nodes_or_reason(job),
+        );
     }
     out
 }
@@ -230,24 +234,17 @@ pub fn render<J: std::borrow::Borrow<Job>>(jobs: &[J], now: Timestamp) -> String
 /// Parse `squeue` output back into rows.
 pub fn parse_squeue(text: &str) -> Result<Vec<SqueueRow>, String> {
     crate::note_parse();
-    let mut rows = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if i == 0 {
-            if line.trim() != HEADER {
-                return Err(format!("unexpected squeue header: {line:?}"));
-            }
-            continue;
-        }
+    let mut lines = text.lines();
+    if let Some(header) = lines.next().filter(|h| h.trim() != HEADER) {
+        return Err(format!("unexpected squeue header: {header:?}"));
+    }
+    let mut rows = Vec::with_capacity(text.len() / HEADER.len());
+    for line in lines {
         if line.trim().is_empty() {
             continue;
         }
-        let parts: Vec<&str> = line.split_whitespace().collect();
-        if parts.len() != 8 {
-            return Err(format!(
-                "malformed squeue line ({} cols): {line:?}",
-                parts.len()
-            ));
-        }
+        let parts = crate::fields::<8>(crate::words(line))
+            .map_err(|n| format!("malformed squeue line ({n} cols): {line:?}"))?;
         let state = JobState::parse(parts[4]).ok_or_else(|| format!("bad state {:?}", parts[4]))?;
         let time_secs = if parts[5] == "0:00" {
             0
@@ -275,19 +272,7 @@ pub fn parse_squeue(text: &str) -> Result<Vec<SqueueRow>, String> {
 /// structured widget path renders names exactly as a squeue round-trip
 /// would (the byte-parity the opt-in flag promises).
 pub fn display_name(name: &str) -> String {
-    let cleaned: String = name
-        .chars()
-        .map(|c| if c.is_whitespace() { '_' } else { c })
-        .collect();
-    if cleaned.is_empty() {
-        "-".to_string()
-    } else {
-        cleaned
-    }
-}
-
-fn sanitize(name: &str) -> String {
-    display_name(name)
+    column(name).to_string()
 }
 
 #[cfg(test)]
