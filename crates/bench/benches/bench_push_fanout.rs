@@ -13,7 +13,7 @@
 use criterion::Criterion;
 use hpcdash_bench::{banner, BenchSite};
 use hpcdash_core::DashboardConfig;
-use hpcdash_push::{Hub, HubConfig};
+use hpcdash_push::{Hub, HubConfig, Visibility};
 use hpcdash_simtime::Timestamp;
 use hpcdash_slurm::events::{EventSink, JobEvent};
 use hpcdash_slurm::job::{JobId, JobState};
@@ -157,7 +157,9 @@ fn main() {
     {
         let hub = Arc::new(Hub::new(
             HubConfig::default(),
-            Arc::new(|_: &str| vec!["physics".to_string()]),
+            Arc::new(|_: &str, _| -> Visibility {
+                Box::new(|e: &JobEvent| e.account == "physics")
+            }),
         ));
         let handles: Vec<_> = (0..SUBSCRIBERS)
             .map(|i| hub.ensure(&format!("u{i}:tab"), &format!("u{i}"), false).0)

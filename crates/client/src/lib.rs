@@ -9,11 +9,10 @@
 //! distinction the paper's dual-caching argument rests on (§2.4).
 
 pub mod browser;
-pub mod histogram;
 pub mod live;
 pub mod loadgen;
 
 pub use browser::{DashboardClient, FetchOutcome, FetchResult, PageLoad};
-pub use histogram::{LatencyRecorder, LatencySummary};
+pub use hpcdash_obs::recorder::{LatencyRecorder, LatencySummary};
 pub use live::{LiveSubscriber, PollOutcome, StreamTransport};
 pub use loadgen::{admin_observability_paths, federation_paths, LoadConfig, LoadReport};

@@ -2,7 +2,7 @@
 //! producing the latency/traffic numbers the caching experiments report.
 
 use crate::browser::{DashboardClient, FetchOutcome};
-use crate::histogram::{LatencyRecorder, LatencySummary};
+use hpcdash_obs::recorder::{LatencyRecorder, LatencySummary};
 use hpcdash_obs::Registry;
 use hpcdash_simtime::SharedClock;
 use parking_lot::Mutex;

@@ -76,7 +76,7 @@ fn handle_export(ctx: &DashboardContext, req: &Request) -> Response {
         return Response::bad_request("missing account");
     };
     // Privacy: only members (or admins) may export the group breakdown.
-    if !user.is_admin && !user.visible_accounts(ctx).iter().any(|a| a == account) {
+    if !user.scope_profile(ctx).allows_account(account) {
         return Response::forbidden("not a member of this account");
     }
     ctx.note_source(FEATURE, "scontrol show assoc (slurmctld)");

@@ -12,8 +12,7 @@ use crate::auth::CurrentUser;
 use crate::colors::job_state_color;
 use crate::ctx::DashboardContext;
 use hpcdash_http::{Request, Response, Router};
-use hpcdash_slurm::job::JobState;
-use hpcdash_slurmcli::{display_name, parse_squeue, squeue, SqueueArgs};
+use hpcdash_slurmcli::{parse_squeue, squeue, SqueueArgs};
 use serde_json::json;
 
 pub const FEATURE: &str = "Active Jobs (OOD baseline)";
@@ -31,18 +30,14 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
     };
     let key = format!("activejobs:{}", user.username);
     let outcome = ctx.cached_resilient(&key, ctx.cfg.cache.recent_jobs, || {
-        if ctx.cfg.features.structured_widgets {
-            load_structured(ctx, &user.username)
-        } else {
-            load_text(ctx, &user.username)
-        }
+        load(ctx, &user.username)
     });
     super::respond(outcome)
 }
 
-/// The stock loader: render squeue text, parse it back (the
-/// command→text→parse boundary the paper's backend uses).
-fn load_text(ctx: &DashboardContext, username: &str) -> Result<serde_json::Value, String> {
+/// Render squeue text and parse it back (the command→text→parse boundary
+/// the paper's backend uses).
+fn load(ctx: &DashboardContext, username: &str) -> Result<serde_json::Value, String> {
     ctx.note_source(FEATURE, "squeue (slurmctld)");
     let text = squeue(
         &ctx.ctld,
@@ -71,56 +66,8 @@ fn load_text(ctx: &DashboardContext, username: &str) -> Result<serde_json::Value
     }))
 }
 
-/// The `structured_widgets` opt-in: the same payload, built from the
-/// published snapshot's per-user index — no text rendered, nothing parsed.
-/// `squeue` error faults still fail this loader, so chaos scenarios see
-/// the same degradation whichever path is live.
-fn load_structured(ctx: &DashboardContext, username: &str) -> Result<serde_json::Value, String> {
-    ctx.note_source(FEATURE, "squeue (slurmctld)");
-    if ctx.ctld.faults().is_armed() {
-        let check = ctx.ctld.faults().check("squeue");
-        check.burn();
-        if let Some(msg) = check.error() {
-            return Err(msg.to_string());
-        }
-    }
-    let snap = ctx.ctld.snapshot();
-    let now = ctx.ctld.clock_now();
-    let positions = snap.by_user.get(username).cloned().unwrap_or_default();
-    Ok(json!({
-        "jobs": positions
-            .iter()
-            .map(|&p| {
-                let j = &snap.jobs[p as usize];
-                // Pending rows render 0:00 in squeue; mirror that exactly.
-                let elapsed = if j.state == JobState::Pending {
-                    0
-                } else {
-                    j.elapsed_secs(now)
-                };
-                let nodelist_or_reason = if j.nodes.is_empty() {
-                    format!("({})", j.reason.map(|r| r.to_slurm()).unwrap_or("None"))
-                } else {
-                    j.nodes.join(",")
-                };
-                json!({
-                    "id": j.display_id(),
-                    "name": display_name(&j.req.name),
-                    "user": j.req.user,
-                    "partition": j.req.partition,
-                    "state": j.state.to_slurm(),
-                    "state_color": job_state_color(j.state),
-                    "elapsed_secs": elapsed,
-                    "nodes": j.req.nodes,
-                    "nodelist_or_reason": nodelist_or_reason,
-                })
-            })
-            .collect::<Vec<_>>(),
-    }))
-}
-
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::ctx::tests::test_ctx;
     use hpcdash_http::Method;
@@ -128,50 +75,6 @@ pub(crate) mod tests {
 
     fn request(user: &str) -> Request {
         Request::new(Method::Get, "/api/activejobs").with_header("X-Remote-User", user)
-    }
-
-    /// A second context over the same daemons with `structured_widgets` on.
-    pub(crate) fn structured_twin(ctx: &DashboardContext) -> DashboardContext {
-        let mut cfg = (*ctx.cfg).clone();
-        cfg.features.structured_widgets = true;
-        DashboardContext::new(
-            cfg,
-            ctx.clock.clone(),
-            ctx.ctld.clone(),
-            ctx.dbd.clone(),
-            ctx.logs.clone(),
-            ctx.storage.clone(),
-            ctx.news.clone(),
-        )
-    }
-
-    #[test]
-    fn structured_path_matches_text_path_without_parsing() {
-        let ctx = test_ctx();
-        // One running (8 of 16 cpus), one pending with a reason.
-        ctx.ctld
-            .submit(JobRequest::simple("alice", "physics", "cpu", 8))
-            .unwrap();
-        ctx.ctld
-            .submit(JobRequest::simple("alice", "physics", "cpu", 64))
-            .unwrap();
-        ctx.ctld.tick();
-        // Counted on this thread: the global counter also moves with every
-        // test that runs beside this one.
-        let before = hpcdash_slurmcli::parse_calls_on_this_thread();
-        let text = handle(&ctx, &request("alice")).body_json().unwrap();
-        assert_eq!(text["jobs"].as_array().unwrap().len(), 2);
-        let parses = hpcdash_slurmcli::parse_calls_on_this_thread();
-        assert!(parses > before, "the text path parses, and on this thread");
-
-        let sctx = structured_twin(&ctx);
-        let structured = handle(&sctx, &request("alice")).body_json().unwrap();
-        assert_eq!(structured, text, "flag changes the path, not the payload");
-        assert_eq!(
-            hpcdash_slurmcli::parse_calls_on_this_thread(),
-            parses,
-            "structured loader never parses command text"
-        );
     }
 
     #[test]

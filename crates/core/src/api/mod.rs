@@ -118,17 +118,8 @@ pub(crate) fn per_viewer<T: serde::Serialize>(
     version: u64,
     build: impl FnOnce() -> Result<(T, bool), Response>,
 ) -> Response {
-    let key = req.remote_user().filter(|_| ttl > 0).map(|user| {
-        let is_admin = ctx.cfg.is_admin(user);
-        let mut key = format!(
-            "{source}:{}|{}{user}",
-            req.path,
-            if is_admin { "admin:" } else { "user:" }
-        );
-        if let Some(target) = req.header("x-act-as").filter(|_| is_admin) {
-            key.push_str("|act:");
-            key.push_str(target);
-        }
+    let key = viewer_key(ctx, req).filter(|_| ttl > 0).map(|viewer| {
+        let mut key = format!("{source}:{}|{viewer}", req.path);
         for (k, v) in &req.query {
             key.push_str(&format!("|{k}={v}"));
         }
@@ -146,6 +137,21 @@ pub(crate) fn per_viewer<T: serde::Serialize>(
         }
         (Ok((payload, _)), _) => Response::json(&payload),
     }
+}
+
+/// Who is asking, as a cache or subscriber key: the authenticated identity
+/// with its admin bit, plus the `X-Act-As` target an admin named. Viewers
+/// with different keys may see different data, so nothing built for one
+/// is handed to another. `None` for an anonymous request.
+pub(crate) fn viewer_key(ctx: &DashboardContext, req: &Request) -> Option<String> {
+    let user = req.remote_user()?;
+    let is_admin = ctx.cfg.is_admin(user);
+    let mut key = format!("{}{user}", if is_admin { "admin:" } else { "user:" });
+    if let Some(target) = req.header("x-act-as").filter(|_| is_admin) {
+        key.push_str("|act:");
+        key.push_str(target);
+    }
+    Some(key)
 }
 
 /// One row of the (declared) Table 1.

@@ -120,7 +120,7 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
             &ctx.dbd,
             &SacctArgs {
                 user: Some(user.username.clone()),
-                accounts: accounts.to_vec(),
+                accounts: accounts.clone(),
                 states: state_filter.map(|s| vec![s]),
                 since,
                 until,
@@ -145,7 +145,7 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
             &ctx.ctld,
             &SqueueArgs {
                 user: Some(user.username.clone()),
-                accounts: accounts.to_vec(),
+                accounts,
                 partition: None,
             },
         )?;

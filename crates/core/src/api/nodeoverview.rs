@@ -7,7 +7,7 @@ use crate::ctx::DashboardContext;
 use hpcdash_http::{Request, Response, Router};
 use hpcdash_slurm::ctld::JobQuery;
 use hpcdash_slurm::job::Job;
-use hpcdash_slurmcli::{node_fields, parse_show_node, show_node, ScontrolNode};
+use hpcdash_slurmcli::{parse_show_node, show_node, ScontrolNode};
 use serde_json::json;
 use std::sync::Arc;
 
@@ -31,21 +31,15 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
         return Response::bad_request("missing node name");
     };
     let key = format!("node:{name}");
-    let outcome = ctx.cached_resilient(&key, ctx.cfg.cache.node_overview, || {
-        if ctx.cfg.features.structured_widgets {
-            load_structured(ctx, &name)
-        } else {
-            load_text(ctx, &name)
-        }
-    });
+    let outcome = ctx.cached_resilient(&key, ctx.cfg.cache.node_overview, || load(ctx, &name));
     if outcome.body().is_some_and(|b| &*b.bytes == NOT_FOUND) {
         return Response::not_found(&format!("node {name} not found"));
     }
     super::respond(outcome)
 }
 
-/// The stock loader: render `scontrol show node` text and parse it back.
-fn load_text(ctx: &DashboardContext, name: &str) -> Result<serde_json::Value, String> {
+/// Render `scontrol show node` text and parse it back.
+fn load(ctx: &DashboardContext, name: &str) -> Result<serde_json::Value, String> {
     ctx.note_source(FEATURE, "scontrol show node (slurmctld)");
     let text = show_node(&ctx.ctld, Some(name))?;
     if text.is_empty() {
@@ -66,54 +60,7 @@ fn load_text(ctx: &DashboardContext, name: &str) -> Result<serde_json::Value, St
     Ok(payload(&n, &jobs))
 }
 
-/// The `structured_widgets` opt-in: the same payload straight from the
-/// snapshot. `node_fields` supplies the details tab as the exact token map
-/// `scontrol show node` would have rendered (property-tested in slurmcli),
-/// so the two paths serve identical JSON. `scontrol_node` error faults
-/// still fail this loader, matching the text path's chaos behaviour.
-fn load_structured(ctx: &DashboardContext, name: &str) -> Result<serde_json::Value, String> {
-    ctx.note_source(FEATURE, "scontrol show node (slurmctld)");
-    if ctx.ctld.faults().is_armed() {
-        let check = ctx.ctld.faults().check("scontrol_node");
-        check.burn();
-        if let Some(msg) = check.error() {
-            return Err(msg.to_string());
-        }
-    }
-    let snap = ctx.ctld.snapshot();
-    let Some(node) = snap.nodes.iter().find(|n| n.name == name) else {
-        return Ok(json!({ "not_found": true }));
-    };
-    let raw = node_fields(node);
-    let view = ScontrolNode {
-        name: node.name.clone(),
-        state: node.state(),
-        cpu_alloc: node.alloc.cpus,
-        cpu_total: node.cpus,
-        cpu_load: node.cpu_load,
-        real_memory_mb: node.real_memory_mb,
-        alloc_memory_mb: node.alloc.mem_mb,
-        gres: raw.get("Gres").cloned(),
-        gres_used: raw.get("GresUsed").cloned(),
-        features: node.features.clone(),
-        partitions: node.partitions.clone(),
-        os: node.os.clone(),
-        boot_time: Some(node.boot_time),
-        last_busy: Some(node.last_busy),
-        reason: raw.get("Reason").cloned(),
-        raw,
-    };
-    ctx.note_source(FEATURE, "squeue (slurmctld)");
-    let jobs: Vec<Arc<Job>> = snap
-        .jobs
-        .iter()
-        .filter(|j| j.nodes.iter().any(|n| n == name))
-        .cloned()
-        .collect();
-    Ok(payload(&view, &jobs))
-}
-
-/// The response both loaders share — one shape, two provenances.
+/// The payload: one node's cards, details tab and running jobs.
 fn payload(n: &ScontrolNode, jobs: &[Arc<Job>]) -> serde_json::Value {
     let cpu_frac = if n.cpu_total > 0 {
         n.cpu_alloc as f64 / n.cpu_total as f64
@@ -232,26 +179,6 @@ mod tests {
         assert_eq!(lookups, 1);
         assert_eq!(handle(&ctx, &request("zzz")).status, 404);
         assert_eq!(ctx.ctld.stats().count_of("scontrol_node"), lookups);
-    }
-
-    #[test]
-    fn structured_path_matches_text_path_without_parsing() {
-        let ctx = test_ctx();
-        ctx.ctld
-            .submit(JobRequest::simple("alice", "physics", "cpu", 8))
-            .unwrap();
-        ctx.ctld.tick();
-        let before = hpcdash_slurmcli::parse_calls_on_this_thread();
-        let text = handle(&ctx, &request("a001")).body_json().unwrap();
-        let parses = hpcdash_slurmcli::parse_calls_on_this_thread();
-        assert!(parses > before, "the text path parses, and on this thread");
-
-        let sctx = crate::api::activejobs::tests::structured_twin(&ctx);
-        let structured = handle(&sctx, &request("a001")).body_json().unwrap();
-        assert_eq!(structured, text, "flag changes the path, not the payload");
-        assert_eq!(hpcdash_slurmcli::parse_calls_on_this_thread(), parses);
-        // not_found semantics survive the structured path too.
-        assert_eq!(handle(&sctx, &request("zzz")).status, 404);
     }
 
     #[test]

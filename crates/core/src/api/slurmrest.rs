@@ -262,9 +262,8 @@ fn build(
             Ok(serialize::partitions_body(snap, &indices))
         }
         Endpoint::Associations => {
-            let accounts: Vec<&str> = scopes.accounts().collect();
             let own = scopes.contains(&Scope::ReadOwnJobs);
-            if !scopes.has_cluster() && accounts.is_empty() && !own {
+            if !scopes.has_cluster() && scopes.accounts().next().is_none() && !own {
                 return deny("associations require an account-bearing scope");
             }
             let indices: Vec<usize> = snap
@@ -272,8 +271,7 @@ fn build(
                 .iter()
                 .enumerate()
                 .filter(|(_, r)| {
-                    scopes.has_cluster()
-                        || accounts.contains(&r.account.name.as_str())
+                    scopes.allows_account(&r.account.name)
                         || (own && r.members.iter().any(|m| m == subject))
                 })
                 .map(|(i, _)| i)
@@ -465,7 +463,7 @@ fn mint(ctx: &DashboardContext, req: &Request) -> Response {
     // hold at most alice's view, no matter who mints it.
     let subject_user = CurrentUser::new(subject, ctx.cfg.is_admin(subject));
     let profile = subject_user.scope_profile(ctx);
-    if let Err(e) = scopes.validate_against(&profile) {
+    if let Err(e) = scopes.validate_against(profile) {
         return Response::forbidden(&e);
     }
     let minted = ctx.tokens.mint(subject, scopes);

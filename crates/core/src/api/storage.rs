@@ -26,7 +26,7 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
         let groups = user.visible_accounts(ctx);
         let dirs = ctx
             .storage
-            .dirs_for_user(&user.username, groups)
+            .dirs_for_user(&user.username, &groups)
             .map_err(|e| e.to_string())?;
         Ok(json!({
             "disks": dirs

@@ -2,12 +2,19 @@
 //! incremental updates feed with two delivery modes.
 //!
 //! - **Legacy poll** — `/api/updates?since=<seq>` scans the event log and
-//!   re-resolves the viewer's account set on every request. Simple, but N
-//!   pollers cost N scans + N assoc RPCs per refresh interval.
+//!   re-resolves the viewer's scope profile on every request. Simple, but N
+//!   pollers cost N scans + N assoc RPCs per refresh interval. The shipped
+//!   client streams instead; the poll stays while the benchmark drives it.
 //! - **Push stream** — `/api/updates/stream?sub=<token>&since=<seq>&wait_ms=<ms>`
 //!   long-polls a per-subscriber queue fed by the push hub. The daemons are
 //!   touched once per event (at publish) and once per subscriber (at
-//!   subscribe + account-TTL refresh), not once per poll.
+//!   subscribe + account-TTL refresh), not once per poll. Subscribers are
+//!   keyed per viewer (identity, admin bit, act-as target), as the per-viewer
+//!   cache is.
+//!
+//! Both modes filter with the one privacy rule: the viewer's `ScopeSet`
+//! profile and its `allows_job`, evaluated per request by the poll and
+//! resolved per subscriber by the hub.
 //!
 //! # Cursor semantics (intentional)
 //!
@@ -76,10 +83,11 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
     ctx.note_source(FEATURE, "slurmctld event stream");
     let log = ctx.ctld.events();
     let (events, truncated) = log.since(since);
-    let accounts = user.visible_accounts(ctx);
+    // Resolved whether or not any event came back: one assoc RPC per poll.
+    let profile = user.scope_profile(ctx);
     let visible: Vec<serde_json::Value> = events
         .iter()
-        .filter(|e| user.is_admin || e.user == user.username || accounts.contains(&e.account))
+        .filter(|e| profile.allows_job(&user.username, &e.user, &e.account, ""))
         .map(event_json)
         .collect();
     Response::json(&json!({
@@ -124,10 +132,14 @@ fn handle_stream(ctx: &DashboardContext, req: &Request) -> Response {
     if token.is_empty() || token.len() > 64 {
         return Response::bad_request("sub must be 1-64 characters");
     }
+    let Some(viewer) = super::viewer_key(ctx, req) else {
+        return Response::unauthorized("missing X-Remote-User");
+    };
     ctx.note_source(FEATURE, "push hub (slurmctld event stream)");
-    // Subscriber keys are scoped per-user: one user's token can never attach
-    // to another user's pre-filtered queue.
-    let key = format!("{}:{}", user.username, token);
+    // Subscriber keys are scoped per viewer: one viewer's token can never
+    // attach to a queue filtered for another — not even an admin's act-as
+    // view of the same user.
+    let key = format!("{viewer}:{token}");
     let (handle, created) = ctx.push.ensure(&key, &user.username, user.is_admin);
     let log = ctx.ctld.events();
     if created {

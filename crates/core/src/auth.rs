@@ -7,16 +7,18 @@
 //! `X-Act-As`, the permission-based-accounting extension from §9 — every
 //! identity switch is audited in `hpcdash_act_as_total{admin,target}`.
 //!
-//! Since the `/slurm/v0` token family landed, the privacy filter is no
-//! longer its own code path: a viewer's rights are expressed as the same
-//! [`ScopeSet`] tokens carry ([`CurrentUser::scope_profile`]), and
-//! [`CurrentUser::may_view_job_of`] just evaluates that profile. A token
-//! can never see more than the widget routes would show its subject,
-//! because both answer through one predicate.
+//! This module writes no privacy rule of its own. A viewer's rights are the
+//! [`ScopeSet`] profile tokens are validated against ([`profile_of`]),
+//! resolved once per request and memoized in [`CurrentUser`]. Every check —
+//! here, in the routes, in the push hub's per-subscriber filter — evaluates
+//! that profile's [`ScopeSet::allows_job`]. A token can never see
+//! more than the widget routes would show its subject, because both answer
+//! through one predicate.
 
 use crate::ctx::DashboardContext;
 use hpcdash_http::{Request, Response};
 use hpcdash_restapi::ScopeSet;
+use hpcdash_slurm::ctld::Slurmctld;
 use std::sync::OnceLock;
 
 /// The authenticated viewer.
@@ -24,10 +26,10 @@ use std::sync::OnceLock;
 pub struct CurrentUser {
     pub username: String,
     pub is_admin: bool,
-    /// Association lookup memoized for the life of this request — satellite
-    /// routes call `visible_accounts` several times while building one
-    /// response, and each call used to re-query slurmctld.
-    accounts: OnceLock<Vec<String>>,
+    /// The viewer's [`profile_of`], memoized for the life of this request:
+    /// routes consult it several times while building one response, and
+    /// each resolution is an `scontrol show assoc` RPC.
+    profile: OnceLock<ScopeSet>,
 }
 
 impl PartialEq for CurrentUser {
@@ -43,7 +45,7 @@ impl CurrentUser {
         CurrentUser {
             username: username.into(),
             is_admin,
-            accounts: OnceLock::new(),
+            profile: OnceLock::new(),
         }
     }
 
@@ -69,28 +71,25 @@ impl CurrentUser {
         Ok(CurrentUser::new(username, is_admin))
     }
 
-    /// The accounts this user may see (their own allocations). Resolved
-    /// against slurmctld once per request, then reused.
-    pub fn visible_accounts(&self, ctx: &DashboardContext) -> &[String] {
-        self.accounts.get_or_init(|| {
-            ctx.ctld
-                .query_assoc(Some(&self.username))
-                .into_iter()
-                .map(|r| r.account.name)
-                .collect()
-        })
-    }
-
     /// This viewer's rights as the scope vocabulary the `/slurm/v0` token
-    /// family uses: own jobs, one `read-account` per allocation, and the
-    /// cluster-wide scopes for admins. Minted tokens are validated against
-    /// this same profile, which is what makes token visibility provably a
-    /// subset of widget visibility.
-    pub fn scope_profile(&self, ctx: &DashboardContext) -> ScopeSet {
-        ScopeSet::profile_for(self.visible_accounts(ctx), self.is_admin)
+    /// family uses. Resolved against slurmctld once per request, then
+    /// reused. Minted tokens are validated against this same profile,
+    /// which is what makes token visibility provably a subset of widget
+    /// visibility.
+    pub fn scope_profile(&self, ctx: &DashboardContext) -> &ScopeSet {
+        self.profile
+            .get_or_init(|| profile_of(&ctx.ctld, &self.username, self.is_admin))
     }
 
-    /// May this user inspect `job_user`'s job details?
+    /// The accounts this user belongs to (their own allocations).
+    pub fn visible_accounts(&self, ctx: &DashboardContext) -> Vec<String> {
+        self.scope_profile(ctx)
+            .accounts()
+            .map(str::to_string)
+            .collect()
+    }
+
+    /// May this user inspect `job_user`'s job, charged to `job_account`?
     pub fn may_view_job_of(
         &self,
         job_user: &str,
@@ -100,6 +99,18 @@ impl CurrentUser {
         self.scope_profile(ctx)
             .allows_job(&self.username, job_user, job_account, "")
     }
+}
+
+/// `user`'s widget-route view as scopes: own jobs, one `read-account` per
+/// association slurmctld reports for them, and the cluster-wide scopes when
+/// `is_admin`. One `scontrol show assoc` RPC.
+pub fn profile_of(ctld: &Slurmctld, user: &str, is_admin: bool) -> ScopeSet {
+    let accounts: Vec<String> = ctld
+        .query_assoc(Some(user))
+        .into_iter()
+        .map(|r| r.account.name)
+        .collect();
+    ScopeSet::profile_for(&accounts, is_admin)
 }
 
 /// Audit an admin viewing as somebody else, wherever the switch came from
@@ -200,7 +211,7 @@ mod tests {
     fn visible_accounts_filter() {
         let ctx = test_ctx();
         let alice = CurrentUser::new("alice", false);
-        assert_eq!(alice.visible_accounts(&ctx), ["physics".to_string()]);
+        assert_eq!(alice.visible_accounts(&ctx), ["physics"]);
         let stranger = CurrentUser::new("mallory", false);
         assert!(stranger.visible_accounts(&ctx).is_empty());
     }

@@ -203,9 +203,6 @@ pub struct FeatureFlags {
     /// Allow users in `admins` to see other users' data (permission-based
     /// accounting, paper §9).
     pub admin_view: bool,
-    /// Serve the Active Jobs and Node Overview widgets from the structured
-    /// `/slurm/v0` snapshot path instead of the command→text→parse boundary.
-    pub structured_widgets: bool,
 }
 
 /// The full site configuration.
@@ -262,7 +259,6 @@ impl DashboardConfig {
             features: FeatureFlags {
                 gpu_efficiency: true,
                 admin_view: true,
-                structured_widgets: false,
             },
             ..DashboardConfig::generic("Anvil")
         }

@@ -8,11 +8,12 @@ use hpcdash_http::ParkBudget;
 use hpcdash_news::NewsFeed;
 use hpcdash_obs::health::HealthBoard;
 use hpcdash_obs::{Counter, Registry, Span};
-use hpcdash_push::{AccountResolver, Hub, HubConfig};
+use hpcdash_push::{Hub, HubConfig, Visibility, VisibilityResolver};
 use hpcdash_restapi::TokenStore;
 use hpcdash_simtime::{SharedClock, Timestamp};
 use hpcdash_slurm::ctld::Slurmctld;
 use hpcdash_slurm::dbd::Slurmdbd;
+use hpcdash_slurm::events::JobEvent;
 use hpcdash_slurm::joblog::JobLogFs;
 use hpcdash_storage::StorageDb;
 use hpcdash_telemetry::TelemetryD;
@@ -171,15 +172,16 @@ impl DashboardContext {
         // registry's latency histograms (last context built wins — fine:
         // tests build isolated contexts and never assert cross-context).
         hpcdash_obs::tracestore::store().set_registry(&obs);
-        // The resolver reaches into slurmctld (daemon lock); the hub promises
-        // never to call it from the fan-out path, which runs under that lock.
-        let resolver: AccountResolver = {
+        // Each subscriber sees what `CurrentUser::may_view_job_of` would
+        // show it: the same profile, the same `allows_job`. The resolver
+        // reaches into slurmctld (daemon lock); the hub promises never to
+        // call it from the fan-out path, which runs under that lock.
+        let resolver: VisibilityResolver = {
             let ctld = ctld.clone();
-            Arc::new(move |user: &str| {
-                ctld.query_assoc(Some(user))
-                    .into_iter()
-                    .map(|r| r.account.name)
-                    .collect()
+            Arc::new(move |user: &str, is_admin: bool| -> Visibility {
+                let profile = crate::auth::profile_of(&ctld, user, is_admin);
+                let user = user.to_string();
+                Box::new(move |e: &JobEvent| profile.allows_job(&user, &e.user, &e.account, ""))
             })
         };
         let push = Arc::new(Hub::new(

@@ -3,8 +3,8 @@
 //! Unlike [`crate::registry::Histogram`] (fixed buckets, wait-free, bounded
 //! memory), the recorder keeps every sample, so percentiles are exact. It
 //! backs load-generator reports where sample counts are modest and
-//! precision matters. This is the former `hpcdash_client::histogram`
-//! module, promoted here so every crate shares one implementation.
+//! precision matters. [`percentile`] is its index rule, shared with the
+//! daemons' RPC statistics so every exact percentile is picked one way.
 
 use parking_lot::Mutex;
 use std::time::Duration;
@@ -43,39 +43,41 @@ impl LatencyRecorder {
 
     /// Percentile over recorded samples (`p` in 0..=1). None when empty.
     pub fn percentile(&self, p: f64) -> Option<Duration> {
-        let mut samples = self.samples_ns.lock().clone();
-        if samples.is_empty() {
-            return None;
-        }
-        samples.sort_unstable();
-        let idx = ((samples.len() - 1) as f64 * p.clamp(0.0, 1.0)).round() as usize;
-        Some(Duration::from_nanos(samples[idx]))
+        percentile(&self.sorted(), p)
     }
 
     pub fn summary(&self) -> Option<LatencySummary> {
-        let mut samples = self.samples_ns.lock().clone();
-        if samples.is_empty() {
-            return None;
-        }
-        samples.sort_unstable();
-        let pick = |p: f64| {
-            let idx = ((samples.len() - 1) as f64 * p).round() as usize;
-            Duration::from_nanos(samples[idx])
-        };
+        let samples = self.sorted();
+        let pick = |p: f64| percentile(&samples, p);
+        let max = pick(1.0)?;
         let mean_ns = samples.iter().sum::<u64>() / samples.len() as u64;
         Some(LatencySummary {
             count: samples.len(),
             mean: Duration::from_nanos(mean_ns),
-            p50: pick(0.50),
-            p90: pick(0.90),
-            p99: pick(0.99),
-            max: Duration::from_nanos(*samples.last().expect("non-empty")),
+            p50: pick(0.50)?,
+            p90: pick(0.90)?,
+            p99: pick(0.99)?,
+            max,
         })
+    }
+
+    fn sorted(&self) -> Vec<u64> {
+        let mut samples = self.samples_ns.lock().clone();
+        samples.sort_unstable();
+        samples
     }
 
     pub fn clear(&self) {
         self.samples_ns.lock().clear();
     }
+}
+
+/// The sample at fraction `p` (0..=1, clamped) of an ascending-sorted
+/// slice of nanoseconds: index `round((len - 1) * p)`. `None` when empty.
+pub fn percentile(sorted_ns: &[u64], p: f64) -> Option<Duration> {
+    let last = sorted_ns.len().checked_sub(1)?;
+    let idx = (last as f64 * p.clamp(0.0, 1.0)).round() as usize;
+    Some(Duration::from_nanos(sorted_ns[idx]))
 }
 
 impl LatencySummary {
@@ -111,6 +113,18 @@ mod tests {
             Duration::from_micros(501),
             "index 500 of 0..1000 after rounding"
         );
+    }
+
+    #[test]
+    fn percentile_picks_the_rounded_index() {
+        let sorted: Vec<u64> = (1..=10).collect();
+        let at = |p| percentile(&sorted, p).map(|d| d.as_nanos());
+        assert_eq!(at(0.0), Some(1));
+        assert_eq!(at(0.5), Some(6), "index round(4.5) = 5");
+        assert_eq!(at(0.95), Some(10));
+        assert_eq!(at(1.0), Some(10));
+        assert_eq!(at(7.0), Some(10), "clamped");
+        assert_eq!(percentile(&[], 0.5), None);
     }
 
     #[test]

@@ -1,25 +1,35 @@
 //! The subscription hub: sharded registry, bounded queues, condvar wakeups.
 //!
-//! Lock ordering (deadlock freedom): the account resolver reaches into
-//! `slurmctld` (daemon lock), and the publisher calls [`Hub::publish`]
-//! *while holding* that daemon lock. The hub therefore never invokes the
-//! resolver while holding any hub lock — account sets are resolved first
-//! and swapped in afterwards — and the publish path only ever takes a shard
-//! lock and per-subscriber locks, each for O(queue op) time.
+//! The hub holds no privacy rule. Which events a subscriber may see is a
+//! [`Visibility`] check its owner's [`VisibilityResolver`] builds; the hub
+//! only decides *when* to build it: at subscribe time, then once per
+//! `accounts_ttl` for non-admin subscribers (an admin's view cannot
+//! narrow).
+//!
+//! Lock ordering (deadlock freedom): the resolver reaches into `slurmctld`
+//! (daemon lock), and the publisher calls [`Hub::publish`] *while holding*
+//! that daemon lock. The hub therefore never invokes the resolver while
+//! holding any hub lock — checks are built first and swapped in afterwards
+//! — and the publish path only ever takes a shard lock and per-subscriber
+//! locks, each for O(queue op) time.
 
 use hpcdash_obs::{Counter, Gauge, Histogram, Registry, Span};
 use hpcdash_slurm::events::{EventSink, JobEvent};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Resolves the set of account names a user may see. Called at subscribe
-/// time and then at most once per TTL window per subscriber — never on the
+/// May this subscriber see this event?
+pub type Visibility = Box<dyn Fn(&JobEvent) -> bool + Send + Sync>;
+
+/// Builds the [`Visibility`] of a subscriber streaming `user`'s view, with
+/// admin rights when the flag is set. Called at subscribe time and then at
+/// most once per TTL window per non-admin subscriber — never on the
 /// per-event fan-out path.
-pub type AccountResolver = Arc<dyn Fn(&str) -> Vec<String> + Send + Sync>;
+pub type VisibilityResolver = Arc<dyn Fn(&str, bool) -> Visibility + Send + Sync>;
 
 /// Hub tuning knobs.
 #[derive(Debug, Clone)]
@@ -29,8 +39,8 @@ pub struct HubConfig {
     /// Bounded per-subscriber queue length; overflowing coalesces the queue
     /// into a single `resync_required` marker.
     pub queue_capacity: usize,
-    /// How long a resolved account set stays trusted before the next `wait`
-    /// refreshes it.
+    /// How long a resolved [`Visibility`] (the account memberships it was
+    /// built from) stays trusted before the next `wait` rebuilds it.
     pub accounts_ttl: Duration,
     /// Subscribers that have not polled for this long are garbage-collected.
     pub idle_ttl: Duration,
@@ -74,15 +84,15 @@ struct SubQueue {
     delivered_through: u64,
 }
 
-struct AccountSet {
-    accounts: HashSet<String>,
+struct Resolved {
+    sees: Visibility,
     refreshed: Instant,
 }
 
 struct Subscriber {
     user: String,
     is_admin: bool,
-    accounts: RwLock<AccountSet>,
+    visibility: RwLock<Resolved>,
     q: Mutex<SubQueue>,
     wake: Condvar,
     last_poll: Mutex<Instant>,
@@ -94,24 +104,14 @@ struct Subscriber {
 
 impl Subscriber {
     fn sees(&self, event: &JobEvent) -> bool {
-        if self.is_admin || event.user == self.user {
-            return true;
-        }
-        self.accounts.read().accounts.contains(&event.account)
+        (self.visibility.read().sees)(event)
     }
 }
 
 /// A cheap, cloneable reference to a registered subscriber.
 #[derive(Clone)]
 pub struct SubscriberHandle {
-    key: String,
     sub: Arc<Subscriber>,
-}
-
-impl SubscriberHandle {
-    pub fn key(&self) -> &str {
-        &self.key
-    }
 }
 
 #[derive(Clone)]
@@ -148,12 +148,12 @@ impl Default for Shard {
 pub struct Hub {
     cfg: HubConfig,
     shards: Vec<Mutex<Shard>>,
-    resolver: AccountResolver,
+    resolver: VisibilityResolver,
     instruments: RwLock<Option<Instruments>>,
 }
 
 impl Hub {
-    pub fn new(cfg: HubConfig, resolver: AccountResolver) -> Hub {
+    pub fn new(cfg: HubConfig, resolver: VisibilityResolver) -> Hub {
         let shards = (0..cfg.shards.max(1)).map(|_| Mutex::default()).collect();
         Hub {
             cfg,
@@ -191,9 +191,11 @@ impl Hub {
         &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
-    /// Look up or create the subscriber for `key` (e.g. `"user:token"`).
-    /// Returns `true` when it was created — the caller then backfills it
-    /// from the event log. Stale subscribers on the same shard are
+    /// Look up or create the subscriber for `key`, which streams `user`'s
+    /// view (with admin rights when `is_admin`). The key must tell apart
+    /// every viewer whose visibility differs — a subscriber found under it
+    /// is handed out as is. Returns `true` when it was created — the caller
+    /// then backfills it from the event log. Stale subscribers on the same shard are
     /// garbage-collected opportunistically, at most one sweep per shard per
     /// `idle_ttl` — a registration burst must not pay per-burst-size scans.
     pub fn ensure(&self, key: &str, user: &str, is_admin: bool) -> (SubscriberHandle, bool) {
@@ -201,24 +203,18 @@ impl Hub {
             // A stale entry falls through to the slow path, which sweeps it
             // and registers a fresh subscriber in its place.
             if sub.last_poll.lock().elapsed() < self.cfg.idle_ttl {
-                return (
-                    SubscriberHandle {
-                        key: key.to_string(),
-                        sub: sub.clone(),
-                    },
-                    false,
-                );
+                return (SubscriberHandle { sub: sub.clone() }, false);
             }
         }
         // Resolve visibility BEFORE taking any hub lock (the resolver takes
         // the daemon lock, which publishers hold while calling into us).
-        let accounts: HashSet<String> = (self.resolver)(user).into_iter().collect();
+        let sees = (self.resolver)(user, is_admin);
         let now = Instant::now();
         let fresh = Arc::new(Subscriber {
             user: user.to_string(),
             is_admin,
-            accounts: RwLock::new(AccountSet {
-                accounts,
+            visibility: RwLock::new(Resolved {
+                sees,
                 refreshed: now,
             }),
             q: Mutex::new(SubQueue {
@@ -260,30 +256,13 @@ impl Hub {
             }
             ins.subscribers.add(-(reclaimed as i64));
         }
-        (
-            SubscriberHandle {
-                key: key.to_string(),
-                sub,
-            },
-            created,
-        )
+        (SubscriberHandle { sub }, created)
     }
 
     fn gc_shard(shard: &mut HashMap<String, Arc<Subscriber>>, idle_ttl: Duration) -> usize {
         let before = shard.len();
         shard.retain(|_, sub| sub.last_poll.lock().elapsed() < idle_ttl);
         before - shard.len()
-    }
-
-    /// Remove a subscriber explicitly.
-    pub fn unsubscribe(&self, key: &str) -> bool {
-        let removed = self.shard_of(key).lock().subs.remove(key).is_some();
-        if removed {
-            if let Some(ins) = self.instruments() {
-                ins.subscribers.dec();
-            }
-        }
-        removed
     }
 
     /// Live subscriber count (all shards).
@@ -362,12 +341,12 @@ impl Hub {
     }
 
     /// Drain queued events, parking up to `deadline` while the queue is
-    /// empty. A zero deadline drains without parking. Also refreshes the
-    /// subscriber's account set when its TTL has lapsed.
+    /// empty. A zero deadline drains without parking. Also rebuilds the
+    /// subscriber's visibility when its TTL has lapsed.
     pub fn wait(&self, handle: &SubscriberHandle, deadline: Duration) -> Delivery {
         let sub = &*handle.sub;
         *sub.last_poll.lock() = Instant::now();
-        self.refresh_accounts(sub);
+        self.refresh_visibility(sub);
         let ins = self.instruments();
         let start = Instant::now();
         let mut q = sub.q.lock();
@@ -428,26 +407,27 @@ impl Hub {
         }
     }
 
-    /// Refresh the subscriber's account set if its TTL lapsed. The resolver
+    /// Rebuild the subscriber's visibility if its TTL lapsed. The resolver
     /// runs with no hub locks held; concurrent refreshes are harmless.
-    fn refresh_accounts(&self, sub: &Subscriber) {
+    fn refresh_visibility(&self, sub: &Subscriber) {
         if sub.is_admin {
             return;
         }
-        if sub.accounts.read().refreshed.elapsed() < self.cfg.accounts_ttl {
+        if sub.visibility.read().refreshed.elapsed() < self.cfg.accounts_ttl {
             return;
         }
-        let accounts: HashSet<String> = (self.resolver)(&sub.user).into_iter().collect();
-        let mut set = sub.accounts.write();
-        set.accounts = accounts;
-        set.refreshed = Instant::now();
+        let sees = (self.resolver)(&sub.user, false);
+        *sub.visibility.write() = Resolved {
+            sees,
+            refreshed: Instant::now(),
+        };
     }
 }
 
 impl EventSink for Hub {
     /// Fan one event out to every subscriber that may see it. Called on the
     /// publisher's thread (typically under the daemon lock): per-subscriber
-    /// work is one set-membership check plus a non-blocking bounded-queue
+    /// work is one visibility check plus a non-blocking bounded-queue
     /// push, so a stuck subscriber can never stall the cluster.
     fn publish(&self, event: &JobEvent) {
         let _span = Span::enter("push-fanout").attr("seq", event.seq.to_string());
@@ -510,18 +490,18 @@ mod tests {
         }
     }
 
+    /// A fixed table of what each test stream carries: alice's the physics
+    /// account, root's everything, anyone else's nothing.
+    fn stub_visibility(user: &str) -> Visibility {
+        match user {
+            "alice" => Box::new(|e: &JobEvent| e.account == "physics"),
+            "root" => Box::new(|_: &JobEvent| true),
+            _ => Box::new(|_: &JobEvent| false),
+        }
+    }
+
     fn hub_with(cfg: HubConfig) -> Hub {
-        // alice belongs to physics; nobody else has accounts.
-        Hub::new(
-            cfg,
-            Arc::new(|user: &str| {
-                if user == "alice" {
-                    vec!["physics".to_string()]
-                } else {
-                    Vec::new()
-                }
-            }),
-        )
+        Hub::new(cfg, Arc::new(|user: &str, _| stub_visibility(user)))
     }
 
     #[test]
@@ -544,11 +524,44 @@ mod tests {
     }
 
     #[test]
-    fn admin_sees_everything() {
+    fn delivery_follows_the_resolved_visibility() {
         let hub = hub_with(HubConfig::default());
         let (root, _) = hub.ensure("root:t", "root", true);
+        let (bob, _) = hub.ensure("bob:t", "bob", false);
         hub.publish(&event(1, "mallory", "secret"));
-        assert_eq!(hub.wait(&root, Duration::ZERO).events.len(), 1);
+        hub.publish(&event(2, "bob", "physics"));
+        assert_eq!(hub.wait(&root, Duration::ZERO).events.len(), 2);
+        assert!(hub.wait(&bob, Duration::ZERO).events.is_empty());
+    }
+
+    #[test]
+    fn visibility_is_built_at_subscribe_then_per_ttl_and_never_again_for_admins() {
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let log = calls.clone();
+        let hub = Hub::new(
+            HubConfig {
+                accounts_ttl: Duration::from_millis(20),
+                ..HubConfig::default()
+            },
+            Arc::new(move |user: &str, is_admin: bool| {
+                log.lock().push((user.to_string(), is_admin));
+                stub_visibility(user)
+            }),
+        );
+        let (alice, _) = hub.ensure("alice:t", "alice", false);
+        let (root, _) = hub.ensure("root:t", "root", true);
+        hub.wait(&alice, Duration::ZERO);
+        hub.wait(&root, Duration::ZERO);
+        assert_eq!(calls.lock().len(), 2, "nothing rebuilt within the TTL");
+        std::thread::sleep(Duration::from_millis(30));
+        hub.wait(&alice, Duration::ZERO);
+        hub.wait(&root, Duration::ZERO);
+        let expected = [("alice", false), ("root", true), ("alice", false)];
+        let expected: Vec<(String, bool)> = expected
+            .iter()
+            .map(|&(u, admin)| (u.to_string(), admin))
+            .collect();
+        assert_eq!(*calls.lock(), expected);
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //! Design points (see DESIGN.md §3):
 //! - **Sharded registry** — subscribers are spread over shards so subscribe
 //!   and fan-out contend on a fraction of the registry, not all of it.
-//! - **Pre-filtered visibility** — the subscriber's account set is resolved
-//!   once at subscribe time and refreshed on a TTL, so fan-out does an O(1)
-//!   set-membership check per event instead of a per-poll daemon query.
+//! - **Pre-filtered visibility** — each subscriber's [`Visibility`] check is
+//!   built once at subscribe time by the owner's [`VisibilityResolver`] and
+//!   rebuilt on a TTL, so fan-out evaluates a resolved check per event
+//!   instead of a per-poll daemon query. The hub holds no privacy rule; the
+//!   dashboard builds each check from the viewer's scope profile.
 //! - **Coalesce-to-resync overflow** — a subscriber that stops draining is
 //!   never allowed to block the publisher: when its bounded queue fills,
 //!   the queue is dropped wholesale and the subscriber is marked
@@ -26,4 +28,4 @@
 
 mod hub;
 
-pub use hub::{AccountResolver, Delivery, Hub, HubConfig, SubscriberHandle};
+pub use hub::{Delivery, Hub, HubConfig, SubscriberHandle, Visibility, VisibilityResolver};

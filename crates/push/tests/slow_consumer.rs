@@ -2,7 +2,7 @@
 //! stuck subscriber, healthy subscribers must keep receiving, and the stuck
 //! one must come back via resync — all at once, under contention.
 
-use hpcdash_push::{Hub, HubConfig};
+use hpcdash_push::{Hub, HubConfig, Visibility};
 use hpcdash_simtime::Timestamp;
 use hpcdash_slurm::events::{EventSink, JobEvent};
 use hpcdash_slurm::job::{JobId, JobState};
@@ -34,11 +34,11 @@ fn stuck_subscriber_never_stalls_publishers_or_peers() {
             queue_capacity: 64,
             ..HubConfig::default()
         },
-        Arc::new(|_: &str| vec!["physics".to_string()]),
+        Arc::new(|_: &str, _| -> Visibility { Box::new(|_: &JobEvent| true) }),
     ));
 
     // One subscriber that never drains, one that drains continuously. Both
-    // see every event (same account).
+    // see every event.
     let (stuck, _) = hub.ensure("stuck:tab", "stuck", false);
     let (healthy, _) = hub.ensure("healthy:tab", "healthy", false);
 
@@ -141,7 +141,7 @@ fn concurrent_publish_keeps_per_subscriber_order_and_uniqueness() {
             queue_capacity: 100_000,
             ..HubConfig::default()
         },
-        Arc::new(|_: &str| Vec::new()),
+        Arc::new(|_: &str, _| -> Visibility { Box::new(|_: &JobEvent| true) }),
     ));
     let (sub, _) = hub.ensure("alice:tab", "alice", false);
 

@@ -1,15 +1,21 @@
-//! Token scopes: the permission vocabulary of the `/slurm/v0` API.
+//! Token scopes: the permission vocabulary of the `/slurm/v0` API, and the
+//! one place the paper's privacy rule (§2.4) is written.
 //!
-//! The design constraint (ISSUE 7, Palmetto mapping) is that the token
-//! layer *unifies* the widget routes' privacy filter instead of running a
-//! parallel code path. Two properties make that hold:
+//! A viewer may see a job they submitted, or one charged to an account they
+//! belong to; an admin may see every job. [`ScopeSet::allows_job`] states
+//! that rule, and every consumer evaluates it instead of restating it:
 //!
-//! 1. A user's implicit widget-route view is itself a [`ScopeSet`] — the
-//!    [`ScopeSet::profile_for`] profile: own jobs plus every account they
-//!    belong to, widened to the whole cluster for admins.
-//! 2. Tokens can only *narrow* that profile, never widen it
-//!    ([`ScopeSet::validate_against`], enforced at mint time). So whatever
-//!    a token reveals, the subject's `X-Remote-User` view already revealed.
+//! - the widget routes, through `CurrentUser`'s [`ScopeSet::profile_for`]
+//!   profile (`may_view_job_of`, `visible_accounts`, the account export's
+//!   [`ScopeSet::allows_account`], the legacy `/api/updates` filter);
+//! - the push hub, whose per-subscriber check the dashboard builds from the
+//!   same profile;
+//! - every `/slurm/v0` job view, through the token's own scopes, and
+//!   `visible_job_positions`, the rule's indexed form over a snapshot.
+//!
+//! Tokens can only *narrow* a profile, never widen it
+//! ([`ScopeSet::validate_against`], enforced at mint time). So whatever a
+//! token reveals, the subject's `X-Remote-User` view already revealed.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -107,10 +113,6 @@ impl ScopeSet {
         self.scopes.binary_search(scope).is_ok()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.scopes.is_empty()
-    }
-
     pub fn has_cluster(&self) -> bool {
         self.contains(&Scope::ReadCluster)
     }
@@ -142,8 +144,8 @@ impl ScopeSet {
 
     /// The privacy verdict: may a holder of these scopes, acting for
     /// `subject`, see a job owned by `job_user`, charged to `job_account`,
-    /// in `job_partition`? This is the single rule both the widget routes'
-    /// privacy filter and every `/slurm/v0` job view evaluate.
+    /// in `job_partition`? The one rule every consumer evaluates (see the
+    /// module docs).
     pub fn allows_job(
         &self,
         subject: &str,
@@ -160,12 +162,18 @@ impl ScopeSet {
         })
     }
 
-    /// The implicit widget-route view of `username`, expressed as scopes:
-    /// own jobs + every account membership; admins additionally see the
-    /// whole cluster and may act as others. This *is* the paper-§2.4
-    /// privacy filter — `CurrentUser::may_view_job_of` delegates here.
-    /// (The subject's *name* binds at evaluation time, via
-    /// [`ScopeSet::allows_job`]'s `subject` argument, not at grant time.)
+    /// May a holder of these scopes see a whole account's jobs and usage
+    /// (the account export)? Exactly when [`ScopeSet::allows_job`] admits
+    /// every job charged to `account`, whoever submitted it.
+    pub fn allows_account(&self, account: &str) -> bool {
+        self.has_cluster() || self.accounts().any(|a| a == account)
+    }
+
+    /// The implicit widget-route view of a user, expressed as scopes: own
+    /// jobs + every account membership; admins additionally see the whole
+    /// cluster and may act as others. (The subject's *name* binds at
+    /// evaluation time, via [`ScopeSet::allows_job`]'s `subject` argument,
+    /// not at grant time.)
     pub fn profile_for(accounts: &[String], is_admin: bool) -> ScopeSet {
         let mut scopes = vec![Scope::ReadOwnJobs];
         scopes.extend(accounts.iter().map(|a| Scope::ReadAccount(a.clone())));
@@ -272,6 +280,23 @@ mod tests {
         let admin = ScopeSet::profile_for(&[], true);
         assert!(admin.allows_job("root", "anyone", "anything", "p"));
         assert!(admin.has_act_as());
+    }
+
+    #[test]
+    fn account_visibility_is_every_job_of_the_account() {
+        let alice = ScopeSet::profile_for(&["physics".to_string()], false);
+        let admin = ScopeSet::profile_for(&[], true);
+        for (scopes, account) in [(&alice, "physics"), (&alice, "chem"), (&admin, "chem")] {
+            assert_eq!(
+                scopes.allows_account(account),
+                scopes.allows_job("alice", "someone-else", account, ""),
+                "{account}"
+            );
+        }
+        assert!(alice.allows_account("physics"));
+        assert!(!alice.allows_account("chem"));
+        assert!(admin.allows_account("chem"));
+        assert!(!set(&["read-own-jobs"]).allows_account("physics"));
     }
 
     #[test]

@@ -192,17 +192,18 @@ impl RpcStats {
     }
 
     pub fn snapshot(&self) -> RpcSnapshot {
-        let recent = self.recent.lock().clone();
-        let (p50, p95, p99) = percentiles(&recent);
+        let mut recent = self.recent.lock().clone();
+        recent.sort_unstable();
+        let pick = |p| hpcdash_obs::recorder::percentile(&recent, p);
         RpcSnapshot {
             total_rpcs: self.total_rpcs(),
             total_busy: self.total_busy(),
             total_lock_wait: self.total_lock_wait(),
             sched_queue_depth: self.sched_queue_depth(),
             per_kind: self.per_kind.lock().clone(),
-            p50,
-            p95,
-            p99,
+            p50: pick(0.50),
+            p95: pick(0.95),
+            p99: pick(0.99),
         }
     }
 
@@ -216,19 +217,6 @@ impl RpcStats {
         self.per_kind.lock().clear();
         self.recent.lock().clear();
     }
-}
-
-fn percentiles(samples: &[u64]) -> (Option<Duration>, Option<Duration>, Option<Duration>) {
-    if samples.is_empty() {
-        return (None, None, None);
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let pick = |p: f64| {
-        let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-        Some(Duration::from_nanos(sorted[idx]))
-    };
-    (pick(0.50), pick(0.95), pick(0.99))
 }
 
 #[cfg(test)]
@@ -322,6 +310,21 @@ mod tests {
         let snap = stats.snapshot();
         assert!(snap.p50.unwrap() <= snap.p95.unwrap());
         assert!(snap.p95.unwrap() <= snap.p99.unwrap());
+    }
+
+    #[test]
+    fn percentiles_are_pinned_on_a_fixed_sample() {
+        let stats = RpcStats::new();
+        // 1..=37 µs, recorded out of order.
+        for i in (1..=37u64).rev() {
+            stats.record("x", Duration::from_micros((i * 17) % 37 + 1));
+        }
+        let snap = stats.snapshot();
+        let us = |d: Option<Duration>| d.map(|d| d.as_micros());
+        assert_eq!(us(snap.p50), Some(19), "index 18 of 37");
+        assert_eq!(us(snap.p95), Some(35), "index round(34.2) = 34");
+        assert_eq!(us(snap.p99), Some(37), "index round(35.64) = 36");
+        assert_eq!(RpcStats::new().snapshot().p50, None);
     }
 
     #[test]

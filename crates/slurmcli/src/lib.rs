@@ -18,8 +18,8 @@ pub mod squeue;
 
 pub use sacct::{parse_sacct, sacct, SacctArgs, SacctRecord, SACCT_FIELDS};
 pub use scontrol::{
-    node_fields, parse_show_assoc, parse_show_job, parse_show_node, show_assoc, show_job,
-    show_node, AssocRow, ScontrolJob, ScontrolNode,
+    parse_show_assoc, parse_show_job, parse_show_node, show_assoc, show_job, show_node, AssocRow,
+    ScontrolJob, ScontrolNode,
 };
 pub use seff::seff;
 pub use sinfo::{
@@ -37,24 +37,13 @@ pub use squeue::{
 /// really bypasses the command→text→parse boundary.
 static PARSE_CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-thread_local! {
-    static PARSE_CALLS_HERE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
 /// Snapshot of the global parse counter (monotonic, process-wide).
 pub fn parse_call_count() -> u64 {
     PARSE_CALLS.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-/// The calling thread's share of [`parse_call_count`]: what an in-process
-/// test reads, so tests running beside it on other threads cannot move it.
-pub fn parse_calls_on_this_thread() -> u64 {
-    PARSE_CALLS_HERE.get()
-}
-
 pub(crate) fn note_parse() {
     PARSE_CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    PARSE_CALLS_HERE.set(PARSE_CALLS_HERE.get() + 1);
 }
 
 /// Apply a daemon's boundary faults to a rendered command output: an

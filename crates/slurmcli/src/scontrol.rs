@@ -273,53 +273,6 @@ fn push_node(s: &mut String, node: &Node) {
     }
 }
 
-/// The exact `Key=Value` map [`render_node`] emits, built without the text
-/// round-trip. The structured Node Overview path uses this for its details
-/// tab so the payload stays byte-compatible with the parsed-text path; a
-/// test pins it against `tokenize(render_node(n))` to prevent divergence.
-pub fn node_fields(node: &Node) -> BTreeMap<String, String> {
-    let mut map = BTreeMap::new();
-    let mut put = |k: &str, v: String| {
-        map.insert(k.to_string(), v);
-    };
-    put("NodeName", node.name.clone());
-    put("Arch", "x86_64".to_string());
-    put("CPUAlloc", node.alloc.cpus.to_string());
-    put("CPUTot", node.cpus.to_string());
-    put("CPULoad", format!("{:.2}", node.cpu_load));
-    put(
-        "AvailableFeatures",
-        if node.features.is_empty() {
-            "(null)".to_string()
-        } else {
-            node.features.join(",")
-        },
-    );
-    if node.gpus > 0 {
-        let ty = node.gpu_type.as_deref().unwrap_or("gpu");
-        put("Gres", format!("gpu:{}:{}", ty, node.gpus));
-        put("GresUsed", format!("gpu:{}:{}", ty, node.alloc.gpus));
-    }
-    put("RealMemory", node.real_memory_mb.to_string());
-    put("AllocMem", node.alloc.mem_mb.to_string());
-    put("State", node.state().to_slurm().to_string());
-    put(
-        "Partitions",
-        if node.partitions.is_empty() {
-            "(null)".to_string()
-        } else {
-            node.partitions.join(",")
-        },
-    );
-    put("OS", token(&node.os).to_string());
-    put("BootTime", node.boot_time.to_slurm());
-    put("LastBusyTime", node.last_busy.to_slurm());
-    if let Some(r) = &node.reason {
-        put("Reason", token(r).to_string());
-    }
-    map
-}
-
 /// Parse one or more `scontrol show node` records (see [`parse_show_job`]).
 pub fn parse_show_node(text: &str) -> Result<Vec<ScontrolNode>, String> {
     crate::note_parse();
@@ -600,24 +553,6 @@ mod tests {
         assert_eq!(p2.state, NodeState::Drained);
         assert_eq!(p2.reason.as_deref(), Some("bad_DIMM"));
         assert_eq!(p2.alloc_memory_mb, 0);
-    }
-
-    #[test]
-    fn node_fields_matches_rendered_tokens_exactly() {
-        // `node_fields` must never drift from what `render_node` emits:
-        // the structured Node Overview path serves it as the details tab
-        // in place of the parsed text.
-        let mut gpu = Node::new("g001", 64, 512_000, 4);
-        gpu.features = vec!["a100".to_string(), "nvlink".to_string()];
-        gpu.partitions = vec!["gpu".to_string()];
-        gpu.allocate(Tres::new(32, 200_000, 2, 1), Timestamp(500));
-        gpu.cpu_load = 30.72;
-        let mut drained = Node::new("a001", 128, 257_000, 0);
-        drained.admin_flag = hpcdash_slurm::node::AdminFlag::Drain;
-        drained.reason = Some("bad DIMM".to_string());
-        for n in [&gpu, &drained] {
-            assert_eq!(tokenize(&render_node(n)), node_fields(n), "{}", n.name);
-        }
     }
 
     #[test]

@@ -196,3 +196,47 @@ fn stale_cursor_requests_resync() {
     let body = poll(&client, &base, &user, 1);
     assert_eq!(body["resync_required"], true, "client must refetch tables");
 }
+
+#[test]
+fn an_admin_acting_as_a_user_never_shares_that_users_subscription() {
+    // root (an admin) opens `sub=t` while acting as alice, then alice opens
+    // her own `sub=t`. The two views differ — root keeps admin rights while
+    // acting — so they must be two subscribers: alice's queue carries only
+    // her jobs and her accounts' jobs, whatever root registered first.
+    let mut cfg = DashboardConfig::purdue_like();
+    cfg.push.queue_capacity = 8_192;
+    let site = SimSite::build_with(ScenarioConfig::small(), cfg);
+    let server = site.serve().unwrap();
+    let base = server.base_url();
+    let client = HttpClient::new();
+    let alice = site.scenario.population.users[0].clone();
+    let accounts = site.scenario.population.accounts_of(&alice);
+    let stream = |headers: &[(&str, &str)]| -> Vec<serde_json::Value> {
+        let resp = client
+            .get(&format!("{base}/api/updates/stream?sub=t"), headers)
+            .unwrap();
+        assert_eq!(resp.status, 200);
+        let body = resp.json().unwrap();
+        assert_eq!(body["resync_required"], false);
+        body["events"].as_array().unwrap().clone()
+    };
+    let as_root = [("X-Remote-User", "root"), ("X-Act-As", alice.as_str())];
+    let as_alice = [("X-Remote-User", alice.as_str())];
+
+    stream(&as_root);
+    stream(&as_alice);
+    site.driver(1_800).advance(1_800);
+
+    let outside = |e: &serde_json::Value| {
+        e["user"] != alice.as_str() && !accounts.iter().any(|a| e["account"] == a.as_str())
+    };
+    let alices = stream(&as_alice);
+    assert!(!alices.is_empty(), "alice's own activity reaches her");
+    if let Some(leak) = alices.iter().find(|e| outside(e)) {
+        panic!("alice received another account's event: {leak}");
+    }
+    assert!(
+        stream(&as_root).iter().any(outside),
+        "root's act-as view spans other accounts, so the check above has teeth"
+    );
+}
