@@ -112,7 +112,7 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
 /// [`ParkDirective`]: the *connection* parks inside the event loop at zero
 /// thread cost, a hub notify fires the directive's waker, and the loop
 /// re-dispatches this request with `x-hpcdash-park-final` for the immediate
-/// answer. Called any other way (tests, in-process benches), the handler
+/// answer. Called any other way (tests, in-process dispatch), the handler
 /// blocks on the hub condvar exactly as the thread era did.
 fn handle_stream(ctx: &DashboardContext, req: &Request) -> Response {
     let user = match CurrentUser::from_request(ctx, req) {

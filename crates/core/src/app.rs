@@ -40,7 +40,7 @@ impl Dashboard {
         self.router.clone()
     }
 
-    /// In-process dispatch (no sockets) — used by tests and render benches.
+    /// In-process dispatch (no sockets) — used by tests and the benchmark.
     pub fn handle(&self, req: &Request) -> Response {
         self.router.handle(req)
     }

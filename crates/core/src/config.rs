@@ -60,7 +60,7 @@ impl Default for CachePolicy {
 }
 
 impl CachePolicy {
-    /// A policy that disables server caching (ablation benches).
+    /// A policy that disables server caching (cache ablations).
     pub fn disabled() -> CachePolicy {
         CachePolicy {
             announcements: 0,

@@ -116,7 +116,7 @@ pub enum SourceOutcome {
 
 impl SourceOutcome {
     /// True unless the fetch came back `Failed` — the availability measure
-    /// loadgen and `bench_resilience` report (stale counts as available:
+    /// loadgen and the chaos tests report (stale counts as available:
     /// the widget rendered data).
     pub fn is_available(&self) -> bool {
         !matches!(self, SourceOutcome::Failed(_))

@@ -7,7 +7,7 @@
 //!   loading placeholders; component data arrives afterwards from the API
 //!   routes. Time-to-first-byte is independent of any Slurm query.
 //! * `render_full(payload)` — the fully materialized page given the API
-//!   payloads, used by server-side tests, examples, and the render benches.
+//!   payloads, used by server-side tests and examples.
 
 pub mod clusterstatus;
 pub mod federation;

@@ -15,8 +15,8 @@
 //! `(seed, daemon, rpc, per-rpc call index, rule index)` plus the sim
 //! clock, so the same seed always yields the same fault schedule.
 //!
-//! When no plan is installed the check is a single `Relaxed` atomic load —
-//! `bench_resilience` asserts this costs nothing measurable.
+//! When no plan is installed the check is a single `Relaxed` atomic load, so
+//! chaos support costs the production path nothing measurable.
 
 use hpcdash_simtime::{SharedClock, Timestamp};
 use parking_lot::{Mutex, RwLock};

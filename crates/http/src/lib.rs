@@ -12,7 +12,7 @@
 //! concurrent dashboard tabs are bounded by file descriptors, not threads.
 //! Handlers still run inside `catch_unwind`, so one crashing route degrades
 //! to a 500 for that component only — the modularity property the paper
-//! calls out (§2.4) and the fault-isolation benches verify.
+//! calls out (§2.4) and the fault-isolation tests verify.
 
 pub mod client;
 mod conn;

@@ -72,7 +72,7 @@ impl Drop for ParkPermit {
 /// Inserted (forcibly, overwriting anything the client sent) into every
 /// request dispatched from the event loop. Handlers that see it may return
 /// a [`ParkDirective`] instead of blocking; handlers dispatched any other
-/// way (tests, in-process benches) fall back to blocking waits.
+/// way (tests, in-process dispatch) fall back to blocking waits.
 pub const CONN_PARK_HEADER: &str = "x-hpcdash-conn-park";
 
 /// Marks the re-dispatch of a previously parked request (wake or deadline).

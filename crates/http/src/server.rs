@@ -22,9 +22,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Event-loop tuning. The defaults suit tests and the simulated site;
-/// benches driving 10k+ connections raise `max_connections` and the idle
-/// timeout.
+/// Event-loop tuning. The defaults suit tests and the simulated site; a
+/// deployment holding 10k+ connections raises `max_connections` and the
+/// idle timeout.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Loop threads — every thread the server runs. Each serves one ready
@@ -343,7 +343,7 @@ mod tests {
     #[test]
     fn in_process_dispatch_matches_wire() {
         // Routers can also be exercised without sockets (used heavily by
-        // benches to separate routing cost from network cost).
+        // tests to separate routing cost from network cost).
         let mut router = Router::new();
         router.get("/x", |_| Response::text("y"));
         let resp = router.handle(&Request::new(Method::Get, "/x"));

@@ -485,3 +485,52 @@ fn shutdown_joins_once_the_running_handler_returns() {
     );
     assert_eq!(answer.1, b"slow done");
 }
+
+/// (g) Idle keep-alive connections rest in the poller, not on threads:
+/// holding a few hundred of them leaves the process's thread count where it
+/// was. A thread count only means something with no sibling test running,
+/// so under a parallel harness the test reruns itself alone in a child.
+#[test]
+fn idle_keep_alive_connections_cost_no_threads() {
+    const NAME: &str = "idle_keep_alive_connections_cost_no_threads";
+    if !std::env::args().any(|a| a == "--test-threads=1") {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([NAME, "--exact", "--test-threads=1"])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
+    // Both ends live in this process: two fds per connection, well inside
+    // the common 1024 soft limit.
+    const CONNS: usize = 256;
+    let mut router = Router::new();
+    router.get("/ping", |_| Response::text("pong"));
+    let server = bind(router, 4);
+    let threads = || std::fs::read_dir("/proc/self/task").unwrap().count();
+    let baseline = threads();
+
+    let mut conns: Vec<TcpStream> = (0..CONNS)
+        .map(|_| {
+            let mut stream = connect(&server);
+            assert_eq!(get(&mut stream, "/ping").1, b"pong");
+            stream
+        })
+        .collect();
+    assert_eq!(server.connection_count(), CONNS);
+    assert_eq!(
+        threads(),
+        baseline,
+        "{CONNS} idle connections added threads"
+    );
+    // The resting connections are still live.
+    for stream in conns.iter_mut().step_by(32) {
+        assert_eq!(get(stream, "/ping").1, b"pong");
+    }
+    assert_eq!(threads(), baseline);
+}

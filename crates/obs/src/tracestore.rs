@@ -21,7 +21,7 @@ use crate::registry::Registry;
 use crate::trace::{current_trace, SpanRecord, TraceId};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// The histogram family exemplars are written into — the per-route request
@@ -208,7 +208,6 @@ struct Inner {
 /// every span close; local instances back deterministic tests.
 pub struct TraceStore {
     cfg: TraceStoreConfig,
-    enabled: AtomicBool,
     inner: Mutex<Inner>,
     /// Exemplar target; attached by the dashboard context at startup.
     registry: Mutex<Option<Arc<Registry>>>,
@@ -230,7 +229,6 @@ impl TraceStore {
     pub fn new(cfg: TraceStoreConfig) -> TraceStore {
         TraceStore {
             cfg,
-            enabled: AtomicBool::new(true),
             inner: Mutex::new(Inner::default()),
             registry: Mutex::new(None),
             finalized: AtomicU64::new(0),
@@ -246,15 +244,6 @@ impl TraceStore {
         &self.cfg
     }
 
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turn span observation on/off (benches measure both sides).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
     /// Attach the registry that retained traces stamp exemplars into.
     pub fn set_registry(&self, registry: &Arc<Registry>) {
         *self.registry.lock() = Some(registry.clone());
@@ -263,9 +252,6 @@ impl TraceStore {
     /// Observe one completed span. Called from `Span::drop` for the global
     /// instance; tests feed synthetic records directly.
     pub fn observe(&self, rec: &SpanRecord) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         let Some(id) = rec.trace else { return };
         let exemplar = {
             let mut inner = self.inner.lock();
@@ -334,9 +320,6 @@ impl TraceStore {
 
     /// Attach a request-level note to `id` (pending or retained).
     pub fn annotate_trace(&self, id: TraceId, key: &str, value: impl Into<String>) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         let mut inner = self.inner.lock();
         if let Some(t) = inner.retained.get_mut(&id.0) {
             t.notes.push((key.to_string(), value.into()));
@@ -598,13 +581,6 @@ impl TraceStore {
             pending_current,
         }
     }
-
-    /// Drop all assembled state (benches isolate runs with this). Counters
-    /// keep their totals.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        *inner = Inner::default();
-    }
 }
 
 /// The process-wide store observed by every [`Span`](crate::trace::Span)
@@ -795,16 +771,5 @@ mod tests {
         assert!(store.get(TraceId(6)).is_none(), "stays discarded");
         assert_eq!(store.stats().finalized, 1, "not re-finalized");
         assert_eq!(store.stats().late_spans, 1);
-    }
-
-    #[test]
-    fn disabled_store_observes_nothing() {
-        let store = TraceStore::new(TraceStoreConfig::default());
-        store.set_enabled(false);
-        store.annotate_trace(TraceId(7), "status", "500");
-        store.observe(&rec(7, "http", 0, 0, 100));
-        assert!(store.get(TraceId(7)).is_none());
-        assert_eq!(store.stats().finalized, 0);
-        store.set_enabled(true);
     }
 }

@@ -30,7 +30,7 @@ impl SimClock {
     }
 
     /// A clock starting at 2026-07-04T08:00:00Z, a plausible "weekday
-    /// morning" on a production cluster. Used by examples and benches.
+    /// morning" on a production cluster.
     pub fn default_epoch() -> SimClock {
         SimClock::new(Timestamp(20_638 * 86_400 + 8 * 3_600))
     }

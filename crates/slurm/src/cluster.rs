@@ -664,8 +664,7 @@ impl ClusterState {
         self.sched_log.iter()
     }
 
-    /// Mutable node access for admin actions (drain/down in tests, fault
-    /// injection in benches).
+    /// Mutable node access for admin actions (drain/down) and WAL replay.
     pub fn node_mut(&mut self, name: &str) -> Option<&mut Node> {
         self.nodes.get_mut(name)
     }

@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Default sim-seconds between periodic checkpoints.
+/// Sim-seconds between periodic checkpoints.
 const DEFAULT_CHECKPOINT_EVERY_SECS: u64 = 300;
 
 /// WAL retention (records). Far above what one checkpoint interval can
@@ -181,8 +181,6 @@ pub struct Slurmctld {
     wal: Wal<WalRecord>,
     /// Latest serialized checkpoint (the `StateSaveLocation` stand-in).
     durable: DurableStore,
-    /// Sim-seconds between periodic checkpoints (settable for tests).
-    checkpoint_every: AtomicU64,
     /// Sim time (secs) of the last checkpoint.
     last_checkpoint: AtomicU64,
     /// Completed crash recoveries.
@@ -240,7 +238,6 @@ impl Slurmctld {
             phases: PhaseProfiler::new(),
             wal: Wal::new(WAL_CAPACITY),
             durable,
-            checkpoint_every: AtomicU64::new(DEFAULT_CHECKPOINT_EVERY_SECS),
             last_checkpoint,
             restarts: AtomicU64::new(0),
             last_recovery: Mutex::new(None),
@@ -456,9 +453,8 @@ impl Slurmctld {
     /// Periodic checkpoint, taken inside the tick's critical section so the
     /// image is consistent with the flushed WAL watermark it records.
     fn maybe_checkpoint(&self, state: &ClusterState, now: Timestamp) {
-        let every = self.checkpoint_every.load(Ordering::Relaxed);
         let last = self.last_checkpoint.load(Ordering::Relaxed);
-        if now.as_secs().saturating_sub(last) < every {
+        if now.as_secs().saturating_sub(last) < DEFAULT_CHECKPOINT_EVERY_SECS {
             return;
         }
         self.phases.time("checkpoint", || {
@@ -539,27 +535,6 @@ impl Slurmctld {
         self.cost.burn(scanned);
         self.stats.record_scanned("squeue", scanned as u64);
         self.stats.record("squeue", start.elapsed());
-        out
-    }
-
-    /// The pre-snapshot `squeue` implementation: takes the state mutex and
-    /// deep-clones every match. Kept (under a distinct stats kind) as the
-    /// contention baseline that `bench_ctld_snapshot` measures against —
-    /// not called by any production path.
-    pub fn query_jobs_locked(&self, query: &JobQuery) -> Vec<Job> {
-        let _span = Span::enter("ctld").attr("kind", "squeue_locked");
-        let start = Instant::now();
-        let out = {
-            let state = self.lock_state(start);
-            let all: Vec<&Arc<Job>> = state.active_jobs().collect();
-            self.cost.burn(all.len());
-            self.stats.record_scanned("squeue_locked", all.len() as u64);
-            all.into_iter()
-                .filter(|j| query.matches(j))
-                .map(|j| Job::clone(j))
-                .collect()
-        };
-        self.stats.record("squeue_locked", start.elapsed());
         out
     }
 
@@ -802,26 +777,6 @@ impl Slurmctld {
         self.durable.save_count()
     }
 
-    /// Sim-seconds between periodic checkpoints (tests shrink this to
-    /// exercise checkpoint + WAL-suffix recovery without long runs).
-    pub fn set_checkpoint_interval(&self, secs: u64) {
-        self.checkpoint_every.store(secs, Ordering::Relaxed);
-    }
-
-    /// Take a checkpoint immediately (admin/test hook). Flushes first so
-    /// the image and watermark agree.
-    pub fn checkpoint_now(&self) {
-        let start = Instant::now();
-        let now = self.clock.now();
-        let state = self.lock_state(start);
-        self.wal.flush();
-        let wal_seq = self.wal.flushed_seq();
-        let bytes = serde_json::to_vec(&state.checkpoint()).expect("checkpoint serializes");
-        self.durable.save(bytes, now, wal_seq);
-        self.wal.trim_through(wal_seq);
-        self.last_checkpoint.store(now.as_secs(), Ordering::Relaxed);
-    }
-
     /// WAL records appended but not yet group-committed — what a crash at
     /// this instant would lose.
     pub fn wal_unflushed(&self) -> u64 {
@@ -1027,7 +982,14 @@ mod tests {
             },
         ] {
             let snap_ids: Vec<JobId> = ctld.query_jobs(&q).iter().map(|j| j.id).collect();
-            let locked_ids: Vec<JobId> = ctld.query_jobs_locked(&q).iter().map(|j| j.id).collect();
+            // Reference oracle: a linear scan of the live state under the mutex.
+            let locked_ids: Vec<JobId> = ctld
+                .state
+                .lock()
+                .active_jobs()
+                .filter(|j| q.matches(j))
+                .map(|j| j.id)
+                .collect();
             assert_eq!(snap_ids, locked_ids, "paths disagree for {q:?}");
         }
     }
@@ -1089,14 +1051,10 @@ mod tests {
         ctld.stats().reset();
         assert_eq!(ctld.query_jobs(&JobQuery::for_user("alice")).len(), 3);
         assert_eq!(ctld.stats().scanned_of("squeue"), 3);
-        // ...an unfiltered squeue scans everything...
+        // ...and an unfiltered squeue scans everything.
         ctld.stats().reset();
         assert_eq!(ctld.query_jobs(&JobQuery::all()).len(), 33);
         assert_eq!(ctld.stats().scanned_of("squeue"), 33);
-        // ...and the legacy locked path scanned everything even for -u.
-        ctld.stats().reset();
-        ctld.query_jobs_locked(&JobQuery::for_user("alice"));
-        assert_eq!(ctld.stats().scanned_of("squeue_locked"), 33);
     }
 
     #[test]

@@ -252,7 +252,7 @@ impl Slurmdbd {
     /// Checkpoint the archive now and compact the covered WAL prefix. The
     /// image's timestamp is the newest end time it contains (accounting
     /// data carries its own time; the dbd holds no clock).
-    pub fn checkpoint_now(&self) {
+    fn checkpoint_now(&self) {
         let archived = self.archived.read();
         let wal_seq = self.wal.flushed_seq();
         let rows: Vec<Job> = archived.values().map(|j| Job::clone(j)).collect();

@@ -207,7 +207,7 @@ impl RpcStats {
         }
     }
 
-    /// Zero every counter (benches call this between phases).
+    /// Zero every counter (tests and examples call this between phases).
     pub fn reset(&self) {
         self.total_rpcs.store(0, Ordering::Relaxed);
         self.total_busy_ns.store(0, Ordering::Relaxed);

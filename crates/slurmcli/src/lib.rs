@@ -32,9 +32,9 @@ pub use squeue::{
 };
 
 /// Total invocations of every public `parse_*` in this crate, however the
-/// text got to them. `/slurm/v0` tests and `bench_restapi` assert this
-/// stays flat across structured requests — the proof that the REST family
-/// really bypasses the command→text→parse boundary.
+/// text got to them. The `/slurm/v0` tests assert this stays flat across
+/// structured requests — the proof that the REST family really bypasses the
+/// command→text→parse boundary.
 static PARSE_CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// Snapshot of the global parse counter (monotonic, process-wide).

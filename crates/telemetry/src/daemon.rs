@@ -3,7 +3,7 @@
 //! Collection reads the epoch-published [`ClusterSnapshot`] — never
 //! `slurmctld`'s state mutex — so a telemetry pipeline running at full tick
 //! rate adds zero contention to scheduling (PR 3's invariant, extended here
-//! and asserted by tests and `bench_telemetry`). Queries are served entirely
+//! and asserted by tests). Queries are served entirely
 //! from the daemon's own store. Like the other simulated daemons it burns a
 //! calibrated [`RpcCostModel`] cost per item touched and records per-kind
 //! [`RpcStats`], so load tests see realistic telemetry latencies.

@@ -3,7 +3,7 @@
 //! The range-query engine picks the *coarsest* tier whose bucket width still
 //! satisfies the requested resolution — a 24h query at 10m resolution never
 //! touches raw chunks or 1m rollups, and the per-tier scan counters make
-//! that provable (bench_telemetry asserts on them).
+//! that provable (the tests below assert on them).
 
 use crate::series::{Bucket, RetentionPolicy, Series};
 use parking_lot::Mutex;
@@ -262,7 +262,7 @@ impl TsdbStore {
         }
     }
 
-    /// Zero the scan/query counters (benches call this between phases).
+    /// Zero the scan/query counters (tests call this between phases).
     /// Ingest totals and byte gauges are left alone.
     pub fn reset_query_counters(&self) {
         let c = &self.counters;

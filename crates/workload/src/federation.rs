@@ -34,7 +34,7 @@ impl FederationConfig {
     }
 
     /// The stock 4-site heterogeneous federation used by the chaos tests
-    /// and `bench_federation`: different sizes, partitions (one site has no
+    /// and the benchmark's `rest_fed`: different sizes, partitions (one site has no
     /// GPU partition), populations, arrival rates, and seeds.
     pub fn quad(seed: u64) -> FederationConfig {
         FederationConfig::new(vec![

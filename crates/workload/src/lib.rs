@@ -3,7 +3,7 @@
 //!
 //! Everything is seeded and deterministic: the same scenario seed produces
 //! the same accounts, users, job trace, storage usage and announcements, so
-//! tests and benches are reproducible run to run.
+//! tests and the benchmark are reproducible run to run.
 
 pub mod driver;
 pub mod federation;

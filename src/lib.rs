@@ -5,7 +5,7 @@
 //! the one-call assembly of a simulated site (cluster + daemons + services
 //! + workload) with the dashboard mounted on top.
 //!
-//! Examples, integration tests and benches all start here:
+//! Examples, integration tests and the benchmark all start here:
 //!
 //! ```
 //! use hpcdash::SimSite;

@@ -5,7 +5,7 @@
 use hpcdash::SimSite;
 use hpcdash_client::FetchOutcome;
 use hpcdash_core::{CachePolicy, DashboardConfig};
-use hpcdash_http::HttpClient;
+use hpcdash_http::{HttpClient, Method, Request};
 use hpcdash_workload::ScenarioConfig;
 
 #[test]
@@ -55,6 +55,36 @@ fn per_source_ttls_differ() {
     get("/api/system_status");
     assert_eq!(site.scenario.ctld.stats().count_of("squeue"), 2);
     assert_eq!(site.scenario.ctld.stats().count_of("sinfo"), 1);
+}
+
+/// P1 (paper §2.4): the longer the squeue TTL, the fewer squeue RPCs the
+/// same refreshing browsers cost slurmctld.
+#[test]
+fn squeue_rpcs_fall_monotonically_with_ttl() {
+    let squeue_rpcs = |ttl: u64| {
+        let mut cfg = DashboardConfig::purdue_like();
+        cfg.cache.recent_jobs = ttl;
+        let site = SimSite::build_with(ScenarioConfig::small(), cfg);
+        let users: Vec<String> = (0..4)
+            .map(|i| site.scenario.population.user(i).to_string())
+            .collect();
+        // Four browsers refresh Recent Jobs every 10 s for five minutes.
+        for _ in 0..30 {
+            site.scenario.clock.advance(10);
+            for user in &users {
+                let req = Request::new(Method::Get, "/api/recent_jobs")
+                    .with_header("X-Remote-User", user);
+                assert_eq!(site.dashboard.handle(&req).status, 200);
+            }
+        }
+        site.scenario.ctld.stats().count_of("squeue")
+    };
+    let rpcs = [0, 5, 15, 30, 60, 120].map(squeue_rpcs);
+    assert_eq!(rpcs[0], 4 * 30, "TTL 0 forwards every refresh");
+    assert!(
+        rpcs.windows(2).all(|w| w[1] <= w[0]) && rpcs[5] < rpcs[0],
+        "squeue RPCs per TTL: {rpcs:?}"
+    );
 }
 
 #[test]

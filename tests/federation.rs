@@ -1,11 +1,12 @@
 //! Experiment P13: federated degradation — one site of a 4-cluster
 //! federation blacks out, and the portal's aggregate view keeps answering
 //! with the dead site's slice honestly marked stale while live sites stay
-//! fresh. Same-seed chaos replays to the same federation-wide trace.
+//! fresh. A fan-out takes no cluster-state mutex on any site. Same-seed
+//! chaos replays to the same federation-wide trace.
 
 use hpcdash::FedSite;
 use hpcdash_faults::{FaultPlan, FaultRule};
-use hpcdash_http::HttpClient;
+use hpcdash_http::{HttpClient, Method, Request};
 use hpcdash_workload::FederationConfig;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -164,6 +165,7 @@ fn live_sites_keep_publishing_fresh_data_through_a_peer_outage() {
     }
     // Beta's slice is pinned at its last good snapshot and says so.
     assert_eq!(site_health(&after)["beta"], "stale");
+    assert_eq!(seq_of(&after, "beta"), seq_of(&before, "beta"));
     let beta_site = after["sites"]
         .as_array()
         .unwrap()
@@ -173,6 +175,51 @@ fn live_sites_keep_publishing_fresh_data_through_a_peer_outage() {
     assert!(
         beta_site["stale_age_secs"].as_u64().unwrap() >= 300,
         "{beta_site}"
+    );
+}
+
+#[test]
+fn fan_out_takes_no_state_mutex_on_any_site() {
+    // The aggregate routes skip the server cache, so every request below is
+    // a fresh fan-out, and each one reads the four sites' epoch-published
+    // snapshots only.
+    let fed = FedSite::build(FederationConfig::quad(31));
+    fed.warm_up(300);
+    let user = fed.federation.sites[0].population.users[0].clone();
+    let get = |path: &str| {
+        fed.dashboard
+            .handle(&Request::new(Method::Get, path).with_header("X-Remote-User", &user))
+    };
+    let locks = || -> Vec<u64> {
+        fed.federation
+            .sites
+            .iter()
+            .map(|s| s.ctld.stats().state_lock_count())
+            .collect()
+    };
+    let fanouts = || {
+        fed.ctx()
+            .obs
+            .counter("hpcdash_federation_fanouts_total", &[])
+            .get()
+    };
+    assert_eq!(get("/api/federation/status").status, 200);
+
+    let (locks0, fanouts0) = (locks(), fanouts());
+    for _ in 0..10 {
+        for path in [
+            "/api/federation/status",
+            "/api/federation/jobs",
+            "/api/federation/nodes",
+        ] {
+            assert_eq!(get(path).status, 200, "{path}");
+        }
+    }
+    assert_eq!(fanouts() - fanouts0, 30, "every request fanned out");
+    assert_eq!(
+        locks(),
+        locks0,
+        "30 fan-outs acquired a cluster-state mutex on some site"
     );
 }
 

@@ -5,7 +5,7 @@
 use hpcdash::SimSite;
 use hpcdash_client::{LiveSubscriber, PollOutcome};
 use hpcdash_core::DashboardConfig;
-use hpcdash_http::HttpClient;
+use hpcdash_http::{HttpClient, Method, Request};
 use hpcdash_workload::ScenarioConfig;
 
 fn poll(client: &HttpClient, base: &str, user: &str, since: u64) -> serde_json::Value {
@@ -137,6 +137,54 @@ fn streaming_matches_polling_at_equivalent_freshness() {
             "job {job} diverged between poll and push"
         );
     }
+}
+
+#[test]
+fn a_stream_round_costs_the_same_for_one_tab_as_for_many() {
+    // Once subscribed, a tab drains its hub queue: a round of stream
+    // requests costs the daemons the same (event-log scans, assoc RPCs)
+    // however many tabs make it.
+    fn per_round_cost(tabs: usize) -> (Vec<(u64, u64)>, u64) {
+        let site = SimSite::build(ScenarioConfig::small());
+        site.warm_up(300);
+        let pop = &site.scenario.population;
+        let users: Vec<String> = (0..tabs)
+            .map(|i| pop.user(i % pop.users.len()).to_string())
+            .collect();
+        let drain = |tab: usize| {
+            let req = Request::new(Method::Get, &format!("/api/updates/stream?sub=tab{tab}"))
+                .with_header("X-Remote-User", &users[tab]);
+            let resp = site.dashboard.handle(&req);
+            assert_eq!(resp.status, 200);
+            let body = resp.body_json().unwrap();
+            assert_eq!(body["resync_required"], false);
+            body["events"].as_array().unwrap().len() as u64
+        };
+        let cost = || {
+            (
+                site.scenario.ctld.events().scan_count(),
+                site.scenario.ctld.stats().count_of("scontrol_assoc"),
+            )
+        };
+        for tab in 0..tabs {
+            drain(tab); // subscribe and backfill
+        }
+        let mut driver = site.driver(5 * 300);
+        let (mut rounds, mut delivered) = (Vec::new(), 0);
+        for _ in 0..5 {
+            driver.advance(300);
+            let before = cost();
+            delivered += (0..tabs).map(drain).sum::<u64>();
+            let after = cost();
+            rounds.push((after.0 - before.0, after.1 - before.1));
+        }
+        (rounds, delivered)
+    }
+    let (one, delivered_one) = per_round_cost(1);
+    let (many, delivered_many) = per_round_cost(64);
+    assert!(delivered_one > 0, "the rounds carried no events");
+    assert!(delivered_many >= delivered_one);
+    assert_eq!(one, many, "(log scans, assoc RPCs) per round: 1 tab vs 64");
 }
 
 #[test]

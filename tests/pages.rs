@@ -1,9 +1,10 @@
 //! Figures F2-F4d: render every page of the dashboard from live simulated
-//! data and check the paper's described elements are present.
+//! data and check the paper's described elements are present. P4: the page
+//! shells paint before any data exists.
 
 use hpcdash::SimSite;
 use hpcdash_core::pages;
-use hpcdash_http::HttpClient;
+use hpcdash_http::{HttpClient, Method, Request};
 use hpcdash_slurm::job::{JobRequest, UsageProfile};
 use hpcdash_workload::ScenarioConfig;
 
@@ -77,6 +78,25 @@ fn f3_myjobs_page_with_efficiency_and_charts() {
     l.site.scenario.ctld.tick();
 
     let payload = l.json("/api/myjobs?range=all");
+    // Paper §4: My Jobs covers more jobs, with more fields each, than the
+    // stock Open OnDemand Active Jobs app, which lists live jobs only.
+    let baseline = l.json("/api/activejobs");
+    let (mine, active) = (
+        payload["jobs"].as_array().unwrap(),
+        baseline["jobs"].as_array().unwrap(),
+    );
+    assert!(
+        mine.len() > active.len(),
+        "{} vs {}",
+        mine.len(),
+        active.len()
+    );
+    let fields = |rows: &[serde_json::Value]| rows[0].as_object().unwrap().len();
+    assert!(
+        fields(mine) > fields(active),
+        "My Jobs carries more columns"
+    );
+
     let html = pages::myjobs::render_full("Anvil", &l.user, &payload);
     assert!(html.contains("job-table"));
     assert!(html.contains("data-chart="));
@@ -88,6 +108,23 @@ fn f3_myjobs_page_with_efficiency_and_charts() {
         html.contains("alert-warning"),
         "wasteful job should produce an efficiency warning"
     );
+}
+
+/// P4 (paper §2.3): a shell is served before its widgets fetch anything,
+/// so it costs slurmctld and slurmdbd nothing, even with every cache cold.
+#[test]
+fn page_shells_make_no_daemon_rpcs() {
+    let site = SimSite::build(ScenarioConfig::small());
+    site.warm_up(300);
+    site.ctx().cache.clear();
+    let user = site.scenario.population.users[0].clone();
+    let rpcs = || site.scenario.ctld.stats().total_rpcs() + site.scenario.dbd.stats().total_rpcs();
+    let before = rpcs();
+    for path in ["/", "/myjobs", "/jobperf", "/clusterstatus"] {
+        let req = Request::new(Method::Get, path).with_header("X-Remote-User", &user);
+        assert_eq!(site.dashboard.handle(&req).status, 200, "{path}");
+    }
+    assert_eq!(rpcs(), before, "a shell waited on a daemon");
 }
 
 #[test]

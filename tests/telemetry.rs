@@ -1,7 +1,8 @@
 //! The telemetry subsystem end to end: collector-backed sparklines on the
 //! job pages, collector-backed GPU efficiency behind the feature flag,
-//! privacy filtering on the telemetry routes, and the PR's core regression
-//! guarantee — telemetry never touches the slurmctld state mutex.
+//! privacy filtering on the telemetry routes, the compression of collector
+//! output, and the core regression guarantee — telemetry never touches the
+//! slurmctld state mutex.
 
 use hpcdash::SimSite;
 use hpcdash_core::pages;
@@ -9,7 +10,7 @@ use hpcdash_core::DashboardConfig;
 use hpcdash_http::HttpClient;
 use hpcdash_simtime::Clock;
 use hpcdash_slurm::job::{JobId, JobRequest, PlannedOutcome, UsageProfile};
-use hpcdash_telemetry::keys;
+use hpcdash_telemetry::{keys, RetentionPolicy};
 use hpcdash_workload::ScenarioConfig;
 
 struct Site {
@@ -123,6 +124,27 @@ fn telemetry_never_acquires_the_state_mutex() {
         0,
         "telemetry collection, range queries, and the live route must not \
          touch the slurmctld state mutex"
+    );
+}
+
+/// Sealed chunks of real collector output compress at least 4x against the
+/// raw encoding of 16 bytes per sample (an i64 timestamp and an f64 value).
+#[test]
+fn collector_output_compresses_at_least_4x() {
+    let site = SimSite::build(ScenarioConfig::small());
+    // 70 minutes of 30 s collection seals one 128-sample chunk per
+    // long-lived series; the 2 h raw retention has expired none of them.
+    site.warm_up(70 * 60);
+    let stats = site.scenario.telemetry.store().stats();
+    assert_eq!(stats.samples_rejected, 0, "collectors emit in order");
+    assert!(stats.chunks_sealed > 0, "no chunk sealed: {stats:?}");
+    let raw_bytes = stats.chunks_sealed * RetentionPolicy::default().chunk_samples as u64 * 16;
+    let ratio = raw_bytes as f64 / stats.compressed_bytes as f64;
+    assert!(
+        ratio >= 4.0,
+        "{} sealed chunks: {raw_bytes} raw bytes -> {} compressed ({ratio:.1}x)",
+        stats.chunks_sealed,
+        stats.compressed_bytes
     );
 }
 
