@@ -343,7 +343,7 @@ pub fn assoc_body(snap: &ClusterSnapshot, indices: &[usize]) -> Vec<u8> {
         meta: Meta::of(snap),
         associations: indices
             .iter()
-            .map(|&i| AssocRow::from(&snap.assoc[i]))
+            .map(|&i| AssocRow::from(&*snap.assoc[i]))
             .collect(),
     })
 }
@@ -409,7 +409,8 @@ mod tests {
             vec![Arc::new(job)],
             vec![node],
             vec![part],
-            vec![assoc],
+            vec![Arc::new(assoc)],
+            None,
         )
     }
 

@@ -89,6 +89,7 @@ mod tests {
             vec![Node::new("a001", 8, 32_000, 0)],
             vec![Partition::new("cpu"), Partition::new("gpu")],
             vec![],
+            None,
         )
     }
 

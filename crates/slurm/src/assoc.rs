@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// An account (a.k.a. allocation) in the accounting hierarchy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Account {
     pub name: String,
     pub description: String,
@@ -52,7 +52,7 @@ pub struct UserUsage {
 }
 
 /// Live usage attached to one account.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct AccountUsage {
     /// CPUs of currently running jobs.
     pub cpus_running: u32,
@@ -156,40 +156,44 @@ impl AssocStore {
         let Some(acct) = self.accounts.get(account) else {
             return Ok(());
         };
-        let usage = self.usage.get(account).cloned().unwrap_or_default();
+        let usage = self.usage.get(account);
         if let Some(cap) = acct.grp_cpu_limit {
-            if usage.cpus_running + cpus > cap {
+            if usage.map_or(0, |u| u.cpus_running) + cpus > cap {
                 return Err(LimitViolation::GrpCpuLimit);
             }
         }
         if let Some(cap_mins) = acct.grp_gpu_mins_limit {
-            if gpus > 0 && usage.gpu_seconds / 60 >= cap_mins {
+            if gpus > 0 && usage.map_or(0, |u| u.gpu_seconds) / 60 >= cap_mins {
                 return Err(LimitViolation::GrpGpuMinsLimit);
             }
         }
         Ok(())
     }
 
+    /// The usage row of `account`, created on first use. Looked up by
+    /// `&str` first: only a new row allocates its key.
+    fn usage_mut(&mut self, account: &str) -> &mut AccountUsage {
+        if !self.usage.contains_key(account) {
+            self.usage
+                .insert(account.to_string(), AccountUsage::default());
+        }
+        self.usage.get_mut(account).expect("inserted above")
+    }
+
     /// Record that a pending job joined the queue under `account`.
     pub fn note_queued(&mut self, account: &str, cpus: u32) {
-        self.usage
-            .entry(account.to_string())
-            .or_default()
-            .cpus_queued += cpus;
+        self.usage_mut(account).cpus_queued += cpus;
     }
 
     /// Record that a pending job left the queue (started or was cancelled).
     pub fn note_dequeued(&mut self, account: &str, cpus: u32) {
-        let u = self.usage.entry(account.to_string()).or_default();
+        let u = self.usage_mut(account);
         u.cpus_queued = u.cpus_queued.saturating_sub(cpus);
     }
 
     /// Record a job start.
     pub fn note_start(&mut self, account: &str, cpus: u32) {
-        self.usage
-            .entry(account.to_string())
-            .or_default()
-            .cpus_running += cpus;
+        self.usage_mut(account).cpus_running += cpus;
     }
 
     /// Record a job end, charging `elapsed`-scaled usage to the account and
@@ -203,7 +207,7 @@ impl AssocStore {
         elapsed_secs: u64,
         usage_factor: f64,
     ) {
-        let u = self.usage.entry(account.to_string()).or_default();
+        let u = self.usage_mut(account);
         u.cpus_running = u.cpus_running.saturating_sub(cpus);
         let cpu_secs = (cpus as u64 * elapsed_secs) as f64 * usage_factor;
         let gpu_secs = (gpus as u64 * elapsed_secs) as f64 * usage_factor;

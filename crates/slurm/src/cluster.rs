@@ -1,6 +1,7 @@
 //! Live cluster state: submissions, cancellations, and the scheduling tick.
 
-use crate::assoc::AssocStore;
+use crate::assoc::{AccountUsage, AssocStore};
+use crate::ctld::AssocRecord;
 use crate::events::EventLog;
 use crate::job::{
     ArrayMeta, Job, JobId, JobRequest, JobState, JobStats, PendingReason, PlannedOutcome,
@@ -8,10 +9,11 @@ use crate::job::{
 use crate::node::Node;
 use crate::partition::Partition;
 use crate::qos::Qos;
-use crate::sched::backfill::{PlanInputs, RunningJobInfo};
-use crate::sched::{self, PriorityWeights, ScheduleDecision};
-use hpcdash_simtime::{TimeLimit, Timestamp};
+use crate::sched::{self, PlanInputs, PriorityWeights, ScheduleDecision};
+use crate::snapshot::ClusterSnapshot;
+use hpcdash_simtime::Timestamp;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -115,6 +117,9 @@ pub struct ClusterState {
     pub sched_passes: u64,
     /// Job state transitions, for the real-time-updates feed.
     events: Arc<EventLog>,
+    /// The last captured snapshot: the next capture shares whatever of it
+    /// is unchanged.
+    published: Option<Arc<ClusterSnapshot>>,
 }
 
 impl ClusterState {
@@ -148,6 +153,7 @@ impl ClusterState {
             sched_log: VecDeque::new(),
             sched_passes: 0,
             events: Arc::new(EventLog::default()),
+            published: None,
         }
     }
 
@@ -449,94 +455,60 @@ impl ClusterState {
     }
 
     fn schedule_pass(&mut self, now: Timestamp) {
-        // Compute priorities for pending jobs.
-        let mut pending_ids: Vec<JobId> = Vec::new();
-        let priorities: HashMap<JobId, u64> = self
-            .jobs
-            .values()
-            .filter(|j| j.state == JobState::Pending)
-            .map(|j| {
-                let p = sched::compute_priority(
-                    j,
-                    now,
-                    &self.assoc,
-                    self.qos.get(&j.req.qos),
-                    self.partitions.get(&j.req.partition),
-                    &self.weights,
-                );
-                (j.id, p)
-            })
-            .collect();
-        for (id, p) in &priorities {
-            if let Some(j) = self.jobs.get_mut(id) {
-                if j.priority != *p {
-                    Arc::make_mut(j).priority = *p;
-                }
-            }
-        }
-
-        // Eligible = pending, not held, not waiting on begin-time/dependency.
-        for job in self.jobs.values() {
+        for job in self.jobs.values_mut() {
             if job.state != JobState::Pending {
                 continue;
             }
-            if matches!(
-                job.reason,
-                Some(PendingReason::JobHeldUser)
-                    | Some(PendingReason::JobHeldAdmin)
-                    | Some(PendingReason::BeginTime)
-                    | Some(PendingReason::Dependency)
-            ) {
-                continue;
+            let p = sched::compute_priority(
+                job,
+                now,
+                &self.assoc,
+                self.qos.get(&job.req.qos),
+                self.partitions.get(&job.req.partition),
+                &self.weights,
+            );
+            if job.priority != p {
+                Arc::make_mut(job).priority = p;
             }
-            pending_ids.push(job.id);
         }
-        pending_ids.sort_by_key(|id| {
-            let j = &self.jobs[id];
-            (std::cmp::Reverse(j.priority), j.submit_time, *id)
-        });
 
-        let running_info: Vec<RunningJobInfo> = self
+        // Eligible = pending, not held, not waiting on begin-time/dependency;
+        // highest priority first, then oldest, then lowest id.
+        let mut by_priority: Vec<_> = self
             .jobs
             .values()
-            .filter(|j| j.state == JobState::Running)
-            .map(|j| RunningJobInfo {
-                nodes: j.nodes.clone(),
-                per_node: j.req.per_node_tres(),
-                expected_end: match j.req.time_limit {
-                    TimeLimit::Limited(secs) => {
-                        Timestamp(j.start_time.unwrap_or(now).as_secs() + secs)
-                    }
-                    TimeLimit::Unlimited => Timestamp(u64::MAX),
-                },
+            .filter(|j| {
+                j.state == JobState::Pending
+                    && !matches!(
+                        j.reason,
+                        Some(PendingReason::JobHeldUser)
+                            | Some(PendingReason::JobHeldAdmin)
+                            | Some(PendingReason::BeginTime)
+                            | Some(PendingReason::Dependency)
+                    )
             })
+            .map(|j| ((Reverse(j.priority), j.submit_time, j.id), &**j))
+            .collect();
+        by_priority.sort_unstable_by_key(|&(key, _)| key);
+        let pending: Vec<&Job> = by_priority.into_iter().map(|(_, j)| j).collect();
+        let running: Vec<&Job> = self
+            .jobs
+            .values()
+            .map(|j| &**j)
+            .filter(|j| j.state == JobState::Running)
             .collect();
 
-        let mut run_counts: HashMap<(String, String), u32> = HashMap::new();
-        let mut array_running: HashMap<JobId, u32> = HashMap::new();
-        for j in self.jobs.values().filter(|j| j.state == JobState::Running) {
-            *run_counts
-                .entry((j.req.user.clone(), j.req.qos.clone()))
-                .or_insert(0) += 1;
-            if let Some(a) = &j.array {
-                *array_running.entry(a.array_job_id).or_insert(0) += 1;
-            }
-        }
-
-        let pending_jobs: Vec<&Job> = pending_ids.iter().map(|id| &*self.jobs[id]).collect();
-        let plan = sched::plan_schedule(PlanInputs {
+        let decisions = sched::plan_schedule(PlanInputs {
             nodes: &self.nodes,
             partitions: &self.partitions,
             qos: &self.qos,
             assoc: &self.assoc,
-            running: &running_info,
-            pending: &pending_jobs,
-            run_counts: &run_counts,
-            array_running: &array_running,
+            running: &running,
+            pending: &pending,
             now,
         });
 
-        for decision in plan.decisions {
+        for decision in decisions {
             match decision {
                 ScheduleDecision::Start {
                     job: id,
@@ -550,9 +522,7 @@ impl ClusterState {
                 }
                 ScheduleDecision::Pend { job: id, reason } => {
                     if let Some(j) = self.jobs.get_mut(&id) {
-                        if j.reason != Some(reason) {
-                            Arc::make_mut(j).reason = Some(reason);
-                        }
+                        Arc::make_mut(j).reason = Some(reason);
                     }
                 }
             }
@@ -560,41 +530,30 @@ impl ClusterState {
     }
 
     fn start_job(&mut self, id: JobId, node_names: Vec<String>, now: Timestamp) {
-        let per_node = {
-            let job = self.jobs.get(&id).expect("plan references live job");
-            job.req.per_node_tres()
-        };
+        let job = Arc::make_mut(self.jobs.get_mut(&id).expect("plan references live job"));
+        let per_node = job.req.per_node_tres();
         for name in &node_names {
             self.nodes
                 .get_mut(name)
                 .expect("plan chose known node")
                 .allocate(per_node, now);
         }
-        let (account, cpus, plan) = {
-            let arc = self.jobs.get_mut(&id).expect("plan references live job");
-            let job = Arc::make_mut(arc);
-            job.state = JobState::Running;
-            job.reason = None;
-            job.start_time = Some(now);
-            job.nodes = node_names;
-            let plan = run_plan(job, now);
-            (job.req.account.clone(), job.alloc_cpus(), plan)
-        };
-        {
-            let job = &self.jobs[&id];
-            self.events.push(
-                now,
-                id,
-                &job.req.user,
-                &job.req.account,
-                Some(JobState::Pending),
-                JobState::Running,
-                None,
-            );
-        }
-        self.assoc.note_dequeued(&account, cpus);
-        self.assoc.note_start(&account, cpus);
-        self.run_plans.insert(id, plan);
+        job.state = JobState::Running;
+        job.reason = None;
+        job.start_time = Some(now);
+        job.nodes = node_names;
+        self.events.push(
+            now,
+            id,
+            &job.req.user,
+            &job.req.account,
+            Some(JobState::Pending),
+            JobState::Running,
+            None,
+        );
+        self.assoc.note_dequeued(&job.req.account, job.alloc_cpus());
+        self.assoc.note_start(&job.req.account, job.alloc_cpus());
+        self.run_plans.insert(id, run_plan(job, now));
     }
 
     fn release_job_nodes(&mut self, job: &Job, now: Timestamp) {
@@ -673,36 +632,62 @@ impl ClusterState {
         self.partitions.get_mut(name)
     }
 
-    /// Association records in `AssocStore::accounts()` order, optionally
-    /// restricted to the accounts `user` belongs to.
-    pub fn assoc_records(&self, user: Option<&str>) -> Vec<crate::ctld::AssocRecord> {
+    /// Association records in `AssocStore::accounts()` order. A record
+    /// whose account, usage and members equal `prev`'s at the same place
+    /// is `prev`'s, shared.
+    fn assoc_records(&self, prev: &[Arc<AssocRecord>]) -> Arc<[Arc<AssocRecord>]> {
+        let unused = AccountUsage::default();
         self.assoc
             .accounts()
-            .filter(|a| match user {
-                Some(u) => self.assoc.is_member(&a.name, u),
-                None => true,
-            })
-            .map(|a| crate::ctld::AssocRecord {
-                account: a.clone(),
-                usage: self.assoc.usage(&a.name).cloned().unwrap_or_default(),
-                members: self.assoc.users_of_account(&a.name).to_vec(),
+            .enumerate()
+            .map(|(i, account)| {
+                let usage = self.assoc.usage(&account.name).unwrap_or(&unused);
+                let members = self.assoc.users_of_account(&account.name);
+                match prev.get(i) {
+                    Some(r)
+                        if r.account == *account && r.usage == *usage && r.members == members =>
+                    {
+                        r.clone()
+                    }
+                    _ => Arc::new(AssocRecord {
+                        account: account.clone(),
+                        usage: usage.clone(),
+                        members: members.to_vec(),
+                    }),
+                }
             })
             .collect()
     }
 
     /// Materialize an immutable snapshot of the whole cluster for epoch
-    /// publication. Jobs are shared (`Arc` clones); nodes/partitions/assoc
-    /// rows are copied once per publication instead of once per read RPC.
-    pub fn capture_snapshot(&self, seq: u64, now: Timestamp) -> crate::snapshot::ClusterSnapshot {
-        crate::snapshot::ClusterSnapshot::build(
+    /// publication. Jobs are shared (`Arc` clones), and so is every part no
+    /// mutation touched since the last capture: its node, partition and
+    /// association slices, each unchanged association record, and the job
+    /// indexes, which are carried over rather than rebuilt.
+    pub(crate) fn capture_snapshot(&mut self, seq: u64, now: Timestamp) -> Arc<ClusterSnapshot> {
+        let prev = self.published.take();
+        let nodes: Arc<[Node]> = match &prev {
+            Some(p) if p.nodes.iter().eq(self.nodes.values()) => p.nodes.clone(),
+            _ => self.nodes.values().cloned().collect(),
+        };
+        let partitions: Arc<[Partition]> = match &prev {
+            Some(p) if p.partitions.iter().eq(self.partitions.values()) => p.partitions.clone(),
+            _ => self.partitions.values().cloned().collect(),
+        };
+        let assoc = self.assoc_records(prev.as_ref().map_or(&[], |p| &p.assoc));
+        let snap = Arc::new(ClusterSnapshot::build(
             seq,
             now,
-            Arc::from(self.name.as_str()),
+            prev.as_ref()
+                .map_or_else(|| Arc::from(self.name.as_str()), |p| p.name.clone()),
             self.jobs.values().cloned().collect(),
-            self.nodes.values().cloned().collect(),
-            self.partitions.values().cloned().collect(),
-            self.assoc_records(None),
-        )
+            nodes,
+            partitions,
+            assoc,
+            prev.as_deref(),
+        ));
+        self.published = Some(snap.clone());
+        snap
     }
 
     /// Capture the durable image of this cluster: everything a restarted
@@ -747,6 +732,7 @@ impl ClusterState {
             sched_log: VecDeque::new(),
             sched_passes: cp.sched_passes,
             events,
+            published: None,
         }
     }
 }
@@ -866,6 +852,7 @@ mod tests {
     use super::*;
     use crate::assoc::Account;
     use crate::job::{ArraySpec, UsageProfile};
+    use hpcdash_simtime::TimeLimit;
 
     pub(crate) fn small_spec() -> ClusterSpec {
         let mut assoc = AssocStore::new();
@@ -1165,5 +1152,95 @@ mod tests {
             .collect();
         assert_eq!(running.len(), 1, "only a004 is schedulable");
         assert_eq!(c.job(*running[0]).unwrap().nodes, vec!["a004".to_string()]);
+    }
+
+    /// Sharing is invisible: after every kind of mutation, the snapshot
+    /// that reuses the previous one's parts and carries its indexes equals
+    /// one built from scratch.
+    #[test]
+    fn shared_capture_equals_a_fresh_one() {
+        use crate::node::AdminFlag;
+        use crate::partition::PartitionState;
+        let mut c = ClusterState::new(small_spec());
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut roll = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut now = 0;
+        let (mut nodes_shared, mut records_shared) = (0, 0);
+        for step in 0..600u64 {
+            let pick = |k: u64| c.active_jobs().nth(k as usize).map(|j| j.id);
+            match roll(10) {
+                0..=2 => {
+                    let (user, account) =
+                        [("alice", "physics"), ("bob", "physics"), ("carol", "bio")]
+                            [roll(3) as usize];
+                    let mut r = req(user, account, 1 + roll(16) as u32, 30 + roll(900));
+                    r.nodes = 1 + roll(2) as u32;
+                    if roll(4) == 0 {
+                        r.array = Some(ArraySpec {
+                            first: 0,
+                            last: roll(4) as u32,
+                            max_concurrent: Some(2),
+                        });
+                    }
+                    let _ = c.submit(r, Timestamp(now));
+                }
+                3 => {
+                    if let Some(id) = pick(roll(8)) {
+                        c.cancel(id, "root", Timestamp(now)).unwrap();
+                    }
+                }
+                4 => {
+                    if let Some(id) = pick(roll(8)) {
+                        let _ = c.hold(id, false);
+                        let _ = c.release(id);
+                    }
+                }
+                5 => {
+                    let node = format!("a{:03}", 1 + roll(4));
+                    let flag = [AdminFlag::None, AdminFlag::Drain][roll(2) as usize];
+                    c.node_mut(&node).unwrap().admin_flag = flag;
+                }
+                6 => {
+                    let state = [PartitionState::Up, PartitionState::Down][roll(2) as usize];
+                    c.partition_mut("cpu").unwrap().state = state;
+                }
+                _ => {
+                    now += 1 + roll(120);
+                    c.tick(Timestamp(now));
+                }
+            }
+            let before = c.published.clone();
+            let shared = c.capture_snapshot(step, Timestamp(now));
+            if let Some(before) = before {
+                nodes_shared += usize::from(Arc::ptr_eq(&before.nodes, &shared.nodes));
+                records_shared += usize::from(Arc::ptr_eq(&before.assoc[1], &shared.assoc[1]));
+            }
+            let published = c.published.take();
+            let fresh = c.capture_snapshot(step, Timestamp(now));
+            c.published = published;
+            let ids = |s: &ClusterSnapshot| s.jobs.iter().map(|j| j.id).collect::<Vec<_>>();
+            assert_eq!(ids(&shared), ids(&fresh), "step {step}");
+            assert_eq!(format!("{:?}", shared.nodes), format!("{:?}", fresh.nodes));
+            assert_eq!(
+                format!("{:?}", shared.partitions),
+                format!("{:?}", fresh.partitions)
+            );
+            assert_eq!(shared.assoc, fresh.assoc, "step {step}");
+            assert_eq!(shared.by_user, fresh.by_user, "step {step}");
+            assert_eq!(shared.by_account, fresh.by_account, "step {step}");
+            assert_eq!(shared.by_partition, fresh.by_partition, "step {step}");
+            assert_eq!(shared.partition_nodes, fresh.partition_nodes);
+            assert_eq!(shared.counts, fresh.counts, "step {step}");
+        }
+        assert!(nodes_shared > 100, "nodes shared {nodes_shared} times");
+        assert!(
+            records_shared > 100,
+            "physics shared {records_shared} times"
+        );
     }
 }

@@ -146,7 +146,7 @@ fn merge_ascending(lists: &[&[u32]]) -> Vec<u32> {
 }
 
 /// One account row from `scontrol show assoc`-style queries.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AssocRecord {
     pub account: Account,
     pub usage: AccountUsage,
@@ -209,12 +209,12 @@ impl Slurmctld {
         cost: RpcCostModel,
     ) -> Slurmctld {
         let cluster_name = spec.name.clone();
-        let state = ClusterState::new(spec);
+        let mut state = ClusterState::new(spec);
         let events = state.events();
         events.set_cluster(&cluster_name);
         // Seq 0: queries are answerable (nodes/partitions/assoc populated)
         // before the first tick or submit ever publishes.
-        let initial = Arc::new(state.capture_snapshot(0, clock.now()));
+        let initial = state.capture_snapshot(0, clock.now());
         // Checkpoint 0 at construction: a crash before the first periodic
         // checkpoint still has an image to recover from.
         let durable = DurableStore::new();
@@ -266,13 +266,16 @@ impl Slurmctld {
 
     /// Publish a fresh snapshot of `state`. Called while the caller still
     /// holds the state lock, so publications are ordered and `seq` is
-    /// strictly increasing with the mutations it reflects.
-    fn publish_locked(&self, state: &ClusterState, now: Timestamp) -> Arc<ClusterSnapshot> {
-        let seq = self.snap_stats.next_seq();
-        let snap = Arc::new(state.capture_snapshot(seq, now));
-        self.snap.store(snap.clone());
-        self.snap_stats.note_publish();
-        snap
+    /// strictly increasing with the mutations it reflects. Every
+    /// publication, a tick's or an RPC's, is timed as `snapshot_publish`.
+    fn publish_locked(&self, state: &mut ClusterState, now: Timestamp) -> Arc<ClusterSnapshot> {
+        self.phases.time("snapshot_publish", || {
+            let seq = self.snap_stats.next_seq();
+            let snap = state.capture_snapshot(seq, now);
+            self.snap.store(snap.clone());
+            self.snap_stats.note_publish();
+            snap
+        })
     }
 
     fn load_snapshot(&self) -> Arc<ClusterSnapshot> {
@@ -322,9 +325,7 @@ impl Slurmctld {
                 self.cost.burn(state.active_jobs().count());
                 finished
             });
-            let snap = self
-                .phases
-                .time("snapshot_publish", || self.publish_locked(&state, now));
+            let snap = self.publish_locked(&mut state, now);
             // Group commit: this tick and every mutation journaled since
             // the previous one become durable together.
             self.wal.flush();
@@ -428,7 +429,7 @@ impl Slurmctld {
             // Jobs that finished during replay may or may not have reached
             // slurmdbd pre-crash; archival is idempotent, so re-spool all.
             let replayed_finished = state.drain_finished();
-            let snap = self.publish_locked(&state, now);
+            let snap = self.publish_locked(&mut state, now);
             self.dbd_spool
                 .lock()
                 .extend(replayed_finished.into_iter().map(|f| f.job));
@@ -487,7 +488,7 @@ impl Slurmctld {
             let result = state.submit(req, now);
             if result.is_ok() {
                 self.wal.append(record);
-                self.publish_locked(&state, now);
+                self.publish_locked(&mut state, now);
             }
             result
         };
@@ -515,7 +516,7 @@ impl Slurmctld {
                     user: user.to_string(),
                     now,
                 });
-                self.publish_locked(&state, now);
+                self.publish_locked(&mut state, now);
             }
             result
         };
@@ -634,7 +635,7 @@ impl Slurmctld {
                 Some(u) => r.members.iter().any(|m| m == u),
                 None => true,
             })
-            .cloned()
+            .map(|r| AssocRecord::clone(r))
             .collect();
         self.cost.burn(records.len().max(1));
         self.stats
@@ -671,7 +672,7 @@ impl Slurmctld {
                 flag,
                 reason,
             });
-            self.publish_locked(&state, now);
+            self.publish_locked(&mut state, now);
         }
         ok
     }
@@ -695,7 +696,7 @@ impl Slurmctld {
                 partition: name.to_string(),
                 state: pstate,
             });
-            self.publish_locked(&state, now);
+            self.publish_locked(&mut state, now);
         }
         ok
     }
@@ -710,7 +711,7 @@ impl Slurmctld {
         let result = state.hold(id, by_admin);
         if result.is_ok() {
             self.wal.append(WalRecord::Hold { id, by_admin });
-            self.publish_locked(&state, now);
+            self.publish_locked(&mut state, now);
         }
         result
     }
@@ -725,7 +726,7 @@ impl Slurmctld {
         let result = state.release(id);
         if result.is_ok() {
             self.wal.append(WalRecord::Release { id });
-            self.publish_locked(&state, now);
+            self.publish_locked(&mut state, now);
         }
         result
     }
@@ -1034,6 +1035,10 @@ mod tests {
         assert_eq!(ctld.stats().count_of("squeue"), 5);
         assert_eq!(ctld.stats().count_of("scontrol_node"), 1);
         assert!(ctld.stats().count_of("sched_tick") >= 1);
+        // The submit's publication is timed as well as the tick's.
+        let phases = ctld.phase_profile().snapshot();
+        let publish = phases.iter().find(|(p, _)| *p == "snapshot_publish");
+        assert_eq!(publish.map(|(_, agg)| agg.count), Some(2));
     }
 
     #[test]

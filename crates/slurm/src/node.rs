@@ -80,7 +80,7 @@ pub enum AdminFlag {
 }
 
 /// One compute node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Node {
     pub name: String,
     /// Configured resources.
@@ -162,11 +162,16 @@ impl Node {
 
     /// Can the scheduler place a new allocation of `req` on this node?
     pub fn can_fit(&self, req: Tres) -> bool {
-        self.state().schedulable()
-            && self.admin_flag == AdminFlag::None
-            && req.cpus <= self.cpus.saturating_sub(self.alloc.cpus)
-            && req.mem_mb <= self.real_memory_mb.saturating_sub(self.alloc.mem_mb)
-            && req.gpus <= self.gpus.saturating_sub(self.alloc.gpus)
+        self.can_fit_beside(self.alloc, req)
+    }
+
+    /// [`Node::can_fit`] as if `alloc` were allocated here, as the planner
+    /// asks; with no admin flag set the node is always schedulable.
+    pub(crate) fn can_fit_beside(&self, alloc: Tres, req: Tres) -> bool {
+        self.admin_flag == AdminFlag::None
+            && req.cpus <= self.cpus.saturating_sub(alloc.cpus)
+            && req.mem_mb <= self.real_memory_mb.saturating_sub(alloc.mem_mb)
+            && req.gpus <= self.gpus.saturating_sub(alloc.gpus)
     }
 
     /// Allocate resources. Panics if they do not fit — the scheduler must

@@ -40,7 +40,7 @@ impl std::fmt::Display for PartitionState {
 }
 
 /// A scheduling partition.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Partition {
     pub name: String,
     /// Names of member nodes.

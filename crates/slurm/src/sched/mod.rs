@@ -9,6 +9,5 @@ pub mod backfill;
 pub mod fit;
 pub mod priority;
 
-pub use backfill::{plan_schedule, PlanInputs, RunningJobInfo, ScheduleDecision, SchedulePlan};
-pub use fit::{could_ever_fit, select_nodes};
+pub use backfill::{plan_schedule, PlanInputs, ScheduleDecision};
 pub use priority::{compute_priority, PriorityWeights};

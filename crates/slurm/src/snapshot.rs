@@ -175,8 +175,9 @@ pub struct ClusterSnapshot {
     pub nodes: Arc<[Node]>,
     /// Partitions in name order.
     pub partitions: Arc<[Partition]>,
-    /// All association records, in `AssocStore::accounts()` order.
-    pub assoc: Arc<[AssocRecord]>,
+    /// All association records, in `AssocStore::accounts()` order. Each is
+    /// shared with every snapshot published while its account is unchanged.
+    pub assoc: Arc<[Arc<AssocRecord>]>,
     /// user -> ascending positions into `jobs`.
     pub by_user: HashMap<String, Vec<u32>>,
     /// account -> ascending positions into `jobs`.
@@ -186,7 +187,7 @@ pub struct ClusterSnapshot {
     /// Per-partition node groups: `partition_nodes[i]` holds positions into
     /// `nodes` for `partitions[i].nodes`, in the partition's declared node
     /// order (unknown node names are skipped, matching the old lookup).
-    pub partition_nodes: Vec<Vec<u32>>,
+    pub partition_nodes: Arc<[Vec<u32>]>,
     pub counts: StateCounts,
 }
 
@@ -204,36 +205,30 @@ impl ClusterSnapshot {
             by_user: HashMap::new(),
             by_account: HashMap::new(),
             by_partition: HashMap::new(),
-            partition_nodes: Vec::new(),
+            partition_nodes: Arc::from(Vec::new()),
             counts: StateCounts::default(),
         }
     }
 
     /// Build a snapshot from presorted components, deriving every index.
+    /// What `prev` (the snapshot published before this one) already
+    /// derived is reused: its job indexes are carried over rather than
+    /// rebuilt, and its per-partition node groups are shared when it holds
+    /// the very same node and partition slices.
+    #[allow(clippy::too_many_arguments)]
     pub fn build(
         seq: u64,
         now: hpcdash_simtime::Timestamp,
         name: Arc<str>,
         jobs: Vec<Arc<Job>>,
-        nodes: Vec<Node>,
-        partitions: Vec<Partition>,
-        assoc: Vec<AssocRecord>,
+        nodes: impl Into<Arc<[Node]>>,
+        partitions: impl Into<Arc<[Partition]>>,
+        assoc: impl Into<Arc<[Arc<AssocRecord>]>>,
+        prev: Option<&ClusterSnapshot>,
     ) -> ClusterSnapshot {
-        let mut by_user: HashMap<String, Vec<u32>> = HashMap::new();
-        let mut by_account: HashMap<String, Vec<u32>> = HashMap::new();
-        let mut by_partition: HashMap<String, Vec<u32>> = HashMap::new();
+        let (nodes, partitions) = (nodes.into(), partitions.into());
         let mut counts = StateCounts::default();
-        for (pos, job) in jobs.iter().enumerate() {
-            let pos = pos as u32;
-            by_user.entry(job.req.user.clone()).or_default().push(pos);
-            by_account
-                .entry(job.req.account.clone())
-                .or_default()
-                .push(pos);
-            by_partition
-                .entry(job.req.partition.clone())
-                .or_default()
-                .push(pos);
+        for job in &jobs {
             match job.state {
                 JobState::Pending => counts.pending += 1,
                 JobState::Running => counts.running += 1,
@@ -241,27 +236,29 @@ impl ClusterSnapshot {
                 _ => {}
             }
         }
-        let node_pos: HashMap<&str, u32> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.name.as_str(), i as u32))
-            .collect();
-        let partition_nodes = partitions
-            .iter()
-            .map(|p| {
-                p.nodes
-                    .iter()
-                    .filter_map(|n| node_pos.get(n.as_str()).copied())
-                    .collect()
-            })
-            .collect();
+        let [by_user, by_account, by_partition] = job_indexes(prev, &jobs);
+        let partition_nodes = match prev {
+            Some(p) if Arc::ptr_eq(&p.nodes, &nodes) && Arc::ptr_eq(&p.partitions, &partitions) => {
+                p.partition_nodes.clone()
+            }
+            _ => partitions
+                .iter()
+                .map(|p| {
+                    p.nodes
+                        .iter()
+                        .filter_map(|n| nodes.binary_search_by(|x| x.name.cmp(n)).ok())
+                        .map(|i| i as u32)
+                        .collect()
+                })
+                .collect(),
+        };
         ClusterSnapshot {
             seq,
             now,
             name,
             jobs: jobs.into(),
-            nodes: nodes.into(),
-            partitions: partitions.into(),
+            nodes,
+            partitions,
             assoc: assoc.into(),
             by_user,
             by_account,
@@ -285,6 +282,61 @@ impl ClusterSnapshot {
             .iter()
             .map(|&i| &self.nodes[i as usize])
     }
+}
+
+type JobIndex = HashMap<String, Vec<u32>>;
+
+/// What `by_user`, `by_account` and `by_partition` are keyed by, in that
+/// order. A job's request, and so its keys, never changes.
+const INDEX_KEYS: [fn(&Job) -> &str; 3] = [
+    |j| j.req.user.as_str(),
+    |j| j.req.account.as_str(),
+    |j| j.req.partition.as_str(),
+];
+
+/// The job indexes over `jobs`, carried over from `prev`'s: the positions
+/// of jobs still there are renumbered, jobs that left drop out, and only
+/// jobs `prev` did not hold are looked up by key. They must sort after all
+/// of `prev`'s, as ids handed out in ascending order do; if one does not,
+/// every list is built afresh.
+fn job_indexes(prev: Option<&ClusterSnapshot>, jobs: &[Arc<Job>]) -> [JobIndex; 3] {
+    let empty = JobIndex::new();
+    let (old_jobs, old) = match prev {
+        Some(p) => (&p.jobs[..], [&p.by_user, &p.by_account, &p.by_partition]),
+        None => (&[][..], [&empty; 3]),
+    };
+    // One merge walk over the two id-ascending slices: where each of
+    // `prev`'s jobs now sits, if anywhere.
+    let mut moved: Vec<Option<u32>> = Vec::with_capacity(old_jobs.len());
+    let mut next = 0;
+    for was in old_jobs {
+        match jobs.get(next) {
+            Some(job) if job.id < was.id => return job_indexes(None, jobs),
+            Some(job) if job.id == was.id => {
+                moved.push(Some(next as u32));
+                next += 1;
+            }
+            _ => moved.push(None),
+        }
+    }
+    [0, 1, 2].map(|i| {
+        let mut map = old[i].clone();
+        map.retain(|_, list| {
+            // Renumber the jobs still there; drop the ones that left.
+            list.retain_mut(|pos| moved[*pos as usize].map(|to| *pos = to).is_some());
+            !list.is_empty()
+        });
+        for (pos, job) in jobs.iter().enumerate().skip(next) {
+            // Only a key the index does not hold yet allocates its `String`.
+            let key = INDEX_KEYS[i](job);
+            if let Some(list) = map.get_mut(key) {
+                list.push(pos as u32);
+            } else {
+                map.insert(key.to_string(), vec![pos as u32]);
+            }
+        }
+        map
+    })
 }
 
 // ---------------------------------------------------------------------------

@@ -112,13 +112,19 @@ impl TsdbStore {
     }
 
     /// Append one sample, creating the series on first write. Returns false
-    /// for out-of-order/duplicate timestamps (counted, not stored).
+    /// for out-of-order/duplicate timestamps (counted, not stored). Only a
+    /// new series allocates its name.
     pub fn append(&self, name: &str, ts: i64, v: f64) -> bool {
         let mut shard = self.shards[shard_of(name)].lock();
-        let series = shard
-            .entry(name.to_string())
-            .or_insert_with(|| Series::new(self.policy));
-        let out = series.append(ts, v);
+        let out = match shard.get_mut(name) {
+            Some(series) => series.append(ts, v),
+            None => {
+                let mut series = Series::new(self.policy);
+                let out = series.append(ts, v);
+                shard.insert(name.to_string(), series);
+                out
+            }
+        };
         drop(shard);
         let c = &self.counters;
         if !out.accepted {

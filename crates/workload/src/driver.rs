@@ -85,8 +85,9 @@ impl SimDriver {
 #[cfg(test)]
 mod tests {
     use crate::scenario::{Scenario, ScenarioConfig};
-    use hpcdash_simtime::Clock;
-    use hpcdash_slurm::job::JobState;
+    use hpcdash_simtime::{Clock, Timestamp};
+    use hpcdash_slurm::dbd::JobFilter;
+    use hpcdash_slurm::job::{JobState, PendingReason};
 
     #[test]
     fn driver_populates_cluster() {
@@ -122,5 +123,59 @@ mod tests {
         let mut driver = s.driver(600);
         driver.advance(95);
         assert_eq!(driver.now().since(start), 95, "partial ticks land exactly");
+    }
+
+    /// FNV-1a over everything the scheduler decided about every job it ever
+    /// saw (archived and still active), plus the publication count and the
+    /// state-lock count: `(digest, snapshot seq, state locks)`.
+    fn decisions(config: ScenarioConfig, secs: u64) -> (u64, u64, u64) {
+        let s = Scenario::build(ScenarioConfig {
+            free_daemons: true,
+            ..config
+        });
+        s.driver(secs).advance(secs);
+        let snap = s.ctld.snapshot();
+        let archived = s.dbd.query_jobs(&JobFilter::default());
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut feed = |bytes: &[u8]| {
+            for b in bytes.iter().chain([&0xff]) {
+                h ^= u64::from(*b);
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        let time = |t: Option<Timestamp>| t.map_or(u64::MAX, Timestamp::as_secs).to_le_bytes();
+        for job in archived.iter().chain(snap.jobs.iter()) {
+            feed(&job.id.0.to_le_bytes());
+            feed(job.state.to_slurm().as_bytes());
+            feed(job.reason.map_or("", PendingReason::to_slurm).as_bytes());
+            feed(&job.priority.to_le_bytes());
+            feed(&job.submit_time.as_secs().to_le_bytes());
+            feed(&time(job.start_time));
+            feed(&time(job.end_time));
+            feed(job.nodes.join(",").as_bytes());
+            let (code, signal) = job.exit_code.unwrap_or((-1, -1));
+            feed(&code.to_le_bytes());
+            feed(&signal.to_le_bytes());
+        }
+        (h, snap.seq, s.ctld.stats().state_lock_count())
+    }
+
+    /// The refactor oracle for the scheduler and snapshot publication: the
+    /// same seed must start the same jobs on the same nodes at the same
+    /// instants, with the same reasons and priorities, in the same number
+    /// of publications and state-lock acquisitions. The constants were
+    /// taken before the planner was rewritten over a scratch view.
+    #[test]
+    fn same_seed_makes_the_same_decisions() {
+        assert_eq!(
+            decisions(ScenarioConfig::campus(), 4 * 3_600),
+            (5_906_772_974_963_005_036, 971, 971),
+            "campus, seed 42, four simulated hours (the benchmark's site)"
+        );
+        assert_eq!(
+            decisions(ScenarioConfig::campus().seed(7), 2 * 3_600),
+            (9_950_914_922_195_433_839, 444, 444),
+            "campus, seed 7, two simulated hours"
+        );
     }
 }
