@@ -1,14 +1,15 @@
 //! The push-mode live client: a browser tab subscribed to
 //! `/api/updates/stream`.
 //!
-//! Instead of refetching job tables on a timer, the subscriber holds a
-//! server-assigned queue (identified by its `sub` token) and applies the
-//! delivered deltas to a local `live_jobs` store in the IndexedDB analog —
-//! the client half of the poll-to-push inversion in `hpcdash-push`. When the
-//! server reports `resync_required` (queue overflow, or a cursor that fell
-//! out of the event log's retained window) the local store is cleared and
-//! the cursor re-anchors at the reported `latest_seq`; the real frontend
-//! would refetch its tables at that point.
+//! Instead of refetching job tables on a timer, the subscriber owns a
+//! server-held cursor into the cluster event log (identified by its `sub`
+//! token) and applies the delivered deltas to a local `live_jobs` store in
+//! the IndexedDB analog — the client half of the poll-to-push inversion in
+//! `hpcdash-push`. When the server reports `resync_required` (the log's
+//! retained window moved past the cursor, or a daemon recovered since the
+//! last read) the local store is cleared and the cursor re-anchors at the
+//! reported `latest_seq`; the real frontend would refetch its tables at that
+//! point.
 
 use hpcdash_cache::IndexedDb;
 use hpcdash_http::{ClientResponse, HttpClient};
@@ -20,8 +21,8 @@ use std::sync::Arc;
 /// How a subscriber reaches the server. The default is a real keep-alive
 /// TCP connection ([`HttpClient`]); harnesses that want more concurrent
 /// tabs than one process's fd limit allows dispatch in-process instead.
-/// Either way the server-side cost is identical — one hub queue, one
-/// registered subscriber, one drain per poll — only the socket is elided,
+/// Either way the server-side cost is identical — one hub cursor, one
+/// registered subscriber, one read per poll — only the socket is elided,
 /// so a 100k-tab fleet exercises the real fan-out path.
 pub trait StreamTransport: Send + Sync {
     fn get(&self, url: &str, headers: &[(&str, &str)]) -> Result<ClientResponse, String>;
@@ -48,7 +49,7 @@ impl StreamTransport for HttpClient {
 pub enum PollOutcome {
     /// Deltas were applied to the local store.
     Events(usize),
-    /// The wait expired with nothing queued.
+    /// The wait expired with nothing to read.
     Empty,
     /// The delta stream had a hole: local state was dropped and the cursor
     /// re-anchored. The caller should refetch full tables.
@@ -99,7 +100,7 @@ impl LiveSubscriber {
     }
 
     /// A subscriber on a caller-supplied transport. Fleets share one
-    /// transport `Arc` — the per-tab state (queue token, cursor, local
+    /// transport `Arc` — the per-tab state (`sub` token, cursor, local
     /// store) stays per-subscriber.
     pub fn with_transport(
         base_url: &str,
@@ -136,7 +137,7 @@ impl LiveSubscriber {
         self.anchor.set(seq);
     }
 
-    /// One long-poll round trip: drain the server-side queue (parking up to
+    /// One long-poll round trip: read from the server-held cursor (parking up to
     /// `wait_ms`) and apply the deltas locally.
     pub fn poll(&self, wait_ms: u64) -> Result<PollOutcome, String> {
         let url = format!(

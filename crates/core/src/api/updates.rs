@@ -1,37 +1,41 @@
 //! Real-time job monitoring (paper §9 future work, implemented): an
-//! incremental updates feed with two delivery modes.
+//! incremental updates feed. Both routes answer with one filtered cursor
+//! read of slurmctld's `EventLog`; they differ only in who holds the cursor.
 //!
-//! - **Legacy poll** — `/api/updates?since=<seq>` scans the event log and
-//!   re-resolves the viewer's scope profile on every request. Simple, but N
-//!   pollers cost N scans + N assoc RPCs per refresh interval. The shipped
-//!   client streams instead; the poll stays while the benchmark drives it.
-//! - **Push stream** — `/api/updates/stream?sub=<token>&since=<seq>&wait_ms=<ms>`
-//!   long-polls a per-subscriber queue fed by the push hub. The daemons are
-//!   touched once per event (at publish) and once per subscriber (at
-//!   subscribe + account-TTL refresh), not once per poll. Subscribers are
-//!   keyed per viewer (identity, admin bit, act-as target), as the per-viewer
-//!   cache is.
+//! - **Legacy poll** — `/api/updates?since=<seq>`: the client holds it, and
+//!   each request re-resolves the viewer's scope profile, so N pollers cost
+//!   N assoc RPCs per refresh interval. The shipped client streams instead;
+//!   the poll stays while the benchmark drives it.
+//! - **Push stream** — `/api/updates/stream?sub=<token>&since=<seq>&wait_ms=<ms>`:
+//!   the push hub holds it, seeded from `since` when the tab subscribes,
+//!   and parks the request until a visible event lands. The daemons are
+//!   touched once per subscriber (at subscribe + account-TTL refresh), not
+//!   once per poll. Subscribers are keyed per viewer (identity, admin bit,
+//!   act-as target), as the per-viewer cache is.
 //!
-//! Both modes filter with the one privacy rule: the viewer's `ScopeSet`
-//! profile and its `allows_job`, evaluated per request by the poll and
-//! resolved per subscriber by the hub.
+//! Both filter with the one privacy rule: the viewer's `ScopeSet` profile
+//! and its `allows_job`, evaluated per request by the poll and resolved per
+//! subscriber by the hub.
 //!
 //! # Cursor semantics (intentional)
 //!
-//! Both modes report `latest_seq`, the cluster-wide head of the event log —
-//! which advances even when every new event was filtered out of the caller's
-//! view. This is deliberate: the cursor is a *log position*, not a count of
-//! visible events, and clients must anchor at the head so their next request
-//! is an honest "nothing since X". What a non-admin can learn from it is
-//! only that *some* job somewhere changed state — never whose, which, or
-//! why — the same signal the homepage's cluster-utilization widget already
-//! publishes. Anchoring at a filtered cursor also keeps resync detection
-//! sound: truncation is measured against log positions, so a client parked
-//! on an old "visible" seq would see spurious resyncs on busy clusters.
+//! Both routes report `latest_seq`, the cluster-wide head of the event log
+//! as the read saw it — which advances even when every new event was
+//! filtered out of the caller's view. This is deliberate: the cursor is a
+//! *log position*, not a count of visible events, and clients must anchor at
+//! the head so their next request is an honest "nothing since X". What a
+//! non-admin can learn from it is only that *some* job somewhere changed
+//! state — never whose, which, or why — the same signal the homepage's
+//! cluster-utilization widget already publishes. Anchoring at a filtered
+//! cursor also keeps resync detection sound: truncation is measured against
+//! log positions, so a client parked on an old "visible" seq would see
+//! spurious resyncs on busy clusters. The head comes from the same locked
+//! read as the events, so an append landing mid-request is never skipped.
 //!
-//! On `resync_required: true` the client's delta stream has a hole (cursor
-//! fell out of the retained window, or its push queue overflowed): refetch
-//! full tables, then resume from the reported `latest_seq`.
+//! On `resync_required: true` the client's delta stream has a hole (its
+//! cursor fell out of the retained window, or a daemon recovered since its
+//! last read): refetch full tables, then resume from the reported
+//! `latest_seq`.
 
 use crate::auth::CurrentUser;
 use crate::colors::job_state_color;
@@ -40,6 +44,7 @@ use crate::reasons::friendly_reason;
 use hpcdash_http::{
     ParkDirective, ParkWaker, Request, Response, Router, CONN_PARK_HEADER, PARK_FINAL_HEADER,
 };
+use hpcdash_push::Delivery;
 use hpcdash_slurm::events::JobEvent;
 use serde_json::json;
 use std::sync::Arc;
@@ -55,7 +60,6 @@ pub fn register(router: &mut Router, ctx: DashboardContext) {
     router.get(ROUTES[1], move |req| handle_stream(&ctx, req));
 }
 
-/// The wire shape shared by both delivery modes.
 fn event_json(e: &JobEvent) -> serde_json::Value {
     json!({
         "seq": e.seq,
@@ -71,6 +75,20 @@ fn event_json(e: &JobEvent) -> serde_json::Value {
     })
 }
 
+/// The wire shape both routes answer with; the stream adds its `sub` token.
+fn answer(d: &Delivery, sub: Option<&str>) -> Response {
+    let events: Vec<serde_json::Value> = d.events.iter().map(event_json).collect();
+    let mut body = json!({
+        "events": events,
+        "latest_seq": d.latest_seq,
+        "resync_required": d.resync_required,
+    });
+    if let Some(token) = sub {
+        body["sub"] = json!(token);
+    }
+    Response::json(&body)
+}
+
 fn handle(ctx: &DashboardContext, req: &Request) -> Response {
     let user = match CurrentUser::from_request(ctx, req) {
         Ok(u) => u,
@@ -81,34 +99,28 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
         Err(_) => return Response::bad_request("since must be a sequence number"),
     };
     ctx.note_source(FEATURE, "slurmctld event stream");
-    let log = ctx.ctld.events();
-    let (events, truncated) = log.since(since);
     // Resolved whether or not any event came back: one assoc RPC per poll.
     let profile = user.scope_profile(ctx);
-    let visible: Vec<serde_json::Value> = events
-        .iter()
-        .filter(|e| profile.allows_job(&user.username, &e.user, &e.account, ""))
-        .map(event_json)
-        .collect();
-    Response::json(&json!({
-        "events": visible,
-        // Cluster-wide log head, advancing past filtered events by design
-        // (see the module docs).
-        "latest_seq": log.latest_seq(),
-        // When true the client's cursor predates the retained window and a
-        // full table refresh is needed.
-        "resync_required": truncated,
-    }))
+    let read = ctx.ctld.events().read(since, |e| {
+        profile.allows_job(&user.username, &e.user, &e.account, "")
+    });
+    let delivery = Delivery {
+        events: read.entries,
+        latest_seq: read.head,
+        resync_required: read.truncated,
+    };
+    answer(&delivery, None)
 }
 
-/// The push-mode long-poll. First request with a fresh `sub` token registers
-/// the subscriber and backfills it from `since`; subsequent requests drain
-/// the subscriber's queue, parking up to `wait_ms` (clamped by
-/// `PushPolicy::max_wait_ms`) while it is empty. When the park budget is
-/// exhausted the route sheds with `503 + Retry-After` instead of starving.
+/// The push-mode long-poll. The first request with a fresh `sub` token
+/// registers the subscriber with its cursor at `since`; every request reads
+/// from that cursor, parking up to `wait_ms` (clamped by
+/// `PushPolicy::max_wait_ms`) while there is nothing to read. When the park
+/// budget is exhausted the route sheds with `503 + Retry-After` instead of
+/// starving.
 ///
 /// Parking has two implementations behind one contract. Dispatched from the
-/// event loop (the `x-hpcdash-conn-park` marker), an empty queue returns a
+/// event loop (the `x-hpcdash-conn-park` marker), an empty read returns a
 /// [`ParkDirective`]: the *connection* parks inside the event loop at zero
 /// thread cost, a hub notify fires the directive's waker, and the loop
 /// re-dispatches this request with `x-hpcdash-park-final` for the immediate
@@ -137,18 +149,11 @@ fn handle_stream(ctx: &DashboardContext, req: &Request) -> Response {
     };
     ctx.note_source(FEATURE, "push hub (slurmctld event stream)");
     // Subscriber keys are scoped per viewer: one viewer's token can never
-    // attach to a queue filtered for another — not even an admin's act-as
+    // attach to a cursor filtered for another — not even an admin's act-as
     // view of the same user.
     let key = format!("{viewer}:{token}");
-    let (handle, created) = ctx.push.ensure(&key, &user.username, user.is_admin);
-    let log = ctx.ctld.events();
-    if created {
-        // Registration precedes this backfill, so events published in
-        // between are queued, not lost; the hub dedups the overlap.
-        let (history, truncated) = log.since(since);
-        ctx.push.backfill(&handle, &history, truncated);
-    }
-    // Drain without parking first: only an empty queue costs a park slot.
+    let handle = ctx.push.ensure(&key, &user.username, user.is_admin, since);
+    // Read without parking first: only an empty read costs a park slot.
     let mut delivery = ctx.push.wait(&handle, Duration::ZERO);
     if delivery.events.is_empty()
         && !delivery.resync_required
@@ -164,8 +169,8 @@ fn handle_stream(ctx: &DashboardContext, req: &Request) -> Response {
             let waker = ParkWaker::new();
             let notify = waker.clone();
             ctx.push.set_notify(&handle, move || notify.wake());
-            // Close the install/publish race: anything queued since the
-            // drain above answers now instead of parking.
+            // Close the install/publish race: anything appended since the
+            // read above answers now instead of parking.
             delivery = ctx.push.wait(&handle, Duration::ZERO);
             if delivery.events.is_empty() && !delivery.resync_required {
                 return Response::json(&json!({"parked": true})).with_park(ParkDirective {
@@ -179,13 +184,7 @@ fn handle_stream(ctx: &DashboardContext, req: &Request) -> Response {
             delivery = ctx.push.wait(&handle, Duration::from_millis(wait_ms));
         }
     }
-    let events: Vec<serde_json::Value> = delivery.events.iter().map(event_json).collect();
-    Response::json(&json!({
-        "sub": token,
-        "events": events,
-        "latest_seq": log.latest_seq(),
-        "resync_required": delivery.resync_required,
-    }))
+    answer(&delivery, Some(token))
 }
 
 #[cfg(test)]
@@ -325,7 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_backfills_then_delivers_deltas() {
+    fn stream_replays_from_since_then_delivers_deltas() {
         let ctx = test_ctx();
         let id = ctx
             .ctld
@@ -333,15 +332,15 @@ mod tests {
             .unwrap()[0];
         ctx.ctld.tick();
 
-        // First request registers the subscriber and backfills from seq 0.
+        // First request registers the subscriber with its cursor at seq 0.
         let resp = handle_stream(&ctx, &request("/api/updates/stream?sub=tab1", "alice"));
         assert_eq!(resp.status, 200);
         let body = resp.body_json().unwrap();
         let events = body["events"].as_array().unwrap();
-        assert_eq!(events.len(), 2, "submit + start backfilled");
+        assert_eq!(events.len(), 2, "submit + start replayed");
         assert_eq!(body["resync_required"], false);
 
-        // Nothing new: empty non-blocking drain.
+        // Nothing new: an empty non-blocking read.
         let resp = handle_stream(&ctx, &request("/api/updates/stream?sub=tab1", "alice"));
         assert_eq!(
             resp.body_json().unwrap()["events"]
@@ -370,7 +369,7 @@ mod tests {
         let resp = handle_stream(&ctx, &request("/api/updates/stream?sub=t", "mallory"));
         let body = resp.body_json().unwrap();
         assert_eq!(body["events"].as_array().unwrap().len(), 0);
-        // Live publishes are filtered too, not just the backfill.
+        // Live publishes are filtered too, not just the replayed history.
         ctx.ctld
             .submit(JobRequest::simple("alice", "physics", "cpu", 2))
             .unwrap();
@@ -400,7 +399,7 @@ mod tests {
             resp.headers.get("Retry-After").map(String::as_str),
             Some("1")
         );
-        // With data queued, no parking is needed and the request succeeds
+        // With an event to read, no parking is needed and the request succeeds
         // even at zero budget.
         ctx.ctld
             .submit(JobRequest::simple("alice", "physics", "cpu", 2))
@@ -416,12 +415,26 @@ mod tests {
             .is_empty());
     }
 
+    /// Append `n` events for alice's physics jobs straight into the log.
+    fn burst(ctx: &DashboardContext, n: u64) {
+        let log = ctx.ctld.events();
+        for i in 0..n {
+            log.push(
+                hpcdash_simtime::Timestamp(i),
+                hpcdash_slurm::job::JobId(1),
+                "alice",
+                "physics",
+                None,
+                hpcdash_slurm::job::JobState::Pending,
+                None,
+            );
+        }
+    }
+
     #[test]
     fn stream_overflow_reports_resync_then_recovers() {
-        let mut cfg = DashboardConfig::generic("Test");
-        cfg.push.queue_capacity = 2;
-        let ctx = test_ctx_with(cfg);
-        // Register the subscriber first so the overflow hits its live queue.
+        let ctx = test_ctx();
+        // Register the subscriber first so the burst lands past its cursor.
         let resp = handle_stream(&ctx, &request("/api/updates/stream?sub=t", "alice"));
         assert_eq!(
             resp.body_json().unwrap()["events"]
@@ -430,25 +443,54 @@ mod tests {
                 .len(),
             0
         );
-        // Each submit+start publishes 2 events; 4 jobs overflow a queue of 2.
-        for _ in 0..4 {
-            ctx.ctld
-                .submit(JobRequest::simple("alice", "physics", "cpu", 1))
-                .unwrap();
-            ctx.ctld.tick();
-        }
+        // One event more than the log's 4 096-event window moves it past
+        // the cursor.
+        burst(&ctx, 4_097);
         let resp = handle_stream(&ctx, &request("/api/updates/stream?sub=t", "alice"));
         let body = resp.body_json().unwrap();
-        assert_eq!(body["resync_required"], true, "overflow coalesced");
+        assert_eq!(body["resync_required"], true, "the cursor fell out");
         assert_eq!(body["events"].as_array().unwrap().len(), 0);
+        assert_eq!(body["latest_seq"], ctx.ctld.events().latest_seq());
         // After refetching tables the client streams again from the hub.
-        ctx.ctld
-            .submit(JobRequest::simple("alice", "physics", "cpu", 1))
-            .unwrap();
+        burst(&ctx, 1);
         let resp = handle_stream(&ctx, &request("/api/updates/stream?sub=t", "alice"));
         let body = resp.body_json().unwrap();
         assert_eq!(body["resync_required"], false);
         assert_eq!(body["events"].as_array().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_poll_chained_on_latest_seq_never_skips_an_event() {
+        // One thread appends while an admin chains `since=latest_seq`: the
+        // head a poll reports must come from the read that produced its
+        // events, or an append between the two is skipped without a resync.
+        const N: u64 = 3_000;
+        let ctx = test_ctx_with(DashboardConfig::purdue_like());
+        let writer = {
+            let ctx = ctx.clone();
+            std::thread::spawn(move || burst(&ctx, N))
+        };
+        let (mut cursor, mut seen) = (0u64, std::collections::BTreeSet::new());
+        while cursor < N {
+            let resp = handle(
+                &ctx,
+                &request(&format!("/api/updates?since={cursor}"), "root"),
+            );
+            let body = resp.body_json().unwrap();
+            assert_eq!(body["resync_required"], false, "the window holds all N");
+            for e in body["events"].as_array().unwrap() {
+                assert!(seen.insert(e["seq"].as_u64().unwrap()), "delivered twice");
+            }
+            cursor = body["latest_seq"].as_u64().unwrap();
+        }
+        writer.join().unwrap();
+        let missed: Vec<u64> = (1..=N).filter(|s| !seen.contains(s)).collect();
+        assert!(
+            missed.is_empty(),
+            "{} appends skipped, from seq {:?}",
+            missed.len(),
+            missed.first()
+        );
     }
 
     #[test]

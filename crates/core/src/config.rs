@@ -85,8 +85,6 @@ impl CachePolicy {
 /// (`/api/updates/stream`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PushPolicy {
-    /// Bounded per-subscriber queue length before coalesce-to-resync.
-    pub queue_capacity: usize,
     /// How long (seconds) a subscriber's resolved account set stays trusted.
     pub accounts_ttl_secs: u64,
     /// Subscribers idle longer than this (seconds) are garbage-collected.
@@ -101,7 +99,6 @@ pub struct PushPolicy {
 impl Default for PushPolicy {
     fn default() -> PushPolicy {
         PushPolicy {
-            queue_capacity: 256,
             accounts_ttl_secs: 60,
             idle_ttl_secs: 300,
             max_wait_ms: 20_000,

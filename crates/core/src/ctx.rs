@@ -43,8 +43,8 @@ pub struct DashboardContext {
     pub obs: Arc<Registry>,
     /// Per-data-source health derived from loader outcomes (`/api/health`).
     pub health: Arc<HealthBoard>,
-    /// The real-time fan-out hub: registered as an event sink on the
-    /// cluster's `EventLog`, drained by `/api/updates/stream`.
+    /// The real-time fan-out hub: one cursor per live tab into the
+    /// cluster's `EventLog`, read by `/api/updates/stream`.
     pub push: Arc<Hub>,
     /// Cap on workers parked in long-polls (`503 + Retry-After` past it).
     pub park: Arc<ParkBudget>,
@@ -184,17 +184,16 @@ impl DashboardContext {
                 Box::new(move |e: &JobEvent| profile.allows_job(&user, &e.user, &e.account, ""))
             })
         };
-        let push = Arc::new(Hub::new(
+        let push = Hub::new(
             HubConfig {
-                queue_capacity: cfg.push.queue_capacity,
                 accounts_ttl: std::time::Duration::from_secs(cfg.push.accounts_ttl_secs),
                 idle_ttl: std::time::Duration::from_secs(cfg.push.idle_ttl_secs),
                 ..HubConfig::default()
             },
+            ctld.events(),
             resolver,
-        ));
-        push.set_registry(&obs);
-        ctld.events().add_sink(push.clone());
+            &obs,
+        );
         let park = Arc::new(ParkBudget::new(cfg.push.max_parked_workers));
         let telemetry = Arc::new(TelemetryD::free(clock.clone(), ctld.clone()));
         telemetry.set_registry(&obs);

@@ -1,4 +1,14 @@
-//! The subscription hub: sharded registry, bounded queues, condvar wakeups.
+//! The subscription hub: a sharded registry of cursors into one event log.
+//!
+//! A subscriber holds no events, only a cursor (a log seq). `wait` reads the
+//! shared [`EventLog`] past that cursor, filtering with the subscriber's
+//! [`Visibility`] as it reads, and moves the cursor to the head it saw.
+//! `publish` copies nothing: for each subscriber that may see the event it
+//! only wakes a parked reader. A slow consumer stays bounded because the
+//! log's retained window is.
+//!
+//! One resync rule: the cursor fell out of the retained window, or a
+//! discontinuity (a daemon crash-recovery) passed since the last read.
 //!
 //! The hub holds no privacy rule. Which events a subscriber may see is a
 //! [`Visibility`] check its owner's [`VisibilityResolver`] builds; the hub
@@ -11,14 +21,15 @@
 //! that daemon lock. The hub therefore never invokes the resolver while
 //! holding any hub lock — checks are built first and swapped in afterwards
 //! — and the publish path only ever takes a shard lock and per-subscriber
-//! locks, each for O(queue op) time.
+//! locks, each held at most for one bounded log read.
 
-use hpcdash_obs::{Counter, Gauge, Histogram, Registry, Span};
-use hpcdash_slurm::events::{EventSink, JobEvent};
+use hpcdash_obs::{Counter, Gauge, Registry, Span};
+use hpcdash_slurm::events::{EventLog, EventSink, JobEvent};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -36,9 +47,6 @@ pub type VisibilityResolver = Arc<dyn Fn(&str, bool) -> Visibility + Send + Sync
 pub struct HubConfig {
     /// Registry shards (subscribe/fan-out contention granularity).
     pub shards: usize,
-    /// Bounded per-subscriber queue length; overflowing coalesces the queue
-    /// into a single `resync_required` marker.
-    pub queue_capacity: usize,
     /// How long a resolved [`Visibility`] (the account memberships it was
     /// built from) stays trusted before the next `wait` rebuilds it.
     pub accounts_ttl: Duration,
@@ -50,38 +58,30 @@ impl Default for HubConfig {
     fn default() -> HubConfig {
         HubConfig {
             shards: 8,
-            queue_capacity: 256,
             accounts_ttl: Duration::from_secs(60),
             idle_ttl: Duration::from_secs(300),
         }
     }
 }
 
-/// What a drained subscriber receives.
+/// What one read from a subscriber's cursor returns.
 #[derive(Debug, Clone, Default)]
 pub struct Delivery {
-    /// Visible events in sequence order, deduplicated, each delivered at
-    /// most once per subscriber.
+    /// Visible events past the cursor, in sequence order.
     pub events: Vec<JobEvent>,
-    /// The subscriber overflowed (or was backfilled from a truncated log):
-    /// its delta stream has a hole and it must refetch tables, then keep
-    /// streaming. Reported once; the flag clears on read.
+    /// The log head the read saw; the cursor now points here.
+    pub latest_seq: u64,
+    /// The delta stream has a hole (see the module docs): the client
+    /// refetches its tables, then keeps streaming from `latest_seq`.
     pub resync_required: bool,
 }
 
-struct QueuedEvent {
-    event: JobEvent,
-    enqueued: Instant,
-}
-
-/// Queue state guarded by the subscriber's mutex; the condvar parks the
-/// long-poll worker against it.
-struct SubQueue {
-    queue: VecDeque<QueuedEvent>,
-    resync_required: bool,
-    /// Highest seq handed out, so overlapping backfill + live publishes
-    /// never deliver an event twice.
-    delivered_through: u64,
+/// Where a subscriber has read to. Its mutex also closes the race between
+/// a reader that found nothing and is about to park, and a publish.
+struct Cursor {
+    seq: u64,
+    /// The hub's discontinuity epoch at the last read.
+    epoch: u64,
 }
 
 struct Resolved {
@@ -93,18 +93,28 @@ struct Subscriber {
     user: String,
     is_admin: bool,
     visibility: RwLock<Resolved>,
-    q: Mutex<SubQueue>,
+    cursor: Mutex<Cursor>,
     wake: Condvar,
     last_poll: Mutex<Instant>,
-    /// One-shot callback fired (and consumed) when something lands in the
-    /// queue. Installed by an event-loop long-poll parking this subscriber's
-    /// connection; the thread-era condvar path ignores it entirely.
+    /// One-shot callback fired (and consumed) on the next wake. Installed
+    /// by an event-loop long-poll parking this subscriber's connection; the
+    /// condvar path ignores it entirely.
     notify: Mutex<Option<Box<dyn Fn() + Send>>>,
 }
 
 impl Subscriber {
-    fn sees(&self, event: &JobEvent) -> bool {
-        (self.visibility.read().sees)(event)
+    fn is_live(&self, idle_ttl: Duration) -> bool {
+        self.last_poll.lock().elapsed() < idle_ttl
+    }
+
+    /// Wake a parked `wait` and fire the one-shot callback. Taking the
+    /// cursor mutex orders this after a reader's read-then-park.
+    fn signal(&self) {
+        drop(self.cursor.lock());
+        self.wake.notify_all();
+        if let Some(notify) = self.notify.lock().take() {
+            notify();
+        }
     }
 }
 
@@ -114,15 +124,12 @@ pub struct SubscriberHandle {
     sub: Arc<Subscriber>,
 }
 
-#[derive(Clone)]
 struct Instruments {
     subscribers: Arc<Gauge>,
     published: Arc<Counter>,
     delivered: Arc<Counter>,
-    overflows: Arc<Counter>,
     resyncs: Arc<Counter>,
     discontinuities: Arc<Counter>,
-    fanout_lag: Arc<Histogram>,
     parked: Arc<Gauge>,
 }
 
@@ -144,45 +151,46 @@ impl Default for Shard {
 }
 
 /// The fan-out hub. One per dashboard context; registered as an
-/// [`EventSink`] on the cluster's `EventLog`.
+/// [`EventSink`] on the cluster's `EventLog`, which it also reads.
 pub struct Hub {
     cfg: HubConfig,
+    log: Arc<EventLog>,
     shards: Vec<Mutex<Shard>>,
     resolver: VisibilityResolver,
-    instruments: RwLock<Option<Instruments>>,
+    /// Bumped by every discontinuity; a cursor last read under an older
+    /// epoch resyncs.
+    epoch: AtomicU64,
+    ins: Instruments,
 }
 
 impl Hub {
-    pub fn new(cfg: HubConfig, resolver: VisibilityResolver) -> Hub {
-        let shards = (0..cfg.shards.max(1)).map(|_| Mutex::default()).collect();
-        Hub {
+    /// A hub over `log`, registered on it as a sink, metered in `registry`:
+    /// `hpcdash_push_subscribers`, `hpcdash_push_events_published_total`,
+    /// `hpcdash_push_events_delivered_total`, `hpcdash_push_resyncs_total`,
+    /// `hpcdash_push_discontinuities_total`, `hpcdash_push_parked_workers`.
+    pub fn new(
+        cfg: HubConfig,
+        log: Arc<EventLog>,
+        resolver: VisibilityResolver,
+        registry: &Registry,
+    ) -> Arc<Hub> {
+        let hub = Arc::new(Hub {
+            shards: (0..cfg.shards.max(1)).map(|_| Mutex::default()).collect(),
             cfg,
-            shards,
+            log,
             resolver,
-            instruments: RwLock::new(None),
-        }
-    }
-
-    /// Attach a metrics registry; the hub is unmetered without one.
-    /// Exports `hpcdash_push_subscribers`, `hpcdash_push_events_published_total`,
-    /// `hpcdash_push_events_delivered_total`, `hpcdash_push_overflows_total`,
-    /// `hpcdash_push_resyncs_total`, `hpcdash_push_discontinuities_total`,
-    /// `hpcdash_push_fanout_lag`, `hpcdash_push_parked_workers`.
-    pub fn set_registry(&self, registry: &Registry) {
-        *self.instruments.write() = Some(Instruments {
-            subscribers: registry.gauge("hpcdash_push_subscribers", &[]),
-            published: registry.counter("hpcdash_push_events_published_total", &[]),
-            delivered: registry.counter("hpcdash_push_events_delivered_total", &[]),
-            overflows: registry.counter("hpcdash_push_overflows_total", &[]),
-            resyncs: registry.counter("hpcdash_push_resyncs_total", &[]),
-            discontinuities: registry.counter("hpcdash_push_discontinuities_total", &[]),
-            fanout_lag: registry.histogram("hpcdash_push_fanout_lag", &[]),
-            parked: registry.gauge("hpcdash_push_parked_workers", &[]),
+            epoch: AtomicU64::new(0),
+            ins: Instruments {
+                subscribers: registry.gauge("hpcdash_push_subscribers", &[]),
+                published: registry.counter("hpcdash_push_events_published_total", &[]),
+                delivered: registry.counter("hpcdash_push_events_delivered_total", &[]),
+                resyncs: registry.counter("hpcdash_push_resyncs_total", &[]),
+                discontinuities: registry.counter("hpcdash_push_discontinuities_total", &[]),
+                parked: registry.gauge("hpcdash_push_parked_workers", &[]),
+            },
         });
-    }
-
-    fn instruments(&self) -> Option<Instruments> {
-        self.instruments.read().clone()
+        hub.log.add_sink(hub.clone());
+        hub
     }
 
     fn shard_of(&self, key: &str) -> &Mutex<Shard> {
@@ -194,16 +202,18 @@ impl Hub {
     /// Look up or create the subscriber for `key`, which streams `user`'s
     /// view (with admin rights when `is_admin`). The key must tell apart
     /// every viewer whose visibility differs — a subscriber found under it
-    /// is handed out as is. Returns `true` when it was created — the caller
-    /// then backfills it from the event log. Stale subscribers on the same shard are
-    /// garbage-collected opportunistically, at most one sweep per shard per
-    /// `idle_ttl` — a registration burst must not pay per-burst-size scans.
-    pub fn ensure(&self, key: &str, user: &str, is_admin: bool) -> (SubscriberHandle, bool) {
+    /// is handed out as is. A created subscriber's cursor starts at `since`,
+    /// so its first read replays the history the client has not seen.
+    /// Stale subscribers on the same shard are garbage-collected
+    /// opportunistically, at most one sweep per shard per `idle_ttl` — a
+    /// registration burst must not pay per-burst-size scans.
+    pub fn ensure(&self, key: &str, user: &str, is_admin: bool, since: u64) -> SubscriberHandle {
+        let idle_ttl = self.cfg.idle_ttl;
+        // A stale entry falls through to the slow path, which sweeps it and
+        // registers a fresh subscriber in its place.
         if let Some(sub) = self.shard_of(key).lock().subs.get(key) {
-            // A stale entry falls through to the slow path, which sweeps it
-            // and registers a fresh subscriber in its place.
-            if sub.last_poll.lock().elapsed() < self.cfg.idle_ttl {
-                return (SubscriberHandle { sub: sub.clone() }, false);
+            if sub.is_live(idle_ttl) {
+                return SubscriberHandle { sub: sub.clone() };
             }
         }
         // Resolve visibility BEFORE taking any hub lock (the resolver takes
@@ -217,52 +227,33 @@ impl Hub {
                 sees,
                 refreshed: now,
             }),
-            q: Mutex::new(SubQueue {
-                queue: VecDeque::new(),
-                resync_required: false,
-                delivered_through: 0,
+            cursor: Mutex::new(Cursor {
+                seq: since,
+                epoch: self.epoch.load(Ordering::SeqCst),
             }),
             wake: Condvar::new(),
             last_poll: Mutex::new(now),
             notify: Mutex::new(None),
         });
-        let (sub, created, reclaimed) = {
-            let mut shard = self.shard_of(key).lock();
-            let mut reclaimed = if shard.swept.elapsed() >= self.cfg.idle_ttl {
-                shard.swept = now;
-                Hub::gc_shard(&mut shard.subs, self.cfg.idle_ttl)
-            } else {
-                0
-            };
-            // The key's own entry is checked sweep or no sweep: a stale
-            // subscriber must never be resurrected with its dead queue.
-            match shard.subs.get(key).cloned() {
-                // Raced with another worker creating the same key.
-                Some(existing) if existing.last_poll.lock().elapsed() < self.cfg.idle_ttl => {
-                    (existing, false, reclaimed)
-                }
-                stale => {
-                    if stale.is_some() {
-                        reclaimed += 1;
-                    }
-                    shard.subs.insert(key.to_string(), fresh.clone());
-                    (fresh, true, reclaimed)
-                }
+        let mut shard = self.shard_of(key).lock();
+        let before = shard.subs.len();
+        if shard.swept.elapsed() >= idle_ttl {
+            shard.swept = now;
+            shard.subs.retain(|_, sub| sub.is_live(idle_ttl));
+        }
+        // The key's own entry is checked sweep or no sweep: a stale
+        // subscriber must never be resurrected with its old cursor.
+        let sub = match shard.subs.get(key) {
+            // Raced with another worker creating the same key.
+            Some(existing) if existing.is_live(idle_ttl) => existing.clone(),
+            _ => {
+                shard.subs.insert(key.to_string(), fresh.clone());
+                fresh
             }
         };
-        if let Some(ins) = self.instruments() {
-            if created {
-                ins.subscribers.inc();
-            }
-            ins.subscribers.add(-(reclaimed as i64));
-        }
-        (SubscriberHandle { sub }, created)
-    }
-
-    fn gc_shard(shard: &mut HashMap<String, Arc<Subscriber>>, idle_ttl: Duration) -> usize {
-        let before = shard.len();
-        shard.retain(|_, sub| sub.last_poll.lock().elapsed() < idle_ttl);
-        before - shard.len()
+        let added = shard.subs.len() as i64 - before as i64;
+        self.ins.subscribers.add(added);
+        SubscriberHandle { sub }
     }
 
     /// Live subscriber count (all shards).
@@ -270,8 +261,8 @@ impl Hub {
         self.shards.iter().map(|s| s.lock().subs.len()).sum()
     }
 
-    /// Install a one-shot wake callback, fired the next time an event (or a
-    /// resync marker) lands in this subscriber's queue and then consumed.
+    /// Install a one-shot wake callback, fired the next time a visible
+    /// event (or a discontinuity) reaches this subscriber and then consumed.
     /// This is how an event-loop long-poll parks a *connection* instead of
     /// a thread: the callback pokes the event loop that holds it. Replaces any
     /// previously installed callback.
@@ -285,125 +276,47 @@ impl Hub {
         handle.sub.notify.lock().take();
     }
 
-    /// Enqueue `event` for `sub` if visible, applying the overflow policy.
-    fn offer(&self, sub: &Subscriber, event: &JobEvent, ins: &Option<Instruments>) {
-        if !sub.sees(event) {
-            return;
-        }
-        let mut q = sub.q.lock();
-        if q.resync_required {
-            // Already coalesced: the pending resync covers this event.
-            return;
-        }
-        if event.seq <= q.delivered_through {
-            return;
-        }
-        if q.queue.len() >= self.cfg.queue_capacity {
-            // Coalesce-to-resync: drop the whole queue rather than block
-            // the publisher or grow without bound.
-            q.queue.clear();
-            q.resync_required = true;
-            if let Some(ins) = ins {
-                ins.overflows.inc();
-            }
-        } else {
-            q.queue.push_back(QueuedEvent {
-                event: event.clone(),
-                enqueued: Instant::now(),
-            });
-        }
-        drop(q);
-        sub.wake.notify_all();
-        if let Some(notify) = sub.notify.lock().take() {
-            notify();
-        }
-    }
-
-    /// Seed a fresh subscriber with history the client has not seen (from
-    /// `EventLog::since(cursor)`). `truncated` marks the cursor as already
-    /// behind the retained window.
-    pub fn backfill(&self, handle: &SubscriberHandle, events: &[JobEvent], truncated: bool) {
-        let ins = self.instruments();
-        if truncated {
-            let mut q = handle.sub.q.lock();
-            q.queue.clear();
-            q.resync_required = true;
-            drop(q);
-            handle.sub.wake.notify_all();
-            if let Some(notify) = handle.sub.notify.lock().take() {
-                notify();
-            }
-            return;
-        }
-        for event in events {
-            self.offer(&handle.sub, event, &ins);
-        }
-    }
-
-    /// Drain queued events, parking up to `deadline` while the queue is
-    /// empty. A zero deadline drains without parking. Also rebuilds the
-    /// subscriber's visibility when its TTL has lapsed.
+    /// Read the visible events past the subscriber's cursor, parking up to
+    /// `deadline` while there are none. A zero deadline reads without
+    /// parking. Also rebuilds the subscriber's visibility when its TTL has
+    /// lapsed.
     pub fn wait(&self, handle: &SubscriberHandle, deadline: Duration) -> Delivery {
         let sub = &*handle.sub;
         *sub.last_poll.lock() = Instant::now();
         self.refresh_visibility(sub);
-        let ins = self.instruments();
         let start = Instant::now();
-        let mut q = sub.q.lock();
+        let mut cursor = sub.cursor.lock();
         loop {
-            if q.resync_required {
-                q.resync_required = false;
-                q.queue.clear();
-                if let Some(ins) = &ins {
-                    ins.resyncs.inc();
-                }
+            let epoch = self.epoch.load(Ordering::SeqCst);
+            let read = {
+                let visibility = sub.visibility.read();
+                self.log.read(cursor.seq, |e| (visibility.sees)(e))
+            };
+            let resync_required = read.truncated || cursor.epoch != epoch;
+            *cursor = Cursor {
+                seq: read.head,
+                epoch,
+            };
+            if resync_required {
+                self.ins.resyncs.inc();
                 return Delivery {
                     events: Vec::new(),
+                    latest_seq: read.head,
                     resync_required: true,
                 };
             }
-            if !q.queue.is_empty() {
-                let now = Instant::now();
-                let mut events: Vec<JobEvent> = Vec::with_capacity(q.queue.len());
-                for qe in q.queue.drain(..) {
-                    if let Some(ins) = &ins {
-                        ins.fanout_lag.observe(now.duration_since(qe.enqueued));
-                    }
-                    events.push(qe.event);
-                }
-                // Backfill and live publishes may interleave out of order.
-                events.sort_unstable_by_key(|e| e.seq);
-                events.dedup_by_key(|e| e.seq);
-                events.retain(|e| e.seq > q.delivered_through);
-                if let Some(last) = events.last() {
-                    q.delivered_through = last.seq;
-                }
-                if events.is_empty() {
-                    // Everything drained was a duplicate; keep waiting.
-                    continue;
-                }
-                if let Some(ins) = &ins {
-                    ins.delivered.add(events.len() as u64);
-                }
+            if !read.entries.is_empty() || start.elapsed() >= deadline {
+                self.ins.delivered.add(read.entries.len() as u64);
                 return Delivery {
-                    events,
+                    events: read.entries,
+                    latest_seq: read.head,
                     resync_required: false,
                 };
             }
-            let elapsed = start.elapsed();
-            if elapsed >= deadline {
-                return Delivery::default();
-            }
-            if let Some(ins) = &ins {
-                ins.parked.inc();
-            }
-            let timed_out = sub.wake.wait_for(&mut q, deadline - elapsed).timed_out();
-            if let Some(ins) = &ins {
-                ins.parked.dec();
-            }
-            if timed_out && q.queue.is_empty() && !q.resync_required {
-                return Delivery::default();
-            }
+            self.ins.parked.inc();
+            sub.wake
+                .wait_for(&mut cursor, deadline.saturating_sub(start.elapsed()));
+            self.ins.parked.dec();
         }
     }
 
@@ -422,51 +335,41 @@ impl Hub {
             refreshed: Instant::now(),
         };
     }
-}
 
-impl EventSink for Hub {
-    /// Fan one event out to every subscriber that may see it. Called on the
-    /// publisher's thread (typically under the daemon lock): per-subscriber
-    /// work is one visibility check plus a non-blocking bounded-queue
-    /// push, so a stuck subscriber can never stall the cluster.
-    fn publish(&self, event: &JobEvent) {
-        let _span = Span::enter("push-fanout").attr("seq", event.seq.to_string());
-        let ins = self.instruments();
-        if let Some(ins) = &ins {
-            ins.published.inc();
-        }
+    /// Signal every subscriber `wants` picks, walking each shard under its
+    /// lock rather than copying the registry out: a publish allocates
+    /// nothing per subscriber.
+    fn signal_all(&self, mut wants: impl FnMut(&Subscriber) -> bool) {
         for shard in &self.shards {
-            let subs: Vec<Arc<Subscriber>> = shard.lock().subs.values().cloned().collect();
-            for sub in subs {
-                self.offer(&sub, event, &ins);
-            }
-        }
-    }
-
-    /// The event stream has a gap no subscriber can paper over (a daemon
-    /// crashed and recovered; replayed history was not re-delivered).
-    /// Coalesce EVERY subscriber to resync: queued events reflect the dead
-    /// epoch and are dropped; the next `wait` reports `resync_required` so
-    /// the client refetches its tables before streaming again.
-    fn discontinuity(&self) {
-        let _span = Span::enter("push-fanout").attr("kind", "discontinuity");
-        let ins = self.instruments();
-        if let Some(ins) = &ins {
-            ins.discontinuities.inc();
-        }
-        for shard in &self.shards {
-            let subs: Vec<Arc<Subscriber>> = shard.lock().subs.values().cloned().collect();
-            for sub in subs {
-                let mut q = sub.q.lock();
-                q.queue.clear();
-                q.resync_required = true;
-                drop(q);
-                sub.wake.notify_all();
-                if let Some(notify) = sub.notify.lock().take() {
-                    notify();
+            for sub in shard.lock().subs.values() {
+                if wants(sub) {
+                    sub.signal();
                 }
             }
         }
+    }
+}
+
+impl EventSink for Hub {
+    /// Wake every subscriber that may see the appended event. Called on
+    /// the publisher's thread (typically under the daemon lock): the event
+    /// is already in the log, so per-subscriber work is one visibility
+    /// check and a wake — no copy, nothing that waits on a consumer.
+    fn publish(&self, event: &JobEvent) {
+        let _span = Span::enter("push-fanout").attr("seq", event.seq.to_string());
+        self.ins.published.inc();
+        self.signal_all(|sub| (sub.visibility.read().sees)(event));
+    }
+
+    /// The event stream has a gap no subscriber can paper over (a daemon
+    /// crashed and recovered; replayed history was not re-delivered). Move
+    /// to a new epoch: every cursor's next read reports `resync_required`,
+    /// so the client refetches its tables before streaming again.
+    fn discontinuity(&self) {
+        let _span = Span::enter("push-fanout").attr("kind", "discontinuity");
+        self.ins.discontinuities.inc();
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        self.signal_all(|_| true);
     }
 }
 
@@ -476,18 +379,20 @@ mod tests {
     use hpcdash_simtime::Timestamp;
     use hpcdash_slurm::job::{JobId, JobState};
 
-    fn event(seq: u64, user: &str, account: &str) -> JobEvent {
-        JobEvent {
-            seq,
-            at: Timestamp(seq),
-            cluster: "testbed".to_string(),
-            job: JobId(seq as u32),
-            user: user.to_string(),
-            account: account.to_string(),
-            from: None,
-            to: JobState::Pending,
-            reason: None,
-        }
+    fn push(log: &EventLog, user: &str, account: &str) -> u64 {
+        log.push(
+            Timestamp(0),
+            JobId(1),
+            user,
+            account,
+            None,
+            JobState::Pending,
+            None,
+        )
+    }
+
+    fn seqs(d: &Delivery) -> Vec<u64> {
+        d.events.iter().map(|e| e.seq).collect()
     }
 
     /// A fixed table of what each test stream carries: alice's the physics
@@ -500,24 +405,28 @@ mod tests {
         }
     }
 
-    fn hub_with(cfg: HubConfig) -> Hub {
-        Hub::new(cfg, Arc::new(|user: &str, _| stub_visibility(user)))
+    /// A hub over a fresh log retaining `capacity` events, metered in `reg`.
+    fn metered(cfg: HubConfig, capacity: usize, reg: &Registry) -> (Arc<Hub>, Arc<EventLog>) {
+        let log = Arc::new(EventLog::new(capacity));
+        let resolver = Arc::new(|user: &str, _| stub_visibility(user));
+        (Hub::new(cfg, log.clone(), resolver, reg), log)
+    }
+
+    fn hub_with(cfg: HubConfig, capacity: usize) -> (Arc<Hub>, Arc<EventLog>) {
+        metered(cfg, capacity, &Registry::new())
     }
 
     #[test]
     fn visible_events_are_delivered_in_order() {
-        let hub = hub_with(HubConfig::default());
-        let (alice, created) = hub.ensure("alice:t", "alice", false);
-        assert!(created);
-        hub.publish(&event(1, "alice", "physics"));
-        hub.publish(&event(2, "bob", "physics")); // group-visible
-        hub.publish(&event(3, "mallory", "secret")); // invisible
+        let (hub, log) = hub_with(HubConfig::default(), 100);
+        let alice = hub.ensure("alice:t", "alice", false, 0);
+        push(&log, "alice", "physics");
+        push(&log, "bob", "physics"); // group-visible
+        push(&log, "mallory", "secret"); // invisible
         let d = hub.wait(&alice, Duration::ZERO);
-        assert_eq!(
-            d.events.iter().map(|e| e.seq).collect::<Vec<_>>(),
-            vec![1, 2]
-        );
+        assert_eq!(seqs(&d), vec![1, 2]);
         assert!(!d.resync_required);
+        assert_eq!(d.latest_seq, 3, "the cursor passes filtered events too");
         // Nothing left.
         let d = hub.wait(&alice, Duration::ZERO);
         assert!(d.events.is_empty());
@@ -525,11 +434,11 @@ mod tests {
 
     #[test]
     fn delivery_follows_the_resolved_visibility() {
-        let hub = hub_with(HubConfig::default());
-        let (root, _) = hub.ensure("root:t", "root", true);
-        let (bob, _) = hub.ensure("bob:t", "bob", false);
-        hub.publish(&event(1, "mallory", "secret"));
-        hub.publish(&event(2, "bob", "physics"));
+        let (hub, log) = hub_with(HubConfig::default(), 100);
+        let root = hub.ensure("root:t", "root", true, 0);
+        let bob = hub.ensure("bob:t", "bob", false, 0);
+        push(&log, "mallory", "secret");
+        push(&log, "bob", "physics");
         assert_eq!(hub.wait(&root, Duration::ZERO).events.len(), 2);
         assert!(hub.wait(&bob, Duration::ZERO).events.is_empty());
     }
@@ -537,19 +446,21 @@ mod tests {
     #[test]
     fn visibility_is_built_at_subscribe_then_per_ttl_and_never_again_for_admins() {
         let calls = Arc::new(Mutex::new(Vec::new()));
-        let log = calls.clone();
+        let record = calls.clone();
         let hub = Hub::new(
             HubConfig {
                 accounts_ttl: Duration::from_millis(20),
                 ..HubConfig::default()
             },
+            Arc::new(EventLog::new(10)),
             Arc::new(move |user: &str, is_admin: bool| {
-                log.lock().push((user.to_string(), is_admin));
+                record.lock().push((user.to_string(), is_admin));
                 stub_visibility(user)
             }),
+            &Registry::new(),
         );
-        let (alice, _) = hub.ensure("alice:t", "alice", false);
-        let (root, _) = hub.ensure("root:t", "root", true);
+        let alice = hub.ensure("alice:t", "alice", false, 0);
+        let root = hub.ensure("root:t", "root", true, 0);
         hub.wait(&alice, Duration::ZERO);
         hub.wait(&root, Duration::ZERO);
         assert_eq!(calls.lock().len(), 2, "nothing rebuilt within the TTL");
@@ -566,63 +477,59 @@ mod tests {
 
     #[test]
     fn overflow_coalesces_to_resync_and_recovers() {
-        let hub = hub_with(HubConfig {
-            queue_capacity: 4,
-            ..HubConfig::default()
-        });
-        let (alice, _) = hub.ensure("alice:t", "alice", false);
-        for seq in 1..=10 {
-            hub.publish(&event(seq, "alice", "physics"));
+        let (hub, log) = hub_with(HubConfig::default(), 4);
+        let alice = hub.ensure("alice:t", "alice", false, 0);
+        for _ in 1..=10 {
+            push(&log, "alice", "physics");
         }
         let d = hub.wait(&alice, Duration::ZERO);
-        assert!(d.resync_required, "queue of 4 cannot hold 10 events");
-        assert!(d.events.is_empty(), "coalesced queue is dropped");
+        assert!(d.resync_required, "a window of 4 cannot hold 10 events");
+        assert!(d.events.is_empty(), "a cursor with a hole delivers nothing");
+        assert_eq!(d.latest_seq, 10, "the resync re-anchors at the head");
         // After the resync is reported the subscriber streams again.
-        hub.publish(&event(11, "alice", "physics"));
+        push(&log, "alice", "physics");
         let d = hub.wait(&alice, Duration::ZERO);
-        assert_eq!(d.events.len(), 1);
+        assert_eq!(seqs(&d), vec![11]);
         assert!(!d.resync_required);
     }
 
     #[test]
-    fn backfill_and_live_publishes_dedup() {
-        let hub = hub_with(HubConfig::default());
-        let (alice, _) = hub.ensure("alice:t", "alice", false);
-        // A live publish lands before the route's backfill completes.
-        hub.publish(&event(5, "alice", "physics"));
-        let history: Vec<JobEvent> = [3, 4, 5]
-            .iter()
-            .map(|&s| event(s, "alice", "physics"))
-            .collect();
-        hub.backfill(&alice, &history, false);
+    fn a_seeded_cursor_replays_history_then_streams_each_event_once() {
+        let (hub, log) = hub_with(HubConfig::default(), 100);
+        for _ in 1..=5 {
+            push(&log, "alice", "physics");
+        }
+        // The client last saw seq 2; a live publish lands before its read.
+        let alice = hub.ensure("alice:t", "alice", false, 2);
+        push(&log, "alice", "physics");
         let d = hub.wait(&alice, Duration::ZERO);
-        assert_eq!(
-            d.events.iter().map(|e| e.seq).collect::<Vec<_>>(),
-            vec![3, 4, 5],
-            "sorted and deduplicated"
-        );
+        assert_eq!(seqs(&d), vec![3, 4, 5, 6]);
+        assert!(hub.wait(&alice, Duration::ZERO).events.is_empty());
     }
 
     #[test]
-    fn truncated_backfill_forces_resync() {
-        let hub = hub_with(HubConfig::default());
-        let (alice, _) = hub.ensure("alice:t", "alice", false);
-        hub.backfill(&alice, &[], true);
-        assert!(hub.wait(&alice, Duration::ZERO).resync_required);
+    fn a_cursor_seeded_before_the_window_resyncs() {
+        let (hub, log) = hub_with(HubConfig::default(), 4);
+        for _ in 1..=10 {
+            push(&log, "alice", "physics");
+        }
+        let behind = hub.ensure("alice:behind", "alice", false, 2);
+        assert!(hub.wait(&behind, Duration::ZERO).resync_required);
+        let inside = hub.ensure("alice:inside", "alice", false, 6);
+        assert_eq!(seqs(&hub.wait(&inside, Duration::ZERO)), vec![7, 8, 9, 10]);
     }
 
     #[test]
     fn discontinuity_forces_resync_on_every_subscriber() {
         let reg = Registry::new();
-        let hub = hub_with(HubConfig::default());
-        hub.set_registry(&reg);
-        let (alice, _) = hub.ensure("alice:t", "alice", false);
-        let (root, _) = hub.ensure("root:t", "root", true);
-        hub.publish(&event(1, "alice", "physics"));
-        hub.publish(&event(2, "mallory", "secret"));
+        let (hub, log) = metered(HubConfig::default(), 100, &reg);
+        let alice = hub.ensure("alice:t", "alice", false, 0);
+        let root = hub.ensure("root:t", "root", true, 0);
+        push(&log, "alice", "physics");
+        push(&log, "mallory", "secret");
         // A daemon crash-recovery fires the sink's discontinuity hook:
-        // queued pre-crash events are dead-epoch data and must be dropped.
-        hub.discontinuity();
+        // events past the cursors are dead-epoch data and must not be read.
+        log.signal_discontinuity();
         for handle in [&alice, &root] {
             let d = hub.wait(handle, Duration::ZERO);
             assert!(d.resync_required, "every live subscriber must resync");
@@ -633,27 +540,27 @@ mod tests {
             1
         );
         // Streaming resumes cleanly after the resync.
-        hub.publish(&event(3, "alice", "physics"));
+        push(&log, "alice", "physics");
         let d = hub.wait(&alice, Duration::ZERO);
-        assert_eq!(d.events.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![3]);
+        assert_eq!(seqs(&d), vec![3]);
     }
 
     #[test]
     fn wait_parks_until_publish() {
-        let hub = Arc::new(hub_with(HubConfig::default()));
-        let (alice, _) = hub.ensure("alice:t", "alice", false);
+        let (hub, log) = hub_with(HubConfig::default(), 100);
+        let alice = hub.ensure("alice:t", "alice", false, 0);
         let h2 = hub.clone();
         let waiter = std::thread::spawn(move || h2.wait(&alice, Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(30));
-        hub.publish(&event(1, "alice", "physics"));
+        push(&log, "alice", "physics");
         let d = waiter.join().unwrap();
         assert_eq!(d.events.len(), 1, "woken by the publish, not the timeout");
     }
 
     #[test]
     fn wait_deadline_expires_empty() {
-        let hub = hub_with(HubConfig::default());
-        let (alice, _) = hub.ensure("alice:t", "alice", false);
+        let (hub, _log) = hub_with(HubConfig::default(), 100);
+        let alice = hub.ensure("alice:t", "alice", false, 0);
         let start = Instant::now();
         let d = hub.wait(&alice, Duration::from_millis(40));
         assert!(d.events.is_empty() && !d.resync_required);
@@ -662,35 +569,36 @@ mod tests {
 
     #[test]
     fn ensure_is_idempotent_and_gc_reclaims_idle() {
-        let hub = hub_with(HubConfig {
+        let cfg = HubConfig {
             idle_ttl: Duration::from_millis(30),
             ..HubConfig::default()
-        });
-        let (_a, created) = hub.ensure("alice:t", "alice", false);
-        assert!(created);
-        let (_a2, created) = hub.ensure("alice:t", "alice", false);
-        assert!(!created);
+        };
+        let (hub, log) = hub_with(cfg, 100);
+        push(&log, "alice", "physics");
+        let a = hub.ensure("alice:t", "alice", false, 0);
+        assert_eq!(seqs(&hub.wait(&a, Duration::ZERO)), vec![1]);
+        // The same key finds the same cursor, whatever `since` it carries.
+        let a = hub.ensure("alice:t", "alice", false, 0);
+        assert!(hub.wait(&a, Duration::ZERO).events.is_empty());
         assert_eq!(hub.subscriber_count(), 1);
         std::thread::sleep(Duration::from_millis(50));
-        // A new subscriber landing on the same shard sweeps the idle one.
-        // (Keys hash to shards; ensure on the same key's shard by reusing it
-        // after expiry: the stale entry is swept and recreated.)
-        let (_b, created) = hub.ensure("alice:t", "alice", false);
-        assert!(created, "idle subscriber was reclaimed");
+        // After expiry the stale entry is swept and recreated at `since`.
+        let a = hub.ensure("alice:t", "alice", false, 0);
+        assert_eq!(
+            seqs(&hub.wait(&a, Duration::ZERO)),
+            vec![1],
+            "idle subscriber was reclaimed"
+        );
         assert_eq!(hub.subscriber_count(), 1);
     }
 
     #[test]
     fn metrics_reflect_hub_activity() {
         let reg = Registry::new();
-        let hub = hub_with(HubConfig {
-            queue_capacity: 2,
-            ..HubConfig::default()
-        });
-        hub.set_registry(&reg);
-        let (alice, _) = hub.ensure("alice:t", "alice", false);
-        for seq in 1..=5 {
-            hub.publish(&event(seq, "alice", "physics"));
+        let (hub, log) = metered(HubConfig::default(), 2, &reg);
+        let alice = hub.ensure("alice:t", "alice", false, 0);
+        for _ in 1..=5 {
+            push(&log, "alice", "physics");
         }
         let d = hub.wait(&alice, Duration::ZERO);
         assert!(d.resync_required);
@@ -700,15 +608,13 @@ mod tests {
                 .get(),
             5
         );
-        assert!(reg.counter("hpcdash_push_overflows_total", &[]).get() >= 1);
         assert_eq!(reg.counter("hpcdash_push_resyncs_total", &[]).get(), 1);
-        hub.publish(&event(6, "alice", "physics"));
+        push(&log, "alice", "physics");
         hub.wait(&alice, Duration::ZERO);
         assert_eq!(
             reg.counter("hpcdash_push_events_delivered_total", &[])
                 .get(),
             1
         );
-        assert_eq!(reg.histogram("hpcdash_push_fanout_lag", &[]).count(), 1);
     }
 }

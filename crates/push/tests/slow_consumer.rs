@@ -2,26 +2,39 @@
 //! stuck subscriber, healthy subscribers must keep receiving, and the stuck
 //! one must come back via resync — all at once, under contention.
 
-use hpcdash_push::{Hub, HubConfig, Visibility};
+use hpcdash_obs::Registry;
+use hpcdash_push::{Delivery, Hub, HubConfig, Visibility};
 use hpcdash_simtime::Timestamp;
-use hpcdash_slurm::events::{EventSink, JobEvent};
+use hpcdash_slurm::events::{EventLog, JobEvent};
 use hpcdash_slurm::job::{JobId, JobState};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn event(seq: u64, user: &str) -> JobEvent {
-    JobEvent {
-        seq,
-        at: Timestamp(seq),
-        cluster: "testbed".to_string(),
-        job: JobId(seq as u32),
-        user: user.to_string(),
-        account: "physics".to_string(),
-        from: None,
-        to: JobState::Pending,
-        reason: None,
-    }
+fn push(log: &EventLog, user: &str) -> u64 {
+    log.push(
+        Timestamp(0),
+        JobId(1),
+        user,
+        "physics",
+        None,
+        JobState::Pending,
+        None,
+    )
+}
+
+/// A hub over a log retaining `capacity` events, where everyone sees
+/// everything.
+fn hub(capacity: usize) -> (Arc<Hub>, Arc<EventLog>) {
+    let log = Arc::new(EventLog::new(capacity));
+    let everyone = Arc::new(|_: &str, _| -> Visibility { Box::new(|_: &JobEvent| true) });
+    let hub = Hub::new(
+        HubConfig::default(),
+        log.clone(),
+        everyone,
+        &Registry::new(),
+    );
+    (hub, log)
 }
 
 const PUBLISHERS: usize = 8;
@@ -29,18 +42,12 @@ const EVENTS_PER_PUBLISHER: u64 = 2_000;
 
 #[test]
 fn stuck_subscriber_never_stalls_publishers_or_peers() {
-    let hub = Arc::new(Hub::new(
-        HubConfig {
-            queue_capacity: 64,
-            ..HubConfig::default()
-        },
-        Arc::new(|_: &str, _| -> Visibility { Box::new(|_: &JobEvent| true) }),
-    ));
+    let (hub, log) = hub(64);
 
-    // One subscriber that never drains, one that drains continuously. Both
+    // One subscriber that never reads, one that reads continuously. Both
     // see every event.
-    let (stuck, _) = hub.ensure("stuck:tab", "stuck", false);
-    let (healthy, _) = hub.ensure("healthy:tab", "healthy", false);
+    let stuck = hub.ensure("stuck:tab", "stuck", false, 0);
+    let healthy = hub.ensure("healthy:tab", "healthy", false, 0);
 
     let done = Arc::new(AtomicBool::new(false));
     let drainer = {
@@ -49,7 +56,7 @@ fn stuck_subscriber_never_stalls_publishers_or_peers() {
         std::thread::spawn(move || {
             let mut seqs: Vec<u64> = Vec::new();
             let mut resyncs = 0u64;
-            let mut drain = |d: hpcdash_push::Delivery| {
+            let mut drain = |d: Delivery| {
                 seqs.extend(d.events.iter().map(|e| e.seq));
                 resyncs += d.resync_required as u64;
             };
@@ -69,19 +76,18 @@ fn stuck_subscriber_never_stalls_publishers_or_peers() {
         })
     };
 
-    // 8 publisher threads fan out 16k events total while the stuck queue
-    // overflows over and over. Each publish must stay cheap: it does a
-    // visibility check and a bounded queue op per subscriber, nothing that
-    // can wait on a consumer.
+    // 8 publisher threads append 16k events in total while the 64-event
+    // window moves past the stuck cursor over and over. Each publish must
+    // stay cheap: one append, then a visibility check and a wake per
+    // subscriber, nothing that can wait on a consumer.
     let mut publishers = Vec::new();
-    for p in 0..PUBLISHERS {
-        let hub = hub.clone();
+    for _ in 0..PUBLISHERS {
+        let log = log.clone();
         publishers.push(std::thread::spawn(move || {
             let mut worst = Duration::ZERO;
-            for i in 0..EVENTS_PER_PUBLISHER {
-                let seq = (p as u64) * EVENTS_PER_PUBLISHER + i + 1;
+            for _ in 0..EVENTS_PER_PUBLISHER {
                 let start = Instant::now();
-                hub.publish(&event(seq, "stuck"));
+                push(&log, "stuck");
                 worst = worst.max(start.elapsed());
             }
             worst
@@ -95,31 +101,36 @@ fn stuck_subscriber_never_stalls_publishers_or_peers() {
     done.store(true, Ordering::Release);
     let (healthy_seqs, healthy_resyncs) = drainer.join().unwrap();
 
-    // Publisher latency is bounded by queue ops, not consumer speed. The
-    // bound is deliberately loose (CI boxes stall) — the failure mode it
-    // guards against is a publisher parked on a full queue, which would
-    // show up as seconds, not milliseconds.
+    // Publisher latency is bounded by a lock and a wake per subscriber, not
+    // consumer speed. The bound is deliberately loose (CI boxes stall) —
+    // the failure mode it guards against is a publisher parked on a slow
+    // reader, which would show up as seconds, not milliseconds.
     assert!(
         worst_publish < Duration::from_millis(250),
         "worst publish took {worst_publish:?}: publisher blocked on a consumer"
     );
 
-    // The stuck subscriber overflowed into exactly the advertised state: a
-    // pending resync, empty queue, then live delivery again.
+    // The stuck subscriber resyncs exactly once, then streams live again.
     let d = hub.wait(&stuck, Duration::ZERO);
     assert!(
         d.resync_required,
-        "64-slot queue held {} events without overflow",
+        "a 64-event window held {} events past a stuck cursor",
         d.events.len()
     );
-    hub.publish(&event(u64::MAX, "stuck"));
     let d = hub.wait(&stuck, Duration::ZERO);
-    assert_eq!(d.events.len(), 1, "stuck subscriber streams again");
+    assert!(!d.resync_required && d.events.is_empty(), "one resync only");
+    let last = push(&log, "stuck");
+    let d = hub.wait(&stuck, Duration::ZERO);
+    assert_eq!(
+        d.events.iter().map(|e| e.seq).collect::<Vec<_>>(),
+        vec![last],
+        "stuck subscriber streams again"
+    );
 
-    // The healthy drainer kept receiving throughout — it was never starved
+    // The healthy reader kept receiving throughout — it was never starved
     // by the stuck peer — and its deliveries stayed strictly ordered even
     // against 8 racing publishers. (It may itself resync if a burst beat
-    // its drain loop; that is the advertised degradation, not a failure.)
+    // its read loop; that is the advertised degradation, not a failure.)
     assert!(
         !healthy_seqs.is_empty(),
         "healthy subscriber starved ({healthy_resyncs} resyncs, 0 events)"
@@ -136,21 +147,15 @@ fn stuck_subscriber_never_stalls_publishers_or_peers() {
 
 #[test]
 fn concurrent_publish_keeps_per_subscriber_order_and_uniqueness() {
-    let hub = Arc::new(Hub::new(
-        HubConfig {
-            queue_capacity: 100_000,
-            ..HubConfig::default()
-        },
-        Arc::new(|_: &str, _| -> Visibility { Box::new(|_: &JobEvent| true) }),
-    ));
-    let (sub, _) = hub.ensure("alice:tab", "alice", false);
+    let (hub, log) = hub(100_000);
+    let sub = hub.ensure("alice:tab", "alice", false, 0);
 
     let mut publishers = Vec::new();
-    for p in 0..4u64 {
-        let hub = hub.clone();
+    for _ in 0..4 {
+        let log = log.clone();
         publishers.push(std::thread::spawn(move || {
-            for i in 0..1_000u64 {
-                hub.publish(&event(p * 1_000 + i + 1, "alice"));
+            for _ in 0..1_000 {
+                push(&log, "alice");
             }
         }));
     }
@@ -161,7 +166,7 @@ fn concurrent_publish_keeps_per_subscriber_order_and_uniqueness() {
     let mut seqs = Vec::new();
     loop {
         let d = hub.wait(&sub, Duration::ZERO);
-        assert!(!d.resync_required, "queue was large enough");
+        assert!(!d.resync_required, "the window holds every event");
         if d.events.is_empty() {
             break;
         }

@@ -158,16 +158,16 @@ impl<T: Clone> Wal<T> {
 
     /// The durable records with `seq > after`, oldest first — what recovery
     /// replays on top of a checkpoint taken at watermark `after`.
-    /// `truncated` mirrors [`Journal::since`]: true means compaction moved
-    /// the retained window past `after`, so a replay from this cursor would
-    /// silently skip operations and the caller must not trust it.
+    /// `truncated` mirrors [`crate::events::Read::truncated`]: true means
+    /// compaction moved the retained window past `after`, so a replay from
+    /// this cursor would silently skip operations and the caller must not
+    /// trust it.
     pub fn replay_from(&self, after: u64) -> (Vec<(u64, T)>, bool) {
         let flushed = self.flushed_seq();
-        let (entries, truncated) = self.journal.since(after);
-        (
-            entries.into_iter().filter(|(s, _)| *s <= flushed).collect(),
-            truncated,
-        )
+        let read = self
+            .journal
+            .read(after, |s, r| (s <= flushed).then(|| (s, r.clone())));
+        (read.entries, read.truncated)
     }
 
     /// Burn the unflushed tail (crash recovery: those operations died with

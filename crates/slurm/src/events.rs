@@ -1,11 +1,10 @@
 //! The cluster event log: every job state transition, timestamped.
 //!
 //! This powers the dashboard's real-time job monitoring (listed as future
-//! work in the paper's §9 and implemented here) in two delivery modes:
-//! clients either poll `/api/updates?since=<seq>` and receive only the
-//! transitions they have not seen, or subscribe through the push hub
-//! (`hpcdash-push`), which registers itself as an [`EventSink`] and fans
-//! each appended event out to parked long-poll subscribers.
+//! work in the paper's §9 and implemented here). Every reader is a cursor
+//! into this one log: a poll client holds its own (`/api/updates?since=`),
+//! and the push hub (`hpcdash-push`) holds one per live tab, waking the tab
+//! through [`EventSink`] when a visible event lands.
 //!
 //! The storage core — a bounded deque with a monotonic sequence under one
 //! lock — is factored out as the generic [`Journal`], which also backs the
@@ -17,7 +16,7 @@ use hpcdash_simtime::Timestamp;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// One job state transition.
@@ -51,7 +50,7 @@ pub trait EventSink: Send + Sync {
     /// retention was trimmed past a live cursor. Incremental delivery is
     /// no longer trustworthy — consumers must resync from a fresh
     /// snapshot. Default: ignore (poll-based consumers learn the same
-    /// thing from `since()`'s `truncated` flag).
+    /// thing from [`Read::truncated`]).
     fn discontinuity(&self) {}
 }
 
@@ -59,10 +58,10 @@ pub trait EventSink: Send + Sync {
 /// core shared by the cluster [`EventLog`] and the daemons' write-ahead
 /// logs ([`crate::durable::Wal`]).
 ///
-/// Sequence assignment and storage live under ONE lock so `latest_seq()`
-/// can never be observed ahead of the entries a concurrent `since()`
-/// returns (a two-lock version allowed a reader to see the bumped counter
-/// before the entry landed in the deque).
+/// Sequence assignment and storage live under ONE lock so a [`Read`]'s
+/// `head` is never ahead of the entries it returns (a two-lock version
+/// allowed a reader to see the bumped counter before the entry landed in
+/// the deque).
 pub struct Journal<T> {
     state: RwLock<JournalState<T>>,
     capacity: usize,
@@ -77,6 +76,22 @@ struct JournalState<T> {
     /// [`Journal::truncate_after`] do NOT move it: a burned tail is not
     /// history anyone was entitled to replay.
     trimmed_through: u64,
+}
+
+/// What one read past a cursor saw, all under the journal's one lock.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Read<T> {
+    /// The picked entries with `seq > cursor`, oldest first.
+    pub entries: Vec<T>,
+    /// History the cursor was entitled to replay was dropped from the front
+    /// (capacity eviction or [`Journal::trim_through`]): the consumer must
+    /// resync rather than silently miss entries. A tail burned by
+    /// [`Journal::truncate_after`] never trips it: those seqs were
+    /// crash-lost everywhere, not skipped.
+    pub truncated: bool,
+    /// The newest seq issued when the read was taken: the reader's next
+    /// cursor. Nothing at or below it can land after the read.
+    pub head: u64,
 }
 
 impl<T: Clone> Journal<T> {
@@ -125,24 +140,21 @@ impl<T: Clone> Journal<T> {
         seq
     }
 
-    /// Entries with `seq > since`, oldest first. `truncated` is true when
-    /// history the cursor was entitled to replay was dropped from the
-    /// front — capacity eviction or an explicit [`Journal::trim_through`]
-    /// moved the floor past it — so the consumer must resync rather than
-    /// silently miss entries. A tail burned by [`Journal::truncate_after`]
-    /// never trips it: those seqs were crash-lost everywhere, not skipped.
-    pub fn since(&self, since: u64) -> (Vec<(u64, T)>, bool) {
+    /// The entries with `seq > since` that `pick` maps to `Some`, oldest
+    /// first. Seqs ascend, so the read seeks to the cursor: it costs
+    /// O(log n + entries past the cursor), not the whole window.
+    pub fn read<U>(&self, since: u64, mut pick: impl FnMut(u64, &T) -> Option<U>) -> Read<U> {
         let state = self.state.read();
-        let truncated = since < state.trimmed_through;
-        (
-            state
+        let start = state.entries.partition_point(|(seq, _)| *seq <= since);
+        Read {
+            entries: state
                 .entries
-                .iter()
-                .filter(|(seq, _)| *seq > since)
-                .cloned()
+                .range(start..)
+                .filter_map(|(seq, item)| pick(*seq, item))
                 .collect(),
-            truncated,
-        )
+            truncated: since < state.trimmed_through,
+            head: state.next_seq - 1,
+        }
     }
 
     /// Drop every entry with `seq <= through` (checkpoint compaction: the
@@ -205,9 +217,6 @@ pub struct EventLog {
     /// Cluster identity stamped onto every appended event (set once at
     /// daemon construction; `Arc<str>` so the hot path clones a refcount).
     cluster: RwLock<Arc<str>>,
-    /// How many `since()` scans have been served (the poll-cost observable
-    /// the push hub exists to eliminate).
-    scans: AtomicU64,
     /// Raised while a recovering daemon replays its WAL: replayed
     /// transitions are reconstruction, not new history — the pre-crash log
     /// already delivered the journaled prefix — so appends are dropped and
@@ -231,7 +240,6 @@ impl EventLog {
             journal: Journal::new(capacity),
             sinks: RwLock::new(Vec::new()),
             cluster: RwLock::new(Arc::from("")),
-            scans: AtomicU64::new(0),
             replay_mute: AtomicBool::new(false),
         }
     }
@@ -303,25 +311,19 @@ impl EventLog {
         seq
     }
 
-    /// Events with `seq > since`, oldest first. `truncated` is true when the
-    /// retained window no longer reaches back to `since` — including for a
-    /// fresh `since = 0` cursor against a log whose front has already been
-    /// evicted past seq 1 — so the client knows to do a full refresh rather
-    /// than silently missing history.
-    pub fn since(&self, since: u64) -> (Vec<JobEvent>, bool) {
-        self.scans.fetch_add(1, Ordering::Relaxed);
-        let (entries, truncated) = self.journal.since(since);
-        (entries.into_iter().map(|(_, e)| e).collect(), truncated)
+    /// The events with `seq > since` that `keep` accepts, oldest first, and
+    /// the head to resume from. `truncated` is true when the retained window
+    /// no longer reaches back to `since` — including for a fresh `since = 0`
+    /// cursor against a log whose front has already been evicted past seq 1
+    /// — so the client knows to do a full refresh rather than silently
+    /// missing history.
+    pub fn read(&self, since: u64, mut keep: impl FnMut(&JobEvent) -> bool) -> Read<JobEvent> {
+        self.journal.read(since, |_, e| keep(e).then(|| e.clone()))
     }
 
     /// The newest sequence number issued (0 when empty).
     pub fn latest_seq(&self) -> u64 {
         self.journal.latest_seq()
-    }
-
-    /// How many `since()` scans this log has served.
-    pub fn scan_count(&self) -> u64 {
-        self.scans.load(Ordering::Relaxed)
     }
 
     pub fn len(&self) -> usize {
@@ -357,11 +359,22 @@ mod tests {
         }
     }
 
+    /// Every retained event past `cursor`, and whether the cursor was cut.
+    fn since(log: &EventLog, cursor: u64) -> (Vec<JobEvent>, bool) {
+        let read = log.read(cursor, |_| true);
+        (read.entries, read.truncated)
+    }
+
+    fn journal_since(j: &Journal<u64>, cursor: u64) -> (Vec<(u64, u64)>, bool) {
+        let read = j.read(cursor, |seq, item| Some((seq, *item)));
+        (read.entries, read.truncated)
+    }
+
     #[test]
     fn sequence_is_monotonic() {
         let log = EventLog::new(100);
         push_n(&log, 5);
-        let (events, truncated) = log.since(0);
+        let (events, truncated) = since(&log, 0);
         assert_eq!(events.len(), 5);
         assert!(!truncated);
         let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
@@ -374,28 +387,38 @@ mod tests {
         let log = EventLog::new(10);
         log.set_cluster("anvil-sim");
         push_n(&log, 2);
-        let (events, _) = log.since(0);
+        let (events, _) = since(&log, 0);
         assert!(events.iter().all(|e| e.cluster == "anvil-sim"));
         assert_eq!(&*log.cluster(), "anvil-sim");
         // A log that never set an identity stamps the empty string.
         let anon = EventLog::new(10);
         push_n(&anon, 1);
-        assert_eq!(anon.since(0).0[0].cluster, "");
+        assert_eq!(since(&anon, 0).0[0].cluster, "");
     }
 
     #[test]
     fn since_filters() {
         let log = EventLog::new(100);
         push_n(&log, 10);
-        let (events, truncated) = log.since(7);
+        // A cursor mid-window seeks to the entry after it.
+        let read = log.read(7, |_| true);
         assert_eq!(
-            events.iter().map(|e| e.seq).collect::<Vec<_>>(),
+            read.entries.iter().map(|e| e.seq).collect::<Vec<_>>(),
             vec![8, 9, 10]
         );
-        assert!(!truncated);
-        let (events, _) = log.since(10);
-        assert!(events.is_empty());
-        assert_eq!(log.scan_count(), 2, "every since() counts as a scan");
+        assert!(!read.truncated);
+        assert_eq!(read.head, 10);
+        // A cursor at the head reads nothing and stays there.
+        let read = log.read(10, |_| true);
+        assert!(read.entries.is_empty() && !read.truncated);
+        assert_eq!(read.head, 10);
+        // The filter drops entries but never the head past them.
+        let read = log.read(3, |e| e.seq % 2 == 0);
+        assert_eq!(
+            read.entries.iter().map(|e| e.seq).collect::<Vec<_>>(),
+            vec![4, 6, 8, 10]
+        );
+        assert_eq!(read.head, 10);
     }
 
     #[test]
@@ -404,11 +427,11 @@ mod tests {
         push_n(&log, 10);
         assert_eq!(log.len(), 4);
         // Client last saw seq 2, but the log now starts at 7.
-        let (events, truncated) = log.since(2);
+        let (events, truncated) = since(&log, 2);
         assert!(truncated, "client is told to do a full refresh");
         assert_eq!(events.first().unwrap().seq, 7);
         // A client that is up to date is not truncated.
-        let (_, truncated) = log.since(9);
+        let (_, truncated) = since(&log, 9);
         assert!(!truncated);
     }
 
@@ -416,7 +439,7 @@ mod tests {
     fn fresh_client_is_never_truncated_from_zero_on_small_logs() {
         let log = EventLog::new(100);
         push_n(&log, 3);
-        let (events, truncated) = log.since(0);
+        let (events, truncated) = since(&log, 0);
         assert_eq!(events.len(), 3);
         assert!(!truncated);
     }
@@ -428,7 +451,7 @@ mod tests {
         // evicted prefix from brand-new clients.
         let log = EventLog::new(4);
         push_n(&log, 10);
-        let (events, truncated) = log.since(0);
+        let (events, truncated) = since(&log, 0);
         assert!(truncated, "a fresh cursor cannot see seqs 1..=6 — resync");
         assert_eq!(events.first().unwrap().seq, 7);
     }
@@ -436,7 +459,8 @@ mod tests {
     #[test]
     fn latest_seq_never_ahead_of_since_under_concurrency() {
         // With one lock over (events, next_seq), any seq implied by
-        // `latest_seq()` must be visible to an immediate `since()` call.
+        // `latest_seq()` must be visible to an immediate read, and a read's
+        // own head is exactly the last entry it returned.
         let log = Arc::new(EventLog::new(100_000));
         let writer = {
             let log = log.clone();
@@ -444,12 +468,13 @@ mod tests {
         };
         for _ in 0..2_000 {
             let latest = log.latest_seq();
-            let (events, _) = log.since(0);
-            let max_seen = events.last().map(|e| e.seq).unwrap_or(0);
+            let read = log.read(0, |_| true);
+            let max_seen = read.entries.last().map(|e| e.seq).unwrap_or(0);
             assert!(
                 max_seen >= latest,
                 "latest_seq {latest} observed ahead of stored events (max {max_seen})"
             );
+            assert_eq!(read.head, max_seen, "a read's head is what it saw");
         }
         writer.join().unwrap();
     }
@@ -495,7 +520,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let (events, _) = log.since(0);
+        let (events, _) = since(&log, 0);
         let mut seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         let before = seqs.len();
         seqs.dedup();
@@ -529,12 +554,17 @@ mod tests {
         j.truncate_after(7);
         assert_eq!(j.latest_seq(), 10, "seq counter is never rewound");
         assert_eq!(j.len(), 7);
-        let (entries, truncated) = j.since(0);
+        let (entries, truncated) = journal_since(&j, 0);
         assert_eq!(entries.last().map(|(s, _)| *s), Some(7));
         assert!(!truncated, "the front is intact; only the tail died");
         // The burned seqs 8..=10 are gone for good: the next append takes
         // seq 11, so no later record can impersonate a lost one.
         assert_eq!(j.append(99), 11);
+        // A cursor inside the burned tail seeks past it to the new entry,
+        // and is not told to resync for seqs nobody could have read.
+        assert_eq!(journal_since(&j, 9), (vec![(11, 99)], false));
+        assert_eq!(journal_since(&j, 7), (vec![(11, 99)], false));
+        assert_eq!(j.read(9, |_, _| Some(())).head, 11);
     }
 
     #[test]
@@ -547,23 +577,23 @@ mod tests {
             j.append(i);
         }
         j.trim_through(6);
-        let (entries, truncated) = j.since(2);
+        let (entries, truncated) = journal_since(&j, 2);
         assert!(truncated, "cursor 2 predates retained front 7 — resync");
         assert_eq!(
             entries.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
             vec![7, 8, 9, 10]
         );
         // A cursor exactly at the trim point is fine: nothing was skipped.
-        let (entries, truncated) = j.since(6);
+        let (entries, truncated) = journal_since(&j, 6);
         assert!(!truncated);
         assert_eq!(entries.len(), 4);
         // A fully trimmed journal still flags stale cursors...
         j.trim_through(100);
-        let (entries, truncated) = j.since(3);
+        let (entries, truncated) = journal_since(&j, 3);
         assert!(entries.is_empty());
         assert!(truncated, "empty journal with history past the cursor");
         // ...but an up-to-date cursor against it is clean.
-        let (_, truncated) = j.since(10);
+        let (_, truncated) = journal_since(&j, 10);
         assert!(!truncated);
     }
 
@@ -600,7 +630,7 @@ mod tests {
     #[test]
     fn discontinuity_reaches_every_sink() {
         #[derive(Default)]
-        struct Gap(AtomicU64);
+        struct Gap(std::sync::atomic::AtomicU64);
         impl EventSink for Gap {
             fn publish(&self, _event: &JobEvent) {}
             fn discontinuity(&self) {

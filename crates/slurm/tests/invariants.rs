@@ -301,7 +301,7 @@ proptest! {
         let finished = cluster.drain_finished();
         prop_assert_eq!(finished.len() as u64, submitted);
         // Event log recorded a submit event per job.
-        let (events, _) = cluster.events().since(0);
+        let events = cluster.events().read(0, |_| true).entries;
         let submits = events.iter().filter(|e| e.from.is_none()).count() as u64;
         prop_assert!(submits <= submitted, "log is bounded, cannot exceed submissions");
     }

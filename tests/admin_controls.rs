@@ -81,7 +81,7 @@ fn admin_hold_release_cancel_over_http() {
         site.scenario.dbd.job(id).unwrap().state,
         JobState::Cancelled
     );
-    let (events, _) = site.scenario.ctld.events().since(0);
+    let events = site.scenario.ctld.events().read(0, |_| true).entries;
     assert!(events
         .iter()
         .any(|e| e.job == id && e.to == JobState::Cancelled));

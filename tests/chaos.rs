@@ -6,6 +6,9 @@
 //! shows up. The contract under test is the per-widget degradation story:
 //! a failing daemon costs its own widgets freshness (honestly labelled),
 //! never the rest of the dashboard.
+//!
+//! Determinism is checked here too: two same-seed clusters built in one
+//! process must repeat their event stream, accounting text and node tables.
 
 use hpcdash::SimSite;
 use hpcdash_faults::{FaultPlan, FaultRule};
@@ -275,7 +278,7 @@ fn same_seed_scenarios_repeat_their_events_accounting_and_nodes() {
         for _ in 0..240 {
             let cursor = log.latest_seq();
             driver.advance(30);
-            let (tick, _) = log.since(cursor);
+            let tick = log.read(cursor, |_| true).entries;
             let completions = tick
                 .iter()
                 .filter(|e| e.from == Some(JobState::Running) && e.to.is_finished())

@@ -87,11 +87,9 @@ fn polling_sees_the_cluster_evolve() {
 fn streaming_matches_polling_at_equivalent_freshness() {
     // A push subscriber anchored at the same cursor as a legacy poller must
     // see exactly the same deltas — the fan-out hub changes delivery cost,
-    // not content. Queue capacity is raised so a busy round cannot
-    // legitimately coalesce into a resync and void the comparison.
-    let mut cfg = DashboardConfig::purdue_like();
-    cfg.push.queue_capacity = 8_192;
-    let site = SimSite::build_with(ScenarioConfig::small(), cfg);
+    // not content. Both are cursors into the same log, held by the client
+    // or by the hub.
+    let site = SimSite::build_with(ScenarioConfig::small(), DashboardConfig::purdue_like());
     let server = site.serve().unwrap();
     let base = server.base_url();
     let client = HttpClient::new();
@@ -141,9 +139,9 @@ fn streaming_matches_polling_at_equivalent_freshness() {
 
 #[test]
 fn a_stream_round_costs_the_same_for_one_tab_as_for_many() {
-    // Once subscribed, a tab drains its hub queue: a round of stream
-    // requests costs the daemons the same (event-log scans, assoc RPCs)
-    // however many tabs make it.
+    // Once subscribed, a tab reads the event log from its hub cursor: a
+    // round of stream requests costs the daemons the same (controller
+    // state locks, assoc RPCs) however many tabs make it.
     fn per_round_cost(tabs: usize) -> (Vec<(u64, u64)>, u64) {
         let site = SimSite::build(ScenarioConfig::small());
         site.warm_up(300);
@@ -162,12 +160,12 @@ fn a_stream_round_costs_the_same_for_one_tab_as_for_many() {
         };
         let cost = || {
             (
-                site.scenario.ctld.events().scan_count(),
+                site.scenario.ctld.stats().state_lock_count(),
                 site.scenario.ctld.stats().count_of("scontrol_assoc"),
             )
         };
         for tab in 0..tabs {
-            drain(tab); // subscribe and backfill
+            drain(tab); // subscribe, reading from seq 0
         }
         let mut driver = site.driver(5 * 300);
         let (mut rounds, mut delivered) = (Vec::new(), 0);
@@ -184,16 +182,18 @@ fn a_stream_round_costs_the_same_for_one_tab_as_for_many() {
     let (many, delivered_many) = per_round_cost(64);
     assert!(delivered_one > 0, "the rounds carried no events");
     assert!(delivered_many >= delivered_one);
-    assert_eq!(one, many, "(log scans, assoc RPCs) per round: 1 tab vs 64");
+    assert_eq!(
+        one, many,
+        "(state locks, assoc RPCs) per round: 1 tab vs 64"
+    );
 }
 
 #[test]
 fn streaming_subscriber_recovers_from_overflow() {
-    // A tab that stops draining overflows its bounded queue; on the next
-    // poll it learns it must resync, drops local state, and keeps streaming.
-    let mut cfg = DashboardConfig::purdue_like();
-    cfg.push.queue_capacity = 8;
-    let site = SimSite::build_with(ScenarioConfig::small(), cfg);
+    // A tab that stops reading while the log's retained window moves past
+    // its cursor learns on the next poll that it must resync, drops local
+    // state, and keeps streaming.
+    let site = SimSite::build_with(ScenarioConfig::small(), DashboardConfig::purdue_like());
     let server = site.serve().unwrap();
     let base = server.base_url();
     let user = site.scenario.population.users[0].clone();
@@ -202,13 +202,19 @@ fn streaming_subscriber_recovers_from_overflow() {
     let sub = LiveSubscriber::new(&base, &user, "lazy", site.scenario.clock.shared());
     assert!(matches!(sub.poll(0).unwrap(), PollOutcome::Empty));
 
-    // 32 visible events against a queue of 8 while the tab is not polling.
-    for _ in 0..16 {
-        let mut req = hpcdash_slurm::job::JobRequest::simple(&user, &account, "cpu", 1);
-        req.usage.planned_runtime_secs = 1;
-        site.scenario.ctld.submit(req).unwrap();
-        site.scenario.clock.advance(2);
-        site.scenario.ctld.tick();
+    // A burst of visible transitions one longer than the log's 4 096-event
+    // window, while the tab is not polling.
+    let log = site.scenario.ctld.events();
+    for _ in 0..4_097 {
+        log.push(
+            hpcdash_simtime::Timestamp(0),
+            hpcdash_slurm::job::JobId(1),
+            &user,
+            &account,
+            None,
+            hpcdash_slurm::job::JobState::Pending,
+            None,
+        );
     }
     assert!(matches!(sub.poll(0).unwrap(), PollOutcome::Resync));
     assert_eq!(sub.tracked_jobs(), 0, "local state dropped on resync");
@@ -249,11 +255,9 @@ fn stale_cursor_requests_resync() {
 fn an_admin_acting_as_a_user_never_shares_that_users_subscription() {
     // root (an admin) opens `sub=t` while acting as alice, then alice opens
     // her own `sub=t`. The two views differ — root keeps admin rights while
-    // acting — so they must be two subscribers: alice's queue carries only
+    // acting — so they must be two subscribers: alice's cursor reads only
     // her jobs and her accounts' jobs, whatever root registered first.
-    let mut cfg = DashboardConfig::purdue_like();
-    cfg.push.queue_capacity = 8_192;
-    let site = SimSite::build_with(ScenarioConfig::small(), cfg);
+    let site = SimSite::build_with(ScenarioConfig::small(), DashboardConfig::purdue_like());
     let server = site.serve().unwrap();
     let base = server.base_url();
     let client = HttpClient::new();
