@@ -1,6 +1,7 @@
 //! Accounts widget API (paper §3.4): the user's allocations with CPU/GPU
 //! usage against limits, plus the per-user breakdown export (CSV / Excel).
 
+use crate::api::encode;
 use crate::auth::CurrentUser;
 use crate::colors::utilization_color;
 use crate::ctx::DashboardContext;
@@ -30,7 +31,7 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
         ctx.note_source(FEATURE, "scontrol show assoc (slurmctld)");
         let text = show_assoc(&ctx.ctld, Some(&user.username))?;
         let rows = parse_show_assoc(&text).map_err(|e| format!("assoc parse: {e}"))?;
-        Ok(json!({
+        Ok(encode(&json!({
             "accounts": rows
                 .iter()
                 .map(|r| {
@@ -60,7 +61,7 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
                 })
                 .collect::<Vec<_>>(),
             "user_guide_url": guide,
-        }))
+        })))
     });
     super::respond(outcome)
 }

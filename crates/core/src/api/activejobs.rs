@@ -8,6 +8,7 @@
 //! efficiency data, no friendly reasons, no charts. Benches and tests
 //! compare it against My Jobs to quantify the paper's improvement claims.
 
+use crate::api::encode;
 use crate::auth::CurrentUser;
 use crate::colors::job_state_color;
 use crate::ctx::DashboardContext;
@@ -30,7 +31,7 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
     };
     let key = format!("activejobs:{}", user.username);
     let outcome = ctx.cached_resilient(&key, ctx.cfg.cache.recent_jobs, || {
-        load(ctx, &user.username)
+        load(ctx, &user.username).map(|payload| encode(&payload))
     });
     super::respond(outcome)
 }

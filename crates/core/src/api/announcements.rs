@@ -1,6 +1,7 @@
 //! Announcements widget API (paper §3.1): latest center news with urgency
 //! colours and active/upcoming/past styling, cached 30-60 minutes.
 
+use crate::api::encode;
 use crate::auth::CurrentUser;
 use crate::colors::announcement_color;
 use crate::ctx::DashboardContext;
@@ -37,7 +38,7 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
         } else {
             ctx.news.recent(limit).map_err(|e| e.to_string())?
         };
-        Ok(json!({
+        Ok(encode(&json!({
             "items": items
                 .iter()
                 .map(|a| {
@@ -57,7 +58,7 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
                 })
                 .collect::<Vec<_>>(),
             "all_news_url": news_url,
-        }))
+        })))
     });
     super::respond(outcome)
 }

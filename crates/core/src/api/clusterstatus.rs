@@ -1,10 +1,12 @@
 //! Cluster Status API (paper §6): every node's state for the grid and list
 //! views, from `scontrol show node`.
 
+use crate::api::{encode, Link, Text};
 use crate::auth::CurrentUser;
 use crate::colors::{node_color, utilization_color, ColorClass};
 use crate::ctx::DashboardContext;
 use hpcdash_http::{Request, Response, Router};
+use hpcdash_slurmcli::scontrol::List;
 use hpcdash_slurmcli::{parse_show_node, show_node, ScontrolNode};
 use serde::Serialize;
 
@@ -17,15 +19,15 @@ pub fn register(router: &mut Router, ctx: DashboardContext) {
 }
 
 #[derive(Serialize)]
-struct ClusterStatus {
-    nodes: Vec<NodeRow>,
+struct ClusterStatus<'t> {
+    nodes: Vec<NodeRow<'t>>,
 }
 
-/// One node of the grid and list views; its strings are taken from the
+/// One node of the grid and list views; its strings are borrowed from the
 /// `scontrol` record it describes.
 #[derive(Serialize)]
-struct NodeRow {
-    name: String,
+struct NodeRow<'t> {
+    name: &'t str,
     state: &'static str,
     /// Grid-view cell colour (paper §6's legend).
     color: ColorClass,
@@ -38,15 +40,15 @@ struct NodeRow {
     mem_total_mb: u64,
     mem_percent: f64,
     mem_color: ColorClass,
-    partitions: Vec<String>,
-    gres: Option<String>,
-    gres_used: Option<String>,
-    reason: Option<String>,
-    overview_url: String,
+    partitions: List<'t>,
+    gres: Option<&'t str>,
+    gres_used: Option<&'t str>,
+    reason: Option<&'t str>,
+    overview_url: Text<Link<'t>>,
 }
 
-impl From<ScontrolNode> for NodeRow {
-    fn from(n: ScontrolNode) -> NodeRow {
+impl<'t> From<&ScontrolNode<'t>> for NodeRow<'t> {
+    fn from(n: &ScontrolNode<'t>) -> NodeRow<'t> {
         let cpu_frac = if n.cpu_total > 0 {
             n.cpu_alloc as f64 / n.cpu_total as f64
         } else {
@@ -58,7 +60,7 @@ impl From<ScontrolNode> for NodeRow {
             0.0
         };
         NodeRow {
-            overview_url: format!("/nodes/{}", n.name),
+            overview_url: Text(Link("/nodes/", n.name)),
             name: n.name,
             state: n.state.to_slurm(),
             color: node_color(n.state),
@@ -87,9 +89,9 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
         ctx.note_source(FEATURE, "scontrol show node (slurmctld)");
         let text = show_node(&ctx.ctld, None)?;
         let nodes = parse_show_node(&text).map_err(|e| format!("scontrol parse: {e}"))?;
-        Ok(ClusterStatus {
-            nodes: nodes.into_iter().map(NodeRow::from).collect(),
-        })
+        Ok(encode(&ClusterStatus {
+            nodes: nodes.iter().map(NodeRow::from).collect(),
+        }))
     });
     super::respond(outcome)
 }

@@ -1,6 +1,7 @@
 //! Job Performance Metrics API (paper §5): aggregate job statistics over a
 //! selectable time range, including a custom date range.
 
+use crate::api::encode;
 use crate::auth::CurrentUser;
 use crate::ctx::DashboardContext;
 use crate::metrics::{JobMetrics, TimeRange};
@@ -63,10 +64,10 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
             now,
         )?;
         let records = parse_sacct(&text).map_err(|e| format!("sacct parse: {e}"))?;
-        Ok(RangeMetrics {
+        Ok(encode(&RangeMetrics {
             range: range.label(),
             metrics: JobMetrics::aggregate(&records),
-        })
+        }))
     });
     // The live strip: running jobs with their recent collector series,
     // cached on the faster telemetry (squeue-tier) TTL so the sparklines

@@ -9,13 +9,16 @@
 //! cached under the dedicated `cache.telemetry` TTL (squeue tier — the
 //! series sit next to live queue state; see DESIGN.md §3).
 
+use crate::api::{encode, Text};
 use crate::auth::CurrentUser;
 use crate::ctx::DashboardContext;
 use hpcdash_http::{Request, Response, Router};
 use hpcdash_slurm::ctld::JobQuery;
 use hpcdash_slurm::job::{Job, JobId, JobState};
-use hpcdash_telemetry::keys;
-use serde_json::{json, Value};
+use hpcdash_telemetry::{keys, RangePoint};
+use serde::Serialize;
+use serde_json::Value;
+use std::fmt;
 use std::sync::Arc;
 
 pub const FEATURE: &str = "Job Telemetry";
@@ -48,50 +51,118 @@ fn round4(x: f64) -> f64 {
     (x * 10_000.0).round() / 10_000.0
 }
 
-fn pairs(points: &[hpcdash_telemetry::RangePoint]) -> Value {
-    Value::Array(
-        points
-            .iter()
-            .map(|p| json!([p.t, round4(p.mean)]))
-            .collect(),
-    )
+/// A series as the sparklines read it: `[[t, mean], …]`, each mean rounded
+/// to four places.
+struct Pairs(Vec<RangePoint>);
+
+impl Serialize for Pairs {
+    fn to_json_value(&self) -> Value {
+        Value::Array(
+            self.0
+                .iter()
+                .map(|p| (p.t, round4(p.mean)).to_json_value())
+                .collect(),
+        )
+    }
+
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.push(b'[');
+        for (i, p) in self.0.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            (p.t, round4(p.mean)).write_json(out);
+        }
+        out.push(b']');
+    }
+}
+
+/// The sparkline series of one job over `[start, end]`.
+#[derive(Serialize)]
+pub(crate) struct SeriesBlock {
+    start: i64,
+    end: i64,
+    resolution_secs: i64,
+    tier: &'static str,
+    cpu: Pairs,
+    mem: Pairs,
+    /// `null` for a job without GPUs.
+    gpu: Option<Pairs>,
+}
+
+/// A job's display id (`1234` or `1234_7`) after a fixed prefix.
+struct ShownId<'a>(&'static str, &'a Job);
+
+impl fmt::Display for ShownId<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.0)?;
+        self.1.shown_id().fmt(f)
+    }
+}
+
+/// One running job of the live strip.
+#[derive(Serialize)]
+struct LiveJob<'a> {
+    id: Text<ShownId<'a>>,
+    name: &'a str,
+    overview_url: Text<ShownId<'a>>,
+    series: SeriesBlock,
+}
+
+#[derive(Serialize)]
+struct LiveJobs<'a> {
+    window_secs: i64,
+    jobs: Vec<LiveJob<'a>>,
+}
+
+/// The `/api/jobs/:id/telemetry` payload.
+#[derive(Serialize)]
+struct JobSeries<'a> {
+    id: Text<ShownId<'a>>,
+    state: &'static str,
+    telemetry: Option<SeriesBlock>,
 }
 
 /// The sparkline series for one job over `[start, end]` at `resolution`.
-fn series_block(ctx: &DashboardContext, job: &Job, start: i64, end: i64, resolution: i64) -> Value {
+fn series_block(
+    ctx: &DashboardContext,
+    job: &Job,
+    start: i64,
+    end: i64,
+    resolution: i64,
+) -> SeriesBlock {
     let (cpu, tier) = ctx
         .telemetry
         .query_range(&keys::job_cpu(job.id), start, end, resolution);
     let (mem, _) = ctx
         .telemetry
         .query_range(&keys::job_mem(job.id), start, end, resolution);
-    let gpu = if job.req.gpus_per_node > 0 {
-        let (g, _) = ctx
+    let gpu = (job.req.gpus_per_node > 0).then(|| {
+        let (gpu, _) = ctx
             .telemetry
             .query_range(&keys::job_gpu(job.id), start, end, resolution);
-        pairs(&g)
-    } else {
-        Value::Null
-    };
-    json!({
-        "start": start,
-        "end": end,
-        "resolution_secs": resolution,
-        "tier": tier.label(),
-        "cpu": pairs(&cpu),
-        "mem": pairs(&mem),
-        "gpu": gpu,
-    })
+        Pairs(gpu)
+    });
+    SeriesBlock {
+        start,
+        end,
+        resolution_secs: resolution,
+        tier: tier.label(),
+        cpu: Pairs(cpu),
+        mem: Pairs(mem),
+        gpu,
+    }
 }
 
-/// Full-lifetime series payload for one job, for embedding in the Job
-/// Overview response. `Null` when the job has not started (no series yet).
-pub(crate) fn job_series_payload(ctx: &DashboardContext, feature: &str, job: &Job) -> Value {
+/// Full-lifetime series for one job, for embedding in the Job Overview
+/// response. `None` (`null`) when the job has not started (no series yet).
+pub(crate) fn job_series_payload(
+    ctx: &DashboardContext,
+    feature: &str,
+    job: &Job,
+) -> Option<SeriesBlock> {
     ctx.note_source(feature, TELEMETRY_SOURCE);
-    let Some(start) = job.start_time else {
-        return Value::Null;
-    };
-    let start = start.as_secs() as i64;
+    let start = job.start_time?.as_secs() as i64;
     let end = job
         .end_time
         .map(|t| t.as_secs() as i64)
@@ -99,7 +170,7 @@ pub(crate) fn job_series_payload(ctx: &DashboardContext, feature: &str, job: &Jo
     let window = (end - start).max(1);
     let resolution = (window / MAX_POINTS).max(LIVE_RESOLUTION_SECS);
     // `end + 1`: series timestamps are inclusive tick times.
-    series_block(ctx, job, start, end + 1, resolution)
+    Some(series_block(ctx, job, start, end + 1, resolution))
 }
 
 /// Mean collector-measured GPU utilization over the job's lifetime, for the
@@ -120,32 +191,29 @@ pub(crate) fn collector_gpu_mean(ctx: &DashboardContext, job: &Job) -> Option<f6
 }
 
 /// The current user's running jobs with their recent series — the live
-/// strip on the Job Performance Metrics page. Notes its sources under the
-/// calling feature so the Table-1 harness sees the embed.
-pub(crate) fn live_jobs_payload(ctx: &DashboardContext, feature: &str, user: &str) -> Value {
+/// strip on the Job Performance Metrics page — encoded. Notes its sources
+/// under the calling feature so the Table-1 harness sees the embed.
+pub(crate) fn live_jobs_payload(ctx: &DashboardContext, feature: &str, user: &str) -> Vec<u8> {
     ctx.note_source(feature, "squeue (slurmctld)");
     ctx.note_source(feature, TELEMETRY_SOURCE);
     let now = ctx.now().as_secs() as i64;
-    let mut jobs = Vec::new();
-    for job in ctx.ctld.query_jobs(&JobQuery::for_user(user)) {
-        if job.state != JobState::Running {
-            continue;
-        }
-        let Some(start) = job.start_time else {
-            continue;
-        };
-        let start = (now - LIVE_WINDOW_SECS).max(start.as_secs() as i64);
-        let series = series_block(ctx, &job, start, now + 1, LIVE_RESOLUTION_SECS);
-        jobs.push(json!({
-            "id": job.display_id(),
-            "name": job.req.name,
-            "overview_url": format!("/jobs/{}", job.display_id()),
-            "series": series,
-        }));
-    }
-    json!({
-        "window_secs": LIVE_WINDOW_SECS,
-        "jobs": jobs,
+    let running = ctx.ctld.query_jobs(&JobQuery::for_user(user));
+    let jobs = running
+        .iter()
+        .filter(|job| job.state == JobState::Running)
+        .filter_map(|job| {
+            let start = (now - LIVE_WINDOW_SECS).max(job.start_time?.as_secs() as i64);
+            Some(LiveJob {
+                id: Text(ShownId("", job)),
+                name: &job.req.name,
+                overview_url: Text(ShownId("/jobs/", job)),
+                series: series_block(ctx, job, start, now + 1, LIVE_RESOLUTION_SECS),
+            })
+        })
+        .collect();
+    encode(&LiveJobs {
+        window_secs: LIVE_WINDOW_SECS,
+        jobs,
     })
 }
 
@@ -202,10 +270,10 @@ fn handle_job(ctx: &DashboardContext, req: &Request) -> Response {
     }
     let key = format!("telemetry:job:{}", job.display_id());
     let outcome = ctx.cached_resilient(&key, ctx.cfg.cache.telemetry, || {
-        Ok(json!({
-            "id": job.display_id(),
-            "state": job.state.to_slurm(),
-            "telemetry": job_series_payload(ctx, FEATURE, &job),
+        Ok(encode(&JobSeries {
+            id: Text(ShownId("", &job)),
+            state: job.state.to_slurm(),
+            telemetry: job_series_payload(ctx, FEATURE, &job),
         }))
     });
     super::respond(outcome)

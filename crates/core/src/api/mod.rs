@@ -30,7 +30,40 @@ pub mod updates;
 use crate::ctx::{DashboardContext, SourceOutcome};
 use hpcdash_cache::Body;
 use hpcdash_http::{Request, Response, Router};
+use std::fmt;
 use std::sync::Arc;
+
+/// A payload's JSON bytes: what a [`DashboardContext::cached_resilient`]
+/// loader returns. Encoding inside the loader lets a payload borrow from
+/// the command text it describes until the moment it is written.
+pub(crate) fn encode<T: serde::Serialize + ?Sized>(payload: &T) -> Vec<u8> {
+    serde_json::to_vec(payload).expect("json serializes")
+}
+
+/// A JSON string written straight from a value's `Display`: a timestamp,
+/// a time limit or a link in a row costs no `String` of its own, and the
+/// text is the one `to_string` gives.
+pub(crate) struct Text<T>(pub T);
+
+impl<T: fmt::Display> serde::Serialize for Text<T> {
+    fn to_json_value(&self) -> serde_json::Value {
+        serde_json::Value::String(self.0.to_string())
+    }
+
+    fn write_json(&self, out: &mut Vec<u8>) {
+        serde::value::write_display(&self.0, out);
+    }
+}
+
+/// A page link, `prefix` then `id`, for [`Text`]: `/jobs/123_4`.
+pub(crate) struct Link<'a>(pub &'static str, pub &'a str);
+
+impl fmt::Display for Link<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.0)?;
+        f.write_str(self.1)
+    }
+}
 
 /// 200 with already-serialized JSON bytes and no validator: the form stale
 /// and degraded payloads go out in, so they are never revalidated as if

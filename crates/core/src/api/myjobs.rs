@@ -5,6 +5,7 @@
 //! Data sources: `sacct` against slurmdbd for history + usage, and one
 //! `squeue` against slurmctld to attach live pending reasons.
 
+use crate::api::{encode, Link, Text};
 use crate::auth::CurrentUser;
 use crate::charts::{self, GpuHours, StateDistribution};
 use crate::colors::{job_state_color, ColorClass};
@@ -13,6 +14,7 @@ use crate::efficiency::EfficiencyReport;
 use crate::metrics::TimeRange;
 use crate::reasons::friendly_reason;
 use hpcdash_http::{Request, Response, Router};
+use hpcdash_simtime::{TimeLimit, Timestamp};
 use hpcdash_slurm::job::{JobState, PendingReason};
 use hpcdash_slurmcli::{parse_sacct, parse_squeue_long, sacct, squeue_long, SacctArgs, SqueueArgs};
 use serde::Serialize;
@@ -26,49 +28,49 @@ pub fn register(router: &mut Router, ctx: DashboardContext) {
     router.get(ROUTES[0], move |req| handle(&ctx, req));
 }
 
-/// The route's payload. The loader hands it back owning its strings (each
-/// row takes them from the `sacct` record it describes), and it is encoded
-/// once, straight into the response bytes.
+/// The route's payload. Its rows borrow every string from the `sacct`
+/// records they describe, which borrow from the command text; the loader
+/// encodes it while that text is alive.
 #[derive(Serialize)]
-struct MyJobs {
+struct MyJobs<'t> {
     range: String,
-    jobs: Vec<JobRow>,
-    charts: Charts,
+    jobs: Vec<JobRow<'t>>,
+    charts: Charts<'t>,
 }
 
 #[derive(Serialize)]
-struct Charts {
-    state_distribution: StateDistribution,
-    gpu_hours: GpuHours,
+struct Charts<'t> {
+    state_distribution: StateDistribution<'t>,
+    gpu_hours: GpuHours<'t>,
 }
 
 /// One row of the history table.
 #[derive(Serialize)]
-struct JobRow {
-    id: String,
-    name: String,
-    user: String,
-    account: String,
-    partition: String,
-    qos: String,
+struct JobRow<'t> {
+    id: &'t str,
+    name: &'t str,
+    user: &'t str,
+    account: &'t str,
+    partition: &'t str,
+    qos: &'t str,
     state: &'static str,
     state_color: ColorClass,
-    submit: Option<String>,
-    start: Option<String>,
-    end: Option<String>,
+    submit: Option<Text<Timestamp>>,
+    start: Option<Text<Timestamp>>,
+    end: Option<Text<Timestamp>>,
     wait_secs: Option<u64>,
     elapsed_secs: u64,
-    timelimit: String,
+    timelimit: Text<TimeLimit>,
     alloc_cpus: u32,
     alloc_nodes: u32,
     req_mem_mb: u64,
     gpu_hours: f64,
-    nodelist: String,
-    exit_code: String,
-    session_id: Option<String>,
+    nodelist: &'t str,
+    exit_code: &'t str,
+    session_id: Option<&'t str>,
     efficiency: EfficiencyReport,
     reason: Option<Reason>,
-    overview_url: String,
+    overview_url: Text<Link<'t>>,
 }
 
 /// Why a pending job waits: Slurm's token and the sentence shown for it.
@@ -130,13 +132,13 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
         )?;
         let mut records = parse_sacct(&text).map_err(|e| format!("sacct parse: {e}"))?;
         if let Some(p) = &partition_filter {
-            records.retain(|r| r.partition == *p);
+            records.retain(|r| r.partition == p);
         }
         if let Some(q) = &qos_filter {
-            records.retain(|r| r.qos == *q);
+            records.retain(|r| r.qos == q);
         }
         if let Some(m) = &member_filter {
-            records.retain(|r| r.user == *m);
+            records.retain(|r| r.user == m);
         }
 
         // Live reasons for pending jobs come from squeue.
@@ -152,16 +154,11 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
         let qrows = parse_squeue_long(&qtext).map_err(|e| format!("squeue parse: {e}"))?;
         let reasons: HashMap<&str, PendingReason> = qrows
             .iter()
-            .filter_map(|r| r.reason().map(|x| (r.job_id.as_str(), x)))
+            .filter_map(|r| r.reason().map(|x| (r.job_id, x)))
             .collect();
 
-        // The charts read the records; the rows then take them apart.
-        let charts = Charts {
-            state_distribution: charts::job_state_distribution(&records),
-            gpu_hours: charts::gpu_hours_distribution(&records),
-        };
         let jobs = records
-            .into_iter()
+            .iter()
             .map(|rec| {
                 let wait = rec.wait_secs().or_else(|| {
                     rec.submit
@@ -169,14 +166,6 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
                         .filter(|_| rec.state == JobState::Pending)
                 });
                 JobRow {
-                    efficiency: EfficiencyReport::from_record(&rec, gpu_flag),
-                    reason: reasons.get(rec.job_id.as_str()).map(|&r| Reason {
-                        code: r.to_slurm(),
-                        message: friendly_reason(r),
-                    }),
-                    overview_url: format!("/jobs/{}", rec.job_id),
-                    gpu_hours: (rec.gpu_hours() * 100.0).round() / 100.0,
-                    session_id: parse_session_id(&rec.comment),
                     id: rec.job_id,
                     name: rec.job_name,
                     user: rec.user,
@@ -185,35 +174,45 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
                     qos: rec.qos,
                     state: rec.state.to_slurm(),
                     state_color: job_state_color(rec.state),
-                    submit: rec.submit.map(|t| t.to_slurm()),
-                    start: rec.start.map(|t| t.to_slurm()),
-                    end: rec.end.map(|t| t.to_slurm()),
+                    submit: rec.submit.map(Text),
+                    start: rec.start.map(Text),
+                    end: rec.end.map(Text),
                     wait_secs: wait,
                     elapsed_secs: rec.elapsed_secs,
-                    timelimit: rec.timelimit.to_slurm(),
+                    timelimit: Text(rec.timelimit),
                     alloc_cpus: rec.alloc_cpus,
                     alloc_nodes: rec.alloc_nodes,
                     req_mem_mb: rec.req_mem_mb,
+                    gpu_hours: (rec.gpu_hours() * 100.0).round() / 100.0,
                     nodelist: rec.nodelist,
                     exit_code: rec.exit_code,
+                    session_id: parse_session_id(rec.comment),
+                    efficiency: EfficiencyReport::from_record(rec, gpu_flag),
+                    reason: reasons.get(rec.job_id).map(|&r| Reason {
+                        code: r.to_slurm(),
+                        message: friendly_reason(r),
+                    }),
+                    overview_url: Text(Link("/jobs/", rec.job_id)),
                 }
             })
             .collect();
-
-        Ok(MyJobs {
+        Ok(encode(&MyJobs {
             range: range.label(),
             jobs,
-            charts,
-        })
+            charts: Charts {
+                state_distribution: charts::job_state_distribution(&records),
+                gpu_hours: charts::gpu_hours_distribution(&records),
+            },
+        }))
     });
     super::respond(outcome)
 }
 
 /// Extract the Open OnDemand session id from a job comment.
-fn parse_session_id(comment: &str) -> Option<String> {
+fn parse_session_id(comment: &str) -> Option<&str> {
     let mut parts = comment.strip_prefix("ood:")?.split(':');
     let _app = parts.next()?;
-    parts.next().map(str::to_string)
+    parts.next()
 }
 
 #[cfg(test)]

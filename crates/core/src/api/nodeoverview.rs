@@ -1,6 +1,7 @@
 //! Node Overview API (paper §6.1): one node's status card, resource card,
 //! configuration details, and the jobs currently running on it.
 
+use crate::api::encode;
 use crate::auth::CurrentUser;
 use crate::colors::{node_color, utilization_color};
 use crate::ctx::DashboardContext;
@@ -15,8 +16,8 @@ pub const FEATURE: &str = "Node Overview";
 pub const ROUTES: &[&str] = &["/api/nodes/:name"];
 pub const SOURCES: &[&str] = &["scontrol show node (slurmctld)", "squeue (slurmctld)"];
 
-/// What the loaders' `{"not_found": true}` marker serializes to; the route
-/// recognises a cached "no such node" by these bytes, without parsing.
+/// The loader's "no such node" marker; the route recognises a cached one
+/// by these bytes, without parsing.
 const NOT_FOUND: &[u8] = br#"{"not_found":true}"#;
 
 pub fn register(router: &mut Router, ctx: DashboardContext) {
@@ -38,17 +39,17 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
     super::respond(outcome)
 }
 
-/// Render `scontrol show node` text and parse it back.
-fn load(ctx: &DashboardContext, name: &str) -> Result<serde_json::Value, String> {
+/// Render `scontrol show node` text, parse it back, and encode the payload.
+fn load(ctx: &DashboardContext, name: &str) -> Result<Vec<u8>, String> {
     ctx.note_source(FEATURE, "scontrol show node (slurmctld)");
     let text = show_node(&ctx.ctld, Some(name))?;
     if text.is_empty() {
         // A bad node name is data, not a backend failure: returning Ok
         // keeps retries, health errors, and the breaker out of 404s.
-        return Ok(json!({ "not_found": true }));
+        return Ok(NOT_FOUND.to_vec());
     }
     let nodes = parse_show_node(&text).map_err(|e| format!("scontrol parse: {e}"))?;
-    let n = nodes.into_iter().next().ok_or("empty scontrol output")?;
+    let n = nodes.first().ok_or("empty scontrol output")?;
 
     // Running-jobs tab: every job on this node (name/user/partition are
     // public queue data, as in squeue).
@@ -57,11 +58,11 @@ fn load(ctx: &DashboardContext, name: &str) -> Result<serde_json::Value, String>
         node: Some(name.to_string()),
         ..JobQuery::default()
     });
-    Ok(payload(&n, &jobs))
+    Ok(encode(&payload(n, &jobs)))
 }
 
 /// The payload: one node's cards, details tab and running jobs.
-fn payload(n: &ScontrolNode, jobs: &[Arc<Job>]) -> serde_json::Value {
+fn payload(n: &ScontrolNode<'_>, jobs: &[Arc<Job>]) -> serde_json::Value {
     let cpu_frac = if n.cpu_total > 0 {
         n.cpu_alloc as f64 / n.cpu_total as f64
     } else {
@@ -72,8 +73,8 @@ fn payload(n: &ScontrolNode, jobs: &[Arc<Job>]) -> serde_json::Value {
     } else {
         0.0
     };
-    let gpu_usage = n.gres_used.as_deref().and_then(parse_gres_count);
-    let gpu_total = n.gres.as_deref().and_then(parse_gres_count);
+    let gpu_usage = n.gres_used.and_then(parse_gres_count);
+    let gpu_total = n.gres.and_then(parse_gres_count);
 
     json!({
         "status_card": {
@@ -110,8 +111,9 @@ fn payload(n: &ScontrolNode, jobs: &[Arc<Job>]) -> serde_json::Value {
             },
         },
         // Details tab: the raw scontrol fields (paper: "pulled directly
-        // from Slurm's scontrol show node command").
-        "details": n.raw,
+        // from Slurm's scontrol show node command"), read out of the
+        // record's text only here.
+        "details": n.details(),
         "running_jobs": jobs
             .iter()
             .map(|j| json!({

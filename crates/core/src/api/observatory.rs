@@ -264,7 +264,7 @@ fn handle_summary(ctx: &DashboardContext, req: &Request) -> Response {
         return resp;
     }
     let outcome = ctx.cached_resilient("observatory:summary", ctx.cfg.cache.observatory, || {
-        Ok(summary_payload(ctx))
+        Ok(super::encode(&summary_payload(ctx)))
     });
     super::respond(outcome)
 }

@@ -1,11 +1,13 @@
 //! Recent Jobs widget API (paper §3.2): the user's latest queued/running
 //! jobs from `squeue`, cached ~30 s to protect slurmctld.
 
+use crate::api::{encode, Text};
 use crate::auth::CurrentUser;
 use crate::colors::{job_state_color, ColorClass};
 use crate::ctx::DashboardContext;
 use crate::reasons::friendly_reason;
 use hpcdash_http::{Request, Response, Router};
+use hpcdash_simtime::Timestamp;
 use hpcdash_slurmcli::{parse_squeue_long, squeue_long, SqueueArgs, SqueueLongRow};
 use serde::Serialize;
 
@@ -18,30 +20,30 @@ pub fn register(router: &mut Router, ctx: DashboardContext) {
 }
 
 #[derive(Serialize)]
-struct RecentJobs {
-    jobs: Vec<JobRow>,
+struct RecentJobs<'t> {
+    jobs: Vec<JobRow<'t>>,
 }
 
-/// One widget row; its strings are taken from the `squeue` row it
+/// One widget row; its strings are borrowed from the `squeue` row it
 /// describes.
 #[derive(Serialize)]
-struct JobRow {
-    id: String,
-    name: String,
-    partition: String,
+struct JobRow<'t> {
+    id: &'t str,
+    name: &'t str,
+    partition: &'t str,
     state: &'static str,
     state_color: ColorClass,
-    submit_time: Option<String>,
-    start_time: Option<String>,
+    submit_time: Option<Text<Timestamp>>,
+    start_time: Option<Text<Timestamp>>,
     elapsed_secs: u64,
-    time_limit: String,
+    time_limit: &'t str,
     reason: Option<&'static str>,
     /// The hoverable tooltip text (paper §3.2).
     tooltip: Option<&'static str>,
 }
 
-impl From<SqueueLongRow> for JobRow {
-    fn from(r: SqueueLongRow) -> JobRow {
+impl<'t> From<&SqueueLongRow<'t>> for JobRow<'t> {
+    fn from(r: &SqueueLongRow<'t>) -> JobRow<'t> {
         let reason = r.reason();
         JobRow {
             id: r.job_id,
@@ -49,8 +51,8 @@ impl From<SqueueLongRow> for JobRow {
             partition: r.partition,
             state: r.state.to_slurm(),
             state_color: job_state_color(r.state),
-            submit_time: r.submit_time.map(|t| t.to_slurm()),
-            start_time: r.start_time.map(|t| t.to_slurm()),
+            submit_time: r.submit_time.map(Text),
+            start_time: r.start_time.map(Text),
             elapsed_secs: r.time_secs,
             time_limit: r.time_limit,
             reason: reason.map(|x| x.to_slurm()),
@@ -78,9 +80,9 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
             },
         )?;
         let rows = parse_squeue_long(&text).map_err(|e| format!("squeue parse: {e}"))?;
-        Ok(RecentJobs {
-            jobs: rows.into_iter().take(limit).map(JobRow::from).collect(),
-        })
+        Ok(encode(&RecentJobs {
+            jobs: rows.iter().take(limit).map(JobRow::from).collect(),
+        }))
     });
     super::respond(outcome)
 }

@@ -1,6 +1,7 @@
 //! Storage widget API (paper §3.5): the user's directories with usage and
 //! file-count bars, from the ZFS/GPFS quota database.
 
+use crate::api::encode;
 use crate::auth::CurrentUser;
 use crate::colors::utilization_color;
 use crate::ctx::DashboardContext;
@@ -28,7 +29,7 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
             .storage
             .dirs_for_user(&user.username, &groups)
             .map_err(|e| e.to_string())?;
-        Ok(json!({
+        Ok(encode(&json!({
             "disks": dirs
                 .iter()
                 .map(|d| {
@@ -49,7 +50,7 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
                     })
                 })
                 .collect::<Vec<_>>(),
-        }))
+        })))
     });
     super::respond(outcome)
 }

@@ -1,6 +1,7 @@
 //! System Status widget API (paper §3.3): per-partition utilization with
 //! the 70/90% colour thresholds, from `sinfo`.
 
+use crate::api::encode;
 use crate::auth::CurrentUser;
 use crate::colors::utilization_color;
 use crate::ctx::DashboardContext;
@@ -24,7 +25,7 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
         ctx.note_source(FEATURE, "sinfo (slurmctld)");
         let text = sinfo_usage(&ctx.ctld)?;
         let rows = parse_sinfo_usage(&text).map_err(|e| format!("sinfo parse: {e}"))?;
-        Ok(json!({
+        Ok(encode(&json!({
             "partitions": rows
                 .iter()
                 .map(|p| {
@@ -56,7 +57,7 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
                 })
                 .collect::<Vec<_>>(),
             "details_url": "/clusterstatus",
-        }))
+        })))
     });
     super::respond(outcome)
 }

@@ -10,11 +10,12 @@ use serde::Serialize;
 use serde_json::Value;
 use std::collections::BTreeMap;
 
-/// Stacked-bar data: per-user job counts split by state.
+/// Stacked-bar data: per-user job counts split by state. The user names
+/// are borrowed from the records counted.
 #[derive(Debug, Serialize)]
-pub struct StateDistribution {
+pub struct StateDistribution<'t> {
     pub r#type: &'static str,
-    pub labels: Vec<String>,
+    pub labels: Vec<&'t str>,
     pub datasets: Vec<StateCounts>,
 }
 
@@ -28,9 +29,9 @@ pub struct StateCounts {
 
 /// Bar data: GPU hours per user.
 #[derive(Debug, Serialize)]
-pub struct GpuHours {
+pub struct GpuHours<'t> {
     pub r#type: &'static str,
-    pub labels: Vec<String>,
+    pub labels: Vec<&'t str>,
     pub datasets: [GpuHoursSeries; 1],
 }
 
@@ -40,21 +41,21 @@ pub struct GpuHoursSeries {
     pub data: Vec<f64>,
 }
 
-pub fn job_state_distribution(records: &[SacctRecord]) -> StateDistribution {
-    let mut users: Vec<String> = records.iter().map(|r| r.user.clone()).collect();
-    users.sort();
+pub fn job_state_distribution<'t>(records: &[SacctRecord<'t>]) -> StateDistribution<'t> {
+    let mut users: Vec<&'t str> = records.iter().map(|r| r.user).collect();
+    users.sort_unstable();
     users.dedup();
 
     let mut counts: BTreeMap<(JobState, &str), usize> = BTreeMap::new();
     for r in records {
-        *counts.entry((r.state, r.user.as_str())).or_insert(0) += 1;
+        *counts.entry((r.state, r.user)).or_insert(0) += 1;
     }
 
     let mut datasets = Vec::new();
     for state in JobState::ALL {
         let data: Vec<usize> = users
             .iter()
-            .map(|u| counts.get(&(state, u.as_str())).copied().unwrap_or(0))
+            .map(|u| counts.get(&(state, *u)).copied().unwrap_or(0))
             .collect();
         if data.iter().any(|c| *c > 0) {
             datasets.push(StateCounts {
@@ -72,14 +73,14 @@ pub fn job_state_distribution(records: &[SacctRecord]) -> StateDistribution {
     }
 }
 
-pub fn gpu_hours_distribution(records: &[SacctRecord]) -> GpuHours {
-    let mut by_user: BTreeMap<&str, f64> = BTreeMap::new();
+pub fn gpu_hours_distribution<'t>(records: &[SacctRecord<'t>]) -> GpuHours<'t> {
+    let mut by_user: BTreeMap<&'t str, f64> = BTreeMap::new();
     for r in records {
-        *by_user.entry(r.user.as_str()).or_insert(0.0) += r.gpu_hours();
+        *by_user.entry(r.user).or_insert(0.0) += r.gpu_hours();
     }
     GpuHours {
         r#type: "bar",
-        labels: by_user.keys().map(|u| u.to_string()).collect(),
+        labels: by_user.keys().copied().collect(),
         datasets: [GpuHoursSeries {
             label: "GPU hours",
             data: by_user
@@ -138,10 +139,10 @@ mod tests {
     #[test]
     fn state_distribution_groups_by_user() {
         let recs = vec![
-            rec(1, "alice", JobState::Completed, 0, Some(0), Some(100), 1, 0),
-            rec(2, "alice", JobState::Completed, 0, Some(0), Some(100), 1, 0),
-            rec(3, "alice", JobState::Failed, 0, Some(0), Some(100), 1, 0),
-            rec(4, "bob", JobState::Pending, 0, None, None, 1, 0),
+            rec("alice", JobState::Completed, 0, Some(0), Some(100), 1, 0),
+            rec("alice", JobState::Completed, 0, Some(0), Some(100), 1, 0),
+            rec("alice", JobState::Failed, 0, Some(0), Some(100), 1, 0),
+            rec("bob", JobState::Pending, 0, None, None, 1, 0),
         ];
         let chart = value(&job_state_distribution(&recs));
         assert_eq!(chart["labels"], json!(["alice", "bob"]));
@@ -164,27 +165,9 @@ mod tests {
     #[test]
     fn gpu_hours_summed_per_user() {
         let recs = vec![
-            rec(
-                1,
-                "alice",
-                JobState::Completed,
-                0,
-                Some(0),
-                Some(3_600),
-                8,
-                2,
-            ), // 2 gpu-h
-            rec(
-                2,
-                "alice",
-                JobState::Completed,
-                0,
-                Some(0),
-                Some(1_800),
-                8,
-                4,
-            ), // 2 gpu-h
-            rec(3, "bob", JobState::Completed, 0, Some(0), Some(3_600), 8, 0), // 0
+            rec("alice", JobState::Completed, 0, Some(0), Some(3_600), 8, 2), // 2 gpu-h
+            rec("alice", JobState::Completed, 0, Some(0), Some(1_800), 8, 4), // 2 gpu-h
+            rec("bob", JobState::Completed, 0, Some(0), Some(3_600), 8, 0),   // 0
         ];
         let chart = value(&gpu_hours_distribution(&recs));
         assert_eq!(chart["labels"], json!(["alice", "bob"]));

@@ -18,7 +18,6 @@ use hpcdash_slurm::joblog::JobLogFs;
 use hpcdash_storage::StorageDb;
 use hpcdash_telemetry::TelemetryD;
 use parking_lot::Mutex;
-use serde::Serialize;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -325,9 +324,13 @@ impl DashboardContext {
 
     /// Record that `feature` read from `source` (called inside cache-miss
     /// loaders, so it reflects true backend traffic, not cached replays).
+    /// A pair already noted costs two lookups and no allocation.
     pub fn note_source(&self, feature: &str, source: &str) {
-        self.sources
-            .lock()
+        let mut sources = self.sources.lock();
+        if sources.get(feature).is_some_and(|s| s.contains(source)) {
+            return;
+        }
+        sources
             .entry(feature.to_string())
             .or_default()
             .insert(source.to_string());
@@ -373,9 +376,11 @@ impl DashboardContext {
     /// The resilient fetch path widget routes use: cache + single-flight,
     /// wrapped in the full [`crate::config::ResiliencePolicy`]:
     ///
-    /// * the loader's payload — a typed `Serialize` struct or a `json!`
-    ///   value — is encoded once, on fill, straight into the bytes the
-    ///   cache shares out; a hit is a lookup and two `Arc` clones;
+    /// * the loader encodes its payload itself and returns the bytes
+    ///   ([`crate::api::encode`]), so a payload may borrow from the command
+    ///   text it was parsed from for as long as it lives: the loader's own
+    ///   scope. The bytes become the body the cache shares out; a hit is a
+    ///   lookup and two `Arc` clones;
     /// * failed loads are retried up to `max_retries` times with seeded
     ///   exponential-jitter backoff, bounded by the per-request deadline;
     /// * a tripped circuit breaker short-circuits the backend entirely;
@@ -386,11 +391,11 @@ impl DashboardContext {
     /// A `ttl` of zero (the no-cache ablation) makes a single attempt and
     /// skips the cache, retries, breakers, and stale fallback; its body
     /// carries no validator.
-    pub fn cached_resilient<T: Serialize>(
+    pub fn cached_resilient(
         &self,
         key: &str,
         ttl: u64,
-        load: impl Fn() -> Result<T, String>,
+        load: impl Fn() -> Result<Vec<u8>, String>,
     ) -> SourceOutcome {
         // A daemon that recovered since the last request must not have its
         // dead-epoch bytes served below; the check is two atomic loads.
@@ -398,9 +403,8 @@ impl DashboardContext {
         let source = source_of(key);
         if ttl == 0 {
             return match load() {
-                Ok(v) => {
+                Ok(bytes) => {
                     self.health.record_ok(source);
-                    let bytes = serde_json::to_vec(&v).expect("json serializes");
                     SourceOutcome::Fresh(Body::unvalidated(bytes))
                 }
                 Err(e) => {
@@ -460,13 +464,13 @@ impl DashboardContext {
     /// backoff between attempts, stopping early when the deadline would be
     /// overrun or the breaker trips. Every attempt's outcome feeds the
     /// health board and the source's breaker.
-    fn attempt_with_retries<T: Serialize>(
+    fn attempt_with_retries(
         &self,
         key: &str,
         source: &str,
         labels: &[(&str, &str)],
         last_err: &Cell<Option<String>>,
-        load: &impl Fn() -> Result<T, String>,
+        load: &impl Fn() -> Result<Vec<u8>, String>,
     ) -> Option<Body> {
         let policy = &self.cfg.resilience;
         let started = std::time::Instant::now();
@@ -479,10 +483,10 @@ impl DashboardContext {
                     .inc();
             }
             match load() {
-                Ok(v) => {
+                Ok(bytes) => {
                     self.health.record_ok(source);
                     self.breakers.record_success(source);
-                    return Some(Body::json(&v));
+                    return Some(Body::new(bytes));
                 }
                 Err(e) => {
                     self.health.record_error(source);
@@ -530,6 +534,7 @@ impl DashboardContext {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::api::encode;
     use hpcdash_simtime::{Clock, SimClock};
     use hpcdash_slurm::assoc::{Account, AssocStore};
     use hpcdash_slurm::cluster::ClusterSpec;
@@ -537,7 +542,7 @@ pub(crate) mod tests {
     use hpcdash_slurm::node::Node;
     use hpcdash_slurm::partition::Partition;
     use hpcdash_slurm::qos::Qos;
-    use serde_json::{json, Value};
+    use serde_json::json;
 
     pub(crate) fn test_ctx() -> DashboardContext {
         test_ctx_with(DashboardConfig::generic("Test"))
@@ -597,7 +602,7 @@ pub(crate) mod tests {
             if calls.get() < 3 {
                 Err("flap".to_string())
             } else {
-                Ok(json!({"jobs": 2}))
+                Ok(encode(&json!({"jobs": 2})))
             }
         });
         assert_eq!(out, SourceOutcome::Fresh(Body::json(&json!({"jobs": 2}))));
@@ -620,11 +625,12 @@ pub(crate) mod tests {
     #[test]
     fn resilient_serves_stale_with_age_on_failure() {
         let (ctx, clock) = test_ctx_clocked();
-        let out = ctx.cached_resilient("sinfo:all", 30, || Ok(json!({"nodes": 4})));
+        let out = ctx.cached_resilient("sinfo:all", 30, || Ok(encode(&json!({"nodes": 4}))));
         assert_eq!(out, SourceOutcome::Fresh(Body::json(&json!({"nodes": 4}))));
         clock.advance(45);
-        let out =
-            ctx.cached_resilient("sinfo:all", 30, || Err::<Value, _>("ctld down".to_string()));
+        let out = ctx.cached_resilient("sinfo:all", 30, || {
+            Err::<Vec<u8>, _>("ctld down".to_string())
+        });
         assert_eq!(
             out,
             SourceOutcome::Stale {
@@ -638,7 +644,9 @@ pub(crate) mod tests {
         // The failed refresh did not evict the copy: another failing pass
         // still serves it, older.
         clock.advance(15);
-        match ctx.cached_resilient("sinfo:all", 30, || Err::<Value, _>("ctld down".to_string())) {
+        match ctx.cached_resilient("sinfo:all", 30, || {
+            Err::<Vec<u8>, _>("ctld down".to_string())
+        }) {
             SourceOutcome::Stale { age_secs, .. } => assert_eq!(age_secs, 60),
             other => panic!("expected stale, got {other:?}"),
         }
@@ -650,7 +658,7 @@ pub(crate) mod tests {
         let calls = Cell::new(0u32);
         let fail = || {
             calls.set(calls.get() + 1);
-            Err::<Value, _>("dbd gone".to_string())
+            Err::<Vec<u8>, _>("dbd gone".to_string())
         };
         let out = ctx.cached_resilient("sacct:bob", 60, fail);
         assert_eq!(out, SourceOutcome::Failed("dbd gone".to_string()));
@@ -681,7 +689,7 @@ pub(crate) mod tests {
         let calls = Cell::new(0u32);
         let fail = || {
             calls.set(calls.get() + 1);
-            Err::<Value, _>("down".to_string())
+            Err::<Vec<u8>, _>("down".to_string())
         };
         // Default threshold 5, 3 attempts per request: the second request
         // trips the breaker mid-retry (5th consecutive failure).
@@ -707,7 +715,7 @@ pub(crate) mod tests {
         assert_eq!(calls.get(), 5, "open breaker short-circuits the loader");
         // After the cool-down, one probe goes through; success closes it.
         clock.advance(policy.breaker_open_secs);
-        let out = ctx.cached_resilient("storage:a", 30, || Ok(json!("back")));
+        let out = ctx.cached_resilient("storage:a", 30, || Ok(encode(&json!("back"))));
         assert_eq!(out, SourceOutcome::Fresh(Body::json(&json!("back"))));
         assert_eq!(
             ctx.breakers.state_of("storage"),
@@ -719,18 +727,20 @@ pub(crate) mod tests {
     fn resilient_short_circuit_serves_stale_when_available() {
         let (ctx, clock) = test_ctx_clocked();
         // Warm the cache, then let the entry expire.
-        ctx.cached_resilient("news:list", 30, || Ok(json!(["headline"])));
+        ctx.cached_resilient("news:list", 30, || Ok(encode(&json!(["headline"]))));
         clock.advance(60);
         // Trip the breaker with sustained failures.
         for _ in 0..2 {
-            ctx.cached_resilient("news:list", 30, || Err::<Value, _>("feed down".to_string()));
+            ctx.cached_resilient("news:list", 30, || {
+                Err::<Vec<u8>, _>("feed down".to_string())
+            });
         }
         assert_eq!(
             ctx.breakers.state_of("news"),
             hpcdash_cache::BreakerState::Open
         );
         // An open breaker still serves the last-known-good copy.
-        let out = ctx.cached_resilient("news:list", 30, || -> Result<Value, String> {
+        let out = ctx.cached_resilient("news:list", 30, || -> Result<Vec<u8>, String> {
             unreachable!()
         });
         match out {
@@ -762,7 +772,7 @@ pub(crate) mod tests {
         let calls = Cell::new(0u32);
         let out = ctx.cached_resilient("squeue:z", 0, || {
             calls.set(calls.get() + 1);
-            Err::<Value, _>("down".to_string())
+            Err::<Vec<u8>, _>("down".to_string())
         });
         assert_eq!(out, SourceOutcome::Failed("down".to_string()));
         assert_eq!(
@@ -775,7 +785,7 @@ pub(crate) mod tests {
         for _ in 0..3 {
             let out = ctx.cached_resilient("squeue:z", 0, || {
                 calls.set(calls.get() + 1);
-                Ok(json!({"jobs": 1}))
+                Ok(encode(&json!({"jobs": 1})))
             });
             assert_eq!(out.body().unwrap().validator(), None);
             assert_eq!(&*out.body().unwrap().bytes, b"{\"jobs\":1}");
@@ -797,7 +807,7 @@ pub(crate) mod tests {
         let calls = Cell::new(0u32);
         let out = ctx.cached_resilient("sacct:q", 60, || {
             calls.set(calls.get() + 1);
-            Err::<Value, _>("down".to_string())
+            Err::<Vec<u8>, _>("down".to_string())
         });
         assert_eq!(out, SourceOutcome::Failed("down".to_string()));
         assert_eq!(calls.get(), 1, "ablation: one attempt, no retries");
@@ -806,11 +816,11 @@ pub(crate) mod tests {
     #[test]
     fn cache_hit_miss_counters_by_source() {
         let ctx = test_ctx();
-        ctx.cached_resilient("squeue:alice", 60, || Ok(json!(1)));
-        ctx.cached_resilient("squeue:alice", 60, || -> Result<Value, String> {
+        ctx.cached_resilient("squeue:alice", 60, || Ok(encode(&json!(1))));
+        ctx.cached_resilient("squeue:alice", 60, || -> Result<Vec<u8>, String> {
             unreachable!()
         });
-        ctx.cached_resilient("squeue:bob", 60, || Ok(json!(2)));
+        ctx.cached_resilient("squeue:bob", 60, || Ok(encode(&json!(2))));
         // Plain lookups count in the same family, under their own source.
         assert!(ctx.cache_lookup("slurm_v0:jobs|alice", 1).is_none());
         let count = |name: &str, source: &str| ctx.obs.counter(name, &[("source", source)]).get();
@@ -824,8 +834,9 @@ pub(crate) mod tests {
     #[test]
     fn a_hit_hands_out_the_filled_bytes_without_reencoding() {
         let ctx = test_ctx();
-        let fill = ctx.cached_resilient("squeue:alice", 60, || Ok(json!({"jobs": [1, 2]})));
-        let hit = ctx.cached_resilient("squeue:alice", 60, || -> Result<Value, String> {
+        let fill =
+            ctx.cached_resilient("squeue:alice", 60, || Ok(encode(&json!({"jobs": [1, 2]}))));
+        let hit = ctx.cached_resilient("squeue:alice", 60, || -> Result<Vec<u8>, String> {
             unreachable!()
         });
         let (fill, hit) = (fill.body().unwrap(), hit.body().unwrap());
@@ -856,7 +867,7 @@ pub(crate) mod tests {
         // Warm the three kinds of consumer, in the same cache, pre-crash.
         ctx.ctld.tick();
         let seq = ctx.ctld.snapshot().seq;
-        ctx.cached_resilient("squeue:alice", 600, || Ok(json!({"jobs": 1})));
+        ctx.cached_resilient("squeue:alice", 600, || Ok(encode(&json!({"jobs": 1}))));
         let store = ctx.cache.cache();
         let dead = Body::json(&json!({"old": 1}));
         store.insert(
@@ -923,7 +934,7 @@ pub(crate) mod tests {
     #[test]
     fn dbd_recovery_is_observed_lazily() {
         let (ctx, clock) = test_ctx_clocked();
-        ctx.cached_resilient("sacct:alice", 600, || Ok(json!({"rows": 2})));
+        ctx.cached_resilient("sacct:alice", 600, || Ok(encode(&json!({"rows": 2}))));
         let now = clock.now();
         ctx.dbd.faults().install(
             Arc::new(hpcdash_faults::FaultPlan::new(3).rule(
@@ -947,7 +958,7 @@ pub(crate) mod tests {
         let calls = Cell::new(0u32);
         ctx.cached_resilient("sacct:alice", 600, || {
             calls.set(calls.get() + 1);
-            Ok(json!({"rows": 0}))
+            Ok(encode(&json!({"rows": 0})))
         });
         assert_eq!(calls.get(), 1, "cache cleared after dbd recovery");
         assert_eq!(

@@ -38,7 +38,7 @@ pub struct EfficiencyReport {
 impl EfficiencyReport {
     /// Compute from an accounting record alone (no collector samples; GPU
     /// efficiency, if enabled, falls back to the CPU approximation).
-    pub fn from_record(rec: &SacctRecord, gpu_flag: bool) -> EfficiencyReport {
+    pub fn from_record(rec: &SacctRecord<'_>, gpu_flag: bool) -> EfficiencyReport {
         EfficiencyReport::from_record_with_gpu(rec, gpu_flag, None)
     }
 
@@ -48,7 +48,7 @@ impl EfficiencyReport {
     /// work for still-running jobs, since the series exists from the first
     /// tick.
     pub fn from_record_with_gpu(
-        rec: &SacctRecord,
+        rec: &SacctRecord<'_>,
         gpu_flag: bool,
         collector_gpu: Option<f64>,
     ) -> EfficiencyReport {
@@ -121,7 +121,7 @@ impl EfficiencyReport {
     }
 }
 
-fn has_gpus(rec: &SacctRecord) -> bool {
+fn has_gpus(rec: &SacctRecord<'_>) -> bool {
     // GPU jobs in this stack run on the gpu partition.
     rec.partition == "gpu"
 }
@@ -147,14 +147,14 @@ mod tests {
         total_cpu: Option<u64>,
         rss: Option<u64>,
         req_mem: u64,
-    ) -> SacctRecord {
+    ) -> SacctRecord<'static> {
         SacctRecord {
-            job_id: "1".into(),
-            job_name: "j".into(),
-            user: "alice".into(),
-            account: "physics".into(),
-            partition: "cpu".into(),
-            qos: "normal".into(),
+            job_id: "1",
+            job_name: "j",
+            user: "alice",
+            account: "physics",
+            partition: "cpu",
+            qos: "normal",
             state: JobState::Completed,
             submit: Some(Timestamp(0)),
             start: Some(Timestamp(10)),
@@ -167,9 +167,9 @@ mod tests {
             req_mem_mb: req_mem,
             max_rss_mb: rss,
             total_cpu_secs: total_cpu,
-            exit_code: "0:0".into(),
-            nodelist: "a001".into(),
-            comment: String::new(),
+            exit_code: "0:0",
+            nodelist: "a001",
+            comment: "",
         }
     }
 
@@ -243,12 +243,12 @@ mod tests {
     #[test]
     fn gpu_flag_gates_gpu_metric() {
         let mut r = rec(3_600, 7_200, 8, Some(4 * 3_600), Some(8_192), 16_384);
-        r.partition = "gpu".into();
+        r.partition = "gpu";
         let off = EfficiencyReport::from_record(&r, false);
         assert!(off.gpu.is_none());
         let on = EfficiencyReport::from_record(&r, true);
         assert!(on.gpu.is_some());
-        r.partition = "cpu".into();
+        r.partition = "cpu";
         let cpu_job = EfficiencyReport::from_record(&r, true);
         assert!(cpu_job.gpu.is_none(), "non-gpu jobs get no gpu metric");
     }
@@ -256,7 +256,7 @@ mod tests {
     #[test]
     fn collector_samples_beat_the_approximation() {
         let mut r = rec(3_600, 7_200, 8, Some(4 * 3_600), Some(8_192), 16_384);
-        r.partition = "gpu".into();
+        r.partition = "gpu";
         let measured = EfficiencyReport::from_record_with_gpu(&r, true, Some(0.83));
         assert_eq!(measured.gpu, Some(0.83));
         // Out-of-range collector values are clamped, not propagated.
@@ -266,7 +266,7 @@ mod tests {
         let off = EfficiencyReport::from_record_with_gpu(&r, false, Some(0.83));
         assert!(off.gpu.is_none());
         // Non-GPU job: samples for it are ignored.
-        r.partition = "cpu".into();
+        r.partition = "cpu";
         let cpu_job = EfficiencyReport::from_record_with_gpu(&r, true, Some(0.83));
         assert!(cpu_job.gpu.is_none());
     }
@@ -274,7 +274,7 @@ mod tests {
     #[test]
     fn collector_samples_cover_running_jobs() {
         let mut r = rec(3_600, 7_200, 8, Some(4 * 3_600), Some(8_192), 16_384);
-        r.partition = "gpu".into();
+        r.partition = "gpu";
         r.state = JobState::Running;
         // The approximation needs a finished job...
         assert!(EfficiencyReport::from_record(&r, true).gpu.is_none());

@@ -67,7 +67,7 @@ impl TimeRange {
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct JobMetrics {
     pub total_jobs: usize,
-    pub by_state: BTreeMap<String, usize>,
+    pub by_state: BTreeMap<&'static str, usize>,
     /// Average queue wait over jobs that started, seconds.
     pub avg_wait_secs: Option<f64>,
     /// Mean duration of finished jobs, seconds.
@@ -86,8 +86,8 @@ pub struct JobMetrics {
 
 impl JobMetrics {
     /// Aggregate a set of accounting records.
-    pub fn aggregate(records: &[SacctRecord]) -> JobMetrics {
-        let mut by_state: BTreeMap<String, usize> = BTreeMap::new();
+    pub fn aggregate(records: &[SacctRecord<'_>]) -> JobMetrics {
+        let mut by_state: BTreeMap<&'static str, usize> = BTreeMap::new();
         let mut waits = Vec::new();
         let mut durations = Vec::new();
         let mut total_wall = 0u64;
@@ -98,9 +98,7 @@ impl JobMetrics {
         let mut time_effs = Vec::new();
 
         for rec in records {
-            *by_state
-                .entry(rec.state.to_slurm().to_string())
-                .or_insert(0) += 1;
+            *by_state.entry(rec.state.to_slurm()).or_insert(0) += 1;
             if let Some(w) = rec.wait_secs() {
                 waits.push(w as f64);
             }
@@ -156,26 +154,25 @@ pub(crate) mod tests {
 
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn rec(
-        id: u32,
-        user: &str,
+        user: &'static str,
         state: JobState,
         submit: u64,
         start: Option<u64>,
         end: Option<u64>,
         cpus: u32,
         gpus: u32,
-    ) -> SacctRecord {
+    ) -> SacctRecord<'static> {
         let elapsed = match (start, end) {
             (Some(s), Some(e)) => e - s,
             _ => 0,
         };
         SacctRecord {
-            job_id: id.to_string(),
-            job_name: format!("j{id}"),
-            user: user.to_string(),
-            account: "physics".to_string(),
-            partition: if gpus > 0 { "gpu" } else { "cpu" }.to_string(),
-            qos: "normal".to_string(),
+            job_id: "1",
+            job_name: "j",
+            user,
+            account: "physics",
+            partition: if gpus > 0 { "gpu" } else { "cpu" },
+            qos: "normal",
             state,
             submit: Some(Timestamp(submit)),
             start: start.map(Timestamp),
@@ -188,9 +185,9 @@ pub(crate) mod tests {
             req_mem_mb: 16_384,
             max_rss_mb: end.map(|_| 8_192),
             total_cpu_secs: end.map(|_| elapsed * cpus as u64 * 8 / 10),
-            exit_code: "0:0".to_string(),
-            nodelist: "a001".to_string(),
-            comment: String::new(),
+            exit_code: "0:0",
+            nodelist: "a001",
+            comment: "",
         }
     }
 
@@ -198,7 +195,6 @@ pub(crate) mod tests {
     fn aggregates_basics() {
         let recs = vec![
             rec(
-                1,
                 "alice",
                 JobState::Completed,
                 0,
@@ -207,27 +203,9 @@ pub(crate) mod tests {
                 8,
                 0,
             ),
-            rec(
-                2,
-                "alice",
-                JobState::Failed,
-                0,
-                Some(200),
-                Some(1_200),
-                4,
-                0,
-            ),
-            rec(3, "alice", JobState::Pending, 500, None, None, 2, 0),
-            rec(
-                4,
-                "alice",
-                JobState::Completed,
-                0,
-                Some(50),
-                Some(7_250),
-                8,
-                2,
-            ),
+            rec("alice", JobState::Failed, 0, Some(200), Some(1_200), 4, 0),
+            rec("alice", JobState::Pending, 500, None, None, 2, 0),
+            rec("alice", JobState::Completed, 0, Some(50), Some(7_250), 8, 2),
         ];
         let m = JobMetrics::aggregate(&recs);
         assert_eq!(m.total_jobs, 4);

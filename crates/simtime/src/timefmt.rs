@@ -64,21 +64,25 @@ fn put_two(buf: &mut [u8], at: usize, v: u32) {
     buf[at + 1] = b'0' + (v % 10) as u8;
 }
 
-/// `%Y-%m-%dT%H:%M:%S`, Slurm's ISO form. Everything after the century has
-/// a fixed place: it is filled in on the stack and written at once. (A u64
-/// of seconds never lands before 1970, so the year is positive; past 9999
-/// its century takes more than the two digits it is padded to.)
+/// `%Y-%m-%dT%H:%M:%S`, Slurm's ISO form. Every digit of a four-digit year
+/// has a fixed place: it is filled in on the stack and written at once. (A
+/// u64 of seconds never lands before 1970, so the year is positive; past
+/// 9999 its century takes more than the two digits it is padded to.)
 impl fmt::Display for Timestamp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let dt = CivilDateTime::from_unix(self.0);
-        let year = (dt.year % 100) as u32;
-        let mut text = *b"00-00-00T00:00:00";
+        let (century, year) = ((dt.year / 100) as u64, (dt.year % 100) as u32);
+        let mut text = *b"0000-00-00T00:00:00";
         let parts = [year, dt.month, dt.day, dt.hour, dt.minute, dt.second];
-        for (at, part) in (0..).step_by(3).zip(parts) {
+        for (at, part) in (2..).step_by(3).zip(parts) {
             put_two(&mut text, at, part);
         }
-        write_num(f, (dt.year / 100) as u64, 2)?;
-        f.write_str(std::str::from_utf8(&text).expect("ASCII digits"))
+        if century < 100 {
+            put_two(&mut text, 0, century as u32);
+            return f.write_str(std::str::from_utf8(&text).expect("ASCII digits"));
+        }
+        write_num(f, century, 2)?;
+        f.write_str(std::str::from_utf8(&text[2..]).expect("ASCII digits"))
     }
 }
 

@@ -386,11 +386,10 @@ impl Slurmctld {
                 }
             }
         });
-        // The active mirror shares the snapshot's Arc<Job> rows: refcount
-        // bumps, not a second deep clone of every active job.
-        self.phases.time("dbd_sync", || {
-            self.dbd.sync_active(snap.jobs.iter().cloned())
-        });
+        // The active mirror is the published snapshot itself: its rows and
+        // its per-user and per-account indexes, shared.
+        self.phases
+            .time("dbd_sync", || self.dbd.sync_active(snap.clone()));
         self.stats.record("sched_tick", start.elapsed());
     }
 

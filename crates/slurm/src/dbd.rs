@@ -6,11 +6,12 @@
 use crate::durable::{DurableStore, RecoveryReport, Wal};
 use crate::job::{Job, JobId, JobState};
 use crate::loadmodel::{RpcCostModel, RpcStats};
+use crate::snapshot::ClusterSnapshot;
 use hpcdash_faults::{FaultFailure, FaultHost, RestartToken};
 use hpcdash_obs::{PhaseProfiler, Span};
 use hpcdash_simtime::Timestamp;
 use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -44,8 +45,14 @@ impl JobFilter {
         }
     }
 
+    /// Whether the filter says who may be seen (`-u`, `-A`); without either
+    /// it is the admin view.
+    fn restricts_visibility(&self) -> bool {
+        self.user.is_some() || !self.accounts.is_empty()
+    }
+
     fn matches(&self, job: &Job) -> bool {
-        if self.user.is_some() || !self.accounts.is_empty() {
+        if self.restricts_visibility() {
             let by_user = self.user.as_deref() == Some(job.req.user.as_str());
             let by_account = self.accounts.contains(&job.req.account);
             if !by_user && !by_account {
@@ -82,11 +89,103 @@ impl JobFilter {
     }
 }
 
-/// The accounting daemon. Rows are `Arc<Job>` so slurmctld can feed it the
-/// shared rows of its published snapshot (refcount bumps, not deep clones).
+/// Every archived job by id, and the lists a query reads instead of the
+/// whole table: each user's, each account's and each array's jobs. A row
+/// sits in each list it belongs to exactly once, whatever was upserted.
+#[derive(Default)]
+struct Archive {
+    rows: BTreeMap<JobId, Arc<Job>>,
+    by_user: HashMap<String, Vec<Arc<Job>>>,
+    by_account: HashMap<String, Vec<Arc<Job>>>,
+    by_array: HashMap<JobId, Vec<Arc<Job>>>,
+}
+
+impl Archive {
+    fn of(rows: impl IntoIterator<Item = Arc<Job>>) -> Archive {
+        let mut archive = Archive::default();
+        for job in rows {
+            archive.upsert(job);
+        }
+        archive
+    }
+
+    /// Store `job`, replacing a row of the same id in the table and in
+    /// every list, so that a retried batch neither moves nor doubles a job.
+    fn upsert(&mut self, job: Arc<Job>) {
+        if let Some(old) = self.rows.insert(job.id, job.clone()) {
+            let drop_old = |list: &mut Vec<Arc<Job>>| list.retain(|j| j.id != old.id);
+            self.by_user.get_mut(&old.req.user).map(drop_old);
+            self.by_account.get_mut(&old.req.account).map(drop_old);
+            if let Some(a) = old.array {
+                self.by_array.get_mut(&a.array_job_id).map(drop_old);
+            }
+        }
+        list_of(&mut self.by_user, &job.req.user).push(job.clone());
+        list_of(&mut self.by_account, &job.req.account).push(job.clone());
+        if let Some(a) = job.array {
+            self.by_array.entry(a.array_job_id).or_default().push(job);
+        }
+    }
+
+    /// The rows `filter` can match, from the narrowest lists that hold them
+    /// all: the named jobs and their arrays' tasks, else the viewer's user
+    /// and account lists, else every row. A row in two of the lists comes
+    /// twice.
+    fn candidates(&self, filter: &JobFilter) -> Vec<&Arc<Job>> {
+        if let Some(ids) = &filter.job_ids {
+            ids.iter()
+                .flat_map(|id| {
+                    let tasks = self.by_array.get(id).into_iter().flatten();
+                    self.rows.get(id).into_iter().chain(tasks)
+                })
+                .collect()
+        } else if filter.restricts_visibility() {
+            let user = filter.user.iter().filter_map(|u| self.by_user.get(u));
+            let accounts = filter
+                .accounts
+                .iter()
+                .filter_map(|a| self.by_account.get(a));
+            user.chain(accounts).flatten().collect()
+        } else {
+            self.rows.values().collect()
+        }
+    }
+}
+
+/// `map[key]`, made empty first if it is not there.
+fn list_of<'m>(map: &'m mut HashMap<String, Vec<Arc<Job>>>, key: &str) -> &'m mut Vec<Arc<Job>> {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), Vec::new());
+    }
+    map.get_mut(key).expect("just inserted")
+}
+
+/// The mirror rows `filter` can match: the viewer's positions in the
+/// snapshot's user and account indexes, or every active job.
+fn mirror_candidates<'s>(mirror: &'s ClusterSnapshot, filter: &JobFilter) -> Vec<&'s Arc<Job>> {
+    if filter.job_ids.is_none() && filter.restricts_visibility() {
+        let user = filter.user.iter().filter_map(|u| mirror.by_user.get(u));
+        let accounts = filter
+            .accounts
+            .iter()
+            .filter_map(|a| mirror.by_account.get(a));
+        user.chain(accounts)
+            .flatten()
+            .map(|&at| &mirror.jobs[at as usize])
+            .collect()
+    } else {
+        mirror.jobs.iter().collect()
+    }
+}
+
+/// The accounting daemon. Rows are `Arc<Job>`, and the active mirror is
+/// slurmctld's published snapshot itself, so neither an archived row nor a
+/// mirrored one is ever deep-cloned on its way in or out.
 pub struct Slurmdbd {
-    archived: RwLock<BTreeMap<JobId, Arc<Job>>>,
-    active_mirror: RwLock<BTreeMap<JobId, Arc<Job>>>,
+    archived: RwLock<Archive>,
+    /// The active jobs as of the last applied `sync_active`, with the
+    /// snapshot's per-user and per-account indexes.
+    active_mirror: RwLock<Arc<ClusterSnapshot>>,
     cost: RpcCostModel,
     stats: RpcStats,
     /// Injected-fault hook. Latency faults burn inside the query RPCs; a
@@ -109,6 +208,11 @@ pub struct Slurmdbd {
     last_recovery: Mutex<Option<RecoveryReport>>,
 }
 
+/// The mirror before the first sync, and after a restart.
+fn no_active_jobs() -> Arc<ClusterSnapshot> {
+    Arc::new(ClusterSnapshot::empty("slurmdbd"))
+}
+
 impl Slurmdbd {
     pub fn new() -> Slurmdbd {
         Slurmdbd::with_cost(RpcCostModel::dbd_default())
@@ -124,8 +228,8 @@ impl Slurmdbd {
             0,
         );
         Slurmdbd {
-            archived: RwLock::new(BTreeMap::new()),
-            active_mirror: RwLock::new(BTreeMap::new()),
+            archived: RwLock::new(Archive::default()),
+            active_mirror: RwLock::new(no_active_jobs()),
             cost,
             stats: RpcStats::new(),
             faults: FaultHost::new("slurmdbd"),
@@ -164,7 +268,7 @@ impl Slurmdbd {
             for job in jobs {
                 let job = job.into();
                 self.wal.append(job.clone());
-                archived.insert(job.id, job);
+                archived.upsert(job);
             }
         });
         // Each accepted batch commits immediately: slurmctld treats a
@@ -177,9 +281,10 @@ impl Slurmdbd {
         true
     }
 
-    /// Replace the mirror of currently active jobs (called by slurmctld on
-    /// every tick, handing over the snapshot's shared rows).
-    pub fn sync_active<J: Into<Arc<Job>>>(&self, jobs: impl IntoIterator<Item = J>) {
+    /// Replace the mirror of currently active jobs with `snapshot`, the one
+    /// slurmctld just published (called on every tick): its rows and
+    /// indexes are shared, not copied.
+    pub fn sync_active(&self, snapshot: Arc<ClusterSnapshot>) {
         self.try_recover();
         self.phases.time("mirror_sync", || {
             let check = self.faults.check("sync_active");
@@ -194,12 +299,7 @@ impl Slurmdbd {
                 // keep answering queries from the last mirror it applied.
                 return;
             }
-            let mut mirror = self.active_mirror.write();
-            mirror.clear();
-            for job in jobs {
-                let job = job.into();
-                mirror.insert(job.id, job);
-            }
+            *self.active_mirror.write() = snapshot;
         });
     }
 
@@ -225,16 +325,16 @@ impl Slurmdbd {
             .latest()
             .expect("construction always writes checkpoint 0");
         let rows: Vec<Job> = serde_json::from_slice(&cp.bytes).expect("checkpoint decodes");
-        let mut rebuilt: BTreeMap<JobId, Arc<Job>> =
-            rows.into_iter().map(|j| (j.id, Arc::new(j))).collect();
         let (records, truncated) = self.wal.replay_from(cp.wal_seq);
         debug_assert!(!truncated, "checkpoints only trim the WAL they cover");
         let wal_replayed = records.len() as u64;
-        for (_seq, job) in records {
-            rebuilt.insert(job.id, job);
-        }
+        let rebuilt = Archive::of(
+            rows.into_iter()
+                .map(Arc::new)
+                .chain(records.into_iter().map(|(_seq, job)| job)),
+        );
         *self.archived.write() = rebuilt;
-        self.active_mirror.write().clear();
+        *self.active_mirror.write() = no_active_jobs();
         self.restarts.fetch_add(1, Ordering::Relaxed);
         *self.last_recovery.lock() = Some(RecoveryReport {
             crashed_at: token.crashed_at,
@@ -255,7 +355,7 @@ impl Slurmdbd {
     fn checkpoint_now(&self) {
         let archived = self.archived.read();
         let wal_seq = self.wal.flushed_seq();
-        let rows: Vec<Job> = archived.values().map(|j| Job::clone(j)).collect();
+        let rows: Vec<Job> = archived.rows.values().map(|j| Job::clone(j)).collect();
         let at = rows
             .iter()
             .filter_map(|j| j.end_time)
@@ -271,7 +371,9 @@ impl Slurmdbd {
 
     /// `sacct`-style query across active + archived jobs, newest first. The
     /// rows are the stored ones, shared (as `Slurmctld::query_jobs` shares
-    /// the snapshot's): a match costs a refcount, not a deep clone.
+    /// the snapshot's): a match costs a refcount, not a deep clone. Only
+    /// the index lists the filter names are walked, and what was walked is
+    /// what the cost model and `scanned` count.
     pub fn query_jobs(&self, filter: &JobFilter) -> Vec<Arc<Job>> {
         let _span = Span::enter("dbd").attr("kind", "sacct_query");
         let start = Instant::now();
@@ -280,22 +382,30 @@ impl Slurmdbd {
         let mut out: Vec<Arc<Job>> = Vec::new();
         let scanned;
         {
-            let active = self.active_mirror.read();
+            let mirror = self.active_mirror.read();
             let archived = self.archived.read();
-            scanned = active.len() + archived.len();
-            out.extend(archived.values().filter(|j| filter.matches(j)).cloned());
-            // A job can momentarily exist in both maps between ticks; the
+            let (stored, active) = (
+                archived.candidates(filter),
+                mirror_candidates(&mirror, filter),
+            );
+            scanned = stored.len() + active.len();
+            out.extend(stored.into_iter().filter(|j| filter.matches(j)).cloned());
+            // A job can momentarily exist in both between ticks; the
             // archived (final) record wins if the filter lets it through.
-            let shadowed = |j: &Job| archived.get(&j.id).is_some_and(|a| filter.matches(a));
+            let shadowed = |j: &Job| archived.rows.get(&j.id).is_some_and(|a| filter.matches(a));
             out.extend(
                 active
-                    .values()
+                    .into_iter()
                     .filter(|j| filter.matches(j) && !shadowed(j))
                     .cloned(),
             );
         }
         self.cost.burn(scanned);
+        self.stats.record_scanned("sacct_query", scanned as u64);
         out.sort_by_key(|j| (std::cmp::Reverse(j.submit_time), std::cmp::Reverse(j.id)));
+        // A row reached through two lists (the viewer's own job, charged to
+        // one of the viewer's accounts) is the same row twice, side by side.
+        out.dedup_by_key(|j| j.id);
         self.stats.record("sacct_query", start.elapsed());
         out
     }
@@ -309,44 +419,51 @@ impl Slurmdbd {
         let result = self
             .archived
             .read()
+            .rows
             .get(&id)
             .cloned()
-            .or_else(|| self.active_mirror.read().get(&id).cloned());
+            .or_else(|| self.active_mirror.read().job(id).cloned());
         self.cost.burn(1);
         self.stats.record("job_lookup", start.elapsed());
         result
     }
 
-    /// All sibling tasks of a job array, task order.
+    /// All sibling tasks of a job array, task order: the array's archived
+    /// list, then the active jobs no archived row stands for.
     pub fn array_tasks(&self, array_job_id: JobId) -> Vec<Arc<Job>> {
         let _span = Span::enter("dbd").attr("kind", "array_lookup");
         let start = Instant::now();
         self.try_recover();
         self.faults.check("array_lookup").burn();
         let mut out: Vec<Arc<Job>> = Vec::new();
+        let scanned;
         {
-            let active = self.active_mirror.read();
+            let mirror = self.active_mirror.read();
             let archived = self.archived.read();
-            let pick = |j: &Job| {
-                j.array
-                    .map(|a| a.array_job_id == array_job_id)
-                    .unwrap_or(false)
-            };
-            out.extend(active.values().filter(|j| pick(j)).cloned());
-            for job in archived.values().filter(|j| pick(j)) {
-                if !out.iter().any(|j| j.id == job.id) {
-                    out.push(job.clone());
-                }
-            }
+            let stored = archived
+                .by_array
+                .get(&array_job_id)
+                .map_or(&[][..], Vec::as_slice);
+            scanned = stored.len() + mirror.jobs.len();
+            out.extend(stored.iter().cloned());
+            let task = |j: &Job| j.array.is_some_and(|a| a.array_job_id == array_job_id);
+            out.extend(
+                mirror
+                    .jobs
+                    .iter()
+                    .filter(|j| task(j) && !archived.rows.contains_key(&j.id))
+                    .cloned(),
+            );
         }
-        self.cost.burn(out.len().max(1));
+        self.cost.burn(scanned.max(1));
+        self.stats.record_scanned("array_lookup", scanned as u64);
         out.sort_by_key(|j| j.array.map(|a| a.task_id).unwrap_or(0));
         self.stats.record("array_lookup", start.elapsed());
         out
     }
 
     pub fn archived_count(&self) -> usize {
-        self.archived.read().len()
+        self.archived.read().rows.len()
     }
 
     pub fn stats(&self) -> &RpcStats {
@@ -375,7 +492,7 @@ impl Slurmdbd {
     /// Jobs currently in the active mirror (observability: it empties on a
     /// dbd restart and refills on the next slurmctld sync).
     pub fn mirror_len(&self) -> usize {
-        self.active_mirror.read().len()
+        self.active_mirror.read().jobs.len()
     }
 }
 
@@ -388,7 +505,14 @@ impl Default for Slurmdbd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobRequest;
+    use crate::ctld::AssocRecord;
+    use crate::job::{ArrayMeta, JobRequest};
+    use crate::node::Node;
+    use crate::partition::Partition;
+    use hpcdash_faults::{FaultPlan, FaultRule};
+    use hpcdash_simtime::{Clock, SimClock};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn job(
         id: u32,
@@ -418,6 +542,23 @@ mod tests {
         }
     }
 
+    /// A published snapshot whose active jobs are `jobs`, as slurmctld
+    /// hands it to `sync_active`.
+    fn published<J: Into<Arc<Job>>>(jobs: impl IntoIterator<Item = J>) -> Arc<ClusterSnapshot> {
+        let mut jobs: Vec<Arc<Job>> = jobs.into_iter().map(Into::into).collect();
+        jobs.sort_by_key(|j| j.id);
+        Arc::new(ClusterSnapshot::build(
+            1,
+            Timestamp(0),
+            Arc::from("test"),
+            jobs,
+            Vec::<Node>::new(),
+            Vec::<Partition>::new(),
+            Vec::<Arc<AssocRecord>>::new(),
+            None,
+        ))
+    }
+
     fn dbd() -> Slurmdbd {
         let d = Slurmdbd::with_cost(RpcCostModel::free());
         d.record_finished(vec![
@@ -426,10 +567,10 @@ mod tests {
             job(3, "bob", "physics", JobState::Completed, 180, Some(400)),
             job(4, "carol", "bio", JobState::Completed, 190, Some(500)),
         ]);
-        d.sync_active(vec![
+        d.sync_active(published(vec![
             job(5, "alice", "physics", JobState::Running, 300, None),
             job(6, "bob", "physics", JobState::Pending, 350, None),
-        ]);
+        ]));
         d
     }
 
@@ -508,14 +649,14 @@ mod tests {
     #[test]
     fn archived_record_wins_over_mirror() {
         let d = Slurmdbd::with_cost(RpcCostModel::free());
-        d.sync_active(vec![job(
+        d.sync_active(published(vec![job(
             7,
             "alice",
             "physics",
             JobState::Running,
             100,
             None,
-        )]);
+        )]));
         d.record_finished(vec![job(
             7,
             "alice",
@@ -566,7 +707,7 @@ mod tests {
             shared(job(9, "alice", "physics", JobState::Pending, 50, None)),
         ];
         d.record_finished(archived.iter().cloned());
-        d.sync_active(mirror.iter().cloned());
+        d.sync_active(published(mirror.iter().cloned()));
 
         // Newest first; job 7 is in both maps and comes back once, as the
         // archived row; every row IS the stored row, not a copy of it.
@@ -619,7 +760,7 @@ mod tests {
             task_id: 1,
             max_concurrent: None,
         });
-        d.sync_active(vec![t1]);
+        d.sync_active(published(vec![t1]));
         let tasks = d.array_tasks(JobId(10));
         assert_eq!(
             tasks
@@ -635,5 +776,251 @@ mod tests {
         let d = dbd();
         d.query_jobs(&JobFilter::default());
         assert!(d.stats().count_of("sacct_query") >= 1);
+    }
+
+    // ---- the indexes against the scan they replaced ------------------------
+
+    /// The linear scan the indexes replaced: every archived row, then every
+    /// mirrored one the archive does not answer for.
+    fn scan_oracle(d: &Slurmdbd, filter: &JobFilter) -> Vec<Arc<Job>> {
+        let archived = d.archived.read();
+        let mirror = d.active_mirror.read();
+        let mut out: Vec<Arc<Job>> = archived
+            .rows
+            .values()
+            .filter(|j| filter.matches(j))
+            .cloned()
+            .collect();
+        let shadowed = |j: &Job| archived.rows.get(&j.id).is_some_and(|a| filter.matches(a));
+        out.extend(
+            mirror
+                .jobs
+                .iter()
+                .filter(|j| filter.matches(j) && !shadowed(j))
+                .cloned(),
+        );
+        out.sort_by_key(|j| (std::cmp::Reverse(j.submit_time), std::cmp::Reverse(j.id)));
+        out
+    }
+
+    /// Every task of an array by the same scan: archived rows first.
+    fn array_oracle(d: &Slurmdbd, array_job_id: JobId) -> Vec<Arc<Job>> {
+        let archived = d.archived.read();
+        let mirror = d.active_mirror.read();
+        let task = |j: &&Arc<Job>| j.array.is_some_and(|a| a.array_job_id == array_job_id);
+        let mut out: Vec<Arc<Job>> = archived.rows.values().filter(task).cloned().collect();
+        out.extend(
+            mirror
+                .jobs
+                .iter()
+                .filter(task)
+                .filter(|j| !archived.rows.contains_key(&j.id))
+                .cloned(),
+        );
+        out.sort_by_key(|j| j.array.map(|a| a.task_id).unwrap_or(0));
+        out
+    }
+
+    fn same_rows(got: &[Arc<Job>], want: &[Arc<Job>], what: &str) {
+        let ids = |rows: &[Arc<Job>]| rows.iter().map(|j| j.id.0).collect::<Vec<_>>();
+        assert_eq!(ids(got), ids(want), "{what}");
+        for (g, w) in got.iter().zip(want) {
+            assert!(Arc::ptr_eq(g, w), "{what}: job {} is another row", g.id);
+        }
+    }
+
+    const USERS: [&str; 4] = ["alice", "bob", "carol", "dave"];
+    const ACCOUNTS: [&str; 3] = ["physics", "bio", "chem"];
+    const STATES: [JobState; 4] = [
+        JobState::Pending,
+        JobState::Running,
+        JobState::Completed,
+        JobState::Failed,
+    ];
+
+    /// A job with a random owner, state and times; every fifth id belongs
+    /// to the array whose id is the multiple of ten below it.
+    fn random_job(rng: &mut StdRng, id: u32, finished: bool) -> Job {
+        let user = USERS[rng.gen_range(0..USERS.len())];
+        let account = ACCOUNTS[rng.gen_range(0..ACCOUNTS.len())];
+        let submit = rng.gen_range(0..1_000u64);
+        let state = if finished {
+            STATES[rng.gen_range(2..4)]
+        } else {
+            STATES[rng.gen_range(0..2)]
+        };
+        let mut j = job(id, user, account, state, submit, None);
+        if finished {
+            j.end_time = Some(Timestamp(submit + rng.gen_range(1..500u64)));
+        }
+        if id.is_multiple_of(5) {
+            j.array = Some(ArrayMeta {
+                array_job_id: JobId(id - id % 10),
+                task_id: id % 10,
+                max_concurrent: None,
+            });
+        }
+        j
+    }
+
+    fn random_filter(rng: &mut StdRng) -> JobFilter {
+        let some = |rng: &mut StdRng| rng.gen_bool(0.5);
+        JobFilter {
+            user: some(rng).then(|| USERS[rng.gen_range(0..USERS.len())].to_string()),
+            accounts: ACCOUNTS
+                .iter()
+                .filter(|_| rng.gen_bool(0.3))
+                .map(|a| a.to_string())
+                .collect(),
+            states: some(rng).then(|| {
+                STATES
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.gen_bool(0.5))
+                    .collect()
+            }),
+            since: some(rng).then(|| Timestamp(rng.gen_range(0..1_500))),
+            until: some(rng).then(|| Timestamp(rng.gen_range(0..1_000))),
+            job_ids: rng.gen_bool(0.3).then(|| {
+                (0..rng.gen_range(1..4))
+                    .map(|_| JobId(rng.gen_range(1..80)))
+                    .collect()
+            }),
+        }
+    }
+
+    /// Every query and array lookup answers as the scan does.
+    fn agrees_with_the_scan(d: &Slurmdbd, rng: &mut StdRng, what: &str) {
+        for round in 0..200 {
+            let filter = random_filter(rng);
+            let what = format!("{what}, filter {round}: {filter:?}");
+            same_rows(&d.query_jobs(&filter), &scan_oracle(d, &filter), &what);
+        }
+        for array in (0..80).step_by(10) {
+            let id = JobId(array);
+            same_rows(&d.array_tasks(id), &array_oracle(d, id), what);
+        }
+    }
+
+    #[test]
+    fn indexed_queries_answer_as_the_scan_did() {
+        let clock = SimClock::new(Timestamp(10_000));
+        for seed in 0..8 {
+            let rng = &mut StdRng::seed_from_u64(seed);
+            let d = Slurmdbd::with_cost(RpcCostModel::free());
+            let finished: Vec<Job> = (1..60).map(|id| random_job(rng, id, true)).collect();
+            for batch in finished.chunks(7) {
+                d.record_finished(batch.to_vec());
+            }
+            // Active jobs: new ids, and some the archive also holds (the
+            // row a lagging mirror still shows).
+            let active: Vec<Job> = (55..80).map(|id| random_job(rng, id, false)).collect();
+            d.sync_active(published(active.clone()));
+            agrees_with_the_scan(&d, rng, &format!("seed {seed}"));
+
+            // A retried batch: the same ids again, some of them now
+            // another user's or account's, none of them twice in a list.
+            let retried: Vec<Job> = (20..40).map(|id| random_job(rng, id, true)).collect();
+            d.record_finished(retried);
+            d.record_finished(finished[..10].to_vec());
+            agrees_with_the_scan(&d, rng, &format!("seed {seed}, retried"));
+            for list in d.archived.read().by_user.values() {
+                let mut ids: Vec<JobId> = list.iter().map(|j| j.id).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                assert_eq!(ids.len(), list.len(), "a job listed twice under one user");
+            }
+            let listed: usize = d.archived.read().by_account.values().map(Vec::len).sum();
+            assert_eq!(
+                listed,
+                d.archived_count(),
+                "every row under exactly one account"
+            );
+
+            // Crash and recover: the index is rebuilt from checkpoint + WAL.
+            let now = clock.now();
+            d.faults().install(
+                Arc::new(
+                    FaultPlan::new(seed)
+                        .rule(FaultRule::crash("slurmdbd", 10).during(now, Timestamp(now.0 + 1))),
+                ),
+                clock.shared(),
+            );
+            let _ = d.query_jobs(&JobFilter::default());
+            assert!(d.is_down());
+            clock.advance(11);
+            let _ = d.query_jobs(&JobFilter::default());
+            assert_eq!(d.restart_count(), 1);
+            assert_eq!(d.mirror_len(), 0, "the mirror died with the daemon");
+            agrees_with_the_scan(&d, rng, &format!("seed {seed}, recovered"));
+            d.sync_active(published(active));
+            agrees_with_the_scan(&d, rng, &format!("seed {seed}, recovered and synced"));
+        }
+    }
+
+    #[test]
+    fn a_query_scans_the_lists_it_walks() {
+        let rng = &mut StdRng::seed_from_u64(7);
+        let d = Slurmdbd::with_cost(RpcCostModel::free());
+        d.record_finished(
+            (1..60)
+                .map(|id| random_job(rng, id, true))
+                .collect::<Vec<_>>(),
+        );
+        d.sync_active(published((60..80).map(|id| random_job(rng, id, false))));
+        let scanned = |filter: &JobFilter| {
+            let before = d.stats().scanned_of("sacct_query");
+            d.query_jobs(filter);
+            d.stats().scanned_of("sacct_query") - before
+        };
+        let (archived, active) = (d.archived.read(), d.active_mirror.read());
+        let (listed, mirrored) = (
+            |key: &str, by_user: bool| {
+                let map = if by_user {
+                    &archived.by_user
+                } else {
+                    &archived.by_account
+                };
+                map.get(key).map_or(0, Vec::len) as u64
+            },
+            |key: &str, by_user: bool| {
+                let map = if by_user {
+                    &active.by_user
+                } else {
+                    &active.by_account
+                };
+                map.get(key).map_or(0, Vec::len) as u64
+            },
+        );
+
+        // My Jobs: the viewer's list and each of their accounts' lists.
+        let mine = JobFilter::for_user("alice", vec!["bio".to_string(), "chem".to_string()]);
+        let walked = listed("alice", true) + listed("bio", false) + listed("chem", false);
+        let mirrored_walked =
+            mirrored("alice", true) + mirrored("bio", false) + mirrored("chem", false);
+        assert_eq!(scanned(&mine), walked + mirrored_walked);
+        assert!(walked < archived.rows.len() as u64);
+        // Job Performance: the viewer's own list only.
+        let own = JobFilter::for_user("bob", Vec::new());
+        assert_eq!(scanned(&own), listed("bob", true) + mirrored("bob", true));
+        // A job page: the job, its array's tasks, and the mirror's scan.
+        let page = JobFilter {
+            job_ids: Some(vec![JobId(40), JobId(7)]),
+            ..JobFilter::default()
+        };
+        let tasks = archived.by_array.get(&JobId(40)).map_or(0, Vec::len) as u64;
+        assert_eq!(scanned(&page), 2 + tasks + active.jobs.len() as u64);
+        // The admin view walks everything.
+        assert_eq!(
+            scanned(&JobFilter::default()),
+            (archived.rows.len() + active.jobs.len()) as u64
+        );
+        // An array lookup: the array's list and the mirror.
+        let before = d.stats().scanned_of("array_lookup");
+        d.array_tasks(JobId(40));
+        assert_eq!(
+            d.stats().scanned_of("array_lookup") - before,
+            tasks + active.jobs.len() as u64
+        );
     }
 }

@@ -69,7 +69,9 @@ impl Tres {
             if part.is_empty() {
                 continue;
             }
-            let (key, value) = part.split_once('=')?;
+            // A byte search: the parts are too short for `split_once`'s.
+            let eq = part.bytes().position(|b| b == b'=')?;
+            let (key, value) = (&part[..eq], &part[eq + 1..]);
             match key {
                 "cpu" => t.cpus = value.parse().ok()?,
                 "mem" => t.mem_mb = parse_mem_mb(value)?,
@@ -130,15 +132,15 @@ pub fn format_mem_mb(mem_mb: u64) -> String {
 pub fn parse_mem_mb(s: &str) -> Option<u64> {
     // The writer's shape, whole megabytes with a binary suffix, needs no
     // float: up to nine digits times 2^20 is exact either way.
-    let digits = s.trim_end_matches(['M', 'G', 'T', 'm', 'g', 't']);
-    if (1..=9).contains(&digits.len()) && digits.bytes().all(|b| b.is_ascii_digit()) {
-        let value: u64 = digits.parse().expect("nine digits fit");
-        match s.as_bytes()[digits.len()..] {
-            [] | [b'M' | b'm'] => return Some(value),
-            [b'G' | b'g'] => return Some(value * 1_024),
-            [b'T' | b't'] => return Some(value * 1_024 * 1_024),
-            _ => {}
-        }
+    let (digits, unit) = match s.as_bytes() {
+        [digits @ .., b'M' | b'm'] => (digits, 1),
+        [digits @ .., b'G' | b'g'] => (digits, 1_024),
+        [digits @ .., b'T' | b't'] => (digits, 1_024 * 1_024),
+        digits => (digits, 1),
+    };
+    if (1..=9).contains(&digits.len()) && digits.iter().all(u8::is_ascii_digit) {
+        let value = digits.iter().fold(0, |v, d| v * 10 + u64::from(d - b'0'));
+        return Some(value * unit);
     }
     let s = s.trim();
     if s.is_empty() {

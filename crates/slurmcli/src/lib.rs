@@ -145,6 +145,42 @@ pub(crate) fn words(text: &str) -> impl Iterator<Item = &str> {
         .chain(charwise.into_iter().flatten())
 }
 
+/// `line.split(sep)` for a nonzero ASCII `sep`, found eight bytes at a
+/// time: the fields of a `sacct` line are a few bytes each, too short for a
+/// `memchr` call per field to pay, and a branch per byte mispredicts at
+/// every separator.
+pub(crate) fn split_ascii(line: &str, sep: u8) -> impl Iterator<Item = &str> {
+    debug_assert!(sep.is_ascii() && sep != 0, "a cut must fall between chars");
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    let bytes = line.as_bytes();
+    let pattern = u64::from_ne_bytes([sep; 8]);
+    // `mask` holds the high bit of each separator byte of the word at
+    // `word_at` not yet cut at; `from` is where the next field starts.
+    let (mut word_at, mut mask, mut from) = (0, 0u64, Some(0));
+    std::iter::from_fn(move || {
+        let start = from?;
+        while mask == 0 {
+            let Some(rest) = bytes.get(word_at..).filter(|r| !r.is_empty()) else {
+                from = None;
+                return Some(&line[start..]);
+            };
+            // A short tail is padded with zero bytes, which are not `sep`.
+            let mut word = [0u8; 8];
+            let take = rest.len().min(8);
+            word[..take].copy_from_slice(&rest[..take]);
+            // Zero bytes of `x` are the separators; the sum cannot carry
+            // out of a byte, so each byte's high bit is exact.
+            let x = u64::from_le_bytes(word) ^ pattern;
+            mask = !(((x & LOW7) + LOW7) | x) & !LOW7;
+            word_at += 8;
+        }
+        let at = word_at - 8 + (mask.trailing_zeros() / 8) as usize;
+        mask &= mask - 1;
+        from = Some(at + 1);
+        Some(&line[start..at])
+    })
+}
+
 /// The `N` fields of one line, borrowed; `Err` is how many there were.
 pub(crate) fn fields<'a, const N: usize>(
     mut split: impl Iterator<Item = &'a str>,
@@ -159,5 +195,19 @@ pub(crate) fn fields<'a, const N: usize>(
     match filled + split.count() {
         count if count == N => Ok(out),
         count => Err(count),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn split_ascii_cuts_where_split_does(line in "[a-c|é\\-]{0,40}") {
+            let got: Vec<&str> = super::split_ascii(&line, b'|').collect();
+            let want: Vec<&str> = line.split('|').collect();
+            prop_assert_eq!(got, want);
+        }
     }
 }

@@ -68,15 +68,17 @@ impl SacctArgs {
     }
 }
 
-/// One parsed accounting record.
+/// One parsed accounting record. Its text fields are slices of the
+/// `sacct` output it was parsed from: a record costs no allocation of its
+/// own, and lives as long as that text.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SacctRecord {
-    pub job_id: String,
-    pub job_name: String,
-    pub user: String,
-    pub account: String,
-    pub partition: String,
-    pub qos: String,
+pub struct SacctRecord<'t> {
+    pub job_id: &'t str,
+    pub job_name: &'t str,
+    pub user: &'t str,
+    pub account: &'t str,
+    pub partition: &'t str,
+    pub qos: &'t str,
     pub state: JobState,
     pub submit: Option<Timestamp>,
     pub start: Option<Timestamp>,
@@ -93,12 +95,12 @@ pub struct SacctRecord {
     pub max_rss_mb: Option<u64>,
     /// Consumed CPU time, seconds (None until the job has usage data).
     pub total_cpu_secs: Option<u64>,
-    pub exit_code: String,
-    pub nodelist: String,
-    pub comment: String,
+    pub exit_code: &'t str,
+    pub nodelist: &'t str,
+    pub comment: &'t str,
 }
 
-impl SacctRecord {
+impl SacctRecord<'_> {
     /// GPU-hours consumed by this record.
     pub fn gpu_hours(&self) -> f64 {
         self.alloc_tres.gpus as f64 * self.elapsed_secs as f64 / 3_600.0
@@ -182,8 +184,8 @@ fn pipe_free(c: char) -> char {
     }
 }
 
-/// Parse parsable2 output back into records.
-pub fn parse_sacct(text: &str) -> Result<Vec<SacctRecord>, String> {
+/// Parse parsable2 output back into records that borrow from it.
+pub fn parse_sacct(text: &str) -> Result<Vec<SacctRecord<'_>>, String> {
     crate::note_parse();
     let mut lines = text.lines();
     let header = lines.next().unwrap_or_default();
@@ -196,15 +198,15 @@ pub fn parse_sacct(text: &str) -> Result<Vec<SacctRecord>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let f = crate::fields::<{ SACCT_FIELDS.len() }>(line.split('|'))
+        let f = crate::fields::<{ SACCT_FIELDS.len() }>(crate::split_ascii(line, b'|'))
             .map_err(|n| format!("malformed sacct line ({n} fields): {line:?}"))?;
         out.push(SacctRecord {
-            job_id: f[0].to_string(),
-            job_name: f[1].to_string(),
-            user: f[2].to_string(),
-            account: f[3].to_string(),
-            partition: f[4].to_string(),
-            qos: f[5].to_string(),
+            job_id: f[0],
+            job_name: f[1],
+            user: f[2],
+            account: f[3],
+            partition: f[4],
+            qos: f[5],
             state: JobState::parse(f[6]).ok_or_else(|| format!("bad state {:?}", f[6]))?,
             submit: parse_timestamp(f[7]),
             start: parse_timestamp(f[8]),
@@ -229,9 +231,9 @@ pub fn parse_sacct(text: &str) -> Result<Vec<SacctRecord>, String> {
             } else {
                 parse_duration(f[17])
             },
-            exit_code: f[18].to_string(),
-            nodelist: f[19].to_string(),
-            comment: f[20].to_string(),
+            exit_code: f[18],
+            nodelist: f[19],
+            comment: f[20],
         });
     }
     Ok(out)
@@ -333,7 +335,8 @@ mod tests {
     fn pipe_in_name_sanitized() {
         let mut j = finished_job(1);
         j.req.name = "weird|name".to_string();
-        let recs = parse_sacct(&render(&[j], Timestamp(9_000))).unwrap();
+        let text = render(&[j], Timestamp(9_000));
+        let recs = parse_sacct(&text).unwrap();
         assert_eq!(recs[0].job_name, "weird/name");
     }
 
@@ -350,7 +353,8 @@ mod tests {
             let jobs: Vec<Job> = (0..n)
                 .map(|i| if (seed + i as u32).is_multiple_of(3) { pending_job(i as u32 + 1) } else { finished_job(i as u32 + 1) })
                 .collect();
-            let recs = parse_sacct(&render(&jobs, Timestamp(9_000))).unwrap();
+            let text = render(&jobs, Timestamp(9_000));
+            let recs = parse_sacct(&text).unwrap();
             prop_assert_eq!(recs.len(), jobs.len());
             for (r, j) in recs.iter().zip(&jobs) {
                 prop_assert_eq!(&r.job_id, &j.display_id());

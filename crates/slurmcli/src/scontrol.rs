@@ -48,25 +48,82 @@ pub struct ScontrolJob {
     pub raw: BTreeMap<String, String>,
 }
 
-/// A parsed `scontrol show node` record.
+/// A parsed `scontrol show node` record. Its text fields are slices of the
+/// dump it was parsed from, and `block` is the whole record: the
+/// key=value view of [`ScontrolNode::details`] is read out of it only by
+/// the page that shows it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScontrolNode {
-    pub name: String,
+pub struct ScontrolNode<'t> {
+    pub name: &'t str,
     pub state: NodeState,
     pub cpu_alloc: u32,
     pub cpu_total: u32,
     pub cpu_load: f64,
     pub real_memory_mb: u64,
     pub alloc_memory_mb: u64,
-    pub gres: Option<String>,
-    pub gres_used: Option<String>,
-    pub features: Vec<String>,
-    pub partitions: Vec<String>,
-    pub os: String,
+    pub gres: Option<&'t str>,
+    pub gres_used: Option<&'t str>,
+    pub features: List<'t>,
+    pub partitions: List<'t>,
+    pub os: &'t str,
     pub boot_time: Option<Timestamp>,
     pub last_busy: Option<Timestamp>,
-    pub reason: Option<String>,
-    pub raw: BTreeMap<String, String>,
+    pub reason: Option<&'t str>,
+    pub block: &'t str,
+}
+
+impl<'t> ScontrolNode<'t> {
+    /// Every `Key=Value` token of the record, sorted by key; the first of a
+    /// repeated key wins.
+    pub fn details(&self) -> BTreeMap<&'t str, &'t str> {
+        let mut map = BTreeMap::new();
+        for (k, v) in tokens(self.block) {
+            map.entry(k).or_insert(v);
+        }
+        map
+    }
+}
+
+/// A comma-separated value of a record, borrowed: `(null)` or an absent key
+/// is the empty list. It shows (`Debug`) and serializes as its items.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct List<'t>(Option<&'t str>);
+
+impl<'t> List<'t> {
+    fn of(value: Option<&'t str>) -> List<'t> {
+        List(value.filter(|v| *v != "(null)"))
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = &'t str> {
+        self.0.into_iter().flat_map(|v| v.split(','))
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0.is_none()
+    }
+}
+
+impl fmt::Debug for List<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl serde::Serialize for List<'_> {
+    fn to_json_value(&self) -> serde::Value {
+        serde::Value::Array(self.iter().map(|v| v.into()).collect())
+    }
+
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.push(b'[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            serde::value::write_str(item, out);
+        }
+        out.push(b']');
+    }
 }
 
 /// `scontrol show job <id>`: live job details from slurmctld. `Ok(None)`
@@ -273,47 +330,69 @@ fn push_node(s: &mut String, node: &Node) {
     }
 }
 
-/// Parse one or more `scontrol show node` records (see [`parse_show_job`]).
-pub fn parse_show_node(text: &str) -> Result<Vec<ScontrolNode>, String> {
+/// The keys a [`ScontrolNode`] reads, in the order its fields check them.
+const NODE_KEYS: [&str; 15] = [
+    "NodeName",
+    "State",
+    "CPUAlloc",
+    "CPUTot",
+    "CPULoad",
+    "RealMemory",
+    "AllocMem",
+    "Gres",
+    "GresUsed",
+    "AvailableFeatures",
+    "Partitions",
+    "OS",
+    "BootTime",
+    "LastBusyTime",
+    "Reason",
+];
+
+/// Parse one or more `scontrol show node` records into records that borrow
+/// from the dump. One pass over each record's tokens keeps the first value
+/// of every key in [`NODE_KEYS`]; nothing else is looked at until
+/// [`ScontrolNode::details`] is asked for.
+pub fn parse_show_node<'t>(text: &'t str) -> Result<Vec<ScontrolNode<'t>>, String> {
     crate::note_parse();
     let mut out = Vec::with_capacity(text.len() / NODE_BYTES + 1);
-    for chunk in split_records(text) {
-        let raw = tokenize(chunk);
-        let get = |k: &str| raw.get(k).map(String::as_str);
-        let req = |k: &str| get(k).ok_or_else(|| format!("missing {k}"));
-        let list = |k: &str| -> Vec<String> {
-            get(k)
-                .filter(|v| *v != "(null)")
-                .map(|v| v.split(',').map(str::to_string).collect())
-                .unwrap_or_default()
-        };
+    for block in split_records(text) {
+        let mut values = [None; NODE_KEYS.len()];
+        for (k, v) in tokens(block) {
+            if let Some(slot) = NODE_KEYS.iter().position(|key| *key == k) {
+                values[slot].get_or_insert(v);
+            }
+        }
+        let [name, state, cpu_alloc, cpu_total, cpu_load, real_memory, alloc_mem, gres, gres_used, features, partitions, os, boot_time, last_busy, reason] =
+            values;
+        let req = |v: Option<&'t str>, k: &str| v.ok_or_else(|| format!("missing {k}"));
         out.push(ScontrolNode {
-            name: req("NodeName")?.to_string(),
-            state: NodeState::parse(req("State")?).ok_or("bad State")?,
-            cpu_alloc: req("CPUAlloc")?
+            name: req(name, "NodeName")?,
+            state: NodeState::parse(req(state, "State")?).ok_or("bad State")?,
+            cpu_alloc: req(cpu_alloc, "CPUAlloc")?
                 .parse()
                 .map_err(|_| "bad CPUAlloc".to_string())?,
-            cpu_total: req("CPUTot")?
+            cpu_total: req(cpu_total, "CPUTot")?
                 .parse()
                 .map_err(|_| "bad CPUTot".to_string())?,
-            cpu_load: req("CPULoad")?
+            cpu_load: req(cpu_load, "CPULoad")?
                 .parse()
                 .map_err(|_| "bad CPULoad".to_string())?,
-            real_memory_mb: req("RealMemory")?
+            real_memory_mb: req(real_memory, "RealMemory")?
                 .parse()
                 .map_err(|_| "bad RealMemory".to_string())?,
-            alloc_memory_mb: req("AllocMem")?
+            alloc_memory_mb: req(alloc_mem, "AllocMem")?
                 .parse()
                 .map_err(|_| "bad AllocMem".to_string())?,
-            gres: get("Gres").map(str::to_string),
-            gres_used: get("GresUsed").map(str::to_string),
-            features: list("AvailableFeatures"),
-            partitions: list("Partitions"),
-            os: req("OS")?.to_string(),
-            boot_time: get("BootTime").and_then(parse_timestamp),
-            last_busy: get("LastBusyTime").and_then(parse_timestamp),
-            reason: get("Reason").map(str::to_string),
-            raw,
+            gres,
+            gres_used,
+            features: List::of(features),
+            partitions: List::of(partitions),
+            os: req(os, "OS")?,
+            boot_time: boot_time.and_then(parse_timestamp),
+            last_busy: last_busy.and_then(parse_timestamp),
+            reason,
+            block,
         });
     }
     Ok(out)
@@ -431,16 +510,18 @@ fn split_records(text: &str) -> impl Iterator<Item = &str> {
     })
 }
 
-/// Tokenize `Key=Value` pairs across the record: the owned map the record
-/// keeps as `raw`.
+/// The `Key=Value` tokens of a record, borrowed, in text order.
+fn tokens(text: &str) -> impl Iterator<Item = (&str, &str)> {
+    crate::words(text).filter_map(|tok| tok.split_once('='))
+}
+
+/// The record's tokens as the owned map a [`ScontrolJob`] keeps as `raw`.
 fn tokenize(text: &str) -> BTreeMap<String, String> {
     let mut map = BTreeMap::new();
-    for tok in crate::words(text) {
-        if let Some((k, v)) = tok.split_once('=') {
-            // First occurrence wins (JobId before ArrayJobId etc. are
-            // distinct keys, so this only matters for malformed input).
-            map.entry(k.to_string()).or_insert_with(|| v.to_string());
-        }
+    for (k, v) in tokens(text) {
+        // First occurrence wins (JobId before ArrayJobId etc. are
+        // distinct keys, so this only matters for malformed input).
+        map.entry(k.to_string()).or_insert_with(|| v.to_string());
     }
     map
 }
@@ -545,13 +626,16 @@ mod tests {
         assert_eq!(p1.cpu_alloc, 32);
         assert_eq!(p1.cpu_total, 64);
         assert!((p1.cpu_load - 30.72).abs() < 1e-9);
-        assert_eq!(p1.gres.as_deref(), Some("gpu:a100:4"));
-        assert_eq!(p1.gres_used.as_deref(), Some("gpu:a100:2"));
-        assert_eq!(p1.features, vec!["a100", "nvlink"]);
-        assert_eq!(p1.partitions, vec!["gpu"]);
+        assert_eq!(p1.gres, Some("gpu:a100:4"));
+        assert_eq!(p1.gres_used, Some("gpu:a100:2"));
+        assert_eq!(p1.features.iter().collect::<Vec<_>>(), ["a100", "nvlink"]);
+        assert_eq!(p1.partitions.iter().collect::<Vec<_>>(), ["gpu"]);
+        assert_eq!(p1.details()["CPUTot"], "64");
+        assert_eq!(p1.details()["Gres"], "gpu:a100:4");
+        assert!(parsed[1].features.is_empty());
         let p2 = &parsed[1];
         assert_eq!(p2.state, NodeState::Drained);
-        assert_eq!(p2.reason.as_deref(), Some("bad_DIMM"));
+        assert_eq!(p2.reason, Some("bad_DIMM"));
         assert_eq!(p2.alloc_memory_mb, 0);
     }
 

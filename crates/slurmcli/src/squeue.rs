@@ -55,22 +55,23 @@ const LONG_HEADER: &str =
 
 /// One parsed line of the long format (`squeue -o "%i %P %j %u %T %V %S %M %l %D %R"`),
 /// which the Recent Jobs widget uses because it needs submit/start times.
+/// Its text columns are slices of the output it was parsed from.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SqueueLongRow {
-    pub job_id: String,
-    pub partition: String,
-    pub name: String,
-    pub user: String,
+pub struct SqueueLongRow<'t> {
+    pub job_id: &'t str,
+    pub partition: &'t str,
+    pub name: &'t str,
+    pub user: &'t str,
     pub state: JobState,
     pub submit_time: Option<Timestamp>,
     pub start_time: Option<Timestamp>,
     pub time_secs: u64,
-    pub time_limit: String,
+    pub time_limit: &'t str,
     pub nodes: u32,
-    pub nodelist_or_reason: String,
+    pub nodelist_or_reason: &'t str,
 }
 
-impl SqueueLongRow {
+impl SqueueLongRow<'_> {
     pub fn reason(&self) -> Option<PendingReason> {
         let inner = self
             .nodelist_or_reason
@@ -151,8 +152,8 @@ pub fn render_long<J: std::borrow::Borrow<Job>>(jobs: &[J], now: Timestamp) -> S
     out
 }
 
-/// Parse long-format output.
-pub fn parse_squeue_long(text: &str) -> Result<Vec<SqueueLongRow>, String> {
+/// Parse long-format output into rows that borrow from it.
+pub fn parse_squeue_long(text: &str) -> Result<Vec<SqueueLongRow<'_>>, String> {
     crate::note_parse();
     let mut lines = text.lines();
     if let Some(header) = lines.next().filter(|h| h.trim() != LONG_HEADER) {
@@ -173,19 +174,19 @@ pub fn parse_squeue_long(text: &str) -> Result<Vec<SqueueLongRow>, String> {
                 .ok_or_else(|| format!("bad time {:?}", parts[7]))?
         };
         rows.push(SqueueLongRow {
-            job_id: parts[0].to_string(),
-            partition: parts[1].to_string(),
-            name: parts[2].to_string(),
-            user: parts[3].to_string(),
+            job_id: parts[0],
+            partition: parts[1],
+            name: parts[2],
+            user: parts[3],
             state,
             submit_time: hpcdash_simtime::parse_timestamp(parts[5]),
             start_time: hpcdash_simtime::parse_timestamp(parts[6]),
             time_secs,
-            time_limit: parts[8].to_string(),
+            time_limit: parts[8],
             nodes: parts[9]
                 .parse()
                 .map_err(|_| format!("bad node count {:?}", parts[9]))?,
-            nodelist_or_reason: parts[10].to_string(),
+            nodelist_or_reason: parts[10],
         });
     }
     Ok(rows)

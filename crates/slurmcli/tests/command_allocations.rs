@@ -1,14 +1,16 @@
 //! The command boundary allocates for its output and nothing else: a
 //! renderer makes one pre-sized `String` for the whole table, a parser makes
-//! its `Vec` of records and the strings each record keeps — no `String` per
-//! field, no `Vec` per line.
+//! its `Vec` of records, which borrow their text from the output — no
+//! `String` per field, no `Vec` or map per record.
 //!
 //! Alone in its file because it installs a counting global allocator; the
 //! count is kept per thread, so the harness's own threads do not disturb it.
 
 use hpcdash_simtime::{TimeLimit, Timestamp};
 use hpcdash_slurm::job::{ArrayMeta, Job, JobId, JobRequest, JobState, JobStats, PendingReason};
-use hpcdash_slurmcli::{parse_sacct, parse_squeue_long, sacct, squeue};
+use hpcdash_slurm::node::{AdminFlag, Node};
+use hpcdash_slurm::tres::Tres;
+use hpcdash_slurmcli::{parse_sacct, parse_show_node, parse_squeue_long, sacct, scontrol, squeue};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -104,8 +106,15 @@ fn jobs() -> Vec<Job> {
         .collect()
 }
 
+/// What a parse of a thousand rows may allocate: the records' `Vec`, and
+/// room for a size guess that ran short. Measured: one allocation for
+/// `sacct` and for `squeue`, two for the node records. Owned records took
+/// 8 501, 6 001 and 39 600: nine strings per `sacct` row, six per `squeue`
+/// row, and a map of every token plus two lists per node.
+const PARSE_BOUND: u64 = 8;
+
 #[test]
-fn a_thousand_sacct_rows_cost_their_output_and_the_strings_a_record_keeps() {
+fn a_thousand_sacct_rows_cost_their_output_and_one_vec() {
     let jobs = jobs();
     let now = Timestamp(1_784_000_000);
 
@@ -117,12 +126,9 @@ fn a_thousand_sacct_rows_cost_their_output_and_the_strings_a_record_keeps() {
 
     let (records, during) = counted(|| parse_sacct(&text).expect("rendered text parses"));
     assert_eq!(records.len(), ROWS);
-    // A record keeps nine strings: id, name, user, account, partition, qos,
-    // exit code, node list, comment. The rest is numbers.
-    let bound = 9 * ROWS as u64 + 8;
     assert!(
-        during <= bound,
-        "{during} allocations to parse {ROWS} rows (bound {bound})"
+        during <= PARSE_BOUND,
+        "{during} allocations to parse {ROWS} rows"
     );
 }
 
@@ -141,10 +147,41 @@ fn a_thousand_squeue_rows_cost_the_same_kind() {
 
     let (rows, during) = counted(|| parse_squeue_long(&text).expect("rendered text parses"));
     assert_eq!(rows.len(), ROWS);
-    // Six strings: id, partition, name, user, time limit, node list.
-    let bound = 6 * ROWS as u64 + 8;
     assert!(
-        during <= bound,
-        "{during} allocations to parse {ROWS} rows (bound {bound})"
+        during <= PARSE_BOUND,
+        "{during} allocations to parse {ROWS} rows"
     );
+}
+
+#[test]
+fn a_thousand_node_records_cost_one_vec() {
+    // Every shape a record takes: GPUs or none, features or `(null)`,
+    // drained with a reason, allocated or idle.
+    let text = (0..ROWS as u32)
+        .map(|i| {
+            let mut node = Node::new(format!("n{i:04}"), 128, 257_000, 4 * (i % 2));
+            if i % 3 > 0 {
+                node.features = vec!["avx512".to_string(), "ib".to_string()];
+            }
+            node.partitions = vec!["cpu".to_string(), "debug".to_string()];
+            node.gpu_type = (i % 2 == 1).then(|| "a100".to_string());
+            if i % 5 == 0 {
+                node.admin_flag = AdminFlag::Drain;
+                node.reason = Some(format!("bad dimm {i}"));
+            } else {
+                node.allocate(Tres::new(i % 128, 1_000, 0, 1), Timestamp(500));
+            }
+            scontrol::render_node(&node)
+        })
+        .collect::<Vec<_>>()
+        .join("\n");
+
+    let (nodes, during) = counted(|| parse_show_node(&text).expect("rendered text parses"));
+    assert_eq!(nodes.len(), ROWS);
+    assert!(
+        during <= PARSE_BOUND,
+        "{during} allocations to parse {ROWS} node records"
+    );
+    // The key=value view is built only when asked for.
+    assert_eq!(nodes[1].details()["Gres"], "gpu:a100:4");
 }

@@ -280,7 +280,9 @@ const TABLE_LIKE: &str = "[0-9A-Za-z?|:=._\\- \n]{0,300}";
 
 // ---- what agreement means ---------------------------------------------------
 
-fn same<T: std::fmt::Debug>(what: &str, input: &str, new: T, old: T) {
+/// The two answers print alike: a borrowed record and its owned reference
+/// are different types with the same `Debug` text.
+fn same(what: &str, input: &str, new: impl std::fmt::Debug, old: impl std::fmt::Debug) {
     assert_eq!(
         format!("{new:?}"),
         format!("{old:?}"),
@@ -359,7 +361,12 @@ fn table_parsers_agree(s: &str) {
     same(
         "parse_show_node",
         s,
-        new::parse_show_node(s),
+        new::parse_show_node(s).map(|nodes| {
+            nodes
+                .iter()
+                .map(reference::ScontrolNode::from_borrowed)
+                .collect::<Vec<_>>()
+        }),
         reference::scontrol::parse_show_node(s),
     );
     same(
@@ -703,7 +710,8 @@ fn table_parsers_match_the_reference_on_the_edges() {
         hpcdash_slurmcli::parse_show_node(&node.replace("\n   ", "\n\t")).unwrap_err(),
         "missing State"
     );
-    let twice = hpcdash_slurmcli::parse_show_node(&format!("   {node}{node}")).unwrap();
+    let doubled = format!("   {node}{node}");
+    let twice = hpcdash_slurmcli::parse_show_node(&doubled).unwrap();
     assert_eq!(twice.len(), 2);
 }
 

@@ -14,11 +14,108 @@ use hpcdash_slurm::node::{Node, NodeState};
 use hpcdash_slurm::partition::Partition;
 use hpcdash_slurm::snapshot::ClusterSnapshot;
 use hpcdash_slurm::tres::Tres;
-use hpcdash_slurmcli::{
-    AssocRow, PartitionUsage, SacctRecord, ScontrolJob, ScontrolNode, SinfoRow, SqueueLongRow,
-    SqueueRow, SACCT_FIELDS,
-};
+use hpcdash_slurmcli::{AssocRow, PartitionUsage, ScontrolJob, SinfoRow, SqueueRow, SACCT_FIELDS};
 use std::collections::BTreeMap;
+
+// ---- the owned records ------------------------------------------------------
+//
+// The library's `SacctRecord`, `SqueueLongRow` and `ScontrolNode` borrow
+// from the text they were parsed from; these are the owned records they
+// replaced. Names, fields and field order are the same, so a borrowed
+// record and its reference print the same `Debug` text.
+
+/// One parsed accounting record.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SacctRecord {
+    pub job_id: String,
+    pub job_name: String,
+    pub user: String,
+    pub account: String,
+    pub partition: String,
+    pub qos: String,
+    pub state: JobState,
+    pub submit: Option<Timestamp>,
+    pub start: Option<Timestamp>,
+    pub end: Option<Timestamp>,
+    pub elapsed_secs: u64,
+    pub timelimit: TimeLimit,
+    pub alloc_cpus: u32,
+    pub alloc_nodes: u32,
+    pub alloc_tres: Tres,
+    pub req_mem_mb: u64,
+    pub max_rss_mb: Option<u64>,
+    pub total_cpu_secs: Option<u64>,
+    pub exit_code: String,
+    pub nodelist: String,
+    pub comment: String,
+}
+
+/// One parsed line of the long `squeue` format.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SqueueLongRow {
+    pub job_id: String,
+    pub partition: String,
+    pub name: String,
+    pub user: String,
+    pub state: JobState,
+    pub submit_time: Option<Timestamp>,
+    pub start_time: Option<Timestamp>,
+    pub time_secs: u64,
+    pub time_limit: String,
+    pub nodes: u32,
+    pub nodelist_or_reason: String,
+}
+
+/// A parsed `scontrol show node` record, with every token in `raw`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScontrolNode {
+    pub name: String,
+    pub state: NodeState,
+    pub cpu_alloc: u32,
+    pub cpu_total: u32,
+    pub cpu_load: f64,
+    pub real_memory_mb: u64,
+    pub alloc_memory_mb: u64,
+    pub gres: Option<String>,
+    pub gres_used: Option<String>,
+    pub features: Vec<String>,
+    pub partitions: Vec<String>,
+    pub os: String,
+    pub boot_time: Option<Timestamp>,
+    pub last_busy: Option<Timestamp>,
+    pub reason: Option<String>,
+    pub raw: BTreeMap<String, String>,
+}
+
+impl ScontrolNode {
+    /// A borrowed record in the owned shape: every field copied, and `raw`
+    /// taken from the record's key=value view.
+    pub fn from_borrowed(n: &hpcdash_slurmcli::ScontrolNode<'_>) -> ScontrolNode {
+        let owned = |v: Option<&str>| v.map(str::to_string);
+        ScontrolNode {
+            name: n.name.to_string(),
+            state: n.state,
+            cpu_alloc: n.cpu_alloc,
+            cpu_total: n.cpu_total,
+            cpu_load: n.cpu_load,
+            real_memory_mb: n.real_memory_mb,
+            alloc_memory_mb: n.alloc_memory_mb,
+            gres: owned(n.gres),
+            gres_used: owned(n.gres_used),
+            features: n.features.iter().map(str::to_string).collect(),
+            partitions: n.partitions.iter().map(str::to_string).collect(),
+            os: n.os.to_string(),
+            boot_time: n.boot_time,
+            last_busy: n.last_busy,
+            reason: owned(n.reason),
+            raw: n
+                .details()
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+        }
+    }
+}
 
 // ---- hpcdash-simtime: timefmt.rs --------------------------------------------
 

@@ -19,9 +19,8 @@ fn live_cluster_roundtrips_all_commands() {
     let rows = hpcdash_slurmcli::parse_squeue(&hpcdash_slurmcli::squeue::render(&jobs, now))
         .expect("squeue parses");
     assert_eq!(rows.len(), jobs.len());
-    let long =
-        hpcdash_slurmcli::parse_squeue_long(&hpcdash_slurmcli::squeue::render_long(&jobs, now))
-            .expect("squeue -l parses");
+    let text = hpcdash_slurmcli::squeue::render_long(&jobs, now);
+    let long = hpcdash_slurmcli::parse_squeue_long(&text).expect("squeue -l parses");
     for (row, job) in long.iter().zip(&jobs) {
         assert_eq!(row.job_id, job.display_id());
         assert_eq!(row.state, job.state);
@@ -32,8 +31,8 @@ fn live_cluster_roundtrips_all_commands() {
     let recs = scenario
         .dbd
         .query_jobs(&hpcdash_slurm::dbd::JobFilter::default());
-    let parsed = hpcdash_slurmcli::parse_sacct(&hpcdash_slurmcli::sacct::render(&recs, now))
-        .expect("sacct parses");
+    let text = hpcdash_slurmcli::sacct::render(&recs, now);
+    let parsed = hpcdash_slurmcli::parse_sacct(&text).expect("sacct parses");
     assert_eq!(parsed.len(), recs.len());
     for (p, r) in parsed.iter().zip(&recs) {
         assert_eq!(p.state, r.state);

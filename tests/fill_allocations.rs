@@ -1,0 +1,122 @@
+//! A cold widget costs its rows, not copies of them: a My Jobs fill and a
+//! live-strip fill allocate a small constant per row or job they show,
+//! because the rows borrow their strings from the command text and every
+//! payload is encoded straight into the response bytes.
+//!
+//! Alone in its file because it installs a counting global allocator; the
+//! count is kept per thread, so the harness's own threads do not disturb it.
+
+use hpcdash::core::{CachePolicy, DashboardConfig};
+use hpcdash::http::{Method, Request, Response};
+use hpcdash::SimSite;
+use hpcdash_workload::ScenarioConfig;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a counter in a
+// const-initialized thread-local `Cell<u64>`, which allocates nothing and
+// has no destructor.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn counted<T>(work: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = work();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// The seeded campus site the benchmark's `portal_cold` serves: free
+/// daemons, four simulated hours of traffic, every cache off.
+fn cold_site() -> SimSite {
+    let mut scenario = ScenarioConfig::campus();
+    scenario.free_daemons = true;
+    let mut dash = DashboardConfig::purdue_like();
+    dash.cache = CachePolicy::disabled();
+    let site = SimSite::build_with(scenario, dash);
+    site.warm_up(4 * 3_600);
+    site
+}
+
+/// One request's answer and what it allocated, asked once before so that
+/// what a route sets up on its first use is not counted.
+fn fill(site: &SimSite, path: &str, user: &str) -> (Response, u64) {
+    let request = Request::new(Method::Get, path).with_header("X-Remote-User", user);
+    assert_eq!(site.dashboard.handle(&request).status, 200, "{path}");
+    let (resp, allocations) = counted(|| site.dashboard.handle(&request));
+    assert_eq!(resp.status, 200, "{path}");
+    (resp, allocations)
+}
+
+/// The user whose answer to `path` holds the most `key` entries.
+fn busiest(site: &SimSite, path: &str, key: &str) -> (String, usize) {
+    site.scenario
+        .population
+        .users
+        .iter()
+        .map(|user| {
+            let request = Request::new(Method::Get, path).with_header("X-Remote-User", user);
+            let body = site.dashboard.handle(&request).body_json().unwrap();
+            (user.clone(), body[key].as_array().map_or(0, Vec::len))
+        })
+        .max_by_key(|(_, n)| *n)
+        .expect("the site has users")
+}
+
+#[test]
+fn a_cold_widget_fill_costs_a_few_allocations_per_row() {
+    let site = cold_site();
+
+    // My Jobs: one `sacct` and one `squeue`, both parsed, every row built
+    // and encoded. Measured on this site: 271 allocations for 227 rows.
+    // Records and rows that owned their strings made 4 475.
+    let (user, rows) = busiest(&site, "/api/myjobs", "jobs");
+    assert!(rows >= 50, "{user} has {rows} rows");
+    let (_, my_jobs) = fill(&site, "/api/myjobs", &user);
+    let bound = 2 * rows as u64 + 64;
+    assert!(
+        my_jobs <= bound,
+        "{my_jobs} allocations for {rows} My Jobs rows (bound {bound})"
+    );
+
+    // The live strip: the user's running jobs and two or three series
+    // each. Measured: 144 allocations for 7 jobs and 387 points per series
+    // kind. A `json!` tree of every point made 3 874.
+    let (user, jobs) = busiest(&site, "/api/jobtelemetry", "jobs");
+    assert!(jobs >= 2, "{user} has {jobs} running jobs");
+    let (live, strip) = fill(&site, "/api/jobtelemetry", &user);
+    let points: usize = live.body_json().unwrap()["jobs"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|j| j["series"]["cpu"].as_array().unwrap().len())
+        .sum();
+    assert!(points >= 10 * jobs, "{points} points over {jobs} jobs");
+    let bound = 32 * jobs as u64;
+    assert!(
+        strip <= bound,
+        "{strip} allocations for {jobs} live jobs (bound {bound})"
+    );
+}

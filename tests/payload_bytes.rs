@@ -183,6 +183,102 @@ fn rest_fed_payloads_are_canonical() {
     );
 }
 
+/// FNV-1a, 64-bit, over everything folded into it.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn fold(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+        // A separator, so that moving a byte between two parts shows.
+        self.0 ^= 0xff;
+        self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+    }
+}
+
+/// The cold bytes of the paper's data-heavy widgets, pinned: on the seeded
+/// campus site with every cache off, each route is asked by every user (and
+/// every node and every user's own job for the two detail pages), and the
+/// path, status and body of each answer are folded into one digest per
+/// route. A change to how a payload is built must leave these unchanged.
+#[test]
+fn cold_widget_bytes_are_pinned() {
+    let mut scenario = ScenarioConfig::campus();
+    scenario.free_daemons = true;
+    let mut dash = DashboardConfig::purdue_like();
+    dash.cache = CachePolicy::disabled();
+    let site = SimSite::build_with(scenario, dash);
+    site.warm_up(4 * 3_600);
+    let dashboard = &site.dashboard;
+    let users = site.scenario.population.users.clone();
+    let mut digests: std::collections::BTreeMap<&str, Fnv> = std::collections::BTreeMap::new();
+    let mut fold = |route: &'static str, path: &str, user: &str| -> Response {
+        let resp = get(dashboard, path, ("X-Remote-User", user));
+        let digest = digests.entry(route).or_insert_with(Fnv::new);
+        digest.fold(path.as_bytes());
+        digest.fold(user.as_bytes());
+        digest.fold(&resp.status.to_le_bytes());
+        digest.fold(&resp.body);
+        resp
+    };
+    let mut own_jobs = 0;
+    for user in &users {
+        for route in [
+            "/api/recent_jobs",
+            "/api/jobmetrics",
+            "/api/jobtelemetry",
+            "/api/clusterstatus",
+        ] {
+            fold(route, route, user);
+        }
+        let my_jobs = fold("/api/myjobs", "/api/myjobs", user);
+        let my_jobs: Value = my_jobs.body_json().unwrap();
+        for job in my_jobs["jobs"].as_array().unwrap() {
+            if job["user"] == user.as_str() {
+                let id = job["id"].as_str().unwrap();
+                fold("/api/jobs/:id", &format!("/api/jobs/{id}"), user);
+                own_jobs += 1;
+            }
+        }
+    }
+    let nodes: Vec<String> = site
+        .scenario
+        .ctld
+        .snapshot()
+        .nodes
+        .iter()
+        .map(|n| n.name.clone())
+        .collect();
+    for node in &nodes {
+        fold("/api/nodes/:name", &format!("/api/nodes/{node}"), &users[0]);
+    }
+    assert!(own_jobs > 100, "{own_jobs} job pages");
+    let got: Vec<(&str, String)> = digests
+        .iter()
+        .map(|(route, d)| (*route, format!("{:016x}", d.0)))
+        .collect();
+    let pinned = [
+        ("/api/clusterstatus", "dfcfb8363b779e2c"),
+        ("/api/jobmetrics", "3f44505f6f12459f"),
+        ("/api/jobs/:id", "f58da9798a814311"),
+        ("/api/jobtelemetry", "534db5cd887d6248"),
+        ("/api/myjobs", "234491b6cbdd6cd5"),
+        ("/api/nodes/:name", "61a756cb9d5ea035"),
+        ("/api/recent_jobs", "11b72b977b7b2c3e"),
+    ];
+    let pinned: Vec<(&str, String)> = pinned
+        .iter()
+        .map(|(route, d)| (*route, d.to_string()))
+        .collect();
+    assert_eq!(got, pinned);
+}
+
 fn shared(resp: &Response) -> &Arc<[u8]> {
     match &resp.body {
         Body::Shared(bytes) => bytes,
