@@ -40,7 +40,7 @@ pub struct FetchResult {
     pub network: Duration,
     /// The end-to-end trace id, when a network request was made (`None` for
     /// fresh cache hits — no request, no trace). Look the hops up in
-    /// `hpcdash_obs::trace::sink()`.
+    /// `hpcdash_obs::tracestore::store()`.
     pub trace: Option<TraceId>,
 }
 
@@ -225,11 +225,11 @@ impl DashboardClient {
 
     /// One wire request. Each request starts a fresh trace: the id rides the
     /// `X-Trace-Id` header to the server, so the "client" span recorded here
-    /// and the server-side hops land under the same trace in the span sink.
+    /// and the server-side hops land under the same trace in the trace store.
     fn network_get(&self, path: &str) -> Result<(Value, Duration, TraceId, bool), String> {
         let trace = TraceId::generate();
         let _scope = TraceScope::enter(trace);
-        let _span = Span::enter("client").attr("path", path.to_string());
+        let _span = Span::enter("client").attr("path", path);
         let trace_hex = trace.to_hex();
         let start = Instant::now();
         self.network_fetches

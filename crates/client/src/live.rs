@@ -71,7 +71,6 @@ pub struct LiveSubscriber {
     clock: SharedClock,
     /// The `since` cursor used when the server has to (re)register us.
     anchor: Cell<u64>,
-    resyncs: Cell<u64>,
     applied: Cell<u64>,
     /// Consecutive `Shed` responses; resets on any successful poll. Drives
     /// the exponential part of [`LiveSubscriber::retry_delay_ms`].
@@ -121,7 +120,6 @@ impl LiveSubscriber {
             db: IndexedDb::new(),
             clock,
             anchor: Cell::new(0),
-            resyncs: Cell::new(0),
             applied: Cell::new(0),
             shed_streak: Cell::new(0),
             seed,
@@ -187,7 +185,6 @@ impl LiveSubscriber {
             // The delta stream has a hole: local job state may be stale in
             // unknowable ways, so drop it and start over from the head.
             self.db.clear_store(LIVE_STORE);
-            self.resyncs.set(self.resyncs.get() + 1);
             return Ok(PollOutcome::Resync);
         }
         let events = body["events"].as_array().cloned().unwrap_or_default();
@@ -218,10 +215,6 @@ impl LiveSubscriber {
 
     pub fn cursor(&self) -> u64 {
         self.anchor.get()
-    }
-
-    pub fn resync_count(&self) -> u64 {
-        self.resyncs.get()
     }
 
     /// Total deltas applied over this subscriber's lifetime.

@@ -79,12 +79,6 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    pub fn total_fetches(&self) -> u64 {
-        // network_fetches already includes the revalidation requests behind
-        // stale serves, so user-visible fetches = cache hits + network hits.
-        self.cache_fresh + self.network_fetches
-    }
-
     /// Fraction of wire requests that rode an already-open connection.
     pub fn connection_reuse_ratio(&self) -> f64 {
         if self.network_fetches == 0 {

@@ -46,14 +46,6 @@ fn handle(ctx: &DashboardContext, _req: &Request) -> Response {
         })
         .collect::<serde_json::Map>()
         .into();
-    // Span-sink pressure: a ring near capacity that is dropping spans means
-    // traces are losing hops before the tail sampler ever sees them.
-    let sink = hpcdash_obs::trace::sink();
-    body["trace_sink"] = serde_json::json!({
-        "depth": sink.len(),
-        "capacity": sink.capacity(),
-        "dropped_spans": sink.dropped(),
-    });
     let resp = Response::json(&body);
     match report.overall {
         // A degraded dashboard still answers 200 (it serves stale/partial
@@ -146,17 +138,5 @@ mod tests {
         assert!(daemons["slurmctld"]["last_recovery"].is_null());
         assert_eq!(daemons["slurmdbd"]["down"], false);
         assert_eq!(daemons["telemetry_gap_skips"], 0);
-    }
-
-    #[test]
-    fn trace_sink_pressure_rides_along() {
-        let ctx = test_ctx();
-        ctx.health.record_ok("sinfo");
-        let resp = handle(&ctx, &request());
-        let body = resp.body_json().unwrap();
-        let sink = &body["trace_sink"];
-        assert!(sink["capacity"].as_u64().unwrap() > 0);
-        assert!(sink["depth"].as_u64().is_some());
-        assert!(sink["dropped_spans"].as_u64().is_some());
     }
 }

@@ -1,4 +1,4 @@
-//! The admin observatory API: stored tail-sampled traces, the dashboard's
+//! The admin observatory API: stored request traces, the dashboard's
 //! own metrics history, and the SLO/breaker/profiler summary behind the
 //! `/observatory` page.
 //!
@@ -198,7 +198,6 @@ fn http_rows(ctx: &DashboardContext) -> Value {
 pub(crate) fn summary_payload(ctx: &DashboardContext) -> Value {
     let store = tracestore::store();
     let stats = store.stats();
-    let sink = hpcdash_obs::trace::sink();
     let breakers: Vec<Value> = ctx
         .breakers
         .snapshots()
@@ -243,18 +242,11 @@ pub(crate) fn summary_payload(ctx: &DashboardContext) -> Value {
         "breakers": breakers,
         "phases": Value::Object(phases),
         "traces": {
-            "finalized": stats.finalized,
             "retained": stats.retained_total(),
             "retained_current": stats.retained_current,
             "by_cause": Value::Object(by_cause),
-            "discarded": stats.discarded,
             "evicted": stats.evicted,
             "late_spans": stats.late_spans,
-        },
-        "trace_sink": {
-            "depth": sink.len(),
-            "capacity": sink.capacity(),
-            "dropped_spans": sink.dropped(),
         },
     })
 }
@@ -297,7 +289,7 @@ fn handle_traces(ctx: &DashboardContext, req: &Request) -> Response {
     Response::json(&json!({
         "traces": traces,
         "retained_current": stats.retained_current,
-        "finalized": stats.finalized,
+        "retained": stats.retained_total(),
     }))
 }
 
@@ -445,7 +437,6 @@ mod tests {
             phases.iter().any(|p| p["phase"] == "sched_pass"),
             "tick profiled: {phases:?}"
         );
-        assert!(body["trace_sink"]["capacity"].as_u64().unwrap() > 0);
     }
 
     #[test]

@@ -143,25 +143,8 @@ fn register_collectors(ctx: &DashboardContext) {
             ));
         }
     });
-    // Trace pipeline health: span-sink ring pressure and the tail sampler's
-    // retention accounting, by cause.
+    // Trace store accounting: retentions by cause, evictions and size.
     ctx.obs.register_collector(move |out| {
-        let sink = hpcdash_obs::trace::sink();
-        out.push(Sample::counter(
-            "hpcdash_trace_spans_dropped_total",
-            &[],
-            sink.dropped(),
-        ));
-        out.push(Sample::gauge(
-            "hpcdash_trace_sink_depth",
-            &[],
-            sink.len() as i64,
-        ));
-        out.push(Sample::gauge(
-            "hpcdash_trace_sink_capacity",
-            &[],
-            sink.capacity() as i64,
-        ));
         let stats = hpcdash_obs::tracestore::store().stats();
         for cause in hpcdash_obs::RetainCause::ALL {
             out.push(Sample::counter(
@@ -170,11 +153,6 @@ fn register_collectors(ctx: &DashboardContext) {
                 stats.retained_by_cause[cause.index()],
             ));
         }
-        out.push(Sample::counter(
-            "hpcdash_trace_discarded_total",
-            &[],
-            stats.discarded,
-        ));
         out.push(Sample::counter(
             "hpcdash_trace_evicted_total",
             &[],
@@ -612,9 +590,7 @@ mod tests {
             "telemetry store metrics exported:\n{text}"
         );
         assert!(
-            text.contains("hpcdash_trace_spans_dropped_total")
-                && text.contains("hpcdash_trace_sink_capacity")
-                && text.contains("hpcdash_trace_retained_total{cause=\"error\"}"),
+            text.contains("hpcdash_trace_retained_total{cause=\"error\"}"),
             "trace pipeline metrics exported:\n{text}"
         );
         let resp = get(&d, "/api/health", None);

@@ -167,9 +167,9 @@ impl DashboardContext {
         news: Arc<NewsFeed>,
     ) -> DashboardContext {
         let obs = Arc::new(Registry::new());
-        // Tail-sampled trace retention writes p99 exemplars into this
-        // registry's latency histograms (last context built wins — fine:
-        // tests build isolated contexts and never assert cross-context).
+        // Trace retention writes p99 exemplars into this registry's latency
+        // histograms (last context built wins — fine: tests build isolated
+        // contexts and never assert cross-context).
         hpcdash_obs::tracestore::store().set_registry(&obs);
         // Each subscriber sees what `CurrentUser::may_view_job_of` would
         // show it: the same profile, the same `allows_job`. The resolver
@@ -418,7 +418,7 @@ impl DashboardContext {
         let last_err: Cell<Option<String>> = Cell::new(None);
         let outcome = self.cache.get_or_fetch(key, ttl, || {
             loader_ran.set(true);
-            let _span = Span::enter("cache-miss").attr("key", key.to_string());
+            let _span = Span::enter("cache-miss").attr("key", key);
             // The breaker gate lives inside the loader: fresh cache hits
             // above never consult it (they don't touch the backend), and
             // coalesced followers share the leader's verdict.

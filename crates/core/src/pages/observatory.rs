@@ -21,7 +21,7 @@ pub fn render_shell(cluster: &str, user: &str) -> String {
          service levels, circuit breakers, daemon tick phases, the HTTP \
          event loop (connections by state, sheds, 304 revalidations, \
          and per loop thread the time its last wake-up took, the handler \
-         it ran included), and tail-sampled request traces.</p>",
+         it ran included), and stored request traces.</p>",
     );
     body.push_str("<div class=\"widget-grid\">");
     body.push_str(&widget_placeholder("observatory", "/api/observatory"));
@@ -131,7 +131,7 @@ mod tests {
         assert!(html.contains("<tbody></tbody>"));
         // Zero-duration root: no division by zero, bars stay in range.
         let html = render_waterfall(&json!({
-            "id": "bb", "cause": "sampled", "route": "/x", "root_dur_ns": 0,
+            "id": "bb", "cause": "healthy", "route": "/x", "root_dur_ns": 0,
             "spans": [{"name": "route", "depth": 0, "start_offset_ns": 0, "dur_ns": 0}],
         }));
         assert!(html.contains("depth-0\">route"));

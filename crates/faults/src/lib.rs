@@ -138,18 +138,6 @@ impl FaultRule {
         }
     }
 
-    /// `slurmdbd` mirror-sync lag.
-    pub fn dbd_lag() -> FaultRule {
-        FaultRule {
-            daemon: "slurmdbd".to_string(),
-            rpc: "sync_active".to_string(),
-            kind: FaultKind::Lag,
-            probability: 1.0,
-            window: None,
-            flap: None,
-        }
-    }
-
     /// Restrict the rule to a sim-time window `[start, end)`.
     pub fn during(mut self, start: Timestamp, end: Timestamp) -> FaultRule {
         self.window = Some((start, end));

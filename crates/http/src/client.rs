@@ -12,6 +12,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Read and write timeout on every client socket.
+const TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Client-side errors.
 #[derive(Debug)]
 pub enum ClientError {
@@ -79,7 +82,6 @@ struct Pool {
 /// keep-alive client share one connection pool.
 #[derive(Debug, Clone)]
 pub struct HttpClient {
-    timeout: Duration,
     pool: Option<Arc<Pool>>,
 }
 
@@ -87,17 +89,7 @@ impl HttpClient {
     /// The stateless one-shot client: every request opens a fresh
     /// connection and sends `Connection: close`.
     pub fn new() -> HttpClient {
-        HttpClient {
-            timeout: Duration::from_secs(10),
-            pool: None,
-        }
-    }
-
-    pub fn with_timeout(timeout: Duration) -> HttpClient {
-        HttpClient {
-            timeout,
-            pool: None,
-        }
+        HttpClient { pool: None }
     }
 
     /// A keep-alive client: requests reuse one pooled connection per host
@@ -105,14 +97,6 @@ impl HttpClient {
     /// connection has gone stale.
     pub fn keep_alive() -> HttpClient {
         HttpClient {
-            timeout: Duration::from_secs(10),
-            pool: Some(Arc::new(Pool::default())),
-        }
-    }
-
-    pub fn keep_alive_with_timeout(timeout: Duration) -> HttpClient {
-        HttpClient {
-            timeout,
             pool: Some(Arc::new(Pool::default())),
         }
     }
@@ -158,8 +142,8 @@ impl HttpClient {
 
     fn connect(&self, host: &str) -> Result<TcpStream, ClientError> {
         let stream = TcpStream::connect(host)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
+        stream.set_read_timeout(Some(TIMEOUT))?;
+        stream.set_write_timeout(Some(TIMEOUT))?;
         stream.set_nodelay(true)?;
         Ok(stream)
     }

@@ -550,6 +550,6 @@ fn route_on_worker(router: &Router, req: &Request) -> Response {
         .header(crate::router::TRACE_HEADER)
         .and_then(hpcdash_obs::TraceId::from_hex)
         .map(hpcdash_obs::trace::TraceScope::enter);
-    let _span = hpcdash_obs::Span::enter("http").attr("path", req.path.clone());
+    let _span = hpcdash_obs::Span::enter("http").attr("path", &req.path);
     router.handle(req)
 }

@@ -203,7 +203,7 @@ impl Router {
                 continue;
             }
             if let Some(params) = match_segments(&route.segments, &path_segs) {
-                let _span = Span::enter("route").attr("route", route.pattern.clone());
+                let _span = Span::enter("route").attr("route", &route.pattern);
                 // Cloning the request is only needed to attach captured
                 // params; parameterless routes (the hot polling paths)
                 // dispatch borrow-only.
@@ -217,8 +217,8 @@ impl Router {
                 // Tail-sampling retention needs the route and final status
                 // noted before the root span closes (which may be this
                 // route span, for in-process dispatch).
-                tracestore::annotate("route", route.pattern.clone());
-                tracestore::annotate("status", resp.status.to_string());
+                tracestore::annotate("route", &route.pattern);
+                tracestore::annotate("status", resp.status);
                 return (Some(route), resp);
             }
         }
@@ -482,7 +482,10 @@ mod tests {
         let req = Request::new(Method::Get, "/api/jobs").with_header(TRACE_HEADER, &id.to_hex());
         let resp = r.handle(&req);
         assert_eq!(resp.header("x-trace-id"), Some(id.to_hex().as_str()));
-        let spans = hpcdash_obs::trace::sink().records_for(id);
+        let spans = hpcdash_obs::tracestore::store()
+            .get(id)
+            .expect("trace stored")
+            .spans;
         assert_eq!(spans.len(), 1, "one route span under this trace");
         assert_eq!(spans[0].name, "route");
         assert_eq!(spans[0].attr("route"), Some("/api/jobs"));

@@ -9,17 +9,18 @@
 //!   `(name, labels)`. Existing stats objects (cache stats, daemon RPC
 //!   stats) plug in as pull-time *collectors* so they keep their own
 //!   internals but appear in one exposition.
-//! * [`trace`] — `Span` guards with monotonic timing, a per-thread current
-//!   trace ID propagated via the `X-Trace-Id` header from the headless
-//!   browser down to the slurmctld RPC layer, and a global ring-buffer
-//!   [`trace::TraceSink`] from which per-request hop breakdowns are read.
+//! * [`trace`] — `Span` guards with monotonic timing and a per-thread
+//!   current trace ID propagated via the `X-Trace-Id` header from the
+//!   headless browser down to the slurmctld RPC layer. A span outside a
+//!   trace is inert.
 //! * [`recorder`] — an exact-sample latency recorder for load-generator
 //!   style summaries (p50/p90/p99), shared by the headless client.
-//! * [`tracestore`] — tail-sampled trace retention: spans assemble into
-//!   complete traces at root close, and errored/degraded/slow traces (plus
-//!   a deterministic 1-in-N healthy sample) are kept with per-cause
-//!   counters, bounded memory, and exemplar links into the latency
-//!   histograms.
+//! * [`tracestore`] — the one place traced spans land: spans assemble into
+//!   complete traces at root close, every trace is kept and classified
+//!   (error, degraded, slow or healthy), and when full the store evicts
+//!   healthy traces first. Per-cause counters, bounded memory, and exemplar
+//!   links into the latency histograms; per-request hop breakdowns are
+//!   read back from here.
 //! * [`profile`] — per-phase wall-time accounting for the daemon tick
 //!   loops (sched pass, snapshot publish, dbd sync, TSDB ingest).
 //! * [`expo`] — Prometheus-style text and JSON exposition with stable

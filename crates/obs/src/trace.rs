@@ -1,19 +1,19 @@
-//! Request tracing: spans, trace-ID propagation, and a global trace sink.
+//! Request tracing: spans and trace-ID propagation.
 //!
 //! A trace follows one logical request across layers. The headless browser
 //! generates a [`TraceId`], sends it as the `X-Trace-Id` header, and the
 //! HTTP layer re-establishes it (via [`TraceScope`]) on whichever worker
 //! thread handles the request. Every instrumented layer then opens a
-//! [`Span`] guard; on drop the span's record lands in the process-wide
-//! [`TraceSink`] ring buffer, from which per-request hop breakdowns are
-//! read back (`records_for` / `format_trace`).
+//! [`Span`] guard; on drop the span's record goes to the process-wide
+//! [`tracestore::store`](crate::tracestore::store), which assembles the
+//! trace and is where its hops are read back (`get`, then
+//! `StoredTrace::format_trace`). A span opened outside any trace records
+//! nothing and costs next to nothing.
 //!
 //! All timing is monotonic (`Instant`) and expressed as nanoseconds since
 //! a process-local epoch, so records from different threads order
 //! correctly.
 
-use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -104,76 +104,60 @@ fn now_ns() -> u64 {
 
 static SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// A timing guard. Opened at the start of a hop, it captures the current
-/// trace id, a global start-order sequence number, and this thread's span
-/// nesting depth; on drop it records its duration into the global sink.
+/// A timing guard. Opened at the start of a hop inside a trace, it captures
+/// the trace id, a global start-order sequence number and this thread's
+/// span nesting depth; on drop it hands its record to the trace store.
+/// Outside a trace it is inert: no clock read, no shared state, no
+/// allocation.
 #[must_use = "a span measures the scope it is alive in"]
-pub struct Span {
-    name: &'static str,
-    attrs: Vec<(&'static str, String)>,
-    trace: Option<TraceId>,
-    start: Instant,
-    start_ns: u64,
-    seq: u64,
-    depth: u32,
-}
+pub struct Span(Option<SpanRecord>);
 
 impl Span {
     pub fn enter(name: &'static str) -> Span {
+        let Some(trace) = current_trace() else {
+            return Span(None);
+        };
         let depth = DEPTH.with(|d| {
             let v = d.get();
             d.set(v + 1);
             v
         });
-        Span {
+        Span(Some(SpanRecord {
+            trace,
             name,
             attrs: Vec::new(),
-            trace: current_trace(),
-            start: Instant::now(),
             start_ns: now_ns(),
+            dur_ns: 0,
             seq: SEQ.fetch_add(1, Ordering::Relaxed),
             depth,
+        }))
+    }
+
+    /// Attach a key/value attribute (builder style). The value is formatted
+    /// only when the span is inside a trace.
+    pub fn attr(mut self, key: &'static str, value: impl std::fmt::Display) -> Span {
+        if let Some(rec) = &mut self.0 {
+            rec.attrs.push((key, value.to_string()));
         }
-    }
-
-    /// Attach a key/value attribute (builder style).
-    pub fn attr(mut self, key: &'static str, value: impl Into<String>) -> Span {
-        self.attrs.push((key, value.into()));
         self
-    }
-
-    pub fn trace_id(&self) -> Option<TraceId> {
-        self.trace
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
+        let Some(mut rec) = self.0.take() else { return };
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
         // Clamp to >= 1ns so "this hop happened" is always distinguishable
         // from "never recorded", even for sub-resolution scopes.
-        let dur_ns = (self.start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64).max(1);
-        let rec = SpanRecord {
-            trace: self.trace,
-            name: self.name,
-            attrs: std::mem::take(&mut self.attrs),
-            start_ns: self.start_ns,
-            dur_ns,
-            seq: self.seq,
-            depth: self.depth,
-        };
-        // The tail-sampling store sees every completed span first (it keeps
-        // its own copies for retained traces); the flat ring gets the
-        // original record regardless.
-        crate::tracestore::store().observe(&rec);
-        sink().push(rec);
+        rec.dur_ns = now_ns().saturating_sub(rec.start_ns).max(1);
+        crate::tracestore::store().observe(rec);
     }
 }
 
-/// One completed span, as stored in the sink.
+/// One completed span of a trace.
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
-    pub trace: Option<TraceId>,
+    pub trace: TraceId,
     pub name: &'static str,
     pub attrs: Vec<(&'static str, String)>,
     pub start_ns: u64,
@@ -191,92 +175,6 @@ impl SpanRecord {
     }
 }
 
-/// Default ring capacity: enough for hundreds of multi-hop requests.
-pub const DEFAULT_SINK_CAPACITY: usize = 4096;
-
-/// A bounded ring buffer of completed spans.
-pub struct TraceSink {
-    ring: Mutex<VecDeque<SpanRecord>>,
-    capacity: usize,
-    dropped: AtomicU64,
-}
-
-impl TraceSink {
-    pub fn with_capacity(capacity: usize) -> TraceSink {
-        TraceSink {
-            ring: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
-            capacity: capacity.max(1),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    pub fn push(&self, rec: SpanRecord) {
-        let mut ring = self.ring.lock();
-        if ring.len() == self.capacity {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(rec);
-    }
-
-    pub fn len(&self) -> usize {
-        self.ring.lock().len()
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Spans evicted from the ring to make room — the overflow that used to
-    /// be silent.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ring.lock().is_empty()
-    }
-
-    /// Every span recorded for `trace`, in start order (root hop first).
-    pub fn records_for(&self, trace: TraceId) -> Vec<SpanRecord> {
-        let mut out: Vec<SpanRecord> = self
-            .ring
-            .lock()
-            .iter()
-            .filter(|r| r.trace == Some(trace))
-            .cloned()
-            .collect();
-        out.sort_by_key(|r| r.seq);
-        out
-    }
-
-    /// Render the per-hop breakdown of one trace as an indented tree.
-    pub fn format_trace(&self, trace: TraceId) -> String {
-        let records = self.records_for(trace);
-        if records.is_empty() {
-            return format!("trace {trace}: no spans recorded\n");
-        }
-        let t0 = records.iter().map(|r| r.start_ns).min().unwrap_or(0);
-        let mut out = format!("trace {trace} ({} span(s)):\n", records.len());
-        for r in &records {
-            let indent = "  ".repeat(r.depth as usize + 1);
-            let attrs = if r.attrs.is_empty() {
-                String::new()
-            } else {
-                let kv: Vec<String> = r.attrs.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                format!(" [{}]", kv.join(" "))
-            };
-            out.push_str(&format!(
-                "{indent}{name:<12} +{offset:>9} {dur:>11}{attrs}\n",
-                name = r.name,
-                offset = fmt_ns(r.start_ns.saturating_sub(t0)),
-                dur = fmt_ns(r.dur_ns),
-            ));
-        }
-        out
-    }
-}
-
 /// Human-friendly nanosecond rendering (`412ns`, `3.2µs`, `1.8ms`, `2.4s`).
 pub fn fmt_ns(ns: u64) -> String {
     if ns < 1_000 {
@@ -288,12 +186,6 @@ pub fn fmt_ns(ns: u64) -> String {
     } else {
         format!("{:.2}s", ns as f64 / 1_000_000_000.0)
     }
-}
-
-/// The process-wide sink that [`Span`] guards record into.
-pub fn sink() -> &'static TraceSink {
-    static SINK: OnceLock<TraceSink> = OnceLock::new();
-    SINK.get_or_init(|| TraceSink::with_capacity(DEFAULT_SINK_CAPACITY))
 }
 
 #[cfg(test)]
@@ -364,50 +256,26 @@ mod tests {
                 let _grandchild = Span::enter("ctld");
             }
         }
-        let records = sink().records_for(id);
+        let trace = crate::tracestore::store().get(id).expect("stored");
+        let records = &trace.spans;
         let names: Vec<&str> = records.iter().map(|r| r.name).collect();
         assert_eq!(names, ["http", "slurmcli", "ctld"]);
         let depths: Vec<u32> = records.iter().map(|r| r.depth).collect();
         assert_eq!(depths, [0, 1, 2]);
-        assert!(records.iter().all(|r| r.dur_ns >= 1));
+        assert!(records.iter().all(|r| r.dur_ns >= 1 && r.trace == id));
         assert!(records[0].dur_ns >= 50_000, "root span spans its children");
         assert_eq!(records[0].attr("route"), Some("/api/x"));
-        let dump = sink().format_trace(id);
+        let dump = trace.format_trace();
         assert!(dump.contains("http"), "dump:\n{dump}");
         assert!(dump.contains("route=/api/x"), "dump:\n{dump}");
     }
 
     #[test]
-    fn spans_without_a_scope_carry_no_trace() {
-        let before = sink().len();
-        drop(Span::enter("orphan"));
-        assert!(sink().len() >= before.min(DEFAULT_SINK_CAPACITY - 1));
-        // An orphan span never shows up under a real trace id.
-        let id = TraceId::generate();
-        assert!(sink().records_for(id).is_empty());
-    }
-
-    #[test]
-    fn sink_ring_evicts_oldest() {
-        let sink = TraceSink::with_capacity(4);
-        let id = TraceId(0x77);
-        for seq in 0..6u64 {
-            sink.push(SpanRecord {
-                trace: Some(id),
-                name: "x",
-                attrs: Vec::new(),
-                start_ns: seq,
-                dur_ns: 1,
-                seq,
-                depth: 0,
-            });
-        }
-        let records = sink.records_for(id);
-        assert_eq!(records.len(), 4);
-        assert_eq!(records[0].seq, 2, "oldest two evicted");
-        assert_eq!(sink.dropped(), 2, "evictions are counted, not silent");
-        assert_eq!(sink.capacity(), 4);
-        assert_eq!(sink.len(), 4);
+    fn spans_without_a_scope_are_inert() {
+        let span = Span::enter("orphan").attr("key", 42);
+        assert!(span.0.is_none(), "no record outside a trace");
+        drop(span);
+        assert_eq!(DEPTH.with(|d| d.get()), 0, "depth untouched");
     }
 
     #[test]

@@ -1,26 +1,26 @@
-//! Tail-sampled trace retention: assemble [`SpanRecord`]s into complete
-//! traces at root-span close, then decide — with the whole trace in hand —
-//! whether it is worth keeping.
+//! Trace retention: assemble [`SpanRecord`]s into complete traces at
+//! root-span close, then classify each one with the whole trace in hand.
+//! This is the only place a traced span lands.
 //!
-//! Head sampling throws traces away before knowing how they end; the flat
-//! [`TraceSink`](crate::trace::TraceSink) ring keeps everything but evicts
-//! blindly. The store sits between: every trace that **errored** or served
-//! **degraded** (stale) data is retained, every trace **slower** than a
-//! per-route latency threshold learned from recent traffic is retained,
-//! and the healthy rest is thinned to a deterministic 1-in-N sample. Each
-//! retention cause keeps its own counter, and both the pending-assembly
-//! and retained sets are bounded.
+//! Every finished trace is kept, so a trace id a client saw can always be
+//! looked up while it is recent. What the store decides is which traces
+//! outlive the others: a trace that **errored**, served **degraded**
+//! (stale) data, or ran **slower** than a per-route latency threshold
+//! learned from recent traffic is kept ahead of every **healthy** one. When
+//! the store is over capacity it evicts the oldest healthy trace, or the
+//! oldest trace if none is healthy. Each cause keeps its own counter, and
+//! both the pending-assembly and retained sets are bounded.
 //!
 //! Retention is also where histogram **exemplars** are written: the root
 //! duration of a kept trace is stamped into the matching bucket of the
-//! route-latency histogram, so a non-zero exemplar always resolves to a
-//! trace the store actually holds (an observe-time exemplar would almost
-//! always point at a discarded trace).
+//! route-latency histogram, so an exemplar points at a trace the store held
+//! when it was written.
 
 use crate::registry::Registry;
-use crate::trace::{current_trace, SpanRecord, TraceId};
+use crate::trace::{current_trace, fmt_ns, SpanRecord, TraceId};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -28,7 +28,7 @@ use std::sync::{Arc, OnceLock};
 /// latency recorded by the HTTP router.
 pub const ROUTE_LATENCY_METRIC: &str = "hpcdash_http_request_latency";
 
-/// Why a trace was kept.
+/// Why a trace was kept, in order of how long it outlives the others.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RetainCause {
     /// The request errored (5xx status, or the source load failed outright).
@@ -37,8 +37,8 @@ pub enum RetainCause {
     Degraded,
     /// Slower than the learned per-route latency threshold.
     Slow,
-    /// The deterministic 1-in-N sample of the healthy rest.
-    Sampled,
+    /// None of the above; evicted first when the store is full.
+    Healthy,
 }
 
 impl RetainCause {
@@ -46,7 +46,7 @@ impl RetainCause {
         RetainCause::Error,
         RetainCause::Degraded,
         RetainCause::Slow,
-        RetainCause::Sampled,
+        RetainCause::Healthy,
     ];
 
     pub fn label(self) -> &'static str {
@@ -54,7 +54,7 @@ impl RetainCause {
             RetainCause::Error => "error",
             RetainCause::Degraded => "degraded",
             RetainCause::Slow => "slow",
-            RetainCause::Sampled => "sampled",
+            RetainCause::Healthy => "healthy",
         }
     }
 
@@ -63,7 +63,7 @@ impl RetainCause {
             RetainCause::Error => 0,
             RetainCause::Degraded => 1,
             RetainCause::Slow => 2,
-            RetainCause::Sampled => 3,
+            RetainCause::Healthy => 3,
         }
     }
 }
@@ -71,29 +71,24 @@ impl RetainCause {
 /// Retention policy knobs. Defaults bound memory to a few hundred traces.
 #[derive(Debug, Clone)]
 pub struct TraceStoreConfig {
-    /// Retained traces kept (FIFO eviction beyond this).
+    /// Retained traces kept; beyond this the oldest healthy one is evicted.
     pub capacity: usize,
     /// In-flight (unfinished) traces assembled at once.
     pub max_pending: usize,
     /// Spans kept per trace; extras mark the trace truncated.
     pub max_spans_per_trace: usize,
-    /// Healthy traces kept at 1-in-N. 0 disables healthy sampling.
-    pub healthy_sample_rate: u64,
     /// Quantile of recent per-route latency that defines "slow".
     pub slow_quantile: f64,
     /// Per-route samples required before the slow threshold activates.
     pub slow_min_samples: usize,
     /// The slow threshold never drops below this (ns), so routes with
-    /// uniformly fast traffic don't retain everything.
+    /// uniformly fast traffic don't mark everything slow.
     pub slow_floor_ns: u64,
     /// Per-route sample window: the slow threshold is recomputed (and the
     /// window drained) each time it fills, so the threshold tracks *recent*
     /// traffic, memory stays bounded, and the span record path never sorts —
     /// the percentile cost is amortized over the whole window.
     pub threshold_window: usize,
-    /// Offsets the healthy-sample phase; same seed + same stream ⇒ same
-    /// retained set.
-    pub seed: u64,
 }
 
 impl Default for TraceStoreConfig {
@@ -102,12 +97,10 @@ impl Default for TraceStoreConfig {
             capacity: 512,
             max_pending: 256,
             max_spans_per_trace: 64,
-            healthy_sample_rate: 16,
             slow_quantile: 0.99,
             slow_min_samples: 64,
             slow_floor_ns: 50_000_000,
             threshold_window: 512,
-            seed: 0x5eed,
         }
     }
 }
@@ -135,18 +128,37 @@ impl StoredTrace {
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
     }
+
+    /// Render the per-hop breakdown as an indented tree.
+    pub fn format_trace(&self) -> String {
+        let t0 = self.spans.iter().map(|r| r.start_ns).min().unwrap_or(0);
+        let mut out = format!("trace {} ({} span(s)):\n", self.id, self.spans.len());
+        for r in &self.spans {
+            let indent = "  ".repeat(r.depth as usize + 1);
+            let attrs = if r.attrs.is_empty() {
+                String::new()
+            } else {
+                let kv: Vec<String> = r.attrs.iter().map(|(k, v)| format!("{k}={v}")).collect();
+                format!(" [{}]", kv.join(" "))
+            };
+            out.push_str(&format!(
+                "{indent}{name:<12} +{offset:>9} {dur:>11}{attrs}\n",
+                name = r.name,
+                offset = fmt_ns(r.start_ns.saturating_sub(t0)),
+                dur = fmt_ns(r.dur_ns),
+            ));
+        }
+        out
+    }
 }
 
 /// Running totals; all monotonic except the two `_current` sizes.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStoreStats {
-    /// Traces whose root span closed (retained + discarded).
-    pub finalized: u64,
-    /// Retentions by cause, indexed by [`RetainCause::index`].
+    /// Traces finalized at root close, by cause, indexed by
+    /// [`RetainCause::index`].
     pub retained_by_cause: [u64; 4],
-    /// Healthy traces dropped by the 1-in-N sampler.
-    pub discarded: u64,
-    /// Retained traces evicted FIFO to stay within capacity.
+    /// Retained traces evicted to stay within capacity.
     pub evicted: u64,
     /// In-flight traces dropped because assembly overflowed.
     pub pending_evicted: u64,
@@ -178,6 +190,16 @@ impl Pending {
     }
 }
 
+/// Append `rec` unless `spans` is already at `max`, in which case the trace
+/// is marked truncated instead.
+fn push_capped(spans: &mut Vec<SpanRecord>, truncated: &mut bool, rec: SpanRecord, max: usize) {
+    if spans.len() < max {
+        spans.push(rec);
+    } else {
+        *truncated = true;
+    }
+}
+
 /// Per-route slow-threshold state. The threshold is a *cached* quantile:
 /// recomputed when the window first reaches `slow_min_samples` and then each
 /// time it fills `threshold_window` (which drains the window), never on the
@@ -191,29 +213,29 @@ struct RouteLat {
 #[derive(Default)]
 struct Inner {
     pending: HashMap<u64, Pending>,
+    /// Ids in the order they started assembling; ids of traces that have
+    /// since finalized are swept out once they outnumber `max_pending`.
     pending_order: VecDeque<u64>,
     retained: HashMap<u64, StoredTrace>,
-    retained_order: VecDeque<u64>,
-    /// Recently finalized-and-discarded ids: late spans for them (the
-    /// in-process client's root closes after the server's) are dropped
-    /// rather than re-assembled into a one-span ghost trace.
+    /// Retained ids with their cause, oldest first.
+    retained_order: VecDeque<(u64, RetainCause)>,
+    /// Recently evicted ids: late spans for them (the in-process client's
+    /// root closes after the server's) are dropped rather than
+    /// re-assembled into a one-span ghost trace.
     discarded_recent: HashSet<u64>,
     discarded_order: VecDeque<u64>,
     /// Per-route recent latencies feeding the slow threshold.
     route_lat: HashMap<String, RouteLat>,
-    healthy_seen: u64,
 }
 
-/// The tail-sampling store. One global instance (see [`store`]) observes
-/// every span close; local instances back deterministic tests.
+/// The trace store. One global instance (see [`store`]) receives every
+/// traced span close; local instances back deterministic tests.
 pub struct TraceStore {
     cfg: TraceStoreConfig,
     inner: Mutex<Inner>,
     /// Exemplar target; attached by the dashboard context at startup.
     registry: Mutex<Option<Arc<Registry>>>,
-    finalized: AtomicU64,
     retained_counts: [AtomicU64; 4],
-    discarded: AtomicU64,
     evicted: AtomicU64,
     pending_evicted: AtomicU64,
     late_spans: AtomicU64,
@@ -231,17 +253,11 @@ impl TraceStore {
             cfg,
             inner: Mutex::new(Inner::default()),
             registry: Mutex::new(None),
-            finalized: AtomicU64::new(0),
             retained_counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            discarded: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
             pending_evicted: AtomicU64::new(0),
             late_spans: AtomicU64::new(0),
         }
-    }
-
-    pub fn config(&self) -> &TraceStoreConfig {
-        &self.cfg
     }
 
     /// Attach the registry that retained traces stamp exemplars into.
@@ -249,56 +265,34 @@ impl TraceStore {
         *self.registry.lock() = Some(registry.clone());
     }
 
-    /// Observe one completed span. Called from `Span::drop` for the global
+    /// Take one completed span. Called from `Span::drop` for the global
     /// instance; tests feed synthetic records directly.
-    pub fn observe(&self, rec: &SpanRecord) {
-        let Some(id) = rec.trace else { return };
+    pub fn observe(&self, rec: SpanRecord) {
+        let id = rec.trace;
+        let max_spans = self.cfg.max_spans_per_trace;
         let exemplar = {
             let mut inner = self.inner.lock();
             // Late span for an already-retained trace: append in place.
             if let Some(t) = inner.retained.get_mut(&id.0) {
-                if t.spans.len() < self.cfg.max_spans_per_trace {
-                    t.spans.push(rec.clone());
-                    t.spans.sort_by_key(|r| r.seq);
-                } else {
-                    t.truncated = true;
-                }
+                push_capped(&mut t.spans, &mut t.truncated, rec, max_spans);
+                t.spans.sort_by_key(|r| r.seq);
                 self.late_spans.fetch_add(1, Ordering::Relaxed);
                 return;
             }
-            // Late span for a trace already finalized and discarded.
+            // Late span for a trace already evicted.
             if inner.discarded_recent.contains(&id.0) {
                 self.late_spans.fetch_add(1, Ordering::Relaxed);
                 return;
             }
             if rec.depth == 0 {
-                // Root close: the trace is complete. The single-span case
-                // (no children, no annotations) decides retention straight
-                // from the borrowed record — no clone unless it is kept —
-                // which is the overwhelmingly common healthy-traffic path.
-                match inner.pending.remove(&id.0) {
-                    Some(mut p) => {
-                        if p.spans.len() < self.cfg.max_spans_per_trace {
-                            p.spans.push(rec.clone());
-                        } else {
-                            p.truncated = true;
-                        }
-                        self.finalize_locked(&mut inner, id, p, rec.dur_ns)
-                    }
-                    None => self.finalize_single_locked(&mut inner, id, rec),
-                }
+                // Root close: the trace is complete.
+                let mut p = inner.pending.remove(&id.0).unwrap_or_default();
+                let root_dur_ns = rec.dur_ns;
+                push_capped(&mut p.spans, &mut p.truncated, rec, max_spans);
+                self.finalize_locked(&mut inner, id, p, root_dur_ns)
             } else {
-                let p = Self::pending_entry(
-                    &mut inner,
-                    id.0,
-                    self.cfg.max_pending,
-                    &self.pending_evicted,
-                );
-                if p.spans.len() < self.cfg.max_spans_per_trace {
-                    p.spans.push(rec.clone());
-                } else {
-                    p.truncated = true;
-                }
+                let p = self.pending_entry(&mut inner, id.0);
+                push_capped(&mut p.spans, &mut p.truncated, rec, max_spans);
                 None
             }
         };
@@ -311,57 +305,43 @@ impl TraceStore {
         }
     }
 
-    /// Attach a request-level note to the trace active on this thread.
-    pub fn annotate_current(&self, key: &str, value: impl Into<String>) {
-        if let Some(id) = current_trace() {
-            self.annotate_trace(id, key, value);
-        }
-    }
-
     /// Attach a request-level note to `id` (pending or retained).
-    pub fn annotate_trace(&self, id: TraceId, key: &str, value: impl Into<String>) {
+    pub fn annotate_trace(&self, id: TraceId, key: &str, value: impl Display) {
+        let note = (key.to_string(), value.to_string());
         let mut inner = self.inner.lock();
         if let Some(t) = inner.retained.get_mut(&id.0) {
-            t.notes.push((key.to_string(), value.into()));
+            t.notes.push(note);
             return;
         }
         if inner.discarded_recent.contains(&id.0) {
             return;
         }
-        let p = Self::pending_entry(
-            &mut inner,
-            id.0,
-            self.cfg.max_pending,
-            &self.pending_evicted,
-        );
-        p.notes.push((key.to_string(), value.into()));
+        self.pending_entry(&mut inner, id.0).notes.push(note);
     }
 
-    fn pending_entry<'a>(
-        inner: &'a mut Inner,
-        id: u64,
-        max_pending: usize,
-        pending_evicted: &AtomicU64,
-    ) -> &'a mut Pending {
+    fn pending_entry<'a>(&self, inner: &'a mut Inner, id: u64) -> &'a mut Pending {
         if !inner.pending.contains_key(&id) {
-            while inner.pending.len() >= max_pending {
-                match inner.pending_order.pop_front() {
-                    Some(old) => {
-                        if inner.pending.remove(&old).is_some() {
-                            pending_evicted.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    None => break,
+            while inner.pending.len() >= self.cfg.max_pending {
+                let Some(old) = inner.pending_order.pop_front() else {
+                    break;
+                };
+                if inner.pending.remove(&old).is_some() {
+                    self.pending_evicted.fetch_add(1, Ordering::Relaxed);
                 }
+            }
+            if inner.pending_order.len() >= 2 * self.cfg.max_pending {
+                inner
+                    .pending_order
+                    .retain(|old| inner.pending.contains_key(old));
             }
             inner.pending_order.push_back(id);
         }
         inner.pending.entry(id).or_default()
     }
 
-    /// Decide the trace's fate. Returns the `(route, root_dur_ns)` exemplar
-    /// write to perform after the lock is released, if the trace was kept
-    /// on a route.
+    /// Classify and retain the finished trace. Returns the
+    /// `(route, root_dur_ns)` exemplar write to perform after the lock is
+    /// released, if the trace ran on a route.
     fn finalize_locked(
         &self,
         inner: &mut Inner,
@@ -369,7 +349,6 @@ impl TraceStore {
         pending: Pending,
         root_dur_ns: u64,
     ) -> Option<(String, u64)> {
-        self.finalized.fetch_add(1, Ordering::Relaxed);
         let route = pending.note("route").map(str::to_string).or_else(|| {
             pending
                 .spans
@@ -387,13 +366,13 @@ impl TraceStore {
             .and_then(|r| inner.route_lat.get(r).and_then(|rl| rl.thr))
             .is_some_and(|thr| root_dur_ns > thr);
         let cause = if errored {
-            Some(RetainCause::Error)
+            RetainCause::Error
         } else if degraded {
-            Some(RetainCause::Degraded)
+            RetainCause::Degraded
         } else if slow {
-            Some(RetainCause::Slow)
+            RetainCause::Slow
         } else {
-            self.sample_healthy_locked(inner)
+            RetainCause::Healthy
         };
         // Feed the route window *after* deciding, so the threshold only
         // ever reflects traffic that came before this trace — a property
@@ -401,16 +380,10 @@ impl TraceStore {
         if let Some(r) = &route {
             self.feed_route_lat_locked(inner, r, root_dur_ns);
         }
-        let Some(cause) = cause else {
-            self.discarded.fetch_add(1, Ordering::Relaxed);
-            Self::remember_discarded(inner, id.0);
-            return None;
-        };
         let mut spans = pending.spans;
         spans.sort_by_key(|r| r.seq);
         self.retain_locked(
             inner,
-            id,
             StoredTrace {
                 id,
                 cause,
@@ -423,81 +396,24 @@ impl TraceStore {
         )
     }
 
-    /// Finalize a trace whose root closed with nothing pending: exactly one
-    /// span and no annotations, so the errored/degraded causes (which only
-    /// arrive as notes) cannot apply. The decision is slow-or-sampled, made
-    /// on the borrowed record; it is cloned only if actually retained.
-    fn finalize_single_locked(
-        &self,
-        inner: &mut Inner,
-        id: TraceId,
-        rec: &SpanRecord,
-    ) -> Option<(String, u64)> {
-        self.finalized.fetch_add(1, Ordering::Relaxed);
-        let route = rec.attr("route");
-        let root_dur_ns = rec.dur_ns;
-        let slow = route
-            .and_then(|r| inner.route_lat.get(r).and_then(|rl| rl.thr))
-            .is_some_and(|thr| root_dur_ns > thr);
-        let cause = if slow {
-            Some(RetainCause::Slow)
-        } else {
-            self.sample_healthy_locked(inner)
-        };
-        if let Some(r) = route {
-            self.feed_route_lat_locked(inner, r, root_dur_ns);
-        }
-        let Some(cause) = cause else {
-            self.discarded.fetch_add(1, Ordering::Relaxed);
-            Self::remember_discarded(inner, id.0);
-            return None;
-        };
-        self.retain_locked(
-            inner,
-            id,
-            StoredTrace {
-                id,
-                cause,
-                spans: vec![rec.clone()],
-                notes: Vec::new(),
-                root_dur_ns,
-                route: route.map(str::to_string),
-                truncated: false,
-            },
-        )
-    }
-
-    /// The deterministic 1-in-N healthy sample; advances the phase counter.
-    fn sample_healthy_locked(&self, inner: &mut Inner) -> Option<RetainCause> {
-        if self.cfg.healthy_sample_rate == 0 {
-            return None;
-        }
-        inner.healthy_seen += 1;
-        inner
-            .healthy_seen
-            .wrapping_add(self.cfg.seed)
-            .is_multiple_of(self.cfg.healthy_sample_rate)
-            .then_some(RetainCause::Sampled)
-    }
-
-    /// Insert a retained trace, evict FIFO beyond capacity, and hand back
-    /// the exemplar write to perform once the lock is released.
-    fn retain_locked(
-        &self,
-        inner: &mut Inner,
-        id: TraceId,
-        trace: StoredTrace,
-    ) -> Option<(String, u64)> {
+    /// Insert a retained trace, evict beyond capacity (the oldest healthy
+    /// trace, else the oldest), and hand back the exemplar write to perform
+    /// once the lock is released.
+    fn retain_locked(&self, inner: &mut Inner, trace: StoredTrace) -> Option<(String, u64)> {
         self.retained_counts[trace.cause.index()].fetch_add(1, Ordering::Relaxed);
         let exemplar = trace.route.clone().map(|r| (r, trace.root_dur_ns));
-        inner.retained.insert(id.0, trace);
-        inner.retained_order.push_back(id.0);
+        inner.retained_order.push_back((trace.id.0, trace.cause));
+        inner.retained.insert(trace.id.0, trace);
         while inner.retained_order.len() > self.cfg.capacity {
-            if let Some(old) = inner.retained_order.pop_front() {
-                if inner.retained.remove(&old).is_some() {
-                    self.evicted.fetch_add(1, Ordering::Relaxed);
-                    Self::remember_discarded(inner, old);
-                }
+            let victim = inner
+                .retained_order
+                .iter()
+                .position(|&(_, cause)| cause == RetainCause::Healthy)
+                .unwrap_or(0);
+            if let Some((old, _)) = inner.retained_order.remove(victim) {
+                inner.retained.remove(&old);
+                self.evicted.fetch_add(1, Ordering::Relaxed);
+                Self::remember_discarded(inner, old);
             }
         }
         exemplar
@@ -559,7 +475,7 @@ impl TraceStore {
             .iter()
             .rev()
             .take(limit)
-            .filter_map(|id| inner.retained.get(id).cloned())
+            .filter_map(|(id, _)| inner.retained.get(id).cloned())
             .collect()
     }
 
@@ -569,11 +485,9 @@ impl TraceStore {
             (inner.retained.len(), inner.pending.len())
         };
         TraceStoreStats {
-            finalized: self.finalized.load(Ordering::Relaxed),
             retained_by_cause: std::array::from_fn(|i| {
                 self.retained_counts[i].load(Ordering::Relaxed)
             }),
-            discarded: self.discarded.load(Ordering::Relaxed),
             evicted: self.evicted.load(Ordering::Relaxed),
             pending_evicted: self.pending_evicted.load(Ordering::Relaxed),
             late_spans: self.late_spans.load(Ordering::Relaxed),
@@ -583,16 +497,19 @@ impl TraceStore {
     }
 }
 
-/// The process-wide store observed by every [`Span`](crate::trace::Span)
-/// close.
+/// The process-wide store every traced [`Span`](crate::trace::Span) close
+/// lands in.
 pub fn store() -> &'static TraceStore {
     static STORE: OnceLock<TraceStore> = OnceLock::new();
     STORE.get_or_init(TraceStore::default)
 }
 
 /// Attach a note to the trace active on this thread, in the global store.
-pub fn annotate(key: &str, value: impl Into<String>) {
-    store().annotate_current(key, value);
+/// Outside a trace this does nothing, and `value` is never formatted.
+pub fn annotate(key: &str, value: impl Display) {
+    if let Some(id) = current_trace() {
+        store().annotate_trace(id, key, value);
+    }
 }
 
 #[cfg(test)]
@@ -601,7 +518,7 @@ mod tests {
 
     fn rec(trace: u64, name: &'static str, seq: u64, depth: u32, dur_ns: u64) -> SpanRecord {
         SpanRecord {
-            trace: Some(TraceId(trace)),
+            trace: TraceId(trace),
             name,
             attrs: Vec::new(),
             start_ns: seq,
@@ -621,9 +538,9 @@ mod tests {
     fn errored_and_degraded_traces_are_always_retained() {
         let store = TraceStore::new(TraceStoreConfig::default());
         store.annotate_trace(TraceId(1), "status", "503");
-        store.observe(&rec(1, "http", 0, 0, 1_000));
+        store.observe(rec(1, "http", 0, 0, 1_000));
         store.annotate_trace(TraceId(2), "outcome", "degraded");
-        store.observe(&rec(2, "http", 1, 0, 1_000));
+        store.observe(rec(2, "http", 1, 0, 1_000));
         assert_eq!(store.get(TraceId(1)).unwrap().cause, RetainCause::Error);
         assert_eq!(store.get(TraceId(2)).unwrap().cause, RetainCause::Degraded);
         let stats = store.stats();
@@ -635,10 +552,10 @@ mod tests {
     fn multi_span_traces_assemble_root_first() {
         let store = TraceStore::new(TraceStoreConfig::default());
         // Children close before the root, so they arrive first.
-        store.observe(&rec(9, "ctld", 3, 2, 50));
-        store.observe(&rec(9, "slurmcli", 2, 1, 80));
+        store.observe(rec(9, "ctld", 3, 2, 50));
+        store.observe(rec(9, "slurmcli", 2, 1, 80));
         store.annotate_trace(TraceId(9), "status", "500");
-        store.observe(&rec(9, "http", 1, 0, 200));
+        store.observe(rec(9, "http", 1, 0, 200));
         let t = store.get(TraceId(9)).expect("retained");
         let names: Vec<&str> = t.spans.iter().map(|s| s.name).collect();
         assert_eq!(names, ["http", "slurmcli", "ctld"], "seq order, root first");
@@ -651,52 +568,91 @@ mod tests {
         let cfg = TraceStoreConfig {
             slow_min_samples: 8,
             slow_floor_ns: 1_000,
-            healthy_sample_rate: 0, // isolate the slow cause
             ..TraceStoreConfig::default()
         };
         let store = TraceStore::new(cfg);
         for i in 0..10u64 {
-            store.observe(&routed(100 + i, i, 10_000, "/api/x"));
+            store.observe(routed(100 + i, i, 10_000, "/api/x"));
         }
         let thr = store.slow_threshold_ns("/api/x").expect("learned");
         assert!(thr >= 10_000, "threshold {thr} tracks observed latency");
-        store.observe(&routed(200, 20, thr * 10, "/api/x"));
+        store.observe(routed(200, 20, thr * 10, "/api/x"));
         let t = store.get(TraceId(200)).expect("slow trace retained");
         assert_eq!(t.cause, RetainCause::Slow);
         assert_eq!(t.route.as_deref(), Some("/api/x"));
-        // The fast healthy ones were all discarded (sampling off).
-        assert_eq!(store.stats().discarded, 10);
+        // The fast ones were kept too, as healthy.
+        assert_eq!(
+            store.stats().retained_by_cause[RetainCause::Healthy.index()],
+            10
+        );
+    }
+
+    /// One error, one degraded and one slow trace, then `flood` healthy
+    /// ones, into a store of capacity 8.
+    fn flooded(flood: u64) -> TraceStore {
+        let store = TraceStore::new(TraceStoreConfig {
+            capacity: 8,
+            slow_min_samples: 4,
+            slow_floor_ns: 1_000,
+            ..TraceStoreConfig::default()
+        });
+        for i in 0..4u64 {
+            store.observe(routed(10 + i, i, 10_000, "/api/x"));
+        }
+        store.annotate_trace(TraceId(1), "status", "500");
+        store.observe(rec(1, "http", 10, 0, 1_000));
+        store.annotate_trace(TraceId(2), "outcome", "degraded");
+        store.observe(rec(2, "http", 11, 0, 1_000));
+        store.observe(routed(3, 12, 1_000_000, "/api/x"));
+        for i in 0..flood {
+            store.observe(routed(100 + i, 20 + i, 10_000, "/api/x"));
+        }
+        store
     }
 
     #[test]
-    fn healthy_sampling_is_deterministic_across_runs() {
-        let run = |seed: u64| -> Vec<u64> {
-            let store = TraceStore::new(TraceStoreConfig {
-                seed,
-                healthy_sample_rate: 4,
-                ..TraceStoreConfig::default()
-            });
-            for i in 0..64u64 {
-                // Mix healthy traffic with errors: causes must not disturb
-                // the healthy sampling phase.
-                if i % 10 == 0 {
-                    store.annotate_trace(TraceId(i + 1), "status", "500");
-                }
-                store.observe(&rec(i + 1, "http", i, 0, 1_000));
-            }
-            let mut ids: Vec<u64> = store.recent(usize::MAX).iter().map(|t| t.id.0).collect();
-            ids.sort_unstable();
-            ids
+    fn healthy_flood_evicts_healthy_traces_first() {
+        let store = flooded(100);
+        for (id, cause) in [
+            (1, RetainCause::Error),
+            (2, RetainCause::Degraded),
+            (3, RetainCause::Slow),
+        ] {
+            assert_eq!(store.get(TraceId(id)).expect("kept").cause, cause);
+        }
+        let stats = store.stats();
+        assert_eq!(stats.retained_current, 8);
+        assert_eq!(stats.retained_total(), 107);
+        assert_eq!(stats.evicted, 99);
+        // `recent` lists newest first: the five newest healthy traces, then
+        // the kept causes in the order they arrived.
+        let ids: Vec<u64> = store.recent(usize::MAX).iter().map(|t| t.id.0).collect();
+        assert_eq!(ids, [199, 198, 197, 196, 195, 3, 2, 1]);
+        assert_eq!(store.recent(2).len(), 2);
+    }
+
+    #[test]
+    fn oldest_trace_goes_once_no_healthy_one_is_left() {
+        let store = TraceStore::new(TraceStoreConfig {
+            capacity: 2,
+            ..TraceStoreConfig::default()
+        });
+        store.observe(rec(1, "http", 0, 0, 1_000)); // healthy
+        for id in 2..=4u64 {
+            store.annotate_trace(TraceId(id), "status", "500");
+            store.observe(rec(id, "http", id, 0, 1_000));
+        }
+        let ids: Vec<u64> = store.recent(usize::MAX).iter().map(|t| t.id.0).collect();
+        assert_eq!(ids, [4, 3], "healthy 1 went first, then the oldest error");
+        assert_eq!(store.stats().evicted, 2);
+    }
+
+    #[test]
+    fn same_stream_gives_same_retained_set() {
+        let ids = |store: TraceStore| -> Vec<u64> {
+            store.recent(usize::MAX).iter().map(|t| t.id.0).collect()
         };
-        assert_eq!(run(7), run(7), "same seed + same stream ⇒ same set");
-        assert_ne!(run(7), run(8), "seed shifts the sample phase");
-        // And the sampled portion is exactly the 1-in-4 phase of the
-        // healthy traffic, undisturbed by the interleaved errors.
-        let kept = run(7);
-        let errors = (0..64u64).filter(|i| i % 10 == 0).count();
-        let healthy = 64 - errors as u64;
-        let sampled = (1..=healthy).filter(|h| (h + 7) % 4 == 0).count();
-        assert_eq!(kept.len(), errors + sampled);
+        assert_eq!(ids(flooded(37)), ids(flooded(37)));
     }
 
     #[test]
@@ -706,7 +662,7 @@ mod tests {
         store.set_registry(&reg);
         store.annotate_trace(TraceId(42), "status", "500");
         store.annotate_trace(TraceId(42), "route", "/api/jobs");
-        store.observe(&rec(42, "http", 0, 0, 3_000_000));
+        store.observe(rec(42, "http", 0, 0, 3_000_000));
         let h = reg.histogram(ROUTE_LATENCY_METRIC, &[("route", "/api/jobs")]);
         let ex = h.quantile_exemplar(0.99).expect("exemplar written");
         let t = store.get(ex).expect("exemplar resolves in the store");
@@ -725,25 +681,41 @@ mod tests {
         let store = TraceStore::new(cfg);
         // Overflow pending assembly with never-closing traces.
         for i in 0..10u64 {
-            store.observe(&rec(1000 + i, "child", i, 1, 10));
+            store.observe(rec(1000 + i, "child", i, 1, 10));
         }
         assert_eq!(store.stats().pending_current, 4);
         assert_eq!(store.stats().pending_evicted, 6);
         // Overflow the retained set with errors (always kept).
         for i in 0..20u64 {
             store.annotate_trace(TraceId(2000 + i), "status", "500");
-            store.observe(&rec(2000 + i, "http", 100 + i, 0, 10));
+            store.observe(rec(2000 + i, "http", 100 + i, 0, 10));
         }
         let stats = store.stats();
         assert_eq!(stats.retained_current, 8);
         assert_eq!(stats.evicted, 12);
         // Span cap marks truncation.
         for s in 0..5u64 {
-            store.observe(&rec(3000, "child", 200 + s, 1, 10));
+            store.observe(rec(3000, "child", 200 + s, 1, 10));
         }
         store.annotate_trace(TraceId(3000), "status", "500");
-        store.observe(&rec(3000, "http", 300, 0, 10));
+        store.observe(rec(3000, "http", 300, 0, 10));
         assert!(store.get(TraceId(3000)).unwrap().truncated);
+    }
+
+    #[test]
+    fn finalized_traces_do_not_pile_up_in_pending_order() {
+        let store = TraceStore::new(TraceStoreConfig {
+            max_pending: 4,
+            ..TraceStoreConfig::default()
+        });
+        for id in 0..100u64 {
+            store.observe(rec(id, "child", 2 * id + 1, 1, 10));
+            store.observe(rec(id, "http", 2 * id, 0, 20));
+        }
+        assert!(store.inner.lock().pending_order.len() <= 8);
+        let stats = store.stats();
+        assert_eq!((stats.pending_current, stats.pending_evicted), (0, 0));
+        assert_eq!(stats.retained_total(), 100);
     }
 
     #[test]
@@ -752,8 +724,8 @@ mod tests {
         store.annotate_trace(TraceId(5), "status", "500");
         // Server root (seq 2) closes first; the client's root (seq 1)
         // closes later on its own thread.
-        store.observe(&rec(5, "http", 2, 0, 100));
-        store.observe(&rec(5, "client", 1, 0, 150));
+        store.observe(rec(5, "http", 2, 0, 100));
+        store.observe(rec(5, "client", 1, 0, 150));
         let t = store.get(TraceId(5)).expect("retained");
         let names: Vec<&str> = t.spans.iter().map(|s| s.name).collect();
         assert_eq!(names, ["client", "http"], "late span re-sorted by seq");
@@ -761,15 +733,18 @@ mod tests {
     }
 
     #[test]
-    fn late_spans_for_discarded_traces_are_dropped() {
+    fn late_spans_for_evicted_traces_are_dropped() {
         let store = TraceStore::new(TraceStoreConfig {
-            healthy_sample_rate: 0,
+            capacity: 1,
             ..TraceStoreConfig::default()
         });
-        store.observe(&rec(6, "http", 2, 0, 100)); // healthy → discarded
-        store.observe(&rec(6, "client", 1, 0, 150)); // late root
-        assert!(store.get(TraceId(6)).is_none(), "stays discarded");
-        assert_eq!(store.stats().finalized, 1, "not re-finalized");
-        assert_eq!(store.stats().late_spans, 1);
+        store.observe(rec(6, "http", 2, 0, 100));
+        store.observe(rec(7, "http", 3, 0, 100)); // evicts 6
+        store.observe(rec(6, "client", 1, 0, 150)); // late root
+        assert!(store.get(TraceId(6)).is_none(), "stays evicted");
+        let stats = store.stats();
+        assert_eq!(stats.retained_total(), 2, "not re-finalized");
+        assert_eq!(stats.late_spans, 1);
+        assert_eq!(stats.pending_current, 0, "not re-assembled");
     }
 }

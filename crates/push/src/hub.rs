@@ -356,7 +356,7 @@ impl EventSink for Hub {
     /// is already in the log, so per-subscriber work is one visibility
     /// check and a wake — no copy, nothing that waits on a consumer.
     fn publish(&self, event: &JobEvent) {
-        let _span = Span::enter("push-fanout").attr("seq", event.seq.to_string());
+        let _span = Span::enter("push-fanout").attr("seq", event.seq);
         self.ins.published.inc();
         self.signal_all(|sub| (sub.visibility.read().sees)(event));
     }

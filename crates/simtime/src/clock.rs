@@ -29,12 +29,6 @@ impl SimClock {
         }
     }
 
-    /// A clock starting at 2026-07-04T08:00:00Z, a plausible "weekday
-    /// morning" on a production cluster.
-    pub fn default_epoch() -> SimClock {
-        SimClock::new(Timestamp(20_638 * 86_400 + 8 * 3_600))
-    }
-
     /// Advance time by `secs` seconds and return the new instant.
     pub fn advance(&self, secs: u64) -> Timestamp {
         Timestamp(self.now.fetch_add(secs, Ordering::SeqCst) + secs)

@@ -128,12 +128,6 @@ impl ScenarioConfig {
         self
     }
 
-    /// Simulation start instant (defaults to [`DEFAULT_START`]).
-    pub fn starting_at(mut self, start: Timestamp) -> ScenarioConfig {
-        self.start = start;
-        self
-    }
-
     /// Charge realistic RPC costs instead of the free test daemons.
     pub fn realistic_costs(mut self) -> ScenarioConfig {
         self.free_daemons = false;

@@ -1,7 +1,7 @@
 //! Figure 1, regenerated as a trace: follow one widget refresh through every
 //! layer of the system — browser cache, HTTP, API route, server cache, the
 //! Slurm command layer, and the daemons — printing the *recorded* spans for
-//! each hop from the observability layer's span sink.
+//! each hop from the observability layer's trace store.
 //!
 //! ```sh
 //! cargo run --example architecture_trace
@@ -9,8 +9,22 @@
 
 use hpcdash::SimSite;
 use hpcdash_client::FetchOutcome;
-use hpcdash_obs::trace::sink;
+use hpcdash_obs::tracestore::{store, StoredTrace};
+use hpcdash_obs::TraceId;
 use hpcdash_workload::ScenarioConfig;
+
+/// The stored trace for `id`, printed as a hop tree.
+fn show(id: Option<TraceId>) -> StoredTrace {
+    let trace = store()
+        .get(id.expect("network request carries a trace"))
+        .expect("trace stored");
+    print!("{}", trace.format_trace());
+    trace
+}
+
+fn hops(trace: &StoredTrace) -> Vec<&'static str> {
+    trace.spans.iter().map(|s| s.name).collect()
+}
 
 fn main() {
     let site = SimSite::build(ScenarioConfig::small());
@@ -33,19 +47,11 @@ fn main() {
         r1.outcome, r1.perceived
     );
     println!("  every layer is a hop in the recorded trace (server cache stores for {ttl}s):");
-    let trace = r1.trace.expect("network request carries a trace");
-    print!("{}", sink().format_trace(trace));
-    let hops: Vec<&str> = sink()
-        .records_for(trace)
-        .iter()
-        .map(|s| s.name)
-        .collect::<Vec<_>>()
-        .into_iter()
-        .collect();
+    let r1_hops = hops(&show(r1.trace));
     assert_eq!(r1.outcome, FetchOutcome::Network);
-    assert!(
-        hops.contains(&"cache-miss") && hops.contains(&"ctld"),
-        "{hops:?}"
+    assert_eq!(
+        r1_hops,
+        ["client", "http", "route", "cache-miss", "slurmcli", "ctld"]
     );
 
     // --- Request 2: client cache absorbs it -------------------------------
@@ -66,19 +72,13 @@ fn main() {
     let r3b = browser.fetch_api("/api/system_status").expect("fetch");
     println!("\nrequest 3 (system-wide data, two different browsers):");
     println!("  browser {user2} (cold server cache -> trace reaches slurmctld):");
-    print!("{}", sink().format_trace(r3.trace.expect("trace")));
+    show(r3.trace);
     println!("  browser {user} (server cache HIT -> trace stops at the cache):");
-    print!("{}", sink().format_trace(r3b.trace.expect("trace")));
-    let r3b_hops: Vec<&str> = sink()
-        .records_for(r3b.trace.unwrap())
-        .iter()
-        .map(|s| s.name)
-        .collect::<Vec<_>>()
-        .into_iter()
-        .collect();
-    assert!(
-        !r3b_hops.contains(&"ctld"),
-        "server cache absorbed the daemon hop: {r3b_hops:?}"
+    let r3b_hops = hops(&show(r3b.trace));
+    assert_eq!(
+        r3b_hops,
+        ["client", "http", "route"],
+        "server cache absorbed the daemon hop"
     );
 
     // --- Request 4: stale client entry revalidates ------------------------
@@ -95,7 +95,7 @@ fn main() {
         r4.perceived
     );
     println!("  then revalidated in the background ({:?}):", r4.network);
-    print!("{}", sink().format_trace(r4.trace.expect("trace")));
+    show(r4.trace);
     assert_eq!(r4.outcome, FetchOutcome::StaleRevalidated);
 
     println!("\ntrace complete: one data flow, four cache behaviours.");

@@ -5,7 +5,7 @@
 
 use hpcdash::SimSite;
 use hpcdash_client::FetchOutcome;
-use hpcdash_obs::trace::sink;
+use hpcdash_obs::tracestore::store;
 use hpcdash_workload::ScenarioConfig;
 
 #[test]
@@ -20,7 +20,7 @@ fn cold_page_fetch_traces_every_hop() {
     assert_eq!(r.outcome, FetchOutcome::Network);
     let trace = r.trace.expect("network fetch carries a trace id");
 
-    let spans = sink().records_for(trace);
+    let spans = store().get(trace).expect("trace stored").spans;
     let hops: Vec<&str> = spans.iter().map(|s| s.name).collect();
     assert_eq!(
         hops,
@@ -29,7 +29,7 @@ fn cold_page_fetch_traces_every_hop() {
     );
     for span in &spans {
         assert!(span.dur_ns >= 1, "{} span records a duration", span.name);
-        assert_eq!(span.trace, Some(trace));
+        assert_eq!(span.trace, trace);
     }
     // The hops carry layer-specific context.
     assert_eq!(spans[2].attr("route"), Some("/api/recent_jobs"));
@@ -40,11 +40,12 @@ fn cold_page_fetch_traces_every_hop() {
     // slurmcli/ctld hops under its trace.
     let user2 = site.scenario.population.users[1].clone();
     let browser2 = site.browser(&server.base_url(), &user2);
-    let warm = browser2.fetch_api("/api/system_status").expect("fetch");
-    let _cold_hops = sink().records_for(warm.trace.unwrap());
+    browser2.fetch_api("/api/system_status").expect("fetch");
     let warm2 = browser.fetch_api("/api/system_status").expect("fetch");
-    let warm_hops: Vec<&str> = sink()
-        .records_for(warm2.trace.unwrap())
+    let warm_hops: Vec<&str> = store()
+        .get(warm2.trace.unwrap())
+        .expect("trace stored")
+        .spans
         .iter()
         .map(|s| s.name)
         .collect();

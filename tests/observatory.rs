@@ -1,12 +1,12 @@
-//! The observatory end to end: faulted traffic leaves tail-sampled traces
+//! The observatory end to end: faulted traffic leaves error and degraded traces
 //! that an administrator can list and fetch root-first, the p99 exemplar on
 //! the route latency histogram resolves to a stored trace, the dashboard's
 //! own metrics history is queryable from the TSDB's 1-minute tier, and the
 //! whole surface is admin-gated.
 //!
-//! Everything lives in one test because the trace store and span sink are
-//! process-wide: the last-built context owns the exemplar registry, and two
-//! sites built by parallel tests would race for it.
+//! Everything lives in one test because the trace store is process-wide:
+//! the last-built context owns the exemplar registry, and two sites built
+//! by parallel tests would race for it.
 
 use hpcdash::SimSite;
 use hpcdash_client::admin_observability_paths;
@@ -47,7 +47,7 @@ fn observatory_end_to_end() {
         site.scenario.telemetry.collect_now();
     }
 
-    // --- Healthy traffic under known trace ids (1-in-N tail sampling).
+    // --- Healthy traffic under known trace ids.
     for i in 0..20u64 {
         let r = get(&client, &base, "/api/recent_jobs", &user, Some(0xA000 + i));
         assert_eq!(r.status, 200);
@@ -154,13 +154,12 @@ fn observatory_end_to_end() {
     );
     assert_eq!(r.status, 200, "exemplar must resolve to a stored trace");
 
-    // --- Tick phases and trace-pipeline pressure ride along in the summary.
+    // --- Tick phases and trace retention counts ride along in the summary.
     assert!(summary["phases"]["slurmctld"]
         .as_array()
         .unwrap()
         .iter()
         .any(|p| p["phase"] == "sched_pass"));
-    assert!(summary["trace_sink"]["capacity"].as_u64().unwrap() > 0);
     assert!(summary["traces"]["by_cause"]["error"].as_u64().unwrap() >= 1);
 
     // --- Self-metrics history serves from the 1-minute tier, non-empty.
@@ -191,11 +190,4 @@ fn observatory_end_to_end() {
     assert_eq!(page.status, 200);
     assert!(page.body_string().contains("data-api=\"/api/observatory\""));
     assert_eq!(get(&client, &base, "/observatory", &user, None).status, 403);
-
-    // --- Health reports sink pressure alongside source status.
-    let health = get(&client, &base, "/api/health", &user, None);
-    let health = health.json().unwrap();
-    assert!(health["trace_sink"]["capacity"].as_u64().unwrap() > 0);
-    assert!(health["trace_sink"]["depth"].as_u64().is_some());
-    assert!(health["trace_sink"]["dropped_spans"].as_u64().is_some());
 }
