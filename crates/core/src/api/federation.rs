@@ -5,12 +5,13 @@
 //! which consults this context's `BreakerBoard` per site (`fed@<cluster>`
 //! keys) and serves a dark site's slice from its last-known-good snapshot
 //! with an age annotation. The aggregates therefore *always* answer — one
-//! unreachable cluster degrades only its own rows — and the aggregate
-//! routes deliberately skip the server cache: freezing the payload would
-//! freeze the "site beta: data from 40s ago" notices these routes exist to
-//! keep honest. The cluster-scoped route is cached per viewer, keyed by
-//! path (the cluster dimension) and versioned by that site's own published
-//! snapshot seq.
+//! unreachable cluster degrades only its own rows. Every request fans out,
+//! and only a fan-out whose every slice is live asks the per-viewer cache,
+//! versioned by the epoch vector (the sites' seqs summed, plus the fan-out
+//! instant: both only grow, so a hit is the bytes a rebuild would give).
+//! A degraded payload is never stored or revalidated: that would freeze
+//! the "site beta: data from 40s ago" notices these routes exist to keep
+//! honest. The cluster-scoped route does the same for its one slice.
 
 use crate::auth::CurrentUser;
 use crate::ctx::DashboardContext;
@@ -108,6 +109,20 @@ impl From<&SiteStatus> for SiteEntry {
     }
 }
 
+/// An aggregate's answer: cached by the epoch vector when every slice of
+/// `fed` is live, built afresh without a validator when not. `build` runs
+/// only on a miss.
+fn aggregate(
+    ctx: &DashboardContext,
+    req: &Request,
+    fed: &FederatedSnapshot,
+    build: impl FnOnce() -> Vec<u8>,
+) -> Response {
+    let version = (!fed.is_degraded()).then(|| fed.version() + fed.at.0);
+    let ttl = ctx.cfg.cache.federation;
+    super::per_viewer(ctx, req, "federation", ttl, version, || Ok(build()))
+}
+
 /// The degradation notices of every slice that has one.
 fn notices(fed: &FederatedSnapshot) -> Vec<String> {
     fed.sites.iter().filter_map(|s| s.notice()).collect()
@@ -141,22 +156,24 @@ fn status(ctx: &DashboardContext, req: &Request) -> Response {
         return resp;
     }
     let fed = fan_out(ctx);
-    let counts = fed.counts();
-    Response::json(&Status {
-        degraded: fed.is_degraded(),
-        clusters: fed.sites.len(),
-        live: fed.live_sites(),
-        stale: fed.stale_sites(),
-        dark: fed.dark_sites(),
-        totals: Totals {
-            jobs_pending: counts.pending,
-            jobs_running: counts.running,
-            jobs_suspended: counts.suspended,
-            nodes: fed.nodes().count(),
-        },
-        notices: notices(&fed),
-        sites: fed.sites.iter().map(SiteEntry::from).collect(),
-        generated_at: fed.at.0,
+    aggregate(ctx, req, &fed, || {
+        let counts = fed.counts();
+        super::encode(&Status {
+            degraded: fed.is_degraded(),
+            clusters: fed.sites.len(),
+            live: fed.live_sites(),
+            stale: fed.stale_sites(),
+            dark: fed.dark_sites(),
+            totals: Totals {
+                jobs_pending: counts.pending,
+                jobs_running: counts.running,
+                jobs_suspended: counts.suspended,
+                nodes: fed.nodes().count(),
+            },
+            notices: notices(&fed),
+            sites: fed.sites.iter().map(SiteEntry::from).collect(),
+            generated_at: fed.at.0,
+        })
     })
 }
 
@@ -191,24 +208,26 @@ fn jobs(ctx: &DashboardContext, req: &Request) -> Response {
         Err(resp) => return resp,
     };
     let fed = fan_out(ctx);
-    let found = fed.jobs_of_user(&user.username);
-    Response::json(&Jobs {
-        degraded: fed.is_degraded(),
-        notices: notices(&fed),
-        jobs: found
-            .iter()
-            .map(|(site, job)| JobRow {
-                cluster: &site.cluster,
-                slice_health: site.health.as_str(),
-                id: job.id.0,
-                name: &job.req.name,
-                user: &job.req.user,
-                account: &job.req.account,
-                partition: &job.req.partition,
-                state: job.state.to_slurm(),
-            })
-            .collect(),
-        generated_at: fed.at.0,
+    aggregate(ctx, req, &fed, || {
+        let found = fed.jobs_of_user(&user.username);
+        super::encode(&Jobs {
+            degraded: fed.is_degraded(),
+            notices: notices(&fed),
+            jobs: found
+                .iter()
+                .map(|(site, job)| JobRow {
+                    cluster: &site.cluster,
+                    slice_health: site.health.as_str(),
+                    id: job.id.0,
+                    name: &job.req.name,
+                    user: &job.req.user,
+                    account: &job.req.account,
+                    partition: &job.req.partition,
+                    state: job.state.to_slurm(),
+                })
+                .collect(),
+            generated_at: fed.at.0,
+        })
     })
 }
 
@@ -238,21 +257,23 @@ fn nodes(ctx: &DashboardContext, req: &Request) -> Response {
         return resp;
     }
     let fed = fan_out(ctx);
-    Response::json(&Nodes {
-        degraded: fed.is_degraded(),
-        notices: notices(&fed),
-        nodes: fed
-            .nodes()
-            .map(|(site, node)| NodeRow {
-                cluster: &site.cluster,
-                slice_health: site.health.as_str(),
-                name: &node.name,
-                cpus: node.cpus,
-                mem_mb: node.real_memory_mb,
-                gpus: node.gpus,
-            })
-            .collect(),
-        generated_at: fed.at.0,
+    aggregate(ctx, req, &fed, || {
+        super::encode(&Nodes {
+            degraded: fed.is_degraded(),
+            notices: notices(&fed),
+            nodes: fed
+                .nodes()
+                .map(|(site, node)| NodeRow {
+                    cluster: &site.cluster,
+                    slice_health: site.health.as_str(),
+                    name: &node.name,
+                    cpus: node.cpus,
+                    mem_mb: node.real_memory_mb,
+                    gpus: node.gpus,
+                })
+                .collect(),
+            generated_at: fed.at.0,
+        })
     })
 }
 
@@ -265,28 +286,23 @@ fn cluster_status(ctx: &DashboardContext, req: &Request) -> Response {
     let Some(cluster) = req.param("cluster") else {
         return Response::bad_request("missing cluster");
     };
-    let Some(site) = ctx.federation.get(cluster) else {
+    let Some(slice) = ctx.federation.site_status(cluster, &ctx.breakers) else {
         return Response::not_found("unknown cluster");
     };
-    // Versioned on the *named* site's published epoch, not the local
-    // daemon's: the slice is rebuilt when that cluster ticks.
-    let epoch = site.ctld().snapshot().seq;
+    // Polled first: only a live slice is looked up, by its own site's seq.
+    let version = slice.health.is_live().then(|| slice.seq());
     let ttl = ctx.cfg.cache.federation;
-    super::per_viewer(ctx, req, "federation", ttl, epoch, || {
-        let Some(slice) = ctx.federation.site_status(cluster, &ctx.breakers) else {
-            return Err(Response::not_found("unknown cluster"));
-        };
-        // Only a live slice's bytes may be stored and revalidated with
-        // 304s; degraded slices must keep re-reporting their growing age.
-        Ok((SiteEntry::from(&slice), slice.health.is_live()))
+    super::per_viewer(ctx, req, "federation", ttl, version, || {
+        Ok(super::encode(&SiteEntry::from(&slice)))
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::Dashboard;
     use crate::config::DashboardConfig;
-    use crate::ctx::tests::{test_ctx, test_ctx_with};
+    use crate::ctx::tests::{test_ctx, test_ctx_clocked, test_ctx_with};
     use hpcdash_faults::{FaultPlan, FaultRule};
     use hpcdash_http::Method;
     use hpcdash_simtime::Timestamp;
@@ -294,6 +310,100 @@ mod tests {
 
     fn get(path: &str) -> Request {
         Request::new(Method::Get, path).with_header("X-Remote-User", "alice")
+    }
+
+    /// Cut the one site's link: its slice is served stale from now on.
+    fn black_out(ctx: &DashboardContext) {
+        ctx.ctld.faults().install(
+            Arc::new(FaultPlan::new(3).rule(FaultRule::error("slurmctld", "*", "site link down"))),
+            ctx.clock.clone(),
+        );
+    }
+
+    #[test]
+    fn a_cached_live_slice_is_not_served_after_its_site_goes_dark() {
+        let ctx = test_ctx();
+        ctx.ctld.tick();
+        let mut req = get("/api/federation/clusters/t/status");
+        req.params.insert("cluster".to_string(), "t".to_string());
+        let live = cluster_status(&ctx, &req);
+        assert_eq!(live.body_json().unwrap()["health"], "live");
+        assert!(live.header("etag").is_some());
+        // The clock is frozen and the site's seq does not move: only the
+        // poll can tell that the slice is stale now.
+        black_out(&ctx);
+        let stale = cluster_status(&ctx, &req);
+        assert_eq!(stale.body_json().unwrap()["health"], "stale");
+        assert_eq!(stale.header("etag"), None);
+        ctx.ctld.faults().clear();
+    }
+
+    #[test]
+    fn aggregates_revalidate_against_the_epoch_vector_and_never_while_degraded() {
+        for route in &ROUTES[..3] {
+            let (ctx, clock) = test_ctx_clocked();
+            let dash = Dashboard::new(ctx.clone());
+            let fanouts = || {
+                ctx.obs
+                    .counter("hpcdash_federation_fanouts_total", &[])
+                    .get()
+            };
+            let ask = |etag: &str| dash.handle(&get(route).with_header("If-None-Match", etag));
+            let submit = || {
+                ctx.ctld
+                    .submit(JobRequest::simple("alice", "physics", "cpu", 1))
+                    .unwrap()
+            };
+            submit();
+            ctx.ctld.tick();
+            let first = dash.handle(&get(route));
+            assert_eq!(first.status, 200, "{route}");
+            let etag = first
+                .header("etag")
+                .expect("a live aggregate has a validator");
+
+            // An unchanged epoch vector: a 304, and still one fan-out each.
+            for n in 1..=3 {
+                assert_eq!(ask(etag).status, 304, "{route}");
+                assert_eq!(fanouts(), 1 + n, "{route}");
+            }
+
+            // The site publishes new jobs: new bytes (the node list, which
+            // no job changes, may stay the same).
+            submit();
+            ctx.ctld.tick();
+            let ticked = ask(etag);
+            if *route != ROUTES[2] {
+                assert_eq!(ticked.status, 200, "{route}");
+                assert_ne!(ticked.body, first.body, "{route}");
+            }
+
+            // The clock steps with no publish: a new `generated_at`.
+            clock.advance(10);
+            let stepped = ask(etag);
+            assert_eq!(stepped.status, 200, "{route}");
+            let body = stepped.body_json().unwrap();
+            assert_eq!(body["generated_at"], 1_010, "{route}");
+            let etag = stepped.header("etag").expect("still live");
+
+            // The site goes dark after a cached 200: degraded, never a 304
+            // and never a validator, however often it is asked.
+            black_out(&ctx);
+            for _ in 0..2 {
+                let dark = ask(etag);
+                assert_eq!(dark.status, 200, "{route}");
+                assert_eq!(dark.header("etag"), None, "{route}");
+                assert_eq!(dark.body_json().unwrap()["degraded"], true, "{route}");
+            }
+
+            // It clears and publishes: live, validated and revalidated again.
+            ctx.ctld.faults().clear();
+            ctx.ctld.tick();
+            let back = dash.handle(&get(route));
+            assert_eq!(back.body_json().unwrap()["degraded"], false, "{route}");
+            let etag = back.header("etag").expect("live again");
+            assert_eq!(ask(etag).status, 304, "{route}");
+        }
     }
 
     #[test]
@@ -344,10 +454,7 @@ mod tests {
             status(&ctx, &get(ROUTES[0])).body_json().unwrap()["live"],
             1
         );
-        ctx.ctld.faults().install(
-            Arc::new(FaultPlan::new(3).rule(FaultRule::error("slurmctld", "*", "site link down"))),
-            ctx.clock.clone(),
-        );
+        black_out(&ctx);
         let body = status(&ctx, &get(ROUTES[0])).body_json().unwrap();
         assert_eq!(body["degraded"], true);
         assert_eq!(body["stale"], 1);

@@ -79,9 +79,9 @@ fn authorize(ctx: &DashboardContext, req: &Request) -> Result<(CurrentUser, Arc<
 fn handle_overview(ctx: &DashboardContext, req: &Request) -> Response {
     let ttl = ctx.cfg.cache.job_overview;
     let epoch = ctx.ctld.snapshot().seq;
-    super::per_viewer(ctx, req, "job_overview", ttl, epoch, || {
+    super::per_viewer(ctx, req, "job_overview", ttl, Some(epoch), || {
         let (_user, job) = authorize(ctx, req)?;
-        Ok((overview_payload(ctx, &job), true))
+        Ok(super::encode(&overview_payload(ctx, &job)))
     })
 }
 

@@ -31,7 +31,6 @@ use crate::ctx::{DashboardContext, SourceOutcome};
 use hpcdash_cache::Body;
 use hpcdash_http::{Request, Response, Router};
 use std::fmt;
-use std::sync::Arc;
 
 /// A payload's JSON bytes: what a [`DashboardContext::cached_resilient`]
 /// loader returns. Encoding inside the loader lets a payload borrow from
@@ -68,7 +67,7 @@ impl fmt::Display for Link<'_> {
 /// 200 with already-serialized JSON bytes and no validator: the form stale
 /// and degraded payloads go out in, so they are never revalidated as if
 /// they were current.
-pub(crate) fn json_bytes(bytes: Arc<[u8]>) -> Response {
+pub(crate) fn json_bytes(bytes: impl Into<hpcdash_http::Body>) -> Response {
     Response::new(200)
         .with_header("Content-Type", "application/json")
         .with_body(bytes)
@@ -130,45 +129,50 @@ pub(crate) fn respond(outcome: SourceOutcome) -> Response {
 }
 
 /// A per-viewer cached route: one whose payload depends on who asks and is
-/// rebuilt from backends on every miss (a job overview, one federation
-/// slice), so it has no data-source key to share between viewers.
+/// rebuilt from backends on every miss (a job overview, a federation
+/// aggregate or slice), so it has no data-source key to share between
+/// viewers.
 ///
 /// The lookup runs *before* `build` — and so before any authorization in
 /// it — keyed on everything that can change the bytes: the concrete path,
 /// the authenticated identity with its admin bit, any `X-Act-As`
 /// impersonation, and the query string. That is safe because an entry only
 /// exists if the same viewer was answered 200 for the same path. An entry
-/// is fresh while `version` (the publishing cluster's snapshot seq) has not
-/// moved and it is younger than `ttl`; a TTL of zero (the no-cache
-/// ablation) and anonymous requests bypass the cache. `build` returns the
-/// payload and whether it may be stored (degraded payloads must keep
-/// re-reporting their growing age), or the error response to send.
-pub(crate) fn per_viewer<T: serde::Serialize>(
+/// is fresh while `version` has not moved and it is younger than `ttl`; a
+/// TTL of zero (the no-cache ablation), anonymous requests and a `version`
+/// of `None` (a degraded payload, which must keep re-reporting its growing
+/// age) bypass the cache. `build` returns the encoded payload or the error
+/// response to send.
+pub(crate) fn per_viewer(
     ctx: &DashboardContext,
     req: &Request,
     source: &str,
     ttl: u64,
-    version: u64,
-    build: impl FnOnce() -> Result<(T, bool), Response>,
+    version: Option<u64>,
+    build: impl FnOnce() -> Result<Vec<u8>, Response>,
 ) -> Response {
-    let key = viewer_key(ctx, req).filter(|_| ttl > 0).map(|viewer| {
+    let cached = version.filter(|_| ttl > 0).and_then(|version| {
+        let viewer = viewer_key(ctx, req)?;
         let mut key = format!("{source}:{}|{viewer}", req.path);
         for (k, v) in &req.query {
             key.push_str(&format!("|{k}={v}"));
         }
-        key
+        Some((key, version))
     });
-    if let Some(body) = key.as_ref().and_then(|k| ctx.cache_lookup(k, version)) {
+    if let Some(body) = cached
+        .as_ref()
+        .and_then(|(key, version)| ctx.cache_lookup(key, *version))
+    {
         return fresh(body);
     }
-    match (build(), key) {
+    match (build(), cached) {
         (Err(resp), _) => resp,
-        (Ok((payload, true)), Some(key)) => {
-            let body = Body::json(&payload);
+        (Ok(bytes), Some((key, version))) => {
+            let body = Body::new(bytes);
             ctx.cache.cache().insert(key, body.clone(), version, ttl);
             fresh(body)
         }
-        (Ok((payload, _)), _) => Response::json(&payload),
+        (Ok(bytes), None) => json_bytes(bytes),
     }
 }
 

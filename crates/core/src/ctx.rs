@@ -377,7 +377,7 @@ impl DashboardContext {
     /// wrapped in the full [`crate::config::ResiliencePolicy`]:
     ///
     /// * the loader encodes its payload itself and returns the bytes
-    ///   ([`crate::api::encode`]), so a payload may borrow from the command
+    ///   (`api::encode`), so a payload may borrow from the command
     ///   text it was parsed from for as long as it lives: the loader's own
     ///   scope. The bytes become the body the cache shares out; a hit is a
     ///   lookup and two `Arc` clones;

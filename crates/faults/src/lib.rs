@@ -31,8 +31,9 @@ pub enum FaultKind {
     /// The call fails outright with this message (e.g. connection refused).
     Error(String),
     /// The call takes `micros` extra microseconds of service time (burned
-    /// on the daemon's thread, like [`RpcCostModel`]'s spin-wait, so it
-    /// shows up in real latency measurements and can overrun deadlines).
+    /// on the daemon's thread, like `hpcdash_slurm`'s `RpcCostModel`
+    /// spin-wait, so it shows up in real latency measurements and can
+    /// overrun deadlines).
     Latency { micros: u64 },
     /// Command output is deterministically corrupted at the CLI boundary:
     /// truncated mid-table, mangled header, or digits smashed. Parsers must

@@ -5,7 +5,7 @@
 //! [`ServerConfig::workers`] identical threads wait on one shared poller,
 //! and the thread that is handed a connection's readiness event runs the
 //! request to completion — read, parse, route, serialize, write — before it
-//! re-arms the connection (see [`crate::reactor`]'s ownership rule). Ten
+//! re-arms the connection (see the `reactor` module's ownership rule). Ten
 //! thousand keep-alive dashboard tabs cost ten thousand sockets — not ten
 //! thousand threads — and an idle server sleeps in `epoll_wait` at zero CPU.
 

@@ -3,10 +3,12 @@
 //! parses anything; every body is built from the immutable
 //! [`ClusterSnapshot`] the epoch cell published: one borrowed row struct per
 //! object, encoded once into the `Vec<u8>` that becomes the response body,
-//! with no `Value` tree in between. Field names follow `slurmrestd`'s
-//! `openapi/v0.0.x` vocabulary where the simulator has an equivalent
-//! (`job_id`, `user_name`, `node_count`, `state_reason`, ...), so external
-//! consumers written against real Slurm mostly port over.
+//! with no `Value` tree in between. A job row is encoded once per job
+//! version with a gap at `elapsed_secs` (`ClusterSnapshot::job_rows`), and
+//! each body that lists it splices in its own value. Field names follow
+//! `slurmrestd`'s `openapi/v0.0.x` vocabulary where the simulator has an
+//! equivalent (`job_id`, `user_name`, `node_count`, `state_reason`, ...),
+//! so external consumers written against real Slurm mostly port over.
 //!
 //! (The rows reach serde through `serde_json`'s re-export, hence the
 //! `#[serde(crate = ...)]` on each: a `serde` dependency of this crate's own
@@ -15,9 +17,10 @@
 use hpcdash_slurm::ctld::AssocRecord;
 use hpcdash_slurm::job::Job;
 use hpcdash_slurm::node::Node;
-use hpcdash_slurm::snapshot::ClusterSnapshot;
+use hpcdash_slurm::snapshot::{ClusterSnapshot, EncodedRow};
 use serde_json::serde::Serialize;
 use serde_json::Value;
+use std::cell::Cell;
 
 /// The response envelope every endpoint shares: which plugin emitted it,
 /// which cluster, and which publication epoch the data came from. `seq`
@@ -75,12 +78,28 @@ struct JobRow<'a> {
     submit_time: u64,
     start_time: Option<u64>,
     end_time: Option<u64>,
-    elapsed_secs: u64,
+    /// The one field that depends on the snapshot: a gap each body fills.
+    elapsed_secs: Gap,
     time_limit_secs: Option<u64>,
 }
 
-impl<'a> JobRow<'a> {
-    fn of(job: &'a Job, snap: &ClusterSnapshot) -> JobRow<'a> {
+/// Where `elapsed_secs` goes: encoding writes nothing and notes the offset
+/// (a `JobRow` is only ever written by `encode_row`, which reads it back).
+#[derive(Default)]
+struct Gap(Cell<usize>);
+
+impl Serialize for Gap {
+    fn to_json_value(&self) -> Value {
+        Value::Null
+    }
+
+    fn write_json(&self, out: &mut Vec<u8>) {
+        self.0.set(out.len());
+    }
+}
+
+impl<'a> From<&'a Job> for JobRow<'a> {
+    fn from(job: &'a Job) -> JobRow<'a> {
         JobRow {
             job_id: job.id.0,
             name: &job.req.name,
@@ -101,7 +120,7 @@ impl<'a> JobRow<'a> {
             submit_time: job.submit_time.as_secs(),
             start_time: job.start_time.map(|t| t.as_secs()),
             end_time: job.end_time.map(|t| t.as_secs()),
-            elapsed_secs: job.elapsed_secs(snap.now),
+            elapsed_secs: Gap::default(),
             time_limit_secs: job.req.time_limit.as_secs(),
         }
     }
@@ -245,13 +264,6 @@ impl<'a> From<&'a AssocRecord> for AssocRow<'a> {
 
 #[derive(Serialize)]
 #[serde(crate = "serde_json::serde")]
-struct JobsBody<'a> {
-    meta: Meta<'a>,
-    jobs: Vec<JobRow<'a>>,
-}
-
-#[derive(Serialize)]
-#[serde(crate = "serde_json::serde")]
 struct NodesBody<'a> {
     meta: Meta<'a>,
     nodes: Vec<NodeRow<'a>>,
@@ -295,22 +307,62 @@ fn encode<T: Serialize>(body: &T) -> Vec<u8> {
     serde_json::to_vec(body).expect("json serializes")
 }
 
-fn jobs_envelope<'a>(snap: &'a ClusterSnapshot, jobs: impl Iterator<Item = &'a Job>) -> Vec<u8> {
-    encode(&JobsBody {
-        meta: Meta::of(snap),
-        jobs: jobs.map(|job| JobRow::of(job, snap)).collect(),
-    })
+/// One job's row with a gap where its `elapsed_secs` value goes: the rest
+/// is the same for every snapshot that holds this job version.
+fn encode_row(job: &Job) -> EncodedRow {
+    let row = JobRow::from(job);
+    let mut bytes = Vec::with_capacity(512);
+    row.write_json(&mut bytes);
+    EncodedRow {
+        bytes: bytes.into(),
+        gap: row.elapsed_secs.0.get(),
+    }
+}
+
+/// The job at `pos` in `snap`: its row, encoded by the first body that
+/// lists this job version, and its elapsed time in `snap`.
+fn row(snap: &ClusterSnapshot, pos: usize) -> (&EncodedRow, u64) {
+    let job = &snap.jobs[pos];
+    let row = snap.job_rows.get_or_encode(pos, || encode_row(job));
+    (row, job.elapsed_secs(snap.now))
+}
+
+/// A job-list body, sized up front: `{"jobs":[..],"meta":..}`, keys in the
+/// byte order the derive writes, each row spliced around its elapsed time.
+fn jobs_envelope(snap: &ClusterSnapshot, rows: Vec<(&EncodedRow, u64)>) -> Vec<u8> {
+    let size: usize = rows.iter().map(|(row, _)| row.bytes.len() + 21).sum();
+    let mut out = Vec::with_capacity(size + 256 + snap.name.len());
+    out.extend_from_slice(b"{\"jobs\":[");
+    for (i, (row, elapsed)) in rows.into_iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        out.extend_from_slice(&row.bytes[..row.gap]);
+        elapsed.write_json(&mut out);
+        out.extend_from_slice(&row.bytes[row.gap..]);
+    }
+    out.extend_from_slice(b"],\"meta\":");
+    Meta::of(snap).write_json(&mut out);
+    out.push(b'}');
+    out
 }
 
 /// `/slurm/v0/jobs`: the given positions into `snap.jobs`, in ascending id
 /// order.
 pub fn jobs_body(snap: &ClusterSnapshot, positions: &[u32]) -> Vec<u8> {
-    jobs_envelope(snap, positions.iter().map(|&p| &*snap.jobs[p as usize]))
+    jobs_envelope(
+        snap,
+        positions.iter().map(|&p| row(snap, p as usize)).collect(),
+    )
 }
 
-/// `/slurm/v0/jobs/:id`: the same envelope around one job of `snap`.
+/// `/slurm/v0/jobs/:id`: the same envelope around one job of `snap` (a job
+/// the snapshot does not hold is encoded for this body alone).
 pub fn job_body(snap: &ClusterSnapshot, job: &Job) -> Vec<u8> {
-    jobs_envelope(snap, std::iter::once(job))
+    match snap.jobs.binary_search_by_key(&job.id, |j| j.id) {
+        Ok(pos) if std::ptr::eq(&*snap.jobs[pos], job) => jobs_envelope(snap, vec![row(snap, pos)]),
+        _ => jobs_envelope(snap, vec![(&encode_row(job), job.elapsed_secs(snap.now))]),
+    }
 }
 
 /// `/slurm/v0/nodes`: all nodes, or the subset at `positions` (a
@@ -428,6 +480,55 @@ mod tests {
         assert_eq!(j["elapsed_secs"], 800, "now=1000, start=200");
         assert_eq!(j["nodes"][0], "a001");
         assert_eq!(j["state_reason"], Value::Null);
+    }
+
+    /// `snap`'s jobs and parts at another instant, published after it (so
+    /// sharing its row memo) or from scratch.
+    fn republish(
+        snap: &ClusterSnapshot,
+        now: u64,
+        jobs: Vec<Arc<Job>>,
+        after: bool,
+    ) -> ClusterSnapshot {
+        ClusterSnapshot::build(
+            snap.seq + 1,
+            Timestamp(now),
+            snap.name.clone(),
+            jobs,
+            snap.nodes.clone(),
+            snap.partitions.clone(),
+            snap.assoc.clone(),
+            after.then_some(snap),
+        )
+    }
+
+    #[test]
+    fn memoized_rows_take_the_elapsed_time_of_each_snapshot() {
+        let first = snap_with_one_of_each();
+        jobs_body(&first, &[0]);
+        assert_eq!(first.job_rows.len(), 1);
+
+        // The same job version later: the row is carried over, and spliced
+        // around the new elapsed time it is the body a fresh encode gives.
+        let later = republish(&first, 1_500, first.jobs.to_vec(), true);
+        assert_eq!(later.job_rows.len(), 1, "carried from the first");
+        let memoized = jobs_body(&later, &[0]);
+        let fresh = republish(&first, 1_500, first.jobs.to_vec(), false);
+        assert_eq!(fresh.job_rows.len(), 0);
+        assert_eq!(memoized, jobs_body(&fresh, &[0]));
+        let body: Value = serde_json::from_slice(&memoized).unwrap();
+        assert_eq!(body["jobs"][0]["elapsed_secs"], 1_300);
+        assert_eq!(job_body(&later, &later.jobs[0]), memoized);
+
+        // A new version of the job is a new row, never the old one.
+        let mut done = Job::clone(&first.jobs[0]);
+        done.state = JobState::Completed;
+        done.end_time = Some(Timestamp(1_600));
+        let next = republish(&later, 2_000, vec![Arc::new(done)], true);
+        assert_eq!(next.job_rows.len(), 0, "not carried to another version");
+        let body: Value = serde_json::from_slice(&jobs_body(&next, &[0])).unwrap();
+        assert_eq!(body["jobs"][0]["job_state"], "COMPLETED");
+        assert_eq!(body["jobs"][0]["elapsed_secs"], 1_400);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -189,6 +189,9 @@ pub struct ClusterSnapshot {
     /// order (unknown node names are skipped, matching the old lookup).
     pub partition_nodes: Arc<[Vec<u32>]>,
     pub counts: StateCounts,
+    /// The encoded row of each job, carried over from `prev` while the job
+    /// is the same version.
+    pub job_rows: JobRows,
 }
 
 impl ClusterSnapshot {
@@ -207,6 +210,7 @@ impl ClusterSnapshot {
             by_partition: HashMap::new(),
             partition_nodes: Arc::from(Vec::new()),
             counts: StateCounts::default(),
+            job_rows: JobRows::default(),
         }
     }
 
@@ -214,7 +218,8 @@ impl ClusterSnapshot {
     /// What `prev` (the snapshot published before this one) already
     /// derived is reused: its job indexes are carried over rather than
     /// rebuilt, and its per-partition node groups are shared when it holds
-    /// the very same node and partition slices.
+    /// the very same node and partition slices; its [`JobRows`] of jobs
+    /// still at the same version are taken over.
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         seq: u64,
@@ -237,6 +242,7 @@ impl ClusterSnapshot {
             }
         }
         let [by_user, by_account, by_partition] = job_indexes(prev, &jobs);
+        let job_rows = JobRows::carried(prev, &jobs);
         let partition_nodes = match prev {
             Some(p) if Arc::ptr_eq(&p.nodes, &nodes) && Arc::ptr_eq(&p.partitions, &partitions) => {
                 p.partition_nodes.clone()
@@ -265,6 +271,7 @@ impl ClusterSnapshot {
             by_partition,
             partition_nodes,
             counts,
+            job_rows,
         }
     }
 
@@ -337,6 +344,63 @@ fn job_indexes(prev: Option<&ClusterSnapshot>, jobs: &[Arc<Job>]) -> [JobIndex; 
         }
         map
     })
+}
+
+// ---------------------------------------------------------------------------
+// JobRows
+// ---------------------------------------------------------------------------
+
+/// A job's row as a reader encoded it: `bytes[..gap]`, then a value that
+/// depends on the snapshot rather than the job, then `bytes[gap..]`.
+#[derive(Clone)]
+pub struct EncodedRow {
+    pub bytes: Arc<[u8]>,
+    pub gap: usize,
+}
+
+/// Rows encoded once per job version: a slot per job, filled by the first
+/// reader. A published job is never changed in place (`Arc::make_mut`
+/// moves a change to a new allocation), so a snapshot takes over `prev`'s
+/// row for each job that is the very allocation `prev` holds, never for
+/// an id alone, which outlives versions.
+#[derive(Default)]
+pub struct JobRows(Box<[OnceLock<EncodedRow>]>);
+
+impl JobRows {
+    fn carried(prev: Option<&ClusterSnapshot>, jobs: &[Arc<Job>]) -> JobRows {
+        let slots: Box<[OnceLock<EncodedRow>]> = jobs.iter().map(|_| OnceLock::new()).collect();
+        let (old_jobs, old_rows) = match prev {
+            Some(p) => (&p.jobs[..], &p.job_rows.0[..]),
+            None => (&[][..], &[][..]),
+        };
+        // Both lists are id-ascending: one merge walk.
+        let mut old = old_jobs.iter().zip(old_rows).peekable();
+        for (job, slot) in jobs.iter().zip(slots.iter()) {
+            while old.next_if(|(was, _)| was.id < job.id).is_some() {}
+            let same = old.next_if(|(was, _)| Arc::ptr_eq(was, job));
+            if let Some(row) = same.and_then(|(_, row)| row.get()) {
+                let _ = slot.set(row.clone());
+            }
+        }
+        JobRows(slots)
+    }
+
+    /// The row of the job at `pos`, made by `encode` if no reader has yet.
+    pub fn get_or_encode(&self, pos: usize, encode: impl FnOnce() -> EncodedRow) -> &EncodedRow {
+        self.0[pos].get_or_init(encode)
+    }
+
+    /// Rows encoded so far.
+    #[allow(clippy::len_without_is_empty)]
+    pub fn len(&self) -> usize {
+        self.0.iter().filter(|slot| slot.get().is_some()).count()
+    }
+}
+
+impl std::fmt::Debug for JobRows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "JobRows({} of {})", self.len(), self.0.len())
+    }
 }
 
 // ---------------------------------------------------------------------------

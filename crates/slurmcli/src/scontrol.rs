@@ -351,7 +351,7 @@ const NODE_KEYS: [&str; 15] = [
 
 /// Parse one or more `scontrol show node` records into records that borrow
 /// from the dump. One pass over each record's tokens keeps the first value
-/// of every key in [`NODE_KEYS`]; nothing else is looked at until
+/// of every key in `NODE_KEYS`; nothing else is looked at until
 /// [`ScontrolNode::details`] is asked for.
 pub fn parse_show_node<'t>(text: &'t str) -> Result<Vec<ScontrolNode<'t>>, String> {
     crate::note_parse();

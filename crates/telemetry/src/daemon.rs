@@ -1,6 +1,7 @@
 //! `TelemetryD`: the metrics daemon the dashboard talks to.
 //!
-//! Collection reads the epoch-published [`ClusterSnapshot`] — never
+//! Collection reads the epoch-published
+//! [`ClusterSnapshot`](hpcdash_slurm::snapshot::ClusterSnapshot) — never
 //! `slurmctld`'s state mutex — so a telemetry pipeline running at full tick
 //! rate adds zero contention to scheduling (PR 3's invariant, extended here
 //! and asserted by tests). Queries are served entirely

@@ -180,9 +180,9 @@ fn live_sites_keep_publishing_fresh_data_through_a_peer_outage() {
 
 #[test]
 fn fan_out_takes_no_state_mutex_on_any_site() {
-    // The aggregate routes skip the server cache, so every request below is
-    // a fresh fan-out, and each one reads the four sites' epoch-published
-    // snapshots only.
+    // Every request below fans out, whether or not its answer then comes
+    // from the server cache, and each fan-out reads the four sites'
+    // epoch-published snapshots only.
     let fed = FedSite::build(FederationConfig::quad(31));
     fed.warm_up(300);
     let user = fed.federation.sites[0].population.users[0].clone();

@@ -3,13 +3,18 @@
 //! because the rows borrow their strings from the command text and every
 //! payload is encoded straight into the response bytes.
 //!
+//! The same holds for a `/slurm/v0` job list, whose rows are encoded once
+//! per job version: re-encoding rows that are all memoized costs a few
+//! allocations in all.
+//!
 //! Alone in its file because it installs a counting global allocator; the
 //! count is kept per thread, so the harness's own threads do not disturb it.
 
 use hpcdash::core::{CachePolicy, DashboardConfig};
 use hpcdash::http::{Method, Request, Response};
-use hpcdash::SimSite;
-use hpcdash_workload::ScenarioConfig;
+use hpcdash::restapi::serialize::jobs_body;
+use hpcdash::{FedSite, SimSite};
+use hpcdash_workload::{FederationConfig, ScenarioConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -118,5 +123,49 @@ fn a_cold_widget_fill_costs_a_few_allocations_per_row() {
     assert!(
         strip <= bound,
         "{strip} allocations for {jobs} live jobs (bound {bound})"
+    );
+}
+
+#[test]
+fn a_memoized_job_list_costs_a_constant_and_the_memo_stays_bounded() {
+    // The quad federation the benchmark's `rest_fed` serves, after the same
+    // four simulated hours: gamma lists over 500 active jobs.
+    let fed = FedSite::build(FederationConfig::quad(42));
+    let mut driver = fed.warm_up(4 * 3_600);
+    let snap = fed.federation.site("gamma").unwrap().ctld.snapshot();
+    let rows = snap.jobs.len();
+    assert!(rows >= 500, "gamma holds {rows} jobs");
+
+    // Every row memoized: the body costs a constant, whatever its length.
+    // Measured: 2 allocations for 523 rows and for 261. Encoding every row
+    // afresh, with the output grown by doubling, made 13 and 12.
+    for n in [rows, rows / 2] {
+        let positions: Vec<u32> = (0..n as u32).collect();
+        let filled = jobs_body(&snap, &positions);
+        let (again, allocations) = counted(|| jobs_body(&snap, &positions));
+        assert_eq!(again, filled);
+        assert!(allocations <= 8, "{allocations} allocations for {n} rows");
+    }
+
+    // Two hundred ticks of every site, each site's full list encoded after
+    // each tick. A publication carries over the rows of the job versions
+    // its predecessor held, holds no more rows than jobs, and keeps most
+    // of them: a tick changes a minority of the jobs.
+    let (mut carried, mut listed) = (0, 0);
+    for _ in 0..200 {
+        driver.advance(30);
+        for site in &fed.federation.sites {
+            let snap = site.ctld.snapshot();
+            carried += snap.job_rows.len();
+            listed += snap.jobs.len();
+            let positions: Vec<u32> = (0..snap.jobs.len() as u32).collect();
+            jobs_body(&snap, &positions);
+            let (held, bound) = (snap.job_rows.len(), 2 * snap.jobs.len() + 64);
+            assert!(held <= bound, "{held} rows memoized, bound {bound}");
+        }
+    }
+    assert!(
+        2 * carried > listed,
+        "{carried} of {listed} rows carried over"
     );
 }

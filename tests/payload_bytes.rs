@@ -279,6 +279,129 @@ fn cold_widget_bytes_are_pinned() {
     assert_eq!(got, pinned);
 }
 
+/// The `rest_fed` bytes, pinned: on the seeded quad federation, every route
+/// of the benchmark's poll cycles is asked twice per epoch (the second
+/// answer comes from whatever the first one left behind) over eight
+/// scheduler ticks, then twice more with gamma dark. Path, asker, status
+/// and body of each answer fold into one digest per route. The ticks cover
+/// job starts, job completions and a priority reshuffle, which the test
+/// checks, so a cache or memo that keeps a row past its job's change shows.
+#[test]
+fn rest_fed_bytes_are_pinned() {
+    let fed = FedSite::build(FederationConfig::quad(42));
+    let mut driver = fed.warm_up(4 * 3_600);
+    let dash = &fed.dashboard;
+    let users: Vec<String> = fed.federation.sites[0].population.users[..4].to_vec();
+    let tokens: Vec<String> = users
+        .iter()
+        .map(|u| mint(dash, u, "read-own-jobs"))
+        .collect();
+    let root = mint(dash, "root", "read-cluster");
+    let clusters: Vec<String> = fed
+        .federation
+        .sites
+        .iter()
+        .map(|s| s.config.cluster_name.clone())
+        .collect();
+    let all_jobs = |dash: &Dashboard| -> Vec<Value> {
+        let body = get(dash, "/slurm/v0/jobs", ("Authorization", &root)).body_json();
+        body.unwrap()["jobs"].as_array().unwrap().clone()
+    };
+    let first = all_jobs(dash);
+    let ids: Vec<u64> = [0, first.len() / 2, first.len() - 1]
+        .iter()
+        .map(|&i| first[i]["job_id"].as_u64().unwrap())
+        .collect();
+
+    let mut digests: std::collections::BTreeMap<&str, Fnv> = std::collections::BTreeMap::new();
+    let mut poll = |dash: &Dashboard| {
+        let mut asks: Vec<(&str, String, (&str, &str))> = Vec::new();
+        for (user, token) in users.iter().zip(&tokens) {
+            asks.push((
+                "/slurm/v0/jobs",
+                "/slurm/v0/jobs".into(),
+                ("Authorization", token),
+            ));
+            for route in ["/api/federation/status", "/api/federation/jobs"] {
+                asks.push((route, route.into(), ("X-Remote-User", user)));
+            }
+        }
+        let root = ("Authorization", root.as_str());
+        asks.push(("/slurm/v0/jobs", "/slurm/v0/jobs".into(), root));
+        for id in &ids {
+            asks.push(("/slurm/v0/jobs/:id", format!("/slurm/v0/jobs/{id}"), root));
+        }
+        for c in &clusters {
+            let path = format!("/slurm/v0/clusters/{c}/jobs");
+            asks.push(("/slurm/v0/clusters/:c/jobs", path, root));
+        }
+        let nodes = "/api/federation/nodes";
+        asks.push((nodes, nodes.into(), ("X-Remote-User", "root")));
+        for _ in 0..2 {
+            for (route, path, auth) in &asks {
+                let resp = get(dash, path, *auth);
+                let digest = digests.entry(route).or_insert_with(Fnv::new);
+                digest.fold(path.as_bytes());
+                digest.fold(auth.1.as_bytes());
+                digest.fold(&resp.status.to_le_bytes());
+                digest.fold(&resp.body);
+            }
+        }
+    };
+
+    let key = |j: &Value| j["job_id"].as_u64().unwrap();
+    let (mut started, mut finished, mut reshuffled) = (0, 0, 0);
+    let mut before = first;
+    poll(dash);
+    for _ in 0..8 {
+        driver.advance(30);
+        poll(dash);
+        let after = all_jobs(dash);
+        for job in &before {
+            match after.iter().find(|j| key(j) == key(job)) {
+                None => finished += 1,
+                Some(now) => {
+                    started +=
+                        usize::from(job["job_state"] == "PENDING" && now["job_state"] == "RUNNING");
+                    reshuffled += usize::from(job["priority"] != now["priority"]);
+                }
+            }
+        }
+        before = after;
+    }
+    assert!(
+        started > 0 && finished > 0 && reshuffled > 0,
+        "{started} starts, {finished} completions, {reshuffled} priority changes"
+    );
+    let gamma = fed.federation.site("gamma").unwrap();
+    gamma.ctld.faults().install(
+        Arc::new(FaultPlan::new(7).rule(FaultRule::error("slurmctld", "*", "link down"))),
+        gamma.clock.shared(),
+    );
+    for _ in 0..2 {
+        driver.advance(30);
+        poll(dash);
+    }
+
+    let got: Vec<(&str, String)> = digests
+        .iter()
+        .map(|(route, d)| (*route, format!("{:016x}", d.0)))
+        .collect();
+    let pinned = [
+        ("/api/federation/jobs", "c6ea02b09d2c8465"),
+        ("/api/federation/nodes", "86163d00744fddd1"),
+        ("/api/federation/status", "da80e9e31c02c357"),
+        ("/slurm/v0/clusters/:c/jobs", "4235b3431ca7cb3b"),
+        ("/slurm/v0/jobs", "0fd2e560b86a33ab"),
+        ("/slurm/v0/jobs/:id", "7c271a7ce8ca975d"),
+    ];
+    let pinned: Vec<(&str, String)> = pinned
+        .iter()
+        .map(|(route, d)| (*route, d.to_string()))
+        .collect();
+    assert_eq!(got, pinned);
+}
+
 fn shared(resp: &Response) -> &Arc<[u8]> {
     match &resp.body {
         Body::Shared(bytes) => bytes,
