@@ -1,7 +1,11 @@
 //! [`Body`]: what the server cache stores — a payload serialized once, on
 //! fill, plus the validator clients revalidate it with.
+//!
+//! Also the degradation wire format, in one place: [`annotate_stale`]
+//! writes the members a stale answer carries into a cached body, and
+//! [`Degradation`] reads them back out of an answer.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Serialized response bytes and their strong ETag. A cache hit hands out
@@ -45,6 +49,124 @@ impl Body {
     pub fn validator(&self) -> Option<&str> {
         (!self.etag.is_empty()).then_some(&*self.etag)
     }
+}
+
+/// How an answer says its data is old. A stale widget answer carries all
+/// three members, written by [`annotate_stale`]; a federation aggregate
+/// carries only the flag, its ages being per site.
+#[derive(Debug, Clone, PartialEq, Deserialize)]
+pub struct Degradation {
+    pub degraded: bool,
+    /// How old the served copy is.
+    pub stale_age_secs: Option<u64>,
+    /// Why it was not refreshed.
+    pub stale_error: Option<String>,
+}
+
+impl Degradation {
+    /// The degradation an answer declares; `None` when it declares none.
+    pub fn of(body: &[u8]) -> Option<Degradation> {
+        serde_json::from_slice(body)
+            .ok()
+            .filter(|d: &Degradation| d.degraded)
+    }
+}
+
+/// The members [`annotate_stale`] writes, in byte order.
+const STALE_KEYS: [&str; 3] = ["degraded", "stale_age_secs", "stale_error"];
+
+/// `body`, a cached JSON object as the encoder writes it (compact, keys in
+/// byte order), annotated as a stale answer: `"degraded": true`, its age
+/// and the error that kept it from being refreshed. Each
+/// member goes in at its byte-sorted place among the object's top-level
+/// keys (replacing a member of the same name), so the bytes are those a
+/// parse, insert and sorted-key encode would give, with nothing decoded.
+/// `None` when `body` is not an object.
+pub fn annotate_stale(body: &[u8], age_secs: u64, error: &str) -> Option<Vec<u8>> {
+    if body.first() != Some(&b'{') || body.last() != Some(&b'}') {
+        return None;
+    }
+    let mut out = Vec::with_capacity(body.len() + 80 + error.len());
+    // Every member after the opening brace follows a comma.
+    let comma = |out: &mut Vec<u8>| {
+        if out.len() > 1 {
+            out.push(b',');
+        }
+    };
+    let write = |i: usize, out: &mut Vec<u8>| {
+        comma(out);
+        STALE_KEYS[i].write_json(out);
+        out.push(b':');
+        match i {
+            0 => true.write_json(out),
+            1 => age_secs.write_json(out),
+            _ => error.write_json(out),
+        }
+    };
+    out.push(b'{');
+    let mut next = 0;
+    for (key, member) in members(&body[1..body.len() - 1]) {
+        let mut replaced = false;
+        while let Some(k) = STALE_KEYS.get(next).filter(|k| k.as_bytes() <= key) {
+            replaced |= k.as_bytes() == key;
+            write(next, &mut out);
+            next += 1;
+        }
+        if !replaced {
+            comma(&mut out);
+            out.extend_from_slice(member);
+        }
+    }
+    for i in next..STALE_KEYS.len() {
+        write(i, &mut out);
+    }
+    out.push(b'}');
+    Some(out)
+}
+
+/// The top-level members of a compact object's inside, each as its key's
+/// text and its whole `"key":value` bytes. The scan counts nesting and
+/// skips strings, so a comma inside a nested value or a string never ends
+/// a member.
+fn members(inside: &[u8]) -> impl Iterator<Item = (&[u8], &[u8])> {
+    let mut rest = inside;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let (mut depth, mut in_str, mut escaped) = (0usize, false, false);
+        let mut key_end = 0;
+        let mut end = rest.len();
+        for (i, &b) in rest.iter().enumerate() {
+            if in_str {
+                match b {
+                    _ if escaped => escaped = false,
+                    b'\\' => escaped = true,
+                    b'"' => {
+                        in_str = false;
+                        if key_end == 0 {
+                            key_end = i;
+                        }
+                    }
+                    _ => {}
+                }
+                continue;
+            }
+            match b {
+                b'"' => in_str = true,
+                b'{' | b'[' => depth += 1,
+                b'}' | b']' => depth -= 1,
+                b',' if depth == 0 => {
+                    end = i;
+                    break;
+                }
+                _ => {}
+            }
+        }
+        let member = &rest[..end];
+        rest = rest.get(end + 1..).unwrap_or_default();
+        Some((&member[1..key_end], member))
+    })
 }
 
 /// Strong ETag for a body: its quoted 64-bit content hash.
@@ -122,6 +244,53 @@ mod tests {
         let v = serde_json::json!({"b": 1, "a": [true, null]});
         let body = Body::json(&v);
         assert_eq!(&*body.bytes, serde_json::to_vec(&v).unwrap().as_slice());
+    }
+
+    /// The splice against the parse, insert and encode it replaces.
+    fn reparsed(body: &str, age_secs: u64, error: &str) -> String {
+        let mut v: serde_json::Value = serde_json::from_str(body).unwrap();
+        v["degraded"] = serde_json::json!(true);
+        v["stale_age_secs"] = serde_json::json!(age_secs);
+        v["stale_error"] = serde_json::json!(error);
+        v.to_string()
+    }
+
+    #[test]
+    fn stale_members_land_where_sorted_keys_put_them() {
+        for body in [
+            r#"{}"#,
+            r#"{"a":1}"#,
+            r#"{"jobs":[{"a":"x,}\"{"}],"range":"7d","z":{"s":[1,[2]]}}"#,
+            r#"{"charts":{},"degraded":false,"stale_b":"q","stale_error":null,"zz":0}"#,
+            r#"{"e":"\\","stale_age_secs":3,"stale_f":[]}"#,
+        ] {
+            let spliced = annotate_stale(body.as_bytes(), 90, "sinfo: \"down\"").unwrap();
+            assert_eq!(
+                String::from_utf8(spliced).unwrap(),
+                reparsed(body, 90, "sinfo: \"down\""),
+                "{body}"
+            );
+        }
+        assert_eq!(annotate_stale(b"[1,2]", 1, "e"), None);
+        assert_eq!(annotate_stale(b"\"text\"", 1, "e"), None);
+    }
+
+    #[test]
+    fn degradation_reads_what_the_splice_wrote() {
+        let stale = annotate_stale(br#"{"jobs":[]}"#, 300, "sacct: timeout").unwrap();
+        assert_eq!(
+            Degradation::of(&stale),
+            Some(Degradation {
+                degraded: true,
+                stale_age_secs: Some(300),
+                stale_error: Some("sacct: timeout".to_string()),
+            })
+        );
+        assert_eq!(Degradation::of(br#"{"jobs":[]}"#), None);
+        assert_eq!(Degradation::of(br#"{"degraded":false}"#), None);
+        let aggregate = Degradation::of(br#"{"degraded":true,"notices":["beta"]}"#).unwrap();
+        assert_eq!(aggregate.stale_age_secs, None);
+        assert_eq!(Degradation::of(b"[]"), None);
     }
 
     #[test]

@@ -12,10 +12,10 @@ use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// One cached API response.
+/// One cached API response: its body text, decoded when it renders.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoredRecord {
-    pub value: serde_json::Value,
+    pub value: String,
     pub fetched_at: Timestamp,
 }
 
@@ -44,7 +44,7 @@ impl IndexedDb {
     }
 
     /// Store an API response under `store`/`key`.
-    pub fn put(&self, store: &str, key: &str, value: serde_json::Value, fetched_at: Timestamp) {
+    pub fn put(&self, store: &str, key: &str, value: String, fetched_at: Timestamp) {
         self.stores
             .write()
             .entry(store.to_string())
@@ -96,7 +96,6 @@ impl IndexedDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::json;
 
     #[test]
     fn put_get_roundtrip() {
@@ -104,11 +103,11 @@ mod tests {
         db.put(
             "widgets",
             "recent_jobs",
-            json!({"jobs": [1, 2]}),
+            r#"{"jobs":[1,2]}"#.to_string(),
             Timestamp(100),
         );
         let rec = db.get("widgets", "recent_jobs").unwrap();
-        assert_eq!(rec.value, json!({"jobs": [1, 2]}));
+        assert_eq!(rec.value, r#"{"jobs":[1,2]}"#.to_string());
         assert_eq!(rec.fetched_at, Timestamp(100));
         assert!(db.get("widgets", "nope").is_none());
         assert!(db.get("other", "recent_jobs").is_none());
@@ -117,7 +116,7 @@ mod tests {
     #[test]
     fn freshness_math() {
         let rec = StoredRecord {
-            value: json!(1),
+            value: "1".to_string(),
             fetched_at: Timestamp(100),
         };
         assert_eq!(rec.age(Timestamp(130)), 30);
@@ -128,8 +127,8 @@ mod tests {
     #[test]
     fn delete_and_clear() {
         let db = IndexedDb::new();
-        db.put("w", "a", json!(1), Timestamp(0));
-        db.put("w", "b", json!(2), Timestamp(0));
+        db.put("w", "a", "1".to_string(), Timestamp(0));
+        db.put("w", "b", "2".to_string(), Timestamp(0));
         assert!(db.delete("w", "a"));
         assert!(!db.delete("w", "a"));
         assert_eq!(db.record_count(), 1);
@@ -144,16 +143,16 @@ mod tests {
         db.put(
             "widgets",
             "storage",
-            json!({"disks": ["home"]}),
+            r#"{"disks":["home"]}"#.to_string(),
             Timestamp(5),
         );
-        db.put("pages", "myjobs", json!([1, 2, 3]), Timestamp(9));
+        db.put("pages", "myjobs", "[1,2,3]".to_string(), Timestamp(9));
         let exported = db.export_json();
         let restored = IndexedDb::import_json(&exported).unwrap();
         assert_eq!(restored.record_count(), 2);
         assert_eq!(
             restored.get("widgets", "storage").unwrap().value,
-            json!({"disks": ["home"]})
+            r#"{"disks":["home"]}"#.to_string()
         );
         assert_eq!(
             restored.get("pages", "myjobs").unwrap().fetched_at,
@@ -169,10 +168,10 @@ mod tests {
     #[test]
     fn overwrite_updates_timestamp() {
         let db = IndexedDb::new();
-        db.put("w", "k", json!(1), Timestamp(0));
-        db.put("w", "k", json!(2), Timestamp(50));
+        db.put("w", "k", "1".to_string(), Timestamp(0));
+        db.put("w", "k", "2".to_string(), Timestamp(50));
         let rec = db.get("w", "k").unwrap();
-        assert_eq!(rec.value, json!(2));
+        assert_eq!(rec.value, "2".to_string());
         assert_eq!(rec.fetched_at, Timestamp(50));
     }
 }

@@ -1,12 +1,13 @@
 //! One simulated browser tab.
 
+use hpcdash_cache::body::Degradation;
 use hpcdash_cache::IndexedDb;
 use hpcdash_http::{HttpClient, TRACE_HEADER};
 use hpcdash_obs::trace::TraceScope;
 use hpcdash_obs::{Span, TraceId};
 use hpcdash_simtime::SharedClock;
 use parking_lot::Mutex;
-use serde_json::Value;
+use serde::Deserialize;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -32,7 +33,9 @@ pub enum FetchOutcome {
 /// One component fetch as the user experienced it.
 #[derive(Debug, Clone)]
 pub struct FetchResult {
-    pub value: Value,
+    /// The answer's body text, as rendered; [`FetchResult::decode`] reads it
+    /// as the route's payload type.
+    pub value: String,
     pub outcome: FetchOutcome,
     /// Time until the component had data to render.
     pub perceived: Duration,
@@ -42,6 +45,18 @@ pub struct FetchResult {
     /// fresh cache hits — no request, no trace). Look the hops up in
     /// `hpcdash_obs::tracestore::store()`.
     pub trace: Option<TraceId>,
+}
+
+impl FetchResult {
+    /// The body as the route's payload type.
+    pub fn decode<T: Deserialize>(&self) -> Result<T, String> {
+        serde_json::from_str(&self.value).map_err(|e| e.to_string())
+    }
+
+    /// The degradation the server declared, if it served this body stale.
+    pub fn degradation(&self) -> Option<Degradation> {
+        Degradation::of(self.value.as_bytes())
+    }
 }
 
 /// A full homepage load.
@@ -62,10 +77,11 @@ impl PageLoad {
     }
 }
 
-/// True when the server annotated this payload as a stale fallback
-/// (`"degraded": true`, from the resilience layer's serve-stale-on-error).
-fn is_degraded(value: &Value) -> bool {
-    value.get("degraded") == Some(&Value::Bool(true))
+/// True when the server declared this body degraded: a stale fallback
+/// from the resilience layer's serve-stale-on-error, or a federation
+/// aggregate with a dark or stale slice.
+fn is_degraded(body: &str) -> bool {
+    Degradation::of(body.as_bytes()).is_some()
 }
 
 /// A headless dashboard client for one user.
@@ -86,7 +102,7 @@ pub struct DashboardClient {
     /// Last seen strong validator per path: `(etag, body)`. Requests send
     /// `If-None-Match: <etag>`; a `304 Not Modified` renders the stored
     /// body without a byte of payload crossing the wire.
-    validators: Mutex<HashMap<String, (String, Value)>>,
+    validators: Mutex<HashMap<String, (String, String)>>,
     not_modified: std::sync::atomic::AtomicU64,
 }
 
@@ -226,7 +242,7 @@ impl DashboardClient {
     /// One wire request. Each request starts a fresh trace: the id rides the
     /// `X-Trace-Id` header to the server, so the "client" span recorded here
     /// and the server-side hops land under the same trace in the trace store.
-    fn network_get(&self, path: &str) -> Result<(Value, Duration, TraceId, bool), String> {
+    fn network_get(&self, path: &str) -> Result<(String, Duration, TraceId, bool), String> {
         let trace = TraceId::generate();
         let _scope = TraceScope::enter(trace);
         let _span = Span::enter("client").attr("path", path);
@@ -250,7 +266,7 @@ impl DashboardClient {
             .map_err(|e| e.to_string())?;
         let elapsed = start.elapsed();
         if resp.status == 304 {
-            // Our copy is still current; render it without reparsing.
+            // Our copy is still current; render it.
             if let Some((_, body)) = validator {
                 self.not_modified
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -261,12 +277,13 @@ impl DashboardClient {
         if !resp.is_success() {
             return Err(format!("{} -> HTTP {}", path, resp.status));
         }
-        let value = resp.json().map_err(|e| format!("{path}: bad json: {e}"))?;
-        match resp.header("etag") {
+        let etag = resp.header("etag").map(str::to_string);
+        let value = String::from_utf8(resp.body).map_err(|e| format!("{path}: {e}"))?;
+        match etag {
             Some(etag) => {
                 self.validators
                     .lock()
-                    .insert(path.to_string(), (etag.to_string(), value.clone()));
+                    .insert(path.to_string(), (etag, value.clone()));
             }
             None => {
                 self.validators.lock().remove(path);
@@ -502,7 +519,7 @@ mod tests {
         assert_eq!(r.outcome, FetchOutcome::StaleOnError);
         let stored = client.db.get("api", "/api/storage").unwrap();
         assert!(
-            stored.value.get("degraded").is_none(),
+            Degradation::of(stored.value.as_bytes()).is_none(),
             "the degraded payload must not overwrite the client's own copy"
         );
     }

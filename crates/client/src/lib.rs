@@ -8,11 +8,13 @@
 //! traffic (requests that actually hit the backend), which is exactly the
 //! distinction the paper's dual-caching argument rests on (§2.4).
 
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_macros))]
+
 pub mod browser;
 pub mod live;
 pub mod loadgen;
 
 pub use browser::{DashboardClient, FetchOutcome, FetchResult, PageLoad};
 pub use hpcdash_obs::recorder::{LatencyRecorder, LatencySummary};
-pub use live::{LiveSubscriber, PollOutcome, StreamTransport};
+pub use live::{Event, LiveSubscriber, PollOutcome, StreamTransport, Updates};
 pub use loadgen::{admin_observability_paths, federation_paths, LoadConfig, LoadReport};

@@ -14,9 +14,39 @@
 use hpcdash_cache::IndexedDb;
 use hpcdash_http::{ClientResponse, HttpClient};
 use hpcdash_simtime::SharedClock;
-use serde_json::Value;
+use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
+
+/// The `/api/updates` and `/api/updates/stream` payload: the decode twin
+/// of the server's encode type, with the same field names.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Updates {
+    pub events: Vec<Event>,
+    /// The head of the cluster's event log as the read saw it.
+    pub latest_seq: u64,
+    /// The delta stream has a hole: refetch tables, resume at `latest_seq`.
+    pub resync_required: bool,
+    /// The stream's subscription token; absent from the poll.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub sub: Option<String>,
+}
+
+/// One job-state transition.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Event {
+    pub seq: u64,
+    pub at: String,
+    pub job: String,
+    pub user: String,
+    pub account: String,
+    /// `None` for a submission.
+    pub from: Option<String>,
+    pub to: String,
+    pub to_color: String,
+    pub reason: Option<String>,
+    pub reason_message: Option<String>,
+}
 
 /// How a subscriber reaches the server. The default is a real keep-alive
 /// TCP connection ([`HttpClient`]); harnesses that want more concurrent
@@ -81,7 +111,7 @@ pub struct LiveSubscriber {
     /// Last seen `(etag, body)` validator for the stream route; polls send
     /// `If-None-Match` so an unchanged answer costs a `304` round trip
     /// instead of a re-serialized body.
-    validator: RefCell<Option<(String, Value)>>,
+    validator: RefCell<Option<(String, String)>>,
     not_modified: Cell<u64>,
 }
 
@@ -173,39 +203,38 @@ impl LiveSubscriber {
                 return Err(format!("stream -> HTTP {}", resp.status));
             }
             self.shed_streak.set(0);
-            let body: Value = resp.json().map_err(|e| format!("stream: bad json: {e}"))?;
-            *self.validator.borrow_mut() = resp
-                .header("etag")
-                .map(|etag| (etag.to_string(), body.clone()));
+            let etag = resp.header("etag").map(str::to_string);
+            let body = String::from_utf8(resp.body).map_err(|e| format!("stream: {e}"))?;
+            *self.validator.borrow_mut() = etag.map(|etag| (etag, body.clone()));
             body
         };
-        let latest = body["latest_seq"].as_u64().unwrap_or(self.anchor.get());
-        self.anchor.set(latest);
-        if body["resync_required"].as_bool().unwrap_or(false) {
+        let updates: Updates =
+            serde_json::from_str(&body).map_err(|e| format!("stream: bad payload: {e}"))?;
+        self.anchor.set(updates.latest_seq);
+        if updates.resync_required {
             // The delta stream has a hole: local job state may be stale in
             // unknowable ways, so drop it and start over from the head.
             self.db.clear_store(LIVE_STORE);
             return Ok(PollOutcome::Resync);
         }
-        let events = body["events"].as_array().cloned().unwrap_or_default();
-        if events.is_empty() {
+        if updates.events.is_empty() {
             return Ok(PollOutcome::Empty);
         }
         let now = self.clock.now();
-        for event in &events {
-            if let Some(job) = event["job"].as_str() {
-                self.db.put(LIVE_STORE, job, event.clone(), now);
-            }
+        for event in &updates.events {
+            let text = serde_json::to_string(event).expect("events serialize");
+            self.db.put(LIVE_STORE, &event.job, text, now);
         }
-        self.applied.set(self.applied.get() + events.len() as u64);
-        Ok(PollOutcome::Events(events.len()))
+        let applied = updates.events.len();
+        self.applied.set(self.applied.get() + applied as u64);
+        Ok(PollOutcome::Events(applied))
     }
 
     /// The locally-known state of a job, as last delivered.
     pub fn job_state(&self, job: &str) -> Option<String> {
-        self.db
-            .get(LIVE_STORE, job)
-            .and_then(|rec| rec.value["to"].as_str().map(str::to_string))
+        let rec = self.db.get(LIVE_STORE, job)?;
+        let event: Event = serde_json::from_str(&rec.value).ok()?;
+        Some(event.to)
     }
 
     /// Jobs with locally-tracked state.
@@ -305,9 +334,12 @@ mod tests {
     #[test]
     fn custom_transport_carries_the_full_poll_protocol() {
         let transport = Arc::new(Scripted {
-            responses: std::sync::Mutex::new(vec![canned(
-                r#"{"events":[{"seq":7,"job":"42","to":"RUNNING"}],"latest_seq":7}"#,
-            )]),
+            responses: std::sync::Mutex::new(vec![canned(concat!(
+                r#"{"events":[{"account":"physics","at":"1970-01-01T00:00:07","#,
+                r#""from":"PENDING","job":"42","reason":null,"reason_message":null,"#,
+                r#""seq":7,"to":"RUNNING","to_color":"green","user":"alice"}],"#,
+                r#""latest_seq":7,"resync_required":false,"sub":"tab-1"}"#,
+            ))]),
             urls: std::sync::Mutex::new(Vec::new()),
         });
         let clock = SimClock::new(Timestamp(0));

@@ -248,8 +248,7 @@ pub fn run(base_url: &str, clock: SharedClock, cfg: &LoadConfig) -> LoadReport {
                                 .observe(result.perceived);
                             // Server-annotated stale payloads count as
                             // degraded even when the wire request succeeded.
-                            let server_degraded =
-                                result.value.get("degraded") == Some(&serde_json::json!(true));
+                            let server_degraded = result.degradation().is_some();
                             let degraded =
                                 server_degraded || result.outcome == FetchOutcome::StaleOnError;
                             {

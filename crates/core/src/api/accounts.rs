@@ -8,11 +8,36 @@ use crate::ctx::DashboardContext;
 use hpcdash_http::{Request, Response, Router};
 use hpcdash_slurmcli::scontrol::parse_show_assoc;
 use hpcdash_slurmcli::show_assoc;
-use serde_json::json;
+use serde::{Deserialize, Serialize};
 
 pub const FEATURE: &str = "Accounts widget";
 pub const ROUTES: &[&str] = &["/api/accounts", "/api/accounts/:account/export"];
 pub const SOURCES: &[&str] = &["scontrol show assoc (slurmctld)"];
+
+/// The `/api/accounts` payload.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Accounts {
+    pub accounts: Vec<Account>,
+    pub user_guide_url: String,
+}
+
+/// One allocation the user belongs to, with its usage against its limits.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Account {
+    pub name: String,
+    pub cpus_in_use: u32,
+    pub cpus_queued: u32,
+    /// `None` for an allocation without a CPU cap.
+    pub cpu_limit: Option<u32>,
+    pub cpu_percent: f64,
+    pub cpu_color: String,
+    pub gpu_hours_used: f64,
+    /// `None` for an allocation without a GPU-minutes cap.
+    pub gpu_hours_limit: Option<f64>,
+    pub gpu_color: String,
+    pub member_count: usize,
+    pub export_url: String,
+}
 
 pub fn register(router: &mut Router, ctx: DashboardContext) {
     let ctx2 = ctx.clone();
@@ -31,37 +56,38 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
         ctx.note_source(FEATURE, "scontrol show assoc (slurmctld)");
         let text = show_assoc(&ctx.ctld, Some(&user.username))?;
         let rows = parse_show_assoc(&text).map_err(|e| format!("assoc parse: {e}"))?;
-        Ok(encode(&json!({
-            "accounts": rows
-                .iter()
-                .map(|r| {
-                    let cpu_frac = match r.grp_cpu_limit {
-                        Some(cap) if cap > 0 => r.cpus_in_use as f64 / cap as f64,
-                        _ => 0.0,
-                    };
-                    let gpu_hours_used = r.gpu_seconds_used as f64 / 3_600.0;
-                    let gpu_hours_limit = r.grp_gpu_mins_limit.map(|m| m as f64 / 60.0);
-                    let gpu_frac = match gpu_hours_limit {
-                        Some(cap) if cap > 0.0 => gpu_hours_used / cap,
-                        _ => 0.0,
-                    };
-                    json!({
-                        "name": r.account,
-                        "cpus_in_use": r.cpus_in_use,
-                        "cpus_queued": r.cpus_queued,
-                        "cpu_limit": r.grp_cpu_limit,
-                        "cpu_percent": (cpu_frac * 1000.0).round() / 10.0,
-                        "cpu_color": utilization_color(cpu_frac),
-                        "gpu_hours_used": (gpu_hours_used * 100.0).round() / 100.0,
-                        "gpu_hours_limit": gpu_hours_limit,
-                        "gpu_color": utilization_color(gpu_frac),
-                        "member_count": r.users.len(),
-                        "export_url": format!("/api/accounts/{}/export", r.account),
-                    })
-                })
-                .collect::<Vec<_>>(),
-            "user_guide_url": guide,
-        })))
+        let accounts = rows
+            .into_iter()
+            .map(|r| {
+                let cpu_frac = match r.grp_cpu_limit {
+                    Some(cap) if cap > 0 => r.cpus_in_use as f64 / cap as f64,
+                    _ => 0.0,
+                };
+                let gpu_hours_used = r.gpu_seconds_used as f64 / 3_600.0;
+                let gpu_hours_limit = r.grp_gpu_mins_limit.map(|m| m as f64 / 60.0);
+                let gpu_frac = match gpu_hours_limit {
+                    Some(cap) if cap > 0.0 => gpu_hours_used / cap,
+                    _ => 0.0,
+                };
+                Account {
+                    export_url: format!("/api/accounts/{}/export", r.account),
+                    name: r.account,
+                    cpus_in_use: r.cpus_in_use,
+                    cpus_queued: r.cpus_queued,
+                    cpu_limit: r.grp_cpu_limit,
+                    cpu_percent: (cpu_frac * 1000.0).round() / 10.0,
+                    cpu_color: utilization_color(cpu_frac).to_string(),
+                    gpu_hours_used: (gpu_hours_used * 100.0).round() / 100.0,
+                    gpu_hours_limit,
+                    gpu_color: utilization_color(gpu_frac).to_string(),
+                    member_count: r.users.len(),
+                }
+            })
+            .collect();
+        Ok(encode(&Accounts {
+            accounts,
+            user_guide_url: guide.clone(),
+        }))
     });
     super::respond(outcome)
 }

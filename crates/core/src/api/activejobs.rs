@@ -14,11 +14,31 @@ use crate::colors::job_state_color;
 use crate::ctx::DashboardContext;
 use hpcdash_http::{Request, Response, Router};
 use hpcdash_slurmcli::{parse_squeue, squeue, SqueueArgs};
-use serde_json::json;
+use serde::{Deserialize, Serialize};
 
 pub const FEATURE: &str = "Active Jobs (OOD baseline)";
 pub const ROUTES: &[&str] = &["/api/activejobs"];
 pub const SOURCES: &[&str] = &["squeue (slurmctld)"];
+
+/// The `/api/activejobs` payload: the baseline's basic columns only.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct ActiveJobs {
+    pub jobs: Vec<ActiveJob>,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+pub struct ActiveJob {
+    pub id: String,
+    pub name: String,
+    pub user: String,
+    pub partition: String,
+    pub state: String,
+    pub state_color: String,
+    pub elapsed_secs: u64,
+    pub nodes: u32,
+    /// The baseline shows the raw reason token only.
+    pub nodelist_or_reason: String,
+}
 
 pub fn register(router: &mut Router, ctx: DashboardContext) {
     router.get(ROUTES[0], move |req| handle(&ctx, req));
@@ -38,7 +58,7 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
 
 /// Render squeue text and parse it back (the command→text→parse boundary
 /// the paper's backend uses).
-fn load(ctx: &DashboardContext, username: &str) -> Result<serde_json::Value, String> {
+fn load(ctx: &DashboardContext, username: &str) -> Result<ActiveJobs, String> {
     ctx.note_source(FEATURE, "squeue (slurmctld)");
     let text = squeue(
         &ctx.ctld,
@@ -48,23 +68,22 @@ fn load(ctx: &DashboardContext, username: &str) -> Result<serde_json::Value, Str
         },
     )?;
     let rows = parse_squeue(&text).map_err(|e| format!("squeue parse: {e}"))?;
-    Ok(json!({
-        "jobs": rows
-            .iter()
-            .map(|r| json!({
-                "id": r.job_id,
-                "name": r.name,
-                "user": r.user,
-                "partition": r.partition,
-                "state": r.state.to_slurm(),
-                "state_color": job_state_color(r.state),
-                "elapsed_secs": r.time_secs,
-                "nodes": r.nodes,
-                // The baseline shows the raw reason token only.
-                "nodelist_or_reason": r.nodelist_or_reason,
-            }))
-            .collect::<Vec<_>>(),
-    }))
+    Ok(ActiveJobs {
+        jobs: rows
+            .into_iter()
+            .map(|r| ActiveJob {
+                id: r.job_id,
+                name: r.name,
+                user: r.user,
+                partition: r.partition,
+                state: r.state.to_slurm().to_string(),
+                state_color: job_state_color(r.state).to_string(),
+                elapsed_secs: r.time_secs,
+                nodes: r.nodes,
+                nodelist_or_reason: r.nodelist_or_reason,
+            })
+            .collect(),
+    })
 }
 
 #[cfg(test)]

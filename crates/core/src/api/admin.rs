@@ -12,7 +12,7 @@ use crate::ctx::DashboardContext;
 use hpcdash_http::{Method, Request, Response, Router};
 use hpcdash_slurm::cluster::ClusterError;
 use hpcdash_slurm::job::JobId;
-use serde_json::json;
+use serde::Serialize;
 
 pub const FEATURE: &str = "Admin job controls (extension)";
 pub const ROUTES: &[&str] = &[
@@ -20,6 +20,13 @@ pub const ROUTES: &[&str] = &[
     "/api/admin/jobs/:id/release",
     "/api/admin/jobs/:id/cancel",
 ];
+
+/// What a control answers when it took effect.
+#[derive(Serialize)]
+struct Done {
+    ok: bool,
+    job: String,
+}
 
 pub fn register(router: &mut Router, ctx: DashboardContext) {
     let c1 = ctx.clone();
@@ -60,7 +67,10 @@ fn handle(ctx: &DashboardContext, req: &Request, action: Action) -> Response {
         Action::Cancel => ctx.ctld.cancel(id, "root"),
     };
     match result {
-        Ok(()) => Response::json(&json!({"ok": true, "job": id.to_string()})),
+        Ok(()) => Response::json(&Done {
+            ok: true,
+            job: id.to_string(),
+        }),
         Err(ClusterError::UnknownJob(_)) => Response::not_found("no such active job"),
         Err(e) => Response::bad_request(&e.to_string()),
     }

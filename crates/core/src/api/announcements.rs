@@ -6,11 +6,35 @@ use crate::auth::CurrentUser;
 use crate::colors::announcement_color;
 use crate::ctx::DashboardContext;
 use hpcdash_http::{Request, Response, Router};
-use serde_json::json;
+use serde::{Deserialize, Serialize};
 
 pub const FEATURE: &str = "Announcements widget";
 pub const ROUTES: &[&str] = &["/api/announcements"];
 pub const SOURCES: &[&str] = &["news API"];
+
+/// The `/api/announcements` payload, for the widget and the all-news page.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Announcements {
+    pub items: Vec<Item>,
+    pub all_news_url: String,
+}
+
+/// One article, with its urgency colour and whether it is past.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Item {
+    pub id: u64,
+    pub title: String,
+    pub body: String,
+    pub category: String,
+    pub color: String,
+    /// `active`, `upcoming`, `past` or `timeless`.
+    pub relevance: String,
+    pub faded: bool,
+    pub posted_at: String,
+    /// The event window, for outages and maintenance.
+    pub starts_at: Option<String>,
+    pub ends_at: Option<String>,
+}
 
 pub fn register(router: &mut Router, ctx: DashboardContext) {
     router.get(ROUTES[0], move |req| handle(&ctx, req));
@@ -38,27 +62,28 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
         } else {
             ctx.news.recent(limit).map_err(|e| e.to_string())?
         };
-        Ok(encode(&json!({
-            "items": items
-                .iter()
-                .map(|a| {
-                    let relevance = a.relevance(now);
-                    json!({
-                        "id": a.id,
-                        "title": a.title,
-                        "body": a.body,
-                        "category": a.category.label(),
-                        "color": announcement_color(a.category),
-                        "relevance": format!("{relevance:?}").to_lowercase(),
-                        "faded": relevance == hpcdash_news::Relevance::Past,
-                        "posted_at": a.posted_at.to_slurm(),
-                        "starts_at": a.starts_at.map(|t| t.to_slurm()),
-                        "ends_at": a.ends_at.map(|t| t.to_slurm()),
-                    })
-                })
-                .collect::<Vec<_>>(),
-            "all_news_url": news_url,
-        })))
+        let items = items
+            .into_iter()
+            .map(|a| {
+                let relevance = a.relevance(now);
+                Item {
+                    id: a.id,
+                    category: a.category.label().to_string(),
+                    color: announcement_color(a.category).to_string(),
+                    relevance: format!("{relevance:?}").to_lowercase(),
+                    faded: relevance == hpcdash_news::Relevance::Past,
+                    posted_at: a.posted_at.to_slurm(),
+                    starts_at: a.starts_at.map(|t| t.to_slurm()),
+                    ends_at: a.ends_at.map(|t| t.to_slurm()),
+                    title: a.title,
+                    body: a.body,
+                }
+            })
+            .collect();
+        Ok(encode(&Announcements {
+            items,
+            all_news_url: news_url.clone(),
+        }))
     });
     super::respond(outcome)
 }

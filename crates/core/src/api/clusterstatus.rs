@@ -8,7 +8,7 @@ use crate::ctx::DashboardContext;
 use hpcdash_http::{Request, Response, Router};
 use hpcdash_slurmcli::scontrol::List;
 use hpcdash_slurmcli::{parse_show_node, show_node, ScontrolNode};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 pub const FEATURE: &str = "Cluster Status";
 pub const ROUTES: &[&str] = &["/api/clusterstatus"];
@@ -18,18 +18,46 @@ pub fn register(router: &mut Router, ctx: DashboardContext) {
     router.get(ROUTES[0], move |req| handle(&ctx, req));
 }
 
-#[derive(Serialize)]
-struct ClusterStatus<'t> {
-    nodes: Vec<NodeRow<'t>>,
+/// The `/api/clusterstatus` payload.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct ClusterStatus {
+    pub nodes: Vec<NodeRow>,
 }
 
-/// One node of the grid and list views; its strings are borrowed from the
-/// `scontrol` record it describes.
+/// One node of the grid and list views.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct NodeRow {
+    pub name: String,
+    pub state: String,
+    /// Grid-view cell colour (paper §6's legend).
+    pub color: String,
+    pub cpus_alloc: u32,
+    pub cpus_total: u32,
+    pub cpu_percent: f64,
+    pub cpu_color: String,
+    pub cpu_load: f64,
+    pub mem_alloc_mb: u64,
+    pub mem_total_mb: u64,
+    pub mem_percent: f64,
+    pub mem_color: String,
+    pub partitions: Vec<String>,
+    pub gres: Option<String>,
+    pub gres_used: Option<String>,
+    pub reason: Option<String>,
+    pub overview_url: String,
+}
+
+/// [`ClusterStatus`] as encoded: its strings are borrowed from the
+/// `scontrol` records they describe.
 #[derive(Serialize)]
-struct NodeRow<'t> {
+struct ClusterStatusRef<'t> {
+    nodes: Vec<NodeRowRef<'t>>,
+}
+
+#[derive(Serialize)]
+struct NodeRowRef<'t> {
     name: &'t str,
     state: &'static str,
-    /// Grid-view cell colour (paper §6's legend).
     color: ColorClass,
     cpus_alloc: u32,
     cpus_total: u32,
@@ -47,8 +75,8 @@ struct NodeRow<'t> {
     overview_url: Text<Link<'t>>,
 }
 
-impl<'t> From<&ScontrolNode<'t>> for NodeRow<'t> {
-    fn from(n: &ScontrolNode<'t>) -> NodeRow<'t> {
+impl<'t> From<&ScontrolNode<'t>> for NodeRowRef<'t> {
+    fn from(n: &ScontrolNode<'t>) -> NodeRowRef<'t> {
         let cpu_frac = if n.cpu_total > 0 {
             n.cpu_alloc as f64 / n.cpu_total as f64
         } else {
@@ -59,7 +87,7 @@ impl<'t> From<&ScontrolNode<'t>> for NodeRow<'t> {
         } else {
             0.0
         };
-        NodeRow {
+        NodeRowRef {
             overview_url: Text(Link("/nodes/", n.name)),
             name: n.name,
             state: n.state.to_slurm(),
@@ -89,8 +117,8 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
         ctx.note_source(FEATURE, "scontrol show node (slurmctld)");
         let text = show_node(&ctx.ctld, None)?;
         let nodes = parse_show_node(&text).map_err(|e| format!("scontrol parse: {e}"))?;
-        Ok(encode(&ClusterStatus {
-            nodes: nodes.iter().map(NodeRow::from).collect(),
+        Ok(encode(&ClusterStatusRef {
+            nodes: nodes.iter().map(NodeRowRef::from).collect(),
         }))
     });
     super::respond(outcome)

@@ -17,8 +17,7 @@ use crate::auth::CurrentUser;
 use crate::ctx::DashboardContext;
 use hpcdash_federation::{FederatedSnapshot, SiteHealth, SiteStatus};
 use hpcdash_http::{Request, Response, Router};
-use serde::Serialize;
-use std::sync::Arc;
+use serde::{Deserialize, Serialize};
 
 pub const FEATURE: &str = "Multi-cluster federation (extension)";
 pub const ROUTES: &[&str] = &[
@@ -62,36 +61,37 @@ fn fan_out(ctx: &DashboardContext) -> FederatedSnapshot {
 /// One site's summary entry (shared by the aggregate and scoped routes).
 /// What a site without a snapshot, a live site or a site without a notice
 /// cannot say is left out rather than sent as `null`.
-#[derive(Serialize)]
-struct SiteEntry {
-    cluster: Arc<str>,
-    health: &'static str,
-    snapshot_seq: u64,
+#[derive(Debug, Serialize, Deserialize)]
+pub struct SiteEntry {
+    pub cluster: String,
+    /// `live`, `stale` or `dark`.
+    pub health: String,
+    pub snapshot_seq: u64,
     #[serde(skip_serializing_if = "Option::is_none")]
-    jobs: Option<SiteJobs>,
+    pub jobs: Option<SiteJobs>,
     #[serde(skip_serializing_if = "Option::is_none")]
-    nodes: Option<usize>,
+    pub nodes: Option<usize>,
     #[serde(skip_serializing_if = "Option::is_none")]
-    partitions: Option<usize>,
+    pub partitions: Option<usize>,
     #[serde(skip_serializing_if = "Option::is_none")]
-    stale_age_secs: Option<u64>,
+    pub stale_age_secs: Option<u64>,
     #[serde(skip_serializing_if = "Option::is_none")]
-    notice: Option<String>,
+    pub notice: Option<String>,
 }
 
-#[derive(Serialize)]
-struct SiteJobs {
-    pending: u32,
-    running: u32,
-    suspended: u32,
+#[derive(Debug, Serialize, Deserialize)]
+pub struct SiteJobs {
+    pub pending: u32,
+    pub running: u32,
+    pub suspended: u32,
 }
 
 impl From<&SiteStatus> for SiteEntry {
     fn from(s: &SiteStatus) -> SiteEntry {
         let snap = s.snapshot.as_deref();
         SiteEntry {
-            cluster: s.cluster.clone(),
-            health: s.health.as_str(),
+            cluster: s.cluster.to_string(),
+            health: s.health.as_str().to_string(),
             snapshot_seq: s.seq(),
             jobs: snap.map(|snap| SiteJobs {
                 pending: snap.counts.pending,
@@ -128,25 +128,27 @@ fn notices(fed: &FederatedSnapshot) -> Vec<String> {
     fed.sites.iter().filter_map(|s| s.notice()).collect()
 }
 
-#[derive(Serialize)]
-struct Status {
-    degraded: bool,
-    clusters: usize,
-    live: usize,
-    stale: usize,
-    dark: usize,
-    totals: Totals,
-    notices: Vec<String>,
-    sites: Vec<SiteEntry>,
-    generated_at: u64,
+/// The `/api/federation/status` payload, the Federation page's data.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Status {
+    /// Some slice is stale or dark; `notices` says which.
+    pub degraded: bool,
+    pub clusters: usize,
+    pub live: usize,
+    pub stale: usize,
+    pub dark: usize,
+    pub totals: Totals,
+    pub notices: Vec<String>,
+    pub sites: Vec<SiteEntry>,
+    pub generated_at: u64,
 }
 
-#[derive(Serialize)]
-struct Totals {
-    jobs_pending: u32,
-    jobs_running: u32,
-    jobs_suspended: u32,
-    nodes: usize,
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Totals {
+    pub jobs_pending: u32,
+    pub jobs_running: u32,
+    pub jobs_suspended: u32,
+    pub nodes: usize,
 }
 
 /// `GET /api/federation/status`: the federation overview widget — per-site
@@ -307,6 +309,7 @@ mod tests {
     use hpcdash_http::Method;
     use hpcdash_simtime::Timestamp;
     use hpcdash_slurm::job::JobRequest;
+    use std::sync::Arc;
 
     fn get(path: &str) -> Request {
         Request::new(Method::Get, path).with_header("X-Remote-User", "alice")

@@ -4,6 +4,9 @@
 //! Distinct from `/healthz` (process liveness): this route reports whether
 //! the *data sources* behind the dashboard are answering.
 
+// The health body is still built as a value tree.
+#![allow(clippy::disallowed_types, clippy::disallowed_macros)]
+
 use crate::ctx::DashboardContext;
 use hpcdash_http::{Request, Response, Router};
 use hpcdash_obs::health::HealthStatus;
@@ -23,7 +26,7 @@ fn handle(ctx: &DashboardContext, _req: &Request) -> Response {
     // Daemon liveness and crash-recovery accounting: is each simulated
     // daemon up, how often has it restarted, and what did the last
     // checkpoint+WAL recovery replay vs lose.
-    body["daemons"] = super::daemons_payload(ctx);
+    body["daemons"] = daemons_payload(ctx);
     // Circuit-breaker states ride along: operators reading /api/health see
     // not just that a source is down but whether the dashboard has stopped
     // asking it (open) or is probing for recovery (half_open).
@@ -56,6 +59,45 @@ fn handle(ctx: &DashboardContext, _req: &Request) -> Response {
             ..resp
         },
     }
+}
+
+/// The daemon liveness/recovery section shared by `/api/health` and the
+/// observatory summary: per-daemon down flag, restart count, checkpoint
+/// count, and the last crash-recovery's honest accounting (what the WAL
+/// replayed, what was lost, how long resync took).
+pub(crate) fn daemons_payload(ctx: &DashboardContext) -> serde_json::Value {
+    fn report(r: Option<hpcdash_slurm::durable::RecoveryReport>) -> serde_json::Value {
+        match r {
+            None => serde_json::Value::Null,
+            Some(r) => serde_json::json!({
+                "crashed_at": r.crashed_at.as_secs(),
+                "recovered_at": r.recovered_at.as_secs(),
+                "checkpoint_at": r.checkpoint_at.as_secs(),
+                "wal_replayed": r.wal_replayed,
+                "wal_lost": r.wal_lost,
+                "epoch_before": r.epoch_before,
+                "epoch_after": r.epoch_after,
+                "duration_us": r.duration_micros,
+            }),
+        }
+    }
+    serde_json::json!({
+        "slurmctld": {
+            "down": ctx.ctld.is_down(),
+            "restarts": ctx.ctld.restart_count(),
+            "checkpoints": ctx.ctld.checkpoint_count(),
+            "wal_unflushed": ctx.ctld.wal_unflushed(),
+            "last_recovery": report(ctx.ctld.last_recovery()),
+        },
+        "slurmdbd": {
+            "down": ctx.dbd.is_down(),
+            "restarts": ctx.dbd.restart_count(),
+            "checkpoints": ctx.dbd.checkpoint_count(),
+            "last_recovery": report(ctx.dbd.last_recovery()),
+        },
+        "telemetry_gap_skips": ctx.telemetry.gap_skips(),
+        "telemetry_last_gap_at": ctx.telemetry.last_gap_at(),
+    })
 }
 
 #[cfg(test)]

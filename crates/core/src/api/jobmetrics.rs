@@ -2,14 +2,14 @@
 //! selectable time range, including a custom date range.
 
 use crate::api::encode;
+use crate::api::jobtelemetry::LiveJobs;
 use crate::auth::CurrentUser;
 use crate::ctx::DashboardContext;
 use crate::metrics::{JobMetrics, TimeRange};
 use hpcdash_cache::Body;
 use hpcdash_http::{Request, Response, Router};
 use hpcdash_slurmcli::{parse_sacct, sacct, SacctArgs};
-use serde::Serialize;
-use serde_json::json;
+use serde::{Deserialize, Serialize};
 
 pub const FEATURE: &str = "Job Performance Metrics";
 pub const ROUTES: &[&str] = &["/api/jobmetrics"];
@@ -23,8 +23,16 @@ pub fn register(router: &mut Router, ctx: DashboardContext) {
     router.get(ROUTES[0], move |req| handle(&ctx, req));
 }
 
-/// The cached half of the payload; `"live_jobs"` is spliced in per request
-/// ([`with_live_jobs`]).
+/// The `/api/jobmetrics` payload: the cached range metrics with the live
+/// strip spliced in per request by `with_live_jobs`.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct JobPerformance {
+    pub live_jobs: LiveJobs,
+    pub metrics: JobMetrics,
+    pub range: String,
+}
+
+/// The cached half of [`JobPerformance`].
 #[derive(Serialize)]
 struct RangeMetrics {
     range: String,
@@ -85,10 +93,12 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
             ))
         },
     );
-    let live = live
-        .body()
-        .cloned()
-        .unwrap_or_else(|| Body::json(&json!({"window_secs": 0, "jobs": []})));
+    let live = live.body().cloned().unwrap_or_else(|| {
+        Body::json(&LiveJobs {
+            window_secs: 0,
+            jobs: Vec::new(),
+        })
+    });
     super::respond(outcome.map_body(|metrics| with_live_jobs(&metrics, &live)))
 }
 
@@ -118,6 +128,7 @@ mod tests {
     use crate::ctx::tests::{test_ctx, test_ctx_clocked};
     use hpcdash_http::Method;
     use hpcdash_slurm::job::{JobRequest, UsageProfile};
+    use serde_json::json;
     use serde_json::Value;
     use std::sync::Arc;
 

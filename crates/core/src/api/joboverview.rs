@@ -6,6 +6,7 @@
 //! back to accounting (slurmdbd); logs come from the filesystem with
 //! inherited permissions.
 
+use crate::api::jobtelemetry::Series;
 use crate::auth::CurrentUser;
 use crate::colors::job_state_color;
 use crate::ctx::DashboardContext;
@@ -14,8 +15,9 @@ use crate::reasons::friendly_reason;
 use hpcdash_http::{Request, Response, Router};
 use hpcdash_simtime::format_duration;
 use hpcdash_slurm::job::{Job, JobId};
+use hpcdash_slurm::joblog::LogError;
 use hpcdash_slurmcli::{parse_sacct, sacct, SacctArgs};
-use serde_json::json;
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 pub const FEATURE: &str = "Job Overview";
@@ -26,6 +28,136 @@ pub const SOURCES: &[&str] = &[
     "filesystem (job logs)",
     "telemetryd (metrics collector)",
 ];
+
+/// The `/api/jobs/:id` payload: a job's header, timeline, overview cards,
+/// telemetry, session tab and tab links.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct JobOverview {
+    pub header: Header,
+    pub timeline: Timeline,
+    pub cards: Cards,
+    /// The collector's series; `None` until the job starts.
+    pub telemetry: Option<Series>,
+    /// Set for an interactive-app job.
+    pub session: Option<Session>,
+    pub has_array: bool,
+    pub array_url: Option<String>,
+    pub logs: LogLinks,
+    pub exit_code: Option<String>,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Header {
+    pub id: String,
+    pub name: String,
+    pub state: String,
+    pub state_color: String,
+    pub reason: Option<String>,
+    pub reason_message: Option<String>,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Timeline {
+    pub submitted: String,
+    pub eligible: String,
+    pub started: Option<String>,
+    pub ended: Option<String>,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Cards {
+    pub job_information: JobInformation,
+    pub resources: Resources,
+    pub time: TimeCard,
+    /// `None` when accounting is unreachable: a bonus card.
+    pub efficiency: Option<EfficiencyReport>,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+pub struct JobInformation {
+    pub name: String,
+    pub user: String,
+    pub account: String,
+    pub partition: String,
+    pub qos: String,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Resources {
+    pub cpus: u32,
+    pub nodes: u32,
+    pub mem_mb_per_node: u64,
+    pub gpus: u32,
+    pub node_links: Vec<NodeLink>,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+pub struct NodeLink {
+    pub name: String,
+    pub overview_url: String,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+pub struct TimeCard {
+    pub elapsed: String,
+    pub elapsed_secs: u64,
+    pub limit: String,
+    pub remaining_secs: Option<u64>,
+    pub cpu_time_secs: Option<u64>,
+}
+
+/// The session tab, parsed from the OOD comment
+/// (`ood:<app>:<session_id>:<workdir>`).
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Session {
+    pub app: String,
+    pub session_id: String,
+    pub workdir: String,
+    pub workdir_url: String,
+    pub relaunch_url: String,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+pub struct LogLinks {
+    pub stdout_url: String,
+    pub stderr_url: String,
+}
+
+/// The `/api/jobs/:id/logs` payload: the tail of one output stream.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct LogTail {
+    pub path: String,
+    pub total_lines: usize,
+    pub truncated: bool,
+    /// `(line number, text)`, oldest first.
+    pub lines: Vec<(usize, String)>,
+    /// The files-app link, once the file exists.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub full_file_url: Option<String>,
+    /// Why there are no lines, before the file exists.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub note: Option<String>,
+}
+
+/// The `/api/jobs/:id/array` payload.
+#[derive(Serialize)]
+struct ArrayTasks {
+    array_job_id: String,
+    tasks: Vec<ArrayTask>,
+}
+
+#[derive(Serialize)]
+struct ArrayTask {
+    id: String,
+    task_id: Option<u32>,
+    state: &'static str,
+    state_color: &'static str,
+    submitted: String,
+    started: Option<String>,
+    ended: Option<String>,
+    nodelist: String,
+    overview_url: String,
+}
 
 pub fn register(router: &mut Router, ctx: DashboardContext) {
     let ctx_logs = ctx.clone();
@@ -85,7 +217,7 @@ fn handle_overview(ctx: &DashboardContext, req: &Request) -> Response {
     })
 }
 
-fn overview_payload(ctx: &DashboardContext, job: &Job) -> serde_json::Value {
+fn overview_payload(ctx: &DashboardContext, job: &Job) -> JobOverview {
     let now = ctx.now();
     let gpu_flag = ctx.cfg.features.gpu_efficiency;
 
@@ -118,76 +250,80 @@ fn overview_payload(ctx: &DashboardContext, job: &Job) -> serde_json::Value {
     let telemetry = crate::api::jobtelemetry::job_series_payload(ctx, FEATURE, job);
 
     let elapsed = job.elapsed_secs(now);
-    let session = job.req.comment.as_deref().and_then(parse_ood_session);
-    json!({
-        "header": {
-            "id": job.display_id(),
-            "name": job.req.name,
-            "state": job.state.to_slurm(),
-            "state_color": job_state_color(job.state),
-            "reason": job.reason.map(|r| r.to_slurm()),
-            "reason_message": job.reason.map(friendly_reason),
+    let id = job.display_id();
+    JobOverview {
+        header: Header {
+            id: id.clone(),
+            name: job.req.name.clone(),
+            state: job.state.to_slurm().to_string(),
+            state_color: job_state_color(job.state).to_string(),
+            reason: job.reason.map(|r| r.to_slurm().to_string()),
+            reason_message: job.reason.map(|r| friendly_reason(r).to_string()),
         },
-        "timeline": {
-            "submitted": job.submit_time.to_slurm(),
-            "eligible": job.eligible_time.to_slurm(),
-            "started": job.start_time.map(|t| t.to_slurm()),
-            "ended": job.end_time.map(|t| t.to_slurm()),
+        timeline: Timeline {
+            submitted: job.submit_time.to_slurm(),
+            eligible: job.eligible_time.to_slurm(),
+            started: job.start_time.map(|t| t.to_slurm()),
+            ended: job.end_time.map(|t| t.to_slurm()),
         },
-        "cards": {
-            "job_information": {
-                "name": job.req.name,
-                "user": job.req.user,
-                "account": job.req.account,
-                "partition": job.req.partition,
-                "qos": job.req.qos,
+        cards: Cards {
+            job_information: JobInformation {
+                name: job.req.name.clone(),
+                user: job.req.user.clone(),
+                account: job.req.account.clone(),
+                partition: job.req.partition.clone(),
+                qos: job.req.qos.clone(),
             },
-            "resources": {
-                "cpus": job.alloc_cpus(),
-                "nodes": job.req.nodes,
-                "mem_mb_per_node": job.req.mem_mb_per_node,
-                "gpus": job.req.gpus_per_node * job.req.nodes,
-                "node_links": job.nodes.iter().map(|n| json!({
-                    "name": n,
-                    "overview_url": format!("/nodes/{n}"),
-                })).collect::<Vec<_>>(),
+            resources: Resources {
+                cpus: job.alloc_cpus(),
+                nodes: job.req.nodes,
+                mem_mb_per_node: job.req.mem_mb_per_node,
+                gpus: job.req.gpus_per_node * job.req.nodes,
+                node_links: job
+                    .nodes
+                    .iter()
+                    .map(|n| NodeLink {
+                        name: n.clone(),
+                        overview_url: format!("/nodes/{n}"),
+                    })
+                    .collect(),
             },
-            "time": {
-                "elapsed": format_duration(elapsed),
-                "elapsed_secs": elapsed,
-                "limit": job.req.time_limit.to_slurm(),
-                "remaining_secs": job.remaining_secs(now),
-                "cpu_time_secs": job.stats.map(|s| s.total_cpu_secs),
+            time: TimeCard {
+                elapsed: format_duration(elapsed),
+                elapsed_secs: elapsed,
+                limit: job.req.time_limit.to_slurm(),
+                remaining_secs: job.remaining_secs(now),
+                cpu_time_secs: job.stats.map(|s| s.total_cpu_secs),
             },
-            "efficiency": efficiency,
+            efficiency,
         },
-        "telemetry": telemetry,
-        "session": session,
-        "has_array": job.array.is_some(),
-        "array_url": job.array.map(|a| format!("/api/jobs/{}/array", a.array_job_id)),
-        "logs": {
-            "stdout_url": format!("/api/jobs/{}/logs?stream=out", job.display_id()),
-            "stderr_url": format!("/api/jobs/{}/logs?stream=err", job.display_id()),
+        telemetry,
+        session: job.req.comment.as_deref().and_then(parse_ood_session),
+        has_array: job.array.is_some(),
+        array_url: job
+            .array
+            .map(|a| format!("/api/jobs/{}/array", a.array_job_id)),
+        logs: LogLinks {
+            stdout_url: format!("/api/jobs/{id}/logs?stream=out"),
+            stderr_url: format!("/api/jobs/{id}/logs?stream=err"),
         },
-        "exit_code": job.exit_code.map(|(c, s)| format!("{c}:{s}")),
-    })
+        exit_code: job.exit_code.map(|(c, s)| format!("{c}:{s}")),
+    }
 }
 
-/// The session tab payload parsed from the OOD comment
-/// (`ood:<app>:<session_id>:<workdir>`).
-fn parse_ood_session(comment: &str) -> Option<serde_json::Value> {
+fn parse_ood_session(comment: &str) -> Option<Session> {
     let rest = comment.strip_prefix("ood:")?;
     let mut parts = rest.splitn(3, ':');
     let app = parts.next()?;
     let session_id = parts.next()?;
     let workdir = parts.next()?;
-    Some(json!({
-        "app": app,
-        "session_id": session_id,
-        "workdir": workdir,
-        "workdir_url": format!("/pun/sys/files/fs{workdir}"),
-        "relaunch_url": format!("/pun/sys/dashboard/batch_connect/sys/{app}/session_contexts/new"),
-    }))
+    Some(Session {
+        app: app.to_string(),
+        session_id: session_id.to_string(),
+        workdir: workdir.to_string(),
+        workdir_url: format!("/pun/sys/files/fs{workdir}"),
+        relaunch_url: format!("/pun/sys/dashboard/batch_connect/sys/{app}/session_contexts/new"),
+    })
 }
 
 fn handle_logs(ctx: &DashboardContext, req: &Request) -> Response {
@@ -205,23 +341,25 @@ fn handle_logs(ctx: &DashboardContext, req: &Request) -> Response {
     // Log access inherits filesystem ownership: group visibility is NOT
     // enough here (paper §2.4: only the submitting user reads logs).
     match ctx.logs.tail_default(path, &user.username) {
-        Ok(tail) => Response::json(&json!({
-            "path": tail.path,
-            "total_lines": tail.total_lines,
-            "truncated": tail.truncated,
-            "lines": tail.lines,
-            "full_file_url": format!("/pun/sys/files/fs{}", tail.path),
-        })),
-        Err(hpcdash_slurm::joblog::LogError::PermissionDenied { .. }) => {
+        Ok(tail) => Response::json(&LogTail {
+            full_file_url: Some(format!("/pun/sys/files/fs{}", tail.path)),
+            path: tail.path,
+            total_lines: tail.total_lines,
+            truncated: tail.truncated,
+            lines: tail.lines,
+            note: None,
+        }),
+        Err(LogError::PermissionDenied { .. }) => {
             Response::forbidden("log files are only viewable by the job owner")
         }
-        Err(hpcdash_slurm::joblog::LogError::NotFound(_)) => Response::json(&json!({
-            "path": path,
-            "total_lines": 0,
-            "truncated": false,
-            "lines": [],
-            "note": "no output yet",
-        })),
+        Err(LogError::NotFound(_)) => Response::json(&LogTail {
+            path: path.clone(),
+            total_lines: 0,
+            truncated: false,
+            lines: Vec::new(),
+            full_file_url: None,
+            note: Some("no output yet".to_string()),
+        }),
     }
 }
 
@@ -235,23 +373,23 @@ fn handle_array(ctx: &DashboardContext, req: &Request) -> Response {
     };
     ctx.note_source(FEATURE, "sacct (slurmdbd)");
     let tasks = ctx.dbd.array_tasks(array.array_job_id);
-    Response::json(&json!({
-        "array_job_id": array.array_job_id.to_string(),
-        "tasks": tasks
+    Response::json(&ArrayTasks {
+        array_job_id: array.array_job_id.to_string(),
+        tasks: tasks
             .iter()
-            .map(|t| json!({
-                "id": t.display_id(),
-                "task_id": t.array.map(|a| a.task_id),
-                "state": t.state.to_slurm(),
-                "state_color": job_state_color(t.state),
-                "submitted": t.submit_time.to_slurm(),
-                "started": t.start_time.map(|x| x.to_slurm()),
-                "ended": t.end_time.map(|x| x.to_slurm()),
-                "nodelist": t.nodes.join(","),
-                "overview_url": format!("/jobs/{}", t.display_id()),
-            }))
-            .collect::<Vec<_>>(),
-    }))
+            .map(|t| ArrayTask {
+                id: t.display_id(),
+                task_id: t.array.map(|a| a.task_id),
+                state: t.state.to_slurm(),
+                state_color: job_state_color(t.state),
+                submitted: t.submit_time.to_slurm(),
+                started: t.start_time.map(|x| x.to_slurm()),
+                ended: t.end_time.map(|x| x.to_slurm()),
+                nodelist: t.nodes.join(","),
+                overview_url: format!("/jobs/{}", t.display_id()),
+            })
+            .collect(),
+    })
 }
 
 #[cfg(test)]
@@ -391,9 +529,9 @@ mod tests {
     #[test]
     fn ood_session_parser() {
         let s = parse_ood_session("ood:rstudio:abc:/home/u/dir").unwrap();
-        assert_eq!(s["app"], "rstudio");
-        assert_eq!(s["session_id"], "abc");
-        assert_eq!(s["workdir"], "/home/u/dir");
+        assert_eq!(s.app, "rstudio");
+        assert_eq!(s.session_id, "abc");
+        assert_eq!(s.workdir, "/home/u/dir");
         assert!(parse_ood_session("not-ood").is_none());
         assert!(parse_ood_session("ood:app").is_none());
     }

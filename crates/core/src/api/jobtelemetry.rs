@@ -16,8 +16,7 @@ use hpcdash_http::{Request, Response, Router};
 use hpcdash_slurm::ctld::JobQuery;
 use hpcdash_slurm::job::{Job, JobId, JobState};
 use hpcdash_telemetry::{keys, RangePoint};
-use serde::Serialize;
-use serde_json::Value;
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -47,47 +46,26 @@ pub fn register(router: &mut Router, ctx: DashboardContext) {
     router.get(ROUTES[1], move |req| handle_job(&ctx_job, req));
 }
 
-fn round4(x: f64) -> f64 {
-    (x * 10_000.0).round() / 10_000.0
-}
-
 /// A series as the sparklines read it: `[[t, mean], …]`, each mean rounded
 /// to four places.
-struct Pairs(Vec<RangePoint>);
-
-impl Serialize for Pairs {
-    fn to_json_value(&self) -> Value {
-        Value::Array(
-            self.0
-                .iter()
-                .map(|p| (p.t, round4(p.mean)).to_json_value())
-                .collect(),
-        )
-    }
-
-    fn write_json(&self, out: &mut Vec<u8>) {
-        out.push(b'[');
-        for (i, p) in self.0.iter().enumerate() {
-            if i > 0 {
-                out.push(b',');
-            }
-            (p.t, round4(p.mean)).write_json(out);
-        }
-        out.push(b']');
-    }
+fn pairs(points: Vec<RangePoint>) -> Vec<(i64, f64)> {
+    points
+        .into_iter()
+        .map(|p| (p.t, (p.mean * 10_000.0).round() / 10_000.0))
+        .collect()
 }
 
 /// The sparkline series of one job over `[start, end]`.
-#[derive(Serialize)]
-pub(crate) struct SeriesBlock {
-    start: i64,
-    end: i64,
-    resolution_secs: i64,
-    tier: &'static str,
-    cpu: Pairs,
-    mem: Pairs,
-    /// `null` for a job without GPUs.
-    gpu: Option<Pairs>,
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Series {
+    pub start: i64,
+    pub end: i64,
+    pub resolution_secs: i64,
+    pub tier: String,
+    pub cpu: Vec<(i64, f64)>,
+    pub mem: Vec<(i64, f64)>,
+    /// `None` for a job without GPUs.
+    pub gpu: Option<Vec<(i64, f64)>>,
 }
 
 /// A job's display id (`1234` or `1234_7`) after a fixed prefix.
@@ -100,19 +78,35 @@ impl fmt::Display for ShownId<'_> {
     }
 }
 
-/// One running job of the live strip.
+/// The `/api/jobtelemetry` payload, the live strip of Job Performance
+/// Metrics: the user's running jobs and their recent series.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct LiveJobs {
+    pub window_secs: i64,
+    pub jobs: Vec<LiveJob>,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+pub struct LiveJob {
+    pub id: String,
+    pub name: String,
+    pub overview_url: String,
+    pub series: Series,
+}
+
+/// [`LiveJobs`] as encoded, borrowing each job's name.
 #[derive(Serialize)]
-struct LiveJob<'a> {
-    id: Text<ShownId<'a>>,
-    name: &'a str,
-    overview_url: Text<ShownId<'a>>,
-    series: SeriesBlock,
+struct LiveJobsRef<'a> {
+    window_secs: i64,
+    jobs: Vec<LiveJobRef<'a>>,
 }
 
 #[derive(Serialize)]
-struct LiveJobs<'a> {
-    window_secs: i64,
-    jobs: Vec<LiveJob<'a>>,
+struct LiveJobRef<'a> {
+    id: Text<ShownId<'a>>,
+    name: &'a str,
+    overview_url: Text<ShownId<'a>>,
+    series: Series,
 }
 
 /// The `/api/jobs/:id/telemetry` payload.
@@ -120,17 +114,11 @@ struct LiveJobs<'a> {
 struct JobSeries<'a> {
     id: Text<ShownId<'a>>,
     state: &'static str,
-    telemetry: Option<SeriesBlock>,
+    telemetry: Option<Series>,
 }
 
 /// The sparkline series for one job over `[start, end]` at `resolution`.
-fn series_block(
-    ctx: &DashboardContext,
-    job: &Job,
-    start: i64,
-    end: i64,
-    resolution: i64,
-) -> SeriesBlock {
+fn series(ctx: &DashboardContext, job: &Job, start: i64, end: i64, resolution: i64) -> Series {
     let (cpu, tier) = ctx
         .telemetry
         .query_range(&keys::job_cpu(job.id), start, end, resolution);
@@ -141,15 +129,15 @@ fn series_block(
         let (gpu, _) = ctx
             .telemetry
             .query_range(&keys::job_gpu(job.id), start, end, resolution);
-        Pairs(gpu)
+        pairs(gpu)
     });
-    SeriesBlock {
+    Series {
         start,
         end,
         resolution_secs: resolution,
-        tier: tier.label(),
-        cpu: Pairs(cpu),
-        mem: Pairs(mem),
+        tier: tier.label().to_string(),
+        cpu: pairs(cpu),
+        mem: pairs(mem),
         gpu,
     }
 }
@@ -160,7 +148,7 @@ pub(crate) fn job_series_payload(
     ctx: &DashboardContext,
     feature: &str,
     job: &Job,
-) -> Option<SeriesBlock> {
+) -> Option<Series> {
     ctx.note_source(feature, TELEMETRY_SOURCE);
     let start = job.start_time?.as_secs() as i64;
     let end = job
@@ -170,7 +158,7 @@ pub(crate) fn job_series_payload(
     let window = (end - start).max(1);
     let resolution = (window / MAX_POINTS).max(LIVE_RESOLUTION_SECS);
     // `end + 1`: series timestamps are inclusive tick times.
-    Some(series_block(ctx, job, start, end + 1, resolution))
+    Some(series(ctx, job, start, end + 1, resolution))
 }
 
 /// Mean collector-measured GPU utilization over the job's lifetime, for the
@@ -203,15 +191,15 @@ pub(crate) fn live_jobs_payload(ctx: &DashboardContext, feature: &str, user: &st
         .filter(|job| job.state == JobState::Running)
         .filter_map(|job| {
             let start = (now - LIVE_WINDOW_SECS).max(job.start_time?.as_secs() as i64);
-            Some(LiveJob {
+            Some(LiveJobRef {
                 id: Text(ShownId("", job)),
                 name: &job.req.name,
                 overview_url: Text(ShownId("/jobs/", job)),
-                series: series_block(ctx, job, start, now + 1, LIVE_RESOLUTION_SECS),
+                series: series(ctx, job, start, now + 1, LIVE_RESOLUTION_SECS),
             })
         })
         .collect();
-    encode(&LiveJobs {
+    encode(&LiveJobsRef {
         window_secs: LIVE_WINDOW_SECS,
         jobs,
     })

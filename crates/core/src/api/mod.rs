@@ -1,5 +1,9 @@
 //! The backend API routes — one module per dashboard feature, each pairing
 //! with exactly one frontend component (the paper's modularity rule, §2.3).
+//! A route's module also holds its payload's one Rust description: the
+//! route encodes it, and the paired renderer (and the headless client)
+//! decode the same type. Rows that borrow the command text they describe
+//! encode through a borrowing twin with the same field names.
 //!
 //! Every module declares its `FEATURE` name and `SOURCES` (the data sources
 //! of the paper's Table 1); [`feature_table`] assembles the declared table,
@@ -28,6 +32,7 @@ pub mod system_status;
 pub mod updates;
 
 use crate::ctx::{DashboardContext, SourceOutcome};
+use hpcdash_cache::body::annotate_stale;
 use hpcdash_cache::Body;
 use hpcdash_http::{Request, Response, Router};
 use std::fmt;
@@ -45,8 +50,10 @@ pub(crate) fn encode<T: serde::Serialize + ?Sized>(payload: &T) -> Vec<u8> {
 pub(crate) struct Text<T>(pub T);
 
 impl<T: fmt::Display> serde::Serialize for Text<T> {
+    // The vendored trait's tree half, which no route calls.
+    #[allow(clippy::disallowed_types)]
     fn to_json_value(&self) -> serde_json::Value {
-        serde_json::Value::String(self.0.to_string())
+        serde::Serialize::to_json_value(&self.0.to_string())
     }
 
     fn write_json(&self, out: &mut Vec<u8>) {
@@ -90,11 +97,11 @@ pub(crate) fn fresh(body: Body) -> Response {
 /// single place the per-widget degradation contract is encoded:
 ///
 /// * `Fresh` — 200, the cached bytes as they are, with their `ETag`.
-/// * `Stale` — 200, payload annotated with `"degraded": true`,
-///   `"stale_age_secs"`, and `"stale_error"` so the frontend can render the
-///   accessible "showing data from N min ago" notice instead of silently
-///   presenting old numbers as current. The one path that re-parses the
-///   cached bytes; it carries no `ETag`.
+/// * `Stale` — 200, the cached bytes with `"degraded": true`,
+///   `"stale_age_secs"` and `"stale_error"` spliced in
+///   ([`hpcdash_cache::body::annotate_stale`]; nothing is parsed), so the
+///   frontend renders the accessible "showing data from N min ago" notice
+///   instead of presenting old numbers as current. No `ETag`.
 /// * `Failed` — 503 with the error; only this widget goes dark.
 pub(crate) fn respond(outcome: SourceOutcome) -> Response {
     match outcome {
@@ -111,14 +118,9 @@ pub(crate) fn respond(outcome: SourceOutcome) -> Response {
             hpcdash_obs::tracestore::annotate("outcome", "degraded");
             // Every route payload is a JSON object; anything else is served
             // unannotated rather than re-shaped under the client's feet.
-            match serde_json::from_slice(&body.bytes) {
-                Ok(serde_json::Value::Object(mut obj)) => {
-                    obj.insert("degraded".to_string(), serde_json::json!(true));
-                    obj.insert("stale_age_secs".to_string(), serde_json::json!(age_secs));
-                    obj.insert("stale_error".to_string(), serde_json::json!(error));
-                    Response::json(&serde_json::Value::Object(obj))
-                }
-                _ => json_bytes(body.bytes),
+            match annotate_stale(&body.bytes, age_secs, &error) {
+                Some(bytes) => json_bytes(bytes),
+                None => json_bytes(body.bytes),
             }
         }
         SourceOutcome::Failed(e) => {
@@ -197,45 +199,6 @@ pub struct FeatureInfo {
     pub feature: &'static str,
     pub routes: &'static [&'static str],
     pub sources: &'static [&'static str],
-}
-
-/// The daemon liveness/recovery section shared by `/api/health` and the
-/// observatory summary: per-daemon down flag, restart count, checkpoint
-/// count, and the last crash-recovery's honest accounting (what the WAL
-/// replayed, what was lost, how long resync took).
-pub(crate) fn daemons_payload(ctx: &DashboardContext) -> serde_json::Value {
-    fn report(r: Option<hpcdash_slurm::durable::RecoveryReport>) -> serde_json::Value {
-        match r {
-            None => serde_json::Value::Null,
-            Some(r) => serde_json::json!({
-                "crashed_at": r.crashed_at.as_secs(),
-                "recovered_at": r.recovered_at.as_secs(),
-                "checkpoint_at": r.checkpoint_at.as_secs(),
-                "wal_replayed": r.wal_replayed,
-                "wal_lost": r.wal_lost,
-                "epoch_before": r.epoch_before,
-                "epoch_after": r.epoch_after,
-                "duration_us": r.duration_micros,
-            }),
-        }
-    }
-    serde_json::json!({
-        "slurmctld": {
-            "down": ctx.ctld.is_down(),
-            "restarts": ctx.ctld.restart_count(),
-            "checkpoints": ctx.ctld.checkpoint_count(),
-            "wal_unflushed": ctx.ctld.wal_unflushed(),
-            "last_recovery": report(ctx.ctld.last_recovery()),
-        },
-        "slurmdbd": {
-            "down": ctx.dbd.is_down(),
-            "restarts": ctx.dbd.restart_count(),
-            "checkpoints": ctx.dbd.checkpoint_count(),
-            "last_recovery": report(ctx.dbd.last_recovery()),
-        },
-        "telemetry_gap_skips": ctx.telemetry.gap_skips(),
-        "telemetry_last_gap_at": ctx.telemetry.last_gap_at(),
-    })
 }
 
 /// Register every feature's API route(s).

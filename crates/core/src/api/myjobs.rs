@@ -17,7 +17,7 @@ use hpcdash_http::{Request, Response, Router};
 use hpcdash_simtime::{TimeLimit, Timestamp};
 use hpcdash_slurm::job::{JobState, PendingReason};
 use hpcdash_slurmcli::{parse_sacct, parse_squeue_long, sacct, squeue_long, SacctArgs, SqueueArgs};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 pub const FEATURE: &str = "My Jobs";
@@ -28,25 +28,70 @@ pub fn register(router: &mut Router, ctx: DashboardContext) {
     router.get(ROUTES[0], move |req| handle(&ctx, req));
 }
 
-/// The route's payload. Its rows borrow every string from the `sacct`
-/// records they describe, which borrow from the command text; the loader
-/// encodes it while that text is alive.
-#[derive(Serialize)]
-struct MyJobs<'t> {
-    range: String,
-    jobs: Vec<JobRow<'t>>,
-    charts: Charts<'t>,
+/// The `/api/myjobs` payload.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct MyJobs {
+    pub range: String,
+    pub jobs: Vec<JobRow>,
+    pub charts: Charts,
 }
 
-#[derive(Serialize)]
-struct Charts<'t> {
-    state_distribution: StateDistribution<'t>,
-    gpu_hours: GpuHours<'t>,
+/// The two distribution charts over the table's jobs.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Charts {
+    pub state_distribution: StateDistribution,
+    pub gpu_hours: GpuHours,
 }
 
 /// One row of the history table.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct JobRow {
+    pub id: String,
+    pub name: String,
+    pub user: String,
+    pub account: String,
+    pub partition: String,
+    pub qos: String,
+    pub state: String,
+    pub state_color: String,
+    pub submit: Option<String>,
+    pub start: Option<String>,
+    pub end: Option<String>,
+    pub wait_secs: Option<u64>,
+    pub elapsed_secs: u64,
+    pub timelimit: String,
+    pub alloc_cpus: u32,
+    pub alloc_nodes: u32,
+    pub req_mem_mb: u64,
+    pub gpu_hours: f64,
+    pub nodelist: String,
+    pub exit_code: String,
+    pub session_id: Option<String>,
+    pub efficiency: EfficiencyReport,
+    /// Set for a pending job.
+    pub reason: Option<Reason>,
+    pub overview_url: String,
+}
+
+/// Why a pending job waits: Slurm's token and the sentence shown for it.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Reason {
+    pub code: String,
+    pub message: String,
+}
+
+/// [`MyJobs`] as encoded: its rows borrow every string from the `sacct`
+/// records they describe, which borrow from the command text; the loader
+/// encodes it while that text is alive.
 #[derive(Serialize)]
-struct JobRow<'t> {
+struct MyJobsRef<'t> {
+    range: String,
+    jobs: Vec<JobRowRef<'t>>,
+    charts: Charts,
+}
+
+#[derive(Serialize)]
+struct JobRowRef<'t> {
     id: &'t str,
     name: &'t str,
     user: &'t str,
@@ -69,13 +114,12 @@ struct JobRow<'t> {
     exit_code: &'t str,
     session_id: Option<&'t str>,
     efficiency: EfficiencyReport,
-    reason: Option<Reason>,
+    reason: Option<ReasonRef>,
     overview_url: Text<Link<'t>>,
 }
 
-/// Why a pending job waits: Slurm's token and the sentence shown for it.
 #[derive(Serialize)]
-struct Reason {
+struct ReasonRef {
     code: &'static str,
     message: &'static str,
 }
@@ -165,7 +209,7 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
                         .map(|s| now.since(s))
                         .filter(|_| rec.state == JobState::Pending)
                 });
-                JobRow {
+                JobRowRef {
                     id: rec.job_id,
                     name: rec.job_name,
                     user: rec.user,
@@ -188,7 +232,7 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
                     exit_code: rec.exit_code,
                     session_id: parse_session_id(rec.comment),
                     efficiency: EfficiencyReport::from_record(rec, gpu_flag),
-                    reason: reasons.get(rec.job_id).map(|&r| Reason {
+                    reason: reasons.get(rec.job_id).map(|&r| ReasonRef {
                         code: r.to_slurm(),
                         message: friendly_reason(r),
                     }),
@@ -196,7 +240,7 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
                 }
             })
             .collect();
-        Ok(encode(&MyJobs {
+        Ok(encode(&MyJobsRef {
             range: range.label(),
             jobs,
             charts: Charts {

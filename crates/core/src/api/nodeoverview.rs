@@ -9,7 +9,8 @@ use hpcdash_http::{Request, Response, Router};
 use hpcdash_slurm::ctld::JobQuery;
 use hpcdash_slurm::job::Job;
 use hpcdash_slurmcli::{parse_show_node, show_node, ScontrolNode};
-use serde_json::json;
+use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 pub const FEATURE: &str = "Node Overview";
@@ -19,6 +20,66 @@ pub const SOURCES: &[&str] = &["scontrol show node (slurmctld)", "squeue (slurmc
 /// The loader's "no such node" marker; the route recognises a cached one
 /// by these bytes, without parsing.
 const NOT_FOUND: &[u8] = br#"{"not_found":true}"#;
+
+/// The `/api/nodes/:name` payload: one node's cards, details tab and
+/// running jobs.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct NodeOverview {
+    pub status_card: StatusCard,
+    pub resource_card: ResourceCard,
+    /// Details tab: the raw scontrol fields (paper: "pulled directly from
+    /// Slurm's scontrol show node command"), sorted by key.
+    pub details: BTreeMap<String, String>,
+    pub running_jobs: Vec<RunningJob>,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+pub struct StatusCard {
+    pub name: String,
+    pub state: String,
+    pub color: String,
+    pub last_busy: Option<String>,
+    pub reason: Option<String>,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+pub struct ResourceCard {
+    pub cpu: Usage,
+    pub memory: MemoryUsage,
+    /// `None` for a node without GPUs.
+    pub gpu: Option<Usage>,
+}
+
+/// Allocated against total CPUs or GPUs.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Usage {
+    pub alloc: u32,
+    pub total: u32,
+    pub percent: f64,
+    pub color: String,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+pub struct MemoryUsage {
+    pub alloc_mb: u64,
+    pub total_mb: u64,
+    pub percent: f64,
+    pub color: String,
+}
+
+/// A job on the node (name, user and partition are public queue data, as
+/// in squeue).
+#[derive(Debug, Serialize, Deserialize)]
+pub struct RunningJob {
+    pub id: String,
+    pub name: String,
+    pub user: String,
+    pub partition: String,
+    pub state: String,
+    pub alloc_cpus: u32,
+    pub alloc_mem_mb: u64,
+    pub overview_url: String,
+}
 
 pub fn register(router: &mut Router, ctx: DashboardContext) {
     router.get(ROUTES[0], move |req| handle(&ctx, req));
@@ -51,8 +112,6 @@ fn load(ctx: &DashboardContext, name: &str) -> Result<Vec<u8>, String> {
     let nodes = parse_show_node(&text).map_err(|e| format!("scontrol parse: {e}"))?;
     let n = nodes.first().ok_or("empty scontrol output")?;
 
-    // Running-jobs tab: every job on this node (name/user/partition are
-    // public queue data, as in squeue).
     ctx.note_source(FEATURE, "squeue (slurmctld)");
     let jobs = ctx.ctld.query_jobs(&JobQuery {
         node: Some(name.to_string()),
@@ -61,8 +120,7 @@ fn load(ctx: &DashboardContext, name: &str) -> Result<Vec<u8>, String> {
     Ok(encode(&payload(n, &jobs)))
 }
 
-/// The payload: one node's cards, details tab and running jobs.
-fn payload(n: &ScontrolNode<'_>, jobs: &[Arc<Job>]) -> serde_json::Value {
+fn payload(n: &ScontrolNode<'_>, jobs: &[Arc<Job>]) -> NodeOverview {
     let cpu_frac = if n.cpu_total > 0 {
         n.cpu_alloc as f64 / n.cpu_total as f64
     } else {
@@ -75,59 +133,62 @@ fn payload(n: &ScontrolNode<'_>, jobs: &[Arc<Job>]) -> serde_json::Value {
     };
     let gpu_usage = n.gres_used.and_then(parse_gres_count);
     let gpu_total = n.gres.and_then(parse_gres_count);
-
-    json!({
-        "status_card": {
-            "name": n.name,
-            "state": n.state.to_slurm(),
-            "color": node_color(n.state),
-            "last_busy": n.last_busy.map(|t| t.to_slurm()),
-            "reason": n.reason,
+    NodeOverview {
+        status_card: StatusCard {
+            name: n.name.to_string(),
+            state: n.state.to_slurm().to_string(),
+            color: node_color(n.state).to_string(),
+            last_busy: n.last_busy.map(|t| t.to_slurm()),
+            reason: n.reason.map(str::to_string),
         },
-        "resource_card": {
-            "cpu": {
-                "alloc": n.cpu_alloc,
-                "total": n.cpu_total,
-                "percent": (cpu_frac * 1000.0).round() / 10.0,
-                "color": utilization_color(cpu_frac),
+        resource_card: ResourceCard {
+            cpu: Usage {
+                alloc: n.cpu_alloc,
+                total: n.cpu_total,
+                percent: (cpu_frac * 1000.0).round() / 10.0,
+                color: utilization_color(cpu_frac).to_string(),
             },
-            "memory": {
-                "alloc_mb": n.alloc_memory_mb,
-                "total_mb": n.real_memory_mb,
-                "percent": (mem_frac * 1000.0).round() / 10.0,
-                "color": utilization_color(mem_frac),
+            memory: MemoryUsage {
+                alloc_mb: n.alloc_memory_mb,
+                total_mb: n.real_memory_mb,
+                percent: (mem_frac * 1000.0).round() / 10.0,
+                color: utilization_color(mem_frac).to_string(),
             },
-            "gpu": match (gpu_usage, gpu_total) {
+            gpu: match (gpu_usage, gpu_total) {
                 (Some(used), Some(total)) if total > 0 => {
                     let frac = used as f64 / total as f64;
-                    json!({
-                        "alloc": used,
-                        "total": total,
-                        "percent": (frac * 1000.0).round() / 10.0,
-                        "color": utilization_color(frac),
+                    Some(Usage {
+                        alloc: used,
+                        total,
+                        percent: (frac * 1000.0).round() / 10.0,
+                        color: utilization_color(frac).to_string(),
                     })
                 }
-                _ => serde_json::Value::Null,
+                _ => None,
             },
         },
-        // Details tab: the raw scontrol fields (paper: "pulled directly
-        // from Slurm's scontrol show node command"), read out of the
-        // record's text only here.
-        "details": n.details(),
-        "running_jobs": jobs
+        details: n
+            .details()
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect(),
+        running_jobs: jobs
             .iter()
-            .map(|j| json!({
-                "id": j.display_id(),
-                "name": j.req.name,
-                "user": j.req.user,
-                "partition": j.req.partition,
-                "state": j.state.to_slurm(),
-                "alloc_cpus": j.req.cpus_per_node,
-                "alloc_mem_mb": j.req.mem_mb_per_node,
-                "overview_url": format!("/jobs/{}", j.display_id()),
-            }))
-            .collect::<Vec<_>>(),
-    })
+            .map(|j| {
+                let id = j.display_id();
+                RunningJob {
+                    overview_url: format!("/jobs/{id}"),
+                    id,
+                    name: j.req.name.clone(),
+                    user: j.req.user.clone(),
+                    partition: j.req.partition.clone(),
+                    state: j.state.to_slurm().to_string(),
+                    alloc_cpus: j.req.cpus_per_node,
+                    alloc_mem_mb: j.req.mem_mb_per_node,
+                }
+            })
+            .collect(),
+    }
 }
 
 /// Count trailing `:N` of a gres string like `gpu:a100:4`.

@@ -8,6 +8,9 @@
 //! in-memory [`TraceStore`](hpcdash_obs::tracestore::TraceStore) — caching
 //! a debugging view of "what just failed" would only hide the failure.
 
+// The observatory bodies are still built as value trees.
+#![allow(clippy::disallowed_types, clippy::disallowed_macros)]
+
 use crate::auth::CurrentUser;
 use crate::ctx::DashboardContext;
 use hpcdash_http::{Request, Response, Router};
@@ -238,7 +241,7 @@ pub(crate) fn summary_payload(ctx: &DashboardContext) -> Value {
         "slo": slo_rows(ctx),
         "act_as": act_as_rows(ctx),
         "http": http_rows(ctx),
-        "daemons": crate::api::daemons_payload(ctx),
+        "daemons": crate::api::health::daemons_payload(ctx),
         "breakers": breakers,
         "phases": Value::Object(phases),
         "traces": {

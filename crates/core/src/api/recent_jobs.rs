@@ -9,7 +9,7 @@ use crate::reasons::friendly_reason;
 use hpcdash_http::{Request, Response, Router};
 use hpcdash_simtime::Timestamp;
 use hpcdash_slurmcli::{parse_squeue_long, squeue_long, SqueueArgs, SqueueLongRow};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 pub const FEATURE: &str = "Recent Jobs widget";
 pub const ROUTES: &[&str] = &["/api/recent_jobs"];
@@ -19,15 +19,39 @@ pub fn register(router: &mut Router, ctx: DashboardContext) {
     router.get(ROUTES[0], move |req| handle(&ctx, req));
 }
 
-#[derive(Serialize)]
-struct RecentJobs<'t> {
-    jobs: Vec<JobRow<'t>>,
+/// The `/api/recent_jobs` payload.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct RecentJobs {
+    pub jobs: Vec<JobRow>,
 }
 
-/// One widget row; its strings are borrowed from the `squeue` row it
-/// describes.
+/// One widget row.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct JobRow {
+    pub id: String,
+    pub name: String,
+    pub partition: String,
+    pub state: String,
+    pub state_color: String,
+    pub submit_time: Option<String>,
+    pub start_time: Option<String>,
+    pub elapsed_secs: u64,
+    pub time_limit: String,
+    /// Set for a pending job.
+    pub reason: Option<String>,
+    /// The hoverable tooltip text (paper §3.2).
+    pub tooltip: Option<String>,
+}
+
+/// [`RecentJobs`] as encoded: its strings are borrowed from the `squeue`
+/// rows they describe.
 #[derive(Serialize)]
-struct JobRow<'t> {
+struct RecentJobsRef<'t> {
+    jobs: Vec<JobRowRef<'t>>,
+}
+
+#[derive(Serialize)]
+struct JobRowRef<'t> {
     id: &'t str,
     name: &'t str,
     partition: &'t str,
@@ -38,14 +62,13 @@ struct JobRow<'t> {
     elapsed_secs: u64,
     time_limit: &'t str,
     reason: Option<&'static str>,
-    /// The hoverable tooltip text (paper §3.2).
     tooltip: Option<&'static str>,
 }
 
-impl<'t> From<&SqueueLongRow<'t>> for JobRow<'t> {
-    fn from(r: &SqueueLongRow<'t>) -> JobRow<'t> {
+impl<'t> From<&SqueueLongRow<'t>> for JobRowRef<'t> {
+    fn from(r: &SqueueLongRow<'t>) -> JobRowRef<'t> {
         let reason = r.reason();
-        JobRow {
+        JobRowRef {
             id: r.job_id,
             name: r.name,
             partition: r.partition,
@@ -80,8 +103,8 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
             },
         )?;
         let rows = parse_squeue_long(&text).map_err(|e| format!("squeue parse: {e}"))?;
-        Ok(encode(&RecentJobs {
-            jobs: rows.iter().take(limit).map(JobRow::from).collect(),
+        Ok(encode(&RecentJobsRef {
+            jobs: rows.iter().take(limit).map(JobRowRef::from).collect(),
         }))
     });
     super::respond(outcome)

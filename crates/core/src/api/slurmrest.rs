@@ -18,6 +18,9 @@
 //! `X-Hpcdash-Stale: <seq>` header — the same serve-stale contract the
 //! widget routes get from the same cache.
 
+// The token, admin and cluster-list bodies are still built as value trees.
+#![allow(clippy::disallowed_types, clippy::disallowed_macros)]
+
 use crate::auth::{note_act_as, CurrentUser};
 use crate::ctx::DashboardContext;
 use hpcdash_cache::{Body, NO_TTL};

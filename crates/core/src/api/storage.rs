@@ -6,11 +6,35 @@ use crate::auth::CurrentUser;
 use crate::colors::utilization_color;
 use crate::ctx::DashboardContext;
 use hpcdash_http::{Request, Response, Router};
-use serde_json::json;
+use serde::{Deserialize, Serialize};
 
 pub const FEATURE: &str = "Storage widget";
 pub const ROUTES: &[&str] = &["/api/storage"];
 pub const SOURCES: &[&str] = &["ZFS and GPFS storage database"];
+
+/// The `/api/storage` payload.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Storage {
+    pub disks: Vec<Disk>,
+}
+
+/// One directory the user may write to, with its space and file counts.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Disk {
+    pub path: String,
+    pub filesystem: String,
+    pub bytes_used: u64,
+    pub bytes_quota: u64,
+    pub bytes_percent: f64,
+    pub bytes_color: String,
+    pub files_used: u64,
+    pub files_quota: u64,
+    pub files_percent: f64,
+    pub files_color: String,
+    /// Link into the Open OnDemand files app (paper §3.5).
+    pub files_app_url: String,
+    pub scanned_at: String,
+}
 
 pub fn register(router: &mut Router, ctx: DashboardContext) {
     router.get(ROUTES[0], move |req| handle(&ctx, req));
@@ -29,28 +53,24 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
             .storage
             .dirs_for_user(&user.username, &groups)
             .map_err(|e| e.to_string())?;
-        Ok(encode(&json!({
-            "disks": dirs
-                .iter()
-                .map(|d| {
-                    json!({
-                        "path": d.path,
-                        "filesystem": d.filesystem.label(),
-                        "bytes_used": d.bytes_used,
-                        "bytes_quota": d.bytes_quota,
-                        "bytes_percent": (d.bytes_fraction() * 1000.0).round() / 10.0,
-                        "bytes_color": utilization_color(d.bytes_fraction()),
-                        "files_used": d.files_used,
-                        "files_quota": d.files_quota,
-                        "files_percent": (d.files_fraction() * 1000.0).round() / 10.0,
-                        "files_color": utilization_color(d.files_fraction()),
-                        // Link into the Open OnDemand files app (paper §3.5).
-                        "files_app_url": format!("/pun/sys/files/fs{}", d.path),
-                        "scanned_at": d.scanned_at.to_slurm(),
-                    })
-                })
-                .collect::<Vec<_>>(),
-        })))
+        let disks = dirs
+            .into_iter()
+            .map(|d| Disk {
+                filesystem: d.filesystem.label().to_string(),
+                bytes_used: d.bytes_used,
+                bytes_quota: d.bytes_quota,
+                bytes_percent: (d.bytes_fraction() * 1000.0).round() / 10.0,
+                bytes_color: utilization_color(d.bytes_fraction()).to_string(),
+                files_used: d.files_used,
+                files_quota: d.files_quota,
+                files_percent: (d.files_fraction() * 1000.0).round() / 10.0,
+                files_color: utilization_color(d.files_fraction()).to_string(),
+                files_app_url: format!("/pun/sys/files/fs{}", d.path),
+                scanned_at: d.scanned_at.to_slurm(),
+                path: d.path,
+            })
+            .collect();
+        Ok(encode(&Storage { disks }))
     });
     super::respond(outcome)
 }

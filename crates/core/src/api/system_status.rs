@@ -7,11 +7,54 @@ use crate::colors::utilization_color;
 use crate::ctx::DashboardContext;
 use hpcdash_http::{Request, Response, Router};
 use hpcdash_slurmcli::{parse_sinfo_usage, sinfo_usage};
-use serde_json::json;
+use serde::{Deserialize, Serialize};
 
 pub const FEATURE: &str = "System Status widget";
 pub const ROUTES: &[&str] = &["/api/system_status"];
 pub const SOURCES: &[&str] = &["sinfo (slurmctld)"];
+
+/// The `/api/system_status` payload.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct SystemStatus {
+    pub partitions: Vec<Partition>,
+    pub details_url: String,
+}
+
+/// One partition's utilization.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Partition {
+    pub name: String,
+    pub status: String,
+    pub cpus: Cpus,
+    /// `None` for a partition without GPUs.
+    pub gpus: Option<Gpus>,
+    pub nodes: Nodes,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Cpus {
+    pub alloc: u32,
+    pub idle: u32,
+    /// CPUs on nodes that are down, drained or in maintenance.
+    pub other: u32,
+    pub total: u32,
+    pub percent: f64,
+    pub color: String,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Gpus {
+    pub alloc: u32,
+    pub total: u32,
+    pub percent: f64,
+    pub color: String,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Nodes {
+    pub in_use: u32,
+    pub total: u32,
+}
 
 pub fn register(router: &mut Router, ctx: DashboardContext) {
     router.get(ROUTES[0], move |req| handle(&ctx, req));
@@ -25,39 +68,39 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
         ctx.note_source(FEATURE, "sinfo (slurmctld)");
         let text = sinfo_usage(&ctx.ctld)?;
         let rows = parse_sinfo_usage(&text).map_err(|e| format!("sinfo parse: {e}"))?;
-        Ok(encode(&json!({
-            "partitions": rows
-                .iter()
-                .map(|p| {
-                    let cpu_frac = p.cpu_utilization();
-                    let gpu_frac = p.gpu_utilization();
-                    json!({
-                        "name": p.partition,
-                        "status": p.avail.to_uppercase(),
-                        "cpus": {
-                            "alloc": p.cpus_alloc,
-                            "idle": p.cpus_idle,
-                            "other": p.cpus_other,
-                            "total": p.cpus_total,
-                            "percent": (cpu_frac * 1000.0).round() / 10.0,
-                            "color": utilization_color(cpu_frac),
-                        },
-                        "gpus": if p.gpus_total > 0 {
-                            json!({
-                                "alloc": p.gpus_alloc,
-                                "total": p.gpus_total,
-                                "percent": (gpu_frac * 1000.0).round() / 10.0,
-                                "color": utilization_color(gpu_frac),
-                            })
-                        } else {
-                            serde_json::Value::Null
-                        },
-                        "nodes": {"in_use": p.nodes_in_use, "total": p.nodes_total},
-                    })
-                })
-                .collect::<Vec<_>>(),
-            "details_url": "/clusterstatus",
-        })))
+        let partitions = rows
+            .into_iter()
+            .map(|p| {
+                let cpu_frac = p.cpu_utilization();
+                let gpu_frac = p.gpu_utilization();
+                Partition {
+                    status: p.avail.to_uppercase(),
+                    cpus: Cpus {
+                        alloc: p.cpus_alloc,
+                        idle: p.cpus_idle,
+                        other: p.cpus_other,
+                        total: p.cpus_total,
+                        percent: (cpu_frac * 1000.0).round() / 10.0,
+                        color: utilization_color(cpu_frac).to_string(),
+                    },
+                    gpus: (p.gpus_total > 0).then(|| Gpus {
+                        alloc: p.gpus_alloc,
+                        total: p.gpus_total,
+                        percent: (gpu_frac * 1000.0).round() / 10.0,
+                        color: utilization_color(gpu_frac).to_string(),
+                    }),
+                    nodes: Nodes {
+                        in_use: p.nodes_in_use,
+                        total: p.nodes_total,
+                    },
+                    name: p.partition,
+                }
+            })
+            .collect();
+        Ok(encode(&SystemStatus {
+            partitions,
+            details_url: "/clusterstatus".to_string(),
+        }))
     });
     super::respond(outcome)
 }

@@ -37,6 +37,7 @@
 //! last read): refetch full tables, then resume from the reported
 //! `latest_seq`.
 
+use crate::api::Text;
 use crate::auth::CurrentUser;
 use crate::colors::job_state_color;
 use crate::ctx::DashboardContext;
@@ -45,8 +46,10 @@ use hpcdash_http::{
     ParkDirective, ParkWaker, Request, Response, Router, CONN_PARK_HEADER, PARK_FINAL_HEADER,
 };
 use hpcdash_push::Delivery;
+use hpcdash_simtime::Timestamp;
 use hpcdash_slurm::events::JobEvent;
-use serde_json::json;
+use hpcdash_slurm::job::JobId;
+use serde::Serialize;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -60,33 +63,57 @@ pub fn register(router: &mut Router, ctx: DashboardContext) {
     router.get(ROUTES[1], move |req| handle_stream(&ctx, req));
 }
 
-fn event_json(e: &JobEvent) -> serde_json::Value {
-    json!({
-        "seq": e.seq,
-        "at": e.at.to_slurm(),
-        "job": e.job.to_string(),
-        "user": e.user,
-        "account": e.account,
-        "from": e.from.map(|s| s.to_slurm()),
-        "to": e.to.to_slurm(),
-        "to_color": job_state_color(e.to),
-        "reason": e.reason.map(|r| r.to_slurm()),
-        "reason_message": e.reason.map(friendly_reason),
-    })
+/// The wire shape both routes answer with. Its decode twin is the live
+/// client's, which does not depend on this crate.
+#[derive(Serialize)]
+struct Updates<'a> {
+    events: Vec<Event<'a>>,
+    latest_seq: u64,
+    resync_required: bool,
+    /// The stream's subscription token; the poll has none.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    sub: Option<&'a str>,
 }
 
-/// The wire shape both routes answer with; the stream adds its `sub` token.
-fn answer(d: &Delivery, sub: Option<&str>) -> Response {
-    let events: Vec<serde_json::Value> = d.events.iter().map(event_json).collect();
-    let mut body = json!({
-        "events": events,
-        "latest_seq": d.latest_seq,
-        "resync_required": d.resync_required,
-    });
-    if let Some(token) = sub {
-        body["sub"] = json!(token);
+/// One job-state transition, borrowing from the logged event.
+#[derive(Serialize)]
+struct Event<'a> {
+    seq: u64,
+    at: Text<Timestamp>,
+    job: Text<JobId>,
+    user: &'a str,
+    account: &'a str,
+    from: Option<&'static str>,
+    to: &'static str,
+    to_color: &'static str,
+    reason: Option<&'static str>,
+    reason_message: Option<&'static str>,
+}
+
+impl<'a> From<&'a JobEvent> for Event<'a> {
+    fn from(e: &'a JobEvent) -> Event<'a> {
+        Event {
+            seq: e.seq,
+            at: Text(e.at),
+            job: Text(e.job),
+            user: &e.user,
+            account: &e.account,
+            from: e.from.map(|s| s.to_slurm()),
+            to: e.to.to_slurm(),
+            to_color: job_state_color(e.to),
+            reason: e.reason.map(|r| r.to_slurm()),
+            reason_message: e.reason.map(friendly_reason),
+        }
     }
-    Response::json(&body)
+}
+
+fn answer(d: &Delivery, sub: Option<&str>) -> Response {
+    Response::json(&Updates {
+        events: d.events.iter().map(Event::from).collect(),
+        latest_seq: d.latest_seq,
+        resync_required: d.resync_required,
+        sub,
+    })
 }
 
 fn handle(ctx: &DashboardContext, req: &Request) -> Response {
@@ -173,11 +200,13 @@ fn handle_stream(ctx: &DashboardContext, req: &Request) -> Response {
             // read above answers now instead of parking.
             delivery = ctx.push.wait(&handle, Duration::ZERO);
             if delivery.events.is_empty() && !delivery.resync_required {
-                return Response::json(&json!({"parked": true})).with_park(ParkDirective {
-                    waker,
-                    max_wait: Duration::from_millis(wait_ms),
-                    permit: Some(Arc::new(permit)),
-                });
+                return super::json_bytes(br#"{"parked":true}"#.to_vec()).with_park(
+                    ParkDirective {
+                        waker,
+                        max_wait: Duration::from_millis(wait_ms),
+                        permit: Some(Arc::new(permit)),
+                    },
+                );
             }
             ctx.push.clear_notify(&handle);
         } else {
@@ -193,10 +222,55 @@ mod tests {
     use crate::config::DashboardConfig;
     use crate::ctx::tests::{test_ctx, test_ctx_with};
     use hpcdash_http::Method;
-    use hpcdash_slurm::job::JobRequest;
+    use hpcdash_simtime::Timestamp;
+    use hpcdash_slurm::job::{JobId, JobRequest, JobState, PendingReason};
 
     fn request(path: &str, user: &str) -> Request {
         Request::new(Method::Get, path).with_header("X-Remote-User", user)
+    }
+
+    /// The exact wire bytes of a delivery: one event with neither a
+    /// previous state nor a reason, one with both, and the `sub` member
+    /// absent (the poll) and present (the stream).
+    #[test]
+    fn delivery_bytes_are_pinned() {
+        let event = |seq: u64, from, reason| JobEvent {
+            seq,
+            at: Timestamp(1_000 + seq),
+            cluster: String::new(),
+            job: JobId(40 + seq as u32),
+            user: "alice".to_string(),
+            account: "physics".to_string(),
+            from,
+            to: JobState::Pending,
+            reason,
+        };
+        let delivery = Delivery {
+            events: vec![
+                event(1, None, None),
+                event(2, Some(JobState::Running), Some(PendingReason::Priority)),
+            ],
+            latest_seq: 9,
+            resync_required: false,
+        };
+        let events = concat!(
+            r#"[{"account":"physics","at":"1970-01-01T00:16:41","from":null,"job":"41","#,
+            r#""reason":null,"reason_message":null,"seq":1,"to":"PENDING","to_color":"blue","#,
+            r#""user":"alice"},{"account":"physics","at":"1970-01-01T00:16:42","#,
+            r#""from":"RUNNING","job":"42","reason":"Priority","reason_message":"It means "#,
+            r#"other queued jobs currently have higher priority; your job will move up as it "#,
+            r#"waits.","seq":2,"to":"PENDING","to_color":"blue","user":"alice"}]"#,
+        );
+        assert_eq!(
+            answer(&delivery, None).body_string(),
+            format!(r#"{{"events":{events},"latest_seq":9,"resync_required":false}}"#)
+        );
+        assert_eq!(
+            answer(&delivery, Some("tab-1")).body_string(),
+            format!(
+                r#"{{"events":{events},"latest_seq":9,"resync_required":false,"sub":"tab-1"}}"#
+            )
+        );
     }
 
     #[test]

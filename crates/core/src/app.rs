@@ -23,6 +23,8 @@ impl Dashboard {
         api::register_all(&mut router, &ctx);
         register_pages(&mut router, &ctx);
         register_assets(&mut router);
+        // The process-liveness probe's body is still built as a value tree.
+        #[allow(clippy::disallowed_macros)]
         router.get("/healthz", |_| {
             Response::json(&serde_json::json!({"status": "ok"}))
         });

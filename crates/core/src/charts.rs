@@ -3,46 +3,45 @@
 //! (`labels` + `datasets`), grouped by user — plus the inline SVG
 //! sparklines the telemetry series render as.
 
-use crate::colors::{job_state_color, ColorClass};
+use crate::api::jobtelemetry::Series;
+use crate::colors::job_state_color;
 use hpcdash_slurm::job::JobState;
 use hpcdash_slurmcli::SacctRecord;
-use serde::Serialize;
-use serde_json::Value;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Stacked-bar data: per-user job counts split by state. The user names
-/// are borrowed from the records counted.
-#[derive(Debug, Serialize)]
-pub struct StateDistribution<'t> {
-    pub r#type: &'static str,
-    pub labels: Vec<&'t str>,
+/// Stacked-bar data: per-user job counts split by state.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct StateDistribution {
+    pub r#type: String,
+    pub labels: Vec<String>,
     pub datasets: Vec<StateCounts>,
 }
 
 /// One state's count per label of its [`StateDistribution`].
-#[derive(Debug, Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct StateCounts {
-    pub label: &'static str,
-    pub color: ColorClass,
+    pub label: String,
+    pub color: String,
     pub data: Vec<usize>,
 }
 
 /// Bar data: GPU hours per user.
-#[derive(Debug, Serialize)]
-pub struct GpuHours<'t> {
-    pub r#type: &'static str,
-    pub labels: Vec<&'t str>,
-    pub datasets: [GpuHoursSeries; 1],
+#[derive(Debug, Serialize, Deserialize)]
+pub struct GpuHours {
+    pub r#type: String,
+    pub labels: Vec<String>,
+    pub datasets: Vec<GpuHoursSeries>,
 }
 
-#[derive(Debug, Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct GpuHoursSeries {
-    pub label: &'static str,
+    pub label: String,
     pub data: Vec<f64>,
 }
 
-pub fn job_state_distribution<'t>(records: &[SacctRecord<'t>]) -> StateDistribution<'t> {
-    let mut users: Vec<&'t str> = records.iter().map(|r| r.user).collect();
+pub fn job_state_distribution(records: &[SacctRecord<'_>]) -> StateDistribution {
+    let mut users: Vec<&str> = records.iter().map(|r| r.user).collect();
     users.sort_unstable();
     users.dedup();
 
@@ -59,30 +58,30 @@ pub fn job_state_distribution<'t>(records: &[SacctRecord<'t>]) -> StateDistribut
             .collect();
         if data.iter().any(|c| *c > 0) {
             datasets.push(StateCounts {
-                label: state.to_slurm(),
-                color: job_state_color(state),
+                label: state.to_slurm().to_string(),
+                color: job_state_color(state).to_string(),
                 data,
             });
         }
     }
 
     StateDistribution {
-        r#type: "stacked-bar",
-        labels: users,
+        r#type: "stacked-bar".to_string(),
+        labels: users.into_iter().map(str::to_string).collect(),
         datasets,
     }
 }
 
-pub fn gpu_hours_distribution<'t>(records: &[SacctRecord<'t>]) -> GpuHours<'t> {
-    let mut by_user: BTreeMap<&'t str, f64> = BTreeMap::new();
+pub fn gpu_hours_distribution(records: &[SacctRecord<'_>]) -> GpuHours {
+    let mut by_user: BTreeMap<&str, f64> = BTreeMap::new();
     for r in records {
         *by_user.entry(r.user).or_insert(0.0) += r.gpu_hours();
     }
     GpuHours {
-        r#type: "bar",
-        labels: by_user.keys().copied().collect(),
-        datasets: [GpuHoursSeries {
-            label: "GPU hours",
+        r#type: "bar".to_string(),
+        labels: by_user.keys().map(|u| u.to_string()).collect(),
+        datasets: vec![GpuHoursSeries {
+            label: "GPU hours".to_string(),
             data: by_user
                 .values()
                 .map(|h| (h * 100.0).round() / 100.0)
@@ -91,28 +90,21 @@ pub fn gpu_hours_distribution<'t>(records: &[SacctRecord<'t>]) -> GpuHours<'t> {
     }
 }
 
-/// An inline SVG sparkline from `[[t, v], ...]` pairs where `v` is a
+/// An inline SVG sparkline from `(t, v)` pairs where `v` is a
 /// utilization fraction in `[0, 1]` (the y axis is fixed to that range so
 /// sparklines are comparable across jobs). `kind` becomes a `spark-<kind>`
 /// class hook for per-series stroke colors. Empty string when there are
 /// fewer than two points — callers show a placeholder instead.
-pub fn sparkline_svg(pairs: &Value, kind: &str, width: u32, height: u32) -> String {
-    let pts: Vec<(f64, f64)> = pairs
-        .as_array()
-        .map(Vec::as_slice)
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|p| Some((p[0].as_f64()?, p[1].as_f64()?)))
-        .collect();
-    if pts.len() < 2 {
+pub fn sparkline_svg(pairs: &[(i64, f64)], kind: &str, width: u32, height: u32) -> String {
+    let [first, .., last] = pairs else {
         return String::new();
-    }
-    let t0 = pts[0].0;
-    let span = (pts[pts.len() - 1].0 - t0).max(1.0);
-    let coords = pts
+    };
+    let t0 = first.0 as f64;
+    let span = (last.0 as f64 - t0).max(1.0);
+    let coords = pairs
         .iter()
-        .map(|(t, v)| {
-            let x = (t - t0) / span * f64::from(width);
+        .map(|&(t, v)| {
+            let x = (t as f64 - t0) / span * f64::from(width);
             let y = (1.0 - v.clamp(0.0, 1.0)) * f64::from(height);
             format!("{x:.1},{y:.1}")
         })
@@ -126,11 +118,33 @@ pub fn sparkline_svg(pairs: &Value, kind: &str, width: u32, height: u32) -> Stri
     )
 }
 
+/// A job's sparklines, one `<row>` per kind of series with points to
+/// draw, `height` pixels tall.
+pub(crate) fn sparkline_rows(series: &Series, height: u32, row: &str) -> String {
+    let gpu = series.gpu.as_deref().unwrap_or_default();
+    [
+        ("cpu", "CPU", &series.cpu[..]),
+        ("mem", "Memory", &series.mem[..]),
+        ("gpu", "GPU", gpu),
+    ]
+    .iter()
+    .filter_map(|(key, label, pairs)| {
+        let svg = sparkline_svg(pairs, key, 120, height);
+        (!svg.is_empty()).then(|| {
+            format!(
+                "<{row} class=\"telemetry-row\">\
+                     <span class=\"telemetry-label\">{label}</span>{svg}</{row}>"
+            )
+        })
+    })
+    .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::tests::rec;
-    use serde_json::json;
+    use serde_json::{json, Value};
 
     fn value(chart: &impl Serialize) -> Value {
         serde_json::to_value(chart).unwrap()
@@ -176,8 +190,7 @@ mod tests {
 
     #[test]
     fn sparkline_scales_points_into_viewbox() {
-        let pairs = json!([[1_000, 0.0], [1_030, 0.5], [1_060, 1.0]]);
-        let svg = sparkline_svg(&pairs, "cpu", 120, 32);
+        let svg = sparkline_svg(&[(1_000, 0.0), (1_030, 0.5), (1_060, 1.0)], "cpu", 120, 32);
         assert!(svg.contains("spark-cpu"));
         assert!(svg.contains("viewBox=\"0 0 120 32\""));
         // First point: x=0, v=0 -> bottom (y=height). Last: x=width, top.
@@ -189,15 +202,13 @@ mod tests {
 
     #[test]
     fn sparkline_needs_two_points() {
-        assert_eq!(sparkline_svg(&json!([]), "cpu", 120, 32), "");
-        assert_eq!(sparkline_svg(&json!([[0, 0.5]]), "cpu", 120, 32), "");
-        assert_eq!(sparkline_svg(&json!(null), "cpu", 120, 32), "");
+        assert_eq!(sparkline_svg(&[], "cpu", 120, 32), "");
+        assert_eq!(sparkline_svg(&[(0, 0.5)], "cpu", 120, 32), "");
     }
 
     #[test]
     fn sparkline_clamps_out_of_range_values() {
-        let pairs = json!([[0, -0.5], [60, 1.5]]);
-        let svg = sparkline_svg(&pairs, "gpu", 100, 20);
+        let svg = sparkline_svg(&[(0, -0.5), (60, 1.5)], "gpu", 100, 20);
         assert!(svg.contains("0.0,20.0"), "{svg}");
         assert!(svg.contains("100.0,0.0"), "{svg}");
     }

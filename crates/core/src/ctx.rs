@@ -189,6 +189,7 @@ impl DashboardContext {
                 idle_ttl: std::time::Duration::from_secs(cfg.push.idle_ttl_secs),
                 ..HubConfig::default()
             },
+            clock.clone(),
             ctld.events(),
             resolver,
             &obs,

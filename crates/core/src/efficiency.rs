@@ -11,7 +11,7 @@
 
 use hpcdash_simtime::TimeLimit;
 use hpcdash_slurmcli::SacctRecord;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Thresholds for warnings. A job must have run a while before we judge it.
 pub const MIN_ELAPSED_FOR_WARNING: u64 = 300;
@@ -20,7 +20,7 @@ pub const MEM_WARN_BELOW: f64 = 0.25;
 pub const TIME_WARN_BELOW: f64 = 0.30;
 
 /// A job's efficiency report.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EfficiencyReport {
     /// `None` when the underlying usage data is not (yet) available.
     pub cpu: Option<f64>,

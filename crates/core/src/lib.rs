@@ -14,6 +14,8 @@
 //! aggregate job metrics ([`metrics`]), and a small ERB-style template
 //! engine ([`template`]).
 
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_macros))]
+
 pub mod api;
 pub mod app;
 pub mod auth;

@@ -4,7 +4,7 @@
 use crate::efficiency::EfficiencyReport;
 use hpcdash_simtime::Timestamp;
 use hpcdash_slurmcli::SacctRecord;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The time ranges the Job Performance Metrics page offers.
@@ -64,10 +64,10 @@ impl TimeRange {
 }
 
 /// The aggregate metrics card data.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobMetrics {
     pub total_jobs: usize,
-    pub by_state: BTreeMap<&'static str, usize>,
+    pub by_state: BTreeMap<String, usize>,
     /// Average queue wait over jobs that started, seconds.
     pub avg_wait_secs: Option<f64>,
     /// Mean duration of finished jobs, seconds.
@@ -124,7 +124,10 @@ impl JobMetrics {
 
         JobMetrics {
             total_jobs: records.len(),
-            by_state,
+            by_state: by_state
+                .into_iter()
+                .map(|(state, n)| (state.to_string(), n))
+                .collect(),
             avg_wait_secs: mean(&waits),
             mean_duration_secs: mean(&durations),
             total_wall_secs: total_wall,

@@ -1,8 +1,8 @@
 //! The Cluster Status page (paper §6, Figure 4b): grid view + list view.
 
-use crate::pages::layout::{shell, widget_placeholder};
+use crate::api::clusterstatus::{ClusterStatus, NodeRow};
+use crate::pages::layout::{decode, page, shell, widget_placeholder};
 use crate::template::escape_html;
-use serde_json::Value;
 
 pub fn render_shell(cluster: &str, user: &str) -> String {
     let mut body = String::from(
@@ -16,34 +16,21 @@ pub fn render_shell(cluster: &str, user: &str) -> String {
 }
 
 /// Grid view: one colour-coded cell per node with a hover summary.
-pub fn render_grid(payload: &Value) -> String {
+pub fn render_grid(payload: &ClusterStatus) -> String {
     let mut out = String::from("<div class=\"node-grid\">");
-    for n in payload["nodes"]
-        .as_array()
-        .map(Vec::as_slice)
-        .unwrap_or(&[])
-    {
-        let name = n["name"].as_str().unwrap_or("");
+    for n in &payload.nodes {
+        let name = escape_html(&n.name);
         out.push_str(&format!(
             "<a class=\"node-cell node-{}\" href=\"{}\" \
-             title=\"{}: {} — CPU {}/{}, mem {}/{} MB, partitions: {}\">{}</a>",
-            n["color"].as_str().unwrap_or("gray"),
-            n["overview_url"].as_str().unwrap_or("#"),
-            escape_html(name),
-            n["state"].as_str().unwrap_or(""),
-            n["cpus_alloc"],
-            n["cpus_total"],
-            n["mem_alloc_mb"],
-            n["mem_total_mb"],
-            n["partitions"]
-                .as_array()
-                .map(|p| p
-                    .iter()
-                    .filter_map(|x| x.as_str())
-                    .collect::<Vec<_>>()
-                    .join(","))
-                .unwrap_or_default(),
-            escape_html(name),
+             title=\"{name}: {} — CPU {}/{}, mem {}/{} MB, partitions: {}\">{name}</a>",
+            n.color,
+            n.overview_url,
+            n.state,
+            n.cpus_alloc,
+            n.cpus_total,
+            n.mem_alloc_mb,
+            n.mem_total_mb,
+            n.partitions.join(","),
         ));
     }
     out.push_str("</div>");
@@ -51,34 +38,24 @@ pub fn render_grid(payload: &Value) -> String {
 }
 
 /// List view: a sortable/filterable table.
-pub fn render_list(payload: &Value, filter: Option<&str>) -> String {
+pub fn render_list(payload: &ClusterStatus, filter: Option<&str>) -> String {
+    list(payload.nodes.iter(), filter)
+}
+
+fn list<'a>(nodes: impl Iterator<Item = &'a NodeRow>, filter: Option<&str>) -> String {
     let mut out = String::from(
         "<table class=\"node-table\"><thead><tr>\
          <th data-sort=\"name\">Node</th><th data-sort=\"state\">State</th>\
          <th>Partitions</th><th data-sort=\"cpu\">CPU load</th>\
          <th data-sort=\"mem\">Memory load</th></tr></thead><tbody>",
     );
-    for n in payload["nodes"]
-        .as_array()
-        .map(Vec::as_slice)
-        .unwrap_or(&[])
-    {
-        let name = n["name"].as_str().unwrap_or("");
-        let state = n["state"].as_str().unwrap_or("");
-        let partitions = n["partitions"]
-            .as_array()
-            .map(|p| {
-                p.iter()
-                    .filter_map(|x| x.as_str())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            })
-            .unwrap_or_default();
-        if let Some(f) = filter {
-            let f = f.to_lowercase();
-            if !name.to_lowercase().contains(&f)
-                && !state.to_lowercase().contains(&f)
-                && !partitions.to_lowercase().contains(&f)
+    let filter = filter.map(str::to_lowercase);
+    for n in nodes {
+        let partitions = n.partitions.join(",");
+        if let Some(f) = &filter {
+            if ![&n.name, &n.state, &partitions]
+                .iter()
+                .any(|field| field.to_lowercase().contains(f))
             {
                 continue;
             }
@@ -86,13 +63,13 @@ pub fn render_list(payload: &Value, filter: Option<&str>) -> String {
         out.push_str(&format!(
             "<tr><td><a href=\"{}\">{}</a></td><td class=\"state-{}\">{}</td>\
              <td>{}</td><td>{:.1}%</td><td>{:.1}%</td></tr>",
-            n["overview_url"].as_str().unwrap_or("#"),
-            escape_html(name),
-            n["color"].as_str().unwrap_or("gray"),
-            escape_html(state),
+            n.overview_url,
+            escape_html(&n.name),
+            n.color,
+            escape_html(&n.state),
             escape_html(&partitions),
-            n["cpu_percent"].as_f64().unwrap_or(0.0),
-            n["mem_percent"].as_f64().unwrap_or(0.0),
+            n.cpu_percent,
+            n.mem_percent,
         ));
     }
     out.push_str("</tbody></table>");
@@ -102,41 +79,30 @@ pub fn render_list(payload: &Value, filter: Option<&str>) -> String {
 /// List view sorted by a column (paper §6: "users can sort any column to
 /// find the nodes with the highest or lowest CPU or memory load and/or view
 /// the nodes in alphabetical order"). `descending` controls direction.
-pub fn render_list_sorted(payload: &Value, sort_key: &str, descending: bool) -> String {
-    let mut nodes: Vec<Value> = payload["nodes"]
-        .as_array()
-        .map(Vec::as_slice)
-        .unwrap_or(&[])
-        .to_vec();
-    let metric = |n: &Value, key: &str| n[key].as_f64().unwrap_or(0.0);
+pub fn render_list_sorted(payload: &ClusterStatus, sort_key: &str, descending: bool) -> String {
+    let mut nodes: Vec<&NodeRow> = payload.nodes.iter().collect();
     match sort_key {
-        "cpu" => nodes.sort_by(|a, b| {
-            metric(a, "cpu_percent")
-                .partial_cmp(&metric(b, "cpu_percent"))
-                .expect("finite")
-        }),
-        "mem" => nodes.sort_by(|a, b| {
-            metric(a, "mem_percent")
-                .partial_cmp(&metric(b, "mem_percent"))
-                .expect("finite")
-        }),
-        "state" => nodes.sort_by_key(|n| n["state"].as_str().unwrap_or("").to_string()),
-        _ => nodes.sort_by_key(|n| n["name"].as_str().unwrap_or("").to_string()),
+        "cpu" => nodes.sort_by(|a, b| a.cpu_percent.total_cmp(&b.cpu_percent)),
+        "mem" => nodes.sort_by(|a, b| a.mem_percent.total_cmp(&b.mem_percent)),
+        "state" => nodes.sort_by(|a, b| a.state.cmp(&b.state)),
+        _ => nodes.sort_by(|a, b| a.name.cmp(&b.name)),
     }
     if descending {
         nodes.reverse();
     }
-    render_list(&serde_json::json!({ "nodes": nodes }), None)
+    list(nodes.into_iter(), None)
 }
 
-/// The full page with both views.
-pub fn render_full(cluster: &str, user: &str, payload: &Value) -> String {
-    let body = format!(
-        "<h1>Cluster Status</h1>{}{}",
-        render_grid(payload),
-        render_list(payload, None)
-    );
-    shell("Cluster Status", "clusterstatus", cluster, user, &body)
+/// The full page with both views, from the `/api/clusterstatus` answer.
+pub fn render_full(cluster: &str, user: &str, data: &[u8]) -> String {
+    let body = decode(data).map(|payload: ClusterStatus| {
+        format!(
+            "<h1>Cluster Status</h1>{}{}",
+            render_grid(&payload),
+            render_list(&payload, None)
+        )
+    });
+    page("Cluster Status", "clusterstatus", cluster, user, data, body)
 }
 
 #[cfg(test)]
@@ -144,8 +110,8 @@ mod tests {
     use super::*;
     use serde_json::json;
 
-    fn payload() -> Value {
-        json!({"nodes": [
+    fn payload() -> ClusterStatus {
+        serde_json::from_value(json!({"nodes": [
             {"name": "a001", "state": "MIXED", "color": "green",
              "cpus_alloc": 64, "cpus_total": 128, "cpu_percent": 50.0, "cpu_color": "green",
              "cpu_load": 63.0, "mem_alloc_mb": 100_000, "mem_total_mb": 257_000,
@@ -158,7 +124,8 @@ mod tests {
              "mem_percent": 0.0, "mem_color": "green",
              "partitions": ["gpu"], "gres": "gpu:a100:4", "gres_used": "gpu:a100:0",
              "reason": "power supply", "overview_url": "/nodes/g001"},
-        ]})
+        ]}))
+        .unwrap()
     }
 
     #[test]
@@ -199,7 +166,8 @@ mod tests {
 
     #[test]
     fn full_page_has_both_views() {
-        let html = render_full("Anvil", "alice", &payload());
+        let data = serde_json::to_vec(&payload()).unwrap();
+        let html = render_full("Anvil", "alice", &data);
         assert!(html.contains("node-grid"));
         assert!(html.contains("node-table"));
     }

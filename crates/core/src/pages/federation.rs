@@ -1,9 +1,9 @@
 //! The Federation page: every registered cluster's health and totals on one
 //! screen, with per-site freshness notices for degraded slices.
 
-use crate::pages::layout::{shell, widget_placeholder};
+use crate::api::federation::Status;
+use crate::pages::layout::{decode, page, shell, widget_placeholder};
 use crate::template::escape_html;
-use serde_json::Value;
 
 pub fn render_shell(cluster: &str, user: &str) -> String {
     let mut body = String::from("<h1>Federation</h1>");
@@ -18,56 +18,45 @@ pub fn render_shell(cluster: &str, user: &str) -> String {
 /// The site table: one row per cluster with health, totals, and — for
 /// degraded slices — the honest "data from N s ago" notice in the row
 /// itself, not hidden in a tooltip (accessibility rule: state in text).
-pub fn render_sites(payload: &Value) -> String {
+pub fn render_sites(payload: &Status) -> String {
     let mut out = String::from(
         "<table class=\"federation-table\"><thead><tr>\
          <th>Cluster</th><th>Health</th><th>Running</th><th>Pending</th>\
          <th>Nodes</th><th>Freshness</th></tr></thead><tbody>",
     );
-    for s in payload["sites"]
-        .as_array()
-        .map(Vec::as_slice)
-        .unwrap_or(&[])
-    {
-        let health = s["health"].as_str().unwrap_or("dark");
-        let freshness = match s["notice"].as_str() {
-            Some(notice) => escape_html(notice),
-            None => "current".to_string(),
-        };
+    let or_dash = |n: Option<String>| n.unwrap_or_else(|| "—".to_string());
+    for s in &payload.sites {
         out.push_str(&format!(
-            "<tr class=\"site-{}\"><td>{}</td><td>{}</td>\
+            "<tr class=\"site-{health}\"><td>{}</td><td>{health}</td>\
              <td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-            health,
-            escape_html(s["cluster"].as_str().unwrap_or("?")),
-            health,
-            s["jobs"]["running"],
-            s["jobs"]["pending"],
-            s["nodes"],
-            freshness,
+            escape_html(&s.cluster),
+            or_dash(s.jobs.as_ref().map(|j| j.running.to_string())),
+            or_dash(s.jobs.as_ref().map(|j| j.pending.to_string())),
+            or_dash(s.nodes.map(|n| n.to_string())),
+            s.notice
+                .as_deref()
+                .map_or("current".to_string(), escape_html),
+            health = escape_html(&s.health),
         ));
     }
     out.push_str("</tbody></table>");
     out
 }
 
-/// The full page given the `/api/federation/status` payload.
-pub fn render_full(cluster: &str, user: &str, payload: &Value) -> String {
-    let mut body = String::from("<h1>Federation</h1>");
-    if payload["degraded"].as_bool().unwrap_or(false) {
-        body.push_str("<div class=\"banner banner-degraded\" role=\"alert\">");
-        let notices: Vec<String> = payload["notices"]
-            .as_array()
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(|n| n.as_str())
-            .map(escape_html)
-            .collect();
-        body.push_str(&notices.join("; "));
-        body.push_str("</div>");
-    }
-    body.push_str(&render_sites(payload));
-    shell("Federation", "federation", cluster, user, &body)
+/// The full page given the `/api/federation/status` answer.
+pub fn render_full(cluster: &str, user: &str, data: &[u8]) -> String {
+    let body = decode(data).map(|payload: Status| {
+        let mut body = String::from("<h1>Federation</h1>");
+        if payload.degraded {
+            body.push_str("<div class=\"banner banner-degraded\" role=\"alert\">");
+            let notices: Vec<String> = payload.notices.iter().map(|n| escape_html(n)).collect();
+            body.push_str(&notices.join("; "));
+            body.push_str("</div>");
+        }
+        body.push_str(&render_sites(&payload));
+        body
+    });
+    page("Federation", "federation", cluster, user, data, body)
 }
 
 #[cfg(test)]
@@ -75,18 +64,23 @@ mod tests {
     use super::*;
     use serde_json::json;
 
-    fn payload() -> Value {
-        json!({
-            "degraded": true,
+    fn payload() -> Status {
+        serde_json::from_value(json!({
+            "degraded": true, "clusters": 2, "live": 1, "stale": 1, "dark": 0,
+            "totals": {"jobs_pending": 4, "jobs_running": 9, "jobs_suspended": 0, "nodes": 24},
             "notices": ["site beta: data from 40s ago"],
             "sites": [
-                {"cluster": "alpha", "health": "live",
-                 "jobs": {"running": 7, "pending": 3}, "nodes": 16},
-                {"cluster": "beta", "health": "stale", "stale_age_secs": 40,
+                {"cluster": "alpha", "health": "live", "snapshot_seq": 7,
+                 "jobs": {"running": 7, "pending": 3, "suspended": 0}, "nodes": 16,
+                 "partitions": 2},
+                {"cluster": "beta", "health": "stale", "snapshot_seq": 3, "stale_age_secs": 40,
                  "notice": "site beta: data from 40s ago",
-                 "jobs": {"running": 2, "pending": 1}, "nodes": 8},
+                 "jobs": {"running": 2, "pending": 1, "suspended": 0}, "nodes": 8,
+                 "partitions": 1},
             ],
-        })
+            "generated_at": 1_000,
+        }))
+        .unwrap()
     }
 
     #[test]
@@ -106,11 +100,12 @@ mod tests {
 
     #[test]
     fn full_page_banners_the_degradation() {
-        let html = render_full("Anvil", "alice", &payload());
+        let mut status = payload();
+        let html = render_full("Anvil", "alice", &serde_json::to_vec(&status).unwrap());
         assert!(html.contains("banner-degraded"));
         assert!(html.contains("role=\"alert\""));
-        let fresh = json!({"degraded": false, "notices": [], "sites": []});
-        let html = render_full("Anvil", "alice", &fresh);
+        status.degraded = false;
+        let html = render_full("Anvil", "alice", &serde_json::to_vec(&status).unwrap());
         assert!(!html.contains("banner-degraded"));
     }
 }

@@ -1,8 +1,7 @@
 //! The dashboard homepage (paper §3, Figure 2): five widgets at a glance.
 
-use crate::pages::layout::{shell, widget_placeholder};
+use crate::pages::layout::{decode, shell, widget_placeholder};
 use crate::widgets;
-use serde_json::Value;
 
 /// The widget slots in display order, each paired with its API route —
 /// the mapping the client uses to fill the page.
@@ -24,33 +23,31 @@ pub fn render_shell(cluster: &str, user: &str) -> String {
     shell("Home", "homepage", cluster, user, &body)
 }
 
-/// The fully rendered homepage given each widget's API payload (or error).
-/// A failed widget renders its error card; the rest are unaffected —
-/// the modularity property (paper §2.4).
-pub fn render_full(
+/// The fully rendered homepage given each widget's API answer (or error).
+/// A failed widget, or one whose answer does not decode, renders its error
+/// card; the rest are unaffected — the modularity property (paper §2.4).
+pub fn render_full<B: AsRef<[u8]>>(
     cluster: &str,
     user: &str,
-    payloads: &[(&str, Result<Value, String>)],
+    payloads: &[(&str, Result<B, String>)],
 ) -> String {
     let mut body = String::from("<div class=\"widget-grid\">");
     for (id, payload) in payloads {
-        let html = match payload {
-            Ok(value) => {
-                let rendered = match *id {
-                    "announcements" => widgets::announcements::render(value),
-                    "recent_jobs" => widgets::recent_jobs::render(value),
-                    "system_status" => widgets::system_status::render(value),
-                    "accounts" => widgets::accounts::render(value),
-                    "storage" => widgets::storage::render(value),
-                    other => widgets::error_card(other, "unknown widget"),
-                };
-                // Server-annotated stale payloads get their accessible
-                // "showing data from N ago" notice.
-                widgets::with_degradation(rendered, value)
-            }
-            Err(e) => widgets::error_card(id, e),
-        };
-        body.push_str(&html);
+        let rendered = payload.as_ref().map_err(String::clone).and_then(|data| {
+            let data = data.as_ref();
+            let html = match *id {
+                "announcements" => decode(data).map(|p| widgets::announcements::render(&p)),
+                "recent_jobs" => decode(data).map(|p| widgets::recent_jobs::render(&p)),
+                "system_status" => decode(data).map(|p| widgets::system_status::render(&p)),
+                "accounts" => decode(data).map(|p| widgets::accounts::render(&p)),
+                "storage" => decode(data).map(|p| widgets::storage::render(&p)),
+                _ => Err("unknown widget".to_string()),
+            }?;
+            // Server-annotated stale payloads get their accessible
+            // "showing data from N ago" notice.
+            Ok(widgets::with_degradation(html, data))
+        });
+        body.push_str(&rendered.unwrap_or_else(|e| widgets::error_card(id, &e)));
     }
     body.push_str("</div>");
     shell("Home", "homepage", cluster, user, &body)
@@ -74,12 +71,19 @@ mod tests {
     #[test]
     fn full_render_mixes_widgets_and_error_cards() {
         let payloads = vec![
-            ("announcements", Ok(json!({"items": []}))),
+            (
+                "announcements",
+                Ok(json!({"items": [], "all_news_url": "/news"})),
+            ),
             ("recent_jobs", Ok(json!({"jobs": []}))),
             ("system_status", Err("sinfo timed out".to_string())),
             ("accounts", Ok(json!({"accounts": []}))),
             ("storage", Ok(json!({"disks": []}))),
         ];
+        let payloads: Vec<(&str, Result<Vec<u8>, String>)> = payloads
+            .into_iter()
+            .map(|(id, p)| (id, p.map(|v| v.to_string().into_bytes())))
+            .collect();
         let html = render_full("Anvil", "alice", &payloads);
         assert!(
             html.contains("widget-error"),
@@ -91,5 +95,9 @@ mod tests {
             "other widgets still render"
         );
         assert!(html.contains("No running or queued jobs"));
+        assert!(
+            html.contains("missing field `user_guide_url`"),
+            "an accounts answer without its guide link is a decode error: {html}"
+        );
     }
 }

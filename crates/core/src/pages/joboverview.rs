@@ -1,10 +1,12 @@
 //! The Job Overview page (paper §7, Figure 4d): header, timeline, and the
 //! overview / session / output / error / job-array tabs.
 
-use crate::charts::sparkline_svg;
-use crate::pages::layout::{shell, widget_placeholder};
+use crate::api::joboverview::{JobOverview, LogTail};
+use crate::charts::sparkline_rows;
+use crate::pages::layout::{decode, page, shell, widget_placeholder};
 use crate::template::escape_html;
-use serde_json::Value;
+use crate::widgets::error_card;
+use hpcdash_simtime::format_duration;
 
 pub fn render_shell(cluster: &str, user: &str, job_id: &str) -> String {
     let mut body = format!("<h1>Job {}</h1>", escape_html(job_id));
@@ -21,25 +23,34 @@ pub fn render_shell(cluster: &str, user: &str, job_id: &str) -> String {
     )
 }
 
-/// Render from the `/api/jobs/:id` payload plus (optionally) the log tails.
+/// Render from the `/api/jobs/:id` answer plus (optionally) the
+/// `/api/jobs/:id/logs` answers of its two streams.
 pub fn render_full(
     cluster: &str,
     user: &str,
-    payload: &Value,
-    stdout_tail: Option<&Value>,
-    stderr_tail: Option<&Value>,
+    data: &[u8],
+    stdout_tail: Option<&[u8]>,
+    stderr_tail: Option<&[u8]>,
 ) -> String {
-    let header = &payload["header"];
-    let color = header["state_color"].as_str().unwrap_or("gray");
+    let payload: Result<JobOverview, String> = decode(data);
+    let title = match &payload {
+        Ok(job) => format!("Job {}", job.header.id),
+        Err(_) => "Job".to_string(),
+    };
+    let body = payload.map(|job| body(&job, stdout_tail, stderr_tail));
+    page(&title, "joboverview", cluster, user, data, body)
+}
+
+fn body(payload: &JobOverview, stdout_tail: Option<&[u8]>, stderr_tail: Option<&[u8]>) -> String {
+    let header = &payload.header;
+    let color = &header.state_color;
     let mut body = format!(
-        "<div class=\"job-header state-{}\"><h1>Job {} — {}</h1>\
-         <span class=\"badge badge-{}\">{}</span>{}</div>",
-        color,
-        escape_html(header["id"].as_str().unwrap_or("")),
-        escape_html(header["name"].as_str().unwrap_or("")),
-        color,
-        escape_html(header["state"].as_str().unwrap_or("")),
-        match header["reason_message"].as_str() {
+        "<div class=\"job-header state-{color}\"><h1>Job {} — {}</h1>\
+         <span class=\"badge badge-{color}\">{}</span>{}</div>",
+        escape_html(&header.id),
+        escape_html(&header.name),
+        escape_html(&header.state),
+        match &header.reason_message {
             Some(msg) => format!("<p class=\"reason-message\">{}</p>", escape_html(msg)),
             None => String::new(),
         },
@@ -47,18 +58,17 @@ pub fn render_full(
 
     // Timeline (submitted -> eligible -> started -> ended), coloured by state.
     body.push_str(&format!("<ol class=\"timeline timeline-{color}\">"));
-    let tl = &payload["timeline"];
-    for (label, key) in [
-        ("Submitted", "submitted"),
-        ("Eligible", "eligible"),
-        ("Started", "started"),
-        ("Ended", "ended"),
+    let tl = &payload.timeline;
+    for (label, at) in [
+        ("Submitted", Some(&tl.submitted)),
+        ("Eligible", Some(&tl.eligible)),
+        ("Started", tl.started.as_ref()),
+        ("Ended", tl.ended.as_ref()),
     ] {
-        match tl[key].as_str() {
+        match at {
             Some(t) => body.push_str(&format!(
-                "<li class=\"done\"><span>{label}</span> <time data-utc=\"{}\">{}</time></li>",
-                escape_html(t),
-                escape_html(t),
+                "<li class=\"done\"><span>{label}</span> <time data-utc=\"{t}\">{t}</time></li>",
+                t = escape_html(t),
             )),
             None => body.push_str(&format!(
                 "<li class=\"pending-step\"><span>{label}</span> —</li>"
@@ -68,31 +78,29 @@ pub fn render_full(
     body.push_str("</ol>");
 
     // Overview tab: four cards.
-    let cards = &payload["cards"];
+    let cards = &payload.cards;
     body.push_str(
         "<div class=\"tabs\"><div class=\"tab\" id=\"overview\"><div class=\"card-grid\">",
     );
-    let info = &cards["job_information"];
+    let info = &cards.job_information;
     body.push_str(&format!(
         "<div class=\"card\"><div class=\"card-header\">Job Information</div><div class=\"card-body\">\
          Name: {}<br>User: {}<br>Allocation: {}<br>Partition: {}<br>QoS: {}</div></div>",
-        escape_html(info["name"].as_str().unwrap_or("")),
-        escape_html(info["user"].as_str().unwrap_or("")),
-        escape_html(info["account"].as_str().unwrap_or("")),
-        escape_html(info["partition"].as_str().unwrap_or("")),
-        escape_html(info["qos"].as_str().unwrap_or("")),
+        escape_html(&info.name),
+        escape_html(&info.user),
+        escape_html(&info.account),
+        escape_html(&info.partition),
+        escape_html(&info.qos),
     ));
-    let res = &cards["resources"];
-    let node_links = res["node_links"]
-        .as_array()
-        .map(Vec::as_slice)
-        .unwrap_or(&[])
+    let res = &cards.resources;
+    let node_links = res
+        .node_links
         .iter()
         .map(|n| {
             format!(
                 "<a href=\"{}\">{}</a>",
-                n["overview_url"].as_str().unwrap_or("#"),
-                escape_html(n["name"].as_str().unwrap_or(""))
+                n.overview_url,
+                escape_html(&n.name)
             )
         })
         .collect::<Vec<_>>()
@@ -100,53 +108,42 @@ pub fn render_full(
     body.push_str(&format!(
         "<div class=\"card\"><div class=\"card-header\">Resources</div><div class=\"card-body\">\
          CPUs: {}<br>Nodes: {}<br>Memory/node: {} MB<br>GPUs: {}<br>Node list: {}</div></div>",
-        res["cpus"], res["nodes"], res["mem_mb_per_node"], res["gpus"], node_links,
+        res.cpus, res.nodes, res.mem_mb_per_node, res.gpus, node_links,
     ));
-    let time = &cards["time"];
+    let time = &cards.time;
+    let duration = |secs: Option<u64>| secs.map_or_else(|| "—".to_string(), format_duration);
     body.push_str(&format!(
         "<div class=\"card\"><div class=\"card-header\">Time</div><div class=\"card-body\">\
          Wall time: {}<br>Time limit: {}<br>Remaining: {}<br>CPU time: {}</div></div>",
-        escape_html(time["elapsed"].as_str().unwrap_or("")),
-        escape_html(time["limit"].as_str().unwrap_or("")),
-        time["remaining_secs"]
-            .as_u64()
-            .map(hpcdash_simtime::format_duration)
-            .unwrap_or_else(|| "—".to_string()),
-        time["cpu_time_secs"]
-            .as_u64()
-            .map(hpcdash_simtime::format_duration)
-            .unwrap_or_else(|| "—".to_string()),
+        escape_html(&time.elapsed),
+        escape_html(&time.limit),
+        duration(time.remaining_secs),
+        duration(time.cpu_time_secs),
     ));
-    let eff = &cards["efficiency"];
-    let pct = |v: &Value| match v.as_f64() {
+    let eff = cards.efficiency.as_ref();
+    let pct = |v: Option<f64>| match v {
         Some(f) => format!("{:.1}%", f * 100.0),
         None => "—".to_string(),
     };
-    let gpu_line = if eff["gpu"].is_null() {
-        String::new()
-    } else {
-        format!("<br>GPU: {}", pct(&eff["gpu"]))
+    let gpu_line = match eff.and_then(|e| e.gpu) {
+        Some(gpu) => format!("<br>GPU: {}", pct(Some(gpu))),
+        None => String::new(),
     };
     body.push_str(&format!(
         "<div class=\"card\"><div class=\"card-header\">Efficiency</div><div class=\"card-body\">\
          CPU: {}<br>Memory: {}<br>Time: {}{}</div></div>",
-        pct(&eff["cpu"]),
-        pct(&eff["memory"]),
-        pct(&eff["time"]),
+        pct(eff.and_then(|e| e.cpu)),
+        pct(eff.and_then(|e| e.memory)),
+        pct(eff.and_then(|e| e.time)),
         gpu_line,
     ));
     // Utilization card: sparklines from the collector's series, when the
     // job has run long enough to have any.
-    let tele = &payload["telemetry"];
-    let spark_rows: String = [("cpu", "CPU"), ("mem", "Memory"), ("gpu", "GPU")]
-        .iter()
-        .filter_map(|(key, label)| {
-            let svg = sparkline_svg(&tele[*key], key, 120, 32);
-            (!svg.is_empty()).then(|| {
-                format!("<div class=\"telemetry-row\"><span class=\"telemetry-label\">{label}</span>{svg}</div>")
-            })
-        })
-        .collect();
+    let spark_rows = payload
+        .telemetry
+        .as_ref()
+        .map(|series| sparkline_rows(series, 32, "div"))
+        .unwrap_or_default();
     if !spark_rows.is_empty() {
         body.push_str(&format!(
             "<div class=\"card\"><div class=\"card-header\">Utilization</div>\
@@ -156,70 +153,76 @@ pub fn render_full(
     body.push_str("</div></div>");
 
     // Session tab (interactive-app jobs only).
-    if !payload["session"].is_null() {
-        let s = &payload["session"];
+    if let Some(s) = &payload.session {
         body.push_str(&format!(
             "<div class=\"tab\" id=\"session\">\
-             App: <a href=\"{}\">{}</a><br>Session ID: {}<br>\
+             App: <a href=\"{}\">{app}</a><br>Session ID: {}<br>\
              Working dir: <a href=\"{}\">{}</a>\
-             <button class=\"launch\">Launch {}</button></div>",
-            s["relaunch_url"].as_str().unwrap_or("#"),
-            escape_html(s["app"].as_str().unwrap_or("")),
-            escape_html(s["session_id"].as_str().unwrap_or("")),
-            s["workdir_url"].as_str().unwrap_or("#"),
-            escape_html(s["workdir"].as_str().unwrap_or("")),
-            escape_html(s["app"].as_str().unwrap_or("")),
+             <button class=\"launch\">Launch {app}</button></div>",
+            s.relaunch_url,
+            escape_html(&s.session_id),
+            s.workdir_url,
+            escape_html(&s.workdir),
+            app = escape_html(&s.app),
         ));
     }
 
     // Output / error tabs: line-numbered read-only views, auto-scrolled.
     for (tab_id, tail) in [("output", stdout_tail), ("error", stderr_tail)] {
-        if let Some(t) = tail {
+        if let Some(data) = tail {
             body.push_str(&format!(
                 "<div class=\"tab log-view\" id=\"{tab_id}\" data-autoscroll=\"bottom\">"
             ));
-            if t["truncated"].as_bool().unwrap_or(false) {
-                body.push_str(&format!(
-                    "<p class=\"log-note\">Showing last {} of {} lines. \
-                     <a href=\"{}\">View entire file</a></p>",
-                    t["lines"].as_array().map(|l| l.len()).unwrap_or(0),
-                    t["total_lines"],
-                    t["full_file_url"].as_str().unwrap_or("#"),
-                ));
+            match decode::<LogTail>(data) {
+                Ok(t) => body.push_str(&log_view(&t)),
+                Err(e) => body.push_str(&error_card(tab_id, &e)),
             }
-            body.push_str("<pre>");
-            for line in t["lines"].as_array().map(Vec::as_slice).unwrap_or(&[]) {
-                let no = line[0].as_u64().unwrap_or(0);
-                let text = line[1].as_str().unwrap_or("");
-                body.push_str(&format!(
-                    "<span class=\"lineno\">{no}</span> {}\n",
-                    escape_html(text)
-                ));
-            }
-            body.push_str("</pre></div>");
+            body.push_str("</div>");
         }
     }
 
     // Job-array tab marker: the client fetches the array route on demand.
-    if payload["has_array"].as_bool().unwrap_or(false) {
+    if let (true, Some(url)) = (payload.has_array, &payload.array_url) {
         body.push_str(&format!(
-            "<div class=\"tab\" id=\"job-array\" data-api=\"{}\"></div>",
-            payload["array_url"].as_str().unwrap_or("#")
+            "<div class=\"tab\" id=\"job-array\" data-api=\"{url}\"></div>"
         ));
     }
 
     body.push_str("</div>");
-    let title = format!("Job {}", header["id"].as_str().unwrap_or(""));
-    shell(&title, "joboverview", cluster, user, &body)
+    body
+}
+
+/// One log tab's body: the truncation note, then the numbered lines.
+fn log_view(t: &LogTail) -> String {
+    let mut out = String::new();
+    if t.truncated {
+        out.push_str(&format!(
+            "<p class=\"log-note\">Showing last {} of {} lines. \
+             <a href=\"{}\">View entire file</a></p>",
+            t.lines.len(),
+            t.total_lines,
+            t.full_file_url.as_deref().unwrap_or("#"),
+        ));
+    }
+    out.push_str("<pre>");
+    for (no, text) in &t.lines {
+        out.push_str(&format!(
+            "<span class=\"lineno\">{no}</span> {}\n",
+            escape_html(text)
+        ));
+    }
+    out.push_str("</pre>");
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::json;
+    use serde_json::{json, Value};
 
     fn payload() -> Value {
         json!({
+            "telemetry": null,
             "header": {"id": "55", "name": "train", "state": "RUNNING",
                        "state_color": "green", "reason": null, "reason_message": null},
             "timeline": {"submitted": "2026-07-04T08:00:00", "eligible": "2026-07-04T08:00:00",
@@ -244,9 +247,13 @@ mod tests {
         })
     }
 
+    fn bytes(v: &Value) -> Vec<u8> {
+        v.to_string().into_bytes()
+    }
+
     #[test]
     fn header_timeline_cards_session() {
-        let html = render_full("Anvil", "alice", &payload(), None, None);
+        let html = render_full("Anvil", "alice", &bytes(&payload()), None, None);
         assert!(html.contains("Job 55 — train"));
         assert!(html.contains("timeline-green"));
         assert!(html.contains("2026-07-04T08:05:00"));
@@ -260,12 +267,13 @@ mod tests {
 
     #[test]
     fn log_tabs_with_line_numbers_and_truncation() {
-        let stdout = json!({
+        let stdout = bytes(&json!({
+            "path": "/home/alice/slurm-55.out",
             "total_lines": 2_500, "truncated": true,
             "full_file_url": "/pun/sys/files/fs/home/alice/slurm-55.out",
             "lines": [[1_501, "step one"], [1_502, "step <two>"]],
-        });
-        let html = render_full("Anvil", "alice", &payload(), Some(&stdout), None);
+        }));
+        let html = render_full("Anvil", "alice", &bytes(&payload()), Some(&stdout), None);
         assert!(html.contains("Showing last 2 of 2500 lines"));
         assert!(html.contains("View entire file"));
         assert!(html.contains("<span class=\"lineno\">1501</span> step one"));
@@ -284,13 +292,13 @@ mod tests {
             "mem": [[0, 0.3], [30, 0.4], [60, 0.45]],
             "gpu": null,
         });
-        let html = render_full("Anvil", "alice", &p, None, None);
+        let html = render_full("Anvil", "alice", &bytes(&p), None, None);
         assert!(html.contains("GPU: 42.0%"), "gpu efficiency line renders");
         assert!(html.contains("Utilization"));
         assert!(html.contains("spark-cpu") && html.contains("spark-mem"));
         assert!(!html.contains("spark-gpu"), "no gpu series, no gpu row");
         // The baseline payload (no telemetry block) has no card at all.
-        let plain = render_full("Anvil", "alice", &payload(), None, None);
+        let plain = render_full("Anvil", "alice", &bytes(&payload()), None, None);
         assert!(!plain.contains("Utilization"));
         assert!(!plain.contains("GPU:"), "gpu: null stays hidden");
     }
@@ -300,7 +308,7 @@ mod tests {
         let mut p = payload();
         p["has_array"] = json!(true);
         p["array_url"] = json!("/api/jobs/55/array");
-        let html = render_full("Anvil", "alice", &p, None, None);
+        let html = render_full("Anvil", "alice", &bytes(&p), None, None);
         assert!(html.contains("id=\"job-array\" data-api=\"/api/jobs/55/array\""));
     }
 
@@ -312,7 +320,7 @@ mod tests {
         p["header"]["reason_message"] =
             json!("It means this job's association has reached its aggregate group CPU limit.");
         p["session"] = Value::Null;
-        let html = render_full("Anvil", "alice", &p, None, None);
+        let html = render_full("Anvil", "alice", &bytes(&p), None, None);
         assert!(html.contains("aggregate group CPU limit"));
         assert!(
             !html.contains("id=\"session\""),

@@ -1,6 +1,8 @@
 //! The common page chrome and the async-widget shell.
 
 use crate::template::{render, vars};
+use crate::widgets::{error_card, with_degradation};
+use serde::Deserialize;
 
 const SHELL_TEMPLATE: &str = r#"<!doctype html>
 <html lang="en">
@@ -44,6 +46,32 @@ pub fn shell(title: &str, page_id: &str, cluster: &str, user: &str, body: &str) 
     .expect("shell template is well-formed")
 }
 
+/// A route's answer decoded to its payload type; the error says which
+/// field is missing or mistyped.
+pub(crate) fn decode<T: Deserialize>(data: &[u8]) -> Result<T, String> {
+    serde_json::from_slice(data).map_err(|e| e.to_string())
+}
+
+/// A full page drawn from its route's answer `data`, in the page chrome.
+/// `body` is the page drawn from the decoded payload, or the decode error,
+/// which shows as the error card rather than blank cells. An answer the
+/// server served stale opens with the accessible stale notice, whichever
+/// page draws it.
+pub(crate) fn page(
+    title: &str,
+    page_id: &str,
+    cluster: &str,
+    user: &str,
+    data: &[u8],
+    body: Result<String, String>,
+) -> String {
+    let body = match body {
+        Ok(html) => with_degradation(html, data),
+        Err(e) => error_card(title, &e),
+    };
+    shell(title, page_id, cluster, user, &body)
+}
+
 /// A loading placeholder for one async widget: the frontend swaps it for
 /// the rendered widget once the API call returns (paper §2.3's loading
 /// animation instead of a blank page).
@@ -66,6 +94,18 @@ mod tests {
         assert!(html.contains("data-page=\"homepage\""));
         assert!(html.contains("Anvil Dashboard"));
         assert!(html.contains("cachedb.js"), "client cache script included");
+    }
+
+    #[test]
+    fn page_labels_stale_data_and_cards_undecodable_data() {
+        let draw = |data: &[u8]| {
+            let body = decode::<Vec<u32>>(data).map(|v| format!("<p>{} rows</p>", v.len()));
+            page("Rows", "rows", "Anvil", "alice", data, body)
+        };
+        let fresh = draw(b"[1,2]");
+        assert!(fresh.contains("<p>2 rows</p>") && !fresh.contains("role=\"status\" aria-live"));
+        let broken = draw(b"{\"rows\":1}");
+        assert!(broken.contains("widget-error") && !broken.contains("rows</p>"));
     }
 
     #[test]

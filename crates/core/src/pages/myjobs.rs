@@ -1,10 +1,10 @@
 //! The My Jobs page (paper §4, Figure 3): the job table with efficiency
 //! columns & warnings, plus the two charts.
 
-use crate::pages::layout::{shell, widget_placeholder};
+use crate::api::myjobs::MyJobs;
+use crate::pages::layout::{decode, page, shell, widget_placeholder};
 use crate::template::escape_html;
 use hpcdash_simtime::format_duration;
-use serde_json::Value;
 
 /// The instantly served shell.
 pub fn render_shell(cluster: &str, user: &str) -> String {
@@ -19,20 +19,27 @@ pub fn render_shell(cluster: &str, user: &str) -> String {
     shell("My Jobs", "myjobs", cluster, user, &body)
 }
 
-/// The fully rendered page given the `/api/myjobs` payload.
-pub fn render_full(cluster: &str, user: &str, payload: &Value) -> String {
+/// The fully rendered page given the `/api/myjobs` answer.
+pub fn render_full(cluster: &str, user: &str, data: &[u8]) -> String {
+    let body = decode(data).map(|payload| body(&payload));
+    page("My Jobs", "myjobs", cluster, user, data, body)
+}
+
+fn body(payload: &MyJobs) -> String {
     let mut body = String::from("<h1>My Jobs</h1>");
     body.push_str(&format!(
         "<p class=\"range-label\">Showing: {}</p>",
-        escape_html(payload["range"].as_str().unwrap_or(""))
+        escape_html(&payload.range)
     ));
 
     // Charts (Chart.js data is embedded for the frontend to draw).
+    let charts = &payload.charts;
     body.push_str(&format!(
         "<div class=\"charts\">\
          <canvas id=\"state-chart\" data-chart='{}'></canvas>\
          <canvas id=\"gpu-chart\" data-chart='{}'></canvas></div>",
-        payload["charts"]["state_distribution"], payload["charts"]["gpu_hours"],
+        serde_json::to_string(&charts.state_distribution).expect("charts serialize"),
+        serde_json::to_string(&charts.gpu_hours).expect("charts serialize"),
     ));
 
     body.push_str(
@@ -42,55 +49,55 @@ pub fn render_full(cluster: &str, user: &str, payload: &Value) -> String {
          <th class=\"eff\">Time eff</th><th class=\"eff\">CPU eff</th><th class=\"eff\">Mem eff</th>\
          </tr></thead><tbody>",
     );
-    for j in payload["jobs"].as_array().map(Vec::as_slice).unwrap_or(&[]) {
-        let eff = &j["efficiency"];
-        let pct = |v: &Value| match v.as_f64() {
-            Some(f) => format!("{:.1}%", f * 100.0),
-            None => "—".to_string(),
-        };
+    let pct = |v: Option<f64>| match v {
+        Some(f) => format!("{:.1}%", f * 100.0),
+        None => "—".to_string(),
+    };
+    let or_dash = |t: &Option<String>| escape_html(t.as_deref().unwrap_or("—"));
+    for j in &payload.jobs {
+        let eff = &j.efficiency;
         body.push_str(&format!(
             "<tr class=\"job-row state-{}\">\
              <td><a href=\"{}\">{}</a></td><td>{}</td><td>{}</td>\
              <td><span class=\"badge badge-{}\">{}</span>{}</td>\
              <td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
              <td class=\"eff\">{}</td><td class=\"eff\">{}</td><td class=\"eff\">{}</td></tr>",
-            j["state"].as_str().unwrap_or("").to_lowercase(),
-            j["overview_url"].as_str().unwrap_or("#"),
-            escape_html(j["id"].as_str().unwrap_or("")),
-            escape_html(j["name"].as_str().unwrap_or("")),
-            escape_html(j["qos"].as_str().unwrap_or("")),
-            j["state_color"].as_str().unwrap_or("gray"),
-            escape_html(j["state"].as_str().unwrap_or("")),
-            match j["reason"]["message"].as_str() {
-                Some(msg) => format!(
+            j.state.to_lowercase(),
+            j.overview_url,
+            escape_html(&j.id),
+            escape_html(&j.name),
+            escape_html(&j.qos),
+            j.state_color,
+            escape_html(&j.state),
+            match &j.reason {
+                Some(r) => format!(
                     " <span class=\"reason\" title=\"{}\">({})</span>",
-                    escape_html(msg),
-                    escape_html(j["reason"]["code"].as_str().unwrap_or(""))
+                    escape_html(&r.message),
+                    escape_html(&r.code)
                 ),
                 None => String::new(),
             },
-            escape_html(j["submit"].as_str().unwrap_or("—")),
-            escape_html(j["start"].as_str().unwrap_or("—")),
-            escape_html(j["end"].as_str().unwrap_or("—")),
-            j["wait_secs"]
-                .as_u64()
+            or_dash(&j.submit),
+            or_dash(&j.start),
+            or_dash(&j.end),
+            j.wait_secs
                 .map(format_duration)
                 .unwrap_or_else(|| "—".to_string()),
-            format_duration(j["elapsed_secs"].as_u64().unwrap_or(0)),
-            pct(&eff["time"]),
-            pct(&eff["cpu"]),
-            pct(&eff["memory"]),
+            format_duration(j.elapsed_secs),
+            pct(eff.time),
+            pct(eff.cpu),
+            pct(eff.memory),
         ));
         // Efficiency warnings render as alert rows under the job.
-        for w in eff["warnings"].as_array().map(Vec::as_slice).unwrap_or(&[]) {
+        for w in &eff.warnings {
             body.push_str(&format!(
                 "<tr class=\"warning-row\"><td colspan=\"12\" class=\"alert alert-warning\">{}</td></tr>",
-                escape_html(w.as_str().unwrap_or(""))
+                escape_html(w)
             ));
         }
     }
     body.push_str("</tbody></table>");
-    shell("My Jobs", "myjobs", cluster, user, &body)
+    body
 }
 
 #[cfg(test)]
@@ -98,30 +105,35 @@ mod tests {
     use super::*;
     use serde_json::json;
 
-    fn payload() -> Value {
+    fn payload() -> Vec<u8> {
+        let row = |id: &str, name: &str, state: &str| {
+            json!({"id": id, "name": name, "user": "alice", "account": "physics",
+                   "partition": "cpu", "qos": "normal", "state": state,
+                   "state_color": "gray-green", "submit": "2026-07-04T08:00:00",
+                   "start": null, "end": null, "wait_secs": 60, "elapsed_secs": 3_600,
+                   "timelimit": "04:00:00", "alloc_cpus": 16, "alloc_nodes": 1,
+                   "req_mem_mb": 4_096, "gpu_hours": 0.0, "nodelist": "a001",
+                   "exit_code": "0:0", "session_id": null, "overview_url": format!("/jobs/{id}"),
+                   "reason": null,
+                   "efficiency": {"cpu": null, "memory": null, "time": null, "gpu": null,
+                                  "warnings": []}})
+        };
+        let mut done = row("100", "train", "COMPLETED");
+        done["start"] = json!("2026-07-04T08:01:00");
+        done["end"] = json!("2026-07-04T09:01:00");
+        done["efficiency"] = json!({"cpu": 0.08, "memory": 0.5, "time": 0.9, "gpu": null,
+            "warnings": ["This job used only 8% of the 16 CPUs it requested. Requesting fewer CPUs will reduce your queue wait times and leave more resources for others."]});
+        let mut pending = row("101", "sweep", "PENDING");
+        pending["reason"] = json!({"code": "AssocGrpCpuLimit",
+            "message": "It means this job's association has reached its aggregate group CPU limit."});
+        let chart = json!({"type": "bar", "labels": ["alice"], "datasets": []});
         json!({
             "range": "Last 7 days",
-            "jobs": [
-                {"id": "100", "name": "train", "qos": "normal", "state": "COMPLETED",
-                 "state_color": "gray-green", "submit": "2026-07-04T08:00:00",
-                 "start": "2026-07-04T08:01:00", "end": "2026-07-04T09:01:00",
-                 "wait_secs": 60, "elapsed_secs": 3_600,
-                 "overview_url": "/jobs/100", "reason": null,
-                 "efficiency": {"cpu": 0.08, "memory": 0.5, "time": 0.9,
-                                "warnings": ["This job used only 8% of the 16 CPUs it requested. Requesting fewer CPUs will reduce your queue wait times and leave more resources for others."]}},
-                {"id": "101", "name": "sweep", "qos": "normal", "state": "PENDING",
-                 "state_color": "blue", "submit": "2026-07-04T09:00:00",
-                 "start": null, "end": null, "wait_secs": 120, "elapsed_secs": 0,
-                 "overview_url": "/jobs/101",
-                 "reason": {"code": "AssocGrpCpuLimit",
-                            "message": "It means this job's association has reached its aggregate group CPU limit."},
-                 "efficiency": {"cpu": null, "memory": null, "time": null, "warnings": []}},
-            ],
-            "charts": {
-                "state_distribution": {"labels": ["alice"], "datasets": []},
-                "gpu_hours": {"labels": ["alice"], "datasets": []},
-            },
+            "jobs": [done, pending],
+            "charts": {"state_distribution": chart, "gpu_hours": chart},
         })
+        .to_string()
+        .into_bytes()
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The Node Overview page (paper §6.1, Figure 4c): status + resource cards,
 //! details tab, running-jobs tab.
 
-use crate::pages::layout::{shell, widget_placeholder};
+use crate::api::nodeoverview::NodeOverview;
+use crate::pages::layout::{decode, page, shell, widget_placeholder};
 use crate::template::escape_html;
 use crate::widgets::components::progress_bar;
-use serde_json::Value;
 
 pub fn render_shell(cluster: &str, user: &str, node: &str) -> String {
     let mut body = format!("<h1>Node {}</h1>", escape_html(node));
@@ -21,93 +21,84 @@ pub fn render_shell(cluster: &str, user: &str, node: &str) -> String {
     )
 }
 
-/// Render from the `/api/nodes/:name` payload.
-pub fn render_full(cluster: &str, user: &str, payload: &Value) -> String {
-    let status = &payload["status_card"];
-    let res = &payload["resource_card"];
-    let name = status["name"].as_str().unwrap_or("");
+/// Render from the `/api/nodes/:name` answer.
+pub fn render_full(cluster: &str, user: &str, data: &[u8]) -> String {
+    let payload: Result<NodeOverview, String> = decode(data);
+    let title = match &payload {
+        Ok(node) => format!("Node {}", node.status_card.name),
+        Err(_) => "Node".to_string(),
+    };
+    let body = payload.map(|node| body(&node));
+    page(&title, "nodeoverview", cluster, user, data, body)
+}
+
+fn body(payload: &NodeOverview) -> String {
+    let status = &payload.status_card;
+    let res = &payload.resource_card;
     let mut body = format!(
         "<h1>Node {}</h1><div class=\"card-pair\">",
-        escape_html(name)
+        escape_html(&status.name)
     );
-
     // Status card.
     body.push_str(&format!(
         "<div class=\"card status-card\"><div class=\"card-header\">Status</div>\
          <div class=\"card-body\"><span class=\"badge badge-{}\">{}</span>\
          <div class=\"last-active\">Last active: {}</div>{}</div></div>",
-        status["color"].as_str().unwrap_or("gray"),
-        escape_html(status["state"].as_str().unwrap_or("")),
-        escape_html(status["last_busy"].as_str().unwrap_or("unknown")),
-        match status["reason"].as_str() {
+        status.color,
+        escape_html(&status.state),
+        escape_html(status.last_busy.as_deref().unwrap_or("unknown")),
+        match &status.reason {
             Some(r) => format!("<div class=\"reason\">Reason: {}</div>", escape_html(r)),
             None => String::new(),
         },
     ));
-
     // Resource usage card.
     body.push_str("<div class=\"card resource-card\"><div class=\"card-header\">Resource usage</div><div class=\"card-body\">");
     body.push_str(&progress_bar(
-        res["cpu"]["percent"].as_f64().unwrap_or(0.0),
-        res["cpu"]["color"].as_str().unwrap_or("green"),
-        &format!("CPU {}/{}", res["cpu"]["alloc"], res["cpu"]["total"]),
+        res.cpu.percent,
+        &res.cpu.color,
+        &format!("CPU {}/{}", res.cpu.alloc, res.cpu.total),
     ));
     body.push_str(&progress_bar(
-        res["memory"]["percent"].as_f64().unwrap_or(0.0),
-        res["memory"]["color"].as_str().unwrap_or("green"),
-        &format!(
-            "Memory {}/{} MB",
-            res["memory"]["alloc_mb"], res["memory"]["total_mb"]
-        ),
+        res.memory.percent,
+        &res.memory.color,
+        &format!("Memory {}/{} MB", res.memory.alloc_mb, res.memory.total_mb),
     ));
-    if !res["gpu"].is_null() {
+    if let Some(gpu) = &res.gpu {
         body.push_str(&progress_bar(
-            res["gpu"]["percent"].as_f64().unwrap_or(0.0),
-            res["gpu"]["color"].as_str().unwrap_or("green"),
-            &format!("GPU {}/{}", res["gpu"]["alloc"], res["gpu"]["total"]),
+            gpu.percent,
+            &gpu.color,
+            &format!("GPU {}/{}", gpu.alloc, gpu.total),
         ));
     }
     body.push_str("</div></div></div>");
-
     // Tabs: details + running jobs.
     body.push_str(
         "<div class=\"tabs\"><div class=\"tab\" id=\"details\"><table class=\"kv-table\"><tbody>",
     );
-    if let Some(details) = payload["details"].as_object() {
-        for (k, v) in details {
-            body.push_str(&format!(
-                "<tr><th>{}</th><td>{}</td></tr>",
-                escape_html(k),
-                escape_html(v.as_str().unwrap_or(""))
-            ));
-        }
+    for (k, v) in &payload.details {
+        body.push_str(&format!(
+            "<tr><th>{}</th><td>{}</td></tr>",
+            escape_html(k),
+            escape_html(v)
+        ));
     }
     body.push_str("</tbody></table></div><div class=\"tab\" id=\"running-jobs\"><table class=\"job-table\"><thead><tr><th>Job</th><th>Name</th><th>User</th><th>Partition</th><th>State</th><th>CPUs</th><th>Memory</th></tr></thead><tbody>");
-    for j in payload["running_jobs"]
-        .as_array()
-        .map(Vec::as_slice)
-        .unwrap_or(&[])
-    {
+    for j in &payload.running_jobs {
         body.push_str(&format!(
             "<tr><td><a href=\"{}\">{}</a></td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{} MB</td></tr>",
-            j["overview_url"].as_str().unwrap_or("#"),
-            escape_html(j["id"].as_str().unwrap_or("")),
-            escape_html(j["name"].as_str().unwrap_or("")),
-            escape_html(j["user"].as_str().unwrap_or("")),
-            escape_html(j["partition"].as_str().unwrap_or("")),
-            escape_html(j["state"].as_str().unwrap_or("")),
-            j["alloc_cpus"],
-            j["alloc_mem_mb"],
+            j.overview_url,
+            escape_html(&j.id),
+            escape_html(&j.name),
+            escape_html(&j.user),
+            escape_html(&j.partition),
+            escape_html(&j.state),
+            j.alloc_cpus,
+            j.alloc_mem_mb,
         ));
     }
     body.push_str("</tbody></table></div></div>");
-    shell(
-        &format!("Node {name}"),
-        "nodeoverview",
-        cluster,
-        user,
-        &body,
-    )
+    body
 }
 
 #[cfg(test)]
@@ -132,7 +123,7 @@ mod tests {
                  "overview_url": "/jobs/77"},
             ],
         });
-        let html = render_full("Anvil", "alice", &payload);
+        let html = render_full("Anvil", "alice", payload.to_string().as_bytes());
         assert!(html.contains("Node g001"));
         assert!(html.contains("Last active: 2026-07-04T08:00:00"));
         assert!(html.contains("CPU 32/64"));
@@ -154,7 +145,7 @@ mod tests {
             "details": {},
             "running_jobs": [],
         });
-        let html = render_full("Anvil", "alice", &payload);
+        let html = render_full("Anvil", "alice", payload.to_string().as_bytes());
         assert!(html.contains("Reason: power supply"));
         assert!(html.contains("badge-red"));
         assert!(!html.contains("GPU "));

@@ -10,6 +10,9 @@
 //! a decoration on top, so screen readers get the same information sighted
 //! operators do.
 
+// The observatory bodies are still read as value trees.
+#![allow(clippy::disallowed_types, clippy::disallowed_macros)]
+
 use crate::pages::layout::{shell, widget_placeholder};
 use crate::template::escape_html;
 use serde_json::Value;

@@ -1,33 +1,27 @@
 //! The Accounts widget (paper §3.4): per-allocation CPU/GPU usage with an
 //! export dropdown.
 
+use crate::api::accounts::Accounts;
 use crate::template::escape_html;
 use crate::widgets::components::{card, progress_bar};
-use serde_json::Value;
 
 /// Render from the `/api/accounts` payload.
-pub fn render(payload: &Value) -> String {
+pub fn render(payload: &Accounts) -> String {
     let mut body = String::new();
-    let accounts = payload["accounts"]
-        .as_array()
-        .map(Vec::as_slice)
-        .unwrap_or(&[]);
-    if accounts.is_empty() {
+    if payload.accounts.is_empty() {
         body.push_str("<p class=\"text-muted\">No allocations found.</p>");
     }
-    for a in accounts {
-        let name = a["name"].as_str().unwrap_or("");
+    for a in &payload.accounts {
         body.push_str(&format!(
             "<div class=\"account-row\"><span class=\"account-name\">{}</span>",
-            escape_html(name)
+            escape_html(&a.name)
         ));
-        let in_use = a["cpus_in_use"].as_u64().unwrap_or(0);
-        let queued = a["cpus_queued"].as_u64().unwrap_or(0);
-        match a["cpu_limit"].as_u64() {
+        let (in_use, queued) = (a.cpus_in_use, a.cpus_queued);
+        match a.cpu_limit {
             Some(limit) => {
                 body.push_str(&progress_bar(
-                    a["cpu_percent"].as_f64().unwrap_or(0.0),
-                    a["cpu_color"].as_str().unwrap_or("green"),
+                    a.cpu_percent,
+                    &a.cpu_color,
                     &format!("CPUs {in_use}/{limit} in use, {queued} queued"),
                 ));
             }
@@ -37,30 +31,25 @@ pub fn render(payload: &Value) -> String {
                 ));
             }
         }
-        let gpu_used = a["gpu_hours_used"].as_f64().unwrap_or(0.0);
-        if let Some(limit) = a["gpu_hours_limit"].as_f64() {
+        let gpu_used = a.gpu_hours_used;
+        if let Some(limit) = a.gpu_hours_limit {
             body.push_str(&progress_bar(
                 (gpu_used / limit.max(1e-9) * 100.0).min(100.0),
-                a["gpu_color"].as_str().unwrap_or("green"),
+                &a.gpu_color,
                 &format!("GPU hours {gpu_used:.1}/{limit:.0}"),
             ));
         }
-        if let Some(export) = a["export_url"].as_str() {
-            body.push_str(&format!(
-                "<div class=\"dropdown export\"><a href=\"{}\">Export CSV</a> \
-                 <a href=\"{}?format=excel\">Export Excel</a></div>",
-                escape_html(export),
-                escape_html(export)
-            ));
-        }
+        let export = escape_html(&a.export_url);
+        body.push_str(&format!(
+            "<div class=\"dropdown export\"><a href=\"{export}\">Export CSV</a> \
+             <a href=\"{export}?format=excel\">Export Excel</a></div>"
+        ));
         body.push_str("</div>");
     }
-    if let Some(url) = payload["user_guide_url"].as_str() {
-        body.push_str(&format!(
-            "<a class=\"guide-link\" href=\"{}\">About accounts</a>",
-            escape_html(url)
-        ));
-    }
+    body.push_str(&format!(
+        "<a class=\"guide-link\" href=\"{}\">About accounts</a>",
+        escape_html(&payload.user_guide_url)
+    ));
     card("accounts", "Accounts", &body)
 }
 
@@ -69,9 +58,13 @@ mod tests {
     use super::*;
     use serde_json::json;
 
+    fn payload(v: serde_json::Value) -> Accounts {
+        serde_json::from_value(v).unwrap()
+    }
+
     #[test]
     fn renders_limits_and_exports() {
-        let payload = json!({
+        let payload = payload(json!({
             "accounts": [
                 {"name": "physics", "cpus_in_use": 128, "cpus_queued": 32, "cpu_limit": 256,
                  "cpu_percent": 50.0, "cpu_color": "green",
@@ -83,7 +76,7 @@ mod tests {
                  "member_count": 2, "export_url": "/api/accounts/bio/export"},
             ],
             "user_guide_url": "https://example.edu/guide",
-        });
+        }));
         let html = render(&payload);
         assert!(html.contains("CPUs 128/256 in use, 32 queued"));
         assert!(html.contains("GPU hours 80.0/100"));
@@ -94,7 +87,9 @@ mod tests {
 
     #[test]
     fn empty_accounts_message() {
-        let html = render(&json!({"accounts": []}));
+        let html = render(&payload(
+            json!({"accounts": [], "user_guide_url": "/guide"}),
+        ));
         assert!(html.contains("No allocations found"));
     }
 }

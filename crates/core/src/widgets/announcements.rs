@@ -1,43 +1,31 @@
 //! The Announcements widget (paper §3.1): an accordion of recent news,
 //! colour-coded by urgency, with past events faded.
 
+use crate::api::announcements::Announcements;
 use crate::template::escape_html;
 use crate::widgets::components::{badge, card};
-use serde_json::Value;
 
 /// Render from the `/api/announcements` payload.
-pub fn render(payload: &Value) -> String {
+pub fn render(payload: &Announcements) -> String {
     let mut body = String::from("<div class=\"accordion\" id=\"announcements\">");
-    for item in payload["items"]
-        .as_array()
-        .map(Vec::as_slice)
-        .unwrap_or(&[])
-    {
-        let color = item["color"].as_str().unwrap_or("gray");
-        let faded = item["faded"].as_bool().unwrap_or(false);
-        let title = item["title"].as_str().unwrap_or("");
-        let posted = item["posted_at"].as_str().unwrap_or("");
-        let category = item["category"].as_str().unwrap_or("news");
-        let text = item["body"].as_str().unwrap_or("");
+    for item in &payload.items {
         body.push_str(&format!(
             "<div class=\"accordion-item announcement announcement-{} {}\">\
              <button class=\"accordion-header\" aria-expanded=\"false\">{} <span class=\"date\">{}</span> {}</button>\
              <div class=\"accordion-body collapse\">{}</div></div>",
-            color,
-            if faded { "announcement-past" } else { "announcement-current" },
-            badge(color, category),
-            escape_html(posted),
-            escape_html(title),
-            escape_html(text),
+            item.color,
+            if item.faded { "announcement-past" } else { "announcement-current" },
+            badge(&item.color, &item.category),
+            escape_html(&item.posted_at),
+            escape_html(&item.title),
+            escape_html(&item.body),
         ));
     }
     body.push_str("</div>");
-    if let Some(url) = payload["all_news_url"].as_str() {
-        body.push_str(&format!(
-            "<a class=\"view-all\" href=\"{}\">View all news</a>",
-            escape_html(url)
-        ));
-    }
+    body.push_str(&format!(
+        "<a class=\"view-all\" href=\"{}\">View all news</a>",
+        escape_html(&payload.all_news_url)
+    ));
     card("announcements", "Announcements", &body)
 }
 
@@ -46,14 +34,19 @@ mod tests {
     use super::*;
     use serde_json::json;
 
-    fn payload() -> Value {
-        json!({
+    fn payload() -> Announcements {
+        serde_json::from_value(json!({
             "items": [
-                {"title": "Outage", "body": "b1", "category": "outage", "color": "red", "faded": false, "posted_at": "2026-07-04T01:00:00"},
-                {"title": "Old news", "body": "b2", "category": "news", "color": "gray", "faded": true, "posted_at": "2026-06-01T01:00:00"},
+                {"id": 2, "title": "Outage", "body": "b1", "category": "outage", "color": "red",
+                 "relevance": "active", "faded": false, "posted_at": "2026-07-04T01:00:00",
+                 "starts_at": null, "ends_at": null},
+                {"id": 1, "title": "Old news", "body": "b2", "category": "news", "color": "gray",
+                 "relevance": "past", "faded": true, "posted_at": "2026-06-01T01:00:00",
+                 "starts_at": null, "ends_at": null},
             ],
             "all_news_url": "https://example.edu/news",
-        })
+        }))
+        .unwrap()
     }
 
     #[test]
@@ -72,8 +65,10 @@ mod tests {
 
     #[test]
     fn empty_payload_is_safe() {
-        let html = render(&json!({"items": []}));
+        let mut empty = payload();
+        empty.items.clear();
+        let html = render(&empty);
         assert!(html.contains("data-widget=\"announcements\""));
-        assert!(!html.contains("view-all"));
+        assert!(!html.contains("accordion-item"));
     }
 }

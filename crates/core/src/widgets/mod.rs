@@ -1,8 +1,9 @@
 //! Homepage widget renderers (paper §3) — the frontend half of each
-//! feature. Each takes the *same JSON payload its paired API route returns*
-//! and renders an HTML fragment, so server-side rendering (tests, examples)
-//! and client-side rendering (the headless browser) can never disagree
-//! about the data shape.
+//! feature. Each takes its paired API route's payload type, the one the
+//! route encodes (`api::<route>`), decoded from the route's bytes, so
+//! server-side rendering (tests, examples) and the headless browser can
+//! never disagree about the data shape: a field the route stopped sending
+//! is a decode error, rendered as the widget's error card.
 
 pub mod accounts;
 pub mod announcements;
@@ -10,6 +11,8 @@ pub mod components;
 pub mod recent_jobs;
 pub mod storage;
 pub mod system_status;
+
+use hpcdash_cache::body::Degradation;
 
 /// Render a widget's error card — what the frontend shows when the widget's
 /// API route fails while the rest of the dashboard keeps working (the
@@ -44,24 +47,25 @@ pub fn stale_notice(age_secs: u64) -> String {
     )
 }
 
-/// Wrap a rendered widget with its stale notice when the payload carries
-/// the server's `"degraded": true` annotation; unannotated payloads pass
+/// Wrap HTML drawn from the answer `data` with its stale notice when the
+/// server served `data` stale ([`Degradation`]); other answers pass
 /// through untouched.
-pub fn with_degradation(html: String, payload: &serde_json::Value) -> String {
-    if payload["degraded"] != serde_json::json!(true) {
-        return html;
+pub fn with_degradation(html: String, data: &[u8]) -> String {
+    match Degradation::of(data) {
+        Some(Degradation {
+            stale_age_secs: Some(age),
+            ..
+        }) => format!(
+            "<div class=\"widget-degraded\">{}{}</div>",
+            stale_notice(age),
+            html
+        ),
+        _ => html,
     }
-    let age = payload["stale_age_secs"].as_u64().unwrap_or(0);
-    format!(
-        "<div class=\"widget-degraded\">{}{}</div>",
-        stale_notice(age),
-        html
-    )
 }
 
 #[cfg(test)]
 mod tests {
-    use serde_json::json;
 
     #[test]
     fn error_card_escapes() {
@@ -82,12 +86,12 @@ mod tests {
 
     #[test]
     fn degradation_wrapper_only_fires_on_annotated_payloads() {
-        let fresh = json!({"jobs": []});
+        let fresh = br#"{"jobs":[]}"#;
         assert_eq!(
-            super::with_degradation("<div>w</div>".to_string(), &fresh),
+            super::with_degradation("<div>w</div>".to_string(), fresh),
             "<div>w</div>"
         );
-        let stale = json!({"jobs": [], "degraded": true, "stale_age_secs": 90});
+        let stale = hpcdash_cache::body::annotate_stale(fresh, 90, "down").unwrap();
         let html = super::with_degradation("<div>w</div>".to_string(), &stale);
         assert!(html.contains("widget-stale-notice"));
         assert!(html.contains("90 seconds ago"));

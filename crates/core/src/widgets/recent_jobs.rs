@@ -1,40 +1,33 @@
 //! The Recent Jobs widget (paper §3.2): compact cards for the user's latest
 //! jobs with status tooltips.
 
+use crate::api::recent_jobs::RecentJobs;
 use crate::template::escape_html;
 use crate::widgets::components::{badge, card, tooltip};
 use hpcdash_simtime::format_duration;
-use serde_json::Value;
 
 /// Render from the `/api/recent_jobs` payload.
-pub fn render(payload: &Value) -> String {
-    let jobs = payload["jobs"].as_array().map(Vec::as_slice).unwrap_or(&[]);
+pub fn render(payload: &RecentJobs) -> String {
     let mut body = String::new();
-    if jobs.is_empty() {
+    if payload.jobs.is_empty() {
         body.push_str("<p class=\"text-muted\">No running or queued jobs.</p>");
     }
-    for j in jobs {
-        let state = j["state"].as_str().unwrap_or("");
-        let color = j["state_color"].as_str().unwrap_or("gray");
-        let status = match j["tooltip"].as_str() {
-            Some(tip) => tooltip(state, tip),
-            None => badge(color, state),
+    for j in &payload.jobs {
+        let status = match &j.tooltip {
+            Some(tip) => tooltip(&j.state, tip),
+            None => badge(&j.state_color, &j.state),
         };
-        let when = j["start_time"]
-            .as_str()
-            .or_else(|| j["submit_time"].as_str())
-            .unwrap_or("");
+        let when = j.start_time.as_ref().or(j.submit_time.as_ref());
+        let id = escape_html(&j.id);
         body.push_str(&format!(
             "<div class=\"job-card\"><span class=\"job-name\">{}</span> \
-             <a class=\"job-id\" href=\"/jobs/{}\">#{}</a> {} \
+             <a class=\"job-id\" href=\"/jobs/{id}\">#{id}</a> {} \
              <span class=\"job-when\">{}</span> \
              <span class=\"job-elapsed\">{}</span></div>",
-            escape_html(j["name"].as_str().unwrap_or("")),
-            escape_html(j["id"].as_str().unwrap_or("")),
-            escape_html(j["id"].as_str().unwrap_or("")),
+            escape_html(&j.name),
             status,
-            escape_html(when),
-            format_duration(j["elapsed_secs"].as_u64().unwrap_or(0)),
+            escape_html(when.map_or("", String::as_str)),
+            format_duration(j.elapsed_secs),
         ));
     }
     card("recent_jobs", "Recent Jobs", &body)
@@ -47,14 +40,17 @@ mod tests {
 
     #[test]
     fn renders_cards_with_tooltips() {
-        let payload = json!({"jobs": [
-            {"id": "42", "name": "train", "state": "RUNNING", "state_color": "green",
-             "submit_time": "2026-07-04T08:00:00", "start_time": "2026-07-04T08:05:00",
-             "elapsed_secs": 3_600, "tooltip": null},
-            {"id": "43", "name": "sweep", "state": "PENDING", "state_color": "blue",
-             "submit_time": "2026-07-04T08:10:00", "start_time": null,
-             "elapsed_secs": 0, "tooltip": "It means other queued jobs currently have higher priority."},
-        ]});
+        let payload: RecentJobs = serde_json::from_value(json!({"jobs": [
+            {"id": "42", "name": "train", "partition": "gpu", "state": "RUNNING",
+             "state_color": "green", "submit_time": "2026-07-04T08:00:00",
+             "start_time": "2026-07-04T08:05:00", "elapsed_secs": 3_600,
+             "time_limit": "4:00:00", "reason": null, "tooltip": null},
+            {"id": "43", "name": "sweep", "partition": "cpu", "state": "PENDING",
+             "state_color": "blue", "submit_time": "2026-07-04T08:10:00", "start_time": null,
+             "elapsed_secs": 0, "time_limit": "1:00:00", "reason": "Priority",
+             "tooltip": "It means other queued jobs currently have higher priority."},
+        ]}))
+        .unwrap();
         let html = render(&payload);
         assert!(html.contains("#42"));
         assert!(html.contains("href=\"/jobs/42\""));
@@ -73,7 +69,7 @@ mod tests {
 
     #[test]
     fn empty_queue_message() {
-        let html = render(&json!({"jobs": []}));
+        let html = render(&RecentJobs { jobs: Vec::new() });
         assert!(html.contains("No running or queued jobs"));
     }
 }

@@ -1,9 +1,9 @@
 //! The Storage widget (paper §3.5): per-directory usage/file-count bars
 //! linking into the Open OnDemand files app.
 
+use crate::api::storage::Storage;
 use crate::template::escape_html;
 use crate::widgets::components::{card, progress_bar};
-use serde_json::Value;
 
 fn human_bytes(bytes: u64) -> String {
     const UNITS: [&str; 5] = ["B", "KB", "MB", "GB", "TB"];
@@ -17,39 +17,29 @@ fn human_bytes(bytes: u64) -> String {
 }
 
 /// Render from the `/api/storage` payload.
-pub fn render(payload: &Value) -> String {
+pub fn render(payload: &Storage) -> String {
     let mut body = String::new();
-    for d in payload["disks"]
-        .as_array()
-        .map(Vec::as_slice)
-        .unwrap_or(&[])
-    {
-        let path = d["path"].as_str().unwrap_or("");
-        let fs_url = d["files_app_url"].as_str().unwrap_or("#");
+    for d in &payload.disks {
         body.push_str(&format!(
             "<div class=\"disk-row\"><a class=\"disk-path\" href=\"{}\">{}</a> \
              <span class=\"disk-fs\">{}</span>",
-            escape_html(fs_url),
-            escape_html(path),
-            escape_html(d["filesystem"].as_str().unwrap_or("")),
+            escape_html(&d.files_app_url),
+            escape_html(&d.path),
+            escape_html(&d.filesystem),
         ));
         body.push_str(&progress_bar(
-            d["bytes_percent"].as_f64().unwrap_or(0.0),
-            d["bytes_color"].as_str().unwrap_or("green"),
+            d.bytes_percent,
+            &d.bytes_color,
             &format!(
                 "{} / {}",
-                human_bytes(d["bytes_used"].as_u64().unwrap_or(0)),
-                human_bytes(d["bytes_quota"].as_u64().unwrap_or(0)),
+                human_bytes(d.bytes_used),
+                human_bytes(d.bytes_quota),
             ),
         ));
         body.push_str(&progress_bar(
-            d["files_percent"].as_f64().unwrap_or(0.0),
-            d["files_color"].as_str().unwrap_or("green"),
-            &format!(
-                "{} / {} files",
-                d["files_used"].as_u64().unwrap_or(0),
-                d["files_quota"].as_u64().unwrap_or(0),
-            ),
+            d.files_percent,
+            &d.files_color,
+            &format!("{} / {} files", d.files_used, d.files_quota),
         ));
         body.push_str("</div>");
     }
@@ -63,14 +53,16 @@ mod tests {
 
     #[test]
     fn renders_disk_rows_with_links() {
-        let payload = json!({"disks": [
+        let payload: Storage = serde_json::from_value(json!({"disks": [
             {"path": "/home/alice", "filesystem": "zfs-home",
              "bytes_used": 21_474_836_480u64, "bytes_quota": 26_843_545_600u64,
              "bytes_percent": 80.0, "bytes_color": "yellow",
              "files_used": 100_000, "files_quota": 400_000,
              "files_percent": 25.0, "files_color": "green",
-             "files_app_url": "/pun/sys/files/fs/home/alice"},
-        ]});
+             "files_app_url": "/pun/sys/files/fs/home/alice",
+             "scanned_at": "2026-07-04T08:00:00"},
+        ]}))
+        .unwrap();
         let html = render(&payload);
         assert!(html.contains("href=\"/pun/sys/files/fs/home/alice\""));
         assert!(html.contains("20.0 GB / 25.0 GB"));

@@ -1,56 +1,39 @@
 //! The System Status widget (paper §3.3): per-partition utilization bars
 //! with the 70/90% colour thresholds.
 
+use crate::api::system_status::SystemStatus;
 use crate::template::escape_html;
 use crate::widgets::components::{card, progress_bar};
-use serde_json::Value;
 
 /// Render from the `/api/system_status` payload.
-pub fn render(payload: &Value) -> String {
+pub fn render(payload: &SystemStatus) -> String {
     let mut body = String::new();
-    for p in payload["partitions"]
-        .as_array()
-        .map(Vec::as_slice)
-        .unwrap_or(&[])
-    {
-        let name = p["name"].as_str().unwrap_or("");
-        let status = p["status"].as_str().unwrap_or("");
+    for p in &payload.partitions {
         body.push_str(&format!(
             "<div class=\"partition-row\"><span class=\"partition-name\">{}</span> \
              <span class=\"partition-status\">{}</span>",
-            escape_html(name),
-            escape_html(status),
+            escape_html(&p.name),
+            escape_html(&p.status),
         ));
-        let cpu_pct = p["cpus"]["percent"].as_f64().unwrap_or(0.0);
-        let cpu_color = p["cpus"]["color"].as_str().unwrap_or("green");
+        let cpus = &p.cpus;
         body.push_str(&progress_bar(
-            cpu_pct,
-            cpu_color,
-            &format!(
-                "CPU {}/{} ({cpu_pct:.1}%)",
-                p["cpus"]["alloc"], p["cpus"]["total"]
-            ),
+            cpus.percent,
+            &cpus.color,
+            &format!("CPU {}/{} ({:.1}%)", cpus.alloc, cpus.total, cpus.percent),
         ));
-        if !p["gpus"].is_null() {
-            let gpu_pct = p["gpus"]["percent"].as_f64().unwrap_or(0.0);
-            let gpu_color = p["gpus"]["color"].as_str().unwrap_or("green");
+        if let Some(gpus) = &p.gpus {
             body.push_str(&progress_bar(
-                gpu_pct,
-                gpu_color,
-                &format!(
-                    "GPU {}/{} ({gpu_pct:.1}%)",
-                    p["gpus"]["alloc"], p["gpus"]["total"]
-                ),
+                gpus.percent,
+                &gpus.color,
+                &format!("GPU {}/{} ({:.1}%)", gpus.alloc, gpus.total, gpus.percent),
             ));
         }
         body.push_str("</div>");
     }
-    if let Some(url) = payload["details_url"].as_str() {
-        body.push_str(&format!(
-            "<a class=\"details-link\" href=\"{}\">Cluster details</a>",
-            escape_html(url)
-        ));
-    }
+    body.push_str(&format!(
+        "<a class=\"details-link\" href=\"{}\">Cluster details</a>",
+        escape_html(&payload.details_url)
+    ));
     card("system_status", "System Status", &body)
 }
 
@@ -61,18 +44,21 @@ mod tests {
 
     #[test]
     fn renders_partition_bars() {
-        let payload = json!({
+        let payload: SystemStatus = serde_json::from_value(json!({
             "partitions": [
                 {"name": "cpu", "status": "UP",
-                 "cpus": {"alloc": 96, "total": 128, "percent": 75.0, "color": "yellow"},
+                 "cpus": {"alloc": 96, "idle": 32, "other": 0, "total": 128, "percent": 75.0,
+                          "color": "yellow"},
                  "gpus": null, "nodes": {"in_use": 3, "total": 4}},
                 {"name": "gpu", "status": "UP",
-                 "cpus": {"alloc": 10, "total": 128, "percent": 7.8, "color": "green"},
+                 "cpus": {"alloc": 10, "idle": 118, "other": 0, "total": 128, "percent": 7.8,
+                          "color": "green"},
                  "gpus": {"alloc": 4, "total": 4, "percent": 100.0, "color": "red"},
                  "nodes": {"in_use": 1, "total": 1}},
             ],
             "details_url": "/clusterstatus",
-        });
+        }))
+        .unwrap();
         let html = render(&payload);
         assert!(html.contains("bg-yellow"));
         assert!(html.contains("bg-red"));
@@ -83,11 +69,13 @@ mod tests {
 
     #[test]
     fn cpu_only_partition_has_no_gpu_bar() {
-        let payload = json!({"partitions": [
+        let payload: SystemStatus = serde_json::from_value(json!({"partitions": [
             {"name": "cpu", "status": "UP",
-             "cpus": {"alloc": 0, "total": 16, "percent": 0.0, "color": "green"},
+             "cpus": {"alloc": 0, "idle": 16, "other": 0, "total": 16, "percent": 0.0,
+                      "color": "green"},
              "gpus": null, "nodes": {"in_use": 0, "total": 1}}
-        ]});
+        ], "details_url": "/clusterstatus"}))
+        .unwrap();
         let html = render(&payload);
         assert!(!html.contains("GPU "));
     }

@@ -16,6 +16,11 @@
 //! `accounts_ttl` for non-admin subscribers (an admin's view cannot
 //! narrow).
 //!
+//! Freshness reads the dashboard's clock (simulated time in a simulated
+//! run), as the caches and breakers do: the visibility TTL, subscriber
+//! expiry and the sweep's rate limit. Only the long-poll deadline in
+//! [`Hub::wait`] is a host-clock wait.
+//!
 //! Lock ordering (deadlock freedom): the resolver reaches into `slurmctld`
 //! (daemon lock), and the publisher calls [`Hub::publish`] *while holding*
 //! that daemon lock. The hub therefore never invokes the resolver while
@@ -24,6 +29,7 @@
 //! locks, each held at most for one bounded log read.
 
 use hpcdash_obs::{Counter, Gauge, Registry, Span};
+use hpcdash_simtime::{SharedClock, Timestamp};
 use hpcdash_slurm::events::{EventLog, EventSink, JobEvent};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::hash_map::DefaultHasher;
@@ -86,7 +92,7 @@ struct Cursor {
 
 struct Resolved {
     sees: Visibility,
-    refreshed: Instant,
+    refreshed: Timestamp,
 }
 
 struct Subscriber {
@@ -95,16 +101,21 @@ struct Subscriber {
     visibility: RwLock<Resolved>,
     cursor: Mutex<Cursor>,
     wake: Condvar,
-    last_poll: Mutex<Instant>,
+    last_poll: Mutex<Timestamp>,
     /// One-shot callback fired (and consumed) on the next wake. Installed
     /// by an event-loop long-poll parking this subscriber's connection; the
     /// condvar path ignores it entirely.
     notify: Mutex<Option<Box<dyn Fn() + Send>>>,
 }
 
+/// Has less than `ttl` passed from `then` to `now`?
+fn within(now: Timestamp, then: Timestamp, ttl: Duration) -> bool {
+    Duration::from_secs(now.since(then)) < ttl
+}
+
 impl Subscriber {
-    fn is_live(&self, idle_ttl: Duration) -> bool {
-        self.last_poll.lock().elapsed() < idle_ttl
+    fn is_live(&self, now: Timestamp, idle_ttl: Duration) -> bool {
+        within(now, *self.last_poll.lock(), idle_ttl)
     }
 
     /// Wake a parked `wait` and fire the one-shot callback. Taking the
@@ -138,22 +149,14 @@ struct Instruments {
 /// 100k-tab fleet costs O(n²) mutex acquisitions to stand up.
 struct Shard {
     subs: HashMap<String, Arc<Subscriber>>,
-    swept: Instant,
-}
-
-impl Default for Shard {
-    fn default() -> Shard {
-        Shard {
-            subs: HashMap::new(),
-            swept: Instant::now(),
-        }
-    }
+    swept: Timestamp,
 }
 
 /// The fan-out hub. One per dashboard context; registered as an
 /// [`EventSink`] on the cluster's `EventLog`, which it also reads.
 pub struct Hub {
     cfg: HubConfig,
+    clock: SharedClock,
     log: Arc<EventLog>,
     shards: Vec<Mutex<Shard>>,
     resolver: VisibilityResolver,
@@ -164,19 +167,30 @@ pub struct Hub {
 }
 
 impl Hub {
-    /// A hub over `log`, registered on it as a sink, metered in `registry`:
-    /// `hpcdash_push_subscribers`, `hpcdash_push_events_published_total`,
+    /// A hub over `log`, registered on it as a sink, its TTLs read on
+    /// `clock`, metered in `registry`: `hpcdash_push_subscribers`,
+    /// `hpcdash_push_events_published_total`,
     /// `hpcdash_push_events_delivered_total`, `hpcdash_push_resyncs_total`,
     /// `hpcdash_push_discontinuities_total`, `hpcdash_push_parked_workers`.
     pub fn new(
         cfg: HubConfig,
+        clock: SharedClock,
         log: Arc<EventLog>,
         resolver: VisibilityResolver,
         registry: &Registry,
     ) -> Arc<Hub> {
+        let swept = clock.now();
         let hub = Arc::new(Hub {
-            shards: (0..cfg.shards.max(1)).map(|_| Mutex::default()).collect(),
+            shards: (0..cfg.shards.max(1))
+                .map(|_| {
+                    Mutex::new(Shard {
+                        subs: HashMap::new(),
+                        swept,
+                    })
+                })
+                .collect(),
             cfg,
+            clock,
             log,
             resolver,
             epoch: AtomicU64::new(0),
@@ -209,17 +223,17 @@ impl Hub {
     /// registration burst must not pay per-burst-size scans.
     pub fn ensure(&self, key: &str, user: &str, is_admin: bool, since: u64) -> SubscriberHandle {
         let idle_ttl = self.cfg.idle_ttl;
+        let now = self.clock.now();
         // A stale entry falls through to the slow path, which sweeps it and
         // registers a fresh subscriber in its place.
         if let Some(sub) = self.shard_of(key).lock().subs.get(key) {
-            if sub.is_live(idle_ttl) {
+            if sub.is_live(now, idle_ttl) {
                 return SubscriberHandle { sub: sub.clone() };
             }
         }
         // Resolve visibility BEFORE taking any hub lock (the resolver takes
         // the daemon lock, which publishers hold while calling into us).
         let sees = (self.resolver)(user, is_admin);
-        let now = Instant::now();
         let fresh = Arc::new(Subscriber {
             user: user.to_string(),
             is_admin,
@@ -237,15 +251,15 @@ impl Hub {
         });
         let mut shard = self.shard_of(key).lock();
         let before = shard.subs.len();
-        if shard.swept.elapsed() >= idle_ttl {
+        if !within(now, shard.swept, idle_ttl) {
             shard.swept = now;
-            shard.subs.retain(|_, sub| sub.is_live(idle_ttl));
+            shard.subs.retain(|_, sub| sub.is_live(now, idle_ttl));
         }
         // The key's own entry is checked sweep or no sweep: a stale
         // subscriber must never be resurrected with its old cursor.
         let sub = match shard.subs.get(key) {
             // Raced with another worker creating the same key.
-            Some(existing) if existing.is_live(idle_ttl) => existing.clone(),
+            Some(existing) if existing.is_live(now, idle_ttl) => existing.clone(),
             _ => {
                 shard.subs.insert(key.to_string(), fresh.clone());
                 fresh
@@ -277,13 +291,14 @@ impl Hub {
     }
 
     /// Read the visible events past the subscriber's cursor, parking up to
-    /// `deadline` while there are none. A zero deadline reads without
-    /// parking. Also rebuilds the subscriber's visibility when its TTL has
-    /// lapsed.
+    /// `deadline` (host time) while there are none. A zero deadline reads
+    /// without parking. Also rebuilds the subscriber's visibility when its
+    /// TTL has lapsed.
     pub fn wait(&self, handle: &SubscriberHandle, deadline: Duration) -> Delivery {
         let sub = &*handle.sub;
-        *sub.last_poll.lock() = Instant::now();
-        self.refresh_visibility(sub);
+        let now = self.clock.now();
+        *sub.last_poll.lock() = now;
+        self.refresh_visibility(sub, now);
         let start = Instant::now();
         let mut cursor = sub.cursor.lock();
         loop {
@@ -322,17 +337,17 @@ impl Hub {
 
     /// Rebuild the subscriber's visibility if its TTL lapsed. The resolver
     /// runs with no hub locks held; concurrent refreshes are harmless.
-    fn refresh_visibility(&self, sub: &Subscriber) {
+    fn refresh_visibility(&self, sub: &Subscriber, now: Timestamp) {
         if sub.is_admin {
             return;
         }
-        if sub.visibility.read().refreshed.elapsed() < self.cfg.accounts_ttl {
+        if within(now, sub.visibility.read().refreshed, self.cfg.accounts_ttl) {
             return;
         }
         let sees = (self.resolver)(&sub.user, false);
         *sub.visibility.write() = Resolved {
             sees,
-            refreshed: Instant::now(),
+            refreshed: now,
         };
     }
 
@@ -376,7 +391,7 @@ impl EventSink for Hub {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcdash_simtime::Timestamp;
+    use hpcdash_simtime::SimClock;
     use hpcdash_slurm::job::{JobId, JobState};
 
     fn push(log: &EventLog, user: &str, account: &str) -> u64 {
@@ -405,11 +420,13 @@ mod tests {
         }
     }
 
-    /// A hub over a fresh log retaining `capacity` events, metered in `reg`.
+    /// A hub over a fresh log retaining `capacity` events, metered in `reg`,
+    /// on a clock that never moves.
     fn metered(cfg: HubConfig, capacity: usize, reg: &Registry) -> (Arc<Hub>, Arc<EventLog>) {
         let log = Arc::new(EventLog::new(capacity));
         let resolver = Arc::new(|user: &str, _| stub_visibility(user));
-        (Hub::new(cfg, log.clone(), resolver, reg), log)
+        let clock = SimClock::new(Timestamp(0)).shared();
+        (Hub::new(cfg, clock, log.clone(), resolver, reg), log)
     }
 
     fn hub_with(cfg: HubConfig, capacity: usize) -> (Arc<Hub>, Arc<EventLog>) {
@@ -447,11 +464,13 @@ mod tests {
     fn visibility_is_built_at_subscribe_then_per_ttl_and_never_again_for_admins() {
         let calls = Arc::new(Mutex::new(Vec::new()));
         let record = calls.clone();
+        let clock = SimClock::new(Timestamp(1_000));
         let hub = Hub::new(
             HubConfig {
-                accounts_ttl: Duration::from_millis(20),
+                accounts_ttl: Duration::from_secs(60),
                 ..HubConfig::default()
             },
+            clock.shared(),
             Arc::new(EventLog::new(10)),
             Arc::new(move |user: &str, is_admin: bool| {
                 record.lock().push((user.to_string(), is_admin));
@@ -463,8 +482,10 @@ mod tests {
         let root = hub.ensure("root:t", "root", true, 0);
         hub.wait(&alice, Duration::ZERO);
         hub.wait(&root, Duration::ZERO);
+        clock.advance(59);
+        hub.wait(&alice, Duration::ZERO);
         assert_eq!(calls.lock().len(), 2, "nothing rebuilt within the TTL");
-        std::thread::sleep(Duration::from_millis(30));
+        clock.advance(1);
         hub.wait(&alice, Duration::ZERO);
         hub.wait(&root, Duration::ZERO);
         let expected = [("alice", false), ("root", true), ("alice", false)];
@@ -473,6 +494,37 @@ mod tests {
             .map(|&(u, admin)| (u.to_string(), admin))
             .collect();
         assert_eq!(*calls.lock(), expected);
+    }
+
+    /// A user removed from an account stops seeing its events once the
+    /// visibility TTL has passed on the dashboard's clock, however little
+    /// host time went by.
+    #[test]
+    fn a_revoked_account_drops_out_after_the_ttl_on_the_sim_clock() {
+        let member = Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let resolved = member.clone();
+        let clock = SimClock::new(Timestamp(1_000));
+        let log = Arc::new(EventLog::new(100));
+        let hub = Hub::new(
+            HubConfig::default(),
+            clock.shared(),
+            log.clone(),
+            Arc::new(move |_: &str, _| -> Visibility {
+                let member = resolved.load(Ordering::SeqCst);
+                Box::new(move |e: &JobEvent| member && e.account == "physics")
+            }),
+            &Registry::new(),
+        );
+        let alice = hub.ensure("alice:t", "alice", false, 0);
+        push(&log, "bob", "physics");
+        assert_eq!(seqs(&hub.wait(&alice, Duration::ZERO)), vec![1]);
+
+        member.store(false, Ordering::SeqCst);
+        clock.advance(HubConfig::default().accounts_ttl.as_secs());
+        push(&log, "bob", "physics");
+        let d = hub.wait(&alice, Duration::ZERO);
+        assert!(d.events.is_empty(), "revoked account leaked {:?}", seqs(&d));
+        assert_eq!(d.latest_seq, 2);
     }
 
     #[test]
@@ -570,10 +622,13 @@ mod tests {
     #[test]
     fn ensure_is_idempotent_and_gc_reclaims_idle() {
         let cfg = HubConfig {
-            idle_ttl: Duration::from_millis(30),
+            idle_ttl: Duration::from_secs(300),
             ..HubConfig::default()
         };
-        let (hub, log) = hub_with(cfg, 100);
+        let log = Arc::new(EventLog::new(100));
+        let clock = SimClock::new(Timestamp(1_000));
+        let resolver = Arc::new(|user: &str, _| stub_visibility(user));
+        let hub = Hub::new(cfg, clock.shared(), log.clone(), resolver, &Registry::new());
         push(&log, "alice", "physics");
         let a = hub.ensure("alice:t", "alice", false, 0);
         assert_eq!(seqs(&hub.wait(&a, Duration::ZERO)), vec![1]);
@@ -581,7 +636,7 @@ mod tests {
         let a = hub.ensure("alice:t", "alice", false, 0);
         assert!(hub.wait(&a, Duration::ZERO).events.is_empty());
         assert_eq!(hub.subscriber_count(), 1);
-        std::thread::sleep(Duration::from_millis(50));
+        clock.advance(300);
         // After expiry the stale entry is swept and recreated at `since`.
         let a = hub.ensure("alice:t", "alice", false, 0);
         assert_eq!(

@@ -8,7 +8,7 @@
 
 use hpcdash_obs::Registry;
 use hpcdash_push::{Hub, HubConfig, Visibility};
-use hpcdash_simtime::Timestamp;
+use hpcdash_simtime::{SimClock, Timestamp};
 use hpcdash_slurm::events::{EventLog, JobEvent};
 use hpcdash_slurm::job::{JobId, JobState};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -54,6 +54,7 @@ fn publish_cost(subscribers: usize) -> (u64, usize) {
     let everyone = Arc::new(|_: &str, _| -> Visibility { Box::new(|_: &JobEvent| true) });
     let hub = Hub::new(
         HubConfig::default(),
+        SimClock::new(Timestamp(0)).shared(),
         log.clone(),
         everyone,
         &Registry::new(),

@@ -4,7 +4,7 @@
 
 use hpcdash_obs::Registry;
 use hpcdash_push::{Delivery, Hub, HubConfig, Visibility};
-use hpcdash_simtime::Timestamp;
+use hpcdash_simtime::{SimClock, Timestamp};
 use hpcdash_slurm::events::{EventLog, JobEvent};
 use hpcdash_slurm::job::{JobId, JobState};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,6 +30,7 @@ fn hub(capacity: usize) -> (Arc<Hub>, Arc<EventLog>) {
     let everyone = Arc::new(|_: &str, _| -> Visibility { Box::new(|_: &JobEvent| true) });
     let hub = Hub::new(
         HubConfig::default(),
+        SimClock::new(Timestamp(0)).shared(),
         log.clone(),
         everyone,
         &Registry::new(),

@@ -176,13 +176,12 @@ fn main() {
     }
 
     // Render the actual HTML pages to prove the full pipeline works.
-    let homepage_payloads: Vec<(&str, Result<serde_json::Value, String>)> =
-        pages::homepage::WIDGETS
-            .iter()
-            .map(|(w, path)| (*w, Ok(get(path))))
-            .collect();
+    let homepage_payloads: Vec<(&str, Result<String, String>)> = pages::homepage::WIDGETS
+        .iter()
+        .map(|(w, path)| (*w, Ok(get(path).to_string())))
+        .collect();
     let html = pages::homepage::render_full("Anvil", &user, &homepage_payloads);
-    let myjobs_html = pages::myjobs::render_full("Anvil", &user, &myjobs);
+    let myjobs_html = pages::myjobs::render_full("Anvil", &user, myjobs.to_string().as_bytes());
     println!(
         "\nrendered homepage: {} bytes of HTML; My Jobs page: {} bytes",
         html.len(),

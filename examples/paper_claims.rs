@@ -178,14 +178,7 @@ fn p4_table() {
         let t0 = Instant::now();
         let payloads: Vec<_> = WIDGETS
             .iter()
-            .map(|(w, path)| {
-                (
-                    *w,
-                    get(&site, path, &user)
-                        .body_json()
-                        .map_err(|e| e.to_string()),
-                )
-            })
+            .map(|(w, path)| (*w, Ok::<_, String>(get(&site, path, &user).body.to_vec())))
             .collect();
         homepage::render_full("Anvil", &user, &payloads);
         let prerender = t0.elapsed();

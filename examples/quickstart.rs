@@ -5,6 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
+use hpcdash::core::api::recent_jobs::RecentJobs;
 use hpcdash::SimSite;
 use hpcdash_workload::ScenarioConfig;
 
@@ -41,16 +42,14 @@ fn main() {
     }
 
     // 5. Peek at the queue through the same API the widgets use.
-    let jobs = browser.fetch_api("/api/recent_jobs").expect("recent jobs");
+    let jobs: RecentJobs = browser
+        .fetch_api("/api/recent_jobs")
+        .and_then(|r| r.decode())
+        .expect("recent jobs");
     println!("\nrecent jobs for {user}:");
-    for j in jobs.value["jobs"].as_array().unwrap() {
-        println!(
-            "  #{} {} [{}] {}",
-            j["id"].as_str().unwrap_or("?"),
-            j["name"].as_str().unwrap_or("?"),
-            j["state"].as_str().unwrap_or("?"),
-            j["tooltip"].as_str().unwrap_or("")
-        );
+    for j in &jobs.jobs {
+        let tooltip = j.tooltip.as_deref().unwrap_or("");
+        println!("  #{} {} [{}] {tooltip}", j.id, j.name, j.state);
     }
 
     // 6. A warm reload is served from the client cache — no backend traffic.

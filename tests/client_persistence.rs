@@ -5,6 +5,7 @@
 use hpcdash::SimSite;
 use hpcdash_cache::IndexedDb;
 use hpcdash_client::FetchOutcome;
+use hpcdash_core::api::system_status::SystemStatus;
 use hpcdash_workload::ScenarioConfig;
 
 #[test]
@@ -29,7 +30,8 @@ fn exported_cache_keeps_a_new_session_instant() {
         db.record_count()
     );
     let rec = db.get("api", "/api/system_status").expect("cached widget");
-    assert!(rec.value["partitions"].is_array());
+    let status: SystemStatus = serde_json::from_str(&rec.value).expect("a System Status body");
+    assert!(!status.partitions.is_empty());
 
     // Session 2 within the freshness horizon reads straight from the
     // restored snapshot — verified at the IndexedDB level, which is what a

@@ -83,12 +83,12 @@ fn homepage_renders_error_cards_for_broken_widgets() {
     // Render the full homepage the way the frontend would: per-widget
     // payloads, failures becoming error cards.
     let client = HttpClient::new();
-    let payloads: Vec<(&str, Result<serde_json::Value, String>)> = homepage::WIDGETS
+    let payloads: Vec<(&str, Result<String, String>)> = homepage::WIDGETS
         .iter()
         .map(|(widget, path)| {
             let (status, body) = fetch(&client, &base, path, &user);
             let result = if status == 200 {
-                Ok(body)
+                Ok(body.to_string())
             } else {
                 Err(body["error"].as_str().unwrap_or("unavailable").to_string())
             };

@@ -141,9 +141,15 @@ fn streaming_matches_polling_at_equivalent_freshness() {
 fn a_stream_round_costs_the_same_for_one_tab_as_for_many() {
     // Once subscribed, a tab reads the event log from its hub cursor: a
     // round of stream requests costs the daemons the same (controller
-    // state locks, assoc RPCs) however many tabs make it.
+    // state locks, assoc RPCs) however many tabs make it. A tab's
+    // visibility rebuild (once per `accounts_ttl`) and its expiry when idle
+    // (after `idle_ttl`) are per-subscriber costs by design, timed on
+    // simulated time, so both TTLs outlast these rounds.
     fn per_round_cost(tabs: usize) -> (Vec<(u64, u64)>, u64) {
-        let site = SimSite::build(ScenarioConfig::small());
+        let mut cfg = DashboardConfig::purdue_like();
+        cfg.push.accounts_ttl_secs = 2 * 3_600;
+        cfg.push.idle_ttl_secs = 2 * 3_600;
+        let site = SimSite::build_with(ScenarioConfig::small(), cfg);
         site.warm_up(300);
         let pop = &site.scenario.population;
         let users: Vec<String> = (0..tabs)

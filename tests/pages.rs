@@ -31,7 +31,8 @@ fn live() -> Live {
 }
 
 impl Live {
-    fn json(&self, path: &str) -> serde_json::Value {
+    /// A route's answer, as the page renderers take it.
+    fn body(&self, path: &str) -> Vec<u8> {
         let resp = self
             .client
             .get(
@@ -40,16 +41,20 @@ impl Live {
             )
             .unwrap();
         assert_eq!(resp.status, 200, "{path}: {}", resp.body_string());
-        resp.json().unwrap()
+        resp.body.to_vec()
+    }
+
+    fn json(&self, path: &str) -> serde_json::Value {
+        serde_json::from_slice(&self.body(path)).unwrap()
     }
 }
 
 #[test]
 fn f2_homepage_renders_all_widgets_from_live_data() {
     let l = live();
-    let payloads: Vec<(&str, Result<serde_json::Value, String>)> = pages::homepage::WIDGETS
+    let payloads: Vec<(&str, Result<Vec<u8>, String>)> = pages::homepage::WIDGETS
         .iter()
-        .map(|(w, path)| (*w, Ok(l.json(path))))
+        .map(|(w, path)| (*w, Ok(l.body(path))))
         .collect();
     let html = pages::homepage::render_full("Anvil", &l.user, &payloads);
     assert!(html.contains("Announcements"));
@@ -97,7 +102,7 @@ fn f3_myjobs_page_with_efficiency_and_charts() {
         "My Jobs carries more columns"
     );
 
-    let html = pages::myjobs::render_full("Anvil", &l.user, &payload);
+    let html = pages::myjobs::render_full("Anvil", &l.user, payload.to_string().as_bytes());
     assert!(html.contains("job-table"));
     assert!(html.contains("data-chart="));
     assert!(
@@ -130,7 +135,7 @@ fn page_shells_make_no_daemon_rpcs() {
 #[test]
 fn f4a_job_performance_metrics_page() {
     let l = live();
-    let payload = l.json("/api/jobmetrics?range=all");
+    let payload = l.body("/api/jobmetrics?range=all");
     let html = pages::jobperf::render_full("Anvil", &l.user, &payload);
     assert!(html.contains("metric-card"));
     assert!(html.contains("Total jobs"));
@@ -140,13 +145,14 @@ fn f4a_job_performance_metrics_page() {
 #[test]
 fn f4b_cluster_status_grid_and_list() {
     let l = live();
-    let payload = l.json("/api/clusterstatus");
+    let payload = l.body("/api/clusterstatus");
     let html = pages::clusterstatus::render_full("Anvil", &l.user, &payload);
     assert!(html.contains("node-grid"));
     assert!(html.contains("node-table"));
     // Grid has one cell per node (5 in the small scenario).
     assert_eq!(html.matches("node-cell").count(), 5);
     // Search filter works on the list view.
+    let payload = serde_json::from_slice(&payload).unwrap();
     let gpu_only = pages::clusterstatus::render_list(&payload, Some("gpu"));
     assert!(gpu_only.contains("g001"));
     assert!(!gpu_only.contains(">a001<"));
@@ -155,7 +161,7 @@ fn f4b_cluster_status_grid_and_list() {
 #[test]
 fn f4c_node_overview_page() {
     let l = live();
-    let payload = l.json("/api/nodes/g001");
+    let payload = l.body("/api/nodes/g001");
     let html = pages::nodeoverview::render_full("Anvil", &l.user, &payload);
     assert!(html.contains("Node g001"));
     assert!(html.contains("Resource usage"));
@@ -185,12 +191,36 @@ fn f4d_job_overview_page_with_logs() {
     l.site.scenario.clock.advance(120);
     l.site.scenario.ctld.tick();
 
-    let payload = l.json(&format!("/api/jobs/{id}"));
-    let stdout = l.json(&format!("/api/jobs/{id}/logs?stream=out"));
+    let payload = l.body(&format!("/api/jobs/{id}"));
+    let stdout = l.body(&format!("/api/jobs/{id}/logs?stream=out"));
     let html = pages::joboverview::render_full("Anvil", &l.user, &payload, Some(&stdout), None);
     assert!(html.contains(&format!("Job {id}")));
     assert!(html.contains("timeline"));
     assert!(html.contains("Job Information"));
     assert!(html.contains("Launch jupyter"), "session tab for OOD job");
     assert!(html.contains("lineno"), "line-numbered log view");
+}
+
+/// A payload that lost a field is a decode error, shown as the error card:
+/// never a page or a widget of blank cells.
+#[test]
+fn a_payload_missing_a_field_renders_an_error_card() {
+    let l = live();
+    let mut my_jobs = l.json("/api/myjobs?range=all");
+    let row = my_jobs["jobs"][0].as_object_mut().expect("a job row");
+    row.remove("name");
+    let html = pages::myjobs::render_full("Anvil", &l.user, my_jobs.to_string().as_bytes());
+    assert!(html.contains("widget-error"), "{html}");
+    assert!(html.contains("missing field `name`"), "{html}");
+    assert!(!html.contains("job-table"), "no table of blanks");
+
+    let mut accounts = l.json("/api/accounts");
+    accounts["accounts"][0]
+        .as_object_mut()
+        .expect("an allocation")
+        .remove("export_url");
+    let payloads = [("accounts", Ok(accounts.to_string()))];
+    let html = pages::homepage::render_full("Anvil", &l.user, &payloads);
+    assert!(html.contains("widget-error") && html.contains("missing field `export_url`"));
+    assert!(!html.contains("account-row"), "no row of blanks");
 }

@@ -9,11 +9,21 @@
 //! `api::respond` still finds an object to add its three members to, and a
 //! cache hit hands out the allocation the fill encoded into.
 
+use hpcdash::cache::body::{annotate_stale, Degradation};
+use hpcdash::client::Updates;
+use hpcdash::core::api::{
+    accounts::Accounts, activejobs::ActiveJobs, announcements::Announcements,
+    clusterstatus::ClusterStatus, federation::Status, jobmetrics::JobPerformance,
+    joboverview::JobOverview, joboverview::LogTail, jobtelemetry::LiveJobs, myjobs::MyJobs,
+    nodeoverview::NodeOverview, recent_jobs::RecentJobs, storage::Storage,
+    system_status::SystemStatus,
+};
 use hpcdash::core::{CachePolicy, Dashboard, DashboardConfig};
 use hpcdash::http::{Body, Method, Request, Response};
 use hpcdash::{FedSite, SimSite};
 use hpcdash_faults::{FaultPlan, FaultRule};
 use hpcdash_workload::{FederationConfig, ScenarioConfig};
+use serde_json::serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use std::sync::Arc;
 
@@ -227,7 +237,7 @@ fn cold_widget_bytes_are_pinned() {
         digest.fold(&resp.body);
         resp
     };
-    let mut own_jobs = 0;
+    let mut own_jobs = Vec::new();
     for user in &users {
         for route in [
             "/api/recent_jobs",
@@ -243,7 +253,7 @@ fn cold_widget_bytes_are_pinned() {
             if job["user"] == user.as_str() {
                 let id = job["id"].as_str().unwrap();
                 fold("/api/jobs/:id", &format!("/api/jobs/{id}"), user);
-                own_jobs += 1;
+                own_jobs.push((user, id.to_string()));
             }
         }
     }
@@ -258,19 +268,128 @@ fn cold_widget_bytes_are_pinned() {
     for node in &nodes {
         fold("/api/nodes/:name", &format!("/api/nodes/{node}"), &users[0]);
     }
-    assert!(own_jobs > 100, "{own_jobs} job pages");
+    // The widgets with no pin of their own yet, then each owner's log tail.
+    for user in &users {
+        for route in [
+            "/api/announcements",
+            "/api/system_status",
+            "/api/accounts",
+            "/api/storage",
+            "/api/activejobs",
+        ] {
+            fold(route, route, user);
+        }
+    }
+    for (user, id) in &own_jobs {
+        fold("/api/jobs/:id/logs", &format!("/api/jobs/{id}/logs"), user);
+    }
+    assert!(own_jobs.len() > 100, "{} job pages", own_jobs.len());
     let got: Vec<(&str, String)> = digests
         .iter()
         .map(|(route, d)| (*route, format!("{:016x}", d.0)))
         .collect();
     let pinned = [
+        ("/api/accounts", "2a3529ea9e755b9b"),
+        ("/api/activejobs", "1b49e447f349a80c"),
+        ("/api/announcements", "9684ce7334473598"),
         ("/api/clusterstatus", "dfcfb8363b779e2c"),
         ("/api/jobmetrics", "3f44505f6f12459f"),
         ("/api/jobs/:id", "f58da9798a814311"),
+        ("/api/jobs/:id/logs", "0748683a24523cdc"),
         ("/api/jobtelemetry", "534db5cd887d6248"),
         ("/api/myjobs", "234491b6cbdd6cd5"),
         ("/api/nodes/:name", "61a756cb9d5ea035"),
         ("/api/recent_jobs", "11b72b977b7b2c3e"),
+        ("/api/storage", "eb28f9b179f68f6f"),
+        ("/api/system_status", "513bf0a2d6200358"),
+    ];
+    let pinned: Vec<(&str, String)> = pinned
+        .iter()
+        .map(|(route, d)| (*route, d.to_string()))
+        .collect();
+    assert_eq!(got, pinned);
+}
+
+/// The stale bytes of every widget route that answers through the
+/// resilient cache, pinned: on the seeded campus site each route is filled
+/// for two users; then every backend fails (both Slurm daemons by fault
+/// rule, the storage database and the news feed switched off) and the
+/// clock passes every TTL, so each route sends its last good body with the
+/// three degradation members. Path, user, status and body fold into one
+/// digest per route. (`/api/jobtelemetry` reads the published snapshot and
+/// the collector, which no fault reaches, so it never goes stale.)
+#[test]
+fn stale_widget_bytes_are_pinned() {
+    let mut scenario = ScenarioConfig::campus();
+    scenario.free_daemons = true;
+    let site = SimSite::build(scenario);
+    site.warm_up(2 * 3_600);
+    let dashboard = &site.dashboard;
+    let users = &site.scenario.population.users[..2];
+    let node = site.scenario.ctld.snapshot().nodes[0].name.clone();
+    let node_path = format!("/api/nodes/{node}");
+    let routes = [
+        ("/api/accounts", "/api/accounts"),
+        ("/api/activejobs", "/api/activejobs"),
+        ("/api/announcements", "/api/announcements"),
+        ("/api/announcements", "/api/announcements?scope=all"),
+        ("/api/clusterstatus", "/api/clusterstatus"),
+        ("/api/jobmetrics", "/api/jobmetrics"),
+        ("/api/myjobs", "/api/myjobs"),
+        ("/api/nodes/:name", node_path.as_str()),
+        ("/api/recent_jobs", "/api/recent_jobs"),
+        ("/api/storage", "/api/storage"),
+        ("/api/system_status", "/api/system_status"),
+    ];
+    for user in users {
+        for (_, path) in routes {
+            let resp = get(dashboard, path, ("X-Remote-User", user));
+            assert_eq!(resp.status, 200, "{path}: {}", resp.body_string());
+        }
+    }
+
+    site.scenario.clock.advance(4_000);
+    let down =
+        |daemon: &str| Arc::new(FaultPlan::new(1).rule(FaultRule::error(daemon, "*", "down")));
+    let clock = site.scenario.clock.shared();
+    site.scenario
+        .ctld
+        .faults()
+        .install(down("slurmctld"), clock.clone());
+    site.scenario.dbd.faults().install(down("slurmdbd"), clock);
+    site.scenario.storage.set_available(false);
+    site.scenario.news.set_available(false);
+
+    let mut digests: std::collections::BTreeMap<&str, Fnv> = std::collections::BTreeMap::new();
+    for user in users {
+        for (route, path) in routes {
+            let resp = get(dashboard, path, ("X-Remote-User", user));
+            assert_eq!(resp.status, 200, "{path}: {}", resp.body_string());
+            assert!(resp.header("etag").is_none(), "{path}: stale has no ETag");
+            let body = resp.body_string();
+            assert!(body.contains("\"degraded\":true"), "{path}: {body}");
+            let digest = digests.entry(route).or_insert_with(Fnv::new);
+            digest.fold(path.as_bytes());
+            digest.fold(user.as_bytes());
+            digest.fold(&resp.status.to_le_bytes());
+            digest.fold(&resp.body);
+        }
+    }
+    let got: Vec<(&str, String)> = digests
+        .iter()
+        .map(|(route, d)| (*route, format!("{:016x}", d.0)))
+        .collect();
+    let pinned = [
+        ("/api/accounts", "f7db401cf4be6fbf"),
+        ("/api/activejobs", "deb86cd8db621dce"),
+        ("/api/announcements", "f1a6d871206a80b3"),
+        ("/api/clusterstatus", "ee7d28860cdcff99"),
+        ("/api/jobmetrics", "3721550d564c2815"),
+        ("/api/myjobs", "823555d9192cb5ef"),
+        ("/api/nodes/:name", "04dbf49dd5ff5911"),
+        ("/api/recent_jobs", "2d7dd653d34f89c2"),
+        ("/api/storage", "b963553a5ab023bb"),
+        ("/api/system_status", "c03c2ce201300b3d"),
     ];
     let pinned: Vec<(&str, String)> = pinned
         .iter()
@@ -400,6 +519,161 @@ fn rest_fed_bytes_are_pinned() {
         .map(|(route, d)| (*route, d.to_string()))
         .collect();
     assert_eq!(got, pinned);
+}
+
+/// `body` decoded as its route's payload type and encoded again.
+fn reencode(path: &str, body: &[u8]) -> Vec<u8> {
+    fn via<T: Serialize + Deserialize>(path: &str, body: &[u8]) -> Vec<u8> {
+        let payload: T = serde_json::from_slice(body).unwrap_or_else(|e| {
+            let text = String::from_utf8_lossy(body);
+            panic!("{path} does not decode: {e}\n  {text}")
+        });
+        serde_json::to_vec(&payload).unwrap()
+    }
+    let route = path.split('?').next().unwrap();
+    match route {
+        "/api/accounts" => via::<Accounts>(path, body),
+        "/api/activejobs" => via::<ActiveJobs>(path, body),
+        "/api/announcements" => via::<Announcements>(path, body),
+        "/api/clusterstatus" => via::<ClusterStatus>(path, body),
+        "/api/federation/status" => via::<Status>(path, body),
+        "/api/jobmetrics" => via::<JobPerformance>(path, body),
+        "/api/jobtelemetry" => via::<LiveJobs>(path, body),
+        "/api/myjobs" => via::<MyJobs>(path, body),
+        "/api/recent_jobs" => via::<RecentJobs>(path, body),
+        "/api/storage" => via::<Storage>(path, body),
+        "/api/system_status" => via::<SystemStatus>(path, body),
+        "/api/updates" | "/api/updates/stream" => via::<Updates>(path, body),
+        r if r.starts_with("/api/nodes/") => via::<NodeOverview>(path, body),
+        r if r.ends_with("/logs") => via::<LogTail>(path, body),
+        r if r.starts_with("/api/jobs/") => via::<JobOverview>(path, body),
+        other => panic!("no payload type for {other}"),
+    }
+}
+
+/// A 200's body is exactly what its payload type encodes: decode, encode
+/// and (for a stale answer) the degradation splice give the served bytes
+/// back. Returns whether the answer was stale.
+fn assert_round_trip(path: &str, resp: &Response) -> bool {
+    let body: &[u8] = &resp.body;
+    match Degradation::of(body) {
+        Some(Degradation {
+            stale_age_secs: Some(age),
+            stale_error: Some(error),
+            ..
+        }) => {
+            let again = annotate_stale(&reencode(path, body), age, &error).unwrap();
+            assert!(
+                again == body,
+                "{path}: stale bytes differ after a round trip"
+            );
+            true
+        }
+        _ => {
+            let again = reencode(path, body);
+            assert!(
+                again == body,
+                "{path}: bytes differ after a round trip\n  sent:  {}\n  again: {}",
+                resp.body_string(),
+                String::from_utf8_lossy(&again)
+            );
+            false
+        }
+    }
+}
+
+/// The one description of each payload, checked against the wire: on the
+/// seeded campus site, every route a renderer or the client reads is asked
+/// by a job's owner, a member of the owner's account, a user of another
+/// account and an admin, fresh and then stale, and each 200 is the bytes
+/// its payload type decodes and encodes to.
+#[test]
+fn typed_payloads_round_trip_every_route_and_viewer() {
+    let mut scenario = ScenarioConfig::campus();
+    scenario.free_daemons = true;
+    let site = SimSite::build(scenario);
+    site.warm_up(4 * 3_600);
+    let dashboard = &site.dashboard;
+    let pop = &site.scenario.population;
+    let shares = |a: &str, b: &str| {
+        let theirs = pop.accounts_of(b);
+        pop.accounts_of(a).iter().any(|acct| theirs.contains(acct))
+    };
+    let owner = pop.users[0].clone();
+    let member = pop.users.iter().find(|u| **u != owner && shares(&owner, u));
+    let other = pop.users.iter().find(|u| !shares(&owner, u));
+    let viewers = [
+        owner.clone(),
+        member.expect("a member of the owner's account").clone(),
+        other.expect("a user of another account").clone(),
+        "root".to_string(),
+    ];
+    let my_jobs: Value = get(dashboard, "/api/myjobs", ("X-Remote-User", &owner))
+        .body_json()
+        .unwrap();
+    let job = my_jobs["jobs"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .find(|j| j["user"] == owner.as_str() && j["start"].is_string())
+        .expect("a started job of the owner's");
+    let job = job["id"].as_str().unwrap();
+    let node = site.scenario.ctld.snapshot().nodes[0].name.clone();
+    let paths = [
+        "/api/accounts".to_string(),
+        "/api/activejobs".to_string(),
+        "/api/announcements".to_string(),
+        "/api/announcements?scope=all".to_string(),
+        "/api/clusterstatus".to_string(),
+        "/api/federation/status".to_string(),
+        "/api/jobmetrics".to_string(),
+        "/api/jobtelemetry".to_string(),
+        "/api/myjobs".to_string(),
+        "/api/recent_jobs".to_string(),
+        "/api/storage".to_string(),
+        "/api/system_status".to_string(),
+        "/api/updates?since=0".to_string(),
+        "/api/updates/stream?sub=tab&wait_ms=0".to_string(),
+        format!("/api/nodes/{node}"),
+        format!("/api/jobs/{job}"),
+        format!("/api/jobs/{job}/logs"),
+        format!("/api/jobs/{job}/logs?stream=err"),
+    ];
+    let ask_all = || {
+        let (mut answered, mut stale) = (0, 0);
+        for viewer in &viewers {
+            for path in &paths {
+                let resp = get(dashboard, path, ("X-Remote-User", viewer));
+                if resp.status == 200 {
+                    answered += 1;
+                    stale += usize::from(assert_round_trip(path, &resp));
+                } else {
+                    // Only the job pages are refused, and only to viewers
+                    // the privacy rule keeps out.
+                    assert!(path.starts_with("/api/jobs/") && *viewer != owner, "{path}");
+                    assert_eq!(resp.status, 403, "{path} as {viewer}");
+                }
+            }
+        }
+        (answered, stale)
+    };
+    let (answered, stale) = ask_all();
+    assert_eq!(stale, 0);
+    assert!(answered >= 4 * 16, "{answered} fresh answers");
+
+    site.scenario.clock.advance(4_000);
+    let down =
+        |daemon: &str| Arc::new(FaultPlan::new(1).rule(FaultRule::error(daemon, "*", "down")));
+    let clock = site.scenario.clock.shared();
+    site.scenario
+        .ctld
+        .faults()
+        .install(down("slurmctld"), clock.clone());
+    site.scenario.dbd.faults().install(down("slurmdbd"), clock);
+    site.scenario.storage.set_available(false);
+    site.scenario.news.set_available(false);
+    let (_, stale) = ask_all();
+    assert!(stale >= 4 * 10, "{stale} stale answers");
 }
 
 fn shared(resp: &Response) -> &Arc<[u8]> {

@@ -160,7 +160,8 @@ fn job_pages_render_sparklines_from_collector_series() {
     let cpu = overview["telemetry"]["cpu"].as_array().unwrap();
     assert_eq!(cpu.len(), 20, "one point per collected tick");
     // ...and the page turns them into accessible inline SVGs.
-    let html = pages::joboverview::render_full("Anvil", &user, &overview, None, None);
+    let overview = overview.to_string();
+    let html = pages::joboverview::render_full("Anvil", &user, overview.as_bytes(), None, None);
     assert!(
         html.contains("class=\"sparkline spark-cpu\""),
         "cpu sparkline"
@@ -179,7 +180,7 @@ fn job_pages_render_sparklines_from_collector_series() {
         live.iter().any(|j| j["id"] == id.as_str()),
         "running job appears in the live strip: {live:?}"
     );
-    let html = pages::jobperf::render_full("Anvil", &user, &metrics);
+    let html = pages::jobperf::render_full("Anvil", &user, metrics.to_string().as_bytes());
     assert!(html.contains("Running now"), "live strip heading");
     assert!(
         html.contains("class=\"sparkline spark-cpu\""),
