@@ -80,6 +80,29 @@ pub fn percentile(sorted_ns: &[u64], p: f64) -> Option<Duration> {
     Some(Duration::from_nanos(sorted_ns[idx]))
 }
 
+/// [`percentile`] at each of `fractions` (ascending) of an unsorted slice,
+/// by selection instead of a sort: the same index rule, so the same values.
+/// Reorders `ns`.
+pub fn select_percentiles<const N: usize>(
+    ns: &mut [u64],
+    fractions: [f64; N],
+) -> [Option<Duration>; N] {
+    let Some(last) = ns.len().checked_sub(1) else {
+        return [None; N];
+    };
+    let mut floor = 0;
+    fractions.map(|p| {
+        let idx = (last as f64 * p.clamp(0.0, 1.0)).round() as usize;
+        debug_assert!(idx >= floor, "fractions ascend");
+        // Everything below `floor` is already no greater than what is
+        // above it, so the order statistic lies in `ns[floor..]`.
+        let (_, nth, _) = ns[floor..].select_nth_unstable(idx - floor);
+        let v = *nth;
+        floor = idx;
+        Some(Duration::from_nanos(v))
+    })
+}
+
 impl LatencySummary {
     /// A compact human-readable line for experiment output.
     pub fn to_row(&self) -> String {
@@ -125,6 +148,24 @@ mod tests {
         assert_eq!(at(1.0), Some(10));
         assert_eq!(at(7.0), Some(10), "clamped");
         assert_eq!(percentile(&[], 0.5), None);
+    }
+
+    #[test]
+    fn selected_percentiles_equal_sorted_ones() {
+        let mut x: u64 = 7;
+        for len in [0usize, 1, 2, 3, 10, 37, 100, 8_192] {
+            let mut ns: Vec<u64> = (0..len)
+                .map(|_| {
+                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    (x >> 40) % 5_000
+                })
+                .collect();
+            let mut sorted = ns.clone();
+            sorted.sort_unstable();
+            let fractions = [0.0, 0.5, 0.95, 0.99, 1.0];
+            let want = fractions.map(|p| percentile(&sorted, p));
+            assert_eq!(select_percentiles(&mut ns, fractions), want, "len {len}");
+        }
     }
 
     #[test]

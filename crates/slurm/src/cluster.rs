@@ -690,17 +690,36 @@ impl ClusterState {
         snap
     }
 
-    /// Capture the durable image of this cluster: everything a restarted
-    /// slurmctld needs to resume scheduling where the checkpoint left off.
-    /// Deliberately excluded (and therefore lost on crash): the undrained
-    /// `finished` queue (re-derived by replay, and slurmdbd archival is
-    /// idempotent) and the `sched_log` diagnostics ring.
-    pub fn checkpoint(&self) -> CheckpointState {
+    /// The durable image of this cluster, borrowed: everything a restarted
+    /// slurmctld needs to resume scheduling where the checkpoint left off,
+    /// encoded straight from the live state. Deliberately excluded (and
+    /// therefore lost on crash): the undrained `finished` queue (re-derived
+    /// by replay, and slurmdbd archival is idempotent) and the `sched_log`
+    /// diagnostics ring.
+    pub fn checkpoint(&self) -> CheckpointRef<'_> {
         let mut run_plans: Vec<(JobId, RunPlan)> =
             self.run_plans.iter().map(|(id, p)| (*id, *p)).collect();
         // HashMap iteration order is unstable; sort so identical states
         // checkpoint to identical bytes.
         run_plans.sort_by_key(|(id, _)| *id);
+        CheckpointRef {
+            name: &self.name,
+            nodes: &self.nodes,
+            partitions: &self.partitions,
+            qos: &self.qos,
+            assoc: &self.assoc,
+            jobs: JobsRef(&self.jobs),
+            run_plans,
+            next_id: self.next_id,
+            sched_passes: self.sched_passes,
+        }
+    }
+
+    /// [`ClusterState::checkpoint`] as an owned copy: the encoding the
+    /// borrowed image must reproduce byte for byte.
+    #[cfg(test)]
+    pub(crate) fn checkpoint_owned(&self) -> CheckpointState {
+        let image = self.checkpoint();
         CheckpointState {
             name: self.name.clone(),
             nodes: self.nodes.clone(),
@@ -708,7 +727,7 @@ impl ClusterState {
             qos: self.qos.clone(),
             assoc: self.assoc.clone(),
             jobs: self.jobs.values().map(|j| Job::clone(j)).collect(),
-            run_plans,
+            run_plans: image.run_plans,
             next_id: self.next_id,
             sched_passes: self.sched_passes,
         }
@@ -737,10 +756,9 @@ impl ClusterState {
     }
 }
 
-/// The serializable image of a [`ClusterState`] — what a checkpoint writes
-/// and crash recovery reads back. Fields are private: the only producers
-/// and consumers are [`ClusterState::checkpoint`] /
-/// [`ClusterState::from_checkpoint`] and the serde boundary between them.
+/// The image of a [`ClusterState`] as crash recovery reads it back. Fields
+/// are private: the only consumer is [`ClusterState::from_checkpoint`],
+/// and the only producer the serde boundary from [`CheckpointRef`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CheckpointState {
     name: String,
@@ -752,6 +770,42 @@ pub struct CheckpointState {
     run_plans: Vec<(JobId, RunPlan)>,
     next_id: u32,
     sched_passes: u64,
+}
+
+/// What a checkpoint writes: [`CheckpointState`]'s fields, borrowed from
+/// the live state, so encoding copies no node, partition, association or
+/// job first.
+#[derive(Serialize)]
+pub struct CheckpointRef<'a> {
+    name: &'a str,
+    nodes: &'a BTreeMap<String, Node>,
+    partitions: &'a BTreeMap<String, Partition>,
+    qos: &'a BTreeMap<String, Qos>,
+    assoc: &'a AssocStore,
+    jobs: JobsRef<'a>,
+    run_plans: Vec<(JobId, RunPlan)>,
+    next_id: u32,
+    sched_passes: u64,
+}
+
+/// The live job table, encoded as the `Vec<Job>` of a [`CheckpointState`].
+struct JobsRef<'a>(&'a BTreeMap<JobId, Arc<Job>>);
+
+impl Serialize for JobsRef<'_> {
+    fn to_json_value(&self) -> serde::Value {
+        serde::Value::Array(self.0.values().map(|j| j.to_json_value()).collect())
+    }
+
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.push(b'[');
+        for (i, job) in self.0.values().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            job.write_json(out);
+        }
+        out.push(b']');
+    }
 }
 
 fn initial_reason(req: &JobRequest, now: Timestamp) -> Option<PendingReason> {

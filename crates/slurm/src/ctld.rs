@@ -191,6 +191,49 @@ pub struct Slurmctld {
     dbd_spool: Mutex<Vec<Arc<Job>>>,
 }
 
+/// The first line of a running job's stdout.
+fn stdout_header(job: &Job) -> String {
+    format!(
+        "=== job {} ({}) starting on {} ===",
+        job.id,
+        job.req.name,
+        job.nodes.join(",")
+    )
+}
+
+/// Whether `line` is [`stdout_header`] of `job`, compared piece by piece so
+/// a tick formats nothing for a file that is still the job's.
+fn is_stdout_header(line: &str, job: &Job) -> bool {
+    let Some(rest) = line.strip_prefix("=== job ") else {
+        return false;
+    };
+    let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+    let (id, rest) = rest.split_at(digits);
+    // `JobId` displays with no leading zero.
+    if id.parse() != Ok(job.id.0) || (id.len() > 1 && id.starts_with('0')) {
+        return false;
+    }
+    let Some(mut rest) = rest
+        .strip_prefix(" (")
+        .and_then(|r| r.strip_prefix(job.req.name.as_str()))
+        .and_then(|r| r.strip_prefix(") starting on "))
+    else {
+        return false;
+    };
+    for (i, node) in job.nodes.iter().enumerate() {
+        let after_comma = if i == 0 {
+            Some(rest)
+        } else {
+            rest.strip_prefix(',')
+        };
+        match after_comma.and_then(|r| r.strip_prefix(node.as_str())) {
+            Some(r) => rest = r,
+            None => return false,
+        }
+    }
+    rest == " ==="
+}
+
 impl Slurmctld {
     pub fn new(
         spec: ClusterSpec,
@@ -315,7 +358,7 @@ impl Slurmctld {
             // publication, nothing — the daemon is gone until restart.
             return;
         }
-        let (finished, snap) = {
+        let (mut finished, snap) = {
             let mut state = self.lock_state(start);
             self.wal.append(WalRecord::Tick { now });
             let finished = self.phases.time("sched_pass", || {
@@ -336,42 +379,37 @@ impl Slurmctld {
             .set_sched_queue_depth(u64::from(snap.counts.pending));
         // Running jobs keep their stdout fresh: one progress line per
         // elapsed minute, so the Job Overview output tab has content.
-        // Formatted from the immutable snapshot — the lock is gone.
+        // Formatted from the immutable snapshot — the lock is gone. Each
+        // file is advanced in place: its header is compared, not formatted,
+        // and only missing lines are written.
         self.phases.time("joblog_write", || {
             for job in snap.jobs.iter().filter(|j| j.state == JobState::Running) {
-                let header = format!(
-                    "=== job {} ({}) starting on {} ===",
-                    job.id,
-                    job.req.name,
-                    job.nodes.join(",")
-                );
                 let wanted = 1 + (job.elapsed_secs(now) / 60).min(200) as usize;
-                let steps = |lines: std::ops::Range<usize>| {
-                    lines.map(|n| format!("step {0}: processed batch {0} ok", n - 1))
-                };
-                // A file this loop wrote holds the header and the steps so
-                // far: add the missing ones. Anything else — no file, more
-                // lines than are due, a header naming other nodes — is
-                // replaced whole, as every file used to be on every tick.
-                let path = &job.stdout_path;
-                let have = self
-                    .logs
-                    .line_count(path)
-                    .filter(|have| *have <= wanted && self.logs.first_line_is(path, &header));
-                match have {
-                    Some(have) if have == wanted => {}
-                    Some(have) => self.logs.append(path, &job.req.user, steps(have..wanted)),
-                    None => {
-                        let lines = std::iter::once(header).chain(steps(1..wanted)).collect();
-                        self.logs.write(path, &job.req.user, lines);
-                    }
-                }
+                self.logs.advance(
+                    &job.stdout_path,
+                    &job.req.user,
+                    wanted,
+                    |first| is_stdout_header(first, job),
+                    |n| match n {
+                        0 => stdout_header(job),
+                        n => format!("step {0}: processed batch {0} ok", n - 1),
+                    },
+                );
             }
-            for f in &finished {
-                self.logs
-                    .write(&f.job.stdout_path, &f.job.req.user, f.stdout_lines.clone());
-                self.logs
-                    .write(&f.job.stderr_path, &f.job.req.user, f.stderr_lines.clone());
+            // `finished` is handed to slurmdbd next as jobs only: its lines
+            // move into the files.
+            for f in &mut finished {
+                let user = &f.job.req.user;
+                self.logs.write(
+                    &f.job.stdout_path,
+                    user,
+                    std::mem::take(&mut f.stdout_lines),
+                );
+                self.logs.write(
+                    &f.job.stderr_path,
+                    user,
+                    std::mem::take(&mut f.stderr_lines),
+                );
             }
         });
         self.phases.time("dbd_record", || {
@@ -858,6 +896,61 @@ mod tests {
             .logs()
             .tail_default(&archived.stdout_path, "bob")
             .is_err());
+    }
+
+    /// A checkpoint encodes from the live state to exactly the bytes of an
+    /// owned copy of it, on a state with pending, running and finished jobs.
+    #[test]
+    fn borrowed_checkpoint_encodes_like_an_owned_copy() {
+        let (ctld, clock) = daemon();
+        for (i, runtime) in [90, 400, 3_700, 14_000, 7_200, 1_000, 13_000]
+            .into_iter()
+            .enumerate()
+        {
+            let user = ["alice", "bob"][i % 2];
+            ctld.submit(req(user, 2 + 3 * i as u32, runtime)).unwrap();
+        }
+        let mut compared = 0;
+        for _ in 0..8 {
+            clock.advance(60);
+            ctld.tick();
+            let state = ctld.state.lock();
+            let borrowed = serde_json::to_vec(&state.checkpoint()).unwrap();
+            let owned = serde_json::to_vec(&state.checkpoint_owned()).unwrap();
+            assert_eq!(borrowed, owned);
+            assert_eq!(
+                serde_json::to_value(&state.checkpoint()).unwrap(),
+                serde_json::to_value(&state.checkpoint_owned()).unwrap()
+            );
+            compared += state.active_jobs().count();
+        }
+        assert!(compared > 8, "the images held jobs: {compared}");
+    }
+
+    #[test]
+    fn stdout_header_is_recognised_without_formatting() {
+        let (ctld, clock) = daemon();
+        ctld.submit(req("alice", 2, 600)).unwrap();
+        clock.advance(1);
+        ctld.tick();
+        let mut job = Job::clone(&ctld.query_jobs(&JobQuery::all())[0]);
+        for nodes in [vec![], vec!["n1"], vec!["n1", "n22", "n3"]] {
+            job.nodes = nodes.into_iter().map(str::to_string).collect();
+            let header = stdout_header(&job);
+            assert!(is_stdout_header(&header, &job), "{header}");
+            let id = job.id.to_string();
+            for other in [
+                header.replace(&format!("job {id} "), &format!("job 0{id} ")),
+                header.replace(&format!("job {id} "), &format!("job {id}0 ")),
+                header.replace(&job.req.name, "other"),
+                header.replace(" on ", " on elsewhere,"),
+                header.replace(" ===", ""),
+                format!("{header} "),
+                header[..header.len() - 1].to_string(),
+            ] {
+                assert!(!is_stdout_header(&other, &job), "{other}");
+            }
+        }
     }
 
     /// What `tick` wrote for a running job before it appended: the whole

@@ -57,25 +57,67 @@ impl JobLogFs {
         JobLogFs::default()
     }
 
-    /// Create (or replace) a file owned by `owner`.
+    /// Create (or replace) a file owned by `owner`. Replacing allocates
+    /// no path.
     pub fn write(&self, path: &str, owner: &str, lines: Vec<String>) {
-        self.files.write().insert(
-            path.to_string(),
-            LogFile {
-                owner: owner.to_string(),
-                lines,
-            },
-        );
+        let mut files = self.files.write();
+        match files.get_mut(path) {
+            Some(file) => {
+                if file.owner != owner {
+                    file.owner = owner.to_string();
+                }
+                file.lines = lines;
+            }
+            None => {
+                files.insert(
+                    path.to_string(),
+                    LogFile {
+                        owner: owner.to_string(),
+                        lines,
+                    },
+                );
+            }
+        }
     }
 
-    /// Append lines to a file, creating it if needed.
-    pub fn append(&self, path: &str, owner: &str, new_lines: impl IntoIterator<Item = String>) {
+    /// Bring a log that grows line by line to its first `wanted` lines,
+    /// `line(0)` (its header) to `line(wanted - 1)`. A file whose first line
+    /// passes `is_header` and that holds no more than `wanted` lines gets
+    /// only the missing ones, in one lookup. Anything else — no file, more
+    /// lines than are due, another first line — is replaced whole, as
+    /// `owner`'s.
+    pub fn advance(
+        &self,
+        path: &str,
+        owner: &str,
+        wanted: usize,
+        is_header: impl Fn(&str) -> bool,
+        line: impl Fn(usize) -> String,
+    ) {
         let mut files = self.files.write();
-        let file = files.entry(path.to_string()).or_insert_with(|| LogFile {
-            owner: owner.to_string(),
-            lines: Vec::new(),
-        });
-        file.lines.extend(new_lines);
+        match files.get_mut(path) {
+            Some(file) => {
+                let have = file.lines.len();
+                if have <= wanted && file.lines.first().is_some_and(|first| is_header(first)) {
+                    file.lines.extend((have..wanted).map(line));
+                    return;
+                }
+                if file.owner != owner {
+                    file.owner = owner.to_string();
+                }
+                file.lines.clear();
+                file.lines.extend((0..wanted).map(line));
+            }
+            None => {
+                files.insert(
+                    path.to_string(),
+                    LogFile {
+                        owner: owner.to_string(),
+                        lines: (0..wanted).map(line).collect(),
+                    },
+                );
+            }
+        }
     }
 
     pub fn exists(&self, path: &str) -> bool {
@@ -88,17 +130,6 @@ impl JobLogFs {
 
     pub fn line_count(&self, path: &str) -> Option<usize> {
         self.files.read().get(path).map(|f| f.lines.len())
-    }
-
-    /// Does the file open with `line`? How a writer that appends knows the
-    /// file is still the one it began.
-    pub fn first_line_is(&self, path: &str, line: &str) -> bool {
-        let files = self.files.read();
-        files
-            .get(path)
-            .and_then(|f| f.lines.first())
-            .map(String::as_str)
-            == Some(line)
     }
 
     /// Read up to `limit` trailing lines as `reader`. Fails unless the
@@ -190,13 +221,22 @@ mod tests {
     #[test]
     fn append_accumulates() {
         let fs = JobLogFs::new();
-        fs.append("/y", "bob", vec!["a".to_string()]);
-        fs.append("/y", "bob", vec!["b".to_string(), "c".to_string()]);
-        assert_eq!(fs.line_count("/y"), Some(3));
+        let line = |n: usize| ["h", "a", "b", "c"][n].to_string();
+        let is_header = |first: &str| first == "h";
+        fs.advance("/y", "bob", 2, is_header, line);
+        fs.advance("/y", "bob", 4, is_header, line);
+        assert_eq!(fs.line_count("/y"), Some(4));
         assert_eq!(fs.owner("/y"), Some("bob".to_string()));
         let tail = fs.tail("/y", "bob", 2).unwrap();
-        assert_eq!(tail.lines, vec![(2, "b".to_string()), (3, "c".to_string())]);
+        assert_eq!(tail.lines, vec![(3, "b".to_string()), (4, "c".to_string())]);
         assert!(tail.truncated);
+        // Another first line, or more lines than are due: replaced whole.
+        fs.write("/y", "eve", vec!["x".to_string(), "a".to_string()]);
+        fs.advance("/y", "bob", 3, is_header, line);
+        assert_eq!(fs.tail("/y", "bob", 9).unwrap().total_lines, 3);
+        assert_eq!(fs.owner("/y"), Some("bob".to_string()));
+        fs.advance("/y", "bob", 2, is_header, line);
+        assert_eq!(fs.line_count("/y"), Some(2));
     }
 
     #[test]
@@ -206,8 +246,8 @@ mod tests {
         let writer = {
             let fs = fs.clone();
             std::thread::spawn(move || {
-                for i in 0..500 {
-                    fs.append("/z", "alice", vec![format!("w{i}")]);
+                for wanted in 1..=500 {
+                    fs.advance("/z", "alice", wanted, |f| f == "w0", |n| format!("w{n}"));
                 }
             })
         };

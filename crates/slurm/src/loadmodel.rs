@@ -193,17 +193,19 @@ impl RpcStats {
 
     pub fn snapshot(&self) -> RpcSnapshot {
         let mut recent = self.recent.lock().clone();
-        recent.sort_unstable();
-        let pick = |p| hpcdash_obs::recorder::percentile(&recent, p);
+        // Ascending fractions: each pick only partitions the slice above
+        // the previous one, so the three cost one pass, not a sort.
+        let [p50, p95, p99] =
+            hpcdash_obs::recorder::select_percentiles(&mut recent, [0.50, 0.95, 0.99]);
         RpcSnapshot {
             total_rpcs: self.total_rpcs(),
             total_busy: self.total_busy(),
             total_lock_wait: self.total_lock_wait(),
             sched_queue_depth: self.sched_queue_depth(),
             per_kind: self.per_kind.lock().clone(),
-            p50: pick(0.50),
-            p95: pick(0.95),
-            p99: pick(0.99),
+            p50,
+            p95,
+            p99,
         }
     }
 

@@ -14,37 +14,47 @@
 //! timestamp arithmetic wraps, so adversarial `i64` extremes round-trip.
 
 /// Appends bits to a byte buffer, most-significant bit of each value first.
+/// Bits gather in an accumulator and leave it a whole byte at a time;
+/// [`BitWriter::finish`] pads the last byte with zeros.
 struct BitWriter {
     bytes: Vec<u8>,
-    /// Bits already used in the final byte (0 when byte-aligned).
-    used: u32,
+    /// Pending bits, right-aligned: fewer than 8 between writes.
+    acc: u128,
+    pending: u32,
 }
 
 impl BitWriter {
     fn new() -> BitWriter {
         BitWriter {
             bytes: Vec::new(),
-            used: 0,
+            acc: 0,
+            pending: 0,
         }
     }
 
     fn write_bit(&mut self, bit: bool) {
-        if self.used == 0 {
-            self.bytes.push(0);
-        }
-        if bit {
-            let last = self.bytes.last_mut().expect("byte pushed above");
-            *last |= 1 << (7 - self.used);
-        }
-        self.used = (self.used + 1) % 8;
+        self.write_bits(u64::from(bit), 1);
     }
 
     /// Write the low `n` bits of `value`, most-significant first.
     fn write_bits(&mut self, value: u64, n: u32) {
         debug_assert!(n <= 64);
-        for i in (0..n).rev() {
-            self.write_bit((value >> i) & 1 == 1);
+        let bits = u128::from(value) & ((1u128 << n) - 1);
+        self.acc = (self.acc << n) | bits;
+        self.pending += n;
+        while self.pending >= 8 {
+            self.pending -= 8;
+            self.bytes.push((self.acc >> self.pending) as u8);
         }
+        self.acc &= (1 << self.pending) - 1;
+    }
+
+    fn finish(mut self) -> Vec<u8> {
+        if self.pending > 0 {
+            self.bytes.push((self.acc << (8 - self.pending)) as u8);
+        }
+        self.bytes.shrink_to_fit();
+        self.bytes
     }
 }
 
@@ -67,10 +77,18 @@ impl<'a> BitReader<'a> {
         Some(bit)
     }
 
-    fn read_bits(&mut self, n: u32) -> Option<u64> {
+    /// Read `n` bits, most-significant first, a byte's worth at a time.
+    fn read_bits(&mut self, mut n: u32) -> Option<u64> {
         let mut out = 0u64;
-        for _ in 0..n {
-            out = (out << 1) | self.read_bit()? as u64;
+        while n > 0 {
+            let byte = *self.bytes.get(self.pos / 8)?;
+            let offset = (self.pos % 8) as u32;
+            let take = (8 - offset).min(n);
+            let chunk = (u64::from(byte) >> (8 - offset - take)) & ((1 << take) - 1);
+            // `take` is at most 8, so a 64-bit read never shifts by 64.
+            out = (out << take) | chunk;
+            self.pos += take as usize;
+            n -= take;
         }
         Some(out)
     }
@@ -84,10 +102,13 @@ const DOD_BUCKETS: [(i64, u32); 3] = [(63, 7), (255, 9), (2047, 12)];
 /// Compress `(timestamp, value)` samples into a self-delimiting chunk.
 pub fn compress(samples: &[(i64, f64)]) -> Vec<u8> {
     let mut w = BitWriter::new();
+    // Room for two bytes a sample, about what utilization traces take, so
+    // the buffer is allocated once; `finish` returns the excess.
+    w.bytes.reserve(4 + 16 + 2 * samples.len());
     w.bytes
         .extend_from_slice(&(samples.len() as u32).to_le_bytes());
     let Some(&(first_ts, first_v)) = samples.first() else {
-        return w.bytes;
+        return w.finish();
     };
     w.write_bits(first_ts as u64, 64);
     w.write_bits(first_v.to_bits(), 64);
@@ -150,7 +171,7 @@ pub fn compress(samples: &[(i64, f64)]) -> Vec<u8> {
             }
         }
     }
-    w.bytes
+    w.finish()
 }
 
 /// Decompress a chunk produced by [`compress`]. Returns `None` if the bytes
@@ -224,6 +245,41 @@ mod tests {
         for (a, b) in samples.iter().zip(&back) {
             assert_eq!(a.0, b.0);
             assert_eq!(a.1.to_bits(), b.1.to_bits(), "value bits must survive");
+        }
+    }
+
+    /// The accumulating writer and the byte-wise reader agree with one bit
+    /// at a time, most-significant first, the last byte zero-padded.
+    #[test]
+    fn multi_bit_writes_and_reads_match_single_bits() {
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut fields = Vec::new();
+        for _ in 0..2_000 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            fields.push((x.rotate_left(17), (x >> 58) as u32 + 1));
+        }
+        let mut w = BitWriter::new();
+        let mut one_by_one = Vec::new();
+        let mut used = 0;
+        for &(value, n) in &fields {
+            w.write_bits(value, n);
+            for i in (0..n).rev() {
+                if used == 0 {
+                    one_by_one.push(0u8);
+                }
+                let last = one_by_one.last_mut().expect("byte pushed above");
+                *last |= (((value >> i) & 1) as u8) << (7 - used);
+                used = (used + 1) % 8;
+            }
+        }
+        let bytes = w.finish();
+        assert_eq!(bytes, one_by_one);
+        let mut r = BitReader::new(&bytes);
+        for &(value, n) in &fields {
+            let mask = if n == 64 { u64::MAX } else { (1 << n) - 1 };
+            assert_eq!(r.read_bits(n), Some(value & mask));
         }
     }
 

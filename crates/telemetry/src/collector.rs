@@ -12,11 +12,19 @@
 //!
 //! Values are quantized to 1/1024 steps — the granularity real exporters
 //! report at — which keeps XOR deltas short and the chunks compressible.
+//!
+//! The [`Collector`] keeps the series handles of every running job and
+//! every node between passes, so a steady pass formats no name and looks
+//! nothing up: it walks the snapshot's jobs against its own table, both in
+//! job-id order. A job's handles leave the table with the job; its series
+//! stay in the store (Job Performance reads finished jobs) until their
+//! newest point is older than the longest retention tier.
 
-use crate::store::TsdbStore;
-use hpcdash_slurm::job::{Job, JobState};
+use crate::store::{IngestTally, SeriesHandle, TsdbStore};
+use hpcdash_slurm::job::{Job, JobId, JobState};
+use hpcdash_slurm::node::Node;
 use hpcdash_slurm::snapshot::ClusterSnapshot;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// Series-name builders; every producer and consumer goes through these.
 pub mod keys {
@@ -126,51 +134,186 @@ pub struct CollectOutcome {
     pub skipped_down: bool,
 }
 
-/// Sample every running job and every node in the snapshot at `ts`,
-/// appending to `store`. Node utilization is the resource-weighted sum of
-/// the jobs placed on the node, so job and node series stay consistent.
-pub fn collect(store: &TsdbStore, snap: &ClusterSnapshot, ts: i64) -> CollectOutcome {
-    let mut out = CollectOutcome::default();
-    // Per-node absolute usage accumulated from the jobs running there.
-    let mut used: HashMap<&str, (f64, f64, f64)> = HashMap::new();
+/// The series of one running job, and when it was last sampled.
+struct JobSeries {
+    id: JobId,
+    cpu: SeriesHandle,
+    mem: SeriesHandle,
+    gpu: Option<SeriesHandle>,
+    last: i64,
+}
 
-    for job in snap.jobs.iter() {
-        if job.state != JobState::Running || job.start_time.is_none() {
-            continue;
-        }
-        out.jobs += 1;
-        let cpu = cpu_sample(job, ts);
-        let mem = mem_sample(job, ts);
-        out.samples += store.append(&keys::job_cpu(job.id), ts, cpu) as u64;
-        out.samples += store.append(&keys::job_mem(job.id), ts, mem) as u64;
-        let gpu = if job.req.gpus_per_node > 0 {
-            let g = gpu_sample(job, ts);
-            out.samples += store.append(&keys::job_gpu(job.id), ts, g) as u64;
-            g
-        } else {
-            0.0
-        };
-        for node in &job.nodes {
-            let e = used.entry(node.as_str()).or_default();
-            e.0 += cpu * f64::from(job.req.cpus_per_node);
-            e.1 += mem * job.req.mem_mb_per_node as f64;
-            e.2 += gpu * f64::from(job.req.gpus_per_node);
+impl JobSeries {
+    fn resolve(store: &TsdbStore, job: &Job) -> JobSeries {
+        JobSeries {
+            id: job.id,
+            cpu: store.series(&keys::job_cpu(job.id)),
+            mem: store.series(&keys::job_mem(job.id)),
+            gpu: (job.req.gpus_per_node > 0).then(|| store.series(&keys::job_gpu(job.id))),
+            last: i64::MIN,
         }
     }
+}
 
-    for node in snap.nodes.iter() {
-        out.nodes += 1;
-        let (cpu, mem, gpu) = used.get(node.name.as_str()).copied().unwrap_or_default();
-        let cpu_frac = quantize(cpu / f64::from(node.cpus.max(1)));
-        let mem_frac = quantize(mem / node.real_memory_mb.max(1) as f64);
-        out.samples += store.append(&keys::node_cpu(&node.name), ts, cpu_frac) as u64;
-        out.samples += store.append(&keys::node_mem(&node.name), ts, mem_frac) as u64;
-        if node.gpus > 0 {
-            let gpu_frac = quantize(gpu / f64::from(node.gpus));
-            out.samples += store.append(&keys::node_gpu(&node.name), ts, gpu_frac) as u64;
+/// The series of one node.
+struct NodeSeries {
+    name: String,
+    cpu: SeriesHandle,
+    mem: SeriesHandle,
+    gpu: Option<SeriesHandle>,
+}
+
+impl NodeSeries {
+    fn resolve(store: &TsdbStore, node: &Node) -> NodeSeries {
+        NodeSeries {
+            name: node.name.clone(),
+            cpu: store.series(&keys::node_cpu(&node.name)),
+            mem: store.series(&keys::node_mem(&node.name)),
+            gpu: (node.gpus > 0).then(|| store.series(&keys::node_gpu(&node.name))),
         }
     }
-    out
+}
+
+/// Collection state kept between passes: handle tables and the expiry
+/// queue of finished jobs' series.
+#[derive(Default)]
+pub struct Collector {
+    /// Handles of the jobs the last pass sampled, ascending by id.
+    running: Vec<JobSeries>,
+    /// The next pass's table, empty between passes (kept for its capacity).
+    next: Vec<JobSeries>,
+    /// Jobs that left the running set, in the order they left, which is
+    /// the order of their last samples.
+    leaving: VecDeque<JobSeries>,
+    /// Handles of the snapshot's nodes, in snapshot order.
+    nodes: Vec<NodeSeries>,
+    /// Positions into `nodes`, sorted by node name.
+    by_name: Vec<usize>,
+    /// Per-node absolute usage of the current pass, in snapshot order.
+    used: Vec<(f64, f64, f64)>,
+}
+
+impl Collector {
+    /// Sample every running job and every node in the snapshot at `ts`,
+    /// counting the appends into `tally`. Node utilization is the
+    /// resource-weighted sum of the jobs placed on the node, so job and
+    /// node series stay consistent. Then drop the series of jobs whose
+    /// newest point fell out of the longest retention tier.
+    pub fn collect(
+        &mut self,
+        store: &TsdbStore,
+        snap: &ClusterSnapshot,
+        ts: i64,
+        tally: &mut IngestTally,
+    ) -> CollectOutcome {
+        let mut out = CollectOutcome::default();
+        self.sync_nodes(store, snap);
+        self.used.fill((0.0, 0.0, 0.0));
+
+        let mut prev = std::mem::take(&mut self.running);
+        let mut next = std::mem::take(&mut self.next);
+        let mut prev_jobs = prev.drain(..).peekable();
+        for job in snap.jobs.iter() {
+            if job.state != JobState::Running || job.start_time.is_none() {
+                continue;
+            }
+            // Snapshot jobs are in id order, like the table: entries
+            // before this job's id have stopped running.
+            while let Some(gone) = prev_jobs.next_if(|s| s.id < job.id) {
+                self.leaving.push_back(gone);
+            }
+            let mut series = prev_jobs
+                .next_if(|s| s.id == job.id)
+                .unwrap_or_else(|| JobSeries::resolve(store, job));
+            series.last = ts;
+            out.jobs += 1;
+            let cpu = cpu_sample(job, ts);
+            let mem = mem_sample(job, ts);
+            out.samples += tally.add(series.cpu.append(ts, cpu)) as u64;
+            out.samples += tally.add(series.mem.append(ts, mem)) as u64;
+            let gpu = match &series.gpu {
+                Some(handle) => {
+                    let g = gpu_sample(job, ts);
+                    out.samples += tally.add(handle.append(ts, g)) as u64;
+                    g
+                }
+                None => 0.0,
+            };
+            for node in &job.nodes {
+                let Ok(at) = self
+                    .by_name
+                    .binary_search_by(|&i| self.nodes[i].name.as_str().cmp(node))
+                else {
+                    continue;
+                };
+                let e = &mut self.used[self.by_name[at]];
+                e.0 += cpu * f64::from(job.req.cpus_per_node);
+                e.1 += mem * job.req.mem_mb_per_node as f64;
+                e.2 += gpu * f64::from(job.req.gpus_per_node);
+            }
+            next.push(series);
+        }
+        self.leaving.extend(prev_jobs);
+        self.running = next;
+        self.next = prev;
+
+        for ((node, series), &(cpu, mem, gpu)) in snap.nodes.iter().zip(&self.nodes).zip(&self.used)
+        {
+            out.nodes += 1;
+            let cpu_frac = quantize(cpu / f64::from(node.cpus.max(1)));
+            let mem_frac = quantize(mem / node.real_memory_mb.max(1) as f64);
+            out.samples += tally.add(series.cpu.append(ts, cpu_frac)) as u64;
+            out.samples += tally.add(series.mem.append(ts, mem_frac)) as u64;
+            if let Some(handle) = &series.gpu {
+                let gpu_frac = quantize(gpu / f64::from(node.gpus));
+                out.samples += tally.add(handle.append(ts, gpu_frac)) as u64;
+            }
+        }
+        self.expire(store, ts);
+        out
+    }
+
+    /// Re-resolve the node handles when the snapshot's node list changed.
+    fn sync_nodes(&mut self, store: &TsdbStore, snap: &ClusterSnapshot) {
+        let same = self.nodes.len() == snap.nodes.len()
+            && self
+                .nodes
+                .iter()
+                .zip(snap.nodes.iter())
+                .all(|(s, n)| s.name == n.name);
+        if same {
+            return;
+        }
+        self.nodes = snap
+            .nodes
+            .iter()
+            .map(|n| NodeSeries::resolve(store, n))
+            .collect();
+        self.by_name = (0..self.nodes.len()).collect();
+        self.by_name
+            .sort_by(|&a, &b| self.nodes[a].name.cmp(&self.nodes[b].name));
+        self.used = vec![(0.0, 0.0, 0.0); self.nodes.len()];
+    }
+
+    /// Drop the series of jobs whose newest point is older than the
+    /// longest retention tier at `ts`. Every tier of such a series is past
+    /// retention, so queries could no longer see any of it.
+    fn expire(&mut self, store: &TsdbStore, ts: i64) {
+        let floor = ts.saturating_sub(store.policy().rollup_10m_secs);
+        while self.leaving.front().is_some_and(|s| s.last < floor) {
+            let gone = self.leaving.pop_front().expect("front checked");
+            // A job that ran again after it left has newer samples and a
+            // place in `running`; it queues again when it stops.
+            if gone.cpu.last_ts().is_some_and(|t| t >= floor) {
+                continue;
+            }
+            store.remove(&keys::job_cpu(gone.id));
+            store.remove(&keys::job_mem(gone.id));
+            if gone.gpu.is_some() {
+                store.remove(&keys::job_gpu(gone.id));
+            }
+        }
+    }
 }
 
 #[cfg(test)]

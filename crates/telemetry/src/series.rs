@@ -98,6 +98,15 @@ impl RollupTier {
         ts - ts.rem_euclid(self.width)
     }
 
+    /// The open bucket, if `ts` falls inside it. Appends only move forward,
+    /// so `ts` is never before its start and no division is needed.
+    fn open_holding(&mut self, ts: i64) -> Option<&mut Bucket> {
+        let width = self.width as u64;
+        self.open
+            .as_mut()
+            .filter(|b| (ts.wrapping_sub(b.start) as u64) < width)
+    }
+
     /// Buckets overlapping `[start, end]` (closed then the open one), plus
     /// how many buckets were read.
     fn query(&self, start: i64, end: i64) -> (Vec<Bucket>, u64) {
@@ -136,6 +145,11 @@ pub struct Series {
     one_m: RollupTier,
     ten_m: RollupTier,
     last_ts: Option<i64>,
+    /// The first append time at which retention drops something: the
+    /// earliest expiry of the oldest chunk and the oldest closed buckets.
+    /// Appends before it skip the retention walk, which would read the
+    /// oldest, least recently touched entries.
+    expire_at: i64,
 }
 
 impl Series {
@@ -147,6 +161,7 @@ impl Series {
             one_m: RollupTier::new(60),
             ten_m: RollupTier::new(600),
             last_ts: None,
+            expire_at: i64::MAX,
         }
     }
 
@@ -165,6 +180,7 @@ impl Series {
         if self.open.len() >= self.policy.chunk_samples {
             let bytes = codec::compress(&self.open);
             out.sealed_bytes = Some(bytes.len());
+            self.expires(ts, 0, self.policy.raw_secs);
             self.chunks.push_back(Chunk {
                 start: self.open[0].0,
                 end: ts,
@@ -173,38 +189,48 @@ impl Series {
             });
             self.open.clear();
         }
-        self.expire(ts, &mut out);
+        if ts >= self.expire_at {
+            self.expire(ts, &mut out);
+        }
         out
     }
 
+    /// Note an entry ending at `end + width` that retention drops once it
+    /// is more than `keep` seconds old.
+    fn expires(&mut self, end: i64, width: i64, keep: i64) {
+        let at = end
+            .saturating_add(width)
+            .saturating_add(keep)
+            .saturating_add(1);
+        self.expire_at = self.expire_at.min(at);
+    }
+
     fn roll_1m(&mut self, ts: i64, v: f64) {
-        let start = self.one_m.align(ts);
-        match &mut self.one_m.open {
-            Some(b) if b.start == start => b.absorb_point(v),
-            Some(_) => {
-                let closed = self.one_m.open.take().expect("matched Some");
-                self.one_m.closed.push_back(closed);
-                self.roll_10m(&closed);
-                self.one_m.open = Some(Bucket::seed(start, v));
-            }
-            None => self.one_m.open = Some(Bucket::seed(start, v)),
+        if let Some(open) = self.one_m.open_holding(ts) {
+            open.absorb_point(v);
+            return;
         }
+        let start = self.one_m.align(ts);
+        if let Some(closed) = self.one_m.open.take() {
+            self.expires(closed.start, self.one_m.width, self.policy.rollup_1m_secs);
+            self.one_m.closed.push_back(closed);
+            self.roll_10m(&closed);
+        }
+        self.one_m.open = Some(Bucket::seed(start, v));
     }
 
     /// Cascade a closed 1m bucket into the 10m tier.
     fn roll_10m(&mut self, b: &Bucket) {
-        let start = self.ten_m.align(b.start);
-        match &mut self.ten_m.open {
-            Some(open) if open.start == start => open.absorb_bucket(b),
-            Some(_) => {
-                let closed = self.ten_m.open.take().expect("matched Some");
-                self.ten_m.closed.push_back(closed);
-                self.ten_m.open = Some(Bucket { start, ..*b });
-            }
-            None => {
-                self.ten_m.open = Some(Bucket { start, ..*b });
-            }
+        if let Some(open) = self.ten_m.open_holding(b.start) {
+            open.absorb_bucket(b);
+            return;
         }
+        let start = self.ten_m.align(b.start);
+        if let Some(closed) = self.ten_m.open.take() {
+            self.expires(closed.start, self.ten_m.width, self.policy.rollup_10m_secs);
+            self.ten_m.closed.push_back(closed);
+        }
+        self.ten_m.open = Some(Bucket { start, ..*b });
     }
 
     fn expire(&mut self, now: i64, out: &mut AppendOutcome) {
@@ -228,6 +254,22 @@ impl Series {
                 }
                 tier.closed.pop_front();
             }
+        }
+        let p = self.policy;
+        let oldest = [
+            self.chunks.front().map(|c| (c.end, 0, p.raw_secs)),
+            self.one_m
+                .closed
+                .front()
+                .map(|b| (b.start, self.one_m.width, p.rollup_1m_secs)),
+            self.ten_m
+                .closed
+                .front()
+                .map(|b| (b.start, self.ten_m.width, p.rollup_10m_secs)),
+        ];
+        self.expire_at = i64::MAX;
+        for (end, width, keep) in oldest.into_iter().flatten() {
+            self.expires(end, width, keep);
         }
     }
 
@@ -269,6 +311,11 @@ impl Series {
         } else {
             self.one_m.query(start, end)
         }
+    }
+
+    /// Raw points held: sealed chunks plus the open buffer.
+    pub fn raw_points(&self) -> u64 {
+        self.chunks.iter().map(|c| u64::from(c.count)).sum::<u64>() + self.open.len() as u64
     }
 
     pub fn compressed_bytes(&self) -> u64 {
@@ -351,6 +398,52 @@ mod tests {
         assert_eq!(buckets[0].count, 20);
         assert_eq!(buckets[1].start, 600);
         assert_eq!(buckets[2].start, 1200);
+    }
+
+    /// Skipping the retention walk until something is due changes nothing:
+    /// after every append each tier holds exactly the entries inside its
+    /// window.
+    #[test]
+    fn retention_holds_exactly_its_window_after_every_append() {
+        // Chunks seal often, or never: rollups expire on their own clock.
+        for chunk_samples in [8, usize::MAX] {
+            retention_holds_its_window(RetentionPolicy {
+                raw_secs: 600,
+                rollup_1m_secs: 1_800,
+                rollup_10m_secs: 3_600,
+                chunk_samples,
+            });
+        }
+    }
+
+    fn retention_holds_its_window(policy: RetentionPolicy) {
+        let mut s = Series::new(policy);
+        let mut ends = Vec::new();
+        for i in 0..2_000i64 {
+            let ts = i * 30 + i % 7;
+            s.append(ts, 0.5);
+            if s.open.is_empty() {
+                ends.push(ts);
+            }
+            let kept = ends
+                .iter()
+                .filter(|&&end| end >= ts - policy.raw_secs)
+                .count();
+            assert_eq!(s.chunks.len(), kept, "chunks at {ts}");
+            for (tier, keep) in [
+                (&s.one_m, policy.rollup_1m_secs),
+                (&s.ten_m, policy.rollup_10m_secs),
+            ] {
+                // Every minute has a sample, so closed buckets are
+                // contiguous: the oldest kept is the first that still
+                // ends inside the window.
+                let w = tier.width;
+                let want = ((ts - keep - w).max(0) + w - 1) / w * w;
+                if let Some(first) = tier.closed.front() {
+                    assert_eq!(first.start, want, "{w}s tier at {ts}");
+                }
+            }
+        }
     }
 
     #[test]

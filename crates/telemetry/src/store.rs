@@ -1,14 +1,22 @@
 //! The embedded TSDB: a sharded map of [`Series`] plus store-wide counters.
 //!
+//! Writers resolve a [`SeriesHandle`] once per job, node or instrument and
+//! append through it: one uncontended series lock per sample, no name
+//! formatting, hashing or shard lock. A pass tallies its appends in an
+//! [`IngestTally`] and adds them to the store-wide counters once. Readers
+//! still look a series up by name; the shard lock is dropped before the
+//! series is locked, so a query waits for at most one append.
+//!
 //! The range-query engine picks the *coarsest* tier whose bucket width still
 //! satisfies the requested resolution — a 24h query at 10m resolution never
 //! touches raw chunks or 1m rollups, and the per-tier scan counters make
 //! that provable (the tests below assert on them).
 
-use crate::series::{Bucket, RetentionPolicy, Series};
+use crate::series::{AppendOutcome, Bucket, RetentionPolicy, Series};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 const SHARDS: usize = 16;
 
@@ -80,14 +88,59 @@ pub struct StoreStats {
     pub scanned: [u64; 3],
 }
 
+/// A resolved series: appends lock only the series itself.
+#[derive(Clone)]
+pub struct SeriesHandle(Arc<Mutex<Series>>);
+
+impl SeriesHandle {
+    /// Append one sample; the outcome goes into the pass's [`IngestTally`].
+    pub fn append(&self, ts: i64, v: f64) -> AppendOutcome {
+        self.0.lock().append(ts, v)
+    }
+
+    /// Timestamp of the newest accepted sample.
+    pub fn last_ts(&self) -> Option<i64> {
+        self.0.lock().last_ts()
+    }
+}
+
+/// Store-counter deltas of one ingest pass, added to the store once by
+/// [`TsdbStore::record_ingest`].
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IngestTally {
+    ingested: u64,
+    rejected: u64,
+    chunks_sealed: u64,
+    sealed_bytes: u64,
+    expired_points: u64,
+    expired_bytes: u64,
+}
+
+impl IngestTally {
+    /// Count one append; true if the sample was accepted.
+    pub fn add(&mut self, out: AppendOutcome) -> bool {
+        if !out.accepted {
+            self.rejected += 1;
+            return false;
+        }
+        self.ingested += 1;
+        if let Some(bytes) = out.sealed_bytes {
+            self.chunks_sealed += 1;
+            self.sealed_bytes += bytes as u64;
+        }
+        self.expired_points += out.expired_points;
+        self.expired_bytes += out.expired_bytes;
+        true
+    }
+}
+
 pub struct TsdbStore {
     policy: RetentionPolicy,
-    shards: [Mutex<HashMap<String, Series>>; SHARDS],
+    shards: [Mutex<HashMap<String, SeriesHandle>>; SHARDS],
     counters: StoreCounters,
 }
 
 fn shard_of(name: &str) -> usize {
-    // FNV-1a; series names are short, this is not on a measured hot path.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in name.bytes() {
         h ^= u64::from(b);
@@ -111,41 +164,66 @@ impl TsdbStore {
         }
     }
 
-    /// Append one sample, creating the series on first write. Returns false
-    /// for out-of-order/duplicate timestamps (counted, not stored). Only a
-    /// new series allocates its name.
-    pub fn append(&self, name: &str, ts: i64, v: f64) -> bool {
+    pub fn policy(&self) -> RetentionPolicy {
+        self.policy
+    }
+
+    /// The handle of series `name`, creating the series if it is new. Only
+    /// a new series allocates its name.
+    pub fn series(&self, name: &str) -> SeriesHandle {
         let mut shard = self.shards[shard_of(name)].lock();
-        let out = match shard.get_mut(name) {
-            Some(series) => series.append(ts, v),
+        match shard.get(name) {
+            Some(handle) => handle.clone(),
             None => {
-                let mut series = Series::new(self.policy);
-                let out = series.append(ts, v);
-                shard.insert(name.to_string(), series);
-                out
+                let handle = SeriesHandle(Arc::new(Mutex::new(Series::new(self.policy))));
+                shard.insert(name.to_string(), handle.clone());
+                handle
             }
-        };
-        drop(shard);
+        }
+    }
+
+    /// Add one pass's appends to the store-wide counters.
+    pub fn record_ingest(&self, tally: &IngestTally) {
         let c = &self.counters;
-        if !out.accepted {
-            c.samples_rejected.fetch_add(1, Ordering::Relaxed);
+        c.samples_ingested
+            .fetch_add(tally.ingested, Ordering::Relaxed);
+        c.samples_rejected
+            .fetch_add(tally.rejected, Ordering::Relaxed);
+        c.chunks_sealed
+            .fetch_add(tally.chunks_sealed, Ordering::Relaxed);
+        c.compressed_bytes
+            .fetch_add(tally.sealed_bytes, Ordering::Relaxed);
+        c.expired_points
+            .fetch_add(tally.expired_points, Ordering::Relaxed);
+        // Expired chunks were sealed (and counted) first, so this cannot
+        // underflow.
+        c.compressed_bytes
+            .fetch_sub(tally.expired_bytes, Ordering::Relaxed);
+    }
+
+    /// Drop series `name` and everything it holds; its raw points count as
+    /// expired. Returns whether it existed.
+    pub fn remove(&self, name: &str) -> bool {
+        let Some(handle) = self.shards[shard_of(name)].lock().remove(name) else {
             return false;
-        }
-        c.samples_ingested.fetch_add(1, Ordering::Relaxed);
-        if let Some(bytes) = out.sealed_bytes {
-            c.chunks_sealed.fetch_add(1, Ordering::Relaxed);
-            c.compressed_bytes
-                .fetch_add(bytes as u64, Ordering::Relaxed);
-        }
-        if out.expired_points > 0 {
-            c.expired_points
-                .fetch_add(out.expired_points, Ordering::Relaxed);
-            // Expired chunks were sealed (and counted) first, so this
-            // cannot underflow.
-            c.compressed_bytes
-                .fetch_sub(out.expired_bytes, Ordering::Relaxed);
-        }
+        };
+        let series = handle.0.lock();
+        let c = &self.counters;
+        c.expired_points
+            .fetch_add(series.raw_points(), Ordering::Relaxed);
+        c.compressed_bytes
+            .fetch_sub(series.compressed_bytes(), Ordering::Relaxed);
         true
+    }
+
+    /// Every series name, sorted.
+    pub fn series_names(&self) -> Vec<String> {
+        let mut names = Vec::new();
+        for shard in &self.shards {
+            names.extend(shard.lock().keys().cloned());
+        }
+        names.sort();
+        names
     }
 
     /// The coarsest tier whose bucket width satisfies `resolution_secs`.
@@ -170,11 +248,11 @@ impl TsdbStore {
         resolution_secs: i64,
     ) -> (Vec<RangePoint>, Tier, u64) {
         let tier = TsdbStore::plan_tier(resolution_secs);
-        let shard = self.shards[shard_of(name)].lock();
-        let (points, scanned) = match shard.get(name) {
+        let handle = self.shards[shard_of(name)].lock().get(name).cloned();
+        let (points, scanned) = match handle {
             None => (Vec::new(), 0),
-            Some(series) => match tier {
-                Tier::Raw => {
+            Some(handle) => match (tier, handle.0.lock()) {
+                (Tier::Raw, series) => {
                     let (raw, scanned) = series.query_raw(start, end);
                     let points = raw
                         .into_iter()
@@ -188,7 +266,7 @@ impl TsdbStore {
                         .collect();
                     (points, scanned)
                 }
-                Tier::OneMinute | Tier::TenMinute => {
+                (Tier::OneMinute | Tier::TenMinute, series) => {
                     let width = if tier == Tier::OneMinute { 60 } else { 600 };
                     let (buckets, scanned) = series.query_rollup(width, start, end);
                     let points = buckets
@@ -205,7 +283,6 @@ impl TsdbStore {
                 }
             },
         };
-        drop(shard);
         let c = &self.counters;
         c.queries.fetch_add(1, Ordering::Relaxed);
         c.scanned[tier.index()].fetch_add(scanned, Ordering::Relaxed);
@@ -299,8 +376,9 @@ mod tests {
     fn coarse_queries_leave_finer_tiers_untouched() {
         let store = TsdbStore::default();
         // 24h of 30s samples.
+        let series = store.series("node:a001:cpu");
         for i in 0..2_880i64 {
-            store.append("node:a001:cpu", i * 30, 0.5);
+            series.append(i * 30, 0.5);
         }
         store.reset_query_counters();
         let (points, tier, scanned) =
@@ -317,9 +395,10 @@ mod tests {
     #[test]
     fn mean_and_max_match_ingest() {
         let store = TsdbStore::default();
+        let series = store.series("job:1:cpu");
         for i in 0..120i64 {
             let v = if i == 60 { 0.9 } else { 0.4 };
-            store.append("job:1:cpu", i * 30, v);
+            series.append(i * 30, v);
         }
         let mean = store.series_mean("job:1:cpu", 0, 120 * 30).unwrap();
         let want = (119.0 * 0.4 + 0.9) / 120.0;

@@ -1,18 +1,24 @@
 //! The simulation driver: advances the clock, feeds submissions from the
 //! trace, and ticks the scheduler — the "world" around the dashboard.
+//!
+//! Arrivals are drawn when the clock reaches them: the driver holds the
+//! trace generator's iterator and one drawn-but-not-yet-due arrival, never
+//! the window's requests.
 
+use crate::jobs::Arrivals;
+use crate::population::Population;
 use hpcdash_simtime::{Clock, SimClock, Timestamp};
 use hpcdash_slurm::ctld::Slurmctld;
-use hpcdash_slurm::job::{JobId, JobRequest};
+use hpcdash_slurm::job::JobId;
 use hpcdash_telemetry::TelemetryD;
-use std::collections::VecDeque;
+use std::iter::Peekable;
 use std::sync::Arc;
 
 /// Drives a scenario forward in fixed scheduler-tick steps.
 pub struct SimDriver {
     clock: SimClock,
     ctld: Arc<Slurmctld>,
-    trace: VecDeque<(Timestamp, JobRequest)>,
+    trace: Peekable<Arrivals<Arc<Population>>>,
     tick_secs: u64,
     submitted: Vec<JobId>,
     /// When set, a metrics collection pass runs after every tick — the
@@ -24,13 +30,13 @@ impl SimDriver {
     pub fn new(
         clock: SimClock,
         ctld: Arc<Slurmctld>,
-        trace: Vec<(Timestamp, JobRequest)>,
+        trace: Arrivals<Arc<Population>>,
         tick_secs: u64,
     ) -> SimDriver {
         SimDriver {
             clock,
             ctld,
-            trace: trace.into(),
+            trace: trace.peekable(),
             tick_secs: tick_secs.max(1),
             submitted: Vec::new(),
             telemetry: None,
@@ -51,11 +57,7 @@ impl SimDriver {
             let step = self.tick_secs.min(target.since(self.clock.now()));
             self.clock.advance(step);
             let now = self.clock.now();
-            while let Some((when, _)) = self.trace.front() {
-                if *when > now {
-                    break;
-                }
-                let (_, req) = self.trace.pop_front().expect("front checked");
+            while let Some((_, req)) = self.trace.next_if(|(when, _)| *when <= now) {
                 if let Ok(ids) = self.ctld.submit(req) {
                     self.submitted.extend(ids);
                 }
@@ -72,9 +74,9 @@ impl SimDriver {
         &self.submitted
     }
 
-    /// Submissions still waiting in the trace.
-    pub fn remaining_trace(&self) -> usize {
-        self.trace.len()
+    /// Whether every arrival of the window has been submitted.
+    pub fn window_exhausted(&mut self) -> bool {
+        self.trace.peek().is_none()
     }
 
     pub fn now(&self) -> Timestamp {
@@ -105,7 +107,7 @@ mod tests {
         let s = Scenario::build(ScenarioConfig::small());
         let mut driver = s.driver(3_600);
         driver.advance(3 * 3_600);
-        assert_eq!(driver.remaining_trace(), 0);
+        assert!(driver.window_exhausted());
         assert!(
             s.dbd.archived_count() > 0,
             "finished jobs reached accounting"
@@ -158,6 +160,101 @@ mod tests {
             feed(&signal.to_le_bytes());
         }
         (h, snap.seq, s.ctld.stats().state_lock_count())
+    }
+
+    /// FNV-1a over every TSDB series name and its raw, 1m and 10m points
+    /// after `secs` of traffic: `(digest, series count)`.
+    fn tsdb_content(config: ScenarioConfig, secs: u64) -> (u64, usize) {
+        let s = Scenario::build(ScenarioConfig {
+            free_daemons: true,
+            ..config
+        });
+        s.driver(secs).advance(secs);
+        let store = s.telemetry.store();
+        let end = s.clock.now().as_secs() as i64;
+        let names = store.series_names();
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut feed = |bytes: &[u8]| {
+            for b in bytes.iter().chain([&0xff]) {
+                h ^= u64::from(*b);
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        for name in &names {
+            feed(name.as_bytes());
+            for resolution in [0, 60, 600] {
+                for p in store.query_range(name, 0, end, resolution) {
+                    feed(&p.t.to_le_bytes());
+                    for v in [p.min, p.max, p.mean] {
+                        feed(&v.to_bits().to_le_bytes());
+                    }
+                    feed(&p.count.to_le_bytes());
+                }
+            }
+        }
+        (h, names.len())
+    }
+
+    /// What the collector writes must not move when how it writes does:
+    /// every series and every tier's points after the benchmark's warm-up,
+    /// pinned before ingest went through series handles.
+    #[test]
+    fn same_seed_stores_the_same_telemetry() {
+        assert_eq!(
+            tsdb_content(ScenarioConfig::campus(), 4 * 3_600),
+            (13_539_375_020_684_180_209, 1_606),
+            "campus, seed 42, four simulated hours"
+        );
+    }
+
+    /// The driver submits exactly the generator's sequence, each arrival at
+    /// the first tick at or after its instant, whether it is drawn ahead or
+    /// when the clock reaches it.
+    #[test]
+    fn driver_submits_the_generated_sequence() {
+        for seed in [1, 2, 3] {
+            for diurnal in [false, true] {
+                let mut config = ScenarioConfig::small().seed(seed);
+                config.mix.diurnal = diurnal;
+                let s = Scenario::build(config);
+                let start = s.clock.now();
+                let window = 3 * 3_600;
+                let want: Vec<_> = s
+                    .trace_generator()
+                    .generate(&s.population, start, window)
+                    .into_iter()
+                    .map(|(when, r)| {
+                        let tick = start.plus(when.since(start).div_ceil(30) * 30);
+                        (tick, r.user, r.name, r.cpus_per_node, r.comment)
+                    })
+                    .collect();
+                let mut driver = s.driver(window);
+                driver.advance(window + 30);
+                assert!(driver.window_exhausted());
+                let snap = s.ctld.snapshot();
+                let archived = s.dbd.query_jobs(&JobFilter::default());
+                let mut jobs: Vec<_> = archived.iter().chain(snap.jobs.iter()).collect();
+                jobs.sort_by_key(|j| j.id);
+                // An array's tasks share one submission.
+                jobs.dedup_by_key(|j| j.array.map_or(j.id, |a| a.array_job_id));
+                let got: Vec<_> = jobs
+                    .iter()
+                    .map(|j| {
+                        let r = &j.req;
+                        let comment = r.comment.clone();
+                        (
+                            j.submit_time,
+                            r.user.clone(),
+                            r.name.clone(),
+                            r.cpus_per_node,
+                            comment,
+                        )
+                    })
+                    .collect();
+                assert!(want.len() > 50, "seed {seed}: {} arrivals", want.len());
+                assert_eq!(got, want, "seed {seed}, diurnal {diurnal}");
+            }
+        }
     }
 
     /// The refactor oracle for the scheduler and snapshot publication: the

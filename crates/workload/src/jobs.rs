@@ -5,6 +5,7 @@ use hpcdash_simtime::{TimeLimit, Timestamp};
 use hpcdash_slurm::job::{ArraySpec, JobRequest, PlannedOutcome, UsageProfile};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Borrow;
 
 /// Hash `seed` to a uniform value in `[0, 1)` (splitmix64 finalizer). Used
 /// where a profile field must be deterministic *without* consuming the
@@ -98,32 +99,31 @@ impl TraceGenerator {
         }
     }
 
-    /// Generate all submissions in `[start, start+window_secs)`, time-sorted.
+    /// The arrivals in `[start, start+window_secs)`, in time order, each
+    /// drawn when the iterator is advanced to it.
+    pub fn arrivals<P: Borrow<Population>>(
+        self,
+        population: P,
+        start: Timestamp,
+        window_secs: u64,
+    ) -> Arrivals<P> {
+        Arrivals {
+            gen: self,
+            population,
+            t: start.as_secs() as f64,
+            end: (start.as_secs() + window_secs) as f64,
+        }
+    }
+
+    /// Every submission in `[start, start+window_secs)`, time-sorted: the
+    /// [`TraceGenerator::arrivals`] iterator, collected.
     pub fn generate(
-        &mut self,
+        self,
         population: &Population,
         start: Timestamp,
         window_secs: u64,
     ) -> Vec<(Timestamp, JobRequest)> {
-        let mut out = Vec::new();
-        let mut t = start.as_secs() as f64;
-        let end = (start.as_secs() + window_secs) as f64;
-        let base_rate = self.mix.arrivals_per_hour / 3_600.0;
-        loop {
-            // Exponential inter-arrival times (an inhomogeneous Poisson
-            // process when the diurnal profile is on, via thinning-free
-            // local-rate stepping).
-            let rate = base_rate * self.diurnal_factor(t as u64);
-            let u: f64 = self.rng.gen_range(1e-12..1.0);
-            t += -u.ln() / rate;
-            if t >= end {
-                break;
-            }
-            let when = Timestamp(t as u64);
-            let req = self.one_request(population, when);
-            out.push((when, req));
-        }
-        out
+        self.arrivals(population, start, window_secs).collect()
     }
 
     /// Arrival-rate multiplier by local hour of day: ~0.3x at 4am, ~1.5x at
@@ -299,6 +299,41 @@ impl TraceGenerator {
     }
 }
 
+/// A window of job arrivals, drawn one at a time (a Poisson process over
+/// the window). It holds no requests: a ten-day window costs what a
+/// one-hour one does until the clock plays it.
+pub struct Arrivals<P> {
+    gen: TraceGenerator,
+    population: P,
+    /// Arrival instant of the last draw, in fractional seconds.
+    t: f64,
+    end: f64,
+}
+
+impl<P: Borrow<Population>> Iterator for Arrivals<P> {
+    type Item = (Timestamp, JobRequest);
+
+    fn next(&mut self) -> Option<(Timestamp, JobRequest)> {
+        if self.t >= self.end {
+            return None;
+        }
+        // Exponential inter-arrival times (an inhomogeneous Poisson
+        // process when the diurnal profile is on, via thinning-free
+        // local-rate stepping).
+        let gen = &mut self.gen;
+        let rate = gen.mix.arrivals_per_hour / 3_600.0 * gen.diurnal_factor(self.t as u64);
+        let u: f64 = gen.rng.gen_range(1e-12..1.0);
+        self.t += -u.ln() / rate;
+        if self.t >= self.end {
+            return None;
+        }
+        let when = Timestamp(self.t as u64);
+        Some((when, gen.one_request(self.population.borrow(), when)))
+    }
+}
+
+impl<P: Borrow<Population>> std::iter::FusedIterator for Arrivals<P> {}
+
 fn pick_batch_name(rng: &mut StdRng) -> &'static str {
     const NAMES: [&str; 8] = [
         "cfd-solve",
@@ -325,8 +360,8 @@ mod tests {
     #[test]
     fn deterministic_trace() {
         let p = pop();
-        let mut g1 = TraceGenerator::new(3, JobMix::default(), "cpu", Some("gpu"));
-        let mut g2 = TraceGenerator::new(3, JobMix::default(), "cpu", Some("gpu"));
+        let g1 = TraceGenerator::new(3, JobMix::default(), "cpu", Some("gpu"));
+        let g2 = TraceGenerator::new(3, JobMix::default(), "cpu", Some("gpu"));
         let t1 = g1.generate(&p, Timestamp(0), 3_600);
         let t2 = g2.generate(&p, Timestamp(0), 3_600);
         assert_eq!(t1.len(), t2.len());
@@ -344,7 +379,7 @@ mod tests {
             arrivals_per_hour: 120.0,
             ..JobMix::default()
         };
-        let mut g = TraceGenerator::new(1, mix, "cpu", None);
+        let g = TraceGenerator::new(1, mix, "cpu", None);
         let trace = g.generate(&p, Timestamp(0), 10 * 3_600);
         // Expect ~1200 arrivals; allow generous tolerance.
         assert!((800..1600).contains(&trace.len()), "got {}", trace.len());
@@ -353,7 +388,7 @@ mod tests {
     #[test]
     fn timestamps_sorted_within_window() {
         let p = pop();
-        let mut g = TraceGenerator::new(5, JobMix::default(), "cpu", None);
+        let g = TraceGenerator::new(5, JobMix::default(), "cpu", None);
         let trace = g.generate(&p, Timestamp(1_000), 3_600);
         for w in trace.windows(2) {
             assert!(w[0].0 <= w[1].0);
@@ -366,7 +401,7 @@ mod tests {
     #[test]
     fn mix_includes_all_types() {
         let p = pop();
-        let mut g = TraceGenerator::new(2, JobMix::default(), "cpu", Some("gpu"));
+        let g = TraceGenerator::new(2, JobMix::default(), "cpu", Some("gpu"));
         let trace = g.generate(&p, Timestamp(0), 24 * 3_600);
         let interactive = trace
             .iter()
@@ -405,7 +440,7 @@ mod tests {
             diurnal: true,
             ..JobMix::default()
         };
-        let mut g = TraceGenerator::new(4, mix, "cpu", None);
+        let g = TraceGenerator::new(4, mix, "cpu", None);
         // Day 0: count arrivals in the 02:00-05:00 trough vs 13:00-16:00 peak.
         let trace = g.generate(&p, Timestamp(0), 86_400);
         let in_window = |from: u64, to: u64| {
@@ -425,7 +460,7 @@ mod tests {
     #[test]
     fn requests_are_valid_against_population() {
         let p = pop();
-        let mut g = TraceGenerator::new(9, JobMix::default(), "cpu", None);
+        let g = TraceGenerator::new(9, JobMix::default(), "cpu", None);
         let trace = g.generate(&p, Timestamp(0), 3_600);
         for (_, r) in &trace {
             assert!(

@@ -164,7 +164,8 @@ pub struct Scenario {
     /// The metrics daemon; [`Scenario::driver`] runs a collection pass
     /// after every scheduler tick.
     pub telemetry: Arc<TelemetryD>,
-    pub population: Population,
+    /// Shared with every driver, which draws its arrivals from it.
+    pub population: Arc<Population>,
 }
 
 impl Scenario {
@@ -310,7 +311,7 @@ impl Scenario {
             storage,
             news,
             telemetry,
-            population,
+            population: Arc::new(population),
         }
     }
 
@@ -333,10 +334,12 @@ impl Scenario {
         )
     }
 
-    /// Build a [`crate::SimDriver`] preloaded with `window_secs` of traffic.
+    /// A [`crate::SimDriver`] over the next `window_secs` of traffic, each
+    /// arrival drawn when the clock reaches it.
     pub fn driver(&self, window_secs: u64) -> crate::SimDriver {
-        let mut gen = self.trace_generator();
-        let trace = gen.generate(&self.population, self.clock.now(), window_secs);
+        let trace =
+            self.trace_generator()
+                .arrivals(self.population.clone(), self.clock.now(), window_secs);
         crate::SimDriver::new(self.clock.clone(), self.ctld.clone(), trace, 30)
             .with_telemetry(self.telemetry.clone())
     }
