@@ -159,10 +159,10 @@ fn act_as_rows(ctx: &DashboardContext) -> Vec<Value> {
 }
 
 /// The event-loop frontend panel: connection counts by state, shed and
-/// 304-revalidation totals, and per-loop-thread lag (µs spent on the last
-/// wake-up; the thread that hears of a request also serves it, so handler
-/// time is in it), read back out of the
-/// registry the HTTP server writes into.
+/// 304-revalidation totals, and per-loop-thread lag (µs by which the last
+/// connection deadline the thread took was late: how long due work waited
+/// for a free thread), read back out of the registry the HTTP server writes
+/// into.
 fn http_rows(ctx: &DashboardContext) -> Value {
     let mut connections = serde_json::Map::new();
     let mut reactor_lag = serde_json::Map::new();

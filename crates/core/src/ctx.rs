@@ -167,10 +167,6 @@ impl DashboardContext {
         news: Arc<NewsFeed>,
     ) -> DashboardContext {
         let obs = Arc::new(Registry::new());
-        // Trace retention writes p99 exemplars into this registry's latency
-        // histograms (last context built wins — fine: tests build isolated
-        // contexts and never assert cross-context).
-        hpcdash_obs::tracestore::store().set_registry(&obs);
         // Each subscriber sees what `CurrentUser::may_view_job_of` would
         // show it: the same profile, the same `allows_job`. The resolver
         // reaches into slurmctld (daemon lock); the hub promises never to

@@ -91,16 +91,12 @@ impl Shared {
             if self.poller.wait(&mut events, 1, None).is_err() {
                 break;
             }
-            let busy_start = Instant::now();
             match events.first() {
                 None | Some(&TOKEN_STOP) => {}
                 Some(&TOKEN_WAKES) => self.wake_ready(),
                 Some(&TOKEN_LISTENER) => self.accept_ready(),
-                Some(&TIMER_TOKEN) => self.timer_ready(),
+                Some(&TIMER_TOKEN) => self.timer_ready(ix),
                 Some(&token) => self.conn_ready(token),
-            }
-            if let Some(m) = &self.metrics {
-                m.loop_lag[ix].set(busy_start.elapsed().as_micros() as i64);
             }
         }
         // Shutdown: account every resting connection back out of the gauges.
@@ -216,16 +212,22 @@ impl Shared {
     /// Point the poller's timer at the nearest deadline. Serialized, so
     /// that the last `set_timer` is the one that saw the latest heap.
     fn retime(&self) {
-        let _serialized = self.timer.lock();
+        let mut armed = self.timer.lock();
         let next = self.table.lock().next_deadline();
         let _ = self.poller.set_timer(next);
+        *armed = next;
     }
 
     /// The sweeper's turn: take one connection that rested past its
     /// deadline, then re-set the timer *first* — if more are due it fires
-    /// at once, on another thread.
-    fn timer_ready(&self) {
-        let due = self.table.lock().take_due(Instant::now());
+    /// at once, on another thread. How late this thread came to the armed
+    /// deadline is its loop lag.
+    fn timer_ready(&self, ix: usize) {
+        let now = Instant::now();
+        if let (Some(m), Some(armed)) = (&self.metrics, *self.timer.lock()) {
+            m.loop_lag[ix].set(now.saturating_duration_since(armed).as_micros() as i64);
+        }
+        let due = self.table.lock().take_due(now);
         self.retime();
         if let Some(mut conn) = due {
             let next = match conn.state {

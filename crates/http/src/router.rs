@@ -43,12 +43,17 @@ struct RouteMetrics {
 }
 
 impl RouteMetrics {
+    /// Count one dispatch and observe its latency. A traced dispatch also
+    /// becomes the latency bucket's exemplar, on this router's own
+    /// histogram: the dashboard that served the request is the one whose
+    /// SLO board links to its trace.
     fn record(
         &self,
         reg: &Arc<Registry>,
         pattern: &str,
         status: u16,
         elapsed: std::time::Duration,
+        trace: Option<TraceId>,
     ) {
         let labels = [("route", pattern)];
         self.requests
@@ -73,9 +78,14 @@ impl RouteMetrics {
                 .get_or_init(|| reg.counter("hpcdash_http_304_total", &labels))
                 .inc();
         }
-        self.latency
-            .get_or_init(|| reg.histogram("hpcdash_http_request_latency", &labels))
-            .observe(elapsed);
+        let latency = self
+            .latency
+            .get_or_init(|| reg.histogram("hpcdash_http_request_latency", &labels));
+        let ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
+        latency.observe_ns(ns);
+        if let Some(id) = trace {
+            latency.set_exemplar(ns, id);
+        }
     }
 }
 
@@ -165,7 +175,8 @@ impl Router {
     /// current trace for the duration of the dispatch (the client's trace
     /// continues on this worker thread) and is echoed on the response.
     /// With a registry attached, per-route request counts and latency land
-    /// in `hpcdash_http_requests_total` / `hpcdash_http_request_latency`.
+    /// in `hpcdash_http_requests_total` / `hpcdash_http_request_latency`,
+    /// and a traced request is that latency bucket's exemplar.
     pub fn handle(&self, req: &Request) -> Response {
         let trace = req.header(TRACE_HEADER).and_then(TraceId::from_hex);
         let _scope = trace.map(TraceScope::enter);
@@ -176,11 +187,16 @@ impl Router {
                 Some(route) => {
                     route
                         .metrics
-                        .record(reg, &route.pattern, resp.status, start.elapsed());
+                        .record(reg, &route.pattern, resp.status, start.elapsed(), trace);
                 }
                 None => {
-                    self.unmatched_metrics
-                        .record(reg, "unmatched", resp.status, start.elapsed());
+                    self.unmatched_metrics.record(
+                        reg,
+                        "unmatched",
+                        resp.status,
+                        start.elapsed(),
+                        trace,
+                    );
                 }
             }
         }
@@ -426,6 +442,31 @@ mod tests {
             &[("route", "unmatched"), ("class", "4xx")],
         );
         assert_eq!(notfound.get(), 1);
+    }
+
+    #[test]
+    fn a_traced_request_is_its_route_latency_exemplar() {
+        let mut r = router();
+        let reg = Arc::new(Registry::new());
+        r.set_registry(reg.clone());
+        let latency = reg.histogram("hpcdash_http_request_latency", &[("route", "/api/jobs")]);
+        r.handle(&Request::new(Method::Get, "/api/jobs"));
+        assert_eq!(
+            latency.quantile_exemplar(0.99),
+            None,
+            "untraced: no exemplar"
+        );
+
+        let id = TraceId::generate();
+        let traced = Request::new(Method::Get, "/api/jobs").with_header(TRACE_HEADER, &id.to_hex());
+        r.handle(&traced);
+        assert_eq!(latency.quantile_exemplar(0.99), Some(id));
+        // In-process, the route span is the trace's root: by the time the
+        // exemplar is readable, the store holds the trace it names.
+        let stored = tracestore::store()
+            .get(id)
+            .expect("exemplar resolves in the store");
+        assert_eq!(stored.route.as_deref(), Some("/api/jobs"));
     }
 
     #[test]

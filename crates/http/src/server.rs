@@ -20,7 +20,7 @@ use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Event-loop tuning. The defaults suit tests and the simulated site; a
 /// deployment holding 10k+ connections raises `max_connections` and the
@@ -61,9 +61,9 @@ pub(crate) struct Metrics {
     writing: Arc<Gauge>,
     parked: Arc<Gauge>,
     pub sheds: Arc<Counter>,
-    /// Per loop thread: µs it spent on its last wakeup, handler included
-    /// (the thread that hears of a request also serves it). A thread stuck
-    /// in a slow handler or syscall shows up here.
+    /// Per loop thread: µs by which the last connection deadline it took
+    /// off the timer was late, i.e. how long due work waited for a free
+    /// loop thread. Handlers that block every thread show up here.
     pub loop_lag: Vec<Arc<Gauge>>,
 }
 
@@ -109,7 +109,9 @@ pub(crate) struct Shared {
     /// The one poller: connections, the listener, the two wakers, and
     /// its timer, set to the nearest connection deadline.
     pub poller: Poller,
-    pub timer: Mutex<()>,
+    /// The deadline the poller's timer is armed for; the lock also
+    /// serializes re-arming it.
+    pub timer: Mutex<Option<Instant>>,
     pub listener: TcpListener,
     pub table: Mutex<Table>,
     pub wakes: Arc<WakeQueue>,
@@ -169,7 +171,7 @@ impl Server {
             conn_count: AtomicUsize::new(0),
             next_token: AtomicU64::new(FIRST_CONN_TOKEN),
             poller,
-            timer: Mutex::new(()),
+            timer: Mutex::new(None),
             listener,
             table: Mutex::new(Table::default()),
             wakes: Arc::new(WakeQueue {

@@ -120,6 +120,57 @@ fn a_blocked_handler_does_not_stall_other_connections() {
     assert_eq!((status, body.as_slice()), (200, &b"slow done"[..]));
 }
 
+/// A deadline that falls due while the only loop thread is inside a
+/// handler waits for it, and that wait is the thread's loop lag; the quick
+/// wake-ups after it do not hide it.
+#[test]
+fn a_blocked_loop_thread_shows_its_lag() {
+    const IDLE: Duration = Duration::from_millis(100);
+    let registry = Arc::new(Registry::new());
+    let mut router = Router::new();
+    router.set_registry(registry.clone());
+    router.get("/ping", |_| Response::text("pong"));
+    let (entered, release) = gate(&mut router, "/slow");
+    let cfg = ServerConfig {
+        workers: 1,
+        idle_timeout: IDLE,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind_with("127.0.0.1:0", Arc::new(router), cfg).unwrap();
+    let lag = registry.gauge("hpcdash_http_reactor_loop_lag_us", &[("reactor", "0")]);
+
+    // A resting connection whose idle deadline is armed on the timer.
+    let mut idle = connect(&server);
+    assert_eq!(get(&mut idle, "/ping").1, b"pong");
+    // The one loop thread blocks; the deadline passes while it is inside.
+    // `Connection: close` files no new deadline after the answer.
+    let mut slow = connect(&server);
+    write!(
+        slow,
+        "GET /slow HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+    )
+    .unwrap();
+    entered.recv_timeout(LONG).expect("slow handler running");
+    std::thread::sleep(3 * IDLE);
+    release.send(()).unwrap();
+    assert_eq!(read_response(&mut BufReader::new(slow)).0, 200);
+
+    // Free again, the thread takes the overdue deadline and reaps the idle
+    // connection: it came at least two idle periods late. The quick
+    // wake-ups that follow must not hide that.
+    assert_eq!(
+        idle.read(&mut [0u8; 1]).unwrap(),
+        0,
+        "idle connection reaped"
+    );
+    std::thread::sleep(IDLE);
+    assert!(
+        lag.get() >= (2 * IDLE).as_micros() as i64,
+        "lag {} µs",
+        lag.get()
+    );
+}
+
 /// (b) Exactly `workers` handlers run at once: a rendezvous of four opens on
 /// four threads, and eight concurrent requests never see a fifth inside.
 #[test]

@@ -96,9 +96,10 @@ const BUCKETS: usize = BUCKET_BOUNDS_NS.len() + 1; // +Inf
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     /// Per-bucket exemplar: the raw bits of a [`TraceId`] for a recent
-    /// representative observation in that bucket (0 = none). Written by the
-    /// tail-sampling trace store at retention time, so a non-zero exemplar
-    /// always refers to a trace that was actually kept.
+    /// representative observation in that bucket (0 = none). Written by
+    /// whoever observed a traced request (the HTTP router, next to the
+    /// observation itself); the trace store keeps every finished trace, so
+    /// a non-zero exemplar refers to a trace stored once its root closed.
     exemplars: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum_ns: AtomicU64,

@@ -11,22 +11,17 @@
 //! oldest trace if none is healthy. Each cause keeps its own counter, and
 //! both the pending-assembly and retained sets are bounded.
 //!
-//! Retention is also where histogram **exemplars** are written: the root
-//! duration of a kept trace is stamped into the matching bucket of the
-//! route-latency histogram, so an exemplar points at a trace the store held
-//! when it was written.
+//! The store knows no registry. Histogram exemplars are stamped by whoever
+//! observed the latency (the HTTP router, on the route's own histogram), so
+//! a process holding several dashboards points each exemplar at the
+//! dashboard that served the request.
 
-use crate::registry::Registry;
 use crate::trace::{current_trace, fmt_ns, SpanRecord, TraceId};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-
-/// The histogram family exemplars are written into — the per-route request
-/// latency recorded by the HTTP router.
-pub const ROUTE_LATENCY_METRIC: &str = "hpcdash_http_request_latency";
+use std::sync::OnceLock;
 
 /// Why a trace was kept, in order of how long it outlives the others.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -233,8 +228,6 @@ struct Inner {
 pub struct TraceStore {
     cfg: TraceStoreConfig,
     inner: Mutex<Inner>,
-    /// Exemplar target; attached by the dashboard context at startup.
-    registry: Mutex<Option<Arc<Registry>>>,
     retained_counts: [AtomicU64; 4],
     evicted: AtomicU64,
     pending_evicted: AtomicU64,
@@ -252,7 +245,6 @@ impl TraceStore {
         TraceStore {
             cfg,
             inner: Mutex::new(Inner::default()),
-            registry: Mutex::new(None),
             retained_counts: std::array::from_fn(|_| AtomicU64::new(0)),
             evicted: AtomicU64::new(0),
             pending_evicted: AtomicU64::new(0),
@@ -260,48 +252,33 @@ impl TraceStore {
         }
     }
 
-    /// Attach the registry that retained traces stamp exemplars into.
-    pub fn set_registry(&self, registry: &Arc<Registry>) {
-        *self.registry.lock() = Some(registry.clone());
-    }
-
     /// Take one completed span. Called from `Span::drop` for the global
     /// instance; tests feed synthetic records directly.
     pub fn observe(&self, rec: SpanRecord) {
         let id = rec.trace;
         let max_spans = self.cfg.max_spans_per_trace;
-        let exemplar = {
-            let mut inner = self.inner.lock();
-            // Late span for an already-retained trace: append in place.
-            if let Some(t) = inner.retained.get_mut(&id.0) {
-                push_capped(&mut t.spans, &mut t.truncated, rec, max_spans);
-                t.spans.sort_by_key(|r| r.seq);
-                self.late_spans.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            // Late span for a trace already evicted.
-            if inner.discarded_recent.contains(&id.0) {
-                self.late_spans.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            if rec.depth == 0 {
-                // Root close: the trace is complete.
-                let mut p = inner.pending.remove(&id.0).unwrap_or_default();
-                let root_dur_ns = rec.dur_ns;
-                push_capped(&mut p.spans, &mut p.truncated, rec, max_spans);
-                self.finalize_locked(&mut inner, id, p, root_dur_ns)
-            } else {
-                let p = self.pending_entry(&mut inner, id.0);
-                push_capped(&mut p.spans, &mut p.truncated, rec, max_spans);
-                None
-            }
-        };
-        // Exemplars are written outside the store lock.
-        if let Some((route, dur_ns)) = exemplar {
-            if let Some(reg) = self.registry.lock().clone() {
-                reg.histogram(ROUTE_LATENCY_METRIC, &[("route", &route)])
-                    .set_exemplar(dur_ns, id);
-            }
+        let mut inner = self.inner.lock();
+        // Late span for an already-retained trace: append in place.
+        if let Some(t) = inner.retained.get_mut(&id.0) {
+            push_capped(&mut t.spans, &mut t.truncated, rec, max_spans);
+            t.spans.sort_by_key(|r| r.seq);
+            self.late_spans.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        // Late span for a trace already evicted.
+        if inner.discarded_recent.contains(&id.0) {
+            self.late_spans.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        if rec.depth == 0 {
+            // Root close: the trace is complete.
+            let mut p = inner.pending.remove(&id.0).unwrap_or_default();
+            let root_dur_ns = rec.dur_ns;
+            push_capped(&mut p.spans, &mut p.truncated, rec, max_spans);
+            self.finalize_locked(&mut inner, id, p, root_dur_ns);
+        } else {
+            let p = self.pending_entry(&mut inner, id.0);
+            push_capped(&mut p.spans, &mut p.truncated, rec, max_spans);
         }
     }
 
@@ -339,16 +316,8 @@ impl TraceStore {
         inner.pending.entry(id).or_default()
     }
 
-    /// Classify and retain the finished trace. Returns the
-    /// `(route, root_dur_ns)` exemplar write to perform after the lock is
-    /// released, if the trace ran on a route.
-    fn finalize_locked(
-        &self,
-        inner: &mut Inner,
-        id: TraceId,
-        pending: Pending,
-        root_dur_ns: u64,
-    ) -> Option<(String, u64)> {
+    /// Classify and retain the finished trace.
+    fn finalize_locked(&self, inner: &mut Inner, id: TraceId, pending: Pending, root_dur_ns: u64) {
         let route = pending.note("route").map(str::to_string).or_else(|| {
             pending
                 .spans
@@ -396,12 +365,10 @@ impl TraceStore {
         )
     }
 
-    /// Insert a retained trace, evict beyond capacity (the oldest healthy
-    /// trace, else the oldest), and hand back the exemplar write to perform
-    /// once the lock is released.
-    fn retain_locked(&self, inner: &mut Inner, trace: StoredTrace) -> Option<(String, u64)> {
+    /// Insert a retained trace and evict beyond capacity (the oldest
+    /// healthy trace, else the oldest).
+    fn retain_locked(&self, inner: &mut Inner, trace: StoredTrace) {
         self.retained_counts[trace.cause.index()].fetch_add(1, Ordering::Relaxed);
-        let exemplar = trace.route.clone().map(|r| (r, trace.root_dur_ns));
         inner.retained_order.push_back((trace.id.0, trace.cause));
         inner.retained.insert(trace.id.0, trace);
         while inner.retained_order.len() > self.cfg.capacity {
@@ -416,7 +383,6 @@ impl TraceStore {
                 Self::remember_discarded(inner, old);
             }
         }
-        exemplar
     }
 
     /// Push one root duration into `route`'s window and refresh the cached
@@ -653,21 +619,6 @@ mod tests {
             store.recent(usize::MAX).iter().map(|t| t.id.0).collect()
         };
         assert_eq!(ids(flooded(37)), ids(flooded(37)));
-    }
-
-    #[test]
-    fn exemplar_links_back_to_a_stored_trace() {
-        let store = TraceStore::new(TraceStoreConfig::default());
-        let reg = Arc::new(Registry::new());
-        store.set_registry(&reg);
-        store.annotate_trace(TraceId(42), "status", "500");
-        store.annotate_trace(TraceId(42), "route", "/api/jobs");
-        store.observe(rec(42, "http", 0, 0, 3_000_000));
-        let h = reg.histogram(ROUTE_LATENCY_METRIC, &[("route", "/api/jobs")]);
-        let ex = h.quantile_exemplar(0.99).expect("exemplar written");
-        let t = store.get(ex).expect("exemplar resolves in the store");
-        assert_eq!(t.id, TraceId(42));
-        assert_eq!(t.root_dur_ns, 3_000_000);
     }
 
     #[test]

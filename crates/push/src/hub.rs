@@ -203,7 +203,7 @@ impl Hub {
                 parked: registry.gauge("hpcdash_push_parked_workers", &[]),
             },
         });
-        hub.log.add_sink(hub.clone());
+        hub.log.add_sink(&hub);
         hub
     }
 

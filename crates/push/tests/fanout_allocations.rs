@@ -11,39 +11,12 @@ use hpcdash_push::{Hub, HubConfig, Visibility};
 use hpcdash_simtime::{SimClock, Timestamp};
 use hpcdash_slurm::events::{EventLog, JobEvent};
 use hpcdash_slurm::job::{JobId, JobState};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use hpcdash_testkit::{allocations, CountingAlloc};
 use std::sync::Arc;
 use std::time::Duration;
 
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a counter in a
-// const-initialized thread-local `Cell<u64>`, which allocates nothing and
-// has no destructor.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 const EVENTS: u64 = 256;
 
@@ -62,7 +35,7 @@ fn publish_cost(subscribers: usize) -> (u64, usize) {
     let tabs: Vec<_> = (0..subscribers)
         .map(|i| hub.ensure(&format!("user{i}:tab"), &format!("user{i}"), false, 0))
         .collect();
-    let before = ALLOCATIONS.with(Cell::get);
+    let before = allocations();
     for _ in 0..EVENTS {
         log.push(
             Timestamp(0),
@@ -74,7 +47,7 @@ fn publish_cost(subscribers: usize) -> (u64, usize) {
             None,
         );
     }
-    let cost = ALLOCATIONS.with(Cell::get) - before;
+    let cost = allocations() - before;
     (cost, hub.wait(&tabs[0], Duration::ZERO).events.len())
 }
 

@@ -17,7 +17,7 @@ use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// One job state transition.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -213,7 +213,10 @@ impl<T: Clone> Journal<T> {
 /// A bounded, append-only event log.
 pub struct EventLog {
     journal: Journal<JobEvent>,
-    sinks: RwLock<Vec<Arc<dyn EventSink>>>,
+    /// Non-owning: a sink (the push hub) is owned by its dashboard and may
+    /// itself hold the daemon that owns this log. A dropped sink is pruned
+    /// by the next append or discontinuity that finds it dead.
+    sinks: RwLock<Vec<Weak<dyn EventSink>>>,
     /// Cluster identity stamped onto every appended event (set once at
     /// daemon construction; `Arc<str>` so the hot path clones a refcount).
     cluster: RwLock<Arc<str>>,
@@ -244,9 +247,31 @@ impl EventLog {
         }
     }
 
-    /// Register a sink notified on every append (e.g. the push hub).
-    pub fn add_sink(&self, sink: Arc<dyn EventSink>) {
+    /// Register a sink notified on every append (e.g. the push hub) for as
+    /// long as its owner keeps it.
+    pub fn add_sink<S: EventSink + 'static>(&self, sink: &Arc<S>) {
+        let sink: Weak<S> = Arc::downgrade(sink);
         self.sinks.write().push(sink);
+    }
+
+    /// Sinks held: the live ones, plus any dropped since the last append
+    /// or discontinuity.
+    pub fn sink_count(&self) -> usize {
+        self.sinks.read().len()
+    }
+
+    /// Call `f` on every live sink, then forget the dead ones.
+    fn each_sink(&self, mut f: impl FnMut(&dyn EventSink)) {
+        let mut dead = false;
+        for sink in self.sinks.read().iter() {
+            match sink.upgrade() {
+                Some(sink) => f(&*sink),
+                None => dead = true,
+            }
+        }
+        if dead {
+            self.sinks.write().retain(|s| s.strong_count() > 0);
+        }
     }
 
     /// Set the cluster identity stamped onto every subsequent append. The
@@ -271,9 +296,7 @@ impl EventLog {
     /// history was trimmed past live cursors): incremental delivery cannot
     /// be trusted, consumers must resync from a fresh snapshot.
     pub fn signal_discontinuity(&self) {
-        for sink in self.sinks.read().iter() {
-            sink.discontinuity();
-        }
+        self.each_sink(|sink| sink.discontinuity());
     }
 
     /// Append a transition; returns its sequence number (0 if the log is
@@ -305,9 +328,7 @@ impl EventLog {
             reason,
         });
         // Fan out with the log lock released; sinks are non-blocking.
-        for sink in self.sinks.read().iter() {
-            sink.publish(&event);
-        }
+        self.each_sink(|sink| sink.publish(&event));
         seq
     }
 
@@ -489,12 +510,34 @@ mod tests {
         }
         let log = EventLog::new(8);
         let sink = Arc::new(Collect(parking_lot::Mutex::new(Vec::new())));
-        log.add_sink(sink.clone());
+        log.add_sink(&sink);
         push_n(&log, 20);
         let seen = sink.0.lock();
         assert_eq!(seen.len(), 20, "sinks see evicted events too");
         assert_eq!(seen.first(), Some(&1));
         assert_eq!(seen.last(), Some(&20));
+    }
+
+    #[test]
+    fn a_dropped_sink_is_pruned_by_the_next_append() {
+        #[derive(Default)]
+        struct Count(std::sync::atomic::AtomicU64);
+        impl EventSink for Count {
+            fn publish(&self, _: &JobEvent) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let log = EventLog::new(8);
+        let kept = Arc::new(Count::default());
+        let dropped = Arc::new(Count::default());
+        log.add_sink(&kept);
+        log.add_sink(&dropped);
+        push_n(&log, 1);
+        drop(dropped);
+        assert_eq!(log.sink_count(), 2, "nothing has appended since the drop");
+        push_n(&log, 3);
+        assert_eq!(log.sink_count(), 1);
+        assert_eq!(kept.0.load(Ordering::Relaxed), 4);
     }
 
     #[test]
@@ -607,7 +650,7 @@ mod tests {
         }
         let log = EventLog::new(100);
         let sink = Arc::new(Collect(parking_lot::Mutex::new(Vec::new())));
-        log.add_sink(sink.clone());
+        log.add_sink(&sink);
         push_n(&log, 3);
         log.set_replay_mute(true);
         let seq = log.push(
@@ -640,8 +683,8 @@ mod tests {
         let log = EventLog::new(8);
         let a = Arc::new(Gap::default());
         let b = Arc::new(Gap::default());
-        log.add_sink(a.clone());
-        log.add_sink(b.clone());
+        log.add_sink(&a);
+        log.add_sink(&b);
         log.signal_discontinuity();
         assert_eq!(a.0.load(Ordering::Relaxed), 1);
         assert_eq!(b.0.load(Ordering::Relaxed), 1);

@@ -11,43 +11,10 @@ use hpcdash_slurm::job::{ArrayMeta, Job, JobId, JobRequest, JobState, JobStats, 
 use hpcdash_slurm::node::{AdminFlag, Node};
 use hpcdash_slurm::tres::Tres;
 use hpcdash_slurmcli::{parse_sacct, parse_show_node, parse_squeue_long, sacct, scontrol, squeue};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a counter in a
-// const-initialized thread-local `Cell<u64>`, which allocates nothing and
-// has no destructor.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use hpcdash_testkit::{counted, CountingAlloc};
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
-
-fn counted<T>(work: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = work();
-    (out, ALLOCATIONS.with(Cell::get) - before)
-}
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 const ROWS: usize = 1_000;
 

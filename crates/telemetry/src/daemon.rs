@@ -18,7 +18,7 @@ use hpcdash_slurm::ctld::Slurmctld;
 use hpcdash_slurm::loadmodel::{RpcCostModel, RpcStats};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// One scraped instrument and its series: one for a counter or gauge,
@@ -56,8 +56,9 @@ pub struct TelemetryD {
     stats: RpcStats,
     /// When attached, every collection pass also scrapes this registry
     /// into `self:`-prefixed series, making the dashboard's own metrics
-    /// range-queryable history.
-    registry: Mutex<Option<Arc<Registry>>>,
+    /// range-queryable history. Non-owning: the registry's collectors own
+    /// this daemon, and the dashboard owns the registry.
+    registry: Mutex<Weak<Registry>>,
     /// Series handles of running jobs and nodes, kept between passes.
     collector: Mutex<Collector>,
     /// Series handles of every instrument scraped so far, sorted by
@@ -98,7 +99,7 @@ impl TelemetryD {
             store: TsdbStore::default(),
             cost,
             stats: RpcStats::new(),
-            registry: Mutex::new(None),
+            registry: Mutex::new(Weak::new()),
             collector: Mutex::new(Collector::default()),
             scraped: Mutex::new(Vec::new()),
             phases: PhaseProfiler::new(),
@@ -108,9 +109,9 @@ impl TelemetryD {
     }
 
     /// Attach the metrics registry to scrape into `self:` series on every
-    /// collection pass.
+    /// collection pass, for as long as its owner keeps it.
     pub fn set_registry(&self, registry: &Arc<Registry>) {
-        *self.registry.lock() = Some(registry.clone());
+        *self.registry.lock() = Arc::downgrade(registry);
     }
 
     /// Per-phase wall-time accounting for the collection loop.
@@ -130,7 +131,7 @@ impl TelemetryD {
         if self.ctld.is_down() {
             self.gap_skips.fetch_add(1, Ordering::Relaxed);
             self.last_gap_at.store(ts, Ordering::Relaxed);
-            if let Some(reg) = self.registry.lock().clone() {
+            if let Some(reg) = self.registry.lock().upgrade() {
                 reg.counter("hpcdash_telemetry_gap_skips_total", &[]).inc();
             }
             self.stats.record("collect", t0.elapsed());
@@ -161,7 +162,7 @@ impl TelemetryD {
     /// sub-series. Returns samples appended (duplicate timestamps are
     /// rejected by the store's monotonic-append rule and not counted).
     fn self_scrape(&self, ts: i64, tally: &mut IngestTally) -> u64 {
-        let Some(reg) = self.registry.lock().clone() else {
+        let Some(reg) = self.registry.lock().upgrade() else {
             return 0;
         };
         let mut known = self.scraped.lock();

@@ -4,9 +4,9 @@
 
 use hpcdash::SimSite;
 use hpcdash_client::{LiveSubscriber, PollOutcome};
-use hpcdash_core::DashboardConfig;
+use hpcdash_core::{DashboardConfig, DashboardContext};
 use hpcdash_http::{HttpClient, Method, Request};
-use hpcdash_workload::ScenarioConfig;
+use hpcdash_workload::{Scenario, ScenarioConfig};
 
 fn poll(client: &HttpClient, base: &str, user: &str, since: u64) -> serde_json::Value {
     let resp = client
@@ -297,4 +297,44 @@ fn an_admin_acting_as_a_user_never_shares_that_users_subscription() {
         stream(&as_root).iter().any(outside),
         "root's act-as view spans other accounts, so the check above has teeth"
     );
+}
+
+#[test]
+fn dropped_dashboards_leave_the_event_log() {
+    // Three dashboards on one cluster each register a push hub on its event
+    // log. The log does not own them: once two are dropped, only the
+    // survivor hears the next events, and the log forgets the dead ones.
+    let scenario = Scenario::build(ScenarioConfig::small());
+    let context = || {
+        DashboardContext::new(
+            DashboardConfig::purdue_like(),
+            scenario.clock.shared(),
+            scenario.ctld.clone(),
+            scenario.dbd.clone(),
+            scenario.logs.clone(),
+            scenario.storage.clone(),
+            scenario.news.clone(),
+        )
+    };
+    let mut contexts: Vec<DashboardContext> = (0..3).map(|_| context()).collect();
+    // The counters outlive their registries; they do not keep a hub alive.
+    let published: Vec<_> = contexts
+        .iter()
+        .map(|c| c.obs.counter("hpcdash_push_events_published_total", &[]))
+        .collect();
+    let log = scenario.ctld.events();
+    assert_eq!(log.sink_count(), 3);
+
+    let survivor = contexts.remove(0);
+    drop(contexts);
+    scenario.driver(1_800).advance(1_800);
+
+    assert!(published[0].get() > 0, "the survivor's hub heard the ticks");
+    assert_eq!(
+        [published[1].get(), published[2].get()],
+        [0, 0],
+        "dropped hubs heard nothing"
+    );
+    assert_eq!(log.sink_count(), 1, "the log holds the survivor alone");
+    drop(survivor);
 }

@@ -4,14 +4,15 @@
 //! own metrics history is queryable from the TSDB's 1-minute tier, and the
 //! whole surface is admin-gated.
 //!
-//! Everything lives in one test because the trace store is process-wide:
-//! the last-built context owns the exemplar registry, and two sites built
-//! by parallel tests would race for it.
+//! The trace store is process-wide, but an exemplar is stamped by the
+//! router that served the request: with several dashboards in one process,
+//! each one's SLO board links only to requests it served.
 
 use hpcdash::SimSite;
 use hpcdash_client::admin_observability_paths;
 use hpcdash_faults::{FaultPlan, FaultRule};
-use hpcdash_http::{HttpClient, TRACE_HEADER};
+use hpcdash_http::{HttpClient, Method, Request, TRACE_HEADER};
+use hpcdash_obs::TraceId;
 use hpcdash_workload::ScenarioConfig;
 use std::sync::Arc;
 
@@ -190,4 +191,28 @@ fn observatory_end_to_end() {
     assert_eq!(page.status, 200);
     assert!(page.body_string().contains("data-api=\"/api/observatory\""));
     assert_eq!(get(&client, &base, "/observatory", &user, None).status, 403);
+}
+
+#[test]
+fn exemplars_go_to_the_dashboard_that_served_the_request() {
+    let first = SimSite::build(ScenarioConfig::small());
+    let second = SimSite::build(ScenarioConfig::small());
+    let id = TraceId::generate();
+    let request = Request::new(Method::Get, "/api/recent_jobs")
+        .with_header("X-Remote-User", &first.scenario.population.users[0])
+        .with_header(TRACE_HEADER, &id.to_hex());
+    assert_eq!(first.dashboard.handle(&request).status, 200);
+
+    let latency = |site: &SimSite| {
+        site.ctx().obs.histogram(
+            "hpcdash_http_request_latency",
+            &[("route", "/api/recent_jobs")],
+        )
+    };
+    assert_eq!(latency(&first).quantile_exemplar(0.99), Some(id));
+    assert_eq!(
+        latency(&second).quantile_exemplar(0.99),
+        None,
+        "the second dashboard served nothing"
+    );
 }
