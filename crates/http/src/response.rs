@@ -237,18 +237,24 @@ impl Response {
     pub fn serialize_into(&self, out: &mut Vec<u8>, keep_alive: bool, head_only: bool) {
         let bodyless_status = self.status == 204 || self.status == 304;
         let content_length = if bodyless_status { 0 } else { self.body.len() };
-        let mut head = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason());
+        out.extend_from_slice(b"HTTP/1.1 ");
+        push_decimal(out, self.status.into());
+        out.push(b' ');
+        out.extend_from_slice(self.reason().as_bytes());
+        out.extend_from_slice(b"\r\n");
         for (k, v) in &self.headers {
-            head.push_str(&format!("{k}: {v}\r\n"));
+            out.extend_from_slice(k.as_bytes());
+            out.extend_from_slice(b": ");
+            out.extend_from_slice(v.as_bytes());
+            out.extend_from_slice(b"\r\n");
         }
-        head.push_str(&format!("Content-Length: {content_length}\r\n"));
-        head.push_str(if keep_alive {
-            "Connection: keep-alive\r\n"
+        out.extend_from_slice(b"Content-Length: ");
+        push_decimal(out, content_length as u64);
+        out.extend_from_slice(if keep_alive {
+            b"\r\nConnection: keep-alive\r\n\r\n"
         } else {
-            "Connection: close\r\n"
+            b"\r\nConnection: close\r\n\r\n"
         });
-        head.push_str("\r\n");
-        out.extend_from_slice(head.as_bytes());
         if !bodyless_status && !head_only {
             out.extend_from_slice(&self.body);
         }
@@ -261,6 +267,21 @@ impl Response {
         w.write_all(&buf)?;
         w.flush()
     }
+}
+
+/// Append `n` in decimal, without a temporary string.
+fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 #[cfg(test)]

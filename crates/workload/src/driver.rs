@@ -9,10 +9,10 @@ use crate::jobs::Arrivals;
 use crate::population::Population;
 use hpcdash_simtime::{Clock, SimClock, Timestamp};
 use hpcdash_slurm::ctld::Slurmctld;
-use hpcdash_slurm::job::JobId;
 use hpcdash_telemetry::TelemetryD;
 use std::iter::Peekable;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Drives a scenario forward in fixed scheduler-tick steps.
 pub struct SimDriver {
@@ -20,7 +20,8 @@ pub struct SimDriver {
     ctld: Arc<Slurmctld>,
     trace: Peekable<Arrivals<Arc<Population>>>,
     tick_secs: u64,
-    submitted: Vec<JobId>,
+    /// Wall time spent in [`SimDriver::advance`].
+    busy: Duration,
     /// When set, a metrics collection pass runs after every tick — the
     /// simulated equivalent of node exporters firing on their interval.
     telemetry: Option<Arc<TelemetryD>>,
@@ -38,7 +39,7 @@ impl SimDriver {
             ctld,
             trace: trace.peekable(),
             tick_secs: tick_secs.max(1),
-            submitted: Vec::new(),
+            busy: Duration::ZERO,
             telemetry: None,
         }
     }
@@ -52,26 +53,28 @@ impl SimDriver {
     /// Advance simulated time by `secs`, submitting due jobs and running the
     /// scheduler every tick.
     pub fn advance(&mut self, secs: u64) {
+        let t0 = Instant::now();
         let target = self.clock.now().plus(secs);
         while self.clock.now() < target {
             let step = self.tick_secs.min(target.since(self.clock.now()));
             self.clock.advance(step);
             let now = self.clock.now();
             while let Some((_, req)) = self.trace.next_if(|(when, _)| *when <= now) {
-                if let Ok(ids) = self.ctld.submit(req) {
-                    self.submitted.extend(ids);
-                }
+                // A rejected arrival is dropped; the trace never retries.
+                let _ = self.ctld.submit(req);
             }
             self.ctld.tick();
             if let Some(telemetry) = &self.telemetry {
                 telemetry.collect_now();
             }
         }
+        self.busy += t0.elapsed();
     }
 
-    /// Jobs submitted so far.
-    pub fn submitted(&self) -> &[JobId] {
-        &self.submitted
+    /// Wall time spent advancing so far. It times work only: nothing the
+    /// simulation decides reads it.
+    pub fn busy(&self) -> Duration {
+        self.busy
     }
 
     /// Whether every arrival of the window has been submitted.
@@ -86,18 +89,19 @@ impl SimDriver {
 
 #[cfg(test)]
 mod tests {
+    use crate::oracle;
     use crate::scenario::{Scenario, ScenarioConfig};
-    use hpcdash_simtime::{Clock, Timestamp};
+    use hpcdash_simtime::Clock;
     use hpcdash_slurm::dbd::JobFilter;
-    use hpcdash_slurm::job::{JobState, PendingReason};
+    use hpcdash_slurm::job::JobState;
 
     #[test]
     fn driver_populates_cluster() {
         let s = Scenario::build(ScenarioConfig::small());
         let mut driver = s.driver(2 * 3_600);
         driver.advance(3_600);
-        assert!(!driver.submitted().is_empty(), "jobs were submitted");
         let jobs = s.ctld.query_jobs(&hpcdash_slurm::ctld::JobQuery::all());
+        assert!(!jobs.is_empty(), "jobs were submitted");
         let running = jobs.iter().filter(|j| j.state == JobState::Running).count();
         assert!(running > 0, "some jobs running after an hour");
     }
@@ -127,72 +131,22 @@ mod tests {
         assert_eq!(driver.now().since(start), 95, "partial ticks land exactly");
     }
 
-    /// FNV-1a over everything the scheduler decided about every job it ever
-    /// saw (archived and still active), plus the publication count and the
-    /// state-lock count: `(digest, snapshot seq, state locks)`.
-    fn decisions(config: ScenarioConfig, secs: u64) -> (u64, u64, u64) {
+    /// `secs` of traffic on `config` with free daemons.
+    fn advanced(config: ScenarioConfig, secs: u64) -> Scenario {
         let s = Scenario::build(ScenarioConfig {
             free_daemons: true,
             ..config
         });
         s.driver(secs).advance(secs);
-        let snap = s.ctld.snapshot();
-        let archived = s.dbd.query_jobs(&JobFilter::default());
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut feed = |bytes: &[u8]| {
-            for b in bytes.iter().chain([&0xff]) {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        let time = |t: Option<Timestamp>| t.map_or(u64::MAX, Timestamp::as_secs).to_le_bytes();
-        for job in archived.iter().chain(snap.jobs.iter()) {
-            feed(&job.id.0.to_le_bytes());
-            feed(job.state.to_slurm().as_bytes());
-            feed(job.reason.map_or("", PendingReason::to_slurm).as_bytes());
-            feed(&job.priority.to_le_bytes());
-            feed(&job.submit_time.as_secs().to_le_bytes());
-            feed(&time(job.start_time));
-            feed(&time(job.end_time));
-            feed(job.nodes.join(",").as_bytes());
-            let (code, signal) = job.exit_code.unwrap_or((-1, -1));
-            feed(&code.to_le_bytes());
-            feed(&signal.to_le_bytes());
-        }
-        (h, snap.seq, s.ctld.stats().state_lock_count())
+        s
     }
 
-    /// FNV-1a over every TSDB series name and its raw, 1m and 10m points
-    /// after `secs` of traffic: `(digest, series count)`.
+    fn decisions(config: ScenarioConfig, secs: u64) -> (u64, u64, u64) {
+        oracle::decisions(&advanced(config, secs))
+    }
+
     fn tsdb_content(config: ScenarioConfig, secs: u64) -> (u64, usize) {
-        let s = Scenario::build(ScenarioConfig {
-            free_daemons: true,
-            ..config
-        });
-        s.driver(secs).advance(secs);
-        let store = s.telemetry.store();
-        let end = s.clock.now().as_secs() as i64;
-        let names = store.series_names();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut feed = |bytes: &[u8]| {
-            for b in bytes.iter().chain([&0xff]) {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        for name in &names {
-            feed(name.as_bytes());
-            for resolution in [0, 60, 600] {
-                for p in store.query_range(name, 0, end, resolution) {
-                    feed(&p.t.to_le_bytes());
-                    for v in [p.min, p.max, p.mean] {
-                        feed(&v.to_bits().to_le_bytes());
-                    }
-                    feed(&p.count.to_le_bytes());
-                }
-            }
-        }
-        (h, names.len())
+        oracle::tsdb_content(&advanced(config, secs))
     }
 
     /// What the collector writes must not move when how it writes does:

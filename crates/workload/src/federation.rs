@@ -3,15 +3,19 @@
 //!
 //! Each site keeps its own `SimClock` instance (so `Scenario::build` stays
 //! untouched), but the config normalizes every site's start to the first
-//! site's, and [`FederationDriver`] advances all sites in lockstep, so the
-//! clocks agree tick for tick. The registry borrows the first site's clock
-//! for fan-out timestamps.
+//! site's. [`FederationDriver`] advances the sites concurrently, one site
+//! per thread at a time, and returns once every site has reached the
+//! target, so the clocks agree at the end of every call. The registry
+//! borrows the first site's clock for fan-out timestamps.
 
 use crate::scenario::{Scenario, ScenarioConfig};
-use crate::SimDriver;
+use crate::{workers, SimDriver};
 use hpcdash_faults::FaultPlan;
 use hpcdash_federation::ClusterRegistry;
-use std::sync::Arc;
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 /// A federation of site scenarios. Site order is significant: the first
 /// site's clock drives the registry, and per-site seeds should differ so
@@ -23,7 +27,7 @@ pub struct FederationConfig {
 
 impl FederationConfig {
     /// Federate explicit site configs, normalizing every start instant to
-    /// the first site's so the lockstep clocks agree.
+    /// the first site's so the site clocks agree.
     pub fn new(mut sites: Vec<ScenarioConfig>) -> FederationConfig {
         assert!(!sites.is_empty(), "a federation needs at least one site");
         let start = sites[0].start;
@@ -102,39 +106,101 @@ impl FederatedScenario {
         self.sites.iter().find(|s| s.config.cluster_name == cluster)
     }
 
-    /// A lockstep driver preloaded with `window_secs` of traffic per site.
+    /// A driver preloaded with `window_secs` of traffic per site.
     pub fn driver(&self, window_secs: u64) -> FederationDriver {
-        FederationDriver {
-            drivers: self.sites.iter().map(|s| s.driver(window_secs)).collect(),
-        }
+        FederationDriver::new(self.sites.iter().map(|s| {
+            let nodes = s.config.cpu_nodes + s.config.gpu_nodes;
+            (nodes, s.driver(window_secs))
+        }))
     }
 }
 
-/// Advances every site's driver in lockstep so the per-site clocks stay in
-/// agreement (they were normalized to one start instant at config time).
+/// A site's driver and its position in the federation's site order.
+type Site = (usize, SimDriver);
+
+/// Advances every site's driver to the same instant, the sites side by side
+/// on the process's workers (see `workers`).
 pub struct FederationDriver {
-    drivers: Vec<SimDriver>,
+    /// Each worker's sites, the calling thread's first. Assigned once,
+    /// largest site first, to the worker with the fewest nodes so far.
+    shares: Vec<Vec<Site>>,
 }
 
 impl FederationDriver {
-    /// Advance every site by `secs` of simulated time.
+    fn new(sites: impl Iterator<Item = (usize, SimDriver)>) -> FederationDriver {
+        let mut sites: Vec<(usize, Site)> = sites
+            .enumerate()
+            .map(|(index, (nodes, driver))| (nodes, (index, driver)))
+            .collect();
+        sites.sort_by_key(|&(nodes, _)| std::cmp::Reverse(nodes));
+        let mut shares: Vec<Vec<Site>> = (0..workers::count()).map(|_| Vec::new()).collect();
+        let mut load = vec![0; shares.len()];
+        for (nodes, site) in sites {
+            let worker = (0..load.len())
+                .min_by_key(|&w| load[w])
+                .expect("one worker");
+            load[worker] += nodes;
+            shares[worker].push(site);
+        }
+        FederationDriver { shares }
+    }
+
+    /// Advance every site by `secs` of simulated time. A panic in any
+    /// site's advance is re-raised here once every site is back.
     pub fn advance(&mut self, secs: u64) {
-        for driver in &mut self.drivers {
-            driver.advance(secs);
+        let (own, helped) = self.shares.split_first_mut().expect("one worker");
+        let replies: Vec<_> = helped
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, share)| !share.is_empty())
+            .map(|(helper, share)| {
+                let mut share = std::mem::take(share);
+                let (tx, rx) = mpsc::sync_channel(1);
+                workers::run_on(helper, move || {
+                    let first_panic = advance_share(&mut share, secs);
+                    let _ = tx.send((share, first_panic));
+                });
+                (helper, rx)
+            })
+            .collect();
+        let mut first_panic = advance_share(own, secs);
+        for (helper, rx) in replies {
+            let (share, helper_panic) = rx.recv().expect("a site worker answers every task");
+            helped[helper] = share;
+            first_panic = first_panic.or(helper_panic);
+        }
+        if let Some(payload) = first_panic {
+            panic::resume_unwind(payload);
         }
     }
 
-    /// Total jobs submitted across all sites so far.
-    pub fn submitted(&self) -> usize {
-        self.drivers.iter().map(|d| d.submitted().len()).sum()
+    /// Wall time each site has spent advancing, in site order.
+    pub fn busy(&self) -> Vec<Duration> {
+        let mut busy = vec![Duration::ZERO; self.shares.iter().map(Vec::len).sum()];
+        for (index, driver) in self.shares.iter().flatten() {
+            busy[*index] = driver.busy();
+        }
+        busy
     }
+}
+
+/// Advance every site of `share`, each to the end even if another panics;
+/// returns the first panic's payload.
+fn advance_share(share: &mut [Site], secs: u64) -> Option<Box<dyn Any + Send>> {
+    share.iter_mut().fold(None, |first, (_, driver)| {
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| driver.advance(secs)));
+        first.or(outcome.err())
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use hpcdash_cache::breaker::{BreakerBoard, BreakerConfig};
+    use hpcdash_obs::Registry;
     use hpcdash_simtime::Clock;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn quad_builds_heterogeneous_sites_on_one_timeline() {
@@ -156,7 +222,12 @@ mod tests {
         driver.advance(1_800);
         let t = fed.sites[0].clock.now();
         assert!(fed.sites.iter().all(|s| s.clock.now() == t));
-        assert!(driver.submitted() > 0);
+        let jobs: usize = fed
+            .sites
+            .iter()
+            .map(|s| s.ctld.snapshot().jobs.len() + s.dbd.archived_count())
+            .sum();
+        assert!(jobs > 0, "the sites were fed submissions");
         // The merged view sees jobs from more than one cluster.
         let breakers = BreakerBoard::new(fed.sites[0].clock.shared(), BreakerConfig::default());
         let snap = fed.registry.snapshot(&breakers);
@@ -178,5 +249,83 @@ mod tests {
         let fed = FederationConfig::quad(5).fault_site("gamma", plan).build();
         assert!(fed.site("gamma").unwrap().ctld.faults().is_armed());
         assert!(!fed.site("alpha").unwrap().ctld.faults().is_armed());
+    }
+
+    /// Four hours, then twenty 30 s ticks, as the benchmark plays them.
+    fn play(advance: &mut dyn FnMut(u64)) {
+        advance(4 * 3_600);
+        for _ in 0..20 {
+            advance(30);
+        }
+    }
+
+    /// Sites share no mutable state while they tick, so advancing them side
+    /// by side decides, publishes, locks and stores exactly what advancing
+    /// each alone on the calling thread does.
+    #[test]
+    fn side_by_side_sites_match_each_site_advanced_alone() {
+        const WINDOW: u64 = 4 * 3_600 + 600;
+        for seed in [42, 7] {
+            let mut cfg = FederationConfig::quad(seed);
+            for site in &mut cfg.sites {
+                site.free_daemons = true;
+            }
+            let fed = cfg.clone().build();
+            let mut driver = fed.driver(WINDOW);
+            play(&mut |secs| driver.advance(secs));
+            for (site, config) in fed.sites.iter().zip(cfg.sites) {
+                let name = config.cluster_name.clone();
+                let alone = Scenario::build(config);
+                let mut alone_driver = alone.driver(WINDOW);
+                play(&mut |secs| alone_driver.advance(secs));
+                assert_eq!(site.clock.now(), alone.clock.now(), "{name}, seed {seed}");
+                assert_eq!(
+                    oracle::decisions(site),
+                    oracle::decisions(&alone),
+                    "{name}, seed {seed}: scheduler decisions"
+                );
+                assert_eq!(
+                    oracle::tsdb_content(site),
+                    oracle::tsdb_content(&alone),
+                    "{name}, seed {seed}: stored telemetry"
+                );
+            }
+        }
+    }
+
+    /// A site whose advance panics hands the panic to the caller; its worker
+    /// survives, so the next advance of every site completes.
+    #[test]
+    fn a_site_panic_reaches_the_caller_and_the_workers_survive() {
+        // alpha goes to a helper when there is one, gamma stays on the caller.
+        for victim in ["alpha", "gamma"] {
+            let fed = FederationConfig::quad(3).build();
+            let mut driver = fed.driver(3_600);
+            let armed = Arc::new(AtomicBool::new(true));
+            let registry = Arc::new(Registry::new());
+            let trigger = armed.clone();
+            registry.register_collector(move |_| {
+                if trigger.swap(false, Ordering::SeqCst) {
+                    panic!("scrape failed on {victim}");
+                }
+            });
+            fed.site(victim).unwrap().telemetry.set_registry(&registry);
+
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| driver.advance(60)));
+            let payload = caught.expect_err("the site's panic reaches the caller");
+            let message = payload.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(message, Some(format!("scrape failed on {victim}").as_str()));
+            assert!(!armed.load(Ordering::SeqCst));
+
+            let before: Vec<_> = fed.sites.iter().map(|s| s.clock.now()).collect();
+            driver.advance(60);
+            for (site, t) in fed.sites.iter().zip(before) {
+                assert_eq!(
+                    site.clock.now(),
+                    t.plus(60),
+                    "{victim}: every site advanced"
+                );
+            }
+        }
     }
 }

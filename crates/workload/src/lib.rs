@@ -8,8 +8,11 @@
 pub mod driver;
 pub mod federation;
 pub mod jobs;
+#[cfg(test)]
+mod oracle;
 pub mod population;
 pub mod scenario;
+mod workers;
 
 pub use driver::SimDriver;
 pub use federation::{FederatedScenario, FederationConfig, FederationDriver};

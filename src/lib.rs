@@ -150,7 +150,7 @@ impl FedSite {
         self.dashboard.ctx()
     }
 
-    /// Run `secs` of lockstep traffic on every site.
+    /// Run `secs` of traffic on every site, the sites side by side.
     pub fn warm_up(&self, secs: u64) -> FederationDriver {
         let mut driver = self.federation.driver(secs);
         driver.advance(secs);
