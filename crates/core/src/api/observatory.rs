@@ -59,19 +59,16 @@ fn slo_rows(ctx: &DashboardContext) -> Vec<Value> {
     let mut requests: std::collections::BTreeMap<String, (u64, u64)> =
         std::collections::BTreeMap::new();
     let mut latency: std::collections::BTreeMap<String, Value> = std::collections::BTreeMap::new();
-    for s in ctx.obs.gather() {
-        let route = s
-            .labels
-            .iter()
-            .find(|(k, _)| k == "route")
-            .map(|(_, v)| v.clone());
-        let Some(route) = route else { continue };
-        match (s.name.as_str(), s.value) {
+    ctx.obs.visit(|s| {
+        let Some(route) = s.labels.get("route") else {
+            return;
+        };
+        let route = route.to_string();
+        match (s.name, s.value) {
             ("hpcdash_http_responses_total", SampleValue::Counter(v)) => {
-                let class = s.labels.iter().find(|(k, _)| k == "class");
                 let e = requests.entry(route).or_default();
                 e.0 += v;
-                if class.map(|(_, c)| c == "5xx").unwrap_or(false) {
+                if s.labels.get("class") == Some("5xx") {
                     e.1 += v;
                 }
             }
@@ -89,7 +86,7 @@ fn slo_rows(ctx: &DashboardContext) -> Vec<Value> {
             }
             _ => {}
         }
-    }
+    });
     requests
         .into_iter()
         .map(|(route, (total, errors))| {
@@ -135,26 +132,16 @@ fn phase_rows(profile: &hpcdash_obs::PhaseProfiler) -> Vec<Value> {
 /// an `admin-act-as` token on `/slurm/v0`.
 fn act_as_rows(ctx: &DashboardContext) -> Vec<Value> {
     let mut rows = Vec::new();
-    for s in ctx.obs.gather() {
-        if s.name != "hpcdash_act_as_total" {
-            continue;
+    ctx.obs.visit(|s| {
+        if let ("hpcdash_act_as_total", SampleValue::Counter(v)) = (s.name, s.value) {
+            let label = |key: &str| s.labels.get(key).unwrap_or_default();
+            rows.push(json!({
+                "admin": label("admin"),
+                "target": label("target"),
+                "count": v,
+            }));
         }
-        let SampleValue::Counter(v) = s.value else {
-            continue;
-        };
-        let label = |key: &str| {
-            s.labels
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.clone())
-                .unwrap_or_default()
-        };
-        rows.push(json!({
-            "admin": label("admin"),
-            "target": label("target"),
-            "count": v,
-        }));
-    }
+    });
     rows
 }
 
@@ -168,15 +155,9 @@ fn http_rows(ctx: &DashboardContext) -> Value {
     let mut reactor_lag = serde_json::Map::new();
     let mut sheds = 0u64;
     let mut not_modified = 0u64;
-    for s in ctx.obs.gather() {
-        let label = |key: &str| {
-            s.labels
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.clone())
-                .unwrap_or_default()
-        };
-        match (s.name.as_str(), &s.value) {
+    ctx.obs.visit(|s| {
+        let label = |key: &str| s.labels.get(key).unwrap_or_default().to_string();
+        match (s.name, &s.value) {
             ("hpcdash_http_connections", SampleValue::Gauge(v)) => {
                 connections.insert(label("state"), json!(v));
             }
@@ -187,7 +168,7 @@ fn http_rows(ctx: &DashboardContext) -> Value {
             ("hpcdash_http_304_total", SampleValue::Counter(v)) => not_modified += v,
             _ => {}
         }
-    }
+    });
     json!({
         "connections": Value::Object(connections),
         "sheds": sheds,

@@ -5,8 +5,8 @@ use crate::auth::CurrentUser;
 use crate::ctx::DashboardContext;
 use crate::pages;
 use hpcdash_http::{Request, Response, Router, Server};
-use hpcdash_obs::Sample;
-use hpcdash_slurm::loadmodel::RpcSnapshot;
+use hpcdash_obs::SampleSink;
+use hpcdash_slurm::loadmodel::RpcStats;
 use std::sync::Arc;
 
 /// The assembled dashboard application.
@@ -53,71 +53,87 @@ impl Dashboard {
     }
 }
 
+/// The metric names one daemon's RPC statistics export under, spelled out
+/// once so a scrape formats none of them.
+struct DaemonMetrics {
+    rpc_total: &'static str,
+    busy_ns_total: &'static str,
+    lock_wait_ns_total: &'static str,
+    latency_ns: &'static str,
+}
+
+macro_rules! daemon_metrics {
+    ($prefix:literal) => {
+        DaemonMetrics {
+            rpc_total: concat!($prefix, "_rpc_total"),
+            busy_ns_total: concat!($prefix, "_rpc_busy_ns_total"),
+            lock_wait_ns_total: concat!($prefix, "_lock_wait_ns_total"),
+            latency_ns: concat!($prefix, "_rpc_latency_ns"),
+        }
+    };
+}
+
+const SLURMCTLD: DaemonMetrics = daemon_metrics!("hpcdash_slurmctld");
+const SLURMDBD: DaemonMetrics = daemon_metrics!("hpcdash_slurmdbd");
+const TELEMETRYD: DaemonMetrics = daemon_metrics!("hpcdash_telemetryd");
+
 /// Pull-time collectors: every `/api/metrics` scrape reads the daemons' and
 /// the server cache's own statistics, so those crates export metrics without
 /// depending on the registry. Call once per context — collectors stack.
 fn register_collectors(ctx: &DashboardContext) {
     let ctld = ctx.ctld.clone();
     ctx.obs.register_collector(move |out| {
-        let snap = ctld.stats().snapshot();
-        daemon_samples(out, "hpcdash_slurmctld", &snap);
+        let stats = ctld.stats();
+        daemon_samples(out, &SLURMCTLD, stats);
         // The scheduler runs inside slurmctld: its tick count/cost and the
         // pending-job backlog are the paper's "queries delay scheduling"
         // observables.
-        if let Some(tick) = snap.per_kind.get("sched_tick") {
-            out.push(Sample::counter(
-                "hpcdash_sched_ticks_total",
-                &[],
-                tick.count,
-            ));
-            out.push(Sample::counter(
-                "hpcdash_sched_tick_busy_ns_total",
-                &[],
-                tick.total_ns,
-            ));
-        }
-        out.push(Sample::gauge(
+        stats.for_each_kind(|kind, tick| {
+            if kind == "sched_tick" {
+                out.counter("hpcdash_sched_ticks_total", &[], tick.count);
+                out.counter("hpcdash_sched_tick_busy_ns_total", &[], tick.total_ns);
+            }
+        });
+        out.gauge(
             "hpcdash_sched_queue_depth",
             &[],
-            snap.sched_queue_depth as i64,
-        ));
+            stats.sched_queue_depth() as i64,
+        );
         // Epoch-published snapshot health: publication rate, staleness of the
         // current epoch, and how far behind readers observe the tip.
         let ss = ctld.snapshot_stats();
-        out.push(Sample::counter(
+        out.counter(
             "hpcdash_ctld_snapshot_publishes_total",
             &[],
             ss.publishes(),
-        ));
-        out.push(Sample::gauge(
+        );
+        out.gauge(
             "hpcdash_ctld_snapshot_seq",
             &[],
             ss.latest_seq().min(i64::MAX as u64) as i64,
-        ));
-        out.push(Sample::gauge(
+        );
+        out.gauge(
             "hpcdash_ctld_snapshot_age_ns",
             &[],
             ss.age().as_nanos().min(i64::MAX as u128) as i64,
-        ));
+        );
         for (label, v) in hpcdash_slurm::snapshot::LAG_BUCKET_LABELS
             .iter()
             .zip(ss.lag_buckets())
         {
-            out.push(Sample::counter(
+            out.counter(
                 "hpcdash_ctld_snapshot_reader_lag_total",
                 &[("lag", label)],
                 v,
-            ));
+            );
         }
     });
     let dbd = ctx.dbd.clone();
-    ctx.obs.register_collector(move |out| {
-        let snap = dbd.stats().snapshot();
-        daemon_samples(out, "hpcdash_slurmdbd", &snap);
-    });
+    ctx.obs
+        .register_collector(move |out| daemon_samples(out, &SLURMDBD, dbd.stats()));
     let telemetry = ctx.telemetry.clone();
     ctx.obs.register_collector(move |out| {
-        daemon_samples(out, "hpcdash_telemetryd", &telemetry.stats().snapshot());
+        daemon_samples(out, &TELEMETRYD, telemetry.stats());
         let s = telemetry.store().stats();
         for (name, v) in [
             ("hpcdash_telemetry_series", s.series),
@@ -135,36 +151,36 @@ fn register_collectors(ctx: &DashboardContext) {
             ("hpcdash_telemetry_queries_total", s.queries),
             ("hpcdash_telemetry_points_returned_total", s.points_returned),
         ] {
-            out.push(Sample::counter(name, &[], v));
+            out.counter(name, &[], v);
         }
         for tier in hpcdash_telemetry::Tier::ALL {
-            out.push(Sample::counter(
+            out.counter(
                 "hpcdash_telemetry_points_scanned_total",
                 &[("tier", tier.label())],
                 s.scanned[tier.index()],
-            ));
+            );
         }
     });
     // Trace store accounting: retentions by cause, evictions and size.
     ctx.obs.register_collector(move |out| {
         let stats = hpcdash_obs::tracestore::store().stats();
         for cause in hpcdash_obs::RetainCause::ALL {
-            out.push(Sample::counter(
+            out.counter(
                 "hpcdash_trace_retained_total",
                 &[("cause", cause.label())],
                 stats.retained_by_cause[cause.index()],
-            ));
+            );
         }
-        out.push(Sample::counter(
+        out.counter(
             "hpcdash_trace_evicted_total",
             &[],
             stats.evicted,
-        ));
-        out.push(Sample::gauge(
+        );
+        out.gauge(
             "hpcdash_trace_store_size",
             &[],
             stats.retained_current as i64,
-        ));
+        );
     });
     // Tick-phase wall-time accounting for each simulated daemon.
     let ctld = ctx.ctld.clone();
@@ -177,19 +193,11 @@ fn register_collectors(ctx: &DashboardContext) {
             ("telemetryd", telemetry.phase_profile()),
         ];
         for (daemon, profile) in daemons {
-            for (phase, agg) in profile.snapshot() {
+            profile.for_each(|phase, agg| {
                 let labels = [("daemon", daemon), ("phase", phase)];
-                out.push(Sample::counter(
-                    "hpcdash_tick_phase_runs_total",
-                    &labels,
-                    agg.count,
-                ));
-                out.push(Sample::counter(
-                    "hpcdash_tick_phase_ns_total",
-                    &labels,
-                    agg.total_ns,
-                ));
-            }
+                out.counter("hpcdash_tick_phase_runs_total", &labels, agg.count);
+                out.counter("hpcdash_tick_phase_ns_total", &labels, agg.total_ns);
+            });
         }
     });
     // Federation fan-out accounting per site. Reads the sites' own atomic
@@ -197,28 +205,28 @@ fn register_collectors(ctx: &DashboardContext) {
     // never consume a half-open breaker's probe budget.
     let federation = ctx.federation.clone();
     ctx.obs.register_collector(move |out| {
-        out.push(Sample::gauge(
+        out.gauge(
             "hpcdash_federation_sites",
             &[],
             federation.len() as i64,
-        ));
+        );
         for site in federation.sites() {
             let labels = [("cluster", site.name().as_ref())];
-            out.push(Sample::counter(
+            out.counter(
                 "hpcdash_federation_polls_total",
                 &labels,
                 site.polls(),
-            ));
-            out.push(Sample::counter(
+            );
+            out.counter(
                 "hpcdash_federation_stale_serves_total",
                 &labels,
                 site.stale_serves(),
-            ));
-            out.push(Sample::counter(
+            );
+            out.counter(
                 "hpcdash_federation_dark_serves_total",
                 &labels,
                 site.dark_serves(),
-            ));
+            );
         }
     });
     let cache = ctx.cache.clone();
@@ -232,36 +240,31 @@ fn register_collectors(ctx: &DashboardContext) {
             ("hpcdash_cache_store_coalesced_total", s.coalesced),
             ("hpcdash_cache_store_stale_serves_total", s.stale_serves),
         ] {
-            out.push(Sample::counter(name, &[], v));
+            out.counter(name, &[], v);
         }
     });
 }
 
-fn daemon_samples(out: &mut Vec<Sample>, prefix: &str, snap: &RpcSnapshot) {
-    for (kind, k) in &snap.per_kind {
-        out.push(Sample::counter(
-            format!("{prefix}_rpc_total"),
-            &[("kind", kind)],
-            k.count,
-        ));
-    }
-    out.push(Sample::counter(
-        format!("{prefix}_rpc_busy_ns_total"),
+fn daemon_samples(out: &mut SampleSink, names: &DaemonMetrics, stats: &RpcStats) {
+    stats.for_each_kind(|kind, k| out.counter(names.rpc_total, &[("kind", kind)], k.count));
+    out.counter(
+        names.busy_ns_total,
         &[],
-        snap.total_busy.as_nanos().min(u128::from(u64::MAX)) as u64,
-    ));
-    out.push(Sample::counter(
-        format!("{prefix}_lock_wait_ns_total"),
+        stats.total_busy().as_nanos().min(u128::from(u64::MAX)) as u64,
+    );
+    out.counter(
+        names.lock_wait_ns_total,
         &[],
-        snap.total_lock_wait.as_nanos().min(u128::from(u64::MAX)) as u64,
-    ));
-    for (q, v) in [("0.5", snap.p50), ("0.95", snap.p95), ("0.99", snap.p99)] {
+        stats.total_lock_wait().as_nanos().min(u128::from(u64::MAX)) as u64,
+    );
+    let [p50, p95, p99] = stats.percentiles();
+    for (q, v) in [("0.5", p50), ("0.95", p95), ("0.99", p99)] {
         if let Some(d) = v {
-            out.push(Sample::gauge(
-                format!("{prefix}_rpc_latency_ns"),
+            out.gauge(
+                names.latency_ns,
                 &[("quantile", q)],
                 d.as_nanos().min(i64::MAX as u128) as i64,
-            ));
+            );
         }
     }
 }

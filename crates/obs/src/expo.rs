@@ -1,18 +1,18 @@
 //! Metric exposition: Prometheus-style text and a JSON variant.
 //!
-//! Both renderers consume the stable-sorted output of
-//! [`Registry::gather`](crate::registry::Registry::gather), so two scrapes
-//! of an unchanged registry produce byte-identical line ordering.
+//! Both renderers walk [`Registry::visit`], which lends samples in a stable
+//! `(name, labels)` order, so two scrapes of an unchanged registry produce
+//! byte-identical line ordering.
 //!
 //! Latency histograms are exposed in the Prometheus *summary* idiom:
 //! `name{quantile="0.5"}` / `"0.95"` / `"0.99"` in seconds, plus
 //! `name_sum`, `name_count`, and a non-standard but useful `name_max`.
 
-use crate::registry::{Registry, Sample, SampleValue};
+use crate::registry::{LabelsRef, Registry, SampleValue};
 use serde_json::{json, Value};
+use std::fmt::Write;
 
-fn escape_label(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
+fn push_escaped(out: &mut String, v: &str) {
     for c in v.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -21,119 +21,117 @@ fn escape_label(v: &str) -> String {
             _ => out.push(c),
         }
     }
-    out
 }
 
-fn label_block(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
-    let mut parts: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
-        .collect();
-    if let Some((k, v)) = extra {
-        parts.push(format!("{k}=\"{}\"", escape_label(v)));
+fn push_label_block(out: &mut String, labels: LabelsRef<'_>, extra: Option<(&str, &str)>) {
+    let mut pairs = labels.iter().chain(extra).peekable();
+    if pairs.peek().is_none() {
+        return;
     }
-    if parts.is_empty() {
-        String::new()
-    } else {
-        format!("{{{}}}", parts.join(","))
+    out.push('{');
+    for (i, (k, v)) in pairs.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(k);
+        out.push_str("=\"");
+        push_escaped(out, v);
+        out.push('"');
     }
+    out.push('}');
 }
 
-fn secs(ns: u64) -> String {
-    format!("{:.9}", ns as f64 / 1e9)
+fn secs(ns: u64) -> f64 {
+    ns as f64 / 1e9
 }
 
-/// Render samples as Prometheus exposition text.
-pub fn to_prometheus_text(samples: &[Sample]) -> String {
+/// Scrape `registry` and render the Prometheus exposition text.
+pub fn scrape_text(registry: &Registry) -> String {
     let mut out = String::new();
-    let mut last_name: Option<&str> = None;
-    for s in samples {
-        if last_name != Some(s.name.as_str()) {
+    let mut last_name = None::<String>;
+    registry.visit(|s| {
+        if last_name.as_deref() != Some(s.name) {
             let kind = match s.value {
                 SampleValue::Counter(_) => "counter",
                 SampleValue::Gauge(_) => "gauge",
                 SampleValue::Summary(_) => "summary",
             };
-            out.push_str(&format!("# TYPE {} {kind}\n", s.name));
-            last_name = Some(s.name.as_str());
+            let _ = writeln!(out, "# TYPE {} {kind}", s.name);
+            let last = last_name.get_or_insert_with(String::new);
+            last.clear();
+            last.push_str(s.name);
         }
+        let line = |out: &mut String, suffix: &str, extra: Option<(&str, &str)>| {
+            out.push_str(s.name);
+            out.push_str(suffix);
+            push_label_block(out, s.labels, extra);
+            out.push(' ');
+        };
         match &s.value {
             SampleValue::Counter(v) => {
-                out.push_str(&format!("{}{} {v}\n", s.name, label_block(&s.labels, None)));
+                line(&mut out, "", None);
+                let _ = writeln!(out, "{v}");
             }
             SampleValue::Gauge(v) => {
-                out.push_str(&format!("{}{} {v}\n", s.name, label_block(&s.labels, None)));
+                line(&mut out, "", None);
+                let _ = writeln!(out, "{v}");
             }
             SampleValue::Summary(h) => {
                 for (q, ns) in [("0.5", h.p50_ns), ("0.95", h.p95_ns), ("0.99", h.p99_ns)] {
-                    out.push_str(&format!(
-                        "{}{} {}\n",
-                        s.name,
-                        label_block(&s.labels, Some(("quantile", q))),
-                        secs(ns)
-                    ));
+                    line(&mut out, "", Some(("quantile", q)));
+                    let _ = writeln!(out, "{:.9}", secs(ns));
                 }
-                let plain = label_block(&s.labels, None);
-                out.push_str(&format!("{}_sum{plain} {}\n", s.name, secs(h.sum_ns)));
-                out.push_str(&format!("{}_count{plain} {}\n", s.name, h.count));
-                out.push_str(&format!("{}_max{plain} {}\n", s.name, secs(h.max_ns)));
+                line(&mut out, "_sum", None);
+                let _ = writeln!(out, "{:.9}", secs(h.sum_ns));
+                line(&mut out, "_count", None);
+                let _ = writeln!(out, "{}", h.count);
+                line(&mut out, "_max", None);
+                let _ = writeln!(out, "{:.9}", secs(h.max_ns));
             }
         }
-    }
+    });
     out
 }
 
-/// Render samples as a JSON array (`/api/metrics?format=json`). Object keys
-/// come out sorted (the JSON layer uses a BTreeMap), and the sample order
-/// matches the text exposition.
-pub fn to_json(samples: &[Sample]) -> Value {
-    let arr: Vec<Value> = samples
-        .iter()
-        .map(|s| {
-            let labels: Value = s
-                .labels
-                .iter()
-                .map(|(k, v)| (k.clone(), Value::from(v.as_str())))
-                .collect();
-            match &s.value {
-                SampleValue::Counter(v) => json!({
-                    "name": s.name,
-                    "labels": labels,
-                    "type": "counter",
-                    "value": *v,
-                }),
-                SampleValue::Gauge(v) => json!({
-                    "name": s.name,
-                    "labels": labels,
-                    "type": "gauge",
-                    "value": *v,
-                }),
-                SampleValue::Summary(h) => json!({
-                    "name": s.name,
-                    "labels": labels,
-                    "type": "summary",
-                    "count": h.count,
-                    "sum_ns": h.sum_ns,
-                    "p50_ns": h.p50_ns,
-                    "p95_ns": h.p95_ns,
-                    "p99_ns": h.p99_ns,
-                    "max_ns": h.max_ns,
-                    "p99_exemplar": s.exemplar.map(|t| t.to_hex()),
-                }),
-            }
-        })
-        .collect();
-    Value::Array(arr)
-}
-
-/// Scrape `registry` and render the text exposition in one call.
-pub fn scrape_text(registry: &Registry) -> String {
-    to_prometheus_text(&registry.gather())
-}
-
-/// Scrape `registry` and render the JSON exposition in one call.
+/// Scrape `registry` and render the JSON exposition
+/// (`/api/metrics?format=json`): an array in the text exposition's order.
+/// Object keys come out sorted (the JSON layer uses a BTreeMap).
 pub fn scrape_json(registry: &Registry) -> Value {
-    to_json(&registry.gather())
+    let mut arr = Vec::new();
+    registry.visit(|s| {
+        let labels: Value = s
+            .labels
+            .iter()
+            .map(|(k, v)| (k.to_string(), Value::from(v)))
+            .collect();
+        arr.push(match &s.value {
+            SampleValue::Counter(v) => json!({
+                "name": s.name,
+                "labels": labels,
+                "type": "counter",
+                "value": *v,
+            }),
+            SampleValue::Gauge(v) => json!({
+                "name": s.name,
+                "labels": labels,
+                "type": "gauge",
+                "value": *v,
+            }),
+            SampleValue::Summary(h) => json!({
+                "name": s.name,
+                "labels": labels,
+                "type": "summary",
+                "count": h.count,
+                "sum_ns": h.sum_ns,
+                "p50_ns": h.p50_ns,
+                "p95_ns": h.p95_ns,
+                "p99_ns": h.p99_ns,
+                "max_ns": h.max_ns,
+                "p99_exemplar": s.exemplar.map(|t| t.to_hex()),
+            }),
+        });
+    });
+    Value::Array(arr)
 }
 
 #[cfg(test)]
@@ -177,8 +175,9 @@ mod tests {
 
     #[test]
     fn label_values_are_escaped() {
-        let samples = [Sample::counter("m_total", &[("q", "a\"b\\c\nd")], 1)];
-        let text = to_prometheus_text(&samples);
+        let reg = Registry::new();
+        reg.register_collector(|out| out.counter("m_total", &[("q", "a\"b\\c\nd")], 1));
+        let text = scrape_text(&reg);
         assert!(text.contains(r#"q="a\"b\\c\nd""#), "text: {text}");
     }
 

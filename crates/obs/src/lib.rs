@@ -41,6 +41,8 @@ pub mod tracestore;
 
 pub use profile::{PhaseAgg, PhaseProfiler};
 pub use recorder::LatencyRecorder;
-pub use registry::{Counter, Gauge, Histogram, Registry, Sample, SampleValue};
+pub use registry::{
+    Counter, Gauge, Histogram, LabelsRef, Registry, SampleRef, SampleSink, SampleValue,
+};
 pub use trace::{Span, TraceId};
 pub use tracestore::{RetainCause, StoredTrace, TraceStore, TraceStoreConfig};

@@ -63,6 +63,13 @@ impl PhaseProfiler {
     pub fn snapshot(&self) -> Vec<(&'static str, PhaseAgg)> {
         self.phases.lock().iter().map(|(k, v)| (*k, *v)).collect()
     }
+
+    /// Visit each phase's aggregate in place, sorted by phase name.
+    pub fn for_each(&self, mut f: impl FnMut(&'static str, &PhaseAgg)) {
+        for (phase, agg) in self.phases.lock().iter() {
+            f(phase, agg);
+        }
+    }
 }
 
 #[cfg(test)]

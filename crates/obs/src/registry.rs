@@ -1,10 +1,15 @@
 //! The metrics registry: lock-free instruments, pull-time collectors, and a
-//! stable-ordered snapshot for exposition.
+//! stable-ordered visit for exposition.
 //!
 //! Instrument handles (`Arc<Counter>` etc.) are created once through the
 //! registry and then updated with plain atomic operations — the registry
 //! lock is only taken at registration and scrape time, never on the hot
 //! path.
+//!
+//! A scrape ([`Registry::visit`]) lends each sample in `(name, labels)`
+//! order: names and labels are borrowed from the instruments, or from a
+//! scratch buffer the collectors write into and that every scrape reuses,
+//! so a scrape of known instruments allocates nothing.
 
 use crate::trace::TraceId;
 use parking_lot::Mutex;
@@ -143,13 +148,13 @@ impl Histogram {
         self.max_ns.load(Ordering::Relaxed)
     }
 
+    fn bucket_counts(&self) -> [u64; BUCKETS] {
+        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
+    }
+
     /// Estimate the `q`-quantile (`0.0..=1.0`) in nanoseconds.
     pub fn quantile_ns(&self, q: f64) -> u64 {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
+        let counts = self.bucket_counts();
         let total: u64 = counts.iter().sum();
         if total == 0 {
             return 0;
@@ -198,11 +203,7 @@ impl Histogram {
     /// The bucket index the `q`-quantile rank falls in, or `None` when the
     /// histogram is empty.
     fn quantile_bucket(&self, q: f64) -> Option<usize> {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
+        let counts = self.bucket_counts();
         let total: u64 = counts.iter().sum();
         if total == 0 {
             return None;
@@ -271,11 +272,82 @@ fn normalize_labels(labels: &[(&str, &str)]) -> Labels {
     out
 }
 
-/// One exported time-series value at scrape time.
-#[derive(Debug, Clone)]
-pub struct Sample {
-    pub name: String,
-    pub labels: Labels,
+#[derive(Debug, Clone, Copy)]
+pub enum SampleValue {
+    Counter(u64),
+    Gauge(i64),
+    Summary(HistogramSummary),
+}
+
+/// A byte range of [`SampleSink`]'s text.
+type Span = (u32, u32);
+
+/// A sample's labels as a scrape lends them, sorted by key then value.
+#[derive(Clone, Copy)]
+pub struct LabelsRef<'a>(LabelsIn<'a>);
+
+#[derive(Clone, Copy)]
+enum LabelsIn<'a> {
+    /// An instrument's own label set.
+    Owned(&'a [(String, String)]),
+    /// Pairs written by a collector into the scratch text.
+    Scratch(&'a str, &'a [(Span, Span)]),
+}
+
+impl<'a> LabelsRef<'a> {
+    /// `(key, value)` pairs, sorted.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a str, &'a str)> + Clone + 'a {
+        let (owned, scratch): (&[(String, String)], _) = match self.0 {
+            LabelsIn::Owned(pairs) => (pairs, None),
+            LabelsIn::Scratch(text, pairs) => (&[], Some((text, pairs))),
+        };
+        let scratch = scratch.into_iter().flat_map(|(text, pairs)| {
+            pairs
+                .iter()
+                .map(move |&(k, v)| (span(text, k), span(text, v)))
+        });
+        owned
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .chain(scratch)
+    }
+
+    /// The value of label `key`, if the sample has it.
+    pub fn get(&self, key: &str) -> Option<&'a str> {
+        self.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.iter().next().is_none()
+    }
+
+    /// An owned copy, as the registry keys its instruments.
+    pub fn to_labels(&self) -> Labels {
+        self.iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+}
+
+impl std::fmt::Debug for LabelsRef<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+fn owned((name, labels): &(String, Labels)) -> (&str, &[(String, String)]) {
+    (name, labels)
+}
+
+fn span(text: &str, (from, to): Span) -> &str {
+    &text[from as usize..to as usize]
+}
+
+/// One exported time-series value, lent for the duration of a visit.
+#[derive(Debug, Clone, Copy)]
+pub struct SampleRef<'a> {
+    pub name: &'a str,
+    pub labels: LabelsRef<'a>,
     pub value: SampleValue,
     /// For summaries scraped from a live [`Histogram`]: the trace exemplar
     /// nearest the p99 bucket, linking the aggregate to a stored trace.
@@ -283,47 +355,112 @@ pub struct Sample {
     pub exemplar: Option<TraceId>,
 }
 
-impl Sample {
-    pub fn counter(name: impl Into<String>, labels: &[(&str, &str)], v: u64) -> Sample {
-        Sample {
-            name: name.into(),
-            labels: normalize_labels(labels),
-            value: SampleValue::Counter(v),
-            exemplar: None,
-        }
-    }
-
-    pub fn gauge(name: impl Into<String>, labels: &[(&str, &str)], v: i64) -> Sample {
-        Sample {
-            name: name.into(),
-            labels: normalize_labels(labels),
-            value: SampleValue::Gauge(v),
-            exemplar: None,
-        }
-    }
-
-    pub fn summary(
-        name: impl Into<String>,
-        labels: &[(&str, &str)],
-        s: HistogramSummary,
-    ) -> Sample {
-        Sample {
-            name: name.into(),
-            labels: normalize_labels(labels),
-            value: SampleValue::Summary(s),
-            exemplar: None,
-        }
+impl<'a> SampleRef<'a> {
+    /// The `(name, labels)` order a scrape visits samples in.
+    pub fn key_cmp(&self, name: &str, labels: &[(String, String)]) -> std::cmp::Ordering {
+        self.name.cmp(name).then_with(|| {
+            self.labels
+                .iter()
+                .cmp(labels.iter().map(|(k, v)| (k.as_str(), v.as_str())))
+        })
     }
 }
 
-#[derive(Debug, Clone)]
-pub enum SampleValue {
-    Counter(u64),
-    Gauge(i64),
-    Summary(HistogramSummary),
+/// One sample a collector wrote: ranges into the sink's text and pairs.
+#[derive(Clone, Copy)]
+struct Written {
+    name: Span,
+    /// Range of [`SampleSink::pairs`].
+    labels: (u32, u32),
+    value: SampleValue,
 }
 
-type Collector = Box<dyn Fn(&mut Vec<Sample>) + Send + Sync>;
+/// Where collectors write their samples during a scrape. Names and labels
+/// are copied into one text buffer that every scrape reuses, so a collector
+/// writing the samples it wrote last time allocates nothing.
+#[derive(Default)]
+pub struct SampleSink {
+    text: String,
+    pairs: Vec<(Span, Span)>,
+    written: Vec<Written>,
+    /// `written` positions in `(name, labels, position)` order.
+    order: Vec<u32>,
+}
+
+impl SampleSink {
+    pub fn counter(&mut self, name: &str, labels: &[(&str, &str)], v: u64) {
+        self.push(name, labels, SampleValue::Counter(v));
+    }
+
+    pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)], v: i64) {
+        self.push(name, labels, SampleValue::Gauge(v));
+    }
+
+    pub fn summary(&mut self, name: &str, labels: &[(&str, &str)], s: HistogramSummary) {
+        self.push(name, labels, SampleValue::Summary(s));
+    }
+
+    fn text_span(&mut self, s: &str) -> Span {
+        let from = self.text.len() as u32;
+        self.text.push_str(s);
+        (from, self.text.len() as u32)
+    }
+
+    fn push(&mut self, name: &str, labels: &[(&str, &str)], value: SampleValue) {
+        let name = self.text_span(name);
+        let first = self.pairs.len();
+        for (k, v) in labels {
+            let pair = (self.text_span(k), self.text_span(v));
+            self.pairs.push(pair);
+        }
+        let text = &self.text;
+        self.pairs[first..].sort_unstable_by(|a, b| {
+            (span(text, a.0), span(text, a.1)).cmp(&(span(text, b.0), span(text, b.1)))
+        });
+        self.written.push(Written {
+            name,
+            labels: (first as u32, self.pairs.len() as u32),
+            value,
+        });
+    }
+
+    fn clear(&mut self) {
+        self.text.clear();
+        self.pairs.clear();
+        self.written.clear();
+        self.order.clear();
+    }
+
+    fn sample(&self, at: u32) -> SampleRef<'_> {
+        let w = &self.written[at as usize];
+        SampleRef {
+            name: span(&self.text, w.name),
+            labels: LabelsRef(LabelsIn::Scratch(
+                &self.text,
+                &self.pairs[w.labels.0 as usize..w.labels.1 as usize],
+            )),
+            value: w.value,
+            exemplar: None,
+        }
+    }
+
+    /// Order the written samples by `(name, labels)`, ties in the order
+    /// they were written.
+    fn sort(&mut self) {
+        self.order.extend(0..self.written.len() as u32);
+        let mut order = std::mem::take(&mut self.order);
+        order.sort_unstable_by(|&a, &b| {
+            let (x, y) = (self.sample(a), self.sample(b));
+            x.name
+                .cmp(y.name)
+                .then_with(|| x.labels.iter().cmp(y.labels.iter()))
+                .then(a.cmp(&b))
+        });
+        self.order = order;
+    }
+}
+
+type Collector = Box<dyn Fn(&mut SampleSink) + Send + Sync>;
 
 #[derive(Default)]
 struct Instruments {
@@ -337,6 +474,8 @@ struct Instruments {
 pub struct Registry {
     instruments: Mutex<Instruments>,
     collectors: Mutex<Vec<Collector>>,
+    /// The collectors' scratch, reused by every scrape.
+    sink: Mutex<SampleSink>,
 }
 
 impl Registry {
@@ -381,48 +520,85 @@ impl Registry {
         self.histogram(name, labels).observe(d);
     }
 
-    /// Register a pull-time collector: called at every scrape to append
+    /// Register a pull-time collector: called at every scrape to write
     /// samples for stats kept outside the registry (cache stats, RPC stats).
-    pub fn register_collector(&self, f: impl Fn(&mut Vec<Sample>) + Send + Sync + 'static) {
+    pub fn register_collector(&self, f: impl Fn(&mut SampleSink) + Send + Sync + 'static) {
         self.collectors.lock().push(Box::new(f));
     }
 
-    /// Snapshot every instrument and collector, sorted by `(name, labels)`
-    /// so exposition order is stable across scrapes.
-    pub fn gather(&self) -> Vec<Sample> {
-        let mut out = Vec::new();
-        {
-            let ins = self.instruments.lock();
-            for ((name, labels), c) in &ins.counters {
-                out.push(Sample {
-                    name: name.clone(),
-                    labels: labels.clone(),
-                    value: SampleValue::Counter(c.get()),
-                    exemplar: None,
-                });
-            }
-            for ((name, labels), g) in &ins.gauges {
-                out.push(Sample {
-                    name: name.clone(),
-                    labels: labels.clone(),
-                    value: SampleValue::Gauge(g.get()),
-                    exemplar: None,
-                });
-            }
-            for ((name, labels), h) in &ins.histograms {
-                out.push(Sample {
-                    name: name.clone(),
-                    labels: labels.clone(),
-                    value: SampleValue::Summary(h.summary()),
-                    exemplar: h.quantile_exemplar(0.99),
-                });
-            }
-        }
+    /// Scrape every instrument and collector, handing `f` each sample in
+    /// `(name, labels)` order, so exposition order is stable across
+    /// scrapes. Samples of equal key come counters first, then gauges,
+    /// summaries, and collector samples in the order they were written.
+    /// `f` runs with the registry locked: it must not call back into it.
+    pub fn visit(&self, mut f: impl FnMut(&SampleRef<'_>)) {
+        let mut sink = self.sink.lock();
+        sink.clear();
         for collector in self.collectors.lock().iter() {
-            collector(&mut out);
+            collector(&mut sink);
         }
-        out.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-        out
+        sink.sort();
+        let ins = self.instruments.lock();
+        let mut counters = ins.counters.iter().map(|(key, c)| {
+            let (name, labels) = owned(key);
+            SampleRef {
+                name,
+                labels: LabelsRef(LabelsIn::Owned(labels)),
+                value: SampleValue::Counter(c.get()),
+                exemplar: None,
+            }
+        });
+        let mut gauges = ins.gauges.iter().map(|(key, g)| {
+            let (name, labels) = owned(key);
+            SampleRef {
+                name,
+                labels: LabelsRef(LabelsIn::Owned(labels)),
+                value: SampleValue::Gauge(g.get()),
+                exemplar: None,
+            }
+        });
+        let mut histograms = ins.histograms.iter().map(|(key, h)| {
+            let (name, labels) = owned(key);
+            SampleRef {
+                name,
+                labels: LabelsRef(LabelsIn::Owned(labels)),
+                value: SampleValue::Summary(h.summary()),
+                exemplar: h.quantile_exemplar(0.99),
+            }
+        });
+        let sink = &*sink;
+        let mut written = sink.order.iter().map(|&at| sink.sample(at));
+        let mut heads = [
+            counters.next(),
+            gauges.next(),
+            histograms.next(),
+            written.next(),
+        ];
+        // A four-way merge of sorted streams; the first of equal keys wins.
+        loop {
+            let mut pick: Option<usize> = None;
+            for (i, head) in heads.iter().enumerate() {
+                let Some(s) = head else { continue };
+                let better = pick.is_none_or(|p| {
+                    let best = heads[p].as_ref().expect("picked a head");
+                    s.name
+                        .cmp(best.name)
+                        .then_with(|| s.labels.iter().cmp(best.labels.iter()))
+                        .is_lt()
+                });
+                if better {
+                    pick = Some(i);
+                }
+            }
+            let Some(i) = pick else { break };
+            f(heads[i].as_ref().expect("picked a head"));
+            heads[i] = match i {
+                0 => counters.next(),
+                1 => gauges.next(),
+                2 => histograms.next(),
+                _ => written.next(),
+            };
+        }
     }
 }
 
@@ -517,12 +693,13 @@ mod tests {
         let h = reg.histogram("hpcdash_http_request_latency", &[("route", "/x")]);
         h.observe_ns(4_000);
         h.set_exemplar(4_000, TraceId(0x77));
-        let samples = reg.gather();
-        let s = samples
-            .iter()
-            .find(|s| s.name == "hpcdash_http_request_latency")
-            .expect("summary sample");
-        assert_eq!(s.exemplar, Some(TraceId(0x77)));
+        let mut exemplar = None;
+        reg.visit(|s| {
+            if s.name == "hpcdash_http_request_latency" {
+                exemplar = Some(s.exemplar);
+            }
+        });
+        assert_eq!(exemplar, Some(Some(TraceId(0x77))));
     }
 
     #[test]
@@ -542,22 +719,25 @@ mod tests {
         reg.counter("aaa_total", &[("r", "2")]).inc();
         reg.counter("aaa_total", &[("r", "1")]).inc();
         reg.gauge("mmm", &[]).set(1);
-        reg.register_collector(|out| out.push(Sample::counter("ccc_total", &[], 9)));
-        let names: Vec<String> = reg
-            .gather()
-            .iter()
-            .map(|s| format!("{}{:?}", s.name, s.labels))
-            .collect();
+        reg.register_collector(|out| {
+            out.counter("ccc_total", &[("z", "1"), ("a", "2")], 9);
+            out.counter("aaa_total", &[("r", "0")], 3);
+        });
+        let keys = |reg: &Registry| {
+            let mut keys = Vec::new();
+            reg.visit(|s| keys.push((s.name.to_string(), s.labels.to_labels())));
+            keys
+        };
+        let names = keys(&reg);
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted);
+        assert_eq!(names.len(), 6);
+        assert_eq!(names[0], ("aaa_total".to_string(), vec![("r".to_string(), "0".to_string())]));
+        // A collector's labels are sorted as an instrument's are.
+        assert_eq!(names[3].1[0].0, "a");
         // Two scrapes agree.
-        let again: Vec<String> = reg
-            .gather()
-            .iter()
-            .map(|s| format!("{}{:?}", s.name, s.labels))
-            .collect();
-        assert_eq!(names, again);
+        assert_eq!(names, keys(&reg));
     }
 
     #[test]

@@ -15,7 +15,8 @@ use hpcdash_simtime::Timestamp;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::sync::{Arc, Weak};
 
 /// Errors surfaced to submitters — the cases real slurmctld rejects at
 /// submit time rather than leaving the job pending.
@@ -697,6 +698,17 @@ impl ClusterState {
     /// by replay, and slurmdbd archival is idempotent) and the `sched_log`
     /// diagnostics ring.
     pub fn checkpoint(&self) -> CheckpointRef<'_> {
+        self.image(None)
+    }
+
+    /// [`ClusterState::checkpoint`], encoding only the jobs that are not
+    /// the very versions `prev` holds: the bytes of the others are copied
+    /// from `prev`. The image is byte for byte what `checkpoint` encodes.
+    pub fn checkpoint_reusing<'a>(&'a self, prev: &'a JobImage) -> CheckpointRef<'a> {
+        self.image(Some(prev))
+    }
+
+    fn image<'a>(&'a self, reuse: Option<&'a JobImage>) -> CheckpointRef<'a> {
         let mut run_plans: Vec<(JobId, RunPlan)> =
             self.run_plans.iter().map(|(id, p)| (*id, *p)).collect();
         // HashMap iteration order is unstable; sort so identical states
@@ -708,7 +720,11 @@ impl ClusterState {
             partitions: &self.partitions,
             qos: &self.qos,
             assoc: &self.assoc,
-            jobs: JobsRef(&self.jobs),
+            jobs: JobsRef {
+                jobs: &self.jobs,
+                reuse,
+                spans: RefCell::new(Vec::new()),
+            },
             run_plans,
             next_id: self.next_id,
             sched_passes: self.sched_passes,
@@ -788,21 +804,93 @@ pub struct CheckpointRef<'a> {
     sched_passes: u64,
 }
 
-/// The live job table, encoded as the `Vec<Job>` of a [`CheckpointState`].
-struct JobsRef<'a>(&'a BTreeMap<JobId, Arc<Job>>);
+impl CheckpointRef<'_> {
+    /// Where this image's jobs sit in `bytes`, its encoding, for the next
+    /// checkpoint to copy from.
+    ///
+    /// # Panics
+    /// If the image was not encoded with `serde_json::to_vec` first.
+    pub fn into_image(self, bytes: Arc<Vec<u8>>) -> JobImage {
+        let spans = self.jobs.spans.into_inner();
+        assert!(
+            spans.len() == self.jobs.jobs.len(),
+            "the image was encoded before its spans are taken"
+        );
+        JobImage { bytes, spans }
+    }
+}
+
+/// One job's encoding within a checkpoint image: the job version it
+/// encodes, kept only as a [`Weak`] so the image pins no job, and its
+/// byte range.
+struct JobSpan {
+    id: JobId,
+    job: Weak<Job>,
+    at: std::ops::Range<usize>,
+}
+
+/// The encoded jobs of the previous checkpoint, in id order. A job still
+/// at the version encoded there (the same allocation: a change moves a
+/// published job to a new one) is copied, not encoded again.
+#[derive(Default)]
+pub struct JobImage {
+    bytes: Arc<Vec<u8>>,
+    spans: Vec<JobSpan>,
+}
+
+impl JobImage {
+    /// Length of the image in bytes.
+    pub fn len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// The bytes of `job` as this image encoded that very version.
+    pub(crate) fn bytes_of(&self, job: &Arc<Job>, from: &mut usize) -> Option<&[u8]> {
+        while self.spans.get(*from).is_some_and(|s| s.id < job.id) {
+            *from += 1;
+        }
+        let span = self.spans.get(*from)?;
+        std::ptr::eq(span.job.as_ptr(), Arc::as_ptr(job)).then(|| &self.bytes[span.at.clone()])
+    }
+}
+
+/// The live job table, encoded as the `Vec<Job>` of a [`CheckpointState`],
+/// recording where each job's bytes land.
+struct JobsRef<'a> {
+    jobs: &'a BTreeMap<JobId, Arc<Job>>,
+    reuse: Option<&'a JobImage>,
+    spans: RefCell<Vec<JobSpan>>,
+}
 
 impl Serialize for JobsRef<'_> {
     fn to_json_value(&self) -> serde::Value {
-        serde::Value::Array(self.0.values().map(|j| j.to_json_value()).collect())
+        serde::Value::Array(self.jobs.values().map(|j| j.to_json_value()).collect())
     }
 
     fn write_json(&self, out: &mut Vec<u8>) {
+        let mut spans = self.spans.borrow_mut();
+        spans.clear();
+        spans.reserve_exact(self.jobs.len());
+        let mut from = 0;
         out.push(b'[');
-        for (i, job) in self.0.values().enumerate() {
+        for (i, job) in self.jobs.values().enumerate() {
             if i > 0 {
                 out.push(b',');
             }
-            job.write_json(out);
+            let start = out.len();
+            match self.reuse.and_then(|image| image.bytes_of(job, &mut from)) {
+                Some(bytes) => out.extend_from_slice(bytes),
+                None => job.write_json(out),
+            }
+            spans.push(JobSpan {
+                id: job.id,
+                job: Arc::downgrade(job),
+                at: start..out.len(),
+            });
         }
         out.push(b']');
     }

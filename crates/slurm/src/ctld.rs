@@ -13,7 +13,7 @@
 //! entirely on the write side.
 
 use crate::assoc::{Account, AccountUsage};
-use crate::cluster::{CheckpointState, ClusterError, ClusterSpec, ClusterState};
+use crate::cluster::{CheckpointState, ClusterError, ClusterSpec, ClusterState, JobImage};
 use crate::durable::{DurableStore, RecoveryReport, Wal, WalRecord};
 use crate::job::{Job, JobId, JobRequest, JobState};
 use crate::joblog::JobLogFs;
@@ -22,6 +22,7 @@ use crate::node::{AdminFlag, Node};
 use crate::partition::{Partition, PartitionState};
 use crate::snapshot::{ClusterSnapshot, EpochCell, SnapshotStats};
 use hpcdash_faults::{FaultHost, RestartToken};
+use serde::Serialize;
 use hpcdash_obs::{PhaseProfiler, Span};
 use hpcdash_simtime::{SharedClock, Timestamp};
 use parking_lot::{Mutex, MutexGuard};
@@ -183,6 +184,9 @@ pub struct Slurmctld {
     durable: DurableStore,
     /// Sim time (secs) of the last checkpoint.
     last_checkpoint: AtomicU64,
+    /// Where the last checkpoint's jobs sit in its bytes: the next one
+    /// copies every job still at that version.
+    image: Mutex<JobImage>,
     /// Completed crash recoveries.
     restarts: AtomicU64,
     last_recovery: Mutex<Option<RecoveryReport>>,
@@ -261,11 +265,7 @@ impl Slurmctld {
         // Checkpoint 0 at construction: a crash before the first periodic
         // checkpoint still has an image to recover from.
         let durable = DurableStore::new();
-        durable.save(
-            serde_json::to_vec(&state.checkpoint()).expect("checkpoint serializes"),
-            clock.now(),
-            0,
-        );
+        let image = Slurmctld::save_image(&durable, &state, &JobImage::default(), clock.now(), 0);
         let last_checkpoint = AtomicU64::new(clock.now().as_secs());
         Slurmctld {
             state: Mutex::new(state),
@@ -282,6 +282,7 @@ impl Slurmctld {
             wal: Wal::new(WAL_CAPACITY),
             durable,
             last_checkpoint,
+            image: Mutex::new(image),
             restarts: AtomicU64::new(0),
             last_recovery: Mutex::new(None),
             dbd_spool: Mutex::new(Vec::new()),
@@ -497,12 +498,31 @@ impl Slurmctld {
         }
         self.phases.time("checkpoint", || {
             let wal_seq = self.wal.flushed_seq();
-            let bytes = serde_json::to_vec(&state.checkpoint()).expect("checkpoint serializes");
-            self.durable.save(bytes, now, wal_seq);
+            let mut image = self.image.lock();
+            *image = Slurmctld::save_image(&self.durable, state, &image, now, wal_seq);
             // The image covers everything up to wal_seq: compact it away.
             self.wal.trim_through(wal_seq);
             self.last_checkpoint.store(now.as_secs(), Ordering::Relaxed);
         });
+    }
+
+    /// Encode `state`, copying the jobs `prev` holds at the same version,
+    /// and save it as the latest checkpoint.
+    fn save_image(
+        durable: &DurableStore,
+        state: &ClusterState,
+        prev: &JobImage,
+        now: Timestamp,
+        wal_seq: u64,
+    ) -> JobImage {
+        let image = state.checkpoint_reusing(prev);
+        // Sized from the previous image: the encoding grows in place, never
+        // by doubling, and is kept as it is, not copied.
+        let mut bytes = Vec::with_capacity(prev.len() + prev.len() / 4 + 4_096);
+        image.write_json(&mut bytes);
+        let bytes = Arc::new(bytes);
+        durable.save(bytes.clone(), now, wal_seq);
+        image.into_image(bytes)
     }
 
     /// Submit a job or array (`sbatch`).
@@ -925,6 +945,43 @@ mod tests {
             compared += state.active_jobs().count();
         }
         assert!(compared > 8, "the images held jobs: {compared}");
+    }
+
+    /// Every periodic checkpoint copies the jobs the previous one encoded at
+    /// the same version, and its bytes are still exactly a fresh encoding.
+    #[test]
+    fn a_checkpoint_that_copies_unchanged_jobs_encodes_like_a_fresh_one() {
+        let (ctld, clock) = daemon();
+        for (i, runtime) in [90, 400, 3_700, 14_000, 7_200, 1_000, 13_000, 600]
+            .into_iter()
+            .enumerate()
+        {
+            let mut r = req(["alice", "bob"][i % 2], 2 + 3 * i as u32, runtime);
+            if i % 3 == 0 {
+                r.begin_time = Some(clock.now().plus(900));
+            }
+            ctld.submit(r).unwrap();
+        }
+        let (mut images, mut copied) = (0, 0);
+        for _ in 0..40 {
+            clock.advance(100);
+            ctld.tick();
+            let state = ctld.state.lock();
+            let saved = ctld.durable.latest().unwrap();
+            if saved.at != clock.now() {
+                continue;
+            }
+            images += 1;
+            assert_eq!(&*saved.bytes, &serde_json::to_vec(&state.checkpoint()).unwrap()[..]);
+            let image = ctld.image.lock();
+            let mut from = 0;
+            copied += state
+                .active_jobs()
+                .filter(|j| image.bytes_of(j, &mut from).is_some())
+                .count();
+        }
+        assert!(images >= 10, "{images} periodic checkpoints");
+        assert!(copied > 0, "no job was carried over");
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! and Job Performance Metrics backends) see the full picture without
 //! touching slurmctld.
 
-use crate::durable::{DurableStore, RecoveryReport, Wal};
+use crate::durable::{join_arrays, DurableStore, RecoveryReport, Wal};
 use crate::job::{Job, JobId, JobState};
 use crate::loadmodel::{RpcCostModel, RpcStats};
 use crate::snapshot::ClusterSnapshot;
+use serde::Serialize;
 use hpcdash_faults::{FaultFailure, FaultHost, RestartToken};
 use hpcdash_obs::{PhaseProfiler, Span};
 use hpcdash_simtime::Timestamp;
@@ -324,7 +325,12 @@ impl Slurmdbd {
             .durable
             .latest()
             .expect("construction always writes checkpoint 0");
-        let rows: Vec<Job> = serde_json::from_slice(&cp.bytes).expect("checkpoint decodes");
+        let rows: Vec<Job> = cp
+            .images()
+            .flat_map(|image| {
+                serde_json::from_slice::<Vec<Job>>(image).expect("checkpoint decodes")
+            })
+            .collect();
         let (records, truncated) = self.wal.replay_from(cp.wal_seq);
         debug_assert!(!truncated, "checkpoints only trim the WAL they cover");
         let wal_replayed = records.len() as u64;
@@ -349,23 +355,34 @@ impl Slurmdbd {
         });
     }
 
-    /// Checkpoint the archive now and compact the covered WAL prefix. The
-    /// image's timestamp is the newest end time it contains (accounting
-    /// data carries its own time; the dbd holds no clock).
+    /// Checkpoint the archive now and compact the covered WAL prefix: the
+    /// rows archived since the previous checkpoint become one segment of
+    /// the image, and once the segments outgrow the base they are folded
+    /// into a new base without being decoded. The image's timestamp is the
+    /// newest end time it contains (accounting data carries its own time;
+    /// the dbd holds no clock).
     fn checkpoint_now(&self) {
-        let archived = self.archived.read();
         let wal_seq = self.wal.flushed_seq();
-        let rows: Vec<Job> = archived.rows.values().map(|j| Job::clone(j)).collect();
-        let at = rows
-            .iter()
-            .filter_map(|j| j.end_time)
-            .max()
-            .unwrap_or(Timestamp(0));
-        self.durable.save(
-            serde_json::to_vec(&rows).expect("checkpoint serializes"),
-            at,
-            wal_seq,
-        );
+        let (after, mut at, base, segments) = self
+            .durable
+            .peek(|cp| (cp.wal_seq, cp.at, cp.bytes.len(), cp.segment_bytes()))
+            .expect("construction always writes checkpoint 0");
+        let mut segment = vec![b'['];
+        self.wal.for_each_durable(after, wal_seq, |job| {
+            if segment.len() > 1 {
+                segment.push(b',');
+            }
+            job.write_json(&mut segment);
+            at = at.max(job.end_time.unwrap_or(at));
+        });
+        segment.push(b']');
+        if segments + segment.len() > base {
+            let cp = self.durable.latest().expect("peeked above");
+            let joined = join_arrays(cp.images().chain([&segment[..]]));
+            self.durable.save(joined, at, wal_seq);
+        } else {
+            self.durable.append(segment, at, wal_seq);
+        }
         self.wal.trim_through(wal_seq);
     }
 

@@ -20,6 +20,14 @@
 //!
 //! Built on the same [`Journal`] as the job-event log, so WAL compaction
 //! inherits the "truncated means resync" cursor contract tested there.
+//!
+//! ## Images that grow by segments
+//!
+//! A checkpoint is a base image plus the segments appended to it since.
+//! slurmctld writes a new base every time. slurmdbd's archive only grows, so
+//! its checkpoint appends one segment holding the rows archived since the
+//! previous one, and folds the segments into a new base (a byte
+//! concatenation, see [`join_arrays`]) once they outgrow it.
 
 use crate::cluster::ClusterState;
 use crate::events::Journal;
@@ -170,6 +178,19 @@ impl<T: Clone> Wal<T> {
         (read.entries, read.truncated)
     }
 
+    /// Visit the records with `after < seq <= through`, oldest first,
+    /// without copying them out. `through` is clamped to the durable
+    /// watermark.
+    pub fn for_each_durable(&self, after: u64, through: u64, mut f: impl FnMut(&T)) {
+        let through = through.min(self.flushed_seq());
+        self.journal.read(after, |s, r| {
+            if s <= through {
+                f(r);
+            }
+            None::<()>
+        });
+    }
+
     /// Burn the unflushed tail (crash recovery: those operations died with
     /// the daemon's memory). Their seqs are never reissued.
     pub fn drop_unflushed(&self) {
@@ -190,12 +211,28 @@ impl<T: Clone> Wal<T> {
 /// A serialized state image plus the WAL position it covers.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
-    /// Serialized (JSON) daemon state — opaque to this module.
-    pub bytes: Arc<[u8]>,
+    /// The base image: serialized (JSON) daemon state, opaque to this
+    /// module.
+    pub bytes: Arc<Vec<u8>>,
+    /// Images appended to the base since it was written, oldest first.
+    /// Recovery reads the base, then each segment, as one state.
+    pub segments: Vec<Arc<Vec<u8>>>,
     /// Sim time the checkpoint was taken.
     pub at: Timestamp,
     /// WAL watermark the image includes: recovery replays `seq > wal_seq`.
     pub wal_seq: u64,
+}
+
+impl Checkpoint {
+    /// The base, then every segment.
+    pub fn images(&self) -> impl Iterator<Item = &[u8]> {
+        std::iter::once(&self.bytes[..]).chain(self.segments.iter().map(|s| &s[..]))
+    }
+
+    /// Bytes held by the segments.
+    pub fn segment_bytes(&self) -> usize {
+        self.segments.iter().map(|s| s.len()).sum()
+    }
 }
 
 /// Holds the latest checkpoint (the simulator's stand-in for
@@ -203,7 +240,7 @@ pub struct Checkpoint {
 /// always starts from it.
 #[derive(Default)]
 pub struct DurableStore {
-    latest: Mutex<Option<Arc<Checkpoint>>>,
+    latest: Mutex<Option<Checkpoint>>,
     saves: AtomicU64,
 }
 
@@ -212,23 +249,68 @@ impl DurableStore {
         DurableStore::default()
     }
 
-    pub fn save(&self, bytes: Vec<u8>, at: Timestamp, wal_seq: u64) {
-        *self.latest.lock() = Some(Arc::new(Checkpoint {
+    /// Write a new base image, dropping the old one and its segments.
+    pub fn save(&self, bytes: impl Into<Arc<Vec<u8>>>, at: Timestamp, wal_seq: u64) {
+        *self.latest.lock() = Some(Checkpoint {
             bytes: bytes.into(),
+            segments: Vec::new(),
             at,
             wal_seq,
-        }));
+        });
         self.saves.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn latest(&self) -> Option<Arc<Checkpoint>> {
+    /// Append `segment` to the latest image, which then covers the WAL
+    /// through `wal_seq`.
+    ///
+    /// # Panics
+    /// If no base image was saved first.
+    pub fn append(&self, segment: Vec<u8>, at: Timestamp, wal_seq: u64) {
+        let mut latest = self.latest.lock();
+        let cp = latest.as_mut().expect("a segment extends a saved base");
+        cp.segments.push(segment.into());
+        cp.at = at;
+        cp.wal_seq = wal_seq;
+        self.saves.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub fn latest(&self) -> Option<Checkpoint> {
         self.latest.lock().clone()
     }
 
-    /// How many checkpoints have ever been written.
+    /// Read the latest checkpoint in place.
+    pub fn peek<R>(&self, f: impl FnOnce(&Checkpoint) -> R) -> Option<R> {
+        self.latest.lock().as_ref().map(f)
+    }
+
+    /// How many checkpoints have ever been written, bases and segments.
     pub fn save_count(&self) -> u64 {
         self.saves.load(Ordering::Relaxed)
     }
+}
+
+/// JSON arrays joined into one: `[a,b]`, `[]` and `[c]` make `[a,b,c]`.
+/// Element bytes are copied, never decoded.
+///
+/// # Panics
+/// If a part is not a JSON array.
+pub fn join_arrays<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> Vec<u8> {
+    let mut out = vec![b'['];
+    for part in parts {
+        let inner = part
+            .strip_prefix(b"[")
+            .and_then(|p| p.strip_suffix(b"]"))
+            .expect("each part is a JSON array");
+        if inner.is_empty() {
+            continue;
+        }
+        if out.len() > 1 {
+            out.push(b',');
+        }
+        out.extend_from_slice(inner);
+    }
+    out.push(b']');
+    out
 }
 
 /// What one crash-recovery cost and recovered — surfaced through
@@ -334,5 +416,27 @@ mod tests {
         assert_eq!(cp.at, Timestamp(20));
         assert_eq!(cp.wal_seq, 8);
         assert_eq!(store.save_count(), 2);
+        assert!(cp.segments.is_empty());
+    }
+
+    #[test]
+    fn segments_extend_the_base_until_the_next_one() {
+        let store = DurableStore::new();
+        store.save(b"[1]".to_vec(), Timestamp(10), 3);
+        store.append(b"[2,3]".to_vec(), Timestamp(20), 5);
+        store.append(b"[]".to_vec(), Timestamp(30), 6);
+        let cp = store.latest().unwrap();
+        assert_eq!((cp.at, cp.wal_seq, store.save_count()), (Timestamp(30), 6, 3));
+        assert_eq!(cp.segment_bytes(), 7);
+        assert_eq!(join_arrays(cp.images()), b"[1,2,3]");
+        store.save(join_arrays(cp.images()), Timestamp(30), 6);
+        assert!(store.latest().unwrap().segments.is_empty());
+    }
+
+    #[test]
+    fn joined_arrays_skip_empty_parts() {
+        assert_eq!(join_arrays([&b"[]"[..], b"[]"]), b"[]");
+        assert_eq!(join_arrays([&b"[]"[..], b"[{\"a\":[1]}]", b"[]", b"[7]"]), b"[{\"a\":[1]},7]");
+        assert_eq!(join_arrays(std::iter::empty()), b"[]");
     }
 }

@@ -78,6 +78,8 @@ pub struct RpcStats {
     per_kind: Mutex<HashMap<&'static str, KindStats>>,
     /// Ring of recent latencies (ns) for percentile reporting.
     recent: Mutex<Vec<u64>>,
+    /// Where `percentiles` selects from a copy of `recent`.
+    scratch: Mutex<Vec<u64>>,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -191,12 +193,27 @@ impl RpcStats {
         self.per_kind.lock().get(kind).map(|k| k.count).unwrap_or(0)
     }
 
-    pub fn snapshot(&self) -> RpcSnapshot {
-        let mut recent = self.recent.lock().clone();
+    /// p50, p95 and p99 over the recent-latency window, if any traffic
+    /// was seen. The window is copied into a scratch buffer kept for the
+    /// next call, so a steady caller allocates nothing.
+    pub fn percentiles(&self) -> [Option<Duration>; 3] {
+        let mut scratch = self.scratch.lock();
+        scratch.clear();
+        scratch.extend_from_slice(&self.recent.lock());
         // Ascending fractions: each pick only partitions the slice above
         // the previous one, so the three cost one pass, not a sort.
-        let [p50, p95, p99] =
-            hpcdash_obs::recorder::select_percentiles(&mut recent, [0.50, 0.95, 0.99]);
+        hpcdash_obs::recorder::select_percentiles(&mut scratch, [0.50, 0.95, 0.99])
+    }
+
+    /// Visit each RPC kind's totals in place, in no particular order.
+    pub fn for_each_kind(&self, mut f: impl FnMut(&'static str, &KindStats)) {
+        for (kind, k) in self.per_kind.lock().iter() {
+            f(kind, k);
+        }
+    }
+
+    pub fn snapshot(&self) -> RpcSnapshot {
+        let [p50, p95, p99] = self.percentiles();
         RpcSnapshot {
             total_rpcs: self.total_rpcs(),
             total_busy: self.total_busy(),

@@ -11,7 +11,7 @@
 
 use crate::collector::{keys, CollectOutcome, Collector};
 use crate::store::{IngestTally, RangePoint, SeriesHandle, Tier, TsdbStore};
-use hpcdash_obs::registry::{Labels, Registry, SampleValue};
+use hpcdash_obs::registry::{Labels, Registry, SampleRef, SampleValue};
 use hpcdash_obs::PhaseProfiler;
 use hpcdash_simtime::SharedClock;
 use hpcdash_slurm::ctld::Slurmctld;
@@ -32,6 +32,11 @@ struct Scraped {
 impl Scraped {
     fn key(&self) -> (&str, &Labels) {
         (&self.name, &self.labels)
+    }
+
+    /// How `sample`'s key orders against this instrument's.
+    fn cmp(&self, sample: &SampleRef<'_>) -> std::cmp::Ordering {
+        sample.key_cmp(&self.name, &self.labels).reverse()
     }
 
     /// Format the instrument's series names and resolve them; runs once per
@@ -169,33 +174,31 @@ impl TelemetryD {
         // Instruments first seen in this pass, merged in after it.
         let mut fresh = Vec::new();
         let mut appended = 0u64;
-        // `gather` sorts by (name, labels), as `known` is kept: one forward
-        // walk pairs each sample with its instrument's handles.
+        // The visit is in (name, labels) order, as `known` is kept: one
+        // forward walk pairs each sample with its instrument's handles.
         let mut at = 0;
-        for s in reg.gather() {
+        reg.visit(|s| {
             let (values, n) = match s.value {
                 SampleValue::Counter(v) => ([v as f64, 0.0, 0.0], 1),
                 SampleValue::Gauge(v) => ([v as f64, 0.0, 0.0], 1),
                 SampleValue::Summary(h) => ([h.p50_ns as f64, h.p99_ns as f64, h.count as f64], 3),
             };
-            while known
-                .get(at)
-                .is_some_and(|k| k.key() < (s.name.as_str(), &s.labels))
-            {
+            while known.get(at).is_some_and(|k| k.cmp(s).is_lt()) {
                 at += 1;
             }
             let series = match known.get_mut(at) {
-                Some(k) if k.key() == (s.name.as_str(), &s.labels) => {
+                Some(k) if k.cmp(s).is_eq() => {
                     if k.series.len() != n {
-                        k.series = Scraped::resolve(&self.store, &s.name, &s.labels, n);
+                        k.series = Scraped::resolve(&self.store, &k.name, &k.labels, n);
                     }
                     &k.series
                 }
                 _ => {
-                    let series = Scraped::resolve(&self.store, &s.name, &s.labels, n);
+                    let labels = s.labels.to_labels();
+                    let series = Scraped::resolve(&self.store, s.name, &labels, n);
                     fresh.push(Scraped {
-                        name: s.name,
-                        labels: s.labels,
+                        name: s.name.to_string(),
+                        labels,
                         series,
                     });
                     &fresh.last().expect("just pushed").series
@@ -204,7 +207,7 @@ impl TelemetryD {
             for (handle, v) in series.iter().zip(values) {
                 appended += u64::from(tally.add(handle.append(ts, v)));
             }
-        }
+        });
         if !fresh.is_empty() {
             known.append(&mut fresh);
             known.sort_by(|a, b| a.key().cmp(&b.key()));

@@ -304,7 +304,7 @@ mod tests {
             let armed = Arc::new(AtomicBool::new(true));
             let registry = Arc::new(Registry::new());
             let trigger = armed.clone();
-            registry.register_collector(move |_| {
+            registry.register_collector(move |_: &mut hpcdash_obs::SampleSink| {
                 if trigger.swap(false, Ordering::SeqCst) {
                     panic!("scrape failed on {victim}");
                 }
