@@ -177,10 +177,8 @@ impl FederatedSnapshot {
             let Some(snap) = status.snapshot.as_deref() else {
                 continue;
             };
-            if let Some(positions) = snap.by_user.get(user) {
-                for &pos in positions {
-                    out.push((status, snap.jobs[pos as usize].clone()));
-                }
+            for &id in snap.by_user.get(user).unwrap_or_default() {
+                out.extend(snap.jobs.by_id(id).map(|job| (status, job.clone())));
             }
         }
         out
@@ -191,7 +189,7 @@ impl FederatedSnapshot {
         self.sites
             .iter()
             .filter_map(|s| Some((s, s.snapshot.as_deref()?)))
-            .flat_map(|(status, snap)| snap.nodes.iter().map(move |node| (status, node)))
+            .flat_map(|(status, snap)| snap.nodes.iter().map(move |node| (status, &**node)))
     }
 
     /// Sum of per-site snapshot seqs — monotone non-decreasing across

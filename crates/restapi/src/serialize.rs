@@ -323,7 +323,7 @@ fn encode_row(job: &Job) -> EncodedRow {
 /// lists this job version, and its elapsed time in `snap`.
 fn row(snap: &ClusterSnapshot, pos: usize) -> (&EncodedRow, u64) {
     let job = &snap.jobs[pos];
-    let row = snap.job_rows.get_or_encode(pos, || encode_row(job));
+    let row = snap.jobs.row(pos, || encode_row(job));
     (row, job.elapsed_secs(snap.now))
 }
 
@@ -359,8 +359,10 @@ pub fn jobs_body(snap: &ClusterSnapshot, positions: &[u32]) -> Vec<u8> {
 /// `/slurm/v0/jobs/:id`: the same envelope around one job of `snap` (a job
 /// the snapshot does not hold is encoded for this body alone).
 pub fn job_body(snap: &ClusterSnapshot, job: &Job) -> Vec<u8> {
-    match snap.jobs.binary_search_by_key(&job.id, |j| j.id) {
-        Ok(pos) if std::ptr::eq(&*snap.jobs[pos], job) => jobs_envelope(snap, vec![row(snap, pos)]),
+    match snap.jobs.position(job.id) {
+        Some(pos) if std::ptr::eq(&*snap.jobs[pos], job) => {
+            jobs_envelope(snap, vec![row(snap, pos)])
+        }
         _ => jobs_envelope(snap, vec![(&encode_row(job), job.elapsed_secs(snap.now))]),
     }
 }
@@ -369,10 +371,10 @@ pub fn job_body(snap: &ClusterSnapshot, job: &Job) -> Vec<u8> {
 /// partition-scoped view).
 pub fn nodes_body(snap: &ClusterSnapshot, positions: Option<&[u32]>) -> Vec<u8> {
     let nodes = match positions {
-        None => snap.nodes.iter().map(NodeRow::from).collect(),
+        None => snap.nodes.iter().map(|n| NodeRow::from(&**n)).collect(),
         Some(ps) => ps
             .iter()
-            .map(|&p| NodeRow::from(&snap.nodes[p as usize]))
+            .map(|&p| NodeRow::from(&*snap.nodes[p as usize]))
             .collect(),
     };
     encode(&NodesBody {
@@ -459,7 +461,7 @@ mod tests {
             Timestamp(1_000),
             Arc::from("t"),
             vec![Arc::new(job)],
-            vec![node],
+            vec![Arc::new(node)],
             vec![part],
             vec![Arc::new(assoc)],
             None,
@@ -506,15 +508,15 @@ mod tests {
     fn memoized_rows_take_the_elapsed_time_of_each_snapshot() {
         let first = snap_with_one_of_each();
         jobs_body(&first, &[0]);
-        assert_eq!(first.job_rows.len(), 1);
+        assert_eq!(first.jobs.rows_encoded(), 1);
 
         // The same job version later: the row is carried over, and spliced
         // around the new elapsed time it is the body a fresh encode gives.
         let later = republish(&first, 1_500, first.jobs.to_vec(), true);
-        assert_eq!(later.job_rows.len(), 1, "carried from the first");
+        assert_eq!(later.jobs.rows_encoded(), 1, "carried from the first");
         let memoized = jobs_body(&later, &[0]);
         let fresh = republish(&first, 1_500, first.jobs.to_vec(), false);
-        assert_eq!(fresh.job_rows.len(), 0);
+        assert_eq!(fresh.jobs.rows_encoded(), 0);
         assert_eq!(memoized, jobs_body(&fresh, &[0]));
         let body: Value = serde_json::from_slice(&memoized).unwrap();
         assert_eq!(body["jobs"][0]["elapsed_secs"], 1_300);
@@ -525,7 +527,7 @@ mod tests {
         done.state = JobState::Completed;
         done.end_time = Some(Timestamp(1_600));
         let next = republish(&later, 2_000, vec![Arc::new(done)], true);
-        assert_eq!(next.job_rows.len(), 0, "not carried to another version");
+        assert_eq!(next.jobs.rows_encoded(), 0, "not carried to another version");
         let body: Value = serde_json::from_slice(&jobs_body(&next, &[0])).unwrap();
         assert_eq!(body["jobs"][0]["job_state"], "COMPLETED");
         assert_eq!(body["jobs"][0]["elapsed_secs"], 1_400);

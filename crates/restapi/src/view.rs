@@ -8,6 +8,7 @@
 //! the caching the Palmetto paper layers over its Slurm REST API.)
 
 use crate::scope::ScopeSet;
+use hpcdash_slurm::job::JobId;
 use hpcdash_slurm::snapshot::ClusterSnapshot;
 use std::collections::BTreeSet;
 
@@ -25,23 +26,23 @@ pub fn visible_job_positions(
     if scopes.has_cluster() {
         return Some((0..snap.jobs.len() as u32).collect());
     }
-    let mut positions: BTreeSet<u32> = BTreeSet::new();
+    let mut ids: BTreeSet<JobId> = BTreeSet::new();
     if scopes.contains(&crate::scope::Scope::ReadOwnJobs) {
-        if let Some(ps) = snap.by_user.get(subject) {
-            positions.extend(ps.iter().copied());
-        }
+        ids.extend(snap.by_user.get(subject).unwrap_or_default());
     }
     for acct in scopes.accounts() {
-        if let Some(ps) = snap.by_account.get(acct) {
-            positions.extend(ps.iter().copied());
-        }
+        ids.extend(snap.by_account.get(acct).unwrap_or_default());
     }
     for part in scopes.partitions() {
-        if let Some(ps) = snap.by_partition.get(part) {
-            positions.extend(ps.iter().copied());
-        }
+        ids.extend(snap.by_partition.get(part).unwrap_or_default());
     }
-    Some(positions.into_iter().collect())
+    // Ascending ids sit at ascending positions.
+    Some(
+        ids.into_iter()
+            .filter_map(|id| snap.jobs.position(id))
+            .map(|pos| pos as u32)
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -86,7 +87,7 @@ mod tests {
                 job(2, "bob", "physics", "gpu"),
                 job(3, "carol", "chem", "gpu"),
             ],
-            vec![Node::new("a001", 8, 32_000, 0)],
+            vec![Arc::new(Node::new("a001", 8, 32_000, 0))],
             vec![Partition::new("cpu"), Partition::new("gpu")],
             vec![],
             None,

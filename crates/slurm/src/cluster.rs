@@ -10,7 +10,7 @@ use crate::node::Node;
 use crate::partition::Partition;
 use crate::qos::Qos;
 use crate::sched::{self, PlanInputs, PriorityWeights, ScheduleDecision};
-use crate::snapshot::ClusterSnapshot;
+use crate::snapshot::{chunk_key, ClusterSnapshot, CHUNK_IDS};
 use hpcdash_simtime::Timestamp;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -105,8 +105,11 @@ pub struct ClusterState {
     pub assoc: AssocStore,
     /// Active (pending/running/suspended) jobs. Stored as `Arc<Job>` so
     /// snapshot publication shares rows with readers; mutations go through
-    /// `Arc::make_mut` (copy-on-write when a snapshot still holds the row).
-    jobs: BTreeMap<JobId, Arc<Job>>,
+    /// `Arc::make_mut` (copy-on-write when a snapshot still holds the row)
+    /// and note the chunk they touched for the next publication.
+    jobs: LiveJobs,
+    /// Whether a node may have changed since the last capture.
+    nodes_dirty: bool,
     run_plans: HashMap<JobId, RunPlan>,
     next_id: u32,
     weights: PriorityWeights,
@@ -146,7 +149,8 @@ impl ClusterState {
                 .collect(),
             qos: spec.qos.into_iter().map(|q| (q.name.clone(), q)).collect(),
             assoc: spec.assoc,
-            jobs: BTreeMap::new(),
+            jobs: LiveJobs::default(),
+            nodes_dirty: true,
             run_plans: HashMap::new(),
             next_id: 1_000,
             weights: PriorityWeights::default(),
@@ -219,7 +223,7 @@ impl ClusterState {
                 JobState::Pending,
                 job.reason,
             );
-            self.jobs.insert(id, Arc::new(job));
+            self.jobs.insert(Arc::new(job));
             ids.push(id);
         }
         Ok(ids)
@@ -265,14 +269,14 @@ impl ClusterState {
 
     /// Cancel a job. Only the owner (or an operator acting as `root`) may.
     pub fn cancel(&mut self, id: JobId, user: &str, now: Timestamp) -> Result<(), ClusterError> {
-        let job = self.jobs.get(&id).ok_or(ClusterError::UnknownJob(id))?;
+        let job = self.jobs.get(id).ok_or(ClusterError::UnknownJob(id))?;
         if job.req.user != user && user != "root" {
             return Err(ClusterError::PermissionDenied(format!(
                 "job {id} belongs to {}",
                 job.req.user
             )));
         }
-        let mut job = self.jobs.remove(&id).expect("checked above");
+        let mut job = self.jobs.remove(id).expect("checked above");
         match job.state {
             JobState::Pending => {
                 self.assoc.note_dequeued(&job.req.account, job.alloc_cpus());
@@ -320,9 +324,9 @@ impl ClusterState {
 
     /// Hold a pending job (used by admin tooling and tests).
     pub fn hold(&mut self, id: JobId, by_admin: bool) -> Result<(), ClusterError> {
-        let job = self.jobs.get_mut(&id).ok_or(ClusterError::UnknownJob(id))?;
+        let job = self.jobs.get(id).ok_or(ClusterError::UnknownJob(id))?;
         if job.state == JobState::Pending {
-            Arc::make_mut(job).reason = Some(if by_admin {
+            self.jobs.get_mut(id).expect("checked above").reason = Some(if by_admin {
                 PendingReason::JobHeldAdmin
             } else {
                 PendingReason::JobHeldUser
@@ -333,14 +337,14 @@ impl ClusterState {
 
     /// Release a held job so the scheduler considers it again.
     pub fn release(&mut self, id: JobId) -> Result<(), ClusterError> {
-        let job = self.jobs.get_mut(&id).ok_or(ClusterError::UnknownJob(id))?;
+        let job = self.jobs.get(id).ok_or(ClusterError::UnknownJob(id))?;
         if job.state == JobState::Pending
             && matches!(
                 job.reason,
                 Some(PendingReason::JobHeldUser) | Some(PendingReason::JobHeldAdmin)
             )
         {
-            Arc::make_mut(job).reason = Some(PendingReason::Priority);
+            self.jobs.get_mut(id).expect("checked above").reason = Some(PendingReason::Priority);
         }
         Ok(())
     }
@@ -368,7 +372,7 @@ impl ClusterState {
         due.sort_unstable();
         for (_, id) in due {
             let plan = self.run_plans.remove(&id).expect("listed above");
-            let Some(mut job) = self.jobs.remove(&id) else {
+            let Some(mut job) = self.jobs.remove(id) else {
                 continue;
             };
             self.release_job_nodes(&job, plan.end);
@@ -409,28 +413,28 @@ impl ClusterState {
             .jobs
             .values()
             .filter_map(|j| j.req.dependency)
-            .map(|dep| (dep, self.jobs.get(&dep).map(|d| d.state)))
+            .map(|dep| (dep, self.jobs.get(dep).map(|d| d.state)))
             .collect();
 
-        for job in self.jobs.values_mut() {
+        self.jobs.for_each_mut(|job| {
             if job.state != JobState::Pending {
-                continue;
+                return;
             }
             // Holds stick until explicitly released.
             if matches!(
                 job.reason,
                 Some(PendingReason::JobHeldUser) | Some(PendingReason::JobHeldAdmin)
             ) {
-                continue;
+                return;
             }
             if let Some(begin) = job.req.begin_time {
                 if begin > now {
                     if job.reason != Some(PendingReason::BeginTime) {
-                        Arc::make_mut(job).reason = Some(PendingReason::BeginTime);
+                        job.make_mut().reason = Some(PendingReason::BeginTime);
                     }
-                    continue;
+                    return;
                 } else if job.reason == Some(PendingReason::BeginTime) {
-                    Arc::make_mut(job).reason = Some(PendingReason::Priority);
+                    job.make_mut().reason = Some(PendingReason::Priority);
                 }
             }
             if let Some(dep) = job.req.dependency {
@@ -438,40 +442,41 @@ impl ClusterState {
                     // Dependency still active in the queue.
                     Some(s) if s.is_active() => {
                         if job.reason != Some(PendingReason::Dependency) {
-                            Arc::make_mut(job).reason = Some(PendingReason::Dependency);
+                            job.make_mut().reason = Some(PendingReason::Dependency);
                         }
-                        continue;
                     }
                     // Dependency left the active set: it finished, so the
                     // job is released (the simulator treats every finished
                     // dependency as satisfied).
                     _ => {
                         if job.reason == Some(PendingReason::Dependency) {
-                            Arc::make_mut(job).reason = Some(PendingReason::Priority);
+                            job.make_mut().reason = Some(PendingReason::Priority);
                         }
                     }
                 }
             }
-        }
+        });
     }
 
     fn schedule_pass(&mut self, now: Timestamp) {
-        for job in self.jobs.values_mut() {
+        let (assoc, qos, partitions, weights) =
+            (&self.assoc, &self.qos, &self.partitions, &self.weights);
+        self.jobs.for_each_mut(|job| {
             if job.state != JobState::Pending {
-                continue;
+                return;
             }
             let p = sched::compute_priority(
                 job,
                 now,
-                &self.assoc,
-                self.qos.get(&job.req.qos),
-                self.partitions.get(&job.req.partition),
-                &self.weights,
+                assoc,
+                qos.get(&job.req.qos),
+                partitions.get(&job.req.partition),
+                weights,
             );
             if job.priority != p {
-                Arc::make_mut(job).priority = p;
+                job.make_mut().priority = p;
             }
-        }
+        });
 
         // Eligible = pending, not held, not waiting on begin-time/dependency;
         // highest priority first, then oldest, then lowest id.
@@ -522,8 +527,8 @@ impl ClusterState {
                     }
                 }
                 ScheduleDecision::Pend { job: id, reason } => {
-                    if let Some(j) = self.jobs.get_mut(&id) {
-                        Arc::make_mut(j).reason = Some(reason);
+                    if let Some(j) = self.jobs.get_mut(id) {
+                        j.reason = Some(reason);
                     }
                 }
             }
@@ -531,8 +536,9 @@ impl ClusterState {
     }
 
     fn start_job(&mut self, id: JobId, node_names: Vec<String>, now: Timestamp) {
-        let job = Arc::make_mut(self.jobs.get_mut(&id).expect("plan references live job"));
+        let job = self.jobs.get_mut(id).expect("plan references live job");
         let per_node = job.req.per_node_tres();
+        self.nodes_dirty = true;
         for name in &node_names {
             self.nodes
                 .get_mut(name)
@@ -559,6 +565,7 @@ impl ClusterState {
 
     fn release_job_nodes(&mut self, job: &Job, now: Timestamp) {
         let per_node = job.req.per_node_tres();
+        self.nodes_dirty = true;
         for name in &job.nodes {
             if let Some(n) = self.nodes.get_mut(name) {
                 n.release(per_node, now);
@@ -585,7 +592,11 @@ impl ClusterState {
             // Cluster Status load columns are not perfectly flat.
             let base = node.alloc.cpus as f64;
             let wobble = (node.name.len() % 3) as f64 * 0.17;
-            node.cpu_load = (base * 0.95 + wobble).max(0.0);
+            let load = (base * 0.95 + wobble).max(0.0);
+            if node.cpu_load != load {
+                node.cpu_load = load;
+                self.nodes_dirty = true;
+            }
         }
     }
 
@@ -604,7 +615,7 @@ impl ClusterState {
     }
 
     pub fn job(&self, id: JobId) -> Option<&Job> {
-        self.jobs.get(&id).map(|a| a.as_ref())
+        self.jobs.get(id).map(|a| a.as_ref())
     }
 
     pub fn node(&self, name: &str) -> Option<&Node> {
@@ -626,6 +637,7 @@ impl ClusterState {
 
     /// Mutable node access for admin actions (drain/down) and WAL replay.
     pub fn node_mut(&mut self, name: &str) -> Option<&mut Node> {
+        self.nodes_dirty = true;
         self.nodes.get_mut(name)
     }
 
@@ -662,33 +674,64 @@ impl ClusterState {
 
     /// Materialize an immutable snapshot of the whole cluster for epoch
     /// publication. Jobs are shared (`Arc` clones), and so is every part no
-    /// mutation touched since the last capture: its node, partition and
-    /// association slices, each unchanged association record, and the job
-    /// indexes, which are carried over rather than rebuilt.
+    /// mutation touched since the last capture: each job chunk no job of
+    /// which changed, each unchanged node, the partition slice, each
+    /// unchanged association record, and the job indexes, which change only
+    /// where a job came or went.
     pub(crate) fn capture_snapshot(&mut self, seq: u64, now: Timestamp) -> Arc<ClusterSnapshot> {
         let prev = self.published.take();
-        let nodes: Arc<[Node]> = match &prev {
-            Some(p) if p.nodes.iter().eq(self.nodes.values()) => p.nodes.clone(),
-            _ => self.nodes.values().cloned().collect(),
-        };
+        let nodes = self.node_records(prev.as_ref().map(|p| &p.nodes));
         let partitions: Arc<[Partition]> = match &prev {
             Some(p) if p.partitions.iter().eq(self.partitions.values()) => p.partitions.clone(),
             _ => self.partitions.values().cloned().collect(),
         };
         let assoc = self.assoc_records(prev.as_ref().map_or(&[], |p| &p.assoc));
-        let snap = Arc::new(ClusterSnapshot::build(
-            seq,
-            now,
-            prev.as_ref()
-                .map_or_else(|| Arc::from(self.name.as_str()), |p| p.name.clone()),
-            self.jobs.values().cloned().collect(),
-            nodes,
-            partitions,
-            assoc,
-            prev.as_deref(),
-        ));
+        let name = prev
+            .as_ref()
+            .map_or_else(|| Arc::from(self.name.as_str()), |p| p.name.clone());
+        let snap = Arc::new(match prev.as_deref() {
+            Some(p) => {
+                let changed = self.jobs.take_changed();
+                ClusterSnapshot::assemble(seq, now, name, changed, nodes, partitions, assoc, Some(p))
+            }
+            None => {
+                self.jobs.dirty.clear();
+                let jobs = self.jobs.values().cloned().collect();
+                ClusterSnapshot::build(seq, now, name, jobs, nodes, partitions, assoc, None)
+            }
+        });
         self.published = Some(snap.clone());
         snap
+    }
+
+    /// The nodes in name order. A node equal to `prev`'s at the same place
+    /// is `prev`'s, shared, and `prev` is the answer when none changed.
+    fn node_records(&mut self, prev: Option<&Arc<[Arc<Node>]>>) -> Arc<[Arc<Node>]> {
+        let dirty = std::mem::replace(&mut self.nodes_dirty, false);
+        match prev {
+            Some(p) if !dirty => p.clone(),
+            Some(p) if p.len() == self.nodes.len() => {
+                let mut changed = false;
+                let nodes: Vec<Arc<Node>> = p
+                    .iter()
+                    .zip(self.nodes.values())
+                    .map(|(was, node)| {
+                        if **was == *node {
+                            was.clone()
+                        } else {
+                            changed = true;
+                            Arc::new(node.clone())
+                        }
+                    })
+                    .collect();
+                if changed {
+                    nodes.into()
+                } else {
+                    p.clone()
+                }
+            }
+            _ => self.nodes.values().cloned().map(Arc::new).collect(),
+        }
     }
 
     /// The durable image of this cluster, borrowed: everything a restarted
@@ -721,7 +764,7 @@ impl ClusterState {
             qos: &self.qos,
             assoc: &self.assoc,
             jobs: JobsRef {
-                jobs: &self.jobs,
+                jobs: &self.jobs.map,
                 reuse,
                 spans: RefCell::new(Vec::new()),
             },
@@ -759,7 +802,8 @@ impl ClusterState {
             partitions: cp.partitions,
             qos: cp.qos,
             assoc: cp.assoc,
-            jobs: cp.jobs.into_iter().map(|j| (j.id, Arc::new(j))).collect(),
+            jobs: LiveJobs::of(cp.jobs),
+            nodes_dirty: true,
             run_plans: cp.run_plans.into_iter().collect(),
             next_id: cp.next_id,
             weights: PriorityWeights::default(),
@@ -769,6 +813,103 @@ impl ClusterState {
             events,
             published: None,
         }
+    }
+}
+
+/// The live job table: every active job by id, and the chunks
+/// ([`chunk_key`]) a mutation touched since the last capture.
+#[derive(Debug, Default)]
+struct LiveJobs {
+    map: BTreeMap<JobId, Arc<Job>>,
+    /// Chunk keys touched since the last capture, unsorted, repeats allowed.
+    dirty: Vec<u32>,
+}
+
+impl LiveJobs {
+    fn of(jobs: Vec<Job>) -> LiveJobs {
+        LiveJobs {
+            map: jobs.into_iter().map(|j| (j.id, Arc::new(j))).collect(),
+            dirty: Vec::new(),
+        }
+    }
+
+    fn get(&self, id: JobId) -> Option<&Arc<Job>> {
+        self.map.get(&id)
+    }
+
+    fn values(&self) -> impl Iterator<Item = &Arc<Job>> {
+        self.map.values()
+    }
+
+    fn insert(&mut self, job: Arc<Job>) {
+        self.dirty.push(chunk_key(job.id));
+        self.map.insert(job.id, job);
+    }
+
+    fn remove(&mut self, id: JobId) -> Option<Arc<Job>> {
+        let job = self.map.remove(&id)?;
+        self.dirty.push(chunk_key(id));
+        Some(job)
+    }
+
+    /// Job `id`, to change: a copy if a snapshot still holds it.
+    fn get_mut(&mut self, id: JobId) -> Option<&mut Job> {
+        let job = self.map.get_mut(&id)?;
+        self.dirty.push(chunk_key(id));
+        Some(Arc::make_mut(job))
+    }
+
+    /// Visit every job; a visit that changes its job calls
+    /// [`JobSlot::make_mut`].
+    fn for_each_mut(&mut self, mut f: impl FnMut(&mut JobSlot<'_>)) {
+        for job in self.map.values_mut() {
+            let mut slot = JobSlot {
+                job,
+                changed: false,
+            };
+            f(&mut slot);
+            if slot.changed {
+                self.dirty.push(chunk_key(slot.job.id));
+            }
+        }
+    }
+
+    /// The touched chunks, ascending, each with its jobs now; clears the
+    /// record.
+    fn take_changed(&mut self) -> Vec<(u32, Vec<Arc<Job>>)> {
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+        let changed = self
+            .dirty
+            .iter()
+            .map(|&key| {
+                let ids = JobId(key * CHUNK_IDS)..JobId((key + 1) * CHUNK_IDS);
+                (key, self.map.range(ids).map(|(_, j)| j.clone()).collect())
+            })
+            .collect();
+        self.dirty.clear();
+        changed
+    }
+}
+
+/// One live job during [`LiveJobs::for_each_mut`].
+struct JobSlot<'a> {
+    job: &'a mut Arc<Job>,
+    changed: bool,
+}
+
+impl JobSlot<'_> {
+    fn make_mut(&mut self) -> &mut Job {
+        self.changed = true;
+        Arc::make_mut(self.job)
+    }
+}
+
+impl std::ops::Deref for JobSlot<'_> {
+    type Target = Job;
+
+    fn deref(&self) -> &Job {
+        self.job
     }
 }
 

@@ -88,8 +88,8 @@ impl JobQuery {
     /// input, which scales with the index selectivity rather than the
     /// total active-job count.
     fn select(&self, snap: &ClusterSnapshot) -> (Vec<Arc<Job>>, usize) {
-        let candidates: Option<Vec<u32>> = if self.user.is_some() || !self.accounts.is_empty() {
-            let mut lists: Vec<&[u32]> = Vec::new();
+        let candidates: Option<Vec<JobId>> = if self.user.is_some() || !self.accounts.is_empty() {
+            let mut lists: Vec<&[JobId]> = Vec::new();
             if let Some(u) = &self.user {
                 if let Some(l) = snap.by_user.get(u) {
                     lists.push(l);
@@ -104,14 +104,14 @@ impl JobQuery {
         } else {
             self.partition
                 .as_ref()
-                .map(|p| snap.by_partition.get(p).cloned().unwrap_or_default())
+                .map(|p| snap.by_partition.get(p).unwrap_or_default().to_vec())
         };
         match candidates {
             Some(idx) => {
                 let scanned = idx.len();
                 let out = idx
                     .iter()
-                    .map(|&i| &snap.jobs[i as usize])
+                    .filter_map(|&id| snap.jobs.by_id(id))
                     .filter(|j| self.matches(j))
                     .cloned()
                     .collect();
@@ -133,12 +133,12 @@ impl JobQuery {
 
 /// Merge ascending, internally deduped index lists into one ascending
 /// deduped list (preserves id order across a user OR accounts union).
-fn merge_ascending(lists: &[&[u32]]) -> Vec<u32> {
+fn merge_ascending(lists: &[&[JobId]]) -> Vec<JobId> {
     match lists {
         [] => Vec::new(),
         [one] => one.to_vec(),
         many => {
-            let mut all: Vec<u32> = many.iter().flat_map(|l| l.iter().copied()).collect();
+            let mut all: Vec<JobId> = many.iter().flat_map(|l| l.iter().copied()).collect();
             all.sort_unstable();
             all.dedup();
             all
@@ -611,7 +611,7 @@ impl Slurmctld {
 
     /// Node inventory (`scontrol show node` / `sinfo` substrate). The
     /// returned slice is shared with the snapshot — no copy.
-    pub fn query_nodes(&self) -> Arc<[Node]> {
+    pub fn query_nodes(&self) -> Arc<[Arc<Node>]> {
         let _span = Span::enter("ctld").attr("kind", "scontrol_node");
         let start = Instant::now();
         self.faults.check("scontrol_node").burn();
@@ -636,7 +636,7 @@ impl Slurmctld {
             .nodes
             .binary_search_by(|n| n.name.as_str().cmp(name))
             .ok()
-            .map(|i| snap.nodes[i].clone());
+            .map(|i| Node::clone(&snap.nodes[i]));
         self.stats.record("scontrol_node", start.elapsed());
         out
     }

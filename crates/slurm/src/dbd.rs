@@ -172,7 +172,7 @@ fn mirror_candidates<'s>(mirror: &'s ClusterSnapshot, filter: &JobFilter) -> Vec
             .filter_map(|a| mirror.by_account.get(a));
         user.chain(accounts)
             .flatten()
-            .map(|&at| &mirror.jobs[at as usize])
+            .filter_map(|&id| mirror.jobs.by_id(id))
             .collect()
     } else {
         mirror.jobs.iter().collect()
@@ -569,7 +569,7 @@ mod tests {
             Timestamp(0),
             Arc::from("test"),
             jobs,
-            Vec::<Node>::new(),
+            Vec::<Arc<Node>>::new(),
             Vec::<Partition>::new(),
             Vec::<Arc<AssocRecord>>::new(),
             None,
@@ -1006,7 +1006,7 @@ mod tests {
                 } else {
                     &active.by_account
                 };
-                map.get(key).map_or(0, Vec::len) as u64
+                map.get(key).map_or(0, <[_]>::len) as u64
             },
         );
 

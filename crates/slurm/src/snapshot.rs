@@ -18,6 +18,7 @@ use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -161,7 +162,9 @@ pub struct StateCounts {
 
 /// An immutable, internally consistent view of the whole cluster at one
 /// publication epoch. Jobs are shared (`Arc<Job>`), so handing a row to a
-/// caller is a refcount bump, not a deep clone.
+/// caller is a refcount bump, not a deep clone, and so is every part no
+/// mutation touched since the previous publication: a chunk of jobs, a
+/// node, the partitions, an association record, an index.
 #[derive(Debug)]
 pub struct ClusterSnapshot {
     /// Monotonic publication sequence number (strictly increasing).
@@ -170,28 +173,26 @@ pub struct ClusterSnapshot {
     pub now: hpcdash_simtime::Timestamp,
     pub name: Arc<str>,
     /// Active jobs in ascending id order (the `squeue` presentation order).
-    pub jobs: Arc<[Arc<Job>]>,
+    pub jobs: JobTable,
     /// Nodes in name order (BTreeMap iteration order of the live state).
-    pub nodes: Arc<[Node]>,
+    /// Each is shared with every snapshot published while it is unchanged.
+    pub nodes: Arc<[Arc<Node>]>,
     /// Partitions in name order.
     pub partitions: Arc<[Partition]>,
     /// All association records, in `AssocStore::accounts()` order. Each is
     /// shared with every snapshot published while its account is unchanged.
     pub assoc: Arc<[Arc<AssocRecord>]>,
-    /// user -> ascending positions into `jobs`.
-    pub by_user: HashMap<String, Vec<u32>>,
-    /// account -> ascending positions into `jobs`.
-    pub by_account: HashMap<String, Vec<u32>>,
-    /// partition -> ascending positions into `jobs`.
-    pub by_partition: HashMap<String, Vec<u32>>,
+    /// user -> ascending ids of the user's active jobs.
+    pub by_user: JobIndex,
+    /// account -> ascending ids of the account's active jobs.
+    pub by_account: JobIndex,
+    /// partition -> ascending ids of the partition's active jobs.
+    pub by_partition: JobIndex,
     /// Per-partition node groups: `partition_nodes[i]` holds positions into
     /// `nodes` for `partitions[i].nodes`, in the partition's declared node
     /// order (unknown node names are skipped, matching the old lookup).
     pub partition_nodes: Arc<[Vec<u32>]>,
     pub counts: StateCounts,
-    /// The encoded row of each job, carried over from `prev` while the job
-    /// is the same version.
-    pub job_rows: JobRows,
 }
 
 impl ClusterSnapshot {
@@ -201,50 +202,140 @@ impl ClusterSnapshot {
             seq: 0,
             now: hpcdash_simtime::Timestamp(0),
             name: Arc::from(name),
-            jobs: Arc::from(Vec::new()),
+            jobs: JobTable::default(),
             nodes: Arc::from(Vec::new()),
             partitions: Arc::from(Vec::new()),
             assoc: Arc::from(Vec::new()),
-            by_user: HashMap::new(),
-            by_account: HashMap::new(),
-            by_partition: HashMap::new(),
+            by_user: JobIndex::default(),
+            by_account: JobIndex::default(),
+            by_partition: JobIndex::default(),
             partition_nodes: Arc::from(Vec::new()),
             counts: StateCounts::default(),
-            job_rows: JobRows::default(),
         }
     }
 
-    /// Build a snapshot from presorted components, deriving every index.
-    /// What `prev` (the snapshot published before this one) already
-    /// derived is reused: its job indexes are carried over rather than
-    /// rebuilt, and its per-partition node groups are shared when it holds
-    /// the very same node and partition slices; its [`JobRows`] of jobs
-    /// still at the same version are taken over.
+    /// Build a snapshot of `jobs` (id-ascending) and the given parts. What
+    /// `prev` (the snapshot published before this one) holds is reused: a
+    /// chunk whose jobs are the very allocations `prev`'s chunk holds is
+    /// `prev`'s, and the rows its readers encoded come with it; the indexes
+    /// are `prev`'s, changed only where a job came or went.
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         seq: u64,
         now: hpcdash_simtime::Timestamp,
         name: Arc<str>,
         jobs: Vec<Arc<Job>>,
-        nodes: impl Into<Arc<[Node]>>,
+        nodes: impl Into<Arc<[Arc<Node>]>>,
         partitions: impl Into<Arc<[Partition]>>,
         assoc: impl Into<Arc<[Arc<AssocRecord>]>>,
         prev: Option<&ClusterSnapshot>,
     ) -> ClusterSnapshot {
-        let (nodes, partitions) = (nodes.into(), partitions.into());
-        let mut counts = StateCounts::default();
-        for job in &jobs {
-            match job.state {
-                JobState::Pending => counts.pending += 1,
-                JobState::Running => counts.running += 1,
-                JobState::Suspended => counts.suspended += 1,
-                _ => {}
+        let mut groups: Vec<(u32, Vec<Arc<Job>>)> = Vec::new();
+        for job in jobs {
+            match groups.last_mut() {
+                Some((key, group)) if *key == chunk_key(job.id) => group.push(job),
+                _ => groups.push((chunk_key(job.id), vec![job])),
             }
         }
-        let [by_user, by_account, by_partition] = job_indexes(prev, &jobs);
-        let job_rows = JobRows::carried(prev, &jobs);
+        let old = prev.map_or(&[][..], |p| &p.jobs.chunks[..]);
+        // Every key either side holds, minus the chunks that are unchanged.
+        let mut changed: Vec<(u32, Vec<Arc<Job>>)> = Vec::new();
+        let (mut o, mut g) = (old.iter().peekable(), groups.into_iter().peekable());
+        loop {
+            let (ok, gk) = (o.peek().map(|c| c.chunk.key), g.peek().map(|(k, _)| *k));
+            match (ok, gk) {
+                (None, None) => break,
+                (Some(k), gk) if gk.is_none_or(|gk| k < gk) => {
+                    o.next();
+                    changed.push((k, Vec::new()));
+                }
+                (ok, Some(k)) if ok.is_none_or(|ok| k < ok) => {
+                    changed.push(g.next().expect("peeked"));
+                }
+                _ => {
+                    let was = o.next().expect("peeked");
+                    let (k, group) = g.next().expect("peeked");
+                    let same = was.chunk.jobs.len() == group.len()
+                        && was.chunk.jobs.iter().zip(&group).all(|(a, b)| Arc::ptr_eq(a, b));
+                    if !same {
+                        changed.push((k, group));
+                    }
+                }
+            }
+        }
+        ClusterSnapshot::assemble(
+            seq,
+            now,
+            name,
+            changed,
+            nodes.into(),
+            partitions.into(),
+            assoc.into(),
+            prev,
+        )
+    }
+
+    /// A snapshot that is `prev` with the chunks keyed in `changed` (in
+    /// ascending key order) holding the given jobs instead; an empty list
+    /// drops its chunk. Every other chunk is `prev`'s, so the job table
+    /// costs the changed chunks plus one pointer per chunk.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn assemble(
+        seq: u64,
+        now: hpcdash_simtime::Timestamp,
+        name: Arc<str>,
+        changed: impl IntoIterator<Item = (u32, Vec<Arc<Job>>)>,
+        nodes: Arc<[Arc<Node>]>,
+        partitions: Arc<[Partition]>,
+        assoc: Arc<[Arc<AssocRecord>]>,
+        prev: Option<&ClusterSnapshot>,
+    ) -> ClusterSnapshot {
+        let old = prev.map_or(&[][..], |p| &p.jobs.chunks[..]);
+        let mut moves = IndexMoves::default();
+        let mut chunks: Vec<ChunkAt> = Vec::with_capacity(old.len() + 1);
+        let mut rest = old.iter().peekable();
+        let mut start = 0u32;
+        let mut keep = |chunk: Arc<JobChunk>, chunks: &mut Vec<ChunkAt>| {
+            let len = chunk.jobs.len() as u32;
+            chunks.push(ChunkAt { start, chunk });
+            start += len;
+        };
+        for (key, jobs) in changed {
+            while let Some(c) = rest.next_if(|c| c.chunk.key < key) {
+                keep(c.chunk.clone(), &mut chunks);
+            }
+            let was = rest.next_if(|c| c.chunk.key == key).map(|c| &*c.chunk);
+            moves.diff(was.map_or(&[][..], |c| &c.jobs[..]), &jobs);
+            if !jobs.is_empty() {
+                keep(Arc::new(JobChunk::new(key, jobs, was)), &mut chunks);
+            }
+        }
+        for c in rest {
+            keep(c.chunk.clone(), &mut chunks);
+        }
+        let jobs = JobTable {
+            len: chunks.last().map_or(0, |c| c.start as usize + c.chunk.jobs.len()),
+            chunks: chunks.into(),
+        };
+        let counts = jobs.chunks.iter().fold(StateCounts::default(), |mut t, c| {
+            t.pending += c.chunk.counts.pending;
+            t.running += c.chunk.counts.running;
+            t.suspended += c.chunk.counts.suspended;
+            t
+        });
+        let empty = JobIndex::default();
+        let old_index = |i: usize| match prev {
+            Some(p) => [&p.by_user, &p.by_account, &p.by_partition][i],
+            None => &empty,
+        };
+        let [by_user, by_account, by_partition] =
+            [0, 1, 2].map(|i| old_index(i).moved(&moves, INDEX_KEYS[i]));
+        // Node names are fixed for a cluster's life, so the groups follow
+        // the partitions alone.
         let partition_nodes = match prev {
-            Some(p) if Arc::ptr_eq(&p.nodes, &nodes) && Arc::ptr_eq(&p.partitions, &partitions) => {
+            Some(p)
+                if Arc::ptr_eq(&p.partitions, &partitions) && p.nodes.len() == nodes.len() =>
+            {
                 p.partition_nodes.clone()
             }
             _ => partitions
@@ -262,36 +353,212 @@ impl ClusterSnapshot {
             seq,
             now,
             name,
-            jobs: jobs.into(),
+            jobs,
             nodes,
             partitions,
-            assoc: assoc.into(),
+            assoc,
             by_user,
             by_account,
             by_partition,
             partition_nodes,
             counts,
-            job_rows,
         }
     }
 
-    /// Binary-search one job by id (`jobs` is id-ascending).
+    /// One job by id.
     pub fn job(&self, id: JobId) -> Option<&Arc<Job>> {
-        self.jobs
-            .binary_search_by_key(&id, |j| j.id)
-            .ok()
-            .map(|i| &self.jobs[i])
+        self.jobs.by_id(id)
     }
 
     /// The nodes of `partitions[idx]`, in the partition's declared order.
     pub fn nodes_of_partition(&self, idx: usize) -> impl Iterator<Item = &Node> + Clone {
         self.partition_nodes[idx]
             .iter()
-            .map(|&i| &self.nodes[i as usize])
+            .map(|&i| &*self.nodes[i as usize])
     }
 }
 
-type JobIndex = HashMap<String, Vec<u32>>;
+// ---------------------------------------------------------------------------
+// JobTable
+// ---------------------------------------------------------------------------
+
+/// Job ids per chunk: a chunk holds the active jobs whose ids share
+/// `id / CHUNK_IDS`. Ids are handed out in ascending order, so new jobs
+/// land in the last chunks and a job that leaves changes only its own.
+pub const CHUNK_IDS: u32 = 32;
+
+/// The chunk a job id belongs to.
+pub fn chunk_key(id: JobId) -> u32 {
+    id.0 / CHUNK_IDS
+}
+
+/// The active jobs of one id range, with what readers derived from them.
+/// Shared by every snapshot published while none of its jobs changed.
+struct JobChunk {
+    key: u32,
+    /// Id-ascending.
+    jobs: Box<[Arc<Job>]>,
+    /// `rows[i]` is `jobs[i]`'s encoded row, once a reader made it.
+    rows: Box<[OnceLock<EncodedRow>]>,
+    counts: StateCounts,
+}
+
+impl JobChunk {
+    /// The chunk `key` holding `jobs`, taking over `was`'s rows of every
+    /// job that is the very allocation `was` holds.
+    fn new(key: u32, jobs: Vec<Arc<Job>>, was: Option<&JobChunk>) -> JobChunk {
+        let mut counts = StateCounts::default();
+        for job in &jobs {
+            match job.state {
+                JobState::Pending => counts.pending += 1,
+                JobState::Running => counts.running += 1,
+                JobState::Suspended => counts.suspended += 1,
+                _ => {}
+            }
+        }
+        let rows: Box<[OnceLock<EncodedRow>]> = jobs.iter().map(|_| OnceLock::new()).collect();
+        if let Some(was) = was {
+            // Both lists are id-ascending: one merge walk.
+            let mut old = was.jobs.iter().zip(was.rows.iter()).peekable();
+            for (job, slot) in jobs.iter().zip(rows.iter()) {
+                while old.next_if(|(j, _)| j.id < job.id).is_some() {}
+                let same = old.next_if(|(j, _)| Arc::ptr_eq(j, job));
+                if let Some(row) = same.and_then(|(_, row)| row.get()) {
+                    let _ = slot.set(row.clone());
+                }
+            }
+        }
+        JobChunk {
+            key,
+            jobs: jobs.into_boxed_slice(),
+            rows,
+            counts,
+        }
+    }
+}
+
+#[derive(Clone)]
+struct ChunkAt {
+    /// Position of the chunk's first job in the table.
+    start: u32,
+    chunk: Arc<JobChunk>,
+}
+
+/// The active jobs of a snapshot, id-ascending, in shared chunks. Reads by
+/// position, by id, or in order; a position is a job's place in that
+/// order, as `squeue` lists them.
+#[derive(Clone, Default)]
+pub struct JobTable {
+    chunks: Arc<[ChunkAt]>,
+    len: usize,
+}
+
+impl JobTable {
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Chunks the jobs sit in.
+    pub fn chunk_count(&self) -> usize {
+        self.chunks.len()
+    }
+
+    /// Every job, id-ascending.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &Arc<Job>> + Clone {
+        self.chunks.iter().flat_map(|c| c.chunk.jobs.iter())
+    }
+
+    /// The chunk holding position `pos`, and the offset into it.
+    fn locate(&self, pos: usize) -> Option<(&JobChunk, usize)> {
+        if pos >= self.len {
+            return None;
+        }
+        let at = self.chunks.partition_point(|c| c.start as usize <= pos) - 1;
+        let c = &self.chunks[at];
+        Some((&c.chunk, pos - c.start as usize))
+    }
+
+    /// The job at position `pos`.
+    pub fn get(&self, pos: usize) -> Option<&Arc<Job>> {
+        self.locate(pos).map(|(c, i)| &c.jobs[i])
+    }
+
+    /// Every job, id-ascending, as a list of its own.
+    pub fn to_vec(&self) -> Vec<Arc<Job>> {
+        self.iter().cloned().collect()
+    }
+
+    /// The job with the lowest id.
+    pub fn first(&self) -> Option<&Arc<Job>> {
+        self.get(0)
+    }
+
+    /// The chunk holding job `id`, and the offset into it.
+    fn find(&self, id: JobId) -> Option<(&ChunkAt, usize)> {
+        let key = chunk_key(id);
+        let at = self
+            .chunks
+            .binary_search_by_key(&key, |c| c.chunk.key)
+            .ok()?;
+        let c = &self.chunks[at];
+        let i = c.chunk.jobs.binary_search_by_key(&id, |j| j.id).ok()?;
+        Some((c, i))
+    }
+
+    /// The position of job `id`, if it is active.
+    pub fn position(&self, id: JobId) -> Option<usize> {
+        self.find(id).map(|(c, i)| c.start as usize + i)
+    }
+
+    /// Job `id`, if it is active.
+    pub fn by_id(&self, id: JobId) -> Option<&Arc<Job>> {
+        self.find(id).map(|(c, i)| &c.chunk.jobs[i])
+    }
+
+    /// The row of the job at `pos`, made by `encode` if no reader has yet
+    /// (in this snapshot, or in an earlier one holding that job version).
+    pub fn row(&self, pos: usize, encode: impl FnOnce() -> EncodedRow) -> &EncodedRow {
+        let (c, i) = self.locate(pos).expect("a position in the table");
+        c.rows[i].get_or_init(encode)
+    }
+
+    /// Rows encoded so far.
+    pub fn rows_encoded(&self) -> usize {
+        self.chunks
+            .iter()
+            .flat_map(|c| c.chunk.rows.iter())
+            .filter(|row| row.get().is_some())
+            .count()
+    }
+}
+
+impl std::ops::Index<usize> for JobTable {
+    type Output = Arc<Job>;
+
+    fn index(&self, pos: usize) -> &Arc<Job> {
+        self.get(pos).expect("a position in the table")
+    }
+}
+
+impl std::fmt::Debug for JobTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "JobTable({} jobs in {} chunks, {} rows)",
+            self.len,
+            self.chunks.len(),
+            self.rows_encoded()
+        )
+    }
+}
+
+// ---------------------------------------------------------------------------
+// JobIndex
+// ---------------------------------------------------------------------------
 
 /// What `by_user`, `by_account` and `by_partition` are keyed by, in that
 /// order. A job's request, and so its keys, never changes.
@@ -301,106 +568,117 @@ const INDEX_KEYS: [fn(&Job) -> &str; 3] = [
     |j| j.req.partition.as_str(),
 ];
 
-/// The job indexes over `jobs`, carried over from `prev`'s: the positions
-/// of jobs still there are renumbered, jobs that left drop out, and only
-/// jobs `prev` did not hold are looked up by key. They must sort after all
-/// of `prev`'s, as ids handed out in ascending order do; if one does not,
-/// every list is built afresh.
-fn job_indexes(prev: Option<&ClusterSnapshot>, jobs: &[Arc<Job>]) -> [JobIndex; 3] {
-    let empty = JobIndex::new();
-    let (old_jobs, old) = match prev {
-        Some(p) => (&p.jobs[..], [&p.by_user, &p.by_account, &p.by_partition]),
-        None => (&[][..], [&empty; 3]),
-    };
-    // One merge walk over the two id-ascending slices: where each of
-    // `prev`'s jobs now sits, if anywhere.
-    let mut moved: Vec<Option<u32>> = Vec::with_capacity(old_jobs.len());
-    let mut next = 0;
-    for was in old_jobs {
-        match jobs.get(next) {
-            Some(job) if job.id < was.id => return job_indexes(None, jobs),
-            Some(job) if job.id == was.id => {
-                moved.push(Some(next as u32));
-                next += 1;
+/// Jobs that came and went between two snapshots.
+#[derive(Default)]
+struct IndexMoves {
+    came: Vec<Arc<Job>>,
+    went: Vec<Arc<Job>>,
+}
+
+impl IndexMoves {
+    /// Note what differs between one chunk's old and new id-ascending jobs.
+    fn diff(&mut self, old: &[Arc<Job>], new: &[Arc<Job>]) {
+        let (mut o, mut n) = (old.iter().peekable(), new.iter().peekable());
+        loop {
+            match (o.peek(), n.peek()) {
+                (None, None) => break,
+                (Some(a), Some(b)) if a.id == b.id => {
+                    o.next();
+                    n.next();
+                }
+                (Some(a), b) if b.is_none_or(|b| a.id < b.id) => {
+                    self.went.push(Arc::clone(a));
+                    o.next();
+                }
+                _ => self.came.push(Arc::clone(n.next().expect("peeked"))),
             }
-            _ => moved.push(None),
         }
     }
-    [0, 1, 2].map(|i| {
-        let mut map = old[i].clone();
-        map.retain(|_, list| {
-            // Renumber the jobs still there; drop the ones that left.
-            list.retain_mut(|pos| moved[*pos as usize].map(|to| *pos = to).is_some());
-            !list.is_empty()
-        });
-        for (pos, job) in jobs.iter().enumerate().skip(next) {
-            // Only a key the index does not hold yet allocates its `String`.
-            let key = INDEX_KEYS[i](job);
-            if let Some(list) = map.get_mut(key) {
-                list.push(pos as u32);
+}
+
+/// An index of the active jobs by one key: key -> ascending job ids. The
+/// map and each list are shared with the snapshots published before while
+/// no job of theirs came or went.
+#[derive(Clone, Default, PartialEq)]
+pub struct JobIndex(Arc<HashMap<Arc<str>, Arc<[JobId]>>>);
+
+impl JobIndex {
+    /// The ascending ids of `key`'s active jobs.
+    pub fn get(&self, key: &str) -> Option<&[JobId]> {
+        self.0.get(key).map(|ids| &ids[..])
+    }
+
+    /// Every key with at least one active job, in no particular order.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.0.keys().map(|k| &**k)
+    }
+
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// This index with `moves` applied, keyed by `key_of`. Only the lists
+    /// of keys whose jobs came or went are rebuilt.
+    fn moved(&self, moves: &IndexMoves, key_of: fn(&Job) -> &str) -> JobIndex {
+        if moves.came.is_empty() && moves.went.is_empty() {
+            return self.clone();
+        }
+        let mut touched: Vec<(&str, JobId, bool)> = moves
+            .came
+            .iter()
+            .map(|j| (key_of(j), j.id, true))
+            .chain(moves.went.iter().map(|j| (key_of(j), j.id, false)))
+            .collect();
+        touched.sort_unstable();
+        let mut map = (*self.0).clone();
+        for group in touched.chunk_by(|a, b| a.0 == b.0) {
+            let key = group[0].0;
+            let mut ids: Vec<JobId> = self.get(key).unwrap_or_default().to_vec();
+            for &(_, id, came) in group {
+                match (ids.binary_search(&id), came) {
+                    (Err(at), true) => ids.insert(at, id),
+                    (Ok(at), false) => {
+                        ids.remove(at);
+                    }
+                    _ => {}
+                }
+            }
+            if ids.is_empty() {
+                map.remove(key);
+            } else if let Some(list) = map.get_mut(key) {
+                *list = ids.into();
             } else {
-                map.insert(key.to_string(), vec![pos as u32]);
+                map.insert(Arc::from(key), ids.into());
             }
         }
-        map
-    })
+        JobIndex(Arc::new(map))
+    }
+}
+
+impl std::fmt::Debug for JobIndex {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.0.iter()).finish()
+    }
 }
 
 // ---------------------------------------------------------------------------
-// JobRows
+// EncodedRow
 // ---------------------------------------------------------------------------
 
 /// A job's row as a reader encoded it: `bytes[..gap]`, then a value that
-/// depends on the snapshot rather than the job, then `bytes[gap..]`.
+/// depends on the snapshot rather than the job, then `bytes[gap..]`. Kept
+/// per job version: a published job is never changed in place
+/// (`Arc::make_mut` moves a change to a new allocation), so a row is
+/// carried to the next snapshot only for the very allocation it encoded,
+/// never for an id alone, which outlives versions.
 #[derive(Clone)]
 pub struct EncodedRow {
     pub bytes: Arc<[u8]>,
     pub gap: usize,
-}
-
-/// Rows encoded once per job version: a slot per job, filled by the first
-/// reader. A published job is never changed in place (`Arc::make_mut`
-/// moves a change to a new allocation), so a snapshot takes over `prev`'s
-/// row for each job that is the very allocation `prev` holds, never for
-/// an id alone, which outlives versions.
-#[derive(Default)]
-pub struct JobRows(Box<[OnceLock<EncodedRow>]>);
-
-impl JobRows {
-    fn carried(prev: Option<&ClusterSnapshot>, jobs: &[Arc<Job>]) -> JobRows {
-        let slots: Box<[OnceLock<EncodedRow>]> = jobs.iter().map(|_| OnceLock::new()).collect();
-        let (old_jobs, old_rows) = match prev {
-            Some(p) => (&p.jobs[..], &p.job_rows.0[..]),
-            None => (&[][..], &[][..]),
-        };
-        // Both lists are id-ascending: one merge walk.
-        let mut old = old_jobs.iter().zip(old_rows).peekable();
-        for (job, slot) in jobs.iter().zip(slots.iter()) {
-            while old.next_if(|(was, _)| was.id < job.id).is_some() {}
-            let same = old.next_if(|(was, _)| Arc::ptr_eq(was, job));
-            if let Some(row) = same.and_then(|(_, row)| row.get()) {
-                let _ = slot.set(row.clone());
-            }
-        }
-        JobRows(slots)
-    }
-
-    /// The row of the job at `pos`, made by `encode` if no reader has yet.
-    pub fn get_or_encode(&self, pos: usize, encode: impl FnOnce() -> EncodedRow) -> &EncodedRow {
-        self.0[pos].get_or_init(encode)
-    }
-
-    /// Rows encoded so far.
-    #[allow(clippy::len_without_is_empty)]
-    pub fn len(&self) -> usize {
-        self.0.iter().filter(|slot| slot.get().is_some()).count()
-    }
-}
-
-impl std::fmt::Debug for JobRows {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JobRows({} of {})", self.len(), self.0.len())
-    }
 }
 
 // ---------------------------------------------------------------------------

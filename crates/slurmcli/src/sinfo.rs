@@ -14,6 +14,7 @@ use hpcdash_slurm::ctld::Slurmctld;
 use hpcdash_slurm::node::{Node, NodeState};
 use hpcdash_slurm::partition::{Partition, PartitionState};
 use hpcdash_slurm::snapshot::ClusterSnapshot;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// One row of the default `sinfo` grouping.
@@ -127,8 +128,11 @@ fn push_summary_rows<'a>(
 const SUMMARY_HEADER: &str = "PARTITION AVAIL TIMELIMIT NODES STATE NODELIST\n";
 
 /// The slice-based entry points find a partition's nodes by name.
-fn by_name(nodes: &[Node]) -> BTreeMap<&str, &Node> {
-    nodes.iter().map(|n| (n.name.as_str(), n)).collect()
+fn by_name(nodes: &[impl Borrow<Node>]) -> BTreeMap<&str, &Node> {
+    nodes
+        .iter()
+        .map(|n| (n.borrow().name.as_str(), n.borrow()))
+        .collect()
 }
 
 /// `part`'s nodes in declared order; names `index` does not know are skipped.
@@ -141,7 +145,7 @@ fn members<'a>(
         .filter_map(|n| index.get(n.as_str()).copied())
 }
 
-pub fn render_summary(partitions: &[Partition], nodes: &[Node]) -> String {
+pub fn render_summary(partitions: &[Partition], nodes: &[impl Borrow<Node>]) -> String {
     let index = by_name(nodes);
     let mut out = String::from(SUMMARY_HEADER);
     for part in partitions {
@@ -206,7 +210,7 @@ pub fn sinfo_usage(ctld: &Slurmctld) -> Result<String, String> {
 
 const USAGE_HEADER: &str = "PARTITION AVAIL CPUS(A/I/O/T) GPUS(A/T) NODES(U/T)\n";
 
-pub fn render_usage(partitions: &[Partition], nodes: &[Node]) -> String {
+pub fn render_usage(partitions: &[Partition], nodes: &[impl Borrow<Node>]) -> String {
     let index = by_name(nodes);
     let mut out = String::from(USAGE_HEADER);
     for part in partitions {
@@ -285,7 +289,10 @@ fn usage_of<'a>(part: &Partition, nodes: impl Iterator<Item = &'a Node>) -> Part
 }
 
 /// Aggregate node state into per-partition usage records.
-pub fn compute_usage(partitions: &[Partition], nodes: &[Node]) -> Vec<PartitionUsage> {
+pub fn compute_usage(
+    partitions: &[Partition],
+    nodes: &[impl Borrow<Node>],
+) -> Vec<PartitionUsage> {
     let index = by_name(nodes);
     partitions
         .iter()
@@ -441,7 +448,7 @@ mod tests {
     #[test]
     fn empty_partition_renders_nothing() {
         let p = Partition::new("empty");
-        let text = render_summary(&[p], &[]);
+        let text = render_summary(&[p], &[] as &[Node]);
         assert_eq!(parse_sinfo_summary(&text).unwrap().len(), 0);
     }
 

@@ -757,7 +757,7 @@ fn live_output_matches_the_reference_clean_garbled_and_truncated() {
             hpcdash_slurmcli::show_node(&scenario.ctld, None).expect("no fault installed"),
             nodes
                 .iter()
-                .map(reference::scontrol::render_node)
+                .map(|n| reference::scontrol::render_node(n))
                 .collect::<Vec<_>>()
                 .join("\n"),
         ),

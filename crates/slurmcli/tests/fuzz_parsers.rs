@@ -60,7 +60,7 @@ fn garbled_live_output_never_panics_and_is_usually_noticed() {
     let nodes = scenario.ctld.query_nodes();
     let node_text = nodes
         .iter()
-        .map(hpcdash_slurmcli::scontrol::render_node)
+        .map(|n| hpcdash_slurmcli::scontrol::render_node(n))
         .collect::<Vec<_>>()
         .join("\n");
 

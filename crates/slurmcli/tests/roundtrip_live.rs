@@ -44,7 +44,7 @@ fn live_cluster_roundtrips_all_commands() {
     let nodes = scenario.ctld.query_nodes();
     let text = nodes
         .iter()
-        .map(hpcdash_slurmcli::scontrol::render_node)
+        .map(|n| hpcdash_slurmcli::scontrol::render_node(n))
         .collect::<Vec<_>>()
         .join("\n");
     let parsed = hpcdash_slurmcli::parse_show_node(&text).expect("scontrol parses");

@@ -128,11 +128,11 @@ fn a_memoized_job_list_costs_a_constant_and_the_memo_stays_bounded() {
         driver.advance(30);
         for site in &fed.federation.sites {
             let snap = site.ctld.snapshot();
-            carried += snap.job_rows.len();
+            carried += snap.jobs.rows_encoded();
             listed += snap.jobs.len();
             let positions: Vec<u32> = (0..snap.jobs.len() as u32).collect();
             jobs_body(&snap, &positions);
-            let (held, bound) = (snap.job_rows.len(), 2 * snap.jobs.len() + 64);
+            let (held, bound) = (snap.jobs.rows_encoded(), 2 * snap.jobs.len() + 64);
             assert!(held <= bound, "{held} rows memoized, bound {bound}");
         }
     }

@@ -347,8 +347,8 @@ proptest! {
     ) {
         let snap = seeded_snapshot();
         // Every name the snapshot indexes, plus one it does not.
-        let names = |index: &std::collections::HashMap<String, Vec<u32>>| {
-            let mut names: Vec<String> = index.keys().cloned().collect();
+        let names = |index: &hpcdash::slurm::snapshot::JobIndex| {
+            let mut names: Vec<String> = index.keys().map(str::to_string).collect();
             names.sort();
             names.push("nobody-here".to_string());
             names
