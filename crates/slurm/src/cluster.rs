@@ -1,6 +1,6 @@
 //! Live cluster state: submissions, cancellations, and the scheduling tick.
 
-use crate::assoc::{AccountUsage, AssocStore};
+use crate::assoc::{Account, AccountUsage, AssocStore};
 use crate::ctld::AssocRecord;
 use crate::events::EventLog;
 use crate::job::{
@@ -9,7 +9,7 @@ use crate::job::{
 use crate::node::Node;
 use crate::partition::Partition;
 use crate::qos::Qos;
-use crate::sched::{self, PlanInputs, PriorityWeights, ScheduleDecision};
+use crate::sched::{self, PassTerms, PlanInputs, PriorityWeights, ScheduleDecision};
 use crate::snapshot::{chunk_key, ClusterSnapshot, CHUNK_IDS};
 use hpcdash_simtime::Timestamp;
 use serde::{Deserialize, Serialize};
@@ -110,9 +110,16 @@ pub struct ClusterState {
     jobs: LiveJobs,
     /// Whether a node may have changed since the last capture.
     nodes_dirty: bool,
+    /// Whether a partition may have changed since the last capture.
+    partitions_dirty: bool,
+    /// Positions (in `AssocStore::accounts()` order) of the accounts whose
+    /// usage changed since the last capture; repeats allowed.
+    assoc_touched: Vec<u32>,
     run_plans: HashMap<JobId, RunPlan>,
     next_id: u32,
     weights: PriorityWeights,
+    /// The per-pass priority terms, kept to reuse their keys.
+    terms: PassTerms,
     /// Finished jobs waiting to be drained into slurmdbd.
     finished: VecDeque<FinishedJob>,
     /// Ring buffer of scheduler log lines (diagnostics).
@@ -151,9 +158,12 @@ impl ClusterState {
             assoc: spec.assoc,
             jobs: LiveJobs::default(),
             nodes_dirty: true,
+            partitions_dirty: true,
+            assoc_touched: Vec::new(),
             run_plans: HashMap::new(),
             next_id: 1_000,
             weights: PriorityWeights::default(),
+            terms: PassTerms::default(),
             finished: VecDeque::new(),
             sched_log: VecDeque::new(),
             sched_passes: 0,
@@ -214,6 +224,7 @@ impl ClusterState {
                 stderr_path,
             };
             self.assoc.note_queued(&req.account, job.alloc_cpus());
+            touch(&self.assoc, &mut self.assoc_touched, &req.account);
             self.events.push(
                 now,
                 id,
@@ -280,6 +291,7 @@ impl ClusterState {
         match job.state {
             JobState::Pending => {
                 self.assoc.note_dequeued(&job.req.account, job.alloc_cpus());
+                touch(&self.assoc, &mut self.assoc_touched, &job.req.account);
             }
             JobState::Running | JobState::Suspended => {
                 self.release_job_nodes(&job, now);
@@ -294,6 +306,7 @@ impl ClusterState {
                     elapsed,
                     factor,
                 );
+                touch(&self.assoc, &mut self.assoc_touched, &job.req.account);
                 self.run_plans.remove(&id);
             }
             _ => {}
@@ -404,6 +417,7 @@ impl ClusterState {
                 elapsed,
                 factor,
             );
+            touch(&self.assoc, &mut self.assoc_touched, &job.req.account);
             self.finish(job, now, None);
         }
     }
@@ -459,20 +473,15 @@ impl ClusterState {
     }
 
     fn schedule_pass(&mut self, now: Timestamp) {
-        let (assoc, qos, partitions, weights) =
-            (&self.assoc, &self.qos, &self.partitions, &self.weights);
+        // Each account's fairshare, each QoS priority and each partition
+        // tier, once per pass.
+        self.terms.refresh(&self.assoc, &self.qos, &self.partitions);
+        let (assoc, terms, weights) = (&self.assoc, &mut self.terms, &self.weights);
         self.jobs.for_each_mut(|job| {
             if job.state != JobState::Pending {
                 return;
             }
-            let p = sched::compute_priority(
-                job,
-                now,
-                assoc,
-                qos.get(&job.req.qos),
-                partitions.get(&job.req.partition),
-                weights,
-            );
+            let p = terms.of(job, assoc).priority(job, now, weights);
             if job.priority != p {
                 job.make_mut().priority = p;
             }
@@ -560,6 +569,7 @@ impl ClusterState {
         );
         self.assoc.note_dequeued(&job.req.account, job.alloc_cpus());
         self.assoc.note_start(&job.req.account, job.alloc_cpus());
+        touch(&self.assoc, &mut self.assoc_touched, &job.req.account);
         self.run_plans.insert(id, run_plan(job, now));
     }
 
@@ -642,34 +652,53 @@ impl ClusterState {
     }
 
     pub fn partition_mut(&mut self, name: &str) -> Option<&mut Partition> {
+        self.partitions_dirty = true;
         self.partitions.get_mut(name)
     }
 
-    /// Association records in `AssocStore::accounts()` order. A record
-    /// whose account, usage and members equal `prev`'s at the same place
-    /// is `prev`'s, shared.
-    fn assoc_records(&self, prev: &[Arc<AssocRecord>]) -> Arc<[Arc<AssocRecord>]> {
+    /// Association records in `AssocStore::accounts()` order. Only the
+    /// records of accounts whose usage changed since the last capture are
+    /// looked at; one that still equals `prev`'s is `prev`'s, shared, and
+    /// `prev` is the answer when none changed.
+    fn assoc_records(&mut self, prev: Option<&Arc<[Arc<AssocRecord>]>>) -> Arc<[Arc<AssocRecord>]> {
+        let mut touched = std::mem::take(&mut self.assoc_touched);
+        touched.sort_unstable();
+        touched.dedup();
         let unused = AccountUsage::default();
-        self.assoc
-            .accounts()
-            .enumerate()
-            .map(|(i, account)| {
-                let usage = self.assoc.usage(&account.name).unwrap_or(&unused);
-                let members = self.assoc.users_of_account(&account.name);
-                match prev.get(i) {
-                    Some(r)
-                        if r.account == *account && r.usage == *usage && r.members == members =>
-                    {
-                        r.clone()
-                    }
-                    _ => Arc::new(AssocRecord {
-                        account: account.clone(),
-                        usage: usage.clone(),
-                        members: members.to_vec(),
-                    }),
+        let record = |account: &Account, was: Option<&Arc<AssocRecord>>| {
+            let usage = self.assoc.usage(&account.name).unwrap_or(&unused);
+            let members = self.assoc.users_of_account(&account.name);
+            match was {
+                Some(r) if r.account == *account && r.usage == *usage && r.members == members => {
+                    r.clone()
                 }
-            })
-            .collect()
+                _ => Arc::new(AssocRecord {
+                    account: account.clone(),
+                    usage: usage.clone(),
+                    members: members.to_vec(),
+                }),
+            }
+        };
+        let records = match prev {
+            Some(p) if touched.is_empty() => p.clone(),
+            Some(p) if p.len() == self.assoc.accounts().count() => {
+                let mut records = p.to_vec();
+                let mut accounts = self.assoc.accounts().enumerate();
+                for &at in &touched {
+                    let at = at as usize;
+                    let account = accounts
+                        .find(|(i, _)| *i == at)
+                        .map(|(_, a)| a)
+                        .expect("a touched account exists");
+                    records[at] = record(account, Some(&p[at]));
+                }
+                records.into()
+            }
+            _ => self.assoc.accounts().map(|a| record(a, None)).collect(),
+        };
+        touched.clear();
+        self.assoc_touched = touched;
+        records
     }
 
     /// Materialize an immutable snapshot of the whole cluster for epoch
@@ -681,11 +710,14 @@ impl ClusterState {
     pub(crate) fn capture_snapshot(&mut self, seq: u64, now: Timestamp) -> Arc<ClusterSnapshot> {
         let prev = self.published.take();
         let nodes = self.node_records(prev.as_ref().map(|p| &p.nodes));
+        let dirty = std::mem::replace(&mut self.partitions_dirty, false);
         let partitions: Arc<[Partition]> = match &prev {
-            Some(p) if p.partitions.iter().eq(self.partitions.values()) => p.partitions.clone(),
+            Some(p) if !dirty || p.partitions.iter().eq(self.partitions.values()) => {
+                p.partitions.clone()
+            }
             _ => self.partitions.values().cloned().collect(),
         };
-        let assoc = self.assoc_records(prev.as_ref().map_or(&[], |p| &p.assoc));
+        let assoc = self.assoc_records(prev.as_ref().map(|p| &p.assoc));
         let name = prev
             .as_ref()
             .map_or_else(|| Arc::from(self.name.as_str()), |p| p.name.clone());
@@ -804,15 +836,25 @@ impl ClusterState {
             assoc: cp.assoc,
             jobs: LiveJobs::of(cp.jobs),
             nodes_dirty: true,
+            partitions_dirty: true,
+            assoc_touched: Vec::new(),
             run_plans: cp.run_plans.into_iter().collect(),
             next_id: cp.next_id,
             weights: PriorityWeights::default(),
+            terms: PassTerms::default(),
             finished: VecDeque::new(),
             sched_log: VecDeque::new(),
             sched_passes: cp.sched_passes,
             events,
             published: None,
         }
+    }
+}
+
+/// Note that `account`'s usage changed, by its position in `assoc`.
+fn touch(assoc: &AssocStore, touched: &mut Vec<u32>, account: &str) {
+    if let Some(at) = assoc.accounts().position(|a| a.name == account) {
+        touched.push(at as u32);
     }
 }
 

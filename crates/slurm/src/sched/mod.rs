@@ -10,4 +10,4 @@ pub mod fit;
 pub mod priority;
 
 pub use backfill::{plan_schedule, PlanInputs, ScheduleDecision};
-pub use priority::{compute_priority, PriorityWeights};
+pub use priority::{compute_priority, PassTerms, PriorityWeights, SharedTerms};

@@ -2,6 +2,7 @@
 //! plugin: a weighted sum of age, fairshare, QoS and partition factors.
 
 use crate::assoc::AssocStore;
+use std::collections::BTreeMap;
 use crate::job::Job;
 use crate::partition::Partition;
 use crate::qos::Qos;
@@ -40,16 +41,127 @@ pub fn compute_priority(
     partition: Option<&Partition>,
     weights: &PriorityWeights,
 ) -> u64 {
-    let age_secs = now.since(job.eligible_time).min(weights.max_age_secs);
-    let age_factor = age_secs as f64 / weights.max_age_secs as f64;
-    let fs_factor = assoc.fairshare(&job.req.account);
-    let qos_prio = qos.map(|q| q.priority as u64).unwrap_or(0);
-    let tier = partition.map(|p| p.priority_tier as u64).unwrap_or(1);
+    let terms = SharedTerms {
+        fairshare: assoc.fairshare(&job.req.account),
+        qos: qos.map(|q| q.priority as u64).unwrap_or(0),
+        tier: partition.map(|p| p.priority_tier as u64).unwrap_or(1),
+    };
+    terms.priority(job, now, weights)
+}
 
-    (age_factor * weights.age as f64) as u64
-        + (fs_factor * weights.fairshare as f64) as u64
-        + qos_prio * weights.qos
-        + tier * weights.partition
+/// What every job of one account, QoS and partition shares in its
+/// priority: looked up once per scheduling pass, not once per job.
+#[derive(Debug, Clone, Copy)]
+pub struct SharedTerms {
+    /// The account's fairshare factor.
+    pub fairshare: f64,
+    /// The QoS priority (0 without a QoS).
+    pub qos: u64,
+    /// The partition's priority tier (1 without a partition).
+    pub tier: u64,
+}
+
+impl SharedTerms {
+    /// The priority of `job` at `now`: [`compute_priority`]'s formula.
+    pub fn priority(&self, job: &Job, now: Timestamp, weights: &PriorityWeights) -> u64 {
+        let age_secs = now.since(job.eligible_time).min(weights.max_age_secs);
+        let age_factor = age_secs as f64 / weights.max_age_secs as f64;
+        (age_factor * weights.age as f64) as u64
+            + (self.fairshare * weights.fairshare as f64) as u64
+            + self.qos * weights.qos
+            + self.tier * weights.partition
+    }
+}
+
+/// [`SharedTerms`] by account, QoS and partition name, refreshed at the
+/// start of each pass. The maps keep their keys between passes, so a
+/// steady pass allocates nothing.
+#[derive(Debug, Default)]
+pub struct PassTerms {
+    fairshare: BTreeMap<String, f64>,
+    qos: BTreeMap<String, u64>,
+    tier: BTreeMap<String, u64>,
+    last: LastTerms,
+}
+
+impl PassTerms {
+    /// Recompute every account's, QoS's and partition's term.
+    pub fn refresh(
+        &mut self,
+        assoc: &AssocStore,
+        qos: &BTreeMap<String, Qos>,
+        partitions: &BTreeMap<String, Partition>,
+    ) {
+        self.last.terms = None;
+        for account in assoc.accounts() {
+            let fs = assoc.fairshare(&account.name);
+            match self.fairshare.get_mut(&account.name) {
+                Some(slot) => *slot = fs,
+                None => {
+                    self.fairshare.insert(account.name.clone(), fs);
+                }
+            }
+        }
+        for (name, q) in qos {
+            match self.qos.get_mut(name) {
+                Some(slot) => *slot = q.priority as u64,
+                None => {
+                    self.qos.insert(name.clone(), q.priority as u64);
+                }
+            }
+        }
+        for (name, p) in partitions {
+            match self.tier.get_mut(name) {
+                Some(slot) => *slot = p.priority_tier as u64,
+                None => {
+                    self.tier.insert(name.clone(), p.priority_tier as u64);
+                }
+            }
+        }
+    }
+
+    /// The terms of `job`, as [`compute_priority`] would look them up.
+    /// Jobs come in id order, and neighbours mostly share account, QoS and
+    /// partition, so the previous job's keys and terms answer most lookups
+    /// with three string compares.
+    pub fn of(&mut self, job: &Job, assoc: &AssocStore) -> SharedTerms {
+        let req = &job.req;
+        let last = &mut self.last;
+        if let Some(terms) = last.terms {
+            if (last.account.as_str(), last.qos.as_str(), last.partition.as_str())
+                == (req.account.as_str(), req.qos.as_str(), req.partition.as_str())
+            {
+                return terms;
+            }
+        }
+        let terms = SharedTerms {
+            fairshare: match self.fairshare.get(&req.account) {
+                Some(&fs) => fs,
+                None => assoc.fairshare(&req.account),
+            },
+            qos: self.qos.get(&req.qos).copied().unwrap_or(0),
+            tier: self.tier.get(&req.partition).copied().unwrap_or(1),
+        };
+        for (buf, key) in [
+            (&mut last.account, &req.account),
+            (&mut last.qos, &req.qos),
+            (&mut last.partition, &req.partition),
+        ] {
+            buf.clear();
+            buf.push_str(key);
+        }
+        last.terms = Some(terms);
+        terms
+    }
+}
+
+/// The keys and terms of the job [`PassTerms::of`] last answered for.
+#[derive(Debug, Default)]
+struct LastTerms {
+    account: String,
+    qos: String,
+    partition: String,
+    terms: Option<SharedTerms>,
 }
 
 #[cfg(test)]
@@ -84,6 +196,48 @@ mod tests {
         a.add_account(Account::new("physics"));
         a.add_user("physics", "alice");
         a
+    }
+
+    /// Terms looked up once per pass give every job the priority a lookup
+    /// per job gives, whatever order accounts, QoS and partitions come in.
+    #[test]
+    fn pass_terms_give_the_per_job_priority() {
+        let mut a = assoc();
+        a.add_account(Account::new("chem"));
+        a.add_user("chem", "bob");
+        a.note_end("chem", "bob", 64, 2, 40_000, 1.0);
+        let qos: BTreeMap<String, Qos> = Qos::standard_set()
+            .into_iter()
+            .map(|q| (q.name.clone(), q))
+            .collect();
+        let mut gpu = Partition::new("gpu");
+        gpu.priority_tier = 3;
+        let partitions: BTreeMap<String, Partition> = [Partition::new("cpu"), gpu]
+            .into_iter()
+            .map(|p| (p.name.clone(), p))
+            .collect();
+        let w = PriorityWeights::default();
+        let mut terms = PassTerms::default();
+        for pass in 0..2 {
+            terms.refresh(&a, &qos, &partitions);
+            for i in 0..24u64 {
+                let mut job = job_at(i * 500);
+                job.req.account = ["physics", "chem", "gone"][(i % 3) as usize].to_string();
+                job.req.qos = ["normal", "high", "nope"][(i / 2 % 3) as usize].to_string();
+                job.req.partition = ["cpu", "gpu", "none"][(i / 4 % 3) as usize].to_string();
+                let now = Timestamp(20_000 + pass * 7_000);
+                let want = compute_priority(
+                    &job,
+                    now,
+                    &a,
+                    qos.get(&job.req.qos),
+                    partitions.get(&job.req.partition),
+                    &w,
+                );
+                assert_eq!(terms.of(&job, &a).priority(&job, now, &w), want, "job {i}");
+            }
+            a.note_end("physics", "alice", 32, 0, 90_000, 1.0);
+        }
     }
 
     #[test]
