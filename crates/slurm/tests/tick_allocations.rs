@@ -14,7 +14,7 @@ use hpcdash_slurm::dbd::Slurmdbd;
 use hpcdash_slurm::job::{ArraySpec, JobRequest, JobState, PendingReason, UsageProfile};
 use hpcdash_slurm::joblog::JobLogFs;
 use hpcdash_slurm::loadmodel::RpcCostModel;
-use hpcdash_slurm::node::Node;
+use hpcdash_slurm::node::{AdminFlag, Node};
 use hpcdash_slurm::partition::Partition;
 use hpcdash_slurm::qos::Qos;
 use hpcdash_testkit::{counted, CountingAlloc};
@@ -159,4 +159,44 @@ fn a_tick_and_a_publish_cost_what_changed_at_one_and_four_times_the_site() {
         ratio(submit4, submit1) <= 4.5,
         "submit: {submit4} at x4 vs {submit1} at x1"
     );
+}
+
+/// A publish costs the jobs and nodes that changed plus a pointer per job
+/// chunk, not the site: one new job, or one drained node, allocates about
+/// the same at four times the site as at one.
+#[test]
+fn a_publish_allocates_for_what_changed_not_for_the_site() {
+    let mut measured = Vec::new();
+    for scale in [1, 4] {
+        let (ctld, clock) = site(scale);
+        clock.advance(29);
+        ctld.tick();
+        let chunks = ctld.snapshot().jobs.chunk_count() as u64;
+        let mut r = JobRequest::simple("user0001", "acct000", "cpu", 4);
+        r.usage = UsageProfile::batch(600);
+        let (_, submit) = counted(|| ctld.submit(r).expect("a valid job"));
+        let (drained, drain) = counted(|| {
+            ctld.set_node_flag("a0001", AdminFlag::Drain, Some("maint".to_string()))
+        });
+        assert!(drained);
+        let snap = ctld.snapshot();
+        let size = (snap.counts.pending + snap.counts.running) as u64 + snap.nodes.len() as u64;
+        // Measured: 76 and 74 for the submit (the job, its request and
+        // paths, its event, its chunk, three index lists, its account's
+        // record) and 16 for the drain, at 20 and 80 chunks. Copying every
+        // node on a change, and every index key on a new job, made more
+        // allocations than the site has nodes.
+        for (what, n) in [("submit", submit), ("drain", drain)] {
+            assert!(
+                n <= 96,
+                "{what} at x{scale}: {n} allocations, {chunks} chunks, {size} jobs + nodes"
+            );
+        }
+        measured.push((submit, drain));
+    }
+    let [(s1, d1), (s4, d4)] = measured[..] else {
+        unreachable!()
+    };
+    assert!(s4 <= s1 + 8, "submit: {s4} at x4 vs {s1} at x1");
+    assert!(d4 <= d1 + 8, "drain: {d4} at x4 vs {d1} at x1");
 }
