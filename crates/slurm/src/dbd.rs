@@ -975,6 +975,114 @@ mod tests {
         }
     }
 
+    /// The archive as a rebuild sees it: each row by id, and the ids each
+    /// user, account and array list holds.
+    type Listed = BTreeMap<String, Vec<JobId>>;
+
+    fn archive_view(a: &Archive) -> (Vec<Job>, [Listed; 3]) {
+        let ids = |lists: Vec<(String, &Vec<Arc<Job>>)>| -> Listed {
+            lists
+                .into_iter()
+                .map(|(k, l)| {
+                    let mut ids: Vec<JobId> = l.iter().map(|j| j.id).collect();
+                    ids.sort_unstable();
+                    (k, ids)
+                })
+                .collect()
+        };
+        (
+            a.rows.values().map(|j| Job::clone(j)).collect(),
+            [
+                ids(a.by_user.iter().map(|(k, l)| (k.clone(), l)).collect()),
+                ids(a.by_account.iter().map(|(k, l)| (k.clone(), l)).collect()),
+                ids(a.by_array.iter().map(|(k, l)| (k.to_string(), l)).collect()),
+            ],
+        )
+    }
+
+    /// Crash slurmdbd after every batch of a seeded stream of finished
+    /// jobs (so at every checkpoint, every segment append, every fold into
+    /// a new base and every point between them): the recovered archive is
+    /// the one a single full image of the same rows rebuilds, and the
+    /// recovery report counts what an independent tally says it replayed.
+    #[test]
+    fn recovery_at_every_checkpoint_and_segment_boundary_rebuilds_the_full_image() {
+        let rng = &mut StdRng::seed_from_u64(42);
+        let mut next = 1u32;
+        let batches: Vec<Vec<Job>> = (0..90)
+            .map(|b| {
+                let mut batch: Vec<Job> = (0..rng.gen_range(1..6))
+                    .map(|_| {
+                        next += 1;
+                        random_job(rng, next, true)
+                    })
+                    .collect();
+                if b % 11 == 10 {
+                    // A retried row: an id archived before, sent again.
+                    batch.push(random_job(rng, next - 7, true));
+                }
+                batch
+            })
+            .collect();
+        let (mut segmented, mut folded) = (0, 0);
+        for crash_after in 1..=batches.len() {
+            let clock = SimClock::new(Timestamp(1_000));
+            let d = Slurmdbd::with_cost(RpcCostModel::free());
+            for batch in &batches[..crash_after] {
+                assert!(d.record_finished(batch.clone()));
+            }
+            let image = d.durable.latest().unwrap();
+            segmented += usize::from(!image.segments.is_empty());
+            folded += usize::from(image.segments.is_empty() && image.wal_seq > 0);
+
+            // Independently: the last checkpoint came after batch
+            // `8 * k`; its time is the newest end time up to there, and
+            // recovery replays every row sent after it.
+            let covered = crash_after / CHECKPOINT_EVERY_BATCHES as usize * 8;
+            let checkpoint_at = batches[..covered]
+                .iter()
+                .flatten()
+                .filter_map(|j| j.end_time)
+                .max()
+                .unwrap_or(Timestamp(0));
+            let replayed: usize = batches[covered..crash_after].iter().map(Vec::len).sum();
+
+            let now = clock.now();
+            d.faults().install(
+                Arc::new(
+                    FaultPlan::new(7)
+                        .rule(FaultRule::crash("slurmdbd", 10).during(now, Timestamp(now.0 + 1))),
+                ),
+                clock.shared(),
+            );
+            let _ = d.query_jobs(&JobFilter::default());
+            assert!(d.is_down());
+            clock.advance(11);
+            let _ = d.query_jobs(&JobFilter::default());
+            let report = d.last_recovery().expect("recovered");
+            assert_eq!(report.checkpoint_at, checkpoint_at, "after batch {crash_after}");
+            assert_eq!(report.wal_replayed, replayed as u64, "after batch {crash_after}");
+
+            // One full image of the same rows, last version of each id.
+            let mut latest: BTreeMap<JobId, Job> = BTreeMap::new();
+            for job in batches[..crash_after].iter().flatten() {
+                latest.insert(job.id, job.clone());
+            }
+            let full = serde_json::to_vec(&latest.into_values().collect::<Vec<Job>>()).unwrap();
+            let rows: Vec<Job> = serde_json::from_slice(&full).unwrap();
+            let rebuilt = Archive::of(rows.into_iter().map(Arc::new));
+            let recovered = archive_view(&d.archived.read());
+            let (want_rows, want_lists) = archive_view(&rebuilt);
+            assert_eq!(
+                serde_json::to_vec(&recovered.0).unwrap(),
+                serde_json::to_vec(&want_rows).unwrap(),
+                "rows after batch {crash_after}"
+            );
+            assert_eq!(recovered.1, want_lists, "lists after batch {crash_after}");
+        }
+        assert!(segmented > 10 && folded > 3, "{segmented} segmented, {folded} folded images");
+    }
+
     #[test]
     fn a_query_scans_the_lists_it_walks() {
         let rng = &mut StdRng::seed_from_u64(7);
