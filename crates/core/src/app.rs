@@ -102,11 +102,7 @@ fn register_collectors(ctx: &DashboardContext) {
         // Epoch-published snapshot health: publication rate, staleness of the
         // current epoch, and how far behind readers observe the tip.
         let ss = ctld.snapshot_stats();
-        out.counter(
-            "hpcdash_ctld_snapshot_publishes_total",
-            &[],
-            ss.publishes(),
-        );
+        out.counter("hpcdash_ctld_snapshot_publishes_total", &[], ss.publishes());
         out.gauge(
             "hpcdash_ctld_snapshot_seq",
             &[],
@@ -171,11 +167,7 @@ fn register_collectors(ctx: &DashboardContext) {
                 stats.retained_by_cause[cause.index()],
             );
         }
-        out.counter(
-            "hpcdash_trace_evicted_total",
-            &[],
-            stats.evicted,
-        );
+        out.counter("hpcdash_trace_evicted_total", &[], stats.evicted);
         out.gauge(
             "hpcdash_trace_store_size",
             &[],
@@ -205,18 +197,10 @@ fn register_collectors(ctx: &DashboardContext) {
     // never consume a half-open breaker's probe budget.
     let federation = ctx.federation.clone();
     ctx.obs.register_collector(move |out| {
-        out.gauge(
-            "hpcdash_federation_sites",
-            &[],
-            federation.len() as i64,
-        );
+        out.gauge("hpcdash_federation_sites", &[], federation.len() as i64);
         for site in federation.sites() {
             let labels = [("cluster", site.name().as_ref())];
-            out.counter(
-                "hpcdash_federation_polls_total",
-                &labels,
-                site.polls(),
-            );
+            out.counter("hpcdash_federation_polls_total", &labels, site.polls());
             out.counter(
                 "hpcdash_federation_stale_serves_total",
                 &labels,

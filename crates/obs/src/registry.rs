@@ -733,7 +733,13 @@ mod tests {
         sorted.sort();
         assert_eq!(names, sorted);
         assert_eq!(names.len(), 6);
-        assert_eq!(names[0], ("aaa_total".to_string(), vec![("r".to_string(), "0".to_string())]));
+        assert_eq!(
+            names[0],
+            (
+                "aaa_total".to_string(),
+                vec![("r".to_string(), "0".to_string())]
+            )
+        );
         // A collector's labels are sorted as an instrument's are.
         assert_eq!(names[3].1[0].0, "a");
         // Two scrapes agree.

@@ -527,7 +527,11 @@ mod tests {
         done.state = JobState::Completed;
         done.end_time = Some(Timestamp(1_600));
         let next = republish(&later, 2_000, vec![Arc::new(done)], true);
-        assert_eq!(next.jobs.rows_encoded(), 0, "not carried to another version");
+        assert_eq!(
+            next.jobs.rows_encoded(),
+            0,
+            "not carried to another version"
+        );
         let body: Value = serde_json::from_slice(&jobs_body(&next, &[0])).unwrap();
         assert_eq!(body["jobs"][0]["job_state"], "COMPLETED");
         assert_eq!(body["jobs"][0]["elapsed_secs"], 1_400);

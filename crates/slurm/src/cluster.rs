@@ -13,9 +13,9 @@ use crate::sched::{self, PassTerms, PlanInputs, PriorityWeights, ScheduleDecisio
 use crate::snapshot::{chunk_key, ClusterSnapshot, CHUNK_IDS};
 use hpcdash_simtime::Timestamp;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::cell::RefCell;
 use std::sync::{Arc, Weak};
 
 /// Errors surfaced to submitters — the cases real slurmctld rejects at
@@ -724,7 +724,16 @@ impl ClusterState {
         let snap = Arc::new(match prev.as_deref() {
             Some(p) => {
                 let changed = self.jobs.take_changed();
-                ClusterSnapshot::assemble(seq, now, name, changed, nodes, partitions, assoc, Some(p))
+                ClusterSnapshot::assemble(
+                    seq,
+                    now,
+                    name,
+                    changed,
+                    nodes,
+                    partitions,
+                    assoc,
+                    Some(p),
+                )
             }
             None => {
                 self.jobs.dirty.clear();

@@ -22,10 +22,10 @@ use crate::node::{AdminFlag, Node};
 use crate::partition::{Partition, PartitionState};
 use crate::snapshot::{ClusterSnapshot, EpochCell, SnapshotStats};
 use hpcdash_faults::{FaultHost, RestartToken};
-use serde::Serialize;
 use hpcdash_obs::{PhaseProfiler, Span};
 use hpcdash_simtime::{SharedClock, Timestamp};
 use parking_lot::{Mutex, MutexGuard};
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -972,7 +972,10 @@ mod tests {
                 continue;
             }
             images += 1;
-            assert_eq!(&*saved.bytes, &serde_json::to_vec(&state.checkpoint()).unwrap()[..]);
+            assert_eq!(
+                &*saved.bytes,
+                &serde_json::to_vec(&state.checkpoint()).unwrap()[..]
+            );
             let image = ctld.image.lock();
             let mut from = 0;
             copied += state

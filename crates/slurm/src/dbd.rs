@@ -7,11 +7,11 @@ use crate::durable::{join_arrays, DurableStore, RecoveryReport, Wal};
 use crate::job::{Job, JobId, JobState};
 use crate::loadmodel::{RpcCostModel, RpcStats};
 use crate::snapshot::ClusterSnapshot;
-use serde::Serialize;
 use hpcdash_faults::{FaultFailure, FaultHost, RestartToken};
 use hpcdash_obs::{PhaseProfiler, Span};
 use hpcdash_simtime::Timestamp;
 use parking_lot::{Mutex, RwLock};
+use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -1060,8 +1060,14 @@ mod tests {
             clock.advance(11);
             let _ = d.query_jobs(&JobFilter::default());
             let report = d.last_recovery().expect("recovered");
-            assert_eq!(report.checkpoint_at, checkpoint_at, "after batch {crash_after}");
-            assert_eq!(report.wal_replayed, replayed as u64, "after batch {crash_after}");
+            assert_eq!(
+                report.checkpoint_at, checkpoint_at,
+                "after batch {crash_after}"
+            );
+            assert_eq!(
+                report.wal_replayed, replayed as u64,
+                "after batch {crash_after}"
+            );
 
             // One full image of the same rows, last version of each id.
             let mut latest: BTreeMap<JobId, Job> = BTreeMap::new();
@@ -1080,7 +1086,10 @@ mod tests {
             );
             assert_eq!(recovered.1, want_lists, "lists after batch {crash_after}");
         }
-        assert!(segmented > 10 && folded > 3, "{segmented} segmented, {folded} folded images");
+        assert!(
+            segmented > 10 && folded > 3,
+            "{segmented} segmented, {folded} folded images"
+        );
     }
 
     #[test]

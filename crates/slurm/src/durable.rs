@@ -426,7 +426,10 @@ mod tests {
         store.append(b"[2,3]".to_vec(), Timestamp(20), 5);
         store.append(b"[]".to_vec(), Timestamp(30), 6);
         let cp = store.latest().unwrap();
-        assert_eq!((cp.at, cp.wal_seq, store.save_count()), (Timestamp(30), 6, 3));
+        assert_eq!(
+            (cp.at, cp.wal_seq, store.save_count()),
+            (Timestamp(30), 6, 3)
+        );
         assert_eq!(cp.segment_bytes(), 7);
         assert_eq!(join_arrays(cp.images()), b"[1,2,3]");
         store.save(join_arrays(cp.images()), Timestamp(30), 6);
@@ -436,7 +439,10 @@ mod tests {
     #[test]
     fn joined_arrays_skip_empty_parts() {
         assert_eq!(join_arrays([&b"[]"[..], b"[]"]), b"[]");
-        assert_eq!(join_arrays([&b"[]"[..], b"[{\"a\":[1]}]", b"[]", b"[7]"]), b"[{\"a\":[1]},7]");
+        assert_eq!(
+            join_arrays([&b"[]"[..], b"[{\"a\":[1]}]", b"[]", b"[7]"]),
+            b"[{\"a\":[1]},7]"
+        );
         assert_eq!(join_arrays(std::iter::empty()), b"[]");
     }
 }

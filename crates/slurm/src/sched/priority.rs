@@ -2,11 +2,11 @@
 //! plugin: a weighted sum of age, fairshare, QoS and partition factors.
 
 use crate::assoc::AssocStore;
-use std::collections::BTreeMap;
 use crate::job::Job;
 use crate::partition::Partition;
 use crate::qos::Qos;
 use hpcdash_simtime::Timestamp;
+use std::collections::BTreeMap;
 
 /// Weights for the priority factors. Defaults approximate a typical
 /// university-cluster configuration.
@@ -128,9 +128,15 @@ impl PassTerms {
         let req = &job.req;
         let last = &mut self.last;
         if let Some(terms) = last.terms {
-            if (last.account.as_str(), last.qos.as_str(), last.partition.as_str())
-                == (req.account.as_str(), req.qos.as_str(), req.partition.as_str())
-            {
+            if (
+                last.account.as_str(),
+                last.qos.as_str(),
+                last.partition.as_str(),
+            ) == (
+                req.account.as_str(),
+                req.qos.as_str(),
+                req.partition.as_str(),
+            ) {
                 return terms;
             }
         }

@@ -256,7 +256,12 @@ impl ClusterSnapshot {
                     let was = o.next().expect("peeked");
                     let (k, group) = g.next().expect("peeked");
                     let same = was.chunk.jobs.len() == group.len()
-                        && was.chunk.jobs.iter().zip(&group).all(|(a, b)| Arc::ptr_eq(a, b));
+                        && was
+                            .chunk
+                            .jobs
+                            .iter()
+                            .zip(&group)
+                            .all(|(a, b)| Arc::ptr_eq(a, b));
                     if !same {
                         changed.push((k, group));
                     }
@@ -314,7 +319,9 @@ impl ClusterSnapshot {
             keep(c.chunk.clone(), &mut chunks);
         }
         let jobs = JobTable {
-            len: chunks.last().map_or(0, |c| c.start as usize + c.chunk.jobs.len()),
+            len: chunks
+                .last()
+                .map_or(0, |c| c.start as usize + c.chunk.jobs.len()),
             chunks: chunks.into(),
         };
         let counts = jobs.chunks.iter().fold(StateCounts::default(), |mut t, c| {
@@ -333,9 +340,7 @@ impl ClusterSnapshot {
         // Node names are fixed for a cluster's life, so the groups follow
         // the partitions alone.
         let partition_nodes = match prev {
-            Some(p)
-                if Arc::ptr_eq(&p.partitions, &partitions) && p.nodes.len() == nodes.len() =>
-            {
+            Some(p) if Arc::ptr_eq(&p.partitions, &partitions) && p.nodes.len() == nodes.len() => {
                 p.partition_nodes.clone()
             }
             _ => partitions

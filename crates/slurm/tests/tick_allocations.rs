@@ -175,9 +175,8 @@ fn a_publish_allocates_for_what_changed_not_for_the_site() {
         let mut r = JobRequest::simple("user0001", "acct000", "cpu", 4);
         r.usage = UsageProfile::batch(600);
         let (_, submit) = counted(|| ctld.submit(r).expect("a valid job"));
-        let (drained, drain) = counted(|| {
-            ctld.set_node_flag("a0001", AdminFlag::Drain, Some("maint".to_string()))
-        });
+        let (drained, drain) =
+            counted(|| ctld.set_node_flag("a0001", AdminFlag::Drain, Some("maint".to_string())));
         assert!(drained);
         let snap = ctld.snapshot();
         let size = (snap.counts.pending + snap.counts.running) as u64 + snap.nodes.len() as u64;

@@ -289,10 +289,7 @@ fn usage_of<'a>(part: &Partition, nodes: impl Iterator<Item = &'a Node>) -> Part
 }
 
 /// Aggregate node state into per-partition usage records.
-pub fn compute_usage(
-    partitions: &[Partition],
-    nodes: &[impl Borrow<Node>],
-) -> Vec<PartitionUsage> {
+pub fn compute_usage(partitions: &[Partition], nodes: &[impl Borrow<Node>]) -> Vec<PartitionUsage> {
     let index = by_name(nodes);
     partitions
         .iter()

@@ -15,6 +15,13 @@
 //! sites. The federation's sites advance side by side, so its wall time is
 //! below its busy time; its slowest site is printed beside it.
 //!
+//! Beside each phase it prints the phase's campus x4 / x1 slope. Below the
+//! table come two allocation counts on each campus site after its warm-up:
+//! per publish (a hold and a release of one pending job, one publication
+//! each) and per repeated collection pass (a telemetry pass at a timestamp
+//! already stored, so no sample is appended and what allocates is the
+//! scrape's and the collector's own machinery).
+//!
 //! slurmdbd's phases run inside slurmctld's `dbd_record` and `dbd_sync`, so
 //! coverage counts only slurmctld's and telemetryd's, against busy time:
 //! the example fails if those cover less than 80 % of it, so time spent
@@ -23,12 +30,16 @@
 //! warm-up takes more than 80 % of its busy time, so sites that stop
 //! overlapping show up too.
 
+use hpcdash::slurm::job::JobState;
 use hpcdash::{FedSite, SimSite};
 use hpcdash_core::DashboardConfig;
 use hpcdash_obs::PhaseProfiler;
 use hpcdash_workload::{FederationConfig, Scenario, ScenarioConfig};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
+
+#[global_allocator]
+static GLOBAL: hpcdash_testkit::CountingAlloc = hpcdash_testkit::CountingAlloc;
 
 const WARM_UP_SECS: u64 = 4 * 3_600;
 const DRIVE_WINDOW_SECS: u64 = 10 * 86_400;
@@ -45,6 +56,9 @@ struct Column {
     /// Wall time each site spent advancing, in site order.
     busy: Vec<Duration>,
     drive_window: Duration,
+    /// Allocations per publish and per repeated collection pass (campus
+    /// sites only).
+    allocations: Option<(f64, u64)>,
 }
 
 impl Column {
@@ -74,6 +88,7 @@ impl Column {
             warm_up,
             busy,
             drive_window: drive,
+            allocations: None,
         }
     }
 
@@ -126,7 +141,30 @@ fn portal(name: &'static str, cfg: ScenarioConfig) -> Column {
     let drive = t0.elapsed();
     drop(driver);
     let sites = std::slice::from_ref(&site.scenario);
-    Column::new(name, sites, warm_up, busy, drive)
+    let mut column = Column::new(name, sites, warm_up, busy, drive);
+    column.allocations = Some(allocations(&site));
+    column
+}
+
+/// Allocations per publish and per repeated collection pass on a warm
+/// site, counted after the phases were read.
+fn allocations(site: &SimSite) -> (f64, u64) {
+    let ctld = &site.scenario.ctld;
+    let pending = ctld
+        .snapshot()
+        .jobs
+        .iter()
+        .find(|j| j.state == JobState::Pending && j.reason.is_some())
+        .map(|j| j.id)
+        .expect("a warm campus site has pending jobs");
+    let (_, publishes) = hpcdash_testkit::counted(|| {
+        ctld.hold(pending, true).expect("a pending job holds");
+        ctld.release(pending).expect("a held job releases");
+    });
+    let telemetry = &site.scenario.telemetry;
+    telemetry.collect_now();
+    let (_, pass) = hpcdash_testkit::counted(|| telemetry.collect_now());
+    (publishes as f64 / 2.0, pass)
 }
 
 fn federation(name: &'static str, cfg: FederationConfig) -> Column {
@@ -160,38 +198,70 @@ fn main() {
     for c in &columns {
         print!(" {} |", c.name);
     }
-    println!();
-    println!("|---|---|{}", "---:|".repeat(columns.len()));
-    let row = |label: &str, cell: &dyn Fn(&Column) -> String| {
+    println!(" x4 / x1 |");
+    println!("|---|---|{}", "---:|".repeat(columns.len() + 1));
+    let row = |label: &str, cell: &dyn Fn(&Column) -> String, slope: Option<f64>| {
         print!("| {label} |");
         for c in &columns {
             print!(" {} |", cell(c));
         }
-        println!();
+        println!(
+            " {} |",
+            slope.map_or("—".to_string(), |x| format!("{x:.1}x"))
+        );
+    };
+    let slope = |of: &dyn Fn(&Column) -> Option<f64>| {
+        Some(of(&columns[1])? / of(&columns[0])?).filter(|x| x.is_finite())
     };
     for (daemon, phase) in rows {
-        row(&format!("{daemon} | `{phase}`"), &|c| {
-            c.phases
-                .get(&(daemon, phase))
-                .map_or("—".to_string(), |ms| format!("{ms:.1}"))
-        });
+        let ms = |c: &Column| c.phases.get(&(daemon, phase)).copied();
+        row(
+            &format!("{daemon} | `{phase}`"),
+            &|c| ms(c).map_or("—".to_string(), |ms| format!("{ms:.1}")),
+            slope(&ms),
+        );
     }
-    row("profiled | slurmctld + telemetryd", &|c| {
-        format!("{:.1}", c.profiled_ms())
-    });
-    row("workload | `driver(10 days)`", &|c| {
-        format!("{:.3}", c.drive_window.as_secs_f64() * 1e3)
-    });
-    row("whole | warm-up", &|c| format!("{:.1}", c.warm_up_ms()));
-    row("busy | sites advancing, summed", &|c| {
-        format!("{:.1}", c.busy_ms())
-    });
-    row("busy | slowest site", &|c| {
-        format!("{:.1}", c.slowest_site_ms())
-    });
-    row("coverage | profiled / busy", &|c| {
-        format!("{:.0} %", c.coverage() * 100.0)
-    });
+    row(
+        "profiled | slurmctld + telemetryd",
+        &|c| format!("{:.1}", c.profiled_ms()),
+        slope(&|c| Some(c.profiled_ms())),
+    );
+    row(
+        "workload | `driver(10 days)`",
+        &|c| format!("{:.3}", c.drive_window.as_secs_f64() * 1e3),
+        None,
+    );
+    row(
+        "whole | warm-up",
+        &|c| format!("{:.1}", c.warm_up_ms()),
+        slope(&|c| Some(c.warm_up_ms())),
+    );
+    row(
+        "busy | sites advancing, summed",
+        &|c| format!("{:.1}", c.busy_ms()),
+        None,
+    );
+    row(
+        "busy | slowest site",
+        &|c| format!("{:.1}", c.slowest_site_ms()),
+        None,
+    );
+    row(
+        "coverage | profiled / busy",
+        &|c| format!("{:.0} %", c.coverage() * 100.0),
+        None,
+    );
+    let allocs = |c: &Column, f: fn((f64, u64)) -> String| c.allocations.map_or("—".to_string(), f);
+    row(
+        "allocations | per publish",
+        &|c| allocs(c, |(p, _)| format!("{p:.1}")),
+        slope(&|c| c.allocations.map(|(p, _)| p)),
+    );
+    row(
+        "allocations | per repeated collection pass",
+        &|c| allocs(c, |(_, s)| s.to_string()),
+        slope(&|c| c.allocations.map(|(_, s)| s as f64)),
+    );
     let x1 = columns[0].warm_up.as_secs_f64();
     let x4 = columns[1].warm_up.as_secs_f64();
     let quad = &columns[2];
