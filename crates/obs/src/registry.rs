@@ -335,10 +335,6 @@ impl std::fmt::Debug for LabelsRef<'_> {
     }
 }
 
-fn owned((name, labels): &(String, Labels)) -> (&str, &[(String, String)]) {
-    (name, labels)
-}
-
 fn span(text: &str, (from, to): Span) -> &str {
     &text[from as usize..to as usize]
 }
@@ -460,22 +456,60 @@ impl SampleSink {
     }
 }
 
-type Collector = Box<dyn Fn(&mut SampleSink) + Send + Sync>;
+type Collector = Arc<dyn Fn(&mut SampleSink) + Send + Sync>;
+
+/// An instrument's `(name, labels)`, shared by the registry and the scrapes
+/// that lend it.
+type Key = Arc<(String, Labels)>;
 
 #[derive(Default)]
 struct Instruments {
-    counters: BTreeMap<(String, Labels), Arc<Counter>>,
-    gauges: BTreeMap<(String, Labels), Arc<Gauge>>,
-    histograms: BTreeMap<(String, Labels), Arc<Histogram>>,
+    counters: BTreeMap<Key, Arc<Counter>>,
+    gauges: BTreeMap<Key, Arc<Gauge>>,
+    histograms: BTreeMap<Key, Arc<Histogram>>,
+}
+
+/// The instrument `(name, labels)` of `map`, made if it is new.
+fn get_or_insert<T: Default>(
+    map: &mut BTreeMap<Key, Arc<T>>,
+    name: &str,
+    labels: &[(&str, &str)],
+) -> Arc<T> {
+    let key = (name.to_string(), normalize_labels(labels));
+    if let Some(found) = map.get(&key) {
+        return found.clone();
+    }
+    map.entry(Arc::new(key)).or_default().clone()
+}
+
+/// What a scrape copies out of the registry and what its collectors write,
+/// kept between scrapes so that a scrape of known instruments allocates
+/// nothing.
+#[derive(Default)]
+struct Scrape {
+    sink: SampleSink,
+    /// Every instrument's key and value as the scrape read it: counters,
+    /// then gauges, then histograms, each in key order.
+    values: Vec<(Key, SampleValue, Option<TraceId>)>,
+}
+
+fn lend((key, value, exemplar): &(Key, SampleValue, Option<TraceId>)) -> SampleRef<'_> {
+    SampleRef {
+        name: &key.0,
+        labels: LabelsRef(LabelsIn::Owned(&key.1)),
+        value: *value,
+        exemplar: *exemplar,
+    }
 }
 
 /// The process-wide metrics registry.
 #[derive(Default)]
 pub struct Registry {
     instruments: Mutex<Instruments>,
-    collectors: Mutex<Vec<Collector>>,
-    /// The collectors' scratch, reused by every scrape.
-    sink: Mutex<SampleSink>,
+    collectors: Mutex<Arc<[Collector]>>,
+    /// The scratch a scrape takes and puts back; a scrape that finds it
+    /// taken by another starts its own.
+    scratch: Mutex<Scrape>,
 }
 
 impl Registry {
@@ -485,33 +519,15 @@ impl Registry {
 
     /// Get or create the counter `(name, labels)`.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        let key = (name.to_string(), normalize_labels(labels));
-        self.instruments
-            .lock()
-            .counters
-            .entry(key)
-            .or_default()
-            .clone()
+        get_or_insert(&mut self.instruments.lock().counters, name, labels)
     }
 
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let key = (name.to_string(), normalize_labels(labels));
-        self.instruments
-            .lock()
-            .gauges
-            .entry(key)
-            .or_default()
-            .clone()
+        get_or_insert(&mut self.instruments.lock().gauges, name, labels)
     }
 
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        let key = (name.to_string(), normalize_labels(labels));
-        self.instruments
-            .lock()
-            .histograms
-            .entry(key)
-            .or_default()
-            .clone()
+        get_or_insert(&mut self.instruments.lock().histograms, name, labels)
     }
 
     /// Record a duration in the histogram `(name, labels)` — convenience for
@@ -523,50 +539,51 @@ impl Registry {
     /// Register a pull-time collector: called at every scrape to write
     /// samples for stats kept outside the registry (cache stats, RPC stats).
     pub fn register_collector(&self, f: impl Fn(&mut SampleSink) + Send + Sync + 'static) {
-        self.collectors.lock().push(Box::new(f));
+        let mut collectors = self.collectors.lock();
+        let f: Collector = Arc::new(f);
+        *collectors = collectors.iter().cloned().chain([f]).collect();
     }
 
     /// Scrape every instrument and collector, handing `f` each sample in
     /// `(name, labels)` order, so exposition order is stable across
     /// scrapes. Samples of equal key come counters first, then gauges,
     /// summaries, and collector samples in the order they were written.
-    /// `f` runs with the registry locked: it must not call back into it.
+    /// The instruments are locked only while their values are copied: no
+    /// lock is held while a collector or `f` runs, so either may use the
+    /// registry, and scrapes run side by side.
     pub fn visit(&self, mut f: impl FnMut(&SampleRef<'_>)) {
-        let mut sink = self.sink.lock();
-        sink.clear();
-        for collector in self.collectors.lock().iter() {
-            collector(&mut sink);
+        let collectors = self.collectors.lock().clone();
+        let mut scrape = std::mem::take(&mut *self.scratch.lock());
+        for collector in collectors.iter() {
+            collector(&mut scrape.sink);
         }
-        sink.sort();
-        let ins = self.instruments.lock();
-        let mut counters = ins.counters.iter().map(|(key, c)| {
-            let (name, labels) = owned(key);
-            SampleRef {
-                name,
-                labels: LabelsRef(LabelsIn::Owned(labels)),
-                value: SampleValue::Counter(c.get()),
-                exemplar: None,
-            }
-        });
-        let mut gauges = ins.gauges.iter().map(|(key, g)| {
-            let (name, labels) = owned(key);
-            SampleRef {
-                name,
-                labels: LabelsRef(LabelsIn::Owned(labels)),
-                value: SampleValue::Gauge(g.get()),
-                exemplar: None,
-            }
-        });
-        let mut histograms = ins.histograms.iter().map(|(key, h)| {
-            let (name, labels) = owned(key);
-            SampleRef {
-                name,
-                labels: LabelsRef(LabelsIn::Owned(labels)),
-                value: SampleValue::Summary(h.summary()),
-                exemplar: h.quantile_exemplar(0.99),
-            }
-        });
-        let sink = &*sink;
+        scrape.sink.sort();
+        let (counters_end, gauges_end) = {
+            let ins = self.instruments.lock();
+            let values = &mut scrape.values;
+            values.extend(
+                ins.counters
+                    .iter()
+                    .map(|(key, c)| (key.clone(), SampleValue::Counter(c.get()), None)),
+            );
+            let counters_end = values.len();
+            values.extend(
+                ins.gauges
+                    .iter()
+                    .map(|(key, g)| (key.clone(), SampleValue::Gauge(g.get()), None)),
+            );
+            let gauges_end = values.len();
+            values.extend(ins.histograms.iter().map(|(key, h)| {
+                let summary = SampleValue::Summary(h.summary());
+                (key.clone(), summary, h.quantile_exemplar(0.99))
+            }));
+            (counters_end, gauges_end)
+        };
+        let values = &scrape.values;
+        let mut counters = values[..counters_end].iter().map(lend);
+        let mut gauges = values[counters_end..gauges_end].iter().map(lend);
+        let mut histograms = values[gauges_end..].iter().map(lend);
+        let sink = &scrape.sink;
         let mut written = sink.order.iter().map(|&at| sink.sample(at));
         let mut heads = [
             counters.next(),
@@ -599,6 +616,9 @@ impl Registry {
                 _ => written.next(),
             };
         }
+        scrape.sink.clear();
+        scrape.values.clear();
+        *self.scratch.lock() = scrape;
     }
 }
 
@@ -744,6 +764,72 @@ mod tests {
         assert_eq!(names[3].1[0].0, "a");
         // Two scrapes agree.
         assert_eq!(names, keys(&reg));
+    }
+
+    /// A scrape's callback and a collector may make and bump instruments,
+    /// and a callback may scrape again, without a deadlock.
+    #[test]
+    fn scrape_callbacks_and_collectors_may_use_the_registry() {
+        let reg = Arc::new(Registry::new());
+        reg.counter("aaa_total", &[]).inc();
+        let weak = Arc::downgrade(&reg);
+        reg.register_collector(move |out| {
+            let reg = weak.upgrade().expect("scraped through a live registry");
+            reg.counter("made_by_collector_total", &[]).inc();
+            out.gauge("bbb", &[], 1);
+        });
+        let (done, finished) = std::sync::mpsc::channel();
+        let scraper = reg.clone();
+        std::thread::spawn(move || {
+            let (mut outer, mut inner) = (0, 0);
+            scraper.visit(|_| {
+                outer += 1;
+                scraper.counter("made_in_visit_total", &[]).inc();
+                scraper.visit(|_| inner += 1);
+            });
+            done.send((outer, inner)).expect("the test waits");
+        });
+        let (outer, inner) = finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a re-entrant scrape finishes");
+        // The first scrape saw `aaa_total` and `bbb`; the collector made
+        // its counter before the instruments were read.
+        assert_eq!(outer, 3);
+        assert!(inner >= 3 * outer);
+        assert_eq!(reg.counter("made_in_visit_total", &[]).get(), 3);
+        assert_eq!(reg.counter("made_by_collector_total", &[]).get(), 4);
+    }
+
+    /// A scrape waiting in its callback does not hold up another.
+    #[test]
+    fn scrapes_run_side_by_side() {
+        let reg = Arc::new(Registry::new());
+        reg.counter("a_total", &[]).inc();
+        reg.register_collector(|out| out.counter("b_total", &[], 2));
+        let (started, start) = std::sync::mpsc::channel();
+        let (done, finished) = std::sync::mpsc::channel();
+        let other = {
+            let reg = reg.clone();
+            std::thread::spawn(move || {
+                start.recv().expect("the first scrape started");
+                let mut n = 0;
+                reg.visit(|_| n += 1);
+                done.send(n).expect("the first scrape waits");
+            })
+        };
+        let mut seen = Vec::new();
+        reg.visit(|s| {
+            if seen.is_empty() {
+                started.send(()).expect("the other scrape waits");
+                let n = finished
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("the other scrape finished meanwhile");
+                assert_eq!(n, 2);
+            }
+            seen.push(s.name.to_string());
+        });
+        other.join().expect("the other scrape");
+        assert_eq!(seen, ["a_total", "b_total"]);
     }
 
     #[test]

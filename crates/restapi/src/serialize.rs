@@ -427,6 +427,7 @@ mod tests {
     use hpcdash_slurm::assoc::{Account, AccountUsage};
     use hpcdash_slurm::job::{JobId, JobRequest, JobState};
     use hpcdash_slurm::partition::Partition;
+    use hpcdash_slurm::snapshot::chunk_key;
     use serde_json::json;
     use std::sync::Arc;
 
@@ -464,7 +465,6 @@ mod tests {
             vec![Arc::new(node)],
             vec![part],
             vec![Arc::new(assoc)],
-            None,
         )
     }
 
@@ -484,24 +484,27 @@ mod tests {
         assert_eq!(j["state_reason"], Value::Null);
     }
 
-    /// `snap`'s jobs and parts at another instant, published after it (so
-    /// sharing its row memo) or from scratch.
+    /// `snap`'s parts at another instant, with the chunks of `changed`
+    /// replaced: published after `snap` (so sharing its row memo) as
+    /// slurmctld publishes, or from scratch.
     fn republish(
         snap: &ClusterSnapshot,
         now: u64,
-        jobs: Vec<Arc<Job>>,
+        changed: Vec<Arc<Job>>,
         after: bool,
     ) -> ClusterSnapshot {
-        ClusterSnapshot::build(
-            snap.seq + 1,
-            Timestamp(now),
-            snap.name.clone(),
-            jobs,
+        let (seq, now, name) = (snap.seq + 1, Timestamp(now), snap.name.clone());
+        let (nodes, partitions, assoc) = (
             snap.nodes.clone(),
             snap.partitions.clone(),
             snap.assoc.clone(),
-            after.then_some(snap),
-        )
+        );
+        if !after {
+            let jobs = snap.jobs.to_vec();
+            return ClusterSnapshot::build(seq, now, name, jobs, nodes, partitions, assoc);
+        }
+        let chunks = changed.into_iter().map(|j| (chunk_key(j.id), vec![j]));
+        ClusterSnapshot::assemble(seq, now, name, chunks, nodes, partitions, assoc, Some(snap))
     }
 
     #[test]
@@ -512,10 +515,10 @@ mod tests {
 
         // The same job version later: the row is carried over, and spliced
         // around the new elapsed time it is the body a fresh encode gives.
-        let later = republish(&first, 1_500, first.jobs.to_vec(), true);
+        let later = republish(&first, 1_500, Vec::new(), true);
         assert_eq!(later.jobs.rows_encoded(), 1, "carried from the first");
         let memoized = jobs_body(&later, &[0]);
-        let fresh = republish(&first, 1_500, first.jobs.to_vec(), false);
+        let fresh = republish(&first, 1_500, Vec::new(), false);
         assert_eq!(fresh.jobs.rows_encoded(), 0);
         assert_eq!(memoized, jobs_body(&fresh, &[0]));
         let body: Value = serde_json::from_slice(&memoized).unwrap();

@@ -90,7 +90,6 @@ mod tests {
             vec![Arc::new(Node::new("a001", 8, 32_000, 0))],
             vec![Partition::new("cpu"), Partition::new("gpu")],
             vec![],
-            None,
         )
     }
 

@@ -476,7 +476,7 @@ impl ClusterState {
         // Each account's fairshare, each QoS priority and each partition
         // tier, once per pass.
         self.terms.refresh(&self.assoc, &self.qos, &self.partitions);
-        let (assoc, terms, weights) = (&self.assoc, &mut self.terms, &self.weights);
+        let (assoc, terms, weights) = (&self.assoc, &self.terms, &self.weights);
         self.jobs.for_each_mut(|job| {
             if job.state != JobState::Pending {
                 return;
@@ -738,7 +738,7 @@ impl ClusterState {
             None => {
                 self.jobs.dirty.clear();
                 let jobs = self.jobs.values().cloned().collect();
-                ClusterSnapshot::build(seq, now, name, jobs, nodes, partitions, assoc, None)
+                ClusterSnapshot::build(seq, now, name, jobs, nodes, partitions, assoc)
             }
         });
         self.published = Some(snap.clone());

@@ -572,7 +572,6 @@ mod tests {
             Vec::<Arc<Node>>::new(),
             Vec::<Partition>::new(),
             Vec::<Arc<AssocRecord>>::new(),
-            None,
         ))
     }
 

@@ -81,7 +81,6 @@ pub struct PassTerms {
     fairshare: BTreeMap<String, f64>,
     qos: BTreeMap<String, u64>,
     tier: BTreeMap<String, u64>,
-    last: LastTerms,
 }
 
 impl PassTerms {
@@ -92,7 +91,6 @@ impl PassTerms {
         qos: &BTreeMap<String, Qos>,
         partitions: &BTreeMap<String, Partition>,
     ) {
-        self.last.terms = None;
         for account in assoc.accounts() {
             let fs = assoc.fairshare(&account.name);
             match self.fairshare.get_mut(&account.name) {
@@ -121,53 +119,17 @@ impl PassTerms {
     }
 
     /// The terms of `job`, as [`compute_priority`] would look them up.
-    /// Jobs come in id order, and neighbours mostly share account, QoS and
-    /// partition, so the previous job's keys and terms answer most lookups
-    /// with three string compares.
-    pub fn of(&mut self, job: &Job, assoc: &AssocStore) -> SharedTerms {
+    pub fn of(&self, job: &Job, assoc: &AssocStore) -> SharedTerms {
         let req = &job.req;
-        let last = &mut self.last;
-        if let Some(terms) = last.terms {
-            if (
-                last.account.as_str(),
-                last.qos.as_str(),
-                last.partition.as_str(),
-            ) == (
-                req.account.as_str(),
-                req.qos.as_str(),
-                req.partition.as_str(),
-            ) {
-                return terms;
-            }
-        }
-        let terms = SharedTerms {
+        SharedTerms {
             fairshare: match self.fairshare.get(&req.account) {
                 Some(&fs) => fs,
                 None => assoc.fairshare(&req.account),
             },
             qos: self.qos.get(&req.qos).copied().unwrap_or(0),
             tier: self.tier.get(&req.partition).copied().unwrap_or(1),
-        };
-        for (buf, key) in [
-            (&mut last.account, &req.account),
-            (&mut last.qos, &req.qos),
-            (&mut last.partition, &req.partition),
-        ] {
-            buf.clear();
-            buf.push_str(key);
         }
-        last.terms = Some(terms);
-        terms
     }
-}
-
-/// The keys and terms of the job [`PassTerms::of`] last answered for.
-#[derive(Debug, Default)]
-struct LastTerms {
-    account: String,
-    qos: String,
-    partition: String,
-    terms: Option<SharedTerms>,
 }
 
 #[cfg(test)]

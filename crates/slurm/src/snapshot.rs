@@ -214,12 +214,8 @@ impl ClusterSnapshot {
         }
     }
 
-    /// Build a snapshot of `jobs` (id-ascending) and the given parts. What
-    /// `prev` (the snapshot published before this one) holds is reused: a
-    /// chunk whose jobs are the very allocations `prev`'s chunk holds is
-    /// `prev`'s, and the rows its readers encoded come with it; the indexes
-    /// are `prev`'s, changed only where a job came or went.
-    #[allow(clippy::too_many_arguments)]
+    /// A snapshot of `jobs` (id-ascending) and the given parts, sharing
+    /// nothing with an earlier one.
     pub fn build(
         seq: u64,
         now: hpcdash_simtime::Timestamp,
@@ -228,7 +224,6 @@ impl ClusterSnapshot {
         nodes: impl Into<Arc<[Arc<Node>]>>,
         partitions: impl Into<Arc<[Partition]>>,
         assoc: impl Into<Arc<[Arc<AssocRecord>]>>,
-        prev: Option<&ClusterSnapshot>,
     ) -> ClusterSnapshot {
         let mut groups: Vec<(u32, Vec<Arc<Job>>)> = Vec::new();
         for job in jobs {
@@ -237,55 +232,27 @@ impl ClusterSnapshot {
                 _ => groups.push((chunk_key(job.id), vec![job])),
             }
         }
-        let old = prev.map_or(&[][..], |p| &p.jobs.chunks[..]);
-        // Every key either side holds, minus the chunks that are unchanged.
-        let mut changed: Vec<(u32, Vec<Arc<Job>>)> = Vec::new();
-        let (mut o, mut g) = (old.iter().peekable(), groups.into_iter().peekable());
-        loop {
-            let (ok, gk) = (o.peek().map(|c| c.chunk.key), g.peek().map(|(k, _)| *k));
-            match (ok, gk) {
-                (None, None) => break,
-                (Some(k), gk) if gk.is_none_or(|gk| k < gk) => {
-                    o.next();
-                    changed.push((k, Vec::new()));
-                }
-                (ok, Some(k)) if ok.is_none_or(|ok| k < ok) => {
-                    changed.push(g.next().expect("peeked"));
-                }
-                _ => {
-                    let was = o.next().expect("peeked");
-                    let (k, group) = g.next().expect("peeked");
-                    let same = was.chunk.jobs.len() == group.len()
-                        && was
-                            .chunk
-                            .jobs
-                            .iter()
-                            .zip(&group)
-                            .all(|(a, b)| Arc::ptr_eq(a, b));
-                    if !same {
-                        changed.push((k, group));
-                    }
-                }
-            }
-        }
         ClusterSnapshot::assemble(
             seq,
             now,
             name,
-            changed,
+            groups,
             nodes.into(),
             partitions.into(),
             assoc.into(),
-            prev,
+            None,
         )
     }
 
     /// A snapshot that is `prev` with the chunks keyed in `changed` (in
-    /// ascending key order) holding the given jobs instead; an empty list
-    /// drops its chunk. Every other chunk is `prev`'s, so the job table
-    /// costs the changed chunks plus one pointer per chunk.
+    /// ascending [`chunk_key`] order, each holding id-ascending jobs of
+    /// that key) holding the given jobs instead; an empty list drops its
+    /// chunk. Every other chunk is `prev`'s, and so are the rows its
+    /// readers encoded, so the job table costs the changed chunks plus one
+    /// pointer per chunk; the indexes are `prev`'s, changed only where a
+    /// job came or went. Without `prev`, `changed` is every chunk.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble(
+    pub fn assemble(
         seq: u64,
         now: hpcdash_simtime::Timestamp,
         name: Arc<str>,
@@ -301,11 +268,14 @@ impl ClusterSnapshot {
         let mut rest = old.iter().peekable();
         let mut start = 0u32;
         let mut keep = |chunk: Arc<JobChunk>, chunks: &mut Vec<ChunkAt>| {
+            debug_assert!(chunks.last().is_none_or(|c| c.chunk.key < chunk.key));
             let len = chunk.jobs.len() as u32;
             chunks.push(ChunkAt { start, chunk });
             start += len;
         };
         for (key, jobs) in changed {
+            debug_assert!(jobs.iter().all(|j| chunk_key(j.id) == key));
+            debug_assert!(jobs.windows(2).all(|w| w[0].id < w[1].id));
             while let Some(c) = rest.next_if(|c| c.chunk.key < key) {
                 keep(c.chunk.clone(), &mut chunks);
             }
@@ -337,10 +307,18 @@ impl ClusterSnapshot {
         };
         let [by_user, by_account, by_partition] =
             [0, 1, 2].map(|i| old_index(i).moved(&moves, INDEX_KEYS[i]));
-        // Node names are fixed for a cluster's life, so the groups follow
-        // the partitions alone.
+        // The groups hold node positions, so they carry over while the
+        // partitions and every node's name are `prev`'s (a shared node
+        // answers without a compare).
         let partition_nodes = match prev {
-            Some(p) if Arc::ptr_eq(&p.partitions, &partitions) && p.nodes.len() == nodes.len() => {
+            Some(p)
+                if Arc::ptr_eq(&p.partitions, &partitions)
+                    && p.nodes.len() == nodes.len()
+                    && p.nodes
+                        .iter()
+                        .zip(nodes.iter())
+                        .all(|(a, b)| Arc::ptr_eq(a, b) || a.name == b.name) =>
+            {
                 p.partition_nodes.clone()
             }
             _ => partitions
@@ -601,99 +579,74 @@ impl IndexMoves {
     }
 }
 
-/// Shards of a [`JobIndex`]: a change copies the map of one shard, not
-/// the whole index.
-const INDEX_SHARDS: usize = 16;
-
-type IndexShard = HashMap<Arc<str>, Arc<[JobId]>>;
-
-/// The shard `key` lives in (FNV-1a, so every process agrees).
-fn shard_of(key: &str) -> usize {
-    let hash = key.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    });
-    (hash % INDEX_SHARDS as u64) as usize
-}
-
-/// An index of the active jobs by one key: key -> ascending job ids. Each
-/// shard, and each list in it, is shared with the snapshots published
-/// before while no job of its keys came or went.
-#[derive(Clone, PartialEq)]
-pub struct JobIndex(Arc<[Arc<IndexShard>]>);
-
-impl Default for JobIndex {
-    fn default() -> JobIndex {
-        let empty = Arc::new(IndexShard::new());
-        JobIndex((0..INDEX_SHARDS).map(|_| empty.clone()).collect())
-    }
-}
+/// An index of the active jobs by one key: key -> ascending job ids. The
+/// map, and each list in it, is shared with the snapshots published before
+/// while no job came or went; a change copies the map's entries (refcount
+/// bumps) and rebuilds the lists of the keys it touched.
+#[derive(Clone, Default, PartialEq)]
+pub struct JobIndex(Arc<HashMap<Arc<str>, Arc<[JobId]>>>);
 
 impl JobIndex {
     /// The ascending ids of `key`'s active jobs.
     pub fn get(&self, key: &str) -> Option<&[JobId]> {
-        self.0[shard_of(key)].get(key).map(|ids| &ids[..])
+        self.0.get(key).map(|ids| &ids[..])
     }
 
     /// Every key with at least one active job, in no particular order.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.0.iter().flat_map(|shard| shard.keys().map(|k| &**k))
+        self.0.keys().map(|k| &**k)
     }
 
     pub fn len(&self) -> usize {
-        self.0.iter().map(|shard| shard.len()).sum()
+        self.0.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.is_empty()
     }
 
-    /// This index with `moves` applied, keyed by `key_of`. Only the shards
-    /// and lists of keys whose jobs came or went are rebuilt.
+    /// This index with `moves` applied, keyed by `key_of`. Only the lists
+    /// of keys whose jobs came or went are rebuilt.
     fn moved(&self, moves: &IndexMoves, key_of: fn(&Job) -> &str) -> JobIndex {
         if moves.came.is_empty() && moves.went.is_empty() {
             return self.clone();
         }
-        let mut touched: Vec<(usize, &str, JobId, bool)> = moves
+        let mut touched: Vec<(&str, JobId, bool)> = moves
             .came
             .iter()
             .map(|j| (key_of(j), j.id, true))
             .chain(moves.went.iter().map(|j| (key_of(j), j.id, false)))
-            .map(|(key, id, came)| (shard_of(key), key, id, came))
             .collect();
         touched.sort_unstable();
-        let mut shards = self.0.to_vec();
-        for in_shard in touched.chunk_by(|a, b| a.0 == b.0) {
-            let shard = Arc::make_mut(&mut shards[in_shard[0].0]);
-            for group in in_shard.chunk_by(|a, b| a.1 == b.1) {
-                let key = group[0].1;
-                let mut ids: Vec<JobId> = shard.get(key).map_or(Vec::new(), |l| l.to_vec());
-                for &(_, _, id, came) in group {
-                    match (ids.binary_search(&id), came) {
-                        (Err(at), true) => ids.insert(at, id),
-                        (Ok(at), false) => {
-                            ids.remove(at);
-                        }
-                        _ => {}
+        let mut index = self.clone();
+        let map = Arc::make_mut(&mut index.0);
+        for group in touched.chunk_by(|a, b| a.0 == b.0) {
+            let key = group[0].0;
+            let mut ids: Vec<JobId> = map.get(key).map_or(Vec::new(), |l| l.to_vec());
+            for &(_, id, came) in group {
+                match (ids.binary_search(&id), came) {
+                    (Err(at), true) => ids.insert(at, id),
+                    (Ok(at), false) => {
+                        ids.remove(at);
                     }
-                }
-                if ids.is_empty() {
-                    shard.remove(key);
-                } else if let Some(list) = shard.get_mut(key) {
-                    *list = ids.into();
-                } else {
-                    shard.insert(Arc::from(key), ids.into());
+                    _ => {}
                 }
             }
+            if ids.is_empty() {
+                map.remove(key);
+            } else if let Some(list) = map.get_mut(key) {
+                *list = ids.into();
+            } else {
+                map.insert(Arc::from(key), ids.into());
+            }
         }
-        JobIndex(shards.into())
+        index
     }
 }
 
 impl std::fmt::Debug for JobIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_map()
-            .entries(self.0.iter().flat_map(|shard| shard.iter()))
-            .finish()
+        f.debug_map().entries(self.0.iter()).finish()
     }
 }
 
@@ -883,5 +836,43 @@ mod tests {
         assert_eq!(stats.lag_buckets(), [1, 1, 1, 1]);
         assert_eq!(stats.latest_seq(), 10);
         assert_eq!(stats.publishes(), 1);
+    }
+
+    /// Partition node groups carry over only while every node keeps its
+    /// name: a node list of the same length with other names regroups.
+    #[test]
+    fn partition_nodes_follow_the_node_names() {
+        let part = Partition::new("cpu").with_nodes(vec!["b".to_string(), "c".to_string()]);
+        let nodes = |names: [&str; 3]| -> Arc<[Arc<Node>]> {
+            names.map(|n| Arc::new(Node::new(n, 8, 32_000, 0))).into()
+        };
+        let first = ClusterSnapshot::build(
+            1,
+            hpcdash_simtime::Timestamp(0),
+            Arc::from("t"),
+            Vec::new(),
+            nodes(["a", "b", "c"]),
+            vec![part],
+            Vec::new(),
+        );
+        assert_eq!(&first.partition_nodes[0][..], &[1, 2]);
+        let next = |names| {
+            ClusterSnapshot::assemble(
+                2,
+                first.now,
+                first.name.clone(),
+                Vec::new(),
+                nodes(names),
+                first.partitions.clone(),
+                first.assoc.clone(),
+                Some(&first),
+            )
+        };
+        let same = next(["a", "b", "c"]);
+        assert!(Arc::ptr_eq(&same.partition_nodes, &first.partition_nodes));
+        let other = next(["b", "c", "d"]);
+        assert_eq!(&other.partition_nodes[0][..], &[0, 1]);
+        let names: Vec<&str> = other.nodes_of_partition(0).map(|n| &*n.name).collect();
+        assert_eq!(names, ["b", "c"]);
     }
 }
