@@ -379,8 +379,12 @@ pub struct SampleSink {
     text: String,
     pairs: Vec<(Span, Span)>,
     written: Vec<Written>,
-    /// `written` positions in `(name, labels, position)` order.
-    order: Vec<u32>,
+    /// The previous scrape's text and pairs and its samples' keys: when a
+    /// scrape's collectors write the keys they wrote before, the samples
+    /// keep their order.
+    was_text: String,
+    was_pairs: Vec<(Span, Span)>,
+    was_keys: Vec<(Span, (u32, u32))>,
 }
 
 impl SampleSink {
@@ -420,11 +424,28 @@ impl SampleSink {
         });
     }
 
+    /// Whether this scrape wrote the keys, in the order, of the previous.
+    fn wrote_as_before(&self) -> bool {
+        self.text == self.was_text
+            && self.pairs == self.was_pairs
+            && self.written.len() == self.was_keys.len()
+            && self
+                .written
+                .iter()
+                .zip(&self.was_keys)
+                .all(|(w, &key)| (w.name, w.labels) == key)
+    }
+
+    /// Keep this scrape's keys to compare the next with, and empty it.
     fn clear(&mut self) {
+        std::mem::swap(&mut self.text, &mut self.was_text);
+        std::mem::swap(&mut self.pairs, &mut self.was_pairs);
+        self.was_keys.clear();
+        let keys = self.written.iter().map(|w| (w.name, w.labels));
+        self.was_keys.extend(keys);
         self.text.clear();
         self.pairs.clear();
         self.written.clear();
-        self.order.clear();
     }
 
     fn sample(&self, at: u32) -> SampleRef<'_> {
@@ -439,21 +460,6 @@ impl SampleSink {
             exemplar: None,
         }
     }
-
-    /// Order the written samples by `(name, labels)`, ties in the order
-    /// they were written.
-    fn sort(&mut self) {
-        self.order.extend(0..self.written.len() as u32);
-        let mut order = std::mem::take(&mut self.order);
-        order.sort_unstable_by(|&a, &b| {
-            let (x, y) = (self.sample(a), self.sample(b));
-            x.name
-                .cmp(y.name)
-                .then_with(|| x.labels.iter().cmp(y.labels.iter()))
-                .then(a.cmp(&b))
-        });
-        self.order = order;
-    }
 }
 
 type Collector = Arc<dyn Fn(&mut SampleSink) + Send + Sync>;
@@ -467,11 +473,15 @@ struct Instruments {
     counters: BTreeMap<Key, Arc<Counter>>,
     gauges: BTreeMap<Key, Arc<Gauge>>,
     histograms: BTreeMap<Key, Arc<Histogram>>,
+    /// Instruments made so far: the set is the same while this is.
+    made: u64,
 }
 
-/// The instrument `(name, labels)` of `map`, made if it is new.
+/// The instrument `(name, labels)` of `map`, made (and counted in `made`)
+/// if it is new.
 fn get_or_insert<T: Default>(
     map: &mut BTreeMap<Key, Arc<T>>,
+    made: &mut u64,
     name: &str,
     labels: &[(&str, &str)],
 ) -> Arc<T> {
@@ -479,6 +489,7 @@ fn get_or_insert<T: Default>(
     if let Some(found) = map.get(&key) {
         return found.clone();
     }
+    *made += 1;
     map.entry(Arc::new(key)).or_default().clone()
 }
 
@@ -491,6 +502,38 @@ struct Scrape {
     /// Every instrument's key and value as the scrape read it: counters,
     /// then gauges, then histograms, each in key order.
     values: Vec<(Key, SampleValue, Option<TraceId>)>,
+    /// The order samples are lent in: a position in `values`, or
+    /// `values.len()` plus a position in the sink. It holds while the
+    /// instrument set and the keys the collectors write stay the same.
+    plan: Vec<u32>,
+    /// The instrument count `plan` was made for.
+    planned_for: Option<u64>,
+}
+
+impl Scrape {
+    fn sample(&self, at: u32) -> SampleRef<'_> {
+        match self.values.get(at as usize) {
+            Some(value) => lend(value),
+            None => self.sink.sample(at - self.values.len() as u32),
+        }
+    }
+
+    /// Order every sample by `(name, labels)`; equal keys come counters
+    /// first, then gauges, summaries, and collector samples in the order
+    /// they were written, which is their order in `values` and the sink.
+    fn replan(&mut self) {
+        let mut plan = std::mem::take(&mut self.plan);
+        plan.clear();
+        plan.extend(0..(self.values.len() + self.sink.written.len()) as u32);
+        plan.sort_unstable_by(|&a, &b| {
+            let (x, y) = (self.sample(a), self.sample(b));
+            x.name
+                .cmp(y.name)
+                .then_with(|| x.labels.iter().cmp(y.labels.iter()))
+                .then(a.cmp(&b))
+        });
+        self.plan = plan;
+    }
 }
 
 fn lend((key, value, exemplar): &(Key, SampleValue, Option<TraceId>)) -> SampleRef<'_> {
@@ -519,15 +562,18 @@ impl Registry {
 
     /// Get or create the counter `(name, labels)`.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        get_or_insert(&mut self.instruments.lock().counters, name, labels)
+        let ins = &mut *self.instruments.lock();
+        get_or_insert(&mut ins.counters, &mut ins.made, name, labels)
     }
 
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        get_or_insert(&mut self.instruments.lock().gauges, name, labels)
+        let ins = &mut *self.instruments.lock();
+        get_or_insert(&mut ins.gauges, &mut ins.made, name, labels)
     }
 
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        get_or_insert(&mut self.instruments.lock().histograms, name, labels)
+        let ins = &mut *self.instruments.lock();
+        get_or_insert(&mut ins.histograms, &mut ins.made, name, labels)
     }
 
     /// Record a duration in the histogram `(name, labels)` — convenience for
@@ -548,6 +594,8 @@ impl Registry {
     /// `(name, labels)` order, so exposition order is stable across
     /// scrapes. Samples of equal key come counters first, then gauges,
     /// summaries, and collector samples in the order they were written.
+    /// The order is worked out again only when an instrument was made or
+    /// the collectors wrote other keys than in the previous scrape.
     /// The instruments are locked only while their values are copied: no
     /// lock is held while a collector or `f` runs, so either may use the
     /// registry, and scrapes run side by side.
@@ -557,8 +605,7 @@ impl Registry {
         for collector in collectors.iter() {
             collector(&mut scrape.sink);
         }
-        scrape.sink.sort();
-        let (counters_end, gauges_end) = {
+        let made = {
             let ins = self.instruments.lock();
             let values = &mut scrape.values;
             values.extend(
@@ -566,55 +613,23 @@ impl Registry {
                     .iter()
                     .map(|(key, c)| (key.clone(), SampleValue::Counter(c.get()), None)),
             );
-            let counters_end = values.len();
             values.extend(
                 ins.gauges
                     .iter()
                     .map(|(key, g)| (key.clone(), SampleValue::Gauge(g.get()), None)),
             );
-            let gauges_end = values.len();
             values.extend(ins.histograms.iter().map(|(key, h)| {
                 let summary = SampleValue::Summary(h.summary());
                 (key.clone(), summary, h.quantile_exemplar(0.99))
             }));
-            (counters_end, gauges_end)
+            ins.made
         };
-        let values = &scrape.values;
-        let mut counters = values[..counters_end].iter().map(lend);
-        let mut gauges = values[counters_end..gauges_end].iter().map(lend);
-        let mut histograms = values[gauges_end..].iter().map(lend);
-        let sink = &scrape.sink;
-        let mut written = sink.order.iter().map(|&at| sink.sample(at));
-        let mut heads = [
-            counters.next(),
-            gauges.next(),
-            histograms.next(),
-            written.next(),
-        ];
-        // A four-way merge of sorted streams; the first of equal keys wins.
-        loop {
-            let mut pick: Option<usize> = None;
-            for (i, head) in heads.iter().enumerate() {
-                let Some(s) = head else { continue };
-                let better = pick.is_none_or(|p| {
-                    let best = heads[p].as_ref().expect("picked a head");
-                    s.name
-                        .cmp(best.name)
-                        .then_with(|| s.labels.iter().cmp(best.labels.iter()))
-                        .is_lt()
-                });
-                if better {
-                    pick = Some(i);
-                }
-            }
-            let Some(i) = pick else { break };
-            f(heads[i].as_ref().expect("picked a head"));
-            heads[i] = match i {
-                0 => counters.next(),
-                1 => gauges.next(),
-                2 => histograms.next(),
-                _ => written.next(),
-            };
+        if scrape.planned_for != Some(made) || !scrape.sink.wrote_as_before() {
+            scrape.replan();
+            scrape.planned_for = Some(made);
+        }
+        for &at in &scrape.plan {
+            f(&scrape.sample(at));
         }
         scrape.sink.clear();
         scrape.values.clear();
@@ -764,6 +779,58 @@ mod tests {
         assert_eq!(names[3].1[0].0, "a");
         // Two scrapes agree.
         assert_eq!(names, keys(&reg));
+    }
+
+    /// A scrape lends samples in key order whether the collectors write
+    /// the keys of the previous scrape, other keys, or the same keys with
+    /// other labels, and after an instrument is made.
+    #[test]
+    fn the_order_follows_new_keys_and_instruments() {
+        let reg = Registry::new();
+        reg.counter("m_total", &[("k", "2")]).inc();
+        let pass = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let seen = pass.clone();
+        reg.register_collector(move |out| match seen.fetch_add(1, Ordering::Relaxed) {
+            0 | 1 => {
+                out.counter("z_total", &[], 1);
+                out.counter("m_total", &[("k", "3")], 1);
+            }
+            2 => out.counter("m_total", &[("k", "1")], 1),
+            _ => {
+                out.counter("m_total", &[("k", "4")], 1);
+                out.counter("a_total", &[], 1);
+            }
+        });
+        let keys = |reg: &Registry| {
+            let mut keys = Vec::new();
+            reg.visit(|s| keys.push(format!("{}{:?}", s.name, s.labels)));
+            keys
+        };
+        let m = |k: &str| format!("m_total[(\"k\", \"{k}\")]");
+        assert_eq!(keys(&reg), [m("2"), m("3"), "z_total[]".to_string()]);
+        assert_eq!(keys(&reg), [m("2"), m("3"), "z_total[]".to_string()]);
+        assert_eq!(keys(&reg), [m("1"), m("2")]);
+        reg.counter("b_total", &[]).inc();
+        assert_eq!(
+            keys(&reg),
+            [
+                "a_total[]".to_string(),
+                "b_total[]".to_string(),
+                m("2"),
+                m("4")
+            ]
+        );
+        reg.counter("m_total", &[("k", "5")]).inc();
+        assert_eq!(
+            keys(&reg),
+            [
+                "a_total[]".to_string(),
+                "b_total[]".to_string(),
+                m("2"),
+                m("4"),
+                m("5")
+            ]
+        );
     }
 
     /// A scrape's callback and a collector may make and bump instruments,
