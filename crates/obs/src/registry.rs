@@ -438,8 +438,10 @@ impl SampleSink {
 
     /// Keep this scrape's keys to compare the next with, and empty it.
     fn clear(&mut self) {
-        std::mem::swap(&mut self.text, &mut self.was_text);
-        std::mem::swap(&mut self.pairs, &mut self.was_pairs);
+        self.was_text.clear();
+        self.was_text.push_str(&self.text);
+        self.was_pairs.clear();
+        self.was_pairs.extend_from_slice(&self.pairs);
         self.was_keys.clear();
         let keys = self.written.iter().map(|w| (w.name, w.labels));
         self.was_keys.extend(keys);

@@ -579,74 +579,100 @@ impl IndexMoves {
     }
 }
 
-/// An index of the active jobs by one key: key -> ascending job ids. The
-/// map, and each list in it, is shared with the snapshots published before
-/// while no job came or went; a change copies the map's entries (refcount
-/// bumps) and rebuilds the lists of the keys it touched.
-#[derive(Clone, Default, PartialEq)]
-pub struct JobIndex(Arc<HashMap<Arc<str>, Arc<[JobId]>>>);
+/// Shards of a [`JobIndex`]: a job that comes or goes copies the map of
+/// its key's shard, not the whole index. At four times the campus site a
+/// single map's copy (a refcount bump per key) made `snapshot_publish`
+/// about 16 % dearer over a warm-up.
+const INDEX_SHARDS: usize = 16;
+
+type IndexShard = HashMap<Arc<str>, Arc<[JobId]>>;
+
+/// The shard `key` lives in.
+fn shard_of(key: &str) -> usize {
+    use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+    let hash = BuildHasherDefault::<DefaultHasher>::default().hash_one(key);
+    (hash % INDEX_SHARDS as u64) as usize
+}
+
+/// An index of the active jobs by one key: key -> ascending job ids. Each
+/// shard, and each list in it, is shared with the snapshots published
+/// before while no job of its keys came or went.
+#[derive(Clone, PartialEq)]
+pub struct JobIndex(Arc<[Arc<IndexShard>]>);
+
+impl Default for JobIndex {
+    fn default() -> JobIndex {
+        let empty = Arc::new(IndexShard::new());
+        JobIndex((0..INDEX_SHARDS).map(|_| empty.clone()).collect())
+    }
+}
 
 impl JobIndex {
     /// The ascending ids of `key`'s active jobs.
     pub fn get(&self, key: &str) -> Option<&[JobId]> {
-        self.0.get(key).map(|ids| &ids[..])
+        self.0[shard_of(key)].get(key).map(|ids| &ids[..])
     }
 
     /// Every key with at least one active job, in no particular order.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.0.keys().map(|k| &**k)
+        self.0.iter().flat_map(|shard| shard.keys().map(|k| &**k))
     }
 
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.0.iter().map(|shard| shard.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len() == 0
     }
 
-    /// This index with `moves` applied, keyed by `key_of`. Only the lists
-    /// of keys whose jobs came or went are rebuilt.
+    /// This index with `moves` applied, keyed by `key_of`. Only the shards
+    /// and lists of keys whose jobs came or went are rebuilt.
     fn moved(&self, moves: &IndexMoves, key_of: fn(&Job) -> &str) -> JobIndex {
         if moves.came.is_empty() && moves.went.is_empty() {
             return self.clone();
         }
-        let mut touched: Vec<(&str, JobId, bool)> = moves
+        let mut touched: Vec<(usize, &str, JobId, bool)> = moves
             .came
             .iter()
             .map(|j| (key_of(j), j.id, true))
             .chain(moves.went.iter().map(|j| (key_of(j), j.id, false)))
+            .map(|(key, id, came)| (shard_of(key), key, id, came))
             .collect();
         touched.sort_unstable();
-        let mut index = self.clone();
-        let map = Arc::make_mut(&mut index.0);
-        for group in touched.chunk_by(|a, b| a.0 == b.0) {
-            let key = group[0].0;
-            let mut ids: Vec<JobId> = map.get(key).map_or(Vec::new(), |l| l.to_vec());
-            for &(_, id, came) in group {
-                match (ids.binary_search(&id), came) {
-                    (Err(at), true) => ids.insert(at, id),
-                    (Ok(at), false) => {
-                        ids.remove(at);
+        let mut shards = self.0.to_vec();
+        for in_shard in touched.chunk_by(|a, b| a.0 == b.0) {
+            let shard = Arc::make_mut(&mut shards[in_shard[0].0]);
+            for group in in_shard.chunk_by(|a, b| a.1 == b.1) {
+                let key = group[0].1;
+                let mut ids: Vec<JobId> = shard.get(key).map_or(Vec::new(), |l| l.to_vec());
+                for &(_, _, id, came) in group {
+                    match (ids.binary_search(&id), came) {
+                        (Err(at), true) => ids.insert(at, id),
+                        (Ok(at), false) => {
+                            ids.remove(at);
+                        }
+                        _ => {}
                     }
-                    _ => {}
+                }
+                if ids.is_empty() {
+                    shard.remove(key);
+                } else if let Some(list) = shard.get_mut(key) {
+                    *list = ids.into();
+                } else {
+                    shard.insert(Arc::from(key), ids.into());
                 }
             }
-            if ids.is_empty() {
-                map.remove(key);
-            } else if let Some(list) = map.get_mut(key) {
-                *list = ids.into();
-            } else {
-                map.insert(Arc::from(key), ids.into());
-            }
         }
-        index
+        JobIndex(shards.into())
     }
 }
 
 impl std::fmt::Debug for JobIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_map().entries(self.0.iter()).finish()
+        f.debug_map()
+            .entries(self.0.iter().flat_map(|shard| shard.iter()))
+            .finish()
     }
 }
 

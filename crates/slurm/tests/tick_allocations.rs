@@ -180,9 +180,9 @@ fn a_publish_allocates_for_what_changed_not_for_the_site() {
         assert!(drained);
         let snap = ctld.snapshot();
         let size = (snap.counts.pending + snap.counts.running) as u64 + snap.nodes.len() as u64;
-        // Measured: 69 and 67 for the submit (the job, its request and
-        // paths, its event, its chunk, three index maps and lists, its
-        // account's record) and 15 for the drain, at 20 and 80 chunks.
+        // Measured: 76 and 74 for the submit (the job, its request and
+        // paths, its event, its chunk, three index shards and lists, its
+        // account's record) and 16 for the drain, at 20 and 80 chunks.
         // Copying every node on a change, and every index key on a new
         // job, made more allocations than the site has nodes.
         for (what, n) in [("submit", submit), ("drain", drain)] {
