@@ -2,9 +2,12 @@
 
 use crate::longpoll::ParkDirective;
 use crate::request::Request;
+use crate::response::{Body, Response};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::io::{ErrorKind, IoSlice, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Where a connection is in its request/response lifecycle. It *rests* in
@@ -51,8 +54,7 @@ pub(crate) struct Conn {
     pub stream: TcpStream,
     pub state: ConnState,
     pub read_buf: Vec<u8>,
-    pub write_buf: Vec<u8>,
-    pub write_pos: usize,
+    pub out: Outgoing,
     /// When the sweeper may take the connection (close it, or answer a
     /// parked poll). The heap may hold an earlier entry; it is checked
     /// against this field before anyone acts.
@@ -68,12 +70,90 @@ impl Conn {
             stream,
             state: ConnState::Idle,
             read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            write_pos: 0,
+            out: Outgoing::default(),
             deadline: None,
             close_after_write: false,
             parked: None,
         }
+    }
+}
+
+/// Slices handed to one vectored write.
+const MAX_SLICES: usize = 16;
+
+/// The answers a connection has queued, in order: heads and owned bodies
+/// copied into `buf`, shared bodies (cached bytes) kept by reference and
+/// written from where they are with the heads around them, one vectored
+/// write at a time.
+#[derive(Default)]
+pub(crate) struct Outgoing {
+    pub buf: Vec<u8>,
+    /// `(at, body)`, `at` ascending: `body` goes out after `buf[..at]`.
+    shared: Vec<(usize, Arc<[u8]>)>,
+    /// Bytes of the whole already written.
+    written: usize,
+}
+
+impl Outgoing {
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty() && self.shared.is_empty()
+    }
+
+    /// Queue `resp` behind what is queued.
+    pub fn push(&mut self, resp: &Response, keep_alive: bool, head_only: bool) {
+        match resp.head_into(&mut self.buf, keep_alive, head_only) {
+            Some(Body::Shared(body)) if !body.is_empty() => {
+                self.shared.push((self.buf.len(), body.clone()));
+            }
+            Some(body) => self.buf.extend_from_slice(body),
+            None => {}
+        }
+    }
+
+    /// Write as much as `w` takes. `Ok(true)`: everything went out and the
+    /// queue is empty again; `Ok(false)`: `w` would block.
+    pub fn write_to(&mut self, mut w: impl Write) -> std::io::Result<bool> {
+        loop {
+            let mut iov = [IoSlice::new(&[]); MAX_SLICES];
+            let n = self.unwritten(&mut iov);
+            if n == 0 {
+                self.buf.clear();
+                self.shared.clear();
+                self.written = 0;
+                release_excess(&mut self.buf);
+                return Ok(true);
+            }
+            match w.write_vectored(&iov[..n]) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(k) => self.written += k,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// The unwritten rest, in order, in as many of `iov`'s slices as it
+    /// fills; how many it filled.
+    fn unwritten<'a>(&'a self, iov: &mut [IoSlice<'a>]) -> usize {
+        let (mut skip, mut n) = (self.written, 0);
+        let mut add = |part: &'a [u8]| {
+            if skip >= part.len() {
+                skip -= part.len();
+            } else if n < iov.len() {
+                iov[n] = IoSlice::new(&part[skip..]);
+                skip = 0;
+                n += 1;
+            }
+        };
+        let mut from = 0;
+        for (at, body) in &self.shared {
+            add(&self.buf[from..*at]);
+            add(body);
+            from = *at;
+        }
+        add(&self.buf[from..]);
+        n
     }
 }
 
@@ -198,5 +278,119 @@ impl Table {
     #[cfg(test)]
     pub fn resting(&self) -> impl Iterator<Item = &Conn> {
         self.slots.values().filter_map(|s| s.conn.as_deref())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A socket that takes one byte per write and pushes back on every
+    /// other call.
+    #[derive(Default)]
+    struct Trickle {
+        got: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(2) {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            self.got.extend_from_slice(&buf[..buf.len().min(1)]);
+            Ok(buf.len().min(1))
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn shared(text: &str) -> Response {
+        let body: Arc<[u8]> = Arc::from(text.as_bytes());
+        Response::new(200).with_body(body)
+    }
+
+    fn not_modified(text: &str) -> Response {
+        Response {
+            status: 304,
+            ..shared(text)
+        }
+    }
+
+    /// `(response, keep_alive, head_only)`: what each queued answer is.
+    fn answers() -> Vec<(Response, bool, bool)> {
+        vec![
+            (shared("{\"rows\":[1,2,3]}"), true, false),
+            (Response::text("owned body"), true, false),
+            (not_modified("cached"), true, false),
+            (shared("not for a HEAD"), true, true),
+            (Response::new(204), true, false),
+            (shared(""), true, false),
+            (shared("last, then close"), false, false),
+        ]
+    }
+
+    /// What `serialize_into` writes for the same answers, one after another.
+    fn serialized(answers: &[(Response, bool, bool)]) -> Vec<u8> {
+        let mut want = Vec::new();
+        for (resp, keep, head) in answers {
+            resp.serialize_into(&mut want, *keep, *head);
+        }
+        want
+    }
+
+    #[test]
+    fn a_socket_taking_a_byte_at_a_time_gets_the_serialized_bytes() {
+        let answers = answers();
+        let mut out = Outgoing::default();
+        for (resp, keep, head) in &answers {
+            out.push(resp, *keep, *head);
+        }
+        let mut socket = Trickle::default();
+        while !out.write_to(&mut socket).expect("no socket error") {}
+        assert_eq!(socket.got, serialized(&answers));
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn pipelined_answers_keep_their_order() {
+        // More parts than one vectored write takes.
+        let answers: Vec<(Response, bool, bool)> = (0..40)
+            .map(|i| {
+                let resp = match i % 3 {
+                    0 => shared(&format!("shared {i}")),
+                    1 => Response::text(format!("owned {i}")),
+                    _ => not_modified(&format!("etag {i}")),
+                };
+                (resp, true, false)
+            })
+            .collect();
+        let mut out = Outgoing::default();
+        for (resp, keep, head) in &answers {
+            out.push(resp, *keep, *head);
+        }
+        let mut socket = Vec::new();
+        assert!(out.write_to(&mut socket).expect("a Vec takes everything"));
+        assert_eq!(socket, serialized(&answers));
+        // The queue is reusable once written.
+        out.push(&answers[0].0, true, false);
+        let mut again = Vec::new();
+        assert!(out.write_to(&mut again).expect("a Vec takes everything"));
+        assert_eq!(again, serialized(&answers[..1]));
+    }
+
+    #[test]
+    fn head_and_304_answers_queue_no_body() {
+        let mut out = Outgoing::default();
+        out.push(&not_modified("body"), true, false);
+        out.push(&shared("body"), true, true);
+        assert!(out.shared.is_empty(), "no body is kept for them");
+        let mut want = Vec::new();
+        not_modified("body").serialize_into(&mut want, true, false);
+        shared("body").serialize_into(&mut want, true, true);
+        assert_eq!(out.buf, want);
     }
 }

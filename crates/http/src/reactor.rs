@@ -249,7 +249,7 @@ impl Shared {
         // `answered`: a response went out since the socket was last read.
         let (mut answered, mut looks) = (false, 0);
         loop {
-            if !conn.write_buf.is_empty() {
+            if !conn.out.is_empty() {
                 match flush(conn) {
                     Flush::Failed => return Next::Close,
                     Flush::Blocked => {
@@ -272,7 +272,7 @@ impl Shared {
                     _ => Response::bad_request("malformed request"),
                 };
                 conn.read_buf = Vec::new();
-                resp.serialize_into(&mut conn.write_buf, false, false);
+                conn.out.push(&resp, false, false);
                 conn.close_after_write = true;
             } else if !batch.is_empty() {
                 self.set_state(conn, ConnState::Dispatching);
@@ -354,7 +354,7 @@ impl Shared {
         req.headers
             .insert(PARK_FINAL_HEADER.to_string(), "1".to_string());
         let resp = route_on_worker(&self.router, &req);
-        resp.serialize_into(&mut conn.write_buf, keep, req.method == Method::Head);
+        conn.out.push(&resp, keep, req.method == Method::Head);
         drop(directive); // park slot free the instant the answer exists
         conn.close_after_write = !keep;
         self.pump(conn)
@@ -463,7 +463,7 @@ fn route_batch(router: &Router, conn: &mut Conn, batch: Vec<Request>) -> Option<
                 .insert(PARK_FINAL_HEADER.to_string(), "1".to_string());
             resp = route_on_worker(router, &req);
         }
-        resp.serialize_into(&mut conn.write_buf, keep, head_only);
+        conn.out.push(&resp, keep, head_only);
         if !keep {
             conn.close_after_write = true;
             break;
@@ -511,21 +511,13 @@ enum Flush {
     Failed,
 }
 
-/// Write as much of the queued response bytes as the socket takes.
+/// Write as much of the queued answers as the socket takes.
 fn flush(conn: &mut Conn) -> Flush {
-    while conn.write_pos < conn.write_buf.len() {
-        match (&conn.stream).write(&conn.write_buf[conn.write_pos..]) {
-            Ok(0) => return Flush::Failed,
-            Ok(n) => conn.write_pos += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Flush::Blocked,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Flush::Failed,
-        }
+    match conn.out.write_to(&conn.stream) {
+        Ok(true) => Flush::Done,
+        Ok(false) => Flush::Blocked,
+        Err(_) => Flush::Failed,
     }
-    conn.write_buf.clear();
-    conn.write_pos = 0;
-    release_excess(&mut conn.write_buf);
-    Flush::Done
 }
 
 /// Best-effort 503 to a connection over the watermark. One optimistic

@@ -235,6 +235,19 @@ impl Response {
     /// client of this stack (including our own keep-alive client) frames
     /// responses by that header.
     pub fn serialize_into(&self, out: &mut Vec<u8>, keep_alive: bool, head_only: bool) {
+        if let Some(body) = self.head_into(out, keep_alive, head_only) {
+            out.extend_from_slice(body);
+        }
+    }
+
+    /// Append the head to `out`; the body to send after it, if any (none
+    /// for a HEAD request, a 204 or a 304).
+    pub(crate) fn head_into(
+        &self,
+        out: &mut Vec<u8>,
+        keep_alive: bool,
+        head_only: bool,
+    ) -> Option<&Body> {
         let bodyless_status = self.status == 204 || self.status == 304;
         let content_length = if bodyless_status { 0 } else { self.body.len() };
         out.extend_from_slice(b"HTTP/1.1 ");
@@ -255,9 +268,7 @@ impl Response {
         } else {
             b"\r\nConnection: close\r\n\r\n"
         });
-        if !bodyless_status && !head_only {
-            out.extend_from_slice(&self.body);
-        }
+        (!bodyless_status && !head_only).then_some(&self.body)
     }
 
     /// Serialize onto a stream, with `Connection` and `Content-Length` set.

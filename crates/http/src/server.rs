@@ -392,10 +392,7 @@ mod tests {
             if let Some(conn) = table.resting().next() {
                 assert_eq!(conn.state, ConnState::Idle);
                 assert!(conn.read_buf.capacity() <= MAX_RETAINED, "read buffer kept");
-                assert!(
-                    conn.write_buf.capacity() <= MAX_RETAINED,
-                    "write buffer kept"
-                );
+                assert!(conn.out.buf.capacity() <= MAX_RETAINED, "write buffer kept");
                 break;
             }
             drop(table);

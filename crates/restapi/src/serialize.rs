@@ -322,8 +322,7 @@ fn encode_row(job: &Job) -> EncodedRow {
 /// The job at `pos` in `snap`: its row, encoded by the first body that
 /// lists this job version, and its elapsed time in `snap`.
 fn row(snap: &ClusterSnapshot, pos: usize) -> (&EncodedRow, u64) {
-    let job = &snap.jobs[pos];
-    let row = snap.jobs.row(pos, || encode_row(job));
+    let (job, row) = snap.jobs.row(pos, encode_row);
     (row, job.elapsed_secs(snap.now))
 }
 

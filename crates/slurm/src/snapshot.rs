@@ -502,11 +502,16 @@ impl JobTable {
         self.find(id).map(|(c, i)| &c.chunk.jobs[i])
     }
 
-    /// The row of the job at `pos`, made by `encode` if no reader has yet
+    /// The job at `pos` and its row, made by `encode` if no reader has yet
     /// (in this snapshot, or in an earlier one holding that job version).
-    pub fn row(&self, pos: usize, encode: impl FnOnce() -> EncodedRow) -> &EncodedRow {
+    pub fn row(
+        &self,
+        pos: usize,
+        encode: impl FnOnce(&Job) -> EncodedRow,
+    ) -> (&Arc<Job>, &EncodedRow) {
         let (c, i) = self.locate(pos).expect("a position in the table");
-        c.rows[i].get_or_init(encode)
+        let job = &c.jobs[i];
+        (job, c.rows[i].get_or_init(|| encode(job)))
     }
 
     /// Rows encoded so far.
