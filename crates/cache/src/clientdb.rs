@@ -56,22 +56,10 @@ impl IndexedDb {
         self.stores.read().get(store)?.get(key).cloned()
     }
 
-    pub fn delete(&self, store: &str, key: &str) -> bool {
-        self.stores
-            .write()
-            .get_mut(store)
-            .map(|s| s.remove(key).is_some())
-            .unwrap_or(false)
-    }
-
     pub fn clear_store(&self, store: &str) {
         if let Some(s) = self.stores.write().get_mut(store) {
             s.clear();
         }
-    }
-
-    pub fn store_names(&self) -> Vec<String> {
-        self.stores.read().keys().cloned().collect()
     }
 
     pub fn record_count(&self) -> usize {
@@ -125,16 +113,13 @@ mod tests {
     }
 
     #[test]
-    fn delete_and_clear() {
+    fn clear_store_empties_the_store() {
         let db = IndexedDb::new();
         db.put("w", "a", "1".to_string(), Timestamp(0));
         db.put("w", "b", "2".to_string(), Timestamp(0));
-        assert!(db.delete("w", "a"));
-        assert!(!db.delete("w", "a"));
-        assert_eq!(db.record_count(), 1);
+        assert_eq!(db.record_count(), 2);
         db.clear_store("w");
         assert_eq!(db.record_count(), 0);
-        assert_eq!(db.store_names(), vec!["w".to_string()]);
     }
 
     #[test]

@@ -97,10 +97,6 @@ impl<V: Clone> CachedFetcher<V> {
         }
     }
 
-    pub fn invalidate(&self, key: &str) -> bool {
-        self.cache.invalidate(key)
-    }
-
     pub fn clear(&self) {
         self.cache.clear();
     }
@@ -164,21 +160,6 @@ mod tests {
         );
         assert_eq!(f.cache().purge_below(8), 1);
         assert_eq!(f.get_or_fetch("k", 30, || None), GraceOutcome::Miss);
-    }
-
-    #[test]
-    fn invalidate_forces_reload() {
-        let (f, _clock) = fetcher();
-        f.get_or_fetch("k", 1_000, || Some((1, 0)));
-        assert!(f.invalidate("k"));
-        let out = f.get_or_fetch("k", 1_000, || Some((2, 0)));
-        assert_eq!(
-            out,
-            GraceOutcome::Loaded {
-                value: 2,
-                coalesced: false
-            }
-        );
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl<T: Clone> SingleFlight<T> {
             (slot.clone().expect("leader stored a value"), false)
         }
     }
-
-    /// How many distinct keys are currently being computed.
-    pub fn inflight_count(&self) -> usize {
-        self.inflight.lock().len()
-    }
 }
 
 impl<T: Clone> Default for SingleFlight<T> {
@@ -78,6 +73,13 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
+
+    impl<T: Clone> SingleFlight<T> {
+        /// How many distinct keys are currently being computed.
+        fn inflight_count(&self) -> usize {
+            self.inflight.lock().len()
+        }
+    }
 
     #[test]
     fn single_caller_is_leader() {

@@ -26,17 +26,6 @@ pub struct CacheStatsSnapshot {
     pub stale_serves: u64,
 }
 
-impl CacheStatsSnapshot {
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 impl CacheStats {
     pub fn new() -> CacheStats {
         CacheStats::default()
@@ -54,15 +43,15 @@ impl CacheStats {
         self.inserts.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn expiration(&self) {
+    pub(crate) fn expiration(&self) {
         self.expirations.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn coalesce(&self) {
+    pub(crate) fn coalesce(&self) {
         self.coalesced.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn stale_serve(&self) {
+    pub(crate) fn stale_serve(&self) {
         self.stale_serves.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -111,7 +100,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_hit_rate() {
+    fn counters_count_each_event() {
         let s = CacheStats::new();
         s.hit();
         s.hit();
@@ -128,12 +117,6 @@ mod tests {
         assert_eq!(snap.coalesced, 1);
         assert_eq!(snap.stale_serves, 1);
         assert_eq!(snap.expirations, 1);
-        assert!((snap.hit_rate() - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_hit_rate_is_zero() {
-        assert_eq!(CacheStats::new().snapshot().hit_rate(), 0.0);
     }
 
     #[test]

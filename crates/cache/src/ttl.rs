@@ -134,10 +134,6 @@ impl<V: Clone> TtlCache<V> {
         self.stats.insert();
     }
 
-    pub fn invalidate(&self, key: &str) -> bool {
-        self.shard(key).write().remove(key).is_some()
-    }
-
     /// Drop every entry built from a publisher version below `version`;
     /// returns how many were removed. Called after a controller
     /// crash-recovery: pre-crash epochs are dead — their bytes may describe
@@ -263,14 +259,12 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_and_clear() {
+    fn clear_empties_every_shard() {
         let (c, _clock) = cache();
         for i in 0..20 {
             c.insert(format!("k{i}"), "v".to_string(), 0, 100);
         }
-        assert!(c.invalidate("k1"));
-        assert!(!c.invalidate("k1"));
-        assert_eq!(c.len(), 19);
+        assert_eq!(c.len(), 20);
         c.clear();
         assert!(c.is_empty());
     }

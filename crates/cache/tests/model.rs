@@ -1,7 +1,7 @@
 //! Model-based property test: the cache's one freshness rule (built from
 //! `min_version` or later, and younger than its TTL) must agree with a
 //! trivial reference model under arbitrary interleavings of inserts,
-//! reads, invalidations, version purges and clock advances.
+//! reads, version purges and clock advances.
 
 use hpcdash_cache::TtlCache;
 use hpcdash_simtime::{SimClock, Timestamp};
@@ -20,9 +20,6 @@ enum Op {
         key: u8,
         min_version: u64,
     },
-    Invalidate {
-        key: u8,
-    },
     Advance {
         secs: u64,
     },
@@ -36,7 +33,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         3 => (0u8..6, any::<u32>(), 0u64..8, 1u64..120)
             .prop_map(|(key, value, version, ttl)| Op::Insert { key, value, version, ttl }),
         3 => (0u8..6, 0u64..8).prop_map(|(key, min_version)| Op::Get { key, min_version }),
-        1 => (0u8..6).prop_map(|key| Op::Invalidate { key }),
         2 => (1u64..90).prop_map(|secs| Op::Advance { secs }),
         1 => (0u64..8).prop_map(|version| Op::PurgeBelow { version }),
     ]
@@ -77,12 +73,6 @@ proptest! {
                     let stale = cache.last_good(&key.to_string());
                     let want = model.get(&key).map(|e| (e.value, e.version, now - e.stored_at));
                     prop_assert_eq!(stale.map(|s| (s.value, s.version, s.age_secs)), want);
-                }
-                Op::Invalidate { key } => {
-                    prop_assert_eq!(
-                        cache.invalidate(&key.to_string()),
-                        model.remove(&key).is_some()
-                    );
                 }
                 Op::Advance { secs } => {
                     clock.advance(secs);

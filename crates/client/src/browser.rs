@@ -129,14 +129,14 @@ impl DashboardClient {
 
     /// Attach an API token: subsequent requests carry
     /// `Authorization: Bearer <secret>` alongside the proxy identity.
-    pub fn with_bearer(mut self, secret: &str) -> DashboardClient {
+    pub(crate) fn with_bearer(mut self, secret: &str) -> DashboardClient {
         self.bearer = Some(secret.to_string());
         self
     }
 
     /// Reuse one TCP connection across requests (HTTP/1.1 keep-alive)
     /// instead of a fresh connect per fetch — how a real browser behaves.
-    pub fn with_keep_alive(mut self) -> DashboardClient {
+    pub(crate) fn with_keep_alive(mut self) -> DashboardClient {
         self.http = HttpClient::keep_alive();
         self
     }
@@ -153,7 +153,7 @@ impl DashboardClient {
 
     /// How many of those requests the server answered `304 Not Modified`
     /// (a round trip with no body — the ETag revalidation fast path).
-    pub fn not_modified_count(&self) -> u64 {
+    pub(crate) fn not_modified_count(&self) -> u64 {
         self.not_modified.load(std::sync::atomic::Ordering::Relaxed)
     }
 
@@ -330,13 +330,6 @@ impl DashboardClient {
             widgets,
             total: start.elapsed(),
         })
-    }
-
-    /// Drop the client cache and the validators that go with it (a "new
-    /// browser session" holds no ETags either).
-    pub fn clear_cache(&self) {
-        self.db.clear_store("api");
-        self.validators.lock().clear();
     }
 
     /// Export / import the cache (persistence across "sessions").
@@ -522,17 +515,5 @@ mod tests {
             Degradation::of(stored.value.as_bytes()).is_none(),
             "the degraded payload must not overwrite the client's own copy"
         );
-    }
-
-    #[test]
-    fn clear_cache_forces_network() {
-        let (server, _clock, _storage) = test_site();
-        let clock = SimClock::new(Timestamp(1_000));
-        let client = DashboardClient::new(&server.base_url(), "alice", clock.shared(), Some(300));
-        client.fetch_api("/api/storage").unwrap();
-        client.clear_cache();
-        let r = client.fetch_api("/api/storage").unwrap();
-        assert_eq!(r.outcome, FetchOutcome::Network);
-        assert!(client.export_cache().contains("storage"));
     }
 }

@@ -17,4 +17,4 @@ pub mod loadgen;
 pub use browser::{DashboardClient, FetchOutcome, FetchResult, PageLoad};
 pub use hpcdash_obs::recorder::{LatencyRecorder, LatencySummary};
 pub use live::{Event, LiveSubscriber, PollOutcome, StreamTransport, Updates};
-pub use loadgen::{admin_observability_paths, federation_paths, LoadConfig, LoadReport};
+pub use loadgen::{admin_observability_paths, LoadConfig, LoadReport};

@@ -102,17 +102,10 @@ pub struct LiveSubscriber {
     /// The `since` cursor used when the server has to (re)register us.
     anchor: Cell<u64>,
     applied: Cell<u64>,
-    /// Consecutive `Shed` responses; resets on any successful poll. Drives
-    /// the exponential part of [`LiveSubscriber::retry_delay_ms`].
-    shed_streak: Cell<u32>,
-    /// Per-subscriber jitter seed derived from the `sub` token, so a fleet
-    /// of shed tabs spreads its retries instead of returning in one wave.
-    seed: u64,
     /// Last seen `(etag, body)` validator for the stream route; polls send
     /// `If-None-Match` so an unchanged answer costs a `304` round trip
     /// instead of a re-serialized body.
     validator: RefCell<Option<(String, String)>>,
-    not_modified: Cell<u64>,
 }
 
 impl LiveSubscriber {
@@ -131,17 +124,13 @@ impl LiveSubscriber {
     /// A subscriber on a caller-supplied transport. Fleets share one
     /// transport `Arc` — the per-tab state (`sub` token, cursor, local
     /// store) stays per-subscriber.
-    pub fn with_transport(
+    pub(crate) fn with_transport(
         base_url: &str,
         user: &str,
         token: &str,
         clock: SharedClock,
         transport: Arc<dyn StreamTransport>,
     ) -> LiveSubscriber {
-        // FNV-1a over the token: stable, spread-out per-tab seeds.
-        let seed = token.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        });
         LiveSubscriber {
             transport,
             base_url: base_url.trim_end_matches('/').to_string(),
@@ -151,10 +140,7 @@ impl LiveSubscriber {
             clock,
             anchor: Cell::new(0),
             applied: Cell::new(0),
-            shed_streak: Cell::new(0),
-            seed,
             validator: RefCell::new(None),
-            not_modified: Cell::new(0),
         }
     }
 
@@ -186,8 +172,6 @@ impl LiveSubscriber {
                 .header("Retry-After")
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(1);
-            self.shed_streak
-                .set(self.shed_streak.get().saturating_add(1));
             return Ok(PollOutcome::Shed { retry_after_secs });
         }
         let body = if resp.status == 304 {
@@ -195,14 +179,11 @@ impl LiveSubscriber {
             let Some((_, body)) = validator else {
                 return Err("stream -> HTTP 304 without a stored validator".to_string());
             };
-            self.not_modified.set(self.not_modified.get() + 1);
-            self.shed_streak.set(0);
             body
         } else {
             if !resp.is_success() {
                 return Err(format!("stream -> HTTP {}", resp.status));
             }
-            self.shed_streak.set(0);
             let etag = resp.header("etag").map(str::to_string);
             let body = String::from_utf8(resp.body).map_err(|e| format!("stream: {e}"))?;
             *self.validator.borrow_mut() = etag.map(|etag| (etag, body.clone()));
@@ -251,47 +232,9 @@ impl LiveSubscriber {
         self.applied.get()
     }
 
-    /// Consecutive sheds without a successful poll in between.
-    pub fn shed_streak(&self) -> u32 {
-        self.shed_streak.get()
-    }
-
-    /// Polls the server answered `304 Not Modified`.
-    pub fn not_modified_count(&self) -> u64 {
-        self.not_modified.get()
-    }
-
     /// `(connections opened, requests served over a reused connection)`.
     pub fn connection_stats(&self) -> (u64, u64) {
         self.transport.connection_stats()
-    }
-
-    /// How long to wait before re-polling after a `Shed`.
-    ///
-    /// The server's `Retry-After` is the floor, never undercut; on top of
-    /// it the delay doubles per consecutive shed (capped at 16x / 60 s) and
-    /// is scaled by deterministic per-subscriber jitter, so a thousand tabs
-    /// shed in the same instant come back spread out instead of as a
-    /// synchronized thundering herd.
-    pub fn retry_delay_ms(&self, retry_after_secs: u64) -> u64 {
-        let base_ms = retry_after_secs.max(1).saturating_mul(1_000);
-        let cap_ms = base_ms.saturating_mul(16).min(60_000).max(base_ms);
-        let attempt = self.shed_streak.get().saturating_sub(1);
-        // The key must NOT be the token: the seed already is the token's
-        // FNV hash, and the jitter mix XORs seed with fnv(key) — passing
-        // the token both ways cancels them and collapses every tab onto
-        // one jitter value.
-        let jittered =
-            hpcdash_faults::backoff_delay_ms(base_ms, cap_ms, attempt, self.seed, "shed-retry");
-        // The jitter spans [0.5, 1.5) x the exponential delay; fold the low
-        // half up rather than clamping it, so the floor never undercuts
-        // Retry-After but the spread is preserved (uniform in [1.0, 1.5)).
-        let exp = base_ms.saturating_mul(1u64 << attempt.min(20)).min(cap_ms);
-        if jittered < exp {
-            jittered + exp.div_ceil(2)
-        } else {
-            jittered
-        }
     }
 }
 
@@ -299,11 +242,6 @@ impl LiveSubscriber {
 mod tests {
     use super::*;
     use hpcdash_simtime::{SimClock, Timestamp};
-
-    fn sub(token: &str) -> LiveSubscriber {
-        let clock = SimClock::new(Timestamp(0));
-        LiveSubscriber::new("http://127.0.0.1:1", "alice", token, clock.shared())
-    }
 
     /// A socketless transport answering from a canned script, recording the
     /// URLs it was asked for — the seam the 100k-tab bench rides through.
@@ -360,45 +298,5 @@ mod tests {
             urls.as_slice(),
             ["http://inproc/api/updates/stream?sub=tab-1&since=3&wait_ms=0"]
         );
-    }
-
-    #[test]
-    fn shed_retry_delays_spread_across_subscribers() {
-        // A whole fleet shed at once with Retry-After: 2 must NOT come back
-        // at the same millisecond.
-        let delays: Vec<u64> = (0..32)
-            .map(|i| {
-                let s = sub(&format!("tab-{i}"));
-                s.shed_streak.set(1);
-                s.retry_delay_ms(2)
-            })
-            .collect();
-        let distinct: std::collections::BTreeSet<u64> = delays.iter().copied().collect();
-        assert!(
-            distinct.len() >= 24,
-            "expected jittered spread, got {delays:?}"
-        );
-        for d in &delays {
-            assert!(*d >= 2_000, "Retry-After is a floor: {d}");
-            assert!(*d <= 3_000, "first retry stays near the advertised delay");
-        }
-    }
-
-    #[test]
-    fn shed_backoff_grows_with_the_streak_and_caps() {
-        let s = sub("tab-x");
-        s.shed_streak.set(1);
-        let first = s.retry_delay_ms(1);
-        s.shed_streak.set(3);
-        let third = s.retry_delay_ms(1);
-        assert!(third > first, "streak raises the delay: {first} vs {third}");
-        s.shed_streak.set(30);
-        let capped = s.retry_delay_ms(1);
-        assert!(
-            capped <= 16_000 * 3 / 2,
-            "delay is capped even for a long streak: {capped}"
-        );
-        // Deterministic: the same subscriber computes the same delay.
-        assert_eq!(s.retry_delay_ms(1), capped);
     }
 }

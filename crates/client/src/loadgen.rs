@@ -78,24 +78,6 @@ pub struct LoadReport {
     pub registry: Arc<Registry>,
 }
 
-impl LoadReport {
-    /// Fraction of wire requests that rode an already-open connection.
-    pub fn connection_reuse_ratio(&self) -> f64 {
-        if self.network_fetches == 0 {
-            return 0.0;
-        }
-        self.connections_reused as f64 / self.network_fetches as f64
-    }
-
-    /// Fraction of wire requests answered `304 Not Modified`.
-    pub fn not_modified_ratio(&self) -> f64 {
-        if self.network_fetches == 0 {
-            return 0.0;
-        }
-        self.not_modified as f64 / self.network_fetches as f64
-    }
-}
-
 /// Per-route fetch outcomes, as the user experienced them.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RouteAvailability {
@@ -113,14 +95,6 @@ pub struct RouteAvailability {
 impl RouteAvailability {
     pub fn total(&self) -> u64 {
         self.fresh + self.degraded + self.failed
-    }
-
-    /// Fraction of this route's fetches answered `304 Not Modified`.
-    pub fn not_modified_ratio(&self) -> f64 {
-        if self.total() == 0 {
-            return 0.0;
-        }
-        self.not_modified as f64 / self.total() as f64
     }
 
     /// Fraction of fetches that rendered data at all (fresh or degraded):
@@ -163,34 +137,6 @@ pub fn admin_observability_paths() -> Vec<String> {
         "/api/traces?limit=20".to_string(),
         // The page's default self-metrics sparkline (name urlencoded).
         "/api/obs/series?name=self%3Ahpcdash_sched_queue_depth&resolution=60".to_string(),
-    ]
-}
-
-/// The `/slurm/v0` structured route mix: what a programmatic consumer
-/// (script, pipeline, wall display) polling the REST family adds to a load
-/// run. Append to `LoadConfig.paths` and supply each user's token secret
-/// via `LoadConfig.bearer` — users without one get 401s, which count as
-/// failed fetches, so availability reports cover the token gate too.
-pub fn slurm_v0_paths() -> Vec<String> {
-    vec![
-        "/slurm/v0/jobs".to_string(),
-        "/slurm/v0/nodes".to_string(),
-        "/slurm/v0/partitions".to_string(),
-        "/slurm/v0/associations".to_string(),
-    ]
-}
-
-/// The federated route mix: what a user keeping the Federation page open
-/// adds to a load run — the cross-cluster overview, their own jobs across
-/// every site, and the merged node view. These routes always answer (a dark
-/// site degrades only its slice), so their payloads carry a top-level
-/// `degraded` flag that the per-route availability report picks up as
-/// degraded-but-rendered, exactly like a stale widget.
-pub fn federation_paths() -> Vec<String> {
-    vec![
-        "/api/federation/status".to_string(),
-        "/api/federation/jobs".to_string(),
-        "/api/federation/nodes".to_string(),
     ]
 }
 
@@ -339,6 +285,34 @@ mod tests {
     use hpcdash_storage::StorageDb;
     use std::sync::Arc;
 
+    /// The `/slurm/v0` structured route mix: what a programmatic consumer
+    /// (script, pipeline, wall display) polling the REST family adds to a load
+    /// run. Append to `LoadConfig.paths` and supply each user's token secret
+    /// via `LoadConfig.bearer` — users without one get 401s, which count as
+    /// failed fetches, so availability reports cover the token gate too.
+    fn slurm_v0_paths() -> Vec<String> {
+        vec![
+            "/slurm/v0/jobs".to_string(),
+            "/slurm/v0/nodes".to_string(),
+            "/slurm/v0/partitions".to_string(),
+            "/slurm/v0/associations".to_string(),
+        ]
+    }
+
+    /// The federated route mix: what a user keeping the Federation page open
+    /// adds to a load run — the cross-cluster overview, their own jobs across
+    /// every site, and the merged node view. These routes always answer (a dark
+    /// site degrades only its slice), so their payloads carry a top-level
+    /// `degraded` flag that the per-route availability report picks up as
+    /// degraded-but-rendered, exactly like a stale widget.
+    fn federation_paths() -> Vec<String> {
+        vec![
+            "/api/federation/status".to_string(),
+            "/api/federation/jobs".to_string(),
+            "/api/federation/nodes".to_string(),
+        ]
+    }
+
     fn site(server_cache: bool) -> (hpcdash_http::Server, SimClock, DashboardContext) {
         let clock = SimClock::new(Timestamp(1_000));
         let mut assoc = AssocStore::new();
@@ -466,7 +440,6 @@ mod tests {
         // One TCP connection per user for the whole run.
         assert_eq!(report.connections_opened, 2);
         assert_eq!(report.connections_reused, 8);
-        assert!(report.connection_reuse_ratio() > 0.75);
         // The same run without keep-alive opens nothing through the pool
         // (one-shot connections are not pooled, so both stats read zero).
         let mut cfg2 = cfg.clone();

@@ -202,7 +202,7 @@ pub struct FeatureInfo {
 }
 
 /// Register every feature's API route(s).
-pub fn register_all(router: &mut Router, ctx: &DashboardContext) {
+pub(crate) fn register_all(router: &mut Router, ctx: &DashboardContext) {
     announcements::register(router, ctx.clone());
     recent_jobs::register(router, ctx.clone());
     system_status::register(router, ctx.clone());

@@ -8,7 +8,7 @@
 //! identity switch is audited in `hpcdash_act_as_total{admin,target}`.
 //!
 //! This module writes no privacy rule of its own. A viewer's rights are the
-//! [`ScopeSet`] profile tokens are validated against ([`profile_of`]),
+//! [`ScopeSet`] profile tokens are validated against (`profile_of`),
 //! resolved once per request and memoized in [`CurrentUser`]. Every check —
 //! here, in the routes, in the push hub's per-subscriber filter — evaluates
 //! that profile's [`ScopeSet::allows_job`]. A token can never see
@@ -104,7 +104,7 @@ impl CurrentUser {
 /// `user`'s widget-route view as scopes: own jobs, one `read-account` per
 /// association slurmctld reports for them, and the cluster-wide scopes when
 /// `is_admin`. One `scontrol show assoc` RPC.
-pub fn profile_of(ctld: &Slurmctld, user: &str, is_admin: bool) -> ScopeSet {
+pub(crate) fn profile_of(ctld: &Slurmctld, user: &str, is_admin: bool) -> ScopeSet {
     let accounts: Vec<String> = ctld
         .query_assoc(Some(user))
         .into_iter()

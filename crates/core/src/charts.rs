@@ -40,7 +40,7 @@ pub struct GpuHoursSeries {
     pub data: Vec<f64>,
 }
 
-pub fn job_state_distribution(records: &[SacctRecord<'_>]) -> StateDistribution {
+pub(crate) fn job_state_distribution(records: &[SacctRecord<'_>]) -> StateDistribution {
     let mut users: Vec<&str> = records.iter().map(|r| r.user).collect();
     users.sort_unstable();
     users.dedup();
@@ -72,7 +72,7 @@ pub fn job_state_distribution(records: &[SacctRecord<'_>]) -> StateDistribution 
     }
 }
 
-pub fn gpu_hours_distribution(records: &[SacctRecord<'_>]) -> GpuHours {
+pub(crate) fn gpu_hours_distribution(records: &[SacctRecord<'_>]) -> GpuHours {
     let mut by_user: BTreeMap<&str, f64> = BTreeMap::new();
     for r in records {
         *by_user.entry(r.user).or_insert(0.0) += r.gpu_hours();
@@ -95,7 +95,7 @@ pub fn gpu_hours_distribution(records: &[SacctRecord<'_>]) -> GpuHours {
 /// sparklines are comparable across jobs). `kind` becomes a `spark-<kind>`
 /// class hook for per-series stroke colors. Empty string when there are
 /// fewer than two points — callers show a placeholder instead.
-pub fn sparkline_svg(pairs: &[(i64, f64)], kind: &str, width: u32, height: u32) -> String {
+pub(crate) fn sparkline_svg(pairs: &[(i64, f64)], kind: &str, width: u32, height: u32) -> String {
     let [first, .., last] = pairs else {
         return String::new();
     };

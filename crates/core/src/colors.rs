@@ -14,7 +14,7 @@ use hpcdash_slurm::node::NodeState;
 pub type ColorClass = &'static str;
 
 /// Utilization fraction (0..=1) to bar colour: the 70/90 thresholds.
-pub fn utilization_color(fraction: f64) -> ColorClass {
+pub(crate) fn utilization_color(fraction: f64) -> ColorClass {
     if fraction < 0.70 {
         "green"
     } else if fraction < 0.90 {
@@ -25,7 +25,7 @@ pub fn utilization_color(fraction: f64) -> ColorClass {
 }
 
 /// Node-grid cell colour (paper §6's legend).
-pub fn node_color(state: NodeState) -> ColorClass {
+pub(crate) fn node_color(state: NodeState) -> ColorClass {
     match state {
         NodeState::Allocated | NodeState::Mixed => "green",
         NodeState::Idle => "faded-green",
@@ -36,7 +36,7 @@ pub fn node_color(state: NodeState) -> ColorClass {
 }
 
 /// Announcement urgency colour (paper §3.1).
-pub fn announcement_color(category: Category) -> ColorClass {
+pub(crate) fn announcement_color(category: Category) -> ColorClass {
     match category {
         Category::Outage => "red",
         Category::Maintenance => "yellow",
@@ -45,7 +45,7 @@ pub fn announcement_color(category: Category) -> ColorClass {
 }
 
 /// Job-state chip colour.
-pub fn job_state_color(state: JobState) -> ColorClass {
+pub(crate) fn job_state_color(state: JobState) -> ColorClass {
     match state {
         JobState::Running => "green",
         JobState::Pending => "blue",

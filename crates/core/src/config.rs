@@ -171,7 +171,7 @@ impl Default for ResiliencePolicy {
 
 impl ResiliencePolicy {
     /// Total attempts a single request may make.
-    pub fn max_attempts(&self) -> u32 {
+    pub(crate) fn max_attempts(&self) -> u32 {
         self.max_retries + 1
     }
 

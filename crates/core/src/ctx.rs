@@ -48,7 +48,7 @@ pub struct DashboardContext {
     /// Cap on workers parked in long-polls (`503 + Retry-After` past it).
     pub park: Arc<ParkBudget>,
     /// Per-source circuit breakers gating the resilient fetch path
-    /// ([`DashboardContext::cached_resilient`]); timed on the sim clock.
+    /// (`DashboardContext::cached_resilient`); timed on the sim clock.
     pub breakers: Arc<BreakerBoard>,
     /// The metrics daemon behind sparklines and collector-backed GPU
     /// efficiency. [`DashboardContext::new`] builds an empty one; sites
@@ -92,7 +92,7 @@ fn source_of(key: &str) -> &str {
     key.split(':').next().unwrap_or(key)
 }
 
-/// How [`DashboardContext::cached_resilient`] answered — the per-widget
+/// How `DashboardContext::cached_resilient` answered — the per-widget
 /// degradation contract. One failing data source degrades only the widgets
 /// that read from it; each widget learns *how* its data arrived and renders
 /// an honest notice instead of a blank page.
@@ -139,7 +139,7 @@ impl SourceOutcome {
     }
 
     /// Rewrite the served payload (fresh or stale), keeping the verdict.
-    pub fn map_body(self, f: impl FnOnce(Body) -> Body) -> SourceOutcome {
+    pub(crate) fn map_body(self, f: impl FnOnce(Body) -> Body) -> SourceOutcome {
         match self {
             SourceOutcome::Fresh(body) => SourceOutcome::Fresh(f(body)),
             SourceOutcome::Stale {
@@ -271,7 +271,7 @@ impl DashboardContext {
     /// During the outage itself nothing is dropped: restart counters only
     /// move once the daemon is back, which is exactly when fresh loads
     /// succeed again.
-    pub fn observe_recoveries(&self) {
+    pub(crate) fn observe_recoveries(&self) {
         let ctld_now = self.ctld.restart_count();
         if ctld_now != self.recovery.ctld_seen.load(Ordering::Relaxed) {
             let seen = self.recovery.ctld_seen.swap(ctld_now, Ordering::AcqRel);
@@ -322,7 +322,7 @@ impl DashboardContext {
     /// Record that `feature` read from `source` (called inside cache-miss
     /// loaders, so it reflects true backend traffic, not cached replays).
     /// A pair already noted costs two lookups and no allocation.
-    pub fn note_source(&self, feature: &str, source: &str) {
+    pub(crate) fn note_source(&self, feature: &str, source: &str) {
         let mut sources = self.sources.lock();
         if sources.get(feature).is_some_and(|s| s.contains(source)) {
             return;
@@ -362,7 +362,7 @@ impl DashboardContext {
     /// answer (`/slurm/v0` never stores a 403/404, a job overview is stored
     /// only once its viewer was authorized). They insert through
     /// `self.cache.cache()` and read `last_good` there when a source fails.
-    pub fn cache_lookup(&self, key: &str, min_version: u64) -> Option<Body> {
+    pub(crate) fn cache_lookup(&self, key: &str, min_version: u64) -> Option<Body> {
         // The purge of dead-epoch bytes must beat the lookup.
         self.observe_recoveries();
         let hit = self.cache.cache().get(key, min_version);
@@ -388,7 +388,7 @@ impl DashboardContext {
     /// A `ttl` of zero (the no-cache ablation) makes a single attempt and
     /// skips the cache, retries, breakers, and stale fallback; its body
     /// carries no validator.
-    pub fn cached_resilient(
+    pub(crate) fn cached_resilient(
         &self,
         key: &str,
         ttl: u64,

@@ -28,7 +28,7 @@ pub struct EfficiencyReport {
     pub time: Option<f64>,
     /// Only set when the GPU-efficiency feature flag is on and the job used
     /// GPUs. Measured from the telemetry collector's GPU-utilization series
-    /// when one exists ([`EfficiencyReport::from_record_with_gpu`]); the
+    /// when one exists (`EfficiencyReport::from_record_with_gpu`); the
     /// old CPU-activity approximation remains as the fallback for jobs that
     /// predate the collectors or whose series has aged out of retention.
     pub gpu: Option<f64>,
@@ -38,7 +38,7 @@ pub struct EfficiencyReport {
 impl EfficiencyReport {
     /// Compute from an accounting record alone (no collector samples; GPU
     /// efficiency, if enabled, falls back to the CPU approximation).
-    pub fn from_record(rec: &SacctRecord<'_>, gpu_flag: bool) -> EfficiencyReport {
+    pub(crate) fn from_record(rec: &SacctRecord<'_>, gpu_flag: bool) -> EfficiencyReport {
         EfficiencyReport::from_record_with_gpu(rec, gpu_flag, None)
     }
 
@@ -47,7 +47,7 @@ impl EfficiencyReport {
     /// Collector samples win over the approximation — and unlike it they
     /// work for still-running jobs, since the series exists from the first
     /// tick.
-    pub fn from_record_with_gpu(
+    pub(crate) fn from_record_with_gpu(
         rec: &SacctRecord<'_>,
         gpu_flag: bool,
         collector_gpu: Option<f64>,

@@ -19,7 +19,7 @@ pub enum TimeRange {
 
 impl TimeRange {
     /// Parse from the page's query parameters (`range`, `start`, `end`).
-    pub fn from_query(
+    pub(crate) fn from_query(
         range: Option<&str>,
         start: Option<&str>,
         end: Option<&str>,

@@ -4,7 +4,7 @@ use crate::api::clusterstatus::{ClusterStatus, NodeRow};
 use crate::pages::layout::{decode, page, shell, widget_placeholder};
 use crate::template::escape_html;
 
-pub fn render_shell(cluster: &str, user: &str) -> String {
+pub(crate) fn render_shell(cluster: &str, user: &str) -> String {
     let mut body = String::from(
         "<h1>Cluster Status</h1>\
          <div class=\"controls\"><button id=\"grid-view\">Grid</button>\
@@ -16,7 +16,7 @@ pub fn render_shell(cluster: &str, user: &str) -> String {
 }
 
 /// Grid view: one colour-coded cell per node with a hover summary.
-pub fn render_grid(payload: &ClusterStatus) -> String {
+pub(crate) fn render_grid(payload: &ClusterStatus) -> String {
     let mut out = String::from("<div class=\"node-grid\">");
     for n in &payload.nodes {
         let name = escape_html(&n.name);
@@ -76,23 +76,6 @@ fn list<'a>(nodes: impl Iterator<Item = &'a NodeRow>, filter: Option<&str>) -> S
     out
 }
 
-/// List view sorted by a column (paper §6: "users can sort any column to
-/// find the nodes with the highest or lowest CPU or memory load and/or view
-/// the nodes in alphabetical order"). `descending` controls direction.
-pub fn render_list_sorted(payload: &ClusterStatus, sort_key: &str, descending: bool) -> String {
-    let mut nodes: Vec<&NodeRow> = payload.nodes.iter().collect();
-    match sort_key {
-        "cpu" => nodes.sort_by(|a, b| a.cpu_percent.total_cmp(&b.cpu_percent)),
-        "mem" => nodes.sort_by(|a, b| a.mem_percent.total_cmp(&b.mem_percent)),
-        "state" => nodes.sort_by(|a, b| a.state.cmp(&b.state)),
-        _ => nodes.sort_by(|a, b| a.name.cmp(&b.name)),
-    }
-    if descending {
-        nodes.reverse();
-    }
-    list(nodes.into_iter(), None)
-}
-
 /// The full page with both views, from the `/api/clusterstatus` answer.
 pub fn render_full(cluster: &str, user: &str, data: &[u8]) -> String {
     let body = decode(data).map(|payload: ClusterStatus| {
@@ -147,21 +130,6 @@ mod tests {
         assert!(down_only.contains("g001") && !down_only.contains("a001"));
         let none = render_list(&payload(), Some("zzz"));
         assert!(!none.contains("a001") && !none.contains("g001"));
-    }
-
-    #[test]
-    fn sorted_list_orders_by_load() {
-        let html = render_list_sorted(&payload(), "cpu", true);
-        let a_pos = html.find(">a001<").expect("a001 row");
-        let g_pos = html.find(">g001<").expect("g001 row");
-        assert!(a_pos < g_pos, "highest CPU load first when descending");
-        let html = render_list_sorted(&payload(), "cpu", false);
-        let a_pos = html.find(">a001<").unwrap();
-        let g_pos = html.find(">g001<").unwrap();
-        assert!(g_pos < a_pos, "ascending flips the order");
-        // Alphabetical by default.
-        let html = render_list_sorted(&payload(), "name", false);
-        assert!(html.find(">a001<").unwrap() < html.find(">g001<").unwrap());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::api::federation::Status;
 use crate::pages::layout::{decode, page, shell, widget_placeholder};
 use crate::template::escape_html;
 
-pub fn render_shell(cluster: &str, user: &str) -> String {
+pub(crate) fn render_shell(cluster: &str, user: &str) -> String {
     let mut body = String::from("<h1>Federation</h1>");
     body.push_str(&widget_placeholder("federation", "/api/federation/status"));
     body.push_str(&widget_placeholder(
@@ -18,7 +18,7 @@ pub fn render_shell(cluster: &str, user: &str) -> String {
 /// The site table: one row per cluster with health, totals, and — for
 /// degraded slices — the honest "data from N s ago" notice in the row
 /// itself, not hidden in a tooltip (accessibility rule: state in text).
-pub fn render_sites(payload: &Status) -> String {
+pub(crate) fn render_sites(payload: &Status) -> String {
     let mut out = String::from(
         "<table class=\"federation-table\"><thead><tr>\
          <th>Cluster</th><th>Health</th><th>Running</th><th>Pending</th>\

@@ -8,7 +8,7 @@ use crate::template::escape_html;
 use crate::widgets::error_card;
 use hpcdash_simtime::format_duration;
 
-pub fn render_shell(cluster: &str, user: &str, job_id: &str) -> String {
+pub(crate) fn render_shell(cluster: &str, user: &str, job_id: &str) -> String {
     let mut body = format!("<h1>Job {}</h1>", escape_html(job_id));
     body.push_str(&widget_placeholder(
         "joboverview",

@@ -7,7 +7,7 @@ use crate::pages::layout::{decode, page, shell, widget_placeholder};
 use crate::template::escape_html;
 use hpcdash_simtime::format_duration;
 
-pub fn render_shell(cluster: &str, user: &str) -> String {
+pub(crate) fn render_shell(cluster: &str, user: &str) -> String {
     let mut body = String::from("<h1>Job Performance Metrics</h1>");
     body.push_str(
         "<div class=\"controls\"><select id=\"range\">\

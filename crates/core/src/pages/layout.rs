@@ -75,7 +75,7 @@ pub(crate) fn page(
 /// A loading placeholder for one async widget: the frontend swaps it for
 /// the rendered widget once the API call returns (paper §2.3's loading
 /// animation instead of a blank page).
-pub fn widget_placeholder(widget_id: &str, api_path: &str) -> String {
+pub(crate) fn widget_placeholder(widget_id: &str, api_path: &str) -> String {
     format!(
         "<div class=\"widget-slot\" data-widget=\"{widget_id}\" data-api=\"{api_path}\">\
          <div class=\"spinner\" role=\"status\" aria-label=\"Loading {widget_id}\"></div></div>"

@@ -7,7 +7,7 @@ use crate::template::escape_html;
 use hpcdash_simtime::format_duration;
 
 /// The instantly served shell.
-pub fn render_shell(cluster: &str, user: &str) -> String {
+pub(crate) fn render_shell(cluster: &str, user: &str) -> String {
     let mut body = String::from("<h1>My Jobs</h1>");
     body.push_str(
         "<div class=\"controls\">\

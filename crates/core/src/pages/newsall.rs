@@ -6,7 +6,7 @@ use crate::pages::layout::{decode, page, shell, widget_placeholder};
 use crate::template::escape_html;
 use crate::widgets::components::badge;
 
-pub fn render_shell(cluster: &str, user: &str) -> String {
+pub(crate) fn render_shell(cluster: &str, user: &str) -> String {
     let mut body = String::from("<h1>Cluster news</h1>");
     body.push_str(&widget_placeholder(
         "newsall",

@@ -6,7 +6,7 @@ use crate::pages::layout::{decode, page, shell, widget_placeholder};
 use crate::template::escape_html;
 use crate::widgets::components::progress_bar;
 
-pub fn render_shell(cluster: &str, user: &str, node: &str) -> String {
+pub(crate) fn render_shell(cluster: &str, user: &str, node: &str) -> String {
     let mut body = format!("<h1>Node {}</h1>", escape_html(node));
     body.push_str(&widget_placeholder(
         "nodeoverview",

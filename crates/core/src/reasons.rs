@@ -7,7 +7,7 @@
 use hpcdash_slurm::job::PendingReason;
 
 /// The plain-English explanation shown next to a reason code.
-pub fn friendly_reason(reason: PendingReason) -> &'static str {
+pub(crate) fn friendly_reason(reason: PendingReason) -> &'static str {
     match reason {
         PendingReason::Priority => {
             "It means other queued jobs currently have higher priority; your job will move up as it waits."

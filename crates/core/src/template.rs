@@ -31,7 +31,7 @@ impl std::fmt::Display for TemplateError {
 impl std::error::Error for TemplateError {}
 
 /// Escape text for HTML.
-pub fn escape_html(s: &str) -> String {
+pub(crate) fn escape_html(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -87,7 +87,7 @@ pub fn render(template: &str, values: &BTreeMap<String, String>) -> Result<Strin
 }
 
 /// Convenience: build the value map from pairs.
-pub fn vars<const N: usize>(pairs: [(&str, String); N]) -> BTreeMap<String, String> {
+pub(crate) fn vars<const N: usize>(pairs: [(&str, String); N]) -> BTreeMap<String, String> {
     pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
 }
 
@@ -154,5 +154,59 @@ mod tests {
     fn tolerates_bare_tag() {
         let v = vars([("x", "y".to_string())]);
         assert_eq!(render("<% x %>", &v).unwrap(), "y");
+    }
+}
+
+/// Property tests for the ERB-style template engine and HTML escaping —
+/// the rendering layer under every page, so it must never emit raw
+/// interpolated markup or panic on adversarial input.
+#[cfg(test)]
+mod props {
+    use super::{escape_html, render, vars};
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn escaped_output_never_contains_active_markup(s in "\\PC{0,200}") {
+            let escaped = escape_html(&s);
+            prop_assert!(!escaped.contains('<'));
+            prop_assert!(!escaped.contains('>'));
+            prop_assert!(!escaped.contains('"'));
+            // Ampersands only appear as entity starts we produced.
+            for (i, _) in escaped.match_indices('&') {
+                let rest = &escaped[i..];
+                prop_assert!(
+                    rest.starts_with("&amp;")
+                        || rest.starts_with("&lt;")
+                        || rest.starts_with("&gt;")
+                        || rest.starts_with("&quot;")
+                        || rest.starts_with("&#39;"),
+                    "stray ampersand in {escaped:?}"
+                );
+            }
+        }
+
+        #[test]
+        fn interpolation_is_injection_safe(payload in "\\PC{0,100}") {
+            let v = vars([("user", payload.clone())]);
+            let html = render("<p>Hello <%= user %>!</p>", &v).unwrap();
+            prop_assert!(html.starts_with("<p>Hello "));
+            prop_assert!(html.ends_with("!</p>"));
+            // Whatever the payload, no new tags appear.
+            prop_assert_eq!(html.matches('<').count(), 2, "{}", html);
+        }
+
+        #[test]
+        fn render_never_panics(template in "\\PC{0,120}", value in "\\PC{0,40}") {
+            let v = vars([("k", value)]);
+            // Any outcome is fine as long as it is a Result, not a panic.
+            let _ = render(&template, &v);
+        }
+
+        #[test]
+        fn plain_templates_are_identity(template in "[^<%]{0,200}") {
+            let v = vars([("k", "v".to_string())]);
+            prop_assert_eq!(render(&template, &v).unwrap(), template);
+        }
     }
 }

@@ -28,7 +28,7 @@ pub fn card(widget_id: &str, title: &str, body_html: &str) -> String {
 }
 
 /// A state/urgency badge.
-pub fn badge(color: &str, text: &str) -> String {
+pub(crate) fn badge(color: &str, text: &str) -> String {
     format!(
         "<span class=\"badge badge-{}\">{}</span>",
         color,

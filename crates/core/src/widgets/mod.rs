@@ -17,7 +17,7 @@ use hpcdash_cache::body::Degradation;
 /// Render a widget's error card — what the frontend shows when the widget's
 /// API route fails while the rest of the dashboard keeps working (the
 /// modularity story of paper §2.4).
-pub fn error_card(widget_name: &str, message: &str) -> String {
+pub(crate) fn error_card(widget_name: &str, message: &str) -> String {
     format!(
         "<div class=\"card widget widget-error\" data-widget=\"{}\">\
          <div class=\"card-header\">{}</div>\
@@ -50,7 +50,7 @@ pub fn stale_notice(age_secs: u64) -> String {
 /// Wrap HTML drawn from the answer `data` with its stale notice when the
 /// server served `data` stale ([`Degradation`]); other answers pass
 /// through untouched.
-pub fn with_degradation(html: String, data: &[u8]) -> String {
+pub(crate) fn with_degradation(html: String, data: &[u8]) -> String {
     match Degradation::of(data) {
         Some(Degradation {
             stale_age_secs: Some(age),

@@ -216,7 +216,7 @@ impl FaultPlan {
     /// misbehave: a probability outside `[0, 1]` (or NaN) never fires or
     /// always fires without saying so, and a window with `start >= end`
     /// matches nothing. [`FaultHost::install`] runs this and panics on the
-    /// descriptive error; [`FaultHost::try_install`] surfaces it.
+    /// descriptive error; `FaultHost::try_install` surfaces it.
     pub fn validate(&self) -> Result<(), FaultPlanError> {
         for (idx, rule) in self.rules.iter().enumerate() {
             if !rule.probability.is_finite() || !(0.0..=1.0).contains(&rule.probability) {
@@ -246,7 +246,13 @@ impl FaultPlan {
     /// at sim time `now`. Pure: same inputs, same answer. All matching
     /// latency rules accumulate; the first matching failure-kind rule (in
     /// plan order) wins.
-    pub fn decide(&self, daemon: &str, rpc: &str, call_idx: u64, now: Timestamp) -> FaultCheck {
+    pub(crate) fn decide(
+        &self,
+        daemon: &str,
+        rpc: &str,
+        call_idx: u64,
+        now: Timestamp,
+    ) -> FaultCheck {
         let mut check = FaultCheck::none();
         for (rule_idx, rule) in self.rules.iter().enumerate() {
             if !rule.matches_target(daemon, rpc) || !rule.active_at(now) {
@@ -364,7 +370,7 @@ pub enum FaultFailure {
     /// Kill the daemon: this call and every later one are refused until
     /// the restart `down_secs` later. [`FaultHost`] converts this into a
     /// "connection refused" [`FaultFailure::Error`] and tracks the down
-    /// state; callers of the pure [`FaultPlan::decide`] see it raw.
+    /// state; callers of the pure `FaultPlan::decide` see it raw.
     Crash { down_secs: u64 },
 }
 
@@ -420,7 +426,7 @@ impl FaultCheck {
 }
 
 /// Spin-burn `micros` microseconds of service time.
-pub fn burn_micros(micros: u64) {
+pub(crate) fn burn_micros(micros: u64) {
     if micros == 0 {
         return;
     }
@@ -576,7 +582,7 @@ impl FaultHost {
     /// Panics if the plan fails [`FaultPlan::validate`] — a scripted
     /// scenario with an impossible rule is a bug in the script, and the
     /// panic message names the offending rule. Use
-    /// [`FaultHost::try_install`] to handle the error instead.
+    /// `FaultHost::try_install` to handle the error instead.
     pub fn install(&self, plan: Arc<FaultPlan>, clock: SharedClock) {
         if let Err(e) = self.try_install(plan, clock) {
             panic!("invalid fault plan: {e}");
@@ -585,7 +591,7 @@ impl FaultHost {
 
     /// Like [`FaultHost::install`], but an invalid plan is returned as an
     /// error (and nothing is installed) instead of panicking.
-    pub fn try_install(
+    pub(crate) fn try_install(
         &self,
         plan: Arc<FaultPlan>,
         clock: SharedClock,

@@ -39,7 +39,7 @@ pub const FED_RPC: &str = "fed_status";
 /// Breaker-board key for one federated site: `fed@<cluster>`. The `@`
 /// convention is what lets `/api/health` and the observatory attribute
 /// breaker state to a cluster.
-pub fn breaker_source(cluster: &str) -> String {
+pub(crate) fn breaker_source(cluster: &str) -> String {
     format!("fed@{cluster}")
 }
 

@@ -112,7 +112,7 @@ impl Outgoing {
 
     /// Write as much as `w` takes. `Ok(true)`: everything went out and the
     /// queue is empty again; `Ok(false)`: `w` would block.
-    pub fn write_to(&mut self, mut w: impl Write) -> std::io::Result<bool> {
+    pub(crate) fn write_to(&mut self, mut w: impl Write) -> std::io::Result<bool> {
         loop {
             let mut iov = [IoSlice::new(&[]); MAX_SLICES];
             let n = self.unwritten(&mut iov);
@@ -236,13 +236,13 @@ impl Table {
     }
 
     /// What the timer should be set to.
-    pub fn next_deadline(&self) -> Option<Instant> {
+    pub(crate) fn next_deadline(&self) -> Option<Instant> {
         self.deadlines.peek().map(|&Reverse((at, _))| at)
     }
 
     /// Pop what the heap says is due and hand over the first resting
     /// connection whose deadline has really passed.
-    pub fn take_due(&mut self, now: Instant) -> Option<Box<Conn>> {
+    pub(crate) fn take_due(&mut self, now: Instant) -> Option<Box<Conn>> {
         while let Some(&Reverse((at, token))) = self.deadlines.peek() {
             if at > now {
                 break;
@@ -270,13 +270,13 @@ impl Table {
 
     /// Every resting connection, for shutdown. (Boxes, as they are stored.)
     #[allow(clippy::vec_box)]
-    pub fn take_all(&mut self) -> Vec<Box<Conn>> {
+    pub(crate) fn take_all(&mut self) -> Vec<Box<Conn>> {
         let resting = self.slots.values_mut().filter_map(|s| s.conn.take());
         resting.collect()
     }
 
     #[cfg(test)]
-    pub fn resting(&self) -> impl Iterator<Item = &Conn> {
+    pub(crate) fn resting(&self) -> impl Iterator<Item = &Conn> {
         self.slots.values().filter_map(|s| s.conn.as_deref())
     }
 }

@@ -118,7 +118,7 @@ impl ParkWaker {
 
     /// Install the owner's callback. Runs it on the spot when the waker
     /// already fired (the producer won the race).
-    pub fn set_hook(&self, hook: impl FnOnce() + Send + 'static) {
+    pub(crate) fn set_hook(&self, hook: impl FnOnce() + Send + 'static) {
         let mut st = self.inner.lock();
         if st.fired {
             drop(st);

@@ -1,7 +1,6 @@
 //! HTTP response construction and serialization.
 
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::sync::Arc;
 
 /// Response payload bytes. Most handlers build an [`Body::Owned`] vector;
@@ -270,14 +269,6 @@ impl Response {
         });
         (!bodyless_status && !head_only).then_some(&self.body)
     }
-
-    /// Serialize onto a stream, with `Connection` and `Content-Length` set.
-    pub fn write_to(&self, w: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
-        let mut buf = Vec::with_capacity(self.body.len() + 256);
-        self.serialize_into(&mut buf, keep_alive, false);
-        w.write_all(&buf)?;
-        w.flush()
-    }
 }
 
 /// Append `n` in decimal, without a temporary string.
@@ -338,7 +329,7 @@ mod tests {
     fn serialization_includes_length_and_connection() {
         let r = Response::text("hi");
         let mut buf = Vec::new();
-        r.write_to(&mut buf, false).unwrap();
+        r.serialize_into(&mut buf, false, false);
         let text = String::from_utf8(buf).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));
@@ -346,7 +337,7 @@ mod tests {
         assert!(text.ends_with("\r\n\r\nhi"));
 
         let mut buf2 = Vec::new();
-        r.write_to(&mut buf2, true).unwrap();
+        r.serialize_into(&mut buf2, true, false);
         assert!(String::from_utf8(buf2)
             .unwrap()
             .contains("Connection: keep-alive"));

@@ -22,54 +22,8 @@ pub enum Interest {
     Write,
 }
 
-/// The token the poller's own timer ([`Poller::set_timer`]) reports under.
+/// The token the poller's own timer (`Poller::set_timer`) reports under.
 pub const TIMER_TOKEN: u64 = u64::MAX;
-
-/// Grow `RLIMIT_NOFILE` toward `want` (clamped to the hard limit) and
-/// return the resulting soft limit. Benches opening tens of thousands of
-/// sockets call this first; failure is non-fatal (the current limit is
-/// returned).
-pub fn raise_nofile_limit(want: u64) -> u64 {
-    rlimit::raise_nofile(want)
-}
-
-mod rlimit {
-    #[repr(C)]
-    struct RLimit {
-        cur: u64,
-        max: u64,
-    }
-
-    #[cfg(target_os = "linux")]
-    const RLIMIT_NOFILE: i32 = 7;
-    #[cfg(not(target_os = "linux"))]
-    const RLIMIT_NOFILE: i32 = 8;
-
-    extern "C" {
-        fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
-        fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
-    }
-
-    pub fn raise_nofile(want: u64) -> u64 {
-        let mut lim = RLimit { cur: 0, max: 0 };
-        if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
-            return 0;
-        }
-        if lim.cur >= want {
-            return lim.cur;
-        }
-        let target = want.min(lim.max);
-        let next = RLimit {
-            cur: target,
-            max: lim.max,
-        };
-        if unsafe { setrlimit(RLIMIT_NOFILE, &next) } == 0 {
-            target
-        } else {
-            lim.cur
-        }
-    }
-}
 
 #[cfg(target_os = "linux")]
 pub use epoll::Poller;
@@ -187,7 +141,7 @@ mod epoll {
         /// Rearm (or switch interest on) an fd added earlier — the one-shot
         /// partner of [`Poller::add`]. An fd that is ready already is
         /// reported again.
-        pub fn modify(
+        pub(crate) fn modify(
             &self,
             fd: RawFd,
             token: u64,
@@ -206,7 +160,7 @@ mod epoll {
         /// Have [`TIMER_TOKEN`] reported once, to one waiter, at `at` (at
         /// once if that is past); `None` cancels. Replaces whatever was set.
         /// Callers serialize: two racing calls may leave either's time.
-        pub fn set_timer(&self, at: Option<Instant>) -> io::Result<()> {
+        pub(crate) fn set_timer(&self, at: Option<Instant>) -> io::Result<()> {
             // Relative, and never zero: an all-zero expiry disarms.
             let d = at.map(|at| {
                 at.saturating_duration_since(Instant::now())
@@ -363,7 +317,7 @@ mod fallback {
             })
         }
 
-        pub fn modify(
+        pub(crate) fn modify(
             &self,
             fd: RawFd,
             token: u64,
@@ -378,7 +332,7 @@ mod fallback {
             Ok(())
         }
 
-        pub fn set_timer(&self, at: Option<Instant>) -> io::Result<()> {
+        pub(crate) fn set_timer(&self, at: Option<Instant>) -> io::Result<()> {
             self.change(|st| st.timer = at)
         }
 
@@ -701,10 +655,4 @@ mod tests {
     #[cfg(target_os = "linux")]
     poller_contract!(epoll, super::super::epoll::Poller);
     poller_contract!(poll_fallback, super::super::fallback::Poller);
-
-    #[test]
-    fn nofile_limit_reports_something_sane() {
-        let got = raise_nofile_limit(1024);
-        assert!(got >= 256, "soft limit {got} unexpectedly tiny");
-    }
 }

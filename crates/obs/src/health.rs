@@ -93,11 +93,6 @@ impl HealthBoard {
         HealthBoard::default()
     }
 
-    /// Ensure `source` appears in reports even before its first operation.
-    pub fn declare(&self, source: &str) {
-        self.sources.lock().entry(source.to_string()).or_default();
-    }
-
     pub fn record_ok(&self, source: &str) {
         self.sources
             .lock()
@@ -199,10 +194,6 @@ mod tests {
         let b = HealthBoard::new();
         assert_eq!(b.report().overall, HealthStatus::Up);
         assert_eq!(b.status_of("nonexistent"), HealthStatus::Up);
-        b.declare("ctld");
-        let r = b.report();
-        assert_eq!(r.sources.len(), 1);
-        assert_eq!(r.sources[0].status, HealthStatus::Up);
     }
 
     #[test]

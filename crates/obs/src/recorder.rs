@@ -103,16 +103,6 @@ pub fn select_percentiles<const N: usize>(
     })
 }
 
-impl LatencySummary {
-    /// A compact human-readable line for experiment output.
-    pub fn to_row(&self) -> String {
-        format!(
-            "n={:<6} mean={:>10.1?} p50={:>10.1?} p90={:>10.1?} p99={:>10.1?} max={:>10.1?}",
-            self.count, self.mean, self.p50, self.p90, self.p99, self.max
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,14 +194,5 @@ mod tests {
         assert_eq!(r.count(), 1_000);
         r.clear();
         assert_eq!(r.count(), 0);
-    }
-
-    #[test]
-    fn row_format() {
-        let r = LatencyRecorder::new();
-        r.record(Duration::from_micros(100));
-        let row = s_of(&r).to_row();
-        assert!(row.contains("n=1"));
-        assert!(row.contains("p99="));
     }
 }

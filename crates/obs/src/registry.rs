@@ -140,7 +140,7 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    pub fn sum_ns(&self) -> u64 {
+    pub(crate) fn sum_ns(&self) -> u64 {
         self.sum_ns.load(Ordering::Relaxed)
     }
 
@@ -153,7 +153,7 @@ impl Histogram {
     }
 
     /// Estimate the `q`-quantile (`0.0..=1.0`) in nanoseconds.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_ns(&self, q: f64) -> u64 {
         let counts = self.bucket_counts();
         let total: u64 = counts.iter().sum();
         if total == 0 {
@@ -195,7 +195,7 @@ impl Histogram {
     }
 
     /// The exemplar stored for bucket `idx`, if any.
-    pub fn bucket_exemplar(&self, idx: usize) -> Option<TraceId> {
+    pub(crate) fn bucket_exemplar(&self, idx: usize) -> Option<TraceId> {
         let bits = self.exemplars.get(idx)?.load(Ordering::Relaxed);
         (bits != 0).then_some(TraceId(bits))
     }
@@ -725,7 +725,7 @@ mod tests {
     }
 
     #[test]
-    fn gather_carries_p99_exemplar_for_histograms() {
+    fn visit_carries_p99_exemplar_for_histograms() {
         let reg = Registry::new();
         let h = reg.histogram("hpcdash_http_request_latency", &[("route", "/x")]);
         h.observe_ns(4_000);
@@ -750,7 +750,7 @@ mod tests {
     }
 
     #[test]
-    fn gather_is_sorted_and_stable() {
+    fn visit_is_sorted_and_stable() {
         let reg = Registry::new();
         reg.counter("zzz_total", &[]).inc();
         reg.counter("aaa_total", &[("r", "2")]).inc();

@@ -70,7 +70,7 @@ thread_local! {
 }
 
 /// The trace id active on this thread, if any.
-pub fn current_trace() -> Option<TraceId> {
+pub(crate) fn current_trace() -> Option<TraceId> {
     CURRENT.with(|c| c.get())
 }
 
@@ -176,7 +176,7 @@ impl SpanRecord {
 }
 
 /// Human-friendly nanosecond rendering (`412ns`, `3.2µs`, `1.8ms`, `2.4s`).
-pub fn fmt_ns(ns: u64) -> String {
+pub(crate) fn fmt_ns(ns: u64) -> String {
     if ns < 1_000 {
         format!("{ns}ns")
     } else if ns < 1_000_000 {

@@ -283,7 +283,7 @@ impl TraceStore {
     }
 
     /// Attach a request-level note to `id` (pending or retained).
-    pub fn annotate_trace(&self, id: TraceId, key: &str, value: impl Display) {
+    pub(crate) fn annotate_trace(&self, id: TraceId, key: &str, value: impl Display) {
         let note = (key.to_string(), value.to_string());
         let mut inner = self.inner.lock();
         if let Some(t) = inner.retained.get_mut(&id.0) {
@@ -422,12 +422,6 @@ impl TraceStore {
         }
     }
 
-    /// The current "slower than this is retained" bound for `route`, once
-    /// enough samples exist.
-    pub fn slow_threshold_ns(&self, route: &str) -> Option<u64> {
-        self.inner.lock().route_lat.get(route).and_then(|rl| rl.thr)
-    }
-
     /// Fetch a retained trace by id.
     pub fn get(&self, id: TraceId) -> Option<StoredTrace> {
         self.inner.lock().retained.get(&id.0).cloned()
@@ -481,6 +475,14 @@ pub fn annotate(key: &str, value: impl Display) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TraceStore {
+        /// The current "slower than this is retained" bound for `route`,
+        /// once enough samples exist.
+        fn slow_threshold_ns(&self, route: &str) -> Option<u64> {
+            self.inner.lock().route_lat.get(route).and_then(|rl| rl.thr)
+        }
+    }
 
     fn rec(trace: u64, name: &'static str, seq: u64, depth: u32, dur_ns: u64) -> SpanRecord {
         SpanRecord {

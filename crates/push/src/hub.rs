@@ -270,11 +270,6 @@ impl Hub {
         SubscriberHandle { sub }
     }
 
-    /// Live subscriber count (all shards).
-    pub fn subscriber_count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().subs.len()).sum()
-    }
-
     /// Install a one-shot wake callback, fired the next time a visible
     /// event (or a discontinuity) reaches this subscriber and then consumed.
     /// This is how an event-loop long-poll parks a *connection* instead of
@@ -393,6 +388,13 @@ mod tests {
     use super::*;
     use hpcdash_simtime::SimClock;
     use hpcdash_slurm::job::{JobId, JobState};
+
+    impl Hub {
+        /// Live subscriber count (all shards).
+        fn subscriber_count(&self) -> usize {
+            self.shards.iter().map(|s| s.lock().subs.len()).sum()
+        }
+    }
 
     fn push(log: &EventLog, user: &str, account: &str) -> u64 {
         log.push(

@@ -14,11 +14,11 @@ mod civil;
 mod clock;
 mod timefmt;
 
-pub use civil::{civil_from_days, days_from_civil, days_in_month, is_leap, CivilDateTime};
+pub use civil::CivilDateTime;
 pub use clock::{Clock, SharedClock, SimClock, SystemClock};
 pub use timefmt::{
-    format_duration, format_timestamp, parse_duration, parse_timelimit, parse_timestamp, write_num,
-    Elapsed, TimeLimit,
+    format_duration, parse_duration, parse_timelimit, parse_timestamp, write_num, Elapsed,
+    TimeLimit,
 };
 
 use serde::{Deserialize, Serialize};

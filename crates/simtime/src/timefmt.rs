@@ -86,11 +86,6 @@ impl fmt::Display for Timestamp {
     }
 }
 
-/// Format a Unix timestamp as `%Y-%m-%dT%H:%M:%S` (Slurm's ISO form).
-pub fn format_timestamp(t: Timestamp) -> String {
-    t.to_string()
-}
-
 /// Two ASCII digits at `b[i..i + 2]`.
 fn two_digits(b: &[u8], i: usize) -> Option<u32> {
     let (hi, lo) = (b[i].wrapping_sub(b'0'), b[i + 1].wrapping_sub(b'0'));
@@ -243,7 +238,7 @@ mod tests {
     #[test]
     fn format_known_timestamp() {
         let t = Timestamp(20_638 * 86_400 + 9 * 3_600 + 5 * 60 + 7);
-        assert_eq!(format_timestamp(t), "2026-07-04T09:05:07");
+        assert_eq!(t.to_string(), "2026-07-04T09:05:07");
     }
 
     #[test]
@@ -317,7 +312,7 @@ mod tests {
         #[test]
         fn timestamp_roundtrip(secs in 0u64..10_000_000_000) {
             let t = Timestamp(secs);
-            prop_assert_eq!(parse_timestamp(&format_timestamp(t)), Some(t));
+            prop_assert_eq!(parse_timestamp(&t.to_string()), Some(t));
         }
 
         #[test]

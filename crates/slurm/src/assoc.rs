@@ -142,7 +142,7 @@ impl AssocStore {
             .collect()
     }
 
-    pub fn users_of_account(&self, account: &str) -> &[String] {
+    pub(crate) fn users_of_account(&self, account: &str) -> &[String] {
         self.members.get(account).map(Vec::as_slice).unwrap_or(&[])
     }
 
@@ -152,7 +152,12 @@ impl AssocStore {
 
     /// Would starting a job that allocates `cpus` / uses `gpus` violate the
     /// account's group limits right now?
-    pub fn check_start(&self, account: &str, cpus: u32, gpus: u32) -> Result<(), LimitViolation> {
+    pub(crate) fn check_start(
+        &self,
+        account: &str,
+        cpus: u32,
+        gpus: u32,
+    ) -> Result<(), LimitViolation> {
         let Some(acct) = self.accounts.get(account) else {
             return Ok(());
         };
@@ -181,24 +186,24 @@ impl AssocStore {
     }
 
     /// Record that a pending job joined the queue under `account`.
-    pub fn note_queued(&mut self, account: &str, cpus: u32) {
+    pub(crate) fn note_queued(&mut self, account: &str, cpus: u32) {
         self.usage_mut(account).cpus_queued += cpus;
     }
 
     /// Record that a pending job left the queue (started or was cancelled).
-    pub fn note_dequeued(&mut self, account: &str, cpus: u32) {
+    pub(crate) fn note_dequeued(&mut self, account: &str, cpus: u32) {
         let u = self.usage_mut(account);
         u.cpus_queued = u.cpus_queued.saturating_sub(cpus);
     }
 
     /// Record a job start.
-    pub fn note_start(&mut self, account: &str, cpus: u32) {
+    pub(crate) fn note_start(&mut self, account: &str, cpus: u32) {
         self.usage_mut(account).cpus_running += cpus;
     }
 
     /// Record a job end, charging `elapsed`-scaled usage to the account and
     /// the submitting user.
-    pub fn note_end(
+    pub(crate) fn note_end(
         &mut self,
         account: &str,
         user: &str,
@@ -220,7 +225,7 @@ impl AssocStore {
     }
 
     /// Fairshare factor in `(0, 1]`: inverse to accumulated charged usage.
-    pub fn fairshare(&self, account: &str) -> f64 {
+    pub(crate) fn fairshare(&self, account: &str) -> f64 {
         let used = self
             .usage
             .get(account)

@@ -98,11 +98,11 @@ pub struct FinishedJob {
 /// The live cluster: what slurmctld holds in memory.
 #[derive(Debug)]
 pub struct ClusterState {
-    pub name: String,
-    pub nodes: BTreeMap<String, Node>,
-    pub partitions: BTreeMap<String, Partition>,
-    pub qos: BTreeMap<String, Qos>,
-    pub assoc: AssocStore,
+    name: String,
+    nodes: BTreeMap<String, Node>,
+    partitions: BTreeMap<String, Partition>,
+    qos: BTreeMap<String, Qos>,
+    assoc: AssocStore,
     /// Active (pending/running/suspended) jobs. Stored as `Arc<Job>` so
     /// snapshot publication shares rows with readers; mutations go through
     /// `Arc::make_mut` (copy-on-write when a snapshot still holds the row)
@@ -122,8 +122,6 @@ pub struct ClusterState {
     terms: PassTerms,
     /// Finished jobs waiting to be drained into slurmdbd.
     finished: VecDeque<FinishedJob>,
-    /// Ring buffer of scheduler log lines (diagnostics).
-    sched_log: VecDeque<String>,
     /// Monotonically increasing count of completed scheduling passes.
     pub sched_passes: u64,
     /// Job state transitions, for the real-time-updates feed.
@@ -165,7 +163,6 @@ impl ClusterState {
             weights: PriorityWeights::default(),
             terms: PassTerms::default(),
             finished: VecDeque::new(),
-            sched_log: VecDeque::new(),
             sched_passes: 0,
             events: Arc::new(EventLog::default()),
             published: None,
@@ -513,7 +510,7 @@ impl ClusterState {
             .filter(|j| j.state == JobState::Running)
             .collect();
 
-        let decisions = sched::plan_schedule(PlanInputs {
+        let decisions = sched::backfill::plan_schedule(PlanInputs {
             nodes: &self.nodes,
             partitions: &self.partitions,
             qos: &self.qos,
@@ -525,16 +522,7 @@ impl ClusterState {
 
         for decision in decisions {
             match decision {
-                ScheduleDecision::Start {
-                    job: id,
-                    nodes,
-                    backfilled,
-                } => {
-                    self.start_job(id, nodes, now);
-                    if backfilled {
-                        self.log_sched(format!("backfilled job {id} at {now}"));
-                    }
-                }
+                ScheduleDecision::Start { job: id, nodes, .. } => self.start_job(id, nodes, now),
                 ScheduleDecision::Pend { job: id, reason } => {
                     if let Some(j) = self.jobs.get_mut(id) {
                         j.reason = Some(reason);
@@ -610,13 +598,6 @@ impl ClusterState {
         }
     }
 
-    fn log_sched(&mut self, line: String) {
-        if self.sched_log.len() >= 512 {
-            self.sched_log.pop_front();
-        }
-        self.sched_log.push_back(line);
-    }
-
     // ---- read API used by the daemons -------------------------------------
 
     /// Active jobs (pending/running/suspended), id order.
@@ -636,22 +617,31 @@ impl ClusterState {
         self.partitions.get(name)
     }
 
+    /// Every node, in name order. Read-only: a write goes through
+    /// `ClusterState::node_mut`, which marks the nodes for the next
+    /// publication.
+    pub fn all_nodes(&self) -> impl Iterator<Item = &Node> {
+        self.nodes.values()
+    }
+
+    /// The association ledgers, read-only: usage changes go through the
+    /// scheduler, which notes the touched accounts for the next publication.
+    pub fn assoc_store(&self) -> &AssocStore {
+        &self.assoc
+    }
+
     /// Drain finished jobs (the ctld pushes these into slurmdbd + job logs).
     pub fn drain_finished(&mut self) -> Vec<FinishedJob> {
         self.finished.drain(..).collect()
     }
 
-    pub fn sched_log(&self) -> impl Iterator<Item = &String> {
-        self.sched_log.iter()
-    }
-
     /// Mutable node access for admin actions (drain/down) and WAL replay.
-    pub fn node_mut(&mut self, name: &str) -> Option<&mut Node> {
+    pub(crate) fn node_mut(&mut self, name: &str) -> Option<&mut Node> {
         self.nodes_dirty = true;
         self.nodes.get_mut(name)
     }
 
-    pub fn partition_mut(&mut self, name: &str) -> Option<&mut Partition> {
+    pub(crate) fn partition_mut(&mut self, name: &str) -> Option<&mut Partition> {
         self.partitions_dirty = true;
         self.partitions.get_mut(name)
     }
@@ -779,8 +769,7 @@ impl ClusterState {
     /// slurmctld needs to resume scheduling where the checkpoint left off,
     /// encoded straight from the live state. Deliberately excluded (and
     /// therefore lost on crash): the undrained `finished` queue (re-derived
-    /// by replay, and slurmdbd archival is idempotent) and the `sched_log`
-    /// diagnostics ring.
+    /// by replay, and slurmdbd archival is idempotent).
     pub fn checkpoint(&self) -> CheckpointRef<'_> {
         self.image(None)
     }
@@ -788,7 +777,7 @@ impl ClusterState {
     /// [`ClusterState::checkpoint`], encoding only the jobs that are not
     /// the very versions `prev` holds: the bytes of the others are copied
     /// from `prev`. The image is byte for byte what `checkpoint` encodes.
-    pub fn checkpoint_reusing<'a>(&'a self, prev: &'a JobImage) -> CheckpointRef<'a> {
+    pub(crate) fn checkpoint_reusing<'a>(&'a self, prev: &'a JobImage) -> CheckpointRef<'a> {
         self.image(Some(prev))
     }
 
@@ -836,7 +825,7 @@ impl ClusterState {
     /// Rebuild live state from a checkpoint. The event log is supplied by
     /// the caller: it survives the crash (clients hold cursors into it), so
     /// recovery must NOT start a fresh one.
-    pub fn from_checkpoint(cp: CheckpointState, events: Arc<EventLog>) -> ClusterState {
+    pub(crate) fn from_checkpoint(cp: CheckpointState, events: Arc<EventLog>) -> ClusterState {
         ClusterState {
             name: cp.name,
             nodes: cp.nodes,
@@ -852,7 +841,6 @@ impl ClusterState {
             weights: PriorityWeights::default(),
             terms: PassTerms::default(),
             finished: VecDeque::new(),
-            sched_log: VecDeque::new(),
             sched_passes: cp.sched_passes,
             events,
             published: None,
@@ -965,7 +953,7 @@ impl std::ops::Deref for JobSlot<'_> {
 }
 
 /// The image of a [`ClusterState`] as crash recovery reads it back. Fields
-/// are private: the only consumer is [`ClusterState::from_checkpoint`],
+/// are private: the only consumer is `ClusterState::from_checkpoint`,
 /// and the only producer the serde boundary from [`CheckpointRef`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CheckpointState {
@@ -1002,7 +990,7 @@ impl CheckpointRef<'_> {
     ///
     /// # Panics
     /// If the image was not encoded with `serde_json::to_vec` first.
-    pub fn into_image(self, bytes: Arc<Vec<u8>>) -> JobImage {
+    pub(crate) fn into_image(self, bytes: Arc<Vec<u8>>) -> JobImage {
         let spans = self.jobs.spans.into_inner();
         assert!(
             spans.len() == self.jobs.jobs.len(),

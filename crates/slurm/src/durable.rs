@@ -14,9 +14,9 @@
 //! durable watermark past all of them. A crash therefore loses exactly the
 //! records appended after the last flush — the "lost tail". Recovery
 //! replays only `(checkpoint.wal_seq, flushed]` and then burns the tail
-//! with [`Wal::drop_unflushed`], so a post-recovery flush can never
+//! with `Wal::drop_unflushed`, so a post-recovery flush can never
 //! resurrect operations the crash destroyed. Sequence numbers are never
-//! rewound (see [`Journal::truncate_after`]): a lost seq stays lost.
+//! rewound (see `Journal::truncate_after`): a lost seq stays lost.
 //!
 //! Built on the same [`Journal`] as the job-event log, so WAL compaction
 //! inherits the "truncated means resync" cursor contract tested there.
@@ -27,7 +27,7 @@
 //! slurmctld writes a new base every time. slurmdbd's archive only grows, so
 //! its checkpoint appends one segment holding the rows archived since the
 //! previous one, and folds the segments into a new base (a byte
-//! concatenation, see [`join_arrays`]) once they outgrow it.
+//! concatenation, see `join_arrays`) once they outgrow it.
 
 use crate::cluster::ClusterState;
 use crate::events::Journal;
@@ -149,7 +149,7 @@ impl<T: Clone> Wal<T> {
     }
 
     /// The durable watermark (0 before the first flush).
-    pub fn flushed_seq(&self) -> u64 {
+    pub(crate) fn flushed_seq(&self) -> u64 {
         self.flushed.load(Ordering::Acquire)
     }
 
@@ -160,7 +160,7 @@ impl<T: Clone> Wal<T> {
 
     /// How many appended records are not yet covered by a flush — the tail
     /// a crash right now would lose.
-    pub fn unflushed_len(&self) -> u64 {
+    pub(crate) fn unflushed_len(&self) -> u64 {
         self.latest_seq().saturating_sub(self.flushed_seq())
     }
 
@@ -170,7 +170,7 @@ impl<T: Clone> Wal<T> {
     /// compaction moved the retained window past `after`, so a replay from
     /// this cursor would silently skip operations and the caller must not
     /// trust it.
-    pub fn replay_from(&self, after: u64) -> (Vec<(u64, T)>, bool) {
+    pub(crate) fn replay_from(&self, after: u64) -> (Vec<(u64, T)>, bool) {
         let flushed = self.flushed_seq();
         let read = self
             .journal
@@ -181,7 +181,7 @@ impl<T: Clone> Wal<T> {
     /// Visit the records with `after < seq <= through`, oldest first,
     /// without copying them out. `through` is clamped to the durable
     /// watermark.
-    pub fn for_each_durable(&self, after: u64, through: u64, mut f: impl FnMut(&T)) {
+    pub(crate) fn for_each_durable(&self, after: u64, through: u64, mut f: impl FnMut(&T)) {
         let through = through.min(self.flushed_seq());
         self.journal.read(after, |s, r| {
             if s <= through {
@@ -193,18 +193,13 @@ impl<T: Clone> Wal<T> {
 
     /// Burn the unflushed tail (crash recovery: those operations died with
     /// the daemon's memory). Their seqs are never reissued.
-    pub fn drop_unflushed(&self) {
+    pub(crate) fn drop_unflushed(&self) {
         self.journal.truncate_after(self.flushed_seq());
     }
 
     /// Compact the prefix a checkpoint now covers.
-    pub fn trim_through(&self, through: u64) {
+    pub(crate) fn trim_through(&self, through: u64) {
         self.journal.trim_through(through);
-    }
-
-    /// Oldest retained seq, if any (compaction observability).
-    pub fn first_seq(&self) -> Option<u64> {
-        self.journal.first_seq()
     }
 }
 
@@ -225,12 +220,12 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// The base, then every segment.
-    pub fn images(&self) -> impl Iterator<Item = &[u8]> {
+    pub(crate) fn images(&self) -> impl Iterator<Item = &[u8]> {
         std::iter::once(&self.bytes[..]).chain(self.segments.iter().map(|s| &s[..]))
     }
 
     /// Bytes held by the segments.
-    pub fn segment_bytes(&self) -> usize {
+    pub(crate) fn segment_bytes(&self) -> usize {
         self.segments.iter().map(|s| s.len()).sum()
     }
 }
@@ -250,7 +245,7 @@ impl DurableStore {
     }
 
     /// Write a new base image, dropping the old one and its segments.
-    pub fn save(&self, bytes: impl Into<Arc<Vec<u8>>>, at: Timestamp, wal_seq: u64) {
+    pub(crate) fn save(&self, bytes: impl Into<Arc<Vec<u8>>>, at: Timestamp, wal_seq: u64) {
         *self.latest.lock() = Some(Checkpoint {
             bytes: bytes.into(),
             segments: Vec::new(),
@@ -284,7 +279,7 @@ impl DurableStore {
     }
 
     /// How many checkpoints have ever been written, bases and segments.
-    pub fn save_count(&self) -> u64 {
+    pub(crate) fn save_count(&self) -> u64 {
         self.saves.load(Ordering::Relaxed)
     }
 }
@@ -294,7 +289,7 @@ impl DurableStore {
 ///
 /// # Panics
 /// If a part is not a JSON array.
-pub fn join_arrays<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> Vec<u8> {
+pub(crate) fn join_arrays<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> Vec<u8> {
     let mut out = vec![b'['];
     for part in parts {
         let inner = part
@@ -338,6 +333,13 @@ pub struct RecoveryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T: Clone> Wal<T> {
+        /// Oldest retained seq, if any (compaction observability).
+        fn first_seq(&self) -> Option<u64> {
+            self.journal.first_seq()
+        }
+    }
 
     #[test]
     fn flush_moves_the_watermark_past_appends() {

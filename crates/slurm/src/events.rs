@@ -26,7 +26,7 @@ pub struct JobEvent {
     pub seq: u64,
     pub at: Timestamp,
     /// Which cluster emitted this transition. Stamped by the log (see
-    /// [`EventLog::set_cluster`]) so federated consumers can attribute
+    /// `EventLog::set_cluster`) so federated consumers can attribute
     /// merged event streams; empty on logs that never set an identity.
     pub cluster: String,
     pub job: JobId,
@@ -84,9 +84,9 @@ pub struct Read<T> {
     /// The picked entries with `seq > cursor`, oldest first.
     pub entries: Vec<T>,
     /// History the cursor was entitled to replay was dropped from the front
-    /// (capacity eviction or [`Journal::trim_through`]): the consumer must
+    /// (capacity eviction or `Journal::trim_through`): the consumer must
     /// resync rather than silently miss entries. A tail burned by
-    /// [`Journal::truncate_after`] never trips it: those seqs were
+    /// `Journal::truncate_after` never trips it: those seqs were
     /// crash-lost everywhere, not skipped.
     pub truncated: bool,
     /// The newest seq issued when the read was taken: the reader's next
@@ -112,7 +112,7 @@ impl<T: Clone> Journal<T> {
 
     /// Append, letting the caller build the entry from its assigned seq.
     /// Returns the seq and a clone of the stored entry.
-    pub fn append_with(&self, make: impl FnOnce(u64) -> T) -> (u64, T) {
+    pub(crate) fn append_with(&self, make: impl FnOnce(u64) -> T) -> (u64, T) {
         let mut state = self.state.write();
         let seq = state.next_seq;
         state.next_seq += 1;
@@ -159,7 +159,7 @@ impl<T: Clone> Journal<T> {
 
     /// Drop every entry with `seq <= through` (checkpoint compaction: the
     /// prefix is covered by a snapshot, only the suffix must replay).
-    pub fn trim_through(&self, through: u64) {
+    pub(crate) fn trim_through(&self, through: u64) {
         let mut state = self.state.write();
         while state
             .entries
@@ -179,7 +179,7 @@ impl<T: Clone> Journal<T> {
     /// tail": records appended but never committed die here. The sequence
     /// counter is NOT rewound, so the discarded seqs are burned forever and
     /// a later append can never silently resurrect a lost position.
-    pub fn truncate_after(&self, after: u64) {
+    pub(crate) fn truncate_after(&self, after: u64) {
         let mut state = self.state.write();
         while state
             .entries
@@ -194,11 +194,6 @@ impl<T: Clone> Journal<T> {
     /// The newest sequence number issued (0 when empty).
     pub fn latest_seq(&self) -> u64 {
         self.state.read().next_seq - 1
-    }
-
-    /// The oldest retained sequence number, if any entry is retained.
-    pub fn first_seq(&self) -> Option<u64> {
-        self.state.read().entries.front().map(|(seq, _)| *seq)
     }
 
     pub fn len(&self) -> usize {
@@ -276,7 +271,7 @@ impl EventLog {
 
     /// Set the cluster identity stamped onto every subsequent append. The
     /// owning daemon calls this once at construction with its spec name.
-    pub fn set_cluster(&self, cluster: &str) {
+    pub(crate) fn set_cluster(&self, cluster: &str) {
         *self.cluster.write() = Arc::from(cluster);
     }
 
@@ -288,7 +283,7 @@ impl EventLog {
     /// Mute (or unmute) appends during crash-recovery replay. While muted,
     /// `push` is a no-op returning seq 0. Recovery wraps its replay in
     /// mute/unmute and then calls [`EventLog::signal_discontinuity`].
-    pub fn set_replay_mute(&self, muted: bool) {
+    pub(crate) fn set_replay_mute(&self, muted: bool) {
         self.replay_mute.store(muted, Ordering::Release);
     }
 
@@ -365,6 +360,13 @@ impl Default for EventLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T: Clone> Journal<T> {
+        /// The oldest retained sequence number, if any entry is retained.
+        pub(crate) fn first_seq(&self) -> Option<u64> {
+            self.state.read().entries.front().map(|(seq, _)| *seq)
+        }
+    }
 
     fn push_n(log: &EventLog, n: u64) {
         for i in 0..n {

@@ -81,7 +81,7 @@ impl JobState {
     }
 
     /// Still occupying or waiting for resources?
-    pub fn is_active(self) -> bool {
+    pub(crate) fn is_active(self) -> bool {
         matches!(
             self,
             JobState::Pending | JobState::Running | JobState::Suspended
@@ -284,7 +284,7 @@ pub struct ArraySpec {
 }
 
 impl ArraySpec {
-    pub fn task_count(&self) -> u32 {
+    pub(crate) fn task_count(&self) -> u32 {
         self.last.saturating_sub(self.first) + 1
     }
 }
@@ -464,12 +464,6 @@ impl Job {
     pub fn alloc_cpus(&self) -> u32 {
         self.req.cpus_per_node * self.req.nodes
     }
-
-    /// True when `user` may view this job's logs (paper §2.4 privacy rule:
-    /// log access inherits file ownership).
-    pub fn logs_visible_to(&self, user: &str) -> bool {
-        self.req.user == user
-    }
 }
 
 #[cfg(test)]
@@ -596,13 +590,6 @@ mod tests {
             .task_count(),
             1
         );
-    }
-
-    #[test]
-    fn log_privacy() {
-        let j = sample_job();
-        assert!(j.logs_visible_to("alice"));
-        assert!(!j.logs_visible_to("bob"));
     }
 
     #[test]

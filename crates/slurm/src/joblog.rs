@@ -128,10 +128,6 @@ impl JobLogFs {
         self.files.read().get(path).map(|f| f.owner.clone())
     }
 
-    pub fn line_count(&self, path: &str) -> Option<usize> {
-        self.files.read().get(path).map(|f| f.lines.len())
-    }
-
     /// Read up to `limit` trailing lines as `reader`. Fails unless the
     /// reader owns the file (ownership inheritance, paper §2.4/§7).
     pub fn tail(&self, path: &str, reader: &str, limit: usize) -> Result<LogTail, LogError> {
@@ -168,6 +164,12 @@ impl JobLogFs {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl JobLogFs {
+        fn line_count(&self, path: &str) -> Option<usize> {
+            self.files.read().get(path).map(|f| f.lines.len())
+        }
+    }
 
     fn fs_with(path: &str, owner: &str, n: usize) -> JobLogFs {
         let fs = JobLogFs::new();

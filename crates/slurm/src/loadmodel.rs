@@ -147,7 +147,7 @@ impl RpcStats {
     }
 
     /// Record time spent waiting for the daemon lock (before the RPC ran).
-    pub fn record_lock_wait(&self, wait: Duration) {
+    pub(crate) fn record_lock_wait(&self, wait: Duration) {
         let ns = wait.as_nanos().min(u128::from(u64::MAX)) as u64;
         self.lock_wait_ns.fetch_add(ns, Ordering::Relaxed);
     }
@@ -161,17 +161,8 @@ impl RpcStats {
         self.per_kind.lock().entry(kind).or_default().scanned += rows;
     }
 
-    /// Total rows walked by RPCs of `kind` (0 if none seen).
-    pub fn scanned_of(&self, kind: &'static str) -> u64 {
-        self.per_kind
-            .lock()
-            .get(kind)
-            .map(|k| k.scanned)
-            .unwrap_or(0)
-    }
-
     /// Count one acquisition of the daemon state mutex.
-    pub fn note_state_lock(&self) {
+    pub(crate) fn note_state_lock(&self) {
         self.state_locks.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -181,7 +172,7 @@ impl RpcStats {
     }
 
     /// Record the pending-job backlog seen by the scheduler pass.
-    pub fn set_sched_queue_depth(&self, depth: u64) {
+    pub(crate) fn set_sched_queue_depth(&self, depth: u64) {
         self.sched_queue_depth.store(depth, Ordering::Relaxed);
     }
 
@@ -241,6 +232,17 @@ impl RpcStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RpcStats {
+        /// Total rows walked by RPCs of `kind` (0 if none seen).
+        pub(crate) fn scanned_of(&self, kind: &'static str) -> u64 {
+            self.per_kind
+                .lock()
+                .get(kind)
+                .map(|k| k.scanned)
+                .unwrap_or(0)
+        }
+    }
 
     #[test]
     fn burn_takes_roughly_the_configured_time() {

@@ -161,7 +161,7 @@ impl Node {
     }
 
     /// Can the scheduler place a new allocation of `req` on this node?
-    pub fn can_fit(&self, req: Tres) -> bool {
+    pub(crate) fn can_fit(&self, req: Tres) -> bool {
         self.can_fit_beside(self.alloc, req)
     }
 
@@ -175,7 +175,7 @@ impl Node {
     }
 
     /// Allocate resources. Panics if they do not fit — the scheduler must
-    /// check [`Node::can_fit`] first; violating that is a simulator bug.
+    /// check `Node::can_fit` first; violating that is a simulator bug.
     pub fn allocate(&mut self, req: Tres, now: Timestamp) {
         assert!(
             self.can_fit(req),
@@ -199,15 +199,6 @@ impl Node {
             0.0
         } else {
             self.alloc.cpus as f64 / self.cpus as f64
-        }
-    }
-
-    /// Fraction of memory allocated, in `[0, 1]`.
-    pub fn mem_utilization(&self) -> f64 {
-        if self.real_memory_mb == 0 {
-            0.0
-        } else {
-            self.alloc.mem_mb as f64 / self.real_memory_mb as f64
         }
     }
 }
@@ -283,7 +274,6 @@ mod tests {
         assert_eq!(n.cpu_utilization(), 0.0);
         n.allocate(Tres::new(64, 128_500, 0, 1), Timestamp(1));
         assert!((n.cpu_utilization() - 0.5).abs() < 1e-9);
-        assert!((n.mem_utilization() - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -86,7 +86,7 @@ impl Partition {
     }
 
     /// Does a requested time limit fit under this partition's ceiling?
-    pub fn allows_time(&self, requested: TimeLimit) -> bool {
+    pub(crate) fn allows_time(&self, requested: TimeLimit) -> bool {
         match (requested, self.max_time) {
             (_, TimeLimit::Unlimited) => true,
             (TimeLimit::Unlimited, TimeLimit::Limited(_)) => false,

@@ -29,13 +29,8 @@ impl Qos {
         }
     }
 
-    pub fn with_max_jobs_per_user(mut self, n: u32) -> Qos {
+    pub(crate) fn with_max_jobs_per_user(mut self, n: u32) -> Qos {
         self.max_jobs_per_user = Some(n);
-        self
-    }
-
-    pub fn with_max_submit_per_user(mut self, n: u32) -> Qos {
-        self.max_submit_per_user = Some(n);
         self
     }
 
@@ -58,12 +53,9 @@ mod tests {
 
     #[test]
     fn builders() {
-        let q = Qos::new("high", 10_000)
-            .with_max_jobs_per_user(8)
-            .with_max_submit_per_user(100);
+        let q = Qos::new("high", 10_000).with_max_jobs_per_user(8);
         assert_eq!(q.priority, 10_000);
         assert_eq!(q.max_jobs_per_user, Some(8));
-        assert_eq!(q.max_submit_per_user, Some(100));
         assert_eq!(q.usage_factor, 1.0);
     }
 

@@ -95,7 +95,7 @@ impl<'a> Ledger<'a> {
 /// Compute the decisions of one scheduling pass, in `pending` order: every
 /// start, and every pending reason that changes. Pure with respect to the
 /// inputs.
-pub fn plan_schedule(inputs: PlanInputs<'_>) -> Vec<ScheduleDecision> {
+pub(crate) fn plan_schedule(inputs: PlanInputs<'_>) -> Vec<ScheduleDecision> {
     let PlanInputs {
         nodes,
         partitions,

@@ -9,5 +9,5 @@ pub mod backfill;
 pub mod fit;
 pub mod priority;
 
-pub use backfill::{plan_schedule, PlanInputs, ScheduleDecision};
-pub use priority::{compute_priority, PassTerms, PriorityWeights, SharedTerms};
+pub use backfill::{PlanInputs, ScheduleDecision};
+pub use priority::{PassTerms, PriorityWeights, SharedTerms};

@@ -32,23 +32,6 @@ impl Default for PriorityWeights {
     }
 }
 
-/// Compute a job's scheduling priority at `now`.
-pub fn compute_priority(
-    job: &Job,
-    now: Timestamp,
-    assoc: &AssocStore,
-    qos: Option<&Qos>,
-    partition: Option<&Partition>,
-    weights: &PriorityWeights,
-) -> u64 {
-    let terms = SharedTerms {
-        fairshare: assoc.fairshare(&job.req.account),
-        qos: qos.map(|q| q.priority as u64).unwrap_or(0),
-        tier: partition.map(|p| p.priority_tier as u64).unwrap_or(1),
-    };
-    terms.priority(job, now, weights)
-}
-
 /// What every job of one account, QoS and partition shares in its
 /// priority: looked up once per scheduling pass, not once per job.
 #[derive(Debug, Clone, Copy)]
@@ -62,7 +45,8 @@ pub struct SharedTerms {
 }
 
 impl SharedTerms {
-    /// The priority of `job` at `now`: [`compute_priority`]'s formula.
+    /// The priority of `job` at `now`: Slurm's multifactor sum of the age,
+    /// fairshare, QoS and partition factors.
     pub fn priority(&self, job: &Job, now: Timestamp, weights: &PriorityWeights) -> u64 {
         let age_secs = now.since(job.eligible_time).min(weights.max_age_secs);
         let age_factor = age_secs as f64 / weights.max_age_secs as f64;
@@ -118,7 +102,8 @@ impl PassTerms {
         }
     }
 
-    /// The terms of `job`, as [`compute_priority`] would look them up.
+    /// The terms of `job`: its account's fairshare, its QoS's priority and
+    /// its partition's tier, as a per-job lookup would find them.
     pub fn of(&self, job: &Job, assoc: &AssocStore) -> SharedTerms {
         let req = &job.req;
         SharedTerms {
@@ -137,6 +122,23 @@ mod tests {
     use super::*;
     use crate::assoc::Account;
     use crate::job::{JobId, JobRequest, JobState};
+
+    /// Compute a job's scheduling priority at `now`.
+    fn compute_priority(
+        job: &Job,
+        now: Timestamp,
+        assoc: &AssocStore,
+        qos: Option<&Qos>,
+        partition: Option<&Partition>,
+        weights: &PriorityWeights,
+    ) -> u64 {
+        let terms = SharedTerms {
+            fairshare: assoc.fairshare(&job.req.account),
+            qos: qos.map(|q| q.priority as u64).unwrap_or(0),
+            tier: partition.map(|p| p.priority_tier as u64).unwrap_or(1),
+        };
+        terms.priority(job, now, weights)
+    }
 
     fn job_at(eligible: u64) -> Job {
         let req = JobRequest::simple("alice", "physics", "cpu", 4);

@@ -741,11 +741,11 @@ impl SnapshotStats {
 
     /// Reserve the next publication sequence number (starts at 1; the
     /// empty constructor snapshot is seq 0).
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.latest_seq.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    pub fn note_publish(&self) {
+    pub(crate) fn note_publish(&self) {
         self.publishes.fetch_add(1, Ordering::Relaxed);
         self.last_publish_ns.store(
             self.origin.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
@@ -754,7 +754,7 @@ impl SnapshotStats {
     }
 
     /// Record the epoch lag of one reader load.
-    pub fn note_read(&self, read_seq: u64) {
+    pub(crate) fn note_read(&self, read_seq: u64) {
         let lag = self
             .latest_seq
             .load(Ordering::Relaxed)

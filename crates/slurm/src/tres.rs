@@ -45,14 +45,6 @@ impl Tres {
         }
     }
 
-    /// True when every component of `self` fits within `avail`.
-    pub fn fits_in(self, avail: Tres) -> bool {
-        self.cpus <= avail.cpus
-            && self.mem_mb <= avail.mem_mb
-            && self.gpus <= avail.gpus
-            && self.nodes <= avail.nodes
-    }
-
     /// Render as Slurm's comma-separated TRES string. Zero components other
     /// than `cpu` are omitted, as slurmctld does.
     pub fn to_slurm(self) -> String {
@@ -173,16 +165,6 @@ mod tests {
         assert_eq!(a.plus(b), Tres::new(6, 12_288, 1, 2));
         assert_eq!(a.minus(b), Tres::new(2, 4_096, 1, 0));
         assert_eq!(b.minus(a), Tres::new(0, 0, 0, 0), "minus saturates");
-    }
-
-    #[test]
-    fn fits() {
-        let avail = Tres::new(8, 16_384, 2, 1);
-        assert!(Tres::new(8, 16_384, 2, 1).fits_in(avail));
-        assert!(Tres::new(1, 1, 0, 0).fits_in(avail));
-        assert!(!Tres::new(9, 1, 0, 0).fits_in(avail));
-        assert!(!Tres::new(1, 16_385, 0, 0).fits_in(avail));
-        assert!(!Tres::new(1, 1, 3, 0).fits_in(avail));
     }
 
     #[test]

@@ -156,7 +156,7 @@ fn apply(cluster: &mut ClusterState, op: &Op, now: &mut u64, submitted: &mut u64
 
 fn check_invariants(cluster: &ClusterState, now: u64) {
     // 1. No node is over-allocated.
-    for node in cluster.nodes.values() {
+    for node in cluster.all_nodes() {
         assert!(node.alloc.cpus <= node.cpus, "{} cpu over-alloc", node.name);
         assert!(
             node.alloc.mem_mb <= node.real_memory_mb,
@@ -179,7 +179,7 @@ fn check_invariants(cluster: &ClusterState, now: u64) {
             }
         }
     }
-    for node in cluster.nodes.values() {
+    for node in cluster.all_nodes() {
         let want = expected
             .get(node.name.as_str())
             .copied()
@@ -206,7 +206,11 @@ fn check_invariants(cluster: &ClusterState, now: u64) {
         }
     }
     for account in ["physics", "bio"] {
-        let usage = cluster.assoc.usage(account).cloned().unwrap_or_default();
+        let usage = cluster
+            .assoc_store()
+            .usage(account)
+            .cloned()
+            .unwrap_or_default();
         assert_eq!(
             usage.cpus_running,
             running.get(account).copied().unwrap_or(0),
@@ -221,7 +225,7 @@ fn check_invariants(cluster: &ClusterState, now: u64) {
 
     // 4. Group limits hold for running work.
     let physics_cap = cluster
-        .assoc
+        .assoc_store()
         .account("physics")
         .unwrap()
         .grp_cpu_limit
@@ -293,7 +297,7 @@ proptest! {
         cluster.tick(Timestamp(now));
         check_invariants(&cluster, now);
         prop_assert_eq!(cluster.active_jobs().count(), 0, "queue did not drain");
-        for node in cluster.nodes.values() {
+        for node in cluster.all_nodes() {
             prop_assert_eq!(node.alloc.cpus, 0);
             prop_assert_eq!(node.alloc.mem_mb, 0);
         }

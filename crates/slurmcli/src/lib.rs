@@ -18,13 +18,12 @@ pub mod squeue;
 
 pub use sacct::{parse_sacct, sacct, SacctArgs, SacctRecord, SACCT_FIELDS};
 pub use scontrol::{
-    parse_show_assoc, parse_show_job, parse_show_node, show_assoc, show_job, show_node, AssocRow,
+    parse_show_assoc, parse_show_job, parse_show_node, show_assoc, show_node, AssocRow,
     ScontrolJob, ScontrolNode,
 };
 pub use seff::seff;
 pub use sinfo::{
-    compute_usage, parse_sinfo_summary, parse_sinfo_usage, sinfo_summary, sinfo_usage,
-    PartitionUsage, SinfoRow,
+    compute_usage, parse_sinfo_summary, parse_sinfo_usage, sinfo_usage, PartitionUsage, SinfoRow,
 };
 pub use squeue::{
     display_name, parse_squeue, parse_squeue_long, squeue, squeue_long, SqueueArgs, SqueueLongRow,

@@ -1,8 +1,10 @@
 //! `scontrol show job|node|assoc_mgr`: detailed single-entity dumps.
 //!
 //! Output uses slurm's `Key=Value` token format, records separated by blank
-//! lines. The Node Overview and Job Overview pages (paper §6.1, §7) are fed
-//! from these, and the Accounts widget (§3.4) from the assoc dump.
+//! lines. The Node Overview page (paper §6.1) is fed from the node dump and
+//! the Accounts widget (§3.4) from the assoc dump. The job record has a
+//! renderer and a parser ([`render_job`], [`parse_show_job`]) but no
+//! command: the Job Overview reads slurmctld's snapshot.
 
 use crate::{cleaned, joined, no_space, put, time_or};
 use hpcdash_obs::Span;
@@ -123,19 +125,6 @@ impl serde::Serialize for List<'_> {
             serde::value::write_str(item, out);
         }
         out.push(b']');
-    }
-}
-
-/// `scontrol show job <id>`: live job details from slurmctld. `Ok(None)`
-/// if the job is unknown, `Err` if the command itself fails.
-pub fn show_job(ctld: &Slurmctld, id: JobId) -> Result<Option<String>, String> {
-    let _span = Span::enter("slurmcli").attr("cmd", "scontrol_show_job");
-    match ctld.query_job(id) {
-        Some(j) => {
-            let text = render_job(&j, ctld.clock_now());
-            crate::boundary(ctld.faults(), "scontrol_job", text).map(Some)
-        }
-        None => crate::boundary(ctld.faults(), "scontrol_job", String::new()).map(|_| None),
     }
 }
 

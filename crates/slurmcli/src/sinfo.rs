@@ -1,9 +1,10 @@
 //! `sinfo`: partition/node summaries against slurmctld.
 //!
-//! Two shapes are implemented, matching the two the dashboard needs:
+//! Two shapes are implemented:
 //!
-//! * [`sinfo_summary`] — the default `PARTITION AVAIL TIMELIMIT NODES STATE
-//!   NODELIST` grouping, for the Cluster Status list view.
+//! * [`render_summary_snapshot`] — the default `PARTITION AVAIL TIMELIMIT
+//!   NODES STATE NODELIST` grouping, with its parser
+//!   [`parse_sinfo_summary`]; the dashboard runs no command for it.
 //! * [`sinfo_usage`] — `sinfo -o "%P %a %C %G"`-style per-partition CPU/GPU
 //!   usage (`alloc/idle/other/total`), which drives the System Status
 //!   widget's utilization bars (paper §3.3).
@@ -63,15 +64,6 @@ impl PartitionUsage {
             self.gpus_alloc as f64 / self.gpus_total as f64
         }
     }
-}
-
-/// Default `sinfo` output: nodes grouped by (partition, state). Served from
-/// one snapshot load; grouping uses the snapshot's precomputed per-partition
-/// node lists instead of rebuilding a name index per call.
-pub fn sinfo_summary(ctld: &Slurmctld) -> Result<String, String> {
-    let _span = Span::enter("slurmcli").attr("cmd", "sinfo_summary");
-    let text = render_summary_snapshot(&ctld.query_cluster());
-    crate::boundary(ctld.faults(), "sinfo", text)
 }
 
 /// `sinfo` groups a partition's nodes by state, in the order of the states'

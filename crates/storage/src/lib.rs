@@ -204,13 +204,6 @@ impl StorageDb {
             .collect())
     }
 
-    /// Admin view of every directory.
-    pub fn all_dirs(&self) -> Result<Vec<DirectoryUsage>, StorageError> {
-        self.check_available()?;
-        burn(self.query_cost);
-        Ok(self.dirs.read().clone())
-    }
-
     /// Fault injection: take the quota DB down / bring it back.
     pub fn set_available(&self, up: bool) {
         *self.available.write() = up;
@@ -248,6 +241,15 @@ fn burn(cost: Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl StorageDb {
+        /// Admin view of every directory.
+        fn all_dirs(&self) -> Result<Vec<DirectoryUsage>, StorageError> {
+            self.check_available()?;
+            burn(self.query_cost);
+            Ok(self.dirs.read().clone())
+        }
+    }
 
     fn db() -> StorageDb {
         let db = StorageDb::with_cost(Duration::ZERO);

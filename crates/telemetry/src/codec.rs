@@ -100,7 +100,7 @@ impl<'a> BitReader<'a> {
 const DOD_BUCKETS: [(i64, u32); 3] = [(63, 7), (255, 9), (2047, 12)];
 
 /// Compress `(timestamp, value)` samples into a self-delimiting chunk.
-pub fn compress(samples: &[(i64, f64)]) -> Vec<u8> {
+pub(crate) fn compress(samples: &[(i64, f64)]) -> Vec<u8> {
     let mut w = BitWriter::new();
     // Room for two bytes a sample, about what utilization traces take, so
     // the buffer is allocated once; `finish` returns the excess.
@@ -176,7 +176,7 @@ pub fn compress(samples: &[(i64, f64)]) -> Vec<u8> {
 
 /// Decompress a chunk produced by [`compress`]. Returns `None` if the bytes
 /// are truncated or malformed.
-pub fn decompress(bytes: &[u8]) -> Option<Vec<(i64, f64)>> {
+pub(crate) fn decompress(bytes: &[u8]) -> Option<Vec<(i64, f64)>> {
     let count = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
     let mut r = BitReader::new(bytes.get(4..)?);
     let mut out = Vec::with_capacity(count);

@@ -46,11 +46,11 @@ pub mod keys {
         format!("node:{name}:cpu")
     }
 
-    pub fn node_mem(name: &str) -> String {
+    pub(crate) fn node_mem(name: &str) -> String {
         format!("node:{name}:mem")
     }
 
-    pub fn node_gpu(name: &str) -> String {
+    pub(crate) fn node_gpu(name: &str) -> String {
         format!("node:{name}:gpu")
     }
 
@@ -58,7 +58,7 @@ pub mod keys {
     /// `self:<metric>` for a bare instrument, `self:<metric>{k=v,...}` for
     /// a labelled one. Summary sub-series append `:p50` / `:p99` /
     /// `:count` to this base.
-    pub fn self_series(name: &str, labels: &[(String, String)]) -> String {
+    pub(crate) fn self_series(name: &str, labels: &[(String, String)]) -> String {
         if labels.is_empty() {
             format!("self:{name}")
         } else {
@@ -70,7 +70,7 @@ pub mod keys {
 
 /// Quantize to 1/1024 steps in `[0, 1]` — exact binary fractions, so XOR
 /// deltas between neighbouring readings have few meaningful bits.
-pub fn quantize(x: f64) -> f64 {
+pub(crate) fn quantize(x: f64) -> f64 {
     (x.clamp(0.0, 1.0) * 1024.0).round() / 1024.0
 }
 
@@ -89,7 +89,7 @@ fn jitter(job: u32, stream: u64, ts: i64) -> f64 {
 }
 
 /// Instantaneous CPU utilization for a running job at `ts`.
-pub fn cpu_sample(job: &Job, ts: i64) -> f64 {
+pub(crate) fn cpu_sample(job: &Job, ts: i64) -> f64 {
     let base = job.req.usage.cpu_util;
     let amp = (base.min(1.0 - base) * 0.5).min(0.08);
     quantize(base + amp * jitter(job.id.0, 0x6370_7500, ts))
@@ -106,7 +106,7 @@ pub fn gpu_sample(job: &Job, ts: i64) -> f64 {
 /// footprint up to `mem_util` over the first fifth of the planned runtime,
 /// then a plateau whose maximum is `mem_util` itself (small downward-only
 /// dips), so the series max agrees with `MaxRSS`.
-pub fn mem_sample(job: &Job, ts: i64) -> f64 {
+pub(crate) fn mem_sample(job: &Job, ts: i64) -> f64 {
     let target = job.req.usage.mem_util;
     let elapsed = job
         .start_time

@@ -81,7 +81,7 @@ pub struct TelemetryD {
 impl TelemetryD {
     /// telemetryd-ish default costs: cheaper per item than slurmctld (it
     /// serves precomputed buckets), with a small fixed floor.
-    pub fn default_cost() -> RpcCostModel {
+    pub(crate) fn default_cost() -> RpcCostModel {
         RpcCostModel {
             base: Duration::from_micros(60),
             per_item: Duration::from_nanos(150),

@@ -99,13 +99,13 @@ impl SeriesHandle {
     }
 
     /// Timestamp of the newest accepted sample.
-    pub fn last_ts(&self) -> Option<i64> {
+    pub(crate) fn last_ts(&self) -> Option<i64> {
         self.0.lock().last_ts()
     }
 }
 
 /// Store-counter deltas of one ingest pass, added to the store once by
-/// [`TsdbStore::record_ingest`].
+/// `TsdbStore::record_ingest`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IngestTally {
     ingested: u64,
@@ -183,7 +183,7 @@ impl TsdbStore {
     }
 
     /// Add one pass's appends to the store-wide counters.
-    pub fn record_ingest(&self, tally: &IngestTally) {
+    pub(crate) fn record_ingest(&self, tally: &IngestTally) {
         let c = &self.counters;
         c.samples_ingested
             .fetch_add(tally.ingested, Ordering::Relaxed);
@@ -227,7 +227,7 @@ impl TsdbStore {
     }
 
     /// The coarsest tier whose bucket width satisfies `resolution_secs`.
-    pub fn plan_tier(resolution_secs: i64) -> Tier {
+    pub(crate) fn plan_tier(resolution_secs: i64) -> Tier {
         if resolution_secs >= 600 {
             Tier::TenMinute
         } else if resolution_secs >= 60 {
@@ -240,7 +240,7 @@ impl TsdbStore {
     /// Range query over `[start, end]` at the given resolution. Returns the
     /// points plus (tier used, stored points/buckets read). An unknown
     /// series yields an empty result.
-    pub fn query_range_counted(
+    pub(crate) fn query_range_counted(
         &self,
         name: &str,
         start: i64,
@@ -291,7 +291,7 @@ impl TsdbStore {
         (points, tier, scanned)
     }
 
-    /// [`TsdbStore::query_range_counted`] without the bookkeeping outputs.
+    /// `TsdbStore::query_range_counted` without the bookkeeping outputs.
     pub fn query_range(
         &self,
         name: &str,
@@ -316,20 +316,6 @@ impl TsdbStore {
         Some(sum / count as f64)
     }
 
-    /// Max over `[start, end]`, from the 1m tier.
-    pub fn series_max(&self, name: &str, start: i64, end: i64) -> Option<f64> {
-        let points = self.query_range(name, start, end, 60);
-        points
-            .iter()
-            .map(|p| p.max)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-
-    /// Whether the series exists (has ever received a sample).
-    pub fn has_series(&self, name: &str) -> bool {
-        self.shards[shard_of(name)].lock().contains_key(name)
-    }
-
     pub fn stats(&self) -> StoreStats {
         let c = &self.counters;
         StoreStats {
@@ -344,22 +330,31 @@ impl TsdbStore {
             scanned: std::array::from_fn(|i| c.scanned[i].load(Ordering::Relaxed)),
         }
     }
-
-    /// Zero the scan/query counters (tests call this between phases).
-    /// Ingest totals and byte gauges are left alone.
-    pub fn reset_query_counters(&self) {
-        let c = &self.counters;
-        c.queries.store(0, Ordering::Relaxed);
-        c.points_returned.store(0, Ordering::Relaxed);
-        for s in &c.scanned {
-            s.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TsdbStore {
+        /// Zero the scan/query counters (tests call this between phases).
+        /// Ingest totals and byte gauges are left alone.
+        fn reset_query_counters(&self) {
+            let c = &self.counters;
+            c.queries.store(0, Ordering::Relaxed);
+            c.points_returned.store(0, Ordering::Relaxed);
+            for s in &c.scanned {
+                s.store(0, Ordering::Relaxed);
+            }
+        }
+    }
+
+    impl TsdbStore {
+        /// Whether the series exists (has ever received a sample).
+        pub(crate) fn has_series(&self, name: &str) -> bool {
+            self.shards[shard_of(name)].lock().contains_key(name)
+        }
+    }
 
     #[test]
     fn planner_picks_coarsest_satisfying_tier() {
@@ -393,7 +388,7 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_max_match_ingest() {
+    fn mean_matches_ingest() {
         let store = TsdbStore::default();
         let series = store.series("job:1:cpu");
         for i in 0..120i64 {
@@ -403,7 +398,6 @@ mod tests {
         let mean = store.series_mean("job:1:cpu", 0, 120 * 30).unwrap();
         let want = (119.0 * 0.4 + 0.9) / 120.0;
         assert!((mean - want).abs() < 1e-9, "mean {mean} want {want}");
-        assert_eq!(store.series_max("job:1:cpu", 0, 120 * 30), Some(0.9));
         assert_eq!(store.series_mean("job:1:cpu", 10_000, 20_000), None);
         assert_eq!(store.series_mean("nope", 0, 10), None);
     }

@@ -77,11 +77,6 @@ impl SimDriver {
         self.busy
     }
 
-    /// Whether every arrival of the window has been submitted.
-    pub fn window_exhausted(&mut self) -> bool {
-        self.trace.peek().is_none()
-    }
-
     pub fn now(&self) -> Timestamp {
         self.clock.now()
     }
@@ -94,6 +89,13 @@ mod tests {
     use hpcdash_simtime::Clock;
     use hpcdash_slurm::dbd::JobFilter;
     use hpcdash_slurm::job::JobState;
+
+    impl super::SimDriver {
+        /// Whether every arrival of the window has been submitted.
+        fn window_exhausted(&mut self) -> bool {
+            self.trace.peek().is_none()
+        }
+    }
 
     #[test]
     fn driver_populates_cluster() {

@@ -83,7 +83,7 @@ impl TraceGenerator {
         TraceGenerator::with_caps(seed, mix, cpu_partition, gpu_partition, NodeCaps::default())
     }
 
-    pub fn with_caps(
+    pub(crate) fn with_caps(
         seed: u64,
         mix: JobMix,
         cpu_partition: &str,

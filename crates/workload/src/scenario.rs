@@ -117,7 +117,7 @@ impl ScenarioConfig {
     }
 
     /// Modulate arrivals with the day/night activity curve.
-    pub fn diurnal(mut self) -> ScenarioConfig {
+    pub(crate) fn diurnal(mut self) -> ScenarioConfig {
         self.mix.diurnal = true;
         self
     }
@@ -129,7 +129,7 @@ impl ScenarioConfig {
     }
 
     /// Charge realistic RPC costs instead of the free test daemons.
-    pub fn realistic_costs(mut self) -> ScenarioConfig {
+    pub(crate) fn realistic_costs(mut self) -> ScenarioConfig {
         self.free_daemons = false;
         self
     }
@@ -317,7 +317,7 @@ impl Scenario {
 
     /// A trace generator wired to this scenario's partitions, node shapes
     /// and seed (so generated requests are always schedulable).
-    pub fn trace_generator(&self) -> TraceGenerator {
+    pub(crate) fn trace_generator(&self) -> TraceGenerator {
         TraceGenerator::with_caps(
             self.config.seed,
             self.config.mix.clone(),
