@@ -16,7 +16,7 @@ use crate::ctx::DashboardContext;
 use hpcdash_http::{Request, Response, Router};
 use hpcdash_obs::trace::TraceId;
 use hpcdash_obs::tracestore::{self, RetainCause, StoredTrace};
-use hpcdash_obs::SampleValue;
+use hpcdash_obs::{Histogram, SampleValue};
 use serde_json::{json, Value};
 
 pub const FEATURE: &str = "Observatory (admin observability)";
@@ -111,17 +111,19 @@ fn slo_rows(ctx: &DashboardContext) -> Vec<Value> {
         .collect()
 }
 
-fn phase_rows(profile: &hpcdash_obs::PhaseProfiler) -> Vec<Value> {
-    profile
-        .snapshot()
-        .into_iter()
-        .map(|(phase, agg)| {
+/// One row per phase that has run, in phase-name order.
+fn phase_rows(phases: &[(&str, &Histogram)]) -> Vec<Value> {
+    phases
+        .iter()
+        .filter(|(_, h)| h.count() > 0)
+        .map(|(phase, h)| {
+            let (count, total_ns) = (h.count(), h.sum_ns());
             json!({
                 "phase": phase,
-                "count": agg.count,
-                "total_ns": agg.total_ns,
-                "mean_ns": agg.mean_ns(),
-                "max_ns": agg.max_ns,
+                "count": count,
+                "total_ns": total_ns,
+                "mean_ns": total_ns / count,
+                "max_ns": h.max_ns(),
             })
         })
         .collect()
@@ -199,15 +201,15 @@ pub(crate) fn summary_payload(ctx: &DashboardContext) -> Value {
     let mut phases = serde_json::Map::new();
     phases.insert(
         "slurmctld".to_string(),
-        Value::Array(phase_rows(ctx.ctld.phase_profile())),
+        Value::Array(phase_rows(&ctx.ctld.phases())),
     );
     phases.insert(
         "slurmdbd".to_string(),
-        Value::Array(phase_rows(ctx.dbd.phase_profile())),
+        Value::Array(phase_rows(&ctx.dbd.phases())),
     );
     phases.insert(
         "telemetryd".to_string(),
-        Value::Array(phase_rows(ctx.telemetry.phase_profile())),
+        Value::Array(phase_rows(&ctx.telemetry.phases())),
     );
     let by_cause: serde_json::Map = RetainCause::ALL
         .iter()

@@ -5,7 +5,7 @@ use crate::auth::CurrentUser;
 use crate::ctx::DashboardContext;
 use crate::pages;
 use hpcdash_http::{Request, Response, Router, Server};
-use hpcdash_obs::SampleSink;
+use hpcdash_obs::{Histogram, SampleSink};
 use hpcdash_slurm::loadmodel::RpcStats;
 use std::sync::Arc;
 
@@ -179,17 +179,17 @@ fn register_collectors(ctx: &DashboardContext) {
     let dbd = ctx.dbd.clone();
     let telemetry = ctx.telemetry.clone();
     ctx.obs.register_collector(move |out| {
-        let daemons: [(&str, &hpcdash_obs::PhaseProfiler); 3] = [
-            ("slurmctld", ctld.phase_profile()),
-            ("slurmdbd", dbd.phase_profile()),
-            ("telemetryd", telemetry.phase_profile()),
+        let daemons: [(&str, &[(&str, &Histogram)]); 3] = [
+            ("slurmctld", &ctld.phases()),
+            ("slurmdbd", &dbd.phases()),
+            ("telemetryd", &telemetry.phases()),
         ];
-        for (daemon, profile) in daemons {
-            profile.for_each(|phase, agg| {
+        for (daemon, phases) in daemons {
+            for &(phase, h) in phases.iter().filter(|(_, h)| h.count() > 0) {
                 let labels = [("daemon", daemon), ("phase", phase)];
-                out.counter("hpcdash_tick_phase_runs_total", &labels, agg.count);
-                out.counter("hpcdash_tick_phase_ns_total", &labels, agg.total_ns);
-            });
+                out.counter("hpcdash_tick_phase_runs_total", &labels, h.count());
+                out.counter("hpcdash_tick_phase_ns_total", &labels, h.sum_ns());
+            }
         }
     });
     // Federation fan-out accounting per site. Reads the sites' own atomic
@@ -241,13 +241,13 @@ fn daemon_samples(out: &mut SampleSink, names: &DaemonMetrics, stats: &RpcStats)
         &[],
         stats.total_lock_wait().as_nanos().min(u128::from(u64::MAX)) as u64,
     );
-    let [p50, p95, p99] = stats.percentiles();
-    for (q, v) in [("0.5", p50), ("0.95", p95), ("0.99", p99)] {
-        if let Some(d) = v {
+    let s = stats.latency().summary();
+    if s.count > 0 {
+        for (q, ns) in [("0.5", s.p50_ns), ("0.95", s.p95_ns), ("0.99", s.p99_ns)] {
             out.gauge(
                 names.latency_ns,
                 &[("quantile", q)],
-                d.as_nanos().min(i64::MAX as u128) as i64,
+                ns.min(i64::MAX as u64) as i64,
             );
         }
     }

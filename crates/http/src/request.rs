@@ -55,9 +55,6 @@ pub struct Request {
 /// Errors from request parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseError {
-    /// Connection closed before a request line arrived (normal for
-    /// keep-alive teardown).
-    Eof,
     Malformed(String),
     BodyTooLarge(usize),
     /// Request line + headers exceed [`MAX_HEAD`] — answered with 431 so a
@@ -299,14 +296,15 @@ mod tests {
     use std::io::{BufRead, BufReader};
 
     impl Request {
-        /// Parse one request from a buffered stream.
-        fn read_from(reader: &mut impl BufRead) -> Result<Request, ParseError> {
+        /// Parse one request from a buffered stream; `None` when the
+        /// stream ends before a request line.
+        fn read_from(reader: &mut impl BufRead) -> Result<Option<Request>, ParseError> {
             let mut line = String::new();
             let n = reader
                 .read_line(&mut line)
                 .map_err(|e| ParseError::Malformed(e.to_string()))?;
             if n == 0 {
-                return Err(ParseError::Eof);
+                return Ok(None);
             }
             let mut parts = line.split_whitespace();
             let method = parts
@@ -357,19 +355,20 @@ mod tests {
             }
 
             let (path, query) = split_query(target);
-            Ok(Request {
+            Ok(Some(Request {
                 method,
                 path,
                 query,
                 headers,
                 body,
                 params: BTreeMap::new(),
-            })
+            }))
         }
     }
 
     fn parse(raw: &str) -> Result<Request, ParseError> {
-        Request::read_from(&mut BufReader::new(raw.as_bytes()))
+        let req = Request::read_from(&mut BufReader::new(raw.as_bytes()))?;
+        Ok(req.expect("a request line before the end of the stream"))
     }
 
     #[test]
@@ -396,7 +395,13 @@ mod tests {
 
     #[test]
     fn eof_is_distinguished() {
-        assert_eq!(parse("").unwrap_err(), ParseError::Eof);
+        // Nothing read yet is not an error: the event loop waits for more.
+        assert!(matches!(Request::parse_buf(b""), ParseStatus::Partial));
+        let mut empty = BufReader::new(&b""[..]);
+        assert_eq!(
+            Request::read_from(&mut empty).map(|r| r.is_none()),
+            Ok(true)
+        );
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //!
 //! * [`registry`] — a process-wide metrics registry: lock-free counters and
 //!   gauges plus fixed-bucket latency histograms (p50/p95/p99/max), keyed by
-//!   `(name, labels)`. Existing stats objects (cache stats, daemon RPC
-//!   stats) plug in as pull-time *collectors* so they keep their own
-//!   internals but appear in one exposition.
+//!   `(name, labels)`. The histogram is also the daemons' one timing
+//!   instrument: each tick phase and each daemon's RPC latency is one.
+//!   Existing stats objects (cache stats, daemon RPC stats) plug in as
+//!   pull-time *collectors* so they keep their own internals but appear in
+//!   one exposition.
 //! * [`trace`] — `Span` guards with monotonic timing and a per-thread
 //!   current trace ID propagated via the `X-Trace-Id` header from the
 //!   headless browser down to the slurmctld RPC layer. A span outside a
@@ -21,8 +23,6 @@
 //!   healthy traces first. Per-cause counters, bounded memory, and exemplar
 //!   links into the latency histograms; per-request hop breakdowns are
 //!   read back from here.
-//! * [`profile`] — per-phase wall-time accounting for the daemon tick
-//!   loops (sched pass, snapshot publish, dbd sync, TSDB ingest).
 //! * [`expo`] — Prometheus-style text and JSON exposition with stable
 //!   (sorted) ordering, served by `core` at `/api/metrics`.
 //! * [`health`] — rolls recent per-source error counters into an
@@ -33,13 +33,11 @@
 
 pub mod expo;
 pub mod health;
-pub mod profile;
 pub mod recorder;
 pub mod registry;
 pub mod trace;
 pub mod tracestore;
 
-pub use profile::{PhaseAgg, PhaseProfiler};
 pub use recorder::LatencyRecorder;
 pub use registry::{
     Counter, Gauge, Histogram, LabelsRef, Registry, SampleRef, SampleSink, SampleValue,

@@ -136,11 +136,30 @@ impl Histogram {
         self.observe_ns(d.as_nanos().min(u128::from(u64::MAX)) as u64);
     }
 
+    /// Run `f`, observing its wall time.
+    pub fn time<T>(&self, f: impl FnOnce() -> T) -> T {
+        let t0 = std::time::Instant::now();
+        let out = f();
+        self.observe(t0.elapsed());
+        out
+    }
+
+    /// Forget every observation and exemplar. Not atomic as a whole: an
+    /// observation racing the reset may be half kept.
+    pub fn reset(&self) {
+        for a in self.buckets.iter().chain(&self.exemplars) {
+            a.store(0, Ordering::Relaxed);
+        }
+        for a in [&self.count, &self.sum_ns, &self.max_ns] {
+            a.store(0, Ordering::Relaxed);
+        }
+    }
+
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn sum_ns(&self) -> u64 {
+    pub fn sum_ns(&self) -> u64 {
         self.sum_ns.load(Ordering::Relaxed)
     }
 
@@ -747,6 +766,28 @@ mod tests {
         assert_eq!(h.count(), 1);
         let q = h.quantile_ns(0.5);
         assert!(q > 0 && q <= 3_000, "single sample quantile {q}");
+    }
+
+    #[test]
+    fn time_observes_a_closure_and_reset_forgets_everything() {
+        let h = Histogram::default();
+        let v = h.time(|| {
+            std::thread::sleep(std::time::Duration::from_micros(200));
+            41 + 1
+        });
+        assert_eq!(v, 42);
+        assert_eq!(h.count(), 1);
+        assert!(h.sum_ns() >= 200_000, "measured the sleep");
+        assert_eq!(h.max_ns(), h.sum_ns());
+        h.set_exemplar(h.max_ns(), TraceId(0x5));
+        assert_eq!(h.quantile_exemplar(0.99), Some(TraceId(0x5)));
+
+        h.reset();
+        assert_eq!(h.summary(), Histogram::default().summary());
+        assert_eq!(h.quantile_exemplar(0.99), None);
+        assert_eq!(h.bucket_counts(), [0; BUCKETS]);
+        h.observe_ns(3_000);
+        assert_eq!((h.count(), h.sum_ns(), h.max_ns()), (1, 3_000, 3_000));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::node::{AdminFlag, Node};
 use crate::partition::{Partition, PartitionState};
 use crate::snapshot::{ClusterSnapshot, EpochCell, SnapshotStats};
 use hpcdash_faults::{FaultHost, RestartToken};
-use hpcdash_obs::{PhaseProfiler, Span};
+use hpcdash_obs::{Histogram, Span};
 use hpcdash_simtime::{SharedClock, Timestamp};
 use parking_lot::{Mutex, MutexGuard};
 use serde::Serialize;
@@ -173,10 +173,15 @@ pub struct Slurmctld {
     /// RPC; error/garble faults are enforced at the CLI render boundary
     /// (`hpcdash-slurmcli`), which consults this same host.
     faults: FaultHost,
-    /// Per-phase wall time inside `tick` (sched pass, snapshot publish,
-    /// joblog refresh, dbd handoff) — the profiling foundation for the
-    /// scale work: it shows where a tick's budget actually goes.
-    phases: PhaseProfiler,
+    /// Wall time of each phase of `tick` (see [`Slurmctld::phases`]) —
+    /// the profiling foundation for the scale work: it shows where a
+    /// tick's budget actually goes.
+    checkpoint: Histogram,
+    dbd_record: Histogram,
+    dbd_sync: Histogram,
+    joblog_write: Histogram,
+    sched_pass: Histogram,
+    snapshot_publish: Histogram,
     /// Write-ahead log of logical mutations since the last checkpoint,
     /// group-committed by `tick` (see `crate::durable`).
     wal: Wal<WalRecord>,
@@ -278,7 +283,12 @@ impl Slurmctld {
             dbd,
             logs,
             faults: FaultHost::new("slurmctld"),
-            phases: PhaseProfiler::new(),
+            checkpoint: Histogram::default(),
+            dbd_record: Histogram::default(),
+            dbd_sync: Histogram::default(),
+            joblog_write: Histogram::default(),
+            sched_pass: Histogram::default(),
+            snapshot_publish: Histogram::default(),
             wal: Wal::new(WAL_CAPACITY),
             durable,
             last_checkpoint,
@@ -294,9 +304,16 @@ impl Slurmctld {
         &self.faults
     }
 
-    /// Per-phase wall-time accounting for the tick loop.
-    pub fn phase_profile(&self) -> &PhaseProfiler {
-        &self.phases
+    /// Each phase of the tick loop and its wall times, by phase name.
+    pub fn phases(&self) -> [(&'static str, &Histogram); 6] {
+        [
+            ("checkpoint", &self.checkpoint),
+            ("dbd_record", &self.dbd_record),
+            ("dbd_sync", &self.dbd_sync),
+            ("joblog_write", &self.joblog_write),
+            ("sched_pass", &self.sched_pass),
+            ("snapshot_publish", &self.snapshot_publish),
+        ]
     }
 
     /// Acquire the state mutex, recording the wait and counting the
@@ -313,7 +330,7 @@ impl Slurmctld {
     /// strictly increasing with the mutations it reflects. Every
     /// publication, a tick's or an RPC's, is timed as `snapshot_publish`.
     fn publish_locked(&self, state: &mut ClusterState, now: Timestamp) -> Arc<ClusterSnapshot> {
-        self.phases.time("snapshot_publish", || {
+        self.snapshot_publish.time(|| {
             let seq = self.snap_stats.next_seq();
             let snap = state.capture_snapshot(seq, now);
             self.snap.store(snap.clone());
@@ -362,7 +379,7 @@ impl Slurmctld {
         let (mut finished, snap) = {
             let mut state = self.lock_state(start);
             self.wal.append(WalRecord::Tick { now });
-            let finished = self.phases.time("sched_pass", || {
+            let finished = self.sched_pass.time(|| {
                 state.tick(now);
                 let finished = state.drain_finished();
                 // The scheduling pass genuinely occupies the daemon.
@@ -383,7 +400,7 @@ impl Slurmctld {
         // Formatted from the immutable snapshot — the lock is gone. Each
         // file is advanced in place: its header is compared, not formatted,
         // and only missing lines are written.
-        self.phases.time("joblog_write", || {
+        self.joblog_write.time(|| {
             for job in snap.jobs.iter().filter(|j| j.state == JobState::Running) {
                 let wanted = 1 + (job.elapsed_secs(now) / 60).min(200) as usize;
                 self.logs.advance(
@@ -413,7 +430,7 @@ impl Slurmctld {
                 );
             }
         });
-        self.phases.time("dbd_record", || {
+        self.dbd_record.time(|| {
             let mut spool = self.dbd_spool.lock();
             spool.extend(finished.into_iter().map(|f| f.job));
             if !spool.is_empty() {
@@ -427,8 +444,7 @@ impl Slurmctld {
         });
         // The active mirror is the published snapshot itself: its rows and
         // its per-user and per-account indexes, shared.
-        self.phases
-            .time("dbd_sync", || self.dbd.sync_active(snap.clone()));
+        self.dbd_sync.time(|| self.dbd.sync_active(snap.clone()));
         self.stats.record("sched_tick", start.elapsed());
     }
 
@@ -496,7 +512,7 @@ impl Slurmctld {
         if now.as_secs().saturating_sub(last) < DEFAULT_CHECKPOINT_EVERY_SECS {
             return;
         }
-        self.phases.time("checkpoint", || {
+        self.checkpoint.time(|| {
             let wal_seq = self.wal.flushed_seq();
             let mut image = self.image.lock();
             *image = Slurmctld::save_image(&self.durable, state, &image, now, wal_seq);
@@ -1188,9 +1204,9 @@ mod tests {
         assert_eq!(ctld.stats().count_of("scontrol_node"), 1);
         assert!(ctld.stats().count_of("sched_tick") >= 1);
         // The submit's publication is timed as well as the tick's.
-        let phases = ctld.phase_profile().snapshot();
+        let phases = ctld.phases();
         let publish = phases.iter().find(|(p, _)| *p == "snapshot_publish");
-        assert_eq!(publish.map(|(_, agg)| agg.count), Some(2));
+        assert_eq!(publish.map(|(_, h)| h.count()), Some(2));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::job::{Job, JobId, JobState};
 use crate::loadmodel::{RpcCostModel, RpcStats};
 use crate::snapshot::ClusterSnapshot;
 use hpcdash_faults::{FaultFailure, FaultHost, RestartToken};
-use hpcdash_obs::{PhaseProfiler, Span};
+use hpcdash_obs::{Histogram, Span};
 use hpcdash_simtime::Timestamp;
 use parking_lot::{Mutex, RwLock};
 use serde::Serialize;
@@ -195,9 +195,10 @@ pub struct Slurmdbd {
     /// error/garble faults are enforced at the `sacct`/`seff` render
     /// boundary in `hpcdash-slurmcli`.
     faults: FaultHost,
-    /// Per-phase wall time on the ingest side (archive writes, mirror
-    /// syncs) — the dbd half of the tick-phase profile.
-    phases: PhaseProfiler,
+    /// Wall time of each phase on the ingest side (see
+    /// [`Slurmdbd::phases`]) — the dbd half of the tick-phase profile.
+    archive: Histogram,
+    mirror_sync: Histogram,
     /// Write-ahead log of archived rows since the last checkpoint,
     /// flushed per accepted batch (each archive write IS the commit).
     wal: Wal<Arc<Job>>,
@@ -234,7 +235,8 @@ impl Slurmdbd {
             cost,
             stats: RpcStats::new(),
             faults: FaultHost::new("slurmdbd"),
-            phases: PhaseProfiler::new(),
+            archive: Histogram::default(),
+            mirror_sync: Histogram::default(),
             wal: Wal::new(65_536),
             durable,
             archive_batches: AtomicU64::new(0),
@@ -248,9 +250,12 @@ impl Slurmdbd {
         &self.faults
     }
 
-    /// Per-phase wall-time accounting for the ingest path.
-    pub fn phase_profile(&self) -> &PhaseProfiler {
-        &self.phases
+    /// Each phase of the ingest path and its wall times, by phase name.
+    pub fn phases(&self) -> [(&'static str, &Histogram); 2] {
+        [
+            ("archive", &self.archive),
+            ("mirror_sync", &self.mirror_sync),
+        ]
     }
 
     /// Archive finished jobs (called by slurmctld). Accepts owned `Job`s or
@@ -264,7 +269,7 @@ impl Slurmdbd {
         if self.faults.is_down() {
             return false;
         }
-        self.phases.time("archive", || {
+        self.archive.time(|| {
             let mut archived = self.archived.write();
             for job in jobs {
                 let job = job.into();
@@ -287,7 +292,7 @@ impl Slurmdbd {
     /// indexes are shared, not copied.
     pub fn sync_active(&self, snapshot: Arc<ClusterSnapshot>) {
         self.try_recover();
-        self.phases.time("mirror_sync", || {
+        self.mirror_sync.time(|| {
             let check = self.faults.check("sync_active");
             check.burn();
             if self.faults.is_down() {

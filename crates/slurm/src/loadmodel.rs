@@ -8,6 +8,7 @@
 //! genuine contention: cached dashboards issue fewer RPCs and daemon latency
 //! drops.
 
+use hpcdash_obs::Histogram;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,8 +66,9 @@ impl RpcCostModel {
 /// Latency/traffic statistics for one daemon, shared across threads.
 #[derive(Debug, Default)]
 pub struct RpcStats {
-    total_rpcs: AtomicU64,
-    total_busy_ns: AtomicU64,
+    /// Every served RPC's latency: its count and sum are the RPC and busy
+    /// totals, its quantiles the reported percentiles.
+    latency: Histogram,
     /// Time RPC callers spent waiting to acquire the daemon lock — the
     /// direct measurement of "dashboard queries delay scheduling".
     lock_wait_ns: AtomicU64,
@@ -76,10 +78,6 @@ pub struct RpcStats {
     /// on the snapshot path must leave this untouched — tests assert it.
     state_locks: AtomicU64,
     per_kind: Mutex<HashMap<&'static str, KindStats>>,
-    /// Ring of recent latencies (ns) for percentile reporting.
-    recent: Mutex<Vec<u64>>,
-    /// Where `percentiles` selects from a copy of `recent`.
-    scratch: Mutex<Vec<u64>>,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -103,14 +101,12 @@ pub struct RpcSnapshot {
     /// Pending-job count at the last scheduler pass.
     pub sched_queue_depth: u64,
     pub per_kind: HashMap<&'static str, KindStats>,
-    /// Percentiles over the recent-latency window (p50, p95, p99), if any
-    /// traffic was seen.
+    /// The latency histogram's estimates of p50, p95 and p99 over every RPC
+    /// since start or the last reset, if any traffic was seen.
     pub p50: Option<Duration>,
     pub p95: Option<Duration>,
     pub p99: Option<Duration>,
 }
-
-const RECENT_CAP: usize = 8_192;
 
 impl RpcStats {
     pub fn new() -> RpcStats {
@@ -120,30 +116,25 @@ impl RpcStats {
     /// Record one served RPC.
     pub fn record(&self, kind: &'static str, latency: Duration) {
         let ns = latency.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.total_rpcs.fetch_add(1, Ordering::Relaxed);
-        self.total_busy_ns.fetch_add(ns, Ordering::Relaxed);
-        {
-            let mut map = self.per_kind.lock();
-            let k = map.entry(kind).or_default();
-            k.count += 1;
-            k.total_ns += ns;
-            k.max_ns = k.max_ns.max(ns);
-        }
-        let mut recent = self.recent.lock();
-        if recent.len() >= RECENT_CAP {
-            // Overwrite pseudo-randomly-ish (cheap reservoir flavour): drop
-            // the oldest half to keep the window moving.
-            recent.drain(..RECENT_CAP / 2);
-        }
-        recent.push(ns);
+        self.latency.observe_ns(ns);
+        let mut map = self.per_kind.lock();
+        let k = map.entry(kind).or_default();
+        k.count += 1;
+        k.total_ns += ns;
+        k.max_ns = k.max_ns.max(ns);
+    }
+
+    /// Every served RPC's latency, since start or the last reset.
+    pub fn latency(&self) -> &Histogram {
+        &self.latency
     }
 
     pub fn total_rpcs(&self) -> u64 {
-        self.total_rpcs.load(Ordering::Relaxed)
+        self.latency.count()
     }
 
     pub fn total_busy(&self) -> Duration {
-        Duration::from_nanos(self.total_busy_ns.load(Ordering::Relaxed))
+        Duration::from_nanos(self.latency.sum_ns())
     }
 
     /// Record time spent waiting for the daemon lock (before the RPC ran).
@@ -184,18 +175,6 @@ impl RpcStats {
         self.per_kind.lock().get(kind).map(|k| k.count).unwrap_or(0)
     }
 
-    /// p50, p95 and p99 over the recent-latency window, if any traffic
-    /// was seen. The window is copied into a scratch buffer kept for the
-    /// next call, so a steady caller allocates nothing.
-    pub fn percentiles(&self) -> [Option<Duration>; 3] {
-        let mut scratch = self.scratch.lock();
-        scratch.clear();
-        scratch.extend_from_slice(&self.recent.lock());
-        // Ascending fractions: each pick only partitions the slice above
-        // the previous one, so the three cost one pass, not a sort.
-        hpcdash_obs::recorder::select_percentiles(&mut scratch, [0.50, 0.95, 0.99])
-    }
-
     /// Visit each RPC kind's totals in place, in no particular order.
     pub fn for_each_kind(&self, mut f: impl FnMut(&'static str, &KindStats)) {
         for (kind, k) in self.per_kind.lock().iter() {
@@ -204,28 +183,27 @@ impl RpcStats {
     }
 
     pub fn snapshot(&self) -> RpcSnapshot {
-        let [p50, p95, p99] = self.percentiles();
+        let s = self.latency.summary();
+        let seen = |ns| (s.count > 0).then(|| Duration::from_nanos(ns));
         RpcSnapshot {
-            total_rpcs: self.total_rpcs(),
-            total_busy: self.total_busy(),
+            total_rpcs: s.count,
+            total_busy: Duration::from_nanos(s.sum_ns),
             total_lock_wait: self.total_lock_wait(),
             sched_queue_depth: self.sched_queue_depth(),
             per_kind: self.per_kind.lock().clone(),
-            p50,
-            p95,
-            p99,
+            p50: seen(s.p50_ns),
+            p95: seen(s.p95_ns),
+            p99: seen(s.p99_ns),
         }
     }
 
     /// Zero every counter (tests and examples call this between phases).
     pub fn reset(&self) {
-        self.total_rpcs.store(0, Ordering::Relaxed);
-        self.total_busy_ns.store(0, Ordering::Relaxed);
+        self.latency.reset();
         self.lock_wait_ns.store(0, Ordering::Relaxed);
         self.sched_queue_depth.store(0, Ordering::Relaxed);
         self.state_locks.store(0, Ordering::Relaxed);
         self.per_kind.lock().clear();
-        self.recent.lock().clear();
     }
 }
 
@@ -340,20 +318,14 @@ mod tests {
         for i in (1..=37u64).rev() {
             stats.record("x", Duration::from_micros((i * 17) % 37 + 1));
         }
+        // Buckets (µs): 1 | 2 | 3–5 | 6–10 | 11–20 | 21–37 hold 1, 1, 3, 5,
+        // 10 and 17 samples. A rank interpolates linearly inside its
+        // bucket, and the exact max (37 µs) clamps the upper tail.
         let snap = stats.snapshot();
         let us = |d: Option<Duration>| d.map(|d| d.as_micros());
-        assert_eq!(us(snap.p50), Some(19), "index 18 of 37");
-        assert_eq!(us(snap.p95), Some(35), "index round(34.2) = 34");
-        assert_eq!(us(snap.p99), Some(37), "index round(35.64) = 36");
+        assert_eq!(us(snap.p50), Some(19), "rank 19: 10 + 10 × 9/10");
+        assert_eq!(us(snap.p95), Some(37), "rank 36: 20 + 30 × 16/17, clamped");
+        assert_eq!(us(snap.p99), Some(37), "rank 37: 50, clamped");
         assert_eq!(RpcStats::new().snapshot().p50, None);
-    }
-
-    #[test]
-    fn recent_window_bounded() {
-        let stats = RpcStats::new();
-        for _ in 0..(RECENT_CAP * 3) {
-            stats.record("x", Duration::from_nanos(10));
-        }
-        assert!(stats.recent.lock().len() <= RECENT_CAP);
     }
 }

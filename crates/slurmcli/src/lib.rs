@@ -22,9 +22,7 @@ pub use scontrol::{
     ScontrolJob, ScontrolNode,
 };
 pub use seff::seff;
-pub use sinfo::{
-    compute_usage, parse_sinfo_summary, parse_sinfo_usage, sinfo_usage, PartitionUsage, SinfoRow,
-};
+pub use sinfo::{parse_sinfo_summary, parse_sinfo_usage, sinfo_usage, PartitionUsage, SinfoRow};
 pub use squeue::{
     display_name, parse_squeue, parse_squeue_long, squeue, squeue_long, SqueueArgs, SqueueLongRow,
     SqueueRow,

@@ -15,8 +15,6 @@ use hpcdash_slurm::ctld::Slurmctld;
 use hpcdash_slurm::node::{Node, NodeState};
 use hpcdash_slurm::partition::{Partition, PartitionState};
 use hpcdash_slurm::snapshot::ClusterSnapshot;
-use std::borrow::Borrow;
-use std::collections::BTreeMap;
 
 /// One row of the default `sinfo` grouping.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,9 +84,8 @@ fn avail(part: &Partition) -> &'static str {
 }
 
 /// Emit the summary rows for one partition given its nodes in declared
-/// order — the single formatting path both entry points share, so snapshot
-/// output is byte-identical to the slice-based renderer. The nodes are
-/// walked once per state instead of being sorted into lists of names.
+/// order. The nodes are walked once per state instead of being sorted into
+/// lists of names.
 fn push_summary_rows<'a>(
     out: &mut String,
     part: &Partition,
@@ -118,33 +115,6 @@ fn push_summary_rows<'a>(
 }
 
 const SUMMARY_HEADER: &str = "PARTITION AVAIL TIMELIMIT NODES STATE NODELIST\n";
-
-/// The slice-based entry points find a partition's nodes by name.
-fn by_name(nodes: &[impl Borrow<Node>]) -> BTreeMap<&str, &Node> {
-    nodes
-        .iter()
-        .map(|n| (n.borrow().name.as_str(), n.borrow()))
-        .collect()
-}
-
-/// `part`'s nodes in declared order; names `index` does not know are skipped.
-fn members<'a>(
-    part: &'a Partition,
-    index: &'a BTreeMap<&str, &'a Node>,
-) -> impl Iterator<Item = &'a Node> + Clone {
-    part.nodes
-        .iter()
-        .filter_map(|n| index.get(n.as_str()).copied())
-}
-
-pub fn render_summary(partitions: &[Partition], nodes: &[impl Borrow<Node>]) -> String {
-    let index = by_name(nodes);
-    let mut out = String::from(SUMMARY_HEADER);
-    for part in partitions {
-        push_summary_rows(&mut out, part, members(part, &index));
-    }
-    out
-}
 
 /// Render the summary straight from a snapshot's per-partition node groups.
 pub fn render_summary_snapshot(snap: &ClusterSnapshot) -> String {
@@ -202,15 +172,6 @@ pub fn sinfo_usage(ctld: &Slurmctld) -> Result<String, String> {
 
 const USAGE_HEADER: &str = "PARTITION AVAIL CPUS(A/I/O/T) GPUS(A/T) NODES(U/T)\n";
 
-pub fn render_usage(partitions: &[Partition], nodes: &[impl Borrow<Node>]) -> String {
-    let index = by_name(nodes);
-    let mut out = String::from(USAGE_HEADER);
-    for part in partitions {
-        push_usage_row(&mut out, part, members(part, &index));
-    }
-    out
-}
-
 /// Render the usage table straight from a snapshot's node groups.
 pub fn render_usage_snapshot(snap: &ClusterSnapshot) -> String {
     let mut out = String::from(USAGE_HEADER);
@@ -238,8 +199,8 @@ fn push_usage_row<'a>(out: &mut String, part: &Partition, nodes: impl Iterator<I
     );
 }
 
-/// Sum one partition's nodes into the counters of a usage record; whoever
-/// keeps the record names it ([`usage_of`]), the renderer does not need to.
+/// Sum one partition's nodes into the counters of a usage record, left
+/// unnamed: the renderer prints the partition's own name.
 fn tally<'a>(nodes: impl Iterator<Item = &'a Node>) -> PartitionUsage {
     let mut u = PartitionUsage {
         partition: String::new(),
@@ -269,33 +230,6 @@ fn tally<'a>(nodes: impl Iterator<Item = &'a Node>) -> PartitionUsage {
         }
     }
     u
-}
-
-/// Aggregate one partition's nodes into a usage record.
-fn usage_of<'a>(part: &Partition, nodes: impl Iterator<Item = &'a Node>) -> PartitionUsage {
-    PartitionUsage {
-        partition: part.name.clone(),
-        avail: avail(part).to_string(),
-        ..tally(nodes)
-    }
-}
-
-/// Aggregate node state into per-partition usage records.
-pub fn compute_usage(partitions: &[Partition], nodes: &[impl Borrow<Node>]) -> Vec<PartitionUsage> {
-    let index = by_name(nodes);
-    partitions
-        .iter()
-        .map(|part| usage_of(part, members(part, &index)))
-        .collect()
-}
-
-/// Usage records from a snapshot's precomputed per-partition node groups.
-pub fn compute_usage_snapshot(snap: &ClusterSnapshot) -> Vec<PartitionUsage> {
-    snap.partitions
-        .iter()
-        .enumerate()
-        .map(|(i, part)| usage_of(part, snap.nodes_of_partition(i)))
-        .collect()
 }
 
 /// Parse the usage format back into records.
@@ -353,8 +287,23 @@ mod tests {
     use hpcdash_simtime::Timestamp;
     use hpcdash_slurm::node::AdminFlag;
     use hpcdash_slurm::tres::Tres;
+    use std::sync::Arc;
 
-    fn fixture() -> (Vec<Partition>, Vec<Node>) {
+    /// A snapshot of `nodes` (sorted by name) grouped into `partitions`.
+    fn snapshot(partitions: Vec<Partition>, nodes: Vec<Node>) -> ClusterSnapshot {
+        let nodes: Vec<Arc<Node>> = nodes.into_iter().map(Arc::new).collect();
+        ClusterSnapshot::build(
+            1,
+            Timestamp(0),
+            Arc::from("t"),
+            Vec::new(),
+            nodes,
+            partitions,
+            Vec::new(),
+        )
+    }
+
+    fn fixture() -> ClusterSnapshot {
         let mut nodes: Vec<Node> = (1..=3)
             .map(|i| Node::new(format!("a{i:03}"), 16, 64_000, 0))
             .collect();
@@ -367,13 +316,12 @@ mod tests {
             .with_nodes(vec!["a001".into(), "a002".into(), "a003".into()])
             .default_partition();
         let gpu = Partition::new("gpu").with_nodes(vec!["g001".into()]);
-        (vec![cpu, gpu], nodes)
+        snapshot(vec![cpu, gpu], nodes)
     }
 
     #[test]
     fn usage_aggregation() {
-        let (parts, nodes) = fixture();
-        let usage = compute_usage(&parts, &nodes);
+        let usage = parse_sinfo_usage(&render_usage_snapshot(&fixture())).unwrap();
         let cpu = &usage[0];
         assert_eq!(cpu.partition, "cpu");
         assert_eq!(cpu.cpus_total, 48);
@@ -391,16 +339,26 @@ mod tests {
 
     #[test]
     fn usage_roundtrip() {
-        let (parts, nodes) = fixture();
-        let text = render_usage(&parts, &nodes);
-        let parsed = parse_sinfo_usage(&text).unwrap();
-        assert_eq!(parsed, compute_usage(&parts, &nodes));
+        let snap = fixture();
+        let parsed = parse_sinfo_usage(&render_usage_snapshot(&snap)).unwrap();
+        assert_eq!(parsed.len(), snap.partitions.len());
+        for (i, (u, part)) in parsed.into_iter().zip(snap.partitions.iter()).enumerate() {
+            assert_eq!(
+                (u.partition.as_str(), u.avail.as_str()),
+                (&*part.name, avail(part))
+            );
+            let unnamed = PartitionUsage {
+                partition: String::new(),
+                avail: String::new(),
+                ..u
+            };
+            assert_eq!(unnamed, tally(snap.nodes_of_partition(i)));
+        }
     }
 
     #[test]
     fn summary_groups_by_state() {
-        let (parts, nodes) = fixture();
-        let text = render_summary(&parts, &nodes);
+        let text = render_summary_snapshot(&fixture());
         let rows = parse_sinfo_summary(&text).unwrap();
         // cpu partition has allocated(a001), idle(a002), drained(a003).
         let cpu_rows: Vec<&SinfoRow> = rows.iter().filter(|r| r.partition == "cpu").collect();
@@ -436,8 +394,7 @@ mod tests {
 
     #[test]
     fn empty_partition_renders_nothing() {
-        let p = Partition::new("empty");
-        let text = render_summary(&[p], &[] as &[Node]);
+        let text = render_summary_snapshot(&snapshot(vec![Partition::new("empty")], Vec::new()));
         assert_eq!(parse_sinfo_summary(&text).unwrap().len(), 0);
     }
 

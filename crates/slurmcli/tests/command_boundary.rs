@@ -21,12 +21,14 @@ use hpcdash_slurm::job::{
 };
 use hpcdash_slurm::node::{AdminFlag, Node};
 use hpcdash_slurm::partition::{Partition, PartitionState};
+use hpcdash_slurm::snapshot::ClusterSnapshot;
 use hpcdash_slurm::tres::{format_mem_mb, parse_mem_mb, MemMb, Tres};
 use hpcdash_slurmcli::{scontrol, sinfo, squeue};
 use hpcdash_workload::{Scenario, ScenarioConfig};
 use proptest::prelude::*;
 use proptest::TestRng;
 use rand::Rng as _;
+use std::sync::Arc;
 
 // ---- generators -------------------------------------------------------------
 
@@ -586,18 +588,33 @@ proptest! {
         // splitter borrows from the text, the reference copied lines.
         table_parsers_agree(&format!("   \n\t\n   {}\n\n \r\n{text}", text.replace('\n', "\r\n")));
 
+        // `sinfo` renders from a snapshot, which maps partitions to the
+        // positions of their nodes among the name-sorted nodes; the
+        // reference looks each name up.
         let mut rng = TestRng::for_test(&format!("partitions-{seed}"));
         let partitions = arb_partitions(&mut rng, &nodes);
+        let mut named = nodes.clone();
+        named.sort_by(|a, b| a.name.cmp(&b.name));
+        named.dedup_by(|a, b| a.name == b.name);
+        let snap = ClusterSnapshot::build(
+            1,
+            Timestamp(0),
+            Arc::from("t"),
+            Vec::new(),
+            named.iter().cloned().map(Arc::new).collect::<Vec<_>>(),
+            partitions.clone(),
+            Vec::new(),
+        );
         let texts = [
             same_text(
                 "sinfo summary",
-                sinfo::render_summary(&partitions, &nodes),
-                reference::sinfo::render_summary(&partitions, &nodes),
+                sinfo::render_summary_snapshot(&snap),
+                reference::sinfo::render_summary(&partitions, &named),
             ),
             same_text(
                 "sinfo usage",
-                sinfo::render_usage(&partitions, &nodes),
-                reference::sinfo::render_usage(&partitions, &nodes),
+                sinfo::render_usage_snapshot(&snap),
+                reference::sinfo::render_usage(&partitions, &named),
             ),
         ];
         for text in &texts {
@@ -732,6 +749,7 @@ fn live_output_matches_the_reference_clean_garbled_and_truncated() {
         .query_jobs(&hpcdash_slurm::dbd::JobFilter::default());
     let owned: Vec<Job> = recs.iter().map(|j| Job::clone(j)).collect();
     let nodes = scenario.ctld.query_nodes();
+    let owned_nodes: Vec<Node> = nodes.iter().map(|n| Node::clone(n)).collect();
     let snap = scenario.ctld.query_cluster();
     assert!(jobs.len() > 5 && recs.len() > 5, "a populated cluster");
 
@@ -768,12 +786,12 @@ fn live_output_matches_the_reference_clean_garbled_and_truncated() {
         same_text(
             "sinfo summary",
             sinfo::render_summary_snapshot(&snap),
-            reference::sinfo::render_summary_snapshot(&snap),
+            reference::sinfo::render_summary(&snap.partitions, &owned_nodes),
         ),
         same_text(
             "sinfo usage",
             sinfo::render_usage_snapshot(&snap),
-            reference::sinfo::render_usage_snapshot(&snap),
+            reference::sinfo::render_usage(&snap.partitions, &owned_nodes),
         ),
     ];
     for clean in &corpora {

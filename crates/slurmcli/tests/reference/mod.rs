@@ -12,7 +12,6 @@ use hpcdash_slurm::ctld::AssocRecord;
 use hpcdash_slurm::job::{Job, JobId, JobState, PendingReason};
 use hpcdash_slurm::node::{Node, NodeState};
 use hpcdash_slurm::partition::Partition;
-use hpcdash_slurm::snapshot::ClusterSnapshot;
 use hpcdash_slurm::tres::Tres;
 use hpcdash_slurmcli::{AssocRow, PartitionUsage, ScontrolJob, SinfoRow, SqueueRow, SACCT_FIELDS};
 use std::collections::BTreeMap;
@@ -631,8 +630,7 @@ pub mod sinfo {
     use super::*;
 
     /// Emit the summary rows for one partition given its nodes in declared
-    /// order — the single formatting path both entry points share, so snapshot
-    /// output is byte-identical to the slice-based renderer.
+    /// order.
     fn push_summary_rows<'a>(
         out: &mut String,
         part: &Partition,
@@ -684,15 +682,6 @@ pub mod sinfo {
         out
     }
 
-    /// Render the summary straight from a snapshot's per-partition node groups.
-    pub fn render_summary_snapshot(snap: &ClusterSnapshot) -> String {
-        let mut out = String::from(SUMMARY_HEADER);
-        for (i, part) in snap.partitions.iter().enumerate() {
-            push_summary_rows(&mut out, part, snap.nodes_of_partition(i));
-        }
-        out
-    }
-
     /// Parse the default summary back into rows.
     pub fn parse_sinfo_summary(text: &str) -> Result<Vec<SinfoRow>, String> {
         let mut rows = Vec::new();
@@ -720,12 +709,51 @@ pub mod sinfo {
     }
 
     pub fn render_usage(partitions: &[Partition], nodes: &[Node]) -> String {
-        format_usage(hpcdash_slurmcli::compute_usage(partitions, nodes))
+        format_usage(compute_usage(partitions, nodes))
     }
 
-    /// Render the usage table straight from a snapshot's node groups.
-    pub fn render_usage_snapshot(snap: &ClusterSnapshot) -> String {
-        format_usage(hpcdash_slurmcli::sinfo::compute_usage_snapshot(snap))
+    fn compute_usage(partitions: &[Partition], nodes: &[Node]) -> Vec<PartitionUsage> {
+        let by_name: BTreeMap<&str, &Node> = nodes.iter().map(|n| (n.name.as_str(), n)).collect();
+        partitions
+            .iter()
+            .map(|part| {
+                let mut u = PartitionUsage {
+                    partition: part.name.clone(),
+                    avail: if part.state == hpcdash_slurm::partition::PartitionState::Up {
+                        "up".to_string()
+                    } else {
+                        "down".to_string()
+                    },
+                    cpus_alloc: 0,
+                    cpus_idle: 0,
+                    cpus_other: 0,
+                    cpus_total: 0,
+                    gpus_alloc: 0,
+                    gpus_total: 0,
+                    nodes_total: 0,
+                    nodes_in_use: 0,
+                };
+                for name in &part.nodes {
+                    let Some(node) = by_name.get(name.as_str()) else {
+                        continue;
+                    };
+                    u.nodes_total += 1;
+                    u.cpus_total += node.cpus;
+                    u.gpus_total += node.gpus;
+                    if node.state().schedulable() {
+                        u.cpus_alloc += node.alloc.cpus;
+                        u.cpus_idle += node.cpus - node.alloc.cpus.min(node.cpus);
+                        u.gpus_alloc += node.alloc.gpus;
+                        if node.alloc.cpus > 0 {
+                            u.nodes_in_use += 1;
+                        }
+                    } else {
+                        u.cpus_other += node.cpus;
+                    }
+                }
+                u
+            })
+            .collect()
     }
 
     fn format_usage(usages: Vec<PartitionUsage>) -> String {

@@ -11,8 +11,7 @@
 
 use crate::collector::{keys, CollectOutcome, Collector};
 use crate::store::{IngestTally, RangePoint, SeriesHandle, Tier, TsdbStore};
-use hpcdash_obs::registry::{Labels, Registry, SampleRef, SampleValue};
-use hpcdash_obs::PhaseProfiler;
+use hpcdash_obs::registry::{Histogram, Labels, Registry, SampleRef, SampleValue};
 use hpcdash_simtime::SharedClock;
 use hpcdash_slurm::ctld::Slurmctld;
 use hpcdash_slurm::loadmodel::{RpcCostModel, RpcStats};
@@ -69,7 +68,10 @@ pub struct TelemetryD {
     /// Series handles of every instrument scraped so far, sorted by
     /// (name, labels), kept between passes.
     scraped: Mutex<Vec<Scraped>>,
-    phases: PhaseProfiler,
+    /// Wall time of each phase of a collection pass (see
+    /// [`TelemetryD::phases`]).
+    self_scrape: Histogram,
+    tsdb_ingest: Histogram,
     /// Collection passes skipped because the controller was down — each one
     /// is a deliberate hole in every series rather than stale backfill.
     gap_skips: AtomicU64,
@@ -107,7 +109,8 @@ impl TelemetryD {
             registry: Mutex::new(Weak::new()),
             collector: Mutex::new(Collector::default()),
             scraped: Mutex::new(Vec::new()),
-            phases: PhaseProfiler::new(),
+            self_scrape: Histogram::default(),
+            tsdb_ingest: Histogram::default(),
             gap_skips: AtomicU64::new(0),
             last_gap_at: AtomicI64::new(-1),
         }
@@ -119,9 +122,13 @@ impl TelemetryD {
         *self.registry.lock() = Arc::downgrade(registry);
     }
 
-    /// Per-phase wall-time accounting for the collection loop.
-    pub fn phase_profile(&self) -> &PhaseProfiler {
-        &self.phases
+    /// Each phase of the collection loop and its wall times, by phase
+    /// name.
+    pub fn phases(&self) -> [(&'static str, &Histogram); 2] {
+        [
+            ("self_scrape", &self.self_scrape),
+            ("tsdb_ingest", &self.tsdb_ingest),
+        ]
     }
 
     /// Run one collection pass against the current cluster snapshot.
@@ -147,14 +154,14 @@ impl TelemetryD {
         }
         let snap = self.ctld.snapshot();
         let mut tally = IngestTally::default();
-        let out = self.phases.time("tsdb_ingest", || {
+        let out = self.tsdb_ingest.time(|| {
             self.collector
                 .lock()
                 .collect(&self.store, &snap, ts, &mut tally)
         });
         let scraped = self
-            .phases
-            .time("self_scrape", || self.self_scrape(ts, &mut tally));
+            .self_scrape
+            .time(|| self.scrape_registry(ts, &mut tally));
         self.store.record_ingest(&tally);
         self.cost.burn((out.samples + scraped) as usize);
         self.stats.record("collect", t0.elapsed());
@@ -166,7 +173,7 @@ impl TelemetryD {
     /// series each, histogram summaries as `:p50` / `:p99` / `:count`
     /// sub-series. Returns samples appended (duplicate timestamps are
     /// rejected by the store's monotonic-append rule and not counted).
-    fn self_scrape(&self, ts: i64, tally: &mut IngestTally) -> u64 {
+    fn scrape_registry(&self, ts: i64, tally: &mut IngestTally) -> u64 {
         let Some(reg) = self.registry.lock().upgrade() else {
             return 0;
         };

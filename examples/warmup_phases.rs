@@ -8,8 +8,8 @@
 //!
 //! Every site is built as the benchmark's `setup_s` builds it (free
 //! daemons, the dashboard attached, so the telemetry pass also scrapes the
-//! dashboard's own registry). The table prints each daemon's
-//! `PhaseProfiler` in milliseconds, the time to build `driver(10 days)`
+//! dashboard's own registry). The table prints the total of each daemon's
+//! phase histograms in milliseconds, the time to build `driver(10 days)`
 //! (the traffic a benchmark run plays after warming up), the warm-up's
 //! wall time and the time its sites were busy advancing, summed over
 //! sites. The federation's sites advance side by side, so its wall time is
@@ -33,7 +33,7 @@
 use hpcdash::slurm::job::JobState;
 use hpcdash::{FedSite, SimSite};
 use hpcdash_core::DashboardConfig;
-use hpcdash_obs::PhaseProfiler;
+use hpcdash_obs::Histogram;
 use hpcdash_workload::{FederationConfig, Scenario, ScenarioConfig};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -71,14 +71,14 @@ impl Column {
     ) -> Column {
         let mut phases = BTreeMap::new();
         for site in sites {
-            let daemons: [(&'static str, &PhaseProfiler); 3] = [
-                ("slurmctld", site.ctld.phase_profile()),
-                ("slurmdbd", site.dbd.phase_profile()),
-                ("telemetryd", site.telemetry.phase_profile()),
+            let daemons: [(&'static str, &[(&'static str, &Histogram)]); 3] = [
+                ("slurmctld", &site.ctld.phases()),
+                ("slurmdbd", &site.dbd.phases()),
+                ("telemetryd", &site.telemetry.phases()),
             ];
             for (daemon, profile) in daemons {
-                for (phase, agg) in profile.snapshot() {
-                    *phases.entry((daemon, phase)).or_default() += agg.total_ns as f64 / 1e6;
+                for &(phase, h) in profile.iter().filter(|(_, h)| h.count() > 0) {
+                    *phases.entry((daemon, phase)).or_default() += h.sum_ns() as f64 / 1e6;
                 }
             }
         }

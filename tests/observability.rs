@@ -94,9 +94,33 @@ fn metrics_endpoint_is_parseable_and_stable() {
         "hpcdash_slurmctld_rpc_latency_ns",
         "hpcdash_sched_ticks_total",
         "hpcdash_sched_queue_depth",
+        "hpcdash_sched_tick_busy_ns_total",
+        "hpcdash_tick_phase_runs_total",
+        "hpcdash_tick_phase_ns_total",
+        "hpcdash_telemetryd_rpc_latency_ns",
     ] {
         assert!(names.iter().any(|n| n == family), "missing {family}");
     }
+    // Every phase a daemon timed during the warm-up, and only those.
+    let mut phases: Vec<String> = scrape
+        .lines()
+        .filter_map(|l| l.strip_prefix("hpcdash_tick_phase_runs_total{"))
+        .map(|l| l.split_once('}').expect("closed labels").0.to_string())
+        .collect();
+    phases.sort();
+    let timed = [
+        ("slurmctld", "checkpoint"),
+        ("slurmctld", "dbd_record"),
+        ("slurmctld", "dbd_sync"),
+        ("slurmctld", "joblog_write"),
+        ("slurmctld", "sched_pass"),
+        ("slurmctld", "snapshot_publish"),
+        ("slurmdbd", "mirror_sync"),
+        ("telemetryd", "self_scrape"),
+        ("telemetryd", "tsdb_ingest"),
+    ]
+    .map(|(daemon, phase)| format!("daemon=\"{daemon}\",phase=\"{phase}\""));
+    assert_eq!(phases, timed, "tick phases after the warm-up");
 
     // Scrapes are stably ordered: same series sequence both times (values
     // may move — the scrape itself is traffic).

@@ -49,8 +49,6 @@ const EXCEPTIONS: &[&str] = &[
     "slurm set_partition_state tests/fault_isolation.rs::drained_partition_surfaces_as_state_not_failure",
     "slurm sink_count tests/live_updates.rs::dropped_dashboards_leave_the_event_log",
     "slurm with_max_time crates/slurmcli/tests/command_boundary.rs::node_tables_match_the_reference",
-    "slurmcli compute_usage crates/slurmcli/tests/roundtrip_live.rs::live_cluster_roundtrips_all_commands",
-    "slurmcli compute_usage_snapshot crates/slurmcli/tests/reference/mod.rs::render_usage_snapshot",
     "slurmcli display_name crates/slurmcli/tests/command_boundary.rs::job_tables_match_the_reference",
     "slurmcli parse_show_job crates/slurmcli/tests/command_boundary.rs::table_parsers_match_the_reference_on_the_edges",
     "slurmcli parse_sinfo_summary crates/slurmcli/tests/command_boundary.rs::table_parsers_match_the_reference_on_the_edges",
@@ -58,10 +56,8 @@ const EXCEPTIONS: &[&str] = &[
     "slurmcli render_job crates/slurmcli/tests/roundtrip_live.rs::live_cluster_roundtrips_all_commands",
     "slurmcli render_long crates/slurmcli/tests/command_allocations.rs::a_thousand_squeue_rows_cost_the_same_kind",
     "slurmcli render_node crates/slurmcli/tests/command_allocations.rs::a_thousand_node_records_cost_one_vec",
-    "slurmcli render_summary crates/slurmcli/tests/command_boundary.rs::node_tables_match_the_reference",
-    "slurmcli render_summary_snapshot crates/slurmcli/tests/roundtrip_live.rs::live_cluster_roundtrips_all_commands",
-    "slurmcli render_usage crates/slurmcli/tests/command_boundary.rs::node_tables_match_the_reference",
-    "slurmcli render_usage_snapshot crates/slurmcli/tests/roundtrip_live.rs::live_cluster_roundtrips_all_commands",
+    "slurmcli render_summary_snapshot crates/slurmcli/tests/command_boundary.rs::node_tables_match_the_reference",
+    "slurmcli render_usage_snapshot crates/slurmcli/tests/command_boundary.rs::node_tables_match_the_reference",
     "telemetry node_cpu tests/telemetry.rs::telemetry_never_acquires_the_state_mutex",
     "testkit live_bytes tests/teardown.rs::a_dropped_site_frees_what_it_built",
     "workload fault_site tests/federation.rs::same_seed_yields_the_same_federation_trace",
