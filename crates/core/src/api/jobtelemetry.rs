@@ -9,10 +9,11 @@
 //! cached under the dedicated `cache.telemetry` TTL (squeue tier — the
 //! series sit next to live queue state; see DESIGN.md §3).
 
-use crate::api::{encode, Text};
+use crate::api::{encode, Quoted, Text};
 use crate::auth::CurrentUser;
 use crate::ctx::DashboardContext;
 use hpcdash_http::{Request, Response, Router};
+use hpcdash_simtime::Ascii;
 use hpcdash_slurm::ctld::JobQuery;
 use hpcdash_slurm::job::{Job, JobId, JobState};
 use hpcdash_telemetry::{keys, RangePoint};
@@ -73,8 +74,18 @@ struct ShownId<'a>(&'static str, &'a Job);
 
 impl fmt::Display for ShownId<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut id = Ascii::<24>::default();
+        self.1.write_shown_id(&mut id);
         f.write_str(self.0)?;
-        self.1.shown_id().fmt(f)
+        f.write_str(id.as_str())
+    }
+}
+
+/// A fixed prefix, digits and `_`: nothing to escape.
+impl Quoted for ShownId<'_> {
+    fn write_inside(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.0.as_bytes());
+        self.1.write_shown_id(out);
     }
 }
 

@@ -35,6 +35,8 @@ use crate::ctx::{DashboardContext, SourceOutcome};
 use hpcdash_cache::body::annotate_stale;
 use hpcdash_cache::Body;
 use hpcdash_http::{Request, Response, Router};
+use hpcdash_simtime::{TimeLimit, Timestamp};
+use hpcdash_slurm::job::JobId;
 use std::fmt;
 
 /// A payload's JSON bytes: what a [`DashboardContext::cached_resilient`]
@@ -44,12 +46,17 @@ pub(crate) fn encode<T: serde::Serialize + ?Sized>(payload: &T) -> Vec<u8> {
     serde_json::to_vec(payload).expect("json serializes")
 }
 
-/// A JSON string written straight from a value's `Display`: a timestamp,
-/// a time limit or a link in a row costs no `String` of its own, and the
-/// text is the one `to_string` gives.
+/// A JSON string written straight from a value's byte writer: a
+/// timestamp, a time limit or a link in a row costs no `String` of its
+/// own, and the text is the one `to_string` gives.
 pub(crate) struct Text<T>(pub T);
 
-impl<T: fmt::Display> serde::Serialize for Text<T> {
+/// A value a [`Text`] holds: it appends what goes between the quotes.
+pub(crate) trait Quoted: fmt::Display {
+    fn write_inside(&self, out: &mut Vec<u8>);
+}
+
+impl<T: Quoted> serde::Serialize for Text<T> {
     // The vendored trait's tree half, which no route calls.
     #[allow(clippy::disallowed_types)]
     fn to_json_value(&self) -> serde_json::Value {
@@ -57,7 +64,28 @@ impl<T: fmt::Display> serde::Serialize for Text<T> {
     }
 
     fn write_json(&self, out: &mut Vec<u8>) {
-        serde::value::write_display(&self.0, out);
+        out.push(b'"');
+        self.0.write_inside(out);
+        out.push(b'"');
+    }
+}
+
+// Digits, punctuation and `UNLIMITED`: nothing to escape.
+impl Quoted for Timestamp {
+    fn write_inside(&self, out: &mut Vec<u8>) {
+        self.write_slurm(out);
+    }
+}
+
+impl Quoted for TimeLimit {
+    fn write_inside(&self, out: &mut Vec<u8>) {
+        self.write_slurm(out);
+    }
+}
+
+impl Quoted for JobId {
+    fn write_inside(&self, out: &mut Vec<u8>) {
+        self.write_slurm(out);
     }
 }
 
@@ -68,6 +96,15 @@ impl fmt::Display for Link<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.0)?;
         f.write_str(self.1)
+    }
+}
+
+/// The id comes from command text, which a garbled answer can fill with
+/// anything: it is escaped.
+impl Quoted for Link<'_> {
+    fn write_inside(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.0.as_bytes());
+        serde::value::write_str_inside(self.1, out);
     }
 }
 

@@ -3,7 +3,7 @@
 //! and the two distribution charts.
 //!
 //! Data sources: `sacct` against slurmdbd for history + usage, and one
-//! `squeue` against slurmctld to attach live pending reasons.
+//! `squeue -t PENDING` against slurmctld to attach live pending reasons.
 
 use crate::api::{encode, Link, Text};
 use crate::auth::CurrentUser;
@@ -16,7 +16,9 @@ use crate::reasons::friendly_reason;
 use hpcdash_http::{Request, Response, Router};
 use hpcdash_simtime::{TimeLimit, Timestamp};
 use hpcdash_slurm::job::{JobState, PendingReason};
-use hpcdash_slurmcli::{parse_sacct, parse_squeue_long, sacct, squeue_long, SacctArgs, SqueueArgs};
+use hpcdash_slurmcli::{
+    parse_sacct, parse_squeue_long, sacct, squeue_long_in, SacctArgs, SqueueArgs,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -185,15 +187,17 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
             records.retain(|r| r.user == m);
         }
 
-        // Live reasons for pending jobs come from squeue.
+        // Live reasons for pending jobs come from `squeue -t PENDING`: only
+        // a pending job has one.
         ctx.note_source(FEATURE, "squeue (slurmctld)");
-        let qtext = squeue_long(
+        let qtext = squeue_long_in(
             &ctx.ctld,
             &SqueueArgs {
                 user: Some(user.username.clone()),
                 accounts,
                 partition: None,
             },
+            JobState::Pending,
         )?;
         let qrows = parse_squeue_long(&qtext).map_err(|e| format!("squeue parse: {e}"))?;
         let reasons: HashMap<&str, PendingReason> = qrows

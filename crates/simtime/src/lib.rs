@@ -17,8 +17,8 @@ mod timefmt;
 pub use civil::CivilDateTime;
 pub use clock::{Clock, SharedClock, SimClock, SystemClock};
 pub use timefmt::{
-    format_duration, parse_duration, parse_timelimit, parse_timestamp, write_num, Elapsed,
-    TimeLimit,
+    format_duration, parse_duration, parse_timelimit, parse_timestamp, write_num, Ascii, Elapsed,
+    Sink, TimeLimit,
 };
 
 use serde::{Deserialize, Serialize};

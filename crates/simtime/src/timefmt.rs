@@ -1,20 +1,66 @@
 //! Slurm time grammar: timestamps, elapsed durations, and time limits.
 //!
-//! Every element has one writer, its `Display` impl, which pushes digits
-//! straight into the formatter: `write!(out, "{}|{}", start, Elapsed(secs))`
-//! appends to a command's output with no `String` in between. `to_slurm()`
-//! and `format_*` are `to_string()`, for callers that keep the text. The
-//! parsers allocate nothing and try the writer's own fixed shape before the
-//! general grammar.
+//! Every element of the grammar has one writer, a byte writer:
+//! `write_slurm(out)` appends the element's ASCII text to a [`Sink`] — a
+//! command's output bytes or a JSON body — with no `fmt::Formatter` and no
+//! `String` in between. `Display` is the same writer into an [`Ascii`] on
+//! the stack, and `to_slurm()` and `format_*` are `to_string()`, for
+//! callers that keep the text. The parsers allocate nothing and try the
+//! writer's own fixed shape before the general grammar.
 
 use crate::civil::CivilDateTime;
 use crate::Timestamp;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// Where the byte writers of the Slurm grammar append their text, which is
+/// ASCII: a command's output or a JSON body (a `Vec<u8>`), or an [`Ascii`]
+/// on the stack.
+pub trait Sink {
+    fn put(&mut self, ascii: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, ascii: &[u8]) {
+        self.extend_from_slice(ascii);
+    }
+}
+
+/// Up to `N` bytes of a byte writer's text, on the stack: what the
+/// grammar's `Display` impls write from.
+pub struct Ascii<const N: usize> {
+    bytes: [u8; N],
+    len: usize,
+}
+
+impl<const N: usize> Default for Ascii<N> {
+    fn default() -> Self {
+        Ascii {
+            bytes: [0; N],
+            len: 0,
+        }
+    }
+}
+
+impl<const N: usize> Sink for Ascii<N> {
+    fn put(&mut self, ascii: &[u8]) {
+        let end = self.len + ascii.len();
+        self.bytes[self.len..end].copy_from_slice(ascii);
+        self.len = end;
+    }
+}
+
+impl<const N: usize> Ascii<N> {
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len]).expect("a byte writer writes ASCII")
+    }
+}
+
 /// Write `v` in decimal, zero-padded to at least `width`: the digit writer
-/// under every `Display` of the Slurm grammar, here and in `hpcdash-slurm`.
-pub fn write_num(out: &mut impl fmt::Write, mut v: u64, width: usize) -> fmt::Result {
+/// under every byte writer of the Slurm grammar, here and in
+/// `hpcdash-slurm`.
+pub fn write_num(out: &mut impl Sink, mut v: u64, width: usize) {
     let mut digits = [b'0'; 20];
     let mut at = digits.len();
     while v > 0 || at == digits.len() {
@@ -24,7 +70,7 @@ pub fn write_num(out: &mut impl fmt::Write, mut v: u64, width: usize) -> fmt::Re
     }
     // The array starts out as zeros, so padding is a longer slice of it.
     let at = at.min(digits.len() - width.min(digits.len()));
-    out.write_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
+    out.put(&digits[at..]);
 }
 
 /// A job time limit: either a number of seconds or `UNLIMITED`.
@@ -47,14 +93,21 @@ impl TimeLimit {
     pub fn to_slurm(self) -> String {
         self.to_string()
     }
+
+    /// The byte writer of a time limit.
+    pub fn write_slurm(self, out: &mut impl Sink) {
+        match self {
+            TimeLimit::Limited(s) => Elapsed(s).write_slurm(out),
+            TimeLimit::Unlimited => out.put(b"UNLIMITED"),
+        }
+    }
 }
 
 impl fmt::Display for TimeLimit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TimeLimit::Limited(s) => fmt::Display::fmt(&Elapsed(*s), f),
-            TimeLimit::Unlimited => f.write_str("UNLIMITED"),
-        }
+        let mut text = Ascii::<32>::default();
+        self.write_slurm(&mut text);
+        f.write_str(text.as_str())
     }
 }
 
@@ -64,12 +117,13 @@ fn put_two(buf: &mut [u8], at: usize, v: u32) {
     buf[at + 1] = b'0' + (v % 10) as u8;
 }
 
-/// `%Y-%m-%dT%H:%M:%S`, Slurm's ISO form. Every digit of a four-digit year
-/// has a fixed place: it is filled in on the stack and written at once. (A
-/// u64 of seconds never lands before 1970, so the year is positive; past
-/// 9999 its century takes more than the two digits it is padded to.)
-impl fmt::Display for Timestamp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Timestamp {
+    /// The byte writer of `%Y-%m-%dT%H:%M:%S`, Slurm's ISO form. Every digit
+    /// of a four-digit year has a fixed place: it is filled in on the stack
+    /// and written at once. (A u64 of seconds never lands before 1970, so
+    /// the year is positive; past 9999 its century takes more than the two
+    /// digits it is padded to, and the widest text takes 27 bytes.)
+    pub fn write_slurm(self, out: &mut impl Sink) {
         let dt = CivilDateTime::from_unix(self.0);
         let (century, year) = ((dt.year / 100) as u64, (dt.year % 100) as u32);
         let mut text = *b"0000-00-00T00:00:00";
@@ -79,10 +133,18 @@ impl fmt::Display for Timestamp {
         }
         if century < 100 {
             put_two(&mut text, 0, century as u32);
-            return f.write_str(std::str::from_utf8(&text).expect("ASCII digits"));
+            return out.put(&text);
         }
-        write_num(f, century, 2)?;
-        f.write_str(std::str::from_utf8(&text[2..]).expect("ASCII digits"))
+        write_num(out, century, 2);
+        out.put(&text[2..]);
+    }
+}
+
+impl fmt::Display for Timestamp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut text = Ascii::<32>::default();
+        self.write_slurm(&mut text);
+        f.write_str(text.as_str())
     }
 }
 
@@ -147,18 +209,28 @@ fn checked_unix(year: i64, [month, day, hour, minute, second]: [u32; 5]) -> Opti
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Elapsed(pub u64);
 
-impl fmt::Display for Elapsed {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Elapsed {
+    /// The byte writer of an elapsed time (the widest, `u64::MAX` seconds,
+    /// takes 24 bytes).
+    pub fn write_slurm(self, out: &mut impl Sink) {
         let secs = self.0;
         if secs >= 86_400 {
-            write_num(f, secs / 86_400, 1)?;
-            f.write_str("-")?;
+            write_num(out, secs / 86_400, 1);
+            out.put(b"-");
         }
         let mut text = *b"00:00:00";
         put_two(&mut text, 0, (secs % 86_400 / 3_600) as u32);
         put_two(&mut text, 3, (secs % 3_600 / 60) as u32);
         put_two(&mut text, 6, (secs % 60) as u32);
-        f.write_str(std::str::from_utf8(&text).expect("ASCII digits"))
+        out.put(&text);
+    }
+}
+
+impl fmt::Display for Elapsed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut text = Ascii::<32>::default();
+        self.write_slurm(&mut text);
+        f.write_str(text.as_str())
     }
 }
 

@@ -47,6 +47,8 @@ pub struct JobQuery {
     pub partition: Option<String>,
     /// Jobs currently running on this node.
     pub node: Option<String>,
+    /// Jobs in this state only (`squeue -t`).
+    pub state: Option<JobState>,
 }
 
 impl JobQuery {
@@ -79,7 +81,7 @@ impl JobQuery {
                 return false;
             }
         }
-        true
+        self.state.is_none_or(|s| job.state == s)
     }
 
     /// Run the query against a snapshot, walking the narrowest precomputed

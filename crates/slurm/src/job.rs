@@ -1,16 +1,25 @@
 //! Jobs: requests, lifecycle state, pending reasons, arrays, and usage stats.
 
 use crate::tres::Tres;
-use hpcdash_simtime::{write_num, TimeLimit, Timestamp};
+use hpcdash_simtime::{write_num, Ascii, Sink, TimeLimit, Timestamp};
 use serde::{Deserialize, Serialize};
 
 /// A cluster-unique job id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct JobId(pub u32);
 
+impl JobId {
+    /// The byte writer of a job id.
+    pub fn write_slurm(self, out: &mut impl Sink) {
+        write_num(out, self.0.into(), 1);
+    }
+}
+
 impl std::fmt::Display for JobId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
+        let mut text = Ascii::<16>::default();
+        self.write_slurm(&mut text);
+        f.write_str(text.as_str())
     }
 }
 
@@ -406,21 +415,20 @@ pub struct Job {
 impl Job {
     /// The id users see: `1234` or `1234_7` for array tasks.
     pub fn display_id(&self) -> String {
-        self.shown_id().to_string()
+        let mut text = Ascii::<24>::default();
+        self.write_shown_id(&mut text);
+        text.as_str().to_string()
     }
 
-    /// [`Job::display_id`] as a value that writes itself: the one writer.
-    pub fn shown_id(&self) -> impl std::fmt::Display {
-        let (id, task) = match self.array {
-            Some(a) => (a.array_job_id, Some(a.task_id)),
-            None => (self.id, None),
+    /// The byte writer of [`Job::display_id`] (the widest, an array task's
+    /// two `u32`s, takes 21 bytes).
+    pub fn write_shown_id(&self, out: &mut impl Sink) {
+        let Some(a) = self.array else {
+            return self.id.write_slurm(out);
         };
-        std::fmt::from_fn(move |f| {
-            write_num(f, id.0.into(), 1)?;
-            let Some(task) = task else { return Ok(()) };
-            f.write_str("_")?;
-            write_num(f, task.into(), 1)
-        })
+        a.array_job_id.write_slurm(out);
+        out.put(b"_");
+        write_num(out, a.task_id.into(), 1);
     }
 
     /// Seconds spent waiting in the queue (so far, or until start).

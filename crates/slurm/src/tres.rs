@@ -1,7 +1,7 @@
 //! Trackable resources (TRES): the `cpu=4,mem=16G,gres/gpu=2,node=1` strings
 //! that appear throughout Slurm's command output, plus a structured form.
 
-use hpcdash_simtime::write_num;
+use hpcdash_simtime::{write_num, Ascii, Sink};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -55,6 +55,9 @@ impl Tres {
     /// carry `billing=`, `energy=` and similar components the dashboard does
     /// not use).
     pub fn parse(s: &str) -> Option<Tres> {
+        if let Some(t) = Tres::parse_written(s) {
+            return Some(t);
+        }
         let mut t = Tres::default();
         for part in s.split(',') {
             let part = part.trim();
@@ -74,43 +77,108 @@ impl Tres {
         }
         Some(t)
     }
-}
 
-/// The one writer of a TRES string (digits by `hpcdash_simtime::write_num`).
-impl fmt::Display for Tres {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("cpu=")?;
-        write_num(f, self.cpus.into(), 1)?;
+    /// The writer's own shape, `cpu=N[,mem=M<unit>][,node=N][,gres/gpu=N]`
+    /// with upper-case units and nine digits at most, in one pass; `None`
+    /// for anything else, which the general grammar then reads.
+    fn parse_written(s: &str) -> Option<Tres> {
+        let mut rest = s.as_bytes().strip_prefix(b"cpu=")?;
+        let mut t = Tres {
+            cpus: take_digits(&mut rest)? as u32,
+            ..Tres::default()
+        };
+        if let Some(tail) = rest.strip_prefix(b",mem=") {
+            rest = tail;
+            let value = take_digits(&mut rest)?;
+            let (unit, tail) = rest.split_first()?;
+            t.mem_mb = value
+                * match unit {
+                    b'M' => 1,
+                    b'G' => 1_024,
+                    b'T' => 1_024 * 1_024,
+                    _ => return None,
+                };
+            rest = tail;
+        }
+        if let Some(tail) = rest.strip_prefix(b",node=") {
+            rest = tail;
+            t.nodes = take_digits(&mut rest)? as u32;
+        }
+        if let Some(tail) = rest.strip_prefix(b",gres/gpu=") {
+            rest = tail;
+            t.gpus = take_digits(&mut rest)? as u32;
+        }
+        rest.is_empty().then_some(t)
+    }
+
+    /// The byte writer of a TRES string (the widest, every component at
+    /// its maximum, takes 76 bytes).
+    pub fn write_slurm(self, out: &mut impl Sink) {
+        out.put(b"cpu=");
+        write_num(out, self.cpus.into(), 1);
         if self.mem_mb > 0 {
-            f.write_str(",mem=")?;
-            MemMb(self.mem_mb).fmt(f)?;
+            out.put(b",mem=");
+            MemMb(self.mem_mb).write_slurm(out);
         }
         if self.nodes > 0 {
-            f.write_str(",node=")?;
-            write_num(f, self.nodes.into(), 1)?;
+            out.put(b",node=");
+            write_num(out, self.nodes.into(), 1);
         }
         if self.gpus > 0 {
-            f.write_str(",gres/gpu=")?;
-            write_num(f, self.gpus.into(), 1)?;
+            out.put(b",gres/gpu=");
+            write_num(out, self.gpus.into(), 1);
         }
-        Ok(())
+    }
+}
+
+/// Up to nine ASCII digits at the front of `rest`, taken off it: a value
+/// no `u32` or megabyte count overflows on.
+fn take_digits(rest: &mut &[u8]) -> Option<u64> {
+    let len = rest
+        .iter()
+        .take(10)
+        .take_while(|b| b.is_ascii_digit())
+        .count();
+    if !(1..=9).contains(&len) {
+        return None;
+    }
+    let (digits, tail) = rest.split_at(len);
+    *rest = tail;
+    Some(digits.iter().fold(0, |v, d| v * 10 + u64::from(d - b'0')))
+}
+
+impl fmt::Display for Tres {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut text = Ascii::<80>::default();
+        self.write_slurm(&mut text);
+        f.write_str(text.as_str())
     }
 }
 
 /// Megabytes the way Slurm prints them: `512M`, `16G`, `1T`.
 pub struct MemMb(pub u64);
 
-impl fmt::Display for MemMb {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl MemMb {
+    /// The byte writer of a memory size: the largest unit that holds it
+    /// whole.
+    pub fn write_slurm(&self, out: &mut impl Sink) {
         const G: u64 = 1_024;
         const T: u64 = 1_024 * 1_024;
         let (value, unit) = match self.0 {
-            mb if mb >= T && mb.is_multiple_of(T) => (mb / T, "T"),
-            mb if mb >= G && mb.is_multiple_of(G) => (mb / G, "G"),
-            mb => (mb, "M"),
+            mb if mb >= T && mb.is_multiple_of(T) => (mb / T, b"T"),
+            mb if mb >= G && mb.is_multiple_of(G) => (mb / G, b"G"),
+            mb => (mb, b"M"),
         };
-        write_num(f, value, 1)?;
-        f.write_str(unit)
+        write_num(out, value, 1);
+        out.put(unit);
+    }
+}
+
+impl fmt::Display for MemMb {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut text = Ascii::<24>::default();
+        self.write_slurm(&mut text);
+        f.write_str(text.as_str())
     }
 }
 
@@ -130,8 +198,8 @@ pub fn parse_mem_mb(s: &str) -> Option<u64> {
         [digits @ .., b'T' | b't'] => (digits, 1_024 * 1_024),
         digits => (digits, 1),
     };
-    if (1..=9).contains(&digits.len()) && digits.iter().all(u8::is_ascii_digit) {
-        let value = digits.iter().fold(0, |v, d| v * 10 + u64::from(d - b'0'));
+    let mut rest = digits;
+    if let Some(value) = take_digits(&mut rest).filter(|_| rest.is_empty()) {
         return Some(value * unit);
     }
     let s = s.trim();

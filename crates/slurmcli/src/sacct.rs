@@ -5,7 +5,7 @@
 //! mirrors the flags the paper's dashboard passes to sacct — identity,
 //! timing, allocation, and usage (`TotalCPU`, `MaxRSS`) for efficiency.
 
-use crate::{cleaned, joined, put, time_or};
+use crate::{cleaned, columns, Cleaned, Joined, Or, Put, ShownId};
 use hpcdash_obs::Span;
 use hpcdash_simtime::{parse_duration, parse_timestamp, Elapsed, TimeLimit, Timestamp};
 use hpcdash_slurm::dbd::{JobFilter, Slurmdbd};
@@ -129,53 +129,50 @@ const ROW_BYTES: usize = 224;
 /// Render accounting records as parsable2 text. Generic over `Borrow<Job>`
 /// so it takes the shared `Arc<Job>` rows the daemon hands out as they are.
 pub fn render<J: Borrow<Job>>(jobs: &[J], now: Timestamp) -> String {
-    let mut out = String::with_capacity((jobs.len() + 1) * ROW_BYTES);
-    out.push_str(&SACCT_FIELDS.join("|"));
-    out.push('\n');
+    let mut out = Vec::with_capacity((jobs.len() + 1) * ROW_BYTES);
+    for (i, field) in SACCT_FIELDS.iter().enumerate() {
+        if i > 0 {
+            out.push(b'|');
+        }
+        field.put(&mut out);
+    }
+    out.push(b'\n');
     for job in jobs {
         let job = job.borrow();
-        put!(
-            &mut out,
-            "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|",
-            job.shown_id(),
-            cleaned(&job.req.name, pipe_free, ""),
+        let (code, signal) = job.exit_code.unwrap_or((0, 0));
+        columns!(&mut out, b'|';
+            ShownId(job),
+            one_line(&job.req.name),
             job.req.user,
             job.req.account,
             job.req.partition,
             job.req.qos,
             job.state.to_slurm(),
             job.submit_time,
-            time_or(job.start_time, "Unknown"),
-            time_or(job.end_time, "Unknown"),
+            Or(job.start_time, "Unknown"),
+            Or(job.end_time, "Unknown"),
             Elapsed(job.elapsed_secs(now)),
             job.req.time_limit,
             job.alloc_cpus(),
             job.req.nodes,
             job.req.total_tres(),
             MemMb(job.req.mem_mb_per_node),
-        );
-        if let Some(stats) = job.stats {
-            put!(
-                &mut out,
-                "{}|{}",
-                MemMb(stats.max_rss_mb),
-                Elapsed(stats.total_cpu_secs)
-            );
-        } else {
-            out.push('|');
-        }
-        let (code, signal) = job.exit_code.unwrap_or((0, 0));
-        put!(
-            &mut out,
-            "|{code}:{signal}|{}|{}\n",
-            joined(&job.nodes, "None"),
-            job.req.comment.as_deref().unwrap_or_default(),
+            job.stats.map(|s| MemMb(s.max_rss_mb)),
+            job.stats.map(|s| Elapsed(s.total_cpu_secs)),
+            (code, b':', signal),
+            Joined(&job.nodes, "None"),
+            one_line(job.req.comment.as_deref().unwrap_or_default()),
         );
     }
-    out
+    crate::text(out)
 }
 
-/// A job name may hold neither the column separator nor a line break.
+/// Free text as one column: a job name or comment may hold neither the
+/// column separator nor a line break.
+fn one_line(text: &str) -> Cleaned<'_, impl Fn(char) -> char> {
+    cleaned(text, pipe_free, "")
+}
+
 fn pipe_free(c: char) -> char {
     match c {
         '|' => '/',
@@ -187,19 +184,22 @@ fn pipe_free(c: char) -> char {
 /// Parse parsable2 output back into records that borrow from it.
 pub fn parse_sacct(text: &str) -> Result<Vec<SacctRecord<'_>>, String> {
     crate::note_parse();
-    let mut lines = text.lines();
-    let header = lines.next().unwrap_or_default();
+    let mut rows = crate::rows::<{ SACCT_FIELDS.len() }>(text, b'|');
+    let header = rows.next().map_or("", |row| row.line);
     if !header.split('|').eq(SACCT_FIELDS) {
         return Err(format!("unexpected sacct header: {header:?}"));
     }
     // A row is about as long as the header: a guess the input bounds.
     let mut out = Vec::with_capacity(text.len() / header.len());
-    for line in lines {
-        if line.trim().is_empty() {
+    for row in rows {
+        if row.line.trim().is_empty() {
             continue;
         }
-        let f = crate::fields::<{ SACCT_FIELDS.len() }>(crate::split_ascii(line, b'|'))
-            .map_err(|n| format!("malformed sacct line ({n} fields): {line:?}"))?;
+        if row.count != SACCT_FIELDS.len() {
+            let (n, line) = (row.count, row.line);
+            return Err(format!("malformed sacct line ({n} fields): {line:?}"));
+        }
+        let f = row.fields;
         out.push(SacctRecord {
             job_id: f[0],
             job_name: f[1],

@@ -6,7 +6,7 @@
 //! renderer and a parser ([`render_job`], [`parse_show_job`]) but no
 //! command: the Job Overview reads slurmctld's snapshot.
 
-use crate::{cleaned, joined, no_space, put, time_or};
+use crate::{cleaned, no_space, push, Cleaned, Joined, Or};
 use hpcdash_obs::Span;
 use hpcdash_simtime::{parse_timestamp, Elapsed, Timestamp};
 use hpcdash_slurm::ctld::{AssocRecord, Slurmctld};
@@ -15,6 +15,7 @@ use hpcdash_slurm::node::{Node, NodeState};
 use hpcdash_slurm::tres::MemMb;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io::Write as _;
 
 /// A parsed `scontrol show job` record.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,68 +131,36 @@ impl serde::Serialize for List<'_> {
 
 /// Render one job record.
 pub fn render_job(job: &Job, now: Timestamp) -> String {
-    let mut s = String::with_capacity(640);
-    put!(
-        &mut s,
-        "JobId={} JobName={}\n   UserId={}(1000) Account={} QOS={} Priority={}\n",
-        job.id,
-        token(&job.req.name),
-        job.req.user,
-        job.req.account,
-        job.req.qos,
-        job.priority,
-    );
-    put!(
-        &mut s,
-        "   JobState={} Reason={} Dependency=",
-        job.state.to_slurm(),
-        job.reason.map(|r| r.to_slurm()).unwrap_or("None"),
-    );
-    match job.req.dependency {
-        Some(d) => put!(&mut s, "afterok:{d}\n"),
-        None => s.push_str("(null)\n"),
-    }
-    put!(
-        &mut s,
-        "   SubmitTime={} EligibleTime={}\n   StartTime={} EndTime={}\n   TimeLimit={} RunTime={}\n",
-        job.submit_time,
-        job.eligible_time,
-        time_or(job.start_time, "Unknown"),
-        time_or(job.end_time, "Unknown"),
-        job.req.time_limit,
-        Elapsed(job.elapsed_secs(now)),
-    );
-    put!(
-        &mut s,
-        "   Partition={} NodeList={}\n   NumNodes={} NumCPUs={} MinMemoryNode={}",
-        job.req.partition,
-        joined(&job.nodes, "(null)"),
-        job.req.nodes,
-        job.alloc_cpus(),
-        MemMb(job.req.mem_mb_per_node),
+    let mut s = Vec::with_capacity(640);
+    push!(&mut s;
+        "JobId=", job.id, " JobName=", token(&job.req.name),
+        "\n   UserId=", job.req.user, "(1000) Account=", job.req.account,
+        " QOS=", job.req.qos, " Priority=", job.priority,
+        "\n   JobState=", job.state.to_slurm(),
+        " Reason=", job.reason.map(|r| r.to_slurm()).unwrap_or("None"),
+        " Dependency=", Or(job.req.dependency.map(|d| ("afterok", b':', d)), "(null)"),
+        "\n   SubmitTime=", job.submit_time, " EligibleTime=", job.eligible_time,
+        "\n   StartTime=", Or(job.start_time, "Unknown"),
+        " EndTime=", Or(job.end_time, "Unknown"),
+        "\n   TimeLimit=", job.req.time_limit, " RunTime=", Elapsed(job.elapsed_secs(now)),
+        "\n   Partition=", job.req.partition, " NodeList=", Joined(&job.nodes, "(null)"),
+        "\n   NumNodes=", job.req.nodes, " NumCPUs=", job.alloc_cpus(),
+        " MinMemoryNode=", MemMb(job.req.mem_mb_per_node),
     );
     if job.req.gpus_per_node > 0 {
-        put!(&mut s, " Gres=gpu:{}", job.req.gpus_per_node);
+        push!(&mut s; " Gres=gpu:", job.req.gpus_per_node);
     }
-    put!(
-        &mut s,
-        "\n   WorkDir={}\n   StdOut={} StdErr={}\n",
-        token(&job.req.work_dir),
-        token(&job.stdout_path),
-        token(&job.stderr_path),
+    push!(&mut s;
+        "\n   WorkDir=", token(&job.req.work_dir),
+        "\n   StdOut=", token(&job.stdout_path), " StdErr=", token(&job.stderr_path), b'\n',
     );
     if let Some(c) = &job.req.comment {
-        put!(&mut s, "   Comment={}\n", token(c));
+        push!(&mut s; "   Comment=", token(c), b'\n');
     }
     if let Some(a) = &job.array {
-        put!(
-            &mut s,
-            "   ArrayJobId={} ArrayTaskId={}\n",
-            a.array_job_id,
-            a.task_id
-        );
+        push!(&mut s; "   ArrayJobId=", a.array_job_id, " ArrayTaskId=", a.task_id, b'\n');
     }
-    s
+    crate::text(s)
 }
 
 /// Parse a `scontrol show job` dump (one record). The typed fields are read
@@ -261,14 +230,14 @@ pub fn show_node(ctld: &Slurmctld, name: Option<&str>) -> Result<String, String>
             .unwrap_or_default(),
         None => {
             let nodes = ctld.query_nodes();
-            let mut text = String::with_capacity(nodes.len() * NODE_BYTES);
+            let mut text = Vec::with_capacity(nodes.len() * NODE_BYTES);
             for (i, node) in nodes.iter().enumerate() {
                 if i > 0 {
-                    text.push('\n');
+                    text.push(b'\n');
                 }
                 push_node(&mut text, node);
             }
-            text
+            crate::text(text)
         }
     };
     crate::boundary(ctld.faults(), "scontrol_node", text)
@@ -279,43 +248,35 @@ const NODE_BYTES: usize = 384;
 
 /// Render one node record.
 pub fn render_node(node: &Node) -> String {
-    let mut s = String::with_capacity(NODE_BYTES);
+    let mut s = Vec::with_capacity(NODE_BYTES);
     push_node(&mut s, node);
-    s
+    crate::text(s)
 }
 
-fn push_node(s: &mut String, node: &Node) {
-    put!(
-        s,
-        "NodeName={} Arch=x86_64\n   CPUAlloc={} CPUTot={} CPULoad={:.2}\n   AvailableFeatures={}\n",
-        node.name,
-        node.alloc.cpus,
-        node.cpus,
-        node.cpu_load,
-        joined(&node.features, "(null)"),
+fn push_node(s: &mut Vec<u8>, node: &Node) {
+    push!(s;
+        "NodeName=", node.name,
+        " Arch=x86_64\n   CPUAlloc=", node.alloc.cpus, " CPUTot=", node.cpus, " CPULoad=",
     );
+    // The one float of the command boundary keeps `fmt`'s rounding.
+    write!(s, "{:.2}", node.cpu_load).expect("a Vec takes every write");
+    push!(s; "\n   AvailableFeatures=", Joined(&node.features, "(null)"), b'\n');
     if node.gpus > 0 {
         let ty = node.gpu_type.as_deref().unwrap_or("gpu");
-        put!(
-            s,
-            "   Gres=gpu:{ty}:{} GresUsed=gpu:{ty}:{}\n",
-            node.gpus,
-            node.alloc.gpus
+        push!(s;
+            "   Gres=gpu:", ty, b':', node.gpus,
+            " GresUsed=gpu:", ty, b':', node.alloc.gpus, b'\n',
         );
     }
-    put!(
-        s,
-        "   RealMemory={} AllocMem={}\n   State={} Partitions={}\n   OS={}\n   BootTime={} LastBusyTime={}\n",
-        node.real_memory_mb,
-        node.alloc.mem_mb,
-        node.state().to_slurm(),
-        joined(&node.partitions, "(null)"),
-        token(&node.os),
-        node.boot_time,
-        node.last_busy,
+    push!(s;
+        "   RealMemory=", node.real_memory_mb, " AllocMem=", node.alloc.mem_mb,
+        "\n   State=", node.state().to_slurm(),
+        " Partitions=", Joined(&node.partitions, "(null)"),
+        "\n   OS=", token(&node.os),
+        "\n   BootTime=", node.boot_time, " LastBusyTime=", node.last_busy, b'\n',
     );
     if let Some(r) = &node.reason {
-        put!(s, "   Reason={}\n", token(r));
+        push!(s; "   Reason=", token(r), b'\n');
     }
 }
 
@@ -395,34 +356,25 @@ pub fn show_assoc(ctld: &Slurmctld, user: Option<&str>) -> Result<String, String
     crate::boundary(ctld.faults(), "scontrol_assoc", text)
 }
 
-/// A group limit, `N` when there is none.
-fn limit(limit: Option<impl fmt::Display>) -> impl fmt::Display {
-    fmt::from_fn(move |f| match &limit {
-        Some(limit) => limit.fmt(f),
-        None => f.write_str("N"),
-    })
-}
-
 /// Render the assoc dump.
 pub fn render_assoc(records: &[AssocRecord]) -> String {
     const HEADER: &str =
         "Account GrpTRESCpu GrpTRESMinsGpu CPUsInUse CPUsQueued GPUSecondsUsed Users\n";
-    let mut s = String::with_capacity(HEADER.len() * (records.len() + 1));
-    s.push_str(HEADER);
+    let mut s = Vec::with_capacity(HEADER.len() * (records.len() + 1));
+    s.extend_from_slice(HEADER.as_bytes());
     for r in records {
-        put!(
-            &mut s,
-            "{} {} {} {} {} {} {}\n",
+        // A group limit is `N` when there is none.
+        crate::columns!(&mut s, b' ';
             r.account.name,
-            limit(r.account.grp_cpu_limit),
-            limit(r.account.grp_gpu_mins_limit),
+            Or(r.account.grp_cpu_limit, "N"),
+            Or(r.account.grp_gpu_mins_limit, "N"),
             r.usage.cpus_running,
             r.usage.cpus_queued,
             r.usage.gpu_seconds,
-            joined(&r.members, "-"),
+            Joined(&r.members, "-"),
         );
     }
-    s
+    crate::text(s)
 }
 
 /// One parsed assoc row.
@@ -516,7 +468,7 @@ fn tokenize(text: &str) -> BTreeMap<String, String> {
 }
 
 /// scontrol values cannot contain whitespace.
-fn token(v: &str) -> impl fmt::Display + '_ {
+fn token(v: &str) -> Cleaned<'_, impl Fn(char) -> char> {
     cleaned(v, no_space, "(null)")
 }
 

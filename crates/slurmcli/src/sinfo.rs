@@ -9,7 +9,7 @@
 //!   usage (`alloc/idle/other/total`), which drives the System Status
 //!   widget's utilization bars (paper §3.3).
 
-use crate::put;
+use crate::push;
 use hpcdash_obs::Span;
 use hpcdash_slurm::ctld::Slurmctld;
 use hpcdash_slurm::node::{Node, NodeState};
@@ -87,7 +87,7 @@ fn avail(part: &Partition) -> &'static str {
 /// order. The nodes are walked once per state instead of being sorted into
 /// lists of names.
 fn push_summary_rows<'a>(
-    out: &mut String,
+    out: &mut Vec<u8>,
     part: &Partition,
     nodes: impl Iterator<Item = &'a Node> + Clone,
 ) {
@@ -97,20 +97,15 @@ fn push_summary_rows<'a>(
         if count == 0 {
             continue;
         }
-        put!(
-            out,
-            "{}{} {} {} {count} ",
-            part.name,
-            if part.is_default { "*" } else { "" },
-            avail(part),
-            part.max_time,
+        push!(out;
+            part.name, if part.is_default { "*" } else { "" },
+            b' ', avail(part), b' ', part.max_time, b' ', count as u64, b' ',
         );
-        out.extend(state.to_slurm().chars().map(|c| c.to_ascii_lowercase()));
+        out.extend(state.to_slurm().bytes().map(|b| b.to_ascii_lowercase()));
         for (i, node) in members.enumerate() {
-            out.push(if i == 0 { ' ' } else { ',' });
-            out.push_str(&node.name);
+            push!(out; if i == 0 { b' ' } else { b',' }, node.name);
         }
-        out.push('\n');
+        out.push(b'\n');
     }
 }
 
@@ -118,11 +113,11 @@ const SUMMARY_HEADER: &str = "PARTITION AVAIL TIMELIMIT NODES STATE NODELIST\n";
 
 /// Render the summary straight from a snapshot's per-partition node groups.
 pub fn render_summary_snapshot(snap: &ClusterSnapshot) -> String {
-    let mut out = String::from(SUMMARY_HEADER);
+    let mut out = SUMMARY_HEADER.as_bytes().to_vec();
     for (i, part) in snap.partitions.iter().enumerate() {
         push_summary_rows(&mut out, part, snap.nodes_of_partition(i));
     }
-    out
+    crate::text(out)
 }
 
 /// Parse the default summary back into rows.
@@ -174,28 +169,20 @@ const USAGE_HEADER: &str = "PARTITION AVAIL CPUS(A/I/O/T) GPUS(A/T) NODES(U/T)\n
 
 /// Render the usage table straight from a snapshot's node groups.
 pub fn render_usage_snapshot(snap: &ClusterSnapshot) -> String {
-    let mut out = String::from(USAGE_HEADER);
+    let mut out = USAGE_HEADER.as_bytes().to_vec();
     for (i, part) in snap.partitions.iter().enumerate() {
         push_usage_row(&mut out, part, snap.nodes_of_partition(i));
     }
-    out
+    crate::text(out)
 }
 
-fn push_usage_row<'a>(out: &mut String, part: &Partition, nodes: impl Iterator<Item = &'a Node>) {
+fn push_usage_row<'a>(out: &mut Vec<u8>, part: &Partition, nodes: impl Iterator<Item = &'a Node>) {
     let u = tally(nodes);
-    put!(
-        out,
-        "{} {} {}/{}/{}/{} {}/{} {}/{}\n",
-        part.name,
-        avail(part),
-        u.cpus_alloc,
-        u.cpus_idle,
-        u.cpus_other,
-        u.cpus_total,
-        u.gpus_alloc,
-        u.gpus_total,
-        u.nodes_in_use,
-        u.nodes_total,
+    push!(out;
+        part.name, b' ', avail(part),
+        b' ', u.cpus_alloc, b'/', u.cpus_idle, b'/', u.cpus_other, b'/', u.cpus_total,
+        b' ', u.gpus_alloc, b'/', u.gpus_total,
+        b' ', u.nodes_in_use, b'/', u.nodes_total, b'\n',
     );
 }
 

@@ -3,12 +3,11 @@
 //! Output matches the default format:
 //! `JOBID PARTITION NAME USER ST TIME NODES NODELIST(REASON)`.
 
-use crate::{cleaned, joined, no_space, put, time_or};
+use crate::{cleaned, columns, no_space, push, Cleaned, Joined, Or, Put, ShownId};
 use hpcdash_obs::Span;
 use hpcdash_simtime::{Elapsed, Timestamp};
 use hpcdash_slurm::ctld::{JobQuery, Slurmctld};
 use hpcdash_slurm::job::{Job, JobState, PendingReason};
-use std::fmt;
 
 /// Flags the dashboard passes to `squeue`.
 #[derive(Debug, Clone, Default)]
@@ -84,12 +83,27 @@ impl SqueueLongRow<'_> {
 /// Run `squeue` with the long format. `Err` is the command failing the way
 /// a real popen would: non-zero exit, message on stderr.
 pub fn squeue_long(ctld: &Slurmctld, args: &SqueueArgs) -> Result<String, String> {
+    long(ctld, args, None)
+}
+
+/// `squeue -t <state>` with the long format: only the jobs in `state`, as
+/// [`squeue_long`] lists them.
+pub fn squeue_long_in(
+    ctld: &Slurmctld,
+    args: &SqueueArgs,
+    state: JobState,
+) -> Result<String, String> {
+    long(ctld, args, Some(state))
+}
+
+fn long(ctld: &Slurmctld, args: &SqueueArgs, state: Option<JobState>) -> Result<String, String> {
     let _span = Span::enter("slurmcli").attr("cmd", "squeue_long");
     let query = JobQuery {
         user: args.user.clone(),
         accounts: args.accounts.clone(),
         partition: args.partition.clone(),
         node: None,
+        state,
     };
     let mut jobs = ctld.query_jobs(&query);
     jobs.sort_by_key(|j| std::cmp::Reverse(j.submit_time));
@@ -98,29 +112,28 @@ pub fn squeue_long(ctld: &Slurmctld, args: &SqueueArgs) -> Result<String, String
 }
 
 /// The `TIME` column: elapsed so far, `0:00` while pending.
-fn time(job: &Job, now: Timestamp) -> impl fmt::Display + '_ {
-    fmt::from_fn(move |f| match job.state {
-        JobState::Pending => f.write_str("0:00"),
-        _ => fmt::Display::fmt(&Elapsed(job.elapsed_secs(now)), f),
-    })
+fn time(job: &Job, now: Timestamp) -> Or<Elapsed> {
+    let running = job.state != JobState::Pending;
+    Or(running.then(|| Elapsed(job.elapsed_secs(now))), "0:00")
 }
 
 /// The `NODELIST(REASON)` column.
-fn nodes_or_reason(job: &Job) -> impl fmt::Display + '_ {
-    fmt::from_fn(move |f| {
+struct NodesOrReason<'a>(&'a Job);
+
+impl Put for NodesOrReason<'_> {
+    fn put(&self, out: &mut Vec<u8>) {
+        let job = self.0;
         if job.nodes.is_empty() {
             let reason = job.reason.map(|r| r.to_slurm()).unwrap_or("None");
-            f.write_str("(")?;
-            f.write_str(reason)?;
-            f.write_str(")")
+            (b'(', reason, b')').put(out);
         } else {
-            fmt::Display::fmt(&joined(&job.nodes, ""), f)
+            Joined(&job.nodes, "").put(out);
         }
-    })
+    }
 }
 
 /// A job name as a `squeue` column ([`display_name`], streamed).
-fn column(name: &str) -> impl fmt::Display + '_ {
+fn column(name: &str) -> Cleaned<'_, impl Fn(char) -> char> {
     cleaned(name, no_space, "-")
 }
 
@@ -128,28 +141,25 @@ fn column(name: &str) -> impl fmt::Display + '_ {
 /// Generic over `Borrow<Job>` so it accepts both owned rows (tests) and the
 /// shared `Arc<Job>` rows the snapshot read path returns.
 pub fn render_long<J: std::borrow::Borrow<Job>>(jobs: &[J], now: Timestamp) -> String {
-    let mut out = String::with_capacity((jobs.len() + 1) * 128);
-    out.push_str(LONG_HEADER);
-    out.push('\n');
+    let mut out = Vec::with_capacity((jobs.len() + 1) * 128);
+    push!(&mut out; LONG_HEADER, b'\n');
     for job in jobs {
         let job = job.borrow();
-        put!(
-            &mut out,
-            "{} {} {} {} {} {} {} {} {} {} {}\n",
-            job.shown_id(),
+        columns!(&mut out, b' ';
+            ShownId(job),
             job.req.partition,
             column(&job.req.name),
             job.req.user,
             job.state.to_slurm(),
             job.submit_time,
-            time_or(job.start_time, "N/A"),
+            Or(job.start_time, "N/A"),
             time(job, now),
             job.req.time_limit,
             job.req.nodes,
-            nodes_or_reason(job),
+            NodesOrReason(job),
         );
     }
-    out
+    crate::text(out)
 }
 
 /// Parse long-format output into rows that borrow from it.
@@ -201,6 +211,7 @@ pub fn squeue(ctld: &Slurmctld, args: &SqueueArgs) -> Result<String, String> {
         accounts: args.accounts.clone(),
         partition: args.partition.clone(),
         node: None,
+        state: None,
     };
     let mut jobs = ctld.query_jobs(&query);
     jobs.sort_by_key(|j| j.id);
@@ -211,25 +222,22 @@ pub fn squeue(ctld: &Slurmctld, args: &SqueueArgs) -> Result<String, String> {
 /// Render job records as `squeue` text (separated so tests can build rows
 /// without a daemon). Generic over `Borrow<Job>` — see [`render_long`].
 pub fn render<J: std::borrow::Borrow<Job>>(jobs: &[J], now: Timestamp) -> String {
-    let mut out = String::with_capacity((jobs.len() + 1) * 80);
-    out.push_str(HEADER);
-    out.push('\n');
+    let mut out = Vec::with_capacity((jobs.len() + 1) * 80);
+    push!(&mut out; HEADER, b'\n');
     for job in jobs {
         let job = job.borrow();
-        put!(
-            &mut out,
-            "{} {} {} {} {} {} {} {}\n",
-            job.shown_id(),
+        columns!(&mut out, b' ';
+            ShownId(job),
             job.req.partition,
             column(&job.req.name),
             job.req.user,
             job.state.to_compact(),
             time(job, now),
             job.req.nodes,
-            nodes_or_reason(job),
+            NodesOrReason(job),
         );
     }
-    out
+    crate::text(out)
 }
 
 /// Parse `squeue` output back into rows.
@@ -273,7 +281,9 @@ pub fn parse_squeue(text: &str) -> Result<Vec<SqueueRow>, String> {
 /// structured widget path renders names exactly as a squeue round-trip
 /// would (the byte-parity the opt-in flag promises).
 pub fn display_name(name: &str) -> String {
-    column(name).to_string()
+    let mut shown = Vec::with_capacity(name.len());
+    column(name).put(&mut shown);
+    crate::text(shown)
 }
 
 #[cfg(test)]

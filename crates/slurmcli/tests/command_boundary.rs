@@ -406,6 +406,15 @@ fn table_parsers_agree_on_and_around(text: &str, seed: u64) {
 /// above rather than through a `Strategy`.
 const CASES: usize = 256;
 
+/// What a byte writer appends to a buffer that already holds text: its own
+/// text, after what was there.
+fn written(write: impl Fn(&mut Vec<u8>)) -> String {
+    let mut out = b"x|".to_vec();
+    write(&mut out);
+    assert_eq!(&out[..2], b"x|", "a writer only appends");
+    String::from_utf8(out[2..].to_vec()).expect("a writer writes ASCII")
+}
+
 #[test]
 fn grammar_writers_match_the_reference() {
     let mut rng = TestRng::for_test("grammar_writers_match_the_reference");
@@ -429,34 +438,98 @@ fn grammar_writers_match_the_reference() {
             .copied()
             .unwrap_or_else(|| arb_secs(&mut rng));
         let t = Timestamp(secs);
+        assert_eq!(
+            written(|o| t.write_slurm(o)),
+            reference::format_timestamp(t)
+        );
         assert_eq!(t.to_string(), reference::format_timestamp(t));
         assert_eq!(t.to_slurm(), reference::format_timestamp(t));
+        assert_eq!(
+            written(|o| Elapsed(secs).write_slurm(o)),
+            reference::format_duration(secs)
+        );
         assert_eq!(Elapsed(secs).to_string(), reference::format_duration(secs));
         assert_eq!(format_duration(secs), reference::format_duration(secs));
         let limit = arb_limit(&mut rng);
-        assert_eq!(limit.to_string(), reference::timelimit_to_slurm(limit));
-        assert_eq!(limit.to_slurm(), reference::timelimit_to_slurm(limit));
+        for limit in [limit, TimeLimit::Limited(secs)] {
+            assert_eq!(
+                written(|o| limit.write_slurm(o)),
+                reference::timelimit_to_slurm(limit)
+            );
+            assert_eq!(limit.to_string(), reference::timelimit_to_slurm(limit));
+            assert_eq!(limit.to_slurm(), reference::timelimit_to_slurm(limit));
+        }
         let job = ArbJob.generate(&mut rng);
         for mem in [job.req.mem_mb_per_node, rng.gen()] {
+            assert_eq!(
+                written(|o| MemMb(mem).write_slurm(o)),
+                reference::format_mem_mb(mem)
+            );
             assert_eq!(MemMb(mem).to_string(), reference::format_mem_mb(mem));
             assert_eq!(format_mem_mb(mem), reference::format_mem_mb(mem));
         }
         let any = Tres::new(rng.gen(), rng.gen(), rng.gen(), rng.gen());
         for tres in [job.req.total_tres(), any, Tres::default()] {
+            assert_eq!(
+                written(|o| tres.write_slurm(o)),
+                reference::tres_to_slurm(tres)
+            );
             assert_eq!(tres.to_string(), reference::tres_to_slurm(tres));
             assert_eq!(tres.to_slurm(), reference::tres_to_slurm(tres));
         }
+        assert_eq!(
+            written(|o| job.write_shown_id(o)),
+            reference::display_id(&job)
+        );
         assert_eq!(job.display_id(), reference::display_id(&job));
-        assert_eq!(job.shown_id().to_string(), reference::display_id(&job));
+        let id = JobId(rng.gen());
+        assert_eq!(written(|o| id.write_slurm(o)), id.0.to_string());
+        assert_eq!(id.to_string(), id.0.to_string());
     }
     // The widest forms fit the writers' stack space.
     let widest = Tres::new(u32::MAX, u64::MAX, u32::MAX, u32::MAX);
+    assert_eq!(
+        written(|o| widest.write_slurm(o)),
+        reference::tres_to_slurm(widest)
+    );
     assert_eq!(widest.to_string(), reference::tres_to_slurm(widest));
     let last = Timestamp(u64::MAX);
-    assert_eq!(last.to_string(), reference::format_timestamp(last));
     assert_eq!(
-        Elapsed(u64::MAX).to_string(),
-        reference::format_duration(u64::MAX)
+        written(|o| last.write_slurm(o)),
+        reference::format_timestamp(last)
+    );
+    assert_eq!(last.to_string(), reference::format_timestamp(last));
+    for secs in [u64::MAX, u64::MAX - 86_399] {
+        assert_eq!(
+            written(|o| Elapsed(secs).write_slurm(o)),
+            reference::format_duration(secs)
+        );
+        assert_eq!(Elapsed(secs).to_string(), reference::format_duration(secs));
+        let limit = TimeLimit::Limited(secs);
+        assert_eq!(
+            written(|o| limit.write_slurm(o)),
+            reference::timelimit_to_slurm(limit)
+        );
+    }
+    assert_eq!(
+        written(|o| MemMb(u64::MAX).write_slurm(o)),
+        reference::format_mem_mb(u64::MAX)
+    );
+    let widest_id = Job {
+        array: Some(ArrayMeta {
+            array_job_id: JobId(u32::MAX),
+            task_id: u32::MAX,
+            max_concurrent: None,
+        }),
+        ..ArbJob.generate(&mut rng)
+    };
+    assert_eq!(
+        written(|o| widest_id.write_shown_id(o)),
+        reference::display_id(&widest_id)
+    );
+    assert_eq!(
+        written(|o| JobId(u32::MAX).write_slurm(o)),
+        u32::MAX.to_string()
     );
 }
 

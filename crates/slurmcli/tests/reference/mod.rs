@@ -1,7 +1,8 @@
 //! The command boundary as it was before it streamed: the four grammar
 //! formatters/parsers of `hpcdash-simtime` and `hpcdash-slurm` and the eight
 //! render/parse pairs of this crate, kept verbatim (minus the parse counter,
-//! which is crate-private) as the reference `command_boundary.rs` holds the
+//! which is crate-private, plus the one-line cleaning of the `sacct`
+//! comment, which the writer took on as a fix) as the reference `command_boundary.rs` holds the
 //! streaming writers and borrowing parsers to. Test-only: nothing here is
 //! reachable from the library.
 
@@ -367,7 +368,8 @@ pub mod sacct {
                 } else {
                     job.nodes.join(",")
                 },
-                job.req.comment.clone().unwrap_or_default(),
+                // Cleaned like the name: a `|` or a line break broke the row.
+                sanitize(job.req.comment.as_deref().unwrap_or_default()),
             ];
             out.push_str(&fields.join("|"));
             out.push('\n');

@@ -88,3 +88,52 @@ fn live_cluster_roundtrips_all_commands() {
         assert!(report.contains("CPU Efficiency:"));
     }
 }
+
+/// `squeue -t PENDING` is the unfiltered listing with every other line
+/// taken out: the same pending jobs, in the same order, written alike.
+#[test]
+fn squeue_of_pending_jobs_is_the_full_listing_less_the_rest() {
+    use hpcdash_slurm::job::JobState;
+    use hpcdash_slurmcli::{squeue_long, squeue_long_in, SqueueArgs};
+
+    let scenario = Scenario::build(ScenarioConfig::small());
+    let mut driver = scenario.driver(2 * 3_600);
+    driver.advance(2 * 3_600);
+    let pop = &scenario.population;
+    let mut queries = vec![SqueueArgs::default()];
+    for user in pop.users.iter().take(12) {
+        queries.push(SqueueArgs {
+            user: Some(user.clone()),
+            accounts: pop.accounts_of(user),
+            partition: None,
+        });
+    }
+    for part in scenario.ctld.query_partitions().iter() {
+        queries.push(SqueueArgs {
+            partition: Some(part.name.clone()),
+            ..SqueueArgs::default()
+        });
+    }
+    let (mut pending, mut other) = (0, 0);
+    for args in &queries {
+        let all = squeue_long(&scenario.ctld, args).expect("no fault installed");
+        let only =
+            squeue_long_in(&scenario.ctld, args, JobState::Pending).expect("no fault installed");
+        let mut want = String::new();
+        for (i, line) in all.lines().enumerate() {
+            let is_pending = line.split(' ').nth(4) == Some("PENDING");
+            if i > 0 {
+                *(if is_pending { &mut pending } else { &mut other }) += 1;
+            }
+            if i == 0 || is_pending {
+                want.push_str(line);
+                want.push('\n');
+            }
+        }
+        assert_eq!(only, want, "{args:?}");
+    }
+    assert!(
+        pending > 0 && other > 0,
+        "{pending} pending and {other} other lines"
+    );
+}

@@ -129,3 +129,53 @@ fn drained_partition_surfaces_as_state_not_failure() {
         .clone();
     assert_eq!(cpu["status"], "DOWN");
 }
+
+/// A job's free text is one column of `sacct`'s table: a `|` or a line
+/// break in its comment once split the row, and the parse error took My
+/// Jobs down for everyone who can see the job. The comment is cleaned the
+/// way the name is, and the row carries it.
+#[test]
+fn a_separator_in_a_job_comment_is_cleaned_not_fatal() {
+    use hpcdash_http::{Method, Request};
+    use hpcdash_slurm::job::{JobRequest, UsageProfile};
+
+    let site = SimSite::build(ScenarioConfig::small());
+    let pop = &site.scenario.population;
+    let owner = pop.users[0].clone();
+    let account = pop.accounts_of(&owner)[0].clone();
+    let peer = pop
+        .users
+        .iter()
+        .find(|u| **u != owner && pop.accounts_of(u).contains(&account))
+        .expect("the account has two members")
+        .clone();
+    let submit = |comment: &str| {
+        let mut req = JobRequest::simple(&owner, &account, "cpu", 2);
+        req.comment = Some(comment.to_string());
+        req.usage = UsageProfile::batch(600);
+        site.scenario.ctld.submit(req).unwrap()[0]
+    };
+    let bare = submit("a|b\nc");
+    let session = submit("ood:jupyter:a|b\nc:/home/x");
+    site.scenario.ctld.tick();
+
+    for viewer in [&owner, &peer] {
+        let req =
+            Request::new(Method::Get, "/api/myjobs?range=all").with_header("X-Remote-User", viewer);
+        let resp = site.dashboard.handle(&req);
+        let body = String::from_utf8_lossy(resp.body.as_ref()).into_owned();
+        assert_eq!(resp.status, 200, "{viewer}: {body}");
+        let payload: serde_json::Value = serde_json::from_str(&body).unwrap();
+        let row = |id: u32| {
+            payload["jobs"]
+                .as_array()
+                .unwrap()
+                .iter()
+                .find(|r| r["id"] == id.to_string().as_str())
+                .unwrap_or_else(|| panic!("{viewer} sees job {id}"))
+                .clone()
+        };
+        assert_eq!(row(bare.0)["session_id"], serde_json::Value::Null);
+        assert_eq!(row(session.0)["session_id"], "a/b c", "{viewer}");
+    }
+}
