@@ -7,7 +7,7 @@
 
 use crate::api::{encode, Link, Text};
 use crate::auth::CurrentUser;
-use crate::charts::{self, GpuHours, StateDistribution};
+use crate::charts::{GpuHours, PerUser, StateDistribution};
 use crate::colors::{job_state_color, ColorClass};
 use crate::ctx::DashboardContext;
 use crate::efficiency::EfficiencyReport;
@@ -244,12 +244,13 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
                 }
             })
             .collect();
+        let per_user = PerUser::of(&records);
         Ok(encode(&MyJobsRef {
             range: range.label(),
             jobs,
             charts: Charts {
-                state_distribution: charts::job_state_distribution(&records),
-                gpu_hours: charts::gpu_hours_distribution(&records),
+                state_distribution: per_user.state_distribution(),
+                gpu_hours: per_user.gpu_hours(),
             },
         }))
     });

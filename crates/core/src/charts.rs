@@ -2,13 +2,16 @@
 //! GPU-hour distribution charts, emitted in the shape Chart.js consumes
 //! (`labels` + `datasets`), grouped by user — plus the inline SVG
 //! sparklines the telemetry series render as.
+//!
+//! Both charts read one per-user table ([`PerUser`]), built in one pass
+//! over the table's records and kept in name order as it grows: no sort
+//! of every record's user name and no map keyed by state and user.
 
 use crate::api::jobtelemetry::Series;
 use crate::colors::job_state_color;
 use hpcdash_slurm::job::JobState;
 use hpcdash_slurmcli::SacctRecord;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Stacked-bar data: per-user job counts split by state.
 #[derive(Debug, Serialize, Deserialize)]
@@ -40,53 +43,82 @@ pub struct GpuHoursSeries {
     pub data: Vec<f64>,
 }
 
-pub(crate) fn job_state_distribution(records: &[SacctRecord<'_>]) -> StateDistribution {
-    let mut users: Vec<&str> = records.iter().map(|r| r.user).collect();
-    users.sort_unstable();
-    users.dedup();
+/// The table's jobs per user, in name order: how many are in each state
+/// (indexed as [`JobState::ALL`], which lists the states in declaration
+/// order) and the GPU hours they used, summed in record order. One pass
+/// over the records builds it, and both charts read it.
+pub(crate) struct PerUser<'t> {
+    rows: Vec<UserRow<'t>>,
+}
 
-    let mut counts: BTreeMap<(JobState, &str), usize> = BTreeMap::new();
-    for r in records {
-        *counts.entry((r.state, r.user)).or_insert(0) += 1;
+struct UserRow<'t> {
+    user: &'t str,
+    states: [usize; JobState::ALL.len()],
+    gpu_hours: f64,
+}
+
+impl<'t> PerUser<'t> {
+    pub(crate) fn of(records: &[SacctRecord<'t>]) -> PerUser<'t> {
+        let mut rows: Vec<UserRow<'t>> = Vec::new();
+        for r in records {
+            let at = match rows.binary_search_by(|row| row.user.cmp(r.user)) {
+                Ok(at) => at,
+                Err(at) => {
+                    rows.insert(
+                        at,
+                        UserRow {
+                            user: r.user,
+                            states: [0; JobState::ALL.len()],
+                            gpu_hours: 0.0,
+                        },
+                    );
+                    at
+                }
+            };
+            let row = &mut rows[at];
+            row.states[r.state as usize] += 1;
+            row.gpu_hours += r.gpu_hours();
+        }
+        PerUser { rows }
     }
 
-    let mut datasets = Vec::new();
-    for state in JobState::ALL {
-        let data: Vec<usize> = users
+    fn labels(&self) -> Vec<String> {
+        self.rows.iter().map(|row| row.user.to_string()).collect()
+    }
+
+    /// Stacked bars: one dataset per state some job is in.
+    pub(crate) fn state_distribution(&self) -> StateDistribution {
+        let datasets = JobState::ALL
             .iter()
-            .map(|u| counts.get(&(state, *u)).copied().unwrap_or(0))
-            .collect();
-        if data.iter().any(|c| *c > 0) {
-            datasets.push(StateCounts {
+            .enumerate()
+            .filter(|(i, _)| self.rows.iter().any(|row| row.states[*i] > 0))
+            .map(|(i, state)| StateCounts {
                 label: state.to_slurm().to_string(),
-                color: job_state_color(state).to_string(),
-                data,
-            });
+                color: job_state_color(*state).to_string(),
+                data: self.rows.iter().map(|row| row.states[i]).collect(),
+            })
+            .collect();
+        StateDistribution {
+            r#type: "stacked-bar".to_string(),
+            labels: self.labels(),
+            datasets,
         }
     }
 
-    StateDistribution {
-        r#type: "stacked-bar".to_string(),
-        labels: users.into_iter().map(str::to_string).collect(),
-        datasets,
-    }
-}
-
-pub(crate) fn gpu_hours_distribution(records: &[SacctRecord<'_>]) -> GpuHours {
-    let mut by_user: BTreeMap<&str, f64> = BTreeMap::new();
-    for r in records {
-        *by_user.entry(r.user).or_insert(0.0) += r.gpu_hours();
-    }
-    GpuHours {
-        r#type: "bar".to_string(),
-        labels: by_user.keys().map(|u| u.to_string()).collect(),
-        datasets: vec![GpuHoursSeries {
-            label: "GPU hours".to_string(),
-            data: by_user
-                .values()
-                .map(|h| (h * 100.0).round() / 100.0)
-                .collect(),
-        }],
+    /// Bars: GPU hours per user, rounded to 0.01.
+    pub(crate) fn gpu_hours(&self) -> GpuHours {
+        GpuHours {
+            r#type: "bar".to_string(),
+            labels: self.labels(),
+            datasets: vec![GpuHoursSeries {
+                label: "GPU hours".to_string(),
+                data: self
+                    .rows
+                    .iter()
+                    .map(|row| (row.gpu_hours * 100.0).round() / 100.0)
+                    .collect(),
+            }],
+        }
     }
 }
 
@@ -158,7 +190,7 @@ mod tests {
             rec("alice", JobState::Failed, 0, Some(0), Some(100), 1, 0),
             rec("bob", JobState::Pending, 0, None, None, 1, 0),
         ];
-        let chart = value(&job_state_distribution(&recs));
+        let chart = value(&PerUser::of(&recs).state_distribution());
         assert_eq!(chart["labels"], json!(["alice", "bob"]));
         let datasets = chart["datasets"].as_array().unwrap();
         // Only states that occur appear.
@@ -183,9 +215,69 @@ mod tests {
             rec("alice", JobState::Completed, 0, Some(0), Some(1_800), 8, 4), // 2 gpu-h
             rec("bob", JobState::Completed, 0, Some(0), Some(3_600), 8, 0),   // 0
         ];
-        let chart = value(&gpu_hours_distribution(&recs));
+        let chart = value(&PerUser::of(&recs).gpu_hours());
         assert_eq!(chart["labels"], json!(["alice", "bob"]));
         assert_eq!(chart["datasets"][0]["data"], json!([4.0, 0.0]));
+    }
+
+    #[test]
+    fn state_indexes_follow_the_all_list() {
+        for (i, state) in JobState::ALL.into_iter().enumerate() {
+            assert_eq!(state as usize, i, "{state:?}");
+        }
+    }
+
+    /// The table against the maps it replaced, on records of shuffled
+    /// users, states and GPU counts.
+    #[test]
+    fn per_user_table_matches_a_map_per_chart() {
+        use std::collections::BTreeMap;
+        let users = ["zoe", "al", "mo", "al2", "b"];
+        let mut recs = Vec::new();
+        for i in 0..300u64 {
+            let state = JobState::ALL[(i * 7 % 10) as usize];
+            let user = users[(i * 13 % 5) as usize];
+            recs.push(rec(
+                user,
+                state,
+                0,
+                Some(0),
+                Some(i * 97),
+                8,
+                (i % 3) as u32,
+            ));
+        }
+        let mut by_user: BTreeMap<&str, (BTreeMap<JobState, usize>, f64)> = BTreeMap::new();
+        for r in &recs {
+            let entry = by_user.entry(r.user).or_default();
+            *entry.0.entry(r.state).or_default() += 1;
+            entry.1 += r.gpu_hours();
+        }
+        let table = PerUser::of(&recs);
+        let states = value(&table.state_distribution());
+        let labels: Vec<&str> = by_user.keys().copied().collect();
+        assert_eq!(states["labels"], json!(labels));
+        let seen: Vec<JobState> = JobState::ALL
+            .into_iter()
+            .filter(|s| by_user.values().any(|(n, _)| n.contains_key(s)))
+            .collect();
+        let datasets = states["datasets"].as_array().unwrap();
+        assert_eq!(datasets.len(), seen.len());
+        for (set, state) in datasets.iter().zip(seen) {
+            assert_eq!(set["label"], state.to_slurm());
+            let counts: Vec<usize> = by_user
+                .values()
+                .map(|(n, _)| n.get(&state).copied().unwrap_or(0))
+                .collect();
+            assert_eq!(set["data"], json!(counts));
+        }
+        let gpu = value(&table.gpu_hours());
+        assert_eq!(gpu["labels"], json!(labels));
+        let hours: Vec<f64> = by_user
+            .values()
+            .map(|(_, h)| (h * 100.0).round() / 100.0)
+            .collect();
+        assert_eq!(gpu["datasets"][0]["data"], json!(hours));
     }
 
     #[test]
@@ -215,10 +307,10 @@ mod tests {
 
     #[test]
     fn empty_records_give_empty_charts() {
-        let chart = value(&job_state_distribution(&[]));
+        let chart = value(&PerUser::of(&[]).state_distribution());
         assert_eq!(chart["labels"], json!([]));
         assert_eq!(chart["datasets"].as_array().unwrap().len(), 0);
-        let gpu = value(&gpu_hours_distribution(&[]));
+        let gpu = value(&PerUser::of(&[]).gpu_hours());
         assert_eq!(gpu["labels"], json!([]));
     }
 }

@@ -1,7 +1,7 @@
 //! Aggregate job performance metrics (paper §5): totals, queue wait, mean
 //! duration, wall time and average efficiencies over a selectable range.
 
-use crate::efficiency::EfficiencyReport;
+use crate::efficiency::Ratios;
 use hpcdash_simtime::Timestamp;
 use hpcdash_slurmcli::SacctRecord;
 use serde::{Deserialize, Serialize};
@@ -109,7 +109,7 @@ impl JobMetrics {
             cpu_hours += rec.alloc_cpus as f64 * rec.elapsed_secs as f64 / 3_600.0;
             gpu_hours += rec.gpu_hours();
             if rec.state.is_finished() {
-                let e = EfficiencyReport::from_record(rec, false);
+                let e = Ratios::of(rec);
                 if let Some(c) = e.cpu {
                     cpu_effs.push(c);
                 }

@@ -3,6 +3,7 @@
 
 use crate::api::joboverview::{JobOverview, LogTail};
 use crate::charts::sparkline_rows;
+use crate::efficiency::percent;
 use crate::pages::layout::{decode, page, shell, widget_placeholder};
 use crate::template::escape_html;
 use crate::widgets::error_card;
@@ -121,20 +122,16 @@ fn body(payload: &JobOverview, stdout_tail: Option<&[u8]>, stderr_tail: Option<&
         duration(time.cpu_time_secs),
     ));
     let eff = cards.efficiency.as_ref();
-    let pct = |v: Option<f64>| match v {
-        Some(f) => format!("{:.1}%", f * 100.0),
-        None => "—".to_string(),
-    };
     let gpu_line = match eff.and_then(|e| e.gpu) {
-        Some(gpu) => format!("<br>GPU: {}", pct(Some(gpu))),
+        Some(gpu) => format!("<br>GPU: {}", percent(Some(gpu))),
         None => String::new(),
     };
     body.push_str(&format!(
         "<div class=\"card\"><div class=\"card-header\">Efficiency</div><div class=\"card-body\">\
          CPU: {}<br>Memory: {}<br>Time: {}{}</div></div>",
-        pct(eff.and_then(|e| e.cpu)),
-        pct(eff.and_then(|e| e.memory)),
-        pct(eff.and_then(|e| e.time)),
+        percent(eff.and_then(|e| e.cpu)),
+        percent(eff.and_then(|e| e.memory)),
+        percent(eff.and_then(|e| e.time)),
         gpu_line,
     ));
     // Utilization card: sparklines from the collector's series, when the
@@ -234,7 +231,7 @@ mod tests {
                               "node_links": [{"name": "g001", "overview_url": "/nodes/g001"}]},
                 "time": {"elapsed": "01:00:00", "elapsed_secs": 3_600, "limit": "04:00:00",
                          "remaining_secs": 10_800, "cpu_time_secs": 46_080},
-                "efficiency": {"cpu": 0.8, "memory": 0.6, "time": null, "gpu": null, "warnings": []},
+                "efficiency": {"cpu": 800, "memory": 600, "time": null, "gpu": null, "warnings": []},
             },
             "session": {"app": "jupyter", "session_id": "s1", "workdir": "/home/alice/ondemand",
                         "workdir_url": "/pun/sys/files/fs/home/alice/ondemand",
@@ -285,7 +282,7 @@ mod tests {
     #[test]
     fn telemetry_sparklines_and_gpu_efficiency_render() {
         let mut p = payload();
-        p["cards"]["efficiency"]["gpu"] = json!(0.42);
+        p["cards"]["efficiency"]["gpu"] = json!(420);
         p["telemetry"] = json!({
             "start": 0, "end": 90, "resolution_secs": 30, "tier": "raw",
             "cpu": [[0, 0.5], [30, 0.6], [60, 0.55]],

@@ -3,6 +3,7 @@
 
 use crate::api::jobmetrics::JobPerformance;
 use crate::charts::sparkline_rows;
+use crate::efficiency::{per_mille, percent};
 use crate::pages::layout::{decode, page, shell, widget_placeholder};
 use crate::template::escape_html;
 use hpcdash_simtime::format_duration;
@@ -41,10 +42,6 @@ fn body(payload: &JobPerformance) -> String {
         Some(s) => format_duration(s as u64),
         None => "—".to_string(),
     };
-    let pct = |v: Option<f64>| match v {
-        Some(f) => format!("{:.1}%", f * 100.0),
-        None => "—".to_string(),
-    };
     let mut body = String::from("<h1>Job Performance Metrics</h1>");
     body.push_str(&format!(
         "<p class=\"range-label\">{}</p>",
@@ -58,8 +55,11 @@ fn body(payload: &JobPerformance) -> String {
         ("Total wall time", format_duration(m.total_wall_secs)),
         ("Total CPU hours", format!("{:.1}", m.total_cpu_hours)),
         ("Total GPU hours", format!("{:.1}", m.total_gpu_hours)),
-        ("Avg CPU efficiency", pct(m.avg_cpu_eff)),
-        ("Avg memory efficiency", pct(m.avg_mem_eff)),
+        ("Avg CPU efficiency", percent(m.avg_cpu_eff.map(per_mille))),
+        (
+            "Avg memory efficiency",
+            percent(m.avg_mem_eff.map(per_mille)),
+        ),
     ];
     for (label, value) in cards {
         body.push_str(&format!(

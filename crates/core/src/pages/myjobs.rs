@@ -2,6 +2,7 @@
 //! columns & warnings, plus the two charts.
 
 use crate::api::myjobs::MyJobs;
+use crate::efficiency::percent;
 use crate::pages::layout::{decode, page, shell, widget_placeholder};
 use crate::template::escape_html;
 use hpcdash_simtime::format_duration;
@@ -49,10 +50,6 @@ fn body(payload: &MyJobs) -> String {
          <th class=\"eff\">Time eff</th><th class=\"eff\">CPU eff</th><th class=\"eff\">Mem eff</th>\
          </tr></thead><tbody>",
     );
-    let pct = |v: Option<f64>| match v {
-        Some(f) => format!("{:.1}%", f * 100.0),
-        None => "—".to_string(),
-    };
     let or_dash = |t: &Option<String>| escape_html(t.as_deref().unwrap_or("—"));
     for j in &payload.jobs {
         let eff = &j.efficiency;
@@ -84,9 +81,9 @@ fn body(payload: &MyJobs) -> String {
                 .map(format_duration)
                 .unwrap_or_else(|| "—".to_string()),
             format_duration(j.elapsed_secs),
-            pct(eff.time),
-            pct(eff.cpu),
-            pct(eff.memory),
+            percent(eff.time),
+            percent(eff.cpu),
+            percent(eff.memory),
         ));
         // Efficiency warnings render as alert rows under the job.
         for w in &eff.warnings {
@@ -121,7 +118,7 @@ mod tests {
         let mut done = row("100", "train", "COMPLETED");
         done["start"] = json!("2026-07-04T08:01:00");
         done["end"] = json!("2026-07-04T09:01:00");
-        done["efficiency"] = json!({"cpu": 0.08, "memory": 0.5, "time": 0.9, "gpu": null,
+        done["efficiency"] = json!({"cpu": 80, "memory": 500, "time": 900, "gpu": null,
             "warnings": ["This job used only 8% of the 16 CPUs it requested. Requesting fewer CPUs will reduce your queue wait times and leave more resources for others."]});
         let mut pending = row("101", "sweep", "PENDING");
         pending["reason"] = json!({"code": "AssocGrpCpuLimit",

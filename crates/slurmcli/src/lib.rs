@@ -72,8 +72,9 @@ pub(crate) fn boundary(
 // ...). No `fmt::Formatter` and no `String` per field stands in between;
 // [`text`] checks the whole output once and hands it out as the `String` a
 // command returns. Parsers borrow: a `sacct` table is cut into lines and
-// fields in one pass ([`rows`]), a blank-separated line into a fixed array
-// of `&str`, and only what a record keeps is copied.
+// fields in one pass ([`rows`]), and so is a table of blank-separated
+// columns (`squeue`, `sinfo`, the assoc dump) by [`blank_rows`], each line
+// into a fixed array of `&str`; only what a record keeps is copied.
 
 /// A piece of a command's output, appended to it as it is.
 pub(crate) trait Put {
@@ -360,29 +361,63 @@ pub(crate) fn rows<const N: usize>(text: &str, sep: u8) -> impl Iterator<Item = 
     })
 }
 
+/// The lines of `text` as `str::lines` cuts them, each cut into its words
+/// as `str::split_whitespace` cuts it, in one pass over the bytes: the
+/// blank-separated tables (`squeue`, `sinfo`, the assoc dump). The ASCII
+/// blanks are the five that rule counts, vertical tab included; a line
+/// with a byte past ASCII is cut again by `split_whitespace`, which knows
+/// the Unicode blanks too.
+pub(crate) fn blank_rows<const N: usize>(text: &str) -> impl Iterator<Item = Row<'_, N>> {
+    let bytes = text.as_bytes();
+    let mut line_at = 0;
+    std::iter::from_fn(move || {
+        if line_at >= bytes.len() {
+            return None;
+        }
+        let mut row = Row {
+            line: "",
+            fields: [""; N],
+            count: 0,
+        };
+        let (mut at, mut word_at, mut ascii) = (line_at, None, true);
+        while let Some(&b) = bytes.get(at).filter(|b| **b != b'\n') {
+            if matches!(b, b' ' | b'\t' | 0x0b | 0x0c | b'\r') {
+                if let Some(word_at) = word_at.take() {
+                    row.add(&text[word_at..at]);
+                }
+            } else {
+                ascii &= b.is_ascii();
+                word_at.get_or_insert(at);
+            }
+            at += 1;
+        }
+        if let Some(word_at) = word_at {
+            row.add(&text[word_at..at]);
+        }
+        // A carriage return before a line break ends the line with it.
+        let end = if at < bytes.len() && at > line_at && bytes[at - 1] == b'\r' {
+            at - 1
+        } else {
+            at
+        };
+        row.line = &text[line_at..end];
+        line_at = at + 1;
+        if !ascii {
+            row.count = 0;
+            for word in row.line.split_whitespace() {
+                row.add(word);
+            }
+        }
+        Some(row)
+    })
+}
+
 impl<'t, const N: usize> Row<'t, N> {
     fn add(&mut self, field: &'t str) {
         if let Some(slot) = self.fields.get_mut(self.count) {
             *slot = field;
         }
         self.count += 1;
-    }
-}
-
-/// The `N` fields of one line, borrowed; `Err` is how many there were.
-pub(crate) fn fields<'a, const N: usize>(
-    mut split: impl Iterator<Item = &'a str>,
-) -> Result<[&'a str; N], usize> {
-    let mut out = [""; N];
-    let mut filled = 0;
-    // `zip` asks for a slot first, so a field too many is not lost to it.
-    for (slot, field) in out.iter_mut().zip(&mut split) {
-        *slot = field;
-        filled += 1;
-    }
-    match filled + split.count() {
-        count if count == N => Ok(out),
-        count => Err(count),
     }
 }
 
@@ -401,6 +436,23 @@ mod tests {
                 .map(|line| {
                     let fields: Vec<&str> = line.split('|').collect();
                     (line, fields.iter().copied().take(3).collect(), fields.len())
+                })
+                .collect();
+            prop_assert_eq!(got, want);
+        }
+
+        #[test]
+        fn blank_rows_cut_where_lines_and_split_whitespace_do(
+            text in "[ab \t\x0b\x0c\r\n\u{85}\u{a0}\u{2003}\u{3000}é]{0,60}"
+        ) {
+            let got: Vec<(&str, Vec<&str>, usize)> = super::blank_rows::<3>(&text)
+                .map(|row| (row.line, row.fields[..row.count.min(3)].to_vec(), row.count))
+                .collect();
+            let want: Vec<(&str, Vec<&str>, usize)> = text
+                .lines()
+                .map(|line| {
+                    let words: Vec<&str> = line.split_whitespace().collect();
+                    (line, words.iter().copied().take(3).collect(), words.len())
                 })
                 .collect();
             prop_assert_eq!(got, want);

@@ -393,12 +393,15 @@ pub struct AssocRow {
 pub fn parse_show_assoc(text: &str) -> Result<Vec<AssocRow>, String> {
     crate::note_parse();
     let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if i == 0 || line.trim().is_empty() {
+    for row in crate::blank_rows::<7>(text).skip(1) {
+        let line = row.line;
+        if row.count == 0 {
             continue;
         }
-        let p = crate::fields::<7>(crate::words(line))
-            .map_err(|_| format!("malformed assoc line: {line:?}"))?;
+        if row.count != 7 {
+            return Err(format!("malformed assoc line: {line:?}"));
+        }
+        let p = row.fields;
         let opt_num = |s: &str| -> Option<u64> {
             if s == "N" {
                 None

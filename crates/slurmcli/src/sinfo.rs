@@ -124,12 +124,15 @@ pub fn render_summary_snapshot(snap: &ClusterSnapshot) -> String {
 pub fn parse_sinfo_summary(text: &str) -> Result<Vec<SinfoRow>, String> {
     crate::note_parse();
     let mut rows = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if i == 0 || line.trim().is_empty() {
+    for row in crate::blank_rows::<6>(text).skip(1) {
+        let line = row.line;
+        if row.count == 0 {
             continue;
         }
-        let parts = crate::fields::<6>(crate::words(line))
-            .map_err(|_| format!("malformed sinfo line: {line:?}"))?;
+        if row.count != 6 {
+            return Err(format!("malformed sinfo line: {line:?}"));
+        }
+        let parts = row.fields;
         rows.push(SinfoRow {
             partition: parts[0].trim_end_matches('*').to_string(),
             avail: parts[1].to_string(),
@@ -223,12 +226,15 @@ fn tally<'a>(nodes: impl Iterator<Item = &'a Node>) -> PartitionUsage {
 pub fn parse_sinfo_usage(text: &str) -> Result<Vec<PartitionUsage>, String> {
     crate::note_parse();
     let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if i == 0 || line.trim().is_empty() {
+    for row in crate::blank_rows::<5>(text).skip(1) {
+        let line = row.line;
+        if row.count == 0 {
             continue;
         }
-        let parts = crate::fields::<5>(crate::words(line))
-            .map_err(|_| format!("malformed sinfo usage line: {line:?}"))?;
+        if row.count != 5 {
+            return Err(format!("malformed sinfo usage line: {line:?}"));
+        }
+        let parts = row.fields;
         let counts = (
             tuple::<4>(parts[2], "cpus")?,
             tuple::<2>(parts[3], "gpus")?,

@@ -165,17 +165,21 @@ pub fn render_long<J: std::borrow::Borrow<Job>>(jobs: &[J], now: Timestamp) -> S
 /// Parse long-format output into rows that borrow from it.
 pub fn parse_squeue_long(text: &str) -> Result<Vec<SqueueLongRow<'_>>, String> {
     crate::note_parse();
-    let mut lines = text.lines();
-    if let Some(header) = lines.next().filter(|h| h.trim() != LONG_HEADER) {
+    let mut lines = crate::blank_rows::<11>(text);
+    let header = lines.next().map(|row| row.line);
+    if let Some(header) = header.filter(|h| h.trim() != LONG_HEADER) {
         return Err(format!("unexpected squeue long header: {header:?}"));
     }
     let mut rows = Vec::with_capacity(text.len() / LONG_HEADER.len());
-    for line in lines {
-        if line.trim().is_empty() {
+    for row in lines {
+        if row.count == 0 {
             continue;
         }
-        let parts = crate::fields::<11>(crate::words(line))
-            .map_err(|n| format!("malformed squeue long line ({n} cols): {line:?}"))?;
+        if row.count != 11 {
+            let (n, line) = (row.count, row.line);
+            return Err(format!("malformed squeue long line ({n} cols): {line:?}"));
+        }
+        let parts = row.fields;
         let state = JobState::parse(parts[4]).ok_or_else(|| format!("bad state {:?}", parts[4]))?;
         let time_secs = if parts[7] == "0:00" {
             0
@@ -243,17 +247,21 @@ pub fn render<J: std::borrow::Borrow<Job>>(jobs: &[J], now: Timestamp) -> String
 /// Parse `squeue` output back into rows.
 pub fn parse_squeue(text: &str) -> Result<Vec<SqueueRow>, String> {
     crate::note_parse();
-    let mut lines = text.lines();
-    if let Some(header) = lines.next().filter(|h| h.trim() != HEADER) {
+    let mut lines = crate::blank_rows::<8>(text);
+    let header = lines.next().map(|row| row.line);
+    if let Some(header) = header.filter(|h| h.trim() != HEADER) {
         return Err(format!("unexpected squeue header: {header:?}"));
     }
     let mut rows = Vec::with_capacity(text.len() / HEADER.len());
-    for line in lines {
-        if line.trim().is_empty() {
+    for row in lines {
+        if row.count == 0 {
             continue;
         }
-        let parts = crate::fields::<8>(crate::words(line))
-            .map_err(|n| format!("malformed squeue line ({n} cols): {line:?}"))?;
+        if row.count != 8 {
+            let (n, line) = (row.count, row.line);
+            return Err(format!("malformed squeue line ({n} cols): {line:?}"));
+        }
+        let parts = row.fields;
         let state = JobState::parse(parts[4]).ok_or_else(|| format!("bad state {:?}", parts[4]))?;
         let time_secs = if parts[5] == "0:00" {
             0

@@ -7,6 +7,7 @@
 //! ```
 
 use hpcdash::SimSite;
+use hpcdash_core::efficiency::percent;
 use hpcdash_core::pages;
 use hpcdash_http::HttpClient;
 use hpcdash_workload::ScenarioConfig;
@@ -116,10 +117,8 @@ fn main() {
         "{:<9} {:<22} {:<9} {:<11} {:>9} {:>9} {:>8} {:>8} {:>8}",
         "JOBID", "NAME", "QOS", "STATE", "WAIT(s)", "ELAPSED", "TIME_EFF", "CPU_EFF", "MEM_EFF"
     );
-    let pct = |v: &serde_json::Value| match v.as_f64() {
-        Some(f) => format!("{:.0}%", f * 100.0),
-        None => "—".to_string(),
-    };
+    // Efficiency arrives in per mille; the page prints it with one decimal.
+    let pct = |v: &serde_json::Value| percent(v.as_u64().and_then(|n| u16::try_from(n).ok()));
     for j in jobs.iter().take(18) {
         println!(
             "{:<9} {:<22} {:<9} {:<11} {:>9} {:>9} {:>8} {:>8} {:>8}",

@@ -224,3 +224,69 @@ fn a_payload_missing_a_field_renders_an_error_card() {
     assert!(html.contains("widget-error") && html.contains("missing field `export_url`"));
     assert!(!html.contains("account-row"), "no row of blanks");
 }
+
+/// FNV-1a, 64-bit, with a separator after each part folded in.
+struct Fnv(u64);
+
+impl Fnv {
+    fn fold(&mut self, bytes: &[u8]) {
+        for &b in bytes.iter().chain(&[0xff]) {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
+/// The pages that print efficiency read as they did when the payloads
+/// carried unrounded ratios instead of per mille: on the seeded campus
+/// site, frozen after four simulated hours with every cache off, the My
+/// Jobs and Job Performance pages of every user and the Job Overview page
+/// of every job a user owns are rendered from the routes' answers and
+/// folded, page by page, into one digest per page kind. The pins were
+/// taken from the code whose payloads carried the unrounded ratios; no
+/// cell of this site sits on a rounding tie, so none may differ.
+#[test]
+fn efficiency_pages_render_as_they_did_from_unrounded_ratios() {
+    use hpcdash_core::{CachePolicy, DashboardConfig};
+    let mut scenario = ScenarioConfig::campus();
+    scenario.free_daemons = true;
+    let mut dash = DashboardConfig::purdue_like();
+    dash.cache = CachePolicy::disabled();
+    let site = SimSite::build_with(scenario, dash);
+    site.warm_up(4 * 3_600);
+    let get = |path: &str, user: &str| {
+        let resp = site
+            .dashboard
+            .handle(&Request::new(Method::Get, path).with_header("X-Remote-User", user));
+        assert_eq!(resp.status, 200, "{path}: {}", resp.body_string());
+        resp.body.to_vec()
+    };
+    let (mut my_jobs, mut overviews, mut perf) = (
+        Fnv(0xcbf2_9ce4_8422_2325),
+        Fnv(0xcbf2_9ce4_8422_2325),
+        Fnv(0xcbf2_9ce4_8422_2325),
+    );
+    let mut pages_rendered = 0;
+    for user in &site.scenario.population.users {
+        let body = get("/api/myjobs", user);
+        my_jobs.fold(pages::myjobs::render_full("Anvil", user, &body).as_bytes());
+        let body = get("/api/jobmetrics", user);
+        perf.fold(pages::jobperf::render_full("Anvil", user, &body).as_bytes());
+        let payload: serde_json::Value = serde_json::from_slice(&get("/api/myjobs", user)).unwrap();
+        for job in payload["jobs"].as_array().unwrap() {
+            if job["user"] == user.as_str() {
+                let path = format!("/api/jobs/{}", job["id"].as_str().unwrap());
+                let html =
+                    pages::joboverview::render_full("Anvil", user, &get(&path, user), None, None);
+                overviews.fold(html.as_bytes());
+                pages_rendered += 1;
+            }
+        }
+    }
+    assert!(pages_rendered > 100, "{pages_rendered} job pages");
+    let got = [my_jobs.0, overviews.0, perf.0].map(|d| format!("{d:016x}"));
+    assert_eq!(
+        got,
+        ["c26a15ff66e9e119", "0b3ed06569cb30fa", "de387fd81f3acc9f"]
+    );
+}

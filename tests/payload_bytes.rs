@@ -294,10 +294,10 @@ fn cold_widget_bytes_are_pinned() {
         ("/api/announcements", "9684ce7334473598"),
         ("/api/clusterstatus", "dfcfb8363b779e2c"),
         ("/api/jobmetrics", "3f44505f6f12459f"),
-        ("/api/jobs/:id", "f58da9798a814311"),
+        ("/api/jobs/:id", "bb4f1ce384542fa6"),
         ("/api/jobs/:id/logs", "0748683a24523cdc"),
         ("/api/jobtelemetry", "534db5cd887d6248"),
-        ("/api/myjobs", "234491b6cbdd6cd5"),
+        ("/api/myjobs", "92098c7ab07ad927"),
         ("/api/nodes/:name", "61a756cb9d5ea035"),
         ("/api/recent_jobs", "11b72b977b7b2c3e"),
         ("/api/storage", "eb28f9b179f68f6f"),
@@ -385,7 +385,7 @@ fn stale_widget_bytes_are_pinned() {
         ("/api/announcements", "f1a6d871206a80b3"),
         ("/api/clusterstatus", "ee7d28860cdcff99"),
         ("/api/jobmetrics", "3721550d564c2815"),
-        ("/api/myjobs", "823555d9192cb5ef"),
+        ("/api/myjobs", "9e5226befe9c0ca6"),
         ("/api/nodes/:name", "04dbf49dd5ff5911"),
         ("/api/recent_jobs", "2d7dd653d34f89c2"),
         ("/api/storage", "b963553a5ab023bb"),

@@ -230,11 +230,12 @@ fn gpu_efficiency_is_collector_backed_when_flag_is_on() {
     let id = s.run_job(req, 20);
 
     let overview = s.json(&format!("/api/jobs/{id}"), &user);
+    // In per mille.
     let gpu = overview["cards"]["efficiency"]["gpu"]
-        .as_f64()
+        .as_u64()
         .expect("running gpu job has collector-backed efficiency");
     assert!(
-        (gpu - 0.35).abs() < 0.05,
+        gpu.abs_diff(350) < 50,
         "gpu efficiency {gpu} should track the measured 0.35 utilization, \
          not the 0.81 cpu approximation"
     );
