@@ -12,7 +12,9 @@ use std::sync::Arc;
 /// two `Arc` clones; nothing is re-encoded, re-parsed or copied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Body {
-    pub bytes: Arc<[u8]>,
+    /// The encoder's own buffer, adopted: made a body, it is shrunk to its
+    /// length in place and shared, never copied.
+    pub bytes: Arc<Vec<u8>>,
     /// [`etag_for`]`(bytes)`. Content-derived (not epoch-prefixed) on
     /// purpose: when a new epoch serializes to identical bytes the tag
     /// survives and `If-None-Match` still collapses to a 304. Empty for a
@@ -23,8 +25,8 @@ pub struct Body {
 impl Body {
     pub fn new(bytes: Vec<u8>) -> Body {
         Body {
-            etag: Arc::from(etag_for(&bytes)),
-            bytes: Arc::from(bytes),
+            etag: Arc::from(Etag::of(&bytes).as_str()),
+            bytes: adopt(bytes),
         }
     }
 
@@ -41,7 +43,7 @@ impl Body {
     pub fn unvalidated(bytes: Vec<u8>) -> Body {
         Body {
             etag: Arc::from(""),
-            bytes: Arc::from(bytes),
+            bytes: adopt(bytes),
         }
     }
 
@@ -49,6 +51,14 @@ impl Body {
     pub fn validator(&self) -> Option<&str> {
         (!self.etag.is_empty()).then_some(&*self.etag)
     }
+}
+
+/// `bytes` to share, without the slack its growth left: the shrink is a
+/// `realloc` to the length, which gives the tail back where it lies, so
+/// the bytes are not copied.
+fn adopt(mut bytes: Vec<u8>) -> Arc<Vec<u8>> {
+    bytes.shrink_to_fit();
+    Arc::new(bytes)
 }
 
 /// How an answer says its data is old. A stale widget answer carries all
@@ -171,7 +181,26 @@ fn members(inside: &[u8]) -> impl Iterator<Item = (&[u8], &[u8])> {
 
 /// Strong ETag for a body: its quoted 64-bit content hash.
 pub fn etag_for(bytes: &[u8]) -> String {
-    format!("\"{:016x}\"", fnv64(bytes))
+    Etag::of(bytes).as_str().to_string()
+}
+
+/// An ETag's text, `"` and sixteen lowercase hex digits and `"`, written
+/// where it is held rather than through `fmt`.
+struct Etag([u8; 18]);
+
+impl Etag {
+    fn of(bytes: &[u8]) -> Etag {
+        let hash = fnv64(bytes);
+        let mut text = [b'"'; 18];
+        for (i, digit) in text[1..17].iter_mut().enumerate() {
+            *digit = b"0123456789abcdef"[(hash >> (60 - 4 * i) & 0xf) as usize];
+        }
+        Etag(text)
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.0).expect("ASCII")
+    }
 }
 
 /// FNV-1a's xor-then-multiply, 64-bit, a little-endian word at a time in
@@ -224,6 +253,13 @@ mod tests {
     }
 
     #[test]
+    fn etags_are_the_hash_in_sixteen_hex_digits() {
+        for bytes in [&b""[..], b"same-bytes", &[0xff; 109]] {
+            assert_eq!(etag_for(bytes), format!("\"{:016x}\"", fnv64(bytes)));
+        }
+    }
+
+    #[test]
     fn hash_sees_every_byte_and_the_length() {
         // Three whole blocks (every lane), one tail word and five tail bytes.
         let base: Vec<u8> = (0..109u8).collect();
@@ -243,7 +279,7 @@ mod tests {
     fn json_bodies_serialize_once() {
         let v = serde_json::json!({"b": 1, "a": [true, null]});
         let body = Body::json(&v);
-        assert_eq!(&*body.bytes, serde_json::to_vec(&v).unwrap().as_slice());
+        assert_eq!(*body.bytes, serde_json::to_vec(&v).unwrap());
     }
 
     /// The splice against the parse, insert and encode it replaces.
@@ -294,9 +330,21 @@ mod tests {
     }
 
     #[test]
+    fn a_body_adopts_the_encoders_buffer_without_its_slack() {
+        for make in [Body::new, Body::unvalidated] {
+            let mut bytes = Vec::with_capacity(4_096);
+            bytes.extend_from_slice(&[b'x'; 1_000]);
+            let at = bytes.as_ptr();
+            let body = make(bytes);
+            assert_eq!(body.bytes.as_ptr(), at, "shared where it was encoded");
+            assert_eq!(body.bytes.capacity(), 1_000, "no slack held");
+        }
+    }
+
+    #[test]
     fn unvalidated_bodies_have_no_validator() {
         let body = Body::unvalidated(b"{}".to_vec());
         assert_eq!(body.validator(), None);
-        assert_eq!(&*body.bytes, b"{}");
+        assert_eq!(&body.bytes[..], b"{}");
     }
 }

@@ -14,10 +14,11 @@
 //! honest. The cluster-scoped route does the same for its one slice.
 
 use crate::auth::CurrentUser;
-use crate::ctx::DashboardContext;
+use crate::ctx::{CounterHandle, DashboardContext};
 use hpcdash_federation::{FederatedSnapshot, SiteHealth, SiteStatus};
 use hpcdash_http::{Request, Response, Router};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 pub const FEATURE: &str = "Multi-cluster federation (extension)";
 pub const ROUTES: &[&str] = &[
@@ -37,22 +38,42 @@ pub fn register(router: &mut Router, ctx: DashboardContext) {
     router.get(ROUTES[3], move |req| cluster_status(&c3, req));
 }
 
+/// The fan-out's counter handles, each resolved on its first use.
+#[derive(Default)]
+pub(crate) struct Counters {
+    fanouts: CounterHandle,
+    /// By site, in registration order, then by health (live, stale, dark).
+    slices: OnceLock<Box<[[CounterHandle; 3]]>>,
+}
+
 /// One fan-out across every registered site, with per-slice accounting.
 /// Label cardinality is bounded: the site list is fixed at build time.
 fn fan_out(ctx: &DashboardContext) -> FederatedSnapshot {
     let fed = ctx.federation.snapshot(&ctx.breakers);
-    ctx.obs
-        .counter("hpcdash_federation_fanouts_total", &[])
+    let counters = &ctx.fed_counters;
+    counters
+        .fanouts
+        .get_or_init(|| ctx.obs.counter("hpcdash_federation_fanouts_total", &[]))
         .inc();
-    for s in &fed.sites {
-        ctx.obs
-            .counter(
-                "hpcdash_federation_slices_total",
-                &[
-                    ("cluster", s.cluster.as_ref()),
-                    ("health", s.health.as_str()),
-                ],
-            )
+    let slices = counters
+        .slices
+        .get_or_init(|| fed.sites.iter().map(|_| Default::default()).collect());
+    for (s, handles) in fed.sites.iter().zip(slices.iter()) {
+        let health = match s.health {
+            SiteHealth::Live => 0,
+            SiteHealth::Stale { .. } => 1,
+            SiteHealth::Dark { .. } => 2,
+        };
+        handles[health]
+            .get_or_init(|| {
+                ctx.obs.counter(
+                    "hpcdash_federation_slices_total",
+                    &[
+                        ("cluster", s.cluster.as_ref()),
+                        ("health", s.health.as_str()),
+                    ],
+                )
+            })
             .inc();
     }
     fed

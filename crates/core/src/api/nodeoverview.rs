@@ -94,7 +94,7 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
     };
     let key = format!("node:{name}");
     let outcome = ctx.cached_resilient(&key, ctx.cfg.cache.node_overview, || load(ctx, &name));
-    if outcome.body().is_some_and(|b| &*b.bytes == NOT_FOUND) {
+    if outcome.body().is_some_and(|b| *b.bytes == NOT_FOUND) {
         return Response::not_found(&format!("node {name} not found"));
     }
     super::respond(outcome)

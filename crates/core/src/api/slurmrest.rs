@@ -22,7 +22,7 @@
 #![allow(clippy::disallowed_types, clippy::disallowed_macros)]
 
 use crate::auth::{note_act_as, CurrentUser};
-use crate::ctx::DashboardContext;
+use crate::ctx::{CounterHandle, DashboardContext};
 use hpcdash_cache::{Body, NO_TTL};
 use hpcdash_http::{Method, Request, Response, Router};
 use hpcdash_restapi::{serialize, visible_job_positions, AuthedToken, Scope, ScopeSet};
@@ -83,6 +83,57 @@ pub fn register(router: &mut Router, ctx: DashboardContext) {
     });
 }
 
+/// The family's `endpoint` labels, for cache keys and audit counters: the
+/// single-site reads in [`Endpoint`] order, the cluster-scoped reads in
+/// [`FedEndpoint`] order, then the cluster inventory.
+const ENDPOINTS: [&str; 10] = [
+    "jobs",
+    "job",
+    "nodes",
+    "partitions",
+    "associations",
+    "diag",
+    "clusters_jobs",
+    "clusters_nodes",
+    "clusters_partitions",
+    "clusters",
+];
+
+/// Where the inventory's label sits in [`ENDPOINTS`].
+const CLUSTERS: usize = 9;
+
+/// The family's request and stale-serve counters, one handle per label in
+/// [`ENDPOINTS`], each resolved on its first use.
+#[derive(Default)]
+pub(crate) struct Counters {
+    requests: [CounterHandle; ENDPOINTS.len()],
+    stale_serves: [CounterHandle; ENDPOINTS.len()],
+}
+
+/// Count a request at the endpoint labelled `ENDPOINTS[at]`.
+fn count_request(ctx: &DashboardContext, at: usize) {
+    ctx.rest_counters.requests[at]
+        .get_or_init(|| {
+            ctx.obs.counter(
+                "hpcdash_restapi_requests_total",
+                &[("endpoint", ENDPOINTS[at])],
+            )
+        })
+        .inc();
+}
+
+/// Count a stale serve at the endpoint labelled `ENDPOINTS[at]`.
+fn count_stale_serve(ctx: &DashboardContext, at: usize) {
+    ctx.rest_counters.stale_serves[at]
+        .get_or_init(|| {
+            ctx.obs.counter(
+                "hpcdash_restapi_stale_serves_total",
+                &[("endpoint", ENDPOINTS[at])],
+            )
+        })
+        .inc();
+}
+
 #[derive(Clone, Copy)]
 enum Endpoint {
     Jobs,
@@ -96,13 +147,17 @@ enum Endpoint {
 impl Endpoint {
     /// Stable route label for cache keys and audit counters.
     fn name(self) -> &'static str {
+        ENDPOINTS[self as usize]
+    }
+
+    /// The cluster-scoped read that lists what this endpoint lists to a
+    /// token with cluster scope.
+    fn listing(self) -> Option<FedEndpoint> {
         match self {
-            Endpoint::Jobs => "jobs",
-            Endpoint::JobById => "job",
-            Endpoint::Nodes => "nodes",
-            Endpoint::Partitions => "partitions",
-            Endpoint::Associations => "associations",
-            Endpoint::Diag => "diag",
+            Endpoint::Jobs => Some(FedEndpoint::Jobs),
+            Endpoint::Nodes => Some(FedEndpoint::Nodes),
+            Endpoint::Partitions => Some(FedEndpoint::Partitions),
+            _ => None,
         }
     }
 }
@@ -131,12 +186,7 @@ fn read(ctx: &DashboardContext, req: &Request, endpoint: Endpoint) -> Response {
     // Recovery check first: the purge of dead-epoch bytes must land before
     // the stale-fallback below can reach for them.
     ctx.observe_recoveries();
-    ctx.obs
-        .counter(
-            "hpcdash_restapi_requests_total",
-            &[("endpoint", endpoint.name())],
-        )
-        .inc();
+    count_request(ctx, endpoint as usize);
     let token = match bearer(ctx, req) {
         Ok(t) => t,
         Err(resp) => return resp,
@@ -144,24 +194,34 @@ fn read(ctx: &DashboardContext, req: &Request, endpoint: Endpoint) -> Response {
     // An `admin-act-as` token may evaluate scopes for another subject —
     // the token equivalent of the widget routes' X-Act-As header, audited
     // through the same counter.
-    let subject = match req.header("x-act-as") {
+    let (subject, acting) = match req.header("x-act-as") {
         Some(target) if !target.is_empty() && target != token.subject => {
             if !token.scopes.has_act_as() {
                 ctx.tokens.note_denied(endpoint.name());
                 return Response::forbidden("token lacks admin-act-as");
             }
             note_act_as(ctx, &token.subject, target);
-            target.to_string()
+            (target.to_string(), true)
         }
-        _ => token.subject.clone(),
+        _ => (token.subject.clone(), false),
     };
-    let key = format!(
-        "slurm_v0:{}|{}|{}|{}",
-        endpoint.name(),
-        req.param("id").unwrap_or(""),
-        subject,
-        token.scopes.fingerprint()
-    );
+    // A token with cluster scope, asking for itself, is listed the whole
+    // home cluster: the bytes of the cluster-scoped read, from the same
+    // snapshot. They are kept under that read's key, so an epoch builds
+    // them once.
+    let listing = endpoint
+        .listing()
+        .filter(|_| token.scopes.has_cluster() && !acting);
+    let key = match listing {
+        Some(listing) => cluster_key(listing, &ctx.home),
+        None => format!(
+            "slurm_v0:{}|{}|{}|{}",
+            endpoint.name(),
+            req.param("id").unwrap_or(""),
+            subject,
+            token.scopes.fingerprint()
+        ),
+    };
     // The fault gate: `slurm_v0` boundary faults fail the source the way a
     // dead slurmrestd would, but last-known-good bytes keep serving.
     if ctx.ctld.faults().is_armed() {
@@ -170,12 +230,7 @@ fn read(ctx: &DashboardContext, req: &Request, endpoint: Endpoint) -> Response {
         if let Some(msg) = check.error() {
             return match ctx.cache.cache().last_good(&key) {
                 Some(stale) => {
-                    ctx.obs
-                        .counter(
-                            "hpcdash_restapi_stale_serves_total",
-                            &[("endpoint", endpoint.name())],
-                        )
-                        .inc();
+                    count_stale_serve(ctx, endpoint as usize);
                     super::json_bytes(stale.value.bytes)
                         .with_header("X-Hpcdash-Stale", &stale.version.to_string())
                 }
@@ -189,7 +244,11 @@ fn read(ctx: &DashboardContext, req: &Request, endpoint: Endpoint) -> Response {
     if let Some(body) = ctx.cache_lookup(&key, snap.seq) {
         return super::fresh(body);
     }
-    let body = match build(ctx, req, endpoint, &snap, &token.scopes, &subject) {
+    let built = match listing {
+        Some(listing) => Ok(listing_body(&snap, listing)),
+        None => build(ctx, req, endpoint, &snap, &token.scopes, &subject),
+    };
+    let body = match built {
         Ok(bytes) => Body::new(bytes),
         Err(resp) => return resp,
     };
@@ -302,11 +361,33 @@ enum FedEndpoint {
 }
 
 impl FedEndpoint {
+    /// Where this endpoint's label sits in [`ENDPOINTS`].
+    fn label(self) -> usize {
+        6 + self as usize
+    }
+
     fn name(self) -> &'static str {
-        match self {
-            FedEndpoint::Jobs => "clusters_jobs",
-            FedEndpoint::Nodes => "clusters_nodes",
-            FedEndpoint::Partitions => "clusters_partitions",
+        ENDPOINTS[self.label()]
+    }
+}
+
+/// The cache key of `cluster`'s listing at `endpoint`, versioned on that
+/// cluster's snapshot seq.
+fn cluster_key(endpoint: FedEndpoint, cluster: &str) -> String {
+    format!("slurm_v0:{}|{}", endpoint.name(), cluster)
+}
+
+/// Everything `snap` holds at `endpoint`.
+fn listing_body(snap: &ClusterSnapshot, endpoint: FedEndpoint) -> Vec<u8> {
+    match endpoint {
+        FedEndpoint::Jobs => {
+            let positions: Vec<u32> = (0..snap.jobs.len() as u32).collect();
+            serialize::jobs_body(snap, &positions)
+        }
+        FedEndpoint::Nodes => serialize::nodes_body(snap, None),
+        FedEndpoint::Partitions => {
+            let indices: Vec<usize> = (0..snap.partitions.len()).collect();
+            serialize::partitions_body(snap, &indices)
         }
     }
 }
@@ -327,12 +408,7 @@ fn fed_bearer(ctx: &DashboardContext, req: &Request, audit: &str) -> Result<Auth
 /// fresh fan-out on every request (never byte-cached): the per-site ages
 /// this payload reports must keep growing while a site is dark.
 fn clusters(ctx: &DashboardContext, req: &Request) -> Response {
-    ctx.obs
-        .counter(
-            "hpcdash_restapi_requests_total",
-            &[("endpoint", "clusters")],
-        )
-        .inc();
+    count_request(ctx, CLUSTERS);
     if let Err(resp) = fed_bearer(ctx, req, "clusters") {
         return resp;
     }
@@ -369,12 +445,7 @@ fn clusters(ctx: &DashboardContext, req: &Request) -> Response {
 /// `X-Hpcdash-Stale` header, exactly like the single-site family under a
 /// `slurm_v0` fault; a dark slice (no snapshot ever fetched) is a 503.
 fn cluster_read(ctx: &DashboardContext, req: &Request, endpoint: FedEndpoint) -> Response {
-    ctx.obs
-        .counter(
-            "hpcdash_restapi_requests_total",
-            &[("endpoint", endpoint.name())],
-        )
-        .inc();
+    count_request(ctx, endpoint.label());
     if let Err(resp) = fed_bearer(ctx, req, endpoint.name()) {
         return resp;
     }
@@ -397,23 +468,13 @@ fn cluster_read(ctx: &DashboardContext, req: &Request, endpoint: FedEndpoint) ->
         }
     };
     // The key carries the cluster dimension; the version is the *slice's*
-    // seq, so stale bytes stay valid for the epoch they reflect.
-    let key = format!("slurm_v0:{}|{}", endpoint.name(), cluster);
+    // seq, so stale bytes stay valid for the epoch they reflect. The home
+    // cluster's key is shared with its own `/slurm/v0` listings.
+    let key = cluster_key(endpoint, cluster);
     let body = match ctx.cache_lookup(&key, snap.seq) {
         Some(body) => body,
         None => {
-            let built = match endpoint {
-                FedEndpoint::Jobs => {
-                    let positions: Vec<u32> = (0..snap.jobs.len() as u32).collect();
-                    serialize::jobs_body(&snap, &positions)
-                }
-                FedEndpoint::Nodes => serialize::nodes_body(&snap, None),
-                FedEndpoint::Partitions => {
-                    let indices: Vec<usize> = (0..snap.partitions.len()).collect();
-                    serialize::partitions_body(&snap, &indices)
-                }
-            };
-            let body = Body::new(built);
+            let body = Body::new(listing_body(&snap, endpoint));
             ctx.cache
                 .cache()
                 .insert(key, body.clone(), snap.seq, NO_TTL);
@@ -422,12 +483,7 @@ fn cluster_read(ctx: &DashboardContext, req: &Request, endpoint: FedEndpoint) ->
     };
     match stale_age {
         Some(age) => {
-            ctx.obs
-                .counter(
-                    "hpcdash_restapi_stale_serves_total",
-                    &[("endpoint", endpoint.name())],
-                )
-                .inc();
+            count_stale_serve(ctx, endpoint.label());
             super::json_bytes(body.bytes)
                 .with_header("X-Hpcdash-Stale", &snap.seq.to_string())
                 .with_header("X-Hpcdash-Stale-Age", &age.to_string())

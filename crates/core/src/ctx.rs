@@ -21,7 +21,7 @@ use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Everything a route handler needs. Cheap to clone (all `Arc`s).
 #[derive(Clone)]
@@ -72,7 +72,19 @@ pub struct DashboardContext {
     /// Daemon restart counters as last observed by the serving layer (see
     /// [`DashboardContext::observe_recoveries`]).
     recovery: Arc<RecoveryWatch>,
+    /// The name of the cluster `ctld` runs, as its snapshots and the
+    /// federation registry give it.
+    pub(crate) home: Arc<str>,
+    /// The `/slurm/v0` family's counter handles.
+    pub(crate) rest_counters: Arc<crate::api::slurmrest::Counters>,
+    /// The federation fan-out's counter handles, for `federation`'s sites.
+    pub(crate) fed_counters: Arc<crate::api::federation::Counters>,
 }
+
+/// A counter handle resolved from the registry on its first use and kept,
+/// as the router keeps its own: a request path that bumps it takes no
+/// lock, and the counter appears in `/api/metrics` only once it has fired.
+pub(crate) type CounterHandle = OnceLock<Arc<Counter>>;
 
 /// The serving layer's view of daemon crash-recoveries. Each daemon counts
 /// its own restarts; this watch remembers the counts the dashboard has
@@ -207,6 +219,7 @@ impl DashboardContext {
         tokens.set_registry(&obs);
         let mut registry = ClusterRegistry::new(clock.clone());
         registry.register(ctld.clone());
+        let home = registry.sites()[0].name().clone();
         DashboardContext {
             federation: Arc::new(registry),
             cfg: Arc::new(cfg),
@@ -227,6 +240,9 @@ impl DashboardContext {
             sources: Arc::new(Mutex::new(BTreeMap::new())),
             lookup_counters: Arc::default(),
             recovery: Arc::new(RecoveryWatch::default()),
+            home,
+            rest_counters: Arc::default(),
+            fed_counters: Arc::default(),
         }
     }
 
@@ -246,6 +262,7 @@ impl DashboardContext {
     /// `ctld` should be one of the registered sites.
     pub fn with_federation(mut self, federation: Arc<ClusterRegistry>) -> DashboardContext {
         self.federation = federation;
+        self.fed_counters = Arc::default();
         self
     }
 

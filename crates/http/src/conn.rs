@@ -89,7 +89,7 @@ const MAX_SLICES: usize = 16;
 pub(crate) struct Outgoing {
     pub buf: Vec<u8>,
     /// `(at, body)`, `at` ascending: `body` goes out after `buf[..at]`.
-    shared: Vec<(usize, Arc<[u8]>)>,
+    shared: Vec<(usize, Arc<Vec<u8>>)>,
     /// Bytes of the whole already written.
     written: usize,
 }
@@ -309,7 +309,7 @@ mod tests {
     }
 
     fn shared(text: &str) -> Response {
-        let body: Arc<[u8]> = Arc::from(text.as_bytes());
+        let body = Arc::new(text.as_bytes().to_vec());
         Response::new(200).with_body(body)
     }
 

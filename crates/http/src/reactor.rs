@@ -44,6 +44,7 @@ use crate::router::Router;
 use crate::server::{Metrics, Shared};
 use crate::sys::{Interest, Waker, TIMER_TOKEN};
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -480,25 +481,31 @@ enum Fill {
     Closed,
 }
 
+thread_local! {
+    /// The chunk `fill` reads into: zeroed once per thread, not per call.
+    static CHUNK: RefCell<Box<[u8]>> = RefCell::new(vec![0; READ_CHUNK].into_boxed_slice());
+}
+
 /// Read whatever the socket holds into the connection's read buffer.
 fn fill(conn: &mut Conn) -> Fill {
-    let mut chunk = [0u8; READ_CHUNK];
     let before = conn.read_buf.len();
-    loop {
-        match (&conn.stream).read(&mut chunk) {
-            Ok(0) => return Fill::Closed,
+    let closed = CHUNK.with_borrow_mut(|chunk| loop {
+        match (&conn.stream).read(chunk) {
+            Ok(0) => return true,
             Ok(n) => {
                 conn.read_buf.extend_from_slice(&chunk[..n]);
                 if n < chunk.len() {
-                    break;
+                    return false;
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return false,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Fill::Closed,
+            Err(_) => return true,
         }
-    }
-    if conn.read_buf.len() > before {
+    });
+    if closed {
+        Fill::Closed
+    } else if conn.read_buf.len() > before {
         Fill::Bytes
     } else {
         Fill::Nothing

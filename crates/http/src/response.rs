@@ -5,11 +5,12 @@ use std::sync::Arc;
 
 /// Response payload bytes. Most handlers build an [`Body::Owned`] vector;
 /// cached routes serve [`Body::Shared`] so a hot widget response is an
-/// `Arc` clone, not a copy, no matter how many connections poll it.
+/// `Arc` clone, not a copy, no matter how many connections poll it. The
+/// shared vector is the one its encoder filled, adopted as it was.
 #[derive(Debug, Clone)]
 pub enum Body {
     Owned(Vec<u8>),
-    Shared(Arc<[u8]>),
+    Shared(Arc<Vec<u8>>),
 }
 
 impl Body {
@@ -40,8 +41,8 @@ impl From<Vec<u8>> for Body {
     }
 }
 
-impl From<Arc<[u8]>> for Body {
-    fn from(a: Arc<[u8]>) -> Body {
+impl From<Arc<Vec<u8>>> for Body {
+    fn from(a: Arc<Vec<u8>>) -> Body {
         Body::Shared(a)
     }
 }
@@ -374,7 +375,7 @@ mod tests {
     #[test]
     fn shared_bodies_compare_and_share() {
         let owned = Response::text("payload");
-        let shared = Response::new(200).with_body(Arc::<[u8]>::from(owned.body.as_slice()));
+        let shared = Response::new(200).with_body(Arc::new(owned.body.to_vec()));
         assert_eq!(owned.body, shared.body);
         assert!(matches!(shared.body, Body::Shared(_)));
         assert_eq!(shared.body_string(), "payload");

@@ -4,8 +4,9 @@
 //! [`ClusterSnapshot`] the epoch cell published: one borrowed row struct per
 //! object, encoded once into the `Vec<u8>` that becomes the response body,
 //! with no `Value` tree in between. A job row is encoded once per job
-//! version with a gap at `elapsed_secs` (`ClusterSnapshot::job_rows`), and
-//! each body that lists it splices in its own value. Field names follow
+//! version, less its priority, with gaps at `elapsed_secs` and `priority`
+//! (`JobTable::row`), and each body that lists it splices in its own two
+//! values. Field names follow
 //! `slurmrestd`'s `openapi/v0.0.x` vocabulary where the simulator has an
 //! equivalent (`job_id`, `user_name`, `node_count`, `state_reason`, ...),
 //! so external consumers written against real Slurm mostly port over.
@@ -67,7 +68,8 @@ struct JobRow<'a> {
     qos: &'a str,
     job_state: &'static str,
     state_reason: Option<&'static str>,
-    priority: u64,
+    /// Moves on every scheduler pass: a gap too, so that a row outlives it.
+    priority: Gap,
     node_count: u32,
     cpus: u32,
     memory_per_node_mb: u64,
@@ -83,7 +85,7 @@ struct JobRow<'a> {
     time_limit_secs: Option<u64>,
 }
 
-/// Where `elapsed_secs` goes: encoding writes nothing and notes the offset
+/// Where a spliced value goes: encoding writes nothing and notes the offset
 /// (a `JobRow` is only ever written by `encode_row`, which reads it back).
 #[derive(Default)]
 struct Gap(Cell<usize>);
@@ -109,7 +111,7 @@ impl<'a> From<&'a Job> for JobRow<'a> {
             qos: &job.req.qos,
             job_state: job.state.to_slurm(),
             state_reason: job.reason.map(|r| r.to_slurm()),
-            priority: job.priority,
+            priority: Gap::default(),
             node_count: job.req.nodes,
             cpus: job.alloc_cpus(),
             memory_per_node_mb: job.req.mem_mb_per_node,
@@ -307,38 +309,51 @@ fn encode<T: Serialize>(body: &T) -> Vec<u8> {
     serde_json::to_vec(body).expect("json serializes")
 }
 
-/// One job's row with a gap where its `elapsed_secs` value goes: the rest
-/// is the same for every snapshot that holds this job version.
+/// One job's row with gaps where its `elapsed_secs` and `priority` values
+/// go (in that order: the derive writes keys in byte order): the rest is
+/// the same for every snapshot that holds this job at any priority.
 fn encode_row(job: &Job) -> EncodedRow {
     let row = JobRow::from(job);
     let mut bytes = Vec::with_capacity(512);
     row.write_json(&mut bytes);
+    bytes.shrink_to_fit();
+    let gaps = [row.elapsed_secs.0.get(), row.priority.0.get()];
+    debug_assert!(gaps[0] <= gaps[1]);
     EncodedRow {
         bytes: bytes.into(),
-        gap: row.elapsed_secs.0.get(),
+        gaps,
     }
 }
 
+/// The values a job's row takes in `snap`, in gap order.
+fn spliced(snap: &ClusterSnapshot, job: &Job) -> [u64; 2] {
+    [job.elapsed_secs(snap.now), job.priority]
+}
+
 /// The job at `pos` in `snap`: its row, encoded by the first body that
-/// lists this job version, and its elapsed time in `snap`.
-fn row(snap: &ClusterSnapshot, pos: usize) -> (&EncodedRow, u64) {
+/// lists this job at any priority, and the values it takes in `snap`.
+fn row(snap: &ClusterSnapshot, pos: usize) -> (&EncodedRow, [u64; 2]) {
     let (job, row) = snap.jobs.row(pos, encode_row);
-    (row, job.elapsed_secs(snap.now))
+    (row, spliced(snap, job))
 }
 
 /// A job-list body, sized up front: `{"jobs":[..],"meta":..}`, keys in the
-/// byte order the derive writes, each row spliced around its elapsed time.
-fn jobs_envelope(snap: &ClusterSnapshot, rows: Vec<(&EncodedRow, u64)>) -> Vec<u8> {
-    let size: usize = rows.iter().map(|(row, _)| row.bytes.len() + 21).sum();
+/// byte order the derive writes, each row spliced around its two values.
+fn jobs_envelope(snap: &ClusterSnapshot, rows: Vec<(&EncodedRow, [u64; 2])>) -> Vec<u8> {
+    let size: usize = rows.iter().map(|(row, _)| row.bytes.len() + 41).sum();
     let mut out = Vec::with_capacity(size + 256 + snap.name.len());
     out.extend_from_slice(b"{\"jobs\":[");
-    for (i, (row, elapsed)) in rows.into_iter().enumerate() {
+    for (i, (row, values)) in rows.into_iter().enumerate() {
         if i > 0 {
             out.push(b',');
         }
-        out.extend_from_slice(&row.bytes[..row.gap]);
-        elapsed.write_json(&mut out);
-        out.extend_from_slice(&row.bytes[row.gap..]);
+        let mut from = 0;
+        for (at, value) in row.gaps.into_iter().zip(values) {
+            out.extend_from_slice(&row.bytes[from..at]);
+            value.write_json(&mut out);
+            from = at;
+        }
+        out.extend_from_slice(&row.bytes[from..]);
     }
     out.extend_from_slice(b"],\"meta\":");
     Meta::of(snap).write_json(&mut out);
@@ -362,7 +377,7 @@ pub fn job_body(snap: &ClusterSnapshot, job: &Job) -> Vec<u8> {
         Some(pos) if std::ptr::eq(&*snap.jobs[pos], job) => {
             jobs_envelope(snap, vec![row(snap, pos)])
         }
-        _ => jobs_envelope(snap, vec![(&encode_row(job), job.elapsed_secs(snap.now))]),
+        _ => jobs_envelope(snap, vec![(&encode_row(job), spliced(snap, job))]),
     }
 }
 
@@ -523,6 +538,33 @@ mod tests {
         let body: Value = serde_json::from_slice(&memoized).unwrap();
         assert_eq!(body["jobs"][0]["elapsed_secs"], 1_300);
         assert_eq!(job_body(&later, &later.jobs[0]), memoized);
+
+        // A version at another priority keeps the row, spliced around its
+        // own priority: the body a fresh encode gives.
+        let mut bumped = Job::clone(&later.jobs[0]);
+        bumped.priority += 7;
+        let moved = republish(&later, 1_800, vec![Arc::new(bumped)], true);
+        assert_eq!(moved.jobs.rows_encoded(), 1, "carried to a new priority");
+        let body = jobs_body(&moved, &[0]);
+        let (nodes, parts, assoc) = (
+            moved.nodes.clone(),
+            moved.partitions.clone(),
+            moved.assoc.clone(),
+        );
+        let jobs = moved.jobs.to_vec();
+        let fresh = ClusterSnapshot::build(
+            moved.seq,
+            moved.now,
+            moved.name.clone(),
+            jobs,
+            nodes,
+            parts,
+            assoc,
+        );
+        assert_eq!(body, jobs_body(&fresh, &[0]));
+        let parsed: Value = serde_json::from_slice(&body).unwrap();
+        assert_eq!(parsed["jobs"][0]["priority"], 507);
+        assert_eq!(parsed["jobs"][0]["elapsed_secs"], 1_600);
 
         // A new version of the job is a new row, never the old one.
         let mut done = Job::clone(&first.jobs[0]);

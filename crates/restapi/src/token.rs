@@ -7,7 +7,7 @@
 //! authentication attempt is audited via `hpcdash_api_token_*` counters.
 
 use crate::scope::ScopeSet;
-use hpcdash_obs::Registry;
+use hpcdash_obs::{Counter, Registry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -86,6 +86,9 @@ struct Inner {
 pub struct TokenStore {
     inner: Mutex<Inner>,
     registry: OnceLock<Arc<Registry>>,
+    /// `hpcdash_api_token_auth_total{outcome="ok"}`, the count every
+    /// admitted request bumps: resolved on its first use and kept.
+    auth_ok: OnceLock<Arc<Counter>>,
 }
 
 /// One step of the splitmix64 stream (same generator family the fault
@@ -109,6 +112,7 @@ impl TokenStore {
                 by_secret: HashMap::new(),
             }),
             registry: OnceLock::new(),
+            auth_ok: OnceLock::new(),
         }
     }
 
@@ -212,11 +216,14 @@ impl TokenStore {
             }
         };
         drop(inner);
-        let outcome = match &result {
-            Ok(_) => "ok",
-            Err(e) => e.outcome(),
-        };
-        self.count("hpcdash_api_token_auth_total", &[("outcome", outcome)]);
+        match (&result, self.registry.get()) {
+            (Ok(_), Some(reg)) => self
+                .auth_ok
+                .get_or_init(|| reg.counter("hpcdash_api_token_auth_total", &[("outcome", "ok")]))
+                .inc(),
+            (Ok(_), None) => {}
+            (Err(e), _) => self.count("hpcdash_api_token_auth_total", &[("outcome", e.outcome())]),
+        }
         result
     }
 

@@ -308,7 +308,7 @@ pub struct ArrayMeta {
 }
 
 /// Everything a user specifies when submitting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobRequest {
     pub name: String,
     pub user: String,
@@ -390,7 +390,7 @@ pub struct JobStats {
 }
 
 /// A job record, live in slurmctld and archived in slurmdbd.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Job {
     pub id: JobId,
     pub array: Option<ArrayMeta>,
@@ -413,6 +413,44 @@ pub struct Job {
 }
 
 impl Job {
+    /// Whether `other` equals this job in every field but `priority`: the
+    /// scheduler re-prioritizes every pending job on each pass, and most
+    /// new versions of a job differ from the last in nothing else.
+    pub(crate) fn same_but_priority(&self, other: &Job) -> bool {
+        // Named field by field, so a new field cannot be left out.
+        let Job {
+            id,
+            array,
+            req,
+            state,
+            reason,
+            priority: _,
+            submit_time,
+            eligible_time,
+            start_time,
+            end_time,
+            nodes,
+            exit_code,
+            stats,
+            stdout_path,
+            stderr_path,
+        } = self;
+        *id == other.id
+            && *state == other.state
+            && *reason == other.reason
+            && *start_time == other.start_time
+            && *end_time == other.end_time
+            && *eligible_time == other.eligible_time
+            && *submit_time == other.submit_time
+            && *array == other.array
+            && *exit_code == other.exit_code
+            && *stats == other.stats
+            && *nodes == other.nodes
+            && *stdout_path == other.stdout_path
+            && *stderr_path == other.stderr_path
+            && *req == other.req
+    }
+
     /// The id users see: `1234` or `1234_7` for array tasks.
     pub fn display_id(&self) -> String {
         let mut text = Ascii::<24>::default();

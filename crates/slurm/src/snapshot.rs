@@ -387,8 +387,9 @@ struct JobChunk {
 }
 
 impl JobChunk {
-    /// The chunk `key` holding `jobs`, taking over `was`'s rows of every
-    /// job that is the very allocation `was` holds.
+    /// The chunk `key` holding `jobs`, taking over `was`'s row of every job
+    /// whose version there differs at most in its priority (a row leaves
+    /// the priority out, see [`EncodedRow`]).
     fn new(key: u32, jobs: Vec<Arc<Job>>, was: Option<&JobChunk>) -> JobChunk {
         let mut counts = StateCounts::default();
         for job in &jobs {
@@ -401,13 +402,18 @@ impl JobChunk {
         }
         let rows: Box<[OnceLock<EncodedRow>]> = jobs.iter().map(|_| OnceLock::new()).collect();
         if let Some(was) = was {
-            // Both lists are id-ascending: one merge walk.
+            // Both lists are id-ascending: one merge walk. Jobs are compared
+            // only where a reader left a row to take over.
             let mut old = was.jobs.iter().zip(was.rows.iter()).peekable();
             for (job, slot) in jobs.iter().zip(rows.iter()) {
                 while old.next_if(|(j, _)| j.id < job.id).is_some() {}
-                let same = old.next_if(|(j, _)| Arc::ptr_eq(j, job));
-                if let Some(row) = same.and_then(|(_, row)| row.get()) {
-                    let _ = slot.set(row.clone());
+                let Some((was_job, row)) = old.next_if(|(j, _)| j.id == job.id) else {
+                    continue;
+                };
+                if let Some(row) = row.get() {
+                    if Arc::ptr_eq(was_job, job) || was_job.same_but_priority(job) {
+                        let _ = slot.set(row.clone());
+                    }
                 }
             }
         }
@@ -685,16 +691,22 @@ impl std::fmt::Debug for JobIndex {
 // EncodedRow
 // ---------------------------------------------------------------------------
 
-/// A job's row as a reader encoded it: `bytes[..gap]`, then a value that
-/// depends on the snapshot rather than the job, then `bytes[gap..]`. Kept
-/// per job version: a published job is never changed in place
-/// (`Arc::make_mut` moves a change to a new allocation), so a row is
-/// carried to the next snapshot only for the very allocation it encoded,
-/// never for an id alone, which outlives versions.
+/// A job's row as a reader encoded it, less two values each body splices
+/// in at the ascending offsets `gaps`: `bytes[..gaps[0]]`, the first value,
+/// `bytes[gaps[0]..gaps[1]]`, the second, `bytes[gaps[1]..]`. One value
+/// depends on the snapshot rather than the job (the elapsed time), the
+/// other is the job's priority, which the scheduler moves on every pass.
+/// The rest must depend on nothing but the job's other fields: a published
+/// job is never changed in place (`Arc::make_mut` moves a change to a new
+/// allocation), and a row is carried to the next snapshot for the
+/// allocation it encoded and for a later version of that job that differs
+/// from it only in priority (`Job::same_but_priority`), never for an id
+/// alone, which outlives versions.
 #[derive(Clone)]
 pub struct EncodedRow {
-    pub bytes: Arc<[u8]>,
-    pub gap: usize,
+    /// The encoder's buffer, adopted (shrunk to its length, not copied).
+    pub bytes: Arc<Vec<u8>>,
+    pub gaps: [usize; 2],
 }
 
 // ---------------------------------------------------------------------------

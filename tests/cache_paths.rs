@@ -92,7 +92,7 @@ impl Probe<'_> {
     }
 }
 
-fn shared(resp: &Response) -> &Arc<[u8]> {
+fn shared(resp: &Response) -> &Arc<Vec<u8>> {
     match &resp.body {
         Body::Shared(bytes) => bytes,
         Body::Owned(_) => panic!("a cached 200 must serve the cache's own allocation"),

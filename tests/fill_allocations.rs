@@ -14,6 +14,7 @@
 //! count is kept per thread, so the harness's own threads do not disturb it.
 
 use hpcdash::cache::body::annotate_stale;
+use hpcdash::cache::Body;
 use hpcdash::core::{CachePolicy, DashboardConfig};
 use hpcdash::http::{Method, Request, Response};
 use hpcdash::restapi::serialize::jobs_body;
@@ -108,15 +109,22 @@ fn a_memoized_job_list_costs_a_constant_and_the_memo_stays_bounded() {
     let rows = snap.jobs.len();
     assert!(rows >= 500, "gamma holds {rows} jobs");
 
-    // Every row memoized: the body costs a constant, whatever its length.
-    // Measured: 2 allocations for 523 rows and for 261. Encoding every row
-    // afresh, with the output grown by doubling, made 13 and 12.
+    // Every row memoized: the body costs a constant, whatever its length,
+    // and the cache adopts it where it was encoded. Measured: 2
+    // allocations for 523 rows and for 261, and 3 more for the stored body
+    // (the ETag, the shrink to its length and the `Arc`). Encoding every
+    // row afresh, with the output grown by doubling, made 13 and 12; the
+    // stored body made 5 when it was a copy with a `fmt` ETag.
     for n in [rows, rows / 2] {
         let positions: Vec<u32> = (0..n as u32).collect();
         let filled = jobs_body(&snap, &positions);
         let (again, allocations) = counted(|| jobs_body(&snap, &positions));
         assert_eq!(again, filled);
-        assert!(allocations <= 8, "{allocations} allocations for {n} rows");
+        assert!(allocations <= 2, "{allocations} allocations for {n} rows");
+        let at = again.as_ptr();
+        let (body, stored) = counted(|| Body::new(again));
+        assert_eq!(body.bytes.as_ptr(), at, "the body is not copied");
+        assert!(stored <= 3, "{stored} allocations to store {n} rows");
     }
 
     // Two hundred ticks of every site, each site's full list encoded after

@@ -676,7 +676,7 @@ fn typed_payloads_round_trip_every_route_and_viewer() {
     assert!(stale >= 4 * 10, "{stale} stale answers");
 }
 
-fn shared(resp: &Response) -> &Arc<[u8]> {
+fn shared(resp: &Response) -> &Arc<Vec<u8>> {
     match &resp.body {
         Body::Shared(bytes) => bytes,
         Body::Owned(_) => panic!("a cached 200 must serve the cache's own allocation"),
