@@ -3,10 +3,10 @@
 //! parses anything; every body is built from the immutable
 //! [`ClusterSnapshot`] the epoch cell published: one borrowed row struct per
 //! object, encoded once into the `Vec<u8>` that becomes the response body,
-//! with no `Value` tree in between. A job row is encoded once per job
-//! version, less its priority, with gaps at `elapsed_secs` and `priority`
-//! (`JobTable::row`), and each body that lists it splices in its own two
-//! values. Field names follow
+//! with no `Value` tree in between. A job row is encoded once per job and
+//! kept while only the job's priority moves, with gaps at `elapsed_secs`
+//! and `priority` (`JobTable::row`), and each body that lists it splices in
+//! its own two values. Field names follow
 //! `slurmrestd`'s `openapi/v0.0.x` vocabulary where the simulator has an
 //! equivalent (`job_id`, `user_name`, `node_count`, `state_reason`, ...),
 //! so external consumers written against real Slurm mostly port over.
@@ -521,6 +521,17 @@ mod tests {
         ClusterSnapshot::assemble(seq, now, name, chunks, nodes, partitions, assoc, Some(snap))
     }
 
+    /// `snap` as a snapshot of its own, holding no row.
+    fn unmemoized(snap: &ClusterSnapshot) -> ClusterSnapshot {
+        let (nodes, partitions, assoc) = (
+            snap.nodes.clone(),
+            snap.partitions.clone(),
+            snap.assoc.clone(),
+        );
+        let (seq, now, name, jobs) = (snap.seq, snap.now, snap.name.clone(), snap.jobs.to_vec());
+        ClusterSnapshot::build(seq, now, name, jobs, nodes, partitions, assoc)
+    }
+
     #[test]
     fn memoized_rows_take_the_elapsed_time_of_each_snapshot() {
         let first = snap_with_one_of_each();
@@ -546,22 +557,7 @@ mod tests {
         let moved = republish(&later, 1_800, vec![Arc::new(bumped)], true);
         assert_eq!(moved.jobs.rows_encoded(), 1, "carried to a new priority");
         let body = jobs_body(&moved, &[0]);
-        let (nodes, parts, assoc) = (
-            moved.nodes.clone(),
-            moved.partitions.clone(),
-            moved.assoc.clone(),
-        );
-        let jobs = moved.jobs.to_vec();
-        let fresh = ClusterSnapshot::build(
-            moved.seq,
-            moved.now,
-            moved.name.clone(),
-            jobs,
-            nodes,
-            parts,
-            assoc,
-        );
-        assert_eq!(body, jobs_body(&fresh, &[0]));
+        assert_eq!(body, jobs_body(&unmemoized(&moved), &[0]));
         let parsed: Value = serde_json::from_slice(&body).unwrap();
         assert_eq!(parsed["jobs"][0]["priority"], 507);
         assert_eq!(parsed["jobs"][0]["elapsed_secs"], 1_600);
