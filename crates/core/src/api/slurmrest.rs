@@ -850,6 +850,82 @@ mod tests {
         ctx.ctld.faults().clear();
     }
 
+    /// The `endpoint` labels each handler counts under, read from a scrape.
+    fn counted(ctx: &DashboardContext, name: &str) -> Vec<(String, u64)> {
+        let mut seen = Vec::new();
+        ctx.obs.visit(|s| {
+            if let (true, Some(label), hpcdash_obs::SampleValue::Counter(n)) =
+                (s.name == name, s.labels.get("endpoint"), s.value)
+            {
+                seen.push((label.to_string(), n));
+            }
+        });
+        seen.sort();
+        seen
+    }
+
+    #[test]
+    fn every_endpoint_counts_under_its_label_once_it_fires() {
+        let ctx = admin_ctx();
+        ctx.ctld.tick();
+        let (_, secret) = mint_for(&ctx, "root", &["read-cluster"]).unwrap();
+        assert_eq!(counted(&ctx, "hpcdash_restapi_requests_total"), []);
+        let endpoints = [
+            Endpoint::Jobs,
+            Endpoint::JobById,
+            Endpoint::Nodes,
+            Endpoint::Partitions,
+            Endpoint::Associations,
+            Endpoint::Diag,
+        ];
+        for (i, ep) in endpoints.into_iter().enumerate() {
+            for _ in 0..=i {
+                read(&ctx, &get("/slurm/v0/x", &secret), ep);
+            }
+        }
+        let fed = [
+            FedEndpoint::Jobs,
+            FedEndpoint::Nodes,
+            FedEndpoint::Partitions,
+        ];
+        for ep in fed {
+            let mut req = get("/slurm/v0/clusters/t/x", &secret);
+            req.params.insert("cluster".to_string(), "t".to_string());
+            cluster_read(&ctx, &req, ep);
+        }
+        clusters(&ctx, &get("/slurm/v0/clusters", &secret));
+        let expected: Vec<(String, u64)> = [
+            ("associations", 5),
+            ("clusters", 1),
+            ("clusters_jobs", 1),
+            ("clusters_nodes", 1),
+            ("clusters_partitions", 1),
+            ("diag", 6),
+            ("job", 2),
+            ("jobs", 1),
+            ("nodes", 3),
+            ("partitions", 4),
+        ]
+        .map(|(l, n)| (l.to_string(), n))
+        .into();
+        assert_eq!(counted(&ctx, "hpcdash_restapi_requests_total"), expected);
+        assert_eq!(counted(&ctx, "hpcdash_restapi_stale_serves_total"), []);
+        ctx.ctld.faults().install(
+            Arc::new(
+                hpcdash_faults::FaultPlan::new(1).rule(hpcdash_faults::FaultRule::error(
+                    "slurmctld",
+                    "slurm_v0",
+                    "rest boundary down",
+                )),
+            ),
+            ctx.clock.clone(),
+        );
+        read(&ctx, &get("/slurm/v0/jobs", &secret), Endpoint::Jobs);
+        let stale = counted(&ctx, "hpcdash_restapi_stale_serves_total");
+        assert_eq!(stale, [("jobs".to_string(), 1)]);
+        ctx.ctld.faults().clear();
+    }
+
     #[test]
     fn fault_serves_stale_bytes_with_header() {
         let ctx = admin_ctx();
