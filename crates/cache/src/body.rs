@@ -58,9 +58,8 @@ impl Body {
 /// its bytes are not copied; a presized encode such as a job list leaves a
 /// few percent. A buffer grown by doubling can hold almost as much slack
 /// as bytes, and tails that large, freed between the bodies a cache keeps,
-/// fragment the heap (`portal_live`, which keeps every My Jobs body it
-/// fills, peaked 2 % higher when every buffer was shrunk): its bytes are
-/// copied instead.
+/// fragment the heap (DESIGN "Serialization" has the measurement): its
+/// bytes are copied instead.
 fn exact(mut bytes: Vec<u8>) -> Arc<Vec<u8>> {
     if bytes.capacity() - bytes.len() > bytes.len() / 4 {
         return Arc::new(bytes.as_slice().to_vec());
