@@ -103,8 +103,13 @@ pub(crate) fn daemons_payload(ctx: &DashboardContext) -> serde_json::Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::tests::test_ctx;
+    use crate::api::encode;
+    use crate::app::Dashboard;
+    use crate::config::DashboardConfig;
+    use crate::ctx::tests::{test_ctx, test_ctx_clocked_with};
+    use hpcdash_cache::{Body, NO_TTL};
     use hpcdash_http::Method;
+    use serde_json::json;
 
     fn request() -> Request {
         Request::new(Method::Get, "/api/health")
@@ -180,5 +185,122 @@ mod tests {
         assert!(daemons["slurmctld"]["last_recovery"].is_null());
         assert_eq!(daemons["slurmdbd"]["down"], false);
         assert_eq!(daemons["telemetry_gap_skips"], 0);
+    }
+
+    /// The widget source's breaker has just opened.
+    const OPEN: &str = r#"503 {"breakers":{"fed@beta":{"cluster":"beta","consecutive_failures":1,"opens":0,"state":"closed"},"squeue":{"consecutive_failures":5,"opens":1,"state":"open"}},"daemons":{"slurmctld":{"checkpoints":1,"down":false,"last_recovery":null,"restarts":0,"wal_unflushed":0},"slurmdbd":{"checkpoints":1,"down":false,"last_recovery":null,"restarts":0},"telemetry_gap_skips":0,"telemetry_last_gap_at":null},"sources":{"sinfo":{"status":"degraded","total_err":2,"total_ok":3,"window_errors":2,"window_size":5},"squeue":{"status":"down","total_err":5,"total_ok":1,"window_errors":5,"window_size":6}},"status":"down"}
+hpcdash_breaker_opens{source="fed@beta"} 0
+hpcdash_breaker_opens{source="squeue"} 1
+hpcdash_breaker_short_circuits_total{source="squeue"} 2
+hpcdash_breaker_state{source="fed@beta"} 0
+hpcdash_breaker_state{source="squeue"} 2
+hpcdash_cache_hits_total{source="slurm_v0"} 1
+hpcdash_cache_hits_total{source="squeue"} 1
+hpcdash_cache_misses_total{source="slurm_v0"} 1
+hpcdash_cache_misses_total{source="squeue"} 4
+hpcdash_cache_requests_total{source="slurm_v0"} 2
+hpcdash_cache_requests_total{source="squeue"} 5
+hpcdash_retry_attempts_total{source="squeue"} 3
+hpcdash_retry_exhausted_total{source="squeue"} 2
+hpcdash_stale_serves_total{source="squeue"} 3
+"#;
+
+    /// Its cool-down has passed: half-open.
+    const HALF_OPEN: &str = r#"503 {"breakers":{"fed@beta":{"cluster":"beta","consecutive_failures":1,"opens":0,"state":"closed"},"squeue":{"consecutive_failures":5,"opens":1,"state":"half_open"}},"daemons":{"slurmctld":{"checkpoints":1,"down":false,"last_recovery":null,"restarts":0,"wal_unflushed":0},"slurmdbd":{"checkpoints":1,"down":false,"last_recovery":null,"restarts":0},"telemetry_gap_skips":0,"telemetry_last_gap_at":null},"sources":{"sinfo":{"status":"degraded","total_err":2,"total_ok":3,"window_errors":2,"window_size":5},"squeue":{"status":"down","total_err":5,"total_ok":1,"window_errors":5,"window_size":6}},"status":"down"}
+hpcdash_breaker_opens{source="fed@beta"} 0
+hpcdash_breaker_opens{source="squeue"} 1
+hpcdash_breaker_short_circuits_total{source="squeue"} 2
+hpcdash_breaker_state{source="fed@beta"} 0
+hpcdash_breaker_state{source="squeue"} 1
+hpcdash_cache_hits_total{source="slurm_v0"} 1
+hpcdash_cache_hits_total{source="squeue"} 1
+hpcdash_cache_misses_total{source="slurm_v0"} 1
+hpcdash_cache_misses_total{source="squeue"} 4
+hpcdash_cache_requests_total{source="slurm_v0"} 2
+hpcdash_cache_requests_total{source="squeue"} 5
+hpcdash_retry_attempts_total{source="squeue"} 3
+hpcdash_retry_exhausted_total{source="squeue"} 2
+hpcdash_stale_serves_total{source="squeue"} 3
+"#;
+
+    /// A probe succeeded: closed.
+    const CLOSED: &str = r#"503 {"breakers":{"fed@beta":{"cluster":"beta","consecutive_failures":1,"opens":0,"state":"closed"},"squeue":{"consecutive_failures":0,"opens":1,"state":"closed"}},"daemons":{"slurmctld":{"checkpoints":1,"down":false,"last_recovery":null,"restarts":0,"wal_unflushed":0},"slurmdbd":{"checkpoints":1,"down":false,"last_recovery":null,"restarts":0},"telemetry_gap_skips":0,"telemetry_last_gap_at":null},"sources":{"sinfo":{"status":"degraded","total_err":2,"total_ok":3,"window_errors":2,"window_size":5},"squeue":{"status":"down","total_err":5,"total_ok":2,"window_errors":5,"window_size":7}},"status":"down"}
+hpcdash_breaker_opens{source="fed@beta"} 0
+hpcdash_breaker_opens{source="squeue"} 1
+hpcdash_breaker_short_circuits_total{source="squeue"} 2
+hpcdash_breaker_state{source="fed@beta"} 0
+hpcdash_breaker_state{source="squeue"} 0
+hpcdash_cache_hits_total{source="slurm_v0"} 1
+hpcdash_cache_hits_total{source="squeue"} 1
+hpcdash_cache_misses_total{source="slurm_v0"} 1
+hpcdash_cache_misses_total{source="squeue"} 5
+hpcdash_cache_requests_total{source="slurm_v0"} 2
+hpcdash_cache_requests_total{source="squeue"} 6
+hpcdash_retry_attempts_total{source="squeue"} 3
+hpcdash_retry_exhausted_total{source="squeue"} 2
+hpcdash_stale_serves_total{source="squeue"} 3
+"#;
+
+    /// `/api/health` (status and body) and every `/api/metrics` sample
+    /// labelled by a source.
+    fn scrape(d: &Dashboard) -> String {
+        let health = d.handle(&Request::new(Method::Get, "/api/health"));
+        let metrics = d
+            .handle(&Request::new(Method::Get, "/api/metrics"))
+            .body_string();
+        let mut out = format!("{} {}\n", health.status, health.body_string());
+        for line in metrics.lines().filter(|l| l.contains("source=\"")) {
+            out += line;
+            out.push('\n');
+        }
+        out
+    }
+
+    /// `/api/health` and the per-source `/api/metrics` samples through one
+    /// scripted mix, pinned byte for byte: a widget source retried into an
+    /// open breaker, then half-open, then closed; an ablation (`ttl = 0`)
+    /// source with failures, which has health but no breaker; a federated
+    /// site, which has a breaker but no health; and plain lookups.
+    #[test]
+    fn a_breaker_cycle_reads_the_same_in_health_and_metrics() {
+        let mut cfg = DashboardConfig::generic("Test");
+        // No wall-clock backoff, so no request can meet its deadline.
+        cfg.resilience.backoff_base_ms = 0;
+        cfg.resilience.backoff_cap_ms = 0;
+        let (ctx, clock) = test_ctx_clocked_with(cfg);
+        let d = Dashboard::new(ctx.clone());
+        let ok = || Ok(encode(&json!({"jobs": 1})));
+        let fail = || Err::<Vec<u8>, _>("squeue down".to_string());
+        // A fill and a hit, then three failing requests past the TTL: five
+        // failed attempts open the breaker mid-retry, and the third request
+        // is short-circuited. Each is served stale.
+        ctx.cached_resilient("squeue:alice", 30, ok);
+        ctx.cached_resilient("squeue:alice", 30, ok);
+        clock.advance(31);
+        for _ in 0..3 {
+            ctx.cached_resilient("squeue:alice", 30, fail);
+        }
+        for ok in [true, true, true, false, false] {
+            ctx.cached_resilient("sinfo:all", 0, || {
+                if ok {
+                    Ok(encode(&json!({"nodes": 4})))
+                } else {
+                    Err("sinfo down".to_string())
+                }
+            });
+        }
+        // What the federation fan-out does for a site that failed once.
+        assert!(ctx.breakers.allow("fed@beta"));
+        ctx.breakers.record_failure("fed@beta");
+        assert!(ctx.cache_lookup("slurm_v0:jobs|alice", 1).is_none());
+        let store = ctx.cache.cache();
+        store.insert("slurm_v0:jobs|alice", Body::json(&json!([])), 1, NO_TTL);
+        assert!(ctx.cache_lookup("slurm_v0:jobs|alice", 1).is_some());
+        assert_eq!(scrape(&d), OPEN);
+        clock.advance(30);
+        assert_eq!(scrape(&d), HALF_OPEN);
+        // The probe succeeds and closes the breaker.
+        ctx.cached_resilient("squeue:alice", 30, ok);
+        assert_eq!(scrape(&d), CLOSED);
     }
 }

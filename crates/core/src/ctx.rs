@@ -565,8 +565,12 @@ pub(crate) mod tests {
     /// Like [`test_ctx`], but also hands back the clock so tests can
     /// advance simulated time.
     pub(crate) fn test_ctx_clocked() -> (DashboardContext, SimClock) {
+        test_ctx_clocked_with(DashboardConfig::generic("Test"))
+    }
+
+    pub(crate) fn test_ctx_clocked_with(cfg: DashboardConfig) -> (DashboardContext, SimClock) {
         let clock = SimClock::new(Timestamp(1_000));
-        let ctx = build_ctx(DashboardConfig::generic("Test"), &clock);
+        let ctx = build_ctx(cfg, &clock);
         (ctx, clock)
     }
 
