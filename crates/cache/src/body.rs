@@ -13,7 +13,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Body {
     /// The encoder's own buffer, shrunk to its length in place, or a copy
-    /// of its bytes when it holds more slack than [`exact`] keeps.
+    /// of its bytes when it holds more slack than `exact` keeps.
     pub bytes: Arc<Vec<u8>>,
     /// [`etag_for`]`(bytes)`. Content-derived (not epoch-prefixed) on
     /// purpose: when a new epoch serializes to identical bytes the tag

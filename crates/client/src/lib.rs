@@ -15,6 +15,5 @@ pub mod live;
 pub mod loadgen;
 
 pub use browser::{DashboardClient, FetchOutcome, FetchResult, PageLoad};
-pub use hpcdash_obs::recorder::{LatencyRecorder, LatencySummary};
 pub use live::{Event, LiveSubscriber, PollOutcome, StreamTransport, Updates};
 pub use loadgen::{admin_observability_paths, LoadConfig, LoadReport};

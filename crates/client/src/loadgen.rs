@@ -2,12 +2,10 @@
 //! producing the latency/traffic numbers the caching experiments report.
 
 use crate::browser::{DashboardClient, FetchOutcome};
-use hpcdash_obs::recorder::{LatencyRecorder, LatencySummary};
-use hpcdash_obs::Registry;
+use hpcdash_obs::registry::HistogramSummary;
+use hpcdash_obs::{Histogram, Registry};
 use hpcdash_simtime::SharedClock;
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Load run parameters.
@@ -43,13 +41,18 @@ impl LoadConfig {
     }
 }
 
+const PERCEIVED: &str = "hpcdash_client_perceived_latency";
+const NETWORK: &str = "hpcdash_client_network_latency";
+
 /// Aggregate results of a load run.
 #[derive(Debug)]
 pub struct LoadReport {
-    /// Latency until each component had data to show.
-    pub perceived: Option<LatencySummary>,
-    /// Latency of requests that actually hit the network.
-    pub network: Option<LatencySummary>,
+    /// Latency until each component had data to show: every route's
+    /// `hpcdash_client_perceived_latency` histogram, summed.
+    pub perceived: HistogramSummary,
+    /// Latency of requests that actually hit the network: every route's
+    /// `hpcdash_client_network_latency` histogram, summed.
+    pub network: HistogramSummary,
     /// Total requests that reached the backend.
     pub network_fetches: u64,
     /// Fetches answered entirely from the client cache.
@@ -140,131 +143,135 @@ pub fn admin_observability_paths() -> Vec<String> {
     ]
 }
 
+/// What one user's thread counted.
+#[derive(Default)]
+struct Tally {
+    network_fetches: u64,
+    cache_fresh: u64,
+    stale_revalidated: u64,
+    stale_on_error: u64,
+    not_modified: u64,
+    connections_opened: u64,
+    connections_reused: u64,
+    errors: u64,
+    availability: BTreeMap<String, RouteAvailability>,
+}
+
 /// Run a load test against `base_url`. One OS thread per user; each user
 /// has an independent client cache, like separate browsers.
 pub fn run(base_url: &str, clock: SharedClock, cfg: &LoadConfig) -> LoadReport {
     let registry = Arc::new(Registry::new());
-    let perceived = Arc::new(LatencyRecorder::new());
-    let network = Arc::new(LatencyRecorder::new());
-    let fresh_hits = Arc::new(AtomicU64::new(0));
-    let stale_hits = Arc::new(AtomicU64::new(0));
-    let net_count = Arc::new(AtomicU64::new(0));
-    let nm_count = Arc::new(AtomicU64::new(0));
-    let conns_opened = Arc::new(AtomicU64::new(0));
-    let conns_reused = Arc::new(AtomicU64::new(0));
-    let stale_errors = Arc::new(AtomicU64::new(0));
-    let errors = Arc::new(AtomicU64::new(0));
-    let routes: Arc<Mutex<BTreeMap<String, RouteAvailability>>> =
-        Arc::new(Mutex::new(BTreeMap::new()));
-
-    let mut handles = Vec::new();
-    for user in &cfg.users {
-        let user = user.clone();
-        let base_url = base_url.to_string();
-        let clock = clock.clone();
-        let cfg = cfg.clone();
-        let registry = registry.clone();
-        let perceived = perceived.clone();
-        let network = network.clone();
-        let fresh_hits = fresh_hits.clone();
-        let stale_hits = stale_hits.clone();
-        let net_count = net_count.clone();
-        let nm_count = nm_count.clone();
-        let conns_opened = conns_opened.clone();
-        let conns_reused = conns_reused.clone();
-        let stale_errors = stale_errors.clone();
-        let errors = errors.clone();
-        let routes = routes.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut client = DashboardClient::new(&base_url, &user, clock, cfg.client_fresh_secs);
-            if cfg.keep_alive {
-                client = client.with_keep_alive();
-            }
-            if let Some(secret) = cfg.bearer.get(&user) {
-                client = client.with_bearer(secret);
-            }
-            for _ in 0..cfg.iterations {
-                for path in &cfg.paths {
-                    match client.fetch_api(path) {
-                        Ok(result) => {
-                            perceived.record(result.perceived);
-                            let labels = [("route", path.as_str())];
-                            registry
-                                .histogram("hpcdash_client_perceived_latency", &labels)
-                                .observe(result.perceived);
-                            // Server-annotated stale payloads count as
-                            // degraded even when the wire request succeeded.
-                            let server_degraded = result.degradation().is_some();
-                            let degraded =
-                                server_degraded || result.outcome == FetchOutcome::StaleOnError;
-                            {
-                                let mut map = routes.lock();
-                                let slot = map.entry(path.clone()).or_default();
-                                if degraded {
-                                    slot.degraded += 1;
-                                } else {
-                                    slot.fresh += 1;
-                                }
-                                if result.outcome == FetchOutcome::NotModified {
-                                    slot.not_modified += 1;
-                                }
-                            }
-                            match result.outcome {
-                                FetchOutcome::CacheFresh => {
-                                    fresh_hits.fetch_add(1, Ordering::Relaxed);
-                                }
-                                FetchOutcome::StaleRevalidated => {
-                                    stale_hits.fetch_add(1, Ordering::Relaxed);
-                                    network.record(result.network);
-                                    registry
-                                        .histogram("hpcdash_client_network_latency", &labels)
-                                        .observe(result.network);
-                                }
-                                FetchOutcome::Network | FetchOutcome::NotModified => {
-                                    network.record(result.network);
-                                    registry
-                                        .histogram("hpcdash_client_network_latency", &labels)
-                                        .observe(result.network);
-                                }
-                                FetchOutcome::StaleOnError => {
-                                    stale_errors.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                        Err(_) => {
-                            errors.fetch_add(1, Ordering::Relaxed);
-                            routes.lock().entry(path.clone()).or_default().failed += 1;
-                        }
-                    }
-                }
-            }
-            net_count.fetch_add(client.network_fetch_count(), Ordering::Relaxed);
-            nm_count.fetch_add(client.not_modified_count(), Ordering::Relaxed);
-            let (opened, reused) = client.connection_stats();
-            conns_opened.fetch_add(opened, Ordering::Relaxed);
-            conns_reused.fetch_add(reused, Ordering::Relaxed);
-        }));
-    }
+    // Each route's two histograms, resolved once for every thread.
+    let latencies: Arc<[[Arc<Histogram>; 2]]> = cfg
+        .paths
+        .iter()
+        .map(|path| [PERCEIVED, NETWORK].map(|name| registry.histogram(name, &[("route", path)])))
+        .collect();
+    let handles: Vec<_> = cfg
+        .users
+        .iter()
+        .map(|user| {
+            let (user, base_url, clock) = (user.clone(), base_url.to_string(), clock.clone());
+            let (cfg, latencies) = (cfg.clone(), latencies.clone());
+            std::thread::spawn(move || user_run(&base_url, &user, clock, &cfg, &latencies))
+        })
+        .collect();
+    let mut total = Tally::default();
     for h in handles {
-        h.join().expect("load worker panicked");
+        let t = h.join().expect("load worker panicked");
+        total.network_fetches += t.network_fetches;
+        total.cache_fresh += t.cache_fresh;
+        total.stale_revalidated += t.stale_revalidated;
+        total.stale_on_error += t.stale_on_error;
+        total.not_modified += t.not_modified;
+        total.connections_opened += t.connections_opened;
+        total.connections_reused += t.connections_reused;
+        total.errors += t.errors;
+        merge_availability(&mut total.availability, &t.availability);
     }
-
+    // A route listed twice has one pair of histograms: sum each once.
+    let routes: BTreeSet<&str> = cfg.paths.iter().map(String::as_str).collect();
+    let summed = |name: &str| {
+        let all = Histogram::default();
+        for route in &routes {
+            all.absorb(&registry.histogram(name, &[("route", route)]));
+        }
+        all.summary()
+    };
     LoadReport {
-        perceived: perceived.summary(),
-        network: network.summary(),
-        network_fetches: net_count.load(Ordering::Relaxed),
-        cache_fresh: fresh_hits.load(Ordering::Relaxed),
-        stale_revalidated: stale_hits.load(Ordering::Relaxed),
-        stale_on_error: stale_errors.load(Ordering::Relaxed),
-        not_modified: nm_count.load(Ordering::Relaxed),
-        connections_opened: conns_opened.load(Ordering::Relaxed),
-        connections_reused: conns_reused.load(Ordering::Relaxed),
-        errors: errors.load(Ordering::Relaxed),
-        availability: Arc::try_unwrap(routes)
-            .map(|m| m.into_inner())
-            .unwrap_or_else(|arc| arc.lock().clone()),
+        perceived: summed(PERCEIVED),
+        network: summed(NETWORK),
+        network_fetches: total.network_fetches,
+        cache_fresh: total.cache_fresh,
+        stale_revalidated: total.stale_revalidated,
+        stale_on_error: total.stale_on_error,
+        not_modified: total.not_modified,
+        connections_opened: total.connections_opened,
+        connections_reused: total.connections_reused,
+        errors: total.errors,
+        availability: total.availability,
         registry,
     }
+}
+
+/// One user's browser fetching `cfg.paths` `cfg.iterations` times;
+/// `latencies[i]` holds the perceived and network histograms of
+/// `cfg.paths[i]`.
+fn user_run(
+    base_url: &str,
+    user: &str,
+    clock: SharedClock,
+    cfg: &LoadConfig,
+    latencies: &[[Arc<Histogram>; 2]],
+) -> Tally {
+    let mut client = DashboardClient::new(base_url, user, clock, cfg.client_fresh_secs);
+    if cfg.keep_alive {
+        client = client.with_keep_alive();
+    }
+    if let Some(secret) = cfg.bearer.get(user) {
+        client = client.with_bearer(secret);
+    }
+    let mut t = Tally::default();
+    for _ in 0..cfg.iterations {
+        for (path, [perceived, network]) in cfg.paths.iter().zip(latencies) {
+            let slot = t.availability.entry(path.clone()).or_default();
+            let result = match client.fetch_api(path) {
+                Ok(result) => result,
+                Err(_) => {
+                    t.errors += 1;
+                    slot.failed += 1;
+                    continue;
+                }
+            };
+            perceived.observe(result.perceived);
+            // Server-annotated stale payloads count as degraded even when
+            // the wire request succeeded.
+            let degraded =
+                result.degradation().is_some() || result.outcome == FetchOutcome::StaleOnError;
+            if degraded {
+                slot.degraded += 1;
+            } else {
+                slot.fresh += 1;
+            }
+            match result.outcome {
+                FetchOutcome::CacheFresh => t.cache_fresh += 1,
+                FetchOutcome::StaleRevalidated => {
+                    t.stale_revalidated += 1;
+                    network.observe(result.network);
+                }
+                FetchOutcome::Network => network.observe(result.network),
+                FetchOutcome::NotModified => {
+                    slot.not_modified += 1;
+                    network.observe(result.network);
+                }
+                FetchOutcome::StaleOnError => t.stale_on_error += 1,
+            }
+        }
+    }
+    t.network_fetches = client.network_fetch_count();
+    t.not_modified = client.not_modified_count();
+    (t.connections_opened, t.connections_reused) = client.connection_stats();
+    t
 }
 
 #[cfg(test)]
@@ -372,7 +379,8 @@ mod tests {
         // the network.
         assert_eq!(report.network_fetches, 2);
         assert_eq!(report.cache_fresh, 18);
-        assert!(report.perceived.unwrap().count == 20);
+        assert_eq!(report.perceived.count, 20);
+        assert_eq!(report.network.count, 2, "the first fetch of each user");
         let avail = &report.availability["/api/system_status"];
         assert_eq!(avail.fresh, 20);
         assert_eq!(avail.availability(), 1.0);

@@ -1,5 +1,7 @@
 //! Health exposition: per-data-source up/degraded/down derived from recent
-//! loader outcomes, plus an overall verdict (the worst source wins).
+//! loader outcomes, plus an overall verdict (the worst source wins), and
+//! each source's breaker, all read from one snapshot of the sources'
+//! records.
 //!
 //! Distinct from `/healthz` (process liveness): this route reports whether
 //! the *data sources* behind the dashboard are answering.
@@ -8,8 +10,8 @@
 #![allow(clippy::disallowed_types, clippy::disallowed_macros)]
 
 use crate::ctx::DashboardContext;
+use hpcdash_cache::HealthStatus;
 use hpcdash_http::{Request, Response, Router};
-use hpcdash_obs::health::HealthStatus;
 
 pub const ROUTE: &str = "/api/health";
 
@@ -21,8 +23,29 @@ fn handle(ctx: &DashboardContext, _req: &Request) -> Response {
     // React to any crash-recovery before reporting, so the restart counts
     // and purges below are already reflected in what this body describes.
     ctx.observe_recoveries();
-    let report = ctx.health.report();
-    let mut body = report.to_json();
+    let sources = ctx.breakers.snapshot();
+    let overall = sources
+        .iter()
+        .filter_map(|s| Some(s.health?.status))
+        .max()
+        .unwrap_or(HealthStatus::Up);
+    let mut body = serde_json::json!({
+        "status": overall.as_str(),
+        "sources": sources
+            .iter()
+            .filter_map(|s| {
+                let h = s.health?;
+                let entry = serde_json::json!({
+                    "status": h.status.as_str(),
+                    "window_size": h.window_size,
+                    "window_errors": h.window_errors,
+                    "total_ok": h.total_ok,
+                    "total_err": h.total_err,
+                });
+                Some((s.source.clone(), entry))
+            })
+            .collect::<serde_json::Map>(),
+    });
     // Daemon liveness and crash-recovery accounting: is each simulated
     // daemon up, how often has it restarted, and what did the last
     // checkpoint+WAL recovery replay vs lose.
@@ -30,27 +53,26 @@ fn handle(ctx: &DashboardContext, _req: &Request) -> Response {
     // Circuit-breaker states ride along: operators reading /api/health see
     // not just that a source is down but whether the dashboard has stopped
     // asking it (open) or is probing for recovery (half_open).
-    body["breakers"] = ctx
-        .breakers
-        .snapshots()
+    body["breakers"] = sources
         .into_iter()
-        .map(|s| {
+        .filter_map(|s| {
+            let b = s.breaker?;
             let mut entry = serde_json::json!({
-                "state": s.state.as_str(),
-                "consecutive_failures": s.consecutive_failures,
-                "opens": s.opens,
+                "state": b.state.as_str(),
+                "consecutive_failures": b.consecutive_failures,
+                "opens": b.opens,
             });
             // Federated sources (`fed@<cluster>`) say which site they guard,
             // so a stuck-open breaker is attributable to a cluster.
-            if let Some(cluster) = s.cluster {
+            if let Some(cluster) = b.cluster {
                 entry["cluster"] = cluster.into();
             }
-            (s.source, entry)
+            Some((s.source, entry))
         })
         .collect::<serde_json::Map>()
         .into();
     let resp = Response::json(&body);
-    match report.overall {
+    match overall {
         // A degraded dashboard still answers 200 (it serves stale/partial
         // data); only Down surfaces as an unhealthy status code.
         HealthStatus::Up | HealthStatus::Degraded => resp,
@@ -118,8 +140,8 @@ mod tests {
     #[test]
     fn all_up_when_sources_answer() {
         let ctx = test_ctx();
-        ctx.health.record_ok("squeue");
-        ctx.health.record_ok("sinfo");
+        ctx.breakers.record_health("squeue", true);
+        ctx.breakers.record_health("sinfo", true);
         let resp = handle(&ctx, &request());
         assert_eq!(resp.status, 200);
         let body = resp.body_json().unwrap();
@@ -130,9 +152,9 @@ mod tests {
     #[test]
     fn down_source_drives_overall_and_status_code() {
         let ctx = test_ctx();
-        ctx.health.record_ok("sinfo");
+        ctx.breakers.record_health("sinfo", true);
         for _ in 0..3 {
-            ctx.health.record_error("squeue");
+            ctx.breakers.record_health("squeue", false);
         }
         let resp = handle(&ctx, &request());
         assert_eq!(resp.status, 503);
@@ -145,7 +167,7 @@ mod tests {
     #[test]
     fn breaker_states_ride_along() {
         let ctx = test_ctx();
-        ctx.health.record_ok("sinfo");
+        ctx.breakers.record_health("sinfo", true);
         for _ in 0..ctx.breakers.config().failure_threshold {
             ctx.breakers.record_failure("sacct");
         }
@@ -160,7 +182,7 @@ mod tests {
     #[test]
     fn federated_breakers_carry_their_cluster() {
         let ctx = test_ctx();
-        ctx.health.record_ok("sinfo");
+        ctx.breakers.record_health("sinfo", true);
         ctx.breakers.record_failure("fed@beta");
         ctx.breakers.record_success("sacct");
         let resp = handle(&ctx, &request());
@@ -172,7 +194,7 @@ mod tests {
     #[test]
     fn daemon_liveness_rides_along() {
         let ctx = test_ctx();
-        ctx.health.record_ok("sinfo");
+        ctx.breakers.record_health("sinfo", true);
         let resp = handle(&ctx, &request());
         let body = resp.body_json().unwrap();
         let daemons = &body["daemons"];

@@ -18,14 +18,17 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
     // Refresh the breaker gauges at scrape time: breakers transition lazily
     // (on the next request), so the scrape itself settles cool-downs and
     // reports the effective state.
-    for snap in ctx.breakers.snapshots() {
+    for snap in ctx.breakers.snapshot() {
+        let Some(breaker) = snap.breaker else {
+            continue;
+        };
         let labels = [("source", snap.source.as_str())];
         ctx.obs
             .gauge("hpcdash_breaker_state", &labels)
-            .set(snap.state.as_gauge() as i64);
+            .set(breaker.state.as_gauge() as i64);
         ctx.obs
             .gauge("hpcdash_breaker_opens", &labels)
-            .set(snap.opens as i64);
+            .set(breaker.opens as i64);
     }
     if req.query_param("format").is_some_and(|f| f == "json") {
         return Response::json(&scrape_json(&ctx.obs));

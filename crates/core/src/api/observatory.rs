@@ -186,16 +186,17 @@ pub(crate) fn summary_payload(ctx: &DashboardContext) -> Value {
     let stats = store.stats();
     let breakers: Vec<Value> = ctx
         .breakers
-        .snapshots()
+        .snapshot()
         .into_iter()
-        .map(|s| {
-            json!({
+        .filter_map(|s| {
+            let b = s.breaker?;
+            Some(json!({
                 "source": s.source,
-                "cluster": s.cluster,
-                "state": s.state.as_str(),
-                "consecutive_failures": s.consecutive_failures,
-                "opens": s.opens,
-            })
+                "cluster": b.cluster,
+                "state": b.state.as_str(),
+                "consecutive_failures": b.consecutive_failures,
+                "opens": b.opens,
+            }))
         })
         .collect();
     let mut phases = serde_json::Map::new();

@@ -217,12 +217,9 @@ fn register_collectors(ctx: &DashboardContext) {
     ctx.obs.register_collector(move |out| {
         let s = cache.stats();
         for (name, v) in [
-            ("hpcdash_cache_store_hits_total", s.hits),
-            ("hpcdash_cache_store_misses_total", s.misses),
             ("hpcdash_cache_store_inserts_total", s.inserts),
             ("hpcdash_cache_store_expirations_total", s.expirations),
             ("hpcdash_cache_store_coalesced_total", s.coalesced),
-            ("hpcdash_cache_store_stale_serves_total", s.stale_serves),
         ] {
             out.counter(name, &[], v);
         }

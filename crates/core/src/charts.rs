@@ -3,7 +3,7 @@
 //! (`labels` + `datasets`), grouped by user — plus the inline SVG
 //! sparklines the telemetry series render as.
 //!
-//! Both charts read one per-user table ([`PerUser`]), built in one pass
+//! Both charts read one per-user table (`PerUser`), built in one pass
 //! over the table's records and kept in name order as it grows: no sort
 //! of every record's user name and no map keyed by state and user.
 

@@ -6,7 +6,6 @@ use hpcdash_cache::{Body, BreakerBoard, BreakerConfig, CachedFetcher, GraceOutco
 use hpcdash_federation::ClusterRegistry;
 use hpcdash_http::ParkBudget;
 use hpcdash_news::NewsFeed;
-use hpcdash_obs::health::HealthBoard;
 use hpcdash_obs::{Counter, Registry, Span};
 use hpcdash_push::{Hub, HubConfig, Visibility, VisibilityResolver};
 use hpcdash_restapi::TokenStore;
@@ -17,7 +16,7 @@ use hpcdash_slurm::events::JobEvent;
 use hpcdash_slurm::joblog::JobLogFs;
 use hpcdash_storage::StorageDb;
 use hpcdash_telemetry::TelemetryD;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,15 +39,15 @@ pub struct DashboardContext {
     pub cache: Arc<CachedFetcher<Body>>,
     /// The dashboard's metrics registry (exposed at `/api/metrics`).
     pub obs: Arc<Registry>,
-    /// Per-data-source health derived from loader outcomes (`/api/health`).
-    pub health: Arc<HealthBoard>,
     /// The real-time fan-out hub: one cursor per live tab into the
     /// cluster's `EventLog`, read by `/api/updates/stream`.
     pub push: Arc<Hub>,
     /// Cap on workers parked in long-polls (`503 + Retry-After` past it).
     pub park: Arc<ParkBudget>,
-    /// Per-source circuit breakers gating the resilient fetch path
-    /// (`DashboardContext::cached_resilient`); timed on the sim clock.
+    /// Each data source's one record, read by `/api/health`: the circuit
+    /// breaker gating the resilient fetch path
+    /// ([`DashboardContext::cached_resilient`]) and the federation fan-out,
+    /// timed on the sim clock, and the health window of its loads.
     pub breakers: Arc<BreakerBoard>,
     /// The metrics daemon behind sparklines and collector-backed GPU
     /// efficiency. [`DashboardContext::new`] builds an empty one; sites
@@ -65,10 +64,10 @@ pub struct DashboardContext {
     pub federation: Arc<ClusterRegistry>,
     /// route name -> data sources it touched on cache-cold loads.
     sources: Arc<Mutex<BTreeMap<String, BTreeSet<String>>>>,
-    /// source -> its `hpcdash_cache_{requests,hits,misses}_total` handles,
-    /// resolved once: two registry lookups (a lock and four allocations
-    /// each) per request were most of what a cache hit cost.
-    lookup_counters: Arc<Mutex<HashMap<String, [Arc<Counter>; 3]>>>,
+    /// source -> its counter handles, resolved once, because a registry
+    /// lookup takes a lock and allocates four times. Read on every lookup,
+    /// written when a source first appears.
+    source_counters: Arc<RwLock<HashMap<String, Arc<SourceCounters>>>>,
     /// Daemon restart counters as last observed by the serving layer (see
     /// [`DashboardContext::observe_recoveries`]).
     recovery: Arc<RecoveryWatch>,
@@ -85,6 +84,67 @@ pub struct DashboardContext {
 /// as the router keeps its own: a request path that bumps it takes no
 /// lock, and the counter appears in `/api/metrics` only once it has fired.
 pub(crate) type CounterHandle = OnceLock<Arc<Counter>>;
+
+/// One data source's counters, labelled `source`.
+struct SourceCounters {
+    /// `hpcdash_cache_{requests,hits,misses}_total`, resolved when the
+    /// source first appears: every path that resolves a source counts a
+    /// lookup.
+    requests: Arc<Counter>,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    /// The [`Event`] counters, each resolved on its first event.
+    events: [CounterHandle; EVENT_METRICS.len()],
+}
+
+/// What the resilient fetch path counts per source besides lookups.
+#[derive(Clone, Copy)]
+enum Event {
+    StaleServe,
+    ShortCircuit,
+    RetryAttempt,
+    RetryDeadline,
+    RetryExhausted,
+}
+
+/// Each [`Event`]'s counter, in `Event` order.
+const EVENT_METRICS: [&str; 5] = [
+    "hpcdash_stale_serves_total",
+    "hpcdash_breaker_short_circuits_total",
+    "hpcdash_retry_attempts_total",
+    "hpcdash_retry_deadline_total",
+    "hpcdash_retry_exhausted_total",
+];
+
+impl SourceCounters {
+    fn new(obs: &Registry, source: &str) -> SourceCounters {
+        let [requests, hits, misses] = ["requests", "hits", "misses"].map(|kind| {
+            obs.counter(
+                &format!("hpcdash_cache_{kind}_total"),
+                &[("source", source)],
+            )
+        });
+        SourceCounters {
+            requests,
+            hits,
+            misses,
+            events: Default::default(),
+        }
+    }
+
+    fn lookup(&self, hit: bool) {
+        self.requests.inc();
+        if hit { &self.hits } else { &self.misses }.inc();
+    }
+
+    /// Count `event`; its counter appears in `/api/metrics` once it fired.
+    fn count(&self, obs: &Registry, source: &str, event: Event) {
+        let at = event as usize;
+        self.events[at]
+            .get_or_init(|| obs.counter(EVENT_METRICS[at], &[("source", source)]))
+            .inc();
+    }
+}
 
 /// The serving layer's view of daemon crash-recoveries. Each daemon counts
 /// its own restarts; this watch remembers the counts the dashboard has
@@ -227,7 +287,6 @@ impl DashboardContext {
             tokens,
             telemetry,
             obs,
-            health: Arc::new(HealthBoard::new()),
             push,
             park,
             breakers,
@@ -238,7 +297,7 @@ impl DashboardContext {
             storage,
             news,
             sources: Arc::new(Mutex::new(BTreeMap::new())),
-            lookup_counters: Arc::default(),
+            source_counters: Arc::default(),
             recovery: Arc::new(RecoveryWatch::default()),
             home,
             rest_counters: Arc::default(),
@@ -359,19 +418,17 @@ impl DashboardContext {
         self.sources.lock().clear();
     }
 
-    /// One lookup's hit/miss, by data source (`hpcdash_cache_*_total`).
-    fn count_lookup(&self, source: &str, hit: bool) {
-        let mut by_source = self.lookup_counters.lock();
-        if !by_source.contains_key(source) {
-            let handles = ["requests", "hits", "misses"].map(|kind| {
-                let name = format!("hpcdash_cache_{kind}_total");
-                self.obs.counter(&name, &[("source", source)])
-            });
-            by_source.insert(source.to_string(), handles);
+    /// `source`'s counters: a read of the map, or a write the first time
+    /// the source appears.
+    fn counters(&self, source: &str) -> Arc<SourceCounters> {
+        if let Some(counters) = self.source_counters.read().get(source) {
+            return counters.clone();
         }
-        let [requests, hits, misses] = &by_source[source];
-        requests.inc();
-        if hit { hits } else { misses }.inc();
+        self.source_counters
+            .write()
+            .entry(source.to_string())
+            .or_insert_with(|| Arc::new(SourceCounters::new(&self.obs, source)))
+            .clone()
     }
 
     /// A plain lookup under the cache's one freshness rule, for routes that
@@ -383,7 +440,7 @@ impl DashboardContext {
         // The purge of dead-epoch bytes must beat the lookup.
         self.observe_recoveries();
         let hit = self.cache.cache().get(key, min_version);
-        self.count_lookup(source_of(key), hit.is_some());
+        self.counters(source_of(key)).lookup(hit.is_some());
         hit
     }
 
@@ -405,7 +462,7 @@ impl DashboardContext {
     /// A `ttl` of zero (the no-cache ablation) makes a single attempt and
     /// skips the cache, retries, breakers, and stale fallback; its body
     /// carries no validator.
-    pub(crate) fn cached_resilient(
+    pub fn cached_resilient(
         &self,
         key: &str,
         ttl: u64,
@@ -416,18 +473,14 @@ impl DashboardContext {
         self.observe_recoveries();
         let source = source_of(key);
         if ttl == 0 {
-            return match load() {
-                Ok(bytes) => {
-                    self.health.record_ok(source);
-                    SourceOutcome::Fresh(Body::unvalidated(bytes))
-                }
-                Err(e) => {
-                    self.health.record_error(source);
-                    SourceOutcome::Failed(e)
-                }
+            let loaded = load();
+            self.breakers.record_health(source, loaded.is_ok());
+            return match loaded {
+                Ok(bytes) => SourceOutcome::Fresh(Body::unvalidated(bytes)),
+                Err(e) => SourceOutcome::Failed(e),
             };
         }
-        let labels = [("source", source)];
+        let counters = self.counters(source);
         let loader_ran = Cell::new(false);
         let last_err: Cell<Option<String>> = Cell::new(None);
         let outcome = self.cache.get_or_fetch(key, ttl, || {
@@ -437,19 +490,17 @@ impl DashboardContext {
             // above never consult it (they don't touch the backend), and
             // coalesced followers share the leader's verdict.
             if !self.breakers.allow(source) {
-                self.obs
-                    .counter("hpcdash_breaker_short_circuits_total", &labels)
-                    .inc();
+                counters.count(&self.obs, source, Event::ShortCircuit);
                 last_err.set(Some(format!("{source}: circuit open")));
                 return None;
             }
             // The tag is read before the load: a tick landing mid-load can
             // only make it too old, which over-purges, never under-purges.
             let version = self.ctld.snapshot().seq;
-            let body = self.attempt_with_retries(key, source, &labels, &last_err, &load)?;
+            let body = self.attempt_with_retries(key, source, &counters, &last_err, &load)?;
             Some((body, version))
         });
-        self.count_lookup(source, !loader_ran.get());
+        counters.lookup(!loader_ran.get());
         let take_err = || {
             last_err
                 .take()
@@ -460,9 +511,7 @@ impl DashboardContext {
                 SourceOutcome::Fresh(body)
             }
             GraceOutcome::Stale { value, age_secs } => {
-                self.obs
-                    .counter("hpcdash_stale_serves_total", &labels)
-                    .inc();
+                counters.count(&self.obs, source, Event::StaleServe);
                 SourceOutcome::Stale {
                     body: value,
                     age_secs,
@@ -476,13 +525,13 @@ impl DashboardContext {
     /// The retry loop under [`DashboardContext::cached_resilient`]: run
     /// `load` up to `max_attempts` times, sleeping the seeded-jitter
     /// backoff between attempts, stopping early when the deadline would be
-    /// overrun or the breaker trips. Every attempt's outcome feeds the
-    /// health board and the source's breaker.
+    /// overrun or the breaker trips. Every attempt's outcome enters the
+    /// source's record: its health window and its breaker.
     fn attempt_with_retries(
         &self,
         key: &str,
         source: &str,
-        labels: &[(&str, &str)],
+        counters: &SourceCounters,
         last_err: &Cell<Option<String>>,
         load: &impl Fn() -> Result<Vec<u8>, String>,
     ) -> Option<Body> {
@@ -492,21 +541,13 @@ impl DashboardContext {
         loop {
             attempt += 1;
             if attempt > 1 {
-                self.obs
-                    .counter("hpcdash_retry_attempts_total", labels)
-                    .inc();
+                counters.count(&self.obs, source, Event::RetryAttempt);
             }
-            match load() {
-                Ok(bytes) => {
-                    self.health.record_ok(source);
-                    self.breakers.record_success(source);
-                    return Some(Body::new(bytes));
-                }
-                Err(e) => {
-                    self.health.record_error(source);
-                    self.breakers.record_failure(source);
-                    last_err.set(Some(e));
-                }
+            let loaded = load();
+            self.breakers.record_load(source, loaded.is_ok());
+            match loaded {
+                Ok(bytes) => return Some(Body::new(bytes)),
+                Err(e) => last_err.set(Some(e)),
             }
             if attempt >= policy.max_attempts() {
                 break;
@@ -515,9 +556,7 @@ impl DashboardContext {
             // over from earlier requests) stops further probing, and a
             // half-open breaker never gets more than its probe budget.
             if !self.breakers.allow(source) {
-                self.obs
-                    .counter("hpcdash_breaker_short_circuits_total", labels)
-                    .inc();
+                counters.count(&self.obs, source, Event::ShortCircuit);
                 break;
             }
             let delay = hpcdash_faults::backoff_delay_ms(
@@ -529,18 +568,14 @@ impl DashboardContext {
             );
             let elapsed = started.elapsed().as_millis() as u64;
             if elapsed.saturating_add(delay) >= policy.deadline_ms {
-                self.obs
-                    .counter("hpcdash_retry_deadline_total", labels)
-                    .inc();
+                counters.count(&self.obs, source, Event::RetryDeadline);
                 break;
             }
             if delay > 0 {
                 std::thread::sleep(std::time::Duration::from_millis(delay));
             }
         }
-        self.obs
-            .counter("hpcdash_retry_exhausted_total", labels)
-            .inc();
+        counters.count(&self.obs, source, Event::RetryExhausted);
         None
     }
 }
@@ -689,15 +724,14 @@ pub(crate) mod tests {
             1
         );
         // The failure was not cached: the next request probes the backend
-        // again, and the health board saw every failed attempt.
+        // again, and the source's health window saw every failed attempt.
         let attempts = calls.get();
         ctx.cached_resilient("sacct:bob", 60, fail);
         assert!(calls.get() > attempts, "errors are never served from cache");
         assert!(ctx.cache.cache().is_empty());
-        assert_eq!(
-            ctx.health.status_of("sacct"),
-            hpcdash_obs::health::HealthStatus::Down
-        );
+        let health = ctx.breakers.snapshot()[0].health.unwrap();
+        assert_eq!(health.status, hpcdash_cache::HealthStatus::Down);
+        assert_eq!(health.window_errors, calls.get());
     }
 
     #[test]
@@ -810,11 +844,11 @@ pub(crate) mod tests {
         }
         assert_eq!(calls.get(), 4, "ttl=0 bypasses the cache");
         assert!(ctx.cache.cache().is_empty());
-        assert_eq!(ctx.cache.stats().misses, 0, "no cache traffic at all");
-        let requests = ctx
-            .obs
-            .counter("hpcdash_cache_requests_total", &[("source", "squeue")]);
-        assert_eq!(requests.get(), 0);
+        assert_eq!(ctx.cache.stats().inserts, 0, "no cache traffic at all");
+        for kind in ["requests", "misses"] {
+            let name = format!("hpcdash_cache_{kind}_total");
+            assert_eq!(ctx.obs.counter(&name, &[("source", "squeue")]).get(), 0);
+        }
     }
 
     #[test]

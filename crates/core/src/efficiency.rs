@@ -9,7 +9,7 @@
 //! than they used. GPU efficiency is behind the `gpu_efficiency` feature
 //! flag (the paper lists it as in-progress work).
 //!
-//! [`Ratios`] holds the three as unrounded fractions: the warnings and the
+//! `Ratios` holds the three as unrounded fractions: the warnings and the
 //! Job Performance averages read them. The report a page shows carries
 //! each in per mille (`u16`), the precision [`percent`] prints (`58.3%`),
 //! so the payload holds small integers instead of 17-digit floats.

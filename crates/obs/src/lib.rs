@@ -15,8 +15,6 @@
 //!   current trace ID propagated via the `X-Trace-Id` header from the
 //!   headless browser down to the slurmctld RPC layer. A span outside a
 //!   trace is inert.
-//! * [`recorder`] — an exact-sample latency recorder for load-generator
-//!   style summaries (p50/p90/p99), shared by the headless client.
 //! * [`tracestore`] — the one place traced spans land: spans assemble into
 //!   complete traces at root close, every trace is kept and classified
 //!   (error, degraded, slow or healthy), and when full the store evicts
@@ -25,20 +23,15 @@
 //!   read back from here.
 //! * [`expo`] — Prometheus-style text and JSON exposition with stable
 //!   (sorted) ordering, served by `core` at `/api/metrics`.
-//! * [`health`] — rolls recent per-source error counters into an
-//!   up/degraded/down verdict for `/api/health`.
 //!
 //! Metric naming convention: `hpcdash_<subsystem>_<name>`, with `_total`
 //! suffixed to monotonic counters (e.g. `hpcdash_cache_hits_total`).
 
 pub mod expo;
-pub mod health;
-pub mod recorder;
 pub mod registry;
 pub mod trace;
 pub mod tracestore;
 
-pub use recorder::LatencyRecorder;
 pub use registry::{
     Counter, Gauge, Histogram, LabelsRef, Registry, SampleRef, SampleSink, SampleValue,
 };

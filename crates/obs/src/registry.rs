@@ -144,6 +144,16 @@ impl Histogram {
         out
     }
 
+    /// Add `other`'s observations to this histogram; exemplars stay behind.
+    pub fn absorb(&self, other: &Histogram) {
+        for (into, from) in self.buckets.iter().zip(&other.buckets) {
+            into.fetch_add(from.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        self.count.fetch_add(other.count(), Ordering::Relaxed);
+        self.sum_ns.fetch_add(other.sum_ns(), Ordering::Relaxed);
+        self.max_ns.fetch_max(other.max_ns(), Ordering::Relaxed);
+    }
+
     /// Forget every observation and exemplar. Not atomic as a whole: an
     /// observation racing the reset may be half kept.
     pub fn reset(&self) {
@@ -766,6 +776,28 @@ mod tests {
         assert_eq!(h.count(), 1);
         let q = h.quantile_ns(0.5);
         assert!(q > 0 && q <= 3_000, "single sample quantile {q}");
+    }
+
+    #[test]
+    fn absorbing_histograms_is_observing_their_samples_in_one() {
+        let (a, b, both) = (
+            Histogram::default(),
+            Histogram::default(),
+            Histogram::default(),
+        );
+        for ns in [800, 3_000, 70_000] {
+            a.observe_ns(ns);
+            both.observe_ns(ns);
+        }
+        for ns in [1_500, 9_000_000] {
+            b.observe_ns(ns);
+            both.observe_ns(ns);
+        }
+        let all = Histogram::default();
+        all.absorb(&a);
+        all.absorb(&b);
+        assert_eq!(all.summary(), both.summary());
+        assert_eq!(all.bucket_counts(), both.bucket_counts());
     }
 
     #[test]

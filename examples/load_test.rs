@@ -48,7 +48,7 @@ fn main() {
     println!("16 users x 12 refreshes of 4 widget routes, realistic daemon costs\n");
     println!(
         "{:<13} {:>10} {:>10} {:>10} | {:>12} {:>14} {:>12}",
-        "variant", "p50", "p90", "p99", "net fetches", "ctld RPCs", "ctld busy"
+        "variant", "p50", "p95", "p99", "net fetches", "ctld RPCs", "ctld busy"
     );
     println!("{}", "-".repeat(92));
 
@@ -82,10 +82,18 @@ fn main() {
         };
         let report = loadgen::run(&server.base_url(), site.scenario.clock.shared(), &cfg);
         let snap = site.scenario.ctld.stats().snapshot();
-        let p = report.perceived.expect("samples");
+        // Bucket estimates from the load generator's histograms.
+        let p = report.perceived;
+        let ns = std::time::Duration::from_nanos;
         println!(
             "{:<13} {:>10.1?} {:>10.1?} {:>10.1?} | {:>12} {:>14} {:>12.1?}",
-            v.name, p.p50, p.p90, p.p99, report.network_fetches, snap.total_rpcs, snap.total_busy,
+            v.name,
+            ns(p.p50_ns),
+            ns(p.p95_ns),
+            ns(p.p99_ns),
+            report.network_fetches,
+            snap.total_rpcs,
+            snap.total_busy,
         );
         // Per-route perceived latency, from the load generator's own
         // metrics registry.

@@ -10,6 +10,9 @@
 //! A stale answer costs a constant too: the degradation members are
 //! spliced into the cached bytes, which are never parsed.
 //!
+//! Recording a fill's outcome for a data source already seen (its health,
+//! its breaker, its cache counters) allocates nothing.
+//!
 //! Alone in its file because it installs a counting global allocator; the
 //! count is kept per thread, so the harness's own threads do not disturb it.
 
@@ -181,4 +184,30 @@ fn annotating_a_stale_body_costs_a_constant() {
         reparsed["stale_error"] = "sacct: timeout".into();
         assert!(spliced == Some(serde_json::to_vec(&reparsed).unwrap()));
     }
+}
+
+#[test]
+fn a_source_already_seen_is_recorded_without_allocating() {
+    let site = SimSite::build(ScenarioConfig::small());
+    let ctx = site.ctx();
+    let bytes = br#"{"jobs":1}"#.to_vec();
+    let load = || Ok(bytes.clone());
+    // What the loader and the body need: the loader's copy and the body.
+    let (_, needed) = counted(|| Body::unvalidated(load().unwrap()));
+
+    // `ttl = 0`, `portal_cold`'s path: every call loads and records the
+    // outcome in the source's health window.
+    ctx.cached_resilient("squeue:alice", 0, load);
+    let (out, ablation) = counted(|| ctx.cached_resilient("squeue:alice", 0, load));
+    assert!(out.body().is_some());
+    assert!(
+        ablation <= needed,
+        "{ablation} allocations for an ablation fill (loader and body: {needed})"
+    );
+
+    // A fresh widget hit: the loader does not run and the body is shared.
+    ctx.cached_resilient("squeue:alice", 60, load);
+    let (out, hit) = counted(|| ctx.cached_resilient("squeue:alice", 60, || unreachable!()));
+    assert!(out.body().is_some());
+    assert_eq!(hit, 0, "{hit} allocations for a fresh hit");
 }

@@ -60,14 +60,24 @@ fn cpu_only_site_works_end_to_end() {
 
     // The site-specific cache policy applies: announcements TTL was raised
     // to 1 h, so a reload 30 min later is still a cache hit.
+    let counter = |family: &str| {
+        let name = format!("hpcdash_cache_{family}_total");
+        site.ctx()
+            .obs
+            .counter(&name, &[("source", "announcements")])
+    };
+    let (hits, misses) = (counter("hits"), counter("misses"));
+    let (hits_before, misses_before) = (hits.get(), misses.get());
     let before = site.ctx().cache.stats();
     get("/api/announcements");
     site.scenario.clock.advance(1_800);
     get("/api/announcements");
     let after = site.ctx().cache.stats();
     assert_eq!(after.inserts - before.inserts, 1, "one cold load");
-    assert!(
-        after.hits > before.hits,
+    assert_eq!(misses.get() - misses_before, 1, "one cold load");
+    assert_eq!(
+        hits.get() - hits_before,
+        1,
         "second read served from cache after 30 min"
     );
 }

@@ -21,6 +21,7 @@ const EXCEPTIONS: &[&str] = &[
     "client export_cache tests/client_persistence.rs::exported_cache_keeps_a_new_session_instant",
     "client fetch_shell tests/observability.rs::health_endpoint_reflects_source_outcomes",
     "client tracked_jobs tests/live_updates.rs::streaming_subscriber_recovers_from_overflow",
+    "core cached_resilient tests/fill_allocations.rs::a_source_already_seen_is_recorded_without_allocating",
     "core from_request tests/privacy.rs::every_reader_of_the_privacy_rule_agrees_on_every_job",
     "core progress_bar tests/accessibility.rs::progress_bars_expose_aria_values",
     "core render_list tests/pages.rs::f4b_cluster_status_grid_and_list",
