@@ -190,7 +190,8 @@ impl Health {
         }
         let err = self.errors.count_ones();
         let rate = f64::from(err) / f64::from(self.len);
-        let last_three_failed = self.len >= 3 && self.errors & 0b111 == 0b111;
+        // Bits past `len` are zero, so three ones are three real failures.
+        let last_three_failed = self.errors & 0b111 == 0b111;
         if rate >= DOWN_THRESHOLD || last_three_failed {
             HealthStatus::Down
         } else if err > 0 {

@@ -88,8 +88,9 @@ impl<V: Clone> TtlCache<V> {
         }
     }
 
-    /// [`TtlCache::get`] without counting an expiration: the single-flight leader's
-    /// second look, for a fill that landed between its miss and its turn.
+    /// [`TtlCache::get`] without counting an expiration: the single-flight
+    /// leader's second look, for a fill that landed between its miss and
+    /// its turn.
     pub(crate) fn peek(&self, key: &str, min_version: u64) -> Option<V> {
         let now = self.clock.now();
         let shard = self.shard(key).read();
