@@ -44,32 +44,14 @@ impl CacheStats {
     /// Each counter is read atomically, but the three reads are not one
     /// transaction: under concurrent updates a snapshot may pair an insert
     /// count taken before an in-flight update with an expiration count
-    /// taken after it. Every individual increment is still observed by
-    /// exactly one later snapshot, which is the contract dashboards need.
+    /// taken after it. Every increment is seen by each snapshot taken
+    /// after it returned, which is the contract dashboards need.
     pub fn snapshot(&self) -> CacheStatsSnapshot {
         CacheStatsSnapshot {
             inserts: self.inserts.load(Ordering::Relaxed),
             expirations: self.expirations.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
         }
-    }
-
-    /// Atomically take-and-zero every counter, returning what was drained.
-    ///
-    /// Unlike the old `snapshot()`-then-`store(0)` reset, each counter is
-    /// zeroed with a single `swap`, so an increment racing the drain lands
-    /// either in the returned snapshot or in the post-drain counter —
-    /// never in both and never nowhere.
-    pub fn drain(&self) -> CacheStatsSnapshot {
-        CacheStatsSnapshot {
-            inserts: self.inserts.swap(0, Ordering::Relaxed),
-            expirations: self.expirations.swap(0, Ordering::Relaxed),
-            coalesced: self.coalesced.swap(0, Ordering::Relaxed),
-        }
-    }
-
-    pub fn reset(&self) {
-        let _ = self.drain();
     }
 }
 
@@ -88,82 +70,5 @@ mod tests {
         assert_eq!(snap.inserts, 2);
         assert_eq!(snap.coalesced, 1);
         assert_eq!(snap.expirations, 1);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let s = CacheStats::new();
-        s.insert();
-        s.reset();
-        assert_eq!(s.snapshot().inserts, 0);
-    }
-
-    #[test]
-    fn drain_returns_taken_counts() {
-        let s = CacheStats::new();
-        s.insert();
-        s.insert();
-        s.expiration();
-        let drained = s.drain();
-        assert_eq!(drained.inserts, 2);
-        assert_eq!(drained.expirations, 1);
-        let after = s.snapshot();
-        assert_eq!(after.inserts, 0);
-        assert_eq!(after.expirations, 0);
-    }
-
-    #[test]
-    fn concurrent_drains_never_lose_or_duplicate_increments() {
-        // Regression test for the old reset(): a `store(0)` racing with
-        // updaters silently discarded increments that landed between the
-        // snapshot read and the zeroing write. With swap-based draining,
-        // total increments == sum over drains + final snapshot, exactly.
-        const WRITERS: usize = 8;
-        const PER_WRITER: u64 = 20_000;
-        let stats = std::sync::Arc::new(CacheStats::new());
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-
-        let mut writers = Vec::new();
-        for _ in 0..WRITERS {
-            let stats = stats.clone();
-            writers.push(std::thread::spawn(move || {
-                for _ in 0..PER_WRITER {
-                    stats.insert();
-                    stats.expiration();
-                }
-            }));
-        }
-        let drainer = {
-            let stats = stats.clone();
-            let stop = stop.clone();
-            std::thread::spawn(move || {
-                let mut inserts = 0u64;
-                let mut expirations = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let d = stats.drain();
-                    inserts += d.inserts;
-                    expirations += d.expirations;
-                    std::thread::yield_now();
-                }
-                (inserts, expirations)
-            })
-        };
-        for w in writers {
-            w.join().unwrap();
-        }
-        stop.store(true, Ordering::Relaxed);
-        let (drained_inserts, drained_expirations) = drainer.join().unwrap();
-        let tail = stats.drain();
-        let expected = WRITERS as u64 * PER_WRITER;
-        assert_eq!(
-            drained_inserts + tail.inserts,
-            expected,
-            "inserts conserved"
-        );
-        assert_eq!(
-            drained_expirations + tail.expirations,
-            expected,
-            "expirations conserved"
-        );
     }
 }

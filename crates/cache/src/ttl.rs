@@ -284,16 +284,18 @@ mod tests {
         for t in 0..8u64 {
             let c = c.clone();
             handles.push(std::thread::spawn(move || {
+                let mut found = 0u64;
                 for i in 0..1_000u64 {
                     let key = format!("k{}", (t * 1_000 + i) % 64);
                     c.insert(key.clone(), i, 0, 60);
-                    let _ = c.get(&key, 0);
+                    found += u64::from(c.get(&key, 0).is_some());
                 }
+                found
             }));
         }
-        for h in handles {
-            h.join().unwrap();
-        }
+        // Nothing expires or is removed, so every get finds its key.
+        let found: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        assert_eq!(found, 8_000);
         assert!(c.len() <= 64);
         assert_eq!(c.stats().snapshot().inserts, 8_000);
     }

@@ -165,6 +165,29 @@ mod tests {
     }
 
     #[test]
+    fn the_worst_source_sets_the_overall_status() {
+        let ctx = test_ctx();
+        // No source has answered yet: nothing is known to be wrong.
+        let resp = handle(&ctx, &request());
+        assert_eq!(resp.status, 200);
+        let body = resp.body_json().unwrap();
+        assert_eq!(body["status"], "up");
+        assert_eq!(body["sources"], json!({}));
+        // One error in ten degrades `sacct` but not `sinfo`: the dashboard
+        // still answers 200, and says it is degraded.
+        for i in 0..10 {
+            ctx.breakers.record_health("sinfo", true);
+            ctx.breakers.record_health("sacct", i != 4);
+        }
+        let resp = handle(&ctx, &request());
+        assert_eq!(resp.status, 200);
+        let body = resp.body_json().unwrap();
+        assert_eq!(body["status"], "degraded");
+        assert_eq!(body["sources"]["sacct"]["status"], "degraded");
+        assert_eq!(body["sources"]["sinfo"]["status"], "up");
+    }
+
+    #[test]
     fn breaker_states_ride_along() {
         let ctx = test_ctx();
         ctx.breakers.record_health("sinfo", true);

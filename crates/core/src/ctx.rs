@@ -67,7 +67,7 @@ pub struct DashboardContext {
     /// source -> its counter handles, resolved once, because a registry
     /// lookup takes a lock and allocates four times. Read on every lookup,
     /// written when a source first appears.
-    source_counters: Arc<RwLock<HashMap<String, Arc<SourceCounters>>>>,
+    source_counters: Arc<RwLock<HashMap<String, SourceCounters>>>,
     /// Daemon restart counters as last observed by the serving layer (see
     /// [`DashboardContext::observe_recoveries`]).
     recovery: Arc<RecoveryWatch>,
@@ -418,17 +418,22 @@ impl DashboardContext {
         self.sources.lock().clear();
     }
 
-    /// `source`'s counters: a read of the map, or a write the first time
-    /// the source appears.
-    fn counters(&self, source: &str) -> Arc<SourceCounters> {
+    /// Run `f` on `source`'s counters while the map is held for reading,
+    /// or for writing the first time the source appears.
+    fn with_counters<T>(&self, source: &str, f: impl FnOnce(&SourceCounters) -> T) -> T {
         if let Some(counters) = self.source_counters.read().get(source) {
-            return counters.clone();
+            return f(counters);
         }
-        self.source_counters
-            .write()
+        let mut map = self.source_counters.write();
+        let counters = map
             .entry(source.to_string())
-            .or_insert_with(|| Arc::new(SourceCounters::new(&self.obs, source)))
-            .clone()
+            .or_insert_with(|| SourceCounters::new(&self.obs, source));
+        f(counters)
+    }
+
+    /// Count one of `source`'s [`Event`]s.
+    fn count(&self, source: &str, event: Event) {
+        self.with_counters(source, |c| c.count(&self.obs, source, event));
     }
 
     /// A plain lookup under the cache's one freshness rule, for routes that
@@ -440,7 +445,7 @@ impl DashboardContext {
         // The purge of dead-epoch bytes must beat the lookup.
         self.observe_recoveries();
         let hit = self.cache.cache().get(key, min_version);
-        self.counters(source_of(key)).lookup(hit.is_some());
+        self.with_counters(source_of(key), |c| c.lookup(hit.is_some()));
         hit
     }
 
@@ -480,7 +485,6 @@ impl DashboardContext {
                 Err(e) => SourceOutcome::Failed(e),
             };
         }
-        let counters = self.counters(source);
         let loader_ran = Cell::new(false);
         let last_err: Cell<Option<String>> = Cell::new(None);
         let outcome = self.cache.get_or_fetch(key, ttl, || {
@@ -490,17 +494,17 @@ impl DashboardContext {
             // above never consult it (they don't touch the backend), and
             // coalesced followers share the leader's verdict.
             if !self.breakers.allow(source) {
-                counters.count(&self.obs, source, Event::ShortCircuit);
+                self.count(source, Event::ShortCircuit);
                 last_err.set(Some(format!("{source}: circuit open")));
                 return None;
             }
             // The tag is read before the load: a tick landing mid-load can
             // only make it too old, which over-purges, never under-purges.
             let version = self.ctld.snapshot().seq;
-            let body = self.attempt_with_retries(key, source, &counters, &last_err, &load)?;
+            let body = self.attempt_with_retries(key, source, &last_err, &load)?;
             Some((body, version))
         });
-        counters.lookup(!loader_ran.get());
+        self.with_counters(source, |c| c.lookup(!loader_ran.get()));
         let take_err = || {
             last_err
                 .take()
@@ -511,7 +515,7 @@ impl DashboardContext {
                 SourceOutcome::Fresh(body)
             }
             GraceOutcome::Stale { value, age_secs } => {
-                counters.count(&self.obs, source, Event::StaleServe);
+                self.count(source, Event::StaleServe);
                 SourceOutcome::Stale {
                     body: value,
                     age_secs,
@@ -531,7 +535,6 @@ impl DashboardContext {
         &self,
         key: &str,
         source: &str,
-        counters: &SourceCounters,
         last_err: &Cell<Option<String>>,
         load: &impl Fn() -> Result<Vec<u8>, String>,
     ) -> Option<Body> {
@@ -541,7 +544,7 @@ impl DashboardContext {
         loop {
             attempt += 1;
             if attempt > 1 {
-                counters.count(&self.obs, source, Event::RetryAttempt);
+                self.count(source, Event::RetryAttempt);
             }
             let loaded = load();
             self.breakers.record_load(source, loaded.is_ok());
@@ -556,7 +559,7 @@ impl DashboardContext {
             // over from earlier requests) stops further probing, and a
             // half-open breaker never gets more than its probe budget.
             if !self.breakers.allow(source) {
-                counters.count(&self.obs, source, Event::ShortCircuit);
+                self.count(source, Event::ShortCircuit);
                 break;
             }
             let delay = hpcdash_faults::backoff_delay_ms(
@@ -568,14 +571,14 @@ impl DashboardContext {
             );
             let elapsed = started.elapsed().as_millis() as u64;
             if elapsed.saturating_add(delay) >= policy.deadline_ms {
-                counters.count(&self.obs, source, Event::RetryDeadline);
+                self.count(source, Event::RetryDeadline);
                 break;
             }
             if delay > 0 {
                 std::thread::sleep(std::time::Duration::from_millis(delay));
             }
         }
-        counters.count(&self.obs, source, Event::RetryExhausted);
+        self.count(source, Event::RetryExhausted);
         None
     }
 }
@@ -821,6 +824,10 @@ pub(crate) mod tests {
     #[test]
     fn resilient_ttl_zero_is_single_attempt() {
         let ctx = test_ctx();
+        // An outdated entry under the key: a store lookup would count an
+        // expiration.
+        let store = ctx.cache.cache();
+        store.insert("squeue:z", Body::json(&json!({"jobs": 0})), 0, 0);
         let calls = Cell::new(0u32);
         let out = ctx.cached_resilient("squeue:z", 0, || {
             calls.set(calls.get() + 1);
@@ -833,7 +840,7 @@ pub(crate) mod tests {
             "no-cache ablation keeps fail-fast semantics"
         );
         // Successes bypass the cache too: every call loads, nothing is
-        // stored or counted, and the body carries no validator.
+        // looked up, stored or counted, and the body carries no validator.
         for _ in 0..3 {
             let out = ctx.cached_resilient("squeue:z", 0, || {
                 calls.set(calls.get() + 1);
@@ -843,8 +850,13 @@ pub(crate) mod tests {
             assert_eq!(&*out.body().unwrap().bytes, b"{\"jobs\":1}");
         }
         assert_eq!(calls.get(), 4, "ttl=0 bypasses the cache");
-        assert!(ctx.cache.cache().is_empty());
-        assert_eq!(ctx.cache.stats().inserts, 0, "no cache traffic at all");
+        assert_eq!(store.len(), 1, "only the outdated entry");
+        let stats = ctx.cache.stats();
+        assert_eq!(
+            (stats.inserts, stats.expirations),
+            (1, 0),
+            "no cache traffic at all"
+        );
         for kind in ["requests", "misses"] {
             let name = format!("hpcdash_cache_{kind}_total");
             assert_eq!(ctx.obs.counter(&name, &[("source", "squeue")]).get(), 0);
